@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build vet test race bench bench-json bench-compare matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
+.PHONY: build vet test race bench bench-module matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
 
 build:
 	go build ./...
@@ -17,38 +17,16 @@ race:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Record the performance trajectory: the key linking benchmarks (sequential
-# modes, free text, maintenance, the parallel path, batch linking, the
-# pipelined wire client, WAL group commit, the scaling ones at 1/2/4/8
-# procs, the match-stage scan A/B, and the sharded scatter-gather link
-# path) as JSON, then the shard-scaling experiment rows merged into the
-# same snapshot. The output is committed (BENCH_PR9.json; BENCH_PR3/4/5/6/8
-# .json are the earlier snapshots) so later perf PRs have a baseline to be
-# judged against.
-bench-json:
-	{ go test -run '^$$' -bench 'Table2LinkingModes|Fig9LectureNotes|MaintenanceGrowth|LinkText$$' -benchmem . ; \
-	  go test -run '^$$' -bench 'Link(Text)?Parallel|LinkBatch' -benchmem -cpu 1,2,4,8 . ; \
-	  go test -run '^$$' -bench 'MatchScan' -benchmem ./internal/conceptmap ; \
-	  go test -run '^$$' -bench 'ShardedLinkText' -benchmem ./internal/core ; \
-	  go test -run '^$$' -bench 'PipelinedClient' -benchmem -cpu 1,2,4,8 ./internal/client ; \
-	  go test -run '^$$' -bench 'GroupCommit' -benchmem -cpu 1,2,4,8 ./internal/storage ; } \
-	| go run ./cmd/benchjson -o BENCH_PR9.json
-	go run ./cmd/nnexus-bench -exp shardscale -entries 400 -duration 2s -json BENCH_PR9.json
-	@echo wrote BENCH_PR9.json
-
-# Benchstat-style old/new comparison against the committed baseline.
-bench-compare:
-	{ go test -run '^$$' -bench 'Table2LinkingModes|Fig9LectureNotes|MaintenanceGrowth|LinkText$$' -benchmem . ; \
-	  go test -run '^$$' -bench 'Link(Text)?Parallel|LinkBatch' -benchmem -cpu 1,2,4,8 . ; \
-	  go test -run '^$$' -bench 'MatchScan' -benchmem ./internal/conceptmap ; \
-	  go test -run '^$$' -bench 'ShardedLinkText' -benchmem ./internal/core ; \
-	  go test -run '^$$' -bench 'PipelinedClient' -benchmem -cpu 1,2,4,8 ./internal/client ; \
-	  go test -run '^$$' -bench 'GroupCommit' -benchmem -cpu 1,2,4,8 ./internal/storage ; } \
-	| go run ./cmd/benchjson -compare BENCH_PR9.json
+# benchmarks/ is its own module (the repository benchmark, BENCHMARK.json)
+# importing nnexus/internal/{core,conceptmap,render,tokenizer}; the root
+# `go build ./... && go test ./...` never compiles it, so an internal API
+# change is checked against it here.
+bench-module:
+	cd benchmarks && go vet ./... && go test ./...
 
 # The match-stage scan experiment (chained-hash vs compiled automaton over
-# the engine-shaped concept map); informational companion to the committed
-# BenchmarkMatchScan / BenchmarkLinkText rows in BENCH_PR8.json.
+# the engine-shaped concept map); informational companion to
+# BenchmarkMatchScan / BenchmarkLinkText.
 matchscan:
 	go run ./cmd/nnexus-bench -exp matchscan -entries 7132 -duration 2s
 

@@ -83,7 +83,7 @@ func BenchmarkTable2LinkingModes(b *testing.B) {
 // requests (b.RunParallel spreads the loop over GOMAXPROCS goroutines).
 // Because the whole read path — concept-map scan, candidate view, steering
 // distances — is lock-free, throughput should scale with cores; run with
-// -cpu 1,2,4,8 to record the scaling curve (see BENCH_PR3.json).
+// -cpu 1,2,4,8 to record the scaling curve (see EXPERIMENTS.md).
 func BenchmarkLinkParallel(b *testing.B) {
 	c := corpusFor(b, 1500)
 	e := engineFor(b, c)
@@ -132,7 +132,7 @@ func BenchmarkLinkTextParallel(b *testing.B) {
 // documents: the batch path captures one snapshot view and one domain table
 // for the whole batch and fans the documents across a worker pool. ns/op is
 // per document in both sub-benchmarks; run with -cpu 1,2,4,8 for the
-// scaling curve recorded in BENCH_PR4.json.
+// scaling curve recorded in EXPERIMENTS.md.
 func BenchmarkLinkBatch(b *testing.B) {
 	c := corpusFor(b, 1500)
 	e := engineFor(b, c)

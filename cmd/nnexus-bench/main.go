@@ -46,7 +46,7 @@ func main() {
 		rtt     = flag.Duration("rtt", time.Millisecond, "throughput experiment: simulated round-trip time for the proxied rows (0 = loopback only)")
 		rsRTT   = flag.Duration("readscale-rtt", 10*time.Millisecond, "readscale experiment: simulated round-trip time per node")
 		ssRTT   = flag.Duration("shardscale-rtt", 4*time.Millisecond, "shardscale experiment: simulated round-trip time per shard")
-		rsJSON  = flag.String("json", "", "readscale/openloop experiments: also record results (benchjson schema) to this file")
+		rsJSON  = flag.String("json", "", "readscale/openloop experiments: also record results (benchfmt schema) to this file")
 		olRates = flag.String("rates", "150,300,600,1200,2400,4800", "openloop experiment: comma-separated offered-load ladder (req/s)")
 		olSLO   = flag.Duration("slo", 25*time.Millisecond, "openloop experiment: intended-latency p99 SLO for knee detection")
 		olWin   = flag.Int("window", 8, "openloop experiment: pipeline window per connection")

@@ -104,8 +104,8 @@ func runShardScale(c *workload.Corpus, dur, rtt time.Duration, jsonOut string) e
 	fmt.Println(" single-label entries over N shards multiplies the write window)")
 
 	if jsonOut != "" {
-		// Merge, don't overwrite: BENCH_PR9.json also carries the go-test
-		// rows make bench-json records.
+		// Merge, don't overwrite: BENCH_PR9.json also carries committed
+		// go-test rows.
 		if err := (benchfmt.File{Benchmarks: results}).MergeInto(jsonOut); err != nil {
 			return err
 		}

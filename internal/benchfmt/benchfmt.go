@@ -1,24 +1,18 @@
-// Package benchfmt is the committed benchmark-snapshot format shared by
-// cmd/benchjson (which converts `go test -bench` text into it) and the
-// experiment drivers in cmd/nnexus-bench (which record read-scaling and
-// open-loop sweep results directly). Keeping one schema means every
-// BENCH_PR*.json file — whatever produced it — can be loaded, compared,
-// and gated with the same code.
+// Package benchfmt is the committed benchmark-snapshot format of the
+// experiment drivers in cmd/nnexus-bench (read-scaling, open-loop sweep,
+// shard-scaling and tenant-isolation results). Keeping one schema means
+// every BENCH_PR*.json file can be loaded, merged, and gated with the same
+// code.
 package benchfmt
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"io"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 )
 
-// Benchmark is one recorded result: a parsed `go test -bench` line or a
-// synthetic experiment row.
+// Benchmark is one recorded result: a `go test -bench` line or a synthetic
+// experiment row.
 type Benchmark struct {
 	// Name is the benchmark name without the -P GOMAXPROCS suffix.
 	Name string `json:"name"`
@@ -62,64 +56,6 @@ func (f *File) Sort() {
 	})
 }
 
-// Parse reads `go test -bench` output and extracts every benchmark line.
-// The format is: Benchmark<Name>[-P] <N> <value> <unit> [<value> <unit>]...
-func Parse(r io.Reader) File {
-	var f File
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			continue
-		}
-		n, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		b := Benchmark{
-			Name:        strings.TrimPrefix(fields[0], "Benchmark"),
-			Procs:       1,
-			Iterations:  n,
-			BytesPerOp:  -1,
-			AllocsPerOp: -1,
-		}
-		if i := strings.LastIndexByte(b.Name, '-'); i >= 0 {
-			if p, err := strconv.Atoi(b.Name[i+1:]); err == nil {
-				b.Name, b.Procs = b.Name[:i], p
-			}
-		}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				b.NsPerOp = v
-			case "B/op":
-				b.BytesPerOp = v
-			case "allocs/op":
-				b.AllocsPerOp = v
-			case "MB/s":
-				// derived from ns/op and SetBytes; skip
-			default:
-				if b.Metrics == nil {
-					b.Metrics = make(map[string]float64)
-				}
-				b.Metrics[unit] = v
-			}
-		}
-		f.Benchmarks = append(f.Benchmarks, b)
-	}
-	f.Sort()
-	return f
-}
-
 // Load reads a committed snapshot from path.
 func Load(path string) (File, error) {
 	var f File
@@ -142,9 +78,9 @@ func (f File) Write(path string) error {
 // MergeInto commits f to path, folding it into whatever snapshot is
 // already there: rows with a matching (name, procs) key are replaced, new
 // rows are appended, everything else is preserved. Experiment drivers use
-// this to add their synthetic rows (ShardScale/…) to the go-test rows
-// cmd/benchjson wrote into the same BENCH_PR*.json. A missing file is the
-// empty snapshot.
+// this to add their synthetic rows (ShardScale/…) to the rows already
+// committed in the same BENCH_PR*.json. A missing file is the empty
+// snapshot.
 func (f File) MergeInto(path string) error {
 	merged, err := Load(path)
 	if err != nil {
@@ -175,46 +111,7 @@ func (f File) MergeInto(path string) error {
 	return merged.Write(path)
 }
 
-// Marshal renders f exactly as Write commits it.
-func (f File) Marshal() ([]byte, error) {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 type benchKey struct {
 	name  string
 	procs int
-}
-
-// WriteComparison writes a benchstat-style old/new table for benchmarks
-// present in both files.
-func WriteComparison(w io.Writer, old, cur File) {
-	oldBy := make(map[benchKey]Benchmark, len(old.Benchmarks))
-	for _, b := range old.Benchmarks {
-		oldBy[benchKey{b.Name, b.Procs}] = b
-	}
-	fmt.Fprintf(w, "%-52s %14s %14s %8s %12s %12s %8s\n",
-		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
-	for _, b := range cur.Benchmarks {
-		o, ok := oldBy[benchKey{b.Name, b.Procs}]
-		if !ok {
-			continue
-		}
-		name := fmt.Sprintf("%s-%d", b.Name, b.Procs)
-		fmt.Fprintf(w, "%-52s %14.0f %14.0f %8s %12.0f %12.0f %8s\n",
-			name, o.NsPerOp, b.NsPerOp, Delta(o.NsPerOp, b.NsPerOp),
-			o.AllocsPerOp, b.AllocsPerOp, Delta(o.AllocsPerOp, b.AllocsPerOp))
-	}
-}
-
-// Delta formats a relative change as a signed percentage ("n/a" when the
-// old value is non-positive).
-func Delta(old, new float64) string {
-	if old <= 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%+.1f%%", (new-old)/old*100)
 }

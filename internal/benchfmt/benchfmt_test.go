@@ -1,49 +1,16 @@
 package benchfmt
 
 import (
-	"bytes"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-const sampleOutput = `goos: linux
-goarch: amd64
-BenchmarkLinkParallel-8   	    1000	   1234567 ns/op	  2048 B/op	      12 allocs/op
-BenchmarkTable2LinkingModes/default 	     500	    999999 ns/op	        0.954 precision
-BenchmarkGroupCommit-4    	    2000	     55555 ns/op	     0.125 fsyncs/op
-PASS
-ok  	nnexus	1.234s
-`
-
-func TestParse(t *testing.T) {
-	f := Parse(strings.NewReader(sampleOutput))
-	if len(f.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(f.Benchmarks))
-	}
-	b, ok := f.Find("LinkParallel", 8)
-	if !ok {
-		t.Fatal("LinkParallel-8 not found")
-	}
-	if b.Iterations != 1000 || b.NsPerOp != 1234567 || b.BytesPerOp != 2048 || b.AllocsPerOp != 12 {
-		t.Fatalf("LinkParallel parsed wrong: %+v", b)
-	}
-	if b, ok := f.Find("Table2LinkingModes/default", 1); !ok || b.Metrics["precision"] != 0.954 {
-		t.Fatalf("custom metric not parsed: %+v (ok=%v)", b, ok)
-	}
-	if b, ok := f.Find("GroupCommit", 4); !ok || b.Metrics["fsyncs/op"] != 0.125 {
-		t.Fatalf("fsyncs/op metric not parsed: %+v (ok=%v)", b, ok)
-	}
-	// Sorted by (name, procs).
-	for i := 1; i < len(f.Benchmarks); i++ {
-		if f.Benchmarks[i-1].Name > f.Benchmarks[i].Name {
-			t.Fatalf("not sorted: %q after %q", f.Benchmarks[i].Name, f.Benchmarks[i-1].Name)
-		}
-	}
-}
-
 func TestWriteLoadRoundTrip(t *testing.T) {
-	f := Parse(strings.NewReader(sampleOutput))
+	f := File{Benchmarks: []Benchmark{
+		{Name: "LinkParallel", Procs: 8, Iterations: 1000, NsPerOp: 1234567, BytesPerOp: 2048, AllocsPerOp: 12},
+		{Name: "GroupCommit", Procs: 4, Iterations: 2000, NsPerOp: 55555, BytesPerOp: -1, AllocsPerOp: -1,
+			Metrics: map[string]float64{"fsyncs/op": 0.125}},
+	}}
 	path := filepath.Join(t.TempDir(), "bench.json")
 	if err := f.Write(path); err != nil {
 		t.Fatal(err)
@@ -59,30 +26,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if !ok || b.NsPerOp != 1234567 {
 		t.Fatalf("round trip mangled LinkParallel: %+v (ok=%v)", b, ok)
 	}
-}
-
-func TestWriteComparison(t *testing.T) {
-	old := File{Benchmarks: []Benchmark{{Name: "X", Procs: 1, NsPerOp: 100, AllocsPerOp: 10}}}
-	cur := File{Benchmarks: []Benchmark{
-		{Name: "X", Procs: 1, NsPerOp: 110, AllocsPerOp: 10},
-		{Name: "OnlyNew", Procs: 1, NsPerOp: 5},
-	}}
-	var buf bytes.Buffer
-	WriteComparison(&buf, old, cur)
-	out := buf.String()
-	if !strings.Contains(out, "X-1") || !strings.Contains(out, "+10.0%") {
-		t.Fatalf("comparison table missing expected row:\n%s", out)
-	}
-	if strings.Contains(out, "OnlyNew") {
-		t.Fatalf("benchmarks absent from the baseline must be skipped:\n%s", out)
-	}
-}
-
-func TestDelta(t *testing.T) {
-	if got := Delta(0, 5); got != "n/a" {
-		t.Fatalf("Delta(0,5) = %q", got)
-	}
-	if got := Delta(200, 100); got != "-50.0%" {
-		t.Fatalf("Delta(200,100) = %q", got)
+	if b, ok := loaded.Find("GroupCommit", 4); !ok || b.Metrics["fsyncs/op"] != 0.125 {
+		t.Fatalf("round trip lost the custom metric: %+v (ok=%v)", b, ok)
 	}
 }

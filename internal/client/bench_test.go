@@ -6,7 +6,7 @@ package client
 // 1ms-RTT link (netsim), where the round trip dominates and pipelining pays
 // it once per window instead of once per call. window=1 reproduces the
 // pre-pipelining stop-and-wait wire pattern. Run with -cpu 1,2,4,8; the
-// recorded numbers live in BENCH_PR4.json and EXPERIMENTS.md.
+// recorded numbers live in EXPERIMENTS.md.
 
 import (
 	"fmt"

@@ -60,6 +60,8 @@ func (s *Sharded) ScanShard(id int, dst []core.ResolvedMatch, tokens []tokenizer
 	}
 	req := &wire.Request{
 		Method:  wire.MethodShardScan,
+		Corpus:  opts.SourceCorpus,
+		Targets: opts.TargetCorpora,
 		Classes: opts.SourceClasses,
 		Scheme:  opts.SourceScheme,
 		Object:  opts.ExcludeObject,

@@ -64,7 +64,7 @@ func BenchmarkMatchScan(b *testing.B) {
 	m.CompileNow()
 	aut := m.comp.aut.Load()
 
-	check := snap.scanChained(nil, tokens)
+	check := snap.scanChained(nil, tokens, true)
 	if got := aut.scanAppend(nil, tokens); len(got) != len(check) {
 		b.Fatalf("scan mismatch: chained=%d automaton=%d", len(check), len(got))
 	}
@@ -75,7 +75,7 @@ func BenchmarkMatchScan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = snap.scanChained(dst[:0], tokens)
+			dst = snap.scanChained(dst[:0], tokens, true)
 		}
 		b.ReportMetric(float64(len(tokens))*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
 	})

@@ -46,7 +46,7 @@ func FuzzAutomatonScanEquivalence(f *testing.F) {
 
 		tokens := tokenizer.Tokenize(text)
 		snap := m.snap.Load()
-		want := snap.scanChained(nil, tokens)
+		want := snap.scanChained(nil, tokens, true)
 		got, usedAut := m.ScanAppendAuto(nil, tokens)
 		if !usedAut {
 			t.Fatal("automaton did not serve the scan after CompileNow")

@@ -20,7 +20,7 @@ func scanBoth(t *testing.T, m *Map, text string) []Match {
 	m.CompileNow()
 	tokens := tokenizer.Tokenize(text)
 	snap := m.snap.Load()
-	chained := snap.scanChained(nil, tokens)
+	chained := snap.scanChained(nil, tokens, true)
 	got, usedAut := m.ScanAppendAuto(nil, tokens)
 	if !usedAut {
 		t.Fatalf("automaton did not serve the scan after CompileNow")
@@ -277,7 +277,7 @@ func TestCompilerConcurrentWrites(t *testing.T) {
 			// snapshot ≥ snapBefore's generation; re-derive the chained
 			// result from the automaton's own source snapshot.
 			if aut := m.comp.aut.Load(); aut != nil && aut.src == snapBefore {
-				want := snapBefore.scanChained(nil, tokens)
+				want := snapBefore.scanChained(nil, tokens, true)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("automaton scan diverged:\nchained:   %+v\nautomaton: %+v", want, got)
 				}
@@ -304,7 +304,7 @@ func TestCompilerConcurrentWrites(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	snap := m.snap.Load()
-	want := snap.scanChained(nil, tokens)
+	want := snap.scanChained(nil, tokens, true)
 	got, usedAut := m.ScanAppendAuto(nil, tokens)
 	if !usedAut {
 		t.Fatal("expected automaton scan after convergence")

@@ -445,13 +445,16 @@ func (m *Map) ScanAppendAuto(dst []Match, tokens []tokenizer.Token) ([]Match, bo
 		return aut.scanAppend(dst, tokens), true
 	}
 	m.comp.fallbackScans.Add(1)
-	return snap.scanChained(dst, tokens), false
+	return snap.scanChained(dst, tokens, true), false
 }
 
 // scanChained is the paper's §2.2 chained-hash scan over one immutable
 // snapshot: per position, probe the first-word chain and try its label
-// lengths longest-first.
-func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token) []Match {
+// lengths longest-first. With consume set the walk resumes past each match
+// (the greedy leftmost-longest scan); without it the walk resumes at the
+// next token, reporting the longest match starting at every position (see
+// ScanAllAppend).
+func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token, consume bool) []Match {
 	// phrase is a reusable byte buffer; probing the label table with
 	// b[string(phrase)] compiles to a no-allocation map lookup.
 	var phrase []byte
@@ -462,7 +465,7 @@ func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token) []Match
 			i++
 			continue
 		}
-		matched := false
+		step := 1
 		for _, n := range f.lengths { // longest first
 			if i+n > len(tokens) {
 				continue
@@ -486,69 +489,35 @@ func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token) []Match
 				ByteEnd:    tokens[i+n-1].End,
 				Candidates: e.ids,
 			})
-			i += n
-			matched = true
+			if consume {
+				step = n
+			}
 			break
 		}
-		if !matched {
-			i++
-		}
+		i += step
 	}
 	return dst
 }
 
-// ScanAllAppend is the sharded-scan primitive: it reports the longest
-// concept match starting at every token position, without consuming the
-// matched tokens — after emitting a match at position i the scan resumes at
-// i+1, not past the phrase. A shard holding only its slice of the label
-// space runs this over the full token stream; because every label starting
-// at a given token shares the same morph-folded first word (and therefore
-// the same owning shard), the union of per-shard ScanAllAppend streams
-// contains the longest match at every position, and the router's global
-// greedy walk over that union — accept a match whose TokenStart is past the
-// previous winner's TokenEnd, drop shadowed ones — reproduces the
-// single-map ScanAppend stream bit-identically.
+// ScanAllAppend is the all-positions scan: it reports the longest concept
+// match starting at every token position, without consuming the matched
+// tokens — after emitting a match at position i the scan resumes at i+1,
+// not past the phrase. A shard holding only its slice of the label space
+// runs this over the full token stream; because every label starting at a
+// given token shares the same morph-folded first word (and therefore the
+// same owning shard), the union of per-shard ScanAllAppend streams contains
+// the longest match at every position, and a greedy walk over that union —
+// accept a match whose TokenStart is past the previous winner's TokenEnd,
+// drop shadowed ones — reproduces the single-map ScanAppend stream
+// bit-identically. The engine's multi-corpus scan uses it the same way,
+// across namespaces instead of ring slices.
 //
 // ScanAllAppend always takes the chained-hash path: the compiled automaton
 // keeps only the longest label ending at each state, which serves the
 // greedy consume-on-match walk but cannot report the longest match at every
 // start position.
 func (m *Map) ScanAllAppend(dst []Match, tokens []tokenizer.Token) []Match {
-	snap := m.snap.Load()
-	var phrase []byte
-	for i := 0; i < len(tokens); i++ {
-		first := tokens[i].Norm
-		f := snap.byFirst[bucketOf(first)][first]
-		if f == nil {
-			continue
-		}
-		for _, n := range f.lengths { // longest first
-			if i+n > len(tokens) {
-				continue
-			}
-			phrase = phrase[:0]
-			for j := 0; j < n; j++ {
-				if j > 0 {
-					phrase = append(phrase, ' ')
-				}
-				phrase = append(phrase, tokens[i+j].Norm...)
-			}
-			e, ok := snap.labels[bucketOfBytes(phrase)][string(phrase)]
-			if !ok {
-				continue
-			}
-			dst = append(dst, Match{
-				Label:      e.label,
-				TokenStart: i,
-				TokenEnd:   i + n,
-				ByteStart:  tokens[i].Start,
-				ByteEnd:    tokens[i+n-1].End,
-				Candidates: e.ids,
-			})
-			break
-		}
-	}
-	return dst
+	return m.snap.Load().scanChained(dst, tokens, false)
 }
 
 // Lookup returns the candidate objects defining exactly the given label

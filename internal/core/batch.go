@@ -1,11 +1,10 @@
 package core
 
-// Shared-view batch linking. A batch captures ONE candidate-entry snapshot
-// and ONE domain-table generation for all of its items (instead of one per
-// call), then links the items with a bounded worker pool that reuses the
-// pooled scratch buffers. This is the engine half of the wire batch methods
-// (linkBatch, relinkBatch, addEntries) and the backing path of
-// RelinkInvalidatedParallel.
+// Batch linking. A batch runs the Fig 2 pipeline (pipeline.go) per item
+// with a bounded worker pool, around ONE capture stage: one candidate-entry
+// snapshot and one domain-table generation for all of its items. This is
+// the engine half of the wire batch methods (linkBatch, relinkBatch,
+// addEntries) and the backing path of every relink.
 
 import (
 	"fmt"
@@ -15,12 +14,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nnexus/internal/conceptmap"
 	"nnexus/internal/corpus"
-	"nnexus/internal/latex"
 	"nnexus/internal/policy"
-	"nnexus/internal/render"
 	"nnexus/internal/storage"
-	"nnexus/internal/tokenizer"
 )
 
 // relinkChunk bounds how many entries a relink batch captures into one
@@ -29,21 +26,14 @@ import (
 // size of the union candidate snapshot.
 const relinkChunk = 128
 
-// batchItem carries one unit of a shared-view batch through its phases.
+// batchItem carries one unit of a batch through the pipeline.
 type batchItem struct {
-	id      int64  // source entry ID; 0 for free text
-	text    string // input text (entry body for entry items)
-	classes []string
-	// targets is the item's resolved link policy (ordered target corpora).
-	// Left empty for entry items, it resolves to the entry's own corpus in
-	// phase 1 (self-linking), so a relink batch spanning corpora keeps each
-	// entry inside its namespace.
-	targets []string
-	exclude int64
-	buf     *linkBuffers
-	res     *Result
-	err     error
-	scanned bool // phase 1 ran (the item was handed to a worker)
+	// id is the stored entry to link; 0 links text under the batch's plan.
+	id   int64
+	text string
+	run  *linkRun // nil until the item is handed to a worker
+	res  *Result
+	err  error
 }
 
 // forEachItem feeds items to a bounded worker pool. When aborted is
@@ -80,135 +70,53 @@ func forEachItem(items []*batchItem, workers int, aborted *atomic.Bool, fn func(
 	wg.Wait()
 }
 
-// captureBatchView gathers the candidate entries of every scanned item
-// under a single read lock and pairs them with the current domain-table
-// generation: the whole batch links against this one immutable view.
-func (e *Engine) captureBatchView(items []*batchItem) linkView {
-	total := 0
-	for _, it := range items {
-		if it.scanned && it.err == nil {
-			total += len(it.buf.matches)
-		}
-	}
-	v := linkView{entries: make(map[int64]*corpus.Entry, total), domains: e.domainMap()}
-	if total == 0 {
-		return v
-	}
-	e.mu.RLock()
-	for _, it := range items {
-		if !it.scanned || it.err != nil {
-			continue
-		}
-		for _, m := range it.buf.matches {
-			for _, oid := range m.Candidates {
-				id := int64(oid)
-				if _, seen := v.entries[id]; seen {
-					continue
-				}
-				if entry, ok := e.entries[id]; ok {
-					v.entries[id] = entry
-				}
-			}
-		}
-	}
-	e.mu.RUnlock()
-	return v
-}
-
-// runBatch links items in three phases: (1) parallel per-item tokenize +
-// concept-map scan (and entry resolution for entry items), (2) one shared
-// view capture for the whole batch, (3) parallel per-item target choice
-// and rendering against the shared view. Any item error sets aborted, so
-// feeders (phase 1 here, later chunks in the caller) stop dispatching new
-// work; items that already entered phase 1 still finish phase 3, matching
-// the relink abort contract.
-func (e *Engine) runBatch(items []*batchItem, opts LinkOptions, workers int, aborted *atomic.Bool) {
-	mode := opts.Mode
-	if mode == ModeDefault {
-		mode = e.cfg.Mode.resolve()
-	}
-	format := e.cfg.Format
-	if opts.Format != nil {
-		format = *opts.Format
-	}
+// runBatch links items in three phases: (1) parallel per-item plan (entry
+// items plan from the stored entry; text items share p) and scan, (2) one
+// view capture for the whole batch, (3) parallel per-item finish against
+// that view. Any item error sets aborted, so feeders (phase 1 here, later
+// chunks in the caller) stop dispatching new work; items that already
+// entered phase 1 still finish phase 3, matching the relink abort contract.
+func (e *Engine) runBatch(items []*batchItem, p linkPlan, workers int, aborted *atomic.Bool) {
 	defer func() {
 		for _, it := range items {
-			if it.buf != nil {
-				putLinkBuffers(it.buf)
-				it.buf = nil
+			if it.run != nil {
+				putRun(it.run)
+				it.run = nil
 			}
 		}
 	}()
 
 	forEachItem(items, workers, aborted, func(it *batchItem) {
-		it.scanned = true
+		it.run = e.getRun()
+		it.run.plan = p
 		if it.id != 0 {
-			entry, ok := e.Entry(it.id)
-			if !ok {
-				it.err = fmt.Errorf("core: link of unknown entry %d", it.id)
+			if it.run.plan, it.text, it.err = e.planEntry(it.id, LinkOptions{}); it.err != nil {
 				aborted.Store(true)
 				return
 			}
-			it.text = entry.Body
-			if len(it.classes) == 0 {
-				it.classes = e.mappers.Translate(
-					schemeOr(e.domainScheme(entry.Domain), e.scheme.Name()),
-					entry.Classes, e.scheme.Name())
-			}
-			if len(it.targets) == 0 {
-				// Entry items self-link inside their own namespace.
-				it.targets = []string{corpus.CorpusOrDefault(entry.Corpus)}
-			}
 		}
-		if len(it.targets) == 0 {
-			it.targets = []string{e.DefaultCorpus()}
-		}
-		if e.cfg.LaTeX {
-			it.text = latex.ToText(it.text)
-		}
-		it.buf = getLinkBuffers()
-		it.buf.tokens = tokenizer.TokenizeAppend(it.buf.tokens, it.text)
-		e.scanCorpora(it.buf, it.targets, false)
+		e.scanText(it.run, it.text)
 	})
 
-	view := e.captureBatchView(items)
+	streams := make([][]conceptmap.Match, 0, len(items))
+	total := 0
+	for _, it := range items {
+		if it.run != nil && it.err == nil {
+			streams = append(streams, it.run.matches)
+			total += len(it.run.matches)
+		}
+	}
+	view := e.captureView(make(map[int64]*corpus.Entry, total), streams...)
 
 	// Phase 3 dispatches every scanned item even when the batch has been
 	// aborted: those items were already handed to workers.
 	forEachItem(items, workers, nil, func(it *batchItem) {
-		if !it.scanned || it.err != nil {
+		if it.run == nil || it.err != nil {
 			return
 		}
-		buf := it.buf
-		res := &Result{Source: it.id, Output: it.text}
-		rank := buf.targetRank(it.targets)
-		var anchors []render.Anchor
-		for _, m := range buf.matches {
-			if !e.cfg.LinkAllOccurrences && buf.linked[m.Label] {
-				res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: SkipDuplicate})
-				continue
-			}
-			link, skip := e.chooseTarget(m, view, buf, it.classes, it.exclude, mode, rank, nil)
-			if skip != nil {
-				res.Skips = append(res.Skips, *skip)
-				continue
-			}
-			link.Text = m.Text(it.text)
-			res.Links = append(res.Links, *link)
-			anchors = append(anchors, render.Anchor{
-				Start: link.Start, End: link.End, URL: link.URL, Title: link.TargetTitle,
-			})
-			buf.linked[m.Label] = true
-		}
-		out, err := render.Apply(it.text, anchors, format)
-		if err != nil {
-			it.err = fmt.Errorf("core: render: %w", err)
+		if it.res, it.err = e.finish(it.run, view); it.err != nil {
 			aborted.Store(true)
-			return
 		}
-		res.Output = out
-		e.met.countResult(res)
-		it.res = res
 	})
 }
 
@@ -226,17 +134,13 @@ func (e *Engine) LinkBatch(texts []string, opts LinkOptions, workers int) ([]*Re
 	if workers > len(texts) {
 		workers = len(texts)
 	}
-	sourceClasses := e.mappers.Translate(
-		schemeOr(opts.SourceScheme, e.scheme.Name()), opts.SourceClasses, e.scheme.Name())
-	_, targets := e.resolveLinkCorpora(&opts)
 	items := make([]*batchItem, len(texts))
 	for i, t := range texts {
-		items[i] = &batchItem{text: t, classes: sourceClasses, targets: targets, exclude: opts.ExcludeObject}
+		items[i] = &batchItem{text: t}
 	}
 	var aborted atomic.Bool
-	e.runBatch(items, opts, workers, &aborted)
+	e.runBatch(items, e.plan(&opts), workers, &aborted)
 	out := make([]*Result, len(items))
-	links := int64(0)
 	for i, it := range items {
 		if it.err != nil {
 			return nil, it.err
@@ -245,13 +149,10 @@ func (e *Engine) LinkBatch(texts []string, opts LinkOptions, workers int) ([]*Re
 			return nil, fmt.Errorf("core: link batch aborted before item %d", i)
 		}
 		out[i] = it.res
-		links += int64(len(it.res.Links))
 	}
 	if e.tel != nil {
 		e.tel.batchRuns.Inc()
 		e.tel.batchItems.Add(int64(len(items)))
-		e.tel.opLinkText.Add(int64(len(items)))
-		e.tel.linksCreated.Add(links)
 	}
 	return out, nil
 }
@@ -295,13 +196,13 @@ func (e *Engine) relinkShared(ids []int64, workers int) (map[int64]*Result, int,
 		}
 		items := make([]*batchItem, 0, end-off)
 		for _, id := range ids[off:end] {
-			items = append(items, &batchItem{id: id, exclude: id})
+			items = append(items, &batchItem{id: id})
 		}
 		w := workers
 		if w > len(items) {
 			w = len(items)
 		}
-		e.runBatch(items, LinkOptions{}, w, &aborted)
+		e.runBatch(items, linkPlan{}, w, &aborted)
 		for _, it := range items {
 			switch {
 			case it.err != nil:
@@ -311,11 +212,7 @@ func (e *Engine) relinkShared(ids []int64, workers int) (map[int64]*Result, int,
 				}
 			case it.res != nil:
 				out[it.id] = it.res
-				e.clearInvalid(it.id)
-				e.met.entriesLinked.Add(1)
-				if e.tel != nil {
-					e.tel.opLinkEntry.Inc()
-				}
+				e.relinked(it.id)
 			}
 		}
 	}

@@ -2,17 +2,11 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"nnexus/internal/classification"
-	"nnexus/internal/conceptmap"
 	"nnexus/internal/corpus"
-	"nnexus/internal/latex"
 	"nnexus/internal/render"
-	"nnexus/internal/tokenizer"
 )
 
 // Link is one hyperlink the engine decided to create.
@@ -93,295 +87,6 @@ type LinkOptions struct {
 	Format *render.Format
 }
 
-// resolveLinkCorpora normalizes a request's link policy: the source corpus
-// (engine default when unnamed) and the ordered target corpora
-// (self-linking when unnamed).
-func (e *Engine) resolveLinkCorpora(opts *LinkOptions) (source string, targets []string) {
-	source = opts.SourceCorpus
-	if source == "" {
-		source = e.DefaultCorpus()
-	}
-	if len(opts.TargetCorpora) == 0 {
-		return source, []string{source}
-	}
-	targets = make([]string, len(opts.TargetCorpora))
-	for i, t := range opts.TargetCorpora {
-		targets[i] = corpus.CorpusOrDefault(t)
-	}
-	return source, targets
-}
-
-// scanCorpora scans buf.tokens against the target corpora's concept maps,
-// appending into buf.matches. The single-target path (the default) is the
-// unchanged per-namespace scan — automaton-served when auto is set and the
-// namespace's automaton is current — so a one-corpus deployment's scan is
-// bit-identical to the pre-tenancy engine. The multi-target path runs each
-// namespace's non-greedy all-position scan and merges them into the one
-// greedy leftmost-longest sequence a single map holding the union of the
-// targets' labels would produce (the ShardRouter merge, across corpora
-// instead of ring slices). An unknown target corpus contributes nothing.
-func (e *Engine) scanCorpora(buf *linkBuffers, targets []string, auto bool) (usedAutomaton bool) {
-	if len(targets) == 1 {
-		ns := e.nsFor(targets[0])
-		if ns == nil {
-			return false
-		}
-		if auto {
-			buf.matches, usedAutomaton = ns.cmap.ScanAppendAuto(buf.matches, buf.tokens)
-			return usedAutomaton
-		}
-		buf.matches = ns.cmap.ScanAppend(buf.matches, buf.tokens)
-		return false
-	}
-	e.scanAllCorpora(buf, targets)
-	buf.matches = mergeGreedy(buf.matches, buf.multi, buf.multiOrigin)
-	return false
-}
-
-// scanAllCorpora fills buf.multi with every target namespace's all-position
-// matches and buf.multiOrigin with the producing target's index.
-func (e *Engine) scanAllCorpora(buf *linkBuffers, targets []string) {
-	all := buf.multi[:0]
-	org := buf.multiOrigin[:0]
-	for ti, t := range targets {
-		ns := e.nsFor(t)
-		if ns == nil {
-			continue
-		}
-		start := len(all)
-		all = ns.cmap.ScanAllAppend(all, buf.tokens)
-		for i := start; i < len(all); i++ {
-			org = append(org, ti)
-		}
-	}
-	buf.multi, buf.multiOrigin = all, org
-}
-
-// mergeGreedy turns per-target all-position matches into the greedy
-// leftmost-longest non-overlapping sequence, appended to dst. At each
-// position the longest span wins; identical spans produced by several
-// targets merge their candidate lists in target order, so the ordered link
-// policy is preserved down to candidate resolution.
-func mergeGreedy(dst, all []conceptmap.Match, origin []int) []conceptmap.Match {
-	if len(all) == 0 {
-		return dst
-	}
-	idx := make([]int, len(all))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ma, mb := &all[idx[a]], &all[idx[b]]
-		if ma.TokenStart != mb.TokenStart {
-			return ma.TokenStart < mb.TokenStart
-		}
-		if ma.TokenEnd != mb.TokenEnd {
-			return ma.TokenEnd > mb.TokenEnd // longest first
-		}
-		return origin[idx[a]] < origin[idx[b]] // target order
-	})
-	cursor := 0 // next token position available for a match
-	for i := 0; i < len(idx); {
-		m := all[idx[i]]
-		if m.TokenStart < cursor {
-			i++
-			continue
-		}
-		// m is the longest match at this start. Fold in the candidates of
-		// every identical span (other targets), in target order.
-		j := i + 1
-		for ; j < len(idx); j++ {
-			n := &all[idx[j]]
-			if n.TokenStart != m.TokenStart || n.TokenEnd != m.TokenEnd {
-				break
-			}
-		}
-		if j > i+1 {
-			merged := make([]conceptmap.ObjectID, 0, (j-i)*2)
-			for k := i; k < j; k++ {
-				merged = append(merged, all[idx[k]].Candidates...)
-			}
-			m.Candidates = merged
-		}
-		dst = append(dst, m)
-		cursor = m.TokenEnd
-		i = j
-	}
-	return dst
-}
-
-// mergeAll is mergeGreedy's non-greedy sibling, for the shard-scan path:
-// every start position keeps its longest span (identical spans from several
-// targets merge candidates in target order), but no cursor consumes
-// positions — the router's global greedy merge does that downstream.
-func mergeAll(dst, all []conceptmap.Match, origin []int) []conceptmap.Match {
-	if len(all) == 0 {
-		return dst
-	}
-	idx := make([]int, len(all))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ma, mb := &all[idx[a]], &all[idx[b]]
-		if ma.TokenStart != mb.TokenStart {
-			return ma.TokenStart < mb.TokenStart
-		}
-		if ma.TokenEnd != mb.TokenEnd {
-			return ma.TokenEnd > mb.TokenEnd // longest first
-		}
-		return origin[idx[a]] < origin[idx[b]] // target order
-	})
-	for i := 0; i < len(idx); {
-		m := all[idx[i]]
-		// Keep only the longest span at this start; fold identical spans.
-		j := i + 1
-		for ; j < len(idx); j++ {
-			n := &all[idx[j]]
-			if n.TokenStart != m.TokenStart {
-				break
-			}
-		}
-		merged := m.Candidates
-		folded := false
-		for k := i + 1; k < j; k++ {
-			n := &all[idx[k]]
-			if n.TokenEnd != m.TokenEnd {
-				continue
-			}
-			if !folded {
-				merged = append(make([]conceptmap.ObjectID, 0, len(m.Candidates)*2), m.Candidates...)
-				folded = true
-			}
-			merged = append(merged, n.Candidates...)
-		}
-		m.Candidates = merged
-		dst = append(dst, m)
-		i = j
-	}
-	return dst
-}
-
-// linkBuffers holds the per-request scratch state of one LinkText run.
-// Instances are pooled: the token and match buffers, the candidate scratch
-// slices, and the bookkeeping maps are reused across requests, cutting the
-// steady-state allocation count of the hot path.
-type linkBuffers struct {
-	tokens  []tokenizer.Token
-	matches []conceptmap.Match
-	// linked tracks labels already linked in this run (first-occurrence
-	// rule).
-	linked map[string]bool
-	// cands/sc/ids are chooseTarget's per-match scratch.
-	cands []*corpus.Entry
-	sc    []classification.Candidate
-	ids   []int64
-	// steered is chooseTarget's winner-membership scratch, lazily
-	// allocated and cleared after each use (previously rebuilt with a
-	// fresh map allocation for every steered match).
-	steered map[int64]bool
-	// entries is the per-call candidate snapshot (see captureView).
-	entries map[int64]*corpus.Entry
-	// multi/multiOrigin are the multi-target scan scratch: the per-target
-	// all-position matches and, parallel to them, the index of the target
-	// corpus that produced each. Unused on the single-target path.
-	multi       []conceptmap.Match
-	multiOrigin []int
-	// rank is the corpus → target-order scratch of a multi-target request.
-	rank map[string]int
-}
-
-// targetRank builds the corpus → position map of a multi-target link
-// policy (nil for the single-target default, which keeps that path free of
-// map lookups). Earlier targets win equal-priority tie-breaks.
-func (b *linkBuffers) targetRank(targets []string) map[string]int {
-	if len(targets) <= 1 {
-		return nil
-	}
-	if b.rank == nil {
-		b.rank = make(map[string]int, len(targets))
-	} else {
-		clear(b.rank)
-	}
-	for i, t := range targets {
-		if _, ok := b.rank[t]; !ok {
-			b.rank[t] = i
-		}
-	}
-	return b.rank
-}
-
-var linkBufPool = sync.Pool{
-	New: func() interface{} {
-		return &linkBuffers{
-			linked:  make(map[string]bool, 16),
-			entries: make(map[int64]*corpus.Entry, 32),
-		}
-	},
-}
-
-func getLinkBuffers() *linkBuffers {
-	b := linkBufPool.Get().(*linkBuffers)
-	b.tokens = b.tokens[:0]
-	b.matches = b.matches[:0]
-	clear(b.linked)
-	clear(b.entries)
-	return b
-}
-
-func putLinkBuffers(b *linkBuffers) {
-	// Drop pointers into engine state so the pool does not pin entries.
-	clear(b.entries)
-	for i := range b.cands {
-		b.cands[i] = nil
-	}
-	linkBufPool.Put(b)
-}
-
-// linkView is the read snapshot one LinkText call works from: the candidate
-// entries captured under a single RLock, and the current copy-on-write
-// domain-table generation. Once captured, the whole match loop — policy
-// filtering, steering, tie-breaking — runs without touching engine locks,
-// where the previous implementation re-acquired e.mu once per match (and
-// once more per domain lookup).
-type linkView struct {
-	entries map[int64]*corpus.Entry
-	domains map[string]*corpus.Domain
-}
-
-// captureView gathers every candidate entry referenced by the matches under
-// one read lock, and pairs it with the current domain generation. The
-// entries map is owned by buf and recycled.
-func (e *Engine) captureView(matches []conceptmap.Match, buf *linkBuffers) linkView {
-	v := linkView{entries: buf.entries, domains: e.domainMap()}
-	if len(matches) == 0 {
-		return v
-	}
-	e.mu.RLock()
-	for _, m := range matches {
-		for _, oid := range m.Candidates {
-			id := int64(oid)
-			if _, seen := v.entries[id]; seen {
-				continue
-			}
-			if entry, ok := e.entries[id]; ok {
-				v.entries[id] = entry
-			}
-		}
-	}
-	e.mu.RUnlock()
-	return v
-}
-
-// domainPriority returns the priority of a domain in this view; unknown
-// domains lose all ties.
-func (v linkView) domainPriority(domain string) int {
-	if d, ok := v.domains[domain]; ok {
-		return d.Priority
-	}
-	return int(^uint(0) >> 1)
-}
-
 // LinkText runs the full linking pipeline over free text: tokenize with
 // escaping, find candidate links in the concept map, filter by linking
 // policies, steer by classification, substitute the winners.
@@ -396,115 +101,32 @@ func (v linkView) domainPriority(domain string) int {
 // (tokenize/match/policy/steer/render) into the engine's registry; the
 // policy and steer slots accumulate across the per-match target selection.
 func (e *Engine) LinkText(text string, opts LinkOptions) (*Result, error) {
-	mode := opts.Mode
-	if mode == ModeDefault {
-		mode = e.cfg.Mode.resolve()
-	}
-	format := e.cfg.Format
-	if opts.Format != nil {
-		format = *opts.Format
-	}
-	sourceClasses := e.mappers.Translate(schemeOr(opts.SourceScheme, e.scheme.Name()), opts.SourceClasses, e.scheme.Name())
-	source, targets := e.resolveLinkCorpora(&opts)
-
-	var (
-		st    *stageTimes
-		start time.Time
-		mark  time.Time
-	)
-	if e.tel != nil {
-		st = &stageTimes{}
-		start = time.Now()
-		mark = start
-	}
-	if e.cfg.LaTeX {
-		text = latex.ToText(text)
-	}
-	buf := getLinkBuffers()
-	defer putLinkBuffers(buf)
-	buf.tokens = tokenizer.TokenizeAppend(buf.tokens, text)
-	if st != nil {
-		now := time.Now()
-		st.tokenize = now.Sub(mark)
-		mark = now
-	}
-	usedAutomaton := e.scanCorpora(buf, targets, true)
-	matches := buf.matches
-	if st != nil {
-		st.match = time.Since(mark)
-		st.matchAutomaton = usedAutomaton
-	}
-	view := e.captureView(matches, buf)
-	rank := buf.targetRank(targets)
-
-	res := &Result{Output: text}
-	var anchors []render.Anchor
-	for _, m := range matches {
-		if !e.cfg.LinkAllOccurrences && buf.linked[m.Label] {
-			res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: SkipDuplicate})
-			continue
-		}
-		link, skip := e.chooseTarget(m, view, buf, sourceClasses, opts.ExcludeObject, mode, rank, st)
-		if skip != nil {
-			res.Skips = append(res.Skips, *skip)
-			continue
-		}
-		link.Text = m.Text(text)
-		res.Links = append(res.Links, *link)
-		anchors = append(anchors, render.Anchor{
-			Start: link.Start, End: link.End, URL: link.URL, Title: link.TargetTitle,
-		})
-		buf.linked[m.Label] = true
-	}
-	if st != nil {
-		mark = time.Now()
-	}
-	out, err := render.Apply(text, anchors, format)
-	if err != nil {
-		return nil, fmt.Errorf("core: render: %w", err)
-	}
-	res.Output = out
-	e.met.countResult(res)
-	if e.tel != nil {
-		e.tel.corpusLinks(source).Add(int64(len(res.Links)))
-	}
-	if st != nil {
-		st.render = time.Since(mark)
-		e.tel.observeLink(st, time.Since(start), res)
-	}
-	return res, nil
+	return e.link(e.plan(&opts), text)
 }
 
 // LinkEntry links a stored entry's body against the whole collection,
 // excluding the entry itself as a target, and clears its invalidation flag.
 func (e *Engine) LinkEntry(id int64, opts LinkOptions) (*Result, error) {
-	entry, ok := e.Entry(id)
-	if !ok {
-		return nil, fmt.Errorf("core: link of unknown entry %d", id)
-	}
-	opts.ExcludeObject = id
-	if opts.SourceCorpus == "" {
-		// An entry links on behalf of its own corpus: self-linking by
-		// default, and per-tenant accounting under its own label.
-		opts.SourceCorpus = entry.Corpus
-	}
-	if len(opts.SourceClasses) == 0 {
-		opts.SourceClasses = entry.Classes
-		if opts.SourceScheme == "" {
-			opts.SourceScheme = e.domainScheme(entry.Domain)
-		}
-	}
-	res, err := e.LinkText(entry.Body, opts)
+	p, body, err := e.planEntry(id, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.Source = id
+	res, err := e.link(p, body)
+	if err != nil {
+		return nil, err
+	}
+	e.relinked(id)
+	return res, nil
+}
+
+// relinked records one completed entry link: counters, and the entry's
+// invalidation flag cleared.
+func (e *Engine) relinked(id int64) {
 	e.met.entriesLinked.Add(1)
 	if e.tel != nil {
 		e.tel.opLinkEntry.Inc()
 	}
 	e.clearInvalid(id)
-	return res, nil
 }
 
 // LinkEntryCached is LinkEntry backed by the rendered-output cache table
@@ -574,171 +196,6 @@ func (e *Engine) finishRelink(start time.Time, relinked, errors int) {
 // number of failed entries observed.
 func (e *Engine) RelinkInvalidatedParallel(workers int) (map[int64]*Result, error) {
 	return e.RelinkBatch(nil, workers)
-}
-
-// chooseTarget runs policy filtering, steering, and tie-breaking for one
-// concept match. It returns either a link or a skip record. All state it
-// reads comes from the per-call view and the scheme's lock-free distance
-// rows, so the match loop acquires no engine locks. st, when non-nil,
-// accumulates the wall time spent in the policy and steering stages.
-// rank, when non-nil, is the multi-target link policy's corpus order:
-// after steering, candidates from earlier target corpora win ties over
-// later ones (before domain priority and lowest ID). Nil — the
-// single-target default — keeps the tie-break identical to the
-// single-corpus engine.
-func (e *Engine) chooseTarget(m conceptmap.Match, view linkView, buf *linkBuffers, sourceClasses []string, exclude int64, mode Mode, rank map[string]int, st *stageTimes) (*Link, *Skip) {
-	mode = mode.resolve()
-	skip := func(reason string) *Skip {
-		return &Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: reason}
-	}
-	// Gather candidates from the view, excluding the source entry.
-	cands := buf.cands[:0]
-	for _, oid := range m.Candidates {
-		id := int64(oid)
-		if id == exclude && !e.cfg.AllowSelfLinks {
-			continue
-		}
-		if entry, ok := view.entries[id]; ok {
-			cands = append(cands, entry)
-		}
-	}
-	buf.cands = cands[:0:cap(cands)]
-	if len(cands) == 0 {
-		return nil, skip(SkipSelf)
-	}
-	// One timestamp is shared between the policy stage's end and the steer
-	// stage's start, keeping the hot path at ≤3 clock reads per match.
-	var mark time.Time
-	if st != nil {
-		mark = time.Now()
-	}
-
-	// Entry filtering by linking policies (§2.4).
-	if mode == ModeSteeredPolicies {
-		permitted := cands[:0]
-		for _, c := range cands {
-			if e.pol.Permits(e.scheme, c.ID, sourceClasses, m.Label) {
-				permitted = append(permitted, c)
-			}
-		}
-		cands = permitted
-		if st != nil {
-			now := time.Now()
-			st.policy += now.Sub(mark)
-			mark = now
-		}
-		if len(cands) == 0 {
-			return nil, skip(SkipPolicy)
-		}
-	}
-
-	total := len(cands)
-	distance := classification.Infinite
-
-	// Classification steering (§2.3, Algorithm 1).
-	if mode == ModeSteered || mode == ModeSteeredPolicies {
-		sc := buf.sc[:0]
-		for _, c := range cands {
-			sc = append(sc, classification.Candidate{
-				Object:  c.ID,
-				Classes: e.canonicalClassesView(view, c),
-			})
-		}
-		buf.sc = sc[:0:cap(sc)]
-		steered := classification.SteerCached(e.scheme, e.distanceCache(), sourceClasses, sc)
-		if len(steered) > 0 {
-			distance = steered[0].Distance
-			winners := cands[:0]
-			if len(steered) <= 8 {
-				// Typical case: few winners — a linear membership scan
-				// beats building a map (steered is small and cache-hot).
-				for _, c := range cands {
-					for i := range steered {
-						if steered[i].Object == c.ID {
-							winners = append(winners, c)
-							break
-						}
-					}
-				}
-			} else {
-				byID := buf.steered
-				if byID == nil {
-					byID = make(map[int64]bool, len(steered))
-					buf.steered = byID
-				}
-				for _, s := range steered {
-					byID[s.Object] = true
-				}
-				for _, c := range cands {
-					if byID[c.ID] {
-						winners = append(winners, c)
-					}
-				}
-				clear(byID)
-			}
-			cands = winners
-		}
-		if st != nil {
-			st.steer += time.Since(mark)
-		}
-	}
-
-	// Collaborative-filtering tie resolution (optional, §5 future work).
-	if len(cands) > 1 && e.cfg.TieRanker != nil {
-		ids := buf.ids[:0]
-		for _, c := range cands {
-			ids = append(ids, c.ID)
-		}
-		buf.ids = ids[:0:cap(ids)]
-		if choice, ok := e.cfg.TieRanker(exclude, ids); ok {
-			for _, c := range cands {
-				if c.ID == choice {
-					cands = []*corpus.Entry{c}
-					break
-				}
-			}
-		}
-	}
-
-	// Tie-break: target-corpus order (multi-target policies only; earlier
-	// targets win), then domain priority (lower wins), then lowest object
-	// ID.
-	rankOf := func(c *corpus.Entry) int {
-		if rank == nil {
-			return 0
-		}
-		if r, ok := rank[c.Corpus]; ok {
-			return r
-		}
-		return len(rank)
-	}
-	winner := cands[0]
-	winnerRank := rankOf(winner)
-	winnerPrio := view.domainPriority(winner.Domain)
-	for _, c := range cands[1:] {
-		r := rankOf(c)
-		p := view.domainPriority(c.Domain)
-		if r < winnerRank ||
-			(r == winnerRank && (p < winnerPrio || (p == winnerPrio && c.ID < winner.ID))) {
-			winner, winnerRank, winnerPrio = c, r, p
-		}
-	}
-
-	d, ok := view.domains[winner.Domain]
-	if !ok {
-		return nil, skip(SkipNoDomain)
-	}
-	return &Link{
-		Label:        m.Label,
-		Start:        m.ByteStart,
-		End:          m.ByteEnd,
-		Target:       winner.ID,
-		TargetDomain: winner.Domain,
-		TargetTitle:  winner.Title,
-		URL:          d.URL(winner.ExternalID, winner.Title),
-		Distance:     distance,
-		Candidates:   total,
-	}, nil
 }
 
 // canonicalClassesView translates an entry's classes (expressed in its

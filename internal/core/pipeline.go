@@ -1,0 +1,614 @@
+package core
+
+// The Fig 2 linking pipeline, one stage per function. Every link entry
+// point is a composition of these and owns no per-match loop of its own:
+//
+//	plan      LinkOptions resolved once: mode, format, canonical source
+//	          classes, source corpus, ordered targets, exclude
+//	scan      tokens → concept matches (greedy, or the longest match at
+//	          every position when a later walk consumes)
+//	capture   every candidate entry of N match slices under one RLock
+//	resolve   chooseTarget: policy filter, steering, tie-break
+//	assemble  greedy walk, first-occurrence rule, anchors, render.Apply
+//
+//	Engine.LinkText       plan + scan + capture(1) + assemble
+//	Engine.LinkEntry      the same, planned from the stored entry
+//	runBatch              the same per item, around one shared capture
+//	Engine.ScanShard      plan + scan(all positions) + capture(1) + resolve
+//	ShardRouter.LinkText  k-way pick over per-shard ScanShard + assemble
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"time"
+
+	"nnexus/internal/classification"
+	"nnexus/internal/conceptmap"
+	"nnexus/internal/corpus"
+	"nnexus/internal/latex"
+	"nnexus/internal/render"
+	"nnexus/internal/tokenizer"
+)
+
+// linkPlan is a request's LinkOptions resolved once against the engine.
+type linkPlan struct {
+	mode   Mode
+	format render.Format
+	// classes are the source classes translated to the canonical scheme.
+	classes []string
+	// source is the corpus the request links on behalf of: the self-link
+	// target and the per-tenant accounting label.
+	source string
+	// target is the one corpus the text links against: the source corpus
+	// (self-linking) unless the link policy names another. A policy of
+	// several corpora sets targets, in policy order, and rank — each
+	// target's position, so earlier targets win equal-priority tie-breaks —
+	// instead; both stay nil on the single-target path, which keeps it free
+	// of allocations and map lookups.
+	target  string
+	targets []string
+	rank    map[string]int
+	exclude int64
+	// entry is the stored entry whose body is being linked (0 for free text).
+	entry int64
+}
+
+// plan resolves opts: mode and format default to the engine's, the source
+// classes translate to the canonical scheme, an unnamed source corpus is
+// the engine default, and an empty target list means self-linking.
+func (e *Engine) plan(opts *LinkOptions) linkPlan {
+	p := linkPlan{mode: opts.Mode, format: opts.formatOr(e.cfg.Format), source: opts.SourceCorpus, exclude: opts.ExcludeObject}
+	if p.mode == ModeDefault {
+		p.mode = e.cfg.Mode.resolve()
+	}
+	p.classes = e.mappers.Translate(schemeOr(opts.SourceScheme, e.scheme.Name()), opts.SourceClasses, e.scheme.Name())
+	if p.source == "" {
+		p.source = e.DefaultCorpus()
+	}
+	switch len(opts.TargetCorpora) {
+	case 0:
+		p.target = p.source
+	case 1:
+		p.target = corpus.CorpusOrDefault(opts.TargetCorpora[0])
+	default:
+		p.targets = make([]string, len(opts.TargetCorpora))
+		p.rank = make(map[string]int, len(opts.TargetCorpora))
+		for i, t := range opts.TargetCorpora {
+			t = corpus.CorpusOrDefault(t)
+			p.targets[i] = t
+			if _, ok := p.rank[t]; !ok {
+				p.rank[t] = i
+			}
+		}
+	}
+	return p
+}
+
+// formatOr returns the request's output format, or def when it names none.
+func (o *LinkOptions) formatOr(def render.Format) render.Format {
+	if o.Format != nil {
+		return *o.Format
+	}
+	return def
+}
+
+// planEntry plans the linking of a stored entry's body: the entry excludes
+// itself as a target, links on behalf of its own corpus, and steers by its
+// own classes unless opts names others.
+func (e *Engine) planEntry(id int64, opts LinkOptions) (linkPlan, string, error) {
+	entry, ok := e.Entry(id)
+	if !ok {
+		return linkPlan{}, "", fmt.Errorf("core: link of unknown entry %d", id)
+	}
+	opts.ExcludeObject = id
+	if opts.SourceCorpus == "" {
+		opts.SourceCorpus = entry.Corpus
+	}
+	if len(opts.SourceClasses) == 0 {
+		opts.SourceClasses = entry.Classes
+		if opts.SourceScheme == "" {
+			opts.SourceScheme = e.domainScheme(entry.Domain)
+		}
+	}
+	p := e.plan(&opts)
+	p.entry = id
+	return p, entry.Body, nil
+}
+
+// linkRun is one text moving through the pipeline: its plan, its per-stage
+// state, and the scratch the stages reuse. Instances are pooled, which cuts
+// the steady-state allocation count of the hot path.
+type linkRun struct {
+	e    *Engine
+	plan linkPlan
+	text string // after LaTeX conversion
+	view linkView
+	// st is nil when telemetry is off, else &times.
+	st    *stageTimes
+	times stageTimes
+	// pos/cur are the matchSource cursor and the match handed to assemble.
+	pos int
+	cur ResolvedMatch
+
+	tokens  []tokenizer.Token
+	matches []conceptmap.Match
+	// multi/multiOrigin are the multi-target scan scratch: the per-target
+	// all-position matches and, parallel to them, the index of the target
+	// that produced each.
+	multi       []conceptmap.Match
+	multiOrigin []int
+	// entries is the candidate snapshot of a single-run captureView.
+	entries map[int64]*corpus.Entry
+	// cands/sc/ids/steered are chooseTarget's per-match scratch.
+	cands   []*corpus.Entry
+	sc      []classification.Candidate
+	ids     []int64
+	steered map[int64]bool
+	// linked/anchors are assemble's first-occurrence set and anchor scratch.
+	linked  map[string]bool
+	anchors []render.Anchor
+}
+
+var linkRunPool = sync.Pool{
+	New: func() interface{} {
+		return &linkRun{
+			linked:  make(map[string]bool, 16),
+			entries: make(map[int64]*corpus.Entry, 32),
+		}
+	},
+}
+
+func (e *Engine) getRun() *linkRun {
+	run := linkRunPool.Get().(*linkRun)
+	run.e = e
+	return run
+}
+
+// putRun resets the per-run state and drops every pointer into engine or
+// request state, so the pool pins neither entries nor texts.
+func putRun(run *linkRun) {
+	run.e, run.plan, run.text, run.view, run.st, run.pos = nil, linkPlan{}, "", linkView{}, nil, 0
+	run.cur = ResolvedMatch{}
+	run.tokens = run.tokens[:0]
+	run.matches = run.matches[:0]
+	clear(run.entries)
+	clear(run.linked)
+	clear(run.cands[:cap(run.cands)])
+	clear(run.anchors)
+	linkRunPool.Put(run)
+}
+
+// scanText is the pipeline's front half for one text: LaTeX conversion,
+// tokenization, and the scan against the plan's targets.
+func (e *Engine) scanText(run *linkRun, text string) {
+	var mark time.Time
+	if e.tel != nil {
+		run.times = stageTimes{}
+		run.st = &run.times
+		mark = time.Now()
+	}
+	if e.cfg.LaTeX {
+		text = latex.ToText(text)
+	}
+	run.text = text
+	run.tokens = tokenizer.TokenizeAppend(run.tokens, text)
+	if run.st != nil {
+		now := time.Now()
+		run.st.tokenize = now.Sub(mark)
+		mark = now
+	}
+	usedAutomaton := e.scan(run, run.tokens, false)
+	if run.st != nil {
+		run.st.match = time.Since(mark)
+		run.st.matchAutomaton = usedAutomaton
+	}
+}
+
+// scan matches tokens against the plan's target corpora, into run.matches.
+// With all unset the result is the greedy leftmost-longest sequence; with
+// it set, the longest match starting at every token position, for a later
+// greedy walk to consume (the shard router's, over several shards' streams).
+//
+// One target, the default, goes straight to its namespace's scan —
+// automaton-served when current — so a one-corpus deployment scans exactly
+// as the pre-tenancy engine did. Several targets always scan all positions
+// and merge into what one map holding the union of their labels would
+// report; assemble's walk then does the consuming. An unknown target corpus
+// contributes nothing.
+func (e *Engine) scan(run *linkRun, tokens []tokenizer.Token, all bool) (usedAutomaton bool) {
+	if run.plan.targets == nil {
+		ns := e.nsFor(run.plan.target)
+		if ns == nil {
+			return false
+		}
+		if all {
+			run.matches = ns.cmap.ScanAllAppend(run.matches, tokens)
+			return false
+		}
+		run.matches, usedAutomaton = ns.cmap.ScanAppendAuto(run.matches, tokens)
+		return usedAutomaton
+	}
+	spans, origin := run.multi[:0], run.multiOrigin[:0]
+	for ti, t := range run.plan.targets {
+		ns := e.nsFor(t)
+		if ns == nil {
+			continue
+		}
+		spans = ns.cmap.ScanAllAppend(spans, tokens)
+		for len(origin) < len(spans) {
+			origin = append(origin, ti)
+		}
+	}
+	run.multi, run.multiOrigin = spans, origin
+	run.matches = mergeSpans(run.matches, spans, origin)
+	return false
+}
+
+// mergeSpans merges per-target all-position matches into one: every start
+// position keeps its longest span, and identical spans produced by several
+// targets merge their candidate lists in target order, so the ordered link
+// policy is preserved down to candidate resolution. Appends to dst in
+// TokenStart order.
+func mergeSpans(dst, spans []conceptmap.Match, origin []int) []conceptmap.Match {
+	idx := make([]int, len(spans))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		ma, mb := &spans[idx[a]], &spans[idx[b]]
+		if ma.TokenStart != mb.TokenStart {
+			return ma.TokenStart < mb.TokenStart
+		}
+		if ma.TokenEnd != mb.TokenEnd {
+			return ma.TokenEnd > mb.TokenEnd // longest first
+		}
+		return origin[idx[a]] < origin[idx[b]] // target order
+	})
+	for i := 0; i < len(idx); {
+		m := spans[idx[i]]
+		j := i + 1
+		for ; j < len(idx) && spans[idx[j]].TokenStart == m.TokenStart; j++ {
+			if n := &spans[idx[j]]; n.TokenEnd == m.TokenEnd {
+				// Candidates aliases the concept map's snapshot: clamping
+				// the capacity makes append copy instead of writing into it.
+				m.Candidates = append(m.Candidates[:len(m.Candidates):len(m.Candidates)], n.Candidates...)
+			}
+		}
+		dst = append(dst, m)
+		i = j
+	}
+	return dst
+}
+
+// linkView is the read snapshot the resolve stage works from: the candidate
+// entries captured under a single RLock, and the current copy-on-write
+// domain-table generation. Once captured, policy filtering, steering and
+// tie-breaking run without touching engine locks.
+type linkView struct {
+	entries map[int64]*corpus.Entry
+	domains map[string]*corpus.Domain
+}
+
+// captureView gathers into entries every candidate entry the match slices
+// reference, under one read lock, and pairs them with the current domain
+// generation. One slice is a single run's view; a batch passes every item's
+// matches and links all of them against the one immutable view.
+func (e *Engine) captureView(entries map[int64]*corpus.Entry, streams ...[]conceptmap.Match) linkView {
+	v := linkView{entries: entries, domains: e.domainMap()}
+	e.mu.RLock()
+	for _, matches := range streams {
+		for _, m := range matches {
+			for _, oid := range m.Candidates {
+				id := int64(oid)
+				if _, seen := entries[id]; seen {
+					continue
+				}
+				if entry, ok := e.entries[id]; ok {
+					entries[id] = entry
+				}
+			}
+		}
+	}
+	e.mu.RUnlock()
+	return v
+}
+
+// domainPriority returns the priority of a domain in this view; unknown
+// domains lose all ties.
+func (v linkView) domainPriority(domain string) int {
+	if d, ok := v.domains[domain]; ok {
+		return d.Priority
+	}
+	return int(^uint(0) >> 1)
+}
+
+// chooseTarget runs policy filtering, steering, and tie-breaking for one
+// concept match. It returns either a link or a skip reason. All state it
+// reads comes from the run's captured view and the scheme's lock-free
+// distance rows, so it acquires no engine locks. run.st, when non-nil,
+// accumulates the wall time spent in the policy and steering stages. The
+// plan's rank, when non-nil, is the multi-target link policy's corpus
+// order: after steering, candidates from earlier target corpora win ties
+// over later ones (before domain priority and lowest ID). Nil — the
+// single-target default — keeps the tie-break identical to the
+// single-corpus engine.
+func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) {
+	view, st, sourceClasses, rank := run.view, run.st, run.plan.classes, run.plan.rank
+	exclude := run.plan.exclude
+	mode := run.plan.mode.resolve()
+	// Gather candidates from the view, excluding the source entry.
+	cands := run.cands[:0]
+	for _, oid := range m.Candidates {
+		id := int64(oid)
+		if id == exclude && !e.cfg.AllowSelfLinks {
+			continue
+		}
+		if entry, ok := view.entries[id]; ok {
+			cands = append(cands, entry)
+		}
+	}
+	run.cands = cands[:0:cap(cands)]
+	if len(cands) == 0 {
+		return Link{}, SkipSelf
+	}
+	// One timestamp is shared between the policy stage's end and the steer
+	// stage's start, keeping the hot path at ≤3 clock reads per match.
+	var mark time.Time
+	if st != nil {
+		mark = time.Now()
+	}
+
+	// Entry filtering by linking policies (§2.4).
+	if mode == ModeSteeredPolicies {
+		permitted := cands[:0]
+		for _, c := range cands {
+			if e.pol.Permits(e.scheme, c.ID, sourceClasses, m.Label) {
+				permitted = append(permitted, c)
+			}
+		}
+		cands = permitted
+		if st != nil {
+			now := time.Now()
+			st.policy += now.Sub(mark)
+			mark = now
+		}
+		if len(cands) == 0 {
+			return Link{}, SkipPolicy
+		}
+	}
+
+	total := len(cands)
+	distance := classification.Infinite
+
+	// Classification steering (§2.3, Algorithm 1).
+	if mode == ModeSteered || mode == ModeSteeredPolicies {
+		sc := run.sc[:0]
+		for _, c := range cands {
+			sc = append(sc, classification.Candidate{
+				Object:  c.ID,
+				Classes: e.canonicalClassesView(view, c),
+			})
+		}
+		run.sc = sc[:0:cap(sc)]
+		steered := classification.SteerCached(e.scheme, e.distanceCache(), sourceClasses, sc)
+		if len(steered) > 0 {
+			distance = steered[0].Distance
+			winners := cands[:0]
+			if len(steered) <= 8 {
+				// Typical case: few winners — a linear membership scan
+				// beats building a map (steered is small and cache-hot).
+				for _, c := range cands {
+					for i := range steered {
+						if steered[i].Object == c.ID {
+							winners = append(winners, c)
+							break
+						}
+					}
+				}
+			} else {
+				byID := run.steered
+				if byID == nil {
+					byID = make(map[int64]bool, len(steered))
+					run.steered = byID
+				}
+				for _, s := range steered {
+					byID[s.Object] = true
+				}
+				for _, c := range cands {
+					if byID[c.ID] {
+						winners = append(winners, c)
+					}
+				}
+				clear(byID)
+			}
+			cands = winners
+		}
+		if st != nil {
+			st.steer += time.Since(mark)
+		}
+	}
+
+	// Collaborative-filtering tie resolution (optional, §5 future work).
+	if len(cands) > 1 && e.cfg.TieRanker != nil {
+		ids := run.ids[:0]
+		for _, c := range cands {
+			ids = append(ids, c.ID)
+		}
+		run.ids = ids[:0:cap(ids)]
+		if choice, ok := e.cfg.TieRanker(exclude, ids); ok {
+			for _, c := range cands {
+				if c.ID == choice {
+					cands = []*corpus.Entry{c}
+					break
+				}
+			}
+		}
+	}
+
+	// Tie-break: target-corpus order (multi-target policies only; earlier
+	// targets win), then domain priority (lower wins), then lowest object
+	// ID.
+	rankOf := func(c *corpus.Entry) int {
+		if rank == nil {
+			return 0
+		}
+		if r, ok := rank[c.Corpus]; ok {
+			return r
+		}
+		return len(rank)
+	}
+	winner := cands[0]
+	winnerRank := rankOf(winner)
+	winnerPrio := view.domainPriority(winner.Domain)
+	for _, c := range cands[1:] {
+		r := rankOf(c)
+		p := view.domainPriority(c.Domain)
+		if r < winnerRank ||
+			(r == winnerRank && (p < winnerPrio || (p == winnerPrio && c.ID < winner.ID))) {
+			winner, winnerRank, winnerPrio = c, r, p
+		}
+	}
+
+	d, ok := view.domains[winner.Domain]
+	if !ok {
+		return Link{}, SkipNoDomain
+	}
+	return Link{
+		Label:        m.Label,
+		Start:        m.ByteStart,
+		End:          m.ByteEnd,
+		Target:       winner.ID,
+		TargetDomain: winner.Domain,
+		TargetTitle:  winner.Title,
+		URL:          d.URL(winner.ExternalID, winner.Title),
+		Distance:     distance,
+		Candidates:   total,
+	}, ""
+}
+
+// unresolved is m's span, before the resolve stage has seen it.
+func unresolved(m *conceptmap.Match) ResolvedMatch {
+	return ResolvedMatch{
+		Label:      m.Label,
+		TokenStart: m.TokenStart,
+		TokenEnd:   m.TokenEnd,
+		ByteStart:  m.ByteStart,
+		ByteEnd:    m.ByteEnd,
+	}
+}
+
+// resolveAll resolves every match of the run against its captured view,
+// appending to dst: the pipeline stopped before assemble (ScanShard).
+func (run *linkRun) resolveAll(dst []ResolvedMatch) []ResolvedMatch {
+	for i := range run.matches {
+		rm := unresolved(&run.matches[i])
+		rm.Link, rm.Skip = run.e.chooseTarget(&run.matches[i], run)
+		dst = append(dst, rm)
+	}
+	return dst
+}
+
+// matchSource feeds assemble its candidate matches in TokenStart order.
+// The engine's are unresolved and resolve on demand (*linkRun); the
+// router's arrive resolved by their shards (*routerBuffers).
+type matchSource interface {
+	// next returns the next match — at least its label and spans — or nil
+	// when the source is exhausted. The pointer is valid until the next call.
+	next() *ResolvedMatch
+	// resolve completes the match next last returned with its Link or Skip.
+	// assemble calls it only for matches that survive the greedy walk and
+	// the first-occurrence rule, so a label that is already linked never
+	// pays for target selection.
+	resolve(m *ResolvedMatch)
+}
+
+func (run *linkRun) next() *ResolvedMatch {
+	if run.pos == len(run.matches) {
+		return nil
+	}
+	run.cur = unresolved(&run.matches[run.pos])
+	run.pos++
+	return &run.cur
+}
+
+func (run *linkRun) resolve(m *ResolvedMatch) {
+	m.Link, m.Skip = run.e.chooseTarget(&run.matches[run.pos-1], run)
+}
+
+// assemble is the pipeline's tail, shared by the engine and the shard
+// router: the greedy leftmost-longest walk over src (accept a match
+// starting at or past the previous winner's end, drop shadowed ones), the
+// first-occurrence rule, anchor construction, and link substitution. linked
+// and anchors are caller-owned scratch; st, when non-nil, receives the walk
+// and render wall times.
+func assemble(text string, format render.Format, linkAll bool, src matchSource, linked map[string]bool, anchors *[]render.Anchor, st *stageTimes) (*Result, error) {
+	var mark time.Time
+	if st != nil {
+		mark = time.Now()
+	}
+	res := &Result{Output: text}
+	as := (*anchors)[:0]
+	cursor := 0 // next token position available for a match
+	for m := src.next(); m != nil; m = src.next() {
+		if m.TokenStart < cursor {
+			continue // shadowed by an earlier winner's phrase
+		}
+		cursor = m.TokenEnd
+		reason := SkipDuplicate
+		if linkAll || !linked[m.Label] {
+			src.resolve(m)
+			reason = m.Skip
+		}
+		if reason != "" {
+			res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: reason})
+			continue
+		}
+		link := m.Link
+		link.Text = text[m.ByteStart:m.ByteEnd]
+		res.Links = append(res.Links, link)
+		as = append(as, render.Anchor{Start: link.Start, End: link.End, URL: link.URL, Title: link.TargetTitle})
+		linked[m.Label] = true
+	}
+	*anchors = as
+	if st != nil {
+		now := time.Now()
+		st.merge = now.Sub(mark)
+		mark = now
+	}
+	out, err := render.Apply(text, as, format)
+	if err != nil {
+		return nil, fmt.Errorf("core: render: %w", err)
+	}
+	res.Output = out
+	if st != nil {
+		st.render = time.Since(mark)
+	}
+	return res, nil
+}
+
+// finish is the pipeline's back half for one scanned text: resolve and
+// assemble against view, then the one observe step every engine entry
+// point shares (cumulative counters, per-corpus links, stage telemetry).
+func (e *Engine) finish(run *linkRun, view linkView) (*Result, error) {
+	run.view = view
+	res, err := assemble(run.text, run.plan.format, e.cfg.LinkAllOccurrences, run, run.linked, &run.anchors, run.st)
+	if err != nil {
+		return nil, err
+	}
+	res.Source = run.plan.entry
+	e.met.countResult(res)
+	if e.tel != nil {
+		e.tel.observeLink(run.st, run.plan.source, res)
+	}
+	return res, nil
+}
+
+// link runs one planned text through the whole pipeline.
+func (e *Engine) link(p linkPlan, text string) (*Result, error) {
+	run := e.getRun()
+	defer putRun(run)
+	run.plan = p
+	e.scanText(run, text)
+	return e.finish(run, e.captureView(run.entries, run.matches))
+}

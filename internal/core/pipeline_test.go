@@ -1,0 +1,200 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"nnexus/internal/classification"
+	"nnexus/internal/corpus"
+	"nnexus/internal/workload"
+)
+
+// linked is what the entry points must agree on. Result.Source is left out:
+// only the entry-link paths set it.
+type linked struct {
+	Output string
+	Links  []Link
+	Skips  []Skip
+}
+
+func linkedOf(res *Result) linked { return linked{res.Output, res.Links, res.Skips} }
+
+// fig1Corpus is the router fixture (Fig 1 plus overlapping phrases and the
+// "wiki" namespace) with bodies, so its entries can be linked as entries.
+// Entry 2's body invokes only its own label: every match is a self skip.
+func fig1Corpus() (Config, corpus.Domain, []*corpus.Entry) {
+	entries := routerFixtureEntries()
+	for i, e := range entries {
+		e.Domain = "planetmath.org"
+		e.Body = equivalenceTexts[i%len(equivalenceTexts)]
+	}
+	entries[1].Body = "Every planar graph is a planar graph."
+	return Config{Scheme: classification.SampleMSC(10)}, corpus.Domain{
+		Name: "planetmath.org", URLTemplate: "http://planetmath.org/?op=getobj&id={id}", Scheme: "msc", Priority: 1,
+	}, entries
+}
+
+// generatedCorpus is a 300-entry synthetic corpus, every third entry moved
+// to the "wiki" namespace so cross-corpus policies have spans to merge.
+func generatedCorpus(t *testing.T) (Config, corpus.Domain, []*corpus.Entry) {
+	c, err := workload.Generate(workload.DefaultParams(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]*corpus.Entry, len(c.Entries))
+	for i, ge := range c.Entries {
+		e := *ge.Entry
+		e.Domain = "planetmath.example"
+		if i%3 == 0 {
+			e.Corpus = "wiki"
+		}
+		entries[i] = &e
+	}
+	return Config{Scheme: c.Scheme}, corpusDomain(), entries
+}
+
+// TestEntryPointEquivalence is the differential contract of the one Fig 2
+// pipeline: for the same text and options, every entry point — LinkText,
+// LinkBatch, LinkEntry, RelinkBatch, and the shard router over 1 and 3 local
+// shards — produces the same output, links and skips.
+func TestEntryPointEquivalence(t *testing.T) {
+	fig1Cfg, fig1Dom, fig1Entries := fig1Corpus()
+	genCfg, genDom, genEntries := generatedCorpus(t)
+	corpora := []struct {
+		name    string
+		cfg     Config
+		dom     corpus.Domain
+		entries []*corpus.Entry
+		sample  []int64 // entries whose bodies are linked
+	}{
+		{"fig1", fig1Cfg, fig1Dom, fig1Entries, []int64{1, 2, 3, 5, 9, 13, 14, 16}},
+		{"generated", genCfg, genDom, genEntries, []int64{1, 2, 7, 42, 99, 150, 151, 298, 300}},
+	}
+	// policies are the link policies under test; the rest of each run's
+	// options (classes, scheme, exclude, source corpus) are what LinkEntry
+	// derives from the entry, spelled out for the free-text entry points.
+	policies := []struct {
+		name    string
+		targets []string
+	}{
+		{"single-target", nil},
+		{"multi-target", []string{"wiki", "default"}},
+	}
+	for _, c := range corpora {
+		for _, linkAll := range []bool{false, true} {
+			cfg := c.cfg
+			cfg.LinkAllOccurrences = linkAll
+			single, router1, _ := buildFleet(t, 1, cfg, c.dom, c.entries)
+			_, router3, _ := buildFleet(t, 3, cfg, c.dom, c.entries)
+			relinked, err := single.RelinkBatch(c.sample, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pol := range policies {
+				t.Run(fmt.Sprintf("%s/%s/linkAll=%v", c.name, pol.name, linkAll), func(t *testing.T) {
+					for _, id := range c.sample {
+						entry := c.entries[id-1]
+						opts := LinkOptions{
+							SourceClasses: entry.Classes,
+							SourceScheme:  c.dom.Scheme,
+							SourceCorpus:  corpus.CorpusOrDefault(entry.Corpus),
+							TargetCorpora: pol.targets,
+							ExcludeObject: id,
+						}
+						res, err := single.LinkText(entry.Body, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := linkedOf(res)
+						check := func(entryPoint string, got *Result, err error) {
+							t.Helper()
+							if err != nil {
+								t.Fatalf("entry %d: %s: %v", id, entryPoint, err)
+							}
+							if !reflect.DeepEqual(linkedOf(got), want) {
+								t.Errorf("entry %d: %s diverged from LinkText\n%s: %+v\nLinkText: %+v", id, entryPoint, entryPoint, linkedOf(got), want)
+							}
+						}
+
+						batch, err := single.LinkBatch([]string{"", entry.Body, entry.Title}, opts, 2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						check("LinkBatch", batch[1], nil)
+						got, err := single.LinkEntry(id, LinkOptions{TargetCorpora: pol.targets})
+						check("LinkEntry", got, err)
+						if pol.targets == nil {
+							check("RelinkBatch", relinked[id], nil)
+						}
+						got, err = router1.LinkText(entry.Body, opts)
+						check("ShardRouter(1)", got, err)
+						got, err = router3.LinkText(entry.Body, opts)
+						check("ShardRouter(3)", got, err)
+					}
+				})
+			}
+		}
+	}
+
+	// The sample must exercise what the cases claim to.
+	single, _, _ := buildFleet(t, 1, fig1Cfg, fig1Dom, fig1Entries)
+	res, err := single.LinkEntry(2, LinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Links) != 0 || len(res.Skips) != 2 || res.Skips[0].Reason != SkipSelf || res.Skips[1].Reason != SkipSelf {
+		t.Errorf("entry 2 should only ever match itself: %+v", res)
+	}
+}
+
+// TestRelinkTelemetryMatchesResults pins the observe step of the batch and
+// relink paths to the one LinkText uses: after RelinkBatch the link, skip
+// and per-corpus counters have advanced by exactly the sums over the
+// returned results.
+func TestRelinkTelemetryMatchesResults(t *testing.T) {
+	cfg, dom, entries := fig1Corpus()
+	e, _, _ := buildFleet(t, 1, cfg, dom, entries)
+	if err := e.SetPolicy(4, "forbid even"); err != nil {
+		t.Fatal(err)
+	}
+	corpusLinks := func(name string) int64 { return e.tel.corpusLinks(name).Value() }
+	before := map[string]int64{
+		"links":       e.tel.linksCreated.Value(),
+		SkipPolicy:    e.tel.skipPolicy.Value(),
+		SkipSelf:      e.tel.skipSelf.Value(),
+		SkipDuplicate: e.tel.skipDuplicate.Value(),
+		"default":     corpusLinks("default"),
+		"wiki":        corpusLinks("wiki"),
+		"texts":       e.tel.opLinkText.Value(),
+	}
+	results, err := e.RelinkBatch(e.Entries(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"texts": int64(len(results))}
+	for id, res := range results {
+		want["links"] += int64(len(res.Links))
+		want[corpus.CorpusOrDefault(entries[id-1].Corpus)] += int64(len(res.Links))
+		for _, s := range res.Skips {
+			want[s.Reason]++
+		}
+	}
+	got := map[string]int64{
+		"links":       e.tel.linksCreated.Value(),
+		SkipPolicy:    e.tel.skipPolicy.Value(),
+		SkipSelf:      e.tel.skipSelf.Value(),
+		SkipDuplicate: e.tel.skipDuplicate.Value(),
+		"default":     corpusLinks("default"),
+		"wiki":        corpusLinks("wiki"),
+		"texts":       e.tel.opLinkText.Value(),
+	}
+	for k := range got {
+		if got[k]-before[k] != want[k] {
+			t.Errorf("%s advanced by %d across RelinkBatch, results sum to %d", k, got[k]-before[k], want[k])
+		}
+	}
+	if want["links"] == 0 || want[SkipDuplicate] == 0 || want[SkipSelf] == 0 || want[SkipPolicy] == 0 || want["wiki"] == 0 {
+		t.Errorf("fixture no longer exercises every counter: %v", want)
+	}
+}

@@ -326,6 +326,30 @@ func (r *ShardRouter) putBuffers(b *routerBuffers) {
 	r.pool.Put(b)
 }
 
+// next is the k-way minimum pick over the answering shards' TokenStart-
+// ordered streams (matchSource). One owner per first word means no two
+// shards ever report the same start position, so the pick is deterministic.
+func (b *routerBuffers) next() *ResolvedMatch {
+	var best *shardCall
+	for _, s := range b.touched {
+		c := &b.calls[s]
+		if c.err != nil || c.pos == len(c.out) {
+			continue
+		}
+		if best == nil || c.out[c.pos].TokenStart < best.out[best.pos].TokenStart {
+			best = c
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	best.pos++
+	return &best.out[best.pos-1]
+}
+
+// resolve is a no-op: every shard resolved its own matches (ScanShard).
+func (b *routerBuffers) resolve(*ResolvedMatch) {}
+
 // AddDomain registers a domain on every shard (domain metadata is tiny and
 // every shard's candidate resolution needs it).
 func (r *ShardRouter) AddDomain(d corpus.Domain) error {
@@ -375,9 +399,9 @@ func (r *ShardRouter) homeShards(entry *corpus.Entry) []int {
 }
 
 // LinkText is the scatter-gather read: tokenize once, fan the token stream
-// out to the shards owning at least one token's first word, merge the
-// per-shard longest-match streams into the global leftmost-longest winner
-// sequence, apply the first-occurrence rule, and render.
+// out to the shards owning at least one token's first word, then run the
+// pipeline's assemble stage over the per-shard longest-match streams: the
+// global leftmost-longest walk, the first-occurrence rule, and rendering.
 //
 // When one or more shards cannot answer, the surviving shards' links are
 // still merged and rendered, and the partial *Result is returned together
@@ -386,14 +410,9 @@ func (r *ShardRouter) homeShards(entry *corpus.Entry) []int {
 // shards are always correct; only links owned by the missing shards can be
 // absent.
 func (r *ShardRouter) LinkText(text string, opts LinkOptions) (*Result, error) {
-	format := r.cfg.Format
-	if opts.Format != nil {
-		format = *opts.Format
-	}
-	var start, mark time.Time
+	var mark time.Time
 	if r.tel != nil {
-		start = time.Now()
-		mark = start
+		mark = time.Now()
 	}
 	if r.cfg.LaTeX {
 		text = latex.ToText(text)
@@ -414,10 +433,8 @@ func (r *ShardRouter) LinkText(text string, opts LinkOptions) (*Result, error) {
 	}
 	buf.touched = touched
 	if r.tel != nil {
-		now := time.Now()
-		r.tel.stageTokenize.Observe(now.Sub(mark).Seconds())
+		r.tel.stageTokenize.Observe(time.Since(mark).Seconds())
 		r.tel.fanout.Observe(float64(len(touched)))
-		mark = now
 	}
 
 	// Scatter. A single-shard request runs inline — no handoff, no wait.
@@ -454,73 +471,22 @@ func (r *ShardRouter) LinkText(text string, opts LinkOptions) (*Result, error) {
 		}
 	}
 	sort.Ints(buf.failed)
-	if r.tel != nil {
-		mark = time.Now()
-	}
 
-	// Merge: k-way minimum pick over the per-shard TokenStart-ordered
-	// streams, then the same greedy walk the single-map scan performs —
-	// accept a match starting at or past the previous winner's end, drop
-	// shadowed ones. One owner per first word means no two shards ever
-	// report the same start position, so the walk is deterministic.
-	res := &Result{Output: text}
-	nextFree := 0
-	const maxInt = int(^uint(0) >> 1)
-	for {
-		best := -1
-		bestStart := maxInt
-		for _, s := range touched {
-			c := &buf.calls[s]
-			if c.err != nil {
-				continue
-			}
-			if c.pos < len(c.out) && c.out[c.pos].TokenStart < bestStart {
-				bestStart = c.out[c.pos].TokenStart
-				best = s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		c := &buf.calls[best]
-		m := &c.out[c.pos]
-		c.pos++
-		if m.TokenStart < nextFree {
-			continue // shadowed by an earlier winner's phrase
-		}
-		nextFree = m.TokenEnd
-		if !r.cfg.LinkAllOccurrences && buf.linked[m.Label] {
-			res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: SkipDuplicate})
-			continue
-		}
-		if m.Skip != "" {
-			res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: m.Skip})
-			continue
-		}
-		link := m.Link
-		link.Text = text[m.ByteStart:m.ByteEnd]
-		res.Links = append(res.Links, link)
-		buf.anchors = append(buf.anchors, render.Anchor{
-			Start: link.Start, End: link.End, URL: link.URL, Title: link.TargetTitle,
-		})
-		buf.linked[m.Label] = true
-	}
+	// Merge and render: assemble's greedy walk over the k-way pick of the
+	// per-shard streams (buf.next) is the walk the single-map scan performs.
+	var st *stageTimes
 	if r.tel != nil {
-		now := time.Now()
-		r.tel.stageMerge.Observe(now.Sub(mark).Seconds())
-		mark = now
+		st = &stageTimes{}
 	}
-
-	out, err := render.Apply(text, buf.anchors, format)
+	res, err := assemble(text, opts.formatOr(r.cfg.Format), r.cfg.LinkAllOccurrences, buf, buf.linked, &buf.anchors, st)
 	if err != nil {
-		return nil, fmt.Errorf("core: render: %w", err)
+		return nil, err
 	}
-	res.Output = out
 	if r.tel != nil {
-		r.tel.stageRender.Observe(time.Since(mark).Seconds())
+		r.tel.stageMerge.Observe(st.merge.Seconds())
+		r.tel.stageRender.Observe(st.render.Seconds())
 		r.tel.texts.Inc()
 		r.tel.links.Add(int64(len(res.Links)))
-		_ = start
 	}
 	if len(buf.failed) > 0 {
 		if r.tel != nil {

@@ -15,7 +15,11 @@ import (
 
 // routerFixtureEntries is the Fig 1 corpus extended with overlapping
 // multi-word phrases ("orthogonal function" / "function space") so the
-// greedy merge has real shadowing work to do across shard boundaries.
+// greedy merge has real shadowing work to do across shard boundaries, plus
+// a second namespace ("wiki") of homonyms and phrases overlapping the first,
+// so cross-corpus link policies merge spans across both namespaces and
+// ring slices at once. The wiki entries come last: the default namespace's
+// IDs are what they were without them.
 func routerFixtureEntries() []*corpus.Entry {
 	return []*corpus.Entry{
 		{Title: "connected graph", Classes: []string{"05C40"}},
@@ -30,50 +34,64 @@ func routerFixtureEntries() []*corpus.Entry {
 		{Title: "function", Classes: []string{"03E20"}},
 		{Title: "metric space", Classes: []string{"05C99"}},
 		{Title: "space", Classes: []string{"51A05"}},
+		{Corpus: "wiki", Title: "graph", Classes: []string{"05C10"}},
+		{Corpus: "wiki", Title: "plane graph", Classes: []string{"05C10"}},
+		{Corpus: "wiki", Title: "function space", Classes: []string{"03E20"}},
+		{Corpus: "wiki", Title: "even", Classes: []string{"11A51"}},
 	}
 }
 
-// buildShardedFixture assembles the same corpus twice: once on a single
-// unsharded engine (the reference) and once across n shard-mode engines
-// behind a ShardRouter. Entry IDs are asserted identical on both sides so
-// results can be compared bit-for-bit.
+// buildShardedFixture assembles the router fixture corpus twice: once on a
+// single unsharded engine (the reference) and once across n shard-mode
+// engines behind a ShardRouter.
 func buildShardedFixture(t testing.TB, n int) (*Engine, *ShardRouter, []*Engine) {
-	single, err := NewEngine(Config{Scheme: classification.SampleMSC(10)})
+	entries := routerFixtureEntries()
+	for _, e := range entries {
+		e.Domain = "planetmath.org"
+	}
+	return buildFleet(t, n, Config{Scheme: classification.SampleMSC(10)}, corpus.Domain{
+		Name:        "planetmath.org",
+		URLTemplate: "http://planetmath.org/?op=getobj&id={id}",
+		Scheme:      "msc",
+		Priority:    1,
+	}, entries)
+}
+
+// buildFleet adds the entries, in order, to one unsharded engine and to n
+// shard-mode engines behind a ShardRouter, all configured by cfg. Entry IDs
+// are asserted identical on both sides so results can be compared
+// bit-for-bit.
+func buildFleet(t testing.TB, n int, cfg Config, dom corpus.Domain, entries []*corpus.Entry) (*Engine, *ShardRouter, []*Engine) {
+	single, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ring := shard.NewRing(n, shard.DefaultVnodes)
 	engines := make([]*Engine, n)
 	for i := range engines {
-		engines[i], err = NewEngine(Config{
-			Scheme:    classification.SampleMSC(10),
-			ShardRing: ring,
-			ShardID:   i,
-		})
-		if err != nil {
+		scfg := cfg
+		scfg.ShardRing, scfg.ShardID = ring, i
+		if engines[i], err = NewEngine(scfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	router, err := NewShardRouter(RouterConfig{Ring: ring, Backend: LocalShardBackend{Engines: engines}})
+	router, err := NewShardRouter(RouterConfig{
+		Ring:               ring,
+		Backend:            LocalShardBackend{Engines: engines},
+		LinkAllOccurrences: cfg.LinkAllOccurrences,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { router.Close() })
-	dom := corpus.Domain{
-		Name:        "planetmath.org",
-		URLTemplate: "http://planetmath.org/?op=getobj&id={id}",
-		Scheme:      "msc",
-		Priority:    1,
-	}
 	if err := single.AddDomain(dom); err != nil {
 		t.Fatal(err)
 	}
 	if err := router.AddDomain(dom); err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range routerFixtureEntries() {
+	for _, src := range entries {
 		a, b := *src, *src
-		a.Domain, b.Domain = "planetmath.org", "planetmath.org"
 		wantID, err := single.AddEntry(&a)
 		if err != nil {
 			t.Fatalf("single AddEntry(%s): %v", src.Title, err)
@@ -106,6 +124,9 @@ var equivalenceOpts = []LinkOptions{
 	{SourceClasses: []string{"03E20"}, Mode: ModeSteered},
 	{SourceClasses: []string{"03E20"}, Mode: ModeLexical},
 	{ExcludeObject: 5},
+	{SourceCorpus: "wiki", SourceClasses: []string{"05C40"}},
+	{SourceCorpus: "wiki", TargetCorpora: []string{"wiki", "default"}, ExcludeObject: 13},
+	{SourceClasses: []string{"03E20"}, TargetCorpora: []string{"default", "wiki"}},
 }
 
 // TestShardedLinkTextEquivalence is the core correctness contract: the
@@ -347,7 +368,7 @@ func TestShardedLinkTextAllocs(t *testing.T) {
 
 // BenchmarkShardedLinkText measures the scatter-gather read path against
 // the unsharded engine and carries the allocs/op assertion into the bench
-// suite (b.ReportAllocs feeds the committed benchfmt rows).
+// suite.
 func BenchmarkShardedLinkText(b *testing.B) {
 	text := equivalenceTexts[0]
 	opts := LinkOptions{SourceClasses: []string{"05C40"}}
@@ -388,18 +409,24 @@ func FuzzShardedLinkEquivalence(f *testing.F) {
 	f.Add("plane graph plane graph plane graph")
 	f.Add("orthogonal function space space space function")
 	f.Add("evén number möbius graph ß space")
+	f.Add("a plane graph in the function space is even")
 	f.Fuzz(func(t *testing.T, text string) {
-		opts := LinkOptions{SourceClasses: []string{"05C40"}}
-		want, err := single.LinkText(text, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := router.LinkText(text, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("sharded LinkText diverged on %q\nsingle: %+v\nrouter: %+v", text, want, got)
+		for _, opts := range []LinkOptions{
+			{SourceClasses: []string{"05C40"}},
+			{SourceClasses: []string{"05C40"}, SourceCorpus: "wiki"},
+			{SourceClasses: []string{"05C40"}, TargetCorpora: []string{"wiki", "default"}},
+		} {
+			want, err := single.LinkText(text, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := router.LinkText(text, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("sharded LinkText diverged on %q (opts %+v)\nsingle: %+v\nrouter: %+v", text, opts, want, got)
+			}
 		}
 	})
 }

@@ -32,8 +32,9 @@ type ResolvedMatch struct {
 // tokenized text against this shard's slice of the concept map, reporting
 // the longest owned match starting at every token position (non-greedy; see
 // conceptmap.ScanAllAppend), with each match resolved through the full
-// policy/steering/tie-break pipeline. Results append into dst (which may be
-// nil or a recycled buffer) in TokenStart order.
+// policy/steering/tie-break stage: the Fig 2 pipeline (pipeline.go) stopped
+// before assemble. Results append into dst (which may be nil or a recycled
+// buffer) in TokenStart order.
 //
 // Correctness of the sharded protocol rests on two invariants:
 //
@@ -50,44 +51,12 @@ type ResolvedMatch struct {
 // shard may continue through tokens whose own first words belong to other
 // shards.
 func (e *Engine) ScanShard(dst []ResolvedMatch, tokens []tokenizer.Token, opts LinkOptions) ([]ResolvedMatch, error) {
-	mode := opts.Mode
-	if mode == ModeDefault {
-		mode = e.cfg.Mode.resolve()
-	}
-	sourceClasses := e.mappers.Translate(schemeOr(opts.SourceScheme, e.scheme.Name()), opts.SourceClasses, e.scheme.Name())
-	_, targets := e.resolveLinkCorpora(&opts)
-
-	buf := getLinkBuffers()
-	defer putLinkBuffers(buf)
-	if len(targets) == 1 {
-		if ns := e.nsFor(targets[0]); ns != nil {
-			buf.matches = ns.cmap.ScanAllAppend(buf.matches, tokens)
-		}
-	} else {
-		buf.tokens = append(buf.tokens, tokens...)
-		e.scanAllCorpora(buf, targets)
-		buf.matches = mergeAll(buf.matches, buf.multi, buf.multiOrigin)
-	}
-	matches := buf.matches
-	view := e.captureView(matches, buf)
-	rank := buf.targetRank(targets)
-
-	for _, m := range matches {
-		rm := ResolvedMatch{
-			Label:      m.Label,
-			TokenStart: m.TokenStart,
-			TokenEnd:   m.TokenEnd,
-			ByteStart:  m.ByteStart,
-			ByteEnd:    m.ByteEnd,
-		}
-		link, skip := e.chooseTarget(m, view, buf, sourceClasses, opts.ExcludeObject, mode, rank, nil)
-		if skip != nil {
-			rm.Skip = skip.Reason
-		} else {
-			rm.Link = *link
-		}
-		dst = append(dst, rm)
-	}
+	run := e.getRun()
+	defer putRun(run)
+	run.plan = e.plan(&opts)
+	e.scan(run, tokens, true)
+	run.view = e.captureView(run.entries, run.matches)
+	dst = run.resolveAll(dst)
 	if e.tel != nil {
 		e.tel.opScanShard.Inc()
 	}

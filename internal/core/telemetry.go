@@ -302,18 +302,21 @@ type stageTimes struct {
 	match    time.Duration
 	policy   time.Duration
 	steer    time.Duration
-	render   time.Duration
+	// merge is assemble's walk: on the engine it contains policy and steer
+	// (target selection runs inside it); the router observes it as StageMerge.
+	merge  time.Duration
+	render time.Duration
 	// matchAutomaton records which scan path served the match stage, so
 	// observeLink can attribute the same duration to the per-path child.
 	matchAutomaton bool
 }
 
-// observeLink records one completed LinkText run.
-func (t *engineTelemetry) observeLink(st *stageTimes, total time.Duration, res *Result) {
-	if t == nil {
-		return
-	}
+// observeLink records one completed pipeline run, whichever entry point
+// started it, on behalf of the source corpus. The run's duration is the sum of its stages: the capture
+// between scan and assemble is shared by a whole batch, so no run owns it.
+func (t *engineTelemetry) observeLink(st *stageTimes, source string, res *Result) {
 	t.opLinkText.Inc()
+	t.corpusLinks(source).Add(int64(len(res.Links)))
 	t.stageTokenize.Observe(st.tokenize.Seconds())
 	t.stageMatch.Observe(st.match.Seconds())
 	if st.matchAutomaton {
@@ -324,7 +327,7 @@ func (t *engineTelemetry) observeLink(st *stageTimes, total time.Duration, res *
 	t.stagePolicy.Observe(st.policy.Seconds())
 	t.stageSteer.Observe(st.steer.Seconds())
 	t.stageRender.Observe(st.render.Seconds())
-	t.linkDuration.Observe(total.Seconds())
+	t.linkDuration.Observe((st.tokenize + st.match + st.merge + st.render).Seconds())
 	t.linksCreated.Add(int64(len(res.Links)))
 	for _, s := range res.Skips {
 		switch s.Reason {

@@ -5,7 +5,7 @@ package storage
 // fsync per op), many concurrent writers sharing commit rounds (the leader
 // fsyncs once per round), and PutBatch amortizing one record + one fsync
 // over many ops. fsyncs/op is the custom metric the acceptance bar reads
-// (< 0.5 under concurrent synced writers); recorded in BENCH_PR4.json.
+// (< 0.5 under concurrent synced writers); recorded in EXPERIMENTS.md.
 
 import (
 	"fmt"

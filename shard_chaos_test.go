@@ -68,9 +68,11 @@ func startShardNode(t testing.TB, ring *nnexus.ShardRing, id int, dir string, ln
 
 // TestShardedNetworkLinking runs the scatter-gather router over real TCP
 // servers (one single-node daemon per shard) and asserts the results are
-// identical to a single unsharded engine holding the same corpus — the
-// network path reuses the same equivalence protocol the in-process fuzz
-// target proves, and wire.ShardMatch is lossless for Link reconstruction.
+// identical to a single unsharded engine holding the same two corpora, both
+// self-linking and under ordered cross-corpus link policies — the network
+// path reuses the same equivalence protocol the in-process fuzz target
+// proves, wire.ShardMatch is lossless for Link reconstruction, and the
+// shardScan request carries the link policy's corpora.
 func TestShardedNetworkLinking(t *testing.T) {
 	m := &nnexus.ShardMap{Version: 1, Shards: []nnexus.ShardSpec{{ID: 0}, {ID: 1}}}
 	for i := range m.Shards {
@@ -106,14 +108,15 @@ func TestShardedNetworkLinking(t *testing.T) {
 	words := shardOwnedWords(t, m.Ring())
 	titles := append([]string{}, words...)
 	titles = append(titles, words[0]+" "+words[1], "metric space")
-	for _, title := range titles {
-		e := &nnexus.Entry{Domain: "planetmath.org", Title: title, Classes: []string{chaosClasses}}
+	add := func(corpus, title string) {
+		e := &nnexus.Entry{Corpus: corpus, Domain: "planetmath.org", Title: title, Classes: []string{chaosClasses}}
 		id, err := router.AddEntry(e)
 		if err != nil {
-			t.Fatalf("sharded AddEntry(%q): %v", title, err)
+			t.Fatalf("sharded AddEntry(%s/%q): %v", corpus, title, err)
 		}
-		ref := &nnexus.Entry{Domain: "planetmath.org", Title: title, Classes: []string{chaosClasses}}
-		refID, err := reference.AddEntry(ref)
+		ref := *e
+		ref.ID = 0
+		refID, err := reference.AddEntry(&ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,25 +124,41 @@ func TestShardedNetworkLinking(t *testing.T) {
 			t.Fatalf("ID sequences diverged: sharded %d, reference %d", id, refID)
 		}
 	}
+	for _, title := range titles {
+		add("", title)
+	}
+	// A second namespace: homonyms of both shards' words, and a phrase only
+	// it defines, so self-linking and ordered cross-corpus policies differ.
+	for _, title := range []string{words[0], words[1], words[1] + " " + words[0]} {
+		add("wiki", title)
+	}
 
 	texts := []string{
 		"",
 		words[0],
 		fmt.Sprintf("a %s meets a %s in a metric space", words[0], words[1]),
 		fmt.Sprintf("%s %s %s %s", words[0], words[1], words[0], words[1]),
-		"the metric space of a " + words[0]+" "+words[1],
+		"the metric space of a " + words[0] + " " + words[1],
+	}
+	policies := []nnexus.LinkOptions{
+		{},
+		{SourceCorpus: "wiki"},
+		{SourceCorpus: "wiki", TargetCorpora: []string{"wiki", "default"}},
+		{TargetCorpora: []string{"default", "wiki"}},
 	}
 	for _, text := range texts {
-		got, err := router.LinkText(text, nnexus.LinkOptions{})
-		if err != nil {
-			t.Fatalf("sharded LinkText(%q): %v", text, err)
-		}
-		want, err := reference.LinkText(text, nnexus.LinkOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("sharded result diverged for %q:\n  sharded:   %+v\n  unsharded: %+v", text, got, want)
+		for _, opts := range policies {
+			got, err := router.LinkText(text, opts)
+			if err != nil {
+				t.Fatalf("sharded LinkText(%q, %+v): %v", text, opts, err)
+			}
+			want, err := reference.LinkText(text, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("sharded result diverged for %q (opts %+v):\n  sharded:   %+v\n  unsharded: %+v", text, opts, got, want)
+			}
 		}
 	}
 }
