@@ -110,6 +110,7 @@ fuzz:
 	go test ./internal/conceptmap -fuzz=FuzzAutomatonScanEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzShardedLinkEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzTenantLinkEquivalence -fuzztime=30s
+	go test ./internal/core -fuzz=FuzzMaintenanceEquivalence -fuzztime=30s
 
 cover:
 	go test -cover ./...

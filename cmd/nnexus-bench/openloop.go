@@ -52,30 +52,34 @@ type openLoopOptions struct {
 	tolerance float64
 }
 
-// openLoopCluster is the system under test: 1 primary + 2 WAL-shipped
-// followers, each behind its own simulated wire.
-type openLoopCluster struct {
+// replicaCluster is the system under test of the readscale and openloop
+// experiments: 1 primary + 2 WAL-shipped followers, each behind its own
+// simulated wire.
+type replicaCluster struct {
 	engine *core.Engine
+	head   uint64         // WAL records the followers had caught up to at start
 	links  []*netsim.Link // [primary, follower1, follower2]
 	closer []func()
 }
 
-func (c *openLoopCluster) close() {
+func (c *replicaCluster) close() {
 	for i := len(c.closer) - 1; i >= 0; i-- {
 		c.closer[i]()
 	}
 }
 
-// startOpenLoopCluster mirrors the readscale topology: the corpus loads
-// into a store-backed primary whose WAL ships to two followers serving the
-// read surface, and every node gets a delay-proxied address.
-func startOpenLoopCluster(sub *workload.Corpus, rtt time.Duration) (*openLoopCluster, error) {
-	cl := &openLoopCluster{}
-	fail := func(err error) (*openLoopCluster, error) {
+// startReplicaCluster loads the corpus into a store-backed primary with the
+// replication log enabled (every AddEntry becomes a WAL record), ships its
+// WAL to two followers serving the read surface over the real wire
+// protocol, waits until both have caught up, and gives every node a
+// delay-proxied address.
+func startReplicaCluster(sub *workload.Corpus, rtt time.Duration) (*replicaCluster, error) {
+	cl := &replicaCluster{}
+	fail := func(err error) (*replicaCluster, error) {
 		cl.close()
 		return nil, err
 	}
-	pdir, err := os.MkdirTemp("", "nnexus-openloop-p-*")
+	pdir, err := os.MkdirTemp("", "nnexus-cluster-p-*")
 	if err != nil {
 		return fail(err)
 	}
@@ -104,7 +108,7 @@ func startOpenLoopCluster(sub *workload.Corpus, rtt time.Duration) (*openLoopClu
 	followers := make([]*replication.Follower, 0, 2)
 	followerAddrs := make([]string, 0, 2)
 	for i := 0; i < 2; i++ {
-		fdir, err := os.MkdirTemp("", "nnexus-openloop-f-*")
+		fdir, err := os.MkdirTemp("", "nnexus-cluster-f-*")
 		if err != nil {
 			return fail(err)
 		}
@@ -142,15 +146,15 @@ func startOpenLoopCluster(sub *workload.Corpus, rtt time.Duration) (*openLoopClu
 		followerAddrs = append(followerAddrs, faddr)
 	}
 
-	head := pstore.ReplicationHead()
+	cl.head = pstore.ReplicationHead()
 	deadline := time.Now().Add(60 * time.Second)
 	for _, f := range followers {
 		for {
-			if st := f.Status(); st.Applied == head && st.Synced {
+			if st := f.Status(); st.Applied == cl.head && st.Synced {
 				break
 			}
 			if time.Now().After(deadline) {
-				return fail(fmt.Errorf("follower never caught up to offset %d: %+v", head, f.Status()))
+				return fail(fmt.Errorf("follower never caught up to offset %d: %+v", cl.head, f.Status()))
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -211,7 +215,7 @@ func runOpenLoop(c *workload.Corpus, opt openLoopOptions) error {
 	if len(c.Entries) > 400 {
 		sub = c.Subset(400)
 	}
-	cluster, err := startOpenLoopCluster(sub, opt.rtt)
+	cluster, err := startReplicaCluster(sub, opt.rtt)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,14 +19,7 @@ import (
 
 	"nnexus/internal/benchfmt"
 	"nnexus/internal/client"
-	"nnexus/internal/experiments"
-	"nnexus/internal/netsim"
-	"nnexus/internal/replication"
-	"nnexus/internal/server"
-	"nnexus/internal/storage"
 	"nnexus/internal/workload"
-
-	"nnexus/internal/core"
 )
 
 func runReadScale(c *workload.Corpus, dur, rtt time.Duration, jsonOut string) error {
@@ -45,102 +37,15 @@ func runReadScale(c *workload.Corpus, dur, rtt time.Duration, jsonOut string) er
 		sub = c.Subset(400)
 	}
 
-	// Primary: a store-backed engine with the replication log enabled,
-	// loaded with the corpus (every AddEntry becomes a WAL record the
-	// followers replay).
-	pdir, err := os.MkdirTemp("", "nnexus-readscale-p-*")
+	cluster, err := startReplicaCluster(sub, rtt)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(pdir)
-	pstore, err := storage.Open(pdir, storage.WithReplication())
-	if err != nil {
-		return err
-	}
-	defer pstore.Close()
-	engine, err := experiments.BuildEngine(sub, pstore)
-	if err != nil {
-		return err
-	}
-	prim, err := replication.NewPrimary(pstore)
-	if err != nil {
-		return err
-	}
-	psrv := server.New(engine, nil, server.WithReplicationPrimary(prim))
-	paddr, err := psrv.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer psrv.Close()
-
-	// Two followers syncing over the real wire protocol.
-	followers := make([]*replication.Follower, 0, 2)
-	followerAddrs := make([]string, 0, 2)
-	for i := 0; i < 2; i++ {
-		fdir, err := os.MkdirTemp("", "nnexus-readscale-f-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(fdir)
-		fst, err := storage.Open(fdir)
-		if err != nil {
-			return err
-		}
-		defer fst.Close()
-		feng, err := core.NewEngine(core.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX})
-		if err != nil {
-			return err
-		}
-		src := client.New(paddr, time.Second)
-		defer src.Close()
-		f, err := replication.NewFollower(fst, feng, src,
-			replication.WithFollowerName(fmt.Sprintf("f%d", i+1)),
-			replication.WithLeaderAddr(paddr),
-			replication.WithFollowerWait(500*time.Millisecond),
-			replication.WithFollowerBackoff(50*time.Millisecond))
-		if err != nil {
-			return err
-		}
-		if err := f.Start(); err != nil {
-			return err
-		}
-		defer f.Stop()
-		fsrv := server.New(feng, nil, server.WithReplicationFollower(f))
-		faddr, err := fsrv.Listen("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		defer fsrv.Close()
-		followers = append(followers, f)
-		followerAddrs = append(followerAddrs, faddr)
-	}
-	head := pstore.ReplicationHead()
-	deadline := time.Now().Add(60 * time.Second)
-	for _, f := range followers {
-		for {
-			if st := f.Status(); st.Applied == head && st.Synced {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("follower never caught up to offset %d: %+v", head, f.Status())
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
+	defer cluster.close()
+	links := cluster.links
 	fmt.Printf("corpus replicated: %d entries, %d WAL records on all 3 nodes\n\n",
-		len(sub.Entries), head)
-
-	// Every node sits behind its own simulated wire.
-	links := make([]*netsim.Link, 0, 3)
-	for _, backend := range append([]string{paddr}, followerAddrs...) {
-		l, err := netsim.NewLink(backend, rtt/2)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		links = append(links, l)
-	}
-	ids := engine.Entries()
+		len(sub.Entries), cluster.head)
+	ids := cluster.engine.Entries()
 
 	configs := []struct {
 		name string

@@ -215,12 +215,11 @@ func TestChaosFailover(t *testing.T) {
 	}
 	// Boundary k: the primary dies when its WAL head sits exactly at the
 	// record written by seed entry k-1 (the domain registration is record 1;
-	// each entry appends two records — the entry itself and the nextID
-	// counter — so seeding walks heads 1, 3, 5, ...). Those are every
-	// boundary reachable between operations; the concurrent burst plus the
-	// abrupt kill covers the intra-operation boundaries in between, since
-	// the teardown can land between the two appends of a single entry.
-	// Every boundary gets its own fresh cluster.
+	// each entry appends one record carrying the entry, the nextID counter
+	// and the invalidation flags it set, so seeding walks heads 1, 2, 3,
+	// ...). One mutation is one record, so those are every boundary there
+	// is; the concurrent burst plus the abrupt kill lands the teardown
+	// inside an append. Every boundary gets its own fresh cluster.
 	for k := 1; k <= 5; k++ {
 		k := k
 		t.Run(fmt.Sprintf("kill_at_boundary_%d", k), func(t *testing.T) {
@@ -252,7 +251,7 @@ func TestChaosFailover(t *testing.T) {
 				}
 				acked.record(id, title)
 			}
-			wantHead := uint64(1 + 2*(k-1))
+			wantHead := uint64(k)
 			if head := fc.engines[0].ReplicationInfo()["head"].(uint64); head != wantHead {
 				t.Fatalf("head before kill = %d, want %d", head, wantHead)
 			}

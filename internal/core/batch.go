@@ -16,8 +16,6 @@ import (
 
 	"nnexus/internal/conceptmap"
 	"nnexus/internal/corpus"
-	"nnexus/internal/policy"
-	"nnexus/internal/storage"
 )
 
 // relinkChunk bounds how many entries a relink batch captures into one
@@ -203,6 +201,7 @@ func (e *Engine) relinkShared(ids []int64, workers int) (map[int64]*Result, int,
 			w = len(items)
 		}
 		e.runBatch(items, linkPlan{}, w, &aborted)
+		done := make([]int64, 0, len(items))
 		for _, it := range items {
 			switch {
 			case it.err != nil:
@@ -212,75 +211,48 @@ func (e *Engine) relinkShared(ids []int64, workers int) (map[int64]*Result, int,
 				}
 			case it.res != nil:
 				out[it.id] = it.res
-				e.relinked(it.id)
+				done = append(done, it.id)
 			}
 		}
+		e.relinked(done...)
 	}
 	return out, nerrs, firstErr
 }
 
 // AddEntries validates, stores, and indexes many entries as one batch. All
-// entries are validated (shape, domain, policy) before anything commits, so
-// a bad entry rejects the whole batch; on success every entry's ID field is
-// set and the assigned IDs are returned in order. Persistence uses a single
-// atomic storage batch (one WAL record, one fsync) instead of two puts per
-// entry.
+// entries are admitted (shape, domain, policy) before anything commits, so a
+// bad entry rejects the whole batch; on success every entry's ID field is
+// set and the assigned IDs are returned in order. The batch, its ID
+// high-water mark and the invalidation flags it sets persist as a single
+// atomic storage batch (one WAL record, one fsync).
 func (e *Engine) AddEntries(entries []*corpus.Entry) ([]int64, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	for _, entry := range entries {
-		e.normalizeCorpus(entry)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i, entry := range entries {
-		if err := entry.Validate(); err != nil {
-			return nil, fmt.Errorf("core: batch entry %d: %w", i, err)
-		}
-		if _, ok := e.domainMap()[entry.Domain]; !ok {
-			return nil, fmt.Errorf("core: batch entry %d: unknown domain %q (AddDomain first)", i, entry.Domain)
-		}
-		if entry.Policy != "" {
-			if _, err := policy.Parse(entry.Policy); err != nil {
-				return nil, fmt.Errorf("core: batch entry %d: %w", i, err)
+		if err := e.admitLocked(entry); err != nil {
+			if len(entries) > 1 {
+				err = fmt.Errorf("core: batch entry %d: %w", i, err)
 			}
+			return nil, err
 		}
 	}
 	ids := make([]int64, len(entries))
-	ops := make([]storage.BatchOp, 0, len(entries)+1)
 	for i, entry := range entries {
-		id := e.nextID
-		e.nextID++
-		entry.ID = id
-		ids[i] = id
+		entry.ID = e.nextID + int64(i)
+		ids[i] = entry.ID
 		if entry.ExternalID == "" {
-			entry.ExternalID = strconv.FormatInt(id, 10)
-		}
-		e.met.entriesAdded.Add(1)
-		if e.tel != nil {
-			e.tel.opAddEntry.Inc()
-		}
-		if err := e.indexLocked(entry); err != nil {
-			return nil, err
-		}
-		e.invalidateForLabelsLocked(entry.Labels(), id)
-		if e.store != nil {
-			data, err := entry.Encode()
-			if err != nil {
-				return nil, err
-			}
-			ops = append(ops, storage.BatchOp{Table: tableEntries, Key: entryKey(id), Value: data})
+			entry.ExternalID = strconv.FormatInt(entry.ID, 10)
 		}
 	}
-	if e.store != nil {
-		ops = append(ops, storage.BatchOp{
-			Table: tableMeta, Key: "nextID",
-			Value: []byte(strconv.FormatInt(e.nextID, 10)),
-		})
-		if err := e.store.PutBatch(ops); err != nil {
-			return nil, err
-		}
+	e.met.entriesAdded.Add(int64(len(entries)))
+	if e.tel != nil {
+		e.tel.opAddEntry.Add(int64(len(entries)))
+	}
+	if err := e.storeLocked(entries...); err != nil {
+		return nil, err
 	}
 	return ids, nil
 }

@@ -12,8 +12,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -110,13 +112,6 @@ type Config struct {
 	// markup to plain text (see the latex package) before scanning —
 	// Noosphere entries are written in TeX.
 	LaTeX bool
-	// TieRanker, when set, resolves ties left by classification steering
-	// using accumulated link history — the collaborative-filtering
-	// extension of the paper's §5 (see the cfrank package). It receives
-	// the source entry ID (0 for free text) and the tied candidates;
-	// returning ok=false falls back to the deterministic priority/ID
-	// tie-break.
-	TieRanker func(source int64, candidates []int64) (choice int64, ok bool)
 	// Telemetry is the metrics registry the engine instruments itself
 	// into; the serving layers (httpapi, server) register their own
 	// families on the same registry. Nil creates a fresh registry.
@@ -201,7 +196,7 @@ type Engine struct {
 	ns               atomic.Pointer[map[string]*namespace]
 	compilersStarted bool
 	pol              *policy.Table
-	mappers *ontomap.Registry
+	mappers          *ontomap.Registry
 	// rendered caches default-pipeline LinkEntry results until the
 	// invalidation machinery marks them stale (the paper's cache table).
 	rendered *cache.LRU[int64, *Result]
@@ -335,24 +330,17 @@ func (e *Engine) nsEnsureLocked(name string) *namespace {
 		}
 		n.cmap.StartCompiler(automatonDebounce)
 	}
-	old := e.nsMap()
-	next := make(map[string]*namespace, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
+	next := maps.Clone(e.nsMap())
 	next[name] = n
 	e.ns.Store(&next)
 	return n
 }
 
 // EntrySize is the byte footprint an entry charges against its corpus's
-// byte quota. The serving layers use it to pre-check tenant quotas before
-// dispatching a write.
-func EntrySize(e *corpus.Entry) int64 { return entrySize(e) }
-
-// entrySize is the byte footprint an entry charges against its corpus's
-// byte quota: the indexed text (title, concepts, classes, body).
-func entrySize(e *corpus.Entry) int64 {
+// byte quota: the indexed text (title, concepts, classes, body). The
+// serving layers use it to pre-check tenant quotas before dispatching a
+// write.
+func EntrySize(e *corpus.Entry) int64 {
 	n := len(e.Title) + len(e.Body)
 	for _, c := range e.Concepts {
 		n += len(c)
@@ -374,14 +362,36 @@ func (e *Engine) CorpusUsage(name string) (entries, bytes int64) {
 	return n.entryCount.Load(), n.byteCount.Load()
 }
 
-// Corpora returns the corpus namespaces the engine holds, sorted.
-func (e *Engine) Corpora() []string {
-	m := e.nsMap()
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
+// WriteCharge reports what storing an entry of size bytes under id in the
+// destination corpus adds to that corpus's usage: the one replace-versus-new
+// rule behind every tenant quota gate. Replacing a stored entry of the same
+// corpus charges no entry and only the size delta. Anything else charges one
+// entry and the whole size — an unknown (or zero) ID is a new entry, and a
+// stored entry of ANOTHER corpus is new to the destination, whose quota a
+// move must not bypass.
+func (e *Engine) WriteCharge(id int64, dest string, size int64) (entries, bytes int64) {
+	if dest == "" {
+		dest = e.DefaultCorpus()
 	}
-	sort.Strings(out)
+	e.mu.RLock()
+	old := e.entries[id]
+	e.mu.RUnlock()
+	if old == nil || old.Corpus != dest {
+		return 1, size
+	}
+	return 0, size - EntrySize(old)
+}
+
+// Corpora returns the corpus namespaces the engine holds, sorted.
+func (e *Engine) Corpora() []string { return sortedKeys(e.nsMap()) }
+
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -400,62 +410,15 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// load rebuilds in-memory state from the store.
+// load rebuilds in-memory state from the store. Crash recovery is a
+// follower's snapshot bootstrap from the engine's own store: the export
+// orders tables domains → entries → invalid → meta and entries by ID.
 func (e *Engine) load() error {
-	var loadErr error
-	e.store.Scan(tableDomains, func(key string, value []byte) bool {
-		var d corpus.Domain
-		if err := decodeJSON(value, &d); err != nil {
-			loadErr = fmt.Errorf("core: load domain %q: %w", key, err)
-			return false
-		}
-		e.putDomain(&d)
-		return true
-	})
-	if loadErr != nil {
-		return loadErr
+	ops, _, _, err := e.store.ExportState()
+	if err != nil {
+		return fmt.Errorf("core: load: %w", err)
 	}
-	e.store.Scan(tableEntries, func(key string, value []byte) bool {
-		entry, err := corpus.DecodeEntry(value)
-		if err != nil {
-			loadErr = fmt.Errorf("core: load entry %q: %w", key, err)
-			return false
-		}
-		// Pre-tenancy WAL records carry no corpus ID; they replay into the
-		// default namespace unchanged (the migration path).
-		e.normalizeCorpus(entry)
-		ns := e.nsEnsureLocked(entry.Corpus)
-		e.entries[entry.ID] = entry
-		ns.cmap.AddObject(conceptmap.ObjectID(entry.ID), e.ownedLabels(entry.Labels()))
-		ns.inv.AddText(entry.ID, entry.Body)
-		ns.entryCount.Add(1)
-		ns.byteCount.Add(entrySize(entry))
-		if entry.Policy != "" {
-			if err := e.pol.Set(entry.ID, entry.Policy); err != nil {
-				loadErr = fmt.Errorf("core: load policy of entry %d: %w", entry.ID, err)
-				return false
-			}
-		}
-		if entry.ID >= e.nextID {
-			e.nextID = entry.ID + 1
-		}
-		return true
-	})
-	if loadErr != nil {
-		return loadErr
-	}
-	if v, ok := e.store.Get(tableMeta, "nextID"); ok {
-		if n, err := strconv.ParseInt(string(v), 10, 64); err == nil && n > e.nextID {
-			e.nextID = n
-		}
-	}
-	e.store.Scan(tableInvalid, func(key string, value []byte) bool {
-		if id, err := strconv.ParseInt(key, 10, 64); err == nil {
-			e.invalid[id] = true
-		}
-		return true
-	})
-	return nil
+	return e.ApplyReplicated(ops)
 }
 
 // AttachStore binds a persistent store to a running engine, so subsequent
@@ -488,11 +451,7 @@ func (e *Engine) domainMap() map[string]*corpus.Domain { return *e.domains.Load(
 // must hold e.mu (or run during single-threaded construction) so that
 // concurrent writers do not lose each other's generations.
 func (e *Engine) putDomain(d *corpus.Domain) {
-	old := e.domainMap()
-	next := make(map[string]*corpus.Domain, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
+	next := maps.Clone(e.domainMap())
 	next[d.Name] = d
 	e.domains.Store(&next)
 }
@@ -506,14 +465,7 @@ func (e *Engine) AddDomain(d corpus.Domain) error {
 	defer e.mu.Unlock()
 	copied := d
 	e.putDomain(&copied)
-	if e.store != nil {
-		data, err := encodeJSON(&copied)
-		if err != nil {
-			return err
-		}
-		return e.store.Put(tableDomains, d.Name, data)
-	}
-	return nil
+	return e.commitLocked(&changeSet{domain: &copied})
 }
 
 // Domain returns a registered domain by name.
@@ -527,15 +479,7 @@ func (e *Engine) Domain(name string) (*corpus.Domain, bool) {
 }
 
 // Domains returns the names of all registered domains, sorted.
-func (e *Engine) Domains() []string {
-	domains := e.domainMap()
-	out := make([]string, 0, len(domains))
-	for name := range domains {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (e *Engine) Domains() []string { return sortedKeys(e.domainMap()) }
 
 // RegisterMapper installs an ontology mapper used to translate a foreign
 // domain's classes into the engine's canonical scheme.
@@ -548,36 +492,11 @@ func (e *Engine) RegisterMapper(m *ontomap.Mapper) error {
 // re-linking because it mentions one of the new entry's concept labels.
 // The entry's ID field is set on success.
 func (e *Engine) AddEntry(entry *corpus.Entry) (int64, error) {
-	if err := entry.Validate(); err != nil {
+	ids, err := e.AddEntries([]*corpus.Entry{entry})
+	if err != nil {
 		return 0, err
 	}
-	e.normalizeCorpus(entry)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.domainMap()[entry.Domain]; !ok {
-		return 0, fmt.Errorf("core: unknown domain %q (AddDomain first)", entry.Domain)
-	}
-	if entry.Policy != "" {
-		// Validate the policy before committing anything.
-		if _, err := policy.Parse(entry.Policy); err != nil {
-			return 0, err
-		}
-	}
-	id := e.nextID
-	e.nextID++
-	entry.ID = id
-	e.met.entriesAdded.Add(1)
-	if e.tel != nil {
-		e.tel.opAddEntry.Inc()
-	}
-	if entry.ExternalID == "" {
-		entry.ExternalID = strconv.FormatInt(id, 10)
-	}
-	if err := e.indexLocked(entry); err != nil {
-		return 0, err
-	}
-	e.invalidateForLabelsLocked(entry.Labels(), id)
-	return id, e.persistLocked(entry)
+	return ids[0], nil
 }
 
 // IDCollisionError reports a PutEntry whose preassigned ID is already held
@@ -618,42 +537,22 @@ func (e *Engine) PutEntry(entry *corpus.Entry) error {
 	if entry.ID <= 0 {
 		return fmt.Errorf("core: putEntry needs a positive preassigned ID, got %d", entry.ID)
 	}
-	if err := entry.Validate(); err != nil {
-		return err
-	}
-	e.normalizeCorpus(entry)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.admitLocked(entry); err != nil {
+		return err
+	}
 	if existing := e.entries[entry.ID]; existing != nil && existing.Corpus != entry.Corpus {
 		return &IDCollisionError{ID: entry.ID, Existing: existing.Corpus, Incoming: entry.Corpus}
-	}
-	if _, ok := e.domainMap()[entry.Domain]; !ok {
-		return fmt.Errorf("core: unknown domain %q (AddDomain first)", entry.Domain)
-	}
-	if entry.Policy != "" {
-		if _, err := policy.Parse(entry.Policy); err != nil {
-			return err
-		}
 	}
 	if entry.ExternalID == "" {
 		entry.ExternalID = strconv.FormatInt(entry.ID, 10)
 	}
-	old := e.entries[entry.ID]
 	e.met.entriesAdded.Add(1)
 	if e.tel != nil {
 		e.tel.opPutEntry.Inc()
 	}
-	if err := e.indexLocked(entry); err != nil {
-		return err
-	}
-	if old != nil {
-		e.invalidateForLabelsLocked(old.Labels(), entry.ID)
-	}
-	e.invalidateForLabelsLocked(entry.Labels(), entry.ID)
-	if entry.ID >= e.nextID {
-		e.nextID = entry.ID + 1
-	}
-	return e.persistLocked(entry)
+	return e.storeLocked(entry)
 }
 
 // MaxObjectID returns the highest entry ID the engine has assigned or
@@ -668,34 +567,18 @@ func (e *Engine) MaxObjectID() int64 {
 // UpdateEntry replaces an existing entry's metadata and body, re-indexes
 // it, and invalidates entries affected by its (possibly changed) labels.
 func (e *Engine) UpdateEntry(entry *corpus.Entry) error {
-	if err := entry.Validate(); err != nil {
-		return err
-	}
-	e.normalizeCorpus(entry)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	old, ok := e.entries[entry.ID]
-	if !ok {
-		return fmt.Errorf("core: update of unknown entry %d", entry.ID)
-	}
-	if _, ok := e.domainMap()[entry.Domain]; !ok {
-		return fmt.Errorf("core: unknown domain %q", entry.Domain)
-	}
-	if entry.Policy != "" {
-		if _, err := policy.Parse(entry.Policy); err != nil {
-			return err
-		}
-	}
-	if err := e.indexLocked(entry); err != nil {
+	if err := e.admitLocked(entry); err != nil {
 		return err
 	}
-	// Both the old and the new label sets may affect other entries.
-	e.invalidateForLabelsLocked(old.Labels(), entry.ID)
-	e.invalidateForLabelsLocked(entry.Labels(), entry.ID)
+	if _, ok := e.entries[entry.ID]; !ok {
+		return fmt.Errorf("core: update of unknown entry %d", entry.ID)
+	}
 	if e.tel != nil {
 		e.tel.opUpdateEntry.Inc()
 	}
-	return e.persistLocked(entry)
+	return e.storeLocked(entry)
 }
 
 // RemoveEntry deletes an entry and invalidates entries that linked (or
@@ -703,32 +586,14 @@ func (e *Engine) UpdateEntry(entry *corpus.Entry) error {
 func (e *Engine) RemoveEntry(id int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	entry, ok := e.entries[id]
-	if !ok {
+	var ch changeSet
+	if !e.removeLocked(&ch, id) {
 		return fmt.Errorf("core: remove of unknown entry %d", id)
-	}
-	e.invalidateForLabelsLocked(entry.Labels(), id)
-	delete(e.entries, id)
-	delete(e.invalid, id)
-	e.rendered.Invalidate(id)
-	ns := e.nsEnsureLocked(entry.Corpus)
-	ns.cmap.RemoveObject(conceptmap.ObjectID(id))
-	ns.inv.Remove(id)
-	ns.entryCount.Add(-1)
-	ns.byteCount.Add(-entrySize(entry))
-	e.pol.Remove(id)
-	if e.store != nil {
-		if err := e.store.Delete(tableEntries, entryKey(id)); err != nil {
-			return err
-		}
-		if err := e.store.Delete(tableInvalid, strconv.FormatInt(id, 10)); err != nil {
-			return err
-		}
 	}
 	if e.tel != nil {
 		e.tel.opRemoveEntry.Inc()
 	}
-	return nil
+	return e.commitLocked(&ch)
 }
 
 // ownsLabel reports whether this engine's ring slice owns the label.
@@ -752,55 +617,6 @@ func (e *Engine) ownedLabels(labels []string) []string {
 	return out
 }
 
-// indexLocked (re)indexes an entry in its corpus's concept map and
-// invalidation index, and the policy table. In shard mode only the ring
-// slice's labels are indexed, so the concept map and the automaton
-// compiled from it stay ~1/N-sized. The entry's corpus must already be
-// normalized. An entry moving corpora (UpdateEntry with a new corpus ID)
-// is removed from its old namespace's indexes first.
-func (e *Engine) indexLocked(entry *corpus.Entry) error {
-	e.rendered.Invalidate(entry.ID)
-	old := e.entries[entry.ID]
-	ns := e.nsEnsureLocked(entry.Corpus)
-	copied := *entry
-	e.entries[entry.ID] = &copied
-	if old != nil {
-		oldNS := e.nsEnsureLocked(old.Corpus)
-		oldNS.entryCount.Add(-1)
-		oldNS.byteCount.Add(-entrySize(old))
-		if old.Corpus != entry.Corpus {
-			oldNS.cmap.RemoveObject(conceptmap.ObjectID(entry.ID))
-			oldNS.inv.Remove(entry.ID)
-		}
-	}
-	ns.cmap.AddObject(conceptmap.ObjectID(entry.ID), e.ownedLabels(entry.Labels()))
-	ns.inv.AddText(entry.ID, entry.Body)
-	ns.entryCount.Add(1)
-	ns.byteCount.Add(entrySize(entry))
-	if entry.Policy != "" {
-		if err := e.pol.Set(entry.ID, entry.Policy); err != nil {
-			return err
-		}
-	} else {
-		e.pol.Remove(entry.ID)
-	}
-	return nil
-}
-
-func (e *Engine) persistLocked(entry *corpus.Entry) error {
-	if e.store == nil {
-		return nil
-	}
-	data, err := entry.Encode()
-	if err != nil {
-		return err
-	}
-	if err := e.store.Put(tableEntries, entryKey(entry.ID), data); err != nil {
-		return err
-	}
-	return e.store.Put(tableMeta, "nextID", []byte(strconv.FormatInt(e.nextID, 10)))
-}
-
 // SetPolicy installs (or with empty text removes) the linking policy of an
 // entry, as an administrator or author would (paper §2.4).
 func (e *Engine) SetPolicy(id int64, text string) error {
@@ -819,12 +635,15 @@ func (e *Engine) SetPolicy(id int64, text string) error {
 	copied.Policy = text
 	e.entries[id] = &copied
 	// Policy changes alter which links are permitted; everything that
-	// mentions this entry's labels may need re-linking.
-	e.invalidateForLabelsLocked(copied.Labels(), id)
+	// mentions this entry's labels may need re-linking. The text did not
+	// change, so the apply stage is the policy table and the copy above,
+	// not a re-index.
+	ch := changeSet{entries: []*corpus.Entry{&copied}}
+	e.invalidateLocked(&ch, id, copied.Labels(), nil)
 	if e.tel != nil {
 		e.tel.opSetPolicy.Inc()
 	}
-	return e.persistLocked(&copied)
+	return e.commitLocked(&ch)
 }
 
 // Entry returns a copy of the entry with the given ID.
@@ -843,12 +662,7 @@ func (e *Engine) Entry(id int64) (*corpus.Entry, bool) {
 func (e *Engine) Entries() []int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]int64, 0, len(e.entries))
-	for id := range e.entries {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedKeys(e.entries)
 }
 
 // NumEntries returns the number of entries.
@@ -876,74 +690,35 @@ func (e *Engine) AutomatonInfo() conceptmap.AutomatonInfo { return e.cmap.Automa
 // Scheme returns the engine's canonical classification scheme.
 func (e *Engine) Scheme() *classification.Scheme { return e.scheme }
 
-// invalidateForLabelsLocked marks every entry whose text may invoke one of
-// the labels (except the originating entry) as needing re-linking. In shard
-// mode only owned labels are consulted: a label change belongs to the shard
-// that owns the label's ring slice (each shard invalidates its own
-// projections; see DESIGN.md for the cross-shard invalidation gap).
-//
-// Every corpus namespace's invalidation index is consulted: an entry in
-// corpus A whose body mentions the label may link against corpus B through
-// a cross-corpus target policy, so the safe set is the union (a cheap
-// superset — extra flags only cost a relink). The per-corpus telemetry
-// label records which namespace the invalidated entry belongs to.
-func (e *Engine) invalidateForLabelsLocked(labels []string, except int64) {
-	for _, label := range labels {
-		if !e.ownsLabel(label) {
-			continue
-		}
-		for _, n := range e.nsMap() {
-			for _, id := range n.inv.Lookup(label) {
-				if id == except {
-					continue
-				}
-				e.rendered.Invalidate(id)
-				if !e.invalid[id] {
-					e.invalid[id] = true
-					e.met.invalidations.Add(1)
-					if e.tel != nil {
-						e.tel.corpusInvalidations(n.name).Inc()
-					}
-					if e.store != nil {
-						// Best effort: invalidation flags are reconstructible.
-						_ = e.store.Put(tableInvalid, strconv.FormatInt(id, 10), []byte("1"))
-					}
-				}
-			}
-		}
-	}
-}
-
 // Invalidated returns the IDs of entries marked for re-linking, sorted.
 func (e *Engine) Invalidated() []int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]int64, 0, len(e.invalid))
-	for id := range e.invalid {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedKeys(e.invalid)
 }
 
-// clearInvalid drops an entry's invalidation flag (after re-linking). The
-// steady state — entry not flagged — is checked under a read lock so hot
-// re-renders of valid entries never serialize on the write lock.
-func (e *Engine) clearInvalid(id int64) {
+// clearInvalid drops the invalidation flags of re-linked entries, as one
+// record however many were flagged. The steady state — nothing flagged — is
+// checked under a read lock so hot re-renders of valid entries never
+// serialize on the write lock or touch the store.
+func (e *Engine) clearInvalid(ids ...int64) {
 	e.mu.RLock()
-	flagged := e.invalid[id]
+	flagged := slices.ContainsFunc(ids, func(id int64) bool { return e.invalid[id] })
 	e.mu.RUnlock()
 	if !flagged {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.invalid[id] {
-		delete(e.invalid, id)
-		if e.store != nil {
-			_ = e.store.Delete(tableInvalid, strconv.FormatInt(id, 10))
+	var ch changeSet
+	for _, id := range ids {
+		if e.invalid[id] {
+			delete(e.invalid, id)
+			ch.cleared = append(ch.cleared, id)
 		}
 	}
+	// Best effort: a flag that outlives a failed commit costs one more relink.
+	_ = e.commitLocked(&ch)
 }
 
 func entryKey(id int64) string { return fmt.Sprintf("%016d", id) }

@@ -119,14 +119,14 @@ func (e *Engine) LinkEntry(id int64, opts LinkOptions) (*Result, error) {
 	return res, nil
 }
 
-// relinked records one completed entry link: counters, and the entry's
-// invalidation flag cleared.
-func (e *Engine) relinked(id int64) {
-	e.met.entriesLinked.Add(1)
+// relinked records completed entry links: counters, and the entries'
+// invalidation flags cleared together.
+func (e *Engine) relinked(ids ...int64) {
+	e.met.entriesLinked.Add(int64(len(ids)))
 	if e.tel != nil {
-		e.tel.opLinkEntry.Inc()
+		e.tel.opLinkEntry.Add(int64(len(ids)))
 	}
-	e.clearInvalid(id)
+	e.clearInvalid(ids...)
 }
 
 // LinkEntryCached is LinkEntry backed by the rendered-output cache table

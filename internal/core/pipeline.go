@@ -140,10 +140,9 @@ type linkRun struct {
 	multiOrigin []int
 	// entries is the candidate snapshot of a single-run captureView.
 	entries map[int64]*corpus.Entry
-	// cands/sc/ids/steered are chooseTarget's per-match scratch.
+	// cands/sc/steered are chooseTarget's per-match scratch.
 	cands   []*corpus.Entry
 	sc      []classification.Candidate
-	ids     []int64
 	steered map[int64]bool
 	// linked/anchors are assemble's first-occurrence set and anchor scratch.
 	linked  map[string]bool
@@ -426,23 +425,6 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 		}
 		if st != nil {
 			st.steer += time.Since(mark)
-		}
-	}
-
-	// Collaborative-filtering tie resolution (optional, §5 future work).
-	if len(cands) > 1 && e.cfg.TieRanker != nil {
-		ids := run.ids[:0]
-		for _, c := range cands {
-			ids = append(ids, c.ID)
-		}
-		run.ids = ids[:0:cap(ids)]
-		if choice, ok := e.cfg.TieRanker(exclude, ids); ok {
-			for _, c := range cands {
-				if c.ID == choice {
-					cands = []*corpus.Entry{c}
-					break
-				}
-			}
 		}
 	}
 

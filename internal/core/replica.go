@@ -9,9 +9,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 
-	"nnexus/internal/conceptmap"
 	"nnexus/internal/corpus"
 	"nnexus/internal/storage"
 )
@@ -36,14 +36,23 @@ func (e *Engine) applyReplicatedLocked(ops []storage.BatchOp) error {
 				if err != nil {
 					return fmt.Errorf("core: replicated entry delete key %q: %w", op.Key, err)
 				}
-				e.removeReplicatedLocked(id)
+				// Removing an entry the follower never saw is a no-op
+				// (idempotent resume).
+				e.removeLocked(nil, id)
 				continue
 			}
 			entry, err := corpus.DecodeEntry(op.Value)
 			if err != nil {
 				return fmt.Errorf("core: replicated entry %q: %w", op.Key, err)
 			}
-			if err := e.applyReplicatedEntryLocked(entry); err != nil {
+			// The corpus ID rides inside the replicated entry JSON;
+			// pre-tenancy records (no field) land in the default namespace
+			// like on the primary. Flags are not set by this write's walk —
+			// the primary's record carries its flag transitions as
+			// tableInvalid ops — but rendered outputs are dropped locally,
+			// because the primary drops them even for entries already flagged.
+			e.normalizeCorpus(entry)
+			if err := e.writeLocked(nil, entry); err != nil {
 				return err
 			}
 		case tableDomains:
@@ -81,99 +90,25 @@ func (e *Engine) applyReplicatedLocked(ops []storage.BatchOp) error {
 	return nil
 }
 
-// applyReplicatedEntryLocked mirrors the index maintenance of AddEntry /
-// UpdateEntry: the entry is (re)indexed and the rendered cache of every
-// entry that mentions its old or new labels is dropped. Invalidation FLAGS
-// are not set here — the primary logs its flag transitions as tableInvalid
-// records, which replicate separately — but cache drops must happen locally
-// because the primary performs them even for entries it already flagged.
-func (e *Engine) applyReplicatedEntryLocked(entry *corpus.Entry) error {
-	// The corpus ID rides inside the replicated entry JSON; pre-tenancy
-	// records (no field) land in the default namespace like on the primary.
-	e.normalizeCorpus(entry)
-	old := e.entries[entry.ID]
-	if err := e.indexLocked(entry); err != nil {
-		return fmt.Errorf("core: index replicated entry %d: %w", entry.ID, err)
-	}
-	if old != nil {
-		e.invalidateRenderedLocked(old.Labels(), entry.ID)
-	}
-	e.invalidateRenderedLocked(entry.Labels(), entry.ID)
-	if entry.ID >= e.nextID {
-		e.nextID = entry.ID + 1
-	}
-	return nil
-}
-
-// removeReplicatedLocked mirrors RemoveEntry's index maintenance. Removing
-// an entry the follower never saw is a no-op (idempotent resume).
-func (e *Engine) removeReplicatedLocked(id int64) {
-	entry, ok := e.entries[id]
-	if !ok {
-		return
-	}
-	e.invalidateRenderedLocked(entry.Labels(), id)
-	delete(e.entries, id)
-	delete(e.invalid, id)
-	e.rendered.Invalidate(id)
-	ns := e.nsEnsureLocked(entry.Corpus)
-	ns.cmap.RemoveObject(conceptmap.ObjectID(id))
-	ns.inv.Remove(id)
-	ns.entryCount.Add(-1)
-	ns.byteCount.Add(-entrySize(entry))
-	e.pol.Remove(id)
-}
-
-// invalidateRenderedLocked drops the cached rendered output of every entry
-// whose text may invoke one of the labels. Unlike
-// invalidateForLabelsLocked it touches no invalidation flags and no store.
-func (e *Engine) invalidateRenderedLocked(labels []string, except int64) {
-	for _, label := range labels {
-		for _, n := range e.nsMap() {
-			for _, id := range n.inv.Lookup(label) {
-				if id == except {
-					continue
-				}
-				e.rendered.Invalidate(id)
-			}
-		}
-	}
-}
-
 // dropDomainLocked publishes a domain-table generation without name.
 func (e *Engine) dropDomainLocked(name string) {
-	old := e.domainMap()
-	if _, ok := old[name]; !ok {
-		return
-	}
-	next := make(map[string]*corpus.Domain, len(old))
-	for k, v := range old {
-		if k != name {
-			next[k] = v
-		}
-	}
+	next := maps.Clone(e.domainMap())
+	delete(next, name)
 	e.domains.Store(&next)
 }
 
 // ResetReplicated replaces the engine's whole state with a snapshot export
 // (as produced by storage.Store.ExportState), the engine side of a follower
 // snapshot bootstrap. Existing entries are retired through the normal index
-// paths — the concept map is RCU-published, so in-flight lock-free link
+// teardown — the concept map is RCU-published, so in-flight lock-free link
 // scans keep observing a consistent snapshot throughout.
 func (e *Engine) ResetReplicated(ops []storage.BatchOp) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for id, entry := range e.entries {
-		e.rendered.Invalidate(id)
-		ns := e.nsEnsureLocked(entry.Corpus)
-		ns.cmap.RemoveObject(conceptmap.ObjectID(id))
-		ns.inv.Remove(id)
-		ns.entryCount.Add(-1)
-		ns.byteCount.Add(-entrySize(entry))
-		e.pol.Remove(id)
+	for _, entry := range e.entries {
+		e.unindexLocked(entry)
 	}
-	e.entries = make(map[int64]*corpus.Entry)
-	e.invalid = make(map[int64]bool)
+	clear(e.invalid)
 	e.nextID = 1
 	e.domains.Store(&map[string]*corpus.Domain{})
 	return e.applyReplicatedLocked(ops)

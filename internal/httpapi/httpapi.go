@@ -255,17 +255,27 @@ func (h *Handler) tenantAllow(w http.ResponseWriter, corpusName string) bool {
 	return true
 }
 
-// tenantQuota pre-checks a write of addEntries entries / addBytes bytes
-// against corpusName's quotas. On violation it answers 403 with a typed
-// JSON body (code "quotaExceeded") and reports false — rejected before
-// execution, but an unchanged retry cannot succeed.
-func (h *Handler) tenantQuota(w http.ResponseWriter, corpusName string, addEntries, addBytes int64) bool {
+// checkQuota pre-checks storing entry under id (0 for a new entry) against
+// corpusName's quotas; what the write charges is the engine's rule
+// (core.Engine.WriteCharge). A violation is counted and returned.
+func (h *Handler) checkQuota(corpusName string, id int64, entry *corpus.Entry) error {
 	if h.tenants == nil {
-		return true
+		return nil
 	}
+	addEntries, addBytes := h.engine.WriteCharge(id, corpusName, core.EntrySize(entry))
 	usedEntries, usedBytes := h.engine.CorpusUsage(corpusName)
-	if err := h.tenants.CheckQuota(corpusName, usedEntries, usedBytes, addEntries, addBytes); err != nil {
+	err := h.tenants.CheckQuota(corpusName, usedEntries, usedBytes, addEntries, addBytes)
+	if err != nil {
 		h.tenantRejected.With(corpusName, "quotaExceeded").Inc()
+	}
+	return err
+}
+
+// tenantQuota is checkQuota for a single-entry request: on violation it
+// answers 403 with a typed JSON body (code "quotaExceeded") and reports
+// false — rejected before execution, but an unchanged retry cannot succeed.
+func (h *Handler) tenantQuota(w http.ResponseWriter, corpusName string, id int64, entry *corpus.Entry) bool {
+	if err := h.checkQuota(corpusName, id, entry); err != nil {
 		writeJSON(w, http.StatusForbidden, map[string]string{
 			"error": err.Error(), "code": "quotaExceeded",
 		})
@@ -346,7 +356,7 @@ func (h *Handler) createEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cn := h.corpusOf(entry.Corpus)
-	if !h.tenantAllow(w, cn) || !h.tenantQuota(w, cn, 1, core.EntrySize(&entry)) {
+	if !h.tenantAllow(w, cn) || !h.tenantQuota(w, cn, 0, &entry) {
 		return
 	}
 	id, err := h.engine.AddEntry(&entry)
@@ -382,13 +392,7 @@ func (h *Handler) updateEntry(w http.ResponseWriter, r *http.Request) {
 	}
 	entry.ID = id
 	cn := h.corpusOf(entry.Corpus)
-	addEntries, addBytes := int64(0), core.EntrySize(&entry)
-	if old, found := h.engine.Entry(id); found {
-		addBytes -= core.EntrySize(old)
-	} else {
-		addEntries = 1
-	}
-	if !h.tenantAllow(w, cn) || !h.tenantQuota(w, cn, addEntries, addBytes) {
+	if !h.tenantAllow(w, cn) || !h.tenantQuota(w, cn, id, &entry) {
 		return
 	}
 	if err := h.engine.UpdateEntry(&entry); err != nil {
@@ -462,13 +466,8 @@ func (h *Handler) importOAI(w http.ResponseWriter, r *http.Request) {
 		// Quota is enforced per entry against live usage, so a stream
 		// cannot blow through a corpus's quota in one request; the entries
 		// already imported stay.
-		if h.tenants != nil {
-			cn := h.corpusOf(entry.Corpus)
-			usedEntries, usedBytes := h.engine.CorpusUsage(cn)
-			if qerr := h.tenants.CheckQuota(cn, usedEntries, usedBytes, 1, core.EntrySize(entry)); qerr != nil {
-				h.tenantRejected.With(cn, "quotaExceeded").Inc()
-				return qerr
-			}
+		if qerr := h.checkQuota(h.corpusOf(entry.Corpus), 0, entry); qerr != nil {
+			return qerr
 		}
 		if _, err := h.engine.AddEntry(entry); err != nil {
 			return err

@@ -7,7 +7,8 @@ import (
 
 // FuzzNormalize checks idempotence and UTF-8 validity of normalization.
 func FuzzNormalize(f *testing.F) {
-	for _, seed := range []string{"Groups", "Möbius'", "MATRICES", "children", "x’s", "Łoś"} {
+	for _, seed := range []string{"Groups", "Möbius'", "MATRICES", "children", "x’s", "Łoś",
+		"Stra\u1e9ee", "\u212bngström"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {

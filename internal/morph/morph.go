@@ -20,14 +20,19 @@ import (
 	"unicode"
 )
 
-// Normalize canonicalizes a single word token: it folds international
-// characters, lowercases, strips possessive suffixes, and singularizes.
+// Normalize canonicalizes a single word token: it lowercases, folds
+// international characters, strips possessive suffixes, and singularizes.
 // This is the transformation applied both when a concept label is checked
 // into the concept map and when entry text is scanned against it, so that
 // the two sides always meet on the same key.
+//
+// Lowercasing comes first: the fold table lists no upper-case form for some
+// code points whose lower-case form it does fold ("ẞ" U+1E9E → "ß", the
+// ANGSTROM SIGN U+212B → "å"), and folding first would leave those for a
+// second pass to change — a label and its invocation folding differently.
 func Normalize(token string) string {
-	t := FoldASCII(token)
-	t = strings.ToLower(t)
+	t := strings.ToLower(token)
+	t = FoldASCII(t)
 	t = StripPossessive(t)
 	t = Singularize(t)
 	return t

@@ -835,15 +835,8 @@ func (s *Server) tenantGate(req *wire.Request) *wire.Response {
 			addBytes += wireEntrySize(e)
 		}
 	case wire.MethodUpdateEntry, wire.MethodPutEntry:
-		// Replacements charge the size delta; a fresh ID charges the whole
-		// entry.
 		if req.Entry != nil {
-			addBytes = wireEntrySize(req.Entry)
-			if old, ok := s.engine.Entry(req.Entry.ID); ok {
-				addBytes -= core.EntrySize(old)
-			} else {
-				addEntries = 1
-			}
+			addEntries, addBytes = s.engine.WriteCharge(req.Entry.ID, corpusName, wireEntrySize(req.Entry))
 		}
 	default:
 		if s.tel != nil {

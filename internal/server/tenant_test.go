@@ -204,10 +204,20 @@ func TestTenantQuotaOverSocket(t *testing.T) {
 		t.Fatalf("update within quota: %v", err)
 	}
 	// An unboxed corpus is not affected by boxed's quota.
-	if _, err := c.AddEntry(&corpus.Entry{
+	free := &corpus.Entry{
 		Corpus: "free", Domain: "planetmath.org", Title: "unbounded", Classes: []string{"05C10"},
-	}); err != nil {
+	}
+	if _, err := c.AddEntry(free); err != nil {
 		t.Fatalf("unboxed corpus add: %v", err)
+	}
+	// Moving that entry into the full corpus is a new entry there, not a
+	// replacement: it pays boxed's quota in full and is refused.
+	free.Corpus = "boxed"
+	if err := c.UpdateEntry(free); !client.IsQuotaExceeded(err) {
+		t.Fatalf("move into a full corpus: error = %v, want quotaExceeded", err)
+	}
+	if n, _ := engine.CorpusUsage("boxed"); n != 2 {
+		t.Fatalf("boxed usage after the refused move = %d entries, want 2", n)
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"os"
 
-	"nnexus/internal/cfrank"
 	"nnexus/internal/classification"
 	"nnexus/internal/client"
 	"nnexus/internal/conceptmap"
@@ -100,9 +99,6 @@ type (
 	KeywordExtractor = keywords.Extractor
 	// Keyword is one scored candidate concept label.
 	Keyword = keywords.Keyword
-	// LinkMatrix is the entry-entry link matrix used for collaborative-
-	// filtering tie ranking (the paper's §5 future work).
-	LinkMatrix = cfrank.Matrix
 	// Network is the semantic network of invocation links between entries.
 	Network = semnet.Graph
 	// NetworkStats summarizes a network's connectivity.
@@ -229,11 +225,6 @@ func MSC2000(baseWeight int) *Scheme {
 // corpus with AddDocument, then call Keywords or OverlinkSuspects.
 func NewKeywordExtractor() *KeywordExtractor { return keywords.NewExtractor() }
 
-// NewLinkMatrix returns an empty collaborative-filtering link matrix. Wire
-// it into an engine with Config.TieRanker = matrix.Best and feed it with
-// RecordLink / RecordFeedback.
-func NewLinkMatrix() *LinkMatrix { return cfrank.NewMatrix() }
-
 // LaTeXToText converts LaTeX-marked prose to plain linkable text,
 // preserving math spans verbatim so the linker skips them.
 func LaTeXToText(input string) string { return latex.ToText(input) }
@@ -304,9 +295,6 @@ type Config struct {
 	// than only the first (the deployed system links only the first, "to
 	// reduce visual clutter").
 	LinkAllOccurrences bool
-	// TieRanker optionally resolves classification-steering ties from
-	// accumulated link history; use NewLinkMatrix().Best.
-	TieRanker func(source int64, candidates []int64) (int64, bool)
 	// LaTeX converts entry bodies and linked text from LaTeX markup to
 	// plain text before scanning (Noosphere entries are written in TeX).
 	LaTeX bool
@@ -495,7 +483,6 @@ func New(cfg Config) (*Engine, error) {
 		AllowSelfLinks:     cfg.AllowSelfLinks,
 		DefaultCorpus:      cfg.DefaultCorpus,
 		LinkAllOccurrences: cfg.LinkAllOccurrences,
-		TieRanker:          cfg.TieRanker,
 		LaTeX:              cfg.LaTeX,
 		CompileAutomaton:   cfg.CompileAutomaton,
 		ShardRing:          ring,

@@ -327,13 +327,11 @@ func TestPublicSurface(t *testing.T) {
 	}
 }
 
-// Engine with TieRanker and LaTeX options through the public config.
+// Engine with the LaTeX option through the public config.
 func TestPublicAdvancedConfig(t *testing.T) {
-	matrix := nnexus.NewLinkMatrix()
 	e, err := nnexus.New(nnexus.Config{
-		Scheme:    nnexus.SampleMSC(10),
-		TieRanker: matrix.Best,
-		LaTeX:     true,
+		Scheme: nnexus.SampleMSC(10),
+		LaTeX:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,10 +353,6 @@ func TestPublicAdvancedConfig(t *testing.T) {
 	}
 	if len(res.Links) != 1 {
 		t.Fatalf("LaTeX links = %+v", res.Links)
-	}
-	matrix.RecordLink(0, res.Links[0].Target)
-	if matrix.Links() != 1 {
-		t.Errorf("matrix links = %d", matrix.Links())
 	}
 }
 

@@ -157,6 +157,9 @@ func TestChaosFacadeHTTPSheddingVisible(t *testing.T) {
 	defer web.Close()
 
 	pr, pw := io.Pipe()
+	// Runs before web.Close, which waits for the held request: a failed
+	// assertion must fail the test, not hang it.
+	defer pw.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -166,6 +169,13 @@ func TestChaosFacadeHTTPSheddingVisible(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
+	// The held request must own the slot before anything competes for it: a
+	// probe arriving first would take the slot and get the held request shed.
+	waitFor(t, "the held request to be in flight", func() bool {
+		var sb strings.Builder
+		return engine.WriteMetrics(&sb) == nil &&
+			strings.Contains(sb.String(), "nnexus_http_in_flight_requests 1\n")
+	})
 
 	// Until the slot frees, every further request is shed.
 	shed := 0

@@ -348,9 +348,10 @@ func TestChaosShardFailover(t *testing.T) {
 	// Let shard 0's followers catch up before the kill so replica reads can
 	// serve the full concept map.
 	waitFor(t, "shard 0 followers caught up", func() bool {
+		head := group[0].ReplicationInfo()["head"].(uint64)
 		for _, e := range group[1:] {
 			info := e.ReplicationInfo()
-			if !info["synced"].(bool) {
+			if !info["synced"].(bool) || info["applied"].(uint64) != head {
 				return false
 			}
 		}
