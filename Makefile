@@ -1,9 +1,13 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build vet test race bench bench-module matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
+.PHONY: build fmt vet test race bench bench-module matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
 
 build:
 	go build ./...
+
+# gofmt is the formatter of record: any file it would rewrite fails the check.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	go vet ./...

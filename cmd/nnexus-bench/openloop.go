@@ -21,16 +21,13 @@ import (
 	"strings"
 	"time"
 
+	"nnexus"
 	"nnexus/internal/benchfmt"
 	"nnexus/internal/client"
-	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/experiments"
 	"nnexus/internal/loadgen"
 	"nnexus/internal/netsim"
-	"nnexus/internal/replication"
-	"nnexus/internal/server"
-	"nnexus/internal/storage"
 	"nnexus/internal/workload"
 )
 
@@ -56,7 +53,7 @@ type openLoopOptions struct {
 // experiments: 1 primary + 2 WAL-shipped followers, each behind its own
 // simulated wire.
 type replicaCluster struct {
-	engine *core.Engine
+	engine *nnexus.Engine // the primary's
 	head   uint64         // WAL records the followers had caught up to at start
 	links  []*netsim.Link // [primary, follower1, follower2]
 	closer []func()
@@ -68,99 +65,69 @@ func (c *replicaCluster) close() {
 	}
 }
 
-// startReplicaCluster loads the corpus into a store-backed primary with the
-// replication log enabled (every AddEntry becomes a WAL record), ships its
-// WAL to two followers serving the read surface over the real wire
-// protocol, waits until both have caught up, and gives every node a
-// delay-proxied address.
+// startReplicaCluster assembles the cluster from the public facade, as the
+// root chaos tests' startReplica does: a replication primary loads the
+// corpus (every AddEntry becomes a WAL record), two followers mirror its WAL
+// and serve reads over the real wire protocol, and once both have caught up
+// every node gets a delay-proxied address.
 func startReplicaCluster(sub *workload.Corpus, rtt time.Duration) (*replicaCluster, error) {
 	cl := &replicaCluster{}
 	fail := func(err error) (*replicaCluster, error) {
 		cl.close()
 		return nil, err
 	}
-	pdir, err := os.MkdirTemp("", "nnexus-cluster-p-*")
-	if err != nil {
-		return fail(err)
-	}
-	cl.closer = append(cl.closer, func() { os.RemoveAll(pdir) })
-	pstore, err := storage.Open(pdir, storage.WithReplication())
-	if err != nil {
-		return fail(err)
-	}
-	cl.closer = append(cl.closer, func() { pstore.Close() })
-	engine, err := experiments.BuildEngine(sub, pstore)
-	if err != nil {
-		return fail(err)
-	}
-	cl.engine = engine
-	prim, err := replication.NewPrimary(pstore)
-	if err != nil {
-		return fail(err)
-	}
-	psrv := server.New(engine, nil, server.WithReplicationPrimary(prim))
-	paddr, err := psrv.Listen("127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	cl.closer = append(cl.closer, func() { psrv.Close() })
-
-	followers := make([]*replication.Follower, 0, 2)
-	followerAddrs := make([]string, 0, 2)
-	for i := 0; i < 2; i++ {
-		fdir, err := os.MkdirTemp("", "nnexus-cluster-f-*")
+	// node boots one member in its own data directory on a loopback port.
+	node := func(cfg nnexus.Config) (*nnexus.Engine, string, error) {
+		dir, err := os.MkdirTemp("", "nnexus-cluster-*")
 		if err != nil {
-			return fail(err)
+			return nil, "", err
 		}
-		cl.closer = append(cl.closer, func() { os.RemoveAll(fdir) })
-		fst, err := storage.Open(fdir)
+		cl.closer = append(cl.closer, func() { os.RemoveAll(dir) })
+		cfg.Scheme, cfg.LaTeX, cfg.DataDir = sub.Scheme, sub.Params.LaTeX, dir
+		engine, err := nnexus.New(cfg)
 		if err != nil {
-			return fail(err)
+			return nil, "", err
 		}
-		cl.closer = append(cl.closer, func() { fst.Close() })
-		feng, err := core.NewEngine(core.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX})
+		cl.closer = append(cl.closer, func() { engine.Close() })
+		srv, addr, err := engine.Serve("127.0.0.1:0", nil)
 		if err != nil {
-			return fail(err)
+			return nil, "", err
 		}
-		src := client.New(paddr, time.Second)
-		cl.closer = append(cl.closer, func() { src.Close() })
-		f, err := replication.NewFollower(fst, feng, src,
-			replication.WithFollowerName(fmt.Sprintf("f%d", i+1)),
-			replication.WithLeaderAddr(paddr),
-			replication.WithFollowerWait(500*time.Millisecond),
-			replication.WithFollowerBackoff(50*time.Millisecond))
-		if err != nil {
-			return fail(err)
-		}
-		if err := f.Start(); err != nil {
-			return fail(err)
-		}
-		cl.closer = append(cl.closer, func() { f.Stop() })
-		fsrv := server.New(feng, nil, server.WithReplicationFollower(f))
-		faddr, err := fsrv.Listen("127.0.0.1:0")
-		if err != nil {
-			return fail(err)
-		}
-		cl.closer = append(cl.closer, func() { fsrv.Close() })
-		followers = append(followers, f)
-		followerAddrs = append(followerAddrs, faddr)
+		cl.closer = append(cl.closer, func() { srv.Close() })
+		return engine, addr, nil
 	}
 
-	cl.head = pstore.ReplicationHead()
+	primary, paddr, err := node(nnexus.Config{ReplicationPrimary: true})
+	if err != nil {
+		return fail(err)
+	}
+	cl.engine = primary
+	if err := experiments.Load(sub, primary); err != nil {
+		return fail(err)
+	}
+	cl.head = primary.ReplicationInfo()["head"].(uint64)
+
+	addrs := []string{paddr}
 	deadline := time.Now().Add(60 * time.Second)
-	for _, f := range followers {
+	for i := 0; i < 2; i++ {
+		follower, faddr, err := node(nnexus.Config{FollowPrimary: paddr, ReplicaName: fmt.Sprintf("f%d", i+1)})
+		if err != nil {
+			return fail(err)
+		}
+		addrs = append(addrs, faddr)
 		for {
-			if st := f.Status(); st.Applied == cl.head && st.Synced {
+			info := follower.ReplicationInfo()
+			if info["applied"].(uint64) == cl.head && info["synced"].(bool) {
 				break
 			}
 			if time.Now().After(deadline) {
-				return fail(fmt.Errorf("follower never caught up to offset %d: %+v", cl.head, f.Status()))
+				return fail(fmt.Errorf("follower never caught up to offset %d: %v", cl.head, info))
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
 
-	for _, backend := range append([]string{paddr}, followerAddrs...) {
+	for _, backend := range addrs {
 		l, err := netsim.NewLink(backend, rtt/2)
 		if err != nil {
 			return fail(err)

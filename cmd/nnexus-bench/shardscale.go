@@ -143,24 +143,11 @@ func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt tim
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if err := local.AddDomain(corpus.Domain{
-		Name:        experiments.DomainName,
-		URLTemplate: "http://" + experiments.DomainName + "/?op=getobj&id={id}",
-		Scheme:      sub.Scheme.Name(),
-		Priority:    1,
-	}); err != nil {
-		local.Close()
+	err = experiments.Load(sub, local)
+	local.Close()
+	if err != nil {
 		return 0, 0, 0, err
 	}
-	for _, ge := range sub.Entries {
-		entry := *ge.Entry // copy: AddEntry mutates ID
-		entry.Domain = experiments.DomainName
-		if _, err := local.AddEntry(&entry); err != nil {
-			local.Close()
-			return 0, 0, 0, err
-		}
-	}
-	local.Close()
 
 	// Serve each shard on its own TCP listener behind its own wire.
 	clients := make([]*client.Client, n)

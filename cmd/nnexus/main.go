@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"nnexus"
+	"nnexus/internal/service"
 )
 
 func main() {
@@ -206,22 +207,11 @@ func runLink(args []string) error {
 		return err
 	}
 	defer engine.Close()
-	opts := nnexus.LinkOptions{SourceClasses: cls, SourceScheme: *srcScheme}
-	switch strings.ToLower(*mode) {
-	case "", "default":
-	case "lexical":
-		opts.Mode = nnexus.ModeLexical
-	case "steered":
-		opts.Mode = nnexus.ModeSteered
-	case "steered+policies", "full":
-		opts.Mode = nnexus.ModeSteeredPolicies
-	default:
-		return fmt.Errorf("link: unknown mode %q", *mode)
+	opts, err := service.ParseLinkOptions(*mode, *format)
+	if err != nil {
+		return fmt.Errorf("link: %w", err)
 	}
-	if strings.EqualFold(*format, "markdown") || strings.EqualFold(*format, "md") {
-		f := nnexus.Markdown
-		opts.Format = &f
-	}
+	opts.SourceClasses, opts.SourceScheme = cls, *srcScheme
 	res, err := engine.LinkText(text, opts)
 	if err != nil {
 		return err

@@ -72,14 +72,19 @@ func (e *Engine) plan(opts *LinkOptions) linkPlan {
 	case 1:
 		p.target = corpus.CorpusOrDefault(opts.TargetCorpora[0])
 	default:
-		p.targets = make([]string, len(opts.TargetCorpora))
+		// A repeated name keeps its first position only: a second scan would
+		// report its candidates twice, and the caller chooses the length.
+		p.targets = make([]string, 0, len(opts.TargetCorpora))
 		p.rank = make(map[string]int, len(opts.TargetCorpora))
-		for i, t := range opts.TargetCorpora {
+		for _, t := range opts.TargetCorpora {
 			t = corpus.CorpusOrDefault(t)
-			p.targets[i] = t
 			if _, ok := p.rank[t]; !ok {
-				p.rank[t] = i
+				p.rank[t] = len(p.targets)
+				p.targets = append(p.targets, t)
 			}
+		}
+		if len(p.targets) == 1 {
+			p.target, p.targets, p.rank = p.targets[0], nil, nil
 		}
 	}
 	return p

@@ -45,11 +45,11 @@ func TestConcurrentEngineStress(t *testing.T) {
 	}
 
 	const (
-		linkers  = 4
-		writers  = 2
+		linkers   = 4
+		writers   = 2
 		relinkers = 2
-		scrapers = 2
-		iters    = 150
+		scrapers  = 2
+		iters     = 150
 	)
 	var (
 		wg    sync.WaitGroup

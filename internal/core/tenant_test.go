@@ -125,6 +125,34 @@ func TestCrossCorpusTargetOrder(t *testing.T) {
 			t.Errorf("reversed target order: shared label target = %d, want 3", l.Target)
 		}
 	}
+
+	// A repeated name is the same policy as its first occurrences: the
+	// corpus is scanned once and its candidates are reported once.
+	link := func(targets ...string) string {
+		t.Helper()
+		res, err := e.LinkText(text, LinkOptions{SourceCorpus: "pm", TargetCorpora: targets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := json.Marshal(struct {
+			Links []Link
+			Skips []Skip
+		}{res.Links, res.Skips})
+		return string(out)
+	}
+	want := link("pm", "wiki")
+	for _, targets := range [][]string{
+		{"pm", "pm", "wiki"},
+		{"pm", "wiki", "pm", "wiki"},
+		{"pm", "pm", "pm", "pm", "wiki", "wiki"},
+	} {
+		if got := link(targets...); got != want {
+			t.Errorf("targets %v:\n got %s\nwant %s (as [pm wiki])", targets, got, want)
+		}
+	}
+	if one, twice := link("wiki"), link("wiki", "wiki"); one != twice {
+		t.Errorf("targets [wiki wiki]:\n got %s\nwant %s (as [wiki])", twice, one)
+	}
 }
 
 // A pre-tenancy store (entry records without any "corpus" key, written
@@ -298,6 +326,7 @@ func FuzzTenantLinkEquivalence(f *testing.F) {
 	f.Add("seed")
 	f.Add("planar graph connected")
 	f.Add("x")
+	f.Add("repeated target graph graph")
 	f.Fuzz(func(t *testing.T, seed string) {
 		entries, text := buildFuzzEntries(seed)
 
@@ -342,6 +371,7 @@ func FuzzTenantLinkEquivalence(f *testing.F) {
 			{},
 			{SourceClasses: []string{"05C40"}},
 			{SourceCorpus: corpus.DefaultCorpus, TargetCorpora: []string{corpus.DefaultCorpus}},
+			{TargetCorpora: []string{corpus.DefaultCorpus, corpus.DefaultCorpus, "nowhere", corpus.DefaultCorpus}},
 		} {
 			a, err := plain.LinkText(text, LinkOptions{SourceClasses: opts.SourceClasses})
 			if err != nil {

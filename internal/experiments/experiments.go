@@ -35,9 +35,8 @@ import (
 // DomainName is the domain generated corpora are registered under.
 const DomainName = "planetmath.example"
 
-// BuildEngine loads a generated corpus, in generation order, into a fresh
-// engine, so engine entry IDs equal generator indexes. store may be nil for
-// a memory-only engine.
+// BuildEngine loads a generated corpus into a fresh engine. store may be nil
+// for a memory-only engine.
 func BuildEngine(c *workload.Corpus, store *storage.Store) (*core.Engine, error) {
 	e, err := core.NewEngine(core.Config{
 		Scheme: c.Scheme,
@@ -47,26 +46,39 @@ func BuildEngine(c *workload.Corpus, store *storage.Store) (*core.Engine, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.AddDomain(corpus.Domain{
+	return e, Load(c, e)
+}
+
+// Loader is what a generated corpus loads into: an engine, the public
+// facade's, or a shard router.
+type Loader interface {
+	AddDomain(corpus.Domain) error
+	AddEntry(*corpus.Entry) (int64, error)
+}
+
+// Load registers the corpus's domain with a fresh dst and adds every entry
+// in generation order, so entry IDs equal generator indexes.
+func Load(c *workload.Corpus, dst Loader) error {
+	if err := dst.AddDomain(corpus.Domain{
 		Name:        DomainName,
 		URLTemplate: "http://" + DomainName + "/?op=getobj&id={id}",
 		Scheme:      c.Scheme.Name(),
 		Priority:    1,
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	for _, ge := range c.Entries {
 		entry := *ge.Entry // copy: AddEntry mutates ID
 		entry.Domain = DomainName
-		id, err := e.AddEntry(&entry)
+		id, err := dst.AddEntry(&entry)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: add entry %d: %w", ge.Index, err)
+			return fmt.Errorf("experiments: add entry %d: %w", ge.Index, err)
 		}
 		if id != int64(ge.Index) {
-			return nil, fmt.Errorf("experiments: entry %d got engine ID %d", ge.Index, id)
+			return fmt.Errorf("experiments: entry %d got ID %d", ge.Index, id)
 		}
 	}
-	return e, nil
+	return nil
 }
 
 // ApplyAllPolicies installs the overlink-fixing linking policy on every

@@ -22,6 +22,12 @@
 //	GET  /healthz            liveness probe (plain text; always 200 while up)
 //	GET  /readyz             readiness probe (JSON per-component report; 503 while loading or draining)
 //
+// Every /api route runs the request pipeline of internal/service under the
+// name of its XML-protocol twin (POST /api/link is linkText, PUT
+// /api/entries/{id} is updateEntry, ...), so it is admitted, routed and
+// acknowledged exactly as that method is over the socket; see fail for how
+// the pipeline's typed errors answer.
+//
 // Every route is instrumented into the engine's telemetry registry:
 // request counts by endpoint and status class, latency histograms per
 // endpoint, and an in-flight gauge (see internal/telemetry).
@@ -49,9 +55,11 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/health"
-	"nnexus/internal/render"
+	"nnexus/internal/replication"
+	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/tenant"
+	"nnexus/internal/wire"
 )
 
 // Handler serves the HTTP API for one engine.
@@ -61,17 +69,11 @@ type Handler struct {
 	reg         *telemetry.Registry
 	health      *health.State
 	maxInFlight int64
-	leader      func() string
-	isPrimary   func() bool
 	res         *resilience
 
-	// tenants, when non-nil, applies the same per-corpus rate limits and
-	// write quotas as the TCP layer: 429 + Retry-After for an exhausted
-	// token bucket, 403 with code "quotaExceeded" for a quota violation —
-	// both decided before the engine call executes.
-	tenants        *tenant.Registry
-	tenantRequests *telemetry.CounterVec
-	tenantRejected *telemetry.CounterVec
+	// svc runs every route's admit, route and acknowledge stages under the
+	// policy the options set on it, as the TCP layer's does.
+	svc *service.Service
 }
 
 // Option customises a Handler.
@@ -90,35 +92,27 @@ func WithMaxInFlight(n int) Option {
 	return func(h *Handler) { h.maxInFlight = int64(n) }
 }
 
-// WithNotPrimary marks the node a read replica: mutating routes answer
-// 403 with a JSON body naming the current leader (leader() may return ""
-// when unknown) instead of writing into the local engine. Without this
-// gate a follower's HTTP API would accept writes directly and silently
-// diverge from the replication stream — only the primary may mutate.
-// leader is called per rejected request, so a leadership change observed
-// by the replication layer is reflected immediately.
-func WithNotPrimary(leader func() string) Option {
-	return func(h *Handler) { h.leader = leader }
+// WithReplication sets the node's place in its replication group: while the
+// role is not primary, mutating routes answer 403 with a JSON body naming
+// the current leader ("" when unknown, e.g. mid-election) instead of writing
+// into the local engine, which would silently diverge a follower from its
+// replication stream. The role is consulted per request.
+func WithReplication(role replication.Role) Option {
+	return func(h *Handler) { h.svc.Role = role }
 }
 
-// WithTenants attaches a tenant registry: tenant-attributable routes
-// (/api/link, entry writes, import) are charged against their corpus's
-// token bucket and write quotas before the engine executes anything. Nil
-// (the default) disables enforcement.
+// WithQuorumAcks makes mutating routes quorum-acknowledged, as the TCP
+// layer's option does: a write that applied but could not gather k follower
+// confirmations within timeout answers 503 "quorumUnavailable" (k <= 0: off).
+func WithQuorumAcks(k int, timeout time.Duration) Option {
+	return func(h *Handler) { h.svc.QuorumAcks, h.svc.QuorumTimeout = k, timeout }
+}
+
+// WithTenants attaches a tenant registry: every /api route is charged
+// against its corpus's token bucket, and writes against its quotas, before
+// the engine executes anything. Nil (the default) disables enforcement.
 func WithTenants(r *tenant.Registry) Option {
-	return func(h *Handler) { h.tenants = r }
-}
-
-// WithDynamicPrimary gates mutating routes on a failover-cluster node whose
-// role changes at runtime: each mutating request consults isPrimary() and is
-// served normally on the current primary or answered with the WithNotPrimary
-// 403 redirect everywhere else. leader() names the node writes should go to
-// (may return "" mid-election).
-func WithDynamicPrimary(isPrimary func() bool, leader func() string) Option {
-	return func(h *Handler) {
-		h.isPrimary = isPrimary
-		h.leader = leader
-	}
+	return func(h *Handler) { h.svc.Tenants = r }
 }
 
 // New builds the HTTP handler around an engine. Routes share the engine's
@@ -130,53 +124,33 @@ func New(engine *core.Engine, opts ...Option) *Handler {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	h := &Handler{engine: engine, mux: http.NewServeMux(), reg: reg}
+	h := &Handler{engine: engine, mux: http.NewServeMux(), reg: reg, svc: service.New(engine, reg)}
 	for _, opt := range opts {
 		opt(h)
 	}
 	h.res = newResilience(reg, h.maxInFlight)
-	h.tenantRequests = reg.CounterVec("nnexus_http_tenant_requests_total",
-		"Tenant-attributable HTTP requests admitted past the tenant gate, by corpus.", "corpus")
-	h.tenantRejected = reg.CounterVec("nnexus_http_tenant_rejected_total",
-		"HTTP requests rejected by the tenant gate, by corpus and reason.", "corpus", "reason")
 	m := newHTTPMetrics(reg)
 	routes := []struct {
 		pattern string // method + route, for mux registration
 		label   string // endpoint label (route only, metrics-friendly)
-		mutates bool   // writes engine state; rejected on a read replica
 		handler http.HandlerFunc
 	}{
-		{"GET /{$}", "/", false, h.form},
-		{"POST /api/link", "/api/link", false, h.link},
-		{"POST /api/entries", "/api/entries", true, h.createEntry},
-		{"GET /api/entries/{id}", "/api/entries/{id}", false, h.getEntry},
-		{"PUT /api/entries/{id}", "/api/entries/{id}", true, h.updateEntry},
-		{"DELETE /api/entries/{id}", "/api/entries/{id}", true, h.removeEntry},
-		{"GET /api/entries/{id}/linked", "/api/entries/{id}/linked", false, h.linkedEntry},
-		{"PUT /api/entries/{id}/policy", "/api/entries/{id}/policy", true, h.setPolicy},
-		{"GET /api/invalidated", "/api/invalidated", false, h.invalidated},
-		{"POST /api/relink", "/api/relink", true, h.relink},
-		{"GET /api/stats", "/api/stats", false, h.stats},
-		{"POST /api/import", "/api/import", true, h.importOAI},
-		{"GET /metrics", "/metrics", false, h.metrics},
+		{"GET /{$}", "/", h.form},
+		{"POST /api/link", "/api/link", h.link},
+		{"POST /api/entries", "/api/entries", h.createEntry},
+		{"GET /api/entries/{id}", "/api/entries/{id}", h.getEntry},
+		{"PUT /api/entries/{id}", "/api/entries/{id}", h.updateEntry},
+		{"DELETE /api/entries/{id}", "/api/entries/{id}", h.removeEntry},
+		{"GET /api/entries/{id}/linked", "/api/entries/{id}/linked", h.linkedEntry},
+		{"PUT /api/entries/{id}/policy", "/api/entries/{id}/policy", h.setPolicy},
+		{"GET /api/invalidated", "/api/invalidated", h.invalidated},
+		{"POST /api/relink", "/api/relink", h.relink},
+		{"GET /api/stats", "/api/stats", h.stats},
+		{"POST /api/import", "/api/import", h.importOAI},
+		{"GET /metrics", "/metrics", h.metrics},
 	}
 	for _, rt := range routes {
-		handler := rt.handler
-		if rt.mutates && h.leader != nil {
-			if h.isPrimary != nil {
-				inner := rt.handler
-				handler = func(w http.ResponseWriter, r *http.Request) {
-					if h.isPrimary() {
-						inner(w, r)
-						return
-					}
-					h.notPrimary(w, r)
-				}
-			} else {
-				handler = h.notPrimary
-			}
-		}
-		h.mux.HandleFunc(rt.pattern, h.res.protect(m.instrument(rt.label, handler)))
+		h.mux.HandleFunc(rt.pattern, h.res.protect(m.instrument(rt.label, rt.handler)))
 	}
 	// Probes bypass shedding (but keep panic recovery): liveness and
 	// readiness must answer even when the API is saturated or draining.
@@ -212,76 +186,65 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// notPrimary answers every mutating route on a read replica. The body
-// mirrors the wire protocol's notPrimary error: clients should retry the
-// write against the named leader.
-func (h *Handler) notPrimary(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusForbidden, map[string]string{
-		"error":  "not primary: this node is a read replica",
-		"leader": h.leader(),
-	})
-}
-
-// corpusOf resolves a request's corpus name against the engine's default.
-func (h *Handler) corpusOf(name string) string {
-	if name == "" {
-		return h.engine.DefaultCorpus()
+// fail answers an error: each typed error of the request pipeline has its
+// own status and "code" (of them only quorumUnavailable means the request
+// executed), anything else answers fallback, the status the route gives its
+// engine call's own errors. What the call reported before the failure — the
+// id of an entry that applied but missed its quorum, the count an import got
+// to — is kept in the body.
+func fail(w http.ResponseWriter, err error, fallback int, partial interface{}) {
+	var limited *tenant.RateLimitedError
+	var notPrimary *replication.NotPrimaryError
+	status, body := fallback, map[string]interface{}{"error": err.Error()}
+	switch {
+	case errors.As(err, &limited):
+		// The engine never ran, so the client may retry after the backoff.
+		w.Header().Set("Retry-After", strconv.Itoa(int(limited.RetryAfter/time.Second)+1))
+		status, body["code"] = http.StatusTooManyRequests, wire.CodeRateLimited
+	case tenant.IsQuotaExceeded(err):
+		// Rejected before execution, but an unchanged retry cannot succeed.
+		status, body["code"] = http.StatusForbidden, wire.CodeQuotaExceeded
+	case errors.As(err, &notPrimary):
+		// As the wire protocol's notPrimary: retry the write at the leader.
+		status, body["code"] = http.StatusForbidden, wire.CodeNotPrimary
+		body["leader"] = notPrimary.Leader
+	case errors.Is(err, replication.ErrQuorumUnavailable):
+		status, body["code"] = http.StatusServiceUnavailable, wire.CodeQuorumUnavailable
 	}
-	return corpus.CorpusOrDefault(name)
-}
-
-// tenantAllow charges one request against corpusName's token bucket. On
-// rejection it answers 429 with a Retry-After header and a typed JSON body
-// (code "rateLimited") and reports false; the engine never ran, so the
-// client may retry after the backoff, mirroring the wire contract.
-func (h *Handler) tenantAllow(w http.ResponseWriter, corpusName string) bool {
-	if h.tenants == nil {
-		return true
-	}
-	if err := h.tenants.Allow(corpusName); err != nil {
-		var rl *tenant.RateLimitedError
-		retry := 1
-		if errors.As(err, &rl) && rl.RetryAfter > 0 {
-			retry = int(rl.RetryAfter/time.Second) + 1
+	if fields, ok := partial.(map[string]interface{}); ok {
+		for k, v := range fields {
+			body[k] = v
 		}
-		h.tenantRejected.With(corpusName, "rateLimited").Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": err.Error(), "code": "rateLimited",
-		})
-		return false
 	}
-	h.tenantRequests.With(corpusName).Inc()
-	return true
+	writeJSON(w, status, body)
 }
 
-// checkQuota pre-checks storing entry under id (0 for a new entry) against
-// corpusName's quotas; what the write charges is the engine's rule
-// (core.Engine.WriteCharge). A violation is counted and returned.
-func (h *Handler) checkQuota(corpusName string, id int64, entry *corpus.Entry) error {
-	if h.tenants == nil {
-		return nil
-	}
-	addEntries, addBytes := h.engine.WriteCharge(id, corpusName, core.EntrySize(entry))
-	usedEntries, usedBytes := h.engine.CorpusUsage(corpusName)
-	err := h.tenants.CheckQuota(corpusName, usedEntries, usedBytes, addEntries, addBytes)
+// serve runs one route through the request pipeline under the name of its
+// wire twin, and answers exec's reply with status ok or fails as above.
+func (h *Handler) serve(w http.ResponseWriter, req service.Request, ok, fallback int, exec func() (interface{}, error)) {
+	var reply interface{}
+	err := h.svc.Do(req, func() (err error) {
+		reply, err = exec()
+		return err
+	})
 	if err != nil {
-		h.tenantRejected.With(corpusName, "quotaExceeded").Inc()
+		fail(w, err, fallback, reply)
+		return
 	}
-	return err
+	writeJSON(w, ok, reply)
 }
 
-// tenantQuota is checkQuota for a single-entry request: on violation it
-// answers 403 with a typed JSON body (code "quotaExceeded") and reports
-// false — rejected before execution, but an unchanged retry cannot succeed.
-func (h *Handler) tenantQuota(w http.ResponseWriter, corpusName string, id int64, entry *corpus.Entry) bool {
-	if err := h.checkQuota(corpusName, id, entry); err != nil {
-		writeJSON(w, http.StatusForbidden, map[string]string{
-			"error": err.Error(), "code": "quotaExceeded",
-		})
-		return false
+// decodeBody reads a JSON request body of at most service.MaxRequestBytes
+// into v, answering 413 past the limit and 400 for anything malformed.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, err)
+	} else if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 	}
-	return true
+	return err == nil
 }
 
 // linkRequest is the /api/link request body.
@@ -323,48 +286,43 @@ func (h *Handler) link(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Mode = r.PostFormValue("mode")
 		req.Format = r.PostFormValue("format")
-	} else {
-		if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
+	} else if !decodeBody(w, r, &req) {
+		return
 	}
-	opts, err := parseOptions(req.Mode, req.Format)
+	opts, err := service.ParseLinkOptions(req.Mode, req.Format)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts.SourceClasses = req.Classes
-	opts.SourceScheme = req.Scheme
-	opts.SourceCorpus = req.Corpus
-	opts.TargetCorpora = req.Targets
-	if !h.tenantAllow(w, h.corpusOf(req.Corpus)) {
-		return
-	}
-	res, err := h.engine.LinkText(req.Text, opts)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	opts.SourceClasses, opts.SourceScheme = req.Classes, req.Scheme
+	opts.SourceCorpus, opts.TargetCorpora = req.Corpus, req.Targets
+	h.svc.DefaultTargets(&opts)
+	h.serve(w, service.Request{Method: wire.MethodLinkText, Corpus: req.Corpus},
+		http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
+			return h.engine.LinkText(req.Text, opts)
+		})
+}
+
+// storeRequest describes a route that stores entry under id (0 = new) to the
+// request pipeline: it is charged to the entry's corpus.
+func storeRequest(method string, id int64, entry *corpus.Entry) service.Request {
+	return service.Request{Method: method, Corpus: entry.Corpus,
+		Writes: []service.Write{{ID: id, Size: core.EntrySize(entry)}}}
 }
 
 func (h *Handler) createEntry(w http.ResponseWriter, r *http.Request) {
 	var entry corpus.Entry
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&entry); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &entry) {
 		return
 	}
-	cn := h.corpusOf(entry.Corpus)
-	if !h.tenantAllow(w, cn) || !h.tenantQuota(w, cn, 0, &entry) {
-		return
-	}
-	id, err := h.engine.AddEntry(&entry)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]int64{"id": id})
+	h.serve(w, storeRequest(wire.MethodAddEntry, 0, &entry),
+		http.StatusCreated, http.StatusBadRequest, func() (interface{}, error) {
+			id, err := h.engine.AddEntry(&entry)
+			if err != nil {
+				return nil, err
+			}
+			return map[string]interface{}{"id": id}, nil
+		})
 }
 
 func (h *Handler) getEntry(w http.ResponseWriter, r *http.Request) {
@@ -372,12 +330,14 @@ func (h *Handler) getEntry(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	entry, found := h.engine.Entry(id)
-	if !found {
-		httpError(w, http.StatusNotFound, fmt.Errorf("entry %d not found", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, entry)
+	h.serve(w, service.Request{Method: wire.MethodGetEntry},
+		http.StatusOK, http.StatusNotFound, func() (interface{}, error) {
+			entry, found := h.engine.Entry(id)
+			if !found {
+				return nil, fmt.Errorf("entry %d not found", id)
+			}
+			return entry, nil
+		})
 }
 
 func (h *Handler) updateEntry(w http.ResponseWriter, r *http.Request) {
@@ -386,20 +346,14 @@ func (h *Handler) updateEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var entry corpus.Entry
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&entry); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &entry) {
 		return
 	}
 	entry.ID = id
-	cn := h.corpusOf(entry.Corpus)
-	if !h.tenantAllow(w, cn) || !h.tenantQuota(w, cn, id, &entry) {
-		return
-	}
-	if err := h.engine.UpdateEntry(&entry); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	h.serve(w, storeRequest(wire.MethodUpdateEntry, id, &entry),
+		http.StatusOK, http.StatusBadRequest, func() (interface{}, error) {
+			return map[string]string{"status": "ok"}, h.engine.UpdateEntry(&entry)
+		})
 }
 
 func (h *Handler) removeEntry(w http.ResponseWriter, r *http.Request) {
@@ -407,11 +361,10 @@ func (h *Handler) removeEntry(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := h.engine.RemoveEntry(id); err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	h.serve(w, service.Request{Method: wire.MethodRemoveEntry},
+		http.StatusOK, http.StatusNotFound, func() (interface{}, error) {
+			return map[string]string{"status": "ok"}, h.engine.RemoveEntry(id)
+		})
 }
 
 func (h *Handler) linkedEntry(w http.ResponseWriter, r *http.Request) {
@@ -419,13 +372,14 @@ func (h *Handler) linkedEntry(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res, cached, err := h.engine.LinkEntryCached(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
-	w.Header().Set("X-NNexus-Cache", map[bool]string{true: "hit", false: "miss"}[cached])
-	writeJSON(w, http.StatusOK, res)
+	h.serve(w, service.Request{Method: wire.MethodLinkEntry},
+		http.StatusOK, http.StatusNotFound, func() (interface{}, error) {
+			res, cached, err := h.engine.LinkEntryCached(id)
+			if err == nil {
+				w.Header().Set("X-NNexus-Cache", map[bool]string{true: "hit", false: "miss"}[cached])
+			}
+			return res, err
+		})
 }
 
 func (h *Handler) setPolicy(w http.ResponseWriter, r *http.Request) {
@@ -438,69 +392,70 @@ func (h *Handler) setPolicy(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := h.engine.SetPolicy(id, string(body)); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	h.serve(w, service.Request{Method: wire.MethodSetPolicy},
+		http.StatusOK, http.StatusBadRequest, func() (interface{}, error) {
+			return map[string]string{"status": "ok"}, h.engine.SetPolicy(id, string(body))
+		})
 }
 
 func (h *Handler) invalidated(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]int64{"invalidated": h.engine.Invalidated()})
+	h.serve(w, service.Request{Method: wire.MethodInvalidated},
+		http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
+			return map[string][]int64{"invalidated": h.engine.Invalidated()}, nil
+		})
 }
 
 func (h *Handler) relink(w http.ResponseWriter, r *http.Request) {
-	results, err := h.engine.RelinkInvalidated()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"relinked": len(results)})
+	h.serve(w, service.Request{Method: wire.MethodRelink},
+		http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
+			results, err := h.engine.RelinkInvalidated()
+			return map[string]int{"relinked": len(results)}, err
+		})
 }
 
 // importOAI streams an OAI-style XML dump into the collection. The dump's
-// domain must already be registered.
+// domain must already be registered. It is one addEntries request to the
+// pipeline — admitted, routed and acknowledged once — whose entries are
+// unknown until they stream in.
 func (h *Handler) importOAI(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	_, _, err := corpus.ImportOAIStream(io.LimitReader(r.Body, 256<<20), func(entry *corpus.Entry) error {
-		// Quota is enforced per entry against live usage, so a stream
-		// cannot blow through a corpus's quota in one request; the entries
-		// already imported stay.
-		if qerr := h.checkQuota(h.corpusOf(entry.Corpus), 0, entry); qerr != nil {
-			return qerr
-		}
-		if _, err := h.engine.AddEntry(entry); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	if err != nil {
-		if tenant.IsQuotaExceeded(err) {
-			writeJSON(w, http.StatusForbidden, map[string]interface{}{
-				"error": fmt.Sprintf("imported %d entries, then: %v", n, err),
-				"code":  "quotaExceeded", "imported": n,
+	h.serve(w, service.Request{Method: wire.MethodAddEntries},
+		http.StatusOK, http.StatusBadRequest, func() (interface{}, error) {
+			n := 0
+			_, _, err := corpus.ImportOAIStream(io.LimitReader(r.Body, 256<<20), func(entry *corpus.Entry) error {
+				// Quota is enforced per entry against live usage, so a
+				// stream cannot blow through a corpus's quota in one
+				// request; the entries already imported stay.
+				if err := h.svc.CheckQuota(entry.Corpus, service.Write{Size: core.EntrySize(entry)}); err != nil {
+					return err
+				}
+				if _, err := h.engine.AddEntry(entry); err != nil {
+					return err
+				}
+				n++
+				return nil
 			})
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("imported %d entries, then: %w", n, err))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"imported": n})
+			if err != nil {
+				err = fmt.Errorf("imported %d entries, then: %w", n, err)
+			}
+			return map[string]interface{}{"imported": n}, err
+		})
 }
 
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
-	hits, misses := h.engine.CacheStats()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"entries":     h.engine.NumEntries(),
-		"concepts":    h.engine.NumConcepts(),
-		"domains":     h.engine.Domains(),
-		"invalidated": len(h.engine.Invalidated()),
-		"cacheHits":   hits,
-		"cacheMisses": misses,
-		"metrics":     h.engine.Metrics(),
-		"telemetry":   h.reg.Snapshot(),
-	})
+	h.serve(w, service.Request{Method: wire.MethodStats},
+		http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
+			hits, misses := h.engine.CacheStats()
+			return map[string]interface{}{
+				"entries":     h.engine.NumEntries(),
+				"concepts":    h.engine.NumConcepts(),
+				"domains":     h.engine.Domains(),
+				"invalidated": len(h.engine.Invalidated()),
+				"cacheHits":   hits,
+				"cacheMisses": misses,
+				"metrics":     h.engine.Metrics(),
+				"telemetry":   h.reg.Snapshot(),
+			}, nil
+		})
 }
 
 // metrics serves the telemetry registry in the Prometheus text exposition
@@ -537,30 +492,6 @@ func (h *Handler) form(w http.ResponseWriter, r *http.Request) {
 		"Concepts": h.engine.NumConcepts(),
 		"Domains":  len(h.engine.Domains()),
 	})
-}
-
-func parseOptions(mode, format string) (core.LinkOptions, error) {
-	var opts core.LinkOptions
-	switch strings.ToLower(mode) {
-	case "", "default":
-	case "lexical":
-		opts.Mode = core.ModeLexical
-	case "steered":
-		opts.Mode = core.ModeSteered
-	case "steered+policies", "full":
-		opts.Mode = core.ModeSteeredPolicies
-	default:
-		return opts, fmt.Errorf("unknown mode %q", mode)
-	}
-	switch strings.ToLower(format) {
-	case "", "html":
-	case "markdown", "md":
-		f := render.Markdown
-		opts.Format = &f
-	default:
-		return opts, fmt.Errorf("unknown format %q", format)
-	}
-	return opts, nil
 }
 
 func pathID(w http.ResponseWriter, r *http.Request) (int64, bool) {

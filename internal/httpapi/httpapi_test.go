@@ -9,10 +9,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"nnexus/internal/classification"
+	"nnexus/internal/client"
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
+	"nnexus/internal/replication"
+	"nnexus/internal/storage"
 	"nnexus/internal/tenant"
 )
 
@@ -414,7 +418,7 @@ func TestMoreErrorPaths(t *testing.T) {
 	}
 }
 
-// A handler built with WithNotPrimary is a read replica's HTTP surface:
+// A handler built in the follower role is a read replica's HTTP surface:
 // every mutating route must be rejected with 403 and a body naming the
 // leader, while the read routes keep serving. Without the gate a follower
 // would accept writes straight into its engine and silently diverge from
@@ -434,7 +438,20 @@ func TestNotPrimaryGatesMutatingRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(engine, WithNotPrimary(func() string { return "10.0.0.1:7070" })))
+	// The static follower role, never started: the gate only asks it who
+	// the leader is.
+	store, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	src := client.New("10.0.0.1:7070", time.Second)
+	t.Cleanup(func() { src.Close() })
+	follower, err := replication.NewFollower(store, nil, src, replication.WithLeaderAddr("10.0.0.1:7070"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(engine, WithReplication(replication.Role{Follower: follower})))
 	t.Cleanup(srv.Close)
 
 	mutating := []struct{ method, path, body string }{

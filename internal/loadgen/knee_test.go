@@ -16,7 +16,7 @@ func TestDetectKnee(t *testing.T) {
 		pt(100, 100, 5*time.Millisecond),
 		pt(200, 199, 8*time.Millisecond),
 		pt(400, 398, 20*time.Millisecond),
-		pt(800, 700, 300*time.Millisecond), // collapses: latency and completion both fail
+		pt(800, 700, 300*time.Millisecond),  // collapses: latency and completion both fail
 		pt(1600, 1590, 10*time.Millisecond), // noisy pass above a real failure must not count
 	}
 	knee, ok := DetectKnee(points, slo)

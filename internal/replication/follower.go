@@ -87,6 +87,9 @@ type Follower struct {
 	stopOnce  sync.Once
 	stop      chan struct{}
 	done      chan struct{}
+	// retargeted wakes the sync loop out of its retry backoff. Capacity 1:
+	// the loop re-reads the source anyway, so one pending wake-up is enough.
+	retargeted chan struct{}
 }
 
 // FollowerOption configures NewFollower.
@@ -183,6 +186,7 @@ func NewFollower(store *storage.Store, applier Applier, src Source, opts ...Foll
 		backoffMax: 4 * time.Second,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
+		retargeted: make(chan struct{}, 1),
 	}
 	if host, err := os.Hostname(); err == nil && host != "" {
 		f.name = host
@@ -270,13 +274,20 @@ func (f *Follower) LastContact() time.Time {
 // Retarget switches the follower to a new primary: subsequent exchanges use
 // src and leader. The in-flight exchange finishes against the old source;
 // the epoch check on the next subscribe forces a snapshot re-bootstrap from
-// the new leader when its history epoch differs. The old source is NOT
-// closed here — the caller owns both sources' lifecycles.
+// the new leader when its history epoch differs. A loop sleeping off the old
+// source's failures is woken and its streak restarted: a backoff earned on a
+// dead primary can outlast the new leader's election timeout, which reads
+// this follower's silence as lost contact. The old source is NOT closed
+// here — the caller owns both sources' lifecycles.
 func (f *Follower) Retarget(src Source, leader string) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.src = src
 	f.leader = leader
+	f.mu.Unlock()
+	select {
+	case f.retargeted <- struct{}{}:
+	default:
+	}
 }
 
 // source returns the current source under the lock (it can change across a
@@ -302,8 +313,8 @@ func (f *Follower) WireStatus() *wire.ReplPayload {
 // syncLoop is the follower's heartbeat: subscribe, apply, ack, repeat. After
 // a failed exchange it sleeps a jittered exponential backoff — base ·2ⁿ for
 // n consecutive failures, capped, with full jitter — so followers of a dead
-// primary desynchronize instead of hammering it in lockstep. It exits when
-// Stop is called.
+// primary desynchronize instead of hammering it in lockstep; a Retarget cuts
+// the sleep short and restarts the streak. It exits when Stop is called.
 func (f *Follower) syncLoop() {
 	defer close(f.done)
 	needReset := false
@@ -342,9 +353,11 @@ func (f *Follower) syncLoop() {
 		select {
 		case <-f.stop:
 			return
+		case <-f.retargeted:
+			failStreak = 0
 		case <-time.After(f.retryBackoff(failStreak)):
+			failStreak++
 		}
-		failStreak++
 	}
 }
 

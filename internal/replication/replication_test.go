@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -274,5 +275,68 @@ func TestFollowerStatusStaleWhenPrimaryGone(t *testing.T) {
 			t.Fatal("follower never marked itself stale after losing the primary")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// deadSource fails every exchange at once, as a killed primary's refused
+// connections do, and counts the attempts.
+type deadSource struct{ calls chan struct{} }
+
+func (d deadSource) ReplSubscribe(uint64, uint64, int, int, string) (*wire.ReplPayload, error) {
+	select {
+	case d.calls <- struct{}{}:
+	default:
+	}
+	return nil, errors.New("connection refused")
+}
+func (d deadSource) ReplSnapshot() (*wire.ReplPayload, error) {
+	return nil, errors.New("connection refused")
+}
+func (d deadSource) ReplAck(string, uint64, uint64) error { return errors.New("connection refused") }
+
+// A follower sleeping off a dead primary's failures must reach the new
+// leader as soon as Retarget names it: the leader reads a follower's silence
+// as its own loss of quorum, and a backoff earned on the old primary can
+// outlast the election timeout. The backoff here is pinned at up to 10 s, so
+// contact within 500 ms can only come from Retarget waking the loop.
+func TestRetargetWakesBackoff(t *testing.T) {
+	pst, p := newPrimary(t)
+	if err := pst.Put("t", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	dead := deadSource{calls: make(chan struct{}, 1)}
+	f, err := NewFollower(st, nil, dead,
+		WithFollowerName("f1"),
+		WithFollowerWait(50*time.Millisecond),
+		WithFollowerBackoff(10*time.Second),
+		WithFollowerMaxBackoff(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Stop)
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-dead.calls: // the first exchange failed; the loop is backing off
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower never tried its source")
+	}
+
+	f.Retarget(localSource{p}, "new-leader")
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for f.LastContact().IsZero() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no contact with the new leader within 500ms of Retarget: %+v", f.Status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := f.Leader(); got != "new-leader" {
+		t.Errorf("leader = %q, want %q", got, "new-leader")
 	}
 }

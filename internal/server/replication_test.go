@@ -21,7 +21,7 @@ import (
 )
 
 // newPrimaryServer boots a store-backed engine with replication enabled and
-// serves it with WithReplicationPrimary.
+// serves it in the static primary role.
 func newPrimaryServer(t *testing.T) (*Server, string, *storage.Store) {
 	t.Helper()
 	st, err := storage.Open(t.TempDir(), storage.WithReplication())
@@ -37,7 +37,7 @@ func newPrimaryServer(t *testing.T) (*Server, string, *storage.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, nil, WithReplicationPrimary(p))
+	srv := New(engine, nil, WithReplication(replication.Role{Primary: p}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func newPrimaryServer(t *testing.T) (*Server, string, *storage.Store) {
 }
 
 // newFollowerServer boots a follower syncing from primaryAddr and serves
-// its engine with WithReplicationFollower.
+// its engine in the static follower role.
 func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *replication.Follower) {
 	t.Helper()
 	st, err := storage.Open(t.TempDir())
@@ -75,7 +75,7 @@ func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *repl
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Stop)
-	srv := New(engine, nil, WithReplicationFollower(f))
+	srv := New(engine, nil, WithReplication(replication.Role{Follower: f}))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestChaosReplShutdownDrainsSubscribers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(engine2, nil, WithReplicationPrimary(p2))
+	srv2 := New(engine2, nil, WithReplication(replication.Role{Primary: p2}))
 	addr2, err := srv2.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestQuorumAckRefusedAfterInProcessDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Stop)
-	srv := New(engine, nil, WithReplicationNode(node), WithQuorumAcks(1, 5*time.Second))
+	srv := New(engine, nil, WithReplication(replication.Role{Node: node}), WithQuorumAcks(1, 5*time.Second))
 	srv.testPostMutate = func(req *wire.Request) {
 		// The new regime's announcement lands the instant the write applied.
 		if err := node.HandleLead(99, ""); err != nil {

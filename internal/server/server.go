@@ -25,23 +25,19 @@ import (
 	"net"
 	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
-	"nnexus/internal/render"
 	"nnexus/internal/replication"
+	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/tenant"
 	"nnexus/internal/tokenizer"
 	"nnexus/internal/wire"
 )
-
-// DefaultMaxRequestBytes bounds a single XML request on the wire.
-const DefaultMaxRequestBytes = 32 << 20
 
 // DefaultWriteTimeout bounds writing one response to a client; a reader
 // stalled longer than this loses the connection rather than pinning the
@@ -52,11 +48,6 @@ const DefaultWriteTimeout = 30 * time.Second
 // flight concurrently (see WithMaxPipeline).
 const DefaultMaxPipeline = 32
 
-// DefaultQuorumTimeout bounds how long a quorum-acknowledged write waits for
-// its follower confirmations before degrading to a typed quorumUnavailable
-// error.
-const DefaultQuorumTimeout = 5 * time.Second
-
 // errOverloaded is the message body of a shed request.
 var errOverloaded = errors.New("server overloaded, retry later")
 
@@ -66,24 +57,10 @@ type Server struct {
 	logger *log.Logger
 	tel    *serverTelemetry
 
-	// Replication role: at most one of primary/follower/node is set. A
-	// primary serves the repl* streaming methods; a follower rejects
-	// mutating methods with a typed notPrimary redirect; a node does either,
-	// flipping dynamically as elections change its role.
-	primary  *replication.Primary
-	follower *replication.Follower
-	node     *replication.Node
-
-	// Quorum-acknowledged writes: when quorumAcks > 0 and the node serves as
-	// primary, a mutating request is acknowledged only after that many
-	// followers confirmed its WAL offset durable (bounded by quorumTimeout).
-	quorumAcks    int
-	quorumTimeout time.Duration
-
-	// tenants, when non-nil, gates every tenant-attributable request through
-	// the per-corpus token bucket and write quotas before dispatch (see
-	// tenantGate). Nil disables tenancy enforcement entirely.
-	tenants *tenant.Registry
+	// svc runs every request's admit, route and acknowledge stages under
+	// the policy the options set on it (see internal/service); the server
+	// itself only executes.
+	svc *service.Service
 
 	maxRequestBytes int64
 	idleTimeout     time.Duration
@@ -100,10 +77,10 @@ type Server struct {
 	// production code never sets it.
 	testHook func(*wire.Request)
 
-	// testPostMutate, when non-nil, runs after a mutating method has applied
-	// but before its quorum acknowledgement is gathered — the in-process
-	// demotion window a process-kill chaos matrix cannot hit on cue;
-	// production code never sets it.
+	// testPostMutate, when non-nil, runs after a method has applied — for a
+	// mutating one, before its quorum acknowledgement is gathered: the
+	// in-process demotion window a process-kill chaos matrix cannot hit on
+	// cue; production code never sets it.
 	testPostMutate func(*wire.Request)
 
 	mu       sync.Mutex
@@ -146,12 +123,6 @@ type serverTelemetry struct {
 	pipelineDepth *telemetry.Histogram
 	byMethod      map[string]*telemetry.Counter
 	unknown       *telemetry.Counter
-
-	// Per-tenant attribution: requests admitted and requests rejected by the
-	// tenant gate, labeled by corpus (and rejection reason). Children resolve
-	// through the registry's own series cache — corpora appear at runtime.
-	tenantRequests *telemetry.CounterVec
-	tenantRejected *telemetry.CounterVec
 }
 
 func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
@@ -182,10 +153,6 @@ func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
 		pipelineDepth: reg.Histogram("nnexus_tcp_pipeline_depth",
 			"Requests in flight on a connection at dispatch time.",
 			1, 2, 4, 8, 16, 32, 64, 128),
-		tenantRequests: reg.CounterVec("nnexus_tenant_requests_total",
-			"Tenant-attributable requests admitted past the tenant gate, by corpus.", "corpus"),
-		tenantRejected: reg.CounterVec("nnexus_tenant_rejected_total",
-			"Requests rejected by the tenant gate, by corpus and reason.", "corpus", "reason"),
 	}
 	t.byMethod = make(map[string]*telemetry.Counter)
 	for _, m := range []string{
@@ -225,7 +192,7 @@ func (t *serverTelemetry) request(method string, start time.Time, failed bool) {
 type Option func(*Server)
 
 // WithMaxRequestBytes caps the size of a single request document; a client
-// exceeding it is disconnected. The default is DefaultMaxRequestBytes.
+// exceeding it is disconnected. The default is service.MaxRequestBytes.
 func WithMaxRequestBytes(n int64) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -269,29 +236,15 @@ func WithMaxActiveRequests(n int) Option {
 	return func(s *Server) { s.maxActive = n }
 }
 
-// WithReplicationPrimary makes the server answer the repl* streaming
-// methods from p, so followers can subscribe to this node's WAL. Shutdown
-// and Close drain p, waking blocked subscribe long-polls so follower
-// connections flush a final batch and close cleanly.
-func WithReplicationPrimary(p *replication.Primary) Option {
-	return func(s *Server) { s.primary = p }
-}
-
-// WithReplicationFollower marks the server as a read replica fed by f:
-// mutating methods are rejected before execution with a typed notPrimary
-// error carrying the primary's address, while the full read surface
-// (linkText, linkEntry, batch reads) serves from the replicated state.
-func WithReplicationFollower(f *replication.Follower) Option {
-	return func(s *Server) { s.follower = f }
-}
-
-// WithReplicationNode attaches an election-managed replication node: the
-// server consults it per request for the current role, serves the repl*
-// streaming surface whenever the node is primary, rejects mutating methods
-// with a notPrimary redirect whenever it is not, and answers the replVote /
-// replLead election exchanges.
-func WithReplicationNode(n *replication.Node) Option {
-	return func(s *Server) { s.node = n }
+// WithReplication sets the server's place in its replication group. While
+// the role is primary the server answers the repl* streaming methods from it
+// (Shutdown and Close drain it, so follower connections flush a final batch
+// and close cleanly); while it is not, mutating methods are rejected before
+// execution with a typed notPrimary error naming the leader, and reads serve
+// from the replicated state. An election-managed role is consulted per
+// request and also answers the replVote / replLead exchanges.
+func WithReplication(role replication.Role) Option {
+	return func(s *Server) { s.svc.Role = role }
 }
 
 // WithQuorumAcks makes mutating requests quorum-acknowledged: a write is
@@ -300,12 +253,7 @@ func WithReplicationNode(n *replication.Node) Option {
 // error (the write is applied and durable on the primary either way — only
 // the cross-node guarantee is reported as unmet). k <= 0 disables the wait.
 func WithQuorumAcks(k int, timeout time.Duration) Option {
-	return func(s *Server) {
-		s.quorumAcks = k
-		if timeout > 0 {
-			s.quorumTimeout = timeout
-		}
-	}
+	return func(s *Server) { s.svc.QuorumAcks, s.svc.QuorumTimeout = k, timeout }
 }
 
 // WithTenants attaches a tenant registry: every tenant-attributable request
@@ -315,7 +263,7 @@ func WithQuorumAcks(k int, timeout time.Duration) Option {
 // rejections happen before the request executes, so they are retry-safe in
 // the same sense as load shedding. Nil (the default) disables enforcement.
 func WithTenants(r *tenant.Registry) Option {
-	return func(s *Server) { s.tenants = r }
+	return func(s *Server) { s.svc.Tenants = r }
 }
 
 // WithMaxPipeline bounds how many requests one connection may have in
@@ -341,11 +289,11 @@ func New(engine *core.Engine, logger *log.Logger, opts ...Option) *Server {
 		engine:          engine,
 		logger:          logger,
 		tel:             newServerTelemetry(engine.Telemetry()),
+		svc:             service.New(engine, engine.Telemetry()),
 		conns:           make(map[net.Conn]*connState),
-		maxRequestBytes: DefaultMaxRequestBytes,
+		maxRequestBytes: service.MaxRequestBytes,
 		writeTimeout:    DefaultWriteTimeout,
 		maxPipeline:     DefaultMaxPipeline,
-		quorumTimeout:   DefaultQuorumTimeout,
 	}
 	for _, o := range opts {
 		o(s)
@@ -439,7 +387,7 @@ func (s *Server) Close() error {
 		conn.Close()
 	}
 	s.mu.Unlock()
-	if p := s.currentPrimary(); p != nil {
+	if p := s.svc.Role.CurrentPrimary(); p != nil {
 		// Wake blocked subscribe long-polls so their handler goroutines
 		// (and with them the connection goroutines) unwind promptly.
 		p.Drain()
@@ -477,7 +425,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if ln != nil {
 		ln.Close()
 	}
-	if p := s.currentPrimary(); p != nil {
+	if p := s.svc.Role.CurrentPrimary(); p != nil {
 		// Replication subscribers drain like request connections: waking
 		// their long-polls lets each flush a final (possibly empty) batch —
 		// a whole response, never a mid-record cut — and close on a clean
@@ -610,15 +558,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			respCh <- connResp{resp: wire.ErrCoded(&req, wire.CodeOverloaded, errOverloaded)}
 			continue
 		}
-		if s.tenants != nil {
-			// Gate inline, like the shed path: a rejected request never
-			// takes a pipeline slot or spawns a handler goroutine, so a
-			// tenant hammering past its limit costs admission control
-			// only, not per-request dispatch machinery.
-			if resp := s.tenantGate(&req); resp != nil {
-				respCh <- connResp{resp: resp}
-				continue
-			}
+		// Admit inline, like the shed path: a rejected request never takes
+		// a pipeline slot or spawns a handler goroutine, so a tenant
+		// hammering past its limit costs admission control only, not
+		// per-request dispatch machinery.
+		if err := s.admit(&req); err != nil {
+			respCh <- connResp{resp: s.errResponse(&req, err)}
+			continue
 		}
 		sem <- struct{}{} // pipeline window slot
 		depth := s.beginRequest(conn)
@@ -678,10 +624,10 @@ func (s *Server) connWriter(conn net.Conn, ch <-chan connResp, done chan<- struc
 // client-visible latency, not on server-side work).
 func (s *Server) handleWithTimeout(req *wire.Request) *wire.Response {
 	if s.handlerTimeout <= 0 {
-		return s.handleUngated(req)
+		return s.handleAdmitted(req)
 	}
 	ch := make(chan *wire.Response, 1)
-	go func() { ch <- s.handleUngated(req) }()
+	go func() { ch <- s.handleAdmitted(req) }()
 	timer := time.NewTimer(s.handlerTimeout)
 	defer timer.Stop()
 	select {
@@ -727,18 +673,16 @@ func (m *meteredReader) Read(p []byte) (int, error) {
 // "internal" error response and counted in nnexus_panics_recovered_total,
 // so one poisoned request cannot kill the daemon.
 func (s *Server) Handle(req *wire.Request) *wire.Response {
-	if s.tenants != nil {
-		if resp := s.tenantGate(req); resp != nil {
-			return resp
-		}
+	if err := s.admit(req); err != nil {
+		return s.errResponse(req, err)
 	}
-	return s.handleUngated(req)
+	return s.handleAdmitted(req)
 }
 
-// handleUngated is Handle minus the tenant gate, for the connection reader
-// loop, which has already gated the request inline (gating again would
+// handleAdmitted is Handle minus the admit stage, for the connection reader
+// loop, which has already admitted the request inline (admitting again would
 // charge the token bucket twice for one request).
-func (s *Server) handleUngated(req *wire.Request) (resp *wire.Response) {
+func (s *Server) handleAdmitted(req *wire.Request) (resp *wire.Response) {
 	start := time.Now()
 	defer func() {
 		r := recover()
@@ -758,103 +702,38 @@ func (s *Server) handleUngated(req *wire.Request) (resp *wire.Response) {
 	r, err := s.dispatch(req)
 	s.tel.request(req.Method, start, err != nil)
 	if err != nil {
-		return wire.Err(req, err)
+		return s.errResponse(req, err)
 	}
 	return r
 }
 
-// mutating lists the methods a follower must reject: anything that changes
-// the collection (or the invalidation queue) may only execute on the
-// primary, whose WAL is the replicated history.
-var mutating = map[string]bool{
-	wire.MethodAddDomain:   true,
-	wire.MethodAddEntry:    true,
-	wire.MethodUpdateEntry: true,
-	wire.MethodRemoveEntry: true,
-	wire.MethodSetPolicy:   true,
-	wire.MethodRelink:      true,
-	wire.MethodAddEntries:  true,
-	wire.MethodRelinkBatch: true,
-	wire.MethodPutEntry:    true,
-}
-
-// currentPrimary returns the primary surface this server should serve the
-// repl* streaming methods from right now: the election node's (which may
-// change between requests as roles flip) or the statically configured one.
-func (s *Server) currentPrimary() *replication.Primary {
-	if s.node != nil {
-		return s.node.CurrentPrimary()
+// admit runs the admit stage for a wire request: it is charged to the corpus
+// it names, else its carried entry's, and the entries it would store are
+// sized for the quota check.
+func (s *Server) admit(req *wire.Request) error {
+	if s.svc.Tenants == nil {
+		return nil // nothing to charge: skip sizing the entries
 	}
-	return s.primary
-}
-
-// requestCorpus resolves the corpus a request acts on behalf of: the
-// request's own corpus attribute, the carried entry's, or the engine's
-// default — so pre-tenancy clients are accounted under the default corpus.
-func (s *Server) requestCorpus(req *wire.Request) string {
-	c := req.Corpus
-	if c == "" && req.Entry != nil {
-		c = req.Entry.Corpus
+	r := service.Request{Method: req.Method, Corpus: req.Corpus}
+	if r.Corpus == "" && req.Entry != nil {
+		r.Corpus = req.Entry.Corpus
 	}
-	if c == "" {
-		return s.engine.DefaultCorpus()
-	}
-	return corpus.CorpusOrDefault(c)
-}
-
-// tenantGate enforces per-corpus rate limits and write quotas BEFORE
-// dispatch: the connection reader loop calls it inline (so rejections skip
-// the pipeline machinery entirely) and Handle calls it for in-process
-// callers. A non-nil response is a typed rejection (rateLimited or
-// quotaExceeded): the request never executed, so even mutating methods are
-// retry-safe in the load-shedding sense. Replication/election traffic is
-// infrastructure, not tenant traffic, and passes untouched.
-func (s *Server) tenantGate(req *wire.Request) *wire.Response {
-	switch req.Method {
-	case wire.MethodPing, wire.MethodReplSubscribe, wire.MethodReplSnapshot,
-		wire.MethodReplAck, wire.MethodReplStatus, wire.MethodReplVote,
-		wire.MethodReplLead:
-		return nil
-	}
-	corpusName := s.requestCorpus(req)
-	if err := s.tenants.Allow(corpusName); err != nil {
-		if s.tel != nil {
-			s.tel.tenantRejected.With(corpusName, "rateLimited").Inc()
-		}
-		return wire.ErrCoded(req, wire.CodeRateLimited, err)
-	}
-	var addEntries, addBytes int64
 	switch req.Method {
 	case wire.MethodAddEntry:
 		if req.Entry != nil {
-			addEntries, addBytes = 1, wireEntrySize(req.Entry)
+			r.Writes = []service.Write{{Size: wireEntrySize(req.Entry)}}
 		}
 	case wire.MethodAddEntries:
-		for _, e := range req.Entries {
-			addEntries++
-			addBytes += wireEntrySize(e)
+		r.Writes = make([]service.Write, len(req.Entries))
+		for i, e := range req.Entries {
+			r.Writes[i].Size = wireEntrySize(e)
 		}
 	case wire.MethodUpdateEntry, wire.MethodPutEntry:
 		if req.Entry != nil {
-			addEntries, addBytes = s.engine.WriteCharge(req.Entry.ID, corpusName, wireEntrySize(req.Entry))
+			r.Writes = []service.Write{{ID: req.Entry.ID, Size: wireEntrySize(req.Entry)}}
 		}
-	default:
-		if s.tel != nil {
-			s.tel.tenantRequests.With(corpusName).Inc()
-		}
-		return nil
 	}
-	usedEntries, usedBytes := s.engine.CorpusUsage(corpusName)
-	if err := s.tenants.CheckQuota(corpusName, usedEntries, usedBytes, addEntries, addBytes); err != nil {
-		if s.tel != nil {
-			s.tel.tenantRejected.With(corpusName, "quotaExceeded").Inc()
-		}
-		return wire.ErrCoded(req, wire.CodeQuotaExceeded, err)
-	}
-	if s.tel != nil {
-		s.tel.tenantRequests.With(corpusName).Inc()
-	}
-	return nil
+	return s.svc.Admit(r)
 }
 
 // wireEntrySize mirrors core.EntrySize over the wire form, so the quota
@@ -870,62 +749,45 @@ func wireEntrySize(e *wire.Entry) int64 {
 	return int64(n)
 }
 
-func (s *Server) dispatch(req *wire.Request) (*wire.Response, error) {
+// errResponse maps an error to its wire reply: each typed error of the
+// request pipeline becomes its wire.Code* (with the leader hint where one
+// helps the client), anything else an untyped error response.
+func (s *Server) errResponse(req *wire.Request, err error) *wire.Response {
+	var notPrimary *replication.NotPrimaryError
+	switch {
+	case tenant.IsRateLimited(err):
+		return wire.ErrCoded(req, wire.CodeRateLimited, err)
+	case tenant.IsQuotaExceeded(err):
+		return wire.ErrCoded(req, wire.CodeQuotaExceeded, err)
+	case errors.As(err, &notPrimary):
+		resp := wire.ErrCoded(req, wire.CodeNotPrimary, err)
+		resp.Leader = notPrimary.Leader
+		return resp
+	case errors.Is(err, replication.ErrQuorumUnavailable):
+		return wire.ErrCoded(req, wire.CodeQuorumUnavailable, err)
+	case errors.Is(err, replication.ErrStaleEpoch):
+		resp := wire.ErrCoded(req, wire.CodeStaleEpoch, err)
+		_, resp.Leader = s.svc.Role.WireStatus()
+		return resp
+	}
+	return wire.Err(req, err)
+}
+
+// dispatch runs the route, execute and acknowledge stages of an admitted
+// request; executing is the method table below.
+func (s *Server) dispatch(req *wire.Request) (resp *wire.Response, err error) {
 	if s.testHook != nil {
 		s.testHook(req)
 	}
-	if mutating[req.Method] {
-		switch {
-		case s.node != nil && !s.node.IsPrimary():
-			// Rejected before execution: the client may safely redirect the
-			// very same request to the leader. A node demoted by fencing
-			// counts these rejections — they are writes a stale primary
-			// would have accepted.
-			if s.node.Fenced() {
-				s.node.CountFenced()
-			}
-			resp := wire.ErrCoded(req, wire.CodeNotPrimary,
-				fmt.Errorf("%s: node is not the primary (epoch %d)", req.Method, s.node.Epoch()))
-			if leader := s.node.LeaderAddr(); leader != "" {
-				resp.Leader = leader
-			}
-			return resp, nil
-		case s.node == nil && s.follower != nil:
-			resp := wire.ErrCoded(req, wire.CodeNotPrimary,
-				fmt.Errorf("%s: node is a read replica, not the primary", req.Method))
-			resp.Leader = s.follower.Leader()
-			return resp, nil
-		}
-		resp, err := s.dispatchMethod(req)
-		if err != nil {
-			return resp, err
-		}
-		if s.testPostMutate != nil {
+	err = s.svc.Execute(req.Method, func() error {
+		var err error
+		resp, err = s.dispatchMethod(req)
+		if err == nil && s.testPostMutate != nil {
 			s.testPostMutate(req)
 		}
-		// Quorum acknowledgment: hold the (already applied, locally durable)
-		// write's response until k followers confirmed the current WAL head.
-		// Waiting on the head observed here is at least as strong as waiting
-		// on the write's own offset. A nil primary here means the node was
-		// deposed between applying the mutation and gathering the quorum (or
-		// quorum acks were configured without a replication surface): the
-		// write sits in a WAL suffix that fencing may truncate, so acking it
-		// as a quorum success would break the zero-lost-acked-writes
-		// guarantee. Degrade to quorumUnavailable — the same answer a drained
-		// primary gives — and let the caller reconcile.
-		if s.quorumAcks > 0 {
-			p := s.currentPrimary()
-			if p == nil {
-				return wire.ErrCoded(req, wire.CodeQuorumUnavailable,
-					fmt.Errorf("%s: node lost the primary role before the write could be quorum-acknowledged", req.Method)), nil
-			}
-			if qerr := p.WaitQuorum(p.Head(), s.quorumAcks, s.quorumTimeout); qerr != nil {
-				return wire.ErrCoded(req, wire.CodeQuorumUnavailable, qerr), nil
-			}
-		}
-		return resp, nil
-	}
-	return s.dispatchMethod(req)
+		return err
+	})
+	return resp, err
 }
 
 func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
@@ -934,7 +796,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		return wire.OK(req), nil
 
 	case wire.MethodReplSubscribe:
-		primary := s.currentPrimary()
+		primary := s.svc.Role.CurrentPrimary()
 		if primary == nil {
 			return nil, errors.New("replSubscribe: node is not a replication primary")
 		}
@@ -956,7 +818,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		return resp, nil
 
 	case wire.MethodReplSnapshot:
-		primary := s.currentPrimary()
+		primary := s.svc.Role.CurrentPrimary()
 		if primary == nil {
 			return nil, errors.New("replSnapshot: node is not a replication primary")
 		}
@@ -969,7 +831,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		return resp, nil
 
 	case wire.MethodReplAck:
-		primary := s.currentPrimary()
+		primary := s.svc.Role.CurrentPrimary()
 		if primary == nil {
 			return nil, errors.New("replAck: node is not a replication primary")
 		}
@@ -978,44 +840,24 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 
 	case wire.MethodReplStatus:
 		resp := wire.OK(req)
-		switch {
-		case s.node != nil:
-			pay, leader := s.node.WireStatus()
-			resp.Repl = pay
-			resp.Leader = leader
-		case s.primary != nil:
-			resp.Repl = s.primary.Status()
-		case s.follower != nil:
-			resp.Repl = s.follower.WireStatus()
-			resp.Leader = s.follower.Leader()
-		default:
-			resp.Repl = &wire.ReplPayload{Role: replication.RoleSingle}
-		}
+		resp.Repl, resp.Leader = s.svc.Role.WireStatus()
 		return resp, nil
 
 	case wire.MethodReplVote:
-		if s.node == nil {
-			return nil, errors.New("replVote: node is not in a failover cluster")
+		node, err := s.svc.Role.Elector()
+		if err != nil {
+			return nil, err
 		}
 		resp := wire.OK(req)
-		resp.Repl = s.node.HandleVote(req.Epoch, req.Offset, req.Candidate)
-		if leader := s.node.LeaderAddr(); leader != "" {
-			resp.Leader = leader
-		}
+		resp.Repl, resp.Leader = node.HandleVote(req.Epoch, req.Offset, req.Candidate), node.LeaderAddr()
 		return resp, nil
 
 	case wire.MethodReplLead:
-		if s.node == nil {
-			return nil, errors.New("replLead: node is not in a failover cluster")
+		node, err := s.svc.Role.Elector()
+		if err == nil {
+			err = node.HandleLead(req.Epoch, req.Leader)
 		}
-		if err := s.node.HandleLead(req.Epoch, req.Leader); err != nil {
-			if errors.Is(err, replication.ErrStaleEpoch) {
-				resp := wire.ErrCoded(req, wire.CodeStaleEpoch, err)
-				if leader := s.node.LeaderAddr(); leader != "" {
-					resp.Leader = leader
-				}
-				return resp, nil
-			}
+		if err != nil {
 			return nil, err
 		}
 		return wire.OK(req), nil
@@ -1093,12 +935,10 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		return resp, nil
 
 	case wire.MethodLinkText:
-		opts, err := linkOptions(req)
+		opts, err := s.textLinkOptions(req)
 		if err != nil {
 			return nil, err
 		}
-		opts.SourceClasses = req.Classes
-		opts.SourceScheme = req.Scheme
 		res, err := s.engine.LinkText(req.Text, opts)
 		if err != nil {
 			return nil, err
@@ -1161,12 +1001,10 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		if len(req.Texts) == 0 {
 			return nil, errors.New("linkBatch: missing texts")
 		}
-		opts, err := linkOptions(req)
+		opts, err := s.textLinkOptions(req)
 		if err != nil {
 			return nil, err
 		}
-		opts.SourceClasses = req.Classes
-		opts.SourceScheme = req.Scheme
 		results, err := s.engine.LinkBatch(req.Texts, opts, 0)
 		if err != nil {
 			return nil, err
@@ -1197,8 +1035,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts.SourceClasses = req.Classes
-		opts.SourceScheme = req.Scheme
+		opts.SourceClasses, opts.SourceScheme = req.Classes, req.Scheme
 		opts.ExcludeObject = req.Object
 		tokens := make([]tokenizer.Token, len(req.Tokens))
 		for i, t := range req.Tokens {
@@ -1248,32 +1085,22 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 	}
 }
 
+// linkOptions reads a link method's pipeline, format and corpus policy off
+// the request.
 func linkOptions(req *wire.Request) (core.LinkOptions, error) {
-	var opts core.LinkOptions
-	opts.SourceCorpus = req.Corpus
-	opts.TargetCorpora = req.Targets
-	switch strings.ToLower(req.Mode) {
-	case "", "default":
-		opts.Mode = core.ModeDefault
-	case "lexical":
-		opts.Mode = core.ModeLexical
-	case "steered":
-		opts.Mode = core.ModeSteered
-	case "steered+policies", "full":
-		opts.Mode = core.ModeSteeredPolicies
-	default:
-		return opts, fmt.Errorf("unknown mode %q", req.Mode)
-	}
-	switch strings.ToLower(req.Format) {
-	case "", "html":
-		// engine default
-	case "markdown", "md":
-		f := render.Markdown
-		opts.Format = &f
-	default:
-		return opts, fmt.Errorf("unknown format %q", req.Format)
-	}
-	return opts, nil
+	opts, err := service.ParseLinkOptions(req.Mode, req.Format)
+	opts.SourceCorpus, opts.TargetCorpora = req.Corpus, req.Targets
+	return opts, err
+}
+
+// textLinkOptions is linkOptions for the free-text methods: they steer by
+// the request's classes and, naming no targets, link against the ones the
+// source corpus's tenant policy configures.
+func (s *Server) textLinkOptions(req *wire.Request) (core.LinkOptions, error) {
+	opts, err := linkOptions(req)
+	opts.SourceClasses, opts.SourceScheme = req.Classes, req.Scheme
+	s.svc.DefaultTargets(&opts)
+	return opts, err
 }
 
 func toWireLinked(res *core.Result) *wire.Linked {

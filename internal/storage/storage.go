@@ -114,8 +114,8 @@ type Store struct {
 	tables   map[string]map[string][]byte
 	wal      File
 	walBuf   *bufio.Writer
-	walLen   int64 // bytes appended since last compaction
-	walAck   int64 // prefix of walLen covered by applied (acknowledged) records
+	walLen   int64  // bytes appended since last compaction
+	walAck   int64  // prefix of walLen covered by applied (acknowledged) records
 	head     uint64 // offset of the newest applied record (see replication.go)
 	repl     *replState
 	closed   bool

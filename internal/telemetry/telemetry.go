@@ -81,9 +81,9 @@ type family struct {
 type series struct {
 	labelValues []string
 
-	val  atomic.Int64         // counter / gauge integer value
-	fn   func() float64       // func-backed counter / gauge (overrides val)
-	hist *Histogram           // histogram series
+	val  atomic.Int64   // counter / gauge integer value
+	fn   func() float64 // func-backed counter / gauge (overrides val)
+	hist *Histogram     // histogram series
 }
 
 // NewRegistry creates an empty registry.

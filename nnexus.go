@@ -351,7 +351,7 @@ type Config struct {
 	// smallest k at which a quorum-acked write provably survives any
 	// election the cluster can hold.
 	QuorumAcks int
-	// QuorumTimeout bounds the quorum wait (default server.DefaultQuorumTimeout).
+	// QuorumTimeout bounds the quorum wait (default 5s).
 	QuorumTimeout time.Duration
 	// ShardMap is the path to a shard-map JSON document; with ShardID it
 	// puts the engine in shard mode: the node indexes and scans only the
@@ -370,13 +370,13 @@ type Config struct {
 
 // Engine is a fully assembled NNexus instance.
 type Engine struct {
-	core     *core.Engine
-	store    *storage.Store
-	primary  *replication.Primary
-	follower *replication.Follower
-	replSrc  *client.Client
-	node     *replication.Node
+	core    *core.Engine
+	store   *storage.Store
+	replSrc *client.Client
 
+	// role and the quorum policy are what both serving layers are handed
+	// (see servingOpts): who may write, and when a write is acknowledged.
+	role          replication.Role
 	quorumAcks    int
 	quorumTimeout time.Duration
 }
@@ -519,7 +519,7 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.ReplicaName != "" {
 			fopts = append(fopts, replication.WithFollowerName(cfg.ReplicaName))
 		}
-		e.node, err = replication.NewNode(replication.NodeConfig{
+		e.role.Node, err = replication.NewNode(replication.NodeConfig{
 			Self:    cfg.AdvertiseAddr,
 			Peers:   cfg.ClusterPeers,
 			Store:   store,
@@ -542,14 +542,14 @@ func New(cfg Config) (*Engine, error) {
 			Telemetry:       reg,
 		})
 		if err == nil {
-			err = e.node.Start()
+			err = e.role.Node.Start()
 		}
 		if err != nil {
 			store.Close()
 			return nil, err
 		}
 	case cfg.ReplicationPrimary:
-		e.primary, err = replication.NewPrimary(store, replication.WithPrimaryTelemetry(reg))
+		e.role.Primary, err = replication.NewPrimary(store, replication.WithPrimaryTelemetry(reg))
 		if err != nil {
 			store.Close()
 			return nil, err
@@ -573,9 +573,9 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.ReplicaName != "" {
 			fopts = append(fopts, replication.WithFollowerName(cfg.ReplicaName))
 		}
-		e.follower, err = replication.NewFollower(store, eng, e.replSrc, fopts...)
+		e.role.Follower, err = replication.NewFollower(store, eng, e.replSrc, fopts...)
 		if err == nil {
-			err = e.follower.Start()
+			err = e.role.Follower.Start()
 		}
 		if err != nil {
 			e.replSrc.Close()
@@ -589,12 +589,7 @@ func New(cfg Config) (*Engine, error) {
 // Close stops replication (if any) and flushes and closes the engine's
 // persistent store.
 func (e *Engine) Close() error {
-	if e.node != nil {
-		e.node.Stop()
-	}
-	if e.follower != nil {
-		e.follower.Stop()
-	}
+	e.role.Stop()
 	if e.replSrc != nil {
 		e.replSrc.Close()
 	}
@@ -927,7 +922,8 @@ func WithMaxInFlight(n int) HTTPOption { return httpapi.WithMaxInFlight(n) }
 // be passed to Dial. logger may be nil. Stop it with Server.Close, or drain
 // it gracefully with Server.Shutdown.
 func (e *Engine) Serve(addr string, logger *log.Logger, opts ...ServerOption) (*Server, string, error) {
-	srv := server.New(e.core, logger, e.serverOpts(opts)...)
+	policy, _ := e.servingOpts()
+	srv := server.New(e.core, logger, append(opts, policy...)...)
 	bound, err := srv.Listen(addr)
 	if err != nil {
 		return nil, "", err
@@ -940,7 +936,8 @@ func (e *Engine) Serve(addr string, logger *log.Logger, opts ...ServerOption) (*
 // each other's addresses) bind the listener first and hand it over here.
 // The server owns ln from then on.
 func (e *Engine) ServeListener(ln net.Listener, logger *log.Logger, opts ...ServerOption) (*Server, string, error) {
-	srv := server.New(e.core, logger, e.serverOpts(opts)...)
+	policy, _ := e.servingOpts()
+	srv := server.New(e.core, logger, append(opts, policy...)...)
 	bound, err := srv.Serve(ln)
 	if err != nil {
 		return nil, "", err
@@ -948,22 +945,16 @@ func (e *Engine) ServeListener(ln net.Listener, logger *log.Logger, opts ...Serv
 	return srv, bound, nil
 }
 
-// serverOpts appends the engine's replication role (static primary/follower
-// or an elected cluster node) and quorum-ack policy to the caller's options.
-func (e *Engine) serverOpts(opts []ServerOption) []ServerOption {
-	if e.node != nil {
-		opts = append(opts, server.WithReplicationNode(e.node))
-	}
-	if e.primary != nil {
-		opts = append(opts, server.WithReplicationPrimary(e.primary))
-	}
-	if e.follower != nil {
-		opts = append(opts, server.WithReplicationFollower(e.follower))
-	}
-	if e.quorumAcks > 0 {
-		opts = append(opts, server.WithQuorumAcks(e.quorumAcks, e.quorumTimeout))
-	}
-	return opts
+// servingOpts hands both serving layers the same replication role and quorum
+// policy, so they cannot disagree on who may write or when a write is acked.
+func (e *Engine) servingOpts() ([]ServerOption, []HTTPOption) {
+	return []ServerOption{
+			server.WithReplication(e.role),
+			server.WithQuorumAcks(e.quorumAcks, e.quorumTimeout),
+		}, []HTTPOption{
+			httpapi.WithReplication(e.role),
+			httpapi.WithQuorumAcks(e.quorumAcks, e.quorumTimeout),
+		}
 }
 
 // Dial connects to an NNexus server. The returned client is self-healing:
@@ -989,64 +980,13 @@ func (e *Engine) Ready() error {
 // applied offset / lag / sync state on a follower. Wire it into a
 // HealthState with AddInfo("replication", engine.ReplicationInfo) and the
 // detail appears in the GET /readyz JSON body.
-func (e *Engine) ReplicationInfo() map[string]interface{} {
-	primary, follower := e.primary, e.follower
-	if e.node != nil {
-		primary, follower = e.node.CurrentPrimary(), e.node.CurrentFollower()
-	}
-	switch {
-	case primary != nil:
-		st := primary.Status()
-		lags := primary.FollowerLags()
-		followers := make(map[string]interface{}, len(lags))
-		var maxLag uint64
-		for name, lag := range lags {
-			followers[name] = lag
-			if lag > maxLag {
-				maxLag = lag
-			}
-		}
-		return map[string]interface{}{
-			"role":      st.Role,
-			"epoch":     st.Epoch,
-			"head":      st.Head,
-			"followers": followers,
-			"maxLag":    maxLag,
-		}
-	case follower != nil:
-		st := follower.Status()
-		info := map[string]interface{}{
-			"role":    st.Role,
-			"epoch":   st.Epoch,
-			"applied": st.Applied,
-			"head":    st.Head,
-			"lag":     st.Lag(),
-			"synced":  st.Synced,
-			"leader":  st.Leader,
-		}
-		if st.Err != "" {
-			info["error"] = st.Err
-		}
-		return info
-	default:
-		if e.node != nil {
-			// Mid-transition (between roles): report the election view.
-			return map[string]interface{}{"role": e.node.Role(), "epoch": e.node.Epoch()}
-		}
-		return map[string]interface{}{"role": "single"}
-	}
-}
+func (e *Engine) ReplicationInfo() map[string]interface{} { return e.role.Info() }
 
 // ElectionInfo returns the failover state machine's detail for readiness
 // reporting — role, election epoch, known leader, fencing status, elections
 // run, and last leader contact. Nil when the engine is not clustered. Wire
 // it into a HealthState with AddInfo("election", engine.ElectionInfo).
-func (e *Engine) ElectionInfo() map[string]interface{} {
-	if e.node == nil {
-		return nil
-	}
-	return e.node.Info()
-}
+func (e *Engine) ElectionInfo() map[string]interface{} { return e.role.ElectionInfo() }
 
 // HTTPHandler returns an http.Handler exposing the engine as a web service
 // (paper §3.4): POST /api/link for on-demand text linking, CRUD under
@@ -1054,24 +994,13 @@ func (e *Engine) ElectionInfo() map[string]interface{} {
 //
 //	http.ListenAndServe(":8080", engine.HTTPHandler())
 //
-// On a follower (FollowPrimary set) the mutating routes are gated: they
-// answer 403 with a JSON body naming the leader, matching the wire
-// protocol's notPrimary rejection, so the HTTP surface cannot diverge a
-// replica from its replication stream.
+// The routes run the request pipeline of the socket server's methods: where
+// the node is not the primary, mutating routes answer 403 with a JSON body
+// naming the leader (the wire protocol's notPrimary), and with QuorumAcks a
+// write whose follower quorum is not met answers 503 "quorumUnavailable".
 func (e *Engine) HTTPHandler(opts ...HTTPOption) http.Handler {
-	if e.node != nil {
-		opts = append([]HTTPOption{httpapi.WithDynamicPrimary(
-			e.node.IsPrimary,
-			e.node.LeaderAddr,
-		)}, opts...)
-		return httpapi.New(e.core, opts...)
-	}
-	if e.follower != nil {
-		opts = append([]HTTPOption{httpapi.WithNotPrimary(func() string {
-			return e.follower.Status().Leader
-		})}, opts...)
-	}
-	return httpapi.New(e.core, opts...)
+	_, policy := e.servingOpts()
+	return httpapi.New(e.core, append(opts, policy...)...)
 }
 
 // LoadShardMap reads and validates a shard-map JSON document.
