@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build fmt vet test race bench bench-module matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
+.PHONY: build fmt vet test race bench bench-module profile-doc matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
 
 build:
 	go build ./...
@@ -27,6 +27,15 @@ bench:
 # change is checked against it here.
 bench-module:
 	cd benchmarks && go vet ./... && go test ./...
+
+# CPU and allocation profiles of one document link (BenchmarkLinkDocument:
+# the repository benchmark's document_read op, in-process), into the
+# git-ignored out/: `go tool pprof -top out/nnexus.test out/doc.cpu.prof`,
+# `go tool pprof -sample_index=alloc_space -top out/nnexus.test out/doc.mem.prof`.
+profile-doc:
+	mkdir -p out
+	go test -run '^$$' -bench LinkDocument -benchtime 3s -benchmem -o out/nnexus.test \
+		-cpuprofile out/doc.cpu.prof -memprofile out/doc.mem.prof .
 
 # The match-stage scan experiment (chained-hash vs compiled automaton over
 # the engine-shaped concept map); informational companion to
@@ -111,6 +120,7 @@ fuzz:
 	go test ./internal/wire -fuzz=FuzzDecodeRequest -fuzztime=30s
 	go test ./internal/storage -fuzz=FuzzDecodeBody -fuzztime=30s
 	go test ./internal/morph -fuzz=FuzzNormalize -fuzztime=30s
+	go test ./internal/render -fuzz=FuzzApplyEquivalence -fuzztime=30s
 	go test ./internal/conceptmap -fuzz=FuzzAutomatonScanEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzShardedLinkEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzTenantLinkEquivalence -fuzztime=30s

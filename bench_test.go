@@ -11,6 +11,7 @@ package nnexus_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -427,19 +428,7 @@ func BenchmarkLinkText(b *testing.B) {
 			defer e.Close()
 			seedEngine(b, e, c)
 			if automaton {
-				// Wait until the background compiler has caught up with the
-				// bulk load, so the benchmark measures the automaton path.
-				deadline := time.Now().Add(30 * time.Second)
-				for {
-					info := e.AutomatonInfo()
-					if info.Compiled && info.Generation == info.SnapshotGeneration {
-						break
-					}
-					if time.Now().After(deadline) {
-						b.Fatalf("automaton never caught up: %+v", info)
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
+				waitAutomaton(b, e)
 			}
 			matchHist := e.Telemetry().HistogramVec(
 				"nnexus_pipeline_stage_duration_seconds", "", nil, "stage").
@@ -467,7 +456,87 @@ func BenchmarkLinkText(b *testing.B) {
 	}
 }
 
+// BenchmarkLinkDocument is the repository benchmark's document_read op as a
+// `go test` benchmark, for profiling (make profile-doc): ~5 KB documents of
+// eight generated bodies, linked in-process under the classes of the first,
+// against a 3,000-entry engine with the automaton compiled, the common-word
+// policies installed and telemetry on. Its allocs/op is the figure
+// TestLinkTextDocumentAllocs in internal/core gates.
+func BenchmarkLinkDocument(b *testing.B) {
+	p := workload.DefaultParams(3000)
+	p.Seed = 20090601
+	c, err := workload.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := core.NewEngine(core.Config{Scheme: c.Scheme, CompileAutomaton: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if err := experiments.Load(c, e); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := experiments.ApplyAllPolicies(e, c); err != nil {
+		b.Fatal(err)
+	}
+	waitAutomaton(b, e)
+	type document struct {
+		text    string
+		classes []string
+	}
+	rng := rand.New(rand.NewSource(p.Seed))
+	docs := make([]document, 64)
+	var size int
+	for i := range docs {
+		bodies := make([]string, 8)
+		for j := range bodies {
+			ge := c.Entries[rng.Intn(len(c.Entries))]
+			if j == 0 {
+				docs[i].classes = ge.Entry.Classes
+			}
+			bodies[j] = ge.Entry.Body
+		}
+		docs[i].text = strings.Join(bodies, "\n\n")
+		size += len(docs[i].text)
+	}
+	b.SetBytes(int64(size / len(docs)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	links := 0
+	for i := 0; i < b.N; i++ {
+		d := &docs[i%len(docs)]
+		res, err := e.LinkText(d.text, core.LinkOptions{SourceClasses: d.classes})
+		if err != nil {
+			b.Fatal(err)
+		}
+		links += len(res.Links)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(links)/float64(b.N), "links/op")
+	if info := e.AutomatonInfo(); info.FallbackScans != 0 {
+		b.Fatalf("%d scans fell back to the chained hash", info.FallbackScans)
+	}
+}
+
 // helpers
+
+// waitAutomaton blocks until the background compiler has caught up with the
+// bulk load, so the benchmark measures the automaton path.
+func waitAutomaton(b *testing.B, e *core.Engine) {
+	b.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		info := e.AutomatonInfo()
+		if info.Compiled && info.Generation == info.SnapshotGeneration {
+			return
+		}
+		if time.Now().After(deadline) {
+			b.Fatalf("automaton never caught up: %+v", info)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
 
 func experimentsIndex(b *testing.B, c *workload.Corpus) *invindexIndex {
 	b.Helper()

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"nnexus/internal/cache"
 )
 
 // TestDistanceConcurrent hammers the lock-free memoized rows from many
@@ -57,70 +55,4 @@ func TestDistanceConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// TestShardedDistanceCacheEquivalence is the property test of the steering
-// pair cache: for random multi-class sources and targets — including
-// unknown classes — MinDistanceCached through a cache.Sharded must return
-// bit-identical results to the uncached MinDistance, on both cold and warm
-// cache passes.
-func TestShardedDistanceCacheEquivalence(t *testing.T) {
-	s := MSC2000(DefaultBaseWeight)
-	classes := s.Classes()
-	dc := cache.NewSharded[ClassPair, int64](8, 1024, func(p ClassPair) uint64 {
-		return cache.HashStrings(p.Source, p.Target)
-	})
-
-	rng := rand.New(rand.NewSource(7))
-	pick := func() []string {
-		n := 1 + rng.Intn(3)
-		out := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(8) == 0 {
-				out = append(out, "no-such-class")
-				continue
-			}
-			out = append(out, classes[rng.Intn(len(classes))])
-		}
-		return out
-	}
-
-	type pair struct{ src, tgt []string }
-	cases := make([]pair, 500)
-	for i := range cases {
-		cases[i] = pair{pick(), pick()}
-	}
-	for pass := 0; pass < 2; pass++ { // pass 0 fills, pass 1 hits
-		for i, c := range cases {
-			want := MinDistance(s, c.src, c.tgt)
-			got := MinDistanceCached(s, dc, c.src, c.tgt)
-			if got != want {
-				t.Fatalf("pass %d case %d: cached %d != uncached %d (src=%v tgt=%v)",
-					pass, i, got, want, c.src, c.tgt)
-			}
-		}
-	}
-	hits, misses := dc.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("cache not exercised: hits=%d misses=%d", hits, misses)
-	}
-
-	// Steer itself must agree through the cache as well.
-	for i := 0; i < 100; i++ {
-		src := pick()
-		cands := make([]Candidate, 1+rng.Intn(5))
-		for j := range cands {
-			cands[j] = Candidate{Object: int64(j + 1), Classes: pick()}
-		}
-		plain := Steer(s, src, cands)
-		cached := SteerCached(s, dc, src, cands)
-		if len(plain) != len(cached) {
-			t.Fatalf("case %d: steer lengths differ: %d vs %d", i, len(plain), len(cached))
-		}
-		for j := range plain {
-			if plain[j].Object != cached[j].Object || plain[j].Distance != cached[j].Distance {
-				t.Fatalf("case %d winner %d: %+v vs %+v", i, j, plain[j], cached[j])
-			}
-		}
-	}
 }

@@ -16,24 +16,6 @@ type Steered struct {
 	Distance int64
 }
 
-// ClassPair keys one (source class, target class) distance in a
-// DistanceCache.
-type ClassPair struct {
-	Source, Target string
-}
-
-// DistanceCache is a bounded cache of pairwise class distances consulted by
-// the steering hot path (e.g. cache.Sharded in the engine), so repeated
-// (source class, candidate class) pairs never re-enter the scheme's
-// shortest-path machinery. Implementations must be safe for concurrent use.
-// Cached values are exactly what Distance reported — including Infinite for
-// unknown or unconnected classes — so a cached steer is bit-identical to an
-// uncached one.
-type DistanceCache interface {
-	Get(ClassPair) (int64, bool)
-	Put(ClassPair, int64)
-}
-
 // Steer implements Algorithm 1 of the paper: it returns the candidate
 // target objects that are closest in classification to the link source.
 // For every candidate, the distance is the minimum over all (source class,
@@ -43,20 +25,18 @@ type DistanceCache interface {
 // Degenerate cases follow the deployed Noosphere behaviour: if the source
 // has no classes, or no candidate has a known class, steering cannot
 // discriminate and all candidates are returned (distance Infinite).
+//
+// The engine's resolve stage runs the same selection in place over its own
+// candidate scratch (core's linkRun.steer); Steer is the algorithm as the
+// paper states it and the reference that selection is tested against.
 func Steer(s *Scheme, sourceClasses []string, candidates []Candidate) []Steered {
-	return SteerCached(s, nil, sourceClasses, candidates)
-}
-
-// SteerCached is Steer with an optional pairwise distance cache (nil
-// bypasses caching). Results are identical to Steer's.
-func SteerCached(s *Scheme, dc DistanceCache, sourceClasses []string, candidates []Candidate) []Steered {
 	if len(candidates) == 0 {
 		return nil
 	}
 	out := make([]Steered, 0, len(candidates))
 	best := Infinite
 	for _, c := range candidates {
-		d := MinDistanceCached(s, dc, sourceClasses, c.Classes)
+		d := MinDistance(s, sourceClasses, c.Classes)
 		out = append(out, Steered{Candidate: c, Distance: d})
 		if d < best {
 			best = d
@@ -76,30 +56,11 @@ func SteerCached(s *Scheme, dc DistanceCache, sourceClasses []string, candidates
 // and target classes ("when there are multiple classes associated with the
 // link source or link target, the minimum distance of all possible pairs of
 // classes is used"). If either side has no resolvable class the result is
-// Infinite.
+// Infinite. Every pair is a lookup in the scheme's memoised distance rows.
 func MinDistance(s *Scheme, source, target []string) int64 {
-	return MinDistanceCached(s, nil, source, target)
-}
-
-// MinDistanceCached is MinDistance through an optional pairwise distance
-// cache. Unknown pairs cache as Infinite, which keeps the cached result
-// bit-identical to the uncached one (Infinite never lowers the minimum).
-func MinDistanceCached(s *Scheme, dc DistanceCache, source, target []string) int64 {
 	best := Infinite
 	for _, a := range source {
 		for _, b := range target {
-			if dc != nil {
-				key := ClassPair{Source: a, Target: b}
-				d, ok := dc.Get(key)
-				if !ok {
-					d, _ = s.Distance(a, b)
-					dc.Put(key, d)
-				}
-				if d < best {
-					best = d
-				}
-				continue
-			}
 			if d, ok := s.Distance(a, b); ok && d < best {
 				best = d
 			}

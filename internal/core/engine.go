@@ -74,13 +74,6 @@ func (m Mode) resolve() Mode {
 // renderedCacheSize bounds the rendered-output cache.
 const renderedCacheSize = 4096
 
-// Distance-cache defaults: entries bound the steering pair cache, shards
-// spread its locks so parallel link requests rarely contend.
-const (
-	defaultDistanceCacheSize   = 1 << 16
-	defaultDistanceCacheShards = 64
-)
-
 // Storage table names.
 const (
 	tableEntries = "entries"
@@ -121,11 +114,6 @@ type Config struct {
 	// exists so the overhead of instrumentation can be benchmarked
 	// against the bare pipeline; deployments should leave it off.
 	DisableTelemetry bool
-	// DistanceCacheSize bounds the sharded (source class, target class)
-	// distance cache consulted by link steering. Zero selects the default
-	// (65536 pairs); a negative value disables the cache, which is useful
-	// for benchmarking the bare scheme and for the equivalence tests.
-	DistanceCacheSize int
 	// CompileAutomaton starts the concept map's background compiler, which
 	// rebuilds an immutable Aho-Corasick automaton after maintenance
 	// writes (debounced, off the write path) and serves scans from it
@@ -200,9 +188,6 @@ type Engine struct {
 	// rendered caches default-pipeline LinkEntry results until the
 	// invalidation machinery marks them stale (the paper's cache table).
 	rendered *cache.LRU[int64, *Result]
-	// dist caches pairwise steering distances across requests (nil when
-	// Config.DistanceCacheSize < 0).
-	dist *cache.Sharded[classification.ClassPair, int64]
 
 	met metrics
 	// tel holds the operational telemetry instruments; nil when
@@ -256,17 +241,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.cmap, e.inv = defNS.cmap, defNS.inv
 	e.ns.Store(&map[string]*namespace{defNS.name: defNS})
 	e.domains.Store(&map[string]*corpus.Domain{})
-	if cfg.DistanceCacheSize >= 0 {
-		size := cfg.DistanceCacheSize
-		if size == 0 {
-			size = defaultDistanceCacheSize
-		}
-		e.dist = cache.NewSharded[classification.ClassPair, int64](
-			defaultDistanceCacheShards, size,
-			func(p classification.ClassPair) uint64 {
-				return cache.HashStrings(p.Source, p.Target)
-			})
-	}
 	if !cfg.DisableTelemetry {
 		reg := cfg.Telemetry
 		if reg == nil {

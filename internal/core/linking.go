@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"time"
 
-	"nnexus/internal/classification"
 	"nnexus/internal/corpus"
 	"nnexus/internal/render"
 )
@@ -200,22 +199,15 @@ func (e *Engine) RelinkInvalidatedParallel(workers int) (map[int64]*Result, erro
 
 // canonicalClassesView translates an entry's classes (expressed in its
 // domain's scheme) into the engine's canonical scheme, resolving the domain
-// through the per-call view instead of the engine lock.
+// through the per-call view instead of the engine lock. The result is for
+// reading only: classes already in the canonical scheme are the entry's own
+// slice, not a copy.
 func (e *Engine) canonicalClassesView(view linkView, entry *corpus.Entry) []string {
-	from := ""
-	if d, ok := view.domains[entry.Domain]; ok {
-		from = d.Scheme
+	to := e.scheme.Name()
+	if d, ok := view.domains[entry.Domain]; ok && d.Scheme != "" && d.Scheme != to {
+		return e.mappers.Translate(d.Scheme, entry.Classes, to)
 	}
-	return e.mappers.Translate(schemeOr(from, e.scheme.Name()), entry.Classes, e.scheme.Name())
-}
-
-// distanceCache adapts the engine's sharded pair cache to the
-// classification.DistanceCache interface (nil when disabled).
-func (e *Engine) distanceCache() classification.DistanceCache {
-	if e.dist == nil {
-		return nil
-	}
-	return e.dist
+	return entry.Classes
 }
 
 func (e *Engine) domainScheme(domain string) string {

@@ -145,10 +145,10 @@ type linkRun struct {
 	multiOrigin []int
 	// entries is the candidate snapshot of a single-run captureView.
 	entries map[int64]*corpus.Entry
-	// cands/sc/steered are chooseTarget's per-match scratch.
-	cands   []*corpus.Entry
-	sc      []classification.Candidate
-	steered map[int64]bool
+	// cands/dists are chooseTarget's per-match scratch: the candidate
+	// entries and, parallel to them, their distances from the source.
+	cands []*corpus.Entry
+	dists []int64
 	// linked/anchors are assemble's first-occurrence set and anchor scratch.
 	linked  map[string]bool
 	anchors []render.Anchor
@@ -169,18 +169,39 @@ func (e *Engine) getRun() *linkRun {
 	return run
 }
 
-// putRun resets the per-run state and drops every pointer into engine or
-// request state, so the pool pins neither entries nor texts.
+// maxPooledTokens bounds the token and match buffers a run may take back to
+// the pool. The benchmark's 5 KB documents need under 1,000 tokens; a run
+// that served a far larger text is left to the collector, so that one 32 MiB
+// request cannot leave a quarter-gigabyte token buffer in circulation.
+const maxPooledTokens = 8192
+
 func putRun(run *linkRun) {
+	if run.reset() {
+		linkRunPool.Put(run)
+	}
+}
+
+// reset clears the per-run state, dropping every pointer into engine or
+// request state — tokens alias the request text, matches an automaton
+// generation, candidates the entries — so that a pooled run pins none of
+// them. It reports whether the run's buffers are small enough to pool. Every
+// buffer is zero past its length (each reset clears what its run used), so
+// clearing up to the length in use leaves the whole capacity zero.
+func (run *linkRun) reset() bool {
 	run.e, run.plan, run.text, run.view, run.st, run.pos = nil, linkPlan{}, "", linkView{}, nil, 0
 	run.cur = ResolvedMatch{}
-	run.tokens = run.tokens[:0]
-	run.matches = run.matches[:0]
-	clear(run.entries)
-	clear(run.linked)
+	if max(cap(run.tokens), cap(run.matches), cap(run.multi)) > maxPooledTokens {
+		return false
+	}
+	clear(run.tokens)
+	clear(run.matches)
+	clear(run.multi)
 	clear(run.cands[:cap(run.cands)])
 	clear(run.anchors)
-	linkRunPool.Put(run)
+	run.tokens, run.matches, run.multi = run.tokens[:0], run.matches[:0], run.multi[:0]
+	clear(run.entries)
+	clear(run.linked)
+	return true
 }
 
 // scanText is the pipeline's front half for one text: LaTeX conversion,
@@ -387,47 +408,7 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 
 	// Classification steering (§2.3, Algorithm 1).
 	if mode == ModeSteered || mode == ModeSteeredPolicies {
-		sc := run.sc[:0]
-		for _, c := range cands {
-			sc = append(sc, classification.Candidate{
-				Object:  c.ID,
-				Classes: e.canonicalClassesView(view, c),
-			})
-		}
-		run.sc = sc[:0:cap(sc)]
-		steered := classification.SteerCached(e.scheme, e.distanceCache(), sourceClasses, sc)
-		if len(steered) > 0 {
-			distance = steered[0].Distance
-			winners := cands[:0]
-			if len(steered) <= 8 {
-				// Typical case: few winners — a linear membership scan
-				// beats building a map (steered is small and cache-hot).
-				for _, c := range cands {
-					for i := range steered {
-						if steered[i].Object == c.ID {
-							winners = append(winners, c)
-							break
-						}
-					}
-				}
-			} else {
-				byID := run.steered
-				if byID == nil {
-					byID = make(map[int64]bool, len(steered))
-					run.steered = byID
-				}
-				for _, s := range steered {
-					byID[s.Object] = true
-				}
-				for _, c := range cands {
-					if byID[c.ID] {
-						winners = append(winners, c)
-					}
-				}
-				clear(byID)
-			}
-			cands = winners
-		}
+		cands, distance = run.steer(cands)
 		if st != nil {
 			st.steer += time.Since(mark)
 		}
@@ -474,6 +455,34 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 	}, ""
 }
 
+// steer is Algorithm 1 over the run's candidates: it keeps, in place and in
+// order, the candidates whose minimum class distance to the plan's source
+// classes is the smallest, and returns them with that distance. It is
+// classification.Steer without the annotated copy and the sort, which the
+// tie-break that follows does not need; when steering cannot discriminate
+// (no source class, no classified candidate) every candidate stays, at
+// distance Infinite. Distances come straight off the scheme's memoised
+// rows, so the resolve stage takes no lock.
+func (run *linkRun) steer(cands []*corpus.Entry) ([]*corpus.Entry, int64) {
+	e, best := run.e, classification.Infinite
+	dists := run.dists[:0]
+	for _, c := range cands {
+		d := classification.MinDistance(e.scheme, run.plan.classes, e.canonicalClassesView(run.view, c))
+		dists = append(dists, d)
+		if d < best {
+			best = d
+		}
+	}
+	run.dists = dists
+	closest := cands[:0]
+	for i, c := range cands {
+		if dists[i] == best {
+			closest = append(closest, c)
+		}
+	}
+	return closest, best
+}
+
 // unresolved is m's span, before the resolve stage has seen it.
 func unresolved(m *conceptmap.Match) ResolvedMatch {
 	return ResolvedMatch{
@@ -503,6 +512,9 @@ type matchSource interface {
 	// next returns the next match — at least its label and spans — or nil
 	// when the source is exhausted. The pointer is valid until the next call.
 	next() *ResolvedMatch
+	// remaining bounds from above the matches next has yet to return; it
+	// sizes the result's Links once instead of by doubling.
+	remaining() int
 	// resolve completes the match next last returned with its Link or Skip.
 	// assemble calls it only for matches that survive the greedy walk and
 	// the first-occurrence rule, so a label that is already linked never
@@ -518,6 +530,8 @@ func (run *linkRun) next() *ResolvedMatch {
 	run.pos++
 	return &run.cur
 }
+
+func (run *linkRun) remaining() int { return len(run.matches) - run.pos }
 
 func (run *linkRun) resolve(m *ResolvedMatch) {
 	m.Link, m.Skip = run.e.chooseTarget(&run.matches[run.pos-1], run)
@@ -553,6 +567,9 @@ func assemble(text string, format render.Format, linkAll bool, src matchSource, 
 		}
 		link := m.Link
 		link.Text = text[m.ByteStart:m.ByteEnd]
+		if res.Links == nil {
+			res.Links = make([]Link, 0, 1+src.remaining())
+		}
 		res.Links = append(res.Links, link)
 		as = append(as, render.Anchor{Start: link.Start, End: link.End, URL: link.URL, Title: link.TargetTitle})
 		linked[m.Label] = true

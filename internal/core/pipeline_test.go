@@ -3,10 +3,14 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nnexus/internal/classification"
+	"nnexus/internal/conceptmap"
 	"nnexus/internal/corpus"
+	"nnexus/internal/render"
+	"nnexus/internal/tokenizer"
 	"nnexus/internal/workload"
 )
 
@@ -196,5 +200,124 @@ func TestRelinkTelemetryMatchesResults(t *testing.T) {
 	}
 	if want["links"] == 0 || want[SkipDuplicate] == 0 || want[SkipSelf] == 0 || want[SkipPolicy] == 0 || want["wiki"] == 0 {
 		t.Errorf("fixture no longer exercises every counter: %v", want)
+	}
+}
+
+// documentEngine is an engine over the 300-entry generated corpus (one
+// namespace) and a ~5 KB document of eight of its bodies, to be linked under
+// the classes of the first: the shape of the benchmark's document_read op.
+func documentEngine(t *testing.T) (e *Engine, doc string, classes []string) {
+	cfg, dom, entries := generatedCorpus(t)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	if err := e.AddDomain(dom); err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range entries {
+		entry.Corpus = ""
+		if _, err := e.AddEntry(entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var bodies []string
+	for i := 0; i < 8; i++ {
+		bodies = append(bodies, entries[37*i+5].Body)
+	}
+	return e, strings.Join(bodies, "\n\n"), entries[5].Classes
+}
+
+// TestLinkTextDocumentAllocs is the allocation contract of a link call
+// (DESIGN.md "The Fig 2 pipeline"): the result, its output, its Links and
+// Skips, one URL per link, and a Norm for each token that case folding or
+// singularising changed — 3 + 2 per link bounds it for a 5 KB document, with
+// telemetry on, as the benchmark runs it. At the parent commit the same call
+// made some 25 allocations per link.
+func TestLinkTextDocumentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race runtime")
+	}
+	e, doc, classes := documentEngine(t)
+	opts := LinkOptions{SourceClasses: classes}
+	var links int
+	link := func() {
+		res, err := e.LinkText(doc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links = len(res.Links)
+	}
+	for i := 0; i < 8; i++ { // warm the pool
+		link()
+	}
+	if len(doc) < 4000 || links < 30 {
+		t.Fatalf("document of %d bytes made %d links", len(doc), links)
+	}
+	if allocs, bound := testing.AllocsPerRun(100, link), float64(3+2*links); allocs > bound {
+		t.Errorf("LinkText of a %d-byte document with %d links allocates %.0f times, want at most %.0f", len(doc), links, allocs, bound)
+	}
+}
+
+// TestPooledRunPinsNothing: a run handed back to the pool references neither
+// the request's text (tokens), nor a concept-map generation (matches), nor
+// entries (candidates) — over the whole capacity of its buffers, not just
+// their length — and a run that grew past maxPooledTokens is not pooled.
+func TestPooledRunPinsNothing(t *testing.T) {
+	e, doc, classes := documentEngine(t)
+	multi := LinkOptions{SourceClasses: classes, TargetCorpora: []string{"default", "wiki"}}
+	for _, tc := range []struct {
+		name   string
+		text   string
+		opts   LinkOptions
+		pooled bool
+	}{
+		{"document", doc, LinkOptions{SourceClasses: classes}, true},
+		{"multi-target document", doc, multi, true},
+		{"4 MiB text", strings.Repeat(doc+"\n\n", 4<<20/len(doc)+1), LinkOptions{SourceClasses: classes}, false},
+	} {
+		run := e.getRun()
+		run.plan = e.plan(&tc.opts)
+		e.scanText(run, tc.text)
+		res, err := e.finish(run, e.captureView(run.entries, run.matches))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Links) == 0 || len(run.tokens) == 0 || len(run.matches) == 0 {
+			t.Fatalf("%s: the run did no work", tc.name)
+		}
+		pooled := run.reset()
+		if pooled != tc.pooled {
+			t.Errorf("%s: %d tokens, %d matches: pooled = %v, want %v", tc.name, cap(run.tokens), cap(run.matches), pooled, tc.pooled)
+		}
+		if !pooled {
+			continue
+		}
+		if run.e != nil || run.text != "" || run.plan.classes != nil || run.view.entries != nil || len(run.entries) != 0 || len(run.linked) != 0 {
+			t.Errorf("%s: pooled run keeps request state: %+v", tc.name, run)
+		}
+		for _, tok := range run.tokens[:cap(run.tokens)] {
+			if tok != (tokenizer.Token{}) {
+				t.Fatalf("%s: pooled run keeps token %+v", tc.name, tok)
+			}
+		}
+		for _, ms := range [][]conceptmap.Match{run.matches[:cap(run.matches)], run.multi[:cap(run.multi)]} {
+			for _, m := range ms {
+				if m.Label != "" || m.Candidates != nil {
+					t.Fatalf("%s: pooled run keeps match %+v", tc.name, m)
+				}
+			}
+		}
+		for _, c := range run.cands[:cap(run.cands)] {
+			if c != nil {
+				t.Fatalf("%s: pooled run keeps candidate entry %d", tc.name, c.ID)
+			}
+		}
+		for _, a := range run.anchors[:cap(run.anchors)] {
+			if a != (render.Anchor{}) {
+				t.Fatalf("%s: pooled run keeps anchor %+v", tc.name, a)
+			}
+		}
 	}
 }

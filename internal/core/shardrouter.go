@@ -347,6 +347,16 @@ func (b *routerBuffers) next() *ResolvedMatch {
 	return &best.out[best.pos-1]
 }
 
+func (b *routerBuffers) remaining() int {
+	n := 0
+	for _, s := range b.touched {
+		if c := &b.calls[s]; c.err == nil {
+			n += len(c.out) - c.pos
+		}
+	}
+	return n
+}
+
 // resolve is a no-op: every shard resolved its own matches (ScanShard).
 func (b *routerBuffers) resolve(*ResolvedMatch) {}
 

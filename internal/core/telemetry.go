@@ -279,17 +279,6 @@ func newEngineTelemetry(e *Engine, reg *telemetry.Registry) *engineTelemetry {
 			}
 			return float64(total)
 		})
-	if e.dist != nil {
-		reg.CounterFunc("nnexus_distance_cache_hits_total",
-			"Steering pairwise distance cache hits.",
-			func() float64 { h, _ := e.dist.Stats(); return float64(h) })
-		reg.CounterFunc("nnexus_distance_cache_misses_total",
-			"Steering pairwise distance cache misses.",
-			func() float64 { _, m := e.dist.Stats(); return float64(m) })
-		reg.GaugeFunc("nnexus_distance_cache_entries",
-			"Class pairs currently held by the steering distance cache.",
-			func() float64 { return float64(e.dist.Len()) })
-	}
 
 	return t
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"reflect"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,52 +123,47 @@ func TestLinkTextConcurrentWithDomainAndPolicyWrites(t *testing.T) {
 	<-done
 }
 
-// TestDistanceCacheEquivalentLinks links the same corpus through an engine
-// with the sharded distance cache enabled and one with it disabled; every
-// produced result must be identical, and the cache must actually be hit.
-func TestDistanceCacheEquivalentLinks(t *testing.T) {
-	build := func(size int) *Engine {
-		e := viewEngine(t, Config{DistanceCacheSize: size})
-		for i := 0; i < 12; i++ {
-			class := "05C10"
-			if i%3 == 0 {
-				class = "20Axx"
+// TestSteerInPlaceMatchesAlgorithm1 holds the resolve stage's in-place
+// steering to classification.Steer, Algorithm 1 as the paper states it: for
+// random source classes and candidate sets — unknown classes, unclassified
+// candidates and an empty source included — the same candidates survive, in
+// the order they arrived, at the same distance.
+func TestSteerInPlaceMatchesAlgorithm1(t *testing.T) {
+	e := viewEngine(t, Config{Scheme: classification.MSC2000(classification.DefaultBaseWeight)})
+	classes := e.scheme.Classes()
+	rng := rand.New(rand.NewSource(7))
+	pick := func() []string {
+		out := make([]string, 0, 3)
+		for n := rng.Intn(4); len(out) < n; {
+			if rng.Intn(8) == 0 {
+				out = append(out, "no-such-class")
+				continue
 			}
-			if _, err := e.AddEntry(&corpus.Entry{
-				Domain:  "d1",
-				Title:   fmt.Sprintf("concept %d", i%4), // homonyms across classes
-				Classes: []string{class},
-				Body:    fmt.Sprintf("body %d mentions concept %d and concept %d", i, (i+1)%4, (i+2)%4),
-			}); err != nil {
-				t.Fatal(err)
+			out = append(out, classes[rng.Intn(len(classes))])
+		}
+		return out
+	}
+	run := e.getRun()
+	defer putRun(run)
+	run.view = linkView{domains: e.domainMap()}
+	for i := 0; i < 500; i++ {
+		run.plan.classes = pick()
+		cands := make([]*corpus.Entry, 1+rng.Intn(12))
+		ref := make([]classification.Candidate, len(cands))
+		for j := range cands {
+			cands[j] = &corpus.Entry{ID: int64(len(cands) - j), Domain: "d1", Classes: pick()}
+			ref[j] = classification.Candidate{Object: cands[j].ID, Classes: cands[j].Classes}
+		}
+		want := classification.Steer(e.scheme, run.plan.classes, ref)
+		got, distance := run.steer(cands)
+		if len(got) != len(want) || distance != want[0].Distance {
+			t.Fatalf("case %d: %d candidates at %d, Steer keeps %d at %d", i, len(got), distance, len(want), want[0].Distance)
+		}
+		// Steer orders by ID; the candidates arrived in descending ID order.
+		for j, c := range got {
+			if w := want[len(want)-1-j]; c.ID != w.Object {
+				t.Fatalf("case %d: kept %d where Steer keeps %d", i, c.ID, w.Object)
 			}
 		}
-		return e
-	}
-	cached := build(0)    // default cache
-	uncached := build(-1) // disabled
-	if cached.dist == nil {
-		t.Fatal("cache unexpectedly disabled")
-	}
-	if uncached.dist != nil {
-		t.Fatal("cache unexpectedly enabled")
-	}
-	for pass := 0; pass < 2; pass++ {
-		for id := int64(1); id <= 12; id++ {
-			a, err := cached.LinkEntry(id, LinkOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := uncached.LinkEntry(id, LinkOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("pass %d entry %d: cached result diverges:\n%+v\nvs\n%+v", pass, id, a, b)
-			}
-		}
-	}
-	if hits, _ := cached.dist.Stats(); hits == 0 {
-		t.Fatal("distance cache never hit")
 	}
 }

@@ -115,29 +115,48 @@ type Domain struct {
 	Priority int `xml:"priority" json:"priority"`
 }
 
-// URL renders the link target URL for an entry of this domain.
+// URL renders the link target URL for an entry of this domain: the template
+// with every "{id}" replaced by the URL-escaped external ID and every
+// "{title}" by the URL-escaped title. It is one scan of the template into
+// one buffer, so the URL itself is the call's only allocation; what an id or
+// a title expands to is never rescanned for placeholders.
 func (d *Domain) URL(externalID, title string) string {
-	u := d.URLTemplate
-	u = strings.ReplaceAll(u, "{id}", urlEscape(externalID))
-	u = strings.ReplaceAll(u, "{title}", urlEscape(title))
-	return u
+	var scratch [128]byte
+	b, t := scratch[:0], d.URLTemplate
+	for {
+		i := strings.IndexByte(t, '{')
+		if i < 0 {
+			return string(append(b, t...))
+		}
+		b, t = append(b, t[:i]...), t[i:]
+		switch {
+		case strings.HasPrefix(t, "{id}"):
+			b, t = appendURLEscaped(b, externalID), t[len("{id}"):]
+		case strings.HasPrefix(t, "{title}"):
+			b, t = appendURLEscaped(b, title), t[len("{title}"):]
+		default:
+			b, t = append(b, '{'), t[1:]
+		}
+	}
 }
 
-func urlEscape(s string) string {
-	var b strings.Builder
+// appendURLEscaped appends s to b with every byte outside the unreserved set
+// percent-encoded, and a space as "+".
+func appendURLEscaped(b []byte, s string) []byte {
+	const hex = "0123456789ABCDEF"
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
 			c == '-', c == '_', c == '.', c == '~':
-			b.WriteByte(c)
+			b = append(b, c)
 		case c == ' ':
-			b.WriteByte('+')
+			b = append(b, '+')
 		default:
-			fmt.Fprintf(&b, "%%%02X", c)
+			b = append(b, '%', hex[c>>4], hex[c&0xF])
 		}
 	}
-	return b.String()
+	return b
 }
 
 // oaiRecord mirrors the OAI-PMH-flavoured import format:

@@ -70,6 +70,77 @@ func TestDomainURL(t *testing.T) {
 	}
 }
 
+// referenceURL is Domain.URL as it stood before it became one scan of the
+// template: each placeholder replaced in its own pass over the whole string,
+// each escaped value built byte by byte through fmt.
+func referenceURL(d *Domain, externalID, title string) string {
+	escape := func(s string) string {
+		var b strings.Builder
+		for i := 0; i < len(s); i++ {
+			c := s[i]
+			switch {
+			case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+				c == '-', c == '_', c == '.', c == '~':
+				b.WriteByte(c)
+			case c == ' ':
+				b.WriteByte('+')
+			default:
+				fmt.Fprintf(&b, "%%%02X", c)
+			}
+		}
+		return b.String()
+	}
+	u := d.URLTemplate
+	u = strings.ReplaceAll(u, "{id}", escape(externalID))
+	u = strings.ReplaceAll(u, "{title}", escape(title))
+	return u
+}
+
+// TestDomainURLEquivalence holds the single-scan expansion to the two-pass
+// one: templates with no, one, repeated and adjacent placeholders, stray and
+// nested braces, and ids and titles that between them hold every byte value,
+// braces and placeholder names included.
+func TestDomainURLEquivalence(t *testing.T) {
+	templates := []string{
+		"", "http://e/static", "http://e/{id}", "http://e/?t={title}", "{id}", "{title}",
+		"http://e/{id}/{id}?t={title}&again={title}", "{id}{title}", "{title}{id}{id}",
+		"http://e/{{id}}/{x}/{ id}/{ID}/{", "}{", "{id", "{titl}{title", "{{{title}}}", "é{id}ü{title}√",
+	}
+	var all [256]byte
+	for i := range all {
+		all[i] = byte(i)
+	}
+	values := []string{
+		"", "2761", "planar graph", "a/b", "x&y", "{id}", "{title}", "{", "}", "%7B", "Möbius’ strip",
+		string(all[:]), string(all[128:]) + string(all[:128]),
+	}
+	for _, tmpl := range templates {
+		d := &Domain{URLTemplate: tmpl}
+		for _, id := range values {
+			for _, title := range values {
+				if got, want := d.URL(id, title), referenceURL(d, id, title); got != want {
+					t.Fatalf("template %q, id %q, title %q:\n got %q\nwant %q", tmpl, id, title, got, want)
+				}
+			}
+		}
+	}
+	// Where one scan and two passes part: text around an {id} that spells
+	// {title} once the id is in place. The two-pass form expanded what the
+	// id had assembled; one scan never rescans a value it has written.
+	d := &Domain{URLTemplate: "http://e/{ti{id}}"}
+	if got := d.URL("tle", "T"); got != "http://e/{title}" {
+		t.Errorf("URL = %q", got)
+	}
+}
+
+// TestDomainURLAllocs gates URL expansion at one allocation, the URL.
+func TestDomainURLAllocs(t *testing.T) {
+	d := &Domain{URLTemplate: "http://planetmath.org/?op=getobj&id={id}&title={title}"}
+	if n := testing.AllocsPerRun(100, func() { d.URL("2761", "planar graph & co") }); n > 1 {
+		t.Errorf("URL allocates %v times, want 1", n)
+	}
+}
+
 const sampleOAI = `<?xml version="1.0"?>
 <records domain="mathworld.wolfram.com" scheme="msc">
   <record id="PlanarGraph">

@@ -18,6 +18,7 @@ package morph
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize canonicalizes a single word token: it lowercases, folds
@@ -30,12 +31,22 @@ import (
 // code points whose lower-case form it does fold ("ẞ" U+1E9E → "ß", the
 // ANGSTROM SIGN U+212B → "å"), and folding first would leave those for a
 // second pass to change — a label and its invocation folding differently.
+//
+// Normalize(t) equals Singularize(StripPossessive(FoldASCII(strings.ToLower(t))))
+// for every t. A token that is already lower-case ASCII with no apostrophe —
+// most of a mathematical text — passes the first three steps unchanged, so
+// it goes straight to Singularize, which returns a word that cannot be a
+// plural as the substring it was given: no allocation.
 func Normalize(token string) string {
-	t := strings.ToLower(token)
-	t = FoldASCII(t)
-	t = StripPossessive(t)
-	t = Singularize(t)
-	return t
+	for i := 0; i < len(token); i++ {
+		if c := token[i]; c >= utf8.RuneSelf || c == '\'' || c >= 'A' && c <= 'Z' {
+			t := strings.ToLower(token)
+			t = FoldASCII(t)
+			t = StripPossessive(t)
+			return Singularize(t)
+		}
+	}
+	return Singularize(token)
 }
 
 // NormalizeLabel canonicalizes a multi-word concept label. Interior
@@ -108,7 +119,8 @@ func singularizeOnce(word string) string {
 	if s, ok := irregularPlurals[word]; ok {
 		return s
 	}
-	if invariantWords[word] {
+	// Every suffix rule's plural ends in "s".
+	if word[len(word)-1] != 's' || invariantWords[word] {
 		return word
 	}
 	// Suffix rules are tried longest-first; the first applicable rule wins.

@@ -229,3 +229,32 @@ func TestNormalizeShapeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// singularizeOnce returns a word that does not end in "s" after one
+// irregular-table probe, without trying the suffix rules; that is only right
+// while every rule's plural ends in "s".
+func TestSuffixRulesEndInS(t *testing.T) {
+	for _, r := range suffixRules {
+		if !strings.HasSuffix(r.plural, "s") {
+			t.Errorf("suffix rule %q does not end in s: singularizeOnce skips it for words that do not", r.plural)
+		}
+	}
+}
+
+// TestNormalizeFastPath: a lower-case ASCII word that is not a plural comes
+// back as the string it was given, without allocation, and the fast path
+// agrees with the four steps it stands for on words at its edges.
+func TestNormalizeFastPath(t *testing.T) {
+	words := []string{"group", "graph", "x2", "well-ordered", "a", "", "class", "series", "data", "children",
+		"groups", "matrices", "Groups", "it's", "x’s", "möbius", "radii", "s", "ss", "-", "0s"}
+	for _, w := range words {
+		if got, want := Normalize(w), Singularize(StripPossessive(FoldASCII(strings.ToLower(w)))); got != want {
+			t.Errorf("Normalize(%q) = %q, its four steps give %q", w, got, want)
+		}
+	}
+	for _, w := range []string{"group", "well-ordered", "x2", "class", "series", "me"} {
+		if n := testing.AllocsPerRun(100, func() { Normalize(w) }); n != 0 {
+			t.Errorf("Normalize(%q) allocates %v times", w, n)
+		}
+	}
+}

@@ -33,20 +33,45 @@ const (
 // must not overlap; they may arrive in any order. Invalid anchors are
 // reported rather than silently dropped, since a misplaced anchor corrupts
 // the entry.
+//
+// The output is built in one buffer sized exactly in a first pass over the
+// anchors, so a call allocates its result and nothing else; only anchors
+// that arrive out of order (the linker's never do) pay for a sorted copy.
 func Apply(text string, anchors []Anchor, format Format) (string, error) {
 	if len(anchors) == 0 {
 		return text, nil
 	}
-	sorted := make([]Anchor, len(anchors))
-	copy(sorted, anchors)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	var b strings.Builder
-	b.Grow(len(text) + len(sorted)*48)
-	prev := 0
-	for i, a := range sorted {
+	for i := 1; i < len(anchors); i++ {
+		if anchors[i].Start < anchors[i-1].Start {
+			sorted := make([]Anchor, len(anchors))
+			copy(sorted, anchors)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
+			anchors = sorted
+			break
+		}
+	}
+	size, prev := len(text), 0
+	for i := range anchors {
+		a := &anchors[i]
 		if a.Start < prev || a.End > len(text) || a.End <= a.Start {
 			return "", fmt.Errorf("render: anchor %d [%d,%d) invalid or overlapping", i, a.Start, a.End)
 		}
+		prev = a.End
+		switch format {
+		case Markdown:
+			size += len("[](") + len(a.URL) + len(")")
+		default:
+			size += len(`<a href="`) + attrLen(a.URL) + len(`">`) + len(`</a>`)
+			if a.Title != "" {
+				size += len(`" title="`) + attrLen(a.Title)
+			}
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	prev = 0
+	for i := range anchors {
+		a := &anchors[i]
 		b.WriteString(text[prev:a.Start])
 		source := text[a.Start:a.End]
 		switch format {
@@ -58,10 +83,10 @@ func Apply(text string, anchors []Anchor, format Format) (string, error) {
 			b.WriteString(")")
 		default:
 			b.WriteString(`<a href="`)
-			b.WriteString(escapeAttr(a.URL))
+			writeAttr(&b, a.URL)
 			if a.Title != "" {
 				b.WriteString(`" title="`)
-				b.WriteString(escapeAttr(a.Title))
+				writeAttr(&b, a.Title)
 			}
 			b.WriteString(`">`)
 			b.WriteString(source)
@@ -73,9 +98,32 @@ func Apply(text string, anchors []Anchor, format Format) (string, error) {
 	return b.String(), nil
 }
 
-// escapeAttr escapes the characters that would break out of a double-quoted
-// HTML attribute.
-func escapeAttr(s string) string {
-	r := strings.NewReplacer(`&`, "&amp;", `"`, "&quot;", `<`, "&lt;", `>`, "&gt;")
-	return r.Replace(s)
+// attrEntity holds, per byte, the entity that replaces it inside a
+// double-quoted HTML attribute: empty for every byte but the four that would
+// break out of the attribute.
+var attrEntity = [256]string{'&': "&amp;", '"': "&quot;", '<': "&lt;", '>': "&gt;"}
+
+// attrLen is the number of bytes writeAttr writes for s.
+func attrLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if entity := attrEntity[s[i]]; entity != "" {
+			n += len(entity) - 1
+		}
+	}
+	return n
+}
+
+// writeAttr appends s to b, escaping the characters that would break out of
+// a double-quoted HTML attribute.
+func writeAttr(b *strings.Builder, s string) {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if entity := attrEntity[s[i]]; entity != "" {
+			b.WriteString(s[last:i])
+			b.WriteString(entity)
+			last = i + 1
+		}
+	}
+	b.WriteString(s[last:])
 }

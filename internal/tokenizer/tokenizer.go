@@ -41,58 +41,80 @@ func Tokenize(text string) []Token {
 // TokenizeAppend is Tokenize appending into dst (which may be nil or a
 // recycled buffer with spare capacity), so high-throughput callers can
 // reuse one token buffer across requests instead of allocating per call.
+//
+// It is one pass over the bytes: an escape opener is recognised where it
+// stands and its region skipped, so no span list is built. A token can
+// never run into an escaped region, because no opener is a word character.
 func TokenizeAppend(dst []Token, text string) []Token {
-	spans := EscapeSpans(text)
-	tokens := dst
-	next := 0 // index into spans of the next escaped region
-	i := 0
-	for i < len(text) {
-		// Skip past any escaped region that starts at or before i.
-		for next < len(spans) && spans[next].End <= i {
-			next++
-		}
-		if next < len(spans) && i >= spans[next].Start {
-			i = spans[next].End
-			next++
-			continue
-		}
-		limit := len(text)
-		if next < len(spans) {
-			limit = spans[next].Start
-		}
-		r, size := rune(text[i]), 1
-		if r >= 0x80 {
-			r, size = decodeRune(text[i:])
-		}
-		if !isWordRune(r) {
+	for i := 0; i < len(text); {
+		c := text[i]
+		if c < utf8.RuneSelf {
+			if class := byteClass[c]; class&classWord == 0 {
+				if class&classOpener != 0 {
+					if end, ok := escapeEnd(text, i); ok {
+						i = end
+						continue
+					}
+				}
+				i++
+				continue
+			}
+		} else if r, size := utf8.DecodeRuneInString(text[i:]); !isWordRune(r) {
 			i += size
 			continue
 		}
 		start := i
-		for i < limit {
-			r, size := rune(text[i]), 1
-			if r >= 0x80 {
-				r, size = decodeRune(text[i:])
+		for i < len(text) {
+			c := text[i]
+			if c < utf8.RuneSelf {
+				if byteClass[c]&(classWord|classJoin) == 0 {
+					break
+				}
+				i++
+				continue
 			}
+			r, size := utf8.DecodeRuneInString(text[i:])
 			if !isWordPart(r) {
 				break
 			}
 			i += size
 		}
-		raw := strings.TrimRight(text[start:i], "-'’")
-		if raw == "" {
-			continue
+		// Trailing joiners belong to the prose, not the word; a token is
+		// valid UTF-8, so a three-byte tail equal to "’" is that rune.
+		end := i
+		for {
+			if c := text[end-1]; c == '-' || c == '\'' {
+				end--
+			} else if end-start > len("’") && text[end-len("’"):end] == "’" {
+				end -= len("’")
+			} else {
+				break
+			}
 		}
-		end := start + len(raw)
-		tokens = append(tokens, Token{
-			Text:  raw,
-			Norm:  morph.Normalize(raw),
-			Start: start,
-			End:   end,
-		})
+		raw := text[start:end]
+		dst = append(dst, Token{Text: raw, Norm: morph.Normalize(raw), Start: start, End: end})
 	}
-	return tokens
+	return dst
 }
+
+// Byte classes of ASCII: what may start or continue a token, and what may
+// open an escaped region. Runes past ASCII go through isWordRune/isWordPart.
+const (
+	classWord   = 1 << iota // letter or digit: starts and continues a token
+	classJoin               // ' and -: continue a token, never start one
+	classOpener             // $ \ ` <: see escapeEnd
+)
+
+var byteClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
+			t[c] = classWord
+		}
+	}
+	t['\''], t['-'] = classJoin, classJoin
+	t['$'], t['\\'], t['`'], t['<'] = classOpener, classOpener, classOpener, classOpener
+	return t
+}()
 
 // EscapeSpans returns the unlinkable regions of text, sorted and
 // non-overlapping. The regions recognized are:
@@ -105,47 +127,37 @@ func TokenizeAppend(dst []Token, text string) []Token {
 //     elements (an existing link must never be re-linked).
 func EscapeSpans(text string) []Span {
 	var spans []Span
-	i := 0
-	for i < len(text) {
-		c := text[i]
-		switch c {
-		case '$':
-			if i > 0 && text[i-1] == '\\' {
-				i++
-				continue
-			}
-			if end, ok := scanDollar(text, i); ok {
-				spans = append(spans, Span{i, end})
-				i = end
-				continue
-			}
-			i++
-		case '\\':
-			if end, ok := scanTeX(text, i); ok {
-				spans = append(spans, Span{i, end})
-				i = end
-				continue
-			}
-			i++
-		case '`':
-			if end := strings.IndexByte(text[i+1:], '`'); end >= 0 {
-				spans = append(spans, Span{i, i + 1 + end + 1})
-				i = i + 1 + end + 1
-				continue
-			}
-			i++
-		case '<':
-			if end, ok := scanHTML(text, i); ok {
-				spans = append(spans, Span{i, end})
-				i = end
-				continue
-			}
-			i++
-		default:
+	for i := 0; i < len(text); {
+		if end, ok := escapeEnd(text, i); ok {
+			spans = append(spans, Span{i, end})
+			i = end
+		} else {
 			i++
 		}
 	}
 	return spans
+}
+
+// escapeEnd reports whether an escaped region opens at text[i] and, if so,
+// where it ends. It is the one place that knows the openers; TokenizeAppend
+// and EscapeSpans both walk the text with it.
+func escapeEnd(text string, i int) (end int, ok bool) {
+	switch text[i] {
+	case '$':
+		if i > 0 && text[i-1] == '\\' {
+			return 0, false
+		}
+		return scanDollar(text, i)
+	case '\\':
+		return scanTeX(text, i)
+	case '`':
+		if j := strings.IndexByte(text[i+1:], '`'); j >= 0 {
+			return i + 1 + j + 1, true
+		}
+	case '<':
+		return scanHTML(text, i)
+	}
+	return 0, false
 }
 
 // scanDollar handles $...$ and $$...$$ starting at i (text[i] == '$').
@@ -200,10 +212,7 @@ func scanTeX(text string, i int) (end int, ok bool) {
 }
 
 // escapedElements are HTML elements whose entire body is unlinkable.
-var escapedElements = map[string]bool{
-	"a": true, "code": true, "pre": true, "math": true,
-	"script": true, "style": true,
-}
+var escapedElements = [...]string{"a", "code", "pre", "math", "script", "style"}
 
 // scanHTML handles an HTML tag starting at i (text[i] == '<'). For elements
 // in escapedElements the span extends through the matching close tag.
@@ -221,24 +230,57 @@ func scanHTML(text string, i int) (end int, ok bool) {
 		strings.HasSuffix(inner, "/") {
 		return tagEnd, true // close tag, comment/doctype, or self-closing
 	}
-	name := strings.ToLower(tagName(inner))
+	name := tagName(inner)
 	if name == "" {
 		return 0, false // "<" followed by non-tag text, e.g. "x < y"
 	}
-	if !escapedElements[name] {
-		return tagEnd, true // tag itself escaped, body remains linkable
+	for _, el := range escapedElements {
+		if !equalFoldASCII(name, el) {
+			continue
+		}
+		j := indexCloseTag(text[tagEnd:], el)
+		if j < 0 {
+			return tagEnd, true // unclosed; escape just the open tag
+		}
+		closeGT := strings.IndexByte(text[tagEnd+j:], '>')
+		if closeGT < 0 {
+			return len(text), true
+		}
+		return tagEnd + j + closeGT + 1, true
 	}
-	closer := "</" + name
-	rest := strings.ToLower(text[tagEnd:])
-	j := strings.Index(rest, closer)
-	if j < 0 {
-		return tagEnd, true // unclosed; escape just the open tag
+	return tagEnd, true // tag itself escaped, body remains linkable
+}
+
+// indexCloseTag returns the offset in s of the first "</name", or -1. It
+// compares the original bytes: lower-casing s first would move the offsets
+// wherever a letter's two cases differ in length, and copy the rest of the
+// document once per escaped element.
+func indexCloseTag(s, name string) int {
+	for off := 0; ; {
+		j := strings.Index(s[off:], "</")
+		if j < 0 {
+			return -1
+		}
+		tag := off + j
+		off = tag + len("</")
+		if equalFoldASCII(s[off:min(off+len(name), len(s))], name) {
+			return tag
+		}
 	}
-	closeGT := strings.IndexByte(text[tagEnd+j:], '>')
-	if closeGT < 0 {
-		return len(text), true
+}
+
+// equalFoldASCII reports whether s equals lower, a string of lower-case
+// ASCII letters, when only ASCII letters fold.
+func equalFoldASCII(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
 	}
-	return tagEnd + j + closeGT + 1, true
+	for i := 0; i < len(s); i++ {
+		if s[i]|0x20 != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func tagName(inner string) string {
@@ -260,8 +302,4 @@ func isWordRune(r rune) bool {
 
 func isWordPart(r rune) bool {
 	return isWordRune(r) || r == '\'' || r == '’' || r == '-'
-}
-
-func decodeRune(s string) (rune, int) {
-	return utf8.DecodeRuneInString(s)
 }

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"nnexus/internal/workload"
 )
 
 func tokenTexts(ts []Token) []string {
@@ -210,6 +213,86 @@ func TestTokensAvoidEscapeSpans(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The close tag of an escaped element is searched in the text's own bytes.
+// Searching a lower-cased copy, as the tokenizer once did, applies offsets
+// to the text that are only valid in the copy: Ⱥ grows from two bytes to
+// three in lower case, which sliced out of range, and İ shrinks from two to
+// one, which ended the span inside the element.
+func TestEscapedElementWithCaseChangingLetters(t *testing.T) {
+	grow := "<a>" + strings.Repeat("Ⱥ", 10) + "</a>"
+	if ts := Tokenize(grow); len(ts) != 0 {
+		t.Errorf("tokens inside an anchor: %v", tokenTexts(ts))
+	}
+	if spans := EscapeSpans(grow); len(spans) != 1 || spans[0] != (Span{0, len(grow)}) {
+		t.Errorf("spans = %v, want the whole %d bytes", spans, len(grow))
+	}
+	shrink := "<code>" + strings.Repeat("İ", 10) + " x > y group</code> ring"
+	if got := strings.Join(tokenTexts(Tokenize(shrink)), " "); got != "ring" {
+		t.Errorf("tokens = %q, want only the word after the element", got)
+	}
+	// Only ASCII letters fold: U+212A KELVIN SIGN lower-cases to "k", and
+	// "</ſtyle" is not a close tag.
+	if got := strings.Join(tokenTexts(Tokenize("<style>a</ſtyle>b</STYLE>c")), " "); got != "c" {
+		t.Errorf("tokens = %q, want only the word after the element", got)
+	}
+}
+
+// TestTokenizeLinearInEscapedElements bounds the cost of escaped elements:
+// each one's close tag is found by a forward search from its open tag, not
+// by lower-casing the rest of the document first, which made n elements cost
+// n² (8 s for the 448 KB below).
+func TestTokenizeLinearInEscapedElements(t *testing.T) {
+	// The fastest of five passes into a warm buffer: the tokenizer's own
+	// time, without the buffer's growth or a collection on a shared host.
+	timeOf := func(n int) time.Duration {
+		text := strings.Repeat("<code>X</code> Group theory ", n)
+		buf := Tokenize(text)
+		if len(buf) != 2*n {
+			t.Fatalf("n=%d: %d tokens, want %d", n, len(buf), 2*n)
+		}
+		best := time.Duration(1 << 62)
+		for rep := 0; rep < 5; rep++ {
+			start := time.Now()
+			buf = TokenizeAppend(buf[:0], text)
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := timeOf(8000), timeOf(16000)
+	if large > 100*time.Millisecond {
+		t.Errorf("16,000 escaped elements took %v, want under 100ms", large)
+	}
+	if large > 3*small {
+		t.Errorf("doubling the elements took %v → %v, more than 3x", small, large)
+	}
+}
+
+// TestTokenizeAppendAllocs gates the tokenizer's allocations into a warm
+// buffer: none for lower-case ASCII singular words, whose Norm is the token
+// itself, and for a generated entry body at most one per eight tokens — a
+// Norm only where case folding or singularising changed the word.
+func TestTokenizeAppendAllocs(t *testing.T) {
+	plain := strings.Repeat("let the graph embed in a plane so that no edge of it may cross another one ", 20)
+	c, err := workload.Generate(workload.DefaultParams(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := c.Entries[len(c.Entries)-1].Entry.Body
+	for _, tc := range []struct {
+		name, text string
+		perToken   float64
+	}{{"plain", plain, 0}, {"generated body", body, 1.0 / 8}} {
+		buf := TokenizeAppend(nil, tc.text)
+		if len(buf) < 50 {
+			t.Fatalf("%s: only %d tokens", tc.name, len(buf))
+		}
+		allocs := testing.AllocsPerRun(100, func() { buf = TokenizeAppend(buf[:0], tc.text) })
+		if allocs > tc.perToken*float64(len(buf)) {
+			t.Errorf("%s: %v allocations for %d tokens, want at most %v per token", tc.name, allocs, len(buf), tc.perToken)
+		}
 	}
 }
 
