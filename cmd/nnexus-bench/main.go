@@ -351,24 +351,14 @@ func runFig9(c *workload.Corpus) error {
 	fmt.Println("Fig 9: automatically linked lecture notes (PlanetMath + MathWorld,")
 	fmt.Println("collection priority decides when both define a concept)")
 	fmt.Println(strings.Repeat("-", 72))
-	scheme := nnexus.SampleMSC(nnexus.DefaultBaseWeight)
-	e, err := nnexus.New(nnexus.Config{Scheme: scheme})
+	e, err := nnexus.New(nnexus.Config{SchemeFile: "sample", Domains: []nnexus.Domain{
+		{Name: "planetmath.org", URLTemplate: "http://planetmath.org/?op=getobj&id={id}", Scheme: "msc", Priority: 1},
+		{Name: "mathworld.wolfram.com", URLTemplate: "http://mathworld.wolfram.com/{id}.html", Scheme: "msc", Priority: 2},
+	}})
 	if err != nil {
 		return err
 	}
 	defer e.Close()
-	if err := e.AddDomain(nnexus.Domain{
-		Name: "planetmath.org", URLTemplate: "http://planetmath.org/?op=getobj&id={id}",
-		Scheme: "msc", Priority: 1,
-	}); err != nil {
-		return err
-	}
-	if err := e.AddDomain(nnexus.Domain{
-		Name: "mathworld.wolfram.com", URLTemplate: "http://mathworld.wolfram.com/{id}.html",
-		Scheme: "msc", Priority: 2,
-	}); err != nil {
-		return err
-	}
 	pm := []nnexus.Entry{
 		{Title: "random variable", Classes: []string{"11Axx"}},
 		{Title: "probability space", Classes: []string{"11Axx"}},

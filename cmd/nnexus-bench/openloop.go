@@ -65,6 +65,21 @@ func (c *replicaCluster) close() {
 	}
 }
 
+// serveNode boots one node from the public facade — the assembly every
+// deployment gets — on a loopback port. stop closes the server, then the
+// engine.
+func serveNode(cfg nnexus.Config) (engine *nnexus.Engine, addr string, stop func(), err error) {
+	if engine, err = nnexus.New(cfg); err != nil {
+		return nil, "", nil, err
+	}
+	srv, addr, err := engine.Serve("127.0.0.1:0", nil)
+	if err != nil {
+		engine.Close()
+		return nil, "", nil, err
+	}
+	return engine, addr, func() { srv.Close(); engine.Close() }, nil
+}
+
 // startReplicaCluster assembles the cluster from the public facade, as the
 // root chaos tests' startReplica does: a replication primary loads the
 // corpus (every AddEntry becomes a WAL record), two followers mirror its WAL
@@ -84,16 +99,11 @@ func startReplicaCluster(sub *workload.Corpus, rtt time.Duration) (*replicaClust
 		}
 		cl.closer = append(cl.closer, func() { os.RemoveAll(dir) })
 		cfg.Scheme, cfg.LaTeX, cfg.DataDir = sub.Scheme, sub.Params.LaTeX, dir
-		engine, err := nnexus.New(cfg)
+		engine, addr, stop, err := serveNode(cfg)
 		if err != nil {
 			return nil, "", err
 		}
-		cl.closer = append(cl.closer, func() { engine.Close() })
-		srv, addr, err := engine.Serve("127.0.0.1:0", nil)
-		if err != nil {
-			return nil, "", err
-		}
-		cl.closer = append(cl.closer, func() { srv.Close() })
+		cl.closer = append(cl.closer, stop)
 		return engine, addr, nil
 	}
 

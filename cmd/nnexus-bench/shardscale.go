@@ -20,20 +20,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nnexus"
 	"nnexus/internal/benchfmt"
-	"nnexus/internal/client"
-	"nnexus/internal/core"
-	"nnexus/internal/corpus"
 	"nnexus/internal/experiments"
 	"nnexus/internal/netsim"
-	"nnexus/internal/server"
-	"nnexus/internal/shard"
 	"nnexus/internal/workload"
 )
 
 // shardWords generates deterministic letter-only pseudo-words (guaranteed
 // single-token labels) bucketed by owning shard, `per` words per shard.
-func shardWords(ring *shard.Ring, per int) [][]string {
+func shardWords(ring *nnexus.ShardRing, per int) [][]string {
 	syllables := []string{"ka", "ze", "mo", "ri", "tu", "la", "pe", "so", "ni", "da"}
 	buckets := make([][]string, ring.NumShards())
 	remaining := ring.NumShards()
@@ -115,31 +111,32 @@ func runShardScale(c *workload.Corpus, dur, rtt time.Duration, jsonOut string) e
 }
 
 // shardScaleConfig runs one shard-count configuration end to end: n
-// shard-mode engines behind real TCP servers and simulated-RTT links,
-// corpus preloaded in-process, then a closed-loop routed write storm.
+// shard-mode nodes behind real TCP servers and simulated-RTT links, corpus
+// preloaded over the bare loopback, then a closed-loop routed write storm.
 func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt time.Duration) (qps float64, calls int64, nsPerOp float64, err error) {
-	ring := shard.NewRing(n, shard.DefaultVnodes)
-	engines := make([]*core.Engine, n)
-	for i := range engines {
-		e, err := core.NewEngine(core.Config{
-			Scheme:    sub.Scheme,
-			LaTeX:     sub.Params.LaTeX,
-			ShardRing: ring,
-			ShardID:   i,
-		})
+	// Two maps of the same fleet: the nodes' own addresses, and each behind
+	// its own wire.
+	direct := &nnexus.ShardMap{Version: 1, Shards: make([]nnexus.ShardSpec, n)}
+	wired := &nnexus.ShardMap{Version: 1, Shards: make([]nnexus.ShardSpec, n)}
+	ring := direct.Ring()
+	for i := 0; i < n; i++ {
+		_, addr, stop, err := serveNode(nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX, ShardRing: ring, ShardID: i})
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		defer e.Close()
-		engines[i] = e
+		defer stop()
+		link, err := netsim.NewLink(addr, rtt/2)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		defer link.Close()
+		direct.Shards[i] = nnexus.ShardSpec{ID: i, Addrs: []string{addr}}
+		wired.Shards[i] = nnexus.ShardSpec{ID: i, Addrs: []string{link.Addr()}}
 	}
 
-	// Preload the corpus in-process (one local router over the same
-	// engines) so the measured window contains only the routed write storm.
-	local, err := core.NewShardRouter(core.RouterConfig{
-		Ring:    ring,
-		Backend: core.LocalShardBackend{Engines: engines},
-	})
+	// Preload the corpus through a router without the simulated round trip,
+	// so the measured window contains only the routed write storm.
+	local, err := nnexus.DialSharded(direct)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -148,32 +145,8 @@ func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt tim
 	if err != nil {
 		return 0, 0, 0, err
 	}
-
-	// Serve each shard on its own TCP listener behind its own wire.
-	clients := make([]*client.Client, n)
-	for i, e := range engines {
-		srv := server.New(e, nil)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer srv.Close()
-		link, err := netsim.NewLink(addr, rtt/2)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer link.Close()
-		cl, err := client.Dial(link.Addr(), time.Second,
-			client.WithPipelineWindow(window),
-			client.WithCallTimeout(30*time.Second))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		clients[i] = cl
-	}
-	be := client.NewSharded(clients)
-	defer be.Close()
-	router, err := core.NewShardRouter(core.RouterConfig{Ring: ring, Backend: be})
+	router, err := nnexus.DialSharded(wired,
+		nnexus.WithPipelineWindow(window), nnexus.WithCallTimeout(30*time.Second))
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -190,7 +163,7 @@ func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt tim
 		i := next.Add(1) - 1
 		bucket := buckets[int(i)%n]
 		title := bucket[int(i/int64(n))%len(bucket)]
-		_, err := router.AddEntry(&corpus.Entry{
+		_, err := router.AddEntry(&nnexus.Entry{
 			Domain:  experiments.DomainName,
 			Title:   title,
 			Classes: []string{class},
@@ -241,7 +214,7 @@ func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt tim
 
 	// Sanity: the routed deployment still links like one engine — a written
 	// label resolves to exactly one link through the scatter-gather read.
-	res, err := router.LinkText(buckets[0][0], core.LinkOptions{})
+	res, err := router.LinkText(buckets[0][0], nnexus.LinkOptions{})
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("post-storm LinkText: %w", err)
 	}

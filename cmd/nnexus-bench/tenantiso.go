@@ -26,13 +26,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nnexus"
 	"nnexus/internal/benchfmt"
 	"nnexus/internal/client"
-	"nnexus/internal/core"
-	"nnexus/internal/corpus"
 	"nnexus/internal/experiments"
-	"nnexus/internal/server"
-	"nnexus/internal/tenant"
 	"nnexus/internal/workload"
 )
 
@@ -61,18 +58,20 @@ func runTenantIso(c *workload.Corpus, dur time.Duration, jsonOut string) error {
 		sub = c.Subset(400)
 	}
 
-	engine, err := core.NewEngine(core.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX})
+	engine, addr, shutdown, err := serveNode(nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX,
+		Domains: []nnexus.Domain{{
+			Name:        experiments.DomainName,
+			URLTemplate: "http://" + experiments.DomainName + "/?op=getobj&id={id}",
+			Scheme:      sub.Scheme.Name(),
+			Priority:    1,
+		}},
+		Tenants: nnexus.NewTenantRegistry(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
+			"hot": {RatePerSec: hotRate, Burst: hotRate},
+		}})})
 	if err != nil {
 		return err
 	}
-	if err := engine.AddDomain(corpus.Domain{
-		Name:        experiments.DomainName,
-		URLTemplate: "http://" + experiments.DomainName + "/?op=getobj&id={id}",
-		Scheme:      sub.Scheme.Name(),
-		Priority:    1,
-	}); err != nil {
-		return err
-	}
+	defer shutdown()
 	// The same generated collection lives once per tenant, in disjoint
 	// namespaces, so both corpora do identical linking work when admitted.
 	for _, cp := range []string{"bystander", "hot"} {
@@ -85,16 +84,6 @@ func runTenantIso(c *workload.Corpus, dur time.Duration, jsonOut string) error {
 			}
 		}
 	}
-
-	reg := tenant.NewRegistry(tenant.Config{Corpora: map[string]*tenant.Policy{
-		"hot": {RatePerSec: hotRate, Burst: hotRate},
-	}})
-	srv := server.New(engine, nil, server.WithTenants(reg))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
 
 	texts := make([]string, 0, len(sub.Entries))
 	for _, ge := range sub.Entries {

@@ -14,10 +14,10 @@ import (
 	"sync"
 	"time"
 
+	"nnexus"
 	"nnexus/internal/client"
 	"nnexus/internal/experiments"
 	"nnexus/internal/netsim"
-	"nnexus/internal/server"
 	"nnexus/internal/workload"
 )
 
@@ -31,16 +31,14 @@ func runThroughput(c *workload.Corpus, conns int, dur time.Duration, rtt time.Du
 	if len(c.Entries) > 1500 {
 		sub = c.Subset(1500)
 	}
-	engine, err := experiments.BuildEngine(sub, nil)
+	engine, addr, stop, err := serveNode(nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX})
 	if err != nil {
 		return err
 	}
-	srv := server.New(engine, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
+	defer stop()
+	if err := experiments.Load(sub, engine); err != nil {
 		return err
 	}
-	defer srv.Close()
 
 	notes := "These lecture notes discuss " + sub.Entries[100].Entry.Title +
 		" and " + sub.Entries[200].Entry.Title + " with respect to " +

@@ -78,42 +78,22 @@ commands:
 `)
 }
 
-// commonFlags are shared by local-engine subcommands.
+// commonFlags are shared by local-engine subcommands; the engine's are bound
+// straight to the fields of its nnexus.Config.
 type commonFlags struct {
-	fs      *flag.FlagSet
-	dataDir *string
-	server  *string
-	scheme  *string
-	name    *string
-	base    *int
+	fs     *flag.FlagSet
+	cfg    nnexus.Config
+	server *string
 }
 
 func newFlags(cmd string) *commonFlags {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	return &commonFlags{
-		fs:      fs,
-		dataDir: fs.String("data", "", "data directory"),
-		server:  fs.String("server", "", "nnexusd address (use instead of -data)"),
-		scheme:  fs.String("scheme", "sample", `classification scheme: "sample" or OWL file`),
-		name:    fs.String("scheme-name", "msc", "scheme name"),
-		base:    fs.Int("base", nnexus.DefaultBaseWeight, "classification weight base"),
-	}
-}
-
-func (c *commonFlags) engine() (*nnexus.Engine, error) {
-	var (
-		s   *nnexus.Scheme
-		err error
-	)
-	if *c.scheme == "sample" {
-		s = nnexus.SampleMSC(*c.base)
-	} else {
-		s, err = nnexus.LoadSchemeOWLFile(*c.scheme, *c.name, *c.base)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return nnexus.New(nnexus.Config{Scheme: s, DataDir: *c.dataDir})
+	c := &commonFlags{fs: flag.NewFlagSet(cmd, flag.ExitOnError)}
+	c.fs.StringVar(&c.cfg.DataDir, "data", "", "data directory")
+	c.server = c.fs.String("server", "", "nnexusd address (use instead of -data)")
+	c.fs.StringVar(&c.cfg.SchemeFile, "scheme", "sample", `classification scheme: "sample" or OWL file`)
+	c.fs.StringVar(&c.cfg.SchemeName, "scheme-name", "msc", "scheme name")
+	c.fs.IntVar(&c.cfg.SchemeBase, "base", nnexus.DefaultBaseWeight, "classification weight base")
+	return c
 }
 
 func runImport(args []string) error {
@@ -126,7 +106,7 @@ func runImport(args []string) error {
 	if c.fs.NArg() != 1 {
 		return fmt.Errorf("import: need exactly one corpus XML file")
 	}
-	engine, err := c.engine()
+	engine, err := nnexus.New(c.cfg)
 	if err != nil {
 		return err
 	}
@@ -202,7 +182,7 @@ func runLink(args []string) error {
 		return nil
 	}
 
-	engine, err := c.engine()
+	engine, err := nnexus.New(c.cfg)
 	if err != nil {
 		return err
 	}
@@ -242,7 +222,7 @@ func runPolicy(args []string) error {
 		defer cli.Close()
 		return cli.SetPolicy(*id, text)
 	}
-	engine, err := c.engine()
+	engine, err := nnexus.New(c.cfg)
 	if err != nil {
 		return err
 	}
@@ -268,7 +248,7 @@ func runRelink(args []string) error {
 		fmt.Printf("re-linked %d entries\n", n)
 		return nil
 	}
-	engine, err := c.engine()
+	engine, err := nnexus.New(c.cfg)
 	if err != nil {
 		return err
 	}
@@ -306,7 +286,7 @@ func runStats(args []string) error {
 		}
 		return nil
 	}
-	engine, err := c.engine()
+	engine, err := nnexus.New(c.cfg)
 	if err != nil {
 		return err
 	}
@@ -346,7 +326,7 @@ func runScheme(args []string) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	engine, err := c.engine()
+	engine, err := nnexus.New(c.cfg)
 	if err != nil {
 		return err
 	}
@@ -371,7 +351,7 @@ func runSuggest(args []string) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	engine, err := c.engine()
+	engine, err := nnexus.New(c.cfg)
 	if err != nil {
 		return err
 	}
@@ -415,7 +395,7 @@ func runNetwork(args []string) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	engine, err := c.engine()
+	engine, err := nnexus.New(c.cfg)
 	if err != nil {
 		return err
 	}

@@ -5,11 +5,15 @@
 // Usage:
 //
 //	nnexusd -addr 127.0.0.1:7070 -data /var/lib/nnexus -scheme msc.owl
+//	nnexusd -config nnexus.xml -data /var/lib/nnexus
 //
-// With -scheme sample the built-in MSC fixture is used, which is enough to
-// play with the protocol. With -http the HTTP API is served too, including
-// Prometheus telemetry at GET /metrics; -pprof adds the standard
-// /debug/pprof/ profiling handlers to the same listener.
+// Every setting is a field of nnexus.Config, given as a flag, as an attribute
+// of the -config XML file under the same name, or both (the flag wins); the
+// README's "Configuration" section lists them. With -scheme sample the
+// built-in MSC fixture is used, which is enough to play with the protocol.
+// With -http the HTTP API is served too, including Prometheus telemetry at
+// GET /metrics; -pprof adds the standard /debug/pprof/ profiling handlers to
+// the same listener.
 //
 // In a sharded deployment, start one daemon (or replication group) per shard
 // with -shard-map map.json -shard-id N: the node then indexes only the
@@ -19,254 +23,123 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"nnexus"
-	"nnexus/internal/config"
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:7070", "listen address")
-		dataDir  = flag.String("data", "", "data directory (empty = memory only)")
-		scheme   = flag.String("scheme", "sample", `classification scheme: "sample" or a path to an OWL file`)
-		name     = flag.String("scheme-name", "msc", "classification scheme name")
-		base     = flag.Int("base", nnexus.DefaultBaseWeight, "classification weight base (1 = non-weighted)")
-		sync     = flag.Bool("sync", false, "fsync every write")
-		httpAddr = flag.String("http", "", "also serve the HTTP API on this address (e.g. 127.0.0.1:8080)")
-		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the HTTP address")
-		confPath = flag.String("config", "", "XML deployment configuration file (overrides the flags above)")
-
-		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight requests before force-closing")
-		maxConns       = flag.Int("max-conns", 0, "cap on concurrent TCP connections (0 = unlimited)")
-		maxActive      = flag.Int("max-active", 0, "cap on concurrently executing requests before load shedding, per serving layer (0 = unlimited)")
-		requestTimeout = flag.Duration("request-timeout", 0, "per-request handler deadline (0 = unlimited)")
-		maxPipeline    = flag.Int("max-pipeline", 0, "cap on concurrently executing requests per TCP connection (0 = server default, 1 = sequential)")
-		commitWindow   = flag.Duration("group-commit-window", 0, "WAL group-commit gathering window under -sync: one fsync covers writers arriving within it (0 = commit eagerly)")
-
-		compileAutomaton = flag.Bool("compile-automaton", true, "compile concept-map snapshots into an Aho-Corasick automaton in the background for one-pass, allocation-free scanning (fallback scan used while it trails writes)")
-
-		replPrimary = flag.Bool("repl-primary", false, "serve as a replication primary: retain the WAL record log and answer follower subscriptions (requires -data)")
-		follow      = flag.String("follow", "", "run as a read replica of the primary at this XML-protocol address (requires -data; writes answer a notPrimary redirect)")
-		replicaName = flag.String("replica-name", "", "name this follower reports for lag accounting (default: hostname)")
-
-		peers           = flag.String("peers", "", "comma-separated XML-protocol addresses of the OTHER cluster nodes; enables automatic failover (requires -advertise, -data, and -repl-primary or -follow for the initial role)")
-		advertise       = flag.String("advertise", "", "this node's own address as its peers dial it (required with -peers)")
-		electionTimeout = flag.Duration("election-timeout", 0, "primary-silence tolerance before a follower stands for election (0 = library default)")
-		quorumAcks      = flag.Int("quorum-acks", 0, "acknowledge writes only after this many followers confirm the WAL offset durable (0 = local durability only)")
-		quorumTimeout   = flag.Duration("quorum-timeout", 0, "bound on the quorum wait before a write answers quorumUnavailable (0 = server default)")
-
-		shardMapPath = flag.String("shard-map", "", "shard-map JSON file describing the sharded deployment; serve only this node's ring slice (requires -shard-id)")
-		shardID      = flag.Int("shard-id", 0, "this node's shard ID within -shard-map")
-
-		defaultCorpus = flag.String("default-corpus", "", `corpus namespace for entries and requests that name none (default "default")`)
-		tenantConfig  = flag.String("tenant-config", "", "tenant-policy JSON file: per-corpus rate limits, entry/byte quotas, and default cross-corpus link targets; SIGHUP re-reads it live")
-	)
-	flag.Parse()
 	logger := log.New(os.Stderr, "nnexusd: ", log.LstdFlags)
-
-	var (
-		s    *nnexus.Scheme
-		err  error
-		conf *config.Config
-	)
-	if *confPath != "" {
-		conf, err = config.Load(*confPath)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		s, err = conf.BuildScheme()
-		if err != nil {
-			logger.Fatal(err)
-		}
-		if conf.Server.Addr != "" {
-			*addr = conf.Server.Addr
-		}
-		if conf.Server.HTTP != "" {
-			*httpAddr = conf.Server.HTTP
-		}
-		if conf.Server.Data != "" {
-			*dataDir = conf.Server.Data
-		}
-		if conf.Server.Sync {
-			*sync = true
-		}
-	} else if *scheme == "sample" {
-		s = nnexus.SampleMSC(*base)
-	} else {
-		s, err = nnexus.LoadSchemeOWLFile(*scheme, *name, *base)
-		if err != nil {
-			logger.Fatal(err)
-		}
-	}
-
-	var clusterPeers []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				clusterPeers = append(clusterPeers, p)
-			}
-		}
-	}
-
-	engine, err := nnexus.New(nnexus.Config{
-		Scheme:             s,
-		DefaultCorpus:      *defaultCorpus,
-		DataDir:            *dataDir,
-		SyncWrites:         *sync,
-		GroupCommitWindow:  *commitWindow,
-		ReplicationPrimary: *replPrimary,
-		FollowPrimary:      *follow,
-		ReplicaName:        *replicaName,
-		ClusterPeers:       clusterPeers,
-		AdvertiseAddr:      *advertise,
-		ElectionTimeout:    *electionTimeout,
-		QuorumAcks:         *quorumAcks,
-		QuorumTimeout:      *quorumTimeout,
-		CompileAutomaton:   *compileAutomaton,
-		ShardMap:           *shardMapPath,
-		ShardID:            *shardID,
-	})
-	if err != nil {
+	stop := make(chan os.Signal, 2)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop, logger); err != nil && !errors.Is(err, flag.ErrHelp) {
 		logger.Fatal(err)
 	}
+}
+
+// run is the daemon: load the configuration, build the node, open its doors,
+// wait for a signal on stop, drain. A second signal cuts the drain short.
+func run(args []string, stop <-chan os.Signal, logger *log.Logger) error {
+	cfg, err := nnexus.ParseArgs("nnexusd", args)
+	if err != nil {
+		return err
+	}
+	engine, err := nnexus.New(cfg)
+	if err != nil {
+		return err
+	}
 	defer engine.Close()
-	if conf != nil {
-		if err := engine.ApplyConfig(conf); err != nil {
-			logger.Fatal(err)
-		}
-	}
 
-	// Health state backing GET /healthz and /readyz: readiness requires the
-	// storage layer to be open and the drain not to have started. The
-	// /readyz JSON body carries the per-component detail, including this
-	// node's replication role and lag.
-	healthState := nnexus.NewHealthState()
-	healthState.AddCheck("storage", engine.Ready)
-	healthState.AddCheck("engine", func() error { return nil })
-	healthState.AddInfo("replication", engine.ReplicationInfo)
-	if len(clusterPeers) > 0 {
-		healthState.AddInfo("election", engine.ElectionInfo)
-	}
-
-	// Tenant policies: loaded once at boot, hot-reloaded on SIGHUP without
-	// restarting. A reload preserves each surviving corpus's token-bucket
-	// fill, so it never hands a saturated tenant a free burst.
-	var tenants *nnexus.TenantRegistry
-	if *tenantConfig != "" {
-		tcfg, err := nnexus.LoadTenantConfig(*tenantConfig)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		tenants = nnexus.NewTenantRegistry(tcfg)
+	// Tenant policies are hot-reloaded on SIGHUP without restarting.
+	if cfg.TenantFile != "" {
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
+		defer func() { signal.Stop(hup); close(hup) }() // nothing sends after Stop
 		go func() {
 			for range hup {
-				if err := tenants.ReloadFile(*tenantConfig); err != nil {
+				if err := engine.ReloadTenants(); err != nil {
 					logger.Printf("tenant-config reload failed (keeping previous policies): %v", err)
 				} else {
-					logger.Printf("tenant-config reloaded from %s", *tenantConfig)
+					logger.Printf("tenant-config reloaded from %s", cfg.TenantFile)
 				}
 			}
 		}()
 	}
 
-	var srvOpts []nnexus.ServerOption
-	if tenants != nil {
-		srvOpts = append(srvOpts, nnexus.WithTenants(tenants))
-	}
-	if *maxConns > 0 {
-		srvOpts = append(srvOpts, nnexus.WithMaxConns(*maxConns))
-	}
-	if *maxActive > 0 {
-		srvOpts = append(srvOpts, nnexus.WithMaxActiveRequests(*maxActive))
-	}
-	if *requestTimeout > 0 {
-		srvOpts = append(srvOpts, nnexus.WithHandlerTimeout(*requestTimeout))
-	}
-	if *maxPipeline > 0 {
-		srvOpts = append(srvOpts, nnexus.WithMaxPipeline(*maxPipeline))
-	}
-	srv, bound, err := engine.Serve(*addr, logger, srvOpts...)
+	srv, bound, err := engine.Serve(cfg.Listen, logger)
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
+	defer srv.Close()
 	fmt.Printf("nnexusd listening on %s (%d entries, %d concepts)\n",
 		bound, engine.NumEntries(), engine.NumConcepts())
 
 	var httpSrv *http.Server
-	if *httpAddr != "" {
+	if cfg.HTTP != "" {
+		// Bound before it is announced: a port that is taken stops the
+		// daemon here instead of leaving it serving without its probes.
+		ln, err := net.Listen("tcp", cfg.HTTP)
+		if err != nil {
+			return err
+		}
 		// The API handler already serves GET /metrics (Prometheus text
 		// format); -pprof additionally mounts the standard profiling
 		// handlers so a live daemon can be profiled under load.
-		httpOpts := []nnexus.HTTPOption{nnexus.WithHealth(healthState)}
-		if tenants != nil {
-			httpOpts = append(httpOpts, nnexus.WithHTTPTenants(tenants))
-		}
-		if *maxActive > 0 {
-			httpOpts = append(httpOpts, nnexus.WithMaxInFlight(*maxActive))
-		}
-		handler := engine.HTTPHandler(httpOpts...)
-		if *pprofOn {
+		handler := engine.HTTPHandler()
+		if cfg.Pprof {
+			// Importing net/http/pprof registered its handlers, and nothing
+			// else, on the default mux.
 			mux := http.NewServeMux()
 			mux.Handle("/", handler)
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+			mux.Handle("/debug/pprof/", http.DefaultServeMux)
 			handler = mux
 		}
-		httpSrv = &http.Server{
-			Addr:              *httpAddr,
-			Handler:           handler,
-			ReadHeaderTimeout: 10 * time.Second,
-		}
+		httpSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+		defer httpSrv.Close()
 		go func() {
-			fmt.Printf("nnexusd HTTP API on %s (metrics at /metrics", *httpAddr)
-			if *pprofOn {
-				fmt.Print(", profiling at /debug/pprof/")
-			}
-			fmt.Println(")")
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				logger.Print(err)
 			}
 		}()
-	} else if *pprofOn {
+		fmt.Printf("nnexusd HTTP API on %s (metrics at /metrics", ln.Addr())
+		if cfg.Pprof {
+			fmt.Print(", profiling at /debug/pprof/")
+		}
+		fmt.Println(")")
+	} else if cfg.Pprof {
 		logger.Print("-pprof has no effect without -http")
 	}
-	healthState.SetReady(true)
 
 	// Graceful drain: on SIGTERM/SIGINT flip readiness (so orchestrators
 	// stop routing new traffic), stop accepting, let in-flight requests
 	// finish under the drain deadline, then persist and exit. A second
 	// signal force-exits immediately.
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	logger.Printf("draining (deadline %s; signal again to force quit)", *drainTimeout)
-	healthState.SetDraining(true)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	<-stop
+	logger.Printf("draining (deadline %s; signal again to force quit)", cfg.DrainTimeout)
+	engine.Health().SetDraining(true)
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.DrainTimeout)
 	defer cancel()
 	go func() {
-		<-sig
-		logger.Print("second signal: force quitting")
-		cancel()
+		select {
+		case <-stop:
+			logger.Print("second signal: force quitting")
+			cancel()
+		case <-ctx.Done():
+		}
 	}()
 	if httpSrv != nil {
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			logger.Printf("http drain: %v", err)
-			httpSrv.Close()
 		}
 	}
 	if err := srv.Shutdown(ctx); err != nil {
@@ -276,4 +149,5 @@ func main() {
 		logger.Print(err)
 	}
 	logger.Print("drained")
+	return nil
 }

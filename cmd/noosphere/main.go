@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -30,6 +29,7 @@ import (
 	"nnexus/internal/health"
 	"nnexus/internal/httpapi"
 	"nnexus/internal/noosphere"
+	"nnexus/internal/service"
 	"nnexus/internal/storage"
 	"nnexus/internal/telemetry"
 )
@@ -91,37 +91,20 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
+	svc := service.New(engine)
 	healthState := health.NewState()
 	if store != nil {
 		healthState.AddCheck("storage", store.Ready)
 	}
-	healthState.AddCheck("engine", func() error { return nil })
-	healthState.AddInfo("replication", func() map[string]interface{} {
-		return map[string]interface{}{"role": "single"}
-	})
+	healthState.AddInfo("replication", svc.Role.Info)
+	// The API handler also answers the probes; it is mounted under /api/,
+	// so route the conventional root paths to it as well.
+	api := httpapi.New(svc, healthState)
 	mux := http.NewServeMux()
-	mux.Handle("/api/", httpapi.New(engine, httpapi.WithHealth(healthState)))
+	mux.Handle("/api/", api)
+	mux.Handle("GET /healthz", api)
+	mux.Handle("GET /readyz", api)
 	mux.Handle("/", wiki)
-	// The API handler is mounted under /api/, so expose the probes at the
-	// conventional root paths here. Readiness answers with the structured
-	// per-component report; the status code is the contract.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if err := healthState.Live(); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		rep := healthState.Report()
-		status := http.StatusOK
-		if !rep.Ready {
-			status = http.StatusServiceUnavailable
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_ = json.NewEncoder(w).Encode(rep)
-	})
 
 	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go func() {

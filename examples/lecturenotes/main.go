@@ -51,21 +51,16 @@ func main() {
 	engine, err := nnexus.New(nnexus.Config{
 		Scheme: nnexus.SampleMSC(nnexus.DefaultBaseWeight),
 		Format: nnexus.Markdown, // notes are plain text, link as Markdown
+		// PlanetMath wins ties: it has the lower collection priority value.
+		Domains: []nnexus.Domain{
+			{Name: "planetmath.org", URLTemplate: "http://planetmath.org/?op=getobj&id={id}", Scheme: "msc", Priority: 1},
+			{Name: "mathworld.wolfram.com", URLTemplate: "http://mathworld.wolfram.com/{id}.html", Scheme: "msc", Priority: 2},
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer engine.Close()
-
-	// PlanetMath wins ties: it has the lower collection priority value.
-	for _, d := range []nnexus.Domain{
-		{Name: "planetmath.org", URLTemplate: "http://planetmath.org/?op=getobj&id={id}", Scheme: "msc", Priority: 1},
-		{Name: "mathworld.wolfram.com", URLTemplate: "http://mathworld.wolfram.com/{id}.html", Scheme: "msc", Priority: 2},
-	} {
-		if err := engine.AddDomain(d); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if _, err := engine.ImportOAI(strings.NewReader(planetmathOAI)); err != nil {
 		log.Fatal(err)
 	}

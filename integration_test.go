@@ -58,17 +58,9 @@ func TestFullDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheme, err := cfg.BuildScheme()
+	cfg.DataDir = filepath.Join(dir, "data")
+	engine, err := nnexus.New(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-
-	dataDir := filepath.Join(dir, "data")
-	engine, err := nnexus.New(nnexus.Config{Scheme: scheme, DataDir: dataDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.ApplyConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,14 +177,11 @@ allow even from 11-XX</policy></record>
 	if err := engine.Close(); err != nil {
 		t.Fatal(err)
 	}
-	engine2, err := nnexus.New(nnexus.Config{Scheme: scheme, DataDir: dataDir})
+	engine2, err := nnexus.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer engine2.Close()
-	if err := engine2.ApplyConfig(cfg); err != nil {
-		t.Fatal(err)
-	}
 	after, _, err := engine2.LinkEntryCached(1)
 	if err != nil {
 		t.Fatal(err)

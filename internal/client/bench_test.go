@@ -17,6 +17,7 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/netsim"
 	"nnexus/internal/server"
+	"nnexus/internal/service"
 )
 
 func benchAddr(b *testing.B) string {
@@ -25,7 +26,7 @@ func benchAddr(b *testing.B) string {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := server.New(engine, nil)
+	srv := server.New(service.New(engine), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

@@ -527,6 +527,10 @@ func (c *Client) callLocalClassed(req *wire.Request) (*wire.Response, failClass,
 			c.telRetries.Inc()
 		}
 		time.Sleep(c.backoff(attempt))
+		// A retry gets its own copy: the broken connection's writer may
+		// still be encoding req while submit stamps the next Seq on it.
+		r := *req
+		req = &r
 	}
 }
 

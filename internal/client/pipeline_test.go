@@ -21,6 +21,7 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/server"
+	"nnexus/internal/service"
 	"nnexus/internal/wire"
 )
 
@@ -35,7 +36,7 @@ func newTestEngine(t *testing.T) *core.Engine {
 
 func serveEngine(t *testing.T, engine *core.Engine) (*server.Server, string) {
 	t.Helper()
-	srv := server.New(engine, nil)
+	srv := server.New(service.New(engine), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

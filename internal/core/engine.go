@@ -93,9 +93,6 @@ type Config struct {
 	Mode Mode
 	// Format is the default output format for substituted links.
 	Format render.Format
-	// AllowSelfLinks permits an entry to link to its own concepts
-	// (disabled in the deployed system; occasionally useful for tests).
-	AllowSelfLinks bool
 	// LinkAllOccurrences links every occurrence of a label instead of the
 	// deployed behaviour of linking only the first occurrence
 	// ("NNexus only links the first occurrence of a term or phrase to
@@ -207,21 +204,30 @@ type Engine struct {
 	nextID  int64
 }
 
+// Validate reports a configuration NewEngine would refuse, without building
+// anything: whoever opens a store for the engine checks here first.
+func (cfg *Config) Validate() error {
+	if cfg.Scheme == nil {
+		return fmt.Errorf("core: Config.Scheme is required")
+	}
+	if !cfg.Scheme.Built() {
+		return fmt.Errorf("core: Config.Scheme must be built")
+	}
+	if cfg.ShardRing != nil {
+		if cfg.ShardID < 0 || cfg.ShardID >= cfg.ShardRing.NumShards() {
+			return fmt.Errorf("core: shard id %d outside ring of %d shards",
+				cfg.ShardID, cfg.ShardRing.NumShards())
+		}
+	}
+	return nil
+}
+
 // NewEngine assembles an engine. If cfg.Store is non-nil, previously
 // persisted domains, entries, policies, and invalidation flags are loaded
 // and all in-memory indexes rebuilt.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Scheme == nil {
-		return nil, fmt.Errorf("core: Config.Scheme is required")
-	}
-	if !cfg.Scheme.Built() {
-		return nil, fmt.Errorf("core: Config.Scheme must be built")
-	}
-	if cfg.ShardRing != nil {
-		if cfg.ShardID < 0 || cfg.ShardID >= cfg.ShardRing.NumShards() {
-			return nil, fmt.Errorf("core: shard id %d outside ring of %d shards",
-				cfg.ShardID, cfg.ShardRing.NumShards())
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		cfg:      cfg,

@@ -366,7 +366,7 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 	cands := run.cands[:0]
 	for _, oid := range m.Candidates {
 		id := int64(oid)
-		if id == exclude && !e.cfg.AllowSelfLinks {
+		if id == exclude {
 			continue
 		}
 		if entry, ok := view.entries[id]; ok {

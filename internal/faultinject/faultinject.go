@@ -39,7 +39,6 @@ type Conn struct {
 
 	latency       time.Duration // added before every Read and Write
 	maxWriteBytes int           // cap on bytes accepted per Write call (partial writes)
-	maxReadBytes  int           // cap on bytes returned per Read call
 }
 
 // ConnOption configures a Conn.
@@ -86,11 +85,6 @@ func WithMaxWriteBytes(n int) ConnOption {
 	return func(c *Conn) { c.maxWriteBytes = n }
 }
 
-// WithMaxReadBytes caps the bytes returned per Read call.
-func WithMaxReadBytes(n int) ConnOption {
-	return func(c *Conn) { c.maxReadBytes = n }
-}
-
 // WrapConn wraps inner with the configured faults.
 func WrapConn(inner net.Conn, opts ...ConnOption) *Conn {
 	c := &Conn{Conn: inner}
@@ -128,9 +122,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 	err := c.readErr
 	closeOnFail := c.closeOnFail
 	latency := c.latency
-	if c.maxReadBytes > 0 && len(p) > c.maxReadBytes {
-		p = p[:c.maxReadBytes]
-	}
 	c.mu.Unlock()
 	if latency > 0 {
 		time.Sleep(latency)

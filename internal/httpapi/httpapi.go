@@ -72,18 +72,12 @@ type Handler struct {
 	res         *resilience
 
 	// svc runs every route's admit, route and acknowledge stages under the
-	// policy the options set on it, as the TCP layer's does.
+	// node's one policy, the value the TCP layer holds too.
 	svc *service.Service
 }
 
 // Option customises a Handler.
 type Option func(*Handler)
-
-// WithHealth wires a health state into the /healthz and /readyz probes.
-// Without it the probes still exist and report the process as ready.
-func WithHealth(st *health.State) Option {
-	return func(h *Handler) { h.health = st }
-}
 
 // WithMaxInFlight bounds concurrently served API requests; excess requests
 // are shed with 503 + Retry-After instead of queueing without bound.
@@ -92,39 +86,23 @@ func WithMaxInFlight(n int) Option {
 	return func(h *Handler) { h.maxInFlight = int64(n) }
 }
 
-// WithReplication sets the node's place in its replication group: while the
-// role is not primary, mutating routes answer 403 with a JSON body naming
-// the current leader ("" when unknown, e.g. mid-election) instead of writing
-// into the local engine, which would silently diverge a follower from its
-// replication stream. The role is consulted per request.
-func WithReplication(role replication.Role) Option {
-	return func(h *Handler) { h.svc.Role = role }
-}
-
-// WithQuorumAcks makes mutating routes quorum-acknowledged, as the TCP
-// layer's option does: a write that applied but could not gather k follower
-// confirmations within timeout answers 503 "quorumUnavailable" (k <= 0: off).
-func WithQuorumAcks(k int, timeout time.Duration) Option {
-	return func(h *Handler) { h.svc.QuorumAcks, h.svc.QuorumTimeout = k, timeout }
-}
-
-// WithTenants attaches a tenant registry: every /api route is charged
-// against its corpus's token bucket, and writes against its quotas, before
-// the engine executes anything. Nil (the default) disables enforcement.
-func WithTenants(r *tenant.Registry) Option {
-	return func(h *Handler) { h.svc.Tenants = r }
-}
-
-// New builds the HTTP handler around an engine. Routes share the engine's
+// New builds the HTTP handler in front of a node's service: every /api
+// route executes against its engine under its policy — where the role is not
+// primary, mutating routes answer 403 with a JSON body naming the current
+// leader ("" when unknown, e.g. mid-election) instead of writing into the
+// local engine; with quorum acks a write that applied but missed its follower
+// confirmations answers 503 "quorumUnavailable". st backs the /healthz and
+// /readyz probes; nil reports the process as ready. Routes share the engine's
 // telemetry registry; when the engine was built with telemetry disabled the
 // handler keeps a private registry so /metrics still serves the HTTP-layer
 // families.
-func New(engine *core.Engine, opts ...Option) *Handler {
+func New(svc *service.Service, st *health.State, opts ...Option) *Handler {
+	engine := svc.Engine()
 	reg := engine.Telemetry()
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	h := &Handler{engine: engine, mux: http.NewServeMux(), reg: reg, svc: service.New(engine, reg)}
+	h := &Handler{engine: engine, mux: http.NewServeMux(), reg: reg, health: st, svc: svc}
 	for _, opt := range opts {
 		opt(h)
 	}

@@ -16,6 +16,7 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/replication"
+	"nnexus/internal/service"
 	"nnexus/internal/storage"
 	"nnexus/internal/tenant"
 )
@@ -42,7 +43,7 @@ func testServer(t *testing.T) (*core.Engine, *httptest.Server) {
 			t.Fatal(err)
 		}
 	}
-	srv := httptest.NewServer(New(engine))
+	srv := httptest.NewServer(New(service.New(engine), nil))
 	t.Cleanup(srv.Close)
 	return engine, srv
 }
@@ -451,7 +452,9 @@ func TestNotPrimaryGatesMutatingRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(engine, WithReplication(replication.Role{Follower: follower})))
+	svc := service.New(engine)
+	svc.Role = replication.Role{Follower: follower}
+	srv := httptest.NewServer(New(svc, nil))
 	t.Cleanup(srv.Close)
 
 	mutating := []struct{ method, path, body string }{
@@ -524,7 +527,9 @@ func TestTenantQuotaOverHTTP(t *testing.T) {
 	reg := tenant.NewRegistry(tenant.Config{Corpora: map[string]*tenant.Policy{
 		"boxed": {MaxEntries: 1},
 	}})
-	srv := httptest.NewServer(New(engine, WithTenants(reg)))
+	svc := service.New(engine)
+	svc.Tenants = reg
+	srv := httptest.NewServer(New(svc, nil))
 	t.Cleanup(srv.Close)
 
 	create := func(corpusName, title string) (int64, int) {

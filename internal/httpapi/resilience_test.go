@@ -15,6 +15,7 @@ import (
 	"nnexus/internal/corpus"
 	"nnexus/internal/health"
 	"nnexus/internal/server"
+	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
 )
 
@@ -24,7 +25,7 @@ func TestHealthProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := health.NewState()
-	srv := httptest.NewServer(New(engine, WithHealth(st)))
+	srv := httptest.NewServer(New(service.New(engine), st))
 	defer srv.Close()
 
 	probe := func(path string) (int, string) {
@@ -69,7 +70,7 @@ func TestHealthProbes(t *testing.T) {
 	}
 }
 
-// Without WithHealth the probes default to healthy so a bare handler still
+// Without a health state the probes default to healthy so a bare handler still
 // works behind standard orchestration.
 func TestHealthProbesDefaultReady(t *testing.T) {
 	_, srv := testServer(t)
@@ -93,7 +94,7 @@ func TestHTTPLoadShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(engine, WithMaxInFlight(1))
+	h := New(service.New(engine), nil, WithMaxInFlight(1))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -204,8 +205,9 @@ func TestShedFamilySharedAcrossLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = server.New(engine, nil)
-	_ = New(engine)
+	svc := service.New(engine)
+	_ = server.New(svc, nil)
+	_ = New(svc, nil)
 
 	var sb strings.Builder
 	if err := engine.Telemetry().WritePrometheus(&sb); err != nil {
@@ -245,7 +247,7 @@ func TestChaosHTTPShedUnderLoadRecovers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	h := New(engine, WithMaxInFlight(2))
+	h := New(service.New(engine), nil, WithMaxInFlight(2))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -9,6 +9,7 @@ import (
 
 	"nnexus/internal/classification"
 	"nnexus/internal/core"
+	"nnexus/internal/service"
 )
 
 func testEngineNoTelemetry(t *testing.T) *core.Engine {
@@ -25,7 +26,7 @@ func testEngineNoTelemetry(t *testing.T) *core.Engine {
 
 func newTestServerFor(t *testing.T, engine *core.Engine) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(New(engine))
+	srv := httptest.NewServer(New(service.New(engine), nil))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -13,6 +13,7 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/faultinject"
 	"nnexus/internal/server"
+	"nnexus/internal/service"
 )
 
 // TestOpenLoopHealthyRun: against a fast target the harness completes the
@@ -177,7 +178,7 @@ func TestOpenLoopChargesStalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(engine, nil)
+	srv := server.New(service.New(engine), nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -70,6 +70,26 @@ func (m *Mapper) Map(class string) ([]string, bool) {
 	return append([]string(nil), best...), true
 }
 
+// Validate reports a mapper no registry accepts: one that does not name both
+// schemes, maps a scheme to itself, or holds a rule with no source class or
+// no target class.
+func (m *Mapper) Validate() error {
+	if m.From == "" || m.To == "" {
+		return fmt.Errorf("ontomap: mapper must name both schemes")
+	}
+	if m.From == m.To {
+		return fmt.Errorf("ontomap: mapper from a scheme to itself is implicit")
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for from, to := range m.rules {
+		if from == "" || len(to) == 0 {
+			return fmt.Errorf("ontomap: mapper %s→%s has an incomplete rule", m.From, m.To)
+		}
+	}
+	return nil
+}
+
 // Len returns the number of installed rules.
 func (m *Mapper) Len() int {
 	m.mu.RLock()
@@ -93,11 +113,8 @@ func key(from, to string) string { return from + "\x00" + to }
 // Register installs a mapper, replacing any previous mapper for the same
 // scheme pair.
 func (r *Registry) Register(m *Mapper) error {
-	if m.From == "" || m.To == "" {
-		return fmt.Errorf("ontomap: mapper must name both schemes")
-	}
-	if m.From == m.To {
-		return fmt.Errorf("ontomap: mapper from a scheme to itself is implicit")
+	if err := m.Validate(); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	r.mappers[key(m.From, m.To)] = m

@@ -68,7 +68,6 @@ type Follower struct {
 	applier    Applier
 	name       string
 	stateDir   string
-	maxBatch   int
 	wait       time.Duration
 	backoff    time.Duration
 	backoffMax time.Duration
@@ -80,8 +79,7 @@ type Follower struct {
 	head        uint64 // primary head last observed
 	synced      bool
 	lastErr     error
-	lastContact time.Time           // last successful exchange with the primary
-	applied     func(offset uint64) // test hook: called after each record applies
+	lastContact time.Time // last successful exchange with the primary
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -118,16 +116,6 @@ func WithStateDir(dir string) FollowerOption {
 	return func(f *Follower) { f.stateDir = dir }
 }
 
-// WithFollowerMaxBatch caps records requested per subscribe (default
-// DefaultMaxBatch).
-func WithFollowerMaxBatch(n int) FollowerOption {
-	return func(f *Follower) {
-		if n > 0 {
-			f.maxBatch = n
-		}
-	}
-}
-
 // WithFollowerWait sets the long-poll duration requested from the primary
 // (default 5s).
 func WithFollowerWait(d time.Duration) FollowerOption {
@@ -160,11 +148,6 @@ func WithFollowerMaxBackoff(d time.Duration) FollowerOption {
 	}
 }
 
-// withApplyHook installs a test hook invoked after every applied record.
-func withApplyHook(fn func(offset uint64)) FollowerOption {
-	return func(f *Follower) { f.applied = fn }
-}
-
 // NewFollower assembles a follower over a local store (its durable replica
 // state), an optional engine applier, and a source connected to the
 // primary. Call Start to begin syncing.
@@ -180,7 +163,6 @@ func NewFollower(store *storage.Store, applier Applier, src Source, opts ...Foll
 		applier:    applier,
 		src:        src,
 		name:       "follower",
-		maxBatch:   DefaultMaxBatch,
 		wait:       5 * time.Second,
 		backoff:    250 * time.Millisecond,
 		backoffMax: 4 * time.Second,
@@ -382,7 +364,7 @@ func (f *Follower) syncOnce() (reset bool, err error) {
 	epoch := f.epoch
 	src := f.src
 	f.mu.Unlock()
-	payload, err := src.ReplSubscribe(from, epoch, f.maxBatch, int(f.wait/time.Millisecond), f.name)
+	payload, err := src.ReplSubscribe(from, epoch, DefaultMaxBatch, int(f.wait/time.Millisecond), f.name)
 	if err != nil {
 		return false, err
 	}
@@ -433,9 +415,6 @@ func (f *Follower) applyRecord(body []byte, offset uint64) error {
 		if err := f.applier.ApplyReplicated(ops); err != nil {
 			return err
 		}
-	}
-	if f.applied != nil {
-		f.applied(offset)
 	}
 	return nil
 }

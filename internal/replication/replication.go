@@ -67,8 +67,6 @@ type quorumWaiter struct {
 // Primary serves a store's replication log to subscribing followers.
 type Primary struct {
 	store      *storage.Store
-	maxBatch   int
-	maxWait    time.Duration
 	lagVec     *telemetry.GaugeVec
 	quorumHist *telemetry.Histogram
 
@@ -81,27 +79,6 @@ type Primary struct {
 
 // PrimaryOption configures NewPrimary.
 type PrimaryOption func(*Primary)
-
-// WithMaxBatch caps the records per subscribe response (default
-// DefaultMaxBatch).
-func WithMaxBatch(n int) PrimaryOption {
-	return func(p *Primary) {
-		if n > 0 {
-			p.maxBatch = n
-		}
-	}
-}
-
-// WithMaxWait caps the long-poll duration of a caught-up subscribe (default
-// DefaultMaxWait). Serving layers additionally clamp it under their handler
-// deadline.
-func WithMaxWait(d time.Duration) PrimaryOption {
-	return func(p *Primary) {
-		if d > 0 {
-			p.maxWait = d
-		}
-	}
-}
 
 // WithPrimaryTelemetry registers the per-follower replication lag gauge
 // nnexus_replication_lag_records and the quorum-commit latency histogram
@@ -125,8 +102,6 @@ func NewPrimary(store *storage.Store, opts ...PrimaryOption) (*Primary, error) {
 	}
 	p := &Primary{
 		store:     store,
-		maxBatch:  DefaultMaxBatch,
-		maxWait:   DefaultMaxWait,
 		followers: make(map[string]*followerState),
 		drainCh:   make(chan struct{}),
 	}
@@ -144,11 +119,11 @@ func NewPrimary(store *storage.Store, opts ...PrimaryOption) (*Primary, error) {
 // must fetch a Snapshot. A caught-up subscribe during a drain returns
 // immediately, so subscriber connections retire promptly on shutdown.
 func (p *Primary) Subscribe(from, epoch uint64, max int, wait time.Duration) (*wire.ReplPayload, error) {
-	if max <= 0 || max > p.maxBatch {
-		max = p.maxBatch
+	if max <= 0 || max > DefaultMaxBatch {
+		max = DefaultMaxBatch
 	}
-	if wait < 0 || wait > p.maxWait {
-		wait = p.maxWait
+	if wait < 0 || wait > DefaultMaxWait {
+		wait = DefaultMaxWait
 	}
 	deadline := time.Now().Add(wait)
 

@@ -18,6 +18,7 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/faultinject"
+	"nnexus/internal/service"
 	"nnexus/internal/wire"
 )
 
@@ -61,7 +62,7 @@ func TestChaosClientSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, nil)
+	srv := New(service.New(engine), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +100,7 @@ func TestChaosClientSurvivesServerRestart(t *testing.T) {
 	// so the retry/reconnect path is provably exercised, then restart on
 	// the same address.
 	time.Sleep(20 * time.Millisecond)
-	srv2 := New(engine, nil)
+	srv2 := New(service.New(engine), nil)
 	var addr2 string
 	for attempt := 0; ; attempt++ {
 		addr2, err = srv2.Listen(addr)

@@ -16,6 +16,7 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/replication"
+	"nnexus/internal/service"
 	"nnexus/internal/storage"
 	"nnexus/internal/wire"
 )
@@ -37,7 +38,9 @@ func newPrimaryServer(t *testing.T) (*Server, string, *storage.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, nil, WithReplication(replication.Role{Primary: p}))
+	svc := service.New(engine)
+	svc.Role = replication.Role{Primary: p}
+	srv := New(svc, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +78,9 @@ func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *repl
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Stop)
-	srv := New(engine, nil, WithReplication(replication.Role{Follower: f}))
+	svc := service.New(engine)
+	svc.Role = replication.Role{Follower: f}
+	srv := New(svc, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +253,9 @@ func TestChaosReplShutdownDrainsSubscribers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(engine2, nil, WithReplication(replication.Role{Primary: p2}))
+	svc2 := service.New(engine2)
+	svc2.Role = replication.Role{Primary: p2}
+	srv2 := New(svc2, nil)
 	addr2, err := srv2.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +301,9 @@ func TestQuorumAckRefusedAfterInProcessDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Stop)
-	srv := New(engine, nil, WithReplication(replication.Role{Node: node}), WithQuorumAcks(1, 5*time.Second))
+	svc := service.New(engine)
+	svc.Role, svc.QuorumAcks, svc.QuorumTimeout = replication.Role{Node: node}, 1, 5*time.Second
+	srv := New(svc, nil)
 	srv.testPostMutate = func(req *wire.Request) {
 		// The new regime's announcement lands the instant the write applied.
 		if err := node.HandleLead(99, ""); err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"nnexus/internal/classification"
 	"nnexus/internal/core"
+	"nnexus/internal/service"
 	"nnexus/internal/wire"
 )
 
@@ -24,7 +25,7 @@ func newTestServer(t *testing.T, opts ...Option) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, nil, opts...)
+	srv := New(service.New(engine), nil, opts...)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -58,8 +58,8 @@ type Server struct {
 	tel    *serverTelemetry
 
 	// svc runs every request's admit, route and acknowledge stages under
-	// the policy the options set on it (see internal/service); the server
-	// itself only executes.
+	// the node's one policy (see internal/service), shared with every other
+	// door; the server itself only executes.
 	svc *service.Service
 
 	maxRequestBytes int64
@@ -236,36 +236,6 @@ func WithMaxActiveRequests(n int) Option {
 	return func(s *Server) { s.maxActive = n }
 }
 
-// WithReplication sets the server's place in its replication group. While
-// the role is primary the server answers the repl* streaming methods from it
-// (Shutdown and Close drain it, so follower connections flush a final batch
-// and close cleanly); while it is not, mutating methods are rejected before
-// execution with a typed notPrimary error naming the leader, and reads serve
-// from the replicated state. An election-managed role is consulted per
-// request and also answers the replVote / replLead exchanges.
-func WithReplication(role replication.Role) Option {
-	return func(s *Server) { s.svc.Role = role }
-}
-
-// WithQuorumAcks makes mutating requests quorum-acknowledged: a write is
-// answered only once k followers have confirmed its WAL offset durable,
-// waiting at most timeout before degrading to a typed quorumUnavailable
-// error (the write is applied and durable on the primary either way — only
-// the cross-node guarantee is reported as unmet). k <= 0 disables the wait.
-func WithQuorumAcks(k int, timeout time.Duration) Option {
-	return func(s *Server) { s.svc.QuorumAcks, s.svc.QuorumTimeout = k, timeout }
-}
-
-// WithTenants attaches a tenant registry: every tenant-attributable request
-// is charged against its corpus's token bucket before dispatch (typed
-// rateLimited rejection when empty), and writes are checked against the
-// corpus's entry-count and byte quotas (typed quotaExceeded rejection). Both
-// rejections happen before the request executes, so they are retry-safe in
-// the same sense as load shedding. Nil (the default) disables enforcement.
-func WithTenants(r *tenant.Registry) Option {
-	return func(s *Server) { s.svc.Tenants = r }
-}
-
 // WithMaxPipeline bounds how many requests one connection may have in
 // flight concurrently. The wire protocol correlates responses to requests
 // by Seq, so a pipelining client can keep up to n requests outstanding and
@@ -282,14 +252,19 @@ func WithMaxPipeline(n int) Option {
 	}
 }
 
-// New creates a server around an engine. logger may be nil to disable
-// logging.
-func New(engine *core.Engine, logger *log.Logger, opts ...Option) *Server {
+// New creates a server in front of a node's service: requests execute
+// against its engine under its policy. While the service's role is primary
+// the server answers the repl* streaming methods from it (Shutdown and Close
+// drain it, so follower connections flush a final batch and close cleanly);
+// an election-managed role also answers the replVote / replLead exchanges.
+// logger may be nil to disable logging.
+func New(svc *service.Service, logger *log.Logger, opts ...Option) *Server {
+	engine := svc.Engine()
 	s := &Server{
 		engine:          engine,
 		logger:          logger,
 		tel:             newServerTelemetry(engine.Telemetry()),
-		svc:             service.New(engine, engine.Telemetry()),
+		svc:             svc,
 		conns:           make(map[net.Conn]*connState),
 		maxRequestBytes: service.MaxRequestBytes,
 		writeTimeout:    DefaultWriteTimeout,
@@ -366,9 +341,6 @@ func (s *Server) Draining() bool {
 	defer s.mu.Unlock()
 	return s.draining || s.closed
 }
-
-// ActiveRequests returns how many requests are being handled right now.
-func (s *Server) ActiveRequests() int64 { return s.active.Load() }
 
 // Close stops accepting, force-closes all connections (in-flight requests
 // are abandoned), and waits for handler goroutines. For a graceful stop

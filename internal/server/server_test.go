@@ -10,6 +10,7 @@ import (
 	"nnexus/internal/client"
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
+	"nnexus/internal/service"
 	"nnexus/internal/wire"
 )
 
@@ -21,7 +22,7 @@ func startServer(t *testing.T) (*Server, *client.Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, nil)
+	srv := New(service.New(engine), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +277,7 @@ func TestMaxRequestBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, nil, WithMaxRequestBytes(512))
+	srv := New(service.New(engine), nil, WithMaxRequestBytes(512))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +313,7 @@ func TestIdleTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(engine, nil, WithIdleTimeout(80*time.Millisecond))
+	srv := New(service.New(engine), nil, WithIdleTimeout(80*time.Millisecond))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +344,7 @@ func BenchmarkServerLinkTextOverSocket(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := New(engine, nil)
+	srv := New(service.New(engine), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

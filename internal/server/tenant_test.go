@@ -18,6 +18,7 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/ontomap"
+	"nnexus/internal/service"
 	"nnexus/internal/tenant"
 )
 
@@ -50,11 +51,9 @@ func startTenantServer(t *testing.T, scheme *classification.Scheme, reg *tenant.
 	if err != nil {
 		t.Fatal(err)
 	}
-	var opts []Option
-	if reg != nil {
-		opts = append(opts, WithTenants(reg))
-	}
-	srv := New(engine, nil, opts...)
+	svc := service.New(engine)
+	svc.Tenants = reg
+	srv := New(svc, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

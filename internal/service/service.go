@@ -38,8 +38,9 @@ const MaxRequestBytes = 32 << 20
 const DefaultQuorumTimeout = 5 * time.Second
 
 // Service runs requests against one engine under the policy in its exported
-// fields, which a serving layer's options set before the first request. The
-// zero policy admits everything, writes here, and acknowledges locally.
+// fields, which whoever assembles the node sets before the first request and
+// then hands the one value to every door. The zero policy admits everything,
+// writes here, and acknowledges locally.
 type Service struct {
 	engine *core.Engine
 	// Tenants, when non-nil, charges every tenant-attributable request to
@@ -57,10 +58,11 @@ type Service struct {
 	admitted, rejected *telemetry.CounterVec
 }
 
-// New returns the service of one serving layer. Every layer counts into the
-// same families of reg, so one scrape covers a corpus's traffic through any
-// door; a nil reg (telemetry disabled) counts where nobody scrapes.
-func New(engine *core.Engine, reg *telemetry.Registry) *Service {
+// New returns the service of one node. It counts into the engine's registry,
+// so one scrape covers a corpus's traffic through any door; an engine with
+// telemetry disabled counts where nobody scrapes.
+func New(engine *core.Engine) *Service {
+	reg := engine.Telemetry()
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
@@ -72,6 +74,9 @@ func New(engine *core.Engine, reg *telemetry.Registry) *Service {
 			"Requests rejected at admission, by corpus and reason.", "corpus", "reason"),
 	}
 }
+
+// Engine returns the engine the service fronts; a door executes against it.
+func (s *Service) Engine() *core.Engine { return s.engine }
 
 // Request is what the stages need to know of one request.
 type Request struct {

@@ -30,7 +30,7 @@ func TestReadReachesExecuteWithoutAllocating(t *testing.T) {
 		"unlimited":       tenant.NewRegistry(tenant.Config{}),
 		"limited, in-use": tenant.NewRegistry(tenant.Config{Default: &tenant.Policy{RatePerSec: 1e9, MaxEntries: 5}}),
 	} {
-		s := New(engine, engine.Telemetry())
+		s := New(engine)
 		s.Tenants = tenants
 		ran := 0
 		allocs := testing.AllocsPerRun(200, func() {
@@ -57,7 +57,7 @@ func TestReadReachesExecuteWithoutAllocating(t *testing.T) {
 // primary to gather its quorum from reports quorumUnavailable.
 func TestStageOrder(t *testing.T) {
 	engine := newEngine(t)
-	s := New(engine, engine.Telemetry())
+	s := New(engine)
 	s.Tenants = tenant.NewRegistry(tenant.Config{Default: &tenant.Policy{RatePerSec: 0.001, Burst: 1, MaxEntries: 1}})
 	write := Request{Method: wire.MethodAddEntries, Writes: []Write{{Size: 1}, {Size: 1}}}
 	executed := false

@@ -292,24 +292,6 @@ func DecodeRecord(body []byte) ([]BatchOp, error) {
 	return ops, nil
 }
 
-// EncodeRecordOps encodes mutations the way the WAL does (one batch record
-// for several ops, a plain record for one), yielding a body DecodeRecord
-// round-trips. Used by tests and the replication wire conversion.
-func EncodeRecordOps(ops []BatchOp) []byte {
-	lops := make([]logOp, len(ops))
-	for i, o := range ops {
-		if o.Delete {
-			lops[i] = logOp{op: opDelete, table: o.Table, key: o.Key}
-		} else {
-			lops[i] = logOp{op: opPut, table: o.Table, key: o.Key, value: o.Value}
-		}
-	}
-	if len(lops) == 1 {
-		return encodeBody(lops[0].op, lops[0].table, lops[0].key, lops[0].value)
-	}
-	return encodeBatchBody(lops)
-}
-
 // ApplyReplicatedRecord applies one record streamed from a primary. The
 // body is written to the follower's own WAL byte-for-byte, so a crashed
 // follower replays to exactly the primary's record numbering and resumes

@@ -34,19 +34,17 @@
 package nnexus
 
 import (
-	"time"
-
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"nnexus/internal/classification"
 	"nnexus/internal/client"
 	"nnexus/internal/conceptmap"
-	"nnexus/internal/config"
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/health"
@@ -59,6 +57,7 @@ import (
 	"nnexus/internal/replication"
 	"nnexus/internal/semnet"
 	"nnexus/internal/server"
+	"nnexus/internal/service"
 	"nnexus/internal/shard"
 	"nnexus/internal/storage"
 	"nnexus/internal/telemetry"
@@ -92,8 +91,6 @@ type (
 	AutomatonInfo = conceptmap.AutomatonInfo
 	// Client talks to a remote NNexus server over the XML socket protocol.
 	Client = client.Client
-	// DeployConfig is a parsed XML deployment configuration.
-	DeployConfig = config.Config
 	// KeywordExtractor suggests concept labels and overlink suspects from
 	// corpus statistics (the paper's automatic keyword extraction).
 	KeywordExtractor = keywords.Extractor
@@ -132,9 +129,9 @@ type (
 	// TenantConfig maps corpus IDs to tenant policies (the -tenant-config
 	// JSON shape).
 	TenantConfig = tenant.Config
-	// TenantRegistry is a deployment's live tenant-policy table; wire it
-	// into the serving layers with WithTenants / WithHTTPTenants. Hot-reload
-	// it with Reload/ReloadFile (nnexusd does this on SIGHUP).
+	// TenantRegistry is a deployment's live tenant-policy table: Config names
+	// its file (TenantFile, re-read by Engine.ReloadTenants — nnexusd does this
+	// on SIGHUP) or hands one over in memory (Tenants).
 	TenantRegistry = tenant.Registry
 	// TenantRateLimitedError is the typed pre-execution rejection a corpus's
 	// token bucket raises; detect it with errors.As or IsTenantRateLimited.
@@ -153,10 +150,6 @@ const DefaultCorpusName = corpus.DefaultCorpus
 // TenantConfig admits everything.
 func NewTenantRegistry(cfg TenantConfig) *TenantRegistry { return tenant.NewRegistry(cfg) }
 
-// LoadTenantConfig reads and parses a tenant-config JSON file (the format
-// accepted by nnexusd -tenant-config; see the tenant package docs).
-func LoadTenantConfig(path string) (TenantConfig, error) { return tenant.LoadFile(path) }
-
 // IsTenantRateLimited reports whether err is (or wraps) a tenant
 // rate-limit rejection.
 func IsTenantRateLimited(err error) bool { return tenant.IsRateLimited(err) }
@@ -164,20 +157,6 @@ func IsTenantRateLimited(err error) bool { return tenant.IsRateLimited(err) }
 // IsTenantQuotaExceeded reports whether err is (or wraps) a tenant quota
 // rejection.
 func IsTenantQuotaExceeded(err error) bool { return tenant.IsQuotaExceeded(err) }
-
-// WithTenants enforces a tenant-policy registry on the XML socket server:
-// per-corpus token buckets gate every request and entry/byte quotas gate
-// writes, both rejected BEFORE execution with the typed rateLimited /
-// quotaExceeded error codes.
-func WithTenants(r *TenantRegistry) ServerOption { return server.WithTenants(r) }
-
-// WithHTTPTenants is WithTenants for the HTTP API handler: rate-limited
-// requests answer 429 + Retry-After, quota rejections answer 403, both with
-// the same typed error codes as the wire protocol.
-func WithHTTPTenants(r *TenantRegistry) HTTPOption { return httpapi.WithTenants(r) }
-
-// LoadConfig reads an XML deployment configuration file.
-func LoadConfig(path string) (*DeployConfig, error) { return config.Load(path) }
 
 // Pipeline modes (see the paper's Table 2 configurations).
 const (
@@ -265,171 +244,30 @@ func NewMSCToWikipediaMapper() *Mapper { return ontomap.NewMSCToWikipedia() }
 // category names → MSC area codes).
 func NewWikipediaToMSCMapper() *Mapper { return ontomap.NewWikipediaToMSC() }
 
-// Config configures an Engine.
-type Config struct {
-	// Scheme is the canonical classification scheme used for link
-	// steering. Required.
-	Scheme *Scheme
-	// DataDir persists the engine's tables (entries, domains, policies,
-	// invalidation flags) under this directory; empty runs memory-only.
-	DataDir string
-	// SyncWrites makes every persisted mutation fsync before returning.
-	SyncWrites bool
-	// GroupCommitWindow stretches the WAL group-commit gathering window:
-	// under SyncWrites, a committing writer waits up to this long for
-	// concurrent writers to stage their appends, then one fsync covers the
-	// whole group. Zero (the default) commits eagerly — concurrent writers
-	// still coalesce whenever an fsync is already in progress.
-	GroupCommitWindow time.Duration
-	// Mode is the default pipeline mode (ModeDefault = full pipeline).
-	Mode Mode
-	// Format is the default output format (HTML).
-	Format Format
-	// AllowSelfLinks permits entries to link to their own concepts.
-	AllowSelfLinks bool
-	// DefaultCorpus is the corpus namespace entries and link requests fall
-	// into when they name none. Empty means DefaultCorpusName ("default").
-	// Single-corpus deployments never need to set it.
-	DefaultCorpus string
-	// LinkAllOccurrences links every occurrence of a concept label rather
-	// than only the first (the deployed system links only the first, "to
-	// reduce visual clutter").
-	LinkAllOccurrences bool
-	// LaTeX converts entry bodies and linked text from LaTeX markup to
-	// plain text before scanning (Noosphere entries are written in TeX).
-	LaTeX bool
-	// CompileAutomaton runs the background concept-map compiler: published
-	// snapshots are compiled into an immutable Aho-Corasick automaton that
-	// scans text in one allocation-free pass, and the engine serves scans
-	// from it whenever it is current (falling back to the chained-hash
-	// structure while it trails a write burst). Results are identical
-	// either way; this trades a little background CPU after writes for
-	// several-fold match-stage throughput.
-	CompileAutomaton bool
-	// ReplicationPrimary makes this node a replication primary: the store
-	// retains its WAL record log and Serve answers the replSubscribe /
-	// replSnapshot / replAck exchanges followers use to mirror it. Requires
-	// DataDir; mutually exclusive with FollowPrimary.
-	ReplicationPrimary bool
-	// FollowPrimary makes this node a read replica of the primary at this
-	// address ("host:port" of its XML-protocol listener): a background loop
-	// streams the primary's WAL into the local store and engine, Serve
-	// answers the full read surface, and writes are rejected with a typed
-	// notPrimary redirect naming the primary. Requires DataDir (the replica's
-	// durable state, which replays across restarts).
-	FollowPrimary string
-	// ReplicaName identifies this follower in replAck reports and the
-	// primary's per-follower lag gauge (default: hostname).
-	ReplicaName string
-	// ClusterPeers enables automatic failover: the XML-protocol addresses of
-	// the OTHER nodes in the cluster (not this node's own). Every node then
-	// runs an election state machine — followers that lose contact with the
-	// primary beyond the election timeout elect the freshest of themselves,
-	// the winner promotes to a writable primary, and a deposed primary is
-	// fenced by epoch on its first contact with the new regime. Requires
-	// DataDir, AdvertiseAddr, and exactly one of ReplicationPrimary (this
-	// node boots as the leader) or FollowPrimary (this node boots following
-	// that address).
-	ClusterPeers []string
-	// AdvertiseAddr is this node's own XML-protocol address as its peers
-	// dial it ("host:port"); it names the node in vote requests and leader
-	// announcements. Required with ClusterPeers.
-	AdvertiseAddr string
-	// ElectionTimeout is how long a follower tolerates primary silence
-	// before standing for election (default replication.DefaultElectionTimeout;
-	// actual arming is jittered to de-synchronize candidates).
-	ElectionTimeout time.Duration
-	// QuorumAcks makes writes quorum-acknowledged: a mutating request is
-	// answered only after this many followers have confirmed the write's WAL
-	// offset durable (0, the default, acknowledges on local durability
-	// alone). A write that cannot gather the quorum within QuorumTimeout
-	// answers a typed quorumUnavailable error — the write IS durable on the
-	// primary, but its replication guarantee is not yet met. Requires a
-	// primary-capable role (ReplicationPrimary or ClusterPeers); with
-	// ClusterPeers, New enforces the failover-durability floor
-	// QuorumAcks+1+majority > N (e.g. at least 1 for 3 nodes, 2 for 5), the
-	// smallest k at which a quorum-acked write provably survives any
-	// election the cluster can hold.
-	QuorumAcks int
-	// QuorumTimeout bounds the quorum wait (default 5s).
-	QuorumTimeout time.Duration
-	// ShardMap is the path to a shard-map JSON document; with ShardID it
-	// puts the engine in shard mode: the node indexes and scans only the
-	// slice of the label space its ring position owns, and serves the
-	// shardScan/putEntry methods a ShardRouter fans out to. Every node of a
-	// shard's replication group runs with the same ShardMap and ShardID.
-	ShardMap string
-	// ShardRing puts the engine in shard mode from an in-memory ring
-	// instead of a ShardMap file (tests, embedded fleets). ShardMap, when
-	// set, takes precedence.
-	ShardRing *ShardRing
-	// ShardID is this node's 0-based shard on the ring. Used with ShardMap
-	// or ShardRing.
-	ShardID int
-}
-
-// Engine is a fully assembled NNexus instance.
+// Engine is a fully assembled NNexus node: the engine, its store, its place
+// in a replication group, and the one request policy and one health state
+// every door it opens is handed.
 type Engine struct {
+	cfg     Config
 	core    *core.Engine
 	store   *storage.Store
 	replSrc *client.Client
 
-	// role and the quorum policy are what both serving layers are handed
-	// (see servingOpts): who may write, and when a write is acknowledged.
-	role          replication.Role
-	quorumAcks    int
-	quorumTimeout time.Duration
+	// svc is the node's request pipeline — tenant gate, who may write, when
+	// a write is acknowledged — and health its liveness and readiness; Serve,
+	// ServeListener and HTTPHandler pass these same two values on, so the
+	// doors cannot disagree.
+	svc    *service.Service
+	health *HealthState
 }
 
-// New assembles an engine from the configuration. When DataDir is set, any
+// New assembles a node from the configuration. Nothing is opened, created or
+// started until the whole of cfg has been validated. When DataDir is set, any
 // previously persisted state is loaded and all indexes rebuilt.
 func New(cfg Config) (*Engine, error) {
-	if cfg.ReplicationPrimary && cfg.FollowPrimary != "" {
-		return nil, fmt.Errorf("nnexus: ReplicationPrimary and FollowPrimary are mutually exclusive")
-	}
-	if (cfg.ReplicationPrimary || cfg.FollowPrimary != "") && cfg.DataDir == "" {
-		return nil, fmt.Errorf("nnexus: replication requires DataDir")
-	}
-	clustered := len(cfg.ClusterPeers) > 0
-	if clustered {
-		if cfg.DataDir == "" {
-			return nil, fmt.Errorf("nnexus: ClusterPeers requires DataDir")
-		}
-		if cfg.AdvertiseAddr == "" {
-			return nil, fmt.Errorf("nnexus: ClusterPeers requires AdvertiseAddr")
-		}
-		if !cfg.ReplicationPrimary && cfg.FollowPrimary == "" {
-			return nil, fmt.Errorf("nnexus: ClusterPeers requires an initial role: set ReplicationPrimary or FollowPrimary")
-		}
-	}
-	if cfg.QuorumAcks > 0 {
-		if !cfg.ReplicationPrimary && !clustered {
-			return nil, fmt.Errorf("nnexus: QuorumAcks requires a node that can serve as primary: set ReplicationPrimary or ClusterPeers")
-		}
-		if clustered {
-			// The election freshness rule only guarantees the winner holds
-			// records replicated to a voting majority. A quorum-acked write
-			// lives on QuorumAcks+1 nodes (primary + k followers); for it to
-			// survive any failover, that set must intersect every possible
-			// election majority: QuorumAcks+1 + majority > N. A smaller k
-			// would hand clients a "quorum" ack the next leader may not hold
-			// — a silent gap between the configured word and the guarantee —
-			// so it is rejected here rather than discovered in an outage.
-			followers := 0
-			for _, a := range cfg.ClusterPeers {
-				if a != "" && a != cfg.AdvertiseAddr {
-					followers++
-				}
-			}
-			n := followers + 1
-			if cfg.QuorumAcks > followers {
-				return nil, fmt.Errorf("nnexus: QuorumAcks=%d can never be satisfied by the cluster's %d follower(s)", cfg.QuorumAcks, followers)
-			}
-			majority := n/2 + 1
-			if minAcks := n - majority; cfg.QuorumAcks < minAcks {
-				return nil, fmt.Errorf("nnexus: QuorumAcks=%d is below the failover-durability floor for a %d-node cluster: a quorum-acked write must reach at least %d followers to intersect every election majority (QuorumAcks+1+majority > N)", cfg.QuorumAcks, n, minAcks)
-			}
-		}
+	res, err := cfg.validate()
+	if err != nil {
+		return nil, err
 	}
 	// One registry spans every layer: the storage WAL, the engine, and the
 	// serving layers (which register onto the engine's registry later).
@@ -447,56 +285,66 @@ func New(cfg Config) (*Engine, error) {
 		// cluster member keeps the replication record log regardless of its
 		// initial role — a freshly promoted follower must be able to serve
 		// replSubscribe immediately.
-		if cfg.ReplicationPrimary || clustered {
+		if cfg.ReplicationPrimary || len(cfg.ClusterPeers) > 0 {
 			opts = append(opts, storage.WithReplication())
 		}
-		var err error
-		store, err = storage.Open(cfg.DataDir, opts...)
-		if err != nil {
+		if store, err = storage.Open(cfg.DataDir, opts...); err != nil {
 			return nil, err
 		}
 	}
 	// A follower's engine takes no store: its state is fed exclusively by
 	// the replication stream (local writes would diverge from the primary's
 	// WAL numbering), while the store itself is the replica's durable copy.
-	engineStore := store
-	if cfg.FollowPrimary != "" {
-		engineStore = nil
+	res.engine.Telemetry = reg
+	if cfg.FollowPrimary == "" {
+		res.engine.Store = store
 	}
-	ring := cfg.ShardRing
-	if cfg.ShardMap != "" {
-		m, err := shard.LoadMap(cfg.ShardMap)
-		if err != nil {
-			if store != nil {
-				store.Close()
-			}
-			return nil, err
-		}
-		ring = m.Ring()
-	}
-	eng, err := core.NewEngine(core.Config{
-		Scheme:             cfg.Scheme,
-		Store:              engineStore,
-		Telemetry:          reg,
-		Mode:               cfg.Mode,
-		Format:             cfg.Format,
-		AllowSelfLinks:     cfg.AllowSelfLinks,
-		DefaultCorpus:      cfg.DefaultCorpus,
-		LinkAllOccurrences: cfg.LinkAllOccurrences,
-		LaTeX:              cfg.LaTeX,
-		CompileAutomaton:   cfg.CompileAutomaton,
-		ShardRing:          ring,
-		ShardID:            cfg.ShardID,
-	})
+	eng, err := core.NewEngine(res.engine)
 	if err != nil {
 		if store != nil {
 			store.Close()
 		}
 		return nil, err
 	}
-	e := &Engine{core: eng, store: store, quorumAcks: cfg.QuorumAcks, quorumTimeout: cfg.QuorumTimeout}
+	e := &Engine{cfg: cfg, core: eng, store: store, svc: service.New(eng), health: health.NewState()}
+	if err := e.boot(res.tenants, reg); err != nil {
+		e.Close()
+		return nil, err
+	}
+	return e, nil
+}
+
+// boot takes the open engine the rest of the way: the configured domains and
+// mappers, the replication role, the request policy, the health state. New
+// closes the engine when it fails.
+func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
+	cfg := &e.cfg
+	// A domain the store replayed as configured costs no WAL record, and a
+	// follower's domains are its primary's, not its own to write.
+	if cfg.FollowPrimary == "" {
+		for _, d := range cfg.Domains {
+			if have, ok := e.core.Domain(d.Name); ok && *have == d {
+				continue
+			}
+			if err := e.core.AddDomain(d); err != nil {
+				return err
+			}
+		}
+	}
+	for _, m := range cfg.Mappers {
+		if err := e.core.RegisterMapper(m); err != nil {
+			return err
+		}
+	}
+
+	role := &e.svc.Role
+	fopts := []replication.FollowerOption{
+		replication.WithStateDir(cfg.DataDir),
+		replication.WithFollowerName(cfg.ReplicaName),
+	}
+	var err error
 	switch {
-	case clustered:
+	case len(cfg.ClusterPeers) > 0:
 		// The long-poll must cycle several times per election timeout: a
 		// quiet primary's only heartbeat is the empty subscribe return, so a
 		// wait as long as the timeout would read as silence and trigger
@@ -505,26 +353,13 @@ func New(cfg Config) (*Engine, error) {
 		if et <= 0 {
 			et = replication.DefaultElectionTimeout
 		}
-		wait := et / 4
-		if wait < 100*time.Millisecond {
-			wait = 100 * time.Millisecond
-		}
-		if wait > followerWait {
-			wait = followerWait
-		}
-		fopts := []replication.FollowerOption{
-			replication.WithStateDir(cfg.DataDir),
-			replication.WithFollowerWait(wait),
-		}
-		if cfg.ReplicaName != "" {
-			fopts = append(fopts, replication.WithFollowerName(cfg.ReplicaName))
-		}
-		e.role.Node, err = replication.NewNode(replication.NodeConfig{
+		wait := min(max(et/4, 100*time.Millisecond), followerWait)
+		role.Node, err = replication.NewNode(replication.NodeConfig{
 			Self:    cfg.AdvertiseAddr,
 			Peers:   cfg.ClusterPeers,
-			Store:   store,
-			Applier: eng,
-			Binder:  eng,
+			Store:   e.store,
+			Applier: e.core,
+			Binder:  e.core,
 			// Peers are dialed lazily and survive the target being down; the
 			// call timeout is sized to the subscribe long-poll like a plain
 			// follower's source client.
@@ -538,22 +373,14 @@ func New(cfg Config) (*Engine, error) {
 			StateDir:        cfg.DataDir,
 			ElectionTimeout: cfg.ElectionTimeout,
 			PrimaryOpts:     []replication.PrimaryOption{replication.WithPrimaryTelemetry(reg)},
-			FollowerOpts:    fopts,
+			FollowerOpts:    append(fopts, replication.WithFollowerWait(wait)),
 			Telemetry:       reg,
 		})
 		if err == nil {
-			err = e.role.Node.Start()
-		}
-		if err != nil {
-			store.Close()
-			return nil, err
+			err = role.Node.Start()
 		}
 	case cfg.ReplicationPrimary:
-		e.role.Primary, err = replication.NewPrimary(store, replication.WithPrimaryTelemetry(reg))
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
+		role.Primary, err = replication.NewPrimary(e.store, replication.WithPrimaryTelemetry(reg))
 	case cfg.FollowPrimary != "":
 		// The source client is constructed unconnected: a follower must come
 		// up (and serve its replayed state) even while the primary is down,
@@ -565,31 +392,35 @@ func New(cfg Config) (*Engine, error) {
 		e.replSrc = client.New(cfg.FollowPrimary, dialTimeout,
 			client.WithCallTimeout(followerWait+3*time.Second),
 			client.WithMaxRetries(1))
-		fopts := []replication.FollowerOption{
-			replication.WithLeaderAddr(cfg.FollowPrimary),
-			replication.WithStateDir(cfg.DataDir),
-			replication.WithFollowerWait(followerWait),
-		}
-		if cfg.ReplicaName != "" {
-			fopts = append(fopts, replication.WithFollowerName(cfg.ReplicaName))
-		}
-		e.role.Follower, err = replication.NewFollower(store, eng, e.replSrc, fopts...)
+		role.Follower, err = replication.NewFollower(e.store, e.core, e.replSrc, append(fopts,
+			replication.WithLeaderAddr(cfg.FollowPrimary), replication.WithFollowerWait(followerWait))...)
 		if err == nil {
-			err = e.role.Follower.Start()
-		}
-		if err != nil {
-			e.replSrc.Close()
-			store.Close()
-			return nil, err
+			err = role.Follower.Start()
 		}
 	}
-	return e, nil
+	if err != nil {
+		return err
+	}
+	e.svc.Tenants = tenants
+	e.svc.QuorumAcks, e.svc.QuorumTimeout = cfg.QuorumAcks, cfg.QuorumTimeout
+
+	// The engine has loaded, so the node is ready from here; what hosts it
+	// flips Health to draining before it shuts the doors.
+	if e.store != nil {
+		e.health.AddCheck("storage", e.store.Ready)
+	}
+	e.health.AddInfo("replication", role.Info)
+	if role.Node != nil {
+		e.health.AddInfo("election", role.ElectionInfo)
+	}
+	e.health.SetReady(true)
+	return nil
 }
 
 // Close stops replication (if any) and flushes and closes the engine's
 // persistent store.
 func (e *Engine) Close() error {
-	e.role.Stop()
+	e.svc.Role.Stop()
 	if e.replSrc != nil {
 		e.replSrc.Close()
 	}
@@ -698,11 +529,6 @@ func (e *Engine) LinkBatch(texts []string, opts LinkOptions, workers int) ([]*Re
 func (e *Engine) LinkEntry(id int64, opts LinkOptions) (*Result, error) {
 	return e.core.LinkEntry(id, opts)
 }
-
-// ApplyConfig registers the domains and ontology mappers of a parsed
-// deployment configuration (see internal/config's package documentation for
-// the XML format).
-func (e *Engine) ApplyConfig(cfg *DeployConfig) error { return cfg.Apply(e.core) }
 
 // LinkEntryCached serves a default-pipeline rendering of a stored entry
 // from the rendered-output cache, re-linking only when the entry has been
@@ -821,50 +647,12 @@ func (e *Engine) SemanticNetwork() (*Network, error) {
 // Server exposes an engine over the XML socket protocol.
 type Server = server.Server
 
-// ServerOption configures Serve: deadlines, connection caps, load-shedding
-// bounds. See the With* constructors below.
-type ServerOption = server.Option
-
 // ClientOption configures Dial: per-call deadlines, retry counts, backoff.
 type ClientOption = client.Option
 
-// HTTPOption configures HTTPHandler: health probes and in-flight bounds.
-type HTTPOption = httpapi.Option
-
-// HealthState tracks process liveness and readiness for the /healthz and
-// /readyz probes; see NewHealthState.
+// HealthState tracks a node's liveness and readiness for the /healthz and
+// /readyz probes; see Engine.Health.
 type HealthState = health.State
-
-// NewHealthState returns a health state that is live but not yet ready.
-// Wire it into HTTPHandler with WithHealth, mark it ready once serving, and
-// mark it draining during shutdown so readiness flips before connections
-// close.
-func NewHealthState() *HealthState { return health.NewState() }
-
-// Server-side resilience options.
-
-// WithWriteTimeout bounds how long the TCP server may block writing one
-// response to a slow or stalled client.
-func WithWriteTimeout(d time.Duration) ServerOption { return server.WithWriteTimeout(d) }
-
-// WithHandlerTimeout bounds each request's handler execution; an expired
-// handler answers a typed "timeout" error.
-func WithHandlerTimeout(d time.Duration) ServerOption { return server.WithHandlerTimeout(d) }
-
-// WithMaxConns caps concurrently served TCP connections; excess connections
-// are closed on accept.
-func WithMaxConns(n int) ServerOption { return server.WithMaxConns(n) }
-
-// WithMaxActiveRequests bounds concurrently executing requests; excess
-// requests are shed with a typed "overloaded" error, which clients retry
-// after backoff.
-func WithMaxActiveRequests(n int) ServerOption { return server.WithMaxActiveRequests(n) }
-
-// WithMaxPipeline bounds how many requests one connection may execute
-// concurrently; responses are serialized by a per-connection writer and
-// correlated by Seq. n = 1 reproduces sequential one-request-at-a-time
-// handling.
-func WithMaxPipeline(n int) ServerOption { return server.WithMaxPipeline(n) }
 
 // Client-side resilience options.
 
@@ -908,53 +696,34 @@ func WithReplicaProbeInterval(d time.Duration) ClientOption {
 	return client.WithReplicaProbeInterval(d)
 }
 
-// HTTP-side resilience options.
-
-// WithHealth wires a health state into GET /healthz and GET /readyz.
-func WithHealth(st *HealthState) HTTPOption { return httpapi.WithHealth(st) }
-
-// WithMaxInFlight bounds concurrently served HTTP API requests; excess
-// requests get 503 + Retry-After.
-func WithMaxInFlight(n int) HTTPOption { return httpapi.WithMaxInFlight(n) }
-
 // Serve starts an XML-protocol TCP server for the engine on addr
-// ("host:port"; port 0 picks a free port). The returned bound address can
-// be passed to Dial. logger may be nil. Stop it with Server.Close, or drain
-// it gracefully with Server.Shutdown.
-func (e *Engine) Serve(addr string, logger *log.Logger, opts ...ServerOption) (*Server, string, error) {
-	policy, _ := e.servingOpts()
-	srv := server.New(e.core, logger, append(opts, policy...)...)
-	bound, err := srv.Listen(addr)
+// ("host:port"; port 0 picks a free port), under the node's request policy
+// and Config's limits. The returned bound address can be passed to Dial.
+// logger may be nil. Stop it with Server.Close, or drain it gracefully with
+// Server.Shutdown.
+func (e *Engine) Serve(addr string, logger *log.Logger) (*Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, "", err
+		return nil, "", fmt.Errorf("nnexus: listen: %w", err)
 	}
-	return srv, bound, nil
+	return e.ServeListener(ln, logger)
 }
 
 // ServeListener is Serve for a pre-created listener: callers that must know
 // their port before the engine exists (e.g. a cluster whose peers advertise
 // each other's addresses) bind the listener first and hand it over here.
 // The server owns ln from then on.
-func (e *Engine) ServeListener(ln net.Listener, logger *log.Logger, opts ...ServerOption) (*Server, string, error) {
-	policy, _ := e.servingOpts()
-	srv := server.New(e.core, logger, append(opts, policy...)...)
+func (e *Engine) ServeListener(ln net.Listener, logger *log.Logger) (*Server, string, error) {
+	srv := server.New(e.svc, logger,
+		server.WithMaxConns(e.cfg.MaxConns),
+		server.WithMaxActiveRequests(e.cfg.MaxActive),
+		server.WithHandlerTimeout(e.cfg.RequestTimeout),
+		server.WithMaxPipeline(e.cfg.MaxPipeline))
 	bound, err := srv.Serve(ln)
 	if err != nil {
 		return nil, "", err
 	}
 	return srv, bound, nil
-}
-
-// servingOpts hands both serving layers the same replication role and quorum
-// policy, so they cannot disagree on who may write or when a write is acked.
-func (e *Engine) servingOpts() ([]ServerOption, []HTTPOption) {
-	return []ServerOption{
-			server.WithReplication(e.role),
-			server.WithQuorumAcks(e.quorumAcks, e.quorumTimeout),
-		}, []HTTPOption{
-			httpapi.WithReplication(e.role),
-			httpapi.WithQuorumAcks(e.quorumAcks, e.quorumTimeout),
-		}
 }
 
 // Dial connects to an NNexus server. The returned client is self-healing:
@@ -965,28 +734,34 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	return client.Dial(addr, dialTimeout, opts...)
 }
 
-// Ready reports whether the engine can serve traffic; it currently reflects
-// the persistent store (nil for memory-only engines). Wire it into a
-// HealthState with AddCheck for readiness probes.
-func (e *Engine) Ready() error {
-	if e.store == nil {
-		return nil
+// Health returns the node's health state, the one behind the /healthz and
+// /readyz probes of every HTTPHandler: ready since New returned, with the
+// store's check and the replication (and, clustered, election) detail
+// attached. What hosts the engine marks it draining before shutting down, so
+// readiness flips before connections close.
+func (e *Engine) Health() *HealthState { return e.health }
+
+// ReloadTenants re-reads Config.TenantFile into the live tenant registry. A
+// surviving corpus keeps its token-bucket fill, so a reload never hands a
+// saturated tenant a free burst; a file that fails to parse changes nothing.
+func (e *Engine) ReloadTenants() error {
+	if e.cfg.TenantFile == "" {
+		return fmt.Errorf("nnexus: no TenantFile to reload")
 	}
-	return e.store.Ready()
+	return e.svc.Tenants.ReloadFile(e.cfg.TenantFile)
 }
 
 // ReplicationInfo returns the node's replication detail for readiness
 // reporting: role, epoch and head, plus per-follower lag on a primary and
-// applied offset / lag / sync state on a follower. Wire it into a
-// HealthState with AddInfo("replication", engine.ReplicationInfo) and the
-// detail appears in the GET /readyz JSON body.
-func (e *Engine) ReplicationInfo() map[string]interface{} { return e.role.Info() }
+// applied offset / lag / sync state on a follower — the "replication"
+// component of the GET /readyz JSON body.
+func (e *Engine) ReplicationInfo() map[string]interface{} { return e.svc.Role.Info() }
 
 // ElectionInfo returns the failover state machine's detail for readiness
 // reporting — role, election epoch, known leader, fencing status, elections
-// run, and last leader contact. Nil when the engine is not clustered. Wire
-// it into a HealthState with AddInfo("election", engine.ElectionInfo).
-func (e *Engine) ElectionInfo() map[string]interface{} { return e.role.ElectionInfo() }
+// run, and last leader contact — the "election" component of GET /readyz.
+// Nil when the engine is not clustered.
+func (e *Engine) ElectionInfo() map[string]interface{} { return e.svc.Role.ElectionInfo() }
 
 // HTTPHandler returns an http.Handler exposing the engine as a web service
 // (paper §3.4): POST /api/link for on-demand text linking, CRUD under
@@ -994,13 +769,14 @@ func (e *Engine) ElectionInfo() map[string]interface{} { return e.role.ElectionI
 //
 //	http.ListenAndServe(":8080", engine.HTTPHandler())
 //
-// The routes run the request pipeline of the socket server's methods: where
-// the node is not the primary, mutating routes answer 403 with a JSON body
-// naming the leader (the wire protocol's notPrimary), and with QuorumAcks a
-// write whose follower quorum is not met answers 503 "quorumUnavailable".
-func (e *Engine) HTTPHandler(opts ...HTTPOption) http.Handler {
-	_, policy := e.servingOpts()
-	return httpapi.New(e.core, append(opts, policy...)...)
+// The routes run the request pipeline of the socket server's methods, under
+// the same policy value: where the node is not the primary, mutating routes
+// answer 403 with a JSON body naming the leader (the wire protocol's
+// notPrimary), and with QuorumAcks a write whose follower quorum is not met
+// answers 503 "quorumUnavailable". Config.MaxActive bounds the requests in
+// flight; GET /healthz and /readyz answer from Health.
+func (e *Engine) HTTPHandler() http.Handler {
+	return httpapi.New(e.svc, e.health, httpapi.WithMaxInFlight(e.cfg.MaxActive))
 }
 
 // LoadShardMap reads and validates a shard-map JSON document.
@@ -1011,12 +787,7 @@ func ParseShardMap(data []byte) (*ShardMap, error) { return shard.ParseMap(data)
 
 // NewShardRing builds the consistent-hash ring for a fleet of the given
 // size (vnodes ≤ 0 selects the default virtual-node count).
-func NewShardRing(shards, vnodes int) *ShardRing {
-	if vnodes <= 0 {
-		vnodes = shard.DefaultVnodes
-	}
-	return shard.NewRing(shards, vnodes)
-}
+func NewShardRing(shards, vnodes int) *ShardRing { return shard.NewRing(shards, vnodes) }
 
 // NewShardRouter builds a scatter-gather router over any ShardBackend —
 // in-process engines (LocalShardBackend) or a network fleet (DialSharded

@@ -18,9 +18,10 @@ import (
 	"nnexus"
 )
 
-func resilienceEngine(t *testing.T) *nnexus.Engine {
+func resilienceEngine(t *testing.T, cfg nnexus.Config) *nnexus.Engine {
 	t.Helper()
-	engine, err := nnexus.New(nnexus.Config{Scheme: nnexus.SampleMSC(10)})
+	cfg.Scheme = nnexus.SampleMSC(10)
+	engine, err := nnexus.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +45,15 @@ func resilienceEngine(t *testing.T) *nnexus.Engine {
 // The self-healing client rides through with zero failed calls — only
 // retries and reconnects.
 func TestChaosFacadeDrainAndRestart(t *testing.T) {
-	engine := resilienceEngine(t)
-	srv, addr, err := engine.Serve("127.0.0.1:0", nil,
-		nnexus.WithHandlerTimeout(2*time.Second))
+	engine := resilienceEngine(t, nnexus.Config{RequestTimeout: 2 * time.Second})
+	srv, addr, err := engine.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	healthState := nnexus.NewHealthState()
-	healthState.AddCheck("storage", engine.Ready)
-	healthState.SetReady(true)
-	web := httptest.NewServer(engine.HTTPHandler(nnexus.WithHealth(healthState)))
+	healthState := engine.Health()
+	web := httptest.NewServer(engine.HTTPHandler())
 	defer web.Close()
 
 	readyz := func() int {
@@ -147,13 +145,13 @@ func TestChaosFacadeDrainAndRestart(t *testing.T) {
 	}
 }
 
-// TestChaosFacadeHTTPSheddingVisible exercises WithMaxInFlight through the
+// TestChaosFacadeHTTPSheddingVisible exercises Config.MaxActive through the
 // facade: a request whose body never arrives holds the only slot, the next
 // request is shed with 503, and the shared shed counter surfaces in
 // WriteMetrics.
 func TestChaosFacadeHTTPSheddingVisible(t *testing.T) {
-	engine := resilienceEngine(t)
-	web := httptest.NewServer(engine.HTTPHandler(nnexus.WithMaxInFlight(1)))
+	engine := resilienceEngine(t, nnexus.Config{MaxActive: 1})
+	web := httptest.NewServer(engine.HTTPHandler())
 	defer web.Close()
 
 	pr, pw := io.Pipe()

@@ -37,8 +37,8 @@ type node struct {
 }
 
 // openNode builds an engine from cfg and serves it on a socket and over
-// HTTP, both doors under the same tenant registry (nil = none).
-func openNode(t *testing.T, cfg nnexus.Config, tenants *nnexus.TenantRegistry) *node {
+// HTTP. Whatever gates the node — tenants, role, quorum — is in cfg, once.
+func openNode(t *testing.T, cfg nnexus.Config) *node {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -54,18 +54,12 @@ func openNode(t *testing.T, cfg nnexus.Config, tenants *nnexus.TenantRegistry) *
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { engine.Close() })
-	var sopts []nnexus.ServerOption
-	var hopts []nnexus.HTTPOption
-	if tenants != nil {
-		sopts = append(sopts, nnexus.WithTenants(tenants))
-		hopts = append(hopts, nnexus.WithHTTPTenants(tenants))
-	}
-	srv, addr, err := engine.ServeListener(ln, nil, sopts...)
+	srv, addr, err := engine.ServeListener(ln, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	hs := httptest.NewServer(engine.HTTPHandler(hopts...))
+	hs := httptest.NewServer(engine.HTTPHandler())
 	t.Cleanup(hs.Close)
 	return &node{engine: engine, srv: srv, addr: addr, http: hs}
 }
@@ -391,7 +385,7 @@ func TestTransportEquivalence(t *testing.T) {
 		reg := nnexus.NewTenantRegistry(nnexus.TenantConfig{
 			Default: &nnexus.TenantPolicy{RatePerSec: 0.001, Burst: 1},
 		})
-		n := openNode(t, nnexus.Config{}, reg)
+		n := openNode(t, nnexus.Config{Tenants: reg})
 		n.seed(t, planar, even)
 		if err := reg.Allow(nnexus.DefaultCorpusName); err != nil {
 			t.Fatal(err)
@@ -417,7 +411,7 @@ func TestTransportEquivalence(t *testing.T) {
 		reg := nnexus.NewTenantRegistry(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
 			"boxed": {MaxEntries: 2},
 		}})
-		n := openNode(t, nnexus.Config{}, reg)
+		n := openNode(t, nnexus.Config{Tenants: reg})
 		inBox, outside := planar, even
 		inBox.Corpus, outside.Corpus = "boxed", "free"
 		second := inBox
@@ -446,7 +440,7 @@ func TestTransportEquivalence(t *testing.T) {
 			reg := nnexus.NewTenantRegistry(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
 				nnexus.DefaultCorpusName: {MaxEntries: 2},
 			}})
-			n := openNode(t, nnexus.Config{}, reg)
+			n := openNode(t, nnexus.Config{Tenants: reg})
 			n.seed(t)
 			return n
 		},
@@ -468,11 +462,11 @@ func TestTransportEquivalence(t *testing.T) {
 	// an election (where the rejection also counts as a fenced request).
 	leader := deadAddr(t)
 	follower := func(t *testing.T) *node {
-		return openNode(t, nnexus.Config{DataDir: t.TempDir(), FollowPrimary: leader}, nil)
+		return openNode(t, nnexus.Config{DataDir: t.TempDir(), FollowPrimary: leader})
 	}
 	demoted := func(t *testing.T) *node {
 		n := openNode(t, nnexus.Config{DataDir: t.TempDir(), ReplicationPrimary: true,
-			ClusterPeers: []string{leader, deadAddr(t)}, ElectionTimeout: time.Minute}, nil)
+			ClusterPeers: []string{leader, deadAddr(t)}, ElectionTimeout: time.Minute})
 		if resp := n.srv.Handle(&wire.Request{Method: wire.MethodReplLead, Epoch: 99, Leader: leader}); !resp.IsOK() {
 			t.Fatalf("replLead: %s", resp.Error)
 		}
@@ -499,7 +493,7 @@ func TestTransportEquivalence(t *testing.T) {
 	// A write that cannot gather its quorum applied and says so.
 	alone := func(t *testing.T) *node {
 		n := openNode(t, nnexus.Config{DataDir: t.TempDir(), ReplicationPrimary: true,
-			QuorumAcks: 1, QuorumTimeout: 150 * time.Millisecond}, nil)
+			QuorumAcks: 1, QuorumTimeout: 150 * time.Millisecond})
 		n.seed(t, planar, even)
 		return n
 	}
@@ -546,9 +540,36 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 		})
 	}
+	t.Run("one gate", oneGateRow)
 	t.Run("default targets", defaultTargetsRow)
 	t.Run("one metric family", metricFamilyRow)
 	t.Run("body limit", bodyLimitRow)
+}
+
+// One service means one gate: a corpus's single token bucket is drained by
+// requests alternating between the socket and HTTP, and the request after
+// the last token is rateLimited whichever door carries it.
+func oneGateRow(t *testing.T) {
+	const burst = 6
+	wire2 := []door{doors[1], doors[2]} // socket, http
+	for first := range wire2 {
+		n := openNode(t, nnexus.Config{Tenants: nnexus.NewTenantRegistry(nnexus.TenantConfig{
+			Default: &nnexus.TenantPolicy{RatePerSec: 0.001, Burst: burst},
+		})})
+		n.seed(t, planar)
+		req := request{method: wire.MethodLinkText, text: "a planar graph"}
+		for i := 0; i < burst; i++ {
+			d := wire2[(first+i)%2]
+			if got := d.do(t, n, req); got.Code != "ok" {
+				t.Fatalf("request %d of a burst of %d (%s): %+v", i+1, burst, d.name, got)
+			}
+		}
+		d := wire2[(first+burst)%2]
+		if got := d.do(t, n, req); got.Code != wire.CodeRateLimited {
+			t.Errorf("request %d on a burst of %d (%s): %+v, want %s: the doors do not share one bucket",
+				burst+1, burst, d.name, got, wire.CodeRateLimited)
+		}
+	}
 }
 
 // A corpus's configured targets are the link policy of a free-text request
@@ -561,7 +582,7 @@ func defaultTargetsRow(t *testing.T) {
 			reg := nnexus.NewTenantRegistry(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
 				"notes": {Targets: []string{"pm", "wiki"}},
 			}})
-			n := openNode(t, nnexus.Config{}, reg)
+			n := openNode(t, nnexus.Config{Tenants: reg})
 			n.seed(t,
 				nnexus.Entry{Corpus: "pm", Domain: "planetmath.org", Title: "planar graph", Classes: []string{"05C10"}},      // 1
 				nnexus.Entry{Corpus: "wiki", Domain: "wikipedia.org", Title: "planar graph", Classes: []string{"05C10"}},     // 2: homonym
@@ -592,7 +613,7 @@ func defaultTargetsRow(t *testing.T) {
 
 // Both transports count into the one tenant metric family.
 func metricFamilyRow(t *testing.T) {
-	n := openNode(t, nnexus.Config{}, nnexus.NewTenantRegistry(nnexus.TenantConfig{}))
+	n := openNode(t, nnexus.Config{Tenants: nnexus.NewTenantRegistry(nnexus.TenantConfig{})})
 	n.seed(t, planar)
 	for _, d := range doors {
 		if got := d.do(t, n, request{method: wire.MethodLinkText, corpus: "scraped", text: "a planar graph"}); got.Code != "ok" {
@@ -632,7 +653,7 @@ func (f filler) Read(p []byte) (int, error) {
 // by both transports — the socket drops the connection, HTTP answers 413 —
 // and the engine never sees it.
 func bodyLimitRow(t *testing.T) {
-	n := openNode(t, nnexus.Config{}, nil)
+	n := openNode(t, nnexus.Config{})
 	n.seed(t, planar)
 	before := n.state(t)
 	// oversize wraps a megabyte more than the limit of filler in a document.
