@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build fmt vet test race loc bench bench-module profile-doc matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
+.PHONY: build fmt vet test race loc bench bench-module profile-doc profile-import matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
 
 build:
 	go build ./...
@@ -41,6 +41,15 @@ profile-doc:
 	mkdir -p out
 	go test -run '^$$' -bench LinkDocument -benchtime 3s -benchmem -o out/nnexus.test \
 		-cpuprofile out/doc.cpu.prof -memprofile out/doc.mem.prof .
+
+# The same for the write path (BenchmarkImportRecover: the repository
+# benchmark's bulk_recover op, import + close + reopen of 3,000 entries):
+# `go tool pprof -top out/nnexus.test out/import.cpu.prof`,
+# `go tool pprof -sample_index=inuse_space -top out/nnexus.test out/import.mem.prof`.
+profile-import:
+	mkdir -p out
+	go test -run '^$$' -bench ImportRecover -benchtime 5x -benchmem -o out/nnexus.test \
+		-cpuprofile out/import.cpu.prof -memprofile out/import.mem.prof .
 
 # The match-stage scan experiment (chained-hash vs compiled automaton over
 # the engine-shaped concept map); informational companion to
@@ -122,6 +131,7 @@ experiments:
 # Run each fuzz target briefly.
 fuzz:
 	go test ./internal/tokenizer -fuzz=FuzzTokenize -fuzztime=30s
+	go test ./internal/invindex -fuzz=FuzzIndexEquivalence -fuzztime=30s
 	go test ./internal/latex -fuzz=FuzzToText -fuzztime=30s
 	go test ./internal/policy -fuzz=FuzzParse -fuzztime=30s
 	go test ./internal/wire -fuzz=FuzzDecodeRequest -fuzztime=30s

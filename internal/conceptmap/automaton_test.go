@@ -344,6 +344,56 @@ func TestWritesNeverStallOnCompile(t *testing.T) {
 	}
 }
 
+// TestCompilerDebouncesSustainedWrites holds the compiler to one build per
+// debounce window while writes keep landing (it used to debounce the first
+// build and then rebuild back to back, hundreds of times, each one stale
+// before it was published), and to being current soon after the last one.
+func TestCompilerDebouncesSustainedWrites(t *testing.T) {
+	const debounce = 25 * time.Millisecond
+	m := New()
+	for i := 0; i < 2000; i++ {
+		m.AddObject(ObjectID(i), []string{fmt.Sprintf("concept %d alpha", i)})
+	}
+	m.StartCompiler(debounce)
+	defer m.StopCompiler()
+	// The map was populated before the compiler started: its first build
+	// does not wait for the debounce.
+	for start := time.Now(); !m.AutomatonInfo().Compiled; time.Sleep(100 * time.Microsecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("no initial build")
+		}
+	}
+	initial := m.AutomatonInfo().LastBuild
+
+	start := time.Now()
+	for i := 0; time.Since(start) < 300*time.Millisecond; i++ {
+		m.AddObject(ObjectID(10000+i), []string{fmt.Sprintf("fresh label %d", i)})
+		time.Sleep(time.Millisecond)
+	}
+	lastWrite := time.Now()
+	for {
+		info := m.AutomatonInfo()
+		if info.Generation == info.SnapshotGeneration {
+			// A window opens no sooner than a debounce after the one
+			// before: 12 fit into the writes, one more covers the last
+			// write, and the initial build makes 14.
+			if info.Builds > 14 {
+				t.Errorf("%d builds for 300 ms of writes at a %v debounce, want ≤ 14", info.Builds, debounce)
+			}
+			// Generous for a loaded machine; an idle one is current
+			// within a debounce and one build.
+			if lag, limit := time.Since(lastWrite), 10*(debounce+initial); lag > limit {
+				t.Errorf("automaton current %v after the last write, want within %v", lag, limit)
+			}
+			return
+		}
+		if time.Since(lastWrite) > 5*time.Second {
+			t.Fatalf("automaton never caught up: %+v", info)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestStartCompilerIdempotent(t *testing.T) {
 	m := New()
 	m.StartCompiler(time.Millisecond)

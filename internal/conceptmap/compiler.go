@@ -101,7 +101,7 @@ func (m *Map) SetBuildObserver(fn func(BuildInfo)) {
 // bursts for the given duration, and republishes the automaton. Calling it
 // on an already-running compiler is a no-op. The initial state counts as
 // dirty, so an already-populated map gets an automaton without waiting for
-// the next write.
+// the next write, or for the debounce.
 func (m *Map) StartCompiler(debounce time.Duration) {
 	m.comp.mu.Lock()
 	if m.comp.dirty != nil {
@@ -133,24 +133,21 @@ func (m *Map) StopCompiler() {
 }
 
 // compileLoop is the body of the background compiler goroutine: sleep until
-// dirty, debounce, then rebuild until the automaton has caught up with the
-// snapshot generation (writes landing mid-compile re-trigger immediately —
-// single-flight, latest generation wins).
+// dirty, debounce, rebuild, sleep again (single-flight, latest generation
+// wins). A write during a build leaves its token in dirty, so the next round
+// starts at once, with its own debounce: sustained writes get one build per
+// window, not builds back to back. Only the first round does not wait: it is
+// StartCompiler's own signal, for a map populated before it.
 func (m *Map) compileLoop(debounce time.Duration, dirty, stop, done chan struct{}) {
 	defer close(done)
-	var timer *time.Timer
-	for {
+	for first := true; ; first = false {
 		select {
 		case <-stop:
 			return
 		case <-dirty:
 		}
-		if debounce > 0 {
-			if timer == nil {
-				timer = time.NewTimer(debounce)
-			} else {
-				timer.Reset(debounce)
-			}
+		if debounce > 0 && !first {
+			timer := time.NewTimer(debounce)
 			select {
 			case <-stop:
 				timer.Stop()
@@ -164,31 +161,25 @@ func (m *Map) compileLoop(debounce time.Duration, dirty, stop, done chan struct{
 			default:
 			}
 		}
-		for m.compileOnce() {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
+		m.compileOnce()
 	}
 }
 
 // compileOnce compiles the current snapshot unless the published automaton
-// already matches it, reporting whether a build ran.
-func (m *Map) compileOnce() bool {
+// already matches it.
+func (m *Map) compileOnce() {
 	m.comp.compileMu.Lock()
 	defer m.comp.compileMu.Unlock()
 	snap := m.snap.Load()
 	if cur := m.comp.aut.Load(); cur != nil && cur.src == snap {
-		return false
+		return
 	}
 	start := time.Now()
 	aut := compileAutomaton(snap)
 	if aut == nil {
 		// Snapshot not compilable (a label exceeds the packed depth width);
 		// keep serving every scan from the chained-hash fallback.
-		return false
+		return
 	}
 	d := time.Since(start)
 	m.publishAutomaton(aut)
@@ -208,7 +199,6 @@ func (m *Map) compileOnce() bool {
 			Labels:     aut.nLabels,
 		})
 	}
-	return true
 }
 
 // publishAutomaton swaps the automaton in, but only ever forward: an older

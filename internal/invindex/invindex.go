@@ -20,10 +20,18 @@
 // tombstones them so they can never reappear with partial history;
 // lookups then fall back to the longest surviving prefix, which is
 // guaranteed complete (single words are never compacted).
+//
+// Representation: words are interned to int32 IDs and the keys, words and
+// phrases alike, are the nodes of one trie over them. Its edges are a single
+// integer-keyed map, a node is a pointer-free struct in a flat slice,
+// postings are sorted ID slices held only by the nodes that have any, and an
+// entry is remembered as its word-ID sequence, from which Remove walks the
+// trie again. No key is ever materialised as a string.
 package invindex
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -41,15 +49,31 @@ const DefaultMaxPhraseLen = 5
 // ≥ 2) are dropped during compaction.
 const DefaultCompactBelow = 2
 
+// node is one key: the word or phrase the trie path from the root (node 0)
+// spells. Created when its n-gram first occurs and never deleted: its count
+// and its tombstone outlive its postings.
+type node struct {
+	count  int32 // occurrences across all adds; tombstoned once compacted
+	slot   int32 // index into Index.lists; noSlot while it has no postings
+	phrase bool  // two words or more: compaction may drop it
+}
+
+const tombstoned, noSlot = -1, -1
+
 // Index is the invalidation index. All methods are safe for concurrent use.
 type Index struct {
-	mu           sync.RWMutex
-	postings     map[string]map[int64]struct{} // key (word or phrase) → object set
-	counts       map[string]int                // total occurrences per key (across all adds)
-	docKeys      map[int64][]string            // keys contributed by each object
-	tombstones   map[string]struct{}           // compacted keys, never re-admitted
+	mu    sync.RWMutex
+	words *morph.Interner   // normalized word → word ID
+	edges map[uint64]int32  // parent node<<32 | word ID → child node
+	nodes []node            // nodes[0] is the root, the empty phrase
+	lists [][]int64         // sorted object IDs, one list per node with postings
+	free  []int32           // slots of lists given up by emptied or compacted nodes
+	docs  map[int64][]int32 // object → word-ID sequence of its text
+	toks  []tokenizer.Token // AddText's tokenizer buffer, reused under mu
+
+	tombstones   int
 	maxPhraseLen int
-	adds         int // AddTokens calls since construction
+	adds         int // AddTokens/AddText calls since construction
 	// auto-compaction: every autoEvery adds, phrases rarer than
 	// autoBelow are dropped (0 disables).
 	autoEvery int
@@ -84,10 +108,10 @@ func WithAutoCompact(every, below int) Option {
 // New returns an empty invalidation index.
 func New(opts ...Option) *Index {
 	ix := &Index{
-		postings:     make(map[string]map[int64]struct{}),
-		counts:       make(map[string]int),
-		docKeys:      make(map[int64][]string),
-		tombstones:   make(map[string]struct{}),
+		words:        morph.NewInterner(),
+		edges:        make(map[uint64]int32),
+		nodes:        []node{{slot: noSlot}},
+		docs:         make(map[int64][]int32),
 		maxPhraseLen: DefaultMaxPhraseLen,
 	}
 	for _, o := range opts {
@@ -100,52 +124,107 @@ func New(opts ...Option) *Index {
 // and every phrase up to the configured maximum length. Re-adding an object
 // replaces its previous contribution.
 func (ix *Index) AddText(object int64, text string) {
-	toks := tokenizer.Tokenize(text)
-	norms := make([]string, len(toks))
-	for i, t := range toks {
-		norms[i] = t.Norm
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.toks = tokenizer.TokenizeAppend(ix.toks[:0], text)
+	seq := slices.Grow(ix.docs[object][:0], len(ix.toks))
+	ix.removeLocked(object)
+	for i := range ix.toks {
+		seq = append(seq, ix.intern(ix.toks[i].Norm))
 	}
-	ix.AddTokens(object, norms)
+	// The tokens point into text: do not pin it, nor keep the buffer one
+	// huge body needed (core's maxPooledTokens, for the same reason).
+	if clear(ix.toks); cap(ix.toks) > 8192 {
+		ix.toks = nil
+	}
+	ix.indexLocked(object, seq)
 }
 
 // AddTokens indexes the object under the given normalized token sequence.
 func (ix *Index) AddTokens(object int64, norms []string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, ok := ix.docKeys[object]; ok {
-		ix.removeLocked(object)
+	// The old sequence's memory is reused, once Remove has walked it.
+	seq := slices.Grow(ix.docs[object][:0], len(norms))
+	ix.removeLocked(object)
+	for _, w := range norms {
+		seq = append(seq, ix.intern(w))
 	}
-	seen := make(map[string]struct{})
-	var keys []string
-	for i := range norms {
-		limit := ix.maxPhraseLen
-		if rest := len(norms) - i; rest < limit {
-			limit = rest
-		}
-		for n := 1; n <= limit; n++ {
-			key := strings.Join(norms[i:i+n], " ")
-			ix.counts[key]++
-			if _, dead := ix.tombstones[key]; dead {
-				continue
+	ix.indexLocked(object, seq)
+}
+
+// intern clones a new word: the table must not pin the body it is part of.
+func (ix *Index) intern(word string) int32 {
+	if id, ok := ix.words.Lookup(word); ok {
+		return id
+	}
+	return ix.words.Intern(strings.Clone(word))
+}
+
+func edgeKey(parent, word int32) uint64 {
+	return uint64(parent)<<32 | uint64(uint32(word))
+}
+
+// indexLocked records seq as the object's text and counts and posts every
+// n-gram of it. A tombstoned n-gram is skipped; its extensions are not.
+func (ix *Index) indexLocked(object int64, seq []int32) {
+	ix.docs[object] = seq
+	for i := range seq {
+		at := int32(0)
+		// Once an n-gram is new so are its extensions: no need to probe.
+		fresh := false
+		for _, w := range seq[i:min(i+ix.maxPhraseLen, len(seq))] {
+			key := edgeKey(at, w)
+			child, ok := int32(0), false
+			if !fresh {
+				child, ok = ix.edges[key]
 			}
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			set, ok := ix.postings[key]
 			if !ok {
-				set = make(map[int64]struct{})
-				ix.postings[key] = set
+				child = int32(len(ix.nodes))
+				ix.nodes = append(ix.nodes, node{slot: noSlot, phrase: at != 0})
+				ix.edges[key] = child
+				fresh = true
 			}
-			set[object] = struct{}{}
-			keys = append(keys, key)
+			at = child
+			nd := &ix.nodes[at]
+			if nd.count == tombstoned {
+				continue
+			}
+			if nd.count < math.MaxInt32 {
+				nd.count++
+			}
+			ix.postLocked(nd, object)
 		}
 	}
-	ix.docKeys[object] = keys
 	ix.adds++
 	if ix.autoEvery > 0 && ix.adds%ix.autoEvery == 0 {
 		ix.compactLocked(ix.autoBelow)
 	}
+}
+
+// postLocked adds object to nd's postings. Import adds rising IDs: an append.
+func (ix *Index) postLocked(nd *node, object int64) {
+	if nd.slot == noSlot {
+		if n := len(ix.free); n > 0 {
+			nd.slot, ix.free = ix.free[n-1], ix.free[:n-1]
+		} else {
+			nd.slot = int32(len(ix.lists))
+			ix.lists = append(ix.lists, nil)
+		}
+	}
+	ids := ix.lists[nd.slot]
+	if n := len(ids); n == 0 || ids[n-1] < object {
+		ix.lists[nd.slot] = append(ids, object)
+	} else if i, found := slices.BinarySearch(ids, object); !found {
+		ix.lists[nd.slot] = slices.Insert(ids, i, object)
+	}
+}
+
+// releaseLocked takes nd's list away; its memory stays with the slot.
+func (ix *Index) releaseLocked(nd *node) {
+	ix.lists[nd.slot] = ix.lists[nd.slot][:0]
+	ix.free = append(ix.free, nd.slot)
+	nd.slot = noSlot
 }
 
 // Remove deletes an object's contribution from the index.
@@ -155,18 +234,50 @@ func (ix *Index) Remove(object int64) {
 	ix.removeLocked(object)
 }
 
+// removeLocked walks the object's n-grams as indexLocked did (every node on
+// the way exists) and withdraws the object's postings. Counts stay.
 func (ix *Index) removeLocked(object int64) {
-	for _, key := range ix.docKeys[object] {
-		set, ok := ix.postings[key]
-		if !ok {
-			continue
-		}
-		delete(set, object)
-		if len(set) == 0 {
-			delete(ix.postings, key)
+	seq := ix.docs[object]
+	delete(ix.docs, object)
+	for i := range seq {
+		at := int32(0)
+		for _, w := range seq[i:min(i+ix.maxPhraseLen, len(seq))] {
+			at = ix.edges[edgeKey(at, w)]
+			nd := &ix.nodes[at]
+			if nd.slot == noSlot {
+				continue
+			}
+			ids := ix.lists[nd.slot]
+			// Not found: an earlier occurrence of the n-gram removed it.
+			if j, found := slices.BinarySearch(ids, object); found {
+				ix.lists[nd.slot] = slices.Delete(ids, j, j+1)
+				if len(ids) == 1 {
+					ix.releaseLocked(nd)
+				}
+			}
 		}
 	}
-	delete(ix.docKeys, object)
+}
+
+// deepestLocked walks words from the root as far as the trie goes: the slot
+// of the last node on the way that holds postings, and that of the node the
+// whole path ends at, noSlot where there is none.
+func (ix *Index) deepestLocked(words []string) (deepest, last int32) {
+	deepest, last = noSlot, noSlot
+	at := int32(0)
+	for _, w := range words {
+		id, ok := ix.words.Lookup(w)
+		if !ok {
+			return deepest, noSlot
+		}
+		if at, ok = ix.edges[edgeKey(at, id)]; !ok {
+			return deepest, noSlot
+		}
+		if last = ix.nodes[at].slot; last != noSlot {
+			deepest = last
+		}
+	}
+	return deepest, last
 }
 
 // Lookup returns the IDs of the objects that must be invalidated when the
@@ -174,24 +285,19 @@ func (ix *Index) removeLocked(object int64) {
 // postings of the longest indexed prefix of the label. The result is a
 // superset of the objects that actually invoke the label, and never misses
 // one (prefix property). A label whose first word has never been seen
-// invalidates nothing.
+// invalidates nothing. The caller owns the returned slice.
 func (ix *Index) Lookup(label string) []int64 {
 	words := strings.Fields(morph.NormalizeLabel(label))
-	if len(words) == 0 {
-		return nil
-	}
 	if len(words) > ix.maxPhraseLen {
 		words = words[:ix.maxPhraseLen]
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for n := len(words); n >= 1; n-- {
-		key := strings.Join(words[:n], " ")
-		if set, ok := ix.postings[key]; ok {
-			return sortedIDs(set)
-		}
+	slot, _ := ix.deepestLocked(words)
+	if slot == noSlot {
+		return nil
 	}
-	return nil
+	return slices.Clone(ix.lists[slot])
 }
 
 // LookupWordUnion is the non-adaptive baseline used for the ablation in the
@@ -202,16 +308,14 @@ func (ix *Index) LookupWordUnion(label string) []int64 {
 	words := strings.Fields(morph.NormalizeLabel(label))
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	union := make(map[int64]struct{})
+	var union []int64
 	for _, w := range words {
-		for id := range ix.postings[w] {
-			union[id] = struct{}{}
+		if _, slot := ix.deepestLocked([]string{w}); slot != noSlot {
+			union = append(union, ix.lists[slot]...)
 		}
 	}
-	if len(union) == 0 {
-		return nil
-	}
-	return sortedIDs(union)
+	slices.Sort(union)
+	return slices.Compact(union)
 }
 
 // Compact drops every phrase key (length ≥ 2) whose total occurrence count
@@ -224,31 +328,20 @@ func (ix *Index) Compact(minCount int) int {
 	return ix.compactLocked(minCount)
 }
 
+// compactLocked is one pass over the node array. Only phrases that hold
+// postings are candidates: one emptied by Remove resumes from its count.
 func (ix *Index) compactLocked(minCount int) int {
 	removed := 0
-	for key := range ix.postings {
-		if !strings.Contains(key, " ") {
+	for i := range ix.nodes {
+		nd := &ix.nodes[i]
+		if !nd.phrase || nd.slot == noSlot || int(nd.count) >= minCount {
 			continue
 		}
-		if ix.counts[key] >= minCount {
-			continue
-		}
-		delete(ix.postings, key)
-		ix.tombstones[key] = struct{}{}
+		ix.releaseLocked(nd)
+		nd.count = tombstoned
 		removed++
 	}
-	if removed > 0 {
-		// Drop dead keys from per-document lists so Remove stays cheap.
-		for obj, keys := range ix.docKeys {
-			live := keys[:0]
-			for _, k := range keys {
-				if _, dead := ix.tombstones[k]; !dead {
-					live = append(live, k)
-				}
-			}
-			ix.docKeys[obj] = live
-		}
-	}
+	ix.tombstones += removed
 	return removed
 }
 
@@ -261,7 +354,14 @@ type Stats struct {
 	WordPostings   int // posting entries under single-word keys
 	PhrasePostings int // posting entries under phrase keys
 	Tombstones     int
+	// Bytes estimates the heap held: exact for the slices; for the edge and
+	// entry maps their size times what go1.24 was measured to hold per entry,
+	// halfway between two table doublings. The word table is left out.
+	Bytes int
 }
+
+// Per entry of a map[uint64]int32 (24–39) and of a map[int64][]int32 (52–86).
+const edgeBytes, docEntry = 30, 66
 
 // SizeRatio returns the index's total size relative to a plain word-based
 // inverted index (measured in posting entries) — the quantity behind the
@@ -277,16 +377,29 @@ func (s Stats) SizeRatio() float64 {
 func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	s := Stats{Objects: len(ix.docKeys), Tombstones: len(ix.tombstones)}
-	for key, set := range ix.postings {
-		if strings.Contains(key, " ") {
+	s := Stats{Objects: len(ix.docs), Tombstones: ix.tombstones}
+	for i := range ix.nodes {
+		nd := &ix.nodes[i]
+		if nd.slot == noSlot {
+			continue
+		}
+		n := len(ix.lists[nd.slot])
+		if nd.phrase {
 			s.PhraseKeys++
-			s.PhrasePostings += len(set)
+			s.PhrasePostings += n
 		} else {
 			s.WordKeys++
-			s.WordPostings += len(set)
+			s.WordPostings += n
 		}
-		s.Postings += len(set)
+		s.Postings += n
+	}
+	s.Bytes = len(ix.edges)*edgeBytes + len(ix.docs)*docEntry +
+		cap(ix.nodes)*12 + cap(ix.lists)*24 + cap(ix.free)*4 // 12: sizeof(node)
+	for _, ids := range ix.lists {
+		s.Bytes += cap(ids) * 8
+	}
+	for _, seq := range ix.docs {
+		s.Bytes += cap(seq) * 4
 	}
 	return s
 }
@@ -296,24 +409,18 @@ func (ix *Index) Stats() Stats {
 func (ix *Index) Keys() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.postings)
+	return len(ix.lists) - len(ix.free) // a slot is a node's or free
 }
 
 // Contains reports whether the exact key (word or phrase, raw form) is
 // currently stored. Intended for tests and diagnostics.
 func (ix *Index) Contains(label string) bool {
-	key := morph.NormalizeLabel(label)
+	words := strings.Fields(morph.NormalizeLabel(label))
+	if len(words) > ix.maxPhraseLen {
+		return false
+	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	_, ok := ix.postings[key]
-	return ok
-}
-
-func sortedIDs(set map[int64]struct{}) []int64 {
-	out := make([]int64, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	_, slot := ix.deepestLocked(words)
+	return slot != noSlot
 }

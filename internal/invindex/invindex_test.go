@@ -3,8 +3,12 @@ package invindex
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+
+	"nnexus/internal/workload"
 )
 
 // fig6Index reproduces the paper's Fig 6 example: object 789 contains the
@@ -169,12 +173,27 @@ func TestCompactionTombstones(t *testing.T) {
 }
 
 // Core invariant: the invalidation set never misses an entry whose text
-// contains the looked-up label, under random adds, removes, and compactions.
+// contains the looked-up label, under random adds, re-adds, removes, and
+// compactions — the caller's and the index's own. This is the property the
+// old-versus-new comparison cannot vouch for: both could miss alike.
 func TestNeverMissesInvariant(t *testing.T) {
+	for _, cfg := range []struct {
+		name   string
+		maxLen int
+		opts   []Option
+	}{
+		{"len3", 3, []Option{WithMaxPhraseLen(3)}},
+		{"len5-autocompact", 5, []Option{WithAutoCompact(7, DefaultCompactBelow)}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) { neverMisses(t, cfg.maxLen, cfg.opts) })
+	}
+}
+
+func neverMisses(t *testing.T, maxLen int, opts []Option) {
 	rng := rand.New(rand.NewSource(11))
 	vocab := []string{"ring", "group", "field", "ideal", "prime", "module",
 		"tensor", "basis", "kernel", "image"}
-	ix := New(WithMaxPhraseLen(3))
+	ix := New(opts...)
 	texts := make(map[int64][]string) // live object → token list
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(10) {
@@ -186,8 +205,11 @@ func TestNeverMissesInvariant(t *testing.T) {
 			}
 		case 1: // compact
 			ix.Compact(1 + rng.Intn(3))
-		default: // add a new object with random text
+		default: // add a new object with random text, or re-add a recent one
 			id := int64(step)
+			if maxLen > 3 && rng.Intn(4) == 0 {
+				id -= int64(rng.Intn(5))
+			}
 			n := 3 + rng.Intn(12)
 			toks := make([]string, n)
 			for i := range toks {
@@ -198,10 +220,20 @@ func TestNeverMissesInvariant(t *testing.T) {
 		}
 		// Check the invariant for a few random labels.
 		for probe := 0; probe < 5; probe++ {
-			n := 1 + rng.Intn(3)
+			n := 1 + rng.Intn(maxLen)
 			label := make([]string, n)
 			for i := range label {
 				label[i] = vocab[rng.Intn(len(vocab))]
+			}
+			if maxLen > 3 && len(texts) > 0 && probe == 0 {
+				// A random long label rarely occurs anywhere: take one
+				// from a live text so the deep keys are asked about too.
+				for _, toks := range texts {
+					n = min(n, len(toks))
+					i := rng.Intn(len(toks) - n + 1)
+					label = toks[i : i+n]
+					break
+				}
 			}
 			query := strings.Join(label, " ")
 			got := ix.Lookup(query)
@@ -269,6 +301,42 @@ func TestAdaptiveSizeClaim(t *testing.T) {
 	}
 }
 
+// Every method takes the index's lock: writers and readers may overlap
+// (run under -race), AddText's shared tokenizer buffer included.
+func TestConcurrentUse(t *testing.T) {
+	ix := New(WithAutoCompact(16, DefaultCompactBelow))
+	bodies := generatedBodies(t, 60)
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, body := range bodies {
+				ix.AddText(int64(i%20+20*w), body)
+				if i%7 == 0 {
+					ix.Remove(int64(i % 20))
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ix.Lookup("abelian group")
+				ix.LookupWordUnion("compact space")
+				ix.Contains("the")
+				_ = ix.Keys() + ix.Stats().Bytes
+			}
+		}()
+	}
+	wg.Wait()
+	if ix.Keys() == 0 {
+		t.Fatal("nothing indexed")
+	}
+}
+
 func TestStats(t *testing.T) {
 	ix := fig6Index()
 	s := ix.Stats()
@@ -287,13 +355,117 @@ func TestEmptyLookups(t *testing.T) {
 	}
 }
 
-func BenchmarkAddTokens(b *testing.B) {
-	toks := strings.Fields(strings.Repeat("alpha beta gamma delta epsilon ", 40))
-	ix := New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.AddTokens(int64(i), toks)
+// engineOptions are the options core.NewEngine builds its indexes with.
+var engineOptions = []Option{WithAutoCompact(512, DefaultCompactBelow)}
+
+func generatedBodies(tb testing.TB, entries int) []string {
+	tb.Helper()
+	c, err := workload.Generate(workload.DefaultParams(entries))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bodies := make([]string, len(c.Entries))
+	for i, ge := range c.Entries {
+		bodies[i] = ge.Entry.Body
+	}
+	return bodies
+}
+
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestIndexBudget gates what the index costs, at the engine's options on the
+// benchmark's kind of text: the heap it holds per posting (the string-keyed
+// maps it replaced held 324 bytes here), that Stats.Bytes tells the truth
+// about it, and that indexing a text into a warm index allocates next to
+// nothing (it was some 300 allocations, five keys per token).
+func TestIndexBudget(t *testing.T) {
+	bodies := generatedBodies(t, 1000)
+	before := heapAlloc()
+	ix := New(engineOptions...)
+	for i, body := range bodies {
+		ix.AddText(int64(i+1), body)
+	}
+	held := float64(heapAlloc() - before)
+	st := ix.Stats()
+	perPosting := held / float64(st.Postings)
+	t.Logf("%d postings, %.0f bytes held (%.1f per posting), Stats.Bytes %d", st.Postings, held, perPosting, st.Bytes)
+	if perPosting > 150 {
+		t.Errorf("%.1f bytes of heap per posting, budget 150", perPosting)
+	}
+	if ratio := float64(st.Bytes) / held; ratio < 1/1.5 || ratio > 1.5 {
+		t.Errorf("Stats.Bytes = %d, heap held = %.0f: off by more than 1.5x", st.Bytes, held)
+	}
+	allocs := testing.AllocsPerRun(20, func() { ix.AddText(500, bodies[499]) })
+	if allocs > 8 {
+		t.Errorf("re-adding an indexed body: %.0f allocations, budget 8", allocs)
+	}
+	runtime.KeepAlive(ix)
+}
+
+// BenchmarkAddText builds an index over the bodies of the repository
+// benchmark's corpus (3,000 entries, seed 20090601) — a key space that grows
+// with the corpus — and reports the two figures an inverted index is judged
+// by: time per entry indexed and heap held per posting (EXPERIMENTS.md
+// §2.5). One op is one whole build. The three shapes are the ablation's: a
+// plain word index, every phrase kept, and the engine's adaptive index; each
+// is built by Index and by the reference it replaced.
+func BenchmarkAddText(b *testing.B) {
+	p := workload.DefaultParams(3000)
+	p.Seed = 20090601
+	c, err := workload.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type index interface {
+		AddText(int64, string)
+		Stats() Stats
+	}
+	for _, shape := range []struct {
+		name                 string
+		maxLen, every, below int
+	}{
+		{"word", 1, 0, 0},
+		{"uncompacted", DefaultMaxPhraseLen, 0, 0},
+		{"adaptive", DefaultMaxPhraseLen, 512, DefaultCompactBelow},
+	} {
+		for _, impl := range []struct {
+			name string
+			new  func() index
+		}{
+			{"trie", func() index {
+				return New(WithMaxPhraseLen(shape.maxLen), WithAutoCompact(shape.every, shape.below))
+			}},
+			{"reference", func() index { return newRefIndex(shape.maxLen, shape.every, shape.below) }},
+		} {
+			b.Run(shape.name+"/"+impl.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var ix index
+				var held uint64
+				for i := 0; i < b.N; i++ {
+					ix = nil
+					b.StopTimer()
+					before := heapAlloc()
+					b.StartTimer()
+					ix = impl.new()
+					for _, ge := range c.Entries {
+						ix.AddText(int64(ge.Index), ge.Entry.Body)
+					}
+					b.StopTimer()
+					held = heapAlloc() - before
+					b.StartTimer()
+				}
+				st := ix.Stats()
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(c.Entries)), "µs/entry")
+				b.ReportMetric(float64(held)/float64(st.Postings), "bytes/posting")
+				b.ReportMetric(float64(st.Postings), "postings")
+			})
+		}
 	}
 }
 

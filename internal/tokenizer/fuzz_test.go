@@ -1,6 +1,7 @@
 package tokenizer
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +12,9 @@ import (
 // close-tag search's: lower-casing the rest of the text moved its offsets,
 // so ten two-byte Ⱥ (three bytes in lower case) sliced out of range, and ten
 // two-byte İ (one byte in lower case) ended the <code> span twenty bytes
-// early, leaving "y" and "group" linkable.
+// early, leaving "y" and "group" linkable. The ones after them are the closer
+// memo's: openers whose closer is missing among ones whose closer is there,
+// a '>' and a '}' found far ahead and asked for again, names inside names.
 var tokenizerSeeds = []string{
 	"",
 	"a planar graph",
@@ -26,6 +29,11 @@ var tokenizerSeeds = []string{
 	"<CODE>graph</Code > <Script>ring</SCRIPT> <pre>unclosed group",
 	"<a>" + strings.Repeat("Ⱥ", 10) + "</a>",
 	"<code>" + strings.Repeat("İ", 10) + " x > y group</code> ring",
+	`\( x \( y \[ z \] \( w \[ v`,
+	`\begin{a} x \begin{b} y \end{b} \begin{a} z \end{c} \begin{b} w \end{b}`,
+	"<code> x <pre> y </pre> <code> z <PRE> w </pre",
+	"x < y < z > w <code> q </code> < r <a> s </a",
+	`\begin{ x \begin{y} } z \end{y} \begin{a \end{a} } \begin{a}\begin{b}\end{a}\begin{b}`,
 }
 
 // checkTokenize is the tokenizer's contract on one input: the offset
@@ -66,6 +74,25 @@ func checkTokenize(t *testing.T, s string) {
 func TestTokenizeMatchesReference(t *testing.T) {
 	for _, s := range tokenizerSeeds {
 		checkTokenize(t, s)
+	}
+}
+
+// TestTokenizeMatchesReferenceOnOpeners strings openers, closers and words
+// together at random — what byte soup rarely does — so that searches that
+// fail, succeed far ahead and succeed nearby follow each other in one text.
+func TestTokenizeMatchesReferenceOnOpeners(t *testing.T) {
+	parts := []string{
+		`\(`, `\)`, `\[`, `\]`, `\begin{`, `\begin{a}`, `\begin{b}`, `\end{a}`, `\end{b}`, `\end{`, "}",
+		"<", ">", "<code>", "</code>", "<a>", "</A", "<pre x>", "</pre>", "<em>", "/>", "</",
+		"$", "$$", `\$`, "`", "\n\n", " ring ", "group", " ",
+	}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 3000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(40); n > 0; n-- {
+			b.WriteString(parts[rng.Intn(len(parts))])
+		}
+		checkTokenize(t, b.String())
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // loop that walks it, rune classes from package unicode, strings.TrimRight.
 // Only the close-tag search differs from that code: it compares the original
 // bytes, where the old one searched a lower-cased copy whose offsets are not
-// the text's. scanDollar, scanTeX and tagName are the package's own, which
-// the rewrite did not touch.
+// the text's. scanDollar and tagName are the package's own, which neither
+// that rewrite nor the closer memo (escapes) touched; referenceScanTeX and
+// referenceScanHTML search for every closer afresh from every opener.
 
 func referenceTokenize(text string) []Token {
 	spans := referenceEscapeSpans(text)
@@ -87,7 +88,7 @@ func referenceEscapeSpans(text string) []Span {
 			}
 			i++
 		case '\\':
-			if end, ok := scanTeX(text, i); ok {
+			if end, ok := referenceScanTeX(text, i); ok {
 				spans = append(spans, Span{i, end})
 				i = end
 				continue
@@ -112,6 +113,31 @@ func referenceEscapeSpans(text string) []Span {
 		}
 	}
 	return spans
+}
+
+func referenceScanTeX(text string, i int) (end int, ok bool) {
+	rest := text[i:]
+	switch {
+	case strings.HasPrefix(rest, `\(`):
+		if j := strings.Index(rest, `\)`); j >= 0 {
+			return i + j + 2, true
+		}
+	case strings.HasPrefix(rest, `\[`):
+		if j := strings.Index(rest, `\]`); j >= 0 {
+			return i + j + 2, true
+		}
+	case strings.HasPrefix(rest, `\begin{`):
+		nameEnd := strings.IndexByte(rest, '}')
+		if nameEnd < 0 {
+			return 0, false
+		}
+		name := rest[len(`\begin{`):nameEnd]
+		closer := `\end{` + name + `}`
+		if j := strings.Index(rest, closer); j >= 0 {
+			return i + j + len(closer), true
+		}
+	}
+	return 0, false
 }
 
 var referenceEscapedElements = map[string]bool{

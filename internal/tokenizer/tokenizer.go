@@ -46,12 +46,13 @@ func Tokenize(text string) []Token {
 // stands and its region skipped, so no span list is built. A token can
 // never run into an escaped region, because no opener is a word character.
 func TokenizeAppend(dst []Token, text string) []Token {
+	esc := escapes{text: text}
 	for i := 0; i < len(text); {
 		c := text[i]
 		if c < utf8.RuneSelf {
 			if class := byteClass[c]; class&classWord == 0 {
 				if class&classOpener != 0 {
-					if end, ok := escapeEnd(text, i); ok {
+					if end, ok := esc.end(i); ok {
 						i = end
 						continue
 					}
@@ -102,7 +103,7 @@ func TokenizeAppend(dst []Token, text string) []Token {
 const (
 	classWord   = 1 << iota // letter or digit: starts and continues a token
 	classJoin               // ' and -: continue a token, never start one
-	classOpener             // $ \ ` <: see escapeEnd
+	classOpener             // $ \ ` <: see escapes.end
 )
 
 var byteClass = func() (t [utf8.RuneSelf]uint8) {
@@ -127,8 +128,9 @@ var byteClass = func() (t [utf8.RuneSelf]uint8) {
 //     elements (an existing link must never be re-linked).
 func EscapeSpans(text string) []Span {
 	var spans []Span
+	esc := escapes{text: text}
 	for i := 0; i < len(text); {
-		if end, ok := escapeEnd(text, i); ok {
+		if end, ok := esc.end(i); ok {
 			spans = append(spans, Span{i, end})
 			i = end
 		} else {
@@ -138,24 +140,56 @@ func EscapeSpans(text string) []Span {
 	return spans
 }
 
-// escapeEnd reports whether an escaped region opens at text[i] and, if so,
-// where it ends. It is the one place that knows the openers; TokenizeAppend
-// and EscapeSpans both walk the text with it.
-func escapeEnd(text string, i int) (end int, ok bool) {
-	switch text[i] {
+// escapes finds the escaped regions of one text, walked front to back; it is
+// the one place that knows the openers. An opener whose closer is missing is
+// no escape, and the next such opener would search the same rest of the text
+// again, so escapes remembers what the searches found: a closer absent from
+// text[i:] is absent from every later suffix, and one found ahead of the walk
+// is still the nearest when asked for again.
+type escapes struct {
+	text string
+	// Closers the walk can find without consuming the text up to them.
+	gt, brace, endOpen, parenClose, bracketClose after
+	noCloseTag                                   [len(escapedElements)]bool // no "</name" ahead
+	noEnd                                        map[string]bool            // names with no \end{name} ahead
+}
+
+// after caches where one closer next occurs, for searches whose starting
+// offsets only rise: 1 + its first offset at or after the last start, or
+// len(text)+1 when there is none; 0 before the first search.
+type after int
+
+// index is from + strings.Index(text[from:], closer), or -1, and searches no
+// byte twice.
+func (a *after) index(text string, from int, closer string) int {
+	if int(*a) <= from {
+		*a = after(len(text) + 1)
+		if j := strings.Index(text[from:], closer); j >= 0 {
+			*a = after(from + j + 1)
+		}
+	}
+	if int(*a) > len(text) {
+		return -1
+	}
+	return int(*a) - 1
+}
+
+// end reports whether an escaped region opens at text[i] and where it ends.
+func (e *escapes) end(i int) (end int, ok bool) {
+	switch e.text[i] {
 	case '$':
-		if i > 0 && text[i-1] == '\\' {
+		if i > 0 && e.text[i-1] == '\\' {
 			return 0, false
 		}
-		return scanDollar(text, i)
+		return scanDollar(e.text, i)
 	case '\\':
-		return scanTeX(text, i)
+		return e.tex(i)
 	case '`':
-		if j := strings.IndexByte(text[i+1:], '`'); j >= 0 {
+		if j := strings.IndexByte(e.text[i+1:], '`'); j >= 0 {
 			return i + 1 + j + 1, true
 		}
 	case '<':
-		return scanHTML(text, i)
+		return e.html(i)
 	}
 	return 0, false
 }
@@ -185,28 +219,42 @@ func scanDollar(text string, i int) (end int, ok bool) {
 	return 0, false
 }
 
-// scanTeX handles \( \[ and \begin{...} starting at i (text[i] == '\\').
-func scanTeX(text string, i int) (end int, ok bool) {
+// tex handles \( \[ and \begin{...} starting at i (text[i] == '\\').
+func (e *escapes) tex(i int) (end int, ok bool) {
+	text := e.text
 	rest := text[i:]
 	switch {
 	case strings.HasPrefix(rest, `\(`):
-		if j := strings.Index(rest, `\)`); j >= 0 {
-			return i + j + 2, true
+		if j := e.parenClose.index(text, i, `\)`); j >= 0 {
+			return j + 2, true
 		}
 	case strings.HasPrefix(rest, `\[`):
-		if j := strings.Index(rest, `\]`); j >= 0 {
-			return i + j + 2, true
+		if j := e.bracketClose.index(text, i, `\]`); j >= 0 {
+			return j + 2, true
 		}
 	case strings.HasPrefix(rest, `\begin{`):
-		nameEnd := strings.IndexByte(rest, '}')
+		nameEnd := e.brace.index(text, i, "}")
 		if nameEnd < 0 {
 			return 0, false
 		}
-		name := rest[len(`\begin{`):nameEnd]
-		closer := `\end{` + name + `}`
-		if j := strings.Index(rest, closer); j >= 0 {
-			return i + j + len(closer), true
+		// The name holds no '}', so its closer cannot start before the
+		// name ends, nor anywhere but at an `\end{`.
+		from := e.endOpen.index(text, nameEnd, `\end{`)
+		if from < 0 {
+			return 0, false
 		}
+		name := text[i+len(`\begin{`) : nameEnd]
+		if e.noEnd[name] {
+			return 0, false
+		}
+		closer := `\end{` + name + `}`
+		if j := strings.Index(text[from:], closer); j >= 0 {
+			return from + j + len(closer), true
+		}
+		if e.noEnd == nil {
+			e.noEnd = make(map[string]bool)
+		}
+		e.noEnd[name] = true
 	}
 	return 0, false
 }
@@ -214,15 +262,16 @@ func scanTeX(text string, i int) (end int, ok bool) {
 // escapedElements are HTML elements whose entire body is unlinkable.
 var escapedElements = [...]string{"a", "code", "pre", "math", "script", "style"}
 
-// scanHTML handles an HTML tag starting at i (text[i] == '<'). For elements
-// in escapedElements the span extends through the matching close tag.
-func scanHTML(text string, i int) (end int, ok bool) {
-	gt := strings.IndexByte(text[i:], '>')
+// html handles an HTML tag starting at i (text[i] == '<'). For elements in
+// escapedElements the span extends through the matching close tag.
+func (e *escapes) html(i int) (end int, ok bool) {
+	text := e.text
+	gt := e.gt.index(text, i, ">")
 	if gt < 0 {
 		return 0, false
 	}
-	tagEnd := i + gt + 1
-	inner := text[i+1 : tagEnd-1]
+	tagEnd := gt + 1
+	inner := text[i+1 : gt]
 	if inner == "" {
 		return 0, false
 	}
@@ -234,19 +283,23 @@ func scanHTML(text string, i int) (end int, ok bool) {
 	if name == "" {
 		return 0, false // "<" followed by non-tag text, e.g. "x < y"
 	}
-	for _, el := range escapedElements {
+	for k, el := range escapedElements {
 		if !equalFoldASCII(name, el) {
 			continue
 		}
+		if e.noCloseTag[k] {
+			return tagEnd, true
+		}
 		j := indexCloseTag(text[tagEnd:], el)
 		if j < 0 {
+			e.noCloseTag[k] = true
 			return tagEnd, true // unclosed; escape just the open tag
 		}
-		closeGT := strings.IndexByte(text[tagEnd+j:], '>')
+		closeGT := e.gt.index(text, tagEnd+j, ">")
 		if closeGT < 0 {
 			return len(text), true
 		}
-		return tagEnd + j + closeGT + 1, true
+		return closeGT + 1, true
 	}
 	return tagEnd, true // tag itself escaped, body remains linkable
 }

@@ -1,6 +1,7 @@
 package tokenizer
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -265,7 +266,9 @@ func TestTokenizeLinearInEscapedElements(t *testing.T) {
 	if large > 100*time.Millisecond {
 		t.Errorf("16,000 escaped elements took %v, want under 100ms", large)
 	}
-	if large > 3*small {
+	// A few milliseconds triple when the larger text falls out of a cache
+	// the smaller one fits (one run in thirteen did); 8 s does not hide there.
+	if large > 3*small && large > 20*time.Millisecond {
 		t.Errorf("doubling the elements took %v → %v, more than 3x", small, large)
 	}
 }
@@ -302,5 +305,34 @@ func BenchmarkTokenize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Tokenize(text)
+	}
+}
+
+// An opener whose closer is missing used to search the rest of the text, and
+// the next one the same rest again: 40,000 of them took seconds, on the write
+// path, under the engine's write lock. The time must grow with the text.
+func TestTokenizeLinearInUnclosedOpeners(t *testing.T) {
+	for _, opener := range []string{"<code>", `\begin{eq}`, `\(`, `\[`, "<", `\begin{`} {
+		elapsed := func(n int) time.Duration {
+			text := strings.Repeat(opener+" x ", n)
+			buf := make([]Token, 0, 3*n) // time the scan, not the slice's growth
+			best := time.Duration(math.MaxInt64)
+			for run := 0; run < 3; run++ {
+				start := time.Now()
+				if got := len(TokenizeAppend(buf, text)); got < n {
+					t.Fatalf("%q x %d: %d tokens", opener, n, got)
+				}
+				best = min(best, time.Since(start))
+			}
+			return best
+		}
+		half, full := elapsed(20000), elapsed(40000)
+		if full > 100*time.Millisecond {
+			t.Errorf("%q x 40000 took %v, want under 100ms", opener, full)
+		}
+		// Under a few milliseconds the ratio is the cache's, not the scan's.
+		if full > 3*half && full > 20*time.Millisecond {
+			t.Errorf("%q: %v for 20000, %v for 40000: more than tripled", opener, half, full)
+		}
 	}
 }
