@@ -147,12 +147,10 @@ func (m *Map) compileLoop(debounce time.Duration, dirty, stop, done chan struct{
 		case <-dirty:
 		}
 		if debounce > 0 && !first {
-			timer := time.NewTimer(debounce)
 			select {
 			case <-stop:
-				timer.Stop()
 				return
-			case <-timer.C:
+			case <-time.After(debounce):
 			}
 			// Absorb signals that accumulated during the debounce window;
 			// the compile below reads the latest snapshot anyway.

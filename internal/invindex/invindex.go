@@ -21,12 +21,10 @@
 // lookups then fall back to the longest surviving prefix, which is
 // guaranteed complete (single words are never compacted).
 //
-// Representation: words are interned to int32 IDs and the keys, words and
-// phrases alike, are the nodes of one trie over them. Its edges are a single
-// integer-keyed map, a node is a pointer-free struct in a flat slice,
-// postings are sorted ID slices held only by the nodes that have any, and an
-// entry is remembered as its word-ID sequence, from which Remove walks the
-// trie again. No key is ever materialised as a string.
+// Representation: words are interned to int32 IDs and every key is a node of
+// one trie over them: the edges one integer-keyed map, the nodes pointer-free
+// in a flat slice, postings sorted ID slices held only by nodes that have any,
+// an entry its word-ID sequence. No key is ever materialised as a string.
 package invindex
 
 import (
@@ -49,9 +47,8 @@ const DefaultMaxPhraseLen = 5
 // ≥ 2) are dropped during compaction.
 const DefaultCompactBelow = 2
 
-// node is one key: the word or phrase the trie path from the root (node 0)
-// spells. Created when its n-gram first occurs and never deleted: its count
-// and its tombstone outlive its postings.
+// node is one key: the word or phrase its trie path from the root (node 0)
+// spells. Never deleted: its count and its tombstone outlive its postings.
 type node struct {
 	count  int32 // occurrences across all adds; tombstoned once compacted
 	slot   int32 // index into Index.lists; noSlot while it has no postings
@@ -69,15 +66,13 @@ type Index struct {
 	lists [][]int64         // sorted object IDs, one list per node with postings
 	free  []int32           // slots of lists given up by emptied or compacted nodes
 	docs  map[int64][]int32 // object → word-ID sequence of its text
-	toks  []tokenizer.Token // AddText's tokenizer buffer, reused under mu
 
 	tombstones   int
 	maxPhraseLen int
 	adds         int // AddTokens/AddText calls since construction
 	// auto-compaction: every autoEvery adds, phrases rarer than
 	// autoBelow are dropped (0 disables).
-	autoEvery int
-	autoBelow int
+	autoEvery, autoBelow int
 }
 
 // Option configures an Index.
@@ -120,54 +115,50 @@ func New(opts ...Option) *Index {
 	return ix
 }
 
+// tokenBufs recycles AddText's tokenizer buffers.
+var tokenBufs = sync.Pool{New: func() any { return new([]tokenizer.Token) }}
+
 // AddText tokenizes the entry text and indexes the object under every word
 // and every phrase up to the configured maximum length. Re-adding an object
 // replaces its previous contribution.
 func (ix *Index) AddText(object int64, text string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.toks = tokenizer.TokenizeAppend(ix.toks[:0], text)
-	seq := slices.Grow(ix.docs[object][:0], len(ix.toks))
-	ix.removeLocked(object)
-	for i := range ix.toks {
-		seq = append(seq, ix.intern(ix.toks[i].Norm))
+	// Tokenized before add takes the lock: readers wait for the indexing only.
+	buf := tokenBufs.Get().(*[]tokenizer.Token)
+	toks := tokenizer.TokenizeAppend((*buf)[:0], text)
+	ix.add(object, len(toks), func(i int) string { return toks[i].Norm })
+	// Pin no text, keep no buffer one huge body needed (core's maxPooledTokens).
+	if clear(toks); cap(toks) <= 8192 {
+		*buf = toks
+		tokenBufs.Put(buf)
 	}
-	// The tokens point into text: do not pin it, nor keep the buffer one
-	// huge body needed (core's maxPooledTokens, for the same reason).
-	if clear(ix.toks); cap(ix.toks) > 8192 {
-		ix.toks = nil
-	}
-	ix.indexLocked(object, seq)
 }
 
 // AddTokens indexes the object under the given normalized token sequence.
 func (ix *Index) AddTokens(object int64, norms []string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	// The old sequence's memory is reused, once Remove has walked it.
-	seq := slices.Grow(ix.docs[object][:0], len(norms))
-	ix.removeLocked(object)
-	for _, w := range norms {
-		seq = append(seq, ix.intern(w))
-	}
-	ix.indexLocked(object, seq)
-}
-
-// intern clones a new word: the table must not pin the body it is part of.
-func (ix *Index) intern(word string) int32 {
-	if id, ok := ix.words.Lookup(word); ok {
-		return id
-	}
-	return ix.words.Intern(strings.Clone(word))
+	ix.add(object, len(norms), func(i int) string { return norms[i] })
 }
 
 func edgeKey(parent, word int32) uint64 {
 	return uint64(parent)<<32 | uint64(uint32(word))
 }
 
-// indexLocked records seq as the object's text and counts and posts every
-// n-gram of it. A tombstoned n-gram is skipped; its extensions are not.
-func (ix *Index) indexLocked(object int64, seq []int32) {
+// add replaces the object's contribution by the n words word yields: it
+// records their IDs as the object's text and counts and posts every n-gram.
+// A tombstoned n-gram is skipped; its extensions are not.
+func (ix *Index) add(object int64, n int, word func(i int) string) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	// The old sequence's memory is reused, once Remove has walked it.
+	seq := slices.Grow(ix.docs[object][:0], n)
+	ix.removeLocked(object)
+	for i := 0; i < n; i++ {
+		w := word(i)
+		id, ok := ix.words.Lookup(w)
+		if !ok {
+			id = ix.words.Intern(strings.Clone(w)) // not pinning the body w is part of
+		}
+		seq = append(seq, id)
+	}
 	ix.docs[object] = seq
 	for i := range seq {
 		at := int32(0)
@@ -234,7 +225,7 @@ func (ix *Index) Remove(object int64) {
 	ix.removeLocked(object)
 }
 
-// removeLocked walks the object's n-grams as indexLocked did (every node on
+// removeLocked walks the object's n-grams as add did (every node on
 // the way exists) and withdraws the object's postings. Counts stay.
 func (ix *Index) removeLocked(object int64) {
 	seq := ix.docs[object]
@@ -259,9 +250,9 @@ func (ix *Index) removeLocked(object int64) {
 	}
 }
 
-// deepestLocked walks words from the root as far as the trie goes: the slot
-// of the last node on the way that holds postings, and that of the node the
-// whole path ends at, noSlot where there is none.
+// deepestLocked walks words from the root as far as the trie goes, which is
+// at most maxPhraseLen deep: the slot of the last node on the way that holds
+// postings, and that of the node the whole path ends at, noSlot for none.
 func (ix *Index) deepestLocked(words []string) (deepest, last int32) {
 	deepest, last = noSlot, noSlot
 	at := int32(0)
@@ -288,9 +279,6 @@ func (ix *Index) deepestLocked(words []string) (deepest, last int32) {
 // invalidates nothing. The caller owns the returned slice.
 func (ix *Index) Lookup(label string) []int64 {
 	words := strings.Fields(morph.NormalizeLabel(label))
-	if len(words) > ix.maxPhraseLen {
-		words = words[:ix.maxPhraseLen]
-	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	slot, _ := ix.deepestLocked(words)
@@ -354,13 +342,16 @@ type Stats struct {
 	WordPostings   int // posting entries under single-word keys
 	PhrasePostings int // posting entries under phrase keys
 	Tombstones     int
-	// Bytes estimates the heap held: exact for the slices; for the edge and
-	// entry maps their size times what go1.24 was measured to hold per entry,
-	// halfway between two table doublings. The word table is left out.
+	// Bytes estimates the heap held, less the word table (it grows with the
+	// vocabulary, not the text): exact for the slices, edgeBytes and docEntry
+	// an entry for the maps; TestIndexBudget holds it within 1.5x of the heap.
 	Bytes int
 }
 
-// Per entry of a map[uint64]int32 (24–39) and of a map[int64][]int32 (52–86).
+// Heap per entry of a map[uint64]int32 and of a map[int64][]int32, mid-range
+// of what was measured between two table doublings: 22–31 and 53–82 bytes with
+// the bucket maps of go.mod's go 1.22 (GOEXPERIMENT=noswissmap), 24–38 and
+// 55–92 with go1.24's swiss tables. A third implementation needs measuring.
 const edgeBytes, docEntry = 30, 66
 
 // SizeRatio returns the index's total size relative to a plain word-based
@@ -416,9 +407,6 @@ func (ix *Index) Keys() int {
 // currently stored. Intended for tests and diagnostics.
 func (ix *Index) Contains(label string) bool {
 	words := strings.Fields(morph.NormalizeLabel(label))
-	if len(words) > ix.maxPhraseLen {
-		return false
-	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	_, slot := ix.deepestLocked(words)

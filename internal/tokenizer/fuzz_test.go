@@ -14,7 +14,8 @@ import (
 // two-byte İ (one byte in lower case) ended the <code> span twenty bytes
 // early, leaving "y" and "group" linkable. The ones after them are the closer
 // memo's: openers whose closer is missing among ones whose closer is there,
-// a '>' and a '}' found far ahead and asked for again, names inside names.
+// a '>' and a '}' found far ahead and asked for again, names inside names,
+// names with a backslash.
 var tokenizerSeeds = []string{
 	"",
 	"a planar graph",
@@ -34,6 +35,7 @@ var tokenizerSeeds = []string{
 	"<code> x <pre> y </pre> <code> z <PRE> w </pre",
 	"x < y < z > w <code> q </code> < r <a> s </a",
 	`\begin{ x \begin{y} } z \end{y} \begin{a \end{a} } \begin{a}\begin{b}\end{a}\begin{b}`,
+	`\begin{\end{a} x \end{\end{a} y \begin{\b} z \begin{c} w \end{c\} \end{\b} v \end{c} \begin{c} u`,
 }
 
 // checkTokenize is the tokenizer's contract on one input: the offset

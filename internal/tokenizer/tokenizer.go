@@ -149,9 +149,9 @@ func EscapeSpans(text string) []Span {
 type escapes struct {
 	text string
 	// Closers the walk can find without consuming the text up to them.
-	gt, brace, endOpen, parenClose, bracketClose after
-	noCloseTag                                   [len(escapedElements)]bool // no "</name" ahead
-	noEnd                                        map[string]bool            // names with no \end{name} ahead
+	gt, brace, parenClose, bracketClose after
+	noCloseTag                          [len(escapedElements)]bool // no "</name" ahead
+	lastEnd                             map[string]int             // see hasEnd
 }
 
 // after caches where one closer next occurs, for searches whose starting
@@ -237,26 +237,40 @@ func (e *escapes) tex(i int) (end int, ok bool) {
 		if nameEnd < 0 {
 			return 0, false
 		}
-		// The name holds no '}', so its closer cannot start before the
-		// name ends, nor anywhere but at an `\end{`.
-		from := e.endOpen.index(text, nameEnd, `\end{`)
-		if from < 0 {
-			return 0, false
+		// The name holds no '}', so its closer cannot start before it ends.
+		if name := text[i+len(`\begin{`) : nameEnd]; e.hasEnd(name, nameEnd) {
+			closer := `\end{` + name + `}`
+			if j := strings.Index(text[nameEnd:], closer); j >= 0 {
+				return nameEnd + j + len(closer), true
+			}
 		}
-		name := text[i+len(`\begin{`) : nameEnd]
-		if e.noEnd[name] {
-			return 0, false
-		}
-		closer := `\end{` + name + `}`
-		if j := strings.Index(text[from:], closer); j >= 0 {
-			return from + j + len(closer), true
-		}
-		if e.noEnd == nil {
-			e.noEnd = make(map[string]bool)
-		}
-		e.noEnd[name] = true
 	}
 	return 0, false
+}
+
+// hasEnd reports whether `\end{name}` may start at or after from; exactly, for
+// a name without a backslash: one pass over the text, on first need, notes where
+// the last `\end{name}` of each such name starts, so a missing closer costs a
+// map probe however many distinct names miss theirs. Those names lie apart in
+// the text, which keeps the hashing linear; one with a backslash — nested
+// openers make them as long as the text — is not noted and always searched for.
+func (e *escapes) hasEnd(name string, from int) bool {
+	if strings.IndexByte(name, '\\') >= 0 {
+		return true
+	}
+	if e.lastEnd == nil {
+		e.lastEnd = make(map[string]int)
+		at := 0 // where part starts
+		for k, part := range strings.Split(e.text, `\end{`) {
+			// No '}' before the next `\end{`: a name with a backslash, if any.
+			noted, _, ok := strings.Cut(part, "}")
+			if k > 0 && ok && strings.IndexByte(noted, '\\') < 0 {
+				e.lastEnd[noted] = at - len(`\end{`) + 1
+			}
+			at += len(part) + len(`\end{`)
+		}
+	}
+	return e.lastEnd[name] > from // 1 + the closer's offset; 0: there is none
 }
 
 // escapedElements are HTML elements whose entire body is unlinkable.
