@@ -13,8 +13,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"net"
-	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -22,6 +20,7 @@ import (
 
 	"nnexus"
 	"nnexus/internal/benchfmt"
+	"nnexus/internal/cluster"
 	"nnexus/internal/loadgen"
 	"nnexus/internal/workload"
 )
@@ -52,36 +51,11 @@ func runOpenLoopFailover(c *workload.Corpus, opt openLoopOptions) error {
 	fmt.Printf(" election timeout %v, quorum acks 1)\n", electionTimeout)
 	fmt.Println(strings.Repeat("-", 78))
 
-	// Three listeners first so every node can advertise the others.
-	addrs := make([]string, 3)
-	lns := make([]net.Listener, 3)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	engines := make([]*nnexus.Engine, 3)
-	servers := make([]*nnexus.Server, 3)
-	for i := range lns {
-		dir, err := os.MkdirTemp("", "nnexus-failover-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		var peers []string
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
+	nodes, err := cluster.Start(3, func(i int, addrs []string, dir string) nnexus.Config {
 		cfg := nnexus.Config{
 			Scheme:          c.Scheme,
 			DataDir:         dir,
-			ClusterPeers:    peers,
+			ClusterPeers:    cluster.Peers(addrs, i),
 			AdvertiseAddr:   addrs[i],
 			ElectionTimeout: electionTimeout,
 			QuorumAcks:      1,
@@ -93,18 +67,13 @@ func runOpenLoopFailover(c *workload.Corpus, opt openLoopOptions) error {
 		} else {
 			cfg.FollowPrimary = addrs[0]
 		}
-		eng, err := nnexus.New(cfg)
-		if err != nil {
-			return err
-		}
-		defer eng.Close()
-		srv, _, err := eng.ServeListener(lns[i], nil)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		engines[i], servers[i] = eng, srv
+		return cfg
+	})
+	if err != nil {
+		return err
 	}
+	defer nodes.Close()
+	addrs, engines := nodes.Addrs, nodes.Engines
 
 	// Seed the corpus through the wire so it replicates to the followers.
 	seedClient, err := nnexus.Dial(addrs[0], nnexus.WithCallTimeout(5*time.Second))
@@ -181,10 +150,7 @@ func runOpenLoopFailover(c *workload.Corpus, opt openLoopOptions) error {
 		At: dur / 2, Name: "primary-kill",
 		Fire: func() {
 			killNanos.Store(time.Now().UnixNano())
-			go func() { // teardown can block; the schedule must not
-				servers[0].Close()
-				engines[0].Close()
-			}()
+			go nodes.Kill(0) // teardown can block; the schedule must not
 		},
 	}}
 

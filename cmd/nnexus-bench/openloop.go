@@ -15,7 +15,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -24,6 +23,7 @@ import (
 	"nnexus"
 	"nnexus/internal/benchfmt"
 	"nnexus/internal/client"
+	"nnexus/internal/cluster"
 	"nnexus/internal/corpus"
 	"nnexus/internal/experiments"
 	"nnexus/internal/loadgen"
@@ -53,97 +53,48 @@ type openLoopOptions struct {
 // experiments: 1 primary + 2 WAL-shipped followers, each behind its own
 // simulated wire.
 type replicaCluster struct {
-	engine *nnexus.Engine // the primary's
-	head   uint64         // WAL records the followers had caught up to at start
-	links  []*netsim.Link // [primary, follower1, follower2]
-	closer []func()
+	nodes *cluster.Cluster // node 0 is the primary
+	head  uint64           // WAL records the followers had caught up to at start
+	links []*netsim.Link   // [primary, follower1, follower2]
 }
 
 func (c *replicaCluster) close() {
-	for i := len(c.closer) - 1; i >= 0; i-- {
-		c.closer[i]()
+	for _, l := range c.links {
+		l.Close()
 	}
+	c.nodes.Close()
 }
 
-// serveNode boots one node from the public facade — the assembly every
-// deployment gets — on a loopback port. stop closes the server, then the
-// engine.
-func serveNode(cfg nnexus.Config) (engine *nnexus.Engine, addr string, stop func(), err error) {
-	if engine, err = nnexus.New(cfg); err != nil {
-		return nil, "", nil, err
-	}
-	srv, addr, err := engine.Serve("127.0.0.1:0", nil)
-	if err != nil {
-		engine.Close()
-		return nil, "", nil, err
-	}
-	return engine, addr, func() { srv.Close(); engine.Close() }, nil
-}
-
-// startReplicaCluster assembles the cluster from the public facade, as the
-// root chaos tests' startReplica does: a replication primary loads the
-// corpus (every AddEntry becomes a WAL record), two followers mirror its WAL
-// and serve reads over the real wire protocol, and once both have caught up
-// every node gets a delay-proxied address.
+// startReplicaCluster boots the cluster, loads the corpus into the primary
+// (every AddEntry becomes a WAL record its two followers mirror and serve over
+// the real wire protocol), and once both have caught up gives every node a
+// delay-proxied address.
 func startReplicaCluster(sub *workload.Corpus, rtt time.Duration) (*replicaCluster, error) {
-	cl := &replicaCluster{}
-	fail := func(err error) (*replicaCluster, error) {
-		cl.close()
+	nodes, err := cluster.Start(3, func(i int, addrs []string, dir string) nnexus.Config {
+		cfg := nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX, DataDir: dir}
+		if i == 0 {
+			cfg.ReplicationPrimary = true
+		} else {
+			cfg.FollowPrimary, cfg.ReplicaName = addrs[0], fmt.Sprintf("f%d", i)
+		}
+		return cfg
+	})
+	if err != nil {
 		return nil, err
 	}
-	// node boots one member in its own data directory on a loopback port.
-	node := func(cfg nnexus.Config) (*nnexus.Engine, string, error) {
-		dir, err := os.MkdirTemp("", "nnexus-cluster-*")
-		if err != nil {
-			return nil, "", err
-		}
-		cl.closer = append(cl.closer, func() { os.RemoveAll(dir) })
-		cfg.Scheme, cfg.LaTeX, cfg.DataDir = sub.Scheme, sub.Params.LaTeX, dir
-		engine, addr, stop, err := serveNode(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		cl.closer = append(cl.closer, stop)
-		return engine, addr, nil
+	cl := &replicaCluster{nodes: nodes}
+	if err = experiments.Load(sub, nodes.Engines[0]); err == nil {
+		cl.head, err = nodes.WaitCaughtUp(0, 60*time.Second)
 	}
-
-	primary, paddr, err := node(nnexus.Config{ReplicationPrimary: true})
+	for i := 0; err == nil && i < len(nodes.Addrs); i++ {
+		var l *netsim.Link
+		if l, err = netsim.NewLink(nodes.Addrs[i], rtt/2); err == nil {
+			cl.links = append(cl.links, l)
+		}
+	}
 	if err != nil {
-		return fail(err)
-	}
-	cl.engine = primary
-	if err := experiments.Load(sub, primary); err != nil {
-		return fail(err)
-	}
-	cl.head = primary.ReplicationInfo()["head"].(uint64)
-
-	addrs := []string{paddr}
-	deadline := time.Now().Add(60 * time.Second)
-	for i := 0; i < 2; i++ {
-		follower, faddr, err := node(nnexus.Config{FollowPrimary: paddr, ReplicaName: fmt.Sprintf("f%d", i+1)})
-		if err != nil {
-			return fail(err)
-		}
-		addrs = append(addrs, faddr)
-		for {
-			info := follower.ReplicationInfo()
-			if info["applied"].(uint64) == cl.head && info["synced"].(bool) {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fail(fmt.Errorf("follower never caught up to offset %d: %v", cl.head, info))
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
-	for _, backend := range addrs {
-		l, err := netsim.NewLink(backend, rtt/2)
-		if err != nil {
-			return fail(err)
-		}
-		cl.closer = append(cl.closer, l.Close)
-		cl.links = append(cl.links, l)
+		cl.close()
+		return nil, err
 	}
 	return cl, nil
 }
@@ -192,12 +143,12 @@ func runOpenLoop(c *workload.Corpus, opt openLoopOptions) error {
 	if len(c.Entries) > 400 {
 		sub = c.Subset(400)
 	}
-	cluster, err := startReplicaCluster(sub, opt.rtt)
+	cl, err := startReplicaCluster(sub, opt.rtt)
 	if err != nil {
 		return err
 	}
-	defer cluster.close()
-	engine, links := cluster.engine, cluster.links
+	defer cl.close()
+	engine, links := cl.nodes.Engines[0], cl.links
 	ids := engine.Entries()
 	fmt.Printf("cluster ready: %d entries on all 3 nodes\n\n", len(ids))
 

@@ -37,15 +37,15 @@ func runReadScale(c *workload.Corpus, dur, rtt time.Duration, jsonOut string) er
 		sub = c.Subset(400)
 	}
 
-	cluster, err := startReplicaCluster(sub, rtt)
+	cl, err := startReplicaCluster(sub, rtt)
 	if err != nil {
 		return err
 	}
-	defer cluster.close()
-	links := cluster.links
+	defer cl.close()
+	links := cl.links
 	fmt.Printf("corpus replicated: %d entries, %d WAL records on all 3 nodes\n\n",
-		len(sub.Entries), cluster.head)
-	ids := cluster.engine.Entries()
+		len(sub.Entries), cl.head)
+	ids := cl.nodes.Engines[0].Entries()
 
 	configs := []struct {
 		name string

@@ -22,6 +22,7 @@ import (
 
 	"nnexus"
 	"nnexus/internal/benchfmt"
+	"nnexus/internal/cluster"
 	"nnexus/internal/experiments"
 	"nnexus/internal/netsim"
 	"nnexus/internal/workload"
@@ -119,12 +120,14 @@ func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt tim
 	direct := &nnexus.ShardMap{Version: 1, Shards: make([]nnexus.ShardSpec, n)}
 	wired := &nnexus.ShardMap{Version: 1, Shards: make([]nnexus.ShardSpec, n)}
 	ring := direct.Ring()
-	for i := 0; i < n; i++ {
-		_, addr, stop, err := serveNode(nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX, ShardRing: ring, ShardID: i})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer stop()
+	fleet, err := cluster.Start(n, func(i int, _ []string, _ string) nnexus.Config {
+		return nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX, ShardRing: ring, ShardID: i}
+	})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer fleet.Close()
+	for i, addr := range fleet.Addrs {
 		link, err := netsim.NewLink(addr, rtt/2)
 		if err != nil {
 			return 0, 0, 0, err

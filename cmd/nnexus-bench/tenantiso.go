@@ -29,6 +29,7 @@ import (
 	"nnexus"
 	"nnexus/internal/benchfmt"
 	"nnexus/internal/client"
+	"nnexus/internal/cluster"
 	"nnexus/internal/experiments"
 	"nnexus/internal/workload"
 )
@@ -58,20 +59,23 @@ func runTenantIso(c *workload.Corpus, dur time.Duration, jsonOut string) error {
 		sub = c.Subset(400)
 	}
 
-	engine, addr, shutdown, err := serveNode(nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX,
-		Domains: []nnexus.Domain{{
-			Name:        experiments.DomainName,
-			URLTemplate: "http://" + experiments.DomainName + "/?op=getobj&id={id}",
-			Scheme:      sub.Scheme.Name(),
-			Priority:    1,
-		}},
-		Tenants: nnexus.NewTenantRegistry(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
-			"hot": {RatePerSec: hotRate, Burst: hotRate},
-		}})})
+	node, err := cluster.Start(1, func(int, []string, string) nnexus.Config {
+		return nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX,
+			Domains: []nnexus.Domain{{
+				Name:        experiments.DomainName,
+				URLTemplate: "http://" + experiments.DomainName + "/?op=getobj&id={id}",
+				Scheme:      sub.Scheme.Name(),
+				Priority:    1,
+			}},
+			Tenants: nnexus.NewTenantRegistry(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
+				"hot": {RatePerSec: hotRate, Burst: hotRate},
+			}})}
+	})
 	if err != nil {
 		return err
 	}
-	defer shutdown()
+	defer node.Close()
+	engine, addr := node.Engines[0], node.Addrs[0]
 	// The same generated collection lives once per tenant, in disjoint
 	// namespaces, so both corpora do identical linking work when admitted.
 	for _, cp := range []string{"bystander", "hot"} {

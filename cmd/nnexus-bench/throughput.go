@@ -16,6 +16,7 @@ import (
 
 	"nnexus"
 	"nnexus/internal/client"
+	"nnexus/internal/cluster"
 	"nnexus/internal/experiments"
 	"nnexus/internal/netsim"
 	"nnexus/internal/workload"
@@ -31,11 +32,14 @@ func runThroughput(c *workload.Corpus, conns int, dur time.Duration, rtt time.Du
 	if len(c.Entries) > 1500 {
 		sub = c.Subset(1500)
 	}
-	engine, addr, stop, err := serveNode(nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX})
+	node, err := cluster.Start(1, func(int, []string, string) nnexus.Config {
+		return nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX}
+	})
 	if err != nil {
 		return err
 	}
-	defer stop()
+	defer node.Close()
+	engine, addr := node.Engines[0], node.Addrs[0]
 	if err := experiments.Load(sub, engine); err != nil {
 		return err
 	}

@@ -20,26 +20,57 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
-	"nnexus/internal/classification"
-	"nnexus/internal/core"
-	"nnexus/internal/corpus"
-	"nnexus/internal/health"
-	"nnexus/internal/httpapi"
+	"nnexus"
 	"nnexus/internal/noosphere"
-	"nnexus/internal/service"
 	"nnexus/internal/storage"
-	"nnexus/internal/telemetry"
 )
+
+// open boots the wiki: the node through the facade, like every NNexus binary,
+// with the wiki's domain configured — a domain the store already replayed
+// unchanged costs no WAL record — and beside it, under <data>/revisions and
+// the same durability settings, the store the revision history lives in.
+func open(cfg nnexus.Config, domain string) (*nnexus.Engine, *storage.Store, *noosphere.Wiki, error) {
+	cfg.LaTeX = true
+	cfg.Domains = []nnexus.Domain{{Name: domain, URLTemplate: "/entry/{id}", Scheme: "msc", Priority: 1}}
+	var dir string
+	var opts []storage.Option
+	if cfg.DataDir != "" {
+		dir = filepath.Join(cfg.DataDir, "revisions")
+	}
+	if cfg.SyncWrites {
+		opts = append(opts, storage.WithSyncWrites())
+	}
+	if cfg.GroupCommitWindow > 0 {
+		opts = append(opts, storage.WithGroupCommitWindow(cfg.GroupCommitWindow))
+	}
+	engine, err := nnexus.New(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	revisions, err := storage.Open(dir, opts...)
+	if err != nil {
+		engine.Close()
+		return nil, nil, nil, err
+	}
+	wiki, err := noosphere.New(engine, domain, revisions)
+	if err != nil {
+		revisions.Close()
+		engine.Close()
+		return nil, nil, nil, err
+	}
+	return engine, revisions, wiki, nil
+}
 
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		dataDir      = flag.String("data", "", "data directory (empty = memory only)")
 		domain       = flag.String("domain", "planetmath.local", "wiki domain name")
-		base         = flag.Int("base", classification.DefaultBaseWeight, "classification weight base")
+		base         = flag.Int("base", nnexus.DefaultBaseWeight, "classification weight base")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight requests")
 		syncWrites   = flag.Bool("sync", false, "fsync every persisted mutation before acknowledging it")
 		commitWindow = flag.Duration("group-commit-window", 0, "WAL group-commit gathering window under -sync (0 = commit eagerly)")
@@ -47,59 +78,21 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "noosphere: ", log.LstdFlags)
 
-	// One registry spans the storage WAL, the engine, and the HTTP layer.
-	reg := telemetry.NewRegistry()
-	var store *storage.Store
-	if *dataDir != "" {
-		opts := []storage.Option{storage.WithTelemetry(reg)}
-		if *syncWrites {
-			opts = append(opts, storage.WithSyncWrites())
-		}
-		if *commitWindow > 0 {
-			opts = append(opts, storage.WithGroupCommitWindow(*commitWindow))
-		}
-		var err error
-		store, err = storage.Open(*dataDir, opts...)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		defer store.Close()
-	}
-	engine, err := core.NewEngine(core.Config{
-		Scheme:    classification.MSC2000(*base),
-		Store:     store,
-		LaTeX:     true,
-		Telemetry: reg,
-	})
+	engine, revisions, wiki, err := open(nnexus.Config{
+		Scheme:            nnexus.MSC2000(*base),
+		DataDir:           *dataDir,
+		SyncWrites:        *syncWrites,
+		GroupCommitWindow: *commitWindow,
+	}, *domain)
 	if err != nil {
 		logger.Fatal(err)
 	}
-	if err := engine.AddDomain(corpus.Domain{
-		Name:        *domain,
-		URLTemplate: "/entry/{id}",
-		Scheme:      "msc",
-		Priority:    1,
-	}); err != nil {
-		logger.Fatal(err)
-	}
+	defer engine.Close()
+	defer revisions.Close()
 
-	var wikiOpts []noosphere.Option
-	if store != nil {
-		wikiOpts = append(wikiOpts, noosphere.WithStore(store))
-	}
-	wiki, err := noosphere.New(engine, *domain, wikiOpts...)
-	if err != nil {
-		logger.Fatal(err)
-	}
-	svc := service.New(engine)
-	healthState := health.NewState()
-	if store != nil {
-		healthState.AddCheck("storage", store.Ready)
-	}
-	healthState.AddInfo("replication", svc.Role.Info)
 	// The API handler also answers the probes; it is mounted under /api/,
 	// so route the conventional root paths to it as well.
-	api := httpapi.New(svc, healthState)
+	api := engine.HTTPHandler()
 	mux := http.NewServeMux()
 	mux.Handle("/api/", api)
 	mux.Handle("GET /healthz", api)
@@ -113,23 +106,20 @@ func main() {
 			logger.Fatal(err)
 		}
 	}()
-	healthState.SetReady(true)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	logger.Printf("draining (deadline %s)", *drainTimeout)
-	healthState.SetDraining(true)
+	engine.Health().SetDraining(true)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Printf("drain: %v", err)
 		srv.Close()
 	}
-	if store != nil {
-		if err := store.Compact(); err != nil {
-			logger.Print(err)
-		}
+	if err := errors.Join(engine.Compact(), revisions.Compact()); err != nil {
+		logger.Print(err)
 	}
 	logger.Print("drained")
 }

@@ -99,25 +99,28 @@ type Config struct {
 
 	// ReplicationPrimary makes this node a replication primary: the store
 	// retains its WAL record log and Serve answers the replSubscribe /
-	// replSnapshot / replAck exchanges followers use to mirror it. Requires
+	// replSnapshot / replAck exchanges followers use to mirror it. A node
+	// without peers (no ClusterPeers) stays the primary for good. Requires
 	// DataDir; mutually exclusive with FollowPrimary.
 	ReplicationPrimary bool
 	// FollowPrimary makes this node a read replica of the primary at this
 	// address ("host:port" of its XML-protocol listener): a background loop
 	// streams the primary's WAL into the local store and engine, Serve
 	// answers the full read surface, and writes are rejected with a typed
-	// notPrimary redirect naming the primary. Requires DataDir (the replica's
-	// durable state, which replays across restarts).
+	// notPrimary redirect naming the primary. A node without peers follows
+	// that address for good, and its store retains no record log. Requires
+	// DataDir (the replica's durable state, which replays across restarts).
 	FollowPrimary string
 	// ReplicaName identifies this follower in replAck reports and the
 	// primary's per-follower lag gauge (default: hostname).
 	ReplicaName string
 	// ClusterPeers enables automatic failover: the XML-protocol addresses of
-	// the OTHER nodes in the cluster (not this node's own). Every node then
-	// runs an election state machine — followers that lose contact with the
-	// primary beyond the election timeout elect the freshest of themselves,
-	// the winner promotes to a writable primary, and a deposed primary is
-	// fenced by epoch on its first contact with the new regime. Requires
+	// the OTHER nodes in the cluster (not this node's own). A node with peers
+	// stands, votes and probes where a node without peers only keeps its
+	// role: followers that lose contact with the primary beyond the election
+	// timeout elect the freshest of themselves, the winner promotes to a
+	// writable primary, and a deposed primary is fenced by epoch on its
+	// first contact with the new regime. Requires
 	// DataDir, AdvertiseAddr, and exactly one of ReplicationPrimary (this
 	// node boots as the leader) or FollowPrimary (this node boots following
 	// that address).

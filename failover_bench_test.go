@@ -19,7 +19,7 @@ func BenchmarkQuorumWrite(b *testing.B) {
 	for _, acks := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("acks=%d", acks), func(b *testing.B) {
 			fc := startFailoverClusterAcks(b, acks)
-			c, err := nnexus.Dial(fc.addrs[0], nnexus.WithCallTimeout(10*time.Second))
+			c, err := nnexus.Dial(fc.Addrs[0], nnexus.WithCallTimeout(10*time.Second))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -33,7 +33,7 @@ func BenchmarkQuorumWrite(b *testing.B) {
 			// beats the first subscribe would charge bootstrap, not the ack.
 			deadline := time.Now().Add(30 * time.Second)
 			for {
-				info := fc.engines[0].ReplicationInfo()
+				info := fc.Engines[0].ReplicationInfo()
 				if fs, ok := info["followers"].(map[string]interface{}); ok && len(fs) >= 2 {
 					break
 				}

@@ -10,118 +10,55 @@ package nnexus_test
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
-)
 
-import "nnexus"
+	"nnexus"
+	"nnexus/internal/cluster"
+)
 
 // failoverElectionTimeout keeps detection fast without racing the follower
 // long-poll (the facade sizes the poll to a quarter of this).
 const failoverElectionTimeout = time.Second
 
-type failoverCluster struct {
-	addrs   []string
-	dirs    []string
-	engines []*nnexus.Engine
-	servers []*nnexus.Server
-
-	quorumAcks int
-}
+type failoverCluster struct{ *cluster.Cluster }
 
 // startFailoverCluster boots node 0 as the initial primary and nodes 1, 2
-// as followers, every node election-enabled with quorum-acked writes. The
-// listeners are bound before any engine exists so each node can advertise
-// the others' real ports.
-func startFailoverCluster(t testing.TB) *failoverCluster {
+// as followers, every node election-enabled with quorum-acked writes.
+func startFailoverCluster(t testing.TB) failoverCluster {
 	return startFailoverClusterAcks(t, 1)
 }
 
 // startFailoverClusterAcks is startFailoverCluster with an explicit write
 // acknowledgement level (0 = primary durability only).
-func startFailoverClusterAcks(t testing.TB, quorumAcks int) *failoverCluster {
+func startFailoverClusterAcks(t testing.TB, quorumAcks int) failoverCluster {
 	t.Helper()
-	fc := &failoverCluster{
-		quorumAcks: quorumAcks,
-		dirs:       make([]string, 3),
-		engines:    make([]*nnexus.Engine, 3),
-		servers:    make([]*nnexus.Server, 3),
-	}
-	lns := make([]net.Listener, 3)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	return failoverCluster{startCluster(t, 3, func(i int, addrs []string, dir string) nnexus.Config {
+		cfg := nnexus.Config{
+			Scheme:          nnexus.SampleMSC(10),
+			DataDir:         dir,
+			ClusterPeers:    cluster.Peers(addrs, i),
+			AdvertiseAddr:   addrs[i],
+			ElectionTimeout: failoverElectionTimeout,
+			QuorumAcks:      quorumAcks,
+			QuorumTimeout:   5 * time.Second,
+			ReplicaName:     fmt.Sprintf("node%d", i),
 		}
-		lns[i] = ln
-		fc.addrs = append(fc.addrs, ln.Addr().String())
-		fc.dirs[i] = t.TempDir()
-	}
-	for i := range lns {
-		fc.startNode(t, i, lns[i], i == 0)
-	}
-	return fc
-}
-
-// startNode assembles one node (initial primary or follower of node 0) and
-// serves it on ln. Used both at cluster boot and to restart a killed node
-// against its original data directory and address.
-func (fc *failoverCluster) startNode(t testing.TB, i int, ln net.Listener, initialPrimary bool) {
-	t.Helper()
-	var peers []string
-	for j, a := range fc.addrs {
-		if j != i {
-			peers = append(peers, a)
+		if i == 0 {
+			cfg.ReplicationPrimary = true
+		} else {
+			cfg.FollowPrimary = addrs[0]
 		}
-	}
-	cfg := nnexus.Config{
-		Scheme:          nnexus.SampleMSC(10),
-		DataDir:         fc.dirs[i],
-		ClusterPeers:    peers,
-		AdvertiseAddr:   fc.addrs[i],
-		ElectionTimeout: failoverElectionTimeout,
-		QuorumAcks:      fc.quorumAcks,
-		QuorumTimeout:   5 * time.Second,
-		ReplicaName:     fmt.Sprintf("node%d", i),
-	}
-	if initialPrimary {
-		cfg.ReplicationPrimary = true
-	} else {
-		cfg.FollowPrimary = fc.addrs[0]
-	}
-	engine, err := nnexus.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, _, err := engine.ServeListener(ln, nil)
-	if err != nil {
-		engine.Close()
-		t.Fatal(err)
-	}
-	fc.engines[i], fc.servers[i] = engine, srv
-	t.Cleanup(func() { fc.kill(i) })
+		return cfg
+	})}
 }
 
-// kill abruptly stops node i: listener and connections torn down, engine
-// (and its election loop) stopped. Idempotent.
-func (fc *failoverCluster) kill(i int) {
-	if fc.servers[i] != nil {
-		fc.servers[i].Close()
-		fc.servers[i] = nil
-	}
-	if fc.engines[i] != nil {
-		fc.engines[i].Close()
-		fc.engines[i] = nil
-	}
-}
-
-func (fc *failoverCluster) role(i int) string {
-	if fc.engines[i] == nil {
+func (fc failoverCluster) role(i int) string {
+	if fc.Engines[i] == nil {
 		return "dead"
 	}
-	info := fc.engines[i].ElectionInfo()
+	info := fc.Engines[i].ElectionInfo()
 	if info == nil {
 		return "none"
 	}
@@ -130,7 +67,7 @@ func (fc *failoverCluster) role(i int) string {
 
 // awaitSinglePrimary waits for the surviving followers to elect exactly one
 // primary and for that leadership to be stable, returning the winner index.
-func (fc *failoverCluster) awaitSinglePrimary(t *testing.T, among []int) int {
+func (fc failoverCluster) awaitSinglePrimary(t *testing.T, among []int) int {
 	t.Helper()
 	winner := -1
 	waitFor(t, "a single primary after failover", func() bool {
@@ -224,8 +161,8 @@ func TestChaosFailover(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprintf("kill_at_boundary_%d", k), func(t *testing.T) {
 			fc := startFailoverCluster(t)
-			c, err := nnexus.Dial(fc.addrs[0],
-				nnexus.WithReplicas(fc.addrs[1], fc.addrs[2]),
+			c, err := nnexus.Dial(fc.Addrs[0],
+				nnexus.WithReplicas(fc.Addrs[1], fc.Addrs[2]),
 				nnexus.WithReplicaProbeInterval(25*time.Millisecond),
 				nnexus.WithCallTimeout(3*time.Second),
 				nnexus.WithMaxRetries(1))
@@ -252,7 +189,7 @@ func TestChaosFailover(t *testing.T) {
 				acked.record(id, title)
 			}
 			wantHead := uint64(k)
-			if head := fc.engines[0].ReplicationInfo()["head"].(uint64); head != wantHead {
+			if head := fc.Engines[0].ReplicationInfo()["head"].(uint64); head != wantHead {
 				t.Fatalf("head before kill = %d, want %d", head, wantHead)
 			}
 
@@ -284,7 +221,7 @@ func TestChaosFailover(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond) // let the burst reach the wire
 			acked.markKill()
-			fc.kill(0)
+			fc.Kill(0)
 
 			// The cluster must recover with no human in the loop: writes
 			// resume through the SAME client against the elected primary.
@@ -305,7 +242,7 @@ func TestChaosFailover(t *testing.T) {
 
 			// Zero quorum-acked writes lost: every acked entry is readable,
 			// with its exact content, from the new primary.
-			direct, err := nnexus.Dial(fc.addrs[winner])
+			direct, err := nnexus.Dial(fc.Addrs[winner])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,8 +274,8 @@ func TestChaosFailoverOldPrimaryFenced(t *testing.T) {
 		t.Skip("failover chaos is not -short")
 	}
 	fc := startFailoverCluster(t)
-	c, err := nnexus.Dial(fc.addrs[0],
-		nnexus.WithReplicas(fc.addrs[1], fc.addrs[2]),
+	c, err := nnexus.Dial(fc.Addrs[0],
+		nnexus.WithReplicas(fc.Addrs[1], fc.Addrs[2]),
 		nnexus.WithReplicaProbeInterval(25*time.Millisecond),
 		nnexus.WithCallTimeout(3*time.Second),
 		nnexus.WithMaxRetries(1))
@@ -363,7 +300,7 @@ func TestChaosFailoverOldPrimaryFenced(t *testing.T) {
 		titles[id] = title
 	}
 
-	fc.kill(0)
+	fc.Kill(0)
 	winner := fc.awaitSinglePrimary(t, []int{1, 2})
 
 	// The new regime keeps writing (transparently, via the same client).
@@ -381,17 +318,15 @@ func TestChaosFailoverOldPrimaryFenced(t *testing.T) {
 
 	// Resurrect the old primary: same data dir, same address, still
 	// believing it leads. Its first peer contact must fence it.
-	ln, err := net.Listen("tcp", fc.addrs[0])
-	if err != nil {
-		t.Fatalf("rebind old primary address: %v", err)
+	if err := fc.Restart(0); err != nil {
+		t.Fatal(err)
 	}
-	fc.startNode(t, 0, ln, true)
 	waitFor(t, "old primary fenced itself", func() bool {
-		info := fc.engines[0].ElectionInfo()
+		info := fc.Engines[0].ElectionInfo()
 		return info["role"].(string) == "follower" && info["fenced"].(bool)
 	})
-	if got := fc.engines[0].ElectionInfo()["leader"].(string); got != fc.addrs[winner] {
-		t.Fatalf("fenced node's leader = %q, want %q", got, fc.addrs[winner])
+	if got := fc.Engines[0].ElectionInfo()["leader"].(string); got != fc.Addrs[winner] {
+		t.Fatalf("fenced node's leader = %q, want %q", got, fc.Addrs[winner])
 	}
 	// Exactly one primary across the WHOLE cluster, including the returnee.
 	if n := fc.awaitSinglePrimary(t, []int{0, 1, 2}); n != winner {
@@ -399,12 +334,12 @@ func TestChaosFailoverOldPrimaryFenced(t *testing.T) {
 	}
 
 	// The fenced node converges on the winner's history and serves it.
-	winnerHead := func() uint64 { return fc.engines[winner].ReplicationInfo()["head"].(uint64) }
+	winnerHead := func() uint64 { return fc.Engines[winner].ReplicationInfo()["head"].(uint64) }
 	waitFor(t, "fenced node converged", func() bool {
-		info := fc.engines[0].ReplicationInfo()
+		info := fc.Engines[0].ReplicationInfo()
 		return info["role"] == "follower" && info["applied"].(uint64) == winnerHead() && info["synced"].(bool)
 	})
-	direct, err := nnexus.Dial(fc.addrs[0])
+	direct, err := nnexus.Dial(fc.Addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,19 +53,6 @@ var routedReads = map[string]bool{
 	wire.MethodShardScan:   true,
 }
 
-// mutatingMethods lists the methods that must execute on the primary.
-var mutatingMethods = map[string]bool{
-	wire.MethodAddDomain:   true,
-	wire.MethodAddEntry:    true,
-	wire.MethodUpdateEntry: true,
-	wire.MethodRemoveEntry: true,
-	wire.MethodSetPolicy:   true,
-	wire.MethodRelink:      true,
-	wire.MethodAddEntries:  true,
-	wire.MethodRelinkBatch: true,
-	wire.MethodPutEntry:    true,
-}
-
 // replica is the routing view of one read replica.
 type replica struct {
 	addr string
@@ -355,7 +342,7 @@ func (c *Client) route(req *wire.Request) (*wire.Response, error) {
 		return resp, err
 	}
 
-	if rs != nil && mutatingMethods[req.Method] {
+	if rs != nil && wire.Mutating(req.Method) {
 		return c.routeWrite(rs, req)
 	}
 

@@ -119,17 +119,17 @@ func (n *fakeNode) serve(conn net.Conn) {
 				Stale:   n.stale.Load(),
 			}
 			resp.Leader = n.leader.Load().(string)
-		case mutatingMethods[req.Method] && n.vanish.Load():
+		case wire.Mutating(req.Method) && n.vanish.Load():
 			// The request reached the node and then the connection died:
 			// the client cannot know whether it executed.
 			n.writes.Add(1)
 			conn.Close()
 			return
-		case mutatingMethods[req.Method] && role == wire.RoleFollower:
+		case wire.Mutating(req.Method) && role == wire.RoleFollower:
 			n.writes.Add(1)
 			resp = wire.ErrCoded(&req, wire.CodeNotPrimary, errors.New("not primary"))
 			resp.Leader = n.leader.Load().(string)
-		case mutatingMethods[req.Method]:
+		case wire.Mutating(req.Method):
 			n.writes.Add(1)
 			resp = wire.OK(&req)
 			resp.Object = n.writes.Load()

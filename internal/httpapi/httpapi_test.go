@@ -439,21 +439,26 @@ func TestNotPrimaryGatesMutatingRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The static follower role, never started: the gate only asks it who
+	// A follower without peers, never started: the gate only asks it who
 	// the leader is.
 	store, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	src := client.New("10.0.0.1:7070", time.Second)
-	t.Cleanup(func() { src.Close() })
-	follower, err := replication.NewFollower(store, nil, src, replication.WithLeaderAddr("10.0.0.1:7070"))
+	node, err := replication.NewNode(replication.NodeConfig{
+		Store: store,
+		Dial: func(addr string) (replication.Peer, error) {
+			return client.New(addr, time.Second), nil
+		},
+		InitialLeader: "10.0.0.1:7070",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(node.Stop)
 	svc := service.New(engine)
-	svc.Role = replication.Role{Follower: follower}
+	svc.Node = node
 	srv := httptest.NewServer(New(svc, nil))
 	t.Cleanup(srv.Close)
 

@@ -26,7 +26,7 @@ import (
 	"sync"
 	"time"
 
-	"nnexus/internal/core"
+	"nnexus"
 	"nnexus/internal/corpus"
 	"nnexus/internal/storage"
 )
@@ -48,10 +48,10 @@ const revisionsTable = "noosphere_revisions"
 
 // Wiki is the collaborative encyclopedia application.
 type Wiki struct {
-	engine *core.Engine
+	engine *nnexus.Engine
 	domain string
 	mux    *http.ServeMux
-	store  *storage.Store // optional: persists revision history
+	store  *storage.Store // revision history; a store of the wiki's own
 
 	mu        sync.RWMutex
 	revisions map[int64][]Revision
@@ -59,19 +59,12 @@ type Wiki struct {
 	now func() time.Time
 }
 
-// Option configures a Wiki.
-type Option func(*Wiki)
-
-// WithStore persists revision history to the given store (typically the
-// same store backing the engine) and reloads it on construction.
-func WithStore(store *storage.Store) Option {
-	return func(w *Wiki) { w.store = store }
-}
-
-// New builds a wiki over an engine. Entries created through the wiki are
-// registered under the given domain, which must already exist in the
-// engine.
-func New(engine *core.Engine, domain string, opts ...Option) (*Wiki, error) {
+// New builds a wiki over a node. Entries created through the wiki are
+// registered under the given domain, which must already exist in the engine.
+// Revision history is written to revisions — a store of the wiki's own, not
+// the engine's; one opened without a directory keeps it in memory — and
+// reloaded from it here.
+func New(engine *nnexus.Engine, domain string, revisions *storage.Store) (*Wiki, error) {
 	if _, ok := engine.Domain(domain); !ok {
 		return nil, fmt.Errorf("noosphere: domain %q not registered", domain)
 	}
@@ -79,16 +72,12 @@ func New(engine *core.Engine, domain string, opts ...Option) (*Wiki, error) {
 		engine:    engine,
 		domain:    domain,
 		mux:       http.NewServeMux(),
+		store:     revisions,
 		revisions: make(map[int64][]Revision),
 		now:       time.Now,
 	}
-	for _, o := range opts {
-		o(w)
-	}
-	if w.store != nil {
-		if err := w.loadRevisions(); err != nil {
-			return nil, err
-		}
+	if err := w.loadRevisions(); err != nil {
+		return nil, err
 	}
 	w.mux.HandleFunc("GET /{$}", w.index)
 	w.mux.HandleFunc("GET /entry/{id}", w.view)
@@ -148,10 +137,7 @@ func (w *Wiki) Save(id int64, author, comment string, entry *corpus.Entry) (int6
 		Comment:  comment,
 	}
 	w.revisions[id] = append(revs, rev)
-	var persistErr error
-	if w.store != nil {
-		persistErr = w.persistRevision(id, rev)
-	}
+	persistErr := w.persistRevision(id, rev)
 	w.mu.Unlock()
 	if persistErr != nil {
 		return id, fmt.Errorf("noosphere: persist revision: %w", persistErr)

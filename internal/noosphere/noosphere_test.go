@@ -5,31 +5,49 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"nnexus/internal/classification"
-	"nnexus/internal/core"
+	"nnexus"
 	"nnexus/internal/corpus"
 	"nnexus/internal/storage"
 )
 
-func testWiki(t *testing.T) (*core.Engine, *Wiki, *httptest.Server) {
+// testEngine boots a node the way cmd/noosphere does: through the facade,
+// with the wiki's domain configured.
+func testEngine(t *testing.T, dataDir string) *nnexus.Engine {
 	t.Helper()
-	engine, err := core.NewEngine(core.Config{
-		Scheme: classification.SampleMSC(10),
-		LaTeX:  true, // Noosphere entries are TeX
+	engine, err := nnexus.New(nnexus.Config{
+		Scheme:  nnexus.SampleMSC(10),
+		LaTeX:   true, // Noosphere entries are TeX
+		DataDir: dataDir,
+		Domains: []nnexus.Domain{{
+			Name: "planetmath.org", URLTemplate: "/entry/{id}", Scheme: "msc", Priority: 1,
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.AddDomain(corpus.Domain{
-		Name: "planetmath.org", URLTemplate: "/entry/{id}", Scheme: "msc", Priority: 1,
-	}); err != nil {
+	t.Cleanup(func() { engine.Close() })
+	return engine
+}
+
+// memStore is a revision store that persists nothing.
+func memStore(t *testing.T) *storage.Store {
+	t.Helper()
+	store, err := storage.Open("")
+	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := New(engine, "planetmath.org")
+	return store
+}
+
+func testWiki(t *testing.T) (*nnexus.Engine, *Wiki, *httptest.Server) {
+	t.Helper()
+	engine := testEngine(t, "")
+	w, err := New(engine, "planetmath.org", memStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +81,7 @@ func body(t *testing.T, resp *http.Response) string {
 }
 
 func TestNewRequiresDomain(t *testing.T) {
-	engine, err := core.NewEngine(core.Config{Scheme: classification.SampleMSC(10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(engine, "ghost.example"); err == nil {
+	if _, err := New(testEngine(t, ""), "ghost.example", memStore(t)); err == nil {
 		t.Error("unknown domain accepted")
 	}
 }
@@ -287,25 +301,20 @@ func TestURLValuesHelper(t *testing.T) {
 // Revision history persists across wiki (and engine) restarts.
 func TestRevisionsPersistAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	store, err := storage.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	open := func() (*nnexus.Engine, *storage.Store, *Wiki) {
+		t.Helper()
+		engine := testEngine(t, dir)
+		store, err := storage.Open(filepath.Join(dir, "revisions"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := New(engine, "planetmath.org", store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return engine, store, w
 	}
-	engine, err := core.NewEngine(core.Config{
-		Scheme: classification.SampleMSC(10), Store: store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.AddDomain(corpus.Domain{
-		Name: "planetmath.org", URLTemplate: "/entry/{id}", Scheme: "msc",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := New(engine, "planetmath.org", WithStore(store))
-	if err != nil {
-		t.Fatal(err)
-	}
+	engine, store, w := open()
 	id, err := w.Save(0, "alice", "created", &corpus.Entry{Title: "group", Body: "v1"})
 	if err != nil {
 		t.Fatal(err)
@@ -316,22 +325,12 @@ func TestRevisionsPersistAcrossRestart(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := engine.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	store2, err := storage.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, store2, w2 := open()
 	defer store2.Close()
-	engine2, err := core.NewEngine(core.Config{
-		Scheme: classification.SampleMSC(10), Store: store2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := New(engine2, "planetmath.org", WithStore(store2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	revs := w2.Revisions(id)
 	if len(revs) != 2 {
 		t.Fatalf("revisions after restart = %+v", revs)

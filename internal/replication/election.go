@@ -1,5 +1,6 @@
-// Leader election and stale-primary fencing: a Node wraps one process's
-// replication role (primary or follower) and makes it self-healing. Followers
+// Leader election and stale-primary fencing: a Node is one process's place in
+// its replication group — primary or follower — and, given peers, makes it
+// self-healing; a node without peers keeps the role it booted in. Followers
 // that lose contact with the primary beyond a tolerance window propose
 // themselves with an incremented election epoch and their applied WAL offset;
 // a voter grants at most one vote per epoch, and only to candidates at least
@@ -76,20 +77,24 @@ type StoreBinder interface {
 // NodeConfig assembles a Node.
 type NodeConfig struct {
 	// Self is this node's advertised address — what peers dial and what its
-	// votes and leadership claims carry.
+	// votes and leadership claims carry. Required with Peers.
 	Self string
 	// Peers are the other cluster members' advertised addresses (Self is
 	// filtered out defensively). Majorities are computed over len(Peers)+1.
+	// A node without peers never stands, votes or probes: it stays the
+	// primary, or the follower of InitialLeader, it was started as.
 	Peers []string
-	// Store is the node's durable state, opened with storage.WithReplication
-	// (every node must be able to serve the replication log after winning).
+	// Store is the node's durable state. A node that can ever serve the
+	// replication log — it starts as primary, or has peers and may win —
+	// needs it opened with storage.WithReplication.
 	Store *storage.Store
 	// Applier feeds replicated records to the engine while following.
 	Applier Applier
 	// Binder attaches/detaches the engine's store across role flips.
 	Binder StoreBinder
-	// Dial connects to a peer; it must not block on an unreachable address
-	// (connect lazily, like client.New).
+	// Dial connects to a peer or to InitialLeader; it must not block on an
+	// unreachable address (connect lazily, like client.New). The node closes
+	// what it dialed when it stops.
 	Dial func(addr string) (Peer, error)
 	// InitialPrimary starts the node as the serving primary; otherwise it
 	// starts as a follower of InitialLeader (or, with no leader known, runs
@@ -113,9 +118,10 @@ type NodeConfig struct {
 	Logger *log.Logger
 }
 
-// Node is one cluster member's election state machine. It owns the node's
-// Primary or Follower (swapping them as roles flip) and answers the replVote
-// and replLead wire exchanges.
+// Node is one replication-group member's state machine. It owns the node's
+// Primary or Follower (swapping them as roles flip) and answers for the node
+// wherever the serving layers ask: who may write, the repl* exchanges, the
+// readiness reports. A nil *Node is a single node that replicates nothing.
 type Node struct {
 	cfg     NodeConfig
 	peers   []string // cfg.Peers without Self
@@ -155,15 +161,6 @@ type Node struct {
 // NewNode assembles a node in its initial role. Call Start to begin the
 // election loop.
 func NewNode(cfg NodeConfig) (*Node, error) {
-	if cfg.Self == "" {
-		return nil, errors.New("replication: node needs a self address")
-	}
-	if cfg.Store == nil || !cfg.Store.ReplicationEnabled() {
-		return nil, errors.New("replication: node store must be opened with WithReplication")
-	}
-	if cfg.Dial == nil {
-		return nil, errors.New("replication: node needs a dial function")
-	}
 	n := &Node{
 		cfg:       cfg,
 		timeout:   cfg.ElectionTimeout,
@@ -179,6 +176,18 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if addr != "" && addr != cfg.Self {
 			n.peers = append(n.peers, addr)
 		}
+	}
+	if n.clustered() && cfg.Self == "" {
+		return nil, errors.New("replication: node needs a self address")
+	}
+	if cfg.Store == nil {
+		return nil, errors.New("replication: node needs a store")
+	}
+	if (cfg.InitialPrimary || n.clustered()) && !cfg.Store.ReplicationEnabled() {
+		return nil, errors.New("replication: node store must be opened with WithReplication")
+	}
+	if cfg.Dial == nil && (n.clustered() || cfg.InitialLeader != "") {
+		return nil, errors.New("replication: node needs a dial function")
 	}
 	var err error
 	if n.term, n.votedFor, err = n.loadVote(); err != nil {
@@ -247,6 +256,9 @@ func (n *Node) Start() error {
 // Stop terminates the election loop and the node's current role object, and
 // closes every dialed peer.
 func (n *Node) Stop() {
+	if n == nil {
+		return
+	}
 	n.stopOnce.Do(func() {
 		// Consume the start once first: a Start racing this Stop either ran
 		// to completion already (run() owns doneCh) or becomes a no-op and
@@ -745,6 +757,10 @@ func (n *Node) HandleLead(epoch uint64, leaderAddr string) error {
 	return nil
 }
 
+// clustered reports whether the node has peers to elect among; without any
+// it never stands, votes or probes.
+func (n *Node) clustered() bool { return n != nil && len(n.peers) > 0 }
+
 // Role returns the node's current role (RolePrimary or RoleFollower).
 func (n *Node) Role() string {
 	n.mu.Lock()
@@ -779,32 +795,66 @@ func (n *Node) Fenced() bool {
 	return n.fenced
 }
 
-// CountFenced increments the fenced-request counter; the server layer calls
-// it when it rejects a request on stale-epoch grounds.
-func (n *Node) CountFenced() {
-	if n.telFenced != nil {
+// CheckWritable lets a mutation execute (nil) on a primary or a single node
+// and answers a *NotPrimaryError naming the leader anywhere else. A node
+// demoted by fencing counts it: a stale primary would have accepted the write.
+func (n *Node) CheckWritable() error {
+	if n == nil {
+		return nil
+	}
+	n.mu.Lock()
+	role, leader, term, fenced := n.role, n.leader, n.term, n.fenced
+	n.mu.Unlock()
+	switch {
+	case role == RolePrimary:
+		return nil
+	case !n.clustered():
+		return &NotPrimaryError{Leader: leader, reason: "this node is a read replica"}
+	}
+	if fenced && n.telFenced != nil {
 		n.telFenced.Inc()
 	}
+	return &NotPrimaryError{Leader: leader, reason: fmt.Sprintf("this node follows epoch %d", term)}
 }
 
-// CurrentPrimary returns the node's primary surface (nil while following).
+// Elector returns the node when it answers the election exchanges (replVote,
+// replLead), which only a member of a failover cluster takes part in.
+func (n *Node) Elector() (*Node, error) {
+	if !n.clustered() {
+		return nil, errors.New("node is not in a failover cluster")
+	}
+	return n, nil
+}
+
+// CurrentPrimary returns the primary surface serving the repl* streams and
+// quorum waits right now (nil while the node follows, and on a single node).
 func (n *Node) CurrentPrimary() *Primary {
+	if n == nil {
+		return nil
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.primary
 }
 
-// CurrentFollower returns the node's follower loop (nil while primary).
+// CurrentFollower returns the follower loop feeding this process right now
+// (nil on a primary or a single node).
 func (n *Node) CurrentFollower() *Follower {
+	if n == nil {
+		return nil
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.follower
 }
 
-// WireStatus answers replStatus for a node: the current role's replication
-// position, with Epoch carrying the election epoch, plus the leader address
-// for client redirects.
+// WireStatus answers replStatus: the current role's replication position,
+// with Epoch carrying the election epoch, plus the leader address for client
+// redirects.
 func (n *Node) WireStatus() (*wire.ReplPayload, string) {
+	if n == nil {
+		return &wire.ReplPayload{Role: RoleSingle}, ""
+	}
 	n.mu.Lock()
 	term := n.term
 	leader := n.leader
@@ -812,25 +862,74 @@ func (n *Node) WireStatus() (*wire.ReplPayload, string) {
 	f := n.follower
 	role := n.role
 	n.mu.Unlock()
+	var pay *wire.ReplPayload
 	switch {
 	case p != nil:
-		pay := p.Status()
-		pay.Epoch = term
-		return pay, leader
+		pay = p.Status()
 	case f != nil:
-		pay := f.WireStatus()
-		pay.Epoch = term
-		return pay, leader
+		pay = f.WireStatus()
 	default:
 		head := n.cfg.Store.ReplicationHead()
-		return &wire.ReplPayload{Role: role, Epoch: term, Head: head, Applied: head, Stale: true}, leader
+		pay = &wire.ReplPayload{Role: role, Head: head, Applied: head, Stale: true}
 	}
+	pay.Epoch = term
+	return pay, leader
 }
 
-// Info reports the node's election state for readiness probes: role, epoch,
-// recognized leader, seconds since last leader contact, the latest
-// election's vote count, and whether the node stands fenced.
+// Info reports the replication position for readiness probes: role, storage
+// epoch and head, plus per-follower lag on a primary and applied offset, lag
+// and sync state on a follower.
 func (n *Node) Info() map[string]interface{} {
+	if n == nil {
+		return map[string]interface{}{"role": RoleSingle}
+	}
+	if p := n.CurrentPrimary(); p != nil {
+		st := p.Status()
+		lags := p.FollowerLags()
+		followers := make(map[string]interface{}, len(lags))
+		var maxLag uint64
+		for name, lag := range lags {
+			followers[name] = lag
+			if lag > maxLag {
+				maxLag = lag
+			}
+		}
+		return map[string]interface{}{
+			"role":      st.Role,
+			"epoch":     st.Epoch,
+			"head":      st.Head,
+			"followers": followers,
+			"maxLag":    maxLag,
+		}
+	}
+	if f := n.CurrentFollower(); f != nil {
+		st := f.Status()
+		info := map[string]interface{}{
+			"role":    st.Role,
+			"epoch":   st.Epoch,
+			"applied": st.Applied,
+			"head":    st.Head,
+			"lag":     st.Lag(),
+			"synced":  st.Synced,
+			"leader":  st.Leader,
+		}
+		if st.Err != "" {
+			info["error"] = st.Err
+		}
+		return info
+	}
+	// Mid-transition (between roles): report the election view.
+	return map[string]interface{}{"role": n.Role(), "epoch": n.Epoch()}
+}
+
+// ElectionInfo reports the failover state machine for readiness probes: role,
+// epoch, recognized leader, seconds since last leader contact, the latest
+// election's vote count, and whether the node stands fenced. Nil outside a
+// failover cluster.
+func (n *Node) ElectionInfo() map[string]interface{} {
+	if !n.clustered() {
+		return nil
+	}
 	last := n.lastHeardTime()
 	n.mu.Lock()
 	defer n.mu.Unlock()

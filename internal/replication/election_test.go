@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nnexus/internal/storage"
+	"nnexus/internal/telemetry"
 	"nnexus/internal/wire"
 )
 
@@ -293,7 +294,7 @@ func TestElectionAfterPrimaryLoss(t *testing.T) {
 			t.Fatal("both followers became primary — split brain")
 		}
 		f := nodes[loser].CurrentFollower()
-		if f == nil || f.Leader() != winner {
+		if f == nil || f.Status().Leader != winner {
 			return false
 		}
 		st := f.Status()
@@ -815,4 +816,104 @@ func TestCorruptVoteFileRefusesStart(t *testing.T) {
 		t.Fatalf("fresh node refused to start: %v", err)
 	}
 	n.Stop()
+}
+
+// A node without peers keeps the role it booted in: over three election
+// timeouts a follower whose primary is unreachable never stands, a primary
+// never probes, neither dials anyone but the follower its one leader, and
+// both refuse the election exchanges.
+func TestNodeWithoutPeersIdles(t *testing.T) {
+	for _, primary := range []bool{true, false} {
+		name := map[bool]string{true: "primary", false: "follower"}[primary]
+		t.Run(name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			fb := newFabric()
+			dir := t.TempDir()
+			st, err := storage.Open(dir, storage.WithReplication())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			var dialMu sync.Mutex
+			var dialed []string
+			cfg := NodeConfig{
+				Store: st,
+				Dial: func(addr string) (Peer, error) {
+					dialMu.Lock()
+					dialed = append(dialed, addr)
+					dialMu.Unlock()
+					return fabricPeer{fb: fb, from: name, addr: addr}, nil
+				},
+				InitialPrimary:  primary,
+				StateDir:        dir,
+				ElectionTimeout: testElectionTimeout,
+				FollowerOpts:    []FollowerOption{WithFollowerBackoff(5 * time.Millisecond)},
+				Telemetry:       reg,
+			}
+			wantDialed := 0
+			if !primary {
+				cfg.InitialLeader, wantDialed = "gone", 1 // nothing registered: every exchange fails
+			}
+			n, err := NewNode(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer n.Stop()
+			time.Sleep(3 * testElectionTimeout)
+
+			if got := reg.Snapshot()["nnexus_elections_total"]; got != float64(0) {
+				t.Errorf("nnexus_elections_total = %v after 3 election timeouts, want 0", got)
+			}
+			dialMu.Lock()
+			if len(dialed) != wantDialed {
+				t.Errorf("dialed %q, want %d address(es)", dialed, wantDialed)
+			}
+			dialMu.Unlock()
+			if n.IsPrimary() != primary || n.Epoch() != 0 {
+				t.Errorf("role %s epoch %d, want the boot role under epoch 0", n.Role(), n.Epoch())
+			}
+			if _, err := n.Elector(); err == nil {
+				t.Error("a node without peers offered to answer the election exchanges")
+			}
+			if info := n.ElectionInfo(); info != nil {
+				t.Errorf("ElectionInfo = %v, want nil", info)
+			}
+		})
+	}
+}
+
+// NewNode asks for a replication log and an address only of a node that can
+// ever serve the log or stand: a read replica's store retains no record log.
+func TestNewNodeRequirements(t *testing.T) {
+	plain, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	dial := func(addr string) (Peer, error) { return fabricPeer{fb: newFabric(), addr: addr}, nil }
+
+	for name, cfg := range map[string]NodeConfig{
+		"peers over a store without a log":   {Self: "a", Peers: []string{"b"}, Store: plain, Dial: dial, InitialLeader: "b"},
+		"primary over a store without a log": {Store: plain, InitialPrimary: true},
+		"peers without a self address":       {Peers: []string{"b"}, Store: plain, Dial: dial, InitialLeader: "b"},
+		"a leader and no dial function":      {Store: plain, InitialLeader: "b"},
+		"no store":                           {InitialLeader: "b", Dial: dial},
+	} {
+		if n, err := NewNode(cfg); err == nil {
+			n.Stop()
+			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	n, err := NewNode(NodeConfig{Store: plain, Dial: dial, InitialLeader: "b"})
+	if err != nil {
+		t.Fatalf("a follower without peers over a store without a log: %v", err)
+	}
+	defer n.Stop()
+	if err := n.CheckWritable(); err == nil || n.LeaderAddr() != "b" {
+		t.Errorf("CheckWritable = %v, leader %q; want a refusal naming b", err, n.LeaderAddr())
+	}
 }

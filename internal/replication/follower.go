@@ -205,7 +205,12 @@ func (f *Follower) Start() error {
 // Stop terminates the sync loop and waits for it to exit. The follower
 // keeps serving reads from its last applied state after Stop.
 func (f *Follower) Stop() {
-	f.stopOnce.Do(func() { close(f.stop) })
+	f.stopOnce.Do(func() {
+		// A follower never started has no loop to wait for (and a Start
+		// racing this Stop becomes a no-op).
+		f.startOnce.Do(func() { close(f.done) })
+		close(f.stop)
+	})
 	<-f.done
 }
 
@@ -228,13 +233,6 @@ func (f *Follower) Status() Status {
 		st.Err = f.lastErr.Error()
 	}
 	return st
-}
-
-// Leader returns the primary's address as configured (or last retargeted).
-func (f *Follower) Leader() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.leader
 }
 
 // Epoch returns the primary epoch the local state is synced under.

@@ -49,6 +49,16 @@ const (
 // survives a primary failover.
 var ErrQuorumUnavailable = errors.New("replication: quorum unavailable")
 
+// NotPrimaryError rejects a mutation that reached a node which may not
+// write. The request was not executed, so the client may send the very same
+// request to Leader.
+type NotPrimaryError struct {
+	Leader string // where writes should go; "" when unknown (mid-election)
+	reason string
+}
+
+func (e *NotPrimaryError) Error() string { return "not primary: " + e.reason }
+
 // followerState is the primary's accounting for one subscriber.
 type followerState struct {
 	acked    uint64

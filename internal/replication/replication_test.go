@@ -336,7 +336,7 @@ func TestRetargetWakesBackoff(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := f.Leader(); got != "new-leader" {
+	if got := f.Status().Leader; got != "new-leader" {
 		t.Errorf("leader = %q, want %q", got, "new-leader")
 	}
 }

@@ -22,7 +22,7 @@ import (
 )
 
 // newPrimaryServer boots a store-backed engine with replication enabled and
-// serves it in the static primary role.
+// serves it as a primary without peers.
 func newPrimaryServer(t *testing.T) (*Server, string, *storage.Store) {
 	t.Helper()
 	st, err := storage.Open(t.TempDir(), storage.WithReplication())
@@ -34,12 +34,8 @@ func newPrimaryServer(t *testing.T) (*Server, string, *storage.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := replication.NewPrimary(st)
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc := service.New(engine)
-	svc.Role = replication.Role{Primary: p}
+	svc.Node = primaryNode(t, st)
 	srv := New(svc, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -49,8 +45,22 @@ func newPrimaryServer(t *testing.T) (*Server, string, *storage.Store) {
 	return srv, addr, st
 }
 
+// primaryNode is the replication node of a primary without peers over st.
+func primaryNode(t *testing.T, st *storage.Store) *replication.Node {
+	t.Helper()
+	node, err := replication.NewNode(replication.NodeConfig{Store: st, InitialPrimary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Stop)
+	return node
+}
+
 // newFollowerServer boots a follower syncing from primaryAddr and serves
-// its engine in the static follower role.
+// its engine as a follower without peers.
 func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *replication.Follower) {
 	t.Helper()
 	st, err := storage.Open(t.TempDir())
@@ -64,29 +74,35 @@ func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *repl
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := client.New(primaryAddr, time.Second)
-	t.Cleanup(func() { src.Close() })
-	f, err := replication.NewFollower(st, engine, src,
-		replication.WithFollowerName("f1"),
-		replication.WithLeaderAddr(primaryAddr),
-		replication.WithFollowerWait(100*time.Millisecond),
-		replication.WithFollowerBackoff(20*time.Millisecond))
+	node, err := replication.NewNode(replication.NodeConfig{
+		Store:   st,
+		Applier: engine,
+		Dial: func(addr string) (replication.Peer, error) {
+			return client.New(addr, time.Second), nil
+		},
+		InitialLeader: primaryAddr,
+		FollowerOpts: []replication.FollowerOption{
+			replication.WithFollowerName("f1"),
+			replication.WithFollowerWait(100 * time.Millisecond),
+			replication.WithFollowerBackoff(20 * time.Millisecond),
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Start(); err != nil {
+	if err := node.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(f.Stop)
+	t.Cleanup(node.Stop)
 	svc := service.New(engine)
-	svc.Role = replication.Role{Follower: f}
+	svc.Node = node
 	srv := New(svc, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv, addr, f
+	return srv, addr, node.CurrentFollower()
 }
 
 func waitApplied(t *testing.T, f *replication.Follower, head uint64) {
@@ -249,12 +265,8 @@ func TestChaosReplShutdownDrainsSubscribers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := replication.NewPrimary(st2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc2 := service.New(engine2)
-	svc2.Role = replication.Role{Primary: p2}
+	svc2.Node = primaryNode(t, st2)
 	srv2 := New(svc2, nil)
 	addr2, err := srv2.Listen("127.0.0.1:0")
 	if err != nil {
@@ -302,7 +314,7 @@ func TestQuorumAckRefusedAfterInProcessDemotion(t *testing.T) {
 	}
 	t.Cleanup(node.Stop)
 	svc := service.New(engine)
-	svc.Role, svc.QuorumAcks, svc.QuorumTimeout = replication.Role{Node: node}, 1, 5*time.Second
+	svc.Node, svc.QuorumAcks, svc.QuorumTimeout = node, 1, 5*time.Second
 	srv := New(svc, nil)
 	srv.testPostMutate = func(req *wire.Request) {
 		// The new regime's announcement lands the instant the write applied.

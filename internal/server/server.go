@@ -359,7 +359,7 @@ func (s *Server) Close() error {
 		conn.Close()
 	}
 	s.mu.Unlock()
-	if p := s.svc.Role.CurrentPrimary(); p != nil {
+	if p := s.svc.Node.CurrentPrimary(); p != nil {
 		// Wake blocked subscribe long-polls so their handler goroutines
 		// (and with them the connection goroutines) unwind promptly.
 		p.Drain()
@@ -397,7 +397,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if ln != nil {
 		ln.Close()
 	}
-	if p := s.svc.Role.CurrentPrimary(); p != nil {
+	if p := s.svc.Node.CurrentPrimary(); p != nil {
 		// Replication subscribers drain like request connections: waking
 		// their long-polls lets each flush a final (possibly empty) batch —
 		// a whole response, never a mid-record cut — and close on a clean
@@ -739,7 +739,7 @@ func (s *Server) errResponse(req *wire.Request, err error) *wire.Response {
 		return wire.ErrCoded(req, wire.CodeQuorumUnavailable, err)
 	case errors.Is(err, replication.ErrStaleEpoch):
 		resp := wire.ErrCoded(req, wire.CodeStaleEpoch, err)
-		_, resp.Leader = s.svc.Role.WireStatus()
+		_, resp.Leader = s.svc.Node.WireStatus()
 		return resp
 	}
 	return wire.Err(req, err)
@@ -768,7 +768,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		return wire.OK(req), nil
 
 	case wire.MethodReplSubscribe:
-		primary := s.svc.Role.CurrentPrimary()
+		primary := s.svc.Node.CurrentPrimary()
 		if primary == nil {
 			return nil, errors.New("replSubscribe: node is not a replication primary")
 		}
@@ -790,7 +790,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		return resp, nil
 
 	case wire.MethodReplSnapshot:
-		primary := s.svc.Role.CurrentPrimary()
+		primary := s.svc.Node.CurrentPrimary()
 		if primary == nil {
 			return nil, errors.New("replSnapshot: node is not a replication primary")
 		}
@@ -803,7 +803,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		return resp, nil
 
 	case wire.MethodReplAck:
-		primary := s.svc.Role.CurrentPrimary()
+		primary := s.svc.Node.CurrentPrimary()
 		if primary == nil {
 			return nil, errors.New("replAck: node is not a replication primary")
 		}
@@ -812,11 +812,11 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 
 	case wire.MethodReplStatus:
 		resp := wire.OK(req)
-		resp.Repl, resp.Leader = s.svc.Role.WireStatus()
+		resp.Repl, resp.Leader = s.svc.Node.WireStatus()
 		return resp, nil
 
 	case wire.MethodReplVote:
-		node, err := s.svc.Role.Elector()
+		node, err := s.svc.Node.Elector()
 		if err != nil {
 			return nil, err
 		}
@@ -825,7 +825,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		return resp, nil
 
 	case wire.MethodReplLead:
-		node, err := s.svc.Role.Elector()
+		node, err := s.svc.Node.Elector()
 		if err == nil {
 			err = node.HandleLead(req.Epoch, req.Leader)
 		}

@@ -3,7 +3,7 @@
 // four stages, so a guarantee holds whichever transport carried the request:
 //
 //	admit        one token from the corpus's bucket, then the write quota
-//	route        a mutation runs only where the replication Role allows
+//	route        a mutation runs only where the replication Node allows
 //	execute      the caller's closure: the engine call and the reply
 //	acknowledge  a mutation that applied waits for its follower quorum
 //
@@ -46,8 +46,9 @@ type Service struct {
 	// Tenants, when non-nil, charges every tenant-attributable request to
 	// its corpus's token bucket and every write to its corpus's quotas.
 	Tenants *tenant.Registry
-	// Role is this process's place in its replication group.
-	Role replication.Role
+	// Node is this process's place in its replication group; nil is a single
+	// node.
+	Node *replication.Node
 	// QuorumAcks > 0 holds a mutation's reply until that many followers
 	// confirmed its WAL offset durable, for at most QuorumTimeout
 	// (0 = DefaultQuorumTimeout).
@@ -93,21 +94,6 @@ type Request struct {
 // entry) and its core.EntrySize.
 type Write struct{ ID, Size int64 }
 
-// mutating lists the methods that change the collection (or the invalidation
-// queue): they run only on the primary, whose WAL is the replicated history,
-// and are the ones a quorum acknowledges.
-var mutating = map[string]bool{
-	wire.MethodAddDomain:   true,
-	wire.MethodAddEntry:    true,
-	wire.MethodUpdateEntry: true,
-	wire.MethodRemoveEntry: true,
-	wire.MethodSetPolicy:   true,
-	wire.MethodRelink:      true,
-	wire.MethodAddEntries:  true,
-	wire.MethodRelinkBatch: true,
-	wire.MethodPutEntry:    true,
-}
-
 // Do runs one request through all four stages.
 func (s *Service) Do(req Request, exec func() error) error {
 	if err := s.Admit(req); err != nil {
@@ -121,10 +107,12 @@ func (s *Service) Do(req Request, exec func() error) error {
 // and runs the rest from the handler. exec is only called, never kept, so
 // the caller's closure stays on its stack.
 func (s *Service) Execute(method string, exec func() error) error {
-	if !mutating[method] {
+	// A mutation runs only on the primary, whose WAL is the replicated
+	// history, and is what a quorum acknowledges.
+	if !wire.Mutating(method) {
 		return exec()
 	}
-	if err := s.Role.CheckWritable(); err != nil {
+	if err := s.Node.CheckWritable(); err != nil {
 		return err
 	}
 	if err := exec(); err != nil {
@@ -203,7 +191,7 @@ func (s *Service) acknowledge() error {
 	if s.QuorumAcks <= 0 {
 		return nil
 	}
-	p := s.Role.CurrentPrimary()
+	p := s.Node.CurrentPrimary()
 	if p == nil {
 		return fmt.Errorf("%w: node lost the primary role before the write could be quorum-acknowledged",
 			replication.ErrQuorumUnavailable)

@@ -93,6 +93,19 @@ const (
 	MethodReplLead      = "replLead"
 )
 
+// Mutating reports whether method changes the collection (or the invalidation
+// queue): the methods that run only on the primary and that a quorum
+// acknowledges. It is the one table; a new mutating method is added here.
+func Mutating(method string) bool {
+	switch method {
+	case MethodAddDomain, MethodAddEntry, MethodUpdateEntry, MethodRemoveEntry,
+		MethodSetPolicy, MethodRelink, MethodAddEntries, MethodRelinkBatch,
+		MethodPutEntry:
+		return true
+	}
+	return false
+}
+
 // Replication roles carried in ReplPayload.Role.
 const (
 	RolePrimary  = "primary"

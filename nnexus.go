@@ -248,10 +248,9 @@ func NewWikipediaToMSCMapper() *Mapper { return ontomap.NewWikipediaToMSC() }
 // in a replication group, and the one request policy and one health state
 // every door it opens is handed.
 type Engine struct {
-	cfg     Config
-	core    *core.Engine
-	store   *storage.Store
-	replSrc *client.Client
+	cfg   Config
+	core  *core.Engine
+	store *storage.Store
 
 	// svc is the node's request pipeline — tenant gate, who may write, when
 	// a write is acknowledged — and health its liveness and readiness; Serve,
@@ -337,32 +336,33 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 		}
 	}
 
-	role := &e.svc.Role
-	fopts := []replication.FollowerOption{
-		replication.WithStateDir(cfg.DataDir),
-		replication.WithFollowerName(cfg.ReplicaName),
-	}
-	var err error
-	switch {
-	case len(cfg.ClusterPeers) > 0:
-		// The long-poll must cycle several times per election timeout: a
-		// quiet primary's only heartbeat is the empty subscribe return, so a
-		// wait as long as the timeout would read as silence and trigger
-		// spurious elections.
-		et := cfg.ElectionTimeout
-		if et <= 0 {
-			et = replication.DefaultElectionTimeout
+	if cfg.ReplicationPrimary || cfg.FollowPrimary != "" {
+		// In a failover cluster the long-poll must cycle several times per
+		// election timeout: a quiet primary's only heartbeat is the empty
+		// subscribe return, so a wait as long as the timeout would read as
+		// silence and trigger spurious elections.
+		wait := followerWait
+		if len(cfg.ClusterPeers) > 0 {
+			et := cfg.ElectionTimeout
+			if et <= 0 {
+				et = replication.DefaultElectionTimeout
+			}
+			wait = min(max(et/4, 100*time.Millisecond), followerWait)
 		}
-		wait := min(max(et/4, 100*time.Millisecond), followerWait)
-		role.Node, err = replication.NewNode(replication.NodeConfig{
+		node, err := replication.NewNode(replication.NodeConfig{
 			Self:    cfg.AdvertiseAddr,
 			Peers:   cfg.ClusterPeers,
 			Store:   e.store,
 			Applier: e.core,
 			Binder:  e.core,
-			// Peers are dialed lazily and survive the target being down; the
-			// call timeout is sized to the subscribe long-poll like a plain
-			// follower's source client.
+			// A peer — or the primary a node without peers follows — is
+			// dialed unconnected: a follower must come up (and serve its
+			// replayed state) even while the primary is down, catching up once
+			// it returns. The call timeout is sized to the subscribe long-poll
+			// so a partitioned (stalled, not refused) link surfaces as a sync
+			// failure within seconds, not the generic 30s call timeout;
+			// retries stay at one because the follower loop has its own
+			// backoff-and-report cycle.
 			Dial: func(addr string) (replication.Peer, error) {
 				return client.New(addr, dialTimeout,
 					client.WithCallTimeout(wait+3*time.Second),
@@ -373,33 +373,20 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 			StateDir:        cfg.DataDir,
 			ElectionTimeout: cfg.ElectionTimeout,
 			PrimaryOpts:     []replication.PrimaryOption{replication.WithPrimaryTelemetry(reg)},
-			FollowerOpts:    append(fopts, replication.WithFollowerWait(wait)),
-			Telemetry:       reg,
+			FollowerOpts: []replication.FollowerOption{
+				replication.WithStateDir(cfg.DataDir),
+				replication.WithFollowerName(cfg.ReplicaName),
+				replication.WithFollowerWait(wait),
+			},
+			Telemetry: reg,
 		})
-		if err == nil {
-			err = role.Node.Start()
+		if err != nil {
+			return err
 		}
-	case cfg.ReplicationPrimary:
-		role.Primary, err = replication.NewPrimary(e.store, replication.WithPrimaryTelemetry(reg))
-	case cfg.FollowPrimary != "":
-		// The source client is constructed unconnected: a follower must come
-		// up (and serve its replayed state) even while the primary is down,
-		// catching up once it returns. Its call timeout is sized to the
-		// subscribe long-poll so a partitioned (stalled, not refused) link
-		// surfaces as a sync failure within seconds, not the generic 30s
-		// call timeout; retries stay at one because the follower loop has
-		// its own backoff-and-report cycle.
-		e.replSrc = client.New(cfg.FollowPrimary, dialTimeout,
-			client.WithCallTimeout(followerWait+3*time.Second),
-			client.WithMaxRetries(1))
-		role.Follower, err = replication.NewFollower(e.store, e.core, e.replSrc, append(fopts,
-			replication.WithLeaderAddr(cfg.FollowPrimary), replication.WithFollowerWait(followerWait))...)
-		if err == nil {
-			err = role.Follower.Start()
+		e.svc.Node = node
+		if err := node.Start(); err != nil {
+			return err
 		}
-	}
-	if err != nil {
-		return err
 	}
 	e.svc.Tenants = tenants
 	e.svc.QuorumAcks, e.svc.QuorumTimeout = cfg.QuorumAcks, cfg.QuorumTimeout
@@ -409,9 +396,9 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 	if e.store != nil {
 		e.health.AddCheck("storage", e.store.Ready)
 	}
-	e.health.AddInfo("replication", role.Info)
-	if role.Node != nil {
-		e.health.AddInfo("election", role.ElectionInfo)
+	e.health.AddInfo("replication", e.svc.Node.Info)
+	if e.svc.Node.ElectionInfo() != nil {
+		e.health.AddInfo("election", e.svc.Node.ElectionInfo)
 	}
 	e.health.SetReady(true)
 	return nil
@@ -420,10 +407,7 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 // Close stops replication (if any) and flushes and closes the engine's
 // persistent store.
 func (e *Engine) Close() error {
-	e.svc.Role.Stop()
-	if e.replSrc != nil {
-		e.replSrc.Close()
-	}
+	e.svc.Node.Stop()
 	e.core.Close()
 	if e.store == nil {
 		return nil
@@ -755,13 +739,13 @@ func (e *Engine) ReloadTenants() error {
 // reporting: role, epoch and head, plus per-follower lag on a primary and
 // applied offset / lag / sync state on a follower — the "replication"
 // component of the GET /readyz JSON body.
-func (e *Engine) ReplicationInfo() map[string]interface{} { return e.svc.Role.Info() }
+func (e *Engine) ReplicationInfo() map[string]interface{} { return e.svc.Node.Info() }
 
 // ElectionInfo returns the failover state machine's detail for readiness
 // reporting — role, election epoch, known leader, fencing status, elections
 // run, and last leader contact — the "election" component of GET /readyz.
 // Nil when the engine is not clustered.
-func (e *Engine) ElectionInfo() map[string]interface{} { return e.svc.Role.ElectionInfo() }
+func (e *Engine) ElectionInfo() map[string]interface{} { return e.svc.Node.ElectionInfo() }
 
 // HTTPHandler returns an http.Handler exposing the engine as a web service
 // (paper §3.4): POST /api/link for on-demand text linking, CRUD under

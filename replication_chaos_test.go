@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"nnexus"
+	"nnexus/internal/cluster"
 	"nnexus/internal/netsim"
 )
 
@@ -30,53 +31,47 @@ func waitFor(t *testing.T, what string, pred func() bool) {
 	}
 }
 
-// startReplica boots a follower engine whose replication stream runs
-// through a fresh netsim link, and serves it on a loopback port.
-func startReplica(t *testing.T, name, primaryAddr string) (*nnexus.Engine, string, *netsim.Link) {
+// startCluster boots n nodes through the one cluster fixture and stops them
+// when the test ends.
+func startCluster(t testing.TB, n int, config func(i int, addrs []string, dir string) nnexus.Config) *cluster.Cluster {
 	t.Helper()
-	link, err := netsim.NewLink(primaryAddr, time.Millisecond)
+	cl, err := cluster.Start(n, config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(link.Close)
-	engine, err := nnexus.New(nnexus.Config{
-		Scheme:        nnexus.SampleMSC(10),
-		DataDir:       t.TempDir(),
-		FollowPrimary: link.Addr(),
-		ReplicaName:   name,
+	t.Cleanup(cl.Close)
+	return cl
+}
+
+// startReplicas boots a primary without peers (node 0) and n read replicas of
+// it (nodes 1..n, named f1..fn), each replica's replication stream running
+// through a netsim link of its own: links[i] is node i's, links[0] is nil.
+func startReplicas(t *testing.T, n int) (*cluster.Cluster, []*netsim.Link) {
+	t.Helper()
+	links := make([]*netsim.Link, n+1)
+	cl := startCluster(t, n+1, func(i int, addrs []string, dir string) nnexus.Config {
+		cfg := nnexus.Config{Scheme: nnexus.SampleMSC(10), DataDir: dir, ReplicationPrimary: i == 0}
+		if i > 0 {
+			link, err := netsim.NewLink(addrs[0], time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(link.Close)
+			links[i] = link
+			cfg.FollowPrimary, cfg.ReplicaName = link.Addr(), fmt.Sprintf("f%d", i)
+		}
+		return cfg
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { engine.Close() })
-	srv, addr, err := engine.Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return engine, addr, link
+	return cl, links
 }
 
 func TestChaosReplClusterPartitionHealFailover(t *testing.T) {
-	// Primary.
-	pEngine, err := nnexus.New(nnexus.Config{
-		Scheme:             nnexus.SampleMSC(10),
-		DataDir:            t.TempDir(),
-		ReplicationPrimary: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pEngine.Close()
-	pSrv, pAddr, err := pEngine.Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pSrv.Close()
-
-	// Two followers, each streaming through its own partitionable link.
-	f1Engine, f1Addr, link1 := startReplica(t, "f1", pAddr)
-	f2Engine, f2Addr, _ := startReplica(t, "f2", pAddr)
+	// A primary and two followers, each streaming through its own
+	// partitionable link.
+	cl, links := startReplicas(t, 2)
+	pEngine, f1Engine, f2Engine := cl.Engines[0], cl.Engines[1], cl.Engines[2]
+	pAddr, f1Addr, f2Addr := cl.Addrs[0], cl.Addrs[1], cl.Addrs[2]
+	link1 := links[1]
 
 	primaryHead := func() uint64 {
 		return pEngine.ReplicationInfo()["head"].(uint64)
@@ -191,7 +186,7 @@ func TestChaosReplClusterPartitionHealFailover(t *testing.T) {
 	}
 
 	// --- Primary loss: reads fail over, writes fail typed. ---
-	pSrv.Close()
+	cl.Kill(0)
 	waitFor(t, "followers noticed the dead primary", func() bool {
 		return !synced(f1Engine) && !synced(f2Engine)
 	})
@@ -206,5 +201,56 @@ func TestChaosReplClusterPartitionHealFailover(t *testing.T) {
 	})
 	if !errors.Is(err, nnexus.ErrNoPrimary) {
 		t.Fatalf("write after primary loss = %v, want ErrNoPrimary", err)
+	}
+}
+
+// TestChaosReplFollowerRestartResumes kills a read replica and restarts it
+// against its data directory and address: it replays its own WAL, rejoins the
+// stream at its applied offset, and the primary serves it no second snapshot.
+func TestChaosReplFollowerRestartResumes(t *testing.T) {
+	cl := startCluster(t, 2, func(i int, addrs []string, dir string) nnexus.Config {
+		cfg := nnexus.Config{Scheme: nnexus.SampleMSC(10), DataDir: dir, ReplicationPrimary: i == 0}
+		if i > 0 {
+			cfg.FollowPrimary, cfg.ReplicaName = addrs[0], "f1"
+		}
+		return cfg
+	})
+	primary := cl.Engines[0]
+	if err := primary.AddDomain(nnexus.Domain{
+		Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc", Priority: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	add := func(title string) int64 {
+		t.Helper()
+		id, err := primary.AddEntry(&nnexus.Entry{Domain: "planetmath.org", Title: title, Classes: []string{chaosClasses}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	add("before the restart")
+	if _, err := cl.WaitCaughtUp(0, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	const snapshotsServed = `nnexus_tcp_requests_total{method="replSnapshot"}`
+	bootstraps := scrapeMetric(t, primary, snapshotsServed)
+	if bootstraps != 1 {
+		t.Fatalf("the first contact took %v snapshots, want 1", bootstraps)
+	}
+
+	cl.Kill(1)
+	missed := add("while it was down")
+	if err := cl.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.WaitCaughtUp(0, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := cl.Engines[1].Entry(missed); !ok || e.Title != "while it was down" {
+		t.Fatalf("the restarted replica lacks the entry written while it was down: %+v", e)
+	}
+	if got := scrapeMetric(t, primary, snapshotsServed); got != bootstraps {
+		t.Fatalf("the restarted replica re-bootstrapped: %v snapshots served, want still %v", got, bootstraps)
 	}
 }

@@ -17,22 +17,8 @@ import (
 )
 
 func TestFollowerHTTPRejectsWrites(t *testing.T) {
-	pEngine, err := nnexus.New(nnexus.Config{
-		Scheme:             nnexus.SampleMSC(10),
-		DataDir:            t.TempDir(),
-		ReplicationPrimary: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pEngine.Close()
-	pSrv, pAddr, err := pEngine.Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pSrv.Close()
-
-	fEngine, _, link := startReplica(t, "f1", pAddr)
+	cl, links := startReplicas(t, 1)
+	pEngine, fEngine, link := cl.Engines[0], cl.Engines[1], links[1]
 
 	// Seed one entry on the primary and wait for the follower to mirror it.
 	pHTTP := httptest.NewServer(pEngine.HTTPHandler())

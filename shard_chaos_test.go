@@ -11,12 +11,12 @@ package nnexus_test
 import (
 	"errors"
 	"fmt"
-	"net"
 	"reflect"
 	"testing"
 	"time"
 
 	"nnexus"
+	"nnexus/internal/cluster"
 )
 
 // shardOwnedWords returns one single-word label owned by each shard of the
@@ -43,27 +43,18 @@ func shardOwnedWords(t testing.TB, ring *nnexus.ShardRing) []string {
 	return nil
 }
 
-// startShardNode boots one standalone (single-node) shard daemon serving its
-// ring slice on ln. Used both at fleet boot and to restart a killed shard
-// against its original data directory and address.
-func startShardNode(t testing.TB, ring *nnexus.ShardRing, id int, dir string, ln net.Listener) (*nnexus.Engine, *nnexus.Server) {
+// startShardFleet boots one standalone (single-node) daemon per shard of m,
+// each persisting its ring slice, and records their addresses in m.
+func startShardFleet(t testing.TB, m *nnexus.ShardMap) *cluster.Cluster {
 	t.Helper()
-	engine, err := nnexus.New(nnexus.Config{
-		Scheme:    nnexus.SampleMSC(10),
-		DataDir:   dir,
-		ShardRing: ring,
-		ShardID:   id,
+	ring := m.Ring()
+	fleet := startCluster(t, len(m.Shards), func(i int, _ []string, dir string) nnexus.Config {
+		return nnexus.Config{Scheme: nnexus.SampleMSC(10), DataDir: dir, ShardRing: ring, ShardID: i}
 	})
-	if err != nil {
-		t.Fatal(err)
+	for i := range m.Shards {
+		m.Shards[i].Addrs = []string{fleet.Addrs[i]}
 	}
-	srv, _, err := engine.ServeListener(ln, nil)
-	if err != nil {
-		engine.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); engine.Close() })
-	return engine, srv
+	return fleet
 }
 
 // TestShardedNetworkLinking runs the scatter-gather router over real TCP
@@ -75,14 +66,7 @@ func startShardNode(t testing.TB, ring *nnexus.ShardRing, id int, dir string, ln
 // shardScan request carries the link policy's corpora.
 func TestShardedNetworkLinking(t *testing.T) {
 	m := &nnexus.ShardMap{Version: 1, Shards: []nnexus.ShardSpec{{ID: 0}, {ID: 1}}}
-	for i := range m.Shards {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Shards[i].Addrs = []string{ln.Addr().String()}
-		startShardNode(t, m.Ring(), i, t.TempDir(), ln)
-	}
+	startShardFleet(t, m)
 
 	router, err := nnexus.DialSharded(m, nnexus.WithCallTimeout(3*time.Second))
 	if err != nil {
@@ -171,18 +155,7 @@ func TestShardedNetworkLinking(t *testing.T) {
 // restores full results through the same router.
 func TestChaosShardPartialResults(t *testing.T) {
 	m := &nnexus.ShardMap{Version: 1, Shards: []nnexus.ShardSpec{{ID: 0}, {ID: 1}}}
-	dirs := make([]string, 2)
-	servers := make([]*nnexus.Server, 2)
-	engines := make([]*nnexus.Engine, 2)
-	for i := range m.Shards {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Shards[i].Addrs = []string{ln.Addr().String()}
-		dirs[i] = t.TempDir()
-		engines[i], servers[i] = startShardNode(t, m.Ring(), i, dirs[i], ln)
-	}
+	fleet := startShardFleet(t, m)
 	router, err := nnexus.DialSharded(m,
 		nnexus.WithCallTimeout(2*time.Second),
 		nnexus.WithMaxRetries(1))
@@ -214,8 +187,7 @@ func TestChaosShardPartialResults(t *testing.T) {
 
 	// Abrupt shard-0 death. "and" may hash to either shard, so only the
 	// bare shard-1 word is guaranteed to scatter to shard 1 alone.
-	servers[0].Close()
-	engines[0].Close()
+	fleet.Kill(0)
 
 	got, err := router.LinkText(words[1], nnexus.LinkOptions{})
 	if err != nil {
@@ -242,11 +214,9 @@ func TestChaosShardPartialResults(t *testing.T) {
 
 	// Same data directory, same address: the shard rejoins and the router's
 	// lazily-redialing shard client resumes full results with no restart.
-	ln, err := net.Listen("tcp", m.Shards[0].Addrs[0])
-	if err != nil {
-		t.Fatalf("rebind shard 0 address: %v", err)
+	if err := fleet.Restart(0); err != nil {
+		t.Fatal(err)
 	}
-	startShardNode(t, m.Ring(), 0, dirs[0], ln)
 	waitFor(t, "full results after the shard rejoined", func() bool {
 		res, err := router.LinkText(mixed, nnexus.LinkOptions{})
 		return err == nil && len(res.Links) == 2
@@ -265,64 +235,30 @@ func TestChaosShardFailover(t *testing.T) {
 	}
 	m := &nnexus.ShardMap{Version: 1, Shards: []nnexus.ShardSpec{{ID: 0}, {ID: 1}}}
 
-	// Shard 0: three listeners bound first so every node can advertise the
-	// others' real ports, then node 0 as bootstrap primary, 1 and 2 as
-	// election-enabled followers — each serving only shard 0's ring slice.
-	lns := make([]net.Listener, 3)
-	addrs := make([]string, 3)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i], addrs[i] = ln, ln.Addr().String()
-	}
-	m.Shards[0].Addrs = addrs
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Shards[1].Addrs = []string{ln1.Addr().String()}
+	// Nodes 0-2 are shard 0's group — node 0 its bootstrap primary, 1 and 2
+	// election-enabled followers, each serving only shard 0's ring slice —
+	// and node 3 is shard 1, a single node.
 	ring := m.Ring()
-
-	group := make([]*nnexus.Engine, 3)
-	groupSrv := make([]*nnexus.Server, 3)
-	for i := range lns {
-		var peers []string
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
+	nodes := startCluster(t, 4, func(i int, addrs []string, dir string) nnexus.Config {
+		cfg := nnexus.Config{Scheme: nnexus.SampleMSC(10), DataDir: dir, ShardRing: ring}
+		if i == 3 {
+			cfg.ShardID = 1
+			return cfg
 		}
-		cfg := nnexus.Config{
-			Scheme:          nnexus.SampleMSC(10),
-			DataDir:         t.TempDir(),
-			ShardRing:       ring,
-			ShardID:         0,
-			ClusterPeers:    peers,
-			AdvertiseAddr:   addrs[i],
-			ElectionTimeout: failoverElectionTimeout,
-			QuorumTimeout:   5 * time.Second,
-			ReplicaName:     fmt.Sprintf("shard0-node%d", i),
-		}
+		cfg.ClusterPeers = cluster.Peers(addrs[:3], i)
+		cfg.AdvertiseAddr = addrs[i]
+		cfg.ElectionTimeout = failoverElectionTimeout
+		cfg.QuorumTimeout = 5 * time.Second
+		cfg.ReplicaName = fmt.Sprintf("shard0-node%d", i)
 		if i == 0 {
 			cfg.ReplicationPrimary = true
 		} else {
 			cfg.FollowPrimary = addrs[0]
 		}
-		engine, err := nnexus.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, _, err := engine.ServeListener(lns[i], nil)
-		if err != nil {
-			engine.Close()
-			t.Fatal(err)
-		}
-		group[i], groupSrv[i] = engine, srv
-		t.Cleanup(func() { srv.Close(); engine.Close() })
-	}
-	startShardNode(t, ring, 1, t.TempDir(), ln1)
+		return cfg
+	})
+	m.Shards[0].Addrs, m.Shards[1].Addrs = nodes.Addrs[:3], nodes.Addrs[3:]
+	group := nodes.Engines[:3]
 
 	router, err := nnexus.DialSharded(m,
 		nnexus.WithReplicaProbeInterval(25*time.Millisecond),
@@ -347,25 +283,16 @@ func TestChaosShardFailover(t *testing.T) {
 	}
 	// Let shard 0's followers catch up before the kill so replica reads can
 	// serve the full concept map.
-	waitFor(t, "shard 0 followers caught up", func() bool {
-		head := group[0].ReplicationInfo()["head"].(uint64)
-		for _, e := range group[1:] {
-			info := e.ReplicationInfo()
-			if !info["synced"].(bool) || info["applied"].(uint64) != head {
-				return false
-			}
-		}
-		return true
-	})
+	if _, err := nodes.WaitCaughtUp(0, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	mixed := words[0] + " versus " + words[1]
 	if res, err := router.LinkText(mixed, nnexus.LinkOptions{}); err != nil || len(res.Links) != 2 {
 		t.Fatalf("pre-kill mixed read = %+v, %v; want 2 links", res, err)
 	}
 
 	// Abrupt primary death mid-traffic.
-	groupSrv[0].Close()
-	group[0].Close()
-	group[0], groupSrv[0] = nil, nil
+	nodes.Kill(0)
 
 	// The bystander shard never notices: its writes succeed immediately and
 	// its single-word reads scatter to it alone.

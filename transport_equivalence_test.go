@@ -540,10 +540,65 @@ func TestTransportEquivalence(t *testing.T) {
 			}
 		})
 	}
+	t.Run("no peers, no election", noPeersRow)
 	t.Run("one gate", oneGateRow)
 	t.Run("default targets", defaultTargetsRow)
 	t.Run("one metric family", metricFamilyRow)
 	t.Run("body limit", bodyLimitRow)
+}
+
+// A node without peers is in no failover cluster, whatever it replicates: a
+// primary and a follower configured without ClusterPeers refuse replVote and
+// replLead with the error a single node gives, in process and on the socket
+// (the exchanges have no HTTP route), take on no election state from the
+// attempt, and report no election component on /readyz.
+func noPeersRow(t *testing.T) {
+	leader := deadAddr(t)
+	for _, kind := range []struct {
+		name string
+		cfg  nnexus.Config
+	}{
+		{"single node", nnexus.Config{}},
+		{"primary", nnexus.Config{DataDir: t.TempDir(), ReplicationPrimary: true}},
+		{"follower", nnexus.Config{DataDir: t.TempDir(), FollowPrimary: leader}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			n := openNode(t, kind.cfg)
+			for _, req := range []*wire.Request{
+				{Method: wire.MethodReplVote, Seq: 1, Epoch: 7, Offset: 1 << 40, Candidate: leader},
+				{Method: wire.MethodReplLead, Seq: 1, Epoch: 7, Leader: leader},
+			} {
+				for door, resp := range map[string]*wire.Response{
+					"handle": n.srv.Handle(req), "socket": rawCall(t, n.addr, req),
+				} {
+					if resp.IsOK() || resp.Code != "" || resp.Error != "node is not in a failover cluster" {
+						t.Errorf("%s: %s answered ok=%v code %q error %q, want the untyped refusal of a single node",
+							door, req.Method, resp.IsOK(), resp.Code, resp.Error)
+					}
+				}
+			}
+			if info := n.engine.ElectionInfo(); info != nil {
+				t.Errorf("ElectionInfo = %v, want nil", info)
+			}
+			if status := n.srv.Handle(&wire.Request{Method: wire.MethodReplStatus, Seq: 1}); status.Repl == nil || status.Repl.Epoch != 0 {
+				t.Errorf("replStatus after the refused exchanges = %+v, want epoch 0", status.Repl)
+			}
+			resp, err := http.Get(n.http.URL + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var report struct {
+				Components map[string]json.RawMessage `json:"components"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&report); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := report.Components["replication"]; !ok || report.Components["election"] != nil {
+				t.Errorf("/readyz components = %v, want replication and no election", report.Components)
+			}
+		})
+	}
 }
 
 // One service means one gate: a corpus's single token bucket is drained by
