@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build fmt vet test race loc bench bench-module profile-doc profile-import matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
+.PHONY: build fmt vet test race loc bench bench-module profile-doc profile-import profile-snippet matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
 
 build:
 	go build ./...
@@ -50,6 +50,16 @@ profile-import:
 	mkdir -p out
 	go test -run '^$$' -bench ImportRecover -benchtime 5x -benchmem -o out/nnexus.test \
 		-cpuprofile out/import.cpu.prof -memprofile out/import.mem.prof .
+
+# The same for the serving layer (BenchmarkLinkSnippet: the repository
+# benchmark's snippet_read op, one stop-and-wait caller through client, wire
+# and server on loopback; the profile holds both ends and the 3,000-entry
+# set-up): `go tool pprof -top out/nnexus.test out/snippet.cpu.prof`,
+# `go tool pprof -sample_index=alloc_space -top out/nnexus.test out/snippet.mem.prof`.
+profile-snippet:
+	mkdir -p out
+	go test -run '^$$' -bench LinkSnippet -benchtime 5s -benchmem -o out/nnexus.test \
+		-cpuprofile out/snippet.cpu.prof -memprofile out/snippet.mem.prof .
 
 # The match-stage scan experiment (chained-hash vs compiled automaton over
 # the engine-shaped concept map); informational companion to
@@ -135,6 +145,7 @@ fuzz:
 	go test ./internal/latex -fuzz=FuzzToText -fuzztime=30s
 	go test ./internal/policy -fuzz=FuzzParse -fuzztime=30s
 	go test ./internal/wire -fuzz=FuzzDecodeRequest -fuzztime=30s
+	go test ./internal/wire -fuzz=FuzzCodecEquivalence -fuzztime=30s
 	go test ./internal/storage -fuzz=FuzzDecodeBody -fuzztime=30s
 	go test ./internal/morph -fuzz=FuzzNormalize -fuzztime=30s
 	go test ./internal/render -fuzz=FuzzApplyEquivalence -fuzztime=30s

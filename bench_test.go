@@ -519,6 +519,62 @@ func BenchmarkLinkDocument(b *testing.B) {
 	}
 }
 
+// BenchmarkLinkSnippet is the repository benchmark's snippet_read op as a
+// `go test` benchmark, for profiling (make profile-snippet): ~25-token notes
+// invoking a few entry titles, each linked under a seeded entry's classes by
+// one stop-and-wait caller through Dial → client → wire → Serve on loopback,
+// against a 3,000-entry engine with the automaton compiled and telemetry on.
+// One iteration is one round trip; allocs/op covers client, codec, server
+// and engine, both ends being this process.
+func BenchmarkLinkSnippet(b *testing.B) {
+	p := workload.DefaultParams(3000)
+	p.Seed = 20090601
+	c, err := workload.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := nnexus.New(nnexus.Config{Scheme: c.Scheme, CompileAutomaton: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if err := experiments.Load(c, e); err != nil {
+		b.Fatal(err)
+	}
+	waitAutomaton(b, e)
+	srv, addr, err := e.Serve("127.0.0.1:0", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := nnexus.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	rng := rand.New(rand.NewSource(p.Seed))
+	texts := c.QueryTexts(1024, p.Seed)
+	classes := make([][]string, len(texts))
+	var size int
+	for i, text := range texts {
+		classes[i] = c.Entries[rng.Intn(len(c.Entries))].Entry.Classes
+		size += len(text)
+	}
+	b.SetBytes(int64(size / len(texts)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	links := 0
+	for i := 0; i < b.N; i++ {
+		lt, err := cl.LinkText(texts[i%len(texts)], classes[i%len(texts)], "", "", "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		links += len(lt.Links)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(links)/float64(b.N), "links/op")
+}
+
 // BenchmarkImportRecover is the repository benchmark's bulk_recover op as a
 // `go test` benchmark, for profiling (make profile-import): 3,000 generated
 // entries imported into an empty data directory in batches of 256 until the

@@ -1,10 +1,10 @@
 // Package client is the Go client for an NNexus server: it speaks the XML
 // socket protocol of the wire package, offering typed methods mirroring the
-// engine API. The connection is pipelined: a writer goroutine streams
-// requests while a reader goroutine demultiplexes responses by their Seq,
-// so up to WithPipelineWindow(n) calls from concurrent goroutines share one
-// connection without waiting for each other's round trips. One instance may
-// be shared freely.
+// engine API. The connection is pipelined: each caller encodes and writes its
+// own request, under the connection's write lock, while a reader goroutine
+// demultiplexes responses by their Seq, so up to WithPipelineWindow(n) calls
+// from concurrent goroutines share one connection without waiting for each
+// other's round trips. One instance may be shared freely.
 //
 // The client is self-healing: a dropped, desynced, or timed-out connection
 // is torn down and transparently re-established on the next call
@@ -14,7 +14,8 @@
 // rejections — which the server issues before executing anything — are
 // retried for every method. When a connection fails, every call already on
 // the wire is completed with the failure (fate unknown), while calls still
-// queued client-side fail as "not sent" and stay retryable for any method.
+// waiting for the window or the write lock fail as "not sent" and stay
+// retryable for any method.
 // Per-call deadlines bound each exchange so a hung server cannot block a
 // caller forever.
 package client
@@ -305,30 +306,32 @@ const (
 	failPermanent           // application error, protocol violation, or closed client
 )
 
-// pcall is one in-flight pipelined call. done is closed exactly once, after
-// resp/err/class are set.
+// pcall is one in-flight pipelined call: its request is on the wire, or on
+// its way there. done is closed exactly once, after resp/err/class are set.
 type pcall struct {
-	req   *wire.Request
 	resp  *wire.Response
 	err   error
 	class failClass
-	sent  bool // the writer started putting the request on the wire
 	done  chan struct{}
 }
 
-// clientConn is one live connection: a writer goroutine streaming queued
-// requests and a reader goroutine demultiplexing responses onto the pending
-// calls by Seq. A connection fails as a unit — the first writer, reader, or
-// deadline error marks it broken, completes every pending call (sent calls
-// with the failure, unsent ones as retryable "not sent"), and detaches it
-// from the Client so the next call dials fresh.
+// clientConn is one live connection: callers writing their requests one at
+// a time and a reader goroutine demultiplexing responses onto the pending
+// calls by Seq. A connection fails as a unit — the first write, read, or
+// deadline error marks it broken, completes every pending call with the
+// failure (callers that had not yet started to write fail as retryable "not
+// sent"), and detaches it from the Client so the next call dials fresh.
 type clientConn struct {
-	c       *Client
-	conn    net.Conn
-	enc     *wire.Encoder
-	writeCh chan *pcall
-	slots   chan struct{} // pipeline window semaphore
-	failed  chan struct{} // closed when the connection breaks
+	c      *Client
+	conn   net.Conn
+	slots  chan struct{} // pipeline window semaphore
+	failed chan struct{} // closed when the connection breaks
+
+	// wmu is the write lock: it orders Seq assignment, registration and the
+	// write, so requests reach the wire in Seq order and a call is pending
+	// exactly when its bytes may have left.
+	wmu sync.Mutex
+	enc *wire.Encoder
 
 	mu      sync.Mutex
 	pending map[int64]*pcall
@@ -345,25 +348,31 @@ func newClientConn(c *Client, conn net.Conn) *clientConn {
 		c:       c,
 		conn:    conn,
 		enc:     wire.NewEncoder(conn),
-		writeCh: make(chan *pcall, window),
 		slots:   make(chan struct{}, window),
 		failed:  make(chan struct{}),
 		pending: make(map[int64]*pcall),
 	}
-	go cc.writeLoop()
 	go cc.readLoop()
 	return cc
 }
 
-// submit queues one request, blocking for a window slot if the connection
-// is saturated. The returned call completes when its response arrives or
-// the connection fails.
-func (cc *clientConn) submit(req *wire.Request) (*pcall, error) {
+// acquire takes a window slot, blocking while the connection is saturated.
+func (cc *clientConn) acquire() error {
 	select {
 	case cc.slots <- struct{}{}:
+		return nil
 	case <-cc.failed:
-		return nil, cc.failure()
+		return cc.failure()
 	}
+}
+
+// submit writes one request from the caller's goroutine, which holds a
+// window slot, blocking for the write lock behind the calls ahead of it. The
+// returned call completes when its response arrives or the connection fails;
+// an error means the request was not sent.
+func (cc *clientConn) submit(req *wire.Request) (*pcall, error) {
+	cc.wmu.Lock()
+	defer cc.wmu.Unlock()
 	cc.mu.Lock()
 	if cc.broken {
 		err := cc.err
@@ -372,12 +381,12 @@ func (cc *clientConn) submit(req *wire.Request) (*pcall, error) {
 		return nil, err
 	}
 	req.Seq = cc.c.seq.Add(1)
-	pc := &pcall{req: req, done: make(chan struct{})}
+	pc := &pcall{done: make(chan struct{})}
 	cc.pending[req.Seq] = pc
 	cc.mu.Unlock()
-	// Never blocks: at most `window` calls hold slots, and each occupies
-	// at most one writeCh cell until the writer drains it.
-	cc.writeCh <- pc
+	if err := cc.enc.Encode(req); err != nil {
+		cc.fail(fmt.Errorf("client: write request: %w", err), failUnknown)
+	}
 	return pc, nil
 }
 
@@ -385,28 +394,6 @@ func (cc *clientConn) failure() error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.err
-}
-
-// writeLoop streams queued requests onto the wire in submission order.
-func (cc *clientConn) writeLoop() {
-	for {
-		select {
-		case <-cc.failed:
-			return
-		case pc := <-cc.writeCh:
-			cc.mu.Lock()
-			if cc.broken {
-				cc.mu.Unlock()
-				return
-			}
-			pc.sent = true
-			cc.mu.Unlock()
-			if err := cc.enc.Encode(pc.req); err != nil {
-				cc.fail(fmt.Errorf("client: write request: %w", err), failUnknown)
-				return
-			}
-		}
-	}
 }
 
 // readLoop demultiplexes responses to their pending calls by Seq. Typed and
@@ -417,8 +404,8 @@ func (cc *clientConn) writeLoop() {
 func (cc *clientConn) readLoop() {
 	dec := wire.NewDecoder(cc.conn)
 	for {
-		var r wire.Response
-		if err := dec.Decode(&r); err != nil {
+		r := new(wire.Response)
+		if err := dec.Decode(r); err != nil {
 			cc.fail(fmt.Errorf("client: read response: %w", err), failUnknown)
 			return
 		}
@@ -442,18 +429,17 @@ func (cc *clientConn) readLoop() {
 				pc.err, pc.class = serr, failPermanent
 			}
 		} else {
-			resp := r
-			pc.resp = &resp
+			pc.resp = r
 		}
 		close(pc.done)
 		<-cc.slots
 	}
 }
 
-// fail breaks the connection once: it completes every pending call (sent
-// requests get the given error and class; unsent ones fail as retryable
-// "not sent"), closes the socket — unblocking the reader — and detaches
-// the connection so the next call dials fresh.
+// fail breaks the connection once: it completes every pending call with the
+// given error and class, closes the socket — unblocking the reader and any
+// caller stuck in a write — and detaches the connection so the next call
+// dials fresh.
 func (cc *clientConn) fail(err error, class failClass) {
 	cc.mu.Lock()
 	if cc.broken {
@@ -469,11 +455,7 @@ func (cc *clientConn) fail(err error, class failClass) {
 	close(cc.failed)
 	cc.conn.Close()
 	for _, pc := range pending {
-		if pc.sent {
-			pc.err, pc.class = err, class
-		} else {
-			pc.err, pc.class = err, failNotSent
-		}
+		pc.err, pc.class = err, class
 		close(pc.done)
 		<-cc.slots
 	}
@@ -526,11 +508,9 @@ func (c *Client) callLocalClassed(req *wire.Request) (*wire.Response, failClass,
 		if c.telRetries != nil {
 			c.telRetries.Inc()
 		}
+		// The retry reuses req: it was encoded on this goroutine, inside
+		// doCall, so nothing reads it once doCall has returned.
 		time.Sleep(c.backoff(attempt))
-		// A retry gets its own copy: the broken connection's writer may
-		// still be encoding req while submit stamps the next Seq on it.
-		r := *req
-		req = &r
 	}
 }
 
@@ -570,22 +550,23 @@ func (c *Client) doCall(req *wire.Request) (*wire.Response, failClass, error) {
 	}
 	c.mu.Unlock()
 
+	if err := cc.acquire(); err != nil {
+		return nil, failNotSent, err
+	}
+	if c.callTimeout > 0 {
+		// Armed before the write, which a server that stopped reading can
+		// block as long as a missing response.
+		method := req.Method
+		timer := time.AfterFunc(c.callTimeout, func() {
+			cc.fail(fmt.Errorf("client: %s: call timeout %v exceeded", method, c.callTimeout), failUnknown)
+		})
+		defer timer.Stop()
+	}
 	pc, err := cc.submit(req)
 	if err != nil {
 		return nil, failNotSent, err
 	}
-	if c.callTimeout > 0 {
-		timer := time.NewTimer(c.callTimeout)
-		defer timer.Stop()
-		select {
-		case <-pc.done:
-		case <-timer.C:
-			cc.fail(fmt.Errorf("client: %s: call timeout %v exceeded", req.Method, c.callTimeout), failUnknown)
-			<-pc.done
-		}
-	} else {
-		<-pc.done
-	}
+	<-pc.done
 	return pc.resp, pc.class, pc.err
 }
 

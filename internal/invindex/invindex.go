@@ -50,9 +50,8 @@ const DefaultCompactBelow = 2
 // node is one key: the word or phrase its trie path from the root (node 0)
 // spells. Never deleted: its count and its tombstone outlive its postings.
 type node struct {
-	count  int32 // occurrences across all adds; tombstoned once compacted
-	slot   int32 // index into Index.lists; noSlot while it has no postings
-	phrase bool  // two words or more: compaction may drop it
+	count int32 // occurrences across all adds; tombstoned once compacted
+	slot  int32 // index into Index.lists; noSlot while it has no postings
 }
 
 const tombstoned, noSlot = -1, -1
@@ -63,6 +62,7 @@ type Index struct {
 	words *morph.Interner   // normalized word → word ID
 	edges map[uint64]int32  // parent node<<32 | word ID → child node
 	nodes []node            // nodes[0] is the root, the empty phrase
+	long  []uint64          // bit i: nodes[i] is two words or more, compaction may drop it
 	lists [][]int64         // sorted object IDs, one list per node with postings
 	free  []int32           // slots of lists given up by emptied or compacted nodes
 	docs  map[int64][]int32 // object → word-ID sequence of its text
@@ -106,6 +106,7 @@ func New(opts ...Option) *Index {
 		words:        morph.NewInterner(),
 		edges:        make(map[uint64]int32),
 		nodes:        []node{{slot: noSlot}},
+		long:         []uint64{0},
 		docs:         make(map[int64][]int32),
 		maxPhraseLen: DefaultMaxPhraseLen,
 	}
@@ -137,6 +138,9 @@ func (ix *Index) AddText(object int64, text string) {
 func (ix *Index) AddTokens(object int64, norms []string) {
 	ix.add(object, len(norms), func(i int) string { return norms[i] })
 }
+
+// phrase reports whether nodes[i] spells two words or more.
+func (ix *Index) phrase(i int) bool { return ix.long[i/64]&(1<<(i%64)) != 0 }
 
 func edgeKey(parent, word int32) uint64 {
 	return uint64(parent)<<32 | uint64(uint32(word))
@@ -172,7 +176,13 @@ func (ix *Index) add(object int64, n int, word func(i int) string) {
 			}
 			if !ok {
 				child = int32(len(ix.nodes))
-				ix.nodes = append(ix.nodes, node{slot: noSlot, phrase: at != 0})
+				ix.nodes = append(ix.nodes, node{slot: noSlot})
+				if child%64 == 0 {
+					ix.long = append(ix.long, 0)
+				}
+				if at != 0 {
+					ix.long[child/64] |= 1 << (child % 64)
+				}
 				ix.edges[key] = child
 				fresh = true
 			}
@@ -322,7 +332,7 @@ func (ix *Index) compactLocked(minCount int) int {
 	removed := 0
 	for i := range ix.nodes {
 		nd := &ix.nodes[i]
-		if !nd.phrase || nd.slot == noSlot || int(nd.count) >= minCount {
+		if !ix.phrase(i) || nd.slot == noSlot || int(nd.count) >= minCount {
 			continue
 		}
 		ix.releaseLocked(nd)
@@ -375,7 +385,7 @@ func (ix *Index) Stats() Stats {
 			continue
 		}
 		n := len(ix.lists[nd.slot])
-		if nd.phrase {
+		if ix.phrase(i) {
 			s.PhraseKeys++
 			s.PhrasePostings += n
 		} else {
@@ -385,7 +395,7 @@ func (ix *Index) Stats() Stats {
 		s.Postings += n
 	}
 	s.Bytes = len(ix.edges)*edgeBytes + len(ix.docs)*docEntry +
-		cap(ix.nodes)*12 + cap(ix.lists)*24 + cap(ix.free)*4 // 12: sizeof(node)
+		cap(ix.nodes)*8 + cap(ix.long)*8 + cap(ix.lists)*24 + cap(ix.free)*4 // 8: sizeof(node)
 	for _, ids := range ix.lists {
 		s.Bytes += cap(ids) * 8
 	}

@@ -83,27 +83,15 @@ type Server struct {
 	// cue; production code never sets it.
 	testPostMutate func(*wire.Request)
 
+	// draining is read once per request by every connection and written
+	// once, by Shutdown or Close.
+	draining atomic.Bool
+
 	mu       sync.Mutex
 	listener net.Listener
-	conns    map[net.Conn]*connState
-	draining bool
+	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
-}
-
-// connState tracks how many of a connection's requests are in flight —
-// dispatched but with the response not yet written — so a drain can close
-// idle connections immediately while letting busy ones finish and flush.
-type connState struct {
-	inFlight int
-}
-
-// connResp is one response queued for a connection's writer goroutine.
-// tracked marks responses of dispatched requests (their write retires an
-// in-flight slot); shed rejections are untracked.
-type connResp struct {
-	resp    *wire.Response
-	tracked bool
 }
 
 // serverTelemetry is the TCP layer's connection and request accounting,
@@ -239,8 +227,8 @@ func WithMaxActiveRequests(n int) Option {
 // WithMaxPipeline bounds how many requests one connection may have in
 // flight concurrently. The wire protocol correlates responses to requests
 // by Seq, so a pipelining client can keep up to n requests outstanding and
-// receive completions out of order; a connection's writer goroutine
-// serializes the responses. n = 1 reproduces the pre-pipelining
+// receive completions out of order; n is also the most handler goroutines
+// the connection ever has. n = 1 reproduces the pre-pipelining
 // one-request-at-a-time behavior exactly; stop-and-wait clients are
 // unaffected either way, since they never have more than one request
 // outstanding. The default is DefaultMaxPipeline.
@@ -265,7 +253,7 @@ func New(svc *service.Service, logger *log.Logger, opts ...Option) *Server {
 		logger:          logger,
 		tel:             newServerTelemetry(engine.Telemetry()),
 		svc:             svc,
-		conns:           make(map[net.Conn]*connState),
+		conns:           make(map[net.Conn]struct{}),
 		maxRequestBytes: service.MaxRequestBytes,
 		writeTimeout:    DefaultWriteTimeout,
 		maxPipeline:     DefaultMaxPipeline,
@@ -294,7 +282,7 @@ func (s *Server) Listen(addr string) (string, error) {
 // shut down. The listener's address is returned.
 func (s *Server) Serve(ln net.Listener) (string, error) {
 	s.mu.Lock()
-	if s.closed || s.draining {
+	if s.closed || s.draining.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return "", errors.New("server: already closed")
@@ -314,7 +302,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return // listener closed
 		}
 		s.mu.Lock()
-		if s.closed || s.draining {
+		if s.closed || s.draining.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return
@@ -327,7 +315,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			}
 			continue
 		}
-		s.conns[conn] = &connState{}
+		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(conn)
@@ -336,11 +324,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // Draining reports whether the server has begun shutting down (and is no
 // longer accepting connections). Readiness probes key off this.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining || s.closed
-}
+func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close stops accepting, force-closes all connections (in-flight requests
 // are abandoned), and waits for handler goroutines. For a graceful stop
@@ -352,7 +336,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.draining = true
+	s.draining.Store(true)
 	ln := s.listener
 	s.listener = nil
 	for conn := range s.conns {
@@ -374,24 +358,24 @@ func (s *Server) Close() error {
 
 // Shutdown gracefully drains the server: it stops accepting connections,
 // closes idle ones, and lets requests already being handled finish and
-// flush their responses. When ctx expires first, remaining connections are
-// force-closed and ctx's error returned; Shutdown still waits for the
-// connection goroutines to unwind, which happens as soon as their current
-// handler returns (or its handler deadline expires). The drain duration is
-// recorded in the nnexus_drain_duration_seconds histogram.
+// flush their responses: every connection's reader is woken by a read
+// deadline in the past, stops admitting, and closes the connection once its
+// handlers have written what they owe. When ctx expires first, remaining
+// connections are force-closed and ctx's error returned; Shutdown still
+// waits for the connection goroutines to unwind, which happens as soon as
+// their current handler returns (or its handler deadline expires). The drain
+// duration is recorded in the nnexus_drain_duration_seconds histogram.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	s.draining = true
+	s.draining.Store(true)
 	ln := s.listener
 	s.listener = nil
-	for conn, st := range s.conns {
-		if st.inFlight == 0 {
-			conn.Close()
-		}
+	for conn := range s.conns {
+		_ = conn.SetReadDeadline(time.Unix(1, 0))
 	}
 	s.mu.Unlock()
 	if ln != nil {
@@ -431,95 +415,77 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// beginRequest marks one more of the connection's requests as in flight,
-// so a concurrent drain will not close it underneath the handler, and
-// returns the resulting pipeline depth.
-func (s *Server) beginRequest(conn net.Conn) int {
-	s.mu.Lock()
-	depth := 1
-	if st, ok := s.conns[conn]; ok {
-		st.inFlight++
-		depth = st.inFlight
-	}
-	s.mu.Unlock()
-	s.active.Add(1)
-	return depth
+// conn is one connection: a reader (serveConn) that decodes, admits and
+// hands out requests, and up to maxPipeline handler goroutines that execute
+// them and write their own responses.
+type conn struct {
+	s  *Server
+	nc net.Conn
+
+	// work hands a request to an idle handler. It is unbuffered: when every
+	// handler is busy the reader waits here, which is the pipeline window.
+	work     chan *wire.Request
+	busy     atomic.Int32 // handlers executing a request
+	handlers sync.WaitGroup
+
+	// wmu guards the outgoing bytes. A response is appended to out; the
+	// first handler to find nobody writing becomes the writer and keeps
+	// writing until out is empty, so responses that are ready together leave
+	// in one Write.
+	wmu     sync.Mutex
+	out     []byte
+	spare   []byte // the buffer the last Write is done with
+	writing bool
+	failed  bool // a Write failed: the connection is closed, responses are dropped
 }
 
-// finishWrite retires one in-flight request after its response has been
-// written (or discarded on a failed connection). During a drain, the
-// connection is closed as soon as its last in-flight response is out,
-// which unblocks the reader goroutine; Shutdown's idle sweep only closes
-// connections with nothing in flight, so this is the path that retires
-// busy connections.
-func (s *Server) finishWrite(conn net.Conn) {
-	s.mu.Lock()
-	closeNow := false
-	if st, ok := s.conns[conn]; ok {
-		st.inFlight--
-		closeNow = s.draining && st.inFlight == 0
-	}
-	s.mu.Unlock()
-	if closeNow {
-		conn.Close()
-	}
-}
-
-// serveConn runs one connection: a reader loop decoding and dispatching up
-// to maxPipeline requests concurrently, and a writer goroutine serializing
-// their responses back onto the wire. Responses may complete out of order;
-// the Seq echoed in each response lets the client re-correlate them. The
-// per-request semantics of the sequential server are preserved per
-// in-flight request: shedding happens before dispatch, panics are recovered
-// per handler, the handler deadline bounds each request independently, and
-// a drain lets every dispatched request finish and flush before the
-// connection closes.
-func (s *Server) serveConn(conn net.Conn) {
+// serveConn runs one connection's reader. Responses may complete out of
+// order; the Seq echoed in each response lets the client re-correlate them.
+// Shedding and admission happen here, before a request takes a handler;
+// panics are recovered per handler, the handler deadline bounds each request
+// independently, and a drain lets every dispatched request finish and flush
+// before the connection closes.
+func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	if s.tel != nil {
 		s.tel.connsTotal.Inc()
 		s.tel.connsActive.Inc()
 	}
+	c := &conn{s: s, nc: nc, work: make(chan *wire.Request)}
 	defer func() {
-		conn.Close()
+		close(c.work)
+		c.handlers.Wait() // each has written its response, or found the connection failed
+		nc.Close()
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, nc)
 		s.mu.Unlock()
 		if s.tel != nil {
 			s.tel.connsActive.Dec()
 		}
 	}()
-	metered := &meteredReader{r: conn, limit: s.maxRequestBytes}
-	dec := wire.NewDecoder(metered)
-
-	maxPipeline := s.maxPipeline
-	if maxPipeline <= 0 {
-		maxPipeline = 1
-	}
-	// Buffered so handlers never block behind each other's sends; the
-	// writer provides backpressure only through the sem window.
-	respCh := make(chan connResp, maxPipeline+1)
-	writerDone := make(chan struct{})
-	go s.connWriter(conn, respCh, writerDone)
-
-	sem := make(chan struct{}, maxPipeline)
-	var handlers sync.WaitGroup
+	dec := wire.NewDecoder(nc)
+	dec.SetLimit(s.maxRequestBytes)
+	started := 0
 	for {
-		metered.reset()
 		if s.idleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
+			_ = nc.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
-		var req wire.Request
-		if err := dec.Decode(&req); err != nil {
-			if err != io.EOF && s.logger != nil {
+		// Checked after the deadline is set: either this sees the drain, or
+		// the drain's own deadline lands after this one and ends the read.
+		if s.draining.Load() {
+			return
+		}
+		req := new(wire.Request)
+		if err := dec.Decode(req); err != nil {
+			if err != io.EOF && s.logger != nil && !s.draining.Load() {
 				s.logger.Printf("server: %v", err)
 			}
-			break
+			return
 		}
-		if s.Draining() {
+		if s.draining.Load() {
 			// The connection is retiring; in-flight requests finish and
-			// flush below, new ones are not admitted.
-			break
+			// flush, new ones are not admitted.
+			return
 		}
 		if s.maxActive > 0 && s.active.Load() >= int64(s.maxActive) {
 			// Shed before dispatch: the request never executes, so it
@@ -527,67 +493,86 @@ func (s *Server) serveConn(conn net.Conn) {
 			if s.tel != nil {
 				s.tel.shed.Inc()
 			}
-			respCh <- connResp{resp: wire.ErrCoded(&req, wire.CodeOverloaded, errOverloaded)}
+			c.send(wire.ErrCoded(req, wire.CodeOverloaded, errOverloaded))
 			continue
 		}
 		// Admit inline, like the shed path: a rejected request never takes
-		// a pipeline slot or spawns a handler goroutine, so a tenant
-		// hammering past its limit costs admission control only, not
-		// per-request dispatch machinery.
-		if err := s.admit(&req); err != nil {
-			respCh <- connResp{resp: s.errResponse(&req, err)}
+		// a handler, so a tenant hammering past its limit costs admission
+		// control only.
+		if err := s.admit(req); err != nil {
+			c.send(s.errResponse(req, err))
 			continue
 		}
-		sem <- struct{}{} // pipeline window slot
-		depth := s.beginRequest(conn)
+		s.active.Add(1)
+		depth := int(c.busy.Add(1))
 		if s.tel != nil {
 			s.tel.pipelineDepth.Observe(float64(depth))
 		}
-		handlers.Add(1)
-		r := req
-		go func() {
-			defer handlers.Done()
-			resp := s.handleWithTimeout(&r)
-			s.active.Add(-1)
-			respCh <- connResp{resp: resp, tracked: true}
-			<-sem
-		}()
+		// A handler counts itself idle before it writes its response, so a
+		// stop-and-wait client finds the one it used last time; a second is
+		// started only for a request that arrives while every one is busy.
+		if depth > started && started < s.maxPipeline {
+			started++
+			c.handlers.Add(1)
+			go c.handle(req)
+		} else {
+			c.work <- req
+		}
 	}
-	handlers.Wait()
-	close(respCh)
-	<-writerDone
 }
 
-// connWriter serializes one connection's responses onto the wire, applying
-// the per-response write deadline. After a write failure the connection is
-// closed and the remaining responses are discarded (their in-flight
-// accounting is still retired).
-func (s *Server) connWriter(conn net.Conn, ch <-chan connResp, done chan<- struct{}) {
-	defer close(done)
-	enc := wire.NewEncoder(conn)
-	failed := false
-	for cr := range ch {
-		if !failed {
-			if s.writeTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-			}
-			err := enc.Encode(cr.resp)
-			if s.writeTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Time{})
-			}
-			if err != nil {
-				if s.logger != nil {
-					s.logger.Printf("server: write: %v", err)
-				}
-				failed = true
-				conn.Close()
-			}
-		}
-		if cr.tracked {
-			s.finishWrite(conn)
-		}
+// handle is one handler goroutine: it executes the request it was started
+// for and then whatever the reader hands it, until the connection ends.
+func (c *conn) handle(req *wire.Request) {
+	defer c.handlers.Done()
+	for ; req != nil; req = <-c.work {
+		resp := c.s.handleWithTimeout(req)
+		c.s.active.Add(-1)
+		c.busy.Add(-1)
+		c.send(resp)
 	}
 }
+
+// send puts one response on the wire, under the per-write deadline. After a
+// write failure the connection is closed and responses are dropped.
+func (c *conn) send(resp *wire.Response) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.failed {
+		return
+	}
+	c.out, _ = wire.Append(c.out, resp)
+	if c.writing {
+		return // the handler that is writing takes these bytes along
+	}
+	c.writing = true
+	for len(c.out) > 0 && !c.failed {
+		buf := c.out
+		c.out, c.spare = c.spare[:0], nil
+		c.wmu.Unlock()
+		if c.s.writeTimeout > 0 {
+			// Every Write sets its own, so none is left behind to clear.
+			_ = c.nc.SetWriteDeadline(time.Now().Add(c.s.writeTimeout))
+		}
+		_, err := c.nc.Write(buf)
+		c.wmu.Lock()
+		if cap(buf) <= maxRetainedOut {
+			c.spare = buf
+		}
+		if err != nil {
+			if c.s.logger != nil {
+				c.s.logger.Printf("server: write: %v", err)
+			}
+			c.failed, c.out = true, nil
+			c.nc.Close()
+		}
+	}
+	c.writing = false
+}
+
+// maxRetainedOut is the largest response buffer a connection keeps between
+// writes.
+const maxRetainedOut = 64 << 10
 
 // handleWithTimeout runs Handle under the configured handler deadline.
 // When the deadline expires the client gets a typed "timeout" error; the
@@ -612,29 +597,6 @@ func (s *Server) handleWithTimeout(req *wire.Request) *wire.Response {
 		return wire.ErrCoded(req, wire.CodeTimeout,
 			fmt.Errorf("%s: handler deadline %v exceeded", req.Method, s.handlerTimeout))
 	}
-}
-
-// meteredReader enforces the per-request byte budget: reset is called before
-// each request, and a request that overruns the budget fails the read,
-// terminating the connection rather than buffering unbounded input.
-type meteredReader struct {
-	r         io.Reader
-	limit     int64
-	remaining int64
-}
-
-func (m *meteredReader) reset() { m.remaining = m.limit }
-
-func (m *meteredReader) Read(p []byte) (int, error) {
-	if m.remaining <= 0 {
-		return 0, errors.New("server: request exceeds size limit")
-	}
-	if int64(len(p)) > m.remaining {
-		p = p[:m.remaining]
-	}
-	n, err := m.r.Read(p)
-	m.remaining -= int64(n)
-	return n, err
 }
 
 // Handle dispatches one request to the engine and builds the response. It
@@ -1077,8 +1039,11 @@ func (s *Server) textLinkOptions(req *wire.Request) (core.LinkOptions, error) {
 
 func toWireLinked(res *core.Result) *wire.Linked {
 	out := &wire.Linked{Output: res.Output}
-	for _, l := range res.Links {
-		out.Links = append(out.Links, wire.LinkInfo{
+	if len(res.Links) > 0 {
+		out.Links = make([]wire.LinkInfo, len(res.Links))
+	}
+	for i, l := range res.Links {
+		out.Links[i] = wire.LinkInfo{
 			Label:    l.Label,
 			Start:    l.Start,
 			End:      l.End,
@@ -1086,10 +1051,13 @@ func toWireLinked(res *core.Result) *wire.Linked {
 			Domain:   l.TargetDomain,
 			URL:      l.URL,
 			Distance: l.Distance,
-		})
+		}
 	}
-	for _, s := range res.Skips {
-		out.Skips = append(out.Skips, wire.SkipInfo{Label: s.Label, Reason: s.Reason})
+	if len(res.Skips) > 0 {
+		out.Skips = make([]wire.SkipInfo, len(res.Skips))
+	}
+	for i, s := range res.Skips {
+		out.Skips[i] = wire.SkipInfo{Label: s.Label, Reason: s.Reason}
 	}
 	return out
 }

@@ -1,0 +1,641 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"strconv"
+)
+
+// ErrTooLarge is returned (wrapped) by Decode when a message is longer than
+// the decoder's limit.
+var ErrTooLarge = errors.New("message exceeds size limit")
+
+// Decoder reads a stream of XML messages: a single-pass pull parser over its
+// own read buffer for the fixed Request / Response schema of wire.go. It
+// accepts what encoding/xml accepted for those structs — a prolog, comments
+// and processing instructions anywhere, either quote, CDATA, the five named
+// and all numeric character references, namespace prefixes (ignored),
+// children in any order, repeated scalars (the last wins), unknown elements
+// and attributes (skipped) — except document type declarations and names
+// outside ASCII, which it refuses (DESIGN.md "The XML it speaks").
+//
+// The first error is final: a stream that failed to parse has no next
+// message.
+type Decoder struct {
+	r    io.Reader
+	buf  []byte // read window
+	pos  int    // next unread byte of buf
+	lim  int    // first byte of buf the current message may not read; ≤ end, 0 once failed
+	end  int    // end of the read bytes in buf
+	rerr error  // r's error, due once the window is consumed
+	err  error  // the first error; sticky
+
+	max   int64 // byte limit of one message; 0 = none
+	inMsg bool  // between a message's first byte and its last
+	used  int64 // bytes of the message before buf[0] (negative: it starts inside buf)
+
+	name    []byte // the last name read; of an element or attribute, its local part
+	nameBuf []byte // name's storage, prefix included
+	val     []byte // the last attribute value, or character data nobody keeps
+	text    []byte // character data of the element being read as a scalar
+	open    []byte // names of the open elements, concatenated
+	marks   []int  // where each of them starts in open
+	inTag   bool   // inside a start tag, behind its name or an attribute
+	empty   bool   // the start tag just read closed itself with />
+}
+
+// NewDecoder wraps a reader.
+func NewDecoder(r io.Reader) *Decoder {
+	return &Decoder{r: r, buf: make([]byte, 4096)}
+}
+
+// SetLimit bounds every following message to n bytes, counted from its
+// first byte that is not white space to the '>' that ends it — whatever was
+// read ahead of it or behind it. A longer message fails Decode with
+// ErrTooLarge before the byte past the limit is looked at. Zero or less
+// removes the bound.
+func (d *Decoder) SetLimit(n int64) { d.max = max(n, 0) }
+
+// Decode reads the next message into v, a *Request or a *Response. Fields
+// the message does not mention keep what v held. io.EOF signals a cleanly
+// closed stream.
+func (d *Decoder) Decode(v interface{}) error {
+	switch m := v.(type) {
+	case *Request:
+		d.message("request", func() { d.request(m) })
+	case *Response:
+		d.message("response", func() { d.response(m) })
+	default:
+		return fmt.Errorf("wire: decode: not a message: %T", v)
+	}
+	if cap(d.val) > maxRetainedBuffer {
+		d.val = nil
+	}
+	if cap(d.text) > maxRetainedBuffer {
+		d.text = nil
+	}
+	if d.err == io.EOF {
+		return io.EOF
+	}
+	if d.err != nil {
+		return fmt.Errorf("wire: decode: %w", d.err)
+	}
+	return nil
+}
+
+// message skips to the root element, checks its name and runs body on it.
+// The stream ending between messages, or inside text before one, is a clean
+// io.EOF; ending anywhere else is an error.
+func (d *Decoder) message(root string, body func()) {
+	for d.err == nil {
+		c, ok := d.getc()
+		if !ok {
+			return
+		}
+		if !d.inMsg {
+			if isSpace(c) {
+				continue
+			}
+			d.inMsg, d.used = true, -int64(d.pos-1)
+			d.setLimit()
+		}
+		if c != '<' {
+			d.pos--
+			d.val = d.charData(d.val[:0], -1, false)
+			continue
+		}
+		if !d.markup(false) {
+			continue
+		}
+		if string(d.name) != root {
+			d.fail("expected element type <" + root + "> but have <" + string(d.name) + ">")
+			return
+		}
+		body()
+		if d.err == io.EOF {
+			d.fail("unexpected EOF")
+		}
+		d.inMsg = false
+		d.setLimit()
+		return
+	}
+}
+
+// --- the schema ---
+
+func (d *Decoder) request(r *Request) {
+	for d.attr() {
+		switch string(d.name) {
+		case "seq":
+			r.Seq = d.intVal(d.val)
+		case "method":
+			r.Method = string(d.val)
+		case "corpus":
+			r.Corpus = string(d.val)
+		case "offset":
+			r.Offset = d.uintVal(d.val)
+		case "epoch":
+			r.Epoch = d.uintVal(d.val)
+		case "maxrecords":
+			r.MaxRecords = int(d.intVal(d.val))
+		case "waitmillis":
+			r.WaitMillis = int(d.intVal(d.val))
+		case "follower":
+			r.Follower = string(d.val)
+		case "candidate":
+			r.Candidate = string(d.val)
+		case "leader":
+			r.Leader = string(d.val)
+		}
+	}
+	for d.child(false) {
+		switch string(d.name) {
+		case "domain":
+			if r.Domain == nil {
+				r.Domain = new(Domain)
+			}
+			d.domain(r.Domain)
+		case "entry":
+			if r.Entry == nil {
+				r.Entry = new(Entry)
+			}
+			d.entry(r.Entry)
+		case "object":
+			r.Object = d.intVal(d.scalar())
+		case "policy":
+			r.Policy = string(d.scalar())
+		case "text":
+			r.Text = string(d.scalar())
+		case "class":
+			r.Classes = append(r.Classes, string(d.scalar()))
+		case "scheme":
+			r.Scheme = string(d.scalar())
+		case "mode":
+			r.Mode = string(d.scalar())
+		case "format":
+			r.Format = string(d.scalar())
+		case "targets":
+			for d.wrapped("corpus") {
+				r.Targets = append(r.Targets, string(d.scalar()))
+			}
+		case "entries":
+			for d.wrapped("entry") {
+				e := new(Entry)
+				r.Entries = append(r.Entries, e)
+				d.entry(e)
+			}
+		case "texts":
+			for d.wrapped("text") {
+				r.Texts = append(r.Texts, string(d.scalar()))
+			}
+		case "objects":
+			for d.wrapped("object") {
+				r.Objects = append(r.Objects, d.intVal(d.scalar()))
+			}
+		case "tokens":
+			for d.wrapped("token") {
+				r.Tokens = append(r.Tokens, Token{})
+				t := &r.Tokens[len(r.Tokens)-1]
+				for d.attr() {
+					switch string(d.name) {
+					case "norm":
+						t.Norm = string(d.val)
+					case "start":
+						t.Start = int(d.intVal(d.val))
+					case "end":
+						t.End = int(d.intVal(d.val))
+					}
+				}
+				d.skip()
+			}
+		default:
+			d.skip()
+		}
+	}
+}
+
+func (d *Decoder) response(r *Response) {
+	for d.attr() {
+		switch string(d.name) {
+		case "seq":
+			r.Seq = d.intVal(d.val)
+		case "status":
+			r.Status = string(d.val)
+		case "code":
+			r.Code = string(d.val)
+		}
+	}
+	for d.child(false) {
+		switch string(d.name) {
+		case "error":
+			r.Error = string(d.scalar())
+		case "object":
+			r.Object = d.intVal(d.scalar())
+		case "entry":
+			if r.Entry == nil {
+				r.Entry = new(Entry)
+			}
+			d.entry(r.Entry)
+		case "linked":
+			if r.Linked == nil {
+				r.Linked = new(Linked)
+			}
+			d.linked(r.Linked)
+		case "stats":
+			if r.Stats == nil {
+				r.Stats = new(Stats)
+			}
+			d.stats(r.Stats)
+		case "invalidated":
+			for d.wrapped("object") {
+				r.Invalidated = append(r.Invalidated, d.intVal(d.scalar()))
+			}
+		case "objects":
+			for d.wrapped("object") {
+				r.Objects = append(r.Objects, d.intVal(d.scalar()))
+			}
+		case "batch":
+			for d.wrapped("linked") {
+				l := new(Linked)
+				r.Batch = append(r.Batch, l)
+				d.linked(l)
+			}
+		case "matches":
+			for d.wrapped("match") {
+				r.Matches = append(r.Matches, ShardMatch{})
+				d.shardMatch(&r.Matches[len(r.Matches)-1])
+			}
+		case "repl":
+			if r.Repl == nil {
+				r.Repl = new(ReplPayload)
+			}
+			d.repl(r.Repl)
+		case "leader":
+			r.Leader = string(d.scalar())
+		default:
+			d.skip()
+		}
+	}
+}
+
+func (d *Decoder) domain(m *Domain) {
+	for d.attr() {
+		if string(d.name) == "name" {
+			m.Name = string(d.val)
+		}
+	}
+	for d.child(false) {
+		switch string(d.name) {
+		case "urltemplate":
+			m.URLTemplate = string(d.scalar())
+		case "scheme":
+			m.Scheme = string(d.scalar())
+		case "priority":
+			m.Priority = int(d.intVal(d.scalar()))
+		default:
+			d.skip()
+		}
+	}
+}
+
+func (d *Decoder) entry(e *Entry) {
+	for d.attr() {
+		switch string(d.name) {
+		case "id":
+			e.ID = d.intVal(d.val)
+		case "corpus":
+			e.Corpus = string(d.val)
+		case "domain":
+			e.Domain = string(d.val)
+		case "externalid":
+			e.ExternalID = string(d.val)
+		}
+	}
+	for d.child(false) {
+		switch string(d.name) {
+		case "title":
+			e.Title = string(d.scalar())
+		case "concept":
+			e.Concepts = append(e.Concepts, string(d.scalar()))
+		case "class":
+			e.Classes = append(e.Classes, string(d.scalar()))
+		case "body":
+			e.Body = string(d.scalar())
+		case "policy":
+			e.Policy = string(d.scalar())
+		default:
+			d.skip()
+		}
+	}
+}
+
+func (d *Decoder) linked(l *Linked) {
+	for d.child(false) {
+		switch string(d.name) {
+		case "output":
+			l.Output = string(d.scalar())
+		case "link":
+			l.Links = append(l.Links, LinkInfo{})
+			k := &l.Links[len(l.Links)-1]
+			for d.attr() {
+				switch string(d.name) {
+				case "label":
+					k.Label = string(d.val)
+				case "start":
+					k.Start = int(d.intVal(d.val))
+				case "end":
+					k.End = int(d.intVal(d.val))
+				case "target":
+					k.Target = d.intVal(d.val)
+				case "domain":
+					k.Domain = string(d.val)
+				case "url":
+					k.URL = string(d.val)
+				case "distance":
+					k.Distance = d.intVal(d.val)
+				}
+			}
+			d.skip()
+		case "skip":
+			l.Skips = append(l.Skips, SkipInfo{})
+			s := &l.Skips[len(l.Skips)-1]
+			for d.attr() {
+				switch string(d.name) {
+				case "label":
+					s.Label = string(d.val)
+				case "reason":
+					s.Reason = string(d.val)
+				}
+			}
+			d.skip()
+		default:
+			d.skip()
+		}
+	}
+}
+
+func (d *Decoder) stats(s *Stats) {
+	for d.child(false) {
+		switch string(d.name) {
+		case "entries":
+			s.Entries = int(d.intVal(d.scalar()))
+		case "concepts":
+			s.Concepts = int(d.intVal(d.scalar()))
+		case "domains":
+			s.Domains = int(d.intVal(d.scalar()))
+		case "invalidated":
+			s.Invalidated = int(d.intVal(d.scalar()))
+		case "cachehits":
+			s.CacheHits = d.intVal(d.scalar())
+		case "cachemisses":
+			s.CacheMisses = d.intVal(d.scalar())
+		case "linkscreated":
+			s.LinksCreated = d.intVal(d.scalar())
+		case "textslinked":
+			s.TextsLinked = d.intVal(d.scalar())
+		case "maxobject":
+			s.MaxObject = d.intVal(d.scalar())
+		default:
+			d.skip()
+		}
+	}
+}
+
+func (d *Decoder) shardMatch(m *ShardMatch) {
+	for d.attr() {
+		switch string(d.name) {
+		case "label":
+			m.Label = string(d.val)
+		case "tokstart":
+			m.TokenStart = int(d.intVal(d.val))
+		case "tokend":
+			m.TokenEnd = int(d.intVal(d.val))
+		case "bytestart":
+			m.ByteStart = int(d.intVal(d.val))
+		case "byteend":
+			m.ByteEnd = int(d.intVal(d.val))
+		case "skip":
+			m.Skip = string(d.val)
+		case "target":
+			m.Target = d.intVal(d.val)
+		case "domain":
+			m.Domain = string(d.val)
+		case "title":
+			m.Title = string(d.val)
+		case "url":
+			m.URL = string(d.val)
+		case "distance":
+			m.Distance = d.intVal(d.val)
+		case "candidates":
+			m.Candidates = int(d.intVal(d.val))
+		}
+	}
+	d.skip()
+}
+
+func (d *Decoder) repl(p *ReplPayload) {
+	for d.attr() {
+		switch string(d.name) {
+		case "role":
+			p.Role = string(d.val)
+		case "epoch":
+			p.Epoch = d.uintVal(d.val)
+		case "head":
+			p.Head = d.uintVal(d.val)
+		case "applied":
+			p.Applied = d.uintVal(d.val)
+		case "stale":
+			p.Stale = d.boolVal(d.val)
+		case "reset":
+			p.Reset = d.boolVal(d.val)
+		case "granted":
+			p.Granted = d.boolVal(d.val)
+		}
+	}
+	for d.child(false) {
+		switch string(d.name) {
+		case "record":
+			p.Records = append(p.Records, ReplRecord{})
+			rec := &p.Records[len(p.Records)-1]
+			for d.attr() {
+				if string(d.name) == "offset" {
+					rec.Offset = d.uintVal(d.val)
+				}
+			}
+			rec.Body = string(d.scalar())
+		case "snap":
+			for d.wrapped("op") {
+				p.Snap = append(p.Snap, SnapOp{})
+				op := &p.Snap[len(p.Snap)-1]
+				for d.attr() {
+					switch string(d.name) {
+					case "table":
+						op.Table = string(d.val)
+					case "key":
+						op.Key = string(d.val)
+					case "delete":
+						op.Delete = d.boolVal(d.val)
+					}
+				}
+				op.Value = string(d.scalar())
+			}
+		default:
+			d.skip()
+		}
+	}
+}
+
+// --- elements ---
+//
+// After child (or wrapped, or the root's markup) returned true the decoder
+// stands behind a start tag's name, d.name holding its local part. The
+// element is consumed by attr until it returns false, for those who want its
+// attributes, and then by child until it returns false; scalar, content and
+// skip are that second loop for the elements that have no fields.
+
+// attr reads the next attribute of the open start tag into d.name and d.val,
+// returning false at the end of the tag.
+func (d *Decoder) attr() bool {
+	if !d.inTag {
+		return false
+	}
+	d.space()
+	c, ok := d.mustGetc()
+	if !ok {
+		return false
+	}
+	switch c {
+	case '/':
+		if c, ok = d.mustGetc(); ok && c != '>' {
+			d.fail("expected /> in element")
+		}
+		d.inTag, d.empty = false, true
+		d.pop()
+		return false
+	case '>':
+		d.inTag = false
+		return false
+	}
+	d.pos--
+	local, ok := d.readName(true)
+	if !ok {
+		d.fail("expected attribute name in element")
+		return false
+	}
+	d.name = d.name[local:]
+	d.space()
+	if c, ok = d.mustGetc(); ok && c != '=' {
+		d.fail("attribute name without = in element")
+	}
+	d.space()
+	if c, ok = d.mustGetc(); ok && c != '"' && c != '\'' {
+		d.fail("unquoted or missing attribute value in element")
+	}
+	d.val = d.charData(d.val[:0], int(c), false)
+	return d.err == nil
+}
+
+// child moves to the next child element of the open element, past what is
+// left of its start tag, and returns false once its end tag is consumed.
+// Character data on the way is appended to d.text when keep is set, and
+// checked and dropped otherwise.
+func (d *Decoder) child(keep bool) bool {
+	for d.attr() {
+	}
+	if d.empty {
+		d.empty = false
+		return false
+	}
+	for d.err == nil {
+		c, ok := d.mustGetc()
+		if !ok {
+			break
+		}
+		if c != '<' {
+			d.pos--
+			if keep {
+				d.text = d.charData(d.text, -1, false)
+			} else {
+				d.val = d.charData(d.val[:0], -1, false)
+			}
+			continue
+		}
+		depth := len(d.marks)
+		if d.markup(keep) {
+			return true
+		}
+		if len(d.marks) < depth {
+			break // that was the end tag
+		}
+	}
+	return false
+}
+
+// wrapped iterates the <name> children of an a>b wrapper element, skipping
+// every other child.
+func (d *Decoder) wrapped(name string) bool {
+	for d.child(false) {
+		if string(d.name) == name {
+			return true
+		}
+		d.skip()
+	}
+	return false
+}
+
+// scalar consumes the open element as a value: its character data with
+// comments, instructions and child elements cut out. The result is valid
+// until the next scalar.
+func (d *Decoder) scalar() []byte {
+	d.text = d.text[:0]
+	for d.child(true) {
+		d.skip()
+	}
+	return d.text
+}
+
+// skip consumes the open element and everything in it.
+func (d *Decoder) skip() {
+	for depth := 1; depth > 0 && d.err == nil; {
+		if d.child(false) {
+			depth++
+		} else {
+			depth--
+		}
+	}
+}
+
+func (d *Decoder) intVal(b []byte) int64 {
+	if len(b) == 0 || d.err != nil {
+		return 0
+	}
+	n, err := strconv.ParseInt(string(bytes.TrimSpace(b)), 10, 64)
+	if err != nil {
+		d.abort(err)
+	}
+	return n
+}
+
+func (d *Decoder) uintVal(b []byte) uint64 {
+	if len(b) == 0 || d.err != nil {
+		return 0
+	}
+	n, err := strconv.ParseUint(string(bytes.TrimSpace(b)), 10, 64)
+	if err != nil {
+		d.abort(err)
+	}
+	return n
+}
+
+func (d *Decoder) boolVal(b []byte) bool {
+	if len(b) == 0 || d.err != nil {
+		return false
+	}
+	v, err := strconv.ParseBool(string(bytes.TrimSpace(b)))
+	if err != nil {
+		d.abort(err)
+	}
+	return v
+}

@@ -58,9 +58,7 @@ package wire
 
 import (
 	"encoding/base64"
-	"encoding/xml"
 	"fmt"
-	"io"
 
 	"nnexus/internal/corpus"
 )
@@ -115,7 +113,10 @@ const (
 
 // Request is one client→server message.
 type Request struct {
-	XMLName xml.Name `xml:"request"`
+	// XMLName names the root element. The xml tags on this and every type
+	// below are the schema: the codec (encode.go, decode.go) follows them by
+	// hand, and the test-side encoding/xml reference reads them by reflection.
+	XMLName struct{} `xml:"request"`
 	// Seq correlates responses with requests on a pipelined connection.
 	Seq int64 `xml:"seq,attr,omitempty"`
 	// Method selects the operation.
@@ -215,7 +216,7 @@ const (
 
 // Response is one server→client message.
 type Response struct {
-	XMLName xml.Name `xml:"response"`
+	XMLName struct{} `xml:"response"`
 	Seq     int64    `xml:"seq,attr,omitempty"`
 	// Status is "ok" or "error".
 	Status string `xml:"status,attr"`
@@ -453,52 +454,6 @@ func (d *Domain) ToCorpusDomain() corpus.Domain {
 		Scheme:      d.Scheme,
 		Priority:    d.Priority,
 	}
-}
-
-// Encoder writes a stream of XML messages.
-type Encoder struct {
-	enc *xml.Encoder
-	w   io.Writer
-}
-
-// NewEncoder wraps a writer.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{enc: xml.NewEncoder(w), w: w}
-}
-
-// Encode writes one message followed by a newline separator.
-func (e *Encoder) Encode(v interface{}) error {
-	if err := e.enc.Encode(v); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	if err := e.enc.Flush(); err != nil {
-		return err
-	}
-	_, err := e.w.Write([]byte("\n"))
-	return err
-}
-
-// Decoder reads a stream of XML messages.
-type Decoder struct {
-	dec *xml.Decoder
-}
-
-// NewDecoder wraps a reader.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{dec: xml.NewDecoder(r)}
-}
-
-// Decode reads the next message into v. io.EOF signals a cleanly closed
-// stream.
-func (d *Decoder) Decode(v interface{}) error {
-	err := d.dec.Decode(v)
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
 }
 
 // OK builds a success response for a request.
