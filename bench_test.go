@@ -355,42 +355,6 @@ func BenchmarkFig9LectureNotes(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead measures the cost of the operational
-// telemetry layer (per-stage pipeline timing + counters) on the LinkText
-// hot path, by running the same Fig 9 lecture-notes workload against an
-// instrumented engine and one built with DisableTelemetry. The acceptance
-// bar is <5% ns/op regression and zero extra allocations; the measured
-// numbers are recorded in EXPERIMENTS.md.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	c := corpusFor(b, 1500)
-	notes := "These lecture notes discuss " + c.Entries[100].Entry.Title +
-		" and " + c.Entries[200].Entry.Title + " with respect to " +
-		c.Entries[300].Entry.Title + ", among considerable other prose that " +
-		"does not invoke concepts at all, plus some math $x^2 + y^2$."
-	classes := c.Entries[100].Entry.Classes
-	for _, disabled := range []bool{false, true} {
-		name := "instrumented"
-		if disabled {
-			name = "baseline"
-		}
-		b.Run(name, func(b *testing.B) {
-			e, err := core.NewEngine(core.Config{Scheme: c.Scheme, DisableTelemetry: disabled})
-			if err != nil {
-				b.Fatal(err)
-			}
-			seedEngine(b, e, c)
-			b.SetBytes(int64(len(notes)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.LinkText(notes, core.LinkOptions{SourceClasses: classes}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkLinkText is the match-stage A/B behind the PR 8 acceptance gate:
 // the same free-text linking traffic against one engine scanning with the
 // chained-hash structure (automaton=off) and one scanning with the compiled

@@ -147,9 +147,6 @@ type Client struct {
 	reconnects atomic.Int64 // connections re-established after the first
 	seq        atomic.Int64 // request sequence, monotonic across reconnects
 
-	telRetries    *telemetry.Counter
-	telReconnects *telemetry.Counter
-
 	// replicas is the replica-aware routing layer (nil without
 	// WithReplicas); see replicas.go.
 	replicas *replicaSet
@@ -206,23 +203,19 @@ func WithPipelineWindow(n int) Option {
 	}
 }
 
-// DisablePipelining is shorthand for WithPipelineWindow(1): strict
-// stop-and-wait request/response alternation on the wire.
-func DisablePipelining() Option {
-	return WithPipelineWindow(1)
-}
-
-// WithTelemetry mirrors the client's retry/reconnect counters into reg as
-// nnexus_client_retries_total and nnexus_client_reconnects_total.
+// WithTelemetry exposes the client's retry and reconnect counts on reg as
+// nnexus_client_retries_total and nnexus_client_reconnects_total, read from
+// Retries and Reconnects at scrape time. reg must be non-nil and may be
+// given to at most one client: a second client registered on it replaces
+// the first's counts.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *Client) {
-		if reg == nil {
-			return
-		}
-		c.telRetries = reg.Counter("nnexus_client_retries_total",
-			"Client calls re-attempted after a retryable failure.")
-		c.telReconnects = reg.Counter("nnexus_client_reconnects_total",
-			"Client connections re-established after a connection failure.")
+		reg.CounterFunc("nnexus_client_retries_total",
+			"Client calls re-attempted after a retryable failure.",
+			func() float64 { return float64(c.Retries()) })
+		reg.CounterFunc("nnexus_client_reconnects_total",
+			"Client connections re-established after a connection failure.",
+			func() float64 { return float64(c.Reconnects()) })
 	}
 }
 
@@ -505,9 +498,6 @@ func (c *Client) callLocalClassed(req *wire.Request) (*wire.Response, failClass,
 			return nil, class, err
 		}
 		c.retries.Add(1)
-		if c.telRetries != nil {
-			c.telRetries.Inc()
-		}
 		// The retry reuses req: it was encoded on this goroutine, inside
 		// doCall, so nothing reads it once doCall has returned.
 		time.Sleep(c.backoff(attempt))
@@ -544,9 +534,6 @@ func (c *Client) doCall(req *wire.Request) (*wire.Response, failClass, error) {
 		cc = newClientConn(c, conn)
 		c.cc = cc
 		c.reconnects.Add(1)
-		if c.telReconnects != nil {
-			c.telReconnects.Inc()
-		}
 	}
 	c.mu.Unlock()
 

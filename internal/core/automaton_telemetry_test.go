@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"nnexus/internal/corpus"
 )
 
 // TestAutomatonTelemetryExposition is the exposition-format contract for
@@ -41,7 +44,7 @@ func TestAutomatonTelemetryExposition(t *testing.T) {
 	// by the automaton and the gauges describe the published machine.
 	e2 := fig1Engine(t, Config{CompileAutomaton: true})
 	defer e2.Close()
-	e2.cmap.CompileNow()
+	e2.nsFor(e2.DefaultCorpus()).cmap.CompileNow()
 	if _, err := e2.LinkText("every planar graph is nice", LinkOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -65,6 +68,43 @@ func TestAutomatonTelemetryExposition(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("automaton exposition is missing %q", want)
+		}
+	}
+}
+
+// TestAutomatonTelemetryCoversEveryCorpus: every corpus runs its own concept
+// map and compiler, and the scan counters and automaton gauges sum over all
+// of them — a scan in a second corpus moves nnexus_scan_*_total, and its
+// compiled labels count in nnexus_automaton_labels.
+func TestAutomatonTelemetryCoversEveryCorpus(t *testing.T) {
+	for _, compile := range []bool{false, true} {
+		e := fig1Engine(t, Config{CompileAutomaton: compile})
+		defer e.Close()
+		if _, err := e.AddEntry(&corpus.Entry{Corpus: "wiki", Domain: "planetmath.org", Title: "matroid"}); err != nil {
+			t.Fatal(err)
+		}
+		if compile {
+			for _, name := range e.Corpora() {
+				e.nsFor(name).cmap.CompileNow()
+			}
+		}
+		for _, source := range []string{"", "wiki"} {
+			if _, err := e.LinkText("a planar graph and a matroid", LinkOptions{SourceCorpus: source}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := scrape(t, e)
+		path, idle := "nnexus_scan_fallback_total", "nnexus_scan_automaton_total"
+		if compile {
+			path, idle = idle, path
+			if want := fmt.Sprintf("nnexus_automaton_labels %d\n", e.NumConcepts()); !strings.Contains(out, want) {
+				t.Errorf("compiled engine exposition is missing %q:\n%s", want, out)
+			}
+		}
+		for _, want := range []string{path + " 2\n", idle + " 0\n"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("compile=%v: exposition is missing %q:\n%s", compile, want, out)
+			}
 		}
 	}
 }

@@ -148,10 +148,8 @@ func (e *Engine) LinkBatch(texts []string, opts LinkOptions, workers int) ([]*Re
 		}
 		out[i] = it.res
 	}
-	if e.tel != nil {
-		e.tel.batchRuns.Inc()
-		e.tel.batchItems.Add(int64(len(items)))
-	}
+	e.tel.batchRuns.Inc()
+	e.tel.batchItems.Add(int64(len(items)))
 	return out, nil
 }
 
@@ -163,11 +161,8 @@ func (e *Engine) LinkBatch(texts []string, opts LinkOptions, workers int) ([]*Re
 // the relink telemetry counters advance by exactly the returned results
 // and the observed errors.
 func (e *Engine) RelinkBatch(ids []int64, workers int) (map[int64]*Result, error) {
-	var start time.Time
-	if e.tel != nil {
-		e.tel.relinkRuns.Inc()
-		start = time.Now()
-	}
+	e.tel.relinkRuns.Inc()
+	start := time.Now()
 	if len(ids) == 0 {
 		ids = e.Invalidated()
 	}
@@ -247,10 +242,7 @@ func (e *Engine) AddEntries(entries []*corpus.Entry) ([]int64, error) {
 			entry.ExternalID = strconv.FormatInt(entry.ID, 10)
 		}
 	}
-	e.met.entriesAdded.Add(int64(len(entries)))
-	if e.tel != nil {
-		e.tel.opAddEntry.Add(int64(len(entries)))
-	}
+	e.tel.opAddEntry.Add(int64(len(entries)))
 	if err := e.storeLocked(entries...); err != nil {
 		return nil, err
 	}

@@ -106,11 +106,6 @@ type Config struct {
 	// into; the serving layers (httpapi, server) register their own
 	// families on the same registry. Nil creates a fresh registry.
 	Telemetry *telemetry.Registry
-	// DisableTelemetry turns off all operational instrumentation,
-	// including pipeline stage timing. Engine.Telemetry returns nil. It
-	// exists so the overhead of instrumentation can be benchmarked
-	// against the bare pipeline; deployments should leave it off.
-	DisableTelemetry bool
 	// CompileAutomaton starts the concept map's background compiler, which
 	// rebuilds an immutable Aho-Corasick automaton after maintenance
 	// writes (debounced, off the write path) and serves scans from it
@@ -169,11 +164,6 @@ type Engine struct {
 	cfg    Config
 	scheme *classification.Scheme
 	store  *storage.Store
-	// cmap/inv are the DEFAULT corpus's indexes — aliases into ns — so the
-	// single-corpus hot paths (and their bit-for-bit behaviour) are
-	// untouched by tenancy. Other corpora live only in ns.
-	cmap *conceptmap.Map
-	inv  *invindex.Index
 	// ns is the copy-on-write corpus → namespace table. Namespaces are
 	// created on first write to a corpus and never removed, the same COW
 	// shape as the domain table: lock-free loads on the link path, copied
@@ -186,10 +176,7 @@ type Engine struct {
 	// invalidation machinery marks them stale (the paper's cache table).
 	rendered *cache.LRU[int64, *Result]
 
-	met metrics
-	// tel holds the operational telemetry instruments; nil when
-	// Config.DisableTelemetry is set, which turns every instrumentation
-	// site into a cheap nil check.
+	// tel holds the operational telemetry instruments.
 	tel *engineTelemetry
 
 	// domains is copy-on-write: the current immutable generation of the
@@ -240,20 +227,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		invalid:  make(map[int64]bool),
 		nextID:   1,
 	}
-	// The default corpus's namespace exists from birth; its concept map and
-	// auto-compacting invalidation index (paper §2.5) double as e.cmap/e.inv
-	// so the single-corpus paths stay unchanged.
+	// The default corpus's namespace exists from birth.
 	defNS := newNamespace(e.DefaultCorpus())
-	e.cmap, e.inv = defNS.cmap, defNS.inv
 	e.ns.Store(&map[string]*namespace{defNS.name: defNS})
 	e.domains.Store(&map[string]*corpus.Domain{})
-	if !cfg.DisableTelemetry {
-		reg := cfg.Telemetry
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		e.tel = newEngineTelemetry(e, reg)
-	}
+	e.tel = newEngineTelemetry(e, cmp.Or(cfg.Telemetry, telemetry.NewRegistry()))
 	if e.store != nil {
 		if err := e.load(); err != nil {
 			return nil, err
@@ -266,9 +244,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// its own compiler — namespaces compile independently, so a hot
 		// corpus's write bursts never trigger a cold corpus's rebuild.
 		for _, n := range e.nsMap() {
-			if e.tel != nil {
-				n.cmap.SetBuildObserver(e.tel.observeAutomatonBuild)
-			}
+			n.cmap.SetBuildObserver(e.tel.observeAutomatonBuild)
 			n.cmap.StartCompiler(automatonDebounce)
 		}
 		e.compilersStarted = true
@@ -305,9 +281,7 @@ func (e *Engine) nsEnsureLocked(name string) *namespace {
 	}
 	n := newNamespace(name)
 	if e.cfg.CompileAutomaton && e.compilersStarted {
-		if e.tel != nil {
-			n.cmap.SetBuildObserver(e.tel.observeAutomatonBuild)
-		}
+		n.cmap.SetBuildObserver(e.tel.observeAutomatonBuild)
 		n.cmap.StartCompiler(automatonDebounce)
 	}
 	next := maps.Clone(e.nsMap())
@@ -528,10 +502,7 @@ func (e *Engine) PutEntry(entry *corpus.Entry) error {
 	if entry.ExternalID == "" {
 		entry.ExternalID = strconv.FormatInt(entry.ID, 10)
 	}
-	e.met.entriesAdded.Add(1)
-	if e.tel != nil {
-		e.tel.opPutEntry.Inc()
-	}
+	e.tel.opPutEntry.Inc()
 	return e.storeLocked(entry)
 }
 
@@ -555,9 +526,7 @@ func (e *Engine) UpdateEntry(entry *corpus.Entry) error {
 	if _, ok := e.entries[entry.ID]; !ok {
 		return fmt.Errorf("core: update of unknown entry %d", entry.ID)
 	}
-	if e.tel != nil {
-		e.tel.opUpdateEntry.Inc()
-	}
+	e.tel.opUpdateEntry.Inc()
 	return e.storeLocked(entry)
 }
 
@@ -570,9 +539,7 @@ func (e *Engine) RemoveEntry(id int64) error {
 	if !e.removeLocked(&ch, id) {
 		return fmt.Errorf("core: remove of unknown entry %d", id)
 	}
-	if e.tel != nil {
-		e.tel.opRemoveEntry.Inc()
-	}
+	e.tel.opRemoveEntry.Inc()
 	return e.commitLocked(&ch)
 }
 
@@ -620,9 +587,7 @@ func (e *Engine) SetPolicy(id int64, text string) error {
 	// not a re-index.
 	ch := changeSet{entries: []*corpus.Entry{&copied}}
 	e.invalidateLocked(&ch, id, copied.Labels(), nil)
-	if e.tel != nil {
-		e.tel.opSetPolicy.Inc()
-	}
+	e.tel.opSetPolicy.Inc()
 	return e.commitLocked(&ch)
 }
 
@@ -662,10 +627,14 @@ func (e *Engine) NumConcepts() int {
 	return total
 }
 
-// AutomatonInfo reports the concept map's compiled-automaton state: whether
-// one is published, how far it trails the snapshot generation, its size,
-// and the scan-path counters. Useful for diagnostics and readiness checks.
-func (e *Engine) AutomatonInfo() conceptmap.AutomatonInfo { return e.cmap.AutomatonInfo() }
+// AutomatonInfo reports the default corpus's compiled-automaton state:
+// whether one is published, how far it trails the snapshot generation, its
+// size, and the scan-path counters. Useful for diagnostics and readiness
+// checks; the nnexus_automaton_* and nnexus_scan_* families cover every
+// corpus.
+func (e *Engine) AutomatonInfo() conceptmap.AutomatonInfo {
+	return e.nsFor(e.DefaultCorpus()).cmap.AutomatonInfo()
+}
 
 // Scheme returns the engine's canonical classification scheme.
 func (e *Engine) Scheme() *classification.Scheme { return e.scheme }

@@ -121,10 +121,7 @@ func (e *Engine) LinkEntry(id int64, opts LinkOptions) (*Result, error) {
 // relinked records completed entry links: counters, and the entries'
 // invalidation flags cleared together.
 func (e *Engine) relinked(ids ...int64) {
-	e.met.entriesLinked.Add(int64(len(ids)))
-	if e.tel != nil {
-		e.tel.opLinkEntry.Add(int64(len(ids)))
-	}
+	e.tel.opLinkEntry.Add(int64(len(ids)))
 	e.clearInvalid(ids...)
 }
 
@@ -171,9 +168,6 @@ func (e *Engine) RelinkInvalidated() (map[int64]*Result, error) {
 // telemetry counters: relinked entries and errors always reflect the work
 // actually performed, even when a batch aborts early.
 func (e *Engine) finishRelink(start time.Time, relinked, errors int) {
-	if e.tel == nil {
-		return
-	}
 	e.tel.relinkEntries.Add(int64(relinked))
 	e.tel.relinkErrors.Add(int64(errors))
 	e.tel.relinkDuration.Observe(time.Since(start).Seconds())

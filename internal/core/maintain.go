@@ -145,10 +145,7 @@ func (e *Engine) invalidateLocked(ch *changeSet, except int64, old, cur []string
 				}
 				e.invalid[id] = true
 				ch.flagged = append(ch.flagged, id)
-				e.met.invalidations.Add(1)
-				if e.tel != nil {
-					e.tel.corpusInvalidations(n.name).Inc()
-				}
+				e.tel.corpusInvalidations(n.name).Inc()
 			}
 		}
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // Metrics are cumulative engine counters since construction, for
 // operational monitoring of a deployment.
 type Metrics struct {
@@ -20,46 +18,24 @@ type Metrics struct {
 	Invalidations int64 `json:"invalidations"`
 }
 
-// metrics is the engine's atomic counter block.
-type metrics struct {
-	textsLinked   atomic.Int64
-	entriesLinked atomic.Int64
-	entriesAdded  atomic.Int64
-
-	linksCreated   atomic.Int64
-	policySkips    atomic.Int64
-	selfSkips      atomic.Int64
-	duplicateSkips atomic.Int64
-
-	invalidations atomic.Int64
-}
-
-// Metrics returns a snapshot of the engine's cumulative counters.
+// Metrics returns the engine's cumulative counters, read from its telemetry
+// registry: entries added count both add_entry and put_entry operations, and
+// invalidations are summed over every corpus.
 func (e *Engine) Metrics() Metrics {
-	return Metrics{
-		TextsLinked:    e.met.textsLinked.Load(),
-		EntriesLinked:  e.met.entriesLinked.Load(),
-		EntriesAdded:   e.met.entriesAdded.Load(),
-		LinksCreated:   e.met.linksCreated.Load(),
-		PolicySkips:    e.met.policySkips.Load(),
-		SelfSkips:      e.met.selfSkips.Load(),
-		DuplicateSkips: e.met.duplicateSkips.Load(),
-		Invalidations:  e.met.invalidations.Load(),
+	t := e.tel
+	m := Metrics{
+		TextsLinked:    t.opLinkText.Value(),
+		EntriesLinked:  t.opLinkEntry.Value(),
+		EntriesAdded:   t.opAddEntry.Value() + t.opPutEntry.Value(),
+		LinksCreated:   t.linksCreated.Value(),
+		PolicySkips:    t.skipPolicy.Value(),
+		SelfSkips:      t.skipSelf.Value(),
+		DuplicateSkips: t.skipDuplicate.Value(),
 	}
-}
-
-// countResult folds one linking result into the counters.
-func (m *metrics) countResult(res *Result) {
-	m.textsLinked.Add(1)
-	m.linksCreated.Add(int64(len(res.Links)))
-	for _, s := range res.Skips {
-		switch s.Reason {
-		case SkipPolicy:
-			m.policySkips.Add(1)
-		case SkipSelf:
-			m.selfSkips.Add(1)
-		case SkipDuplicate:
-			m.duplicateSkips.Add(1)
-		}
+	t.corpusMu.Lock()
+	for _, c := range t.corpusInv {
+		m.Invalidations += c.Value()
 	}
+	t.corpusMu.Unlock()
+	return m
 }

@@ -129,9 +129,8 @@ type linkRun struct {
 	plan linkPlan
 	text string // after LaTeX conversion
 	view linkView
-	// st is nil when telemetry is off, else &times.
-	st    *stageTimes
-	times stageTimes
+	// st is the run's per-stage wall time, observed by finish.
+	st stageTimes
 	// pos/cur are the matchSource cursor and the match handed to assemble.
 	pos int
 	cur ResolvedMatch
@@ -188,7 +187,7 @@ func putRun(run *linkRun) {
 // buffer is zero past its length (each reset clears what its run used), so
 // clearing up to the length in use leaves the whole capacity zero.
 func (run *linkRun) reset() bool {
-	run.e, run.plan, run.text, run.view, run.st, run.pos = nil, linkPlan{}, "", linkView{}, nil, 0
+	run.e, run.plan, run.text, run.view, run.st, run.pos = nil, linkPlan{}, "", linkView{}, stageTimes{}, 0
 	run.cur = ResolvedMatch{}
 	if max(cap(run.tokens), cap(run.matches), cap(run.multi)) > maxPooledTokens {
 		return false
@@ -207,27 +206,17 @@ func (run *linkRun) reset() bool {
 // scanText is the pipeline's front half for one text: LaTeX conversion,
 // tokenization, and the scan against the plan's targets.
 func (e *Engine) scanText(run *linkRun, text string) {
-	var mark time.Time
-	if e.tel != nil {
-		run.times = stageTimes{}
-		run.st = &run.times
-		mark = time.Now()
-	}
+	run.st.timed = true
+	mark := time.Now()
 	if e.cfg.LaTeX {
 		text = latex.ToText(text)
 	}
 	run.text = text
 	run.tokens = tokenizer.TokenizeAppend(run.tokens, text)
-	if run.st != nil {
-		now := time.Now()
-		run.st.tokenize = now.Sub(mark)
-		mark = now
-	}
-	usedAutomaton := e.scan(run, run.tokens, false)
-	if run.st != nil {
-		run.st.match = time.Since(mark)
-		run.st.matchAutomaton = usedAutomaton
-	}
+	now := time.Now()
+	run.st.tokenize = now.Sub(mark)
+	run.st.matchAutomaton = e.scan(run, run.tokens, false)
+	run.st.match = time.Since(now)
 }
 
 // scan matches tokens against the plan's target corpora, into run.matches.
@@ -351,15 +340,16 @@ func (v linkView) domainPriority(domain string) int {
 // chooseTarget runs policy filtering, steering, and tie-breaking for one
 // concept match. It returns either a link or a skip reason. All state it
 // reads comes from the run's captured view and the scheme's lock-free
-// distance rows, so it acquires no engine locks. run.st, when non-nil,
-// accumulates the wall time spent in the policy and steering stages. The
-// plan's rank, when non-nil, is the multi-target link policy's corpus
-// order: after steering, candidates from earlier target corpora win ties
-// over later ones (before domain priority and lowest ID). Nil — the
-// single-target default — keeps the tie-break identical to the
-// single-corpus engine.
+// distance rows, so it acquires no engine locks. A timed run (one scanText
+// started) accumulates in run.st the wall time spent in the policy and
+// steering stages; ScanShard's runs are never observed, so they read no
+// clock. The plan's rank, when non-nil, is the multi-target link policy's
+// corpus order: after steering, candidates from earlier target corpora win
+// ties over later ones (before domain priority and lowest ID). Nil — the
+// single-target default — keeps the tie-break identical to the single-corpus
+// engine.
 func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) {
-	view, st, sourceClasses, rank := run.view, run.st, run.plan.classes, run.plan.rank
+	view, st, sourceClasses, rank := run.view, &run.st, run.plan.classes, run.plan.rank
 	exclude := run.plan.exclude
 	mode := run.plan.mode.resolve()
 	// Gather candidates from the view, excluding the source entry.
@@ -380,7 +370,7 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 	// One timestamp is shared between the policy stage's end and the steer
 	// stage's start, keeping the hot path at ≤3 clock reads per match.
 	var mark time.Time
-	if st != nil {
+	if st.timed {
 		mark = time.Now()
 	}
 
@@ -393,7 +383,7 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 			}
 		}
 		cands = permitted
-		if st != nil {
+		if st.timed {
 			now := time.Now()
 			st.policy += now.Sub(mark)
 			mark = now
@@ -409,7 +399,7 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 	// Classification steering (§2.3, Algorithm 1).
 	if mode == ModeSteered || mode == ModeSteeredPolicies {
 		cands, distance = run.steer(cands)
-		if st != nil {
+		if st.timed {
 			st.steer += time.Since(mark)
 		}
 	}
@@ -541,13 +531,10 @@ func (run *linkRun) resolve(m *ResolvedMatch) {
 // router: the greedy leftmost-longest walk over src (accept a match
 // starting at or past the previous winner's end, drop shadowed ones), the
 // first-occurrence rule, anchor construction, and link substitution. linked
-// and anchors are caller-owned scratch; st, when non-nil, receives the walk
-// and render wall times.
+// and anchors are caller-owned scratch; st receives the walk and render wall
+// times.
 func assemble(text string, format render.Format, linkAll bool, src matchSource, linked map[string]bool, anchors *[]render.Anchor, st *stageTimes) (*Result, error) {
-	var mark time.Time
-	if st != nil {
-		mark = time.Now()
-	}
+	mark := time.Now()
 	res := &Result{Output: text}
 	as := (*anchors)[:0]
 	cursor := 0 // next token position available for a match
@@ -575,36 +562,28 @@ func assemble(text string, format render.Format, linkAll bool, src matchSource, 
 		linked[m.Label] = true
 	}
 	*anchors = as
-	if st != nil {
-		now := time.Now()
-		st.merge = now.Sub(mark)
-		mark = now
-	}
+	now := time.Now()
+	st.merge = now.Sub(mark)
 	out, err := render.Apply(text, as, format)
 	if err != nil {
 		return nil, fmt.Errorf("core: render: %w", err)
 	}
 	res.Output = out
-	if st != nil {
-		st.render = time.Since(mark)
-	}
+	st.render = time.Since(now)
 	return res, nil
 }
 
 // finish is the pipeline's back half for one scanned text: resolve and
 // assemble against view, then the one observe step every engine entry
-// point shares (cumulative counters, per-corpus links, stage telemetry).
+// point shares (counters, per-corpus links, stage telemetry).
 func (e *Engine) finish(run *linkRun, view linkView) (*Result, error) {
 	run.view = view
-	res, err := assemble(run.text, run.plan.format, e.cfg.LinkAllOccurrences, run, run.linked, &run.anchors, run.st)
+	res, err := assemble(run.text, run.plan.format, e.cfg.LinkAllOccurrences, run, run.linked, &run.anchors, &run.st)
 	if err != nil {
 		return nil, err
 	}
 	res.Source = run.plan.entry
-	e.met.countResult(res)
-	if e.tel != nil {
-		e.tel.observeLink(run.st, run.plan.source, res)
-	}
+	e.tel.observeLink(&run.st, run.plan.source, res)
 	return res, nil
 }
 

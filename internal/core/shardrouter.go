@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -98,10 +99,8 @@ type RouterConfig struct {
 	LinkAllOccurrences bool
 	// MaxFanout bounds concurrent per-shard scans (0 → DefaultMaxFanout).
 	MaxFanout int
-	// Telemetry is the router's metrics registry (nil creates one);
-	// DisableTelemetry turns router instrumentation off entirely.
-	Telemetry        *telemetry.Registry
-	DisableTelemetry bool
+	// Telemetry is the router's metrics registry (nil creates one).
+	Telemetry *telemetry.Registry
 }
 
 // routerTelemetry is the router's instrumentation: scatter-gather shape
@@ -247,13 +246,7 @@ func NewShardRouter(cfg RouterConfig) (*ShardRouter, error) {
 		}
 	}
 	r.nextID.Store(maxID)
-	if !cfg.DisableTelemetry {
-		reg := cfg.Telemetry
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		r.tel = newRouterTelemetry(reg, n)
-	}
+	r.tel = newRouterTelemetry(cmp.Or(cfg.Telemetry, telemetry.NewRegistry()), n)
 	workers := cfg.MaxFanout
 	if workers <= 0 {
 		workers = DefaultMaxFanout
@@ -296,13 +289,8 @@ func (r *ShardRouter) Close() error {
 // NumShards returns the fleet size.
 func (r *ShardRouter) NumShards() int { return r.n }
 
-// Telemetry returns the router's metrics registry (nil when disabled).
-func (r *ShardRouter) Telemetry() *telemetry.Registry {
-	if r.tel == nil {
-		return nil
-	}
-	return r.tel.reg
-}
+// Telemetry returns the router's metrics registry.
+func (r *ShardRouter) Telemetry() *telemetry.Registry { return r.tel.reg }
 
 func (r *ShardRouter) getBuffers() *routerBuffers {
 	b := r.pool.Get().(*routerBuffers)
@@ -420,10 +408,7 @@ func (r *ShardRouter) homeShards(entry *corpus.Entry) []int {
 // shards are always correct; only links owned by the missing shards can be
 // absent.
 func (r *ShardRouter) LinkText(text string, opts LinkOptions) (*Result, error) {
-	var mark time.Time
-	if r.tel != nil {
-		mark = time.Now()
-	}
+	mark := time.Now()
 	if r.cfg.LaTeX {
 		text = latex.ToText(text)
 	}
@@ -442,10 +427,8 @@ func (r *ShardRouter) LinkText(text string, opts LinkOptions) (*Result, error) {
 		}
 	}
 	buf.touched = touched
-	if r.tel != nil {
-		r.tel.stageTokenize.Observe(time.Since(mark).Seconds())
-		r.tel.fanout.Observe(float64(len(touched)))
-	}
+	r.tel.stageTokenize.Observe(time.Since(mark).Seconds())
+	r.tel.fanout.Observe(float64(len(touched)))
 
 	// Scatter. A single-shard request runs inline — no handoff, no wait.
 	buf.opts = opts
@@ -475,33 +458,24 @@ func (r *ShardRouter) LinkText(text string, opts LinkOptions) (*Result, error) {
 			if firstErr == nil {
 				firstErr = c.err
 			}
-			if r.tel != nil {
-				r.tel.scanFailures[s].Inc()
-			}
+			r.tel.scanFailures[s].Inc()
 		}
 	}
 	sort.Ints(buf.failed)
 
 	// Merge and render: assemble's greedy walk over the k-way pick of the
 	// per-shard streams (buf.next) is the walk the single-map scan performs.
-	var st *stageTimes
-	if r.tel != nil {
-		st = &stageTimes{}
-	}
-	res, err := assemble(text, opts.formatOr(r.cfg.Format), r.cfg.LinkAllOccurrences, buf, buf.linked, &buf.anchors, st)
+	var st stageTimes
+	res, err := assemble(text, opts.formatOr(r.cfg.Format), r.cfg.LinkAllOccurrences, buf, buf.linked, &buf.anchors, &st)
 	if err != nil {
 		return nil, err
 	}
-	if r.tel != nil {
-		r.tel.stageMerge.Observe(st.merge.Seconds())
-		r.tel.stageRender.Observe(st.render.Seconds())
-		r.tel.texts.Inc()
-		r.tel.links.Add(int64(len(res.Links)))
-	}
+	r.tel.stageMerge.Observe(st.merge.Seconds())
+	r.tel.stageRender.Observe(st.render.Seconds())
+	r.tel.texts.Inc()
+	r.tel.links.Add(int64(len(res.Links)))
 	if len(buf.failed) > 0 {
-		if r.tel != nil {
-			r.tel.partials.Inc()
-		}
+		r.tel.partials.Inc()
 		return res, &shard.UnavailableError{
 			Shards: append([]int(nil), buf.failed...),
 			Err:    firstErr,

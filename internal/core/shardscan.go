@@ -57,8 +57,6 @@ func (e *Engine) ScanShard(dst []ResolvedMatch, tokens []tokenizer.Token, opts L
 	e.scan(run, tokens, true)
 	run.view = e.captureView(run.entries, run.matches)
 	dst = run.resolveAll(dst)
-	if e.tel != nil {
-		e.tel.opScanShard.Inc()
-	}
+	e.tel.opScanShard.Inc()
 	return dst, nil
 }

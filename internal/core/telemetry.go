@@ -35,14 +35,12 @@ const (
 )
 
 // engineTelemetry holds the engine's pre-resolved instruments so the hot
-// path never performs a labeled lookup. A nil *engineTelemetry disables all
-// instrumentation (Config.DisableTelemetry), which is what the overhead
-// benchmark compares against.
+// path never performs a labeled lookup. It is the one count of every fact it
+// holds: Engine.Metrics reads its counters.
 type engineTelemetry struct {
 	reg *telemetry.Registry
 
-	// Operation counters (nnexus_engine_operations_total{op=...}; in shard
-	// mode the family additionally carries a shard label).
+	// Operation counters (nnexus_engine_operations_total{op=...,shard=...}).
 	opAddEntry    *telemetry.Counter
 	opUpdateEntry *telemetry.Counter
 	opRemoveEntry *telemetry.Counter
@@ -124,35 +122,25 @@ func (t *engineTelemetry) corpusInvalidations(corpus string) *telemetry.Counter 
 func newEngineTelemetry(e *Engine, reg *telemetry.Registry) *engineTelemetry {
 	t := &engineTelemetry{reg: reg}
 
-	// In shard mode every link/scan/write counter family carries a shard
-	// label, so a fleet-wide scrape attributes traffic and skips per ring
-	// slice. Unsharded engines keep the original label sets — registries
-	// are per-engine, so the two shapes never collide.
-	sharded := e.cfg.ShardRing != nil
-	shardVal := strconv.Itoa(e.cfg.ShardID)
-	withShard := func(names ...string) []string {
-		if sharded {
-			return append(names, "shard")
-		}
-		return names
-	}
-	child := func(v *telemetry.CounterVec, value string) *telemetry.Counter {
-		if sharded {
-			return v.With(value, shardVal)
-		}
-		return v.With(value)
+	// Every link/scan/write counter family carries a shard label, so a
+	// fleet-wide scrape attributes traffic and skips per ring slice. An
+	// unsharded engine's is empty, which the exposition leaves out.
+	shard := ""
+	if e.cfg.ShardRing != nil {
+		shard = strconv.Itoa(e.cfg.ShardID)
 	}
 
 	ops := reg.CounterVec("nnexus_engine_operations_total",
-		"Engine operations by type.", withShard("op")...)
-	t.opAddEntry = child(ops, "add_entry")
-	t.opUpdateEntry = child(ops, "update_entry")
-	t.opRemoveEntry = child(ops, "remove_entry")
-	t.opSetPolicy = child(ops, "set_policy")
-	t.opLinkText = child(ops, "link_text")
-	t.opLinkEntry = child(ops, "link_entry")
-	t.opPutEntry = child(ops, "put_entry")
-	t.opScanShard = child(ops, "scan_shard")
+		"Engine operations by type.", "op", "shard")
+	op := func(name string) *telemetry.Counter { return ops.With(name, shard) }
+	t.opAddEntry = op("add_entry")
+	t.opUpdateEntry = op("update_entry")
+	t.opRemoveEntry = op("remove_entry")
+	t.opSetPolicy = op("set_policy")
+	t.opLinkText = op("link_text")
+	t.opLinkEntry = op("link_entry")
+	t.opPutEntry = op("put_entry")
+	t.opScanShard = op("scan_shard")
 
 	stages := reg.HistogramVec("nnexus_pipeline_stage_duration_seconds",
 		"Per-stage latency of the linking pipeline (Fig 2).", nil, "stage")
@@ -166,19 +154,14 @@ func newEngineTelemetry(e *Engine, reg *telemetry.Registry) *engineTelemetry {
 	t.linkDuration = reg.Histogram("nnexus_link_duration_seconds",
 		"End-to-end latency of one LinkText pipeline run.")
 
-	if sharded {
-		t.linksCreated = reg.CounterVec("nnexus_links_created_total",
-			"Hyperlinks created by the linking pipeline.", "shard").With(shardVal)
-	} else {
-		t.linksCreated = reg.Counter("nnexus_links_created_total",
-			"Hyperlinks created by the linking pipeline.")
-	}
+	t.linksCreated = reg.CounterVec("nnexus_links_created_total",
+		"Hyperlinks created by the linking pipeline.", "shard").With(shard)
 	skips := reg.CounterVec("nnexus_link_skips_total",
-		"Concept matches deliberately not linked, by reason.", withShard("reason")...)
-	t.skipPolicy = child(skips, SkipPolicy)
-	t.skipSelf = child(skips, SkipSelf)
-	t.skipDuplicate = child(skips, SkipDuplicate)
-	t.skipNoDomain = child(skips, SkipNoDomain)
+		"Concept matches deliberately not linked, by reason.", "reason", "shard")
+	t.skipPolicy = skips.With(SkipPolicy, shard)
+	t.skipSelf = skips.With(SkipSelf, shard)
+	t.skipDuplicate = skips.With(SkipDuplicate, shard)
+	t.skipNoDomain = skips.With(SkipNoDomain, shard)
 
 	t.relinkRuns = reg.Counter("nnexus_relink_runs_total",
 		"Relink batches started (sequential or parallel).")
@@ -202,49 +185,33 @@ func newEngineTelemetry(e *Engine, reg *telemetry.Registry) *engineTelemetry {
 	t.corpusInv = make(map[string]*telemetry.Counter)
 
 	// Automaton metric family: scan-path split, build lifecycle, and the
-	// size/staleness of the published automaton (all read from the concept
-	// map's own atomic counters at scrape time, so the lock-free scan path
-	// carries no extra instrumentation).
+	// size/staleness of the published automata. Every corpus runs its own
+	// compiler, so the families cover all of them (see automata); all are read
+	// from the concept maps' own atomic counters at scrape time, so the
+	// lock-free scan path carries no extra instrumentation.
 	t.automatonBuild = reg.Histogram("nnexus_automaton_build_seconds",
 		"Wall time of one background concept-map automaton compile.")
-	if sharded {
-		reg.CounterFuncLabeled("nnexus_scan_automaton_total",
-			"Concept-map scans served by the compiled Aho-Corasick automaton.",
-			[]string{"shard"}, []string{shardVal},
-			func() float64 { return float64(e.cmap.AutomatonInfo().AutomatonScans) })
-		reg.CounterFuncLabeled("nnexus_scan_fallback_total",
-			"Concept-map scans served by the chained-hash fallback (automaton disabled or trailing the snapshot).",
-			[]string{"shard"}, []string{shardVal},
-			func() float64 { return float64(e.cmap.AutomatonInfo().FallbackScans) })
-	} else {
-		reg.CounterFunc("nnexus_scan_automaton_total",
-			"Concept-map scans served by the compiled Aho-Corasick automaton.",
-			func() float64 { return float64(e.cmap.AutomatonInfo().AutomatonScans) })
-		reg.CounterFunc("nnexus_scan_fallback_total",
-			"Concept-map scans served by the chained-hash fallback (automaton disabled or trailing the snapshot).",
-			func() float64 { return float64(e.cmap.AutomatonInfo().FallbackScans) })
-	}
+	reg.CounterVec("nnexus_scan_automaton_total",
+		"Concept-map scans served by the compiled Aho-Corasick automaton.", "shard").
+		Func(func() float64 { return float64(e.automata().AutomatonScans) }, shard)
+	reg.CounterVec("nnexus_scan_fallback_total",
+		"Concept-map scans served by the chained-hash fallback (automaton disabled or trailing the snapshot).", "shard").
+		Func(func() float64 { return float64(e.automata().FallbackScans) }, shard)
 	reg.GaugeFunc("nnexus_automaton_states",
 		"States in the published concept-map automaton (0 when none).",
-		func() float64 { return float64(e.cmap.AutomatonInfo().States) })
+		func() float64 { return float64(e.automata().States) })
 	reg.GaugeFunc("nnexus_automaton_edges",
 		"Goto edges in the published concept-map automaton.",
-		func() float64 { return float64(e.cmap.AutomatonInfo().Edges) })
+		func() float64 { return float64(e.automata().Edges) })
 	reg.GaugeFunc("nnexus_automaton_words",
 		"Distinct interned words in the published concept-map automaton.",
-		func() float64 { return float64(e.cmap.AutomatonInfo().Words) })
+		func() float64 { return float64(e.automata().Words) })
 	reg.GaugeFunc("nnexus_automaton_labels",
 		"Concept labels compiled into the published automaton.",
-		func() float64 { return float64(e.cmap.AutomatonInfo().Labels) })
+		func() float64 { return float64(e.automata().Labels) })
 	reg.GaugeFunc("nnexus_automaton_generation_lag",
 		"Snapshot generations the published automaton trails the concept map by.",
-		func() float64 {
-			info := e.cmap.AutomatonInfo()
-			if info.Generation > info.SnapshotGeneration {
-				return 0 // racing loads can't make the automaton "ahead"
-			}
-			return float64(info.SnapshotGeneration - info.Generation)
-		})
+		func() float64 { return float64(e.automata().lag) })
 
 	// Live state, read at scrape time.
 	reg.GaugeFunc("nnexus_invalidation_queue_depth",
@@ -298,6 +265,9 @@ type stageTimes struct {
 	// matchAutomaton records which scan path served the match stage, so
 	// observeLink can attribute the same duration to the per-path child.
 	matchAutomaton bool
+	// timed is set by scanText: only the runs finish observes read the
+	// per-match clocks.
+	timed bool
 }
 
 // observeLink records one completed pipeline run, whichever entry point
@@ -335,18 +305,34 @@ func (t *engineTelemetry) observeLink(st *stageTimes, source string, res *Result
 // observeAutomatonBuild is the conceptmap build observer: it records each
 // completed background compile's wall time.
 func (t *engineTelemetry) observeAutomatonBuild(info conceptmap.BuildInfo) {
-	if t == nil {
-		return
-	}
 	t.automatonBuild.Observe(info.Duration.Seconds())
 }
 
-// Telemetry returns the engine's metrics registry, shared by every serving
-// layer (httpapi middleware, TCP server). It is nil when the engine was
-// built with Config.DisableTelemetry.
-func (e *Engine) Telemetry() *telemetry.Registry {
-	if e.tel == nil {
-		return nil
-	}
-	return e.tel.reg
+// automataInfo is every corpus's automaton state folded into one: counts and
+// sizes summed, and the lag of the corpus whose automaton trails furthest.
+type automataInfo struct {
+	conceptmap.AutomatonInfo
+	lag uint64
 }
+
+func (e *Engine) automata() automataInfo {
+	var sum automataInfo
+	for _, n := range e.nsMap() {
+		info := n.cmap.AutomatonInfo()
+		sum.AutomatonScans += info.AutomatonScans
+		sum.FallbackScans += info.FallbackScans
+		sum.States += info.States
+		sum.Edges += info.Edges
+		sum.Words += info.Words
+		sum.Labels += info.Labels
+		// Racing loads can't make an automaton "ahead" of its snapshot.
+		if info.SnapshotGeneration > info.Generation {
+			sum.lag = max(sum.lag, info.SnapshotGeneration-info.Generation)
+		}
+	}
+	return sum
+}
+
+// Telemetry returns the engine's metrics registry, shared by every serving
+// layer (httpapi middleware, TCP server).
+func (e *Engine) Telemetry() *telemetry.Registry { return e.tel.reg }

@@ -93,15 +93,10 @@ func WithMaxInFlight(n int) Option {
 // local engine; with quorum acks a write that applied but missed its follower
 // confirmations answers 503 "quorumUnavailable". st backs the /healthz and
 // /readyz probes; nil reports the process as ready. Routes share the engine's
-// telemetry registry; when the engine was built with telemetry disabled the
-// handler keeps a private registry so /metrics still serves the HTTP-layer
-// families.
+// telemetry registry.
 func New(svc *service.Service, st *health.State, opts ...Option) *Handler {
 	engine := svc.Engine()
 	reg := engine.Telemetry()
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	h := &Handler{engine: engine, mux: http.NewServeMux(), reg: reg, health: st, svc: svc}
 	for _, opt := range opts {
 		opt(h)

@@ -3,33 +3,9 @@ package httpapi
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"nnexus/internal/classification"
-	"nnexus/internal/core"
-	"nnexus/internal/service"
 )
-
-func testEngineNoTelemetry(t *testing.T) *core.Engine {
-	t.Helper()
-	engine, err := core.NewEngine(core.Config{
-		Scheme:           classification.SampleMSC(10),
-		DisableTelemetry: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return engine
-}
-
-func newTestServerFor(t *testing.T, engine *core.Engine) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(New(service.New(engine), nil))
-	t.Cleanup(srv.Close)
-	return srv
-}
 
 // TestMetricsEndpoint scrapes /metrics after driving traffic through the
 // API and asserts the exposition carries the families the acceptance
@@ -162,25 +138,5 @@ func TestStatsCarriesTelemetry(t *testing.T) {
 	reqs := stats2.Telemetry["nnexus_http_requests_total"].(map[string]interface{})
 	if got := reqs["code=2xx,endpoint=/api/stats"].(float64); got < 1 {
 		t.Fatalf("stats endpoint count = %v, want ≥ 1", got)
-	}
-}
-
-// TestMetricsEndpointDisabledTelemetry: an engine built with telemetry
-// disabled still serves /metrics with the HTTP-layer families from the
-// handler's private registry.
-func TestMetricsEndpointDisabledTelemetry(t *testing.T) {
-	engine := testEngineNoTelemetry(t)
-	srv := newTestServerFor(t, engine)
-	r, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	body, _ := io.ReadAll(r.Body)
-	if !strings.Contains(string(body), "nnexus_http_requests_total") {
-		t.Fatalf("disabled-telemetry exposition missing HTTP families:\n%s", body)
-	}
-	if strings.Contains(string(body), "nnexus_engine_operations_total") {
-		t.Fatalf("disabled-telemetry exposition carries engine families:\n%s", body)
 	}
 }

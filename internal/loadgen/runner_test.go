@@ -203,7 +203,7 @@ func TestOpenLoopChargesStalls(t *testing.T) {
 	clients := make([]*client.Client, workers)
 	for i := range clients {
 		cl, err := client.Dial(addr, time.Second,
-			client.DisablePipelining(),
+			client.WithPipelineWindow(1),
 			client.WithMaxRetries(0),
 			client.WithCallTimeout(10*time.Second))
 		if err != nil {

@@ -22,6 +22,7 @@
 package replication
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log"
@@ -112,7 +113,7 @@ type NodeConfig struct {
 	PrimaryOpts  []PrimaryOption
 	FollowerOpts []FollowerOption
 	// Telemetry registers nnexus_replication_epoch, nnexus_elections_total
-	// and nnexus_fenced_requests_total.
+	// and nnexus_fenced_requests_total (nil registers on a private registry).
 	Telemetry *telemetry.Registry
 	// Logger may be nil to disable role-transition logging.
 	Logger *log.Logger
@@ -193,17 +194,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if n.term, n.votedFor, err = n.loadVote(); err != nil {
 		return nil, err
 	}
-	if reg := cfg.Telemetry; reg != nil {
-		n.telEpoch = reg.Gauge("nnexus_replication_epoch",
-			"Current election epoch (leadership term) of this node.")
-		n.telElections = reg.Counter("nnexus_elections_total",
-			"Elections this node has started as a candidate.")
-		n.telFenced = reg.Counter("nnexus_fenced_requests_total",
-			"Requests rejected because they carried (or arrived at) a stale epoch.")
-	}
-	if n.telEpoch != nil {
-		n.telEpoch.Set(int64(n.term))
-	}
+	reg := cmp.Or(cfg.Telemetry, telemetry.NewRegistry())
+	n.telEpoch = reg.Gauge("nnexus_replication_epoch",
+		"Current election epoch (leadership term) of this node.")
+	n.telElections = reg.Counter("nnexus_elections_total",
+		"Elections this node has started as a candidate.")
+	n.telFenced = reg.Counter("nnexus_fenced_requests_total",
+		"Requests rejected because they carried (or arrived at) a stale epoch.")
+	n.telEpoch.Set(int64(n.term))
 	if cfg.InitialPrimary {
 		p, err := NewPrimary(cfg.Store, cfg.PrimaryOpts...)
 		if err != nil {
@@ -392,12 +390,8 @@ func (n *Node) runElection() {
 	}
 	applied := n.cfg.Store.ReplicationHead()
 	n.mu.Unlock()
-	if n.telElections != nil {
-		n.telElections.Inc()
-	}
-	if n.telEpoch != nil {
-		n.telEpoch.Set(int64(cand))
-	}
+	n.telElections.Inc()
+	n.telEpoch.Set(int64(cand))
 	n.logf("replication: standing for election, epoch %d, applied offset %d", cand, applied)
 
 	type ballot struct {
@@ -531,9 +525,7 @@ func (n *Node) demoteTo(epoch uint64, leaderAddr string) {
 	n.lastHeard = time.Now()
 	_ = n.saveVoteLocked()
 	n.mu.Unlock()
-	if n.telEpoch != nil {
-		n.telEpoch.Set(int64(epoch))
-	}
+	n.telEpoch.Set(int64(epoch))
 	n.logf("replication: fenced — epoch %d held by %q supersedes this primary; demoting to follower", epoch, leaderAddr)
 	if prim != nil {
 		prim.Drain()
@@ -663,9 +655,7 @@ func (n *Node) handleVote(epoch, offset uint64, candidate string) (*wire.ReplPay
 	}
 	if epoch < n.term {
 		// A candidate from a past epoch: fence it.
-		if n.telFenced != nil {
-			n.telFenced.Inc()
-		}
+		n.telFenced.Inc()
 		return reject, false
 	}
 	if epoch == n.term && n.votedFor != "" && n.votedFor != candidate {
@@ -680,9 +670,7 @@ func (n *Node) handleVote(epoch, offset uint64, candidate string) (*wire.ReplPay
 		n.term = epoch
 		n.votedFor = ""
 		_ = n.saveVoteLocked()
-		if n.telEpoch != nil {
-			n.telEpoch.Set(int64(epoch))
-		}
+		n.telEpoch.Set(int64(epoch))
 		reject.Epoch = epoch
 	}
 	if offset < applied {
@@ -713,9 +701,7 @@ func (n *Node) HandleLead(epoch uint64, leaderAddr string) error {
 	if epoch < n.term ||
 		(epoch == n.term && n.role == RolePrimary && n.votedFor == n.cfg.Self) {
 		cur := n.term
-		if n.telFenced != nil {
-			n.telFenced.Inc()
-		}
+		n.telFenced.Inc()
 		n.mu.Unlock()
 		return fmt.Errorf("%w: leadership claim for epoch %d, current epoch is %d", ErrStaleEpoch, epoch, cur)
 	}
@@ -727,9 +713,7 @@ func (n *Node) HandleLead(epoch uint64, leaderAddr string) error {
 	if epoch > n.term {
 		n.term = epoch
 		n.votedFor = ""
-		if n.telEpoch != nil {
-			n.telEpoch.Set(int64(epoch))
-		}
+		n.telEpoch.Set(int64(epoch))
 	}
 	prevLeader := n.leader
 	n.leader = leaderAddr
@@ -811,7 +795,7 @@ func (n *Node) CheckWritable() error {
 	case !n.clustered():
 		return &NotPrimaryError{Leader: leader, reason: "this node is a read replica"}
 	}
-	if fenced && n.telFenced != nil {
+	if fenced {
 		n.telFenced.Inc()
 	}
 	return &NotPrimaryError{Leader: leader, reason: fmt.Sprintf("this node follows epoch %d", term)}

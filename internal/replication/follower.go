@@ -46,7 +46,7 @@ type Applier interface {
 type Status struct {
 	Role    string // RoleFollower
 	Epoch   uint64 // primary epoch the local state is synced under
-	Applied uint64 // newest locally applied record offset
+	Applied uint64 // newest record offset the local engine has applied
 	Head    uint64 // primary head offset last observed
 	Synced  bool   // the last exchange with the primary succeeded
 	Leader  string // the primary's address
@@ -72,10 +72,14 @@ type Follower struct {
 	backoff    time.Duration
 	backoffMax time.Duration
 
-	mu          sync.Mutex
-	src         Source
-	leader      string
-	epoch       uint64
+	mu     sync.Mutex
+	src    Source
+	leader string
+	epoch  uint64
+	// applied is the newest offset fed through to the engine. The store's
+	// head moves first, so a read routed here after Status reports an offset
+	// sees that offset's record.
+	applied     uint64
 	head        uint64 // primary head last observed
 	synced      bool
 	lastErr     error
@@ -177,6 +181,7 @@ func NewFollower(store *storage.Store, applier Applier, src Source, opts ...Foll
 		o(f)
 	}
 	f.epoch = f.loadPrimaryEpoch()
+	f.applied = store.ReplicationHead()
 	return f, nil
 }
 
@@ -187,7 +192,7 @@ func (f *Follower) Start() error {
 	var seedErr error
 	f.startOnce.Do(func() {
 		if f.applier != nil {
-			ops, _, _, err := f.store.ExportState()
+			ops, head, _, err := f.store.ExportState()
 			if err == nil {
 				err = f.applier.ResetReplicated(ops)
 			}
@@ -196,6 +201,7 @@ func (f *Follower) Start() error {
 				close(f.done)
 				return
 			}
+			f.setApplied(head)
 		}
 		go f.syncLoop()
 	})
@@ -221,7 +227,7 @@ func (f *Follower) Status() Status {
 	st := Status{
 		Role:    RoleFollower,
 		Epoch:   f.epoch,
-		Applied: f.store.ReplicationHead(),
+		Applied: f.applied,
 		Head:    f.head,
 		Synced:  f.synced,
 		Leader:  f.leader,
@@ -414,7 +420,14 @@ func (f *Follower) applyRecord(body []byte, offset uint64) error {
 			return err
 		}
 	}
+	f.setApplied(offset)
 	return nil
+}
+
+func (f *Follower) setApplied(offset uint64) {
+	f.mu.Lock()
+	f.applied = offset
+	f.mu.Unlock()
 }
 
 // bootstrap replaces the local state with a snapshot export from the
@@ -445,6 +458,7 @@ func (f *Follower) bootstrap() error {
 	f.mu.Lock()
 	f.epoch = payload.Epoch
 	f.head = payload.Head
+	f.applied = payload.Head
 	f.mu.Unlock()
 	if err := f.savePrimaryEpoch(payload.Epoch); err != nil {
 		return err

@@ -92,17 +92,18 @@ type PrimaryOption func(*Primary)
 
 // WithPrimaryTelemetry registers the per-follower replication lag gauge
 // nnexus_replication_lag_records and the quorum-commit latency histogram
-// nnexus_quorum_commit_seconds on reg.
+// nnexus_quorum_commit_seconds on reg, which must be non-nil; without this
+// option they count on a private registry.
 func WithPrimaryTelemetry(reg *telemetry.Registry) PrimaryOption {
-	return func(p *Primary) {
-		if reg != nil {
-			p.lagVec = reg.GaugeVec("nnexus_replication_lag_records",
-				"Records the primary has applied but the follower has not acknowledged.",
-				"follower")
-			p.quorumHist = reg.Histogram("nnexus_quorum_commit_seconds",
-				"Time a quorum-acknowledged write waited for its follower confirmations.")
-		}
-	}
+	return func(p *Primary) { p.register(reg) }
+}
+
+func (p *Primary) register(reg *telemetry.Registry) {
+	p.lagVec = reg.GaugeVec("nnexus_replication_lag_records",
+		"Records the primary has applied but the follower has not acknowledged.",
+		"follower")
+	p.quorumHist = reg.Histogram("nnexus_quorum_commit_seconds",
+		"Time a quorum-acknowledged write waited for its follower confirmations.")
 }
 
 // NewPrimary wraps a store opened with storage.WithReplication.
@@ -115,6 +116,7 @@ func NewPrimary(store *storage.Store, opts ...PrimaryOption) (*Primary, error) {
 		followers: make(map[string]*followerState),
 		drainCh:   make(chan struct{}),
 	}
+	p.register(telemetry.NewRegistry())
 	for _, o := range opts {
 		o(p)
 	}
@@ -205,23 +207,18 @@ func (p *Primary) Ack(follower string, offset uint64) {
 	defer p.mu.Unlock()
 	st, ok := p.followers[follower]
 	if !ok {
-		st = &followerState{}
-		if p.lagVec != nil {
-			st.gauge = p.lagVec.With(follower)
-		}
+		st = &followerState{gauge: p.lagVec.With(follower)}
 		p.followers[follower] = st
 	}
 	if offset > st.acked {
 		st.acked = offset
 	}
 	st.lastSeen = time.Now()
-	if st.gauge != nil {
-		lag := int64(0)
-		if head > st.acked {
-			lag = int64(head - st.acked)
-		}
-		st.gauge.Set(lag)
+	lag := int64(0)
+	if head > st.acked {
+		lag = int64(head - st.acked)
 	}
+	st.gauge.Set(lag)
 	p.wakeQuorumLocked()
 }
 
@@ -284,9 +281,7 @@ func (p *Primary) WaitQuorum(offset uint64, k int, timeout time.Duration) error 
 	p.mu.Lock()
 	if p.ackedCountLocked(offset) >= k {
 		p.mu.Unlock()
-		if p.quorumHist != nil {
-			p.quorumHist.Observe(time.Since(start).Seconds())
-		}
+		p.quorumHist.Observe(time.Since(start).Seconds())
 		return nil
 	}
 	if p.draining {
@@ -301,9 +296,7 @@ func (p *Primary) WaitQuorum(offset uint64, k int, timeout time.Duration) error 
 	defer timer.Stop()
 	select {
 	case <-w.ch:
-		if p.quorumHist != nil {
-			p.quorumHist.Observe(time.Since(start).Seconds())
-		}
+		p.quorumHist.Observe(time.Since(start).Seconds())
 		return nil
 	case <-p.drainCh:
 		if !p.removeWaiter(w) {

@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,6 +174,66 @@ func TestFollowerRebootstrapsOnEpochChange(t *testing.T) {
 	if got, want := f.Status().Epoch, pst.ReplicationEpoch(); got != want {
 		t.Errorf("follower epoch = %d, want %d", got, want)
 	}
+}
+
+// gatedApplier holds every ApplyReplicated until release closes.
+type gatedApplier struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gatedApplier) ApplyReplicated([]storage.BatchOp) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return nil
+}
+func (g gatedApplier) ResetReplicated([]storage.BatchOp) error { return nil }
+
+// TestStatusAppliedWaitsForEngine: the store takes a record before the
+// engine does, and a follower reporting an offset must already serve it, so
+// Status().Applied (what cluster.WaitCaughtUp and replica routing read)
+// follows the engine, not the store.
+func TestStatusAppliedWaitsForEngine(t *testing.T) {
+	pst, p := newPrimary(t)
+	if err := pst.Put("t", "k0", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	fst, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fst.Close() })
+	g := gatedApplier{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	f, err := NewFollower(fst, g, localSource{p},
+		WithFollowerName("f1"), WithFollowerWait(50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Stop)
+	var once sync.Once
+	free := func() { once.Do(func() { close(g.release) }) }
+	t.Cleanup(free) // before f.Stop, which waits on the held apply
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, f, 1) // a snapshot bootstrap: ResetReplicated
+
+	if err := pst.Put("t", "k1", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the record never reached the engine")
+	}
+	if got := fst.ReplicationHead(); got != 2 {
+		t.Fatalf("store head = %d while the engine applies, want 2", got)
+	}
+	if got := f.Status().Applied; got != 1 {
+		t.Fatalf("Status().Applied = %d while the engine still applies offset 2, want 1", got)
+	}
+	free()
+	waitCaughtUp(t, f, 2)
 }
 
 func TestSubscribeLongPollWakesOnAppend(t *testing.T) {

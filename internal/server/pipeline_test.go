@@ -18,16 +18,15 @@ import (
 // TestPipelinedOutOfOrderCompletion proves requests on one connection run
 // concurrently and may complete out of order: the first request blocks
 // until the second has been answered, which is only possible if both are
-// dispatched, and forces the second's response onto the wire first.
+// dispatched, and forces the second's response onto the wire first. The
+// client releases the first only once it has read the second's response, so
+// the two never race for the wire.
 func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 	srv, addr := newTestServer(t)
 	release := make(chan struct{})
 	srv.testHook = func(req *wire.Request) {
-		switch req.Method {
-		case wire.MethodStats: // the slow first request
+		if req.Method == wire.MethodStats { // the slow first request
 			<-release
-		case wire.MethodPing: // the fast second request
-			defer close(release)
 		}
 	}
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
@@ -35,6 +34,8 @@ func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// A server that does not pipeline never answers the ping: fail, not hang.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	enc, dec := wire.NewEncoder(conn), wire.NewDecoder(conn)
 	if err := enc.Encode(&wire.Request{Method: wire.MethodStats, Seq: 1}); err != nil {
 		t.Fatal(err)
@@ -43,7 +44,9 @@ func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var first, second wire.Response
-	if err := dec.Decode(&first); err != nil {
+	err = dec.Decode(&first)
+	close(release)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := dec.Decode(&second); err != nil {

@@ -95,8 +95,7 @@ type Server struct {
 }
 
 // serverTelemetry is the TCP layer's connection and request accounting,
-// registered on the engine's registry. Nil (engine telemetry disabled)
-// turns every site into a nil check.
+// registered on the engine's registry.
 type serverTelemetry struct {
 	connsTotal    *telemetry.Counter
 	connsActive   *telemetry.Gauge
@@ -114,9 +113,6 @@ type serverTelemetry struct {
 }
 
 func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
-	if reg == nil {
-		return nil
-	}
 	t := &serverTelemetry{
 		connsTotal: reg.Counter("nnexus_tcp_connections_total",
 			"TCP protocol connections accepted."),
@@ -142,18 +138,8 @@ func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
 			"Requests in flight on a connection at dispatch time.",
 			1, 2, 4, 8, 16, 32, 64, 128),
 	}
-	t.byMethod = make(map[string]*telemetry.Counter)
-	for _, m := range []string{
-		wire.MethodPing, wire.MethodAddDomain, wire.MethodAddEntry,
-		wire.MethodUpdateEntry, wire.MethodRemoveEntry, wire.MethodGetEntry,
-		wire.MethodSetPolicy, wire.MethodLinkEntry, wire.MethodLinkText,
-		wire.MethodInvalidated, wire.MethodRelink, wire.MethodStats,
-		wire.MethodAddEntries, wire.MethodLinkBatch, wire.MethodRelinkBatch,
-		wire.MethodShardScan, wire.MethodPutEntry,
-		wire.MethodReplSubscribe, wire.MethodReplSnapshot,
-		wire.MethodReplAck, wire.MethodReplStatus,
-		wire.MethodReplVote, wire.MethodReplLead,
-	} {
+	t.byMethod = make(map[string]*telemetry.Counter, len(wire.Methods))
+	for _, m := range wire.Methods {
 		t.byMethod[m] = t.requests.With(m)
 	}
 	t.unknown = t.requests.With("unknown")
@@ -162,9 +148,6 @@ func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
 
 // request counts one handled request.
 func (t *serverTelemetry) request(method string, start time.Time, failed bool) {
-	if t == nil {
-		return
-	}
 	c, ok := t.byMethod[method]
 	if !ok {
 		c = t.unknown
@@ -310,9 +293,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if s.maxConns > 0 && len(s.conns) >= s.maxConns {
 			s.mu.Unlock()
 			conn.Close()
-			if s.tel != nil {
-				s.tel.connsRejected.Inc()
-			}
+			s.tel.connsRejected.Inc()
 			continue
 		}
 		s.conns[conn] = struct{}{}
@@ -409,9 +390,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	if s.tel != nil {
-		s.tel.drainDuration.Observe(time.Since(start).Seconds())
-	}
+	s.tel.drainDuration.Observe(time.Since(start).Seconds())
 	return err
 }
 
@@ -447,10 +426,8 @@ type conn struct {
 // before the connection closes.
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
-	if s.tel != nil {
-		s.tel.connsTotal.Inc()
-		s.tel.connsActive.Inc()
-	}
+	s.tel.connsTotal.Inc()
+	s.tel.connsActive.Inc()
 	c := &conn{s: s, nc: nc, work: make(chan *wire.Request)}
 	defer func() {
 		close(c.work)
@@ -459,9 +436,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
-		if s.tel != nil {
-			s.tel.connsActive.Dec()
-		}
+		s.tel.connsActive.Dec()
 	}()
 	dec := wire.NewDecoder(nc)
 	dec.SetLimit(s.maxRequestBytes)
@@ -490,9 +465,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		if s.maxActive > 0 && s.active.Load() >= int64(s.maxActive) {
 			// Shed before dispatch: the request never executes, so it
 			// is safe for the client to retry even mutating methods.
-			if s.tel != nil {
-				s.tel.shed.Inc()
-			}
+			s.tel.shed.Inc()
 			c.send(wire.ErrCoded(req, wire.CodeOverloaded, errOverloaded))
 			continue
 		}
@@ -505,9 +478,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		s.active.Add(1)
 		depth := int(c.busy.Add(1))
-		if s.tel != nil {
-			s.tel.pipelineDepth.Observe(float64(depth))
-		}
+		s.tel.pipelineDepth.Observe(float64(depth))
 		// A handler counts itself idle before it writes its response, so a
 		// stop-and-wait client finds the one it used last time; a second is
 		// started only for a request that arrives while every one is busy.
@@ -591,9 +562,7 @@ func (s *Server) handleWithTimeout(req *wire.Request) *wire.Response {
 	case resp := <-ch:
 		return resp
 	case <-timer.C:
-		if s.tel != nil {
-			s.tel.timeouts.Inc()
-		}
+		s.tel.timeouts.Inc()
 		return wire.ErrCoded(req, wire.CodeTimeout,
 			fmt.Errorf("%s: handler deadline %v exceeded", req.Method, s.handlerTimeout))
 	}
@@ -623,9 +592,7 @@ func (s *Server) handleAdmitted(req *wire.Request) (resp *wire.Response) {
 		if r == nil {
 			return
 		}
-		if s.tel != nil {
-			s.tel.panics.Inc()
-		}
+		s.tel.panics.Inc()
 		if s.logger != nil {
 			s.logger.Printf("server: panic handling %s: %v\n%s", req.Method, r, debug.Stack())
 		}

@@ -60,13 +60,9 @@ type Service struct {
 }
 
 // New returns the service of one node. It counts into the engine's registry,
-// so one scrape covers a corpus's traffic through any door; an engine with
-// telemetry disabled counts where nobody scrapes.
+// so one scrape covers a corpus's traffic through any door.
 func New(engine *core.Engine) *Service {
 	reg := engine.Telemetry()
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	return &Service{
 		engine: engine,
 		admitted: reg.CounterVec("nnexus_tenant_requests_total",

@@ -171,22 +171,24 @@ func WithGroupCommitWindow(d time.Duration) Option {
 
 // WithTelemetry registers the store's WAL metric families on reg:
 // nnexus_wal_appends_total, nnexus_wal_fsyncs_total and the group-commit
-// batch-size histogram nnexus_wal_group_commit_batch_size.
+// batch-size histogram nnexus_wal_group_commit_batch_size. reg must be
+// non-nil; without this option the histogram counts on a private registry.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(s *Store) {
-		if reg == nil {
-			return
-		}
 		reg.CounterFunc("nnexus_wal_appends_total",
 			"Records appended to the write-ahead log.",
 			func() float64 { return float64(s.nappends.Load()) })
 		reg.CounterFunc("nnexus_wal_fsyncs_total",
 			"fsync calls issued against the write-ahead log.",
 			func() float64 { return float64(s.nfsyncs.Load()) })
-		s.telBatch = reg.Histogram("nnexus_wal_group_commit_batch_size",
-			"WAL records made durable per group-commit fsync.",
-			1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+		s.telBatch = batchSizeHistogram(reg)
 	}
+}
+
+func batchSizeHistogram(reg *telemetry.Registry) *telemetry.Histogram {
+	return reg.Histogram("nnexus_wal_group_commit_batch_size",
+		"WAL records made durable per group-commit fsync.",
+		1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 }
 
 // WithOpenFile routes the store's writable file opens (WAL, snapshot temp)
@@ -198,7 +200,8 @@ func WithOpenFile(fn OpenFileFunc) Option {
 // Open opens (or creates) a store rooted at dir. If dir is empty the store
 // is memory-only: mutations are not persisted and Compact is a no-op.
 func Open(dir string, opts ...Option) (*Store, error) {
-	s := &Store{dir: dir, tables: make(map[string]map[string][]byte), openFile: osOpenFile}
+	s := &Store{dir: dir, tables: make(map[string]map[string][]byte), openFile: osOpenFile,
+		telBatch: batchSizeHistogram(telemetry.NewRegistry())}
 	s.commit.cond = sync.NewCond(&s.commit.mu)
 	for _, o := range opts {
 		o(s)
@@ -374,9 +377,7 @@ func (s *Store) commitOnce() (uint64, error) {
 		for _, st := range s.staged {
 			s.applyRecordLocked(st.ops, st.body)
 		}
-		if s.telBatch != nil {
-			s.telBatch.Observe(float64(len(s.staged)))
-		}
+		s.telBatch.Observe(float64(len(s.staged)))
 	} else {
 		// The covered records are on disk but unacknowledged; restore the
 		// WAL to the acknowledged prefix so the on-disk history keeps
@@ -398,7 +399,7 @@ func (s *Store) commitStagedLocked() error {
 		for _, st := range s.staged {
 			s.applyRecordLocked(st.ops, st.body)
 		}
-		if s.telBatch != nil && len(s.staged) > 0 {
+		if len(s.staged) > 0 {
 			s.telBatch.Observe(float64(len(s.staged)))
 		}
 	} else {

@@ -88,30 +88,31 @@ func writeHistogram(bw *bufio.Writer, f *family, s *series) {
 }
 
 // writeLabels writes the {name="value",...} block, including the histogram
-// le label when non-empty. Nothing is written when there are no labels.
+// le label when non-empty. A label whose value is empty is absent, as
+// Prometheus reads it; nothing is written when no label is present.
 func writeLabels(bw *bufio.Writer, names, values []string, le string) {
-	if len(names) == 0 && le == "" {
-		return
-	}
-	bw.WriteByte('{')
+	sep := byte('{')
 	for i, n := range names {
-		if i > 0 {
-			bw.WriteByte(',')
+		if values[i] == "" {
+			continue
 		}
+		bw.WriteByte(sep)
+		sep = ','
 		bw.WriteString(n)
 		bw.WriteString(`="`)
 		bw.WriteString(escapeLabel(values[i]))
 		bw.WriteByte('"')
 	}
 	if le != "" {
-		if len(names) > 0 {
-			bw.WriteByte(',')
-		}
+		bw.WriteByte(sep)
+		sep = ','
 		bw.WriteString(`le="`)
 		bw.WriteString(le)
 		bw.WriteByte('"')
 	}
-	bw.WriteByte('}')
+	if sep == ',' {
+		bw.WriteByte('}')
+	}
 }
 
 // escapeLabel escapes a label value per the exposition format: backslash,
@@ -168,7 +169,8 @@ func formatValue(v float64) string {
 
 // Snapshot returns a JSON-friendly view of every family: scalar metrics as
 // numbers (labeled series keyed "name=value,..."), histograms as
-// {count, sum, p50, p90, p99} summaries. It is what /api/stats embeds.
+// {count, sum, p50, p90, p99} summaries. It is what /api/stats embeds. A
+// family whose one series carries no label present is a plain value.
 func (r *Registry) Snapshot() map[string]interface{} {
 	r.mu.RLock()
 	fams := append([]*family(nil), r.order...)
@@ -176,30 +178,17 @@ func (r *Registry) Snapshot() map[string]interface{} {
 	out := make(map[string]interface{}, len(fams))
 	for _, f := range fams {
 		series := f.sortedSeries()
-		switch f.kind {
-		case KindHistogram:
-			if len(f.labelNames) == 0 {
-				if len(series) > 0 {
-					out[f.name] = histSummary(series[0].hist)
-				}
-				continue
+		m := make(map[string]interface{}, len(series))
+		for _, s := range series {
+			var v interface{} = s.value()
+			if f.kind == KindHistogram {
+				v = histSummary(s.hist)
 			}
-			m := make(map[string]interface{}, len(series))
-			for _, s := range series {
-				m[labelKey(f.labelNames, s.labelValues)] = histSummary(s.hist)
-			}
-			out[f.name] = m
-		default:
-			if len(f.labelNames) == 0 {
-				if len(series) > 0 {
-					out[f.name] = series[0].value()
-				}
-				continue
-			}
-			m := make(map[string]interface{}, len(series))
-			for _, s := range series {
-				m[labelKey(f.labelNames, s.labelValues)] = s.value()
-			}
+			m[labelKey(f.labelNames, s.labelValues)] = v
+		}
+		if v, ok := m[""]; ok && len(m) == 1 {
+			out[f.name] = v
+		} else if len(f.labelNames) > 0 {
 			out[f.name] = m
 		}
 	}
@@ -220,11 +209,14 @@ func histSummary(h *Histogram) map[string]interface{} {
 	return s
 }
 
-// labelKey renders "name=value,name=value" for snapshot map keys.
+// labelKey renders "name=value,name=value" for snapshot map keys, leaving
+// out absent (empty) labels.
 func labelKey(names, values []string) string {
-	parts := make([]string, len(names))
+	parts := make([]string, 0, len(names))
 	for i := range names {
-		parts[i] = names[i] + "=" + values[i]
+		if values[i] != "" {
+			parts = append(parts, names[i]+"="+values[i])
+		}
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")

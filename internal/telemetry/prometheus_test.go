@@ -68,6 +68,20 @@ func TestExposition(t *testing.T) {
 			},
 		},
 		{
+			name: "an empty label value is an absent label",
+			setup: func(r *Registry) {
+				r.CounterVec("ops_total", "", "op", "shard").With("add", "").Inc()
+				r.CounterVec("links_total", "", "shard").Func(func() float64 { return 4 }, "")
+				r.HistogramVec("lat_seconds", "", []float64{1}, "shard").With("").Observe(0.5)
+			},
+			want: []string{
+				`ops_total{op="add"} 1`,
+				`links_total 4`,
+				`lat_seconds_bucket{le="1"} 1`,
+				`lat_seconds_sum 0.5`,
+			},
+		},
+		{
 			name: "help escaping",
 			setup: func(r *Registry) {
 				r.Counter("esc_total", "line1\nline2\\end").Inc()

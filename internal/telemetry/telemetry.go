@@ -215,19 +215,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 // time — for wrapping an existing monotonic source (e.g. a cache's
 // cumulative hit count) without double accounting.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	f := r.lookupOrCreate(name, help, KindCounter, nil, nil)
-	f.child(nil).fn = fn
-}
-
-// CounterFuncLabeled registers one labeled child of a func-backed counter
-// family: the series for labelValues reads fn at scrape time. It is
-// CounterFunc for labeled families — a sharded engine uses it to expose its
-// concept-map scan counters under a per-shard label without maintaining a
-// shadow counter. All children of one family must be registered with the
-// same label names.
-func (r *Registry) CounterFuncLabeled(name, help string, labelNames, labelValues []string, fn func() float64) {
-	f := r.lookupOrCreate(name, help, KindCounter, labelNames, nil)
-	f.child(labelValues).fn = fn
+	r.CounterVec(name, help).Func(fn)
 }
 
 // CounterVec is a family of counters sharing a name and label names.
@@ -243,6 +231,12 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // safe and allocation-free.
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	return &Counter{s: v.f.child(labelValues)}
+}
+
+// Func backs the child for the given label values with fn, read at scrape
+// time: CounterFunc for one series of a labeled family.
+func (v *CounterVec) Func(fn func() float64, labelValues ...string) {
+	v.f.child(labelValues).fn = fn
 }
 
 // --- Gauges ---

@@ -178,6 +178,8 @@ func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("plain", "").Add(7)
 	r.CounterVec("labeled", "", "op").With("add").Add(2)
+	r.CounterVec("absent", "", "shard").With("").Add(3)
+	r.CounterVec("partial", "", "op", "shard").With("add", "").Add(4)
 	h := r.Histogram("lat", "", 1, 2)
 	h.Observe(0.5)
 	snap := r.Snapshot()
@@ -187,6 +189,14 @@ func TestSnapshot(t *testing.T) {
 	labeled := snap["labeled"].(map[string]interface{})
 	if labeled["op=add"].(float64) != 2 {
 		t.Fatalf("labeled = %v", labeled)
+	}
+	// An empty label value is absent: a family whose one series has no label
+	// present is a plain value, and keys leave absent labels out.
+	if snap["absent"].(float64) != 3 {
+		t.Fatalf("absent = %v", snap["absent"])
+	}
+	if partial := snap["partial"].(map[string]interface{}); partial["op=add"].(float64) != 4 {
+		t.Fatalf("partial = %v", partial)
 	}
 	lat := snap["lat"].(map[string]interface{})
 	if lat["count"].(uint64) != 1 {

@@ -91,6 +91,18 @@ const (
 	MethodReplLead      = "replLead"
 )
 
+// Methods lists every method of the protocol: the one table a new method is
+// added to, from which the server resolves its per-method request counters.
+var Methods = []string{
+	MethodPing, MethodAddDomain, MethodAddEntry, MethodUpdateEntry,
+	MethodRemoveEntry, MethodGetEntry, MethodSetPolicy, MethodLinkEntry,
+	MethodLinkText, MethodInvalidated, MethodRelink, MethodStats,
+	MethodAddEntries, MethodLinkBatch, MethodRelinkBatch, MethodShardScan,
+	MethodPutEntry,
+	MethodReplSubscribe, MethodReplSnapshot, MethodReplAck, MethodReplStatus,
+	MethodReplVote, MethodReplLead,
+}
+
 // Mutating reports whether method changes the collection (or the invalidation
 // queue): the methods that run only on the primary and that a quorum
 // acknowledges. It is the one table; a new mutating method is added here.

@@ -2,7 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
@@ -193,4 +198,37 @@ func sanitizeForXML(s string) string {
 		}
 	}
 	return string(out)
+}
+
+// TestMethodsListsEveryMethod: Methods is the one table of protocol methods
+// (the server resolves its per-method request counters from it), so every
+// Method* constant declared in wire.go must be in it exactly once.
+func TestMethodsListsEveryMethod(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]int{}
+	for _, m := range Methods {
+		listed[m]++
+	}
+	declared := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || !strings.HasPrefix(vs.Names[0].Name, "Method") || len(vs.Values) != 1 {
+			return true
+		}
+		lit, ok := vs.Values[0].(*ast.BasicLit)
+		if !ok {
+			return true
+		}
+		declared++
+		if name, _ := strconv.Unquote(lit.Value); listed[name] != 1 {
+			t.Errorf("%s (%q) is listed %d times in Methods, want once", vs.Names[0].Name, name, listed[name])
+		}
+		return true
+	})
+	if declared != len(Methods) {
+		t.Errorf("wire.go declares %d methods, Methods lists %d", declared, len(Methods))
+	}
 }

@@ -529,24 +529,12 @@ func (e *Engine) CacheStats() (hits, misses int64) { return e.core.CacheStats() 
 // invalidation-queue depth, and the serving layers' request accounting) in
 // the Prometheus text exposition format. The same data is served by the
 // HTTP handler at GET /metrics.
-func (e *Engine) WriteMetrics(w io.Writer) error {
-	reg := e.core.Telemetry()
-	if reg == nil {
-		return nil
-	}
-	return reg.WritePrometheus(w)
-}
+func (e *Engine) WriteMetrics(w io.Writer) error { return e.core.Telemetry().WritePrometheus(w) }
 
 // TelemetrySnapshot returns a JSON-friendly snapshot of the engine's
 // operational telemetry: scalar metrics as numbers, histograms as
-// {count, sum, p50, p90, p99} summaries. Nil when telemetry is disabled.
-func (e *Engine) TelemetrySnapshot() map[string]interface{} {
-	reg := e.core.Telemetry()
-	if reg == nil {
-		return nil
-	}
-	return reg.Snapshot()
-}
+// {count, sum, p50, p90, p99} summaries.
+func (e *Engine) TelemetrySnapshot() map[string]interface{} { return e.core.Telemetry().Snapshot() }
 
 // Invalidated returns the IDs of entries marked for re-linking because
 // concepts they may invoke were added or changed.
@@ -653,9 +641,6 @@ func WithBackoff(base, max time.Duration) ClientOption { return client.WithBacko
 // its connection at once; concurrent callers beyond the window queue for a
 // slot. n = 1 is strict stop-and-wait.
 func WithPipelineWindow(n int) ClientOption { return client.WithPipelineWindow(n) }
-
-// DisablePipelining is shorthand for WithPipelineWindow(1).
-func DisablePipelining() ClientOption { return client.DisablePipelining() }
 
 // Client-side replication routing options.
 
