@@ -420,38 +420,38 @@ func BenchmarkLinkText(b *testing.B) {
 	}
 }
 
-// BenchmarkLinkDocument is the repository benchmark's document_read op as a
-// `go test` benchmark, for profiling (make profile-doc): ~5 KB documents of
-// eight generated bodies, linked in-process under the classes of the first,
-// against a 3,000-entry engine with the automaton compiled, the common-word
-// policies installed and telemetry on. Its allocs/op is the figure
-// TestLinkTextDocumentAllocs in internal/core gates.
-func BenchmarkLinkDocument(b *testing.B) {
+// linkDocument is one document of the document_read op: ~5 KB of eight
+// generated bodies, linked under the classes of the first.
+type linkDocument struct {
+	text    string
+	classes []string
+}
+
+// linkDocumentFixture is the repository benchmark's document_read set-up: a
+// 3,000-entry engine with the automaton compiled, the common-word policies
+// installed and telemetry on, and 64 documents to link against it.
+func linkDocumentFixture(tb testing.TB) (*core.Engine, []linkDocument) {
+	tb.Helper()
 	p := workload.DefaultParams(3000)
 	p.Seed = 20090601
 	c, err := workload.Generate(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e, err := core.NewEngine(core.Config{Scheme: c.Scheme, CompileAutomaton: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer e.Close()
+	tb.Cleanup(func() { e.Close() })
 	if err := experiments.Load(c, e); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := experiments.ApplyAllPolicies(e, c); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	waitAutomaton(b, e)
-	type document struct {
-		text    string
-		classes []string
-	}
+	waitAutomaton(tb, e)
 	rng := rand.New(rand.NewSource(p.Seed))
-	docs := make([]document, 64)
-	var size int
+	docs := make([]linkDocument, 64)
 	for i := range docs {
 		bodies := make([]string, 8)
 		for j := range bodies {
@@ -462,7 +462,18 @@ func BenchmarkLinkDocument(b *testing.B) {
 			bodies[j] = ge.Entry.Body
 		}
 		docs[i].text = strings.Join(bodies, "\n\n")
-		size += len(docs[i].text)
+	}
+	return e, docs
+}
+
+// BenchmarkLinkDocument is the repository benchmark's document_read op as a
+// `go test` benchmark, for profiling (make profile-doc), over
+// linkDocumentFixture. TestLinkDocumentAllocs gates its allocs/op.
+func BenchmarkLinkDocument(b *testing.B) {
+	e, docs := linkDocumentFixture(b)
+	var size int
+	for _, d := range docs {
+		size += len(d.text)
 	}
 	b.SetBytes(int64(size / len(docs)))
 	b.ReportAllocs()
@@ -480,6 +491,35 @@ func BenchmarkLinkDocument(b *testing.B) {
 	b.ReportMetric(float64(links)/float64(b.N), "links/op")
 	if info := e.AutomatonInfo(); info.FallbackScans != 0 {
 		b.Fatalf("%d scans fell back to the chained hash", info.FallbackScans)
+	}
+}
+
+// maxDocumentAllocs bounds the allocations of one document_read op. It is
+// the 85 the op made while every link built its URL and every request
+// copied its source classes; it made 27 once the resolve stage read the
+// URL and the class indexes off the captured entries.
+const maxDocumentAllocs = 85
+
+// TestLinkDocumentAllocs holds one LinkText of a BenchmarkLinkDocument
+// document to maxDocumentAllocs allocations.
+func TestLinkDocumentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race runtime")
+	}
+	e, docs := linkDocumentFixture(t)
+	i := 0
+	link := func() {
+		d := &docs[i%len(docs)]
+		i++
+		if _, err := e.LinkText(d.text, core.LinkOptions{SourceClasses: d.classes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range docs { // warm the pool
+		link()
+	}
+	if allocs := testing.AllocsPerRun(len(docs), link); allocs > maxDocumentAllocs {
+		t.Errorf("LinkText of a document allocates %.1f times, want at most %d", allocs, maxDocumentAllocs)
 	}
 }
 
@@ -603,8 +643,8 @@ func BenchmarkImportRecover(b *testing.B) {
 
 // waitAutomaton blocks until the background compiler has caught up with the
 // bulk load, so the benchmark measures the automaton path.
-func waitAutomaton(b *testing.B, e interface{ AutomatonInfo() nnexus.AutomatonInfo }) {
-	b.Helper()
+func waitAutomaton(tb testing.TB, e interface{ AutomatonInfo() nnexus.AutomatonInfo }) {
+	tb.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		info := e.AutomatonInfo()
@@ -612,7 +652,7 @@ func waitAutomaton(b *testing.B, e interface{ AutomatonInfo() nnexus.AutomatonIn
 			return
 		}
 		if time.Now().After(deadline) {
-			b.Fatalf("automaton never caught up: %+v", info)
+			tb.Fatalf("automaton never caught up: %+v", info)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

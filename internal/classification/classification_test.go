@@ -285,6 +285,38 @@ func TestMinDistance(t *testing.T) {
 	}
 }
 
+// TestMinDistanceIndexMatchesMinDistance: over random class lists — unknown
+// ids, the root's empty id, duplicates and empty lists included — the
+// index-based distance equals MinDistance of the ids, on the lazy rows and
+// on the Johnson table.
+func TestMinDistanceIndexMatchesMinDistance(t *testing.T) {
+	lazy, full := SampleMSC(10), SampleMSC(10)
+	if err := full.AllPairs(); err != nil {
+		t.Fatal(err)
+	}
+	ids := append(lazy.Classes(), "bogus", "")
+	rng := rand.New(rand.NewSource(3))
+	pick := func() []string {
+		out := make([]string, rng.Intn(4))
+		for i := range out {
+			out[i] = ids[rng.Intn(len(ids))]
+		}
+		return out
+	}
+	for i := 0; i < 2000; i++ {
+		src, dst := pick(), pick()
+		for _, s := range []*Scheme{lazy, full} {
+			want := MinDistance(s, src, dst)
+			if got := MinDistanceIndex(s, s.AppendIndexes(nil, src), s.AppendIndexes(nil, dst)); got != want {
+				t.Fatalf("MinDistanceIndex(%q, %q) = %d, MinDistance = %d", src, dst, got, want)
+			}
+		}
+	}
+	if _, ok := lazy.Index("bogus"); ok {
+		t.Error("Index resolved an unknown class")
+	}
+}
+
 func BenchmarkDistanceLazy(b *testing.B) {
 	s := SampleMSC(10)
 	classes := s.Classes()

@@ -261,10 +261,36 @@ func (s *Scheme) Distance(a, b string) (int64, bool) {
 	if ia == ib {
 		return 0, true
 	}
-	if table := s.allPairs.Load(); table != nil {
-		return (*table)[ia][ib], true
+	return s.row(ia)[ib], true
+}
+
+// Index returns the dense node index of a class, the key of the index-based
+// distance queries, and whether the class exists. It resolves exactly the ids
+// Distance resolves. Valid after Build.
+func (s *Scheme) Index(id string) (int32, bool) {
+	i, ok := s.byID[id]
+	return int32(i), ok
+}
+
+// AppendIndexes appends to dst the node index of every class of ids the
+// scheme knows, in order, and drops the others: the form MinDistanceIndex
+// takes, with the classes Distance would refuse already left out.
+func (s *Scheme) AppendIndexes(dst []int32, ids []string) []int32 {
+	for _, id := range ids {
+		if i, ok := s.Index(id); ok {
+			dst = append(dst, i)
+		}
 	}
-	return s.distRow(ia)[ib], true
+	return dst
+}
+
+// row returns the full distance row from node index ia: the Johnson table's
+// row when AllPairs was run, the memoised Dijkstra row otherwise.
+func (s *Scheme) row(ia int) []int64 {
+	if table := s.allPairs.Load(); table != nil {
+		return (*table)[ia]
+	}
+	return s.distRow(ia)
 }
 
 // distRow returns (computing if needed) the full distance row from source

@@ -27,8 +27,9 @@ type Steered struct {
 // discriminate and all candidates are returned (distance Infinite).
 //
 // The engine's resolve stage runs the same selection in place over its own
-// candidate scratch (core's linkRun.steer); Steer is the algorithm as the
-// paper states it and the reference that selection is tested against.
+// candidate scratch and on class indexes (core's linkRun.steer, with
+// MinDistanceIndex); Steer is the algorithm as the paper states it and the
+// reference that selection is tested against.
 func Steer(s *Scheme, sourceClasses []string, candidates []Candidate) []Steered {
 	if len(candidates) == 0 {
 		return nil
@@ -62,6 +63,26 @@ func MinDistance(s *Scheme, source, target []string) int64 {
 	for _, a := range source {
 		for _, b := range target {
 			if d, ok := s.Distance(a, b); ok && d < best {
+				best = d
+			}
+		}
+	}
+	return best
+}
+
+// MinDistanceIndex is MinDistance over classes already resolved to node
+// indexes (Scheme.AppendIndexes): one distance row per source class, and an
+// array read per pair. It equals MinDistance of the class ids the indexes
+// were resolved from. The scheme must be built.
+func MinDistanceIndex(s *Scheme, source, target []int32) int64 {
+	best := Infinite
+	if len(target) == 0 {
+		return best
+	}
+	for _, a := range source {
+		row := s.row(int(a))
+		for _, b := range target {
+			if d := row[b]; d < best {
 				best = d
 			}
 		}

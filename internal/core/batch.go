@@ -104,7 +104,7 @@ func (e *Engine) runBatch(items []*batchItem, p linkPlan, workers int, aborted *
 			total += len(it.run.matches)
 		}
 	}
-	view := e.captureView(make(map[int64]*corpus.Entry, total), streams...)
+	view := e.captureView(make(map[int64]*storedEntry, total), streams...)
 
 	// Phase 3 dispatches every scanned item even when the batch has been
 	// aborted: those items were already handed to workers.

@@ -27,7 +27,6 @@ import (
 	"nnexus/internal/corpus"
 	"nnexus/internal/invindex"
 	"nnexus/internal/ontomap"
-	"nnexus/internal/policy"
 	"nnexus/internal/render"
 	"nnexus/internal/shard"
 	"nnexus/internal/storage"
@@ -170,7 +169,6 @@ type Engine struct {
 	// publishes under mu.
 	ns               atomic.Pointer[map[string]*namespace]
 	compilersStarted bool
-	pol              *policy.Table
 	mappers          *ontomap.Registry
 	// rendered caches default-pipeline LinkEntry results until the
 	// invalidation machinery marks them stale (the paper's cache table).
@@ -180,13 +178,16 @@ type Engine struct {
 	tel *engineTelemetry
 
 	// domains is copy-on-write: the current immutable generation of the
-	// domain table is loaded lock-free by the link hot path, while writers
-	// (serialized by mu) publish a copied map. Domains are few and change
-	// rarely, the ideal COW shape.
+	// domain table is loaded lock-free by readers, while writers (serialized
+	// by mu) publish a copied map. Domains are few and change rarely, the
+	// ideal COW shape; the link path reads each candidate's domain off its
+	// stored entry instead.
 	domains atomic.Pointer[map[string]*corpus.Domain]
 
-	mu      sync.RWMutex
-	entries map[int64]*corpus.Entry
+	mu sync.RWMutex
+	// entries is the entry table: each entry beside the resolve state
+	// derived from it (storedEntry), replaced whole on every change.
+	entries map[int64]*storedEntry
 	invalid map[int64]bool
 	nextID  int64
 }
@@ -220,10 +221,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		scheme:   cfg.Scheme,
 		store:    cfg.Store,
-		pol:      policy.NewTable(),
 		mappers:  ontomap.NewRegistry(),
 		rendered: cache.NewLRU[int64, *Result](renderedCacheSize),
-		entries:  make(map[int64]*corpus.Entry),
+		entries:  make(map[int64]*storedEntry),
 		invalid:  make(map[int64]bool),
 		nextID:   1,
 	}
@@ -333,7 +333,7 @@ func (e *Engine) WriteCharge(id int64, dest string, size int64) (entries, bytes 
 	if old == nil || old.Corpus != dest {
 		return 1, size
 	}
-	return 0, size - EntrySize(old)
+	return 0, size - EntrySize(&old.Entry)
 }
 
 // Corpora returns the corpus namespaces the engine holds, sorted.
@@ -401,13 +401,16 @@ func (e *Engine) DetachStore() {
 // returned map must not be mutated.
 func (e *Engine) domainMap() map[string]*corpus.Domain { return *e.domains.Load() }
 
-// putDomain publishes a new domain-table generation containing d. Callers
-// must hold e.mu (or run during single-threaded construction) so that
-// concurrent writers do not lose each other's generations.
+// putDomain publishes a new domain-table generation containing d, and
+// rederives the resolve state of the domain's entries: its scheme decides
+// their class translation and its template their URLs. Callers must hold
+// e.mu (or run during single-threaded construction) so that concurrent
+// writers do not lose each other's generations.
 func (e *Engine) putDomain(d *corpus.Domain) {
 	next := maps.Clone(e.domainMap())
 	next[d.Name] = d
 	e.domains.Store(&next)
+	e.rederiveLocked(func(s *storedEntry) bool { return s.Domain == d.Name })
 }
 
 // AddDomain registers (or replaces) a corpus domain.
@@ -436,9 +439,18 @@ func (e *Engine) Domain(name string) (*corpus.Domain, bool) {
 func (e *Engine) Domains() []string { return sortedKeys(e.domainMap()) }
 
 // RegisterMapper installs an ontology mapper used to translate a foreign
-// domain's classes into the engine's canonical scheme.
+// domain's classes into the engine's canonical scheme, and retranslates the
+// classes of every entry whose domain is in the mapper's source scheme. The
+// entries' translations are taken at registration: rules added to a mapper
+// after it is registered apply once it is registered again.
 func (e *Engine) RegisterMapper(m *ontomap.Mapper) error {
-	return e.mappers.Register(m)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.mappers.Register(m); err != nil {
+		return err
+	}
+	e.rederiveLocked(func(s *storedEntry) bool { return s.domain != nil && s.domain.Scheme == m.From })
+	return nil
 }
 
 // AddEntry validates, stores, and indexes a new entry, assigns it an
@@ -569,22 +581,23 @@ func (e *Engine) ownedLabels(labels []string) []string {
 func (e *Engine) SetPolicy(id int64, text string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	entry, ok := e.entries[id]
+	old, ok := e.entries[id]
 	if !ok {
 		return fmt.Errorf("core: policy for unknown entry %d", id)
 	}
-	if err := e.pol.Set(id, text); err != nil {
+	pol, err := parsePolicy(text)
+	if err != nil {
 		return err
 	}
-	// Replace rather than mutate in place: the old *Entry may be captured
+	// Replace rather than mutate in place: the old entry may be captured
 	// by an in-flight lock-free link view.
-	copied := *entry
-	copied.Policy = text
-	e.entries[id] = &copied
+	next := *old
+	next.Policy, next.policy = text, pol
+	e.entries[id] = &next
 	// Policy changes alter which links are permitted; everything that
 	// mentions this entry's labels may need re-linking. The text did not
-	// change, so the apply stage is the policy table and the copy above,
-	// not a re-index.
+	// change, so the apply stage is the copy above, not a re-index.
+	copied := next.Entry
 	ch := changeSet{entries: []*corpus.Entry{&copied}}
 	e.invalidateLocked(&ch, id, copied.Labels(), nil)
 	e.tel.opSetPolicy.Inc()
@@ -599,7 +612,7 @@ func (e *Engine) Entry(id int64) (*corpus.Entry, bool) {
 	if !ok {
 		return nil, false
 	}
-	copied := *entry
+	copied := entry.Entry
 	return &copied, true
 }
 

@@ -156,6 +156,97 @@ func TestPolicySuppressesOverlink(t *testing.T) {
 	}
 }
 
+// TestSetPolicyGovernsLinks: a policy set on an entry filters the links to
+// it by the source's classes, an entry without one is linked from anywhere,
+// a blank policy permits everything again, and a policy that does not parse
+// is refused and changes nothing.
+func TestSetPolicyGovernsLinks(t *testing.T) {
+	e := fig1Engine(t, Config{})
+	linksEven := func(classes ...string) bool {
+		t.Helper()
+		res, err := e.LinkText("even the planar graph", LinkOptions{SourceClasses: classes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var even, planar bool
+		for _, l := range res.Links {
+			even = even || l.Target == 4
+			planar = planar || l.Target == 2
+		}
+		if !planar {
+			t.Errorf("entry 2, which has no policy, was not linked from %v: %+v", classes, res.Links)
+		}
+		return even
+	}
+	if err := e.SetPolicy(4, "forbid even\nallow even from 11-XX"); err != nil {
+		t.Fatal(err)
+	}
+	if linksEven("05C40") {
+		t.Error("the policy did not forbid a graph-theory source")
+	}
+	if !linksEven("11A51") {
+		t.Error("the policy forbade a number-theory source")
+	}
+	if err := e.SetPolicy(4, "   "); err != nil {
+		t.Fatal(err)
+	}
+	if !linksEven("05C40") {
+		t.Error("a blank policy still forbids")
+	}
+	if err := e.SetPolicy(4, "bogus directive"); err == nil {
+		t.Error("a policy that does not parse was accepted")
+	}
+	if entry, _ := e.Entry(4); entry.Policy != "   " || !linksEven("05C40") {
+		t.Errorf("a refused policy changed the entry: policy %q", entry.Policy)
+	}
+	if err := e.SetPolicy(99, "forbid even"); err == nil {
+		t.Error("a policy for an unknown entry was accepted")
+	}
+}
+
+// TestSetPolicyPerEntry: each entry's policy is its own and lives in the
+// entry's Policy text: removing one leaves the other, and both survive a
+// restart from the store, which holds nothing else of them.
+func TestSetPolicyPerEntry(t *testing.T) {
+	store, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	e := fig1Engine(t, Config{Store: store})
+	if err := e.SetPolicy(4, "forbid even"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetPolicy(2, "forbid planar graph"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetPolicy(4, ""); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewEngine(Config{Scheme: e.Scheme(), Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{e, restarted} {
+		if four, _ := e.Entry(4); four.Policy != "" {
+			t.Errorf("entry 4 keeps policy %q", four.Policy)
+		}
+		if two, _ := e.Entry(2); two.Policy != "forbid planar graph" {
+			t.Errorf("entry 2 has policy %q", two.Policy)
+		}
+		res, err := e.LinkText("even the planar graph", LinkOptions{SourceClasses: []string{"05C40"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Links) == 0 || res.Links[0].Target != 4 {
+			t.Errorf("entry 4, its policy removed, was not linked: %+v", res.Links)
+		}
+		if len(res.Skips) != 1 || res.Skips[0].Label != "planar graph" || res.Skips[0].Reason != SkipPolicy {
+			t.Errorf("entry 2's policy did not hold: skips %+v", res.Skips)
+		}
+	}
+}
+
 func TestFirstOccurrenceOnly(t *testing.T) {
 	e := fig1Engine(t, Config{})
 	res, err := e.LinkText("a graph and another graph and a third graph",

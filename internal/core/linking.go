@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"time"
 
-	"nnexus/internal/corpus"
 	"nnexus/internal/render"
 )
 
@@ -91,14 +90,15 @@ type LinkOptions struct {
 // policies, steer by classification, substitute the winners.
 //
 // The pipeline reads are lock-free or single-shot: the concept-map scan
-// reads an immutable snapshot, the candidate entries and domain table are
-// captured once per call, and steering distances come from lock-free
-// memoized rows (plus the sharded pair cache), so concurrent LinkText calls
-// scale with cores instead of convoying on the engine mutex.
+// reads an immutable snapshot, the candidate entries — each with its parsed
+// policy, canonical class indexes, domain and URL — are captured once per
+// call, and steering distances come from the scheme's lock-free memoised
+// rows, so concurrent LinkText calls scale with cores instead of convoying
+// on the engine mutex.
 //
-// When telemetry is enabled, the run is timed per pipeline stage
-// (tokenize/match/policy/steer/render) into the engine's registry; the
-// policy and steer slots accumulate across the per-match target selection.
+// Every run is timed per pipeline stage into the engine's registry:
+// tokenize, match and render always, and policy and steer — which read the
+// clock per concept match — for one run in sampleEvery.
 func (e *Engine) LinkText(text string, opts LinkOptions) (*Result, error) {
 	return e.link(e.plan(&opts), text)
 }
@@ -189,19 +189,6 @@ func (e *Engine) finishRelink(start time.Time, relinked, errors int) {
 // number of failed entries observed.
 func (e *Engine) RelinkInvalidatedParallel(workers int) (map[int64]*Result, error) {
 	return e.RelinkBatch(nil, workers)
-}
-
-// canonicalClassesView translates an entry's classes (expressed in its
-// domain's scheme) into the engine's canonical scheme, resolving the domain
-// through the per-call view instead of the engine lock. The result is for
-// reading only: classes already in the canonical scheme are the entry's own
-// slice, not a copy.
-func (e *Engine) canonicalClassesView(view linkView, entry *corpus.Entry) []string {
-	to := e.scheme.Name()
-	if d, ok := view.domains[entry.Domain]; ok && d.Scheme != "" && d.Scheme != to {
-		return e.mappers.Translate(d.Scheme, entry.Classes, to)
-	}
-	return entry.Classes
 }
 
 func (e *Engine) domainScheme(domain string) string {

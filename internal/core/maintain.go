@@ -49,31 +49,100 @@ func (e *Engine) admitLocked(entry *corpus.Entry) error {
 	if _, ok := e.domainMap()[entry.Domain]; !ok {
 		return fmt.Errorf("core: unknown domain %q (AddDomain first)", entry.Domain)
 	}
-	if entry.Policy != "" {
-		if _, err := policy.Parse(entry.Policy); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := parsePolicy(entry.Policy)
+	return err
 }
 
-// indexLocked is the apply stage of an entry write: it (re)indexes the entry
-// in its corpus's concept map and invalidation index, the policy table and
-// the usage counters, and ratchets nextID past it. In shard mode only the
-// ring slice's labels are indexed, so the concept map and the automaton
-// compiled from it stay ~1/N-sized. The entry's corpus must already be
+// parsePolicy parses an entry's policy text; an entry without one has a nil
+// policy, which permits every link.
+func parsePolicy(text string) (*policy.Policy, error) {
+	if text == "" {
+		return nil, nil
+	}
+	return policy.Parse(text)
+}
+
+// storedEntry is one entry as the engine's entry table holds it: the entry,
+// and beside it what the resolve stage needs of it, derived at write time so
+// that a link reads it off the captured view instead of rebuilding it per
+// candidate. A published storedEntry is never mutated: every write and every
+// rederivation replaces it, so lock-free readers only see whole states.
+type storedEntry struct {
+	corpus.Entry
+	// policy is Entry.Policy parsed (nil without one): the entry's policy
+	// text is the one source of truth, and this is its one parse.
+	policy *policy.Policy
+	// domain is the entry's domain in the generation the state was derived
+	// from; nil while the domain is not registered.
+	domain *corpus.Domain
+	// classes are Entry.Classes translated into the canonical scheme (by
+	// the domain's scheme and the registered mappers), as scheme node
+	// indexes; classes the scheme does not know are left out.
+	classes []int32
+	// url is the entry's link destination under its domain's URL template.
+	url string
+}
+
+// newStored builds the entry table's record of entry: a copy of it and its
+// derived resolve state. Only a policy that does not parse fails it.
+func (e *Engine) newStored(entry *corpus.Entry) (*storedEntry, error) {
+	pol, err := parsePolicy(entry.Policy)
+	if err != nil {
+		return nil, err
+	}
+	s := &storedEntry{Entry: *entry, policy: pol}
+	e.derive(s)
+	return s, nil
+}
+
+// derive computes the part of s's resolve state that depends on the domain
+// table and the mappers. Those change only by putDomain, dropDomainLocked
+// and RegisterMapper, which rederive the entries they affect.
+func (e *Engine) derive(s *storedEntry) {
+	s.domain = e.domainMap()[s.Domain]
+	classes, to := s.Classes, e.scheme.Name()
+	s.url = ""
+	if d := s.domain; d != nil {
+		if d.Scheme != "" && d.Scheme != to {
+			classes = e.mappers.Translate(d.Scheme, classes, to)
+		}
+		s.url = d.URL(s.ExternalID, s.Title)
+	}
+	s.classes = e.scheme.AppendIndexes(nil, classes)
+}
+
+// rederiveLocked replaces every stored entry that affected selects with a
+// copy whose resolve state is derived anew. Callers hold e.mu.
+func (e *Engine) rederiveLocked(affected func(*storedEntry) bool) {
+	for id, s := range e.entries {
+		if affected(s) {
+			next := *s
+			e.derive(&next)
+			e.entries[id] = &next
+		}
+	}
+}
+
+// indexLocked is the apply stage of an entry write: it stores the entry
+// with its resolve state, (re)indexes it in its corpus's concept map,
+// invalidation index and usage counters, and ratchets nextID past it. In
+// shard mode only the ring slice's labels are indexed, so the concept map
+// and the automaton compiled from it stay ~1/N-sized. The entry's corpus must already be
 // normalized. An entry moving corpora (UpdateEntry with a new corpus ID)
 // is removed from its old namespace's indexes first.
 func (e *Engine) indexLocked(entry *corpus.Entry) error {
+	stored, err := e.newStored(entry)
+	if err != nil {
+		return err
+	}
 	e.rendered.Invalidate(entry.ID)
 	old := e.entries[entry.ID]
 	ns := e.nsEnsureLocked(entry.Corpus)
-	copied := *entry
-	e.entries[entry.ID] = &copied
+	e.entries[entry.ID] = stored
 	if old != nil {
 		oldNS := e.nsEnsureLocked(old.Corpus)
 		oldNS.entryCount.Add(-1)
-		oldNS.byteCount.Add(-EntrySize(old))
+		oldNS.byteCount.Add(-EntrySize(&old.Entry))
 		if old.Corpus != entry.Corpus {
 			oldNS.cmap.RemoveObject(conceptmap.ObjectID(entry.ID))
 			oldNS.inv.Remove(entry.ID)
@@ -86,11 +155,7 @@ func (e *Engine) indexLocked(entry *corpus.Entry) error {
 	if entry.ID >= e.nextID {
 		e.nextID = entry.ID + 1
 	}
-	if entry.Policy == "" {
-		e.pol.Remove(entry.ID)
-		return nil
-	}
-	return e.pol.Set(entry.ID, entry.Policy)
+	return nil
 }
 
 // unindexLocked is the apply stage of a removal: the teardown of everything
@@ -105,7 +170,6 @@ func (e *Engine) unindexLocked(entry *corpus.Entry) {
 	ns.inv.Remove(id)
 	ns.entryCount.Add(-1)
 	ns.byteCount.Add(-EntrySize(entry))
-	e.pol.Remove(id)
 }
 
 // invalidateLocked is the invalidation stage: one walk over the union of a
@@ -201,7 +265,7 @@ func (e *Engine) removeLocked(ch *changeSet, id int64) bool {
 		return false
 	}
 	e.invalidateLocked(ch, id, entry.Labels(), nil)
-	e.unindexLocked(entry)
+	e.unindexLocked(&entry.Entry)
 	if ch != nil {
 		ch.removed = append(ch.removed, id)
 	}

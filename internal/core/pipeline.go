@@ -7,8 +7,10 @@ package core
 //	          classes, source corpus, ordered targets, exclude
 //	scan      tokens → concept matches (greedy, or the longest match at
 //	          every position when a later walk consumes)
-//	capture   every candidate entry of N match slices under one RLock
-//	resolve   chooseTarget: policy filter, steering, tie-break
+//	capture   every candidate entry of N match slices under one RLock, each
+//	          with its write-time resolve state (storedEntry)
+//	resolve   chooseTarget: policy filter, steering, tie-break, from the
+//	          captured entries alone: no lock, no string-keyed map
 //	assemble  greedy walk, first-occurrence rule, anchors, render.Apply
 //
 //	Engine.LinkText       plan + scan + capture(1) + assemble
@@ -18,8 +20,10 @@ package core
 //	ShardRouter.LinkText  k-way pick over per-shard ScanShard + assemble
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,8 +39,11 @@ import (
 type linkPlan struct {
 	mode   Mode
 	format render.Format
-	// classes are the source classes translated to the canonical scheme.
-	classes []string
+	// classes are the source classes translated to the canonical scheme,
+	// which policies match; classIdx are the same as scheme node indexes,
+	// which steering measures from.
+	classes  []string
+	classIdx []int32
 	// source is the corpus the request links on behalf of: the self-link
 	// target and the per-tenant accounting label.
 	source string
@@ -62,7 +69,13 @@ func (e *Engine) plan(opts *LinkOptions) linkPlan {
 	if p.mode == ModeDefault {
 		p.mode = e.cfg.Mode.resolve()
 	}
-	p.classes = e.mappers.Translate(schemeOr(opts.SourceScheme, e.scheme.Name()), opts.SourceClasses, e.scheme.Name())
+	// Classes already in the canonical scheme are the request's own slice:
+	// the plan only reads them.
+	p.classes = opts.SourceClasses
+	if from := schemeOr(opts.SourceScheme, e.scheme.Name()); from != e.scheme.Name() {
+		p.classes = e.mappers.Translate(from, opts.SourceClasses, e.scheme.Name())
+	}
+	p.classIdx = e.scheme.AppendIndexes(nil, p.classes)
 	if p.source == "" {
 		p.source = e.DefaultCorpus()
 	}
@@ -142,11 +155,13 @@ type linkRun struct {
 	// that produced each.
 	multi       []conceptmap.Match
 	multiOrigin []int
+	// mergeIdx is mergeSpans' sort permutation.
+	mergeIdx []int
 	// entries is the candidate snapshot of a single-run captureView.
-	entries map[int64]*corpus.Entry
+	entries map[int64]*storedEntry
 	// cands/dists are chooseTarget's per-match scratch: the candidate
 	// entries and, parallel to them, their distances from the source.
-	cands []*corpus.Entry
+	cands []*storedEntry
 	dists []int64
 	// linked/anchors are assemble's first-occurrence set and anchor scratch.
 	linked  map[string]bool
@@ -157,7 +172,7 @@ var linkRunPool = sync.Pool{
 	New: func() interface{} {
 		return &linkRun{
 			linked:  make(map[string]bool, 16),
-			entries: make(map[int64]*corpus.Entry, 32),
+			entries: make(map[int64]*storedEntry, 32),
 		}
 	},
 }
@@ -206,7 +221,7 @@ func (run *linkRun) reset() bool {
 // scanText is the pipeline's front half for one text: LaTeX conversion,
 // tokenization, and the scan against the plan's targets.
 func (e *Engine) scanText(run *linkRun, text string) {
-	run.st.timed = true
+	run.st.timed = e.tel.sampleRun()
 	mark := time.Now()
 	if e.cfg.LaTeX {
 		text = latex.ToText(text)
@@ -255,7 +270,7 @@ func (e *Engine) scan(run *linkRun, tokens []tokenizer.Token, all bool) (usedAut
 		}
 	}
 	run.multi, run.multiOrigin = spans, origin
-	run.matches = mergeSpans(run.matches, spans, origin)
+	run.matches, run.mergeIdx = mergeSpans(run.matches, spans, origin, run.mergeIdx[:0])
 	return false
 }
 
@@ -263,21 +278,19 @@ func (e *Engine) scan(run *linkRun, tokens []tokenizer.Token, all bool) (usedAut
 // position keeps its longest span, and identical spans produced by several
 // targets merge their candidate lists in target order, so the ordered link
 // policy is preserved down to candidate resolution. Appends to dst in
-// TokenStart order.
-func mergeSpans(dst, spans []conceptmap.Match, origin []int) []conceptmap.Match {
-	idx := make([]int, len(spans))
-	for i := range idx {
-		idx[i] = i
+// TokenStart order; idx is scratch for the sort permutation, returned for
+// reuse.
+func mergeSpans(dst, spans []conceptmap.Match, origin, idx []int) ([]conceptmap.Match, []int) {
+	for i := range spans {
+		idx = append(idx, i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ma, mb := &spans[idx[a]], &spans[idx[b]]
-		if ma.TokenStart != mb.TokenStart {
-			return ma.TokenStart < mb.TokenStart
-		}
-		if ma.TokenEnd != mb.TokenEnd {
-			return ma.TokenEnd > mb.TokenEnd // longest first
-		}
-		return origin[idx[a]] < origin[idx[b]] // target order
+	slices.SortFunc(idx, func(a, b int) int {
+		ma, mb := &spans[a], &spans[b]
+		return cmp.Or(
+			cmp.Compare(ma.TokenStart, mb.TokenStart),
+			cmp.Compare(mb.TokenEnd, ma.TokenEnd), // longest first
+			cmp.Compare(origin[a], origin[b]),     // target order
+		)
 	})
 	for i := 0; i < len(idx); {
 		m := spans[idx[i]]
@@ -292,24 +305,23 @@ func mergeSpans(dst, spans []conceptmap.Match, origin []int) []conceptmap.Match 
 		dst = append(dst, m)
 		i = j
 	}
-	return dst
+	return dst, idx
 }
 
 // linkView is the read snapshot the resolve stage works from: the candidate
-// entries captured under a single RLock, and the current copy-on-write
-// domain-table generation. Once captured, policy filtering, steering and
-// tie-breaking run without touching engine locks.
+// entries captured under a single RLock, each with the resolve state derived
+// from it at write time (its parsed policy, canonical class indexes, domain
+// and URL). Once captured, policy filtering, steering and tie-breaking run
+// without touching engine locks or tables.
 type linkView struct {
-	entries map[int64]*corpus.Entry
-	domains map[string]*corpus.Domain
+	entries map[int64]*storedEntry
 }
 
 // captureView gathers into entries every candidate entry the match slices
-// reference, under one read lock, and pairs them with the current domain
-// generation. One slice is a single run's view; a batch passes every item's
-// matches and links all of them against the one immutable view.
-func (e *Engine) captureView(entries map[int64]*corpus.Entry, streams ...[]conceptmap.Match) linkView {
-	v := linkView{entries: entries, domains: e.domainMap()}
+// reference, under one read lock. One slice is a single run's view; a batch
+// passes every item's matches and links all of them against the one
+// immutable view.
+func (e *Engine) captureView(entries map[int64]*storedEntry, streams ...[]conceptmap.Match) linkView {
 	e.mu.RLock()
 	for _, matches := range streams {
 		for _, m := range matches {
@@ -325,50 +337,49 @@ func (e *Engine) captureView(entries map[int64]*corpus.Entry, streams ...[]conce
 		}
 	}
 	e.mu.RUnlock()
-	return v
+	return linkView{entries: entries}
 }
 
-// domainPriority returns the priority of a domain in this view; unknown
-// domains lose all ties.
-func (v linkView) domainPriority(domain string) int {
-	if d, ok := v.domains[domain]; ok {
-		return d.Priority
+// priority is the entry's domain priority; an entry whose domain is not
+// registered loses all ties.
+func (s *storedEntry) priority() int {
+	if s.domain == nil {
+		return math.MaxInt
 	}
-	return int(^uint(0) >> 1)
+	return s.domain.Priority
 }
 
 // chooseTarget runs policy filtering, steering, and tie-breaking for one
-// concept match. It returns either a link or a skip reason. All state it
-// reads comes from the run's captured view and the scheme's lock-free
-// distance rows, so it acquires no engine locks. A timed run (one scanText
-// started) accumulates in run.st the wall time spent in the policy and
-// steering stages; ScanShard's runs are never observed, so they read no
-// clock. The plan's rank, when non-nil, is the multi-target link policy's
-// corpus order: after steering, candidates from earlier target corpora win
-// ties over later ones (before domain priority and lowest ID). Nil — the
-// single-target default — keeps the tie-break identical to the single-corpus
-// engine.
-func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) {
-	view, st, sourceClasses, rank := run.view, &run.st, run.plan.classes, run.plan.rank
-	exclude := run.plan.exclude
+// concept match, filling in rm's Link or its Skip reason. Everything it reads
+// is the run's plan and its captured view, so it takes no lock, probes no
+// string-keyed table and builds no URL. A timed run accumulates in run.st the
+// wall time spent in the policy and steering stages; other runs, and
+// ScanShard's, read no clock. The plan's rank, when non-nil, is the
+// multi-target link policy's corpus order: after steering, candidates from
+// earlier target corpora win ties over later ones (before domain priority
+// and lowest ID). Nil — the single-target default — keeps the tie-break
+// identical to the single-corpus engine.
+func (run *linkRun) chooseTarget(m *conceptmap.Match, rm *ResolvedMatch) {
+	st, rank := &run.st, run.plan.rank
 	mode := run.plan.mode.resolve()
 	// Gather candidates from the view, excluding the source entry.
 	cands := run.cands[:0]
 	for _, oid := range m.Candidates {
 		id := int64(oid)
-		if id == exclude {
+		if id == run.plan.exclude {
 			continue
 		}
-		if entry, ok := view.entries[id]; ok {
+		if entry, ok := run.view.entries[id]; ok {
 			cands = append(cands, entry)
 		}
 	}
 	run.cands = cands[:0:cap(cands)]
 	if len(cands) == 0 {
-		return Link{}, SkipSelf
+		rm.Skip = SkipSelf
+		return
 	}
 	// One timestamp is shared between the policy stage's end and the steer
-	// stage's start, keeping the hot path at ≤3 clock reads per match.
+	// stage's start, keeping a timed run to ≤3 clock reads per match.
 	var mark time.Time
 	if st.timed {
 		mark = time.Now()
@@ -378,7 +389,7 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 	if mode == ModeSteeredPolicies {
 		permitted := cands[:0]
 		for _, c := range cands {
-			if e.pol.Permits(e.scheme, c.ID, sourceClasses, m.Label) {
+			if c.policy == nil || c.policy.Permits(run.e.scheme, run.plan.classes, m.Label) {
 				permitted = append(permitted, c)
 			}
 		}
@@ -389,7 +400,8 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 			mark = now
 		}
 		if len(cands) == 0 {
-			return Link{}, SkipPolicy
+			rm.Skip = SkipPolicy
+			return
 		}
 	}
 
@@ -407,7 +419,7 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 	// Tie-break: target-corpus order (multi-target policies only; earlier
 	// targets win), then domain priority (lower wins), then lowest object
 	// ID.
-	rankOf := func(c *corpus.Entry) int {
+	rankOf := func(c *storedEntry) int {
 		if rank == nil {
 			return 0
 		}
@@ -418,31 +430,31 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 	}
 	winner := cands[0]
 	winnerRank := rankOf(winner)
-	winnerPrio := view.domainPriority(winner.Domain)
+	winnerPrio := winner.priority()
 	for _, c := range cands[1:] {
 		r := rankOf(c)
-		p := view.domainPriority(c.Domain)
+		p := c.priority()
 		if r < winnerRank ||
 			(r == winnerRank && (p < winnerPrio || (p == winnerPrio && c.ID < winner.ID))) {
 			winner, winnerRank, winnerPrio = c, r, p
 		}
 	}
 
-	d, ok := view.domains[winner.Domain]
-	if !ok {
-		return Link{}, SkipNoDomain
+	if winner.domain == nil {
+		rm.Skip = SkipNoDomain
+		return
 	}
-	return Link{
+	rm.Link = Link{
 		Label:        m.Label,
 		Start:        m.ByteStart,
 		End:          m.ByteEnd,
 		Target:       winner.ID,
 		TargetDomain: winner.Domain,
 		TargetTitle:  winner.Title,
-		URL:          d.URL(winner.ExternalID, winner.Title),
+		URL:          winner.url,
 		Distance:     distance,
 		Candidates:   total,
-	}, ""
+	}
 }
 
 // steer is Algorithm 1 over the run's candidates: it keeps, in place and in
@@ -451,13 +463,15 @@ func (e *Engine) chooseTarget(m *conceptmap.Match, run *linkRun) (Link, string) 
 // classification.Steer without the annotated copy and the sort, which the
 // tie-break that follows does not need; when steering cannot discriminate
 // (no source class, no classified candidate) every candidate stays, at
-// distance Infinite. Distances come straight off the scheme's memoised
-// rows, so the resolve stage takes no lock.
-func (run *linkRun) steer(cands []*corpus.Entry) ([]*corpus.Entry, int64) {
-	e, best := run.e, classification.Infinite
+// distance Infinite. Both sides' classes are scheme node indexes resolved
+// before the request (the source's by plan, the candidates' at write time),
+// so every distance is a read of the scheme's memoised rows: no lock, no
+// string hashing.
+func (run *linkRun) steer(cands []*storedEntry) ([]*storedEntry, int64) {
+	scheme, src, best := run.e.scheme, run.plan.classIdx, classification.Infinite
 	dists := run.dists[:0]
 	for _, c := range cands {
-		d := classification.MinDistance(e.scheme, run.plan.classes, e.canonicalClassesView(run.view, c))
+		d := classification.MinDistanceIndex(scheme, src, c.classes)
 		dists = append(dists, d)
 		if d < best {
 			best = d
@@ -488,9 +502,9 @@ func unresolved(m *conceptmap.Match) ResolvedMatch {
 // appending to dst: the pipeline stopped before assemble (ScanShard).
 func (run *linkRun) resolveAll(dst []ResolvedMatch) []ResolvedMatch {
 	for i := range run.matches {
-		rm := unresolved(&run.matches[i])
-		rm.Link, rm.Skip = run.e.chooseTarget(&run.matches[i], run)
-		dst = append(dst, rm)
+		m := &run.matches[i]
+		dst = append(dst, unresolved(m))
+		run.chooseTarget(m, &dst[len(dst)-1])
 	}
 	return dst
 }
@@ -516,15 +530,19 @@ func (run *linkRun) next() *ResolvedMatch {
 	if run.pos == len(run.matches) {
 		return nil
 	}
-	run.cur = unresolved(&run.matches[run.pos])
+	// Only the span and Skip are reset: assemble reads Link only after
+	// resolve has filled it, so the previous match's need not be cleared.
+	m, cur := &run.matches[run.pos], &run.cur
+	cur.Label, cur.TokenStart, cur.TokenEnd, cur.ByteStart, cur.ByteEnd = m.Label, m.TokenStart, m.TokenEnd, m.ByteStart, m.ByteEnd
+	cur.Skip = ""
 	run.pos++
-	return &run.cur
+	return cur
 }
 
 func (run *linkRun) remaining() int { return len(run.matches) - run.pos }
 
 func (run *linkRun) resolve(m *ResolvedMatch) {
-	m.Link, m.Skip = run.e.chooseTarget(&run.matches[run.pos-1], run)
+	run.chooseTarget(&run.matches[run.pos-1], m)
 }
 
 // assemble is the pipeline's tail, shared by the engine and the shard
@@ -552,12 +570,12 @@ func assemble(text string, format render.Format, linkAll bool, src matchSource, 
 			res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: reason})
 			continue
 		}
-		link := m.Link
-		link.Text = text[m.ByteStart:m.ByteEnd]
 		if res.Links == nil {
 			res.Links = make([]Link, 0, 1+src.remaining())
 		}
-		res.Links = append(res.Links, link)
+		res.Links = append(res.Links, m.Link)
+		link := &res.Links[len(res.Links)-1]
+		link.Text = text[m.ByteStart:m.ByteEnd]
 		as = append(as, render.Anchor{Start: link.Start, End: link.End, URL: link.URL, Title: link.TargetTitle})
 		linked[m.Label] = true
 	}

@@ -10,6 +10,7 @@ import (
 	"nnexus/internal/conceptmap"
 	"nnexus/internal/corpus"
 	"nnexus/internal/render"
+	"nnexus/internal/telemetry"
 	"nnexus/internal/tokenizer"
 	"nnexus/internal/workload"
 )
@@ -231,10 +232,10 @@ func documentEngine(t *testing.T) (e *Engine, doc string, classes []string) {
 
 // TestLinkTextDocumentAllocs is the allocation contract of a link call
 // (DESIGN.md "The Fig 2 pipeline"): the result, its output, its Links and
-// Skips, one URL per link, and a Norm for each token that case folding or
-// singularising changed — 3 + 2 per link bounds it for a 5 KB document, with
-// telemetry on, as the benchmark runs it. At the parent commit the same call
-// made some 25 allocations per link.
+// Skips, the plan's source class indexes, and a Norm for each token that
+// case folding or singularising changed — 3 + 2 per link bounds it for a
+// 5 KB document, with telemetry on, as the benchmark runs it. Link URLs are
+// built when their entries are written, not per link.
 func TestLinkTextDocumentAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race runtime")
@@ -257,6 +258,32 @@ func TestLinkTextDocumentAllocs(t *testing.T) {
 	}
 	if allocs, bound := testing.AllocsPerRun(100, link), float64(3+2*links); allocs > bound {
 		t.Errorf("LinkText of a %d-byte document with %d links allocates %.0f times, want at most %.0f", len(doc), links, allocs, bound)
+	}
+}
+
+// TestPolicyAndSteerStagesSampled: every LinkText observes its tokenize and
+// render stages, but only one run in sampleEvery reads the per-match clocks
+// of the policy and steer stages and observes them.
+func TestPolicyAndSteerStagesSampled(t *testing.T) {
+	e := fig1Engine(t, Config{})
+	const n = 10*sampleEvery + 3
+	for i := 0; i < n; i++ {
+		if _, err := e.LinkText("the planar graph is a graph", LinkOptions{SourceClasses: []string{"05C40"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for stage, h := range map[string]*telemetry.Histogram{StageTokenize: e.tel.stageTokenize, StageRender: e.tel.stageRender} {
+		if got := h.Count(); got != n {
+			t.Errorf("%s observed %d runs of %d", stage, got, n)
+		}
+	}
+	for stage, h := range map[string]*telemetry.Histogram{StagePolicy: e.tel.stagePolicy, StageSteer: e.tel.stageSteer} {
+		if got, want := int(h.Count()), n/sampleEvery; got < want-1 || got > want+1 {
+			t.Errorf("%s observed %d runs of %d, want %d ± 1", stage, got, n, want)
+		}
+		if h.Sum() <= 0 {
+			t.Errorf("%s sampled runs measured no time", stage)
+		}
 	}
 }
 

@@ -90,11 +90,13 @@ func (e *Engine) applyReplicatedLocked(ops []storage.BatchOp) error {
 	return nil
 }
 
-// dropDomainLocked publishes a domain-table generation without name.
+// dropDomainLocked publishes a domain-table generation without name, and
+// rederives the resolve state of the domain's entries, which now have none.
 func (e *Engine) dropDomainLocked(name string) {
 	next := maps.Clone(e.domainMap())
 	delete(next, name)
 	e.domains.Store(&next)
+	e.rederiveLocked(func(s *storedEntry) bool { return s.Domain == name })
 }
 
 // ResetReplicated replaces the engine's whole state with a snapshot export
@@ -106,7 +108,7 @@ func (e *Engine) ResetReplicated(ops []storage.BatchOp) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, entry := range e.entries {
-		e.unindexLocked(entry)
+		e.unindexLocked(&entry.Entry)
 	}
 	clear(e.invalid)
 	e.nextID = 1

@@ -326,12 +326,12 @@ func TestShardRouterTelemetry(t *testing.T) {
 // TestShardedLinkTextAllocs asserts the pooled-scratch contract: the
 // scatter-gather machinery itself (call slots, token slices, match buffers,
 // merge bookkeeping) is pooled, so widening the fan-out from one shard to
-// four must add at most the per-shard identity class-translation copy —
-// nothing per request. The comparison is router-vs-router: router-vs-engine
-// carries an inherent protocol cost (each shard resolves duplicate and
-// shadowed occurrences through chooseTarget — URL building, steering —
-// that the unsharded engine drops before resolution), which is bounded
-// separately and generously.
+// four must add at most each shard's plan of the source classes (their
+// scheme indexes) — nothing per request. The comparison is
+// router-vs-router: router-vs-engine carries an inherent protocol cost
+// (each shard resolves duplicate and shadowed occurrences through
+// chooseTarget — policy, steering — that the unsharded engine drops before
+// resolution), which is bounded separately and generously.
 func TestShardedLinkTextAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race runtime")
@@ -356,7 +356,7 @@ func TestShardedLinkTextAllocs(t *testing.T) {
 	one := measure(func() (*Result, error) { return narrow.LinkText(text, opts) })
 	four := measure(func() (*Result, error) { return wide.LinkText(text, opts) })
 	t.Logf("allocs/op: unsharded=%.1f shards=1 %.1f shards=4 %.1f", base, one, four)
-	// 3 extra shards × (1 Translate copy + jitter): the fan-out itself.
+	// 3 extra shards × (1 class-index slice + jitter): the fan-out itself.
 	if four > one+6 {
 		t.Errorf("widening fan-out 1→4 shards added %.1f allocs/op, want ≤ 6 (scatter scratch must be pooled)", four-one)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nnexus/internal/conceptmap"
@@ -69,6 +70,9 @@ type engineTelemetry struct {
 	skipSelf      *telemetry.Counter
 	skipDuplicate *telemetry.Counter
 	skipNoDomain  *telemetry.Counter
+
+	// runs numbers the pipeline runs scanText starts, for sampleRun.
+	runs atomic.Uint64
 
 	// Relink batches (sequential and parallel).
 	relinkRuns     *telemetry.Counter
@@ -250,9 +254,21 @@ func newEngineTelemetry(e *Engine, reg *telemetry.Registry) *engineTelemetry {
 	return t
 }
 
+// sampleEvery is how many pipeline runs share one timed run: the policy and
+// steering stages read the clock per concept match, so only the first run
+// of every sampleEvery does, and only those runs are observed into the
+// policy and steer histograms.
+const sampleEvery = 64
+
+// sampleRun numbers a new pipeline run and reports whether it is the one of
+// its sampleEvery whose per-match clocks are read.
+func (t *engineTelemetry) sampleRun() bool {
+	return (t.runs.Add(1)-1)%sampleEvery == 0
+}
+
 // stageTimes accumulates one pipeline run's per-stage wall time. Policy and
 // steering run once per concept match; their slots accumulate across the
-// match loop and are observed once per run.
+// match loop of a timed run and are observed once per run.
 type stageTimes struct {
 	tokenize time.Duration
 	match    time.Duration
@@ -265,8 +281,9 @@ type stageTimes struct {
 	// matchAutomaton records which scan path served the match stage, so
 	// observeLink can attribute the same duration to the per-path child.
 	matchAutomaton bool
-	// timed is set by scanText: only the runs finish observes read the
-	// per-match clocks.
+	// timed is set by scanText for one run in sampleEvery: only those runs
+	// read the per-match clocks, and only they are observed into the policy
+	// and steer histograms. ScanShard's runs are never timed.
 	timed bool
 }
 
@@ -283,8 +300,10 @@ func (t *engineTelemetry) observeLink(st *stageTimes, source string, res *Result
 	} else {
 		t.stageMatchFallback.Observe(st.match.Seconds())
 	}
-	t.stagePolicy.Observe(st.policy.Seconds())
-	t.stageSteer.Observe(st.steer.Seconds())
+	if st.timed {
+		t.stagePolicy.Observe(st.policy.Seconds())
+		t.stageSteer.Observe(st.steer.Seconds())
+	}
 	t.stageRender.Observe(st.render.Seconds())
 	t.linkDuration.Observe((st.tokenize + st.match + st.merge + st.render).Seconds())
 	t.linksCreated.Add(int64(len(res.Links)))

@@ -9,6 +9,8 @@ import (
 
 	"nnexus/internal/classification"
 	"nnexus/internal/corpus"
+	"nnexus/internal/ontomap"
+	"nnexus/internal/storage"
 )
 
 // testScheme builds a small built scheme for view tests.
@@ -145,14 +147,18 @@ func TestSteerInPlaceMatchesAlgorithm1(t *testing.T) {
 	}
 	run := e.getRun()
 	defer putRun(run)
-	run.view = linkView{domains: e.domainMap()}
 	for i := 0; i < 500; i++ {
 		run.plan.classes = pick()
-		cands := make([]*corpus.Entry, 1+rng.Intn(12))
+		run.plan.classIdx = e.scheme.AppendIndexes(nil, run.plan.classes)
+		cands := make([]*storedEntry, 1+rng.Intn(12))
 		ref := make([]classification.Candidate, len(cands))
 		for j := range cands {
-			cands[j] = &corpus.Entry{ID: int64(len(cands) - j), Domain: "d1", Classes: pick()}
-			ref[j] = classification.Candidate{Object: cands[j].ID, Classes: cands[j].Classes}
+			c, err := e.newStored(&corpus.Entry{ID: int64(len(cands) - j), Domain: "d1", Classes: pick()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands[j] = c
+			ref[j] = classification.Candidate{Object: c.ID, Classes: c.Classes}
 		}
 		want := classification.Steer(e.scheme, run.plan.classes, ref)
 		got, distance := run.steer(cands)
@@ -165,5 +171,100 @@ func TestSteerInPlaceMatchesAlgorithm1(t *testing.T) {
 				t.Fatalf("case %d: kept %d where Steer keeps %d", i, c.ID, w.Object)
 			}
 		}
+	}
+}
+
+// TestResolveStateFollowsDomainAndMapper: an entry's resolve state (class
+// translation, domain, URL) is derived when it is written, so an entry
+// written before AddDomain changes its domain's scheme or URL template, or
+// before RegisterMapper installs the mapper of its scheme, must link exactly
+// as the same entry written after them.
+func TestResolveStateFollowsDomainAndMapper(t *testing.T) {
+	lcc := ontomap.NewMapper("lcc", "msc")
+	lcc.Add("QA166", "05Cxx")
+	lcc.Add("QA17*", "20Axx")
+	retemplate := func(e *Engine) error {
+		return e.AddDomain(corpus.Domain{Name: "d1", URLTemplate: "http://new/{title}", Scheme: "msc", Priority: 1})
+	}
+	rescheme := func(e *Engine) error {
+		return e.AddDomain(corpus.Domain{Name: "d1", URLTemplate: "http://new/{title}", Scheme: "lcc", Priority: 1})
+	}
+	register := func(e *Engine) error { return e.RegisterMapper(lcc) }
+	for _, tc := range []struct {
+		name string
+		// steps change d1's resolve state; from is the class entry 1 then
+		// steers by, in the canonical scheme.
+		steps []func(*Engine) error
+		from  string
+	}{
+		{"template", []func(*Engine) error{retemplate}, "05-XX"},
+		{"scheme then mapper", []func(*Engine) error{rescheme, register}, "05Cxx"},
+		{"mapper then scheme", []func(*Engine) error{register, rescheme}, "05Cxx"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(entriesFirst bool) *Engine {
+				e := viewEngine(t, Config{})
+				if err := e.AddDomain(corpus.Domain{Name: "d2", URLTemplate: "http://d2/{id}", Scheme: "msc", Priority: 1}); err != nil {
+					t.Fatal(err)
+				}
+				steps := func() {
+					for _, step := range tc.steps {
+						if err := step(e); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if !entriesFirst {
+					steps()
+				}
+				for _, entry := range []*corpus.Entry{
+					{Domain: "d1", Title: "planar graph", Classes: []string{"QA166", "05-XX"}},
+					{Domain: "d2", Title: "planar graph", Classes: []string{"20-XX"}},
+				} {
+					if _, err := e.AddEntry(entry); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if entriesFirst {
+					steps()
+				}
+				return e
+			}
+			link := func(e *Engine) Link {
+				res, err := e.LinkText("a planar graph", LinkOptions{SourceClasses: []string{"05C10"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Links) != 1 {
+					t.Fatalf("links = %+v, skips = %+v", res.Links, res.Skips)
+				}
+				return res.Links[0]
+			}
+			e := build(false)
+			before, after := link(build(true)), link(e)
+			if before != after {
+				t.Errorf("entries written before the change link to\n%+v\nentries written after it to\n%+v", before, after)
+			}
+			want, _ := e.Scheme().Distance("05C10", tc.from)
+			if after.Target != 1 || after.URL != "http://new/planar+graph" || after.Distance != want {
+				t.Errorf("link %+v does not show the change: want entry 1 at distance %d", after, want)
+			}
+		})
+	}
+
+	// A domain a replicated record drops leaves its entries without one.
+	e := viewEngine(t, Config{})
+	if _, err := e.AddEntry(&corpus.Entry{Domain: "d1", Title: "planar graph", Classes: []string{"05C10"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ApplyReplicated([]storage.BatchOp{{Table: tableDomains, Key: "d1", Delete: true}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.LinkText("a planar graph", LinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Links) != 0 || len(res.Skips) != 1 || res.Skips[0].Reason != SkipNoDomain {
+		t.Errorf("after the domain was dropped: links %+v, skips %+v", res.Links, res.Skips)
 	}
 }

@@ -116,11 +116,12 @@ func singularizeOnce(word string) string {
 	if len(word) < 2 {
 		return word
 	}
-	if s, ok := irregularPlurals[word]; ok {
-		return s
+	w := words.find(word)
+	if w != nil && w.singular != "" {
+		return w.singular
 	}
 	// Every suffix rule's plural ends in "s".
-	if word[len(word)-1] != 's' || invariantWords[word] {
+	if word[len(word)-1] != 's' || w != nil {
 		return word
 	}
 	// Suffix rules are tried longest-first; the first applicable rule wins.

@@ -230,6 +230,47 @@ func TestNormalizeShapeProperty(t *testing.T) {
 	}
 }
 
+// TestWordTable: the open-addressed table singularizeOnce probes finds every
+// irregular plural with its singular and every invariant word as invariant,
+// misses other words, and is at least twice as large as its key count.
+func TestWordTable(t *testing.T) {
+	keys := len(irregularPlurals)
+	for w := range invariantWords {
+		if _, irregular := irregularPlurals[w]; !irregular {
+			keys++
+		}
+	}
+	if len(words.entries) != keys || len(words.slots) < 2*keys {
+		t.Errorf("%d entries in %d slots for %d keys, want every key in at least %d", len(words.entries), len(words.slots), keys, 2*keys)
+	}
+	for w, want := range irregularPlurals {
+		if e := words.find(w); e == nil || e.singular != want {
+			t.Errorf("find(%q) = %+v, want singular %q", w, e, want)
+		}
+	}
+	for w := range invariantWords {
+		if _, irregular := irregularPlurals[w]; irregular {
+			continue
+		}
+		if e := words.find(w); e == nil || e.singular != "" {
+			t.Errorf("find(%q) = %+v, want an invariant word", w, e)
+		}
+	}
+	misses := []string{"", "s", "group", "groups", "matrixes", "childrens", "serie", "graph", "mices", "Data", "radii ", "x"}
+	for _, s := range irregularPlurals {
+		misses = append(misses, s, s+"s")
+	}
+	for _, w := range misses {
+		_, irregular := irregularPlurals[w]
+		if irregular || invariantWords[w] {
+			continue
+		}
+		if e := words.find(w); e != nil {
+			t.Errorf("find(%q) = %+v, want a miss", w, e)
+		}
+	}
+}
+
 // singularizeOnce returns a word that does not end in "s" after one
 // irregular-table probe, without trying the suffix rules; that is only right
 // while every rule's plural ends in "s".

@@ -205,3 +205,87 @@ func plainS(stem string) bool {
 	}
 	return true
 }
+
+// words is irregularPlurals and invariantWords folded into one table, the
+// form singularizeOnce probes: one hash and, for most words, one byte load
+// per word, and no runtime map access.
+var words = newWordTable(irregularPlurals, invariantWords)
+
+// wordEntry is one word of a wordTable: an irregular plural with its
+// singular, or (singular empty) an invariant word.
+type wordEntry struct {
+	word     string
+	singular string
+}
+
+// wordTable is a fixed open-addressed hash table with linear probing. Its
+// slots hold one byte each, 1 + the index of a word in entries or 0 for a
+// vacancy, and there are at least eight times as many slots as words: a
+// word that is not in the table — nearly every word of a text — is most
+// often turned away by one load from a kilobyte that stays in cache.
+type wordTable struct {
+	slots   []uint8
+	entries []wordEntry
+	mask    uint32
+}
+
+// newWordTable builds the table of irregular plurals and invariant words. A
+// word in both keeps its singular: the irregular plurals are consulted first.
+func newWordTable(irregular map[string]string, invariant map[string]bool) wordTable {
+	keys := len(irregular) + len(invariant)
+	if keys >= 255 {
+		panic("morph: word table outgrew its one-byte slots")
+	}
+	size := 1
+	for size < 8*keys {
+		size *= 2
+	}
+	t := wordTable{slots: make([]uint8, size), mask: uint32(size - 1)}
+	for w := range invariant {
+		t.insert(wordEntry{word: w})
+	}
+	for w, s := range irregular {
+		t.insert(wordEntry{word: w, singular: s})
+	}
+	return t
+}
+
+// insert adds e, replacing the entry of the same word.
+func (t *wordTable) insert(e wordEntry) {
+	if old := t.find(e.word); old != nil {
+		*old = e
+		return
+	}
+	i := wordHash(e.word) & t.mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & t.mask
+	}
+	t.entries = append(t.entries, e)
+	t.slots[i] = uint8(len(t.entries))
+}
+
+// find returns the entry of word, or nil when the word is in neither table.
+func (t *wordTable) find(word string) *wordEntry {
+	for i := wordHash(word) & t.mask; t.slots[i] != 0; i = (i + 1) & t.mask {
+		if e := &t.entries[t.slots[i]-1]; e.word == word {
+			return e
+		}
+	}
+	return nil
+}
+
+// wordHash hashes a word's length and its first, middle and last bytes,
+// which tell the short English keys apart, through murmur3's finalizer: no
+// loop over the word.
+func wordHash(w string) uint32 {
+	n := len(w)
+	if n == 0 {
+		return 0
+	}
+	h := uint32(w[0]) | uint32(w[n/2])<<8 | uint32(w[n-1])<<16 | uint32(n)<<24
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	return h ^ h>>16
+}

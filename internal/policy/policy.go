@@ -25,7 +25,6 @@ package policy
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"nnexus/internal/classification"
 	"nnexus/internal/morph"
@@ -193,71 +192,4 @@ func classMatch(scheme *classification.Scheme, sourceClasses, directiveClasses [
 		}
 	}
 	return false
-}
-
-// Table is the linking-policy table (Fig 5): a concurrency-safe map from
-// object ID to that object's parsed policy.
-type Table struct {
-	mu       sync.RWMutex
-	policies map[int64]*Policy
-}
-
-// NewTable returns an empty policy table.
-func NewTable() *Table {
-	return &Table{policies: make(map[int64]*Policy)}
-}
-
-// Set parses and stores the policy text for an object, replacing any
-// previous policy. An empty text removes the policy.
-func (t *Table) Set(object int64, text string) error {
-	if strings.TrimSpace(text) == "" {
-		t.Remove(object)
-		return nil
-	}
-	p, err := Parse(text)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.policies[object] = p
-	t.mu.Unlock()
-	return nil
-}
-
-// Remove deletes an object's policy.
-func (t *Table) Remove(object int64) {
-	t.mu.Lock()
-	delete(t.policies, object)
-	t.mu.Unlock()
-}
-
-// Get returns the object's policy, or nil if none is stored.
-func (t *Table) Get(object int64) *Policy {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.policies[object]
-}
-
-// Len returns the number of objects with stored policies.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.policies)
-}
-
-// Permits reports whether the stored policy of the target object allows a
-// link from a source with the given classes to the given concept label.
-func (t *Table) Permits(scheme *classification.Scheme, target int64, sourceClasses []string, label string) bool {
-	return t.Get(target).Permits(scheme, sourceClasses, label)
-}
-
-// Objects returns the IDs of all objects that have policies.
-func (t *Table) Objects() []int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]int64, 0, len(t.policies))
-	for id := range t.policies {
-		out = append(out, id)
-	}
-	return out
 }

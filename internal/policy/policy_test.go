@@ -178,54 +178,6 @@ func TestSubtreeMatching(t *testing.T) {
 	}
 }
 
-func TestTable(t *testing.T) {
-	s := msc()
-	tab := NewTable()
-	if err := tab.Set(4, "forbid even\nallow even from 11-XX"); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != 1 {
-		t.Fatalf("len = %d", tab.Len())
-	}
-	if tab.Permits(s, 4, []string{"05C40"}, "even") {
-		t.Error("table did not apply policy")
-	}
-	if !tab.Permits(s, 4, []string{"11A51"}, "even") {
-		t.Error("table over-applied policy")
-	}
-	// Object without policy: permit.
-	if !tab.Permits(s, 99, []string{"05C40"}, "even") {
-		t.Error("missing policy should permit")
-	}
-	// Empty text removes.
-	if err := tab.Set(4, "   "); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != 0 || tab.Get(4) != nil {
-		t.Error("empty Set did not remove policy")
-	}
-	// Parse error propagates and leaves table unchanged.
-	if err := tab.Set(5, "bogus directive"); err == nil {
-		t.Error("bad policy accepted")
-	}
-	if tab.Len() != 0 {
-		t.Error("bad policy stored")
-	}
-}
-
-func TestTableObjects(t *testing.T) {
-	tab := NewTable()
-	_ = tab.Set(1, "forbid a")
-	_ = tab.Set(2, "forbid b")
-	if got := tab.Objects(); len(got) != 2 {
-		t.Errorf("objects = %v", got)
-	}
-	tab.Remove(1)
-	if got := tab.Objects(); len(got) != 1 || got[0] != 2 {
-		t.Errorf("objects = %v", got)
-	}
-}
-
 func TestSourceRoundTrip(t *testing.T) {
 	text := "forbid even\nallow even from 11-XX"
 	p, err := Parse(text)
