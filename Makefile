@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build fmt vet test race loc bench bench-module profile-doc profile-import profile-snippet matchscan chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
+.PHONY: build fmt vet test race loc bench bench-module profile-doc profile-import profile-snippet chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
 
 build:
 	go build ./...
@@ -60,12 +60,6 @@ profile-snippet:
 	mkdir -p out
 	go test -run '^$$' -bench LinkSnippet -benchtime 5s -benchmem -o out/nnexus.test \
 		-cpuprofile out/snippet.cpu.prof -memprofile out/snippet.mem.prof .
-
-# The match-stage scan experiment (chained-hash vs compiled automaton over
-# the engine-shaped concept map); informational companion to
-# BenchmarkMatchScan / BenchmarkLinkText.
-matchscan:
-	go run ./cmd/nnexus-bench -exp matchscan -entries 7132 -duration 2s
 
 # Fault-injection suite: connection kills, server restarts, torn WAL tails,
 # fsync failures, drains under live traffic — always under the race detector.

@@ -14,7 +14,6 @@
 //	nnexus-bench -exp throughput     closed-loop TCP QPS: stop-and-wait vs pipelined
 //	nnexus-bench -exp readscale      read QPS: single node vs 1 primary + 2 read replicas
 //	nnexus-bench -exp openloop       open-loop (coordinated-omission-free) latency-vs-offered-load sweep with knee detection
-//	nnexus-bench -exp matchscan      match-stage scan: chained-hash vs compiled Aho-Corasick automaton
 //	nnexus-bench -exp shardscale     aggregate write QPS at 1/2/4 consistent-hash shards via the scatter-gather router
 //	nnexus-bench -exp tenantiso      noisy-neighbor isolation: bystander link p99 while a hot tenant is rate limited
 //	nnexus-bench -exp all            everything above
@@ -37,7 +36,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run (table1, table2, table3, fig8, fig9, invalidation, maintenance, autopolicy, semiauto, network, throughput, readscale, openloop, matchscan, shardscale, tenantiso, all)")
+		exp     = flag.String("exp", "all", "experiment to run (table1, table2, table3, fig8, fig9, invalidation, maintenance, autopolicy, semiauto, network, throughput, readscale, openloop, shardscale, tenantiso, all)")
 		entries = flag.Int("entries", 7132, "full corpus size")
 		seed    = flag.Int64("seed", 20090601, "workload seed")
 		sample2 = flag.Int("sample", 50, "Table 2 sample size (paper: 50)")
@@ -110,7 +109,6 @@ func main() {
 			tolerance: *olTol,
 		})
 	})
-	run("matchscan", func(c *workload.Corpus) error { return runMatchScan(c, *qpsDur, *rsJSON) })
 	run("shardscale", func(c *workload.Corpus) error { return runShardScale(c, *qpsDur, *ssRTT, *rsJSON) })
 	run("tenantiso", func(c *workload.Corpus) error { return runTenantIso(c, *qpsDur, *rsJSON) })
 }

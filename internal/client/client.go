@@ -8,14 +8,13 @@
 //
 // The client is self-healing: a dropped, desynced, or timed-out connection
 // is torn down and transparently re-established on the next call
-// (exponential backoff with jitter between attempts), idempotent methods
-// (ping, getEntry, invalidated, stats, linkEntry, linkText, linkBatch) are
-// retried across connection failures, and "overloaded"/"unavailable"
-// rejections — which the server issues before executing anything — are
-// retried for every method. When a connection fails, every call already on
-// the wire is completed with the failure (fate unknown), while calls still
-// waiting for the window or the write lock fail as "not sent" and stay
-// retryable for any method.
+// (exponential backoff with jitter between attempts), every method but the
+// writes (wire.KindWrite) is retried across connection failures, and
+// "overloaded"/"unavailable" rejections — which the server issues before
+// executing anything — are retried for every method. When a connection
+// fails, every call already on the wire is completed with the failure (fate
+// unknown), while calls still waiting for the window or the write lock fail
+// as "not sent" and stay retryable for any method.
 // Per-call deadlines bound each exchange so a hung server cannot block a
 // caller forever.
 package client
@@ -106,33 +105,6 @@ func rejectedBeforeExecution(se *ServerError) bool {
 	return false
 }
 
-// idempotent lists the methods safe to retry after a connection failure
-// that leaves the request's fate unknown. Mutating methods are only
-// retried on typed pre-execution rejections (see IsOverloaded) or when the
-// request provably never reached the wire.
-var idempotent = map[string]bool{
-	wire.MethodPing:        true,
-	wire.MethodGetEntry:    true,
-	wire.MethodInvalidated: true,
-	wire.MethodStats:       true,
-	wire.MethodLinkEntry:   true,
-	wire.MethodLinkText:    true,
-	wire.MethodLinkBatch:   true,
-	// shardScan is a pure read of the shard's concept-map snapshot.
-	wire.MethodShardScan: true,
-	// Replication exchanges are all safe to re-issue: subscribes and
-	// snapshots read, and an ack only ratchets the follower's offset up.
-	wire.MethodReplSubscribe: true,
-	wire.MethodReplSnapshot:  true,
-	wire.MethodReplAck:       true,
-	wire.MethodReplStatus:    true,
-	// Election exchanges are idempotent by construction: a voter re-grants
-	// the same (epoch, candidate) pair, and a leadership announcement for an
-	// epoch already adopted is a no-op.
-	wire.MethodReplVote: true,
-	wire.MethodReplLead: true,
-}
-
 // Client is a connection to an NNexus server.
 type Client struct {
 	addr        string
@@ -147,14 +119,22 @@ type Client struct {
 	reconnects atomic.Int64 // connections re-established after the first
 	seq        atomic.Int64 // request sequence, monotonic across reconnects
 
-	// replicas is the replica-aware routing layer (nil without
-	// WithReplicas); see replicas.go.
-	replicas *replicaSet
+	// Routing (replicas.go): the read replicas beside the configured node,
+	// the probe loop that keeps their state (running only when there are
+	// replicas), and the leader hint — the sub-client writes try first, nil
+	// while the configured node is the leader as far as the client knows.
+	replicas   []*replica
+	staleness  uint64
+	probeEvery time.Duration
+	rr         atomic.Uint64
+	stopProbe  chan struct{}
+	probed     chan struct{}
+	leader     atomic.Pointer[Client]
 
-	mu        sync.Mutex
-	cc        *clientConn
-	closed    bool
-	leaderCli *Client // cached redirect target after a notPrimary rejection
+	mu     sync.Mutex
+	cc     *clientConn
+	closed bool
+	peers  map[string]*Client // sub-clients by address, closed with this one
 }
 
 // Option configures a Client.
@@ -233,12 +213,18 @@ func New(addr string, timeout time.Duration, opts ...Option) *Client {
 		backoffBase: DefaultBackoffBase,
 		backoffMax:  DefaultBackoffMax,
 		window:      DefaultPipelineWindow,
+		staleness:   DefaultStalenessBound,
+		probeEvery:  DefaultReplicaProbeInterval,
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.replicas != nil {
-		c.replicas.start()
+	for _, r := range c.replicas {
+		r.c = c.peer(r.addr)
+	}
+	if len(c.replicas) > 0 {
+		c.stopProbe, c.probed = make(chan struct{}), make(chan struct{})
+		go c.probeLoop()
 	}
 	return c
 }
@@ -269,17 +255,22 @@ func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 // calls fail with ErrClosed too. The client does not reconnect.
 func (c *Client) Close() error {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil
+	}
 	c.closed = true
 	cc := c.cc
 	c.cc = nil
-	leader := c.leaderCli
-	c.leaderCli = nil
 	c.mu.Unlock()
-	if c.replicas != nil {
-		c.replicas.stopProbing()
+	// Sub-clients close first, so a probe blocked on a hung replica returns
+	// at once; peer hands out no new ones once closed is set.
+	for _, p := range c.peers {
+		p.Close()
 	}
-	if leader != nil {
-		leader.Close()
+	if c.stopProbe != nil {
+		close(c.stopProbe)
+		<-c.probed
 	}
 	if cc != nil {
 		cc.fail(ErrClosed, failPermanent)
@@ -459,25 +450,12 @@ func (cc *clientConn) fail(err error, class failClass) {
 	cc.c.mu.Unlock()
 }
 
-// call routes one request: replica-aware clients load-balance eligible
-// reads and handle primary loss / notPrimary redirects (see replicas.go);
-// everything else goes straight to the configured server.
-func (c *Client) call(req *wire.Request) (*wire.Response, error) {
-	return c.route(req)
-}
-
-// callLocal performs one request/response exchange against this client's
-// own server, transparently reconnecting and retrying per the client's
-// policy.
-func (c *Client) callLocal(req *wire.Request) (*wire.Response, error) {
-	resp, _, err := c.callLocalClassed(req)
-	return resp, err
-}
-
-// callLocalClassed is callLocal surfacing the final attempt's failure class,
-// so the routing layer can tell a request that provably never reached the
-// wire (safe to re-issue at a new primary) from one whose fate is unknown.
-func (c *Client) callLocalClassed(req *wire.Request) (*wire.Response, failClass, error) {
+// send performs one request/response exchange against this client's own
+// server, transparently reconnecting and retrying per the client's policy. It
+// surfaces the final attempt's failure class, so routing can tell a request
+// that provably never reached the wire (safe to re-issue at a new primary)
+// from one whose fate is unknown.
+func (c *Client) send(req *wire.Request) (*wire.Response, failClass, error) {
 	for attempt := 0; ; attempt++ {
 		resp, class, err := c.doCall(req)
 		if err == nil {
@@ -490,8 +468,9 @@ func (c *Client) callLocalClassed(req *wire.Request) (*wire.Response, failClass,
 		case failNotSent, failRejected:
 			// Definitely not executed: any method may retry.
 		case failUnknown:
-			// Fate unknown: only idempotent methods may retry.
-			if !idempotent[req.Method] {
+			// Fate unknown: a write may have executed, so only the other
+			// kinds retry.
+			if wire.Mutating(req.Method) {
 				return nil, class, err
 			}
 		default:
@@ -780,7 +759,7 @@ func (c *Client) Stats() (*wire.Stats, error) {
 // up. follower identifies this subscriber for lag accounting. The client
 // makes a suitable replication.Source for a Follower.
 func (c *Client) ReplSubscribe(from, epoch uint64, max, waitMillis int, follower string) (*wire.ReplPayload, error) {
-	resp, err := c.callLocal(&wire.Request{
+	resp, err := c.call(&wire.Request{
 		Method:     wire.MethodReplSubscribe,
 		Offset:     from,
 		Epoch:      epoch,
@@ -799,7 +778,7 @@ func (c *Client) ReplSubscribe(from, epoch uint64, max, waitMillis int, follower
 
 // ReplSnapshot fetches a full state export for follower bootstrap.
 func (c *Client) ReplSnapshot() (*wire.ReplPayload, error) {
-	resp, err := c.callLocal(&wire.Request{Method: wire.MethodReplSnapshot})
+	resp, err := c.call(&wire.Request{Method: wire.MethodReplSnapshot})
 	if err != nil {
 		return nil, err
 	}
@@ -811,7 +790,7 @@ func (c *Client) ReplSnapshot() (*wire.ReplPayload, error) {
 
 // ReplAck reports the follower's applied offset to the primary.
 func (c *Client) ReplAck(follower string, offset, epoch uint64) error {
-	_, err := c.callLocal(&wire.Request{
+	_, err := c.call(&wire.Request{
 		Method:   wire.MethodReplAck,
 		Follower: follower,
 		Offset:   offset,
@@ -825,7 +804,7 @@ func (c *Client) ReplAck(follower string, offset, epoch uint64) error {
 // the given applied WAL offset. The returned payload's Granted reports the
 // verdict; on rejection its Epoch/Applied carry the voter's own position.
 func (c *Client) ReplVote(epoch, offset uint64, candidate string) (*wire.ReplPayload, error) {
-	resp, err := c.callLocal(&wire.Request{
+	resp, err := c.call(&wire.Request{
 		Method:    wire.MethodReplVote,
 		Epoch:     epoch,
 		Offset:    offset,
@@ -844,7 +823,7 @@ func (c *Client) ReplVote(epoch, offset uint64, candidate string) (*wire.ReplPay
 // address) now serves epoch. A server holding a higher epoch rejects the
 // claim with the staleEpoch code.
 func (c *Client) ReplLead(epoch uint64, leader string) error {
-	_, err := c.callLocal(&wire.Request{
+	_, err := c.call(&wire.Request{
 		Method: wire.MethodReplLead,
 		Epoch:  epoch,
 		Leader: leader,
@@ -856,7 +835,7 @@ func (c *Client) ReplLead(epoch uint64, leader string) error {
 // second return is the primary's address when the server is a follower
 // that knows its leader.
 func (c *Client) ReplStatus() (*wire.ReplPayload, string, error) {
-	resp, err := c.callLocal(&wire.Request{Method: wire.MethodReplStatus})
+	resp, err := c.call(&wire.Request{Method: wire.MethodReplStatus})
 	if err != nil {
 		return nil, "", err
 	}

@@ -1,9 +1,10 @@
 package client
 
-// Routing tests for WithReplicas: reads load-balance across caught-up
-// followers, the staleness bound and stale flag exclude lagging ones,
-// primary loss fails reads over to followers and surfaces ErrNoPrimary on
-// writes, and a notPrimary rejection is followed to the leader exactly once.
+// Routing tests: reads load-balance across caught-up followers, the
+// staleness bound and stale flag exclude lagging ones, primary loss fails
+// reads over to followers and surfaces ErrNoPrimary on writes, and a
+// notPrimary rejection is followed to the leader exactly once, with or
+// without WithReplicas.
 //
 // Each test stands up scripted fake nodes (concurrent, multi-connection —
 // unlike fakeServer's one-handler-per-conn model) whose replStatus answers
@@ -36,9 +37,11 @@ type fakeNode struct {
 	stale   atomic.Bool
 	leader  atomic.Value // string
 	vanish  atomic.Bool  // drop the connection on a write instead of answering
+	code    atomic.Value // string; non-empty: a primary answers writes with this error code
 
-	reads  atomic.Int64
-	writes atomic.Int64
+	reads    atomic.Int64
+	writes   atomic.Int64
+	statuses atomic.Int64 // replStatus probes answered
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -55,6 +58,7 @@ func startFakeNode(t *testing.T, role string) *fakeNode {
 		conns: make(map[net.Conn]struct{})}
 	n.role.Store(role)
 	n.leader.Store("")
+	n.code.Store("")
 	t.Cleanup(n.kill)
 	go n.acceptLoop()
 	return n
@@ -110,6 +114,7 @@ func (n *fakeNode) serve(conn net.Conn) {
 		role := n.role.Load().(string)
 		switch {
 		case req.Method == wire.MethodReplStatus:
+			n.statuses.Add(1)
 			resp = wire.OK(&req)
 			resp.Repl = &wire.ReplPayload{
 				Role:    role,
@@ -129,6 +134,9 @@ func (n *fakeNode) serve(conn net.Conn) {
 			n.writes.Add(1)
 			resp = wire.ErrCoded(&req, wire.CodeNotPrimary, errors.New("not primary"))
 			resp.Leader = n.leader.Load().(string)
+		case wire.Mutating(req.Method) && n.code.Load().(string) != "":
+			n.writes.Add(1)
+			resp = wire.ErrCoded(&req, n.code.Load().(string), errors.New("scripted answer"))
 		case wire.Mutating(req.Method):
 			n.writes.Add(1)
 			resp = wire.OK(&req)
@@ -140,7 +148,7 @@ func (n *fakeNode) serve(conn net.Conn) {
 				ID: req.Object, Domain: "d", Title: n.addr, Classes: []string{"05C10"},
 			})
 		default:
-			if routedReads[req.Method] {
+			if wire.Methods[req.Method] == wire.KindRead {
 				n.reads.Add(1)
 			}
 			resp = wire.OK(&req)
@@ -191,8 +199,8 @@ func TestRoutedReadsLoadBalanceAcrossReplicas(t *testing.T) {
 	}
 	defer c.Close()
 	waitProbe(t, func() bool {
-		return c.replicas.replicas[0].routable(c.replicas.staleness) &&
-			c.replicas.replicas[1].routable(c.replicas.staleness)
+		return c.replicas[0].routable(c.staleness) &&
+			c.replicas[1].routable(c.staleness)
 	})
 
 	for i := 0; i < 10; i++ {
@@ -236,7 +244,7 @@ func TestStalenessBoundExcludesLaggingReplica(t *testing.T) {
 	}
 	defer c.Close()
 	waitProbe(t, func() bool {
-		return c.replicas.replicas[0].alive.Load() && c.replicas.replicas[1].alive.Load()
+		return c.replicas[0].alive.Load() && c.replicas[1].alive.Load()
 	})
 
 	for i := 0; i < 6; i++ {
@@ -253,7 +261,7 @@ func TestStalenessBoundExcludesLaggingReplica(t *testing.T) {
 
 	// The lagging replica catching up restores its routing eligibility.
 	lagging.applied.Store(1000)
-	waitProbe(t, func() bool { return c.replicas.replicas[1].routable(100) })
+	waitProbe(t, func() bool { return c.replicas[1].routable(100) })
 	for i := 0; i < 6; i++ {
 		if _, err := c.GetEntry(int64(i)); err != nil {
 			t.Fatal(err)
@@ -278,7 +286,7 @@ func TestStaleReplicaFallsBackToPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	waitProbe(t, func() bool { return c.replicas.replicas[0].alive.Load() })
+	waitProbe(t, func() bool { return c.replicas[0].alive.Load() })
 
 	for i := 0; i < 4; i++ {
 		if _, err := c.GetEntry(int64(i)); err != nil {
@@ -307,7 +315,7 @@ func TestPrimaryLossFailsReadsOverAndWritesFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	waitProbe(t, func() bool { return c.replicas.replicas[0].alive.Load() })
+	waitProbe(t, func() bool { return c.replicas[0].alive.Load() })
 
 	p.kill()
 
@@ -327,8 +335,8 @@ func TestPrimaryLossFailsReadsOverAndWritesFail(t *testing.T) {
 }
 
 // A write that lands on a follower follows the notPrimary redirect's leader
-// hint exactly once per call, and the leader client is cached for
-// subsequent writes.
+// hint exactly once per call, and the leader is remembered: later writes go
+// straight to it.
 func TestWriteFollowsNotPrimaryRedirect(t *testing.T) {
 	p := startFakeNode(t, wire.RolePrimary)
 	f := startFakeNode(t, wire.RoleFollower)
@@ -350,6 +358,9 @@ func TestWriteFollowsNotPrimaryRedirect(t *testing.T) {
 	if got := p.writes.Load(); got != 2 {
 		t.Errorf("leader executed %d writes, want 2", got)
 	}
+	if got := f.writes.Load(); got != 1 {
+		t.Errorf("follower was sent %d writes, want 1: the leader hint was not remembered", got)
+	}
 
 	// A follower that cannot name its leader yields the typed rejection
 	// rather than a redirect loop.
@@ -362,6 +373,41 @@ func TestWriteFollowsNotPrimaryRedirect(t *testing.T) {
 	_, err = c2.AddEntry(&corpus.Entry{Domain: "d", Title: "t", Classes: []string{"05C10"}})
 	if !IsNotPrimary(err) {
 		t.Fatalf("write to leaderless follower = %v, want notPrimary", err)
+	}
+}
+
+// Writers sharing one client dialed at a follower share its leader hint:
+// each goroutine's writes after its first go straight to the leader.
+func TestConcurrentWritersShareLeaderHint(t *testing.T) {
+	p := startFakeNode(t, wire.RolePrimary)
+	f := startFakeNode(t, wire.RoleFollower)
+	f.leader.Store(p.addr)
+	c, err := Dial(f.addr, time.Second, fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const writers, each = 8, 10
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := c.AddEntry(&corpus.Entry{Domain: "d", Title: "t", Classes: []string{"05C10"}}); err != nil {
+					t.Errorf("concurrent redirected write: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := p.writes.Load(); got != writers*each {
+		t.Errorf("leader executed %d writes, want %d", got, writers*each)
+	}
+	if got := f.writes.Load(); got < 1 || got > writers {
+		t.Errorf("follower was sent %d writes, want 1..%d (at most each writer's first)", got, writers)
 	}
 }
 
@@ -378,7 +424,7 @@ func TestReplicaDeathFallsBackToPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	waitProbe(t, func() bool { return c.replicas.replicas[0].routable(c.replicas.staleness) })
+	waitProbe(t, func() bool { return c.replicas[0].routable(c.staleness) })
 
 	f.kill()
 	// Every read still succeeds: conn failures against the replica fall
@@ -393,46 +439,112 @@ func TestReplicaDeathFallsBackToPrimary(t *testing.T) {
 	}
 }
 
-// A redirected write whose fate at the hinted leader is unknown (the request
-// was sent, then the connection died — it may well have executed) must not be
-// re-issued at any other address the client can discover, and must not come
-// back as the follower's pre-execution notPrimary either (callers are
-// documented to treat that as rejected-before-execution and may retry it).
-// The only honest answer is the typed ErrNoPrimary for the caller to
-// reconcile.
+// A redirected write that reached the hinted leader must not be re-issued at
+// any other address the client can discover, and must not come back as the
+// follower's pre-execution notPrimary either (callers are documented to treat
+// that as rejected-before-execution and may retry it). When the leader's
+// connection dies after the request was sent (it may well have executed), the
+// only honest answer is the typed ErrNoPrimary for the caller to reconcile;
+// when the leader answers (quorumUnavailable: the write applied), its verdict
+// is the caller's. Both hold with and without replicas.
 func TestUnknownFateWriteNotReissued(t *testing.T) {
-	f := startFakeNode(t, wire.RoleFollower)
-	v := startFakeNode(t, wire.RolePrimary) // the hinted leader: vanishes mid-write
-	v.vanish.Store(true)
-	f.leader.Store(v.addr)
-	d := startFakeNode(t, wire.RoleFollower) // promoted below: discoverable
-	d.caughtUp(5)
+	for _, tc := range []struct {
+		name     string
+		replicas bool
+		code     string // the leader's answer; "" = it vanishes mid-write
+	}{
+		{"replicas/vanish", true, ""},
+		{"direct/vanish", false, ""},
+		{"replicas/quorumUnavailable", true, wire.CodeQuorumUnavailable},
+		{"direct/quorumUnavailable", false, wire.CodeQuorumUnavailable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := startFakeNode(t, wire.RoleFollower)
+			v := startFakeNode(t, wire.RolePrimary) // the hinted leader
+			v.vanish.Store(tc.code == "")
+			v.code.Store(tc.code)
+			f.leader.Store(v.addr)
+			d := startFakeNode(t, wire.RoleFollower) // promoted below: discoverable
+			d.caughtUp(5)
 
-	c, err := Dial(f.addr, time.Second, fastOpts(
-		WithReplicas(d.addr),
-		WithReplicaProbeInterval(time.Hour), // only the initial probe runs
+			opts := fastOpts()
+			if tc.replicas {
+				opts = fastOpts(
+					WithReplicas(d.addr),
+					WithReplicaProbeInterval(time.Hour), // only the initial probe runs
+				)
+			}
+			c, err := Dial(f.addr, time.Second, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if tc.replicas {
+				waitProbe(t, func() bool { return c.replicas[0].alive.Load() })
+			}
+			// After the initial probe (which saw a follower and cached no
+			// hint), d is promoted: discoverLeader would happily name it.
+			d.role.Store(wire.RolePrimary)
+
+			_, err = c.AddEntry(&corpus.Entry{Domain: "d", Title: "t", Classes: []string{"05C10"}})
+			if tc.code == "" && !errors.Is(err, ErrNoPrimary) {
+				t.Fatalf("unknown-fate write = %v, want ErrNoPrimary", err)
+			}
+			var se *ServerError
+			if tc.code != "" && (!errors.As(err, &se) || se.Code != tc.code) {
+				t.Fatalf("write the leader answered %s = %v, want that code", tc.code, err)
+			}
+			if IsNotPrimary(err) {
+				t.Fatalf("write surfaced as notPrimary (%v): callers would retry a possibly-executed mutation", err)
+			}
+			if got := v.writes.Load(); got != 1 {
+				t.Fatalf("hinted leader saw %d writes, want 1", got)
+			}
+			if got := d.writes.Load(); got != 0 {
+				t.Fatalf("write was re-issued at the discovered leader (%d executions)", got)
+			}
+		})
+	}
+}
+
+// WithStalenessBound and WithReplicaProbeInterval take effect on either side
+// of WithReplicas.
+func TestReplicaTuningBeforeWithReplicas(t *testing.T) {
+	p := startFakeNode(t, wire.RolePrimary)
+	fresh := startFakeNode(t, wire.RoleFollower)
+	lagging := startFakeNode(t, wire.RoleFollower)
+	fresh.caughtUp(1000)
+	lagging.head.Store(1000)
+	lagging.applied.Store(400) // 600 records behind
+
+	start := time.Now()
+	c, err := Dial(p.addr, time.Second, fastOpts(
+		WithStalenessBound(100),
+		WithReplicaProbeInterval(time.Millisecond),
+		WithReplicas(fresh.addr, lagging.addr),
 	)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	waitProbe(t, func() bool { return c.replicas.replicas[0].alive.Load() })
-	// After the initial probe (which saw a follower and cached no hint), d is
-	// promoted: discoverLeader would happily name it.
-	d.role.Store(wire.RolePrimary)
+	waitProbe(t, func() bool { return lagging.statuses.Load() >= 3 })
+	if d := time.Since(start); d >= DefaultReplicaProbeInterval {
+		t.Errorf("three probe rounds took %v: the 1ms interval was ignored", d)
+	}
+	waitProbe(t, func() bool {
+		return c.replicas[0].alive.Load() && c.replicas[1].alive.Load()
+	})
 
-	_, err = c.AddEntry(&corpus.Entry{Domain: "d", Title: "t", Classes: []string{"05C10"}})
-	if !errors.Is(err, ErrNoPrimary) {
-		t.Fatalf("unknown-fate write = %v, want ErrNoPrimary", err)
+	for i := 0; i < 6; i++ {
+		if _, err := c.GetEntry(int64(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if IsNotPrimary(err) {
-		t.Fatalf("unknown-fate write surfaced as notPrimary (%v): callers would retry a possibly-executed mutation", err)
+	if got := lagging.reads.Load(); got != 0 {
+		t.Errorf("replica 600 records behind served %d reads under a bound of 100, want 0", got)
 	}
-	if got := v.writes.Load(); got != 1 {
-		t.Fatalf("hinted leader saw %d writes, want 1", got)
-	}
-	if got := d.writes.Load(); got != 0 {
-		t.Fatalf("unknown-fate write was re-issued at the discovered leader (%d executions)", got)
+	if got := fresh.reads.Load(); got != 6 {
+		t.Errorf("fresh replica served %d reads, want 6", got)
 	}
 }
 
@@ -451,7 +563,7 @@ func TestNotPrimaryWriteDiscoversPromotedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	waitProbe(t, func() bool { return c.replicas.replicas[0].alive.Load() })
+	waitProbe(t, func() bool { return c.replicas[0].alive.Load() })
 	d.role.Store(wire.RolePrimary)
 
 	if _, err := c.AddEntry(&corpus.Entry{Domain: "d", Title: "t", Classes: []string{"05C10"}}); err != nil {

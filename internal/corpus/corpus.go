@@ -193,31 +193,18 @@ type ImportResult struct {
 	Entries []*Entry
 }
 
-// ImportOAI parses an OAI-style XML metadata dump into entries. IDs are
-// left zero; the engine assigns them at AddEntry time.
+// ImportOAI parses an OAI-style XML metadata dump into entries: everything
+// ImportOAIStream yields, collected. IDs are left zero; the engine assigns
+// them at AddEntry time.
 func ImportOAI(r io.Reader) (*ImportResult, error) {
-	var doc oaiRecords
-	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("corpus: import: %w", err)
-	}
-	if doc.Domain == "" {
-		return nil, fmt.Errorf("corpus: import: records element missing domain attribute")
-	}
-	res := &ImportResult{Domain: doc.Domain, Scheme: doc.Scheme}
-	for i, rec := range doc.Records {
-		e := &Entry{
-			Domain:     doc.Domain,
-			ExternalID: rec.ID,
-			Title:      strings.TrimSpace(rec.Title),
-			Concepts:   trimAll(rec.Concepts),
-			Classes:    trimAll(rec.Classes),
-			Body:       rec.Body,
-			Policy:     strings.TrimSpace(rec.Policy),
-		}
-		if err := e.Validate(); err != nil {
-			return nil, fmt.Errorf("corpus: import record %d: %w", i, err)
-		}
+	res := &ImportResult{}
+	var err error
+	res.Domain, res.Scheme, err = ImportOAIStream(r, func(e *Entry) error {
 		res.Entries = append(res.Entries, e)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

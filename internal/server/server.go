@@ -139,7 +139,7 @@ func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
 			1, 2, 4, 8, 16, 32, 64, 128),
 	}
 	t.byMethod = make(map[string]*telemetry.Counter, len(wire.Methods))
-	for _, m := range wire.Methods {
+	for m := range wire.Methods {
 		t.byMethod[m] = t.requests.With(m)
 	}
 	t.unknown = t.requests.With("unknown")

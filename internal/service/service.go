@@ -122,13 +122,7 @@ func (s *Service) Execute(method string, exec func() error) error {
 // executes, so even a mutation is retry-safe in the load-shedding sense.
 // Replication, election and liveness traffic is nobody's and passes untouched.
 func (s *Service) Admit(req Request) error {
-	if s.Tenants == nil {
-		return nil
-	}
-	switch req.Method {
-	case wire.MethodPing, wire.MethodReplSubscribe, wire.MethodReplSnapshot,
-		wire.MethodReplAck, wire.MethodReplStatus, wire.MethodReplVote,
-		wire.MethodReplLead:
+	if s.Tenants == nil || wire.Methods[req.Method] == wire.KindControl {
 		return nil
 	}
 	name := s.corpus(req.Corpus)

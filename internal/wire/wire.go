@@ -91,30 +91,64 @@ const (
 	MethodReplLead      = "replLead"
 )
 
-// Methods lists every method of the protocol: the one table a new method is
-// added to, from which the server resolves its per-method request counters.
-var Methods = []string{
-	MethodPing, MethodAddDomain, MethodAddEntry, MethodUpdateEntry,
-	MethodRemoveEntry, MethodGetEntry, MethodSetPolicy, MethodLinkEntry,
-	MethodLinkText, MethodInvalidated, MethodRelink, MethodStats,
-	MethodAddEntries, MethodLinkBatch, MethodRelinkBatch, MethodShardScan,
-	MethodPutEntry,
-	MethodReplSubscribe, MethodReplSnapshot, MethodReplAck, MethodReplStatus,
-	MethodReplVote, MethodReplLead,
+// Kind is what a method does to the replication group, which decides where
+// a client sends it, whether it is retried, and how a server admits it. The
+// zero Kind is no method of the protocol.
+type Kind uint8
+
+const (
+	// KindWrite changes the collection or its invalidation queue: it runs
+	// only on the primary, a quorum acknowledges it, and a request whose fate
+	// is unknown is never re-sent.
+	KindWrite Kind = iota + 1
+	// KindRead reads the collection's logical state: any caught-up replica
+	// may answer it, and it is safe to re-send.
+	KindRead
+	// KindNodeRead describes the node that answers it, so it stays on the
+	// node it was sent to.
+	KindNodeRead
+	// KindControl is liveness, replication and election traffic between
+	// nodes: node-pinned and charged to no tenant. It is safe to re-send: a
+	// subscribe or a snapshot reads, an ack only ratchets an offset up, a
+	// voter re-grants the same (epoch, candidate) pair, and a leadership
+	// announcement for an adopted epoch is a no-op.
+	KindControl
+)
+
+// Methods maps every method of the protocol to its kind: the one table a new
+// method is added to. Routing, retries, tenant admission and the server's
+// per-method counters all read it.
+var Methods = map[string]Kind{
+	MethodAddDomain:   KindWrite,
+	MethodAddEntry:    KindWrite,
+	MethodUpdateEntry: KindWrite,
+	MethodRemoveEntry: KindWrite,
+	MethodSetPolicy:   KindWrite,
+	MethodRelink:      KindWrite,
+	MethodAddEntries:  KindWrite,
+	MethodRelinkBatch: KindWrite,
+	MethodPutEntry:    KindWrite,
+
+	MethodGetEntry:    KindRead,
+	MethodLinkEntry:   KindRead,
+	MethodLinkText:    KindRead,
+	MethodLinkBatch:   KindRead,
+	MethodInvalidated: KindRead,
+	MethodShardScan:   KindRead,
+
+	MethodStats: KindNodeRead,
+
+	MethodPing:          KindControl,
+	MethodReplSubscribe: KindControl,
+	MethodReplSnapshot:  KindControl,
+	MethodReplAck:       KindControl,
+	MethodReplStatus:    KindControl,
+	MethodReplVote:      KindControl,
+	MethodReplLead:      KindControl,
 }
 
-// Mutating reports whether method changes the collection (or the invalidation
-// queue): the methods that run only on the primary and that a quorum
-// acknowledges. It is the one table; a new mutating method is added here.
-func Mutating(method string) bool {
-	switch method {
-	case MethodAddDomain, MethodAddEntry, MethodUpdateEntry, MethodRemoveEntry,
-		MethodSetPolicy, MethodRelink, MethodAddEntries, MethodRelinkBatch,
-		MethodPutEntry:
-		return true
-	}
-	return false
-}
+// Mutating reports whether method is a KindWrite method.
+func Mutating(method string) bool { return Methods[method] == KindWrite }
 
 // Replication roles carried in ReplPayload.Role.
 const (

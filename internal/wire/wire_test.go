@@ -201,16 +201,20 @@ func sanitizeForXML(s string) string {
 }
 
 // TestMethodsListsEveryMethod: Methods is the one table of protocol methods
-// (the server resolves its per-method request counters from it), so every
-// Method* constant declared in wire.go must be in it exactly once.
+// (routing, retries, admission and the server's per-method counters read
+// it), so every Method* constant declared in wire.go must be in it exactly
+// once, with one of the four kinds.
 func TestMethodsListsEveryMethod(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	listed := map[string]int{}
-	for _, m := range Methods {
+	for m, kind := range Methods {
 		listed[m]++
+		if kind < KindWrite || kind > KindControl {
+			t.Errorf("%q has kind %d, want one of the four", m, kind)
+		}
 	}
 	declared := 0
 	ast.Inspect(f, func(n ast.Node) bool {

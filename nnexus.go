@@ -644,8 +644,9 @@ func WithPipelineWindow(n int) ClientOption { return client.WithPipelineWindow(n
 
 // Client-side replication routing options.
 
-// ErrNoPrimary is returned by a replica-aware client's write methods when
-// the primary is unreachable; reads keep failing over to replicas.
+// ErrNoPrimary is returned by a client's write methods when the primary is
+// unreachable, wrapping the connection failure; reads keep failing over to
+// replicas.
 var ErrNoPrimary = client.ErrNoPrimary
 
 // WithReplicas attaches read replicas to a dialed client: reads
@@ -655,12 +656,11 @@ var ErrNoPrimary = client.ErrNoPrimary
 func WithReplicas(addrs ...string) ClientOption { return client.WithReplicas(addrs...) }
 
 // WithStalenessBound sets how many records a replica may lag behind the
-// primary and still serve routed reads. Must appear after WithReplicas in
-// the option list.
+// primary and still serve routed reads.
 func WithStalenessBound(records uint64) ClientOption { return client.WithStalenessBound(records) }
 
 // WithReplicaProbeInterval sets how often replica lag is probed for
-// routing. Must appear after WithReplicas in the option list.
+// routing.
 func WithReplicaProbeInterval(d time.Duration) ClientOption {
 	return client.WithReplicaProbeInterval(d)
 }
