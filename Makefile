@@ -98,35 +98,31 @@ chaos-tenant:
 	go test -race -run '^TestChaosTenant' ./...
 
 # The read-scaling experiment (1 primary + 2 WAL-shipped replicas vs a
-# single node); regenerates the committed BENCH_PR5.json snapshot.
+# single node); prints its table (EXPERIMENTS.md records the runs).
 readscale:
-	go run ./cmd/nnexus-bench -exp readscale -entries 800 -json BENCH_PR5.json
+	go run ./cmd/nnexus-bench -exp readscale -entries 800
 
 # The open-loop (coordinated-omission-free) load sweep against the live
-# primary + 2-follower cluster; regenerates the committed BENCH_PR6.json
-# snapshot (offered-load ladder, intended-latency percentiles, and the
-# auto-detected knee).
+# primary + 2-follower cluster: offered-load ladder, intended-latency
+# percentiles and the auto-detected knee.
 openloop:
-	go run ./cmd/nnexus-bench -exp openloop -entries 400 -duration 2s -json BENCH_PR6.json
+	go run ./cmd/nnexus-bench -exp openloop -entries 400 -duration 2s
 
-# CI regression gate: a scaled-down open-loop sweep whose measured knee is
-# compared against the committed BENCH_PR6.json baseline. Fails loudly
-# (non-zero exit) if the knee moved left beyond the tolerance.
+# CI capacity gate: a scaled-down open-loop sweep that exits non-zero when
+# its lowest rung misses the SLO, i.e. when the knee is below 600 req/s
+# (half the 1,200 req/s knee EXPERIMENTS.md records).
 loadgate:
-	go run ./cmd/nnexus-bench -exp openloop -entries 200 -duration 1s \
-		-rates 300,600,1200 -loadgate BENCH_PR6.json -knee-tolerance 0.5
+	go run ./cmd/nnexus-bench -exp openloop -entries 200 -duration 1s -rates 600,1200
 
 # The shard-scaling experiment (aggregate write QPS through the
-# scatter-gather router at 1/2/4 shards); merges its rows into the
-# committed BENCH_PR9.json snapshot.
+# scatter-gather router at 1/2/4 shards).
 shardscale:
-	go run ./cmd/nnexus-bench -exp shardscale -entries 400 -duration 2s -json BENCH_PR9.json
+	go run ./cmd/nnexus-bench -exp shardscale -entries 400 -duration 2s
 
 # The tenant-isolation (noisy-neighbor) experiment: bystander link p99
-# while another corpus is driven past its rate limit; regenerates the
-# committed BENCH_PR10.json snapshot.
+# while another corpus is driven past its rate limit.
 tenantiso:
-	go run ./cmd/nnexus-bench -exp tenantiso -entries 600 -duration 10s -json BENCH_PR10.json
+	go run ./cmd/nnexus-bench -exp tenantiso -entries 600 -duration 10s
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -13,19 +13,48 @@ package main
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"nnexus"
-	"nnexus/internal/benchfmt"
 	"nnexus/internal/cluster"
 	"nnexus/internal/loadgen"
 	"nnexus/internal/workload"
 )
 
 const failoverSeedEntries = 60
+
+// availabilityGap times a primary kill: from the moment it starts to the
+// first write acknowledged afterwards. A write counts as resumed only if it
+// was issued after the kill returned — one issued earlier may have been
+// acknowledged by the dying primary before its server closed, which would
+// read as a near-zero gap. All times are UnixNano; zero means not yet.
+type availabilityGap struct {
+	killStart, killDone, resumed atomic.Int64
+}
+
+// kill runs kill, recording when it started and when it returned.
+func (g *availabilityGap) kill(kill func()) {
+	g.killStart.Store(time.Now().UnixNano())
+	kill()
+	g.killDone.Store(time.Now().UnixNano())
+}
+
+// write records the outcome of a write issued at issued.
+func (g *availabilityGap) write(issued time.Time, err error) {
+	if done := g.killDone.Load(); err == nil && done != 0 && issued.UnixNano() > done {
+		g.resumed.CompareAndSwap(0, time.Now().UnixNano())
+	}
+}
+
+// gap returns the availability gap, or -1 if writes never resumed.
+func (g *availabilityGap) gap() time.Duration {
+	if r := g.resumed.Load(); r != 0 {
+		return time.Duration(r - g.killStart.Load())
+	}
+	return -1
+}
 
 // runOpenLoopFailover is the -kill-primary variant of the open-loop
 // experiment. It uses the first rate of the -rates ladder (the kill makes
@@ -117,23 +146,22 @@ func runOpenLoopFailover(c *workload.Corpus, opt openLoopOptions) error {
 		clients[i] = cl
 	}
 
-	// killNanos/resumeNanos: UnixNano of the kill and of the first write
-	// acknowledged afterwards. The gap between them is the headline number.
-	var killNanos, resumeNanos atomic.Int64
-	var writeSeq atomic.Int64
+	var (
+		avail    availabilityGap // the headline number
+		writeSeq atomic.Int64
+	)
 	target := func(w int, ev loadgen.Event) error {
 		cl := clients[w%len(clients)]
 		switch ev.Kind {
 		case loadgen.OpWrite:
 			n := writeSeq.Add(1)
+			issued := time.Now()
 			_, err := cl.AddEntry(&nnexus.Entry{
 				Domain:  "planetmath.org",
 				Title:   fmt.Sprintf("failover write %d", n),
 				Classes: classes,
 			})
-			if err == nil && killNanos.Load() != 0 {
-				resumeNanos.CompareAndSwap(0, time.Now().UnixNano())
-			}
+			avail.write(issued, err)
 			return err
 		default:
 			_, err := cl.GetEntry(ids[ev.Key%len(ids)])
@@ -149,8 +177,7 @@ func runOpenLoopFailover(c *workload.Corpus, opt openLoopOptions) error {
 	script := []loadgen.ScriptEvent{{
 		At: dur / 2, Name: "primary-kill",
 		Fire: func() {
-			killNanos.Store(time.Now().UnixNano())
-			go nodes.Kill(0) // teardown can block; the schedule must not
+			go avail.kill(func() { nodes.Kill(0) }) // teardown can block; the schedule must not
 		},
 	}}
 
@@ -199,21 +226,13 @@ func runOpenLoopFailover(c *workload.Corpus, opt openLoopOptions) error {
 	}
 	epoch := engines[winner].ElectionInfo()["epoch"]
 
-	p := res.Point()
-	gap := time.Duration(-1)
-	if k, r := killNanos.Load(), resumeNanos.Load(); k != 0 && r != 0 {
-		gap = time.Duration(r - k)
-	}
+	p, gap := res.Point(), avail.gap()
 	fmt.Printf("%9s %9s %8s %10s %10s %7s %12s\n",
 		"offered", "achieved", "ratio", "p50", "p99", "errors", "avail gap")
-	errs := 0
-	for _, n := range res.Errors {
-		errs += n
-	}
 	fmt.Printf("%9.0f %9.0f %7.1f%% %10v %10v %7d %12v\n",
 		p.Offered, p.Achieved, 100*res.AchievedRatio(),
 		p.P50.Round(100*time.Microsecond), p.P99.Round(100*time.Microsecond),
-		errs, gap.Round(time.Millisecond))
+		res.Failed(), gap.Round(time.Millisecond))
 	for class, n := range res.Errors {
 		fmt.Printf("  errors[%s] = %d\n", class, n)
 	}
@@ -224,27 +243,5 @@ func runOpenLoopFailover(c *workload.Corpus, opt openLoopOptions) error {
 		dur/2, gap.Round(time.Millisecond), winner, epoch)
 	fmt.Println("(the gap spans failure detection, the election, promotion, and the")
 	fmt.Println(" client's re-discovery of the new primary — no operator involved)")
-
-	if opt.jsonOut != "" {
-		row := benchfmt.Benchmark{
-			Name:       "OpenLoop/failover",
-			Procs:      runtime.GOMAXPROCS(0),
-			Iterations: int64(res.Completed),
-			NsPerOp:    float64(gap.Nanoseconds()),
-			BytesPerOp: -1, AllocsPerOp: -1,
-			Metrics: map[string]float64{
-				"availability_gap_ms": ms(gap),
-				"offered_qps":         p.Offered,
-				"achieved_qps":        p.Achieved,
-				"achieved_ratio":      res.AchievedRatio(),
-				"p99_ms":              ms(p.P99),
-				"election_timeout_ms": ms(electionTimeout),
-			},
-		}
-		if err := (benchfmt.File{Benchmarks: []benchfmt.Benchmark{row}}).Write(opt.jsonOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", opt.jsonOut)
-	}
 	return nil
 }

@@ -11,18 +11,25 @@
 //	nnexus-bench -exp autopolicy     §5: automatic policy suggestion
 //	nnexus-bench -exp semiauto       §1.2: semiautomatic (wiki) vs automatic
 //	nnexus-bench -exp network        §1.3: the resulting semantic network
-//	nnexus-bench -exp throughput     closed-loop TCP QPS: stop-and-wait vs pipelined
 //	nnexus-bench -exp readscale      read QPS: single node vs 1 primary + 2 read replicas
 //	nnexus-bench -exp openloop       open-loop (coordinated-omission-free) latency-vs-offered-load sweep with knee detection
 //	nnexus-bench -exp shardscale     aggregate write QPS at 1/2/4 consistent-hash shards via the scatter-gather router
 //	nnexus-bench -exp tenantiso      noisy-neighbor isolation: bystander link p99 while a hot tenant is rate limited
 //	nnexus-bench -exp all            everything above
 //
+// The last four boot live servers and drive them through internal/loadgen:
+// readscale and shardscale with its closed loop (loadgen.Closed), openloop
+// and tenantiso with its open loop (loadgen.Run); every percentile they
+// print is read off a loadgen.Hist. -exp openloop exits non-zero when not
+// even the lowest rate of its -rates ladder meets the -slo, which is the
+// check `make loadgate` runs.
+//
 // -entries sets the full corpus size (default 7132, the paper's largest
 // subset); -seed changes the deterministic workload.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -36,26 +43,20 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run (table1, table2, table3, fig8, fig9, invalidation, maintenance, autopolicy, semiauto, network, throughput, readscale, openloop, shardscale, tenantiso, all)")
+		exp     = flag.String("exp", "all", "experiment to run (table1, table2, table3, fig8, fig9, invalidation, maintenance, autopolicy, semiauto, network, readscale, openloop, shardscale, tenantiso, all)")
 		entries = flag.Int("entries", 7132, "full corpus size")
 		seed    = flag.Int64("seed", 20090601, "workload seed")
 		sample2 = flag.Int("sample", 50, "Table 2 sample size (paper: 50)")
-		conns   = flag.Int("conns", 4, "throughput experiment: concurrent TCP connections")
-		qpsDur  = flag.Duration("duration", 2*time.Second, "throughput/readscale experiments: measurement window per configuration")
-		rtt     = flag.Duration("rtt", time.Millisecond, "throughput experiment: simulated round-trip time for the proxied rows (0 = loopback only)")
-		rsRTT   = flag.Duration("readscale-rtt", 10*time.Millisecond, "readscale experiment: simulated round-trip time per node")
-		ssRTT   = flag.Duration("shardscale-rtt", 4*time.Millisecond, "shardscale experiment: simulated round-trip time per shard")
-		rsJSON  = flag.String("json", "", "readscale/openloop experiments: also record results (benchfmt schema) to this file")
+		conns   = flag.Int("conns", 4, "openloop experiment: client connections")
+		dur     = flag.Duration("duration", 2*time.Second, "readscale/shardscale/tenantiso/openloop experiments: measurement window per configuration")
+		rtt     = flag.Duration("rtt", 0, "readscale/shardscale/openloop experiments: simulated round-trip time per node (0 = the experiment's own: 10ms readscale, 4ms shardscale and openloop)")
 		olRates = flag.String("rates", "150,300,600,1200,2400,4800", "openloop experiment: comma-separated offered-load ladder (req/s)")
 		olSLO   = flag.Duration("slo", 25*time.Millisecond, "openloop experiment: intended-latency p99 SLO for knee detection")
 		olWin   = flag.Int("window", 8, "openloop experiment: pipeline window per connection")
-		olRTT   = flag.Duration("openloop-rtt", 4*time.Millisecond, "openloop experiment: simulated round-trip time per node")
 		olDiur  = flag.Bool("diurnal", false, "openloop experiment: use diurnal (sinusoidal) arrivals instead of Poisson")
 		olStorm = flag.Bool("storm", false, "openloop experiment: fire an invalidation storm mid-step")
 		olKill  = flag.Bool("kill-replica", false, "openloop experiment: drop and stall a replica's link mid-step")
 		olKillP = flag.Bool("kill-primary", false, "openloop experiment: kill the primary mid-window on a 3-node election-enabled cluster and measure the availability gap")
-		olGate  = flag.String("loadgate", "", "openloop experiment: compare the measured knee against this committed baseline and exit non-zero on regression")
-		olTol   = flag.Float64("knee-tolerance", 0.5, "openloop experiment: allowed fractional knee regression before -loadgate fails")
 	)
 	flag.Parse()
 
@@ -89,28 +90,24 @@ func main() {
 	run("autopolicy", runAutoPolicy)
 	run("semiauto", runSemiAuto)
 	run("network", runNetwork)
-	run("throughput", func(c *workload.Corpus) error { return runThroughput(c, *conns, *qpsDur, *rtt) })
-	run("readscale", func(c *workload.Corpus) error { return runReadScale(c, *qpsDur, *rsRTT, *rsJSON) })
+	run("readscale", func(c *workload.Corpus) error { return runReadScale(c, *dur, cmp.Or(*rtt, 10*time.Millisecond)) })
 	run("openloop", func(c *workload.Corpus) error {
 		return runOpenLoop(c, openLoopOptions{
-			rates:     *olRates,
-			duration:  *qpsDur,
-			rtt:       *olRTT,
-			conns:     *conns,
-			window:    *olWin,
-			slo:       *olSLO,
-			seed:      *seed,
-			diurnal:   *olDiur,
-			storm:     *olStorm,
-			killRep:   *olKill,
-			killPrim:  *olKillP,
-			jsonOut:   *rsJSON,
-			gatePath:  *olGate,
-			tolerance: *olTol,
+			rates:    *olRates,
+			duration: *dur,
+			rtt:      cmp.Or(*rtt, 4*time.Millisecond),
+			conns:    *conns,
+			window:   *olWin,
+			slo:      *olSLO,
+			seed:     *seed,
+			diurnal:  *olDiur,
+			storm:    *olStorm,
+			killRep:  *olKill,
+			killPrim: *olKillP,
 		})
 	})
-	run("shardscale", func(c *workload.Corpus) error { return runShardScale(c, *qpsDur, *ssRTT, *rsJSON) })
-	run("tenantiso", func(c *workload.Corpus) error { return runTenantIso(c, *qpsDur, *rsJSON) })
+	run("shardscale", func(c *workload.Corpus) error { return runShardScale(c, *dur, cmp.Or(*rtt, 4*time.Millisecond)) })
+	run("tenantiso", func(c *workload.Corpus) error { return runTenantIso(c, *dur) })
 }
 
 func fatal(err error) {

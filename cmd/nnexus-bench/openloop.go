@@ -2,26 +2,23 @@ package main
 
 // The open-loop load experiment: a live primary + 2-follower cluster, each
 // node behind a netsim delay proxy, swept with coordinated-omission-free
-// traffic from internal/loadgen. Unlike the closed-loop throughput and
-// readscale experiments — where a slow server quietly throttles its own
+// traffic from internal/loadgen. Unlike the closed-loop readscale and
+// shardscale experiments — where a slow server quietly throttles its own
 // drivers — the open-loop schedule keeps firing at the intended rate, so
 // queueing collapse shows up as exploding intended-latency percentiles and
 // a falling achieved/offered ratio instead of hiding inside a lower QPS
-// number. The sweep's output is the p50/p99/p999-vs-offered-load curve,
-// its auto-detected knee (the last offered rate sustained within the SLO),
-// and — with -loadgate — a CI regression verdict against the committed
-// BENCH_PR6.json baseline.
+// number. The sweep's output is the p50/p99/p999-vs-offered-load curve and
+// its auto-detected knee (the last offered rate sustained within the SLO);
+// a sweep with no knee is an error, which is what `make loadgate` checks.
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"nnexus"
-	"nnexus/internal/benchfmt"
 	"nnexus/internal/client"
 	"nnexus/internal/cluster"
 	"nnexus/internal/corpus"
@@ -33,20 +30,17 @@ import (
 
 // openLoopOptions collects the -exp openloop knobs.
 type openLoopOptions struct {
-	rates     string        // comma-separated offered-load ladder (req/s)
-	duration  time.Duration // measurement window per step
-	rtt       time.Duration // simulated round trip per node
-	conns     int           // client connections (per node, via routing)
-	window    int           // pipeline window per connection
-	slo       time.Duration // intended-latency p99 SLO for the knee
-	seed      int64
-	diurnal   bool   // diurnal (sinusoidal) arrivals instead of Poisson
-	storm     bool   // fire an invalidation storm mid-step
-	killRep   bool   // drop + stall a replica's link mid-step
-	killPrim  bool   // kill the primary mid-window (election-enabled cluster)
-	jsonOut   string // record the sweep (benchfmt schema) to this file
-	gatePath  string // compare the knee against this committed baseline
-	tolerance float64
+	rates    string        // comma-separated offered-load ladder (req/s)
+	duration time.Duration // measurement window per step
+	rtt      time.Duration // simulated round trip per node
+	conns    int           // client connections (per node, via routing)
+	window   int           // pipeline window per connection
+	slo      time.Duration // intended-latency p99 SLO for the knee
+	seed     int64
+	diurnal  bool // diurnal (sinusoidal) arrivals instead of Poisson
+	storm    bool // fire an invalidation storm mid-step
+	killRep  bool // drop + stall a replica's link mid-step
+	killPrim bool // kill the primary mid-window (election-enabled cluster)
 }
 
 // replicaCluster is the system under test of the readscale and openloop
@@ -220,10 +214,7 @@ func runOpenLoop(c *workload.Corpus, opt openLoopOptions) error {
 
 	fmt.Printf("%9s %9s %8s %10s %10s %10s %7s %6s\n",
 		"offered", "achieved", "ratio", "p50", "p99", "p999", "errors", "SLO")
-	var (
-		points  []loadgen.CurvePoint
-		results []benchfmt.Benchmark
-	)
+	var points []loadgen.CurvePoint
 	slo := loadgen.SLO{P99: opt.slo}
 	for i, rate := range rates {
 		var sched loadgen.Schedule = loadgen.NewPoisson(rate)
@@ -299,10 +290,6 @@ func runOpenLoop(c *workload.Corpus, opt openLoopOptions) error {
 			}
 		}
 		points = append(points, p)
-		errs := 0
-		for _, n := range res.Errors {
-			errs += n
-		}
 		verdict := "pass"
 		if !slo.Pass(p) {
 			verdict = "FAIL"
@@ -310,95 +297,24 @@ func runOpenLoop(c *workload.Corpus, opt openLoopOptions) error {
 		fmt.Printf("%9.0f %9.0f %7.1f%% %10v %10v %10v %7d %6s\n",
 			p.Offered, p.Achieved, 100*res.AchievedRatio(),
 			p.P50.Round(100*time.Microsecond), p.P99.Round(100*time.Microsecond),
-			p.P999.Round(100*time.Microsecond), errs, verdict)
-		results = append(results, benchfmt.Benchmark{
-			Name:       fmt.Sprintf("OpenLoop/offered=%.0f", p.Offered),
-			Procs:      runtime.GOMAXPROCS(0),
-			Iterations: int64(res.Completed),
-			NsPerOp:    float64(res.Intended.Mean().Nanoseconds()),
-			BytesPerOp: -1, AllocsPerOp: -1,
-			Metrics: map[string]float64{
-				"offered_qps":    p.Offered,
-				"achieved_qps":   p.Achieved,
-				"achieved_ratio": res.AchievedRatio(),
-				"p50_ms":         ms(p.P50),
-				"p99_ms":         ms(p.P99),
-				"p999_ms":        ms(p.P999),
-			},
-		})
+			p.P999.Round(100*time.Microsecond), res.Failed(), verdict)
 	}
+	return reportKnee(points, slo)
+}
 
+// reportKnee prints the sweep's knee. A sweep whose first rung already
+// misses the SLO has none, and that is an error: the lowest rate of the
+// ladder is the capacity floor the run defends (`make loadgate` runs
+// -rates 600,1200, so it fails exactly when the knee is below 600 req/s).
+func reportKnee(points []loadgen.CurvePoint, slo loadgen.SLO) error {
 	knee, ok := loadgen.DetectKnee(points, slo)
-	var kneeQPS float64
-	if ok {
-		kneeQPS = knee.Offered
-		fmt.Printf("\nknee: %.0f req/s offered (achieved %.0f, p99 %v) — the last rate the\n",
-			knee.Offered, knee.Achieved, knee.P99.Round(100*time.Microsecond))
-		fmt.Printf("cluster sustains with p99 ≤ %v and ≥%.0f%% of offered completed\n",
-			opt.slo, 100*loadgen.DefaultMinAchievedRatio)
-	} else {
-		fmt.Println("\nknee: NOT FOUND — even the lowest offered rate failed the SLO")
-	}
-	kneeRow := benchfmt.Benchmark{
-		Name:       "OpenLoop/knee",
-		Procs:      runtime.GOMAXPROCS(0),
-		Iterations: 1,
-		NsPerOp:    float64(knee.P99.Nanoseconds()),
-		BytesPerOp: -1, AllocsPerOp: -1,
-		Metrics: map[string]float64{
-			"knee_offered_qps":  kneeQPS,
-			"knee_achieved_qps": knee.Achieved,
-			"knee_p99_ms":       ms(knee.P99),
-			"slo_p99_ms":        ms(opt.slo),
-		},
-	}
-	results = append(results, kneeRow)
-
-	if opt.jsonOut != "" {
-		if err := (benchfmt.File{Benchmarks: results}).Write(opt.jsonOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", opt.jsonOut)
-	}
-
-	if opt.gatePath != "" {
-		if err := gateAgainstBaseline(opt.gatePath, kneeQPS, opt.tolerance); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// gateAgainstBaseline is the loadgate verdict: compare the measured knee
-// against the committed baseline's OpenLoop/knee row and fail loudly on a
-// regression beyond tolerance.
-func gateAgainstBaseline(path string, kneeQPS, tolerance float64) error {
-	baseline, err := benchfmt.Load(path)
-	if err != nil {
-		return fmt.Errorf("loadgate: reading baseline: %w", err)
-	}
-	base, ok := findKnee(baseline)
 	if !ok {
-		return fmt.Errorf("loadgate: baseline %s has no OpenLoop/knee row", path)
+		return fmt.Errorf("no knee: even the lowest offered rate missed the SLO (p99 ≤ %v, ≥%.0f%% of offered completed)",
+			slo.P99, 100*loadgen.DefaultMinAchievedRatio)
 	}
-	if err := loadgen.GateKnee(base, kneeQPS, tolerance); err != nil {
-		fmt.Printf("\nLOADGATE FAIL: %v\n", err)
-		return err
-	}
-	fmt.Printf("\nloadgate OK: measured knee %.0f req/s vs committed baseline %.0f req/s (tolerance %.0f%%)\n",
-		kneeQPS, base, tolerance*100)
+	fmt.Printf("\nknee: %.0f req/s offered (achieved %.0f, p99 %v) — the last rate the\n",
+		knee.Offered, knee.Achieved, knee.P99.Round(100*time.Microsecond))
+	fmt.Printf("cluster sustains with p99 ≤ %v and ≥%.0f%% of offered completed\n",
+		slo.P99, 100*loadgen.DefaultMinAchievedRatio)
 	return nil
 }
-
-// findKnee extracts the knee rate from a committed sweep, ignoring Procs
-// (baselines recorded on other machines still gate).
-func findKnee(f benchfmt.File) (float64, bool) {
-	for _, b := range f.Benchmarks {
-		if b.Name == "OpenLoop/knee" {
-			return b.Metrics["knee_offered_qps"], true
-		}
-	}
-	return 0, false
-}
-
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

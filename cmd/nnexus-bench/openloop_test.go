@@ -1,66 +1,45 @@
 package main
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
-	"nnexus/internal/benchfmt"
+	"nnexus/internal/loadgen"
 )
 
-func writeBaseline(t *testing.T, kneeQPS float64) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "BENCH_PR6.json")
-	f := benchfmt.File{Benchmarks: []benchfmt.Benchmark{
-		{Name: "OpenLoop/offered=500", Procs: 1, Metrics: map[string]float64{"offered_qps": 500}},
-		{Name: "OpenLoop/knee", Procs: 1, Metrics: map[string]float64{"knee_offered_qps": kneeQPS}},
-	}}
-	if err := f.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
+// The loadgate contract: a sweep whose first rung misses the SLO has no
+// knee and must be an error, so the experiment exits non-zero; a sweep
+// whose first rung holds passes even when a later rung collapses.
 
-// TestLoadgateFailsOnDegradedPerformance is the loadgate contract: when the
-// measured knee has moved left of the committed baseline beyond tolerance
-// (here a synthetic collapse from 10000 to 900 req/s against a 50%
-// allowance), the gate must fail loudly, not shrug.
+var (
+	gateSLO   = loadgen.SLO{P99: 25 * time.Millisecond}
+	collapsed = loadgen.CurvePoint{Offered: 1200, Achieved: 1200, P99: 300 * time.Millisecond}
+)
+
 func TestLoadgateFailsOnDegradedPerformance(t *testing.T) {
-	path := writeBaseline(t, 10_000)
-	err := gateAgainstBaseline(path, 900, 0.5)
+	err := reportKnee([]loadgen.CurvePoint{collapsed}, gateSLO)
 	if err == nil {
-		t.Fatal("gate passed a knee that collapsed from 10000 to 900 req/s")
+		t.Fatal("a sweep whose first rung missed the SLO passed")
 	}
-	if !strings.Contains(err.Error(), "knee regression") {
-		t.Fatalf("gate failure does not name the regression: %v", err)
+	if !strings.Contains(err.Error(), "no knee") {
+		t.Fatalf("gate failure does not say the knee is missing: %v", err)
+	}
+	shed := loadgen.CurvePoint{Offered: 600, Achieved: 500, P99: 5 * time.Millisecond}
+	if err := reportKnee([]loadgen.CurvePoint{shed, collapsed}, gateSLO); err == nil {
+		t.Fatal("a first rung that completed 83% of its offered load passed")
 	}
 }
 
 func TestLoadgatePassesWithinTolerance(t *testing.T) {
-	path := writeBaseline(t, 1200)
-	if err := gateAgainstBaseline(path, 1100, 0.5); err != nil {
-		t.Fatalf("knee 1100 vs baseline 1200 at 50%% tolerance must pass: %v", err)
+	held := loadgen.CurvePoint{Offered: 600, Achieved: 600, P99: 10 * time.Millisecond}
+	if err := reportKnee([]loadgen.CurvePoint{held, collapsed}, gateSLO); err != nil {
+		t.Fatalf("a sweep whose first rung held failed: %v", err)
 	}
-	// Right at the boundary: baseline*(1-tol) exactly is still a pass.
-	if err := gateAgainstBaseline(path, 600, 0.5); err != nil {
-		t.Fatalf("knee at exactly baseline*(1-tolerance) must pass: %v", err)
-	}
-}
-
-func TestLoadgateRejectsBadBaselines(t *testing.T) {
-	if err := gateAgainstBaseline(filepath.Join(t.TempDir(), "missing.json"), 1000, 0.5); err == nil {
-		t.Fatal("gate accepted a missing baseline file")
-	}
-	path := filepath.Join(t.TempDir(), "noknee.json")
-	f := benchfmt.File{Benchmarks: []benchfmt.Benchmark{
-		{Name: "ReadScale/single", Procs: 1},
-	}}
-	if err := f.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	err := gateAgainstBaseline(path, 1000, 0.5)
-	if err == nil || !strings.Contains(err.Error(), "OpenLoop/knee") {
-		t.Fatalf("gate must name the missing OpenLoop/knee row, got: %v", err)
+	// Right at the boundary: p99 exactly at the SLO is still a pass.
+	edge := loadgen.CurvePoint{Offered: 600, Achieved: 600, P99: gateSLO.P99}
+	if err := reportKnee([]loadgen.CurvePoint{edge, collapsed}, gateSLO); err != nil {
+		t.Fatalf("a first rung with p99 exactly at the SLO failed: %v", err)
 	}
 }
 

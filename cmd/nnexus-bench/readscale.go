@@ -12,17 +12,15 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
-	"nnexus/internal/benchfmt"
 	"nnexus/internal/client"
+	"nnexus/internal/loadgen"
 	"nnexus/internal/workload"
 )
 
-func runReadScale(c *workload.Corpus, dur, rtt time.Duration, jsonOut string) error {
+func runReadScale(c *workload.Corpus, dur, rtt time.Duration) error {
 	const (
 		window  = 4  // in-flight calls per connection: the per-node capacity
 		workers = 24 // closed-loop drivers, enough to keep every window full
@@ -58,106 +56,71 @@ func runReadScale(c *workload.Corpus, dur, rtt time.Duration, jsonOut string) er
 		}},
 	}
 
-	fmt.Printf("%-16s %12s %12s %12s %9s\n", "config", "reads", "QPS", "avg lat", "speedup")
-	var results []benchfmt.Benchmark
+	fmt.Printf("%-16s %10s %10s %10s %10s %9s\n", "config", "reads", "QPS", "avg lat", "p99", "speedup")
 	var baseline float64
 	for _, cfg := range configs {
 		opts := append([]client.Option{
 			client.WithPipelineWindow(window),
 			client.WithCallTimeout(30 * time.Second),
 		}, cfg.opts...)
-		cl, err := client.Dial(links[0].Addr(), time.Second, opts...)
-		if err != nil {
-			return err
-		}
-		if len(cfg.opts) > 0 {
-			// Let the lag probe mark both replicas routable before measuring.
-			time.Sleep(400 * time.Millisecond)
-		}
-		if _, err := cl.GetEntry(ids[0]); err != nil { // warm the path
-			cl.Close()
-			return err
-		}
-		calls, elapsed, err := driveReads(cl, ids, workers, dur)
-		cl.Close()
+		res, err := readConfig(links[0].Addr(), opts, len(cfg.opts) > 0, ids, workers, dur)
 		if err != nil {
 			return fmt.Errorf("%s: %w", cfg.name, err)
 		}
-		qps := float64(calls) / elapsed.Seconds()
+		qps := res.AchievedRate()
 		if baseline == 0 {
 			baseline = qps
 		}
-		// Per-call latency as one closed-loop worker experiences it.
-		nsPerOp := elapsed.Seconds() / float64(calls) * 1e9 * float64(workers)
-		fmt.Printf("%-16s %12d %12.0f %12s %8.2fx\n", cfg.name, calls, qps,
-			time.Duration(nsPerOp).Round(time.Microsecond), qps/baseline)
-		metrics := map[string]float64{"qps": qps}
-		if cfg.name != "single" {
-			metrics["speedup_vs_single"] = qps / baseline
-		}
-		results = append(results, benchfmt.Benchmark{
-			Name:       "ReadScale/" + cfg.name,
-			Procs:      runtime.GOMAXPROCS(0),
-			Iterations: calls,
-			NsPerOp:    nsPerOp,
-			BytesPerOp: -1, AllocsPerOp: -1,
-			Metrics: metrics,
-		})
+		fmt.Printf("%-16s %10d %10.0f %10v %10v %8.2fx\n", cfg.name, res.Completed, qps,
+			res.Service.Mean().Round(time.Microsecond), res.Service.Quantile(0.99).Round(time.Microsecond), qps/baseline)
 	}
 	fmt.Println("\n(QPS is aggregate getEntry throughput through the replica-aware client;")
 	fmt.Println(" the replicated rows route reads across both followers while writes")
 	fmt.Println(" would still pin to the primary)")
-
-	if jsonOut != "" {
-		if err := (benchfmt.File{Benchmarks: results}).Write(jsonOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
 	return nil
 }
 
-// driveReads issues closed-loop getEntry calls from `workers` goroutines
-// against cl until dur elapses, returning the number of completed calls and
-// the measured wall time.
-func driveReads(cl *client.Client, ids []int64, workers int, dur time.Duration) (int64, time.Duration, error) {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		total    int64
-		firstErr error
-	)
-	deadline := time.Now().Add(dur)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			var n int64
-			for time.Now().Before(deadline) {
-				if _, err := cl.GetEntry(ids[rng.Intn(len(ids))]); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				n++
-			}
-			mu.Lock()
-			total += n
-			mu.Unlock()
-		}(int64(w) + 1)
+// readConfig measures one client configuration: workers closed-loop
+// readers issuing getEntry for random entries through one client dialed at
+// the primary with opts (routed: with replicas to route reads to).
+func readConfig(primary string, opts []client.Option, routed bool, ids []int64, workers int, dur time.Duration) (*loadgen.Result, error) {
+	cl, err := client.Dial(primary, time.Second, opts...)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return 0, 0, firstErr
+	defer cl.Close()
+	if routed {
+		// Let the lag probe mark both replicas routable before measuring.
+		time.Sleep(400 * time.Millisecond)
 	}
-	if total == 0 {
-		return 0, 0, fmt.Errorf("no reads completed")
+	if _, err := cl.GetEntry(ids[0]); err != nil { // warm the path
+		return nil, err
 	}
-	return total, elapsed, nil
+	rngs := make([]*rand.Rand, workers)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(int64(w) + 1))
+	}
+	return closedLoop(workers, dur, func(w int) error {
+		_, err := cl.GetEntry(ids[rngs[w].Intn(len(ids))])
+		return err
+	})
+}
+
+// closedLoop runs workers closed-loop callers of target for dur and fails
+// unless every call succeeded: a QPS only counts as capacity when nothing
+// was refused. Each error's text is its class.
+func closedLoop(workers int, dur time.Duration, target func(worker int) error) (*loadgen.Result, error) {
+	res, err := loadgen.Closed{
+		Workers:  workers,
+		Duration: dur,
+		Target:   target,
+		Classify: error.Error,
+	}.Do()
+	if err != nil {
+		return nil, err
+	}
+	if res.Failed() > 0 || res.Completed == 0 {
+		return nil, fmt.Errorf("%d of %d calls failed: %v", res.Failed(), res.Issued, res.Errors)
+	}
+	return res, nil
 }

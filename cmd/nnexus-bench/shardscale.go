@@ -14,16 +14,14 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"nnexus"
-	"nnexus/internal/benchfmt"
 	"nnexus/internal/cluster"
 	"nnexus/internal/experiments"
+	"nnexus/internal/loadgen"
 	"nnexus/internal/netsim"
 	"nnexus/internal/workload"
 )
@@ -55,7 +53,7 @@ func shardWords(ring *nnexus.ShardRing, per int) [][]string {
 	return buckets
 }
 
-func runShardScale(c *workload.Corpus, dur, rtt time.Duration, jsonOut string) error {
+func runShardScale(c *workload.Corpus, dur, rtt time.Duration) error {
 	const (
 		window  = 4  // in-flight calls per shard connection
 		workers = 24 // closed-loop writers, enough to keep every window full
@@ -70,51 +68,31 @@ func runShardScale(c *workload.Corpus, dur, rtt time.Duration, jsonOut string) e
 		sub = c.Subset(400)
 	}
 
-	fmt.Printf("%-12s %12s %12s %12s %9s\n", "shards", "writes", "QPS", "avg lat", "speedup")
-	var results []benchfmt.Benchmark
+	fmt.Printf("%-12s %10s %10s %10s %10s %9s\n", "shards", "writes", "QPS", "avg lat", "p99", "speedup")
 	var baseline float64
 	for _, n := range []int{1, 2, 4} {
-		qps, calls, nsPerOp, err := shardScaleConfig(sub, n, window, workers, dur, rtt)
+		res, err := shardScaleConfig(sub, n, window, workers, dur, rtt)
 		if err != nil {
 			return fmt.Errorf("shards=%d: %w", n, err)
 		}
+		qps := res.AchievedRate()
 		if baseline == 0 {
 			baseline = qps
 		}
-		fmt.Printf("%-12d %12d %12.0f %12s %8.2fx\n", n, calls, qps,
-			time.Duration(nsPerOp).Round(time.Microsecond), qps/baseline)
-		metrics := map[string]float64{"qps": qps, "shards": float64(n)}
-		if n > 1 {
-			metrics["speedup_vs_1shard"] = qps / baseline
-		}
-		results = append(results, benchfmt.Benchmark{
-			Name:       fmt.Sprintf("ShardScale/%dshard", n),
-			Procs:      runtime.GOMAXPROCS(0),
-			Iterations: calls,
-			NsPerOp:    nsPerOp,
-			BytesPerOp: -1, AllocsPerOp: -1,
-			Metrics: metrics,
-		})
+		fmt.Printf("%-12d %10d %10.0f %10v %10v %8.2fx\n", n, res.Completed, qps,
+			res.Service.Mean().Round(time.Microsecond), res.Service.Quantile(0.99).Round(time.Microsecond), qps/baseline)
 	}
 	fmt.Println("\n(QPS is aggregate putEntry throughput through the scatter-gather")
 	fmt.Println(" router; each shard's primary serializes its own writes, so spreading")
 	fmt.Println(" single-label entries over N shards multiplies the write window)")
-
-	if jsonOut != "" {
-		// Merge, don't overwrite: BENCH_PR9.json also carries committed
-		// go-test rows.
-		if err := (benchfmt.File{Benchmarks: results}).MergeInto(jsonOut); err != nil {
-			return err
-		}
-		fmt.Printf("merged into %s\n", jsonOut)
-	}
 	return nil
 }
 
 // shardScaleConfig runs one shard-count configuration end to end: n
 // shard-mode nodes behind real TCP servers and simulated-RTT links, corpus
-// preloaded over the bare loopback, then a closed-loop routed write storm.
-func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt time.Duration) (qps float64, calls int64, nsPerOp float64, err error) {
+// preloaded over the bare loopback, then a closed-loop routed write storm,
+// whose result it returns.
+func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt time.Duration) (*loadgen.Result, error) {
 	// Two maps of the same fleet: the nodes' own addresses, and each behind
 	// its own wire.
 	direct := &nnexus.ShardMap{Version: 1, Shards: make([]nnexus.ShardSpec, n)}
@@ -124,13 +102,13 @@ func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt tim
 		return nnexus.Config{Scheme: sub.Scheme, LaTeX: sub.Params.LaTeX, ShardRing: ring, ShardID: i}
 	})
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
 	defer fleet.Close()
 	for i, addr := range fleet.Addrs {
 		link, err := netsim.NewLink(addr, rtt/2)
 		if err != nil {
-			return 0, 0, 0, err
+			return nil, err
 		}
 		defer link.Close()
 		direct.Shards[i] = nnexus.ShardSpec{ID: i, Addrs: []string{addr}}
@@ -141,17 +119,17 @@ func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt tim
 	// so the measured window contains only the routed write storm.
 	local, err := nnexus.DialSharded(direct)
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
 	err = experiments.Load(sub, local)
 	local.Close()
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
 	router, err := nnexus.DialSharded(wired,
 		nnexus.WithPipelineWindow(window), nnexus.WithCallTimeout(30*time.Second))
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
 	defer router.Close()
 
@@ -162,7 +140,7 @@ func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt tim
 	buckets := shardWords(ring, per)
 	var next atomic.Int64
 	class := sub.Entries[0].Entry.Classes[0]
-	write := func() error {
+	write := func(int) error {
 		i := next.Add(1) - 1
 		bucket := buckets[int(i)%n]
 		title := bucket[int(i/int64(n))%len(bucket)]
@@ -173,59 +151,22 @@ func shardScaleConfig(sub *workload.Corpus, n, window, workers int, dur, rtt tim
 		})
 		return err
 	}
-	if err := write(); err != nil { // warm every path before timing
-		return 0, 0, 0, err
+	if err := write(0); err != nil { // warm every path before timing
+		return nil, err
 	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		total    int64
-		firstErr error
-	)
-	deadline := time.Now().Add(dur)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var done int64
-			for time.Now().Before(deadline) {
-				if err := write(); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				done++
-			}
-			mu.Lock()
-			total += done
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return 0, 0, 0, firstErr
-	}
-	if total == 0 {
-		return 0, 0, 0, fmt.Errorf("no writes completed")
+	res, err := closedLoop(workers, dur, write)
+	if err != nil {
+		return nil, err
 	}
 
 	// Sanity: the routed deployment still links like one engine — a written
 	// label resolves to exactly one link through the scatter-gather read.
-	res, err := router.LinkText(buckets[0][0], nnexus.LinkOptions{})
+	linked, err := router.LinkText(buckets[0][0], nnexus.LinkOptions{})
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("post-storm LinkText: %w", err)
+		return nil, fmt.Errorf("post-storm LinkText: %w", err)
 	}
-	if len(res.Links) != 1 || res.Links[0].Label != buckets[0][0] {
-		return 0, 0, 0, fmt.Errorf("post-storm LinkText(%q) = %+v, want 1 link", buckets[0][0], res.Links)
+	if len(linked.Links) != 1 || linked.Links[0].Label != buckets[0][0] {
+		return nil, fmt.Errorf("post-storm LinkText(%q) = %+v, want 1 link", buckets[0][0], linked.Links)
 	}
-
-	qps = float64(total) / elapsed.Seconds()
-	nsPerOp = elapsed.Seconds() / float64(total) * 1e9 * float64(workers)
-	return qps, total, nsPerOp, nil
+	return res, nil
 }

@@ -4,9 +4,10 @@ package main
 // engine behind the tenant gate — a bystander with no limits and a hot
 // tenant boxed by a token bucket. Three phases measure the bystander's link
 // latency: alone (baseline), with the hot tenant offering exactly its
-// allowance (legitimate sharing — every request admitted), and with the hot
-// tenant offering several times its allowance (the noisy neighbor — the
-// excess is rejected with typed rateLimited errors before execution).
+// allowance (legitimate sharing — admitted but for the odd Poisson burst
+// past the bucket), and with the hot tenant offering several times its
+// allowance (the noisy neighbor — the excess is rejected with typed
+// rateLimited errors before execution).
 //
 // The isolation claim the tenant gate makes is about the third phase
 // relative to the second: a tenant blowing through its limit must cost the
@@ -18,40 +19,36 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nnexus"
-	"nnexus/internal/benchfmt"
 	"nnexus/internal/client"
 	"nnexus/internal/cluster"
 	"nnexus/internal/experiments"
+	"nnexus/internal/loadgen"
 	"nnexus/internal/workload"
 )
 
-func runTenantIso(c *workload.Corpus, dur time.Duration, jsonOut string) error {
+func runTenantIso(c *workload.Corpus, dur time.Duration) error {
 	// Rates are sized for a small (single-core) box: clients, flooders, and
 	// the server share the machine, so the combined offered load has to
 	// leave CPU headroom or every phase just measures run-queue depth.
 	const (
 		bystanderWorkers = 4
-		bystanderRate    = 100.0 // aggregate bystander req/s, paced
+		bystanderRate    = 100.0 // aggregate bystander req/s, open loop
 		flooders         = 4
 		hotRate          = 50.0          // tokens/s the hot tenant is allowed
 		offeredRate      = 5.0 * hotRate // what its clients actually offer
-		rounds           = 6             // alternating within/over rounds; p99 = median of rounds
+		rounds           = 6             // alternating within/over rounds, pooled per phase
 	)
 	fmt.Println("Tenant isolation: bystander link latency while a hot tenant is")
 	fmt.Println("driven past its token-bucket rate limit (noisy neighbor)")
-	fmt.Printf("(%d bystander readers paced to %.0f req/s; hot tenant limited to %.0f req/s,\n",
+	fmt.Printf("(%d bystander readers offered %.0f req/s; hot tenant limited to %.0f req/s,\n",
 		bystanderWorkers, bystanderRate, hotRate)
 	fmt.Printf(" offered %.0f then %.0f req/s", hotRate, offeredRate)
-	fmt.Printf(" by %d paced clients; %d rounds of %v per phase)\n", flooders, rounds, dur)
+	fmt.Printf(" by %d workers; Poisson arrivals; %d rounds of %v per phase)\n", flooders, rounds, dur)
 	fmt.Println(strings.Repeat("-", 72))
 
 	sub := c
@@ -99,173 +96,108 @@ func runTenantIso(c *workload.Corpus, dur time.Duration, jsonOut string) error {
 		return fmt.Errorf("tenantiso: generated corpus has no bodies to link")
 	}
 
-	// measure runs paced bystander linkText traffic — a fixed offered rate,
-	// not a closed loop — and returns the per-request latencies. Pacing
-	// keeps the server below saturation so p99 reflects queueing inflicted
-	// by the hot tenant, not the bystander racing itself for every core.
-	measure := func() ([]time.Duration, error) {
+	// One connection per worker, client retries off so every past-the-bucket
+	// request surfaces as a pre-execution rateLimited reject (the steady state
+	// of an over-offered tenant). Both sides are open loops at fixed rates: a
+	// closed loop would have the bystander racing itself for every core, and
+	// an unpaced flood would be a socket-level DoS, which is the load
+	// shedder's department, not the tenant gate's.
+	conns := make([]*client.Client, bystanderWorkers+flooders)
+	for i := range conns {
+		cl, err := client.Dial(addr, time.Second, client.WithMaxRetries(0))
+		if err != nil {
+			return err
+		}
+		defer cl.Close()
+		if _, err := cl.LinkTextIn("bystander", nil, texts[0], nil, "", "", ""); err != nil { // warm the path
+			return err
+		}
+		conns[i] = cl
+	}
+	bystanders, hot := conns[:bystanderWorkers], conns[bystanderWorkers:]
+	drive := func(corpusName string, clients []*client.Client, rate float64, seed int64, classify loadgen.Classifier) (*loadgen.Result, error) {
+		return loadgen.Run{
+			Events: loadgen.Generate(loadgen.Params{
+				Seed:     seed,
+				Schedule: loadgen.NewPoisson(rate),
+				Duration: dur,
+				Mix:      loadgen.Mix{Link: 1},
+				Keys:     len(texts),
+			}),
+			Duration: dur,
+			Workers:  len(clients),
+			Target: func(w int, ev loadgen.Event) error {
+				_, err := clients[w].LinkTextIn(corpusName, nil, texts[ev.Key], nil, "", "", "")
+				return err
+			},
+			Classify: classify,
+		}.Do()
+	}
+	hotClass := func(err error) string {
+		if client.IsRateLimited(err) {
+			return "rateLimited"
+		}
+		return err.Error()
+	}
+
+	// round drives the bystander for one window, beside the hot tenant at
+	// hotOffered req/s unless that is 0, and fails on any error other than
+	// the hot tenant's rateLimited rejections.
+	seed := c.Params.Seed
+	round := func(hotOffered float64) (by, flood *loadgen.Result, err error) {
+		seed += 2
 		var (
-			mu       sync.Mutex
-			samples  []time.Duration
-			firstErr error
 			wg       sync.WaitGroup
+			floodErr error
 		)
-		deadline := time.Now().Add(dur)
-		for w := 0; w < bystanderWorkers; w++ {
+		if hotOffered > 0 {
 			wg.Add(1)
 			go func(seed int64) {
 				defer wg.Done()
-				cl, err := client.Dial(addr, time.Second, client.WithMaxRetries(0))
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				defer cl.Close()
-				rng := rand.New(rand.NewSource(seed))
-				interval := time.Duration(float64(bystanderWorkers) / bystanderRate * float64(time.Second))
-				// Stagger the pacers: workers starting in lockstep would
-				// deliver phase-locked request bursts and measure their own
-				// convoys, not the server.
-				time.Sleep(time.Duration(rng.Int63n(int64(interval))))
-				tick := time.NewTicker(interval)
-				defer tick.Stop()
-				var local []time.Duration
-				for time.Now().Before(deadline) {
-					<-tick.C
-					start := time.Now()
-					_, err := cl.LinkTextIn("bystander", nil, texts[rng.Intn(len(texts))], nil, "", "", "")
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("bystander: %w", err)
-						}
-						mu.Unlock()
-						return
-					}
-					local = append(local, time.Since(start))
-				}
-				mu.Lock()
-				samples = append(samples, local...)
-				mu.Unlock()
-			}(int64(w) + 1)
+				flood, floodErr = drive("hot", hot, hotOffered, seed, hotClass)
+			}(seed + 1)
 		}
+		by, err = drive("bystander", bystanders, bystanderRate, seed, error.Error)
 		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+		switch {
+		case err != nil:
+			return nil, nil, fmt.Errorf("bystander: %w", err)
+		case floodErr != nil:
+			return nil, nil, fmt.Errorf("hot tenant: %w", floodErr)
+		case by.Failed() > 0 || by.Unfinished > 0:
+			return nil, nil, fmt.Errorf("bystander: %d failed, %d unfinished: %v", by.Failed(), by.Unfinished, by.Errors)
+		case flood != nil && flood.Failed() != flood.Errors["rateLimited"]:
+			return nil, nil, fmt.Errorf("hot tenant saw a non-rateLimited error: %v", flood.Errors)
 		}
-		return samples, nil
+		return by, flood, nil
 	}
 
-	// flood starts paced clients offering the hot tenant the given aggregate
-	// rate, with client retries off so every past-the-bucket request surfaces
-	// as a pre-execution rateLimited reject (the steady state of an
-	// over-offered tenant; an unpaced tight loop would be a socket-level DoS,
-	// which is the load shedder's department, not the tenant gate's). The
-	// returned stop function tears the flooders down and reports admitted and
-	// rejected counts.
-	flood := func(offered float64) func() (ok, limited int64, err error) {
-		var (
-			hotOK, hotLimited atomic.Int64
-			stop              = make(chan struct{})
-			floodErr          atomic.Value
-			wg                sync.WaitGroup
-		)
-		interval := time.Duration(float64(flooders) / offered * float64(time.Second))
-		for w := 0; w < flooders; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				cl, err := client.Dial(addr, time.Second, client.WithMaxRetries(0))
-				if err != nil {
-					floodErr.Store(err)
-					return
-				}
-				defer cl.Close()
-				rng := rand.New(rand.NewSource(seed))
-				// Staggered like the bystander pacers, for the same reason.
-				time.Sleep(time.Duration(rng.Int63n(int64(interval))))
-				tick := time.NewTicker(interval)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-					}
-					_, err := cl.LinkTextIn("hot", nil, texts[rng.Intn(len(texts))], nil, "", "", "")
-					switch {
-					case err == nil:
-						hotOK.Add(1)
-					case client.IsRateLimited(err):
-						hotLimited.Add(1)
-					default:
-						floodErr.Store(err)
-						return
-					}
-				}
-			}(int64(100 + w))
-		}
-		return func() (int64, int64, error) {
-			close(stop)
-			wg.Wait()
-			if e := floodErr.Load(); e != nil {
-				return 0, 0, fmt.Errorf("hot flooder saw a non-rateLimited error: %w", e.(error))
-			}
-			return hotOK.Load(), hotLimited.Load(), nil
-		}
-	}
-
-	// Warm the path, then the three phases.
-	warm, err := client.Dial(addr, time.Second)
-	if err != nil {
-		return err
-	}
-	if _, err := warm.LinkTextIn("bystander", nil, texts[0], nil, "", "", ""); err != nil {
-		warm.Close()
-		return err
-	}
-	warm.Close()
-
-	// At these paced rates nothing the server can do legitimately holds a
+	// At these rates nothing the server can do legitimately holds a
 	// bystander request for hundreds of milliseconds — the token bucket
-	// answers in microseconds and queue depth is bounded by the pacing. A
-	// sample beyond stallThreshold therefore means the host froze under the
-	// whole process (hypervisor steal, memory pressure): the frozen round is
-	// discarded and re-measured, within a disclosed retry budget, instead of
-	// letting an environmental artifact set either phase's p99.
+	// answers in microseconds and queue depth is bounded by the offered
+	// load. A sample beyond stallThreshold therefore means the host froze
+	// under the whole process (hypervisor steal, memory pressure): the frozen
+	// round is discarded and re-measured, within a disclosed retry budget,
+	// instead of letting an environmental artifact set either phase's p99.
+	// The bystander's numbers are its call latency (Result.Service), not
+	// latency from the intended start: at 100 req/s the pacer's own timer
+	// overshoot, ~0.6 ms per arrival on a 2-core VM, would be most of a
+	// sub-millisecond link and hide the difference between phases.
 	const stallThreshold = 100 * time.Millisecond
-	stallBudget := rounds * 2
-	stalled := func(s []time.Duration) bool {
-		for _, d := range s {
-			if d > stallThreshold {
-				return true
-			}
-		}
-		return false
-	}
 	discarded := 0
-	measureClean := func() ([]time.Duration, error) {
+	clean := func(hotOffered float64) (by, flood *loadgen.Result, err error) {
 		for {
-			s, err := measure()
-			if err != nil {
-				return nil, err
+			by, flood, err = round(hotOffered)
+			if err != nil || by.Service.Max() <= stallThreshold {
+				return by, flood, err
 			}
-			if !stalled(s) {
-				return s, nil
-			}
-			discarded++
-			stallBudget--
-			if stallBudget < 0 {
-				return nil, fmt.Errorf("tenantiso: host stalled >%v in %d measurement rounds; machine too noisy for a p99 comparison", stallThreshold, discarded)
+			if discarded++; discarded > rounds*2 {
+				return nil, nil, fmt.Errorf("tenantiso: host stalled >%v in %d measurement rounds; machine too noisy for a p99 comparison", stallThreshold, discarded)
 			}
 		}
 	}
 
-	quiet, err := measureClean()
+	quiet, _, err := clean(0)
 	if err != nil {
 		return err
 	}
@@ -278,60 +210,45 @@ func runTenantIso(c *workload.Corpus, dur time.Duration, jsonOut string) error {
 	// a couple of dozen samples and a single OS stall would swing the
 	// comparison far past the bound in either direction.
 	var (
-		within, over                                 [][]time.Duration
-		withinOK, withinLimited, overOK, overLimited int64
+		within, over                                 = loadgen.NewHist(), loadgen.NewHist()
+		withinOK, withinLimited, overOK, overLimited int
 	)
 	for r := 0; r < rounds; r++ {
 		for _, phase := range []struct {
 			offered float64
-			samples *[][]time.Duration
-			ok, lim *int64
+			pooled  *loadgen.Hist
+			ok, lim *int
 		}{
-			{hotRate, &within, &withinOK, &withinLimited},
-			{offeredRate, &over, &overOK, &overLimited},
+			{hotRate, within, &withinOK, &withinLimited},
+			{offeredRate, over, &overOK, &overLimited},
 		} {
-			stop := flood(phase.offered)
-			s, err := measureClean()
-			ok, lim, ferr := stop()
+			by, flood, err := clean(phase.offered)
 			if err != nil {
 				return err
 			}
-			if ferr != nil {
-				return ferr
-			}
-			*phase.samples = append(*phase.samples, s)
-			*phase.ok += ok
-			*phase.lim += lim
+			phase.pooled.Merge(by.Service)
+			*phase.ok += flood.Completed
+			*phase.lim += flood.Errors["rateLimited"]
 		}
 	}
 	if overLimited == 0 {
 		return fmt.Errorf("hot tenant was never rate limited (ok=%d): the storm did not saturate", overOK)
 	}
 
-	quantile := func(d []time.Duration, q float64) time.Duration {
-		sorted := append([]time.Duration(nil), d...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return sorted[int(q*float64(len(sorted)-1))]
-	}
-	stats := func(roundSamples [][]time.Duration) (n int, p50, p99 time.Duration) {
-		var pooled []time.Duration
-		for _, s := range roundSamples {
-			pooled = append(pooled, s...)
-		}
-		return len(pooled), quantile(pooled, 0.50), quantile(pooled, 0.99)
-	}
-	nq, q50, q99 := stats([][]time.Duration{quiet})
-	nw, w50, w99 := stats(within)
-	no, o50, o99 := stats(over)
+	w99, o99 := within.Quantile(0.99), over.Quantile(0.99)
 	degradation := (float64(o99) - float64(w99)) / float64(w99)
-
 	fmt.Printf("%-26s %10s %12s %12s\n", "bystander phase", "requests", "p50", "p99")
-	fmt.Printf("%-26s %10d %12s %12s\n", "alone", nq,
-		q50.Round(time.Microsecond), q99.Round(time.Microsecond))
-	fmt.Printf("%-26s %10d %12s %12s\n", "hot within limit (base)", nw,
-		w50.Round(time.Microsecond), w99.Round(time.Microsecond))
-	fmt.Printf("%-26s %10d %12s %12s\n", "hot over limit", no,
-		o50.Round(time.Microsecond), o99.Round(time.Microsecond))
+	for _, row := range []struct {
+		name string
+		h    *loadgen.Hist
+	}{
+		{"alone", quiet.Service},
+		{"hot within limit (base)", within},
+		{"hot over limit", over},
+	} {
+		fmt.Printf("%-26s %10d %12s %12s\n", row.name, row.h.Count(),
+			row.h.Quantile(0.50).Round(time.Microsecond), row.h.Quantile(0.99).Round(time.Microsecond))
+	}
 	if discarded > 0 {
 		fmt.Printf("(%d measurement rounds discarded and re-run: host stall >%v detected)\n",
 			discarded, stallThreshold)
@@ -343,39 +260,6 @@ func runTenantIso(c *workload.Corpus, dur time.Duration, jsonOut string) error {
 		100*degradation)
 	if degradation > 0.10 {
 		fmt.Println("WARNING: bystander p99 degraded past the 10% isolation bound")
-	}
-
-	if jsonOut != "" {
-		mk := func(name string, n int, p50, p99 time.Duration, extra map[string]float64) benchfmt.Benchmark {
-			m := map[string]float64{"p50_ns": float64(p50), "p99_ns": float64(p99)}
-			for k, v := range extra {
-				m[k] = v
-			}
-			return benchfmt.Benchmark{
-				Name:       name,
-				Procs:      runtime.GOMAXPROCS(0),
-				Iterations: int64(n),
-				NsPerOp:    float64(p99),
-				BytesPerOp: -1, AllocsPerOp: -1,
-				Metrics: m,
-			}
-		}
-		results := []benchfmt.Benchmark{
-			mk("TenantIso/bystander-alone", nq, q50, q99, nil),
-			mk("TenantIso/bystander-hot-within-limit", nw, w50, w99, map[string]float64{
-				"hot_admitted":     float64(withinOK),
-				"hot_rate_limited": float64(withinLimited),
-			}),
-			mk("TenantIso/bystander-hot-over-limit", no, o50, o99, map[string]float64{
-				"p99_degradation_pct": 100 * degradation,
-				"hot_admitted":        float64(overOK),
-				"hot_rate_limited":    float64(overLimited),
-			}),
-		}
-		if err := (benchfmt.File{Benchmarks: results}).Write(jsonOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
 	}
 	return nil
 }

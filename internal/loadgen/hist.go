@@ -12,10 +12,11 @@ import (
 // methods are safe for concurrent use; Record is a single atomic add, so
 // many workers share one Hist without coordination.
 //
-// Unlike a plain sorted-slice percentile (the closed-loop experiments'
-// approach), recording is O(1) with bounded memory at any request volume,
-// and two histograms of the same shape can be merged — what an open-loop
-// sweep needs when millions of intended arrivals are in play.
+// Unlike a percentile read off a sorted slice of samples, recording is
+// O(1) with bounded memory at any request volume, and two histograms of
+// the same shape can be merged — what an open-loop sweep needs when
+// millions of intended arrivals are in play, and what lets an experiment
+// pool its rounds.
 type Hist struct {
 	counts []atomic.Uint64
 	total  atomic.Uint64

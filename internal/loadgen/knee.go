@@ -1,9 +1,6 @@
 package loadgen
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // CurvePoint is one step of an offered-load sweep: what was offered, what
 // was achieved, and the intended-latency percentiles.
@@ -59,24 +56,4 @@ func DetectKnee(points []CurvePoint, slo SLO) (knee CurvePoint, ok bool) {
 		knee, ok = p, true
 	}
 	return knee, ok
-}
-
-// GateKnee is the CI regression verdict: it fails when the measured knee
-// has moved left of the committed baseline by more than tolerance
-// (tolerance 0.25 tolerates a 25% drop — sized to machine noise, not to
-// real regressions). A non-positive baseline fails loudly instead of
-// waving everything through.
-func GateKnee(baseline, current, tolerance float64) error {
-	if baseline <= 0 {
-		return fmt.Errorf("loadgen: knee gate: baseline knee %.0f req/s is not positive — committed baseline is unusable", baseline)
-	}
-	if tolerance < 0 || tolerance >= 1 {
-		return fmt.Errorf("loadgen: knee gate: tolerance %.2f outside [0,1)", tolerance)
-	}
-	floor := baseline * (1 - tolerance)
-	if current < floor {
-		return fmt.Errorf("loadgen: knee regression: measured knee %.0f req/s is below %.0f req/s (committed baseline %.0f req/s − %.0f%% tolerance)",
-			current, floor, baseline, tolerance*100)
-	}
-	return nil
 }

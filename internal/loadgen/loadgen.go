@@ -18,10 +18,13 @@
 //     and records intended-start-to-completion latency in an HDR-style
 //     histogram (hist.go), alongside the naive service latency a
 //     closed-loop harness would have reported;
+//   - Closed is that closed-loop harness: a fixed set of workers calling
+//     back to back for a duration, for throughput experiments, reported in
+//     the same Result;
 //   - ScriptEvents fire chaos actions (invalidation storms, replica
 //     kills) at fixed offsets inside a run;
-//   - DetectKnee and GateKnee (knee.go) turn a sweep's curve points into
-//     the offered-load knee and a CI regression verdict.
+//   - DetectKnee (knee.go) turns a sweep's curve points into the
+//     offered-load knee.
 package loadgen
 
 import (

@@ -47,12 +47,30 @@ type Run struct {
 	Drain time.Duration
 }
 
-// Result is one completed open-loop run.
+// Closed is one closed-loop measurement: Workers goroutines each call
+// Target back to back until Duration has passed. A slow server slows its
+// own drivers, so a closed loop measures the throughput a fixed number of
+// callers get, not the latency of traffic that keeps arriving (Run does
+// that).
+type Closed struct {
+	// Workers is how many goroutines call Target (≥ 1).
+	Workers int
+	// Duration bounds the run: no call starts after it has passed.
+	Duration time.Duration
+	// Target executes one call; required. worker is the calling
+	// goroutine (0-based).
+	Target func(worker int) error
+	// Classify buckets errors; nil counts every error under "error".
+	Classify Classifier
+}
+
+// Result is one completed run.
 type Result struct {
 	// Offered is the intended arrival rate: issued events over the
-	// intended duration.
+	// intended duration. A closed loop offers no rate and leaves it zero.
 	Offered float64
-	// Duration is the intended schedule span.
+	// Duration is the intended schedule span; for a closed loop, the
+	// measured wall time, so AchievedRate is its QPS.
 	Duration time.Duration
 	// Issued counts events released to workers; Completed counts those
 	// whose Target returned success within the drain window; Unfinished
@@ -61,7 +79,8 @@ type Result struct {
 	// Errors tallies failed calls by Classifier class.
 	Errors map[string]int
 	// Intended records intended-start→completion latency: the number an
-	// SLO is judged on.
+	// SLO is judged on. A closed-loop call is intended to start when it is
+	// issued, so there Intended and Service are one histogram.
 	Intended *Hist
 	// Service records actual-issue→completion latency: the forgiving
 	// number a closed-loop harness reports. The gap between the two is
@@ -75,6 +94,15 @@ func (r *Result) AchievedRate() float64 {
 		return 0
 	}
 	return float64(r.Completed) / r.Duration.Seconds()
+}
+
+// Failed returns how many calls failed, over every error class.
+func (r *Result) Failed() int {
+	var n int
+	for _, c := range r.Errors {
+		n += c
+	}
+	return n
 }
 
 // AchievedRatio returns achieved/offered in [0,∞); a saturated system
@@ -155,10 +183,8 @@ func (r Run) Do() (*Result, error) {
 	}()
 
 	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex // guards res.Completed/Unfinished/Errors
-		completed  int
-		unfinished int
+		wg sync.WaitGroup
+		mu sync.Mutex // guards res.Completed/Unfinished/Errors
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -182,19 +208,67 @@ func (r Run) Do() (*Result, error) {
 				res.Service.Record(end.Sub(issuedAt))
 				done++
 			}
-			mu.Lock()
-			completed += done
-			unfinished += abandoned
-			for k, v := range local {
-				res.Errors[k] += v
-			}
-			mu.Unlock()
+			res.add(&mu, done, abandoned, local)
 		}(w)
 	}
 	wg.Wait()
-	res.Completed = completed
-	res.Unfinished = unfinished
 	return res, nil
+}
+
+// Do executes the closed loop and returns once every worker's last call
+// has returned: at most one call's latency after Duration.
+func (c Closed) Do() (*Result, error) {
+	if c.Target == nil {
+		return nil, errors.New("loadgen: Closed.Target is required")
+	}
+	classify := c.Classify
+	if classify == nil {
+		classify = func(error) string { return "error" }
+	}
+	res := &Result{Errors: make(map[string]int), Service: NewHist()}
+	res.Intended = res.Service
+
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex // guards res.Completed/Errors
+	)
+	start := time.Now()
+	deadline := start.Add(c.Duration)
+	for w := 0; w < max(c.Workers, 1); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var done int
+			local := make(map[string]int)
+			for issuedAt := time.Now(); issuedAt.Before(deadline); {
+				err := c.Target(w)
+				end := time.Now()
+				if class := classifyErr(classify, err); class != "" {
+					local[class]++
+				} else {
+					res.Service.Record(end.Sub(issuedAt))
+					done++
+				}
+				issuedAt = end
+			}
+			res.add(&mu, done, 0, local)
+		}(w)
+	}
+	wg.Wait()
+	res.Duration = time.Since(start)
+	res.Issued = res.Completed + res.Failed()
+	return res, nil
+}
+
+// add folds one worker's counts into r under mu.
+func (r *Result) add(mu *sync.Mutex, done, abandoned int, errs map[string]int) {
+	mu.Lock()
+	defer mu.Unlock()
+	r.Completed += done
+	r.Unfinished += abandoned
+	for k, v := range errs {
+		r.Errors[k] += v
+	}
 }
 
 func classifyErr(classify Classifier, err error) string {

@@ -78,18 +78,10 @@ func TestOpenLoopSaturationLeavesUnfinished(t *testing.T) {
 	if ratio := res.AchievedRatio(); ratio >= DefaultMinAchievedRatio {
 		t.Fatalf("achieved ratio %.3f under saturation, want < %.2f", ratio, DefaultMinAchievedRatio)
 	}
-	if res.Completed+res.Unfinished+errTotal(res.Errors) != res.Issued {
+	if res.Completed+res.Unfinished+res.Failed() != res.Issued {
 		t.Fatalf("accounting leak: %d completed + %d unfinished + %d errors ≠ %d issued",
-			res.Completed, res.Unfinished, errTotal(res.Errors), res.Issued)
+			res.Completed, res.Unfinished, res.Failed(), res.Issued)
 	}
-}
-
-func errTotal(m map[string]int) int {
-	var n int
-	for _, v := range m {
-		n += v
-	}
-	return n
 }
 
 // TestOpenLoopErrorClassification: errors land in the classifier's
@@ -163,6 +155,95 @@ func TestOpenLoopScriptFires(t *testing.T) {
 	}
 	if stormAt < 100*time.Millisecond || stormAt > 250*time.Millisecond {
 		t.Fatalf("storm fired at %v, want ≈100ms into the run", stormAt)
+	}
+}
+
+// TestClosedLoopCompletesWithinDuration: against a fast target every
+// worker keeps calling until Duration has passed, the latency record holds
+// one sample per completed call, and the rate is completions over the
+// measured wall time.
+func TestClosedLoopCompletesWithinDuration(t *testing.T) {
+	const dur = 100 * time.Millisecond
+	res, err := Closed{
+		Workers:  4,
+		Duration: dur,
+		Target:   func(int) error { time.Sleep(time.Millisecond); return nil },
+	}.Do()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed < 4 || len(res.Errors) != 0 || res.Issued != res.Completed {
+		t.Fatalf("completed %d of %d issued, errors %v; want every call to succeed", res.Completed, res.Issued, res.Errors)
+	}
+	if res.Duration < dur {
+		t.Fatalf("run took %v, shorter than its %v duration", res.Duration, dur)
+	}
+	if res.Service.Count() != uint64(res.Completed) || res.Intended != res.Service {
+		t.Fatalf("latency samples %d ≠ completed %d", res.Service.Count(), res.Completed)
+	}
+	if want := float64(res.Completed) / res.Duration.Seconds(); res.AchievedRate() != want {
+		t.Fatalf("achieved rate %.1f, want %.1f", res.AchievedRate(), want)
+	}
+}
+
+// TestClosedLoopErrorClassification: failed calls land in the
+// classifier's buckets, not in the completions or the latency record.
+func TestClosedLoopErrorClassification(t *testing.T) {
+	sentinel := errors.New("limited")
+	var n atomic.Int64
+	res, err := Closed{
+		Workers:  3,
+		Duration: 50 * time.Millisecond,
+		Target: func(int) error {
+			time.Sleep(100 * time.Microsecond)
+			if n.Add(1)%3 == 0 {
+				return sentinel
+			}
+			return nil
+		},
+		Classify: func(err error) string {
+			if errors.Is(err, sentinel) {
+				return "rateLimited"
+			}
+			return "hard"
+		},
+	}.Do()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors["rateLimited"] == 0 || res.Errors["hard"] != 0 {
+		t.Fatalf("errors = %v, want only rateLimited entries", res.Errors)
+	}
+	if res.Issued != res.Completed+res.Errors["rateLimited"] || int64(res.Issued) != n.Load() {
+		t.Fatalf("issued %d ≠ %d completed + %d errors (%d calls made)", res.Issued, res.Completed, res.Errors["rateLimited"], n.Load())
+	}
+	if res.Service.Count() != uint64(res.Completed) {
+		t.Fatalf("latency samples %d ≠ completed %d", res.Service.Count(), res.Completed)
+	}
+}
+
+// TestClosedLoopSlowTargetStopsAfterOneCall: a worker starts no call once
+// Duration has passed, so a target slower than the whole duration runs once
+// per worker and the run ends about one call after Duration.
+func TestClosedLoopSlowTargetStopsAfterOneCall(t *testing.T) {
+	const (
+		dur     = 50 * time.Millisecond
+		call    = 100 * time.Millisecond
+		workers = 3
+	)
+	res, err := Closed{
+		Workers:  workers,
+		Duration: dur,
+		Target:   func(int) error { time.Sleep(call); return nil },
+	}.Do()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != workers {
+		t.Fatalf("completed %d calls, want one per worker (%d)", res.Completed, workers)
+	}
+	if res.Duration < call || res.Duration > dur+call+100*time.Millisecond {
+		t.Fatalf("run took %v, want about one %v call past the %v duration", res.Duration, call, dur)
 	}
 }
 

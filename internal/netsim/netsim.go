@@ -4,8 +4,9 @@
 // overlap their delays — pipelined traffic pays the propagation delay once
 // per window while stop-and-wait traffic pays it once per call — so the
 // proxy models a real wire rather than a store-and-forward hop. Benchmarks
-// and the throughput experiment use it to show what request pipelining buys
-// on links where the round trip, not the CPU, is the bottleneck.
+// and the cluster experiments use it to show what request pipelining,
+// replicas and shards buy on links where the round trip, not the CPU, is
+// the bottleneck.
 //
 // Beyond delay, a Link supports fault injection for chaos tests: one-way
 // partitions (traffic in the blocked direction stalls — like a TCP wire
@@ -275,17 +276,4 @@ func (l *Link) pump(dst, src net.Conn, g *gate, wg *sync.WaitGroup) {
 	src.Close()
 	for range ch {
 	}
-}
-
-// Proxy listens on a fresh loopback port, forwards every accepted
-// connection to backend, and delays each direction by delay (half the
-// simulated round trip per direction). The returned stop function closes
-// the listener and every live proxied connection. It is the fault-free
-// subset of NewLink, kept for benchmarks that only need the wire model.
-func Proxy(backend string, delay time.Duration) (addr string, stop func(), err error) {
-	l, err := NewLink(backend, delay)
-	if err != nil {
-		return "", nil, err
-	}
-	return l.Addr(), l.Close, nil
 }

@@ -39,12 +39,12 @@ func echoServer(t *testing.T) string {
 // proxy takes at least a full simulated round trip.
 func TestProxyAddsRoundTripDelay(t *testing.T) {
 	const delay = 25 * time.Millisecond
-	addr, stop, err := Proxy(echoServer(t), delay)
+	l, err := NewLink(echoServer(t), delay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	defer l.Close()
+	conn, err := net.DialTimeout("tcp", l.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +72,12 @@ func TestProxyOverlapsDelays(t *testing.T) {
 		delay = 25 * time.Millisecond
 		calls = 10
 	)
-	addr, stop, err := Proxy(echoServer(t), delay)
+	l, err := NewLink(echoServer(t), delay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	defer l.Close()
+	conn, err := net.DialTimeout("tcp", l.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +110,14 @@ func TestProxyOverlapsDelays(t *testing.T) {
 	}
 }
 
-// TestProxyStopClosesConns: stop unblocks clients waiting on proxied reads.
+// TestProxyStopClosesConns: closing the link unblocks clients waiting on
+// proxied reads.
 func TestProxyStopClosesConns(t *testing.T) {
-	addr, stop, err := Proxy(echoServer(t), 5*time.Millisecond)
+	l, err := NewLink(echoServer(t), 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	conn, err := net.DialTimeout("tcp", l.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +128,11 @@ func TestProxyStopClosesConns(t *testing.T) {
 		buf := make([]byte, 1)
 		conn.Read(buf) // no request sent: blocks until the proxy dies
 	}()
-	stop()
+	l.Close()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("read still blocked 2s after proxy stop")
+		t.Fatal("read still blocked 2s after link close")
 	}
 }
 
