@@ -10,7 +10,7 @@
 // is torn down and transparently re-established on the next call
 // (exponential backoff with jitter between attempts), every method but the
 // writes (wire.KindWrite) is retried across connection failures, and
-// "overloaded"/"unavailable" rejections — which the server issues before
+// "overloaded" and "rateLimited" rejections — which the server issues before
 // executing anything — are retried for every method. When a connection
 // fails, every call already on the wire is completed with the failure (fate
 // unknown), while calls still waiting for the window or the write lock fail
@@ -66,14 +66,11 @@ func (e *ServerError) Error() string {
 	return "client: server error: " + e.Message
 }
 
-// IsOverloaded reports whether err is a server-side load-shed or
-// drain rejection — the request was never executed and may be retried.
+// IsOverloaded reports whether err is a server-side load-shed rejection —
+// the request was never executed and may be retried.
 func IsOverloaded(err error) bool {
 	var se *ServerError
-	if !errors.As(err, &se) {
-		return false
-	}
-	return se.Code == wire.CodeOverloaded || se.Code == wire.CodeUnavailable
+	return errors.As(err, &se) && se.Code == wire.CodeOverloaded
 }
 
 // IsRateLimited reports whether err is a tenant rate-limit rejection: the
@@ -99,7 +96,7 @@ func IsQuotaExceeded(err error) bool {
 // for mutating methods.
 func rejectedBeforeExecution(se *ServerError) bool {
 	switch se.Code {
-	case wire.CodeOverloaded, wire.CodeUnavailable, wire.CodeRateLimited:
+	case wire.CodeOverloaded, wire.CodeRateLimited:
 		return true
 	}
 	return false
@@ -286,7 +283,7 @@ const (
 	failNone      failClass = iota
 	failNotSent             // the request never reached the wire
 	failUnknown             // the connection broke mid-exchange: fate unknown
-	failRejected            // typed pre-execution rejection (overloaded / unavailable)
+	failRejected            // typed pre-execution rejection (overloaded / rateLimited)
 	failPermanent           // application error, protocol violation, or closed client
 )
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nnexus/internal/telemetry"
+	"nnexus/internal/wire"
 )
 
 // resilience guards API routes: an optional in-flight bound shed with
@@ -40,7 +41,8 @@ func (rs *resilience) protect(next http.HandlerFunc) http.HandlerFunc {
 				rs.active.Add(-1)
 				rs.shed.Inc()
 				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusServiceUnavailable, errOverloadedHTTP)
+				writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+					"error": "server overloaded, retry later", "code": wire.CodeOverloaded})
 				return
 			}
 			defer rs.active.Add(-1)
@@ -66,19 +68,11 @@ func (rs *resilience) serveRecovered(next http.HandlerFunc, w http.ResponseWrite
 		log.Printf("httpapi: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
 		// Best effort: if the handler already wrote a status, the conn is
 		// in an unknown state and this write is ignored by net/http.
-		httpError(w, http.StatusInternalServerError, errInternalHTTP)
+		writeJSON(w, http.StatusInternalServerError, map[string]string{
+			"error": "internal server error", "code": wire.CodeInternal})
 	}()
 	next(w, r)
 }
-
-type stringError string
-
-func (e stringError) Error() string { return string(e) }
-
-const (
-	errOverloadedHTTP = stringError("server overloaded, retry later")
-	errInternalHTTP   = stringError("internal server error")
-)
 
 // httpMetrics instruments the API's request handling: per-endpoint request
 // counts broken down by status class, per-endpoint latency histograms, and

@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +19,7 @@ import (
 	"nnexus/internal/server"
 	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
+	"nnexus/internal/wire"
 )
 
 func TestHealthProbes(t *testing.T) {
@@ -63,7 +66,7 @@ func TestHealthProbes(t *testing.T) {
 
 	// A failing named check (e.g. storage) flips readiness too.
 	st.SetDraining(false)
-	broken := stringError("wal closed")
+	broken := errors.New("wal closed")
 	st.AddCheck("storage", func() error { return broken })
 	if code, body := probe("/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "storage") {
 		t.Errorf("readyz with failing check = %d %q, want 503 naming the check", code, body)
@@ -122,10 +125,14 @@ func TestHTTPLoadShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	var shed struct{ Error, Code string }
+	json.NewDecoder(resp.Body).Decode(&shed)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request over in-flight bound = %d, want 503", resp.StatusCode)
+	}
+	if shed.Code != wire.CodeOverloaded || shed.Error == "" {
+		t.Errorf("shed body = %+v, want an error typed %q, as the socket answers", shed, wire.CodeOverloaded)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("shed response missing Retry-After header")
@@ -178,6 +185,9 @@ func TestHTTPPanicRecovered(t *testing.T) {
 	wrapped(rec, httptest.NewRequest("GET", "/boom", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("panicking handler answered %d, want 500", rec.Code)
+	}
+	if body := rec.Body.String(); !strings.Contains(body, `"code":"`+wire.CodeInternal+`"`) {
+		t.Errorf("panic answer %s is not typed %q", body, wire.CodeInternal)
 	}
 	if got := rs.panics.Value(); got != 1 {
 		t.Errorf("panics counter = %v, want 1", got)

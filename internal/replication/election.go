@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,9 +37,9 @@ import (
 	"nnexus/internal/wire"
 )
 
-// voteFileName persists the node's election epoch and vote (inside its state
-// dir) BEFORE either is acted on, so a restarted node can never vote twice in
-// one epoch or claim a leadership it already ceded.
+// voteFileName persists the node's election epoch and vote (a state file of
+// its store) BEFORE either is acted on, so a restarted node can never vote
+// twice in one epoch or claim a leadership it already ceded.
 const voteFileName = "election.epoch"
 
 // DefaultElectionTimeout is the primary-silence tolerance window: a follower
@@ -85,9 +83,10 @@ type NodeConfig struct {
 	// A node without peers never stands, votes or probes: it stays the
 	// primary, or the follower of InitialLeader, it was started as.
 	Peers []string
-	// Store is the node's durable state. A node that can ever serve the
-	// replication log — it starts as primary, or has peers and may win —
-	// needs it opened with storage.WithReplication.
+	// Store is the node's durable state, and keeps the node's election epoch
+	// and vote beside its WAL. A node that can ever serve the replication
+	// log — it starts as primary, or has peers and may win — needs it opened
+	// with storage.WithReplication.
 	Store *storage.Store
 	// Applier feeds replicated records to the engine while following.
 	Applier Applier
@@ -102,8 +101,6 @@ type NodeConfig struct {
 	// an election after the first timeout).
 	InitialPrimary bool
 	InitialLeader  string
-	// StateDir persists the election epoch and vote across restarts.
-	StateDir string
 	// ElectionTimeout is the primary-silence tolerance window (default
 	// DefaultElectionTimeout). Candidates re-arm with jitter in
 	// [timeout, 1.5·timeout] so simultaneous timeouts desynchronize.
@@ -952,54 +949,14 @@ func (n *Node) getPeer(addr string) (Peer, error) {
 
 // saveVoteLocked persists the current epoch and vote. Callers hold n.mu.
 // Persist-before-act is what makes a restarted node unable to vote twice in
-// one epoch — which is only true if the persisted file survives the crash it
-// guards against, so the write is fsynced and atomic: a temp file is synced,
-// renamed over the vote file, and the directory synced. A crash at any point
-// leaves either the old vote or the new one, never a torn file.
+// one epoch, which holds because the store writes the file atomically and
+// durably: a crash leaves either the old vote or the new one.
 func (n *Node) saveVoteLocked() error {
-	if n.cfg.StateDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(n.cfg.StateDir, 0o755); err != nil {
-		return err
-	}
 	body := strconv.FormatUint(n.term, 10) + "\n" + n.votedFor + "\n"
-	path := filepath.Join(n.cfg.StateDir, voteFileName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("replication: persist vote: %w", err)
-	}
-	if _, err = f.Write([]byte(body)); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err == nil {
-		err = syncDir(n.cfg.StateDir)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := n.cfg.Store.SaveState(voteFileName, []byte(body)); err != nil {
 		return fmt.Errorf("replication: persist vote: %w", err)
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // loadVote reads the persisted epoch and vote (0, "" when the file has never
@@ -1007,24 +964,18 @@ func syncDir(dir string) error {
 // start: silently voting from (0, "") in an epoch this node already voted in
 // is exactly the double-vote the persistence exists to prevent.
 func (n *Node) loadVote() (term uint64, votedFor string, err error) {
-	if n.cfg.StateDir == "" {
-		return 0, "", nil
+	data, err := n.cfg.Store.LoadState(voteFileName)
+	if data == nil || err != nil {
+		return 0, "", err
 	}
-	path := filepath.Join(n.cfg.StateDir, voteFileName)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, "", nil
-	}
-	if err != nil {
-		return 0, "", fmt.Errorf("replication: read persisted vote %s: %w", path, err)
-	}
+	const refuse = "refusing to rejoin with a reset vote — repair or remove the file after verifying the cluster's epoch"
 	lines := strings.SplitN(string(data), "\n", 3)
 	if len(lines) < 2 {
-		return 0, "", fmt.Errorf("replication: persisted vote %s is corrupt (%d bytes); refusing to rejoin with a reset vote — repair or remove the file after verifying the cluster's epoch", path, len(data))
+		return 0, "", fmt.Errorf("replication: persisted vote %s is corrupt (%d bytes); %s", voteFileName, len(data), refuse)
 	}
 	term, perr := strconv.ParseUint(strings.TrimSpace(lines[0]), 10, 64)
 	if perr != nil {
-		return 0, "", fmt.Errorf("replication: persisted vote %s is corrupt: %v; refusing to rejoin with a reset vote — repair or remove the file after verifying the cluster's epoch", path, perr)
+		return 0, "", fmt.Errorf("replication: persisted vote %s is corrupt: %v; %s", voteFileName, perr, refuse)
 	}
 	return term, strings.TrimSpace(lines[1]), nil
 }

@@ -161,7 +161,6 @@ func newClusterNode(t *testing.T, fb *fabric, dir, self string, peers []string, 
 		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: self, addr: addr}, nil },
 		InitialPrimary:  initialPrimary,
 		InitialLeader:   initialLeader,
-		StateDir:        dir,
 		ElectionTimeout: testElectionTimeout,
 		FollowerOpts: []FollowerOption{
 			WithFollowerName(self),
@@ -416,7 +415,6 @@ func TestHandleVoteRules(t *testing.T) {
 		Peers:           []string{"a", "b"},
 		Store:           st,
 		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
-		StateDir:        dir,
 		ElectionTimeout: time.Hour, // the loop must not interfere
 	})
 	if err != nil {
@@ -467,7 +465,6 @@ func TestVotePersistsAcrossRestart(t *testing.T) {
 			Peers:           []string{"a", "b"},
 			Store:           st,
 			Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
-			StateDir:        dir,
 			ElectionTimeout: time.Hour,
 		})
 		if err != nil {
@@ -514,7 +511,6 @@ func TestHandleLeadFencesStaleClaims(t *testing.T) {
 		Peers:           []string{"a", "b"},
 		Store:           st,
 		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
-		StateDir:        dir,
 		ElectionTimeout: time.Hour,
 	})
 	if err != nil {
@@ -586,7 +582,6 @@ func TestTornWALTailVotesTruncatedOffset(t *testing.T) {
 		Peers:           []string{"a", "b"},
 		Store:           st2,
 		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "torn", addr: addr}, nil },
-		StateDir:        dir,
 		ElectionTimeout: time.Hour,
 	})
 	if err != nil {
@@ -786,11 +781,10 @@ func TestCorruptVoteFileRefusesStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = NewNode(NodeConfig{
-			Self:     "n1",
-			Peers:    []string{"n2"},
-			Store:    st,
-			Dial:     func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "n1", addr: addr}, nil },
-			StateDir: dir,
+			Self:  "n1",
+			Peers: []string{"n2"},
+			Store: st,
+			Dial:  func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "n1", addr: addr}, nil },
 		})
 		st.Close()
 		if err == nil {
@@ -806,11 +800,10 @@ func TestCorruptVoteFileRefusesStart(t *testing.T) {
 	}
 	defer st.Close()
 	n, err := NewNode(NodeConfig{
-		Self:     "n1",
-		Peers:    []string{"n2"},
-		Store:    st,
-		Dial:     func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "n1", addr: addr}, nil },
-		StateDir: dir,
+		Self:  "n1",
+		Peers: []string{"n2"},
+		Store: st,
+		Dial:  func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "n1", addr: addr}, nil },
 	})
 	if err != nil {
 		t.Fatalf("fresh node refused to start: %v", err)
@@ -845,7 +838,6 @@ func TestNodeWithoutPeersIdles(t *testing.T) {
 					return fabricPeer{fb: fb, from: name, addr: addr}, nil
 				},
 				InitialPrimary:  primary,
-				StateDir:        dir,
 				ElectionTimeout: testElectionTimeout,
 				FollowerOpts:    []FollowerOption{WithFollowerBackoff(5 * time.Millisecond)},
 				Telemetry:       reg,

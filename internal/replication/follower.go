@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,8 +21,10 @@ import (
 	"nnexus/internal/wire"
 )
 
-// primaryEpochName is the file (inside the follower's state dir) that
-// persists which primary epoch the local state was synced under.
+// primaryEpochName is the state file of the follower's store that persists
+// which primary epoch the local state was synced under, so a restarted
+// follower can tell whether its replayed WAL still belongs to the primary's
+// current history.
 const primaryEpochName = "primary.epoch"
 
 // Source is the follower's view of its primary — the three replication
@@ -67,7 +69,6 @@ type Follower struct {
 	store      *storage.Store
 	applier    Applier
 	name       string
-	stateDir   string
 	wait       time.Duration
 	backoff    time.Duration
 	backoffMax time.Duration
@@ -111,13 +112,6 @@ func WithFollowerName(name string) FollowerOption {
 // redirects and replStatus responses.
 func WithLeaderAddr(addr string) FollowerOption {
 	return func(f *Follower) { f.leader = addr }
-}
-
-// WithStateDir persists the primary epoch under dir, so a restarted
-// follower can tell whether its replayed WAL still belongs to the primary's
-// current history (empty = re-bootstrap on every restart).
-func WithStateDir(dir string) FollowerOption {
-	return func(f *Follower) { f.stateDir = dir }
 }
 
 // WithFollowerWait sets the long-poll duration requested from the primary
@@ -180,7 +174,13 @@ func NewFollower(store *storage.Store, applier Applier, src Source, opts ...Foll
 	for _, o := range opts {
 		o(f)
 	}
-	f.epoch = f.loadPrimaryEpoch()
+	// An epoch never saved (a memory-only store keeps none), unreadable or
+	// unparsable reads as 0, which mismatches any live primary epoch and
+	// forces a bootstrap: the safe default for unknown local state.
+	data, _ := store.LoadState(primaryEpochName)
+	if epoch, err := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64); err == nil {
+		f.epoch = epoch
+	}
 	f.applied = store.ReplicationHead()
 	return f, nil
 }
@@ -460,45 +460,9 @@ func (f *Follower) bootstrap() error {
 	f.head = payload.Head
 	f.applied = payload.Head
 	f.mu.Unlock()
-	if err := f.savePrimaryEpoch(payload.Epoch); err != nil {
-		return err
-	}
-	_ = src.ReplAck(f.name, payload.Head, payload.Epoch)
-	return nil
-}
-
-// loadPrimaryEpoch reads the persisted primary epoch (0 when absent, which
-// mismatches any live primary epoch and forces a bootstrap — the safe
-// default for unknown local state).
-func (f *Follower) loadPrimaryEpoch() uint64 {
-	if f.stateDir == "" {
-		return 0
-	}
-	data, err := os.ReadFile(filepath.Join(f.stateDir, primaryEpochName))
-	if err != nil {
-		return 0
-	}
-	s := string(data)
-	for len(s) > 0 && (s[len(s)-1] == '\n' || s[len(s)-1] == '\r') {
-		s = s[:len(s)-1]
-	}
-	n, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-func (f *Follower) savePrimaryEpoch(epoch uint64) error {
-	if f.stateDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(f.stateDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(f.stateDir, primaryEpochName)
-	if err := os.WriteFile(path, []byte(strconv.FormatUint(epoch, 10)+"\n"), 0o644); err != nil {
+	if err := f.store.SaveState(primaryEpochName, []byte(strconv.FormatUint(payload.Epoch, 10)+"\n")); err != nil {
 		return fmt.Errorf("replication: persist primary epoch: %w", err)
 	}
+	_ = src.ReplAck(f.name, payload.Head, payload.Epoch)
 	return nil
 }

@@ -28,7 +28,6 @@ func TestFailoverTelemetryExposition(t *testing.T) {
 		Peers:           []string{"a", "b"},
 		Store:           st,
 		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
-		StateDir:        dir,
 		ElectionTimeout: time.Hour,
 		Telemetry:       reg,
 	})

@@ -63,7 +63,6 @@ type Server struct {
 	svc *service.Service
 
 	maxRequestBytes int64
-	idleTimeout     time.Duration
 	writeTimeout    time.Duration
 	handlerTimeout  time.Duration
 	maxConns        int
@@ -170,12 +169,6 @@ func WithMaxRequestBytes(n int64) Option {
 			s.maxRequestBytes = n
 		}
 	}
-}
-
-// WithIdleTimeout disconnects clients that send no request for the given
-// duration. Zero (the default) disables the timeout.
-func WithIdleTimeout(d time.Duration) Option {
-	return func(s *Server) { s.idleTimeout = d }
 }
 
 // WithWriteTimeout bounds writing one response to a client; a peer that
@@ -442,11 +435,6 @@ func (s *Server) serveConn(nc net.Conn) {
 	dec.SetLimit(s.maxRequestBytes)
 	started := 0
 	for {
-		if s.idleTimeout > 0 {
-			_ = nc.SetReadDeadline(time.Now().Add(s.idleTimeout))
-		}
-		// Checked after the deadline is set: either this sees the drain, or
-		// the drain's own deadline lands after this one and ends the read.
 		if s.draining.Load() {
 			return
 		}

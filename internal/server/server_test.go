@@ -308,37 +308,6 @@ func TestMaxRequestBytes(t *testing.T) {
 	}
 }
 
-func TestIdleTimeout(t *testing.T) {
-	engine, err := core.NewEngine(core.Config{Scheme: classification.SampleMSC(10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(service.New(engine), nil, WithIdleTimeout(80*time.Millisecond))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	c, err := client.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(250 * time.Millisecond) // idle past the timeout
-	// The server dropped the idle connection; the self-healing client
-	// notices and transparently reconnects, so the ping still succeeds
-	// but only via a fresh connection.
-	if err := c.Ping(); err != nil {
-		t.Errorf("ping after idle drop: %v", err)
-	}
-	if c.Reconnects() == 0 {
-		t.Error("idle connection survived the timeout (client never reconnected)")
-	}
-}
-
 func BenchmarkServerLinkTextOverSocket(b *testing.B) {
 	engine, err := core.NewEngine(core.Config{Scheme: classification.SampleMSC(10)})
 	if err != nil {

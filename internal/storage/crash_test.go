@@ -317,7 +317,7 @@ func TestChaosWALWriteFailure(t *testing.T) {
 // authoritative, the store keeps serving, and reopen recovers everything.
 func TestChaosSnapshotWriteFailureLeavesStoreRecoverable(t *testing.T) {
 	dir := t.TempDir()
-	fn, _ := walInjector(snapshotTmp, faultinject.FailFileWriteAfter(1, nil))
+	fn, _ := walInjector(snapshotName+".tmp", faultinject.FailFileWriteAfter(1, nil))
 	s, err := Open(dir, WithSyncWrites(), WithOpenFile(fn))
 	if err != nil {
 		t.Fatal(err)
@@ -345,6 +345,72 @@ func TestChaosSnapshotWriteFailureLeavesStoreRecoverable(t *testing.T) {
 	}
 	defer r.Close()
 	checkState(t, r, map[string]string{"k1": "v1", "k2": "v2"}, "after failed compact")
+}
+
+// TestCompactSyncsDirBeforeTruncatingWAL: Compact fsyncs the directory after
+// renaming the snapshot into place and before truncating the WAL. Without
+// that fsync a power cut can keep the truncation and lose the rename, and
+// with it every acknowledged write the snapshot held.
+func TestCompactSyncsDirBeforeTruncatingWAL(t *testing.T) {
+	dir := t.TempDir()
+	var events []string
+	open := func(name string, flag int, perm os.FileMode) (File, error) {
+		f, err := os.OpenFile(name, flag, perm)
+		if err != nil {
+			return nil, err
+		}
+		return &recordingFile{File: f, name: name, dir: dir, events: &events}, nil
+	}
+	s, err := Open(dir, WithSyncWrites(), WithOpenFile(open))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put("t", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	events = nil
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	synced := -1
+	for i, e := range events {
+		switch e {
+		case "sync dir after rename":
+			synced = i
+		case "truncate wal to 0":
+			if synced < 0 {
+				t.Fatalf("WAL truncated before a directory fsync made the snapshot's rename durable: %q", events)
+			}
+			return
+		}
+	}
+	t.Fatalf("Compact never truncated the WAL: %q", events)
+}
+
+// recordingFile logs the calls Compact's ordering depends on.
+type recordingFile struct {
+	File
+	name, dir string
+	events    *[]string
+}
+
+func (f *recordingFile) Sync() error {
+	if f.name == f.dir {
+		_, snap := os.Stat(filepath.Join(f.dir, snapshotName))
+		_, tmp := os.Stat(filepath.Join(f.dir, snapshotName+".tmp"))
+		if snap == nil && os.IsNotExist(tmp) {
+			*f.events = append(*f.events, "sync dir after rename")
+		}
+	}
+	return f.File.Sync()
+}
+
+func (f *recordingFile) Truncate(size int64) error {
+	if filepath.Base(f.name) == walName && size == 0 {
+		*f.events = append(*f.events, "truncate wal to 0")
+	}
+	return f.File.Truncate(size)
 }
 
 func TestStoreReady(t *testing.T) {

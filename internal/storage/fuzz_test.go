@@ -10,14 +10,13 @@ func FuzzDecodeBody(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, table, key, value, err := decodeBody(data)
+		o, _, err := decodeOne(data)
 		if err != nil {
 			return
 		}
 		// A successfully decoded body re-encodes to an equivalent record.
-		re := encodeBody(op, table, key, value)
-		op2, t2, k2, v2, err := decodeBody(re)
-		if err != nil || op2 != op || t2 != table || k2 != key || string(v2) != string(value) {
+		o2, _, err := decodeOne(encodeBody(o.op, o.table, o.key, o.value))
+		if err != nil || o2.op != o.op || o2.table != o.table || o2.key != o.key || string(o2.value) != string(o.value) {
 			t.Fatalf("round trip failed for %q", data)
 		}
 	})

@@ -20,16 +20,15 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
+	"strings"
 )
 
 const (
-	epochName  = "repl.epoch"
-	markerName = "repl.clean"
+	// replStateName holds the replication epoch and, after a clean Close, the
+	// cleanFlag line that lets the next Open keep it.
+	replStateName = "repl.epoch"
+	cleanFlag     = "clean"
 
 	// defaultReplRetain bounds the in-memory replication log. Followers
 	// lagging more than this many records re-bootstrap from a snapshot
@@ -151,10 +150,8 @@ func (s *Store) SetReplicationEpoch(epoch uint64) error {
 		return nil
 	}
 	s.repl.epoch = epoch
-	if s.dir != "" {
-		if err := writeEpochFile(s.dir, epoch); err != nil {
-			return err
-		}
+	if err := s.saveEpochLocked(false); err != nil {
+		return err
 	}
 	// Wake blocked subscribers so they observe the epoch change promptly
 	// (and answer their followers with Reset instead of idling out).
@@ -221,53 +218,14 @@ func (s *Store) ExportState() (ops []BatchOp, head, epoch uint64, err error) {
 	if s.closed {
 		return nil, 0, 0, ErrClosed
 	}
-	tableNames := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		tableNames = append(tableNames, name)
-	}
-	sort.Strings(tableNames)
-	for _, table := range tableNames {
-		t := s.tables[table]
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			ops = append(ops, BatchOp{
-				Table: table,
-				Key:   key,
-				Value: append([]byte(nil), t[key]...),
-			})
-		}
-	}
+	s.eachLocked(func(table, key string, value []byte) error {
+		ops = append(ops, BatchOp{Table: table, Key: key, Value: append([]byte(nil), value...)})
+		return nil
+	})
 	if s.repl != nil {
 		epoch = s.repl.epoch
 	}
 	return ops, s.head, epoch, nil
-}
-
-// decodeRecordLogOps decodes an encoded WAL record body into logOps,
-// validating every op code.
-func decodeRecordLogOps(body []byte) ([]logOp, error) {
-	if len(body) == 0 {
-		return nil, errors.New("storage: empty record body")
-	}
-	if body[0] == opBatch {
-		decoded, err := decodeBatchBody(body)
-		if err != nil {
-			return nil, fmt.Errorf("storage: decode batch record: %w", err)
-		}
-		return decoded, nil
-	}
-	o, _, err := decodeOne(body)
-	if err != nil {
-		return nil, fmt.Errorf("storage: decode record: %w", err)
-	}
-	if o.op != opPut && o.op != opDelete {
-		return nil, fmt.Errorf("storage: record op %d unknown", o.op)
-	}
-	return []logOp{o}, nil
 }
 
 // DecodeRecord decodes an encoded WAL record body (as returned by
@@ -349,26 +307,12 @@ func (s *Store) ResetFromExport(ops []BatchOp, head uint64) error {
 		return err
 	}
 	if s.wal != nil {
-		if err := s.wal.Truncate(0); err != nil {
+		if err := s.resetWALLocked(); err != nil {
 			return err
 		}
-		if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		s.walBuf.Reset(s.wal)
-		s.walLen = 0
-		s.walAck = 0
 	}
 	s.tables = make(map[string]map[string][]byte)
-	lops := make([]logOp, len(ops))
-	for i, o := range ops {
-		if o.Delete {
-			lops[i] = logOp{op: opDelete, table: o.Table, key: o.Key}
-		} else {
-			lops[i] = logOp{op: opPut, table: o.Table, key: o.Key, value: o.Value}
-		}
-	}
-	s.applyLocked(lops)
+	s.applyLocked(toLogOps(ops))
 	s.head = head
 	if s.repl != nil {
 		// This store's own streamed history restarts at head: bump the epoch
@@ -376,10 +320,8 @@ func (s *Store) ResetFromExport(ops []BatchOp, head uint64) error {
 		s.repl.epoch++
 		s.repl.base = head
 		s.repl.log = nil
-		if s.dir != "" {
-			if err := writeEpochFile(s.dir, s.repl.epoch); err != nil {
-				return err
-			}
+		if err := s.saveEpochLocked(false); err != nil {
+			return err
 		}
 		s.notifyWatchersLocked()
 	}
@@ -457,65 +399,48 @@ func (s *Store) poisonLocked() {
 	s.repl.epoch++
 	s.repl.base = s.head
 	s.repl.log = nil
-	if s.dir != "" {
-		_ = writeEpochFile(s.dir, s.repl.epoch)
-	}
+	_ = s.saveEpochLocked(false)
 	s.notifyWatchersLocked()
 }
 
 // loadEpochLocked establishes the replication epoch during Open. A clean
-// marker left by the previous Close proves the WAL matches the streamed
-// history, so the epoch is kept; otherwise (crash, poison, or first open)
-// it bumps, invalidating any follower offsets from the previous run.
+// flag left by the previous Close proves the WAL matches the streamed
+// history, so the epoch is kept; otherwise (crash, poison, first open, or a
+// file that holds only an epoch) it bumps, invalidating any follower offsets
+// from the previous run. The file is rewritten without the flag before Open
+// returns, so a crash from here on reads as unclean. A file that does not
+// parse refuses the open: restarting the epoch would move it backwards.
 func (s *Store) loadEpochLocked() error {
-	epoch := readEpochFile(s.dir)
-	marker := filepath.Join(s.dir, markerName)
-	if _, err := os.Stat(marker); err == nil {
-		if err := os.Remove(marker); err != nil {
-			return fmt.Errorf("storage: remove clean marker: %w", err)
+	data, err := s.LoadState(replStateName)
+	if err != nil {
+		return err
+	}
+	var epoch uint64
+	clean := false
+	if data != nil {
+		f := strings.Fields(string(data))
+		if len(f) > 0 {
+			epoch, err = strconv.ParseUint(f[0], 10, 64)
 		}
-	} else {
+		if len(f) == 0 || len(f) > 2 || err != nil || len(f) == 2 && f[1] != cleanFlag {
+			return fmt.Errorf("storage: %s in %s is corrupt; refusing to open with a reset replication epoch", replStateName, s.dir)
+		}
+		clean = len(f) == 2
+	}
+	if !clean {
 		epoch++
-		if err := writeEpochFile(s.dir, epoch); err != nil {
-			return err
-		}
 	}
 	s.repl.epoch = epoch
-	return nil
+	return s.saveEpochLocked(false)
 }
 
-// writeCleanMarkerLocked records on Close that the WAL exactly matches the
-// streamed history, letting the next Open keep the epoch.
-func (s *Store) writeCleanMarkerLocked() {
-	if s.repl == nil || s.dir == "" || s.repl.poisoned {
-		return
+// saveEpochLocked persists the replication epoch, with the clean flag only
+// when the store is closing with a WAL that matches the streamed history.
+func (s *Store) saveEpochLocked(clean bool) error {
+	data := strconv.AppendUint(nil, s.repl.epoch, 10)
+	data = append(data, '\n')
+	if clean {
+		data = append(data, cleanFlag+"\n"...)
 	}
-	_ = os.WriteFile(filepath.Join(s.dir, markerName), []byte("1\n"), 0o644)
-}
-
-func readEpochFile(dir string) uint64 {
-	data, err := os.ReadFile(filepath.Join(dir, epochName))
-	if err != nil {
-		return 0
-	}
-	n, err := strconv.ParseUint(string(trimNL(data)), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-func writeEpochFile(dir string, epoch uint64) error {
-	path := filepath.Join(dir, epochName)
-	if err := os.WriteFile(path, []byte(strconv.FormatUint(epoch, 10)+"\n"), 0o644); err != nil {
-		return fmt.Errorf("storage: write epoch: %w", err)
-	}
-	return nil
-}
-
-func trimNL(b []byte) []byte {
-	for len(b) > 0 && (b[len(b)-1] == '\n' || b[len(b)-1] == '\r') {
-		b = b[:len(b)-1]
-	}
-	return b
+	return s.SaveState(replStateName, data)
 }

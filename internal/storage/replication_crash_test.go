@@ -341,7 +341,7 @@ func TestChaosReplRetentionAndCompaction(t *testing.T) {
 
 // TestChaosReplEpochBumpOnUncleanOpen proves a crashed primary cannot hand
 // followers a silently different history: reopening without the clean
-// marker bumps the epoch, and a clean close/open keeps it.
+// flag bumps the epoch, and a clean close/open keeps it.
 func TestChaosReplEpochBumpOnUncleanOpen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, WithReplication())
@@ -356,7 +356,7 @@ func TestChaosReplEpochBumpOnUncleanOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Clean close → clean marker → epoch preserved.
+	// Clean close → clean flag → epoch preserved.
 	s2, err := Open(dir, WithReplication())
 	if err != nil {
 		t.Fatal(err)
@@ -364,9 +364,14 @@ func TestChaosReplEpochBumpOnUncleanOpen(t *testing.T) {
 	if got := s2.ReplicationEpoch(); got != epoch0 {
 		t.Errorf("epoch after clean reopen = %d, want %d", got, epoch0)
 	}
-	// Simulate a crash: remove the clean marker the next Open would consume.
+	// Simulate a crash: put back the state file as the open store left it,
+	// without the clean flag its Close adds.
+	open, err := os.ReadFile(filepath.Join(dir, replStateName))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s2.Close()
-	if err := os.Remove(filepath.Join(dir, markerName)); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, replStateName), open, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s3, err := Open(dir, WithReplication())
@@ -376,6 +381,41 @@ func TestChaosReplEpochBumpOnUncleanOpen(t *testing.T) {
 	defer s3.Close()
 	if got := s3.ReplicationEpoch(); got != epoch0+1 {
 		t.Errorf("epoch after unclean reopen = %d, want %d", got, epoch0+1)
+	}
+}
+
+// TestCorruptReplStateRefusesOpen: a replication state file that does not
+// parse fails Open with an error naming it. Reading it as epoch 0 would
+// restart the epoch at 1, behind what followers already saw. A file that
+// holds only an epoch, as one written before the clean flag existed, opens
+// as unclean: one bump.
+func TestCorruptReplStateRefusesOpen(t *testing.T) {
+	for _, body := range []string{"garbage\n", "", "7\nclean\nextra\n", "7\ndirty\n"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, replStateName), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, WithReplication())
+		if err == nil {
+			s.Close()
+			t.Fatalf("Open accepted a %s holding %q", replStateName, body)
+		}
+		if !strings.Contains(err.Error(), replStateName) {
+			t.Errorf("error %q does not name %s", err, replStateName)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, replStateName), []byte("7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, WithReplication())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.ReplicationEpoch(); got != 8 {
+		t.Errorf("epoch from an epoch-only file = %d, want 8", got)
 	}
 }
 

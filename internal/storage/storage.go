@@ -9,6 +9,20 @@
 //   - recovery loads the snapshot and replays the log, tolerating a torn
 //     tail from a crash mid-append.
 //
+// A data directory holds the WAL and the small files written beside it:
+//
+//	wal.log         the write-ahead log, appended record by record
+//	snapshot.dat    the state as of the last Compact (or follower reset)
+//	repl.epoch      the replication epoch and whether the last Close was clean
+//	election.epoch  a failover node's election epoch and vote (internal/replication)
+//	primary.epoch   the primary epoch a follower's state is synced under (ditto)
+//
+// Every file but the WAL is written one way, by the store: a temp file is
+// written, fsynced and renamed over the old one, then the directory is
+// fsynced. A crash leaves the old file or the new one, never a torn one, and
+// a write that returned survives power loss. Other packages keep their files
+// through SaveState and LoadState.
+//
 // Keys are grouped into named tables; values are opaque bytes (the callers
 // use encoding/json or encoding/xml for their records). A Store opened with
 // an empty directory runs purely in memory, which is how the engine runs in
@@ -35,7 +49,6 @@ import (
 const (
 	walName      = "wal.log"
 	snapshotName = "snapshot.dat"
-	snapshotTmp  = "snapshot.tmp"
 
 	opPut    byte = 1
 	opDelete byte = 2
@@ -104,6 +117,18 @@ type BatchOp struct {
 	Key    string
 	Value  []byte
 	Delete bool
+}
+
+func toLogOps(ops []BatchOp) []logOp {
+	lops := make([]logOp, len(ops))
+	for i, o := range ops {
+		if o.Delete {
+			lops[i] = logOp{op: opDelete, table: o.Table, key: o.Key}
+		} else {
+			lops[i] = logOp{op: opPut, table: o.Table, key: o.Key, value: o.Value}
+		}
+	}
+	return lops
 }
 
 // Store is a durable, table-scoped key-value store. All methods are safe
@@ -191,8 +216,9 @@ func batchSizeHistogram(reg *telemetry.Registry) *telemetry.Histogram {
 		1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 }
 
-// WithOpenFile routes the store's writable file opens (WAL, snapshot temp)
-// through fn instead of os.OpenFile. Used by fault-injection tests.
+// WithOpenFile routes every file the store writes through fn instead of
+// os.OpenFile: the WAL, each temp file of the atomic writer, and the
+// directory that writer fsyncs. Used by fault-injection tests.
 func WithOpenFile(fn OpenFileFunc) Option {
 	return func(s *Store) { s.openFile = fn }
 }
@@ -246,6 +272,81 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
+// SaveState replaces the state file name in the store's directory with data,
+// atomically and durably (see the package comment). A memory-only store
+// keeps nothing. name must not be one of the store's own files. SaveState
+// takes no store lock, so a caller may hold its own mutex across it; calls
+// for one name must not run concurrently.
+func (s *Store) SaveState(name string, data []byte) error {
+	if s.dir == "" {
+		return nil
+	}
+	return s.writeFileAtomic(name, func(w *bufio.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// LoadState returns the contents of the state file name: nil when it was
+// never saved, or the store is memory-only. The temp file of a save that a
+// crash interrupted is never read.
+func (s *Store) LoadState(name string) ([]byte, error) {
+	if s.dir == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(filepath.Join(s.dir, name))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("storage: read %s: %w", name, err)
+	}
+	return data, nil
+}
+
+// writeFileAtomic is the one way the store writes a file other than the WAL:
+// fill writes a temp file opened through openFile, which is fsynced and
+// renamed over name, and then the directory is fsynced so that the rename
+// itself survives power loss.
+func (s *Store) writeFileAtomic(name string, fill func(w *bufio.Writer) error) error {
+	path := filepath.Join(s.dir, name)
+	tmp := path + ".tmp"
+	err := s.fsyncFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, fill)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		err = s.fsyncFile(s.dir, os.O_RDONLY, nil)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("storage: write %s: %w", name, err)
+	}
+	return nil
+}
+
+// fsyncFile opens name through openFile, lets fill (if any) write it, then
+// fsyncs and closes it.
+func (s *Store) fsyncFile(name string, flag int, fill func(w *bufio.Writer) error) error {
+	f, err := s.openFile(name, flag, 0o644)
+	if err != nil {
+		return err
+	}
+	if fill != nil {
+		w := bufio.NewWriter(f)
+		if err = fill(w); err == nil {
+			err = w.Flush()
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // Put stores value under (table, key), overwriting any previous value.
 func (s *Store) Put(table, key string, value []byte) error {
 	return s.mutate([]logOp{{op: opPut, table: table, key: key, value: value}}, false)
@@ -265,15 +366,7 @@ func (s *Store) PutBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	wops := make([]logOp, len(ops))
-	for i, o := range ops {
-		if o.Delete {
-			wops[i] = logOp{op: opDelete, table: o.Table, key: o.Key}
-		} else {
-			wops[i] = logOp{op: opPut, table: o.Table, key: o.Key, value: o.Value}
-		}
-	}
-	return s.mutate(wops, true)
+	return s.mutate(toLogOps(ops), true)
 }
 
 // mutate appends ops to the WAL (as one record when batch, else as a single
@@ -323,75 +416,49 @@ func (s *Store) mutate(ops []logOp, batch bool) error {
 func (s *Store) waitDurable(seq uint64) error {
 	c := &s.commit
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
 		if c.durable >= seq {
-			c.mu.Unlock()
 			return nil
 		}
 		if c.failedUpto >= seq {
-			err := c.err
-			c.mu.Unlock()
-			return err
+			return c.err
 		}
-		if !c.leading {
-			c.leading = true
-			c.mu.Unlock()
-			upto, err := s.commitOnce()
-			c.mu.Lock()
-			c.leading = false
-			if err == nil {
-				if upto > c.durable {
-					c.durable = upto
-				}
-			} else if upto > c.failedUpto {
-				c.failedUpto = upto
-				c.err = err
-			}
-			c.cond.Broadcast()
+		if c.leading {
+			c.cond.Wait()
 			continue
 		}
-		c.cond.Wait()
+		c.leading = true
+		c.mu.Unlock()
+		s.commitOnce()
+		c.mu.Lock()
+		c.leading = false
+		// Wake a writer that staged after this round began: it leads next.
+		c.cond.Broadcast()
 	}
 }
 
-// commitOnce runs one group-commit round: flush + fsync the WAL, then apply
-// every staged mutation in seq order. It returns the highest staged seq the
-// round covered. On error the covered staged appends are dropped without
-// being applied — their writers observe the error and the records, though
-// possibly on disk, are unacknowledged (the crash-test contract tolerates
-// unacknowledged records surviving a sync failure, matching the previous
-// fsync-per-append behavior).
-func (s *Store) commitOnce() (uint64, error) {
+// commitOnce runs one group-commit round: after the gathering window, it
+// commits everything staged so far. A round that finds nothing staged —
+// Close, Compact or Sync committed it first — does not fsync.
+func (s *Store) commitOnce() {
 	if s.window > 0 {
 		time.Sleep(s.window)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	upto := s.appendSeq
-	if len(s.staged) == 0 {
-		// Close or Compact already committed everything staged.
-		return upto, nil
+	if len(s.staged) > 0 {
+		s.commitStagedLocked()
 	}
-	err := s.syncLocked()
-	if err == nil {
-		for _, st := range s.staged {
-			s.applyRecordLocked(st.ops, st.body)
-		}
-		s.telBatch.Observe(float64(len(s.staged)))
-	} else {
-		// The covered records are on disk but unacknowledged; restore the
-		// WAL to the acknowledged prefix so the on-disk history keeps
-		// matching what replication has streamed.
-		s.rollbackWALLocked()
-	}
-	s.staged = s.staged[:0]
-	return upto, err
 }
 
-// commitStagedLocked makes every staged append durable and applied (or
-// dropped, on error) before the caller changes the WAL's identity — Close,
-// Compact and Sync use it so acknowledged writes can never be lost to a
-// truncation or close that outruns a pending group-commit round.
+// commitStagedLocked flushes and fsyncs the WAL, then applies every staged
+// append in seq order and reports each one's fate to its waiting writer. On
+// error the staged appends are dropped without being applied: their writers
+// observe the error, and the records, though possibly on disk, are
+// unacknowledged. Group-commit rounds use it, and so do Close, Compact and
+// Sync, so acknowledged writes can never be lost to a truncation or close
+// that outruns a pending round.
 func (s *Store) commitStagedLocked() error {
 	err := s.syncLocked()
 	upto := s.appendSeq
@@ -403,15 +470,15 @@ func (s *Store) commitStagedLocked() error {
 			s.telBatch.Observe(float64(len(s.staged)))
 		}
 	} else {
+		// Restore the WAL to the acknowledged prefix so the on-disk history
+		// keeps matching what replication has streamed.
 		s.rollbackWALLocked()
 	}
 	s.staged = s.staged[:0]
 	c := &s.commit
 	c.mu.Lock()
 	if err == nil {
-		if upto > c.durable {
-			c.durable = upto
-		}
+		c.durable = max(c.durable, upto)
 	} else if upto > c.failedUpto {
 		c.failedUpto = upto
 		c.err = err
@@ -467,12 +534,8 @@ func (s *Store) Get(table, key string) ([]byte, bool) {
 func (s *Store) Scan(table string, fn func(key string, value []byte) bool) {
 	s.mu.RLock()
 	t := s.tables[table]
-	keys := make([]string, 0, len(t))
-	for k := range t {
-		keys = append(keys, k)
-	}
+	keys := sortedKeys(t)
 	vals := make([][]byte, len(keys))
-	sort.Strings(keys)
 	for i, k := range keys {
 		vals[i] = append([]byte(nil), t[k]...)
 	}
@@ -495,12 +558,30 @@ func (s *Store) Len(table string) int {
 func (s *Store) Tables() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		out = append(out, name)
+	return sortedKeys(s.tables)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(keys)
+	return keys
+}
+
+// eachLocked calls fn for every (table, key) in sorted order, the order of
+// snapshots and exports, so both are reproducible. Callers hold s.mu.
+func (s *Store) eachLocked(fn func(table, key string, value []byte) error) error {
+	for _, table := range sortedKeys(s.tables) {
+		t := s.tables[table]
+		for _, key := range sortedKeys(t) {
+			if err := fn(table, key, t[key]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // WALSize returns the bytes accumulated in the write-ahead log since the
@@ -558,13 +639,27 @@ func (s *Store) Compact() error {
 	if err := s.commitStagedLocked(); err != nil {
 		return err
 	}
+	// The WAL is truncated only after the snapshot, and its rename, are
+	// durable.
 	if err := s.writeSnapshotLocked(); err != nil {
 		return err
 	}
-	// Truncate the WAL only after the snapshot is durable.
-	if err := s.walBuf.Flush(); err != nil {
+	if err := s.resetWALLocked(); err != nil {
 		return err
 	}
+	// Records below the snapshot are now only reachable through a snapshot
+	// export; advance the replication base and drop the retained log so
+	// lagging subscribers observe ErrCompacted and re-bootstrap.
+	if s.repl != nil {
+		s.repl.base = s.head
+		s.repl.log = nil
+	}
+	return nil
+}
+
+// resetWALLocked empties the WAL once everything in it is committed and
+// superseded by a snapshot.
+func (s *Store) resetWALLocked() error {
 	if err := s.wal.Truncate(0); err != nil {
 		return err
 	}
@@ -574,13 +669,6 @@ func (s *Store) Compact() error {
 	s.walBuf.Reset(s.wal)
 	s.walLen = 0
 	s.walAck = 0
-	// Records below the snapshot are now only reachable through a snapshot
-	// export; advance the replication base and drop the retained log so
-	// lagging subscribers observe ErrCompacted and re-bootstrap.
-	if s.repl != nil {
-		s.repl.base = s.head
-		s.repl.log = nil
-	}
 	return nil
 }
 
@@ -598,14 +686,26 @@ func (s *Store) Close() error {
 			err = cerr
 		}
 	}
-	if err == nil {
-		s.writeCleanMarkerLocked()
+	if err == nil && s.repl != nil && !s.repl.poisoned {
+		// The WAL now matches the streamed history exactly, which lets the
+		// next Open keep the epoch.
+		err = s.saveEpochLocked(true)
 	}
 	s.closed = true
 	return err
 }
 
-// writeRecordLocked writes one WAL record into the log buffer. Layout:
+// writeRecordLocked appends one framed record to the WAL buffer.
+func (s *Store) writeRecordLocked(body []byte) error {
+	if err := writeRecord(s.walBuf, body); err != nil {
+		return fmt.Errorf("storage: wal append: %w", err)
+	}
+	s.walLen += int64(8 + len(body))
+	s.nappends.Add(1)
+	return nil
+}
+
+// writeRecord frames one record, in the WAL and the snapshot alike:
 //
 //	crc32(body) uint32 | bodyLen uint32 | body
 //	body = op byte | tableLen uvarint | table | keyLen uvarint | key
@@ -617,39 +717,48 @@ func (s *Store) Close() error {
 //
 // where each sub-body is a plain (self-delimiting) single-op body. The CRC
 // covers the whole batch, so a torn tail drops the batch atomically.
-func (s *Store) writeRecordLocked(body []byte) error {
+func writeRecord(w *bufio.Writer, body []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(body))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body)))
-	if _, err := s.walBuf.Write(hdr[:]); err != nil {
-		return fmt.Errorf("storage: wal append: %w", err)
+	w.Write(hdr[:]) // a bufio.Writer's error is sticky: the next Write returns it
+	_, err := w.Write(body)
+	return err
+}
+
+// readRecord reads and checks one framed record.
+func readRecord(r *bufio.Reader) ([]byte, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
 	}
-	if _, err := s.walBuf.Write(body); err != nil {
-		return fmt.Errorf("storage: wal append: %w", err)
+	n := binary.LittleEndian.Uint32(hdr[4:8])
+	if n > maxEntrySize {
+		return nil, errors.New("oversized record")
 	}
-	s.walLen += int64(len(hdr) + len(body))
-	s.nappends.Add(1)
-	return nil
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[0:4]) {
+		return nil, errors.New("checksum mismatch")
+	}
+	return body, nil
 }
 
 func encodeBody(op byte, table, key string, value []byte) []byte {
 	buf := make([]byte, 0, 1+3*binary.MaxVarintLen64+len(table)+len(key)+len(value))
-	buf = append(buf, op)
-	buf = binary.AppendUvarint(buf, uint64(len(table)))
-	buf = append(buf, table...)
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = append(buf, key...)
-	buf = binary.AppendUvarint(buf, uint64(len(value)))
-	buf = append(buf, value...)
-	return buf
+	return appendOp(buf, logOp{op: op, table: table, key: key, value: value})
 }
 
-func decodeBody(body []byte) (op byte, table, key string, value []byte, err error) {
-	o, _, err := decodeOne(body)
-	if err != nil {
-		return 0, "", "", nil, err
-	}
-	return o.op, o.table, o.key, o.value, nil
+func appendOp(buf []byte, o logOp) []byte {
+	buf = append(buf, o.op)
+	buf = binary.AppendUvarint(buf, uint64(len(o.table)))
+	buf = append(buf, o.table...)
+	buf = binary.AppendUvarint(buf, uint64(len(o.key)))
+	buf = append(buf, o.key...)
+	buf = binary.AppendUvarint(buf, uint64(len(o.value)))
+	return append(buf, o.value...)
 }
 
 // decodeOne decodes a single-op body from the front of buf and returns the
@@ -697,13 +806,7 @@ func encodeBatchBody(ops []logOp) []byte {
 	buf = append(buf, opBatch)
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	for _, o := range ops {
-		buf = append(buf, o.op)
-		buf = binary.AppendUvarint(buf, uint64(len(o.table)))
-		buf = append(buf, o.table...)
-		buf = binary.AppendUvarint(buf, uint64(len(o.key)))
-		buf = append(buf, o.key...)
-		buf = binary.AppendUvarint(buf, uint64(len(o.value)))
-		buf = append(buf, o.value...)
+		buf = appendOp(buf, o)
 	}
 	return buf
 }
@@ -737,6 +840,29 @@ func decodeBatchBody(body []byte) ([]logOp, error) {
 	return ops, nil
 }
 
+// decodeRecordLogOps decodes an encoded WAL record body into logOps,
+// validating every op code.
+func decodeRecordLogOps(body []byte) ([]logOp, error) {
+	if len(body) == 0 {
+		return nil, errors.New("storage: empty record body")
+	}
+	if body[0] == opBatch {
+		decoded, err := decodeBatchBody(body)
+		if err != nil {
+			return nil, fmt.Errorf("storage: decode batch record: %w", err)
+		}
+		return decoded, nil
+	}
+	o, _, err := decodeOne(body)
+	if err != nil {
+		return nil, fmt.Errorf("storage: decode record: %w", err)
+	}
+	if o.op != opPut && o.op != opDelete {
+		return nil, fmt.Errorf("storage: record op %d unknown", o.op)
+	}
+	return []logOp{o}, nil
+}
+
 // replayWAL applies surviving WAL records over the snapshot state and
 // returns how many bytes of whole, valid records it consumed. A torn or
 // corrupt tail terminates replay silently (it is the expected result of a
@@ -754,104 +880,40 @@ func (s *Store) replayWAL() (valid int64, err error) {
 	defer f.Close()
 	r := bufio.NewReader(f)
 	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return valid, nil // clean EOF or torn header
-		}
-		want := binary.LittleEndian.Uint32(hdr[0:4])
-		n := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxEntrySize {
+		body, err := readRecord(r)
+		if err != nil {
 			return valid, nil
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return valid, nil // torn body
+		ops, err := decodeRecordLogOps(body)
+		if err != nil {
+			return valid, nil
 		}
-		if crc32.ChecksumIEEE(body) != want {
-			return valid, nil // corrupt record: stop replay
-		}
-		if len(body) > 0 && body[0] == opBatch {
-			ops, err := decodeBatchBody(body)
-			if err != nil {
-				return valid, nil
-			}
-			// The batch's CRC already matched, so it applies atomically.
-			s.applyLocked(ops)
-		} else {
-			op, table, key, value, err := decodeBody(body)
-			if err != nil {
-				return valid, nil
-			}
-			s.applyLocked([]logOp{{op: op, table: table, key: key, value: value}})
-		}
+		// The record's CRC matched, so a batch applies atomically.
+		s.applyLocked(ops)
 		s.head++
-		valid += int64(8 + n)
+		valid += int64(8 + len(body))
 	}
 }
 
-// writeSnapshotLocked writes the whole state to a temp file and atomically
-// renames it over the previous snapshot.
+// writeSnapshotLocked writes the whole state through the atomic writer.
 func (s *Store) writeSnapshotLocked() error {
-	tmp := filepath.Join(s.dir, snapshotTmp)
-	f, err := s.openFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: snapshot: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], snapshotVer)
-	count := 0
-	for _, t := range s.tables {
-		count += len(t)
-	}
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(count))
-	// v2: the replication head offset, so record numbering survives the WAL
-	// truncation that follows a compaction.
-	binary.LittleEndian.PutUint64(hdr[12:20], s.head)
-	if _, err := w.Write(hdr[:]); err != nil {
-		f.Close()
-		return err
-	}
-	// Deterministic order for reproducible snapshots.
-	tableNames := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		tableNames = append(tableNames, name)
-	}
-	sort.Strings(tableNames)
-	for _, table := range tableNames {
-		keys := make([]string, 0, len(s.tables[table]))
-		for k := range s.tables[table] {
-			keys = append(keys, k)
+	return s.writeFileAtomic(snapshotName, func(w *bufio.Writer) error {
+		var hdr [20]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], snapshotMagic)
+		binary.LittleEndian.PutUint32(hdr[4:8], snapshotVer)
+		count := 0
+		for _, t := range s.tables {
+			count += len(t)
 		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			body := encodeBody(opPut, table, key, s.tables[table][key])
-			var rec [8]byte
-			binary.LittleEndian.PutUint32(rec[0:4], crc32.ChecksumIEEE(body))
-			binary.LittleEndian.PutUint32(rec[4:8], uint32(len(body)))
-			if _, err := w.Write(rec[:]); err != nil {
-				f.Close()
-				return err
-			}
-			if _, err := w.Write(body); err != nil {
-				f.Close()
-				return err
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(s.dir, snapshotName))
+		binary.LittleEndian.PutUint32(hdr[8:12], uint32(count))
+		// v2: the replication head offset, so record numbering survives the
+		// WAL truncation that follows a compaction.
+		binary.LittleEndian.PutUint64(hdr[12:20], s.head)
+		w.Write(hdr[:]) // sticky: surfaces at the first record or the flush
+		return s.eachLocked(func(table, key string, value []byte) error {
+			return writeRecord(w, encodeBody(opPut, table, key, value))
+		})
+	})
 }
 
 func (s *Store) loadSnapshot() error {
@@ -884,32 +946,15 @@ func (s *Store) loadSnapshot() error {
 		s.head = binary.LittleEndian.Uint64(headBuf[:])
 	}
 	for i := uint32(0); i < count; i++ {
-		var rec [8]byte
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return fmt.Errorf("storage: snapshot record %d: %w", i, err)
+		body, err := readRecord(r)
+		var ops []logOp
+		if err == nil {
+			ops, err = decodeRecordLogOps(body)
 		}
-		want := binary.LittleEndian.Uint32(rec[0:4])
-		n := binary.LittleEndian.Uint32(rec[4:8])
-		if n > maxEntrySize {
-			return fmt.Errorf("storage: snapshot record %d: oversized", i)
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return fmt.Errorf("storage: snapshot record %d: %w", i, err)
-		}
-		if crc32.ChecksumIEEE(body) != want {
-			return fmt.Errorf("storage: snapshot record %d: checksum mismatch", i)
-		}
-		_, table, key, value, err := decodeBody(body)
 		if err != nil {
 			return fmt.Errorf("storage: snapshot record %d: %w", i, err)
 		}
-		t, ok := s.tables[table]
-		if !ok {
-			t = make(map[string][]byte)
-			s.tables[table] = t
-		}
-		t[key] = append([]byte(nil), value...)
+		s.applyLocked(ops)
 	}
 	return nil
 }

@@ -268,10 +268,11 @@ func TestSyncWritesOption(t *testing.T) {
 func TestBodyRoundTrip(t *testing.T) {
 	f := func(table, key string, value []byte) bool {
 		body := encodeBody(opPut, table, key, value)
-		op, tb, k, v, err := decodeBody(body)
-		if err != nil || op != opPut || tb != table || k != key {
+		o, _, err := decodeOne(body)
+		if err != nil || o.op != opPut || o.table != table || o.key != key {
 			return false
 		}
+		v := o.value
 		if len(v) != len(value) {
 			return false
 		}
@@ -469,5 +470,48 @@ func TestOpenOnFileFails(t *testing.T) {
 	}
 	if _, err := Open(path); err == nil {
 		t.Error("opening a store rooted at a regular file succeeded")
+	}
+}
+
+// TestStateFiles: SaveState and LoadState round-trip a file beside the WAL,
+// an absent file reads as nil, a memory-only store keeps nothing, and the
+// temp file of an interrupted save is never read.
+func TestStateFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if data, err := s.LoadState("vote"); data != nil || err != nil {
+		t.Fatalf("absent state = %q, %v; want nil, nil", data, err)
+	}
+	if err := s.SaveState("vote", []byte("3\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveState("vote", []byte("4\n")); err != nil {
+		t.Fatal(err)
+	}
+	// A crash mid-save leaves a temp file, for this name and for one never
+	// saved: neither is read.
+	for _, name := range []string{"vote.tmp", "other.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if data, err := s.LoadState("vote"); string(data) != "4\n" || err != nil {
+		t.Fatalf("state = %q, %v; want the last save", data, err)
+	}
+	if data, err := s.LoadState("other"); data != nil || err != nil {
+		t.Fatalf("state with only a stray temp file = %q, %v; want nil, nil", data, err)
+	}
+
+	m, _ := Open("")
+	defer m.Close()
+	if err := m.SaveState("vote", []byte("3\n")); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := m.LoadState("vote"); data != nil || err != nil {
+		t.Fatalf("memory-only state = %q, %v; want nil, nil", data, err)
 	}
 }

@@ -219,7 +219,7 @@ type Request struct {
 }
 
 // Error codes carried in Response.Code. They classify error responses so
-// clients can react mechanically: an "overloaded" or "unavailable" error is
+// clients can react mechanically: an "overloaded" or "rateLimited" error is
 // transient (the request was rejected before execution and is safe to retry,
 // even for mutating methods), a "timeout" may or may not have executed, and
 // an "internal" error is a server-side failure. Older servers omit the code.
@@ -227,9 +227,6 @@ const (
 	// CodeOverloaded: the server shed the request before dispatching it
 	// because it was over its load bound. Safe to retry after backoff.
 	CodeOverloaded = "overloaded"
-	// CodeUnavailable: the server is draining for shutdown and rejected
-	// the request before dispatching it. Safe to retry (elsewhere).
-	CodeUnavailable = "unavailable"
 	// CodeTimeout: the handler deadline expired; the request may still
 	// complete server-side. Retry only idempotent methods.
 	CodeTimeout = "timeout"
@@ -252,7 +249,7 @@ const (
 	CodeQuorumUnavailable = "quorumUnavailable"
 	// CodeRateLimited: the request's corpus is over its tenant rate limit.
 	// Rejected before execution — safe to retry after backoff, even for
-	// mutating methods (same contract as overloaded/unavailable).
+	// mutating methods (same contract as overloaded).
 	CodeRateLimited = "rateLimited"
 	// CodeQuotaExceeded: the write would push its corpus past a tenant
 	// entry-count or byte quota. Rejected before execution; retrying without

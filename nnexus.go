@@ -370,11 +370,9 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 			},
 			InitialPrimary:  cfg.ReplicationPrimary,
 			InitialLeader:   cfg.FollowPrimary,
-			StateDir:        cfg.DataDir,
 			ElectionTimeout: cfg.ElectionTimeout,
 			PrimaryOpts:     []replication.PrimaryOption{replication.WithPrimaryTelemetry(reg)},
 			FollowerOpts: []replication.FollowerOption{
-				replication.WithStateDir(cfg.DataDir),
 				replication.WithFollowerName(cfg.ReplicaName),
 				replication.WithFollowerWait(wait),
 			},
