@@ -1,6 +1,7 @@
 package invindex
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -74,7 +75,7 @@ func runIndexOps(t *testing.T, data []byte) {
 	}
 	for step := 0; len(data) > 0; step++ {
 		var last []string // the text the op added, for probes that hit
-		switch op := next() % 10; op {
+		switch op := next() % 11; op {
 		case 0, 1, 2, 3: // a new entry, IDs rising as on import
 			up++
 			live = append(live, up)
@@ -102,6 +103,12 @@ func runIndexOps(t *testing.T, data []byte) {
 			if got, want := ix.Compact(minCount), ref.Compact(minCount); got != want {
 				t.Fatalf("step %d: Compact(%d) = %d, reference %d", step, minCount, got, want)
 			}
+		case 10: // an ID either side of the largest one a node holds inline
+			id := int64(math.MaxInt32 - 3 + next()%5)
+			if !slices.Contains(live, id) {
+				live = append(live, id)
+			}
+			last = add(id, false)
 		}
 		got, want := ix.Stats(), ref.Stats()
 		got.Bytes = 0 // the reference does not account for itself
@@ -132,14 +139,17 @@ func runIndexOps(t *testing.T, data []byte) {
 }
 
 // indexSeeds start FuzzIndexEquivalence and run on every `go test`: the
-// Fig 6 shape, a re-add after a compaction, an out-of-order ID, and
-// auto-compaction on every add with the threshold above one.
+// Fig 6 shape, a re-add after a compaction, an out-of-order ID,
+// auto-compaction on every add with the threshold above one, and one word
+// whose inline posting spills into a list and is removed again, at small IDs
+// and at the largest ones.
 var indexSeeds = [][]byte{
 	{},
 	{4, 0, 0, 1, 5, 0, 1, 2, 3, 4, 1, 3, 1, 2, 3, 9, 1, 5, 0, 4, 0, 1, 2, 3},
 	{2, 0, 0, 1, 3, 0, 1, 0, 9, 2, 1, 3, 0, 1, 0, 7, 0, 1, 3, 0, 1, 0},
 	{4, 1, 1, 4, 6, 0, 1, 0, 1, 0, 1, 4, 3, 0, 1, 0, 1, 3, 0, 1, 8, 7, 1},
 	{0, 2, 2, 1, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 6, 0, 2, 0, 0},
+	{0, 0, 0, 1, 0, 1, 1, 0, 7, 0, 7, 0, 10, 1, 1, 0, 10, 2, 1, 0, 10, 3, 1, 1, 10, 4, 2, 0, 1, 7, 0, 7, 0, 9, 2},
 }
 
 func FuzzIndexEquivalence(f *testing.F) {

@@ -22,13 +22,16 @@
 // guaranteed complete (single words are never compacted).
 //
 // Representation: words are interned to int32 IDs and every key is a node of
-// one trie over them: the edges one integer-keyed map, the nodes pointer-free
-// in a flat slice, postings sorted ID slices held only by nodes that have any,
-// an entry its word-ID sequence. No key is ever materialised as a string.
+// one trie over them: the root's edges a slice indexed by word ID, every other
+// edge in one pointer-free open-addressing table, the nodes pointer-free in a
+// flat slice, a single posting inline in its node and more in a sorted ID
+// slice, an entry its word-ID sequence. No key is ever materialised as a
+// string.
 package invindex
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -51,21 +54,37 @@ const DefaultCompactBelow = 2
 // spells. Never deleted: its count and its tombstone outlive its postings.
 type node struct {
 	count int32 // occurrences across all adds; tombstoned once compacted
-	slot  int32 // index into Index.lists; noSlot while it has no postings
+	// slot is an index into Index.lists, noSlot while the node has no
+	// postings, or -2 - object while object is its one posting (inlineSlot).
+	slot int32
 }
 
 const tombstoned, noSlot = -1, -1
 
+// inlineSlot is the slot that holds object inline, if object is in
+// [0, MaxInt32-2]; any other ID is kept in a list.
+func inlineSlot(object int64) (int32, bool) {
+	if object < 0 || object > math.MaxInt32-2 {
+		return 0, false
+	}
+	return int32(-2 - object), true
+}
+
+// inlined is the object an inline slot (< noSlot) holds.
+func inlined(slot int32) int64 { return int64(-2 - slot) }
+
 // Index is the invalidation index. All methods are safe for concurrent use.
 type Index struct {
-	mu    sync.RWMutex
-	words *morph.Interner   // normalized word → word ID
-	edges map[uint64]int32  // parent node<<32 | word ID → child node
-	nodes []node            // nodes[0] is the root, the empty phrase
-	long  []uint64          // bit i: nodes[i] is two words or more, compaction may drop it
-	lists [][]int64         // sorted object IDs, one list per node with postings
-	free  []int32           // slots of lists given up by emptied or compacted nodes
-	docs  map[int64][]int32 // object → word-ID sequence of its text
+	mu     sync.RWMutex
+	words  *morph.Interner   // normalized word → word ID
+	roots  []int32           // word ID → the root's child, 0 for none; one per word interned
+	edges  edgeTable         // parent node<<32 | word ID → child node, parent ≥ 1
+	nodes  []node            // nodes[0] is the root, the empty phrase
+	long   []uint64          // bit i: nodes[i] is two words or more, compaction may drop it
+	lists  [][]int64         // sorted object IDs, one list per node with two postings or more
+	free   []int32           // slots of lists given up by emptied, compacted or spilled nodes
+	docs   map[int64][]int32 // object → word-ID sequence of its text
+	inline int               // nodes whose one posting is inline
 
 	tombstones   int
 	maxPhraseLen int
@@ -104,7 +123,6 @@ func WithAutoCompact(every, below int) Option {
 func New(opts ...Option) *Index {
 	ix := &Index{
 		words:        morph.NewInterner(),
-		edges:        make(map[uint64]int32),
 		nodes:        []node{{slot: noSlot}},
 		long:         []uint64{0},
 		docs:         make(map[int64][]int32),
@@ -146,6 +164,31 @@ func edgeKey(parent, word int32) uint64 {
 	return uint64(parent)<<32 | uint64(uint32(word))
 }
 
+// child returns the node word leads to from node at, 0 for none: node 0 is
+// the root and never anyone's child.
+func (ix *Index) child(at, word int32) int32 {
+	if at == 0 {
+		return ix.roots[word]
+	}
+	return ix.edges.get(edgeKey(at, word))
+}
+
+// newChild adds the node word leads to from node at.
+func (ix *Index) newChild(at, word int32) int32 {
+	child := int32(len(ix.nodes))
+	ix.nodes = append(ix.nodes, node{slot: noSlot})
+	if child%64 == 0 {
+		ix.long = append(ix.long, 0)
+	}
+	if at == 0 {
+		ix.roots[word] = child
+	} else {
+		ix.long[child/64] |= 1 << (child % 64)
+		ix.edges.put(edgeKey(at, word), child)
+	}
+	return child
+}
+
 // add replaces the object's contribution by the n words word yields: it
 // records their IDs as the object's text and counts and posts every n-gram.
 // A tombstoned n-gram is skipped; its extensions are not.
@@ -160,6 +203,7 @@ func (ix *Index) add(object int64, n int, word func(i int) string) {
 		id, ok := ix.words.Lookup(w)
 		if !ok {
 			id = ix.words.Intern(strings.Clone(w)) // not pinning the body w is part of
+			ix.roots = append(ix.roots, 0)
 		}
 		seq = append(seq, id)
 	}
@@ -169,21 +213,12 @@ func (ix *Index) add(object int64, n int, word func(i int) string) {
 		// Once an n-gram is new so are its extensions: no need to probe.
 		fresh := false
 		for _, w := range seq[i:min(i+ix.maxPhraseLen, len(seq))] {
-			key := edgeKey(at, w)
-			child, ok := int32(0), false
+			child := int32(0)
 			if !fresh {
-				child, ok = ix.edges[key]
+				child = ix.child(at, w)
 			}
-			if !ok {
-				child = int32(len(ix.nodes))
-				ix.nodes = append(ix.nodes, node{slot: noSlot})
-				if child%64 == 0 {
-					ix.long = append(ix.long, 0)
-				}
-				if at != 0 {
-					ix.long[child/64] |= 1 << (child % 64)
-				}
-				ix.edges[key] = child
+			if child == 0 {
+				child = ix.newChild(at, w)
 				fresh = true
 			}
 			at = child
@@ -203,15 +238,26 @@ func (ix *Index) add(object int64, n int, word func(i int) string) {
 	}
 }
 
-// postLocked adds object to nd's postings. Import adds rising IDs: an append.
+// postLocked adds object to nd's postings. A node's first posting is inline
+// if it can be; a second spills it into a list, taken from the free slots
+// first. Import adds rising IDs: an append.
 func (ix *Index) postLocked(nd *node, object int64) {
-	if nd.slot == noSlot {
-		if n := len(ix.free); n > 0 {
-			nd.slot, ix.free = ix.free[n-1], ix.free[:n-1]
-		} else {
-			nd.slot = int32(len(ix.lists))
-			ix.lists = append(ix.lists, nil)
+	switch {
+	case nd.slot == noSlot:
+		if slot, ok := inlineSlot(object); ok {
+			nd.slot = slot
+			ix.inline++
+			return
 		}
+		nd.slot = ix.takeListLocked()
+	case nd.slot < noSlot:
+		single := inlined(nd.slot)
+		if single == object {
+			return
+		}
+		ix.inline--
+		nd.slot = ix.takeListLocked()
+		ix.lists[nd.slot] = append(ix.lists[nd.slot], single)
 	}
 	ids := ix.lists[nd.slot]
 	if n := len(ids); n == 0 || ids[n-1] < object {
@@ -221,11 +267,34 @@ func (ix *Index) postLocked(nd *node, object int64) {
 	}
 }
 
-// releaseLocked takes nd's list away; its memory stays with the slot.
+// takeListLocked returns the slot of an empty list.
+func (ix *Index) takeListLocked() int32 {
+	if n := len(ix.free); n > 0 {
+		slot := ix.free[n-1]
+		ix.free = ix.free[:n-1]
+		return slot
+	}
+	ix.lists = append(ix.lists, nil)
+	return int32(len(ix.lists) - 1)
+}
+
+// releaseLocked takes nd's postings away; a list's memory stays with its slot.
 func (ix *Index) releaseLocked(nd *node) {
-	ix.lists[nd.slot] = ix.lists[nd.slot][:0]
-	ix.free = append(ix.free, nd.slot)
+	if nd.slot < noSlot {
+		ix.inline--
+	} else {
+		ix.lists[nd.slot] = ix.lists[nd.slot][:0]
+		ix.free = append(ix.free, nd.slot)
+	}
 	nd.slot = noSlot
+}
+
+// appendPostings appends the object IDs slot holds to dst.
+func (ix *Index) appendPostings(dst []int64, slot int32) []int64 {
+	if slot < noSlot {
+		return append(dst, inlined(slot))
+	}
+	return append(dst, ix.lists[slot]...)
 }
 
 // Remove deletes an object's contribution from the index.
@@ -243,13 +312,19 @@ func (ix *Index) removeLocked(object int64) {
 	for i := range seq {
 		at := int32(0)
 		for _, w := range seq[i:min(i+ix.maxPhraseLen, len(seq))] {
-			at = ix.edges[edgeKey(at, w)]
+			at = ix.child(at, w)
 			nd := &ix.nodes[at]
 			if nd.slot == noSlot {
 				continue
 			}
-			ids := ix.lists[nd.slot]
 			// Not found: an earlier occurrence of the n-gram removed it.
+			if nd.slot < noSlot {
+				if inlined(nd.slot) == object {
+					ix.releaseLocked(nd)
+				}
+				continue
+			}
+			ids := ix.lists[nd.slot]
 			if j, found := slices.BinarySearch(ids, object); found {
 				ix.lists[nd.slot] = slices.Delete(ids, j, j+1)
 				if len(ids) == 1 {
@@ -271,7 +346,7 @@ func (ix *Index) deepestLocked(words []string) (deepest, last int32) {
 		if !ok {
 			return deepest, noSlot
 		}
-		if at, ok = ix.edges[edgeKey(at, id)]; !ok {
+		if at = ix.child(at, id); at == 0 {
 			return deepest, noSlot
 		}
 		if last = ix.nodes[at].slot; last != noSlot {
@@ -295,7 +370,7 @@ func (ix *Index) Lookup(label string) []int64 {
 	if slot == noSlot {
 		return nil
 	}
-	return slices.Clone(ix.lists[slot])
+	return ix.appendPostings(nil, slot)
 }
 
 // LookupWordUnion is the non-adaptive baseline used for the ablation in the
@@ -309,7 +384,7 @@ func (ix *Index) LookupWordUnion(label string) []int64 {
 	var union []int64
 	for _, w := range words {
 		if _, slot := ix.deepestLocked([]string{w}); slot != noSlot {
-			union = append(union, ix.lists[slot]...)
+			union = ix.appendPostings(union, slot)
 		}
 	}
 	slices.Sort(union)
@@ -353,16 +428,17 @@ type Stats struct {
 	PhrasePostings int // posting entries under phrase keys
 	Tombstones     int
 	// Bytes estimates the heap held, less the word table (it grows with the
-	// vocabulary, not the text): exact for the slices, edgeBytes and docEntry
-	// an entry for the maps; TestIndexBudget holds it within 1.5x of the heap.
+	// vocabulary, not the text): exact for the slices, the edge table's
+	// included, and docEntry an entry for the map of texts; TestIndexBudget
+	// holds it within 1.25x of the heap.
 	Bytes int
 }
 
-// Heap per entry of a map[uint64]int32 and of a map[int64][]int32, mid-range
-// of what was measured between two table doublings: 22–31 and 53–82 bytes with
-// the bucket maps of go.mod's go 1.22 (GOEXPERIMENT=noswissmap), 24–38 and
-// 55–92 with go1.24's swiss tables. A third implementation needs measuring.
-const edgeBytes, docEntry = 30, 66
+// Heap per entry of a map[int64][]int32, mid-range of what was measured
+// between two table doublings: 53–82 bytes with the bucket maps of go.mod's go
+// 1.22 (GOEXPERIMENT=noswissmap), 55–92 with go1.24's swiss tables. A third
+// implementation needs measuring.
+const docEntry = 66
 
 // SizeRatio returns the index's total size relative to a plain word-based
 // inverted index (measured in posting entries) — the quantity behind the
@@ -384,7 +460,10 @@ func (ix *Index) Stats() Stats {
 		if nd.slot == noSlot {
 			continue
 		}
-		n := len(ix.lists[nd.slot])
+		n := 1
+		if nd.slot >= 0 {
+			n = len(ix.lists[nd.slot])
+		}
 		if ix.phrase(i) {
 			s.PhraseKeys++
 			s.PhrasePostings += n
@@ -394,7 +473,7 @@ func (ix *Index) Stats() Stats {
 		}
 		s.Postings += n
 	}
-	s.Bytes = len(ix.edges)*edgeBytes + len(ix.docs)*docEntry +
+	s.Bytes = cap(ix.edges.keys)*12 + cap(ix.roots)*4 + len(ix.docs)*docEntry +
 		cap(ix.nodes)*8 + cap(ix.long)*8 + cap(ix.lists)*24 + cap(ix.free)*4 // 8: sizeof(node)
 	for _, ids := range ix.lists {
 		s.Bytes += cap(ids) * 8
@@ -410,7 +489,7 @@ func (ix *Index) Stats() Stats {
 func (ix *Index) Keys() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.lists) - len(ix.free) // a slot is a node's or free
+	return len(ix.lists) - len(ix.free) + ix.inline // a list is a node's or free
 }
 
 // Contains reports whether the exact key (word or phrase, raw form) is
@@ -421,4 +500,67 @@ func (ix *Index) Contains(label string) bool {
 	defer ix.mu.RUnlock()
 	_, slot := ix.deepestLocked(words)
 	return slot != noSlot
+}
+
+// edgeTable maps a key parent<<32 | word, parent ≥ 1, to a child node: open
+// addressing over two parallel pointer-free arrays, a power-of-two capacity,
+// linear probing from a multiplicative hash. Key 0 marks an empty slot. Edges
+// are never deleted, so there are no tombstones; past 7/8 full the table
+// doubles and rehashes every key.
+type edgeTable struct {
+	keys     []uint64
+	children []int32 // as long as keys
+	n        int
+	shift    uint // 64 - log2(len(keys))
+}
+
+// home is key's first probe.
+func (t *edgeTable) home(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// get returns key's child, 0 for none.
+func (t *edgeTable) get(key uint64) int32 {
+	mask := len(t.keys) - 1
+	if mask < 0 {
+		return 0
+	}
+	for i := t.home(key); ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case key:
+			return t.children[i]
+		case 0:
+			return 0
+		}
+	}
+}
+
+// put sets key's child, key ≠ 0.
+func (t *edgeTable) put(key uint64, child int32) {
+	if (t.n+1)*8 > len(t.keys)*7 {
+		t.grow()
+	}
+	mask := len(t.keys) - 1
+	i := t.home(key)
+	for t.keys[i] != 0 && t.keys[i] != key {
+		i = (i + 1) & mask
+	}
+	if t.keys[i] == 0 {
+		t.keys[i] = key
+		t.n++
+	}
+	t.children[i] = child
+}
+
+// grow doubles the table, from 64 slots at first.
+func (t *edgeTable) grow() {
+	keys, children := t.keys, t.children
+	size := max(64, 2*len(keys))
+	t.keys, t.children = make([]uint64, size), make([]int32, size)
+	t.n, t.shift = 0, uint(64-bits.TrailingZeros(uint(size)))
+	for i, key := range keys {
+		if key != 0 {
+			t.put(key, children[i])
+		}
+	}
 }

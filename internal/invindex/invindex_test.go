@@ -381,31 +381,96 @@ func heapAlloc() uint64 {
 
 // TestIndexBudget gates what the index costs, at the engine's options on the
 // benchmark's kind of text: the heap it holds per posting (the string-keyed
-// maps it replaced held 324 bytes here), that Stats.Bytes tells the truth
-// about it, and that indexing a text into a warm index allocates next to
-// nothing (it was some 300 allocations, five keys per token).
+// maps it replaced held 324 bytes here, the trie over a runtime map of edges
+// 84.6), that Stats.Bytes tells the truth about it, what building it allocates
+// (181k with the map of edges and a list per posting) and that indexing a text
+// into a warm index allocates next to nothing (it was some 300 allocations,
+// five keys per token).
 func TestIndexBudget(t *testing.T) {
 	bodies := generatedBodies(t, 1000)
-	before := heapAlloc()
-	ix := New(engineOptions...)
-	for i, body := range bodies {
-		ix.AddText(int64(i+1), body)
+	build := func() *Index {
+		ix := New(engineOptions...)
+		for i, body := range bodies {
+			ix.AddText(int64(i+1), body)
+		}
+		return ix
 	}
+	before := heapAlloc()
+	ix := build()
 	held := float64(heapAlloc() - before)
 	st := ix.Stats()
 	perPosting := held / float64(st.Postings)
 	t.Logf("%d postings, %.0f bytes held (%.1f per posting), Stats.Bytes %d", st.Postings, held, perPosting, st.Bytes)
-	if perPosting > 150 {
-		t.Errorf("%.1f bytes of heap per posting, budget 150", perPosting)
+	if perPosting > 53.5 {
+		t.Errorf("%.1f bytes of heap per posting, budget 53.5", perPosting)
 	}
-	if ratio := float64(st.Bytes) / held; ratio < 1/1.5 || ratio > 1.5 {
-		t.Errorf("Stats.Bytes = %d, heap held = %.0f: off by more than 1.5x", st.Bytes, held)
+	if ratio := float64(st.Bytes) / held; ratio < 1/1.25 || ratio > 1.25 {
+		t.Errorf("Stats.Bytes = %d, heap held = %.0f: off by more than 1.25x", st.Bytes, held)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { build() }); allocs > 42000 {
+		t.Errorf("building the index: %.0f allocations, budget 42,000", allocs)
 	}
 	allocs := testing.AllocsPerRun(20, func() { ix.AddText(500, bodies[499]) })
 	if allocs > 8 {
 		t.Errorf("re-adding an indexed body: %.0f allocations, budget 8", allocs)
 	}
 	runtime.KeepAlive(ix)
+}
+
+// TestEdgeTableMatchesMap puts 2^18 random non-zero keys into an edgeTable,
+// half of them shaped like real edges, and holds it to a map after every
+// growth from the first allocation up: every key put gets its child back and
+// no key absent gets one. A key put again keeps one slot and takes the new
+// child.
+func TestEdgeTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	key := func() uint64 {
+		if rng.Intn(2) == 0 {
+			return edgeKey(1+rng.Int31n(1<<16), rng.Int31n(1<<12))
+		}
+		return max(1, rng.Uint64())
+	}
+	var tab edgeTable
+	want := make(map[uint64]int32)
+	check := func() {
+		t.Helper()
+		if tab.n != len(want) {
+			t.Fatalf("%d keys held, want %d", tab.n, len(want))
+		}
+		for k, child := range want {
+			if got := tab.get(k); got != child {
+				t.Fatalf("get(%#x) = %d, want %d (%d keys, %d slots)", k, got, child, len(want), len(tab.keys))
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			if k := key(); want[k] == 0 && tab.get(k) != 0 {
+				t.Fatalf("get(%#x) of an absent key = %d (%d keys, %d slots)", k, tab.get(k), len(want), len(tab.keys))
+			}
+		}
+	}
+	check() // the empty table has no slots
+	for len(want) < 1<<18 {
+		k, child := key(), 1+rng.Int31n(1<<30)
+		size := len(tab.keys)
+		tab.put(k, child)
+		want[k] = child
+		if len(tab.keys) != size {
+			check()
+		}
+	}
+	check()
+	reput := 0
+	for k := range want {
+		if reput++; reput > 1000 {
+			break
+		}
+		tab.put(k, 7)
+		want[k] = 7
+	}
+	check()
+	if len(tab.keys) != 1<<19 {
+		t.Errorf("%d slots for 2^18 keys, want 2^19", len(tab.keys))
+	}
 }
 
 // BenchmarkAddText builds an index over the bodies of the repository
