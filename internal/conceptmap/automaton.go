@@ -9,13 +9,13 @@ import (
 )
 
 // automaton is an immutable Aho-Corasick matcher compiled from one concept
-// map snapshot. The pattern alphabet is the set of interned normalized words
-// (not bytes): every concept label becomes a word-ID sequence, so the trie
-// depth equals the label's word count and a scan consumes one token per
-// step. Scanning resolves each token's normalized text to a word ID with a
-// single map probe and then walks integer-keyed goto/fail transitions stored
-// in flat slices — no per-position phrase building, no per-length hash
-// probes, and no allocations.
+// map snapshot. The pattern alphabet is the process's word vocabulary (not
+// bytes): every concept label becomes a sequence of morph word IDs, so the
+// trie depth equals the label's word count and a scan consumes one token per
+// step. A token arrives with its word's ID (tokenizer.Token.Word) resolved,
+// and the scan walks integer-keyed goto/fail transitions stored in flat
+// slices — no string hashing, no per-position phrase building, no per-length
+// hash probes, and no allocations.
 //
 // The match semantics reproduce the chained-hash ScanAppend (paper §2.2)
 // exactly: among all label occurrences at or after the scan origin, the
@@ -30,18 +30,11 @@ type automaton struct {
 	src *snapshot
 	gen uint64 // src.gen, for staleness telemetry
 
-	words *morph.Interner // normalized word -> dense ID (build + diagnostics)
-
-	// wt is the scan-path word resolver: an open-addressing table mapping a
-	// token's normalized text to its word ID and, fused into the same cache
-	// line, the root state's transition on that word — so the overwhelmingly
-	// common root-state step costs one probe and no further lookups. It
-	// replaces a Go map probe that profiling showed at ~50% of scan time.
-	wt wordTable
-
 	// rootNext is the dense goto table of the root state, indexed by word
 	// ID; 0 (the root itself) means "no edge", which doubles as the root
-	// self-loop of the classic construction.
+	// self-loop of the classic construction. A word in no label — an ID at
+	// or past its length, 0, or one it marks -1 — has no edge from any
+	// state: the scan drops to the root on it without walking fail links.
 	rootNext []int32
 
 	// Non-root states store their outgoing edges as one flat, per-state
@@ -73,6 +66,7 @@ type automaton struct {
 	ids   [][]ObjectID
 
 	maxLen  int // longest label, in words
+	nWords  int // distinct words in the labels
 	nLabels int // labels compiled
 	nStates int
 	nEdges  int
@@ -93,14 +87,13 @@ func compileAutomaton(snap *snapshot) *automaton {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].label < entries[j].label })
 
-	words := morph.NewInterner()
 	type buildState struct {
 		next map[int32]int32
 	}
 	states := []buildState{{}} // 0 = root
 	depth := []int32{0}
 	term := []int32{-1} // index into entries, -1 for non-terminals
-	maxLen := 0
+	maxLen, maxWord := 0, int32(0)
 
 	for idx, e := range entries {
 		s := int32(0)
@@ -114,11 +107,13 @@ func compileAutomaton(snap *snapshot) *automaton {
 			}
 			if word == "" {
 				// NormalizeLabel never emits empty words, but a label from a
-				// foreign source could; an empty word would collide with the
-				// wordTable's empty-slot sentinel, so skip it defensively.
+				// foreign source could; skip it defensively.
 				continue
 			}
-			w := words.Intern(word)
+			// AddObject interned the words before it published the snapshot;
+			// interning again only finds them.
+			w := morph.InternWord(word)
+			maxWord = max(maxWord, w)
 			next, ok := states[s].next[w]
 			if !ok {
 				next = int32(len(states))
@@ -147,8 +142,7 @@ func compileAutomaton(snap *snapshot) *automaton {
 	a := &automaton{
 		src:      snap,
 		gen:      snap.gen,
-		words:    words,
-		rootNext: make([]int32, words.Len()),
+		rootNext: make([]int32, maxWord+1),
 		fail:     make([]int32, n),
 		depth:    depth,
 		meta:     make([]uint64, n),
@@ -166,7 +160,19 @@ func compileAutomaton(snap *snapshot) *automaton {
 	}
 
 	// Root edges go into the dense rootNext table first: the BFS below
-	// resolves deeper failure links through it.
+	// resolves deeper failure links through it. Every other label word gets
+	// 0, the root's self-loop.
+	for w := range a.rootNext {
+		a.rootNext[w] = -1
+	}
+	for s := range states {
+		for w := range states[s].next {
+			if a.rootNext[w] < 0 {
+				a.rootNext[w] = 0
+				a.nWords++
+			}
+		}
+	}
 	for w, v := range states[0].next {
 		a.rootNext[w] = v
 	}
@@ -244,47 +250,13 @@ func compileAutomaton(snap *snapshot) *automaton {
 	}
 	a.edgeStart[0] = 0 // root's range is empty; its edges live in rootNext
 	a.edgeStart[n] = pos
-	a.wt = newWordTable(words, a.rootNext)
 	return a
-}
-
-// wordSlot is one open-addressing slot: the interned word, its dense ID,
-// and the root state's goto on it (0 = stay at root).
-type wordSlot struct {
-	word string
-	id   int32
-	root int32
-}
-
-// wordTable resolves token text to word IDs with FNV-1a hashing and linear
-// probing at ≤50% load. Compared to a Go map it skips the hash interface
-// and bucket machinery, and the fused root transition saves the scan a
-// second lookup on the hot root-state path.
-type wordTable struct {
-	mask  uint32
-	slots []wordSlot
-}
-
-func newWordTable(in *morph.Interner, rootNext []int32) wordTable {
-	size := uint32(8)
-	for int(size) < 2*in.Len() {
-		size <<= 1
-	}
-	wt := wordTable{mask: size - 1, slots: make([]wordSlot, size)}
-	for id := 0; id < in.Len(); id++ {
-		word := in.Word(int32(id))
-		i := hashWord(word) & wt.mask
-		for wt.slots[i].word != "" {
-			i = (i + 1) & wt.mask
-		}
-		wt.slots[i] = wordSlot{word: word, id: int32(id), root: rootNext[id]}
-	}
-	return wt
 }
 
 // step is the full goto function: follow s's w-edge, falling down the
 // failure chain on misses until the root resolves (possibly to itself).
-// Amortized O(1) per scanned token by the classic depth argument.
+// Amortized O(1) per scanned token by the classic depth argument. w is a
+// word of some label.
 func (a *automaton) step(s, w int32) int32 {
 	for {
 		if s == 0 {
@@ -322,30 +294,28 @@ func (a *automaton) scanAppend(dst []Match, tokens []tokenizer.Token) []Match {
 		candStart int   // candidate first-token index
 		candState int32 // candidate's terminal state (payload)
 	)
-	slots, mask, meta := a.wt.slots, a.wt.mask, a.meta
+	rootNext, meta := a.rootNext, a.meta
 	for {
 		if j < len(tokens) {
-			// Resolve the token's word: inlined open-addressing probe. A
-			// word absent from every label (empty slot) kills the walk
-			// outright; the fused slot.root serves the dominant root-state
-			// transition without touching the automaton's edge arrays.
+			// A token tokenized before its word entered the vocabulary
+			// resolves by its Norm now: the snapshot this automaton serves
+			// interned every label word before it was published. A word
+			// absent from every label kills the walk outright; rootNext
+			// serves the dominant root-state transition without touching
+			// the automaton's edge arrays.
+			tok := &tokens[j]
+			w := tok.Word
+			if w == 0 && tok.Norm != "" {
+				w = morph.WordID(tok.Norm)
+			}
 			var t int32
-			if norm := tokens[j].Norm; norm != "" {
-				i := hashWord(norm) & mask
-				for {
-					sl := &slots[i]
-					if sl.word == norm {
-						if s == 0 {
-							t = sl.root
-						} else {
-							t = a.step(s, sl.id)
-						}
-						break
-					}
-					if sl.word == "" {
-						break // unknown word: t stays 0 (root)
-					}
-					i = (i + 1) & mask
+			if uint(w) < uint(len(rootNext)) {
+				switch r := rootNext[w]; {
+				case r < 0: // in no label
+				case s == 0:
+					t = r
+				default:
+					t = a.step(s, w)
 				}
 			}
 			mt := meta[t]
@@ -391,28 +361,4 @@ func (a *automaton) scanAppend(dst []Match, tokens []tokenizer.Token) []Match {
 		candLen = 0
 	}
 	return dst
-}
-
-// hashWord hashes a short normalized word for the wordTable: two mixed
-// 32-bit reads (head and tail) instead of FNV's per-byte multiply chain,
-// which profiling showed as a measurable slice of scan time. Quality only
-// needs to be good enough for a ≤50%-load linear-probe table whose slots
-// verify with a full string compare.
-func hashWord(s string) uint32 {
-	n := len(s)
-	if n == 0 {
-		// Callers never probe for the empty string ("" is the empty-slot
-		// sentinel), but don't panic on s[0] if one slips through.
-		return 0
-	}
-	var head, tail uint32
-	if n >= 4 {
-		head = uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
-		tail = uint32(s[n-4]) | uint32(s[n-3])<<8 | uint32(s[n-2])<<16 | uint32(s[n-1])<<24
-	} else {
-		head = uint32(s[0]) | uint32(s[n-1])<<8
-		tail = uint32(n)
-	}
-	h := (head*2654435761 ^ tail*2246822519) + uint32(n)
-	return h ^ h>>15
 }

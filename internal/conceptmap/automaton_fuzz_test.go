@@ -1,10 +1,12 @@
 package conceptmap
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"nnexus/internal/morph"
 	"nnexus/internal/tokenizer"
 )
 
@@ -13,7 +15,10 @@ import (
 // objects, some shared) and any text, the Aho-Corasick automaton must
 // produce exactly the match stream the chained-hash ScanAppend produces —
 // same labels, same token ranges, same byte offsets, same candidate sets
-// (including slice identity of the shared snapshot payload).
+// (including slice identity of the shared snapshot payload). A random half
+// of the text's surface forms enter the vocabulary first, as a stored body's
+// would, so that the scan meets tokens that came resolved and tokens it has
+// to resolve by their Norm.
 func FuzzAutomatonScanEquivalence(f *testing.F) {
 	f.Add("planar graph\ngraph\northogonal function", "every planar graph has an orthogonal function on a graph")
 	f.Add("a b c x\nb", "a b c d")
@@ -44,6 +49,12 @@ func FuzzAutomatonScanEquivalence(f *testing.F) {
 		}
 		m.CompileNow()
 
+		rng := rand.New(rand.NewSource(int64(len(labelsBlob))<<32 | int64(len(text))))
+		for _, tok := range tokenizer.Tokenize(text) {
+			if rng.Intn(2) == 0 {
+				morph.Intern(tok.Text)
+			}
+		}
 		tokens := tokenizer.Tokenize(text)
 		snap := m.snap.Load()
 		want := snap.scanChained(nil, tokens, true)

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nnexus/internal/morph"
 	"nnexus/internal/tokenizer"
 )
 
@@ -103,28 +105,69 @@ func TestAutomatonResumePastMatch(t *testing.T) {
 }
 
 // TestAutomatonEmptyNormalizedWord is a crash regression: a label word that
-// normalizes to nothing (a bare possessive "'s") used to survive
+// normalized to nothing (a bare possessive "'s") used to survive
 // NormalizeLabel as an empty word ("euler  theorem"), and compiling such a
-// label panicked in hashWord — on the background compiler goroutine, killing
-// the process. The label must now index as "euler theorem" and compile and
-// match on both scan paths.
+// label panicked on the background compiler goroutine, killing the process.
+// Labels are now split into words by the tokenizer's rule, so "'s" is the
+// word "s", and the label must compile and match its own text on both scan
+// paths.
 func TestAutomatonEmptyNormalizedWord(t *testing.T) {
 	m := New()
 	m.AddObject(1, []string{"euler 's theorem", "'s", "graph"})
-	if got := m.Lookup("Euler's Theorem"); len(got) != 1 || got[0] != 1 {
+	if got := m.Lookup("Euler 's Theorem"); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Lookup = %v", got)
 	}
-	ms := scanBoth(t, m, "By Euler's theorem the graph closes.")
-	if len(ms) != 2 || ms[0].Label != "euler theorem" || ms[1].Label != "graph" {
+	ms := scanBoth(t, m, "By Euler 's theorem the graph closes.")
+	if len(ms) != 2 || ms[0].Label != "euler s theorem" || ms[1].Label != "graph" {
 		t.Fatalf("matches = %+v", ms)
 	}
 }
 
-// TestHashWordEmpty pins the defensive guard: the empty string is the word
-// table's empty-slot sentinel and must hash without panicking.
-func TestHashWordEmpty(t *testing.T) {
-	if got := hashWord(""); got != 0 {
-		t.Fatalf("hashWord(\"\") = %d", got)
+// TestLabelsLinkTheirOwnText holds labels with punctuation inside to their
+// own text: labels used to be split at whitespace only, so that each of
+// these, whose words the tokenizer splits at the punctuation, never matched.
+func TestLabelsLinkTheirOwnText(t *testing.T) {
+	for _, label := range []string{"Hahn–Banach theorem", "group (algebra)", "ring, commutative", "L^p space"} {
+		m := New()
+		m.AddObject(1, []string{label})
+		ms := scanBoth(t, m, "see "+label+" here")
+		if len(ms) != 1 || ms[0].TokenStart != 1 || ms[0].Label != morph.NormalizeLabel(label) {
+			t.Errorf("%q: matches = %+v", label, ms)
+		}
+	}
+	// An en dash joins a word as a hyphen does, so either spelling of a
+	// label links the other's text.
+	for label, text := range map[string]string{"Hahn–Banach theorem": "Hahn-Banach theorem", "Cauchy-Schwarz inequality": "Cauchy–Schwarz inequality"} {
+		m := New()
+		m.AddObject(1, []string{label})
+		if ms := scanBoth(t, m, "by the "+text); len(ms) != 1 || ms[0].TokenStart != 2 {
+			t.Errorf("%q in %q: matches = %+v", label, text, ms)
+		}
+	}
+}
+
+// TestTokenizedBeforeLabel links a text tokenized while none of its words
+// was in the vocabulary against a label added afterwards: the automaton
+// resolves such tokens by their Norm.
+func TestTokenizedBeforeLabel(t *testing.T) {
+	words := fmt.Sprintf("zorblax%d quuxite", time.Now().UnixNano())
+	tokens := tokenizer.Tokenize("a " + words + " b")
+	for _, tok := range tokens[1:3] {
+		if tok.Word != 0 {
+			t.Fatalf("token %q resolved before any label or body had it", tok.Text)
+		}
+	}
+	m := New()
+	m.AddObject(1, []string{words})
+	m.CompileNow()
+	ms, usedAut := m.ScanAppendAuto(nil, tokens)
+	if !usedAut || len(ms) != 1 || ms[0].Label != words || ms[0].TokenStart != 1 {
+		t.Fatalf("automaton %v, matches = %+v", usedAut, ms)
+	}
+	for _, w := range strings.Fields(words) {
+		if morph.WordID(w) == 0 {
+			t.Fatalf("the label's word %q is not in the vocabulary", w)
+		}
 	}
 }
 

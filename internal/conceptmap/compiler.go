@@ -28,7 +28,7 @@ type BuildInfo struct {
 	Duration   time.Duration // wall time of the compile
 	States     int           // automaton states (trie nodes incl. root)
 	Edges      int           // goto edges (incl. root edges)
-	Words      int           // distinct interned words
+	Words      int           // distinct words in the labels
 	Labels     int           // labels compiled
 }
 
@@ -193,7 +193,7 @@ func (m *Map) compileOnce() {
 			Duration:   d,
 			States:     aut.nStates,
 			Edges:      aut.nEdges,
-			Words:      aut.words.Len(),
+			Words:      aut.nWords,
 			Labels:     aut.nLabels,
 		})
 	}
@@ -241,7 +241,7 @@ func (m *Map) AutomatonInfo() AutomatonInfo {
 		info.Generation = aut.gen
 		info.States = aut.nStates
 		info.Edges = aut.nEdges
-		info.Words = aut.words.Len()
+		info.Words = aut.nWords
 		info.Labels = aut.nLabels
 		info.MaxPhraseLen = aut.maxLen
 	}

@@ -340,6 +340,14 @@ func (m *Map) AddObject(id ObjectID, labels []string) {
 		seen[norm] = struct{}{}
 		norms = append(norms, norm)
 		w.index(id, norm)
+		// Into the vocabulary before the snapshot is published, so that the
+		// automaton compiled from it resolves every token spelling a word of
+		// the label, tokenized before or after.
+		for rest, more := norm, true; more; {
+			var word string
+			word, rest, more = strings.Cut(rest, " ")
+			morph.InternWord(word)
+		}
 	}
 	w.objBucket(id)[id] = norms
 	w.next.objects++

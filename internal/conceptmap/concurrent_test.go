@@ -2,10 +2,12 @@ package conceptmap
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"nnexus/internal/morph"
 	"nnexus/internal/tokenizer"
 )
 
@@ -233,5 +235,62 @@ func TestLengthRefcounts(t *testing.T) {
 	}
 	if m.Labels() != 0 || m.Objects() != 0 {
 		t.Fatalf("map not empty: %s", m)
+	}
+}
+
+// TestScanWhileVocabularyGrows runs two readers that tokenize and scan a text
+// against a compiled map while two writers intern new surface forms and
+// words, growing the vocabulary's table several times under them (run under
+// -race). Every reader's tokens must resolve as they did before the writers
+// started, and every scan must return the same matches.
+func TestScanWhileVocabularyGrows(t *testing.T) {
+	m := New()
+	m.AddObject(1, []string{"planar graph", "graph"})
+	m.AddObject(2, []string{"orthogonal functions"})
+	m.CompileNow()
+	text := "Every planar graph has an orthogonal function; graphs are planar."
+	for _, tok := range tokenizer.Tokenize(text) {
+		morph.Intern(tok.Text)
+	}
+	wantTokens := tokenizer.Tokenize(text)
+	want, _ := m.ScanAppendAuto(nil, wantTokens)
+	if len(want) != 3 {
+		t.Fatalf("matches = %+v", want)
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20000 && !stop.Load(); i++ {
+				morph.Intern(fmt.Sprintf("Growing%dForm%d", w, i))
+				morph.InternWord(fmt.Sprintf("growing%dword%d", w, i))
+			}
+		}(w)
+	}
+	errs := make(chan string, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var tokens []tokenizer.Token
+			var got []Match
+			for n := 0; n < 2000; n++ {
+				tokens = tokenizer.TokenizeAppend(tokens[:0], text)
+				got, _ = m.ScanAppendAuto(got[:0], tokens)
+				if !reflect.DeepEqual(tokens, wantTokens) || !reflect.DeepEqual(got, want) {
+					errs <- fmt.Sprintf("tokens %+v, matches %+v", tokens, got)
+					stop.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"nnexus/internal/classification"
 	"nnexus/internal/corpus"
 	"nnexus/internal/shard"
+	"nnexus/internal/storage"
 	"nnexus/internal/tokenizer"
 )
 
@@ -178,6 +179,108 @@ func TestShardedWritePlacement(t *testing.T) {
 		if ok != homes[i] {
 			t.Errorf("shard %d has entry=%v, want %v", i, ok, homes[i])
 		}
+	}
+}
+
+// TestShardReplayOfLabelMovedByWordRule shows where a label lands when its
+// shard's store was written while labels were split at whitespace only. The
+// ring placed a label like "ring, commutative" by its first whitespace
+// field, "ring,", and now places it by its first word, "ring". Replaying
+// that store keeps the entry on the shard that holds it but does not index
+// the label there, so no shard serves it; under the old rule it could not
+// link its own text either, since no token is "ring,". Importing the entry
+// again through the router indexes the label on its owner, where its text
+// links it.
+func TestShardReplayOfLabelMovedByWordRule(t *testing.T) {
+	ring := shard.NewRing(4, shard.DefaultVnodes)
+	var label string
+	var oldShard, newShard int
+	for _, w := range []string{"ring", "group", "field", "module", "lattice", "algebra"} {
+		if o, n := ring.Owner(w+","), ring.Owner(w); o != n {
+			label, oldShard, newShard = w+", commutative", o, n
+			break
+		}
+	}
+	if label == "" {
+		t.Fatal("no candidate label moves shard; extend the word list")
+	}
+	if got := ring.OwnerLabel(label); got != newShard {
+		t.Fatalf("OwnerLabel(%q) = %d, want %d", label, got, newShard)
+	}
+	dom := corpus.Domain{Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc", Priority: 1}
+	entry := corpus.Entry{ID: 1, Domain: dom.Name, Title: label, Classes: []string{"05C10"}}
+	cfg := Config{Scheme: classification.SampleMSC(10), ShardRing: ring}
+
+	// The old router sent the entry to the owner of its first field.
+	dir := t.TempDir()
+	store, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := cfg
+	scfg.Store, scfg.ShardID = store, oldShard
+	written, err := NewEngine(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := written.AddDomain(dom); err != nil {
+		t.Fatal(err)
+	}
+	put := entry
+	if err := written.PutEntry(&put); err != nil {
+		t.Fatal(err)
+	}
+	written.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store, err = storage.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	engines := make([]*Engine, ring.NumShards())
+	for i := range engines {
+		scfg := cfg
+		scfg.ShardID = i
+		if i == oldShard {
+			scfg.Store = store
+		}
+		if engines[i], err = NewEngine(scfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := "every " + label + " or not"
+	if _, ok := engines[oldShard].Entry(entry.ID); !ok {
+		t.Fatalf("shard %d lost the entry on replay", oldShard)
+	}
+	if res, err := engines[oldShard].LinkText(text, LinkOptions{}); err != nil || len(res.Links) != 0 {
+		t.Fatalf("shard %d links a label it does not own: %+v, %v", oldShard, res, err)
+	}
+
+	router, err := NewShardRouter(RouterConfig{Ring: ring, Backend: LocalShardBackend{Engines: engines}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	if res, err := router.LinkText(text, LinkOptions{}); err != nil || len(res.Links) != 0 {
+		t.Fatalf("before re-import: %+v, %v; want no link", res, err)
+	}
+	if err := router.AddDomain(dom); err != nil {
+		t.Fatal(err)
+	}
+	again := entry
+	again.ID = 0
+	id, err := router.AddEntry(&again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := engines[newShard].Entry(id); !ok {
+		t.Fatalf("re-imported entry %d is not on shard %d", id, newShard)
+	}
+	res, err := router.LinkText(text, LinkOptions{})
+	if err != nil || len(res.Links) != 1 || res.Links[0].Target != id {
+		t.Fatalf("after re-import: %+v, %v; want one link to %d", res, err, id)
 	}
 }
 

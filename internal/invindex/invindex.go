@@ -21,12 +21,12 @@
 // lookups then fall back to the longest surviving prefix, which is
 // guaranteed complete (single words are never compacted).
 //
-// Representation: words are interned to int32 IDs and every key is a node of
-// one trie over them: the root's edges a slice indexed by word ID, every other
-// edge in one pointer-free open-addressing table, the nodes pointer-free in a
-// flat slice, a single posting inline in its node and more in a sorted ID
-// slice, an entry its word-ID sequence. No key is ever materialised as a
-// string.
+// Representation: a word is its ID in the process's vocabulary (morph.Intern)
+// and every key is a node of one trie over them: the root's edges a slice
+// indexed by word ID, every other edge in one pointer-free open-addressing
+// table, the nodes pointer-free in a flat slice, a single posting inline in
+// its node and more in a sorted ID slice, an entry its word-ID sequence. No
+// key is ever materialised as a string.
 package invindex
 
 import (
@@ -76,8 +76,7 @@ func inlined(slot int32) int64 { return int64(-2 - slot) }
 // Index is the invalidation index. All methods are safe for concurrent use.
 type Index struct {
 	mu     sync.RWMutex
-	words  *morph.Interner   // normalized word → word ID
-	roots  []int32           // word ID → the root's child, 0 for none; one per word interned
+	roots  []int32           // word ID → the root's child, 0 for none or past its end
 	edges  edgeTable         // parent node<<32 | word ID → child node, parent ≥ 1
 	nodes  []node            // nodes[0] is the root, the empty phrase
 	long   []uint64          // bit i: nodes[i] is two words or more, compaction may drop it
@@ -122,7 +121,6 @@ func WithAutoCompact(every, below int) Option {
 // New returns an empty invalidation index.
 func New(opts ...Option) *Index {
 	ix := &Index{
-		words:        morph.NewInterner(),
 		nodes:        []node{{slot: noSlot}},
 		long:         []uint64{0},
 		docs:         make(map[int64][]int32),
@@ -144,7 +142,13 @@ func (ix *Index) AddText(object int64, text string) {
 	// Tokenized before add takes the lock: readers wait for the indexing only.
 	buf := tokenBufs.Get().(*[]tokenizer.Token)
 	toks := tokenizer.TokenizeAppend((*buf)[:0], text)
-	ix.add(object, len(toks), func(i int) string { return toks[i].Norm })
+	ix.add(object, len(toks), func(i int) int32 {
+		if w := toks[i].Word; w != 0 {
+			return w
+		}
+		_, w := morph.Intern(toks[i].Text) // a stored body: the write path
+		return w
+	})
 	// Pin no text, keep no buffer one huge body needed (core's maxPooledTokens).
 	if clear(toks); cap(toks) <= 8192 {
 		*buf = toks
@@ -154,7 +158,7 @@ func (ix *Index) AddText(object int64, text string) {
 
 // AddTokens indexes the object under the given normalized token sequence.
 func (ix *Index) AddTokens(object int64, norms []string) {
-	ix.add(object, len(norms), func(i int) string { return norms[i] })
+	ix.add(object, len(norms), func(i int) int32 { return morph.InternWord(norms[i]) })
 }
 
 // phrase reports whether nodes[i] spells two words or more.
@@ -168,6 +172,9 @@ func edgeKey(parent, word int32) uint64 {
 // the root and never anyone's child.
 func (ix *Index) child(at, word int32) int32 {
 	if at == 0 {
+		if int(word) >= len(ix.roots) {
+			return 0
+		}
 		return ix.roots[word]
 	}
 	return ix.edges.get(edgeKey(at, word))
@@ -181,6 +188,10 @@ func (ix *Index) newChild(at, word int32) int32 {
 		ix.long = append(ix.long, 0)
 	}
 	if at == 0 {
+		if int(word) >= len(ix.roots) {
+			// To the vocabulary's length: every word it gave out so far.
+			ix.roots = append(ix.roots, make([]int32, morph.Words()+1-len(ix.roots))...)
+		}
 		ix.roots[word] = child
 	} else {
 		ix.long[child/64] |= 1 << (child % 64)
@@ -189,23 +200,17 @@ func (ix *Index) newChild(at, word int32) int32 {
 	return child
 }
 
-// add replaces the object's contribution by the n words word yields: it
-// records their IDs as the object's text and counts and posts every n-gram.
-// A tombstoned n-gram is skipped; its extensions are not.
-func (ix *Index) add(object int64, n int, word func(i int) string) {
+// add replaces the object's contribution by the n word IDs word yields: it
+// records them as the object's text and counts and posts every n-gram. A
+// tombstoned n-gram is skipped; its extensions are not.
+func (ix *Index) add(object int64, n int, word func(i int) int32) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	// The old sequence's memory is reused, once Remove has walked it.
 	seq := slices.Grow(ix.docs[object][:0], n)
 	ix.removeLocked(object)
 	for i := 0; i < n; i++ {
-		w := word(i)
-		id, ok := ix.words.Lookup(w)
-		if !ok {
-			id = ix.words.Intern(strings.Clone(w)) // not pinning the body w is part of
-			ix.roots = append(ix.roots, 0)
-		}
-		seq = append(seq, id)
+		seq = append(seq, word(i))
 	}
 	ix.docs[object] = seq
 	for i := range seq {
@@ -335,18 +340,25 @@ func (ix *Index) removeLocked(object int64) {
 	}
 }
 
+// labelWords returns the word IDs of a label's normalized words, 0 for a
+// word the vocabulary does not hold: no text has it, and no node leads on it.
+func labelWords(label string) []int32 {
+	words := strings.Fields(morph.NormalizeLabel(label))
+	ids := make([]int32, len(words))
+	for i, w := range words {
+		ids[i] = morph.WordID(w)
+	}
+	return ids
+}
+
 // deepestLocked walks words from the root as far as the trie goes, which is
 // at most maxPhraseLen deep: the slot of the last node on the way that holds
 // postings, and that of the node the whole path ends at, noSlot for none.
-func (ix *Index) deepestLocked(words []string) (deepest, last int32) {
+func (ix *Index) deepestLocked(words []int32) (deepest, last int32) {
 	deepest, last = noSlot, noSlot
 	at := int32(0)
 	for _, w := range words {
-		id, ok := ix.words.Lookup(w)
-		if !ok {
-			return deepest, noSlot
-		}
-		if at = ix.child(at, id); at == 0 {
+		if at = ix.child(at, w); at == 0 {
 			return deepest, noSlot
 		}
 		if last = ix.nodes[at].slot; last != noSlot {
@@ -363,7 +375,7 @@ func (ix *Index) deepestLocked(words []string) (deepest, last int32) {
 // one (prefix property). A label whose first word has never been seen
 // invalidates nothing. The caller owns the returned slice.
 func (ix *Index) Lookup(label string) []int64 {
-	words := strings.Fields(morph.NormalizeLabel(label))
+	words := labelWords(label)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	slot, _ := ix.deepestLocked(words)
@@ -378,12 +390,12 @@ func (ix *Index) Lookup(label string) []int64 {
 // the union of the postings of every single word of the label — the larger
 // invalidation set the paper's Fig 6 example warns about.
 func (ix *Index) LookupWordUnion(label string) []int64 {
-	words := strings.Fields(morph.NormalizeLabel(label))
+	words := labelWords(label)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var union []int64
 	for _, w := range words {
-		if _, slot := ix.deepestLocked([]string{w}); slot != noSlot {
+		if _, slot := ix.deepestLocked([]int32{w}); slot != noSlot {
 			union = ix.appendPostings(union, slot)
 		}
 	}
@@ -427,10 +439,10 @@ type Stats struct {
 	WordPostings   int // posting entries under single-word keys
 	PhrasePostings int // posting entries under phrase keys
 	Tombstones     int
-	// Bytes estimates the heap held, less the word table (it grows with the
-	// vocabulary, not the text): exact for the slices, the edge table's
-	// included, and docEntry an entry for the map of texts; TestIndexBudget
-	// holds it within 1.25x of the heap.
+	// Bytes estimates the heap held, less the process's vocabulary (shared,
+	// it grows with the words, not the text): exact for the slices, the edge
+	// table's included, and docEntry an entry for the map of texts;
+	// TestIndexBudget holds it within 1.25x of the heap.
 	Bytes int
 }
 
@@ -495,7 +507,7 @@ func (ix *Index) Keys() int {
 // Contains reports whether the exact key (word or phrase, raw form) is
 // currently stored. Intended for tests and diagnostics.
 func (ix *Index) Contains(label string) bool {
-	words := strings.Fields(morph.NormalizeLabel(label))
+	words := labelWords(label)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	_, slot := ix.deepestLocked(words)

@@ -49,21 +49,84 @@ func Normalize(token string) string {
 	return Singularize(token)
 }
 
-// NormalizeLabel canonicalizes a multi-word concept label. Interior
-// whitespace runs collapse to single spaces and every word is normalized
-// independently, mirroring how the tokenizer will present entry text. Words
-// that normalize to nothing (a bare possessive marker like "'s") are dropped
-// entirely, so the result never contains an empty word: "euler 's theorem"
-// becomes "euler theorem", not "euler  theorem".
+// NormalizeLabel canonicalizes a multi-word concept label: it splits the
+// label into words by the rule the tokenizer splits entry text by (IsWordRune,
+// WordEnd), normalizes every word and joins them with single spaces, so that
+// "Hahn–Banach theorem" and "group (algebra)" meet the tokens of their own
+// text. Words that normalize to nothing are dropped, so the result never
+// contains an empty word.
 func NormalizeLabel(label string) string {
-	fields := strings.Fields(label)
-	out := fields[:0]
-	for _, f := range fields {
-		if n := Normalize(f); n != "" {
-			out = append(out, n)
+	var b strings.Builder
+	for i := 0; i < len(label); {
+		r, size := rune(label[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(label[i:])
 		}
+		if !IsWordRune(r) {
+			i += size
+			continue
+		}
+		end := WordEnd(label, i)
+		if n := Normalize(label[i:end]); n != "" {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(n)
+		}
+		i = end
 	}
-	return strings.Join(out, " ")
+	return b.String()
+}
+
+// IsWordRune reports whether r starts a word: a letter or a digit.
+func IsWordRune(r rune) bool {
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// IsJoiner reports whether r is one of the joiners ', ’, - and –, which
+// continue a word but neither start nor end one. The en dash joins because
+// it folds to a hyphen and is how eponyms are typeset: "Hahn–Banach" is one
+// word, as "Hahn-Banach" is. The em dash, which folds to a hyphen too, is
+// left to split: prose sets it between words without spaces.
+func IsJoiner(r rune) bool {
+	return r == '\'' || r == '’' || r == '-' || r == '–'
+}
+
+// wordPart marks the ASCII bytes that continue a word.
+var wordPart = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = IsWordRune(rune(c)) || IsJoiner(rune(c))
+	}
+	return t
+}()
+
+// WordEnd returns where the word that starts at s[start] ends. A word runs
+// through letters, digits and joiners; joiners at its end belong to the
+// prose, not the word ("rock-'n'-roll--" is "rock-'n'-roll").
+func WordEnd(s string, start int) int {
+	i := start
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !wordPart[c] {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if !IsWordRune(r) && !IsJoiner(r) {
+			break
+		}
+		i += size
+	}
+	// The run started at a word rune, so trimming stops there.
+	for {
+		r, size := utf8.DecodeLastRuneInString(s[start:i])
+		if !IsJoiner(r) {
+			return i
+		}
+		i -= size
+	}
 }
 
 // NormalizeWords normalizes every word of an already-split label.

@@ -130,11 +130,24 @@ func TestNormalizeLabel(t *testing.T) {
 		"Connected Components":   "connected component",
 		"Euler's  Formula":       "euler formula",
 		" orthogonal functions ": "orthogonal function",
-		// Words that normalize to nothing are dropped, never left as empty
-		// words (a double space would poison downstream word splitting).
-		"Euler 's Theorem": "euler theorem",
-		"'s":               "",
+		// Words are the tokenizer's: an apostrophe opens no word, so "'s" is
+		// the word "s" in a label as in the text "Euler 's Theorem".
+		"Euler 's Theorem": "euler s theorem",
+		"'s":               "s",
 		"a ’ b":            "a b",
+		// Punctuation other than a joiner inside a word splits it, as the
+		// tokenizer splits text: these labels could not link their own text
+		// while labels were split at whitespace only.
+		"group (algebra)":      "group algebra",
+		"ring, commutative":    "ring commutative",
+		"L^p space":            "l p space",
+		"rock-'n'-roll-- band": "rock-'n'-roll band",
+		// An en dash joins, as a hyphen does, and folds to one; an em dash
+		// splits.
+		"Hahn–Banach theorem": "hahn-banach theorem",
+		"Hahn-Banach theorem": "hahn-banach theorem",
+		"Hahn—Banach theorem": "hahn banach theorem",
+		"pages 3– and 4–":     "page 3 and 4",
 		// Upper-case code points the fold table lists only in lower case
 		// fold like their lower-case spelling, in one pass.
 		"Gau\u1e9e \u212bngström units": "gauss angstrom unit",

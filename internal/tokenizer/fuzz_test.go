@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"nnexus/internal/morph"
 )
 
 // tokenizerSeeds are the fixed cases FuzzTokenize starts from and
@@ -27,6 +29,7 @@ var tokenizerSeeds = []string{
 	"\\[ unclosed",
 	"< not a tag",
 	"it's Euler’s-- rock-'n'-roll ’’ x’",
+	"Hahn–Banach –x– Cauchy-–Schwarz pages 3–5–",
 	"<CODE>graph</Code > <Script>ring</SCRIPT> <pre>unclosed group",
 	"<a>" + strings.Repeat("Ⱥ", 10) + "</a>",
 	"<code>" + strings.Repeat("İ", 10) + " x > y group</code> ring",
@@ -39,14 +42,18 @@ var tokenizerSeeds = []string{
 }
 
 // checkTokenize is the tokenizer's contract on one input: the offset
-// invariants, no token inside an escaped span, and tokens and spans equal to
-// the two-pass reference's.
+// invariants, no token inside an escaped span, every Norm the normal form of
+// its Text whether the vocabulary resolved it or not, and every Word 0 or
+// the ID of Norm; tokens (but for Word) and spans equal to the two-pass
+// reference's; and a text with no escape opener, read as a label, normalizes
+// to its tokens' norms — labels and text split into the same words.
 func checkTokenize(t *testing.T, s string) {
 	t.Helper()
 	toks := Tokenize(s)
 	spans := EscapeSpans(s)
 	prev := -1
-	for _, tok := range toks {
+	var norms []string
+	for i, tok := range toks {
 		if tok.Start <= prev || tok.End <= tok.Start || tok.End > len(s) {
 			t.Fatalf("bad offsets %d:%d after %d in %q", tok.Start, tok.End, prev, s)
 		}
@@ -54,6 +61,23 @@ func checkTokenize(t *testing.T, s string) {
 			t.Fatalf("text mismatch at %d in %q", tok.Start, s)
 		}
 		prev = tok.Start
+		if want := morph.Normalize(tok.Text); tok.Norm != want {
+			t.Fatalf("token %q: Norm %q, want %q", tok.Text, tok.Norm, want)
+		}
+		if tok.Word != 0 && morph.Word(tok.Word) != tok.Norm {
+			t.Fatalf("token %q: Word %d names %q, not its Norm %q", tok.Text, tok.Word, morph.Word(tok.Word), tok.Norm)
+		}
+		if tok.Norm != "" {
+			norms = append(norms, tok.Norm)
+		}
+		toks[i].Word = 0 // the reference resolves nothing
+	}
+	if !strings.ContainsAny(s, "$\\`<") {
+		if got, want := morph.NormalizeLabel(s), strings.Join(norms, " "); got != want {
+			t.Fatalf("NormalizeLabel(%q) = %q, its tokens' norms %q", s, got, want)
+		}
+	}
+	for _, tok := range toks {
 		for _, sp := range spans {
 			if tok.Start < sp.End && tok.End > sp.Start {
 				t.Fatalf("token %q at %d inside escaped span %v of %q", tok.Text, tok.Start, sp, s)
@@ -76,6 +100,21 @@ func checkTokenize(t *testing.T, s string) {
 func TestTokenizeMatchesReference(t *testing.T) {
 	for _, s := range tokenizerSeeds {
 		checkTokenize(t, s)
+	}
+	internSeeds()
+	for _, s := range tokenizerSeeds {
+		checkTokenize(t, s)
+	}
+}
+
+// internSeeds puts the surface forms of the seeds' tokens into the
+// vocabulary, as storing them as bodies would, so that the tokens of the
+// inputs grown from them come both resolved and not.
+func internSeeds() {
+	for _, s := range tokenizerSeeds {
+		for _, tok := range Tokenize(s) {
+			morph.Intern(tok.Text)
+		}
 	}
 }
 
@@ -104,5 +143,6 @@ func FuzzTokenize(f *testing.F) {
 	for _, seed := range tokenizerSeeds {
 		f.Add(seed)
 	}
+	internSeeds()
 	f.Fuzz(checkTokenize)
 }

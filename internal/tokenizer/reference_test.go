@@ -2,6 +2,7 @@ package tokenizer
 
 import (
 	"strings"
+	"unicode"
 	"unicode/utf8"
 
 	"nnexus/internal/morph"
@@ -15,7 +16,8 @@ import (
 // bytes, where the old one searched a lower-cased copy whose offsets are not
 // the text's. scanDollar and tagName are the package's own, which neither
 // that rewrite nor the closer memo (escapes) touched; referenceScanTeX and
-// referenceScanHTML search for every closer afresh from every opener.
+// referenceScanHTML search for every closer afresh from every opener. Its
+// tokens carry no Word: checkTokenize compares without it.
 
 func referenceTokenize(text string) []Token {
 	spans := referenceEscapeSpans(text)
@@ -40,7 +42,7 @@ func referenceTokenize(text string) []Token {
 		if r >= 0x80 {
 			r, size = utf8.DecodeRuneInString(text[i:])
 		}
-		if !isWordRune(r) {
+		if !referenceWordRune(r) {
 			i += size
 			continue
 		}
@@ -50,12 +52,12 @@ func referenceTokenize(text string) []Token {
 			if r >= 0x80 {
 				r, size = utf8.DecodeRuneInString(text[i:])
 			}
-			if !isWordPart(r) {
+			if !referenceWordPart(r) {
 				break
 			}
 			i += size
 		}
-		raw := strings.TrimRight(text[start:i], "-'’")
+		raw := strings.TrimRight(text[start:i], "-'’–")
 		if raw == "" {
 			continue
 		}
@@ -68,6 +70,14 @@ func referenceTokenize(text string) []Token {
 		})
 	}
 	return tokens
+}
+
+func referenceWordRune(r rune) bool {
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+func referenceWordPart(r rune) bool {
+	return referenceWordRune(r) || r == '\'' || r == '’' || r == '-' || r == '–'
 }
 
 func referenceEscapeSpans(text string) []Span {

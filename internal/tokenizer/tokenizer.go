@@ -13,7 +13,6 @@ package tokenizer
 
 import (
 	"strings"
-	"unicode"
 	"unicode/utf8"
 
 	"nnexus/internal/morph"
@@ -21,10 +20,13 @@ import (
 
 // Token is one linkable word occurrence in the entry text.
 type Token struct {
-	Text  string // raw text as it appears in the entry
-	Norm  string // morphologically normalized form used for map lookups
-	Start int    // byte offset of the first byte of Text in the input
-	End   int    // byte offset one past the last byte of Text
+	Text string // raw text as it appears in the entry
+	Norm string // morphologically normalized form used for map lookups
+	// Word is the vocabulary's ID of Norm (morph.Lookup), 0 when the
+	// vocabulary did not hold Text when the text was tokenized.
+	Word  int32
+	Start int // byte offset of the first byte of Text in the input
+	End   int // byte offset one past the last byte of Text
 }
 
 // Span marks a half-open byte range [Start, End) of the input.
@@ -45,13 +47,18 @@ func Tokenize(text string) []Token {
 // It is one pass over the bytes: an escape opener is recognised where it
 // stands and its region skipped, so no span list is built. A token can
 // never run into an escaped region, because no opener is a word character.
+// Words are split by morph's rule, the one labels are split by. A surface
+// form the vocabulary holds takes its Norm and Word from one probe; any
+// other is normalized, and its Word left 0. The vocabulary is read as it
+// stood when the call began.
 func TokenizeAppend(dst []Token, text string) []Token {
 	esc := escapes{text: text}
+	vocab := morph.Current()
 	for i := 0; i < len(text); {
 		c := text[i]
-		if c < utf8.RuneSelf {
-			if class := byteClass[c]; class&classWord == 0 {
-				if class&classOpener != 0 {
+		if class := byteClass[c]; class != classWord {
+			if c < utf8.RuneSelf {
+				if class == classOpener {
 					if end, ok := esc.end(i); ok {
 						i = end
 						continue
@@ -60,59 +67,47 @@ func TokenizeAppend(dst []Token, text string) []Token {
 				i++
 				continue
 			}
-		} else if r, size := utf8.DecodeRuneInString(text[i:]); !isWordRune(r) {
-			i += size
-			continue
-		}
-		start := i
-		for i < len(text) {
-			c := text[i]
-			if c < utf8.RuneSelf {
-				if byteClass[c]&(classWord|classJoin) == 0 {
-					break
-				}
-				i++
+			if r, size := utf8.DecodeRuneInString(text[i:]); !morph.IsWordRune(r) {
+				i += size
 				continue
 			}
-			r, size := utf8.DecodeRuneInString(text[i:])
-			if !isWordPart(r) {
-				break
-			}
-			i += size
 		}
-		// Trailing joiners belong to the prose, not the word; a token is
-		// valid UTF-8, so a three-byte tail equal to "’" is that rune.
-		end := i
-		for {
-			if c := text[end-1]; c == '-' || c == '\'' {
-				end--
-			} else if end-start > len("’") && text[end-len("’"):end] == "’" {
-				end -= len("’")
-			} else {
-				break
-			}
+		// Most words are ASCII letters and digits up to a byte that ends
+		// them; at a joiner or past ASCII, morph.WordEnd decides.
+		start := i
+		for i++; i < len(text) && byteClass[text[i]] == classWord; i++ {
 		}
-		raw := text[start:end]
-		dst = append(dst, Token{Text: raw, Norm: morph.Normalize(raw), Start: start, End: end})
+		if i < len(text) && byteClass[text[i]] == classJoin {
+			i = morph.WordEnd(text, start)
+		}
+		raw := text[start:i]
+		norm, word, ok := vocab.Lookup(raw)
+		if !ok {
+			norm = morph.Normalize(raw)
+		}
+		dst = append(dst, Token{Text: raw, Norm: norm, Word: word, Start: start, End: i})
 	}
 	return dst
 }
 
-// Byte classes of ASCII: what may start or continue a token, and what may
-// open an escaped region. Runes past ASCII go through isWordRune/isWordPart.
+// Byte classes: what starts a token, what may continue one (a joiner, or a
+// byte past ASCII), and what may open an escaped region. Runes past ASCII go
+// through morph.IsWordRune.
 const (
-	classWord   = 1 << iota // letter or digit: starts and continues a token
-	classJoin               // ' and -: continue a token, never start one
-	classOpener             // $ \ ` <: see escapes.end
+	classWord   = 1 + iota // starts and continues a token
+	classOpener            // $ \ ` <: see escapes.end
+	classJoin              // morph.IsJoiner, or past ASCII: see morph.WordEnd
 )
 
-var byteClass = func() (t [utf8.RuneSelf]uint8) {
+var byteClass = func() (t [256]uint8) {
 	for c := range t {
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
+		switch r := rune(c); {
+		case c >= utf8.RuneSelf || morph.IsJoiner(r):
+			t[c] = classJoin
+		case morph.IsWordRune(r):
 			t[c] = classWord
 		}
 	}
-	t['\''], t['-'] = classJoin, classJoin
 	t['$'], t['\\'], t['`'], t['<'] = classOpener, classOpener, classOpener, classOpener
 	return t
 }()
@@ -361,12 +356,4 @@ func tagName(inner string) string {
 		}
 	}
 	return inner
-}
-
-func isWordRune(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r)
-}
-
-func isWordPart(r rune) bool {
-	return isWordRune(r) || r == '\'' || r == '’' || r == '-'
 }

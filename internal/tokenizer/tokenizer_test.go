@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"nnexus/internal/morph"
 	"nnexus/internal/workload"
 )
 
@@ -294,8 +295,9 @@ func TestTokenizeLinearInEscapedElements(t *testing.T) {
 
 // TestTokenizeAppendAllocs gates the tokenizer's allocations into a warm
 // buffer: none for lower-case ASCII singular words, whose Norm is the token
-// itself, and for a generated entry body at most one per eight tokens — a
-// Norm only where case folding or singularising changed the word.
+// itself; for a generated entry body at most one per eight tokens — a Norm
+// only where case folding or singularising changed the word — and none once
+// its words are in the vocabulary, as a stored body's are.
 func TestTokenizeAppendAllocs(t *testing.T) {
 	plain := strings.Repeat("let the graph embed in a plane so that no edge of it may cross another one ", 20)
 	c, err := workload.Generate(workload.DefaultParams(40))
@@ -306,10 +308,16 @@ func TestTokenizeAppendAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name, text string
 		perToken   float64
-	}{{"plain", plain, 0}, {"generated body", body, 1.0 / 8}} {
+		intern     bool
+	}{{"plain", plain, 0, false}, {"generated body", body, 1.0 / 8, false}, {"stored body", body, 0, true}} {
 		buf := TokenizeAppend(nil, tc.text)
 		if len(buf) < 50 {
 			t.Fatalf("%s: only %d tokens", tc.name, len(buf))
+		}
+		if tc.intern {
+			for _, tok := range buf {
+				morph.Intern(tok.Text)
+			}
 		}
 		allocs := testing.AllocsPerRun(100, func() { buf = TokenizeAppend(buf[:0], tc.text) })
 		if allocs > tc.perToken*float64(len(buf)) {
