@@ -210,7 +210,7 @@ func runOpenLoopFailover(c *workload.Corpus, opt openLoopOptions) error {
 		winner = -1
 		n := 0
 		for _, i := range []int{1, 2} {
-			if info := engines[i].ElectionInfo(); info != nil && info["role"] == "primary" {
+			if engines[i].Replication().Role == "primary" {
 				n++
 				winner = i
 			}
@@ -224,7 +224,7 @@ func runOpenLoopFailover(c *workload.Corpus, opt openLoopOptions) error {
 	if winner == -1 {
 		return fmt.Errorf("no single primary emerged within 15s of the kill")
 	}
-	epoch := engines[winner].ElectionInfo()["epoch"]
+	epoch := engines[winner].Replication().Term
 
 	p, gap := res.Point(), avail.gap()
 	fmt.Printf("%9s %9s %8s %10s %10s %7s %12s\n",

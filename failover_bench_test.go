@@ -33,12 +33,12 @@ func BenchmarkQuorumWrite(b *testing.B) {
 			// beats the first subscribe would charge bootstrap, not the ack.
 			deadline := time.Now().Add(30 * time.Second)
 			for {
-				info := fc.Engines[0].ReplicationInfo()
-				if fs, ok := info["followers"].(map[string]interface{}); ok && len(fs) >= 2 {
+				st := fc.Engines[0].Replication()
+				if len(st.Followers) >= 2 {
 					break
 				}
 				if time.Now().After(deadline) {
-					b.Fatalf("followers never connected: %v", info)
+					b.Fatalf("followers never connected: %+v", st)
 				}
 				time.Sleep(10 * time.Millisecond)
 			}

@@ -58,11 +58,11 @@ func (fc failoverCluster) role(i int) string {
 	if fc.Engines[i] == nil {
 		return "dead"
 	}
-	info := fc.Engines[i].ElectionInfo()
-	if info == nil {
+	st := fc.Engines[i].Replication()
+	if st.Election == nil {
 		return "none"
 	}
-	return info["role"].(string)
+	return st.Role
 }
 
 // awaitSinglePrimary waits for the surviving followers to elect exactly one
@@ -189,7 +189,7 @@ func TestChaosFailover(t *testing.T) {
 				acked.record(id, title)
 			}
 			wantHead := uint64(k)
-			if head := fc.Engines[0].ReplicationInfo()["head"].(uint64); head != wantHead {
+			if head := fc.Engines[0].Replication().Head; head != wantHead {
 				t.Fatalf("head before kill = %d, want %d", head, wantHead)
 			}
 
@@ -322,10 +322,10 @@ func TestChaosFailoverOldPrimaryFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "old primary fenced itself", func() bool {
-		info := fc.Engines[0].ElectionInfo()
-		return info["role"].(string) == "follower" && info["fenced"].(bool)
+		st := fc.Engines[0].Replication()
+		return st.Role == "follower" && st.Election.Fenced
 	})
-	if got := fc.Engines[0].ElectionInfo()["leader"].(string); got != fc.Addrs[winner] {
+	if got := fc.Engines[0].Replication().Leader; got != fc.Addrs[winner] {
 		t.Fatalf("fenced node's leader = %q, want %q", got, fc.Addrs[winner])
 	}
 	// Exactly one primary across the WHOLE cluster, including the returnee.
@@ -334,10 +334,10 @@ func TestChaosFailoverOldPrimaryFenced(t *testing.T) {
 	}
 
 	// The fenced node converges on the winner's history and serves it.
-	winnerHead := func() uint64 { return fc.Engines[winner].ReplicationInfo()["head"].(uint64) }
+	winnerHead := func() uint64 { return fc.Engines[winner].Replication().Head }
 	waitFor(t, "fenced node converged", func() bool {
-		info := fc.Engines[0].ReplicationInfo()
-		return info["role"] == "follower" && info["applied"].(uint64) == winnerHead() && info["synced"].(bool)
+		st := fc.Engines[0].Replication()
+		return st.Role == "follower" && st.Applied == winnerHead() && st.Synced
 	})
 	direct, err := nnexus.Dial(fc.Addrs[0])
 	if err != nil {

@@ -119,14 +119,14 @@ func (c *Cluster) Restart(i int) error {
 // head of node primary, and returns that head.
 func (c *Cluster) WaitCaughtUp(primary int, timeout time.Duration) (uint64, error) {
 	for deadline := time.Now().Add(timeout); ; time.Sleep(10 * time.Millisecond) {
-		head, _ := c.Engines[primary].ReplicationInfo()["head"].(uint64)
+		head := c.Engines[primary].Replication().Head
 		behind := ""
 		for i, e := range c.Engines {
 			if e == nil {
 				continue
 			}
-			if info := e.ReplicationInfo(); info["role"] == "follower" && (info["applied"] != head || info["synced"] != true) {
-				behind = fmt.Sprintf("node %d: %v", i, info)
+			if st := e.Replication(); st.Role == "follower" && (st.Applied != head || !st.Synced) {
+				behind = fmt.Sprintf("node %d: %+v", i, st)
 			}
 		}
 		if behind == "" {

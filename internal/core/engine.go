@@ -291,18 +291,10 @@ func (e *Engine) nsEnsureLocked(name string) *namespace {
 }
 
 // EntrySize is the byte footprint an entry charges against its corpus's
-// byte quota: the indexed text (title, concepts, classes, body). The
-// serving layers use it to pre-check tenant quotas before dispatching a
-// write.
+// byte quota (corpus.IndexedSize). The serving layers use it to pre-check
+// tenant quotas before dispatching a write.
 func EntrySize(e *corpus.Entry) int64 {
-	n := len(e.Title) + len(e.Body)
-	for _, c := range e.Concepts {
-		n += len(c)
-	}
-	for _, c := range e.Classes {
-		n += len(c)
-	}
-	return int64(n)
+	return corpus.IndexedSize(e.Title, e.Body, e.Concepts, e.Classes)
 }
 
 // CorpusUsage reports a corpus's live entry count and indexed byte

@@ -56,6 +56,21 @@ type Entry struct {
 	Policy string `json:"policy,omitempty"`
 }
 
+// IndexedSize is the byte footprint of an entry with these fields, the one
+// it charges against its corpus's byte quota: the indexed text (title, body,
+// concepts, classes). It takes the fields, not an Entry, so that a door can
+// size the form a request carries without converting it.
+func IndexedSize(title, body string, concepts, classes []string) int64 {
+	n := len(title) + len(body)
+	for _, c := range concepts {
+		n += len(c)
+	}
+	for _, c := range classes {
+		n += len(c)
+	}
+	return int64(n)
+}
+
 // Labels returns every concept label of the entry: the title plus the
 // defined concepts, in order, without blanks.
 func (e *Entry) Labels() []string {

@@ -34,14 +34,16 @@ type check struct {
 
 type info struct {
 	name string
-	fn   func() map[string]interface{}
+	fn   func() any
 }
 
 // Component is one named component's readiness detail inside a Report.
 type Component struct {
-	OK    bool                   `json:"ok"`
-	Error string                 `json:"error,omitempty"`
-	Info  map[string]interface{} `json:"info,omitempty"`
+	OK    bool   `json:"ok"`
+	Error string `json:"error,omitempty"`
+	// Info is the component's detail, a value that marshals to a JSON
+	// object (e.g. the replication status).
+	Info any `json:"info,omitempty"`
 }
 
 // Report is the structured readiness report behind GET /readyz: the overall
@@ -94,7 +96,7 @@ func (s *State) AddCheck(name string, fn func() error) {
 // AddInfo registers a named detail provider whose result is attached to the
 // component of that name in every Report — purely informational (it cannot
 // fail readiness), e.g. replication role, epoch, and lag.
-func (s *State) AddInfo(name string, fn func() map[string]interface{}) {
+func (s *State) AddInfo(name string, fn func() any) {
 	if s == nil || fn == nil {
 		return
 	}

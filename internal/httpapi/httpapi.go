@@ -211,13 +211,21 @@ func (h *Handler) serve(w http.ResponseWriter, req service.Request, ok, fallback
 // into v, answering 413 past the limit and 400 for anything malformed.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes)).Decode(v)
+	if err != nil {
+		failBody(w, err)
+	}
+	return err == nil
+}
+
+// failBody answers a request body that could not be read: 413 past
+// service.MaxRequestBytes, 400 for anything else.
+func failBody(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		httpError(w, http.StatusRequestEntityTooLarge, err)
-	} else if err != nil {
+	} else {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 	}
-	return err == nil
 }
 
 // linkRequest is the /api/link request body.
@@ -279,8 +287,8 @@ func (h *Handler) link(w http.ResponseWriter, r *http.Request) {
 // storeRequest describes a route that stores entry under id (0 = new) to the
 // request pipeline: it is charged to the entry's corpus.
 func storeRequest(method string, id int64, entry *corpus.Entry) service.Request {
-	return service.Request{Method: method, Corpus: entry.Corpus,
-		Writes: []service.Write{{ID: id, Size: core.EntrySize(entry)}}}
+	return service.Request{Method: method,
+		Writes: []service.Write{{ID: id, Size: core.EntrySize(entry), Corpus: entry.Corpus}}}
 }
 
 func (h *Handler) createEntry(w http.ResponseWriter, r *http.Request) {
@@ -360,9 +368,9 @@ func (h *Handler) setPolicy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		failBody(w, err)
 		return
 	}
 	h.serve(w, service.Request{Method: wire.MethodSetPolicy},
@@ -398,7 +406,7 @@ func (h *Handler) importOAI(w http.ResponseWriter, r *http.Request) {
 				// Quota is enforced per entry against live usage, so a
 				// stream cannot blow through a corpus's quota in one
 				// request; the entries already imported stay.
-				if err := h.svc.CheckQuota(entry.Corpus, service.Write{Size: core.EntrySize(entry)}); err != nil {
+				if err := h.svc.CheckQuota(service.Write{Size: core.EntrySize(entry), Corpus: entry.Corpus}); err != nil {
 					return err
 				}
 				if _, err := h.engine.AddEntry(entry); err != nil {

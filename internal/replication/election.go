@@ -216,8 +216,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("replication: dial initial leader: %w", err)
 		}
-		f, err := NewFollower(cfg.Store, cfg.Applier, src,
-			append(append([]FollowerOption{}, cfg.FollowerOpts...), WithLeaderAddr(n.leader))...)
+		f, err := NewFollower(cfg.Store, cfg.Applier, src, cfg.FollowerOpts...)
 		if err != nil {
 			return nil, err
 		}
@@ -299,7 +298,7 @@ func (n *Node) run() {
 	defer close(n.doneCh)
 	// A (re)starting primary probes immediately: if the cluster moved on
 	// while it was down, it discovers the higher epoch before serving long.
-	if n.Role() == RolePrimary && len(n.peers) > 0 {
+	if n.currentRole() == RolePrimary && len(n.peers) > 0 {
 		n.watchdog()
 	}
 	tick := n.timeout / 8
@@ -314,7 +313,7 @@ func (n *Node) run() {
 			return
 		case <-time.After(tick):
 		}
-		switch n.Role() {
+		switch n.currentRole() {
 		case RoleFollower:
 			if len(n.peers) == 0 {
 				continue // nobody to ask for votes
@@ -346,15 +345,18 @@ func (n *Node) jitteredTimeout() time.Duration {
 // follower loop's last successful exchange.
 func (n *Node) lastHeardTime() time.Time {
 	n.mu.Lock()
-	last := n.lastHeard
-	f := n.follower
-	n.mu.Unlock()
-	if f != nil {
-		if lc := f.LastContact(); lc.After(last) {
-			last = lc
+	defer n.mu.Unlock()
+	return n.lastHeardLocked()
+}
+
+// lastHeardLocked is lastHeardTime for callers holding n.mu.
+func (n *Node) lastHeardLocked() time.Time {
+	if n.follower != nil {
+		if lc := n.follower.LastContact(); lc.After(n.lastHeard) {
+			return lc
 		}
 	}
-	return last
+	return n.lastHeard
 }
 
 func (n *Node) touchHeard() {
@@ -544,8 +546,7 @@ func (n *Node) buildFollower(leaderAddr string) {
 		n.logf("replication: cannot dial new leader %q: %v", leaderAddr, err)
 		return
 	}
-	f, err := NewFollower(n.cfg.Store, n.cfg.Applier, src,
-		append(append([]FollowerOption{}, n.cfg.FollowerOpts...), WithLeaderAddr(leaderAddr))...)
+	f, err := NewFollower(n.cfg.Store, n.cfg.Applier, src, n.cfg.FollowerOpts...)
 	if err != nil {
 		n.logf("replication: cannot follow new leader %q: %v", leaderAddr, err)
 		return
@@ -723,7 +724,7 @@ func (n *Node) HandleLead(epoch uint64, leaderAddr string) error {
 	}
 	if f != nil {
 		if src, err := n.getPeer(leaderAddr); err == nil {
-			f.Retarget(src, leaderAddr)
+			f.Retarget(src)
 		}
 		return nil
 	}
@@ -742,38 +743,11 @@ func (n *Node) HandleLead(epoch uint64, leaderAddr string) error {
 // it never stands, votes or probes.
 func (n *Node) clustered() bool { return n != nil && len(n.peers) > 0 }
 
-// Role returns the node's current role (RolePrimary or RoleFollower).
-func (n *Node) Role() string {
+// currentRole returns the node's role (RolePrimary or RoleFollower).
+func (n *Node) currentRole() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.role
-}
-
-// Epoch returns the node's current election epoch.
-func (n *Node) Epoch() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.term
-}
-
-// LeaderAddr returns the address of the leader this node recognizes (its own
-// when primary, "" when unknown).
-func (n *Node) LeaderAddr() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leader
-}
-
-// IsPrimary reports whether the node currently serves as primary.
-func (n *Node) IsPrimary() bool { return n.Role() == RolePrimary }
-
-// Fenced reports whether this node was demoted by fencing (and has not since
-// won an election): its unshipped writes are being discarded and mutating
-// requests must be rejected.
-func (n *Node) Fenced() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.fenced
 }
 
 // CheckWritable lets a mutation execute (nil) on a primary or a single node
@@ -816,120 +790,6 @@ func (n *Node) CurrentPrimary() *Primary {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.primary
-}
-
-// CurrentFollower returns the follower loop feeding this process right now
-// (nil on a primary or a single node).
-func (n *Node) CurrentFollower() *Follower {
-	if n == nil {
-		return nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.follower
-}
-
-// WireStatus answers replStatus: the current role's replication position,
-// with Epoch carrying the election epoch, plus the leader address for client
-// redirects.
-func (n *Node) WireStatus() (*wire.ReplPayload, string) {
-	if n == nil {
-		return &wire.ReplPayload{Role: RoleSingle}, ""
-	}
-	n.mu.Lock()
-	term := n.term
-	leader := n.leader
-	p := n.primary
-	f := n.follower
-	role := n.role
-	n.mu.Unlock()
-	var pay *wire.ReplPayload
-	switch {
-	case p != nil:
-		pay = p.Status()
-	case f != nil:
-		pay = f.WireStatus()
-	default:
-		head := n.cfg.Store.ReplicationHead()
-		pay = &wire.ReplPayload{Role: role, Head: head, Applied: head, Stale: true}
-	}
-	pay.Epoch = term
-	return pay, leader
-}
-
-// Info reports the replication position for readiness probes: role, storage
-// epoch and head, plus per-follower lag on a primary and applied offset, lag
-// and sync state on a follower.
-func (n *Node) Info() map[string]interface{} {
-	if n == nil {
-		return map[string]interface{}{"role": RoleSingle}
-	}
-	if p := n.CurrentPrimary(); p != nil {
-		st := p.Status()
-		lags := p.FollowerLags()
-		followers := make(map[string]interface{}, len(lags))
-		var maxLag uint64
-		for name, lag := range lags {
-			followers[name] = lag
-			if lag > maxLag {
-				maxLag = lag
-			}
-		}
-		return map[string]interface{}{
-			"role":      st.Role,
-			"epoch":     st.Epoch,
-			"head":      st.Head,
-			"followers": followers,
-			"maxLag":    maxLag,
-		}
-	}
-	if f := n.CurrentFollower(); f != nil {
-		st := f.Status()
-		info := map[string]interface{}{
-			"role":    st.Role,
-			"epoch":   st.Epoch,
-			"applied": st.Applied,
-			"head":    st.Head,
-			"lag":     st.Lag(),
-			"synced":  st.Synced,
-			"leader":  st.Leader,
-		}
-		if st.Err != "" {
-			info["error"] = st.Err
-		}
-		return info
-	}
-	// Mid-transition (between roles): report the election view.
-	return map[string]interface{}{"role": n.Role(), "epoch": n.Epoch()}
-}
-
-// ElectionInfo reports the failover state machine for readiness probes: role,
-// epoch, recognized leader, seconds since last leader contact, the latest
-// election's vote count, and whether the node stands fenced. Nil outside a
-// failover cluster.
-func (n *Node) ElectionInfo() map[string]interface{} {
-	if !n.clustered() {
-		return nil
-	}
-	last := n.lastHeardTime()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	info := map[string]interface{}{
-		"role":      n.role,
-		"epoch":     n.term,
-		"leader":    n.leader,
-		"fenced":    n.fenced,
-		"elections": n.elections,
-		"votesSeen": n.lastVotes,
-		"peers":     len(n.peers),
-	}
-	if !last.IsZero() {
-		info["lastLeaderContactSeconds"] = time.Since(last).Seconds()
-	}
-	if n.votedFor != "" {
-		info["votedFor"] = n.votedFor
-	}
-	return info
 }
 
 // getPeer returns a (cached) connection to addr, dialing lazily.

@@ -138,8 +138,9 @@ func (p fabricPeer) ReplStatus() (*wire.ReplPayload, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	pay, leader := n.WireStatus()
-	return pay, leader, nil
+	st := n.Status()
+	return &wire.ReplPayload{Role: st.Role, Epoch: st.Term, Head: st.Head, Applied: st.Applied, Stale: !st.Synced},
+		st.Leader, nil
 }
 
 func (p fabricPeer) Close() error { return nil }
@@ -234,12 +235,8 @@ func threeNodeCluster(t *testing.T, fb *fabric, writes int) (nodes map[string]*N
 	for _, a := range []string{"n2", "n3"} {
 		a := a
 		waitNode(t, a+" caught up", 5*time.Second, func() bool {
-			f := nodes[a].CurrentFollower()
-			if f == nil {
-				return false
-			}
-			st := f.Status()
-			return st.Applied == head && st.Synced
+			st := nodes[a].Status()
+			return st.Role == RoleFollower && st.Applied == head && st.Synced
 		})
 	}
 	return nodes, stores, dirs
@@ -255,13 +252,52 @@ func TestElectionAfterPrimaryLoss(t *testing.T) {
 	fb := newFabric()
 	nodes, stores, _ := threeNodeCluster(t, fb, 5)
 
+	// The survivors' Status is read throughout while the election flips
+	// their roles: under -race this checks that it reads every part under
+	// the lock guarding it, and each snapshot is of one role.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for _, a := range []string{"n2", "n3"} {
+		n := nodes[a]
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(100 * time.Microsecond):
+				}
+				st := n.Status()
+				e := st.Election
+				switch {
+				case e == nil || e.Role != st.Role || e.Term != st.Term || e.Leader != st.Leader:
+					t.Errorf("election part %+v does not match %+v", e, st)
+				case st.Lag != st.Head-st.Applied:
+					t.Errorf("lag %d is not head %d - applied %d", st.Lag, st.Head, st.Applied)
+				case st.Role == RolePrimary && (st.Followers == nil || !st.Synced || st.Leader != a):
+					t.Errorf("primary snapshot without its primary's part: %+v", st)
+				case st.Role != RolePrimary && st.Followers != nil:
+					t.Errorf("%s snapshot with a primary's followers: %+v", st.Role, st)
+				default:
+					continue
+				}
+				return
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		readers.Wait()
+	}()
+
 	fb.setDown("n1", true)
 	nodes["n1"].Stop()
 
 	var winner, loser string
 	waitNode(t, "a follower won the election", 10*time.Second, func() bool {
 		for _, a := range []string{"n2", "n3"} {
-			if nodes[a].IsPrimary() {
+			if nodes[a].Status().Role == RolePrimary {
 				winner = a
 				return true
 			}
@@ -273,7 +309,7 @@ func TestElectionAfterPrimaryLoss(t *testing.T) {
 			loser = a
 		}
 	}
-	if epoch := nodes[winner].Epoch(); epoch == 0 {
+	if epoch := nodes[winner].Status().Term; epoch == 0 {
 		t.Fatalf("winner's election epoch = 0, want > 0")
 	}
 	if nodes[winner].CurrentPrimary() == nil {
@@ -289,26 +325,22 @@ func TestElectionAfterPrimaryLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitNode(t, "loser follows the winner", 10*time.Second, func() bool {
-		if nodes[loser].IsPrimary() {
+		if nodes[loser].Status().Role == RolePrimary {
 			t.Fatal("both followers became primary — split brain")
 		}
-		f := nodes[loser].CurrentFollower()
-		if f == nil || f.Status().Leader != winner {
-			return false
-		}
-		st := f.Status()
-		return st.Applied == stores[winner].ReplicationHead() && st.Synced
+		st := nodes[loser].Status()
+		return st.Role == RoleFollower && st.Leader == winner &&
+			st.Applied == stores[winner].ReplicationHead() && st.Synced
 	})
-	if l := nodes[loser].LeaderAddr(); l != winner {
+	if l := nodes[loser].Status().Leader; l != winner {
 		t.Fatalf("loser's leader = %q, want %q", l, winner)
 	}
 	sameState(t, stores[loser], stores[winner], "after failover")
 
 	// Exactly one primary, stably: re-check after another timeout window.
 	time.Sleep(2 * testElectionTimeout)
-	if !nodes[winner].IsPrimary() || nodes[loser].IsPrimary() {
-		t.Fatalf("roles unstable: winner primary=%v, loser primary=%v",
-			nodes[winner].IsPrimary(), nodes[loser].IsPrimary())
+	if w, l := nodes[winner].Status().Role, nodes[loser].Status().Role; w != RolePrimary || l == RolePrimary {
+		t.Fatalf("roles unstable: winner %s, loser %s", w, l)
 	}
 }
 
@@ -344,7 +376,7 @@ func TestOldPrimaryFencedAndTruncated(t *testing.T) {
 	var winner string
 	waitNode(t, "failover election", 10*time.Second, func() bool {
 		for _, a := range []string{"n2", "n3"} {
-			if nodes[a].IsPrimary() {
+			if nodes[a].Status().Role == RolePrimary {
 				winner = a
 				return true
 			}
@@ -370,20 +402,17 @@ func TestOldPrimaryFencedAndTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitNode(t, "returning primary fenced", 10*time.Second, func() bool {
-		return !n1b.IsPrimary() && n1b.Fenced()
+		st := n1b.Status()
+		return st.Role != RolePrimary && st.Election.Fenced
 	})
-	if got, want := n1b.LeaderAddr(), winner; got != want {
+	if got, want := n1b.Status().Leader, winner; got != want {
 		t.Fatalf("fenced node's leader = %q, want %q", got, want)
 	}
 	// Its unshipped suffix is truncated by the re-bootstrap: state converges
 	// on the winner's 7-record history, not the old 8-record one.
 	waitNode(t, "fenced node converged on the new history", 10*time.Second, func() bool {
-		f := n1b.CurrentFollower()
-		if f == nil {
-			return false
-		}
-		st := f.Status()
-		return st.Applied == stores[winner].ReplicationHead() && st.Synced
+		st := n1b.Status()
+		return st.Role == RoleFollower && st.Applied == stores[winner].ReplicationHead() && st.Synced
 	})
 	sameState(t, st1b, stores[winner], "after fencing re-bootstrap")
 	if _, ok := st1b.Get("t", "unshipped0"); ok {
@@ -445,7 +474,7 @@ func TestHandleVoteRules(t *testing.T) {
 	if pay := n.HandleVote(5, 1, "c"); pay.Granted || pay.Epoch != 5 {
 		t.Fatalf("unfresh high-epoch candidate: %+v, want rejection carrying epoch 5", pay)
 	}
-	if got := n.Epoch(); got != 5 {
+	if got := n.Status().Term; got != 5 {
 		t.Fatalf("node epoch = %d, want 5 (adopted from rejected candidate)", got)
 	}
 }
@@ -485,7 +514,7 @@ func TestVotePersistsAcrossRestart(t *testing.T) {
 		n2.Stop()
 		st2.Close()
 	}()
-	if got := n2.Epoch(); got != 3 {
+	if got := n2.Status().Term; got != 3 {
 		t.Fatalf("restarted epoch = %d, want 3", got)
 	}
 	if pay := n2.HandleVote(3, 10, "b"); pay.Granted {
@@ -527,14 +556,14 @@ func TestHandleLeadFencesStaleClaims(t *testing.T) {
 	if err := n.HandleLead(4, "a"); err != nil {
 		t.Fatalf("current leadership claim rejected: %v", err)
 	}
-	if got := n.LeaderAddr(); got != "a" {
+	if got := n.Status().Leader; got != "a" {
 		t.Fatalf("leader = %q, want %q", got, "a")
 	}
 	if err := n.HandleLead(6, "b"); err != nil {
 		t.Fatalf("newer leadership claim rejected: %v", err)
 	}
-	if got, epoch := n.LeaderAddr(), n.Epoch(); got != "b" || epoch != 6 {
-		t.Fatalf("leader/epoch = %q/%d, want b/6", got, epoch)
+	if st := n.Status(); st.Leader != "b" || st.Term != 6 {
+		t.Fatalf("leader/epoch = %q/%d, want b/6", st.Leader, st.Term)
 	}
 }
 
@@ -594,8 +623,8 @@ func TestTornWALTailVotesTruncatedOffset(t *testing.T) {
 	if pay := n.HandleVote(1, tornHead, "a"); !pay.Granted {
 		t.Fatalf("candidate at the torn node's own offset refused: %+v", pay)
 	}
-	if pay, _ := n.WireStatus(); pay.Applied != tornHead {
-		t.Fatalf("status applied = %d, want truncated %d", pay.Applied, tornHead)
+	if got := n.Status().Applied; got != tornHead {
+		t.Fatalf("status applied = %d, want truncated %d", got, tornHead)
 	}
 }
 
@@ -662,16 +691,16 @@ func TestHandleVoteStepsDownServingPrimary(t *testing.T) {
 	if !pay.Granted {
 		t.Fatalf("fresh higher-epoch candidate was refused: %+v", pay)
 	}
-	if got := n.Role(); got != RoleFollower {
+	if got := n.Status().Role; got != RoleFollower {
 		t.Fatalf("primary kept serving after granting a higher-epoch vote (role %q)", got)
 	}
 	if n.CurrentPrimary() != nil {
 		t.Fatal("demoted node still exposes a primary surface")
 	}
-	if got := n.Epoch(); got != 5 {
+	if got := n.Status().Term; got != 5 {
 		t.Fatalf("epoch = %d, want 5", got)
 	}
-	if !n.Fenced() {
+	if !n.Status().Election.Fenced {
 		t.Error("stepped-down primary not marked fenced")
 	}
 	// The vote was persisted atomically: the final file parses, no temp file
@@ -703,10 +732,10 @@ func TestHandleVoteStepsDownServingPrimary(t *testing.T) {
 	if pay.Granted {
 		t.Fatal("vote granted to a candidate behind the voter")
 	}
-	if got := n2.Role(); got != RolePrimary {
+	if got := n2.Status().Role; got != RolePrimary {
 		t.Fatalf("primary deposed by a stale candidate it refused (role %q)", got)
 	}
-	if got := n2.Epoch(); got != 4 {
+	if got := n2.Status().Term; got != 4 {
 		t.Fatalf("refusing voter did not adopt the higher epoch: %d, want 4", got)
 	}
 }
@@ -749,7 +778,7 @@ func TestDualPrimarySameEpochResolves(t *testing.T) {
 	waitNode(t, "exactly one primary with unanimous followers", 15*time.Second, func() bool {
 		var primaries []string
 		for _, a := range addrs {
-			if nodes[a].Role() == RolePrimary {
+			if nodes[a].Status().Role == RolePrimary {
 				primaries = append(primaries, a)
 			}
 		}
@@ -757,7 +786,7 @@ func TestDualPrimarySameEpochResolves(t *testing.T) {
 			return false
 		}
 		for _, a := range addrs {
-			if nodes[a].LeaderAddr() != primaries[0] {
+			if nodes[a].Status().Leader != primaries[0] {
 				return false
 			}
 		}
@@ -864,14 +893,14 @@ func TestNodeWithoutPeersIdles(t *testing.T) {
 				t.Errorf("dialed %q, want %d address(es)", dialed, wantDialed)
 			}
 			dialMu.Unlock()
-			if n.IsPrimary() != primary || n.Epoch() != 0 {
-				t.Errorf("role %s epoch %d, want the boot role under epoch 0", n.Role(), n.Epoch())
+			if st := n.Status(); (st.Role == RolePrimary) != primary || st.Term != 0 {
+				t.Errorf("role %s epoch %d, want the boot role under epoch 0", st.Role, st.Term)
 			}
 			if _, err := n.Elector(); err == nil {
 				t.Error("a node without peers offered to answer the election exchanges")
 			}
-			if info := n.ElectionInfo(); info != nil {
-				t.Errorf("ElectionInfo = %v, want nil", info)
+			if st := n.Status(); st.Election != nil {
+				t.Errorf("Status().Election = %+v, want nil", st.Election)
 			}
 		})
 	}
@@ -905,7 +934,7 @@ func TestNewNodeRequirements(t *testing.T) {
 		t.Fatalf("a follower without peers over a store without a log: %v", err)
 	}
 	defer n.Stop()
-	if err := n.CheckWritable(); err == nil || n.LeaderAddr() != "b" {
-		t.Errorf("CheckWritable = %v, leader %q; want a refusal naming b", err, n.LeaderAddr())
+	if err := n.CheckWritable(); err == nil || n.Status().Leader != "b" {
+		t.Errorf("CheckWritable = %v, leader %q; want a refusal naming b", err, n.Status().Leader)
 	}
 }

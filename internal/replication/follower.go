@@ -44,26 +44,6 @@ type Applier interface {
 	ResetReplicated(ops []storage.BatchOp) error
 }
 
-// Status is a snapshot of a follower's replication position.
-type Status struct {
-	Role    string // RoleFollower
-	Epoch   uint64 // primary epoch the local state is synced under
-	Applied uint64 // newest record offset the local engine has applied
-	Head    uint64 // primary head offset last observed
-	Synced  bool   // the last exchange with the primary succeeded
-	Leader  string // the primary's address
-	Err     string // last sync error, when !Synced
-}
-
-// Lag returns how many records the follower is behind the primary head it
-// last observed.
-func (s Status) Lag() uint64 {
-	if s.Head > s.Applied {
-		return s.Head - s.Applied
-	}
-	return 0
-}
-
 // Follower replicates a primary's WAL into a local store and engine.
 type Follower struct {
 	store      *storage.Store
@@ -73,13 +53,12 @@ type Follower struct {
 	backoff    time.Duration
 	backoffMax time.Duration
 
-	mu     sync.Mutex
-	src    Source
-	leader string
-	epoch  uint64
+	mu    sync.Mutex
+	src   Source
+	epoch uint64
 	// applied is the newest offset fed through to the engine. The store's
-	// head moves first, so a read routed here after Status reports an offset
-	// sees that offset's record.
+	// head moves first, so a read routed here after the node's Status reports
+	// an offset sees that offset's record.
 	applied     uint64
 	head        uint64 // primary head last observed
 	synced      bool
@@ -106,12 +85,6 @@ func WithFollowerName(name string) FollowerOption {
 			f.name = name
 		}
 	}
-}
-
-// WithLeaderAddr records the primary's address, surfaced in notPrimary
-// redirects and replStatus responses.
-func WithLeaderAddr(addr string) FollowerOption {
-	return func(f *Follower) { f.leader = addr }
 }
 
 // WithFollowerWait sets the long-poll duration requested from the primary
@@ -187,7 +160,7 @@ func NewFollower(store *storage.Store, applier Applier, src Source, opts ...Foll
 
 // Start seeds the engine from the local store's replayed state and launches
 // the background sync loop. It returns once the seed is done; catching up
-// with the primary happens asynchronously (watch Status).
+// with the primary happens asynchronously (watch the node's Status).
 func (f *Follower) Start() error {
 	var seedErr error
 	f.startOnce.Do(func() {
@@ -220,25 +193,15 @@ func (f *Follower) Stop() {
 	<-f.done
 }
 
-// Status returns the follower's current replication position.
-func (f *Follower) Status() Status {
+// status fills in the follower's part of a node's Status.
+func (f *Follower) status(st *Status) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st := Status{
-		Role:    RoleFollower,
-		Epoch:   f.epoch,
-		Applied: f.applied,
-		Head:    f.head,
-		Synced:  f.synced,
-		Leader:  f.leader,
-	}
-	if st.Head < st.Applied {
-		st.Head = st.Applied
-	}
+	st.Epoch, st.Applied, st.Head = f.epoch, f.applied, max(f.head, f.applied)
+	st.Lag, st.Synced = st.Head-st.Applied, f.synced
 	if f.lastErr != nil {
-		st.Err = f.lastErr.Error()
+		st.Error = f.lastErr.Error()
 	}
-	return st
 }
 
 // Epoch returns the primary epoch the local state is synced under.
@@ -258,17 +221,16 @@ func (f *Follower) LastContact() time.Time {
 }
 
 // Retarget switches the follower to a new primary: subsequent exchanges use
-// src and leader. The in-flight exchange finishes against the old source;
+// src. The in-flight exchange finishes against the old source;
 // the epoch check on the next subscribe forces a snapshot re-bootstrap from
 // the new leader when its history epoch differs. A loop sleeping off the old
 // source's failures is woken and its streak restarted: a backoff earned on a
 // dead primary can outlast the new leader's election timeout, which reads
 // this follower's silence as lost contact. The old source is NOT closed
 // here — the caller owns both sources' lifecycles.
-func (f *Follower) Retarget(src Source, leader string) {
+func (f *Follower) Retarget(src Source) {
 	f.mu.Lock()
 	f.src = src
-	f.leader = leader
 	f.mu.Unlock()
 	select {
 	case f.retargeted <- struct{}{}:
@@ -282,18 +244,6 @@ func (f *Follower) source() Source {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.src
-}
-
-// WireStatus answers replStatus for a follower node.
-func (f *Follower) WireStatus() *wire.ReplPayload {
-	st := f.Status()
-	return &wire.ReplPayload{
-		Role:    RoleFollower,
-		Epoch:   st.Epoch,
-		Head:    st.Head,
-		Applied: st.Applied,
-		Stale:   !st.Synced,
-	}
 }
 
 // syncLoop is the follower's heartbeat: subscribe, apply, ack, repeat. After

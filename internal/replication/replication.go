@@ -319,31 +319,19 @@ func (p *Primary) WaitQuorum(offset uint64, k int, timeout time.Duration) error 
 // the offset a quorum-acknowledged write waits on.
 func (p *Primary) Head() uint64 { return p.store.ReplicationHead() }
 
-// Status answers replStatus for a primary node.
-func (p *Primary) Status() *wire.ReplPayload {
-	return &wire.ReplPayload{
-		Role:    RolePrimary,
-		Epoch:   p.store.ReplicationEpoch(),
-		Head:    p.store.ReplicationHead(),
-		Applied: p.store.ReplicationHead(),
-	}
-}
-
-// FollowerLags returns each acked follower's lag in records behind the
-// primary's head. Readiness reporting consumes it.
-func (p *Primary) FollowerLags() map[string]uint64 {
+// status fills in the primary's part of a node's Status: its store's
+// history epoch and head, and each acknowledging follower's lag behind it.
+func (p *Primary) status(st *Status) {
 	head := p.store.ReplicationHead()
+	st.Epoch, st.Head, st.Applied, st.Synced = p.store.ReplicationEpoch(), head, head, true
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[string]uint64, len(p.followers))
-	for name, st := range p.followers {
-		lag := uint64(0)
-		if head > st.acked {
-			lag = head - st.acked
-		}
-		out[name] = lag
+	st.Followers = make(map[string]uint64, len(p.followers))
+	for name, f := range p.followers {
+		lag := head - min(f.acked, head)
+		st.Followers[name] = lag
+		st.MaxLag = max(st.MaxLag, lag)
 	}
-	return out
 }
 
 // Drain wakes every blocked subscribe long-poll so subscriber connections

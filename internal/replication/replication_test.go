@@ -59,17 +59,24 @@ func newTestFollower(t *testing.T, p *Primary, opts ...FollowerOption) (*storage
 	return st, f
 }
 
+// followerStatus is the part of its node's Status a follower reports.
+func followerStatus(f *Follower) Status {
+	var st Status
+	f.status(&st)
+	return st
+}
+
 func waitCaughtUp(t *testing.T, f *Follower, head uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		st := f.Status()
+		st := followerStatus(f)
 		if st.Applied == head && st.Synced {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("follower never caught up to %d: %+v", head, f.Status())
+	t.Fatalf("follower never caught up to %d: %+v", head, followerStatus(f))
 }
 
 func sameState(t *testing.T, a, b *storage.Store, label string) {
@@ -121,8 +128,9 @@ func TestFollowerCatchesUpAndTails(t *testing.T) {
 	sameState(t, fst, pst, "after live tail")
 
 	// The primary saw the follower's acks.
-	lags := p.FollowerLags()
-	if lag, ok := lags["f1"]; !ok || lag != 0 {
+	var ps Status
+	p.status(&ps)
+	if lag, ok := ps.Followers["f1"]; !ok || lag != 0 {
 		t.Errorf("follower lag = %v (present %v), want 0", lag, ok)
 	}
 }
@@ -171,7 +179,7 @@ func TestFollowerRebootstrapsOnEpochChange(t *testing.T) {
 	}
 	waitCaughtUp(t, f, 4)
 	sameState(t, fst, pst, "after epoch change")
-	if got, want := f.Status().Epoch, pst.ReplicationEpoch(); got != want {
+	if got, want := followerStatus(f).Epoch, pst.ReplicationEpoch(); got != want {
 		t.Errorf("follower epoch = %d, want %d", got, want)
 	}
 }
@@ -229,7 +237,7 @@ func TestStatusAppliedWaitsForEngine(t *testing.T) {
 	if got := fst.ReplicationHead(); got != 2 {
 		t.Fatalf("store head = %d while the engine applies, want 2", got)
 	}
-	if got := f.Status().Applied; got != 1 {
+	if got := followerStatus(f).Applied; got != 1 {
 		t.Fatalf("Status().Applied = %d while the engine still applies offset 2, want 1", got)
 	}
 	free()
@@ -324,14 +332,14 @@ func TestFollowerStatusStaleWhenPrimaryGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, f, 1)
-	if f.WireStatus().Stale {
+	if !followerStatus(f).Synced {
 		t.Error("synced follower reports stale")
 	}
 	// Kill the primary store: exchanges start failing and the follower must
 	// advertise that its lag figure can no longer be trusted.
 	pst.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for !f.WireStatus().Stale {
+	for followerStatus(f).Synced {
 		if time.Now().After(deadline) {
 			t.Fatal("follower never marked itself stale after losing the primary")
 		}
@@ -389,15 +397,12 @@ func TestRetargetWakesBackoff(t *testing.T) {
 		t.Fatal("follower never tried its source")
 	}
 
-	f.Retarget(localSource{p}, "new-leader")
+	f.Retarget(localSource{p})
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for f.LastContact().IsZero() {
 		if time.Now().After(deadline) {
-			t.Fatalf("no contact with the new leader within 500ms of Retarget: %+v", f.Status())
+			t.Fatalf("no contact with the new leader within 500ms of Retarget: %+v", followerStatus(f))
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	if got := f.Status().Leader; got != "new-leader" {
-		t.Errorf("leader = %q, want %q", got, "new-leader")
 	}
 }

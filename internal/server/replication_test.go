@@ -61,7 +61,7 @@ func primaryNode(t *testing.T, st *storage.Store) *replication.Node {
 
 // newFollowerServer boots a follower syncing from primaryAddr and serves
 // its engine as a follower without peers.
-func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *replication.Follower) {
+func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *replication.Node) {
 	t.Helper()
 	st, err := storage.Open(t.TempDir())
 	if err != nil {
@@ -102,19 +102,19 @@ func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *repl
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv, addr, node.CurrentFollower()
+	return srv, addr, node
 }
 
-func waitApplied(t *testing.T, f *replication.Follower, head uint64) {
+func waitApplied(t *testing.T, node *replication.Node, head uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if st := f.Status(); st.Applied >= head && st.Synced {
+		if st := node.Status(); st.Applied >= head && st.Synced {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("follower never reached offset %d: %+v", head, f.Status())
+	t.Fatalf("follower never reached offset %d: %+v", head, node.Status())
 }
 
 // TestChaosReplFollowerServesReadsRejectsWrites is the role contract: a
@@ -331,7 +331,7 @@ func TestQuorumAckRefusedAfterInProcessDemotion(t *testing.T) {
 	if resp.Code != wire.CodeQuorumUnavailable {
 		t.Fatalf("response code = %q (%s), want %q", resp.Code, resp.Error, wire.CodeQuorumUnavailable)
 	}
-	if node.IsPrimary() {
+	if node.Status().Role == replication.RolePrimary {
 		t.Fatal("node still primary after HandleLead")
 	}
 }

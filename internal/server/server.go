@@ -17,6 +17,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -596,46 +597,34 @@ func (s *Server) handleAdmitted(req *wire.Request) (resp *wire.Response) {
 	return r
 }
 
-// admit runs the admit stage for a wire request: it is charged to the corpus
-// it names, else its carried entry's, and the entries it would store are
-// sized for the quota check.
+// admit runs the admit stage for a wire request: each entry it would store
+// is sized and charged to the corpus it lands in, its own else the
+// request's.
 func (s *Server) admit(req *wire.Request) error {
 	if s.svc.Tenants == nil {
 		return nil // nothing to charge: skip sizing the entries
 	}
 	r := service.Request{Method: req.Method, Corpus: req.Corpus}
-	if r.Corpus == "" && req.Entry != nil {
-		r.Corpus = req.Entry.Corpus
+	write := func(e *wire.Entry, id int64) service.Write {
+		return service.Write{ID: id, Corpus: cmp.Or(e.Corpus, req.Corpus),
+			Size: corpus.IndexedSize(e.Title, e.Body, e.Concepts, e.Classes)}
 	}
 	switch req.Method {
 	case wire.MethodAddEntry:
 		if req.Entry != nil {
-			r.Writes = []service.Write{{Size: wireEntrySize(req.Entry)}}
+			r.Writes = []service.Write{write(req.Entry, 0)}
 		}
 	case wire.MethodAddEntries:
 		r.Writes = make([]service.Write, len(req.Entries))
 		for i, e := range req.Entries {
-			r.Writes[i].Size = wireEntrySize(e)
+			r.Writes[i] = write(e, 0)
 		}
 	case wire.MethodUpdateEntry, wire.MethodPutEntry:
 		if req.Entry != nil {
-			r.Writes = []service.Write{{ID: req.Entry.ID, Size: wireEntrySize(req.Entry)}}
+			r.Writes = []service.Write{write(req.Entry, req.Entry.ID)}
 		}
 	}
 	return s.svc.Admit(r)
-}
-
-// wireEntrySize mirrors core.EntrySize over the wire form, so the quota
-// pre-check does not have to convert the entry twice.
-func wireEntrySize(e *wire.Entry) int64 {
-	n := len(e.Title) + len(e.Body)
-	for _, c := range e.Concepts {
-		n += len(c)
-	}
-	for _, c := range e.Classes {
-		n += len(c)
-	}
-	return int64(n)
 }
 
 // errResponse maps an error to its wire reply: each typed error of the
@@ -656,7 +645,7 @@ func (s *Server) errResponse(req *wire.Request, err error) *wire.Response {
 		return wire.ErrCoded(req, wire.CodeQuorumUnavailable, err)
 	case errors.Is(err, replication.ErrStaleEpoch):
 		resp := wire.ErrCoded(req, wire.CodeStaleEpoch, err)
-		_, resp.Leader = s.svc.Node.WireStatus()
+		resp.Leader = s.svc.Node.Status().Leader
 		return resp
 	}
 	return wire.Err(req, err)
@@ -728,8 +717,12 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		return wire.OK(req), nil
 
 	case wire.MethodReplStatus:
+		// The node's position, under its election epoch.
+		st := s.svc.Node.Status()
 		resp := wire.OK(req)
-		resp.Repl, resp.Leader = s.svc.Node.WireStatus()
+		resp.Repl = &wire.ReplPayload{Role: st.Role, Epoch: st.Term, Head: st.Head,
+			Applied: st.Applied, Stale: !st.Synced}
+		resp.Leader = st.Leader
 		return resp, nil
 
 	case wire.MethodReplVote:
@@ -738,7 +731,8 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 			return nil, err
 		}
 		resp := wire.OK(req)
-		resp.Repl, resp.Leader = node.HandleVote(req.Epoch, req.Offset, req.Candidate), node.LeaderAddr()
+		resp.Repl = node.HandleVote(req.Epoch, req.Offset, req.Candidate)
+		resp.Leader = node.Status().Leader
 		return resp, nil
 
 	case wire.MethodReplLead:

@@ -78,8 +78,9 @@ func (s *Service) Engine() *core.Engine { return s.engine }
 // Request is what the stages need to know of one request.
 type Request struct {
 	Method string // wire.Method*; an HTTP route passes its wire twin
-	// Corpus is the corpus the request names, else its single carried
-	// entry's; empty is the engine's default (so pre-tenancy clients count).
+	// Corpus is the corpus the request names. Its token comes from this
+	// corpus, else from the first write's; empty is the engine's default
+	// (so pre-tenancy clients count).
 	Corpus string
 	// Writes lists the entries the request would store. Nil for everything
 	// else, which keeps a read free of allocations on its way to execute.
@@ -87,8 +88,12 @@ type Request struct {
 }
 
 // Write is one entry a request would store: the ID it replaces (0 = a new
-// entry) and its core.EntrySize.
-type Write struct{ ID, Size int64 }
+// entry), its core.EntrySize, and the corpus it lands in (empty is the
+// engine's default), which its quota is charged to.
+type Write struct {
+	ID, Size int64
+	Corpus   string
+}
 
 // Do runs one request through all four stages.
 func (s *Service) Do(req Request, exec func() error) error {
@@ -125,39 +130,57 @@ func (s *Service) Admit(req Request) error {
 	if s.Tenants == nil || wire.Methods[req.Method] == wire.KindControl {
 		return nil
 	}
-	name := s.corpus(req.Corpus)
+	name := req.Corpus
+	if name == "" && len(req.Writes) > 0 {
+		name = req.Writes[0].Corpus
+	}
+	name = s.corpus(name)
 	if err := s.Tenants.Allow(name); err != nil {
 		s.rejected.With(name, "rateLimited").Inc()
 		return err
 	}
-	if err := s.CheckQuota(name, req.Writes...); err != nil {
+	if err := s.CheckQuota(req.Writes...); err != nil {
 		return err
 	}
 	s.admitted.With(name).Inc()
 	return nil
 }
 
-// CheckQuota verifies that storing writes keeps the corpus inside its entry
-// and byte quotas at current usage; each write charges by the engine's
-// replace-versus-new rule. Admit calls it for a request's own writes, a
-// streamed import per entry as they arrive, so it cannot overrun the quota.
-func (s *Service) CheckQuota(corpusName string, writes ...Write) error {
-	if s.Tenants == nil || len(writes) == 0 {
+// CheckQuota verifies that storing writes keeps each corpus they land in
+// inside its entry and byte quotas at current usage; each write charges its
+// own corpus by the engine's replace-versus-new rule. Admit calls it for a
+// request's own writes, a streamed import per entry as they arrive, so it
+// cannot overrun the quota.
+func (s *Service) CheckQuota(writes ...Write) error {
+	if s.Tenants == nil {
 		return nil
 	}
-	name := s.corpus(corpusName)
-	var addEntries, addBytes int64
+	type charge struct {
+		corpus          string
+		entries, nbytes int64
+	}
+	var charges []charge // in the order the corpora first appear
 	for _, w := range writes {
+		name := s.corpus(w.Corpus)
+		i := 0
+		for i < len(charges) && charges[i].corpus != name {
+			i++
+		}
+		if i == len(charges) {
+			charges = append(charges, charge{corpus: name})
+		}
 		n, b := s.engine.WriteCharge(w.ID, name, w.Size)
-		addEntries += n
-		addBytes += b
+		charges[i].entries += n
+		charges[i].nbytes += b
 	}
-	usedEntries, usedBytes := s.engine.CorpusUsage(name)
-	err := s.Tenants.CheckQuota(name, usedEntries, usedBytes, addEntries, addBytes)
-	if err != nil {
-		s.rejected.With(name, "quotaExceeded").Inc()
+	for _, c := range charges {
+		usedEntries, usedBytes := s.engine.CorpusUsage(c.corpus)
+		if err := s.Tenants.CheckQuota(c.corpus, usedEntries, usedBytes, c.entries, c.nbytes); err != nil {
+			s.rejected.With(c.corpus, "quotaExceeded").Inc()
+			return err
+		}
 	}
-	return err
+	return nil
 }
 
 // corpus resolves a request's corpus name against the engine's default.

@@ -89,6 +89,12 @@ type (
 	// AutomatonInfo summarizes the compiled concept-map automaton (see
 	// Config.CompileAutomaton).
 	AutomatonInfo = conceptmap.AutomatonInfo
+	// ReplicationStatus is what a node reports of its replication: role,
+	// leader, election term, history epoch, WAL position and followers'
+	// lag (see Engine.Replication).
+	ReplicationStatus = replication.Status
+	// ElectionStatus is the failover part of a ReplicationStatus.
+	ElectionStatus = replication.ElectionStatus
 	// Client talks to a remote NNexus server over the XML socket protocol.
 	Client = client.Client
 	// KeywordExtractor suggests concept labels and overlink suspects from
@@ -394,9 +400,9 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 	if e.store != nil {
 		e.health.AddCheck("storage", e.store.Ready)
 	}
-	e.health.AddInfo("replication", e.svc.Node.Info)
-	if e.svc.Node.ElectionInfo() != nil {
-		e.health.AddInfo("election", e.svc.Node.ElectionInfo)
+	e.health.AddInfo("replication", func() any { return e.svc.Node.Status() })
+	if e.svc.Node.Status().Election != nil {
+		e.health.AddInfo("election", func() any { return e.svc.Node.Status().Election })
 	}
 	e.health.SetReady(true)
 	return nil
@@ -718,17 +724,11 @@ func (e *Engine) ReloadTenants() error {
 	return e.svc.Tenants.ReloadFile(e.cfg.TenantFile)
 }
 
-// ReplicationInfo returns the node's replication detail for readiness
-// reporting: role, epoch and head, plus per-follower lag on a primary and
-// applied offset / lag / sync state on a follower — the "replication"
-// component of the GET /readyz JSON body.
-func (e *Engine) ReplicationInfo() map[string]interface{} { return e.svc.Node.Info() }
-
-// ElectionInfo returns the failover state machine's detail for readiness
-// reporting — role, election epoch, known leader, fencing status, elections
-// run, and last leader contact — the "election" component of GET /readyz.
-// Nil when the engine is not clustered.
-func (e *Engine) ElectionInfo() map[string]interface{} { return e.svc.Node.ElectionInfo() }
+// Replication reports the node's replication as one snapshot: role, leader,
+// election term and history epoch, head, applied offset, lag and sync state,
+// each follower's lag on a primary, and, in a failover cluster, the election
+// state. It is the "replication" and "election" components of GET /readyz.
+func (e *Engine) Replication() ReplicationStatus { return e.svc.Node.Status() }
 
 // HTTPHandler returns an http.Handler exposing the engine as a web service
 // (paper §3.4): POST /api/link for on-demand text linking, CRUD under

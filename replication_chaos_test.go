@@ -74,13 +74,13 @@ func TestChaosReplClusterPartitionHealFailover(t *testing.T) {
 	link1 := links[1]
 
 	primaryHead := func() uint64 {
-		return pEngine.ReplicationInfo()["head"].(uint64)
+		return pEngine.Replication().Head
 	}
 	applied := func(e *nnexus.Engine) uint64 {
-		return e.ReplicationInfo()["applied"].(uint64)
+		return e.Replication().Applied
 	}
 	synced := func(e *nnexus.Engine) bool {
-		return e.ReplicationInfo()["synced"].(bool)
+		return e.Replication().Synced
 	}
 
 	// The replica-aware client: writes pin to the primary, reads spread

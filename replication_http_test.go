@@ -38,9 +38,9 @@ func TestFollowerHTTPRejectsWrites(t *testing.T) {
 		t.Fatalf("primary HTTP write = %d, want 201", resp.StatusCode)
 	}
 	waitFor(t, "follower caught up", func() bool {
-		head := pEngine.ReplicationInfo()["head"].(uint64)
-		info := fEngine.ReplicationInfo()
-		return info["applied"].(uint64) == head && info["synced"].(bool)
+		head := pEngine.Replication().Head
+		st := fEngine.Replication()
+		return st.Applied == head && st.Synced
 	})
 
 	// The same write against the follower's HTTP API must be refused with a

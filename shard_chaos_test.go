@@ -327,7 +327,7 @@ func TestChaosShardFailover(t *testing.T) {
 	})
 	primaries := 0
 	for _, e := range group[1:] {
-		if info := e.ElectionInfo(); info != nil && info["role"].(string) == "primary" {
+		if st := e.Replication(); st.Election != nil && st.Role == "primary" {
 			primaries++
 		}
 	}
