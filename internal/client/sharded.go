@@ -52,8 +52,9 @@ func (s *Sharded) client(id int) (*Client, error) {
 }
 
 // ScanShard sends the router's tokenization to one shard and returns its
-// resolved matches (see core.ShardRouter).
-func (s *Sharded) ScanShard(id int, dst []core.ResolvedMatch, tokens []tokenizer.Token, opts core.LinkOptions) ([]core.ResolvedMatch, error) {
+// resolved matches (see core.ShardRouter). Word IDs do not leave the
+// process: each token goes as its span and its normal form.
+func (s *Sharded) ScanShard(id int, dst []core.ResolvedMatch, text string, tokens []tokenizer.Token, opts core.LinkOptions) ([]core.ResolvedMatch, error) {
 	c, err := s.client(id)
 	if err != nil {
 		return dst, err
@@ -71,7 +72,7 @@ func (s *Sharded) ScanShard(id int, dst []core.ResolvedMatch, tokens []tokenizer
 		req.Mode = opts.Mode.String()
 	}
 	for i, t := range tokens {
-		req.Tokens[i] = wire.Token{Norm: t.Norm, Start: t.Start, End: t.End}
+		req.Tokens[i] = wire.Token{Norm: t.NormalForm(text), Start: t.Start, End: t.End}
 	}
 	resp, err := c.call(req)
 	if err != nil {

@@ -297,17 +297,11 @@ func (a *automaton) scanAppend(dst []Match, tokens []tokenizer.Token) []Match {
 	rootNext, meta := a.rootNext, a.meta
 	for {
 		if j < len(tokens) {
-			// A token tokenized before its word entered the vocabulary
-			// resolves by its Norm now: the snapshot this automaton serves
-			// interned every label word before it was published. A word
-			// absent from every label kills the walk outright; rootNext
-			// serves the dominant root-state transition without touching
-			// the automaton's edge arrays.
-			tok := &tokens[j]
-			w := tok.Word
-			if w == 0 && tok.Norm != "" {
-				w = morph.WordID(tok.Norm)
-			}
+			// A word absent from every label — Word 0 among them (see
+			// Pinned) — kills the walk outright; rootNext serves the
+			// dominant root-state transition without touching the
+			// automaton's edge arrays.
+			w := tokens[j].Word
 			var t int32
 			if uint(w) < uint(len(rootNext)) {
 				switch r := rootNext[w]; {

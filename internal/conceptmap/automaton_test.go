@@ -146,28 +146,67 @@ func TestLabelsLinkTheirOwnText(t *testing.T) {
 	}
 }
 
-// TestTokenizedBeforeLabel links a text tokenized while none of its words
-// was in the vocabulary against a label added afterwards: the automaton
-// resolves such tokens by their Norm.
+// TestTokenizedBeforeLabel holds the scan to the generation it pins: a token
+// that resolved to no word is in no label, since a label's words enter the
+// vocabulary before the label is published. So a text tokenized before a
+// label with a new word was added does not link against it on either scan
+// path, and the same text tokenized after a generation holding the label was
+// pinned does.
 func TestTokenizedBeforeLabel(t *testing.T) {
 	words := fmt.Sprintf("zorblax%d quuxite", time.Now().UnixNano())
-	tokens := tokenizer.Tokenize("a " + words + " b")
-	for _, tok := range tokens[1:3] {
-		if tok.Word != 0 {
-			t.Fatalf("token %q resolved before any label or body had it", tok.Text)
-		}
-	}
+	text := "a " + words + " b"
 	m := New()
+	m.AddObject(2, []string{"b"})
+	before := m.Pin()
+	tokens := tokenizer.Tokenize(text)
+	if tokens[1].Word != 0 {
+		t.Fatalf("token %q resolved before any label or body had it", words)
+	}
 	m.AddObject(1, []string{words})
 	m.CompileNow()
-	ms, usedAut := m.ScanAppendAuto(nil, tokens)
-	if !usedAut || len(ms) != 1 || ms[0].Label != words || ms[0].TokenStart != 1 {
-		t.Fatalf("automaton %v, matches = %+v", usedAut, ms)
+	for _, scan := range []func() []Match{
+		func() []Match { ms, _ := m.ScanAppendAuto(nil, tokens); return ms },
+		func() []Match { return m.snap.Load().scanChained(nil, tokens, true) },
+		func() []Match { ms, _ := before.ScanAppendAuto(nil, tokens); return ms },
+	} {
+		if ms := scan(); len(ms) != 1 || ms[0].Label != "b" {
+			t.Fatalf("text tokenized before its label: matches = %+v", ms)
+		}
 	}
 	for _, w := range strings.Fields(words) {
 		if morph.WordID(w) == 0 {
 			t.Fatalf("the label's word %q is not in the vocabulary", w)
 		}
+	}
+	after := m.Pin()
+	tokens = tokenizer.Tokenize(text)
+	ms, usedAut := after.ScanAppendAuto(nil, tokens)
+	if !usedAut || len(ms) != 2 || ms[0].Label != words || ms[0].TokenStart != 1 {
+		t.Fatalf("automaton %v, matches = %+v", usedAut, ms)
+	}
+	assertSameMatches(t, after.snap.scanChained(nil, tokens, true), ms, text)
+}
+
+// TestUnwrittenFormOfLabelWord links a surface form no text has spelled
+// against the label word it normalizes to: the read path normalizes the form
+// and finds the word's ID, without adding the form to the vocabulary.
+func TestUnwrittenFormOfLabelWord(t *testing.T) {
+	word := fmt.Sprintf("grafon%d", time.Now().UnixNano())
+	form := strings.ToUpper(word[:1]) + word[1:] + "s"
+	m := New()
+	m.AddObject(1, []string{word})
+	words := morph.Words()
+	text := "two " + form + " meet"
+	tokens := tokenizer.Tokenize(text)
+	if tokens[1].Word == 0 || tokens[1].Word != morph.WordID(word) {
+		t.Fatalf("%q: Word %d, want %d, the ID of %q", form, tokens[1].Word, morph.WordID(word), word)
+	}
+	if morph.FormID(form) != 0 || morph.Words() != words {
+		t.Fatalf("reading %q added it to the vocabulary", form)
+	}
+	ms := scanBoth(t, m, text)
+	if len(ms) != 1 || ms[0].Label != word || ms[0].Text(text) != form {
+		t.Fatalf("matches = %+v", ms)
 	}
 }
 
@@ -180,8 +219,10 @@ func TestAutomatonStaleFallsBack(t *testing.T) {
 		t.Fatal("expected automaton scan after CompileNow")
 	}
 	// A write republishes the snapshot; the automaton now trails and the
-	// scan must fall back — and must see the new label immediately.
+	// scan must fall back — and must see the new label immediately, in a
+	// text tokenized after it (TestTokenizedBeforeLabel).
 	m.AddObject(2, []string{"alpha beta gamma"})
+	tokens = tokenizer.Tokenize("alpha beta gamma")
 	ms, usedAut := m.ScanAppendAuto(nil, tokens)
 	if usedAut {
 		t.Fatal("stale automaton served a scan")

@@ -178,6 +178,12 @@ func bucketOfBytes(key []byte) int {
 	return int(h & bucketMask)
 }
 
+// bucketOfWord routes a first word's vocabulary ID to its byFirst bucket.
+// IDs are given out in sequence, so the low bits alone spread uniformly.
+func bucketOfWord(w int32) int {
+	return int(uint32(w) & bucketMask)
+}
+
 // bucketOfID routes an object to its byObject bucket. IDs are sequential in
 // practice, so the low bits alone spread uniformly.
 func bucketOfID(id ObjectID) int {
@@ -187,9 +193,10 @@ func bucketOfID(id ObjectID) int {
 // snapshot is one immutable generation of the concept map. Everything
 // reachable from a snapshot is read-only; writers build a new generation.
 type snapshot struct {
-	// byFirst holds the chain head of each normalized first word, bucketed
-	// by bucketOf(first). Buckets may be nil (reads of nil maps are fine).
-	byFirst [numBuckets]map[string]*firstInfo
+	// byFirst holds the chain head of each normalized first word, keyed by
+	// the word's vocabulary ID and bucketed by bucketOfWord. Buckets may be
+	// nil (reads of nil maps are fine).
+	byFirst [numBuckets]map[int32]*firstInfo
 	// labels holds every indexed label, keyed by its full normalized text
 	// and bucketed by bucketOf(label). Keeping labels flat (rather than
 	// inside per-first-word chains) bounds a writer's copy-on-write cost by
@@ -233,7 +240,7 @@ type write struct {
 	firstTouched  [numBuckets]bool
 	labelsTouched [numBuckets]bool
 	objTouched    [numBuckets]bool
-	fiTouched     map[string]bool
+	fiTouched     map[int32]bool
 }
 
 // beginWrite starts the next generation: the bucket arrays are copied (a
@@ -248,15 +255,15 @@ func (m *Map) beginWrite() *write {
 		objects:  old.objects,
 		gen:      old.gen + 1,
 	}
-	return &write{next: next, fiTouched: make(map[string]bool)}
+	return &write{next: next, fiTouched: make(map[int32]bool)}
 }
 
-// firstBucket returns the mutable byFirst bucket for a first word.
-func (w *write) firstBucket(first string) map[string]*firstInfo {
-	i := bucketOf(first)
+// firstBucket returns the mutable byFirst bucket for a first word's ID.
+func (w *write) firstBucket(first int32) map[int32]*firstInfo {
+	i := bucketOfWord(first)
 	if !w.firstTouched[i] {
 		old := w.next.byFirst[i]
-		cloned := make(map[string]*firstInfo, len(old)+1)
+		cloned := make(map[int32]*firstInfo, len(old)+1)
 		for k, v := range old {
 			cloned[k] = v
 		}
@@ -296,9 +303,9 @@ func (w *write) objBucket(id ObjectID) map[ObjectID][]string {
 	return w.next.byObject[i]
 }
 
-// firstForWrite returns a mutable chain head for the first word, cloning
-// the published one on first touch.
-func (w *write) firstForWrite(first string) *firstInfo {
+// firstForWrite returns a mutable chain head for the first word's ID,
+// cloning the published one on first touch.
+func (w *write) firstForWrite(first int32) *firstInfo {
 	b := w.firstBucket(first)
 	f := b[first]
 	if f == nil {
@@ -339,15 +346,15 @@ func (m *Map) AddObject(id ObjectID, labels []string) {
 		}
 		seen[norm] = struct{}{}
 		norms = append(norms, norm)
-		w.index(id, norm)
-		// Into the vocabulary before the snapshot is published, so that the
-		// automaton compiled from it resolves every token spelling a word of
-		// the label, tokenized before or after.
+		// Into the vocabulary before the snapshot is published, so that a
+		// text tokenized after the snapshot is pinned resolves every word of
+		// every label it holds.
 		for rest, more := norm, true; more; {
 			var word string
 			word, rest, more = strings.Cut(rest, " ")
 			morph.InternWord(word)
 		}
+		w.index(id, norm)
 	}
 	w.objBucket(id)[id] = norms
 	w.next.objects++
@@ -390,7 +397,7 @@ func (w *write) remove(id ObjectID) {
 		}
 		delete(w.labelBucket(norm), norm)
 		w.next.nLabels--
-		first := firstWord(norm)
+		first := morph.WordID(firstWord(norm))
 		f := w.firstForWrite(first)
 		f.dropLength(e.nWords)
 		f.count--
@@ -413,7 +420,7 @@ func (w *write) index(id ObjectID, norm string) {
 	n := 1 + strings.Count(norm, " ")
 	w.labelBucket(norm)[norm] = &labelEntry{label: norm, nWords: n, ids: []ObjectID{id}}
 	w.next.nLabels++
-	f := w.firstForWrite(firstWord(norm))
+	f := w.firstForWrite(morph.WordID(firstWord(norm)))
 	f.addLength(n)
 	f.count++
 }
@@ -443,39 +450,84 @@ func (m *Map) ScanAppend(dst []Match, tokens []tokenizer.Token) []Match {
 
 // ScanAppendAuto is ScanAppend, additionally reporting whether the compiled
 // automaton (rather than the chained-hash fallback) served the scan, so
-// callers can attribute latency per path.
+// callers can attribute latency per path. It scans the map as it stands
+// when called: Pin before tokenizing to scan the generation the tokens were
+// resolved against.
 func (m *Map) ScanAppendAuto(dst []Match, tokens []tokenizer.Token) ([]Match, bool) {
-	snap := m.snap.Load()
+	return m.Pin().ScanAppendAuto(dst, tokens)
+}
+
+// Pinned is one generation of a map, as Pin found it; the zero Pinned is a
+// map that holds nothing.
+//
+// A token carries the vocabulary's ID of its word, 0 when the vocabulary did
+// not hold the word, and a scan takes a token of ID 0 to be in no label.
+// Every label's words enter the vocabulary before the label is published, so
+// that holds for a generation pinned before its text was tokenized. A label
+// published later may hold a word the tokens missed: pin first, then
+// tokenize, then scan the pinned generation.
+type Pinned struct {
+	m    *Map
+	snap *snapshot
+}
+
+// Pin returns the map's current generation.
+func (m *Map) Pin() Pinned {
+	return Pinned{m: m, snap: m.snap.Load()}
+}
+
+// ScanAppendAuto is Map.ScanAppendAuto over the pinned generation: the
+// automaton serves it when it was compiled from that generation.
+func (p Pinned) ScanAppendAuto(dst []Match, tokens []tokenizer.Token) ([]Match, bool) {
+	if p.snap == nil {
+		return dst, false
+	}
 	// The automaton is exact only for the precise snapshot it was compiled
 	// from; pointer identity is the cheapest possible staleness check.
-	if aut := m.comp.aut.Load(); aut != nil && aut.src == snap {
-		m.comp.autScans.Add(1)
+	if aut := p.m.comp.aut.Load(); aut != nil && aut.src == p.snap {
+		p.m.comp.autScans.Add(1)
 		return aut.scanAppend(dst, tokens), true
 	}
-	m.comp.fallbackScans.Add(1)
-	return snap.scanChained(dst, tokens, true), false
+	p.m.comp.fallbackScans.Add(1)
+	return p.snap.scanChained(dst, tokens, true), false
+}
+
+// ScanAllAppend is Map.ScanAllAppend over the pinned generation.
+func (p Pinned) ScanAllAppend(dst []Match, tokens []tokenizer.Token) []Match {
+	if p.snap == nil {
+		return dst
+	}
+	return p.snap.scanChained(dst, tokens, false)
 }
 
 // scanChained is the paper's §2.2 chained-hash scan over one immutable
-// snapshot: per position, probe the first-word chain and try its label
-// lengths longest-first. With consume set the walk resumes past each match
+// snapshot: per position, probe the first-word chain by the token's word ID
+// and try its label lengths longest-first, spelling each phrase from the
+// vocabulary's words. With consume set the walk resumes past each match
 // (the greedy leftmost-longest scan); without it the walk resumes at the
 // next token, reporting the longest match starting at every position (see
 // ScanAllAppend).
 func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token, consume bool) []Match {
+	vocab := morph.Current()
 	// phrase is a reusable byte buffer; probing the label table with
 	// b[string(phrase)] compiles to a no-allocation map lookup.
 	var phrase []byte
 	for i := 0; i < len(tokens); {
-		first := tokens[i].Norm
-		f := snap.byFirst[bucketOf(first)][first]
-		if f == nil {
+		first := tokens[i].Word
+		f := snap.byFirst[bucketOfWord(first)][first]
+		if f == nil { // no label starts with the word, or no label holds it
 			i++
 			continue
 		}
+		// known counts the tokens from i on, up to the longest label, whose
+		// words some label may hold.
+		known := 1
+		for known < f.lengths[0] && i+known < len(tokens) && tokens[i+known].Word != 0 {
+			known++
+		}
 		step := 1
 		for _, n := range f.lengths { // longest first
-			if i+n > len(tokens) {
+			if n > known {
 				continue
 			}
 			phrase = phrase[:0]
@@ -483,7 +535,7 @@ func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token, consume
 				if j > 0 {
 					phrase = append(phrase, ' ')
 				}
-				phrase = append(phrase, tokens[i+j].Norm...)
+				phrase = append(phrase, vocab.Word(tokens[i+j].Word)...)
 			}
 			e, ok := snap.labels[bucketOfBytes(phrase)][string(phrase)]
 			if !ok {
@@ -525,7 +577,7 @@ func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token, consume
 // greedy consume-on-match walk but cannot report the longest match at every
 // start position.
 func (m *Map) ScanAllAppend(dst []Match, tokens []tokenizer.Token) []Match {
-	return m.snap.Load().scanChained(dst, tokens, false)
+	return m.Pin().ScanAllAppend(dst, tokens)
 }
 
 // Lookup returns the candidate objects defining exactly the given label
@@ -563,8 +615,8 @@ func (m *Map) Objects() int {
 // ChainLength returns the number of labels chained under the given first
 // word (after normalization); used by diagnostics and tests.
 func (m *Map) ChainLength(first string) int {
-	norm := morph.Normalize(first)
-	if f := m.snap.Load().byFirst[bucketOf(norm)][norm]; f != nil {
+	w := morph.WordID(morph.Normalize(first))
+	if f := m.snap.Load().byFirst[bucketOfWord(w)][w]; f != nil {
 		return f.count
 	}
 	return 0

@@ -249,9 +249,7 @@ func TestScanWhileVocabularyGrows(t *testing.T) {
 	m.AddObject(2, []string{"orthogonal functions"})
 	m.CompileNow()
 	text := "Every planar graph has an orthogonal function; graphs are planar."
-	for _, tok := range tokenizer.Tokenize(text) {
-		morph.Intern(tok.Text)
-	}
+	tokenizer.TokenizeInternAppend(nil, text)
 	wantTokens := tokenizer.Tokenize(text)
 	want, _ := m.ScanAppendAuto(nil, wantTokens)
 	if len(want) != 3 {

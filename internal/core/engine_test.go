@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -672,4 +673,91 @@ func TestConcurrentLinkAndAdd(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestEscapedTargetRendersByteIdentical links a target whose URL template
+// and title hold every byte an HTML attribute escapes: the open tag stored
+// with the entry renders exactly what escaping per link rendered, Link keeps
+// both raw, and Markdown output is unchanged.
+func TestEscapedTargetRendersByteIdentical(t *testing.T) {
+	e, err := NewEngine(Config{Scheme: classification.SampleMSC(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddDomain(corpus.Domain{Name: "esc.example", URLTemplate: `http://e/?a=1&b="q"&id={id}<x>`}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AddEntry(&corpus.Entry{
+		Domain: "esc.example", ExternalID: "P&G", Title: `R&D <"x">`, Concepts: []string{"pair graph"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const text = "a pair graph here"
+	res, err := e.LinkText(text, LinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `a <a href="http://e/?a=1&amp;b=&quot;q&quot;&amp;id=P%26G&lt;x&gt;" title="R&amp;D &lt;&quot;x&quot;&gt;">pair graph</a> here`
+	if res.Output != want {
+		t.Fatalf("output\n%s\nwant\n%s", res.Output, want)
+	}
+	if len(res.Links) != 1 || res.Links[0].URL != `http://e/?a=1&b="q"&id=P%26G<x>` || res.Links[0].TargetTitle != `R&D <"x">` {
+		t.Fatalf("links = %+v, want the raw URL and title", res.Links)
+	}
+	l := res.Links[0]
+	if escaped, err := render.Apply(text, []render.Anchor{{Start: l.Start, End: l.End, URL: l.URL, Title: l.TargetTitle}}, render.HTML); err != nil || escaped != want {
+		t.Fatalf("escaping fallback: %q, %v", escaped, err)
+	}
+	md := render.Markdown
+	if res, err = e.LinkText(text, LinkOptions{Format: &md}); err != nil || res.Output != `a [pair graph](http://e/?a=1&b="q"&id=P%26G<x>) here` {
+		t.Fatalf("markdown: %+v, %v", res, err)
+	}
+}
+
+// TestRederiveRefreshesOpenTag re-registers a domain with a new URL template
+// and registers a mapper for its scheme: each rederives the stored open tags,
+// and a link renders the new tag, never a stale one.
+func TestRederiveRefreshesOpenTag(t *testing.T) {
+	e, err := NewEngine(Config{Scheme: classification.SampleMSC(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := corpus.Domain{Name: "tags.example", URLTemplate: "http://one/{id}", Scheme: "loc"}
+	if err := e.AddDomain(dom); err != nil {
+		t.Fatal(err)
+	}
+	id, err := e.AddEntry(&corpus.Entry{Domain: dom.Name, Title: "planar graph", Classes: []string{"QA166"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := func(step, wantTag string) {
+		t.Helper()
+		e.mu.RLock()
+		for _, s := range e.entries {
+			if want := render.OpenTag(s.url, s.Title); s.tag != want {
+				t.Errorf("%s: entry %d holds tag %q, want %q", step, s.ID, s.tag, want)
+			}
+		}
+		e.mu.RUnlock()
+		res, err := e.LinkText("a planar graph", LinkOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "a " + wantTag + "planar graph</a>"; res.Output != want {
+			t.Errorf("%s: output %q, want %q", step, res.Output, want)
+		}
+	}
+	link("first template", fmt.Sprintf(`<a href="http://one/%d" title="planar graph">`, id))
+	dom.URLTemplate = "http://two/?x=1&id={id}"
+	if err := e.AddDomain(dom); err != nil {
+		t.Fatal(err)
+	}
+	newTag := fmt.Sprintf(`<a href="http://two/?x=1&amp;id=%d" title="planar graph">`, id)
+	link("new template", newTag)
+	m := ontomap.NewMapper("loc", "msc")
+	m.Add("QA166", "05Cxx")
+	if err := e.RegisterMapper(m); err != nil {
+		t.Fatal(err)
+	}
+	link("mapper", newTag)
 }

@@ -20,6 +20,7 @@ import (
 	"nnexus/internal/conceptmap"
 	"nnexus/internal/corpus"
 	"nnexus/internal/policy"
+	"nnexus/internal/render"
 	"nnexus/internal/storage"
 )
 
@@ -79,8 +80,10 @@ type storedEntry struct {
 	// the domain's scheme and the registered mappers), as scheme node
 	// indexes; classes the scheme does not know are left out.
 	classes []int32
-	// url is the entry's link destination under its domain's URL template.
-	url string
+	// url is the entry's link destination under its domain's URL template,
+	// and tag the HTML open tag of a link to it, escaped once here instead
+	// of on every link of every read.
+	url, tag string
 }
 
 // newStored builds the entry table's record of entry: a copy of it and its
@@ -101,12 +104,13 @@ func (e *Engine) newStored(entry *corpus.Entry) (*storedEntry, error) {
 func (e *Engine) derive(s *storedEntry) {
 	s.domain = e.domainMap()[s.Domain]
 	classes, to := s.Classes, e.scheme.Name()
-	s.url = ""
+	s.url, s.tag = "", ""
 	if d := s.domain; d != nil {
 		if d.Scheme != "" && d.Scheme != to {
 			classes = e.mappers.Translate(d.Scheme, classes, to)
 		}
 		s.url = d.URL(s.ExternalID, s.Title)
+		s.tag = render.OpenTag(s.url, s.Title)
 	}
 	s.classes = e.scheme.AppendIndexes(nil, classes)
 }

@@ -148,6 +148,9 @@ type linkRun struct {
 	pos int
 	cur ResolvedMatch
 
+	// pins are the concept-map generations the scan reads, one per target
+	// corpus in plan order (see pin).
+	pins    []conceptmap.Pinned
 	tokens  []tokenizer.Token
 	matches []conceptmap.Match
 	// multi/multiOrigin are the multi-target scan scratch: the per-target
@@ -207,19 +210,21 @@ func (run *linkRun) reset() bool {
 	if max(cap(run.tokens), cap(run.matches), cap(run.multi)) > maxPooledTokens {
 		return false
 	}
+	clear(run.pins)
 	clear(run.tokens)
 	clear(run.matches)
 	clear(run.multi)
 	clear(run.cands[:cap(run.cands)])
 	clear(run.anchors)
-	run.tokens, run.matches, run.multi = run.tokens[:0], run.matches[:0], run.multi[:0]
+	run.pins, run.tokens, run.matches, run.multi = run.pins[:0], run.tokens[:0], run.matches[:0], run.multi[:0]
 	clear(run.entries)
 	clear(run.linked)
 	return true
 }
 
 // scanText is the pipeline's front half for one text: LaTeX conversion,
-// tokenization, and the scan against the plan's targets.
+// tokenization, and the scan against the plan's targets. The targets'
+// generations are pinned before the text is tokenized (see pin).
 func (e *Engine) scanText(run *linkRun, text string) {
 	run.st.timed = e.tel.sampleRun()
 	mark := time.Now()
@@ -227,11 +232,39 @@ func (e *Engine) scanText(run *linkRun, text string) {
 		text = latex.ToText(text)
 	}
 	run.text = text
+	e.pin(run)
 	run.tokens = tokenizer.TokenizeAppend(run.tokens, text)
 	now := time.Now()
 	run.st.tokenize = now.Sub(mark)
 	run.st.matchAutomaton = e.scan(run, run.tokens, false)
 	run.st.match = time.Since(now)
+}
+
+// pin takes into run.pins the concept-map generation of each of the plan's
+// target corpora, a zero one for a corpus with no namespace: what the run's
+// scan reads. Every label's words are in the vocabulary before the label is
+// published, so a text tokenized after pin resolves every word of every
+// label the pinned generations hold, and a token that resolved to no word
+// is in none of them (conceptmap.Pinned). A link is thus exact against the
+// labels published before it began; one published while it runs is not
+// seen.
+func (e *Engine) pin(run *linkRun) {
+	run.pins = run.pins[:0]
+	if run.plan.targets == nil {
+		run.pins = append(run.pins, e.pinOf(run.plan.target))
+		return
+	}
+	for _, t := range run.plan.targets {
+		run.pins = append(run.pins, e.pinOf(t))
+	}
+}
+
+// pinOf is a corpus's concept-map generation, zero when it has no namespace.
+func (e *Engine) pinOf(corpus string) conceptmap.Pinned {
+	if ns := e.nsFor(corpus); ns != nil {
+		return ns.cmap.Pin()
+	}
+	return conceptmap.Pinned{}
 }
 
 // scan matches tokens against the plan's target corpora, into run.matches.
@@ -244,27 +277,19 @@ func (e *Engine) scanText(run *linkRun, text string) {
 // as the pre-tenancy engine did. Several targets always scan all positions
 // and merge into what one map holding the union of their labels would
 // report; assemble's walk then does the consuming. An unknown target corpus
-// contributes nothing.
+// contributes nothing. The run's pins are the generations scanned.
 func (e *Engine) scan(run *linkRun, tokens []tokenizer.Token, all bool) (usedAutomaton bool) {
 	if run.plan.targets == nil {
-		ns := e.nsFor(run.plan.target)
-		if ns == nil {
-			return false
-		}
 		if all {
-			run.matches = ns.cmap.ScanAllAppend(run.matches, tokens)
+			run.matches = run.pins[0].ScanAllAppend(run.matches, tokens)
 			return false
 		}
-		run.matches, usedAutomaton = ns.cmap.ScanAppendAuto(run.matches, tokens)
+		run.matches, usedAutomaton = run.pins[0].ScanAppendAuto(run.matches, tokens)
 		return usedAutomaton
 	}
 	spans, origin := run.multi[:0], run.multiOrigin[:0]
-	for ti, t := range run.plan.targets {
-		ns := e.nsFor(t)
-		if ns == nil {
-			continue
-		}
-		spans = ns.cmap.ScanAllAppend(spans, tokens)
+	for ti, p := range run.pins {
+		spans = p.ScanAllAppend(spans, tokens)
 		for len(origin) < len(spans) {
 			origin = append(origin, ti)
 		}
@@ -455,6 +480,7 @@ func (run *linkRun) chooseTarget(m *conceptmap.Match, rm *ResolvedMatch) {
 		Distance:     distance,
 		Candidates:   total,
 	}
+	rm.tag = winner.tag
 }
 
 // steer is Algorithm 1 over the run's candidates: it keeps, in place and in
@@ -576,7 +602,7 @@ func assemble(text string, format render.Format, linkAll bool, src matchSource, 
 		res.Links = append(res.Links, m.Link)
 		link := &res.Links[len(res.Links)-1]
 		link.Text = text[m.ByteStart:m.ByteEnd]
-		as = append(as, render.Anchor{Start: link.Start, End: link.End, URL: link.URL, Title: link.TargetTitle})
+		as = append(as, render.Anchor{Start: link.Start, End: link.End, URL: link.URL, Title: link.TargetTitle, Tag: m.tag})
 		linked[m.Label] = true
 	}
 	*anchors = as

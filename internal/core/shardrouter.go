@@ -31,8 +31,10 @@ const DefaultMaxFanout = 8
 // read to a typed partial result, it never fails the whole request.
 type ShardBackend interface {
 	// ScanShard runs the per-shard scan+resolve primitive on the given
-	// shard, appending into dst (see Engine.ScanShard).
-	ScanShard(shardID int, dst []ResolvedMatch, tokens []tokenizer.Token, opts LinkOptions) ([]ResolvedMatch, error)
+	// shard, appending into dst (see Engine.ScanShard). tokens are text's,
+	// which a backend that does not share the router's vocabulary reads
+	// each token's normal form from (tokenizer.Token.NormalForm).
+	ScanShard(shardID int, dst []ResolvedMatch, text string, tokens []tokenizer.Token, opts LinkOptions) ([]ResolvedMatch, error)
 	// PutEntry upserts an entry projection (with a router-assigned ID) on
 	// the given shard.
 	PutEntry(shardID int, entry *corpus.Entry) error
@@ -50,7 +52,7 @@ type LocalShardBackend struct {
 	Engines []*Engine
 }
 
-func (b LocalShardBackend) ScanShard(id int, dst []ResolvedMatch, tokens []tokenizer.Token, opts LinkOptions) ([]ResolvedMatch, error) {
+func (b LocalShardBackend) ScanShard(id int, dst []ResolvedMatch, _ string, tokens []tokenizer.Token, opts LinkOptions) ([]ResolvedMatch, error) {
 	if id < 0 || id >= len(b.Engines) || b.Engines[id] == nil {
 		return dst, fmt.Errorf("core: no engine for shard %d", id)
 	}
@@ -148,6 +150,7 @@ func newRouterTelemetry(reg *telemetry.Registry, n int) *routerTelemetry {
 // allocates nothing.
 type shardCall struct {
 	shard  int
+	text   string
 	tokens []tokenizer.Token
 	opts   *LinkOptions
 	dst    []ResolvedMatch // recycled capacity for the scan to append into
@@ -267,7 +270,7 @@ func NewShardRouter(cfg RouterConfig) (*ShardRouter, error) {
 func (r *ShardRouter) worker() {
 	defer r.workers.Done()
 	for c := range r.calls {
-		c.out, c.err = r.be.ScanShard(c.shard, c.dst[:0], c.tokens, *c.opts)
+		c.out, c.err = r.be.ScanShard(c.shard, c.dst[:0], c.text, c.tokens, *c.opts)
 		c.wg.Done()
 	}
 }
@@ -304,7 +307,7 @@ func (r *ShardRouter) getBuffers() *routerBuffers {
 	}
 	for i := range b.calls {
 		c := &b.calls[i]
-		c.pos, c.err, c.out, c.tokens, c.opts, c.wg = 0, nil, nil, nil, nil, nil
+		c.pos, c.err, c.out, c.text, c.tokens, c.opts, c.wg = 0, nil, nil, "", nil, nil, nil
 	}
 	return b
 }
@@ -420,7 +423,7 @@ func (r *ShardRouter) LinkText(text string, opts LinkOptions) (*Result, error) {
 	// own a label matching anywhere in this text.
 	touched := buf.touched
 	for i := range buf.tokens {
-		s := r.ring.Owner(buf.tokens[i].Norm)
+		s := r.ring.Owner(buf.tokens[i].NormalForm(text))
 		if !buf.seen[s] {
 			buf.seen[s] = true
 			touched = append(touched, s)
@@ -435,12 +438,12 @@ func (r *ShardRouter) LinkText(text string, opts LinkOptions) (*Result, error) {
 	if len(touched) == 1 {
 		c := &buf.calls[touched[0]]
 		c.shard = touched[0]
-		c.out, c.err = r.be.ScanShard(c.shard, c.dst[:0], buf.tokens, buf.opts)
+		c.out, c.err = r.be.ScanShard(c.shard, c.dst[:0], text, buf.tokens, buf.opts)
 	} else if len(touched) > 1 {
 		buf.wg.Add(len(touched))
 		for _, s := range touched {
 			c := &buf.calls[s]
-			c.shard, c.tokens, c.opts, c.wg = s, buf.tokens, &buf.opts, &buf.wg
+			c.shard, c.text, c.tokens, c.opts, c.wg = s, text, buf.tokens, &buf.opts, &buf.wg
 			r.calls <- c
 		}
 		buf.wg.Wait()

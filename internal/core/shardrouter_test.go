@@ -291,11 +291,11 @@ type flakyBackend struct {
 	down map[int]bool
 }
 
-func (b flakyBackend) ScanShard(id int, dst []ResolvedMatch, tokens []tokenizer.Token, opts LinkOptions) ([]ResolvedMatch, error) {
+func (b flakyBackend) ScanShard(id int, dst []ResolvedMatch, text string, tokens []tokenizer.Token, opts LinkOptions) ([]ResolvedMatch, error) {
 	if b.down[id] {
 		return dst, fmt.Errorf("shard %d: connection refused", id)
 	}
-	return b.LocalShardBackend.ScanShard(id, dst, tokens, opts)
+	return b.LocalShardBackend.ScanShard(id, dst, text, tokens, opts)
 }
 
 // distinctOwners finds two single-word fixture labels owned by different
@@ -359,7 +359,7 @@ func TestShardedPartialResults(t *testing.T) {
 	only := fmt.Sprintf("just a %s here", healthyWord)
 	clean := true
 	for _, tok := range tokenizer.TokenizeAppend(nil, only) {
-		if ring.Owner(tok.Norm) == downShard {
+		if ring.Owner(tok.NormalForm(only)) == downShard {
 			clean = false
 		}
 	}

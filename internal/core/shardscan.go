@@ -26,6 +26,10 @@ type ResolvedMatch struct {
 	// empty — the shard never sees the original text — and is filled by
 	// the router.
 	Link Link
+	// tag is the target's stored open tag (storedEntry.tag), set with Link
+	// by the engine's resolve stage; a match that arrived over the wire has
+	// none, and renders by escaping Link's URL and title.
+	tag string
 }
 
 // ScanShard is the shard-mode read primitive: it scans the already
@@ -49,11 +53,15 @@ type ResolvedMatch struct {
 //
 // The tokens must cover the entire text: a multi-word phrase owned by this
 // shard may continue through tokens whose own first words belong to other
-// shards.
+// shards. They were resolved against the vocabulary — by the router's
+// tokenizer, or by the server from the words on the wire — before this scan
+// pins its generation, so a label published in between whose words were
+// new to the vocabulary is not seen by this scan (see Engine.pin).
 func (e *Engine) ScanShard(dst []ResolvedMatch, tokens []tokenizer.Token, opts LinkOptions) ([]ResolvedMatch, error) {
 	run := e.getRun()
 	defer putRun(run)
 	run.plan = e.plan(&opts)
+	e.pin(run)
 	e.scan(run, tokens, true)
 	run.view = e.captureView(run.entries, run.matches)
 	dst = run.resolveAll(dst)

@@ -141,14 +141,8 @@ var tokenBufs = sync.Pool{New: func() any { return new([]tokenizer.Token) }}
 func (ix *Index) AddText(object int64, text string) {
 	// Tokenized before add takes the lock: readers wait for the indexing only.
 	buf := tokenBufs.Get().(*[]tokenizer.Token)
-	toks := tokenizer.TokenizeAppend((*buf)[:0], text)
-	ix.add(object, len(toks), func(i int) int32 {
-		if w := toks[i].Word; w != 0 {
-			return w
-		}
-		_, w := morph.Intern(toks[i].Text) // a stored body: the write path
-		return w
-	})
+	toks := tokenizer.TokenizeInternAppend((*buf)[:0], text) // a stored body: the write path
+	ix.add(object, len(toks), func(i int) int32 { return toks[i].Word })
 	// Pin no text, keep no buffer one huge body needed (core's maxPooledTokens).
 	if clear(toks); cap(toks) <= 8192 {
 		*buf = toks

@@ -49,7 +49,7 @@ func (ix *refIndex) AddText(object int64, text string) {
 	toks := tokenizer.Tokenize(text)
 	norms := make([]string, len(toks))
 	for i, t := range toks {
-		norms[i] = t.Norm
+		norms[i] = t.NormalForm(text)
 	}
 	ix.AddTokens(object, norms)
 }

@@ -154,20 +154,24 @@ func phraseLengthBoost(p string) float64 {
 // nor end with a stopword.
 func phrases(text string, fn func(string)) {
 	toks := tokenizer.Tokenize(text)
+	norms := make([]string, len(toks))
+	for i, tok := range toks {
+		norms[i] = tok.NormalForm(text)
+	}
 	var b strings.Builder
-	for i := range toks {
-		if stopwords[toks[i].Norm] {
+	for i := range norms {
+		if stopwords[norms[i]] {
 			continue
 		}
 		b.Reset()
-		b.WriteString(toks[i].Norm)
+		b.WriteString(norms[i])
 		fn(b.String())
-		for n := 1; n < maxPhraseLen && i+n < len(toks); n++ {
-			if stopwords[toks[i+n].Norm] {
+		for n := 1; n < maxPhraseLen && i+n < len(norms); n++ {
+			if stopwords[norms[i+n]] {
 				break
 			}
 			b.WriteByte(' ')
-			b.WriteString(toks[i+n].Norm)
+			b.WriteString(norms[i+n])
 			fn(b.String())
 		}
 	}

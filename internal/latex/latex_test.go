@@ -46,7 +46,7 @@ func TestMathEnvironmentPreserved(t *testing.T) {
 	// And the tokenizer then refuses to tokenize inside it.
 	toks := tokenizer.Tokenize(got)
 	for _, tok := range toks {
-		if tok.Text == "x" || tok.Text == "y" {
+		if raw := got[tok.Start:tok.End]; raw == "x" || raw == "y" {
 			t.Errorf("token from inside math env: %+v", tok)
 		}
 	}
@@ -129,7 +129,7 @@ func TestPMlinkescapetext(t *testing.T) {
 	// Tokenizer skips the escaped span.
 	toks := tokenizer.Tokenize(got)
 	for _, tok := range toks {
-		if tok.Norm == "even" {
+		if tok.NormalForm(got) == "even" {
 			t.Errorf("escaped text tokenized: %+v", tok)
 		}
 	}

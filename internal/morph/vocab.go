@@ -118,11 +118,11 @@ func (t *vocabTable) hash(k0, k1 uint64, n int, s string) uint64 {
 	return h
 }
 
-// find returns the tag of key, 0 for none, and its word. Readers call it
-// once a token, so it spells out keyWords and hash for a key of up to
-// sixteen bytes and calls nothing: under the race detector, which
-// instruments every call, the three calls cost more than the probe.
-func (t *vocabTable) find(key string, word bool) (w string, tag uint64) {
+// find returns the tag of key, 0 for none. Readers call it once a token, so
+// it spells out keyWords and hash for a key of up to sixteen bytes and calls
+// nothing: under the race detector, which instruments every call, the three
+// calls cost more than the probe.
+func (t *vocabTable) find(key string, word bool) uint64 {
 	var k0, k1 uint64
 	switch n := len(key); {
 	case n >= 8:
@@ -145,13 +145,13 @@ func (t *vocabTable) find(key string, word bool) (w string, tag uint64) {
 		sl := &t.slots[i]
 		tag := sl.tag.Load()
 		if tag == 0 {
-			return "", 0
+			return 0
 		}
 		if tag&^tagID != want || sl.k0 != k0 {
 			continue
 		}
 		if len(key) <= 16 && sl.k1 == k1 || len(key) > 16 && t.long[sl.k1] == key {
-			return t.words[tag&tagID], tag
+			return tag
 		}
 	}
 }
@@ -212,8 +212,9 @@ func (v *vocabulary) addLocked(key string, word bool, id int32) {
 // wordLocked returns word's ID and its copy in the vocabulary, adding both
 // when new.
 func (v *vocabulary) wordLocked(word string) (string, int32) {
-	if w, tag := v.table.Load().find(word, true); tag != 0 {
-		return w, int32(tag & tagID)
+	t := v.table.Load()
+	if id := int32(t.find(word, true) & tagID); id != 0 {
+		return t.words[id], id
 	}
 	word = strings.Clone(word) // not pinning the text it came from
 	id := v.words.Load() + 1
@@ -232,25 +233,32 @@ type Snapshot struct{ t vocabTable }
 // Current returns the vocabulary as it stands.
 func Current() Snapshot { return Snapshot{*vocab.table.Load()} }
 
-// Lookup returns the normalized word of a surface form and its ID, without
-// locking and without allocating; ok is false when the snapshot does not
-// hold the form.
-func (s *Snapshot) Lookup(form string) (norm string, id int32, ok bool) {
-	norm, tag := s.t.find(form, false)
-	return norm, int32(tag & tagID), tag != 0
+// FormID returns the ID of a surface form's normalized word, without locking
+// and without allocating; 0 when the snapshot does not hold the form.
+func (s *Snapshot) FormID(form string) int32 {
+	return int32(s.t.find(form, false) & tagID)
 }
 
-// Lookup is Current().Lookup(form).
-func Lookup(form string) (norm string, id int32, ok bool) {
-	s := Current()
-	return s.Lookup(form)
-}
-
-// WordID returns the ID of a normalized word, 0 when the vocabulary does not
+// WordID returns the ID of a normalized word, 0 when the snapshot does not
 // hold it.
+func (s *Snapshot) WordID(word string) int32 {
+	return int32(s.t.find(word, true) & tagID)
+}
+
+// Word returns the word of an ID the vocabulary gave out before the snapshot
+// was taken; "" for 0.
+func (s *Snapshot) Word(id int32) string {
+	return s.t.words[id]
+}
+
+// FormID is Current().FormID(form).
+func FormID(form string) int32 {
+	return int32(vocab.table.Load().find(form, false) & tagID)
+}
+
+// WordID is Current().WordID(word).
 func WordID(word string) int32 {
-	_, tag := vocab.table.Load().find(word, true)
-	return int32(tag & tagID)
+	return int32(vocab.table.Load().find(word, true) & tagID)
 }
 
 // Word returns the word of an ID the vocabulary gave out; "" for 0.
@@ -263,17 +271,17 @@ func Word(id int32) string {
 func Words() int { return int(vocab.words.Load()) }
 
 // Intern adds a surface form to the vocabulary, and its normalized word when
-// new, and returns what Lookup will: Normalize(form) and the word's ID. It is
-// for the write path only.
+// new, and returns Normalize(form) and the word's ID, which FormID will
+// return from now on. It is for the write path only.
 func Intern(form string) (norm string, id int32) {
-	if norm, id, ok := Lookup(form); ok {
-		return norm, id
+	if id := FormID(form); id != 0 {
+		return Word(id), id
 	}
 	norm = Normalize(form)
 	vocab.mu.Lock()
 	defer vocab.mu.Unlock()
 	norm, id = vocab.wordLocked(norm)
-	if _, tag := vocab.table.Load().find(form, false); tag == 0 { // no other writer added it
+	if vocab.table.Load().find(form, false) == 0 { // no other writer added it
 		vocab.addLocked(strings.Clone(form), false, id)
 	}
 	return norm, id

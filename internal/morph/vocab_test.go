@@ -13,7 +13,7 @@ func TestVocabulary(t *testing.T) {
 	// New to the process's vocabulary on every run of the test.
 	run := time.Now().UnixNano()
 	form, word := fmt.Sprintf("VocabTest%dGroups", run), fmt.Sprintf("vocabtest%dgroup", run)
-	if _, _, ok := Lookup(form); ok || WordID(word) != 0 {
+	if FormID(form) != 0 || WordID(word) != 0 {
 		t.Fatalf("%q or %q in the vocabulary before it was interned", form, word)
 	}
 	words := Words()
@@ -24,20 +24,20 @@ func TestVocabulary(t *testing.T) {
 	if got := Words(); got != words+1 || int(id) != got {
 		t.Fatalf("Words() = %d after one new word (ID %d), was %d", got, id, words)
 	}
-	if n, i, ok := Lookup(form); !ok || n != word || i != id {
-		t.Fatalf("Lookup(%q) = %q, %d, %v", form, n, i, ok)
+	if i := FormID(form); i != id {
+		t.Fatalf("FormID(%q) = %d, want %d", form, i, id)
 	}
 	if WordID(word) != id || Word(id) != word || WordID(form) != 0 {
 		t.Fatalf("WordID(%q) = %d, Word(%d) = %q, WordID(%q) = %d", word, WordID(word), id, Word(id), form, WordID(form))
 	}
-	if _, _, ok := Lookup(word); ok {
+	if FormID(word) != 0 {
 		t.Fatalf("%q is a surface form before a text spelled it so", word)
 	}
 	if n, i := Intern(word); n != word || i != id || InternWord(word) != id {
 		t.Fatalf("interning %q again: %q, %d", word, n, i)
 	}
-	if n, i, ok := Lookup(word); !ok || n != word || i != id {
-		t.Fatalf("Lookup(%q) = %q, %d, %v", word, n, i, ok)
+	if i := FormID(word); i != id {
+		t.Fatalf("FormID(%q) = %d, want %d", word, i, id)
 	}
 	if Words() != words+1 {
 		t.Fatal("interning a known form or word grew the vocabulary")
@@ -48,7 +48,7 @@ func TestVocabulary(t *testing.T) {
 	if oddID == id || WordID(odd) != oddID || Word(oddID) != odd {
 		t.Fatalf("InternWord(%q) = %d, WordID %d", odd, oddID, WordID(odd))
 	}
-	if _, _, ok := Lookup(odd); ok {
+	if FormID(odd) != 0 {
 		t.Fatalf("%q became a surface form of itself", odd)
 	}
 	if Word(0) != "" {
@@ -70,8 +70,8 @@ func TestVocabularyGrowth(t *testing.T) {
 		ids[form] = id
 	}
 	for form, id := range ids {
-		if _, i, ok := Lookup(form); !ok || i != id {
-			t.Fatalf("Lookup(%q) = %d, %v after growth, want %d", form, i, ok, id)
+		if i := FormID(form); i != id {
+			t.Fatalf("FormID(%q) = %d after growth, want %d", form, i, id)
 		}
 		if _, i := Intern(form + "'s"); i != id {
 			t.Fatalf("the possessive of %q has ID %d, want %d", form, i, id)
@@ -81,7 +81,7 @@ func TestVocabularyGrowth(t *testing.T) {
 
 func TestLookupAllocs(t *testing.T) {
 	Intern("vocaballocs")
-	if allocs := testing.AllocsPerRun(100, func() { Lookup("vocaballocs"); Lookup("vocabmissing") }); allocs != 0 {
-		t.Errorf("Lookup allocates %v times", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { FormID("vocaballocs"); FormID("vocabmissing"); WordID("vocaballoc") }); allocs != 0 {
+		t.Errorf("FormID and WordID allocate %v times", allocs)
 	}
 }

@@ -16,6 +16,19 @@ type Anchor struct {
 	End   int    // byte offset one past the link source text
 	URL   string // link target
 	Title string // optional title attribute (target entry's canonical name)
+	// Tag is optional: OpenTag(URL, Title), built once where the target is
+	// stored. HTML output copies it instead of escaping URL and Title on
+	// every anchor; Markdown output does not read it.
+	Tag string
+}
+
+// OpenTag returns the escaped HTML open tag of a link to url titled title:
+// what Apply writes before an anchor's source text.
+func OpenTag(url, title string) string {
+	var b strings.Builder
+	b.Grow(openTagLen(url, title))
+	writeOpenTag(&b, url, title)
+	return b.String()
 }
 
 // Format selects the output syntax.
@@ -61,9 +74,10 @@ func Apply(text string, anchors []Anchor, format Format) (string, error) {
 		case Markdown:
 			size += len("[](") + len(a.URL) + len(")")
 		default:
-			size += len(`<a href="`) + attrLen(a.URL) + len(`">`) + len(`</a>`)
-			if a.Title != "" {
-				size += len(`" title="`) + attrLen(a.Title)
+			if a.Tag != "" {
+				size += len(a.Tag) + len(`</a>`)
+			} else {
+				size += openTagLen(a.URL, a.Title) + len(`</a>`)
 			}
 		}
 	}
@@ -82,13 +96,11 @@ func Apply(text string, anchors []Anchor, format Format) (string, error) {
 			b.WriteString(a.URL)
 			b.WriteString(")")
 		default:
-			b.WriteString(`<a href="`)
-			writeAttr(&b, a.URL)
-			if a.Title != "" {
-				b.WriteString(`" title="`)
-				writeAttr(&b, a.Title)
+			if a.Tag != "" {
+				b.WriteString(a.Tag)
+			} else {
+				writeOpenTag(&b, a.URL, a.Title)
 			}
-			b.WriteString(`">`)
 			b.WriteString(source)
 			b.WriteString(`</a>`)
 		}
@@ -96,6 +108,26 @@ func Apply(text string, anchors []Anchor, format Format) (string, error) {
 	}
 	b.WriteString(text[prev:])
 	return b.String(), nil
+}
+
+// openTagLen is the number of bytes writeOpenTag writes.
+func openTagLen(url, title string) int {
+	n := len(`<a href="`) + attrLen(url) + len(`">`)
+	if title != "" {
+		n += len(`" title="`) + attrLen(title)
+	}
+	return n
+}
+
+// writeOpenTag appends the escaped open tag of a link to url titled title.
+func writeOpenTag(b *strings.Builder, url, title string) {
+	b.WriteString(`<a href="`)
+	writeAttr(b, url)
+	if title != "" {
+		b.WriteString(`" title="`)
+		writeAttr(b, title)
+	}
+	b.WriteString(`">`)
 }
 
 // attrEntity holds, per byte, the entity that replaces it inside a

@@ -174,43 +174,57 @@ func FuzzApplyEquivalence(f *testing.F) {
 	f.Add("", []byte{0, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, text string, spec []byte) {
 		anchors := fuzzAnchors(spec, len(text))
-		given := append([]Anchor(nil), anchors...)
+		// Every anchor renders twice: escaped per call, and from the open
+		// tag the engine stores beside its target.
+		tagged := append([]Anchor(nil), anchors...)
+		for i := range tagged {
+			tagged[i].Tag = OpenTag(tagged[i].URL, tagged[i].Title)
+		}
 		for _, format := range []Format{HTML, Markdown} {
 			want, wantErr := referenceApply(text, anchors, format)
-			got, err := Apply(text, anchors, format)
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("format %d: Apply error %v, reference error %v", format, err, wantErr)
-			}
-			if got != want {
-				t.Fatalf("format %d:\nApply     %q\nreference %q", format, got, want)
-			}
-		}
-		for i := range anchors {
-			if anchors[i] != given[i] {
-				t.Fatalf("Apply reordered its caller's anchors")
+			for k, in := range [][]Anchor{anchors, tagged} {
+				given := append([]Anchor(nil), in...)
+				got, err := Apply(text, in, format)
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("format %d, tagged %v: Apply error %v, reference error %v", format, k == 1, err, wantErr)
+				}
+				if got != want {
+					t.Fatalf("format %d, tagged %v:\nApply     %q\nreference %q", format, k == 1, got, want)
+				}
+				for i := range in {
+					if in[i] != given[i] {
+						t.Fatalf("Apply reordered its caller's anchors")
+					}
+				}
 			}
 		}
 	})
 }
 
 // TestApplyAllocs gates the render stage at one allocation per call, its
-// result: the buffer is sized exactly, escaped attribute bytes included, so
-// it never regrows, and ordered anchors are neither copied nor sorted.
+// result: the buffer is sized exactly, escaped attribute bytes or a stored
+// open tag included, so it never regrows, and ordered anchors are neither
+// copied nor sorted.
 func TestApplyAllocs(t *testing.T) {
 	var text strings.Builder
-	var anchors []Anchor
+	var anchors, tagged []Anchor
 	for i := 0; i < 50; i++ {
 		text.WriteString("some prose then ")
-		anchors = append(anchors, Anchor{Start: text.Len(), End: text.Len() + 7, URL: `http://e/?op=getobj&id=1<"2">`, Title: `a "b" & c`})
+		a := Anchor{Start: text.Len(), End: text.Len() + 7, URL: `http://e/?op=getobj&id=1<"2">`, Title: `a "b" & c`}
+		anchors = append(anchors, a)
+		a.Tag = OpenTag(a.URL, a.Title)
+		tagged = append(tagged, a)
 		text.WriteString("concept and more. ")
 	}
-	for _, format := range []Format{HTML, Markdown} {
-		if n := testing.AllocsPerRun(100, func() {
-			if _, err := Apply(text.String(), anchors, format); err != nil {
-				t.Fatal(err)
+	for k, in := range [][]Anchor{anchors, tagged} {
+		for _, format := range []Format{HTML, Markdown} {
+			if n := testing.AllocsPerRun(100, func() {
+				if _, err := Apply(text.String(), in, format); err != nil {
+					t.Fatal(err)
+				}
+			}); n > 1 {
+				t.Errorf("format %d, tagged %v: Apply of 50 ordered anchors allocates %v times, want 1", format, k == 1, n)
 			}
-		}); n > 1 {
-			t.Errorf("format %d: Apply of 50 ordered anchors allocates %v times, want 1", format, n)
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
+	"nnexus/internal/morph"
 	"nnexus/internal/replication"
 	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
@@ -920,9 +921,12 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		}
 		opts.SourceClasses, opts.SourceScheme = req.Classes, req.Scheme
 		opts.ExcludeObject = req.Object
+		// The words arrive normalized; a word the vocabulary lacks is in
+		// no label, and reading it adds nothing.
+		vocab := morph.Current()
 		tokens := make([]tokenizer.Token, len(req.Tokens))
 		for i, t := range req.Tokens {
-			tokens[i] = tokenizer.Token{Norm: t.Norm, Start: t.Start, End: t.End}
+			tokens[i] = tokenizer.Token{Start: t.Start, End: t.End, Word: vocab.WordID(t.Norm)}
 		}
 		matches, err := s.engine.ScanShard(nil, tokens, opts)
 		if err != nil {

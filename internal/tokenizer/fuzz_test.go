@@ -3,6 +3,7 @@ package tokenizer
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,35 +43,33 @@ var tokenizerSeeds = []string{
 }
 
 // checkTokenize is the tokenizer's contract on one input: the offset
-// invariants, no token inside an escaped span, every Norm the normal form of
-// its Text whether the vocabulary resolved it or not, and every Word 0 or
-// the ID of Norm; tokens (but for Word) and spans equal to the two-pass
-// reference's; and a text with no escape opener, read as a label, normalizes
-// to its tokens' norms — labels and text split into the same words.
+// invariants, no token inside an escaped span, every Word the vocabulary's ID
+// of the normal form of the token's text, 0 exactly when the vocabulary holds
+// no such word; tokens, read as a span and the word they name, and spans
+// equal to the two-pass reference's; and a text with no escape opener, read
+// as a label, normalizes to its tokens' words — labels and text split into
+// the same words.
 func checkTokenize(t *testing.T, s string) {
 	t.Helper()
 	toks := Tokenize(s)
 	spans := EscapeSpans(s)
 	prev := -1
+	got := make([]referenceToken, len(toks))
 	var norms []string
 	for i, tok := range toks {
 		if tok.Start <= prev || tok.End <= tok.Start || tok.End > len(s) {
 			t.Fatalf("bad offsets %d:%d after %d in %q", tok.Start, tok.End, prev, s)
 		}
-		if s[tok.Start:tok.End] != tok.Text {
-			t.Fatalf("text mismatch at %d in %q", tok.Start, s)
-		}
 		prev = tok.Start
-		if want := morph.Normalize(tok.Text); tok.Norm != want {
-			t.Fatalf("token %q: Norm %q, want %q", tok.Text, tok.Norm, want)
+		raw := s[tok.Start:tok.End]
+		norm := morph.Normalize(raw)
+		if want := morph.WordID(norm); tok.Word != want {
+			t.Fatalf("token %q: Word %d, want %d, the ID of %q", raw, tok.Word, want, norm)
 		}
-		if tok.Word != 0 && morph.Word(tok.Word) != tok.Norm {
-			t.Fatalf("token %q: Word %d names %q, not its Norm %q", tok.Text, tok.Word, morph.Word(tok.Word), tok.Norm)
+		got[i] = referenceToken{tok.Start, tok.End, tok.NormalForm(s)}
+		if norm != "" {
+			norms = append(norms, norm)
 		}
-		if tok.Norm != "" {
-			norms = append(norms, tok.Norm)
-		}
-		toks[i].Word = 0 // the reference resolves nothing
 	}
 	if !strings.ContainsAny(s, "$\\`<") {
 		if got, want := morph.NormalizeLabel(s), strings.Join(norms, " "); got != want {
@@ -80,7 +79,7 @@ func checkTokenize(t *testing.T, s string) {
 	for _, tok := range toks {
 		for _, sp := range spans {
 			if tok.Start < sp.End && tok.End > sp.Start {
-				t.Fatalf("token %q at %d inside escaped span %v of %q", tok.Text, tok.Start, sp, s)
+				t.Fatalf("token %q at %d inside escaped span %v of %q", s[tok.Start:tok.End], tok.Start, sp, s)
 			}
 		}
 	}
@@ -89,8 +88,8 @@ func checkTokenize(t *testing.T, s string) {
 			t.Fatalf("overlapping spans in %q", s)
 		}
 	}
-	if want := referenceTokenize(s); !reflect.DeepEqual(toks, want) {
-		t.Fatalf("tokens of %q:\n got %+v\nwant %+v", s, toks, want)
+	if want := referenceTokenize(s); !slices.Equal(got, want) {
+		t.Fatalf("tokens of %q:\n got %+v\nwant %+v", s, got, want)
 	}
 	if want := referenceEscapeSpans(s); !reflect.DeepEqual(spans, want) {
 		t.Fatalf("escape spans of %q:\n got %v\nwant %v", s, spans, want)
@@ -101,19 +100,31 @@ func TestTokenizeMatchesReference(t *testing.T) {
 	for _, s := range tokenizerSeeds {
 		checkTokenize(t, s)
 	}
-	internSeeds()
+	internSeeds(t)
 	for _, s := range tokenizerSeeds {
 		checkTokenize(t, s)
 	}
 }
 
-// internSeeds puts the surface forms of the seeds' tokens into the
-// vocabulary, as storing them as bodies would, so that the tokens of the
-// inputs grown from them come both resolved and not.
-func internSeeds() {
+// internSeeds stores the seeds as bodies are stored, through
+// TokenizeInternAppend, so that the tokens of the inputs grown from them come
+// both resolved and not. Interning changes no token but those whose words
+// were new, and leaves every surface form one probe away.
+func internSeeds(t testing.TB) {
 	for _, s := range tokenizerSeeds {
-		for _, tok := range Tokenize(s) {
-			morph.Intern(tok.Text)
+		read := Tokenize(s)
+		stored := TokenizeInternAppend(nil, s)
+		if len(stored) != len(read) {
+			t.Fatalf("%q: %d tokens stored, %d read", s, len(stored), len(read))
+		}
+		for i, tok := range stored {
+			raw := s[tok.Start:tok.End]
+			if tok.Start != read[i].Start || tok.End != read[i].End || read[i].Word != 0 && tok.Word != read[i].Word {
+				t.Fatalf("%q: token %d stored as %+v, read as %+v", s, i, tok, read[i])
+			}
+			if tok.Word == 0 || morph.FormID(raw) != tok.Word || morph.Word(tok.Word) != morph.Normalize(raw) {
+				t.Fatalf("%q: stored token %q has Word %d, FormID %d", s, raw, tok.Word, morph.FormID(raw))
+			}
 		}
 	}
 }
@@ -143,6 +154,6 @@ func FuzzTokenize(f *testing.F) {
 	for _, seed := range tokenizerSeeds {
 		f.Add(seed)
 	}
-	internSeeds()
+	internSeeds(f)
 	f.Fuzz(checkTokenize)
 }

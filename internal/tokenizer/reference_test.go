@@ -17,11 +17,19 @@ import (
 // the text's. scanDollar and tagName are the package's own, which neither
 // that rewrite nor the closer memo (escapes) touched; referenceScanTeX and
 // referenceScanHTML search for every closer afresh from every opener. Its
-// tokens carry no Word: checkTokenize compares without it.
+// tokens are a span and the normal form of the word in it, where the
+// tokenizer's carry a vocabulary ID: checkTokenize compares the word the ID
+// names, or the form it normalizes to when the vocabulary lacks it.
 
-func referenceTokenize(text string) []Token {
+// referenceToken is one token of referenceTokenize.
+type referenceToken struct {
+	Start, End int
+	Norm       string
+}
+
+func referenceTokenize(text string) []referenceToken {
 	spans := referenceEscapeSpans(text)
-	var tokens []Token
+	var tokens []referenceToken
 	next := 0 // index into spans of the next escaped region
 	i := 0
 	for i < len(text) {
@@ -62,11 +70,10 @@ func referenceTokenize(text string) []Token {
 			continue
 		}
 		end := start + len(raw)
-		tokens = append(tokens, Token{
-			Text:  raw,
-			Norm:  morph.Singularize(morph.StripPossessive(morph.FoldASCII(strings.ToLower(raw)))),
+		tokens = append(tokens, referenceToken{
 			Start: start,
 			End:   end,
+			Norm:  morph.Singularize(morph.StripPossessive(morph.FoldASCII(strings.ToLower(raw)))),
 		})
 	}
 	return tokens

@@ -18,15 +18,27 @@ import (
 	"nnexus/internal/morph"
 )
 
-// Token is one linkable word occurrence in the entry text.
+// Token is one linkable word occurrence in the entry text: its span and the
+// vocabulary's ID of its normalized word. The text is the caller's; a token
+// does not copy it.
 type Token struct {
-	Text string // raw text as it appears in the entry
-	Norm string // morphologically normalized form used for map lookups
-	// Word is the vocabulary's ID of Norm (morph.Lookup), 0 when the
-	// vocabulary did not hold Text when the text was tokenized.
-	Word  int32
-	Start int // byte offset of the first byte of Text in the input
-	End   int // byte offset one past the last byte of Text
+	Start int // byte offset of the word's first byte in the input
+	End   int // byte offset one past the word's last byte
+	// Word is the vocabulary's ID of the word's normalized form, 0 when the
+	// vocabulary did not hold that form when the text was tokenized: then
+	// no concept label held it either, since a label's words enter the
+	// vocabulary before the label is published.
+	Word int32
+}
+
+// NormalForm returns the token's normalized word: the vocabulary's word for
+// its ID, or, for a word the vocabulary does not hold, the form normalized
+// from text, the input it was tokenized from.
+func (t Token) NormalForm(text string) string {
+	if t.Word != 0 {
+		return morph.Word(t.Word)
+	}
+	return morph.Normalize(text[t.Start:t.End])
 }
 
 // Span marks a half-open byte range [Start, End) of the input.
@@ -48,10 +60,21 @@ func Tokenize(text string) []Token {
 // stands and its region skipped, so no span list is built. A token can
 // never run into an escaped region, because no opener is a word character.
 // Words are split by morph's rule, the one labels are split by. A surface
-// form the vocabulary holds takes its Norm and Word from one probe; any
-// other is normalized, and its Word left 0. The vocabulary is read as it
-// stood when the call began.
+// form the vocabulary holds takes its Word from one probe; any other is
+// normalized and its word looked up, and nothing is added to the
+// vocabulary. The vocabulary is read as it stood when the call began.
 func TokenizeAppend(dst []Token, text string) []Token {
+	return tokenize(dst, text, false)
+}
+
+// TokenizeInternAppend is TokenizeAppend for a stored body, on the write
+// path: every surface form the vocabulary lacks is interned (morph.Intern),
+// so a later read of the same body resolves each of its words by one probe.
+func TokenizeInternAppend(dst []Token, text string) []Token {
+	return tokenize(dst, text, true)
+}
+
+func tokenize(dst []Token, text string, intern bool) []Token {
 	esc := escapes{text: text}
 	vocab := morph.Current()
 	for i := 0; i < len(text); {
@@ -80,12 +103,17 @@ func TokenizeAppend(dst []Token, text string) []Token {
 		if i < len(text) && byteClass[text[i]] == classJoin {
 			i = morph.WordEnd(text, start)
 		}
-		raw := text[start:i]
-		norm, word, ok := vocab.Lookup(raw)
-		if !ok {
-			norm = morph.Normalize(raw)
+		// A form the vocabulary lacks is interned on the write path, and
+		// normalized and its word looked up on the read path.
+		word := vocab.FormID(text[start:i])
+		switch {
+		case word != 0:
+		case intern:
+			_, word = morph.Intern(text[start:i])
+		default:
+			word = vocab.WordID(morph.Normalize(text[start:i]))
 		}
-		dst = append(dst, Token{Text: raw, Norm: norm, Word: word, Start: start, End: i})
+		dst = append(dst, Token{Start: start, End: i, Word: word})
 	}
 	return dst
 }

@@ -8,34 +8,39 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"nnexus/internal/morph"
 	"nnexus/internal/workload"
 )
 
-func tokenTexts(ts []Token) []string {
+// tokenTexts returns the words of text that its tokens span.
+func tokenTexts(text string) []string {
+	ts := Tokenize(text)
 	out := make([]string, len(ts))
 	for i, t := range ts {
-		out[i] = t.Text
+		out[i] = text[t.Start:t.End]
 	}
 	return out
 }
 
-func tokenNorms(ts []Token) []string {
+// tokenNorms returns the normal forms of the words of text.
+func tokenNorms(text string) []string {
+	ts := Tokenize(text)
 	out := make([]string, len(ts))
 	for i, t := range ts {
-		out[i] = t.Norm
+		out[i] = t.NormalForm(text)
 	}
 	return out
 }
 
 func TestTokenizeBasic(t *testing.T) {
-	ts := Tokenize("A planar graph is a graph.")
+	text := "A planar graph is a graph."
 	want := []string{"A", "planar", "graph", "is", "a", "graph"}
-	if got := tokenTexts(ts); strings.Join(got, " ") != strings.Join(want, " ") {
+	if got := tokenTexts(text); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("tokens = %v, want %v", got, want)
 	}
-	norms := tokenNorms(ts)
+	norms := tokenNorms(text)
 	if norms[2] != "graph" || norms[5] != "graph" {
 		t.Fatalf("norms = %v", norms)
 	}
@@ -44,33 +49,31 @@ func TestTokenizeBasic(t *testing.T) {
 func TestTokenizeOffsets(t *testing.T) {
 	text := "planar graphs embed"
 	ts := Tokenize(text)
-	for _, tok := range ts {
-		if text[tok.Start:tok.End] != tok.Text {
-			t.Errorf("offset mismatch: [%d,%d)=%q vs Text=%q",
-				tok.Start, tok.End, text[tok.Start:tok.End], tok.Text)
+	for i, want := range []string{"planar", "graphs", "embed"} {
+		if got := text[ts[i].Start:ts[i].End]; got != want {
+			t.Errorf("token %d spans [%d,%d) = %q, want %q", i, ts[i].Start, ts[i].End, got, want)
 		}
 	}
-	if ts[1].Norm != "graph" {
-		t.Errorf("expected plural normalization, got %q", ts[1].Norm)
+	if norm := ts[1].NormalForm(text); norm != "graph" {
+		t.Errorf("expected plural normalization, got %q", norm)
 	}
 }
 
 func TestTokenizeSkipsInlineMath(t *testing.T) {
-	ts := Tokenize("the function $f(x) = graph$ is continuous")
-	for _, tok := range ts {
-		if tok.Text == "f" || tok.Text == "x" || (tok.Text == "graph" && tok.Start > 13) {
-			t.Errorf("token %q from inside math region", tok.Text)
+	text := "the function $f(x) = graph$ is continuous"
+	for _, tok := range Tokenize(text) {
+		if raw := text[tok.Start:tok.End]; raw == "f" || raw == "x" || (raw == "graph" && tok.Start > 13) {
+			t.Errorf("token %q from inside math region", raw)
 		}
 	}
-	got := strings.Join(tokenTexts(ts), " ")
+	got := strings.Join(tokenTexts(text), " ")
 	if got != "the function is continuous" {
 		t.Errorf("tokens = %q", got)
 	}
 }
 
 func TestTokenizeSkipsDisplayMath(t *testing.T) {
-	ts := Tokenize(`before $$\sum graph$$ after \[x graph\] end \(y graph\) tail`)
-	got := strings.Join(tokenTexts(ts), " ")
+	got := strings.Join(tokenTexts(`before $$\sum graph$$ after \[x graph\] end \(y graph\) tail`), " ")
 	if got != "before after end tail" {
 		t.Errorf("tokens = %q", got)
 	}
@@ -78,16 +81,14 @@ func TestTokenizeSkipsDisplayMath(t *testing.T) {
 
 func TestTokenizeSkipsTeXEnvironment(t *testing.T) {
 	text := "intro \\begin{align} graph &= x \\end{align} outro"
-	ts := Tokenize(text)
-	got := strings.Join(tokenTexts(ts), " ")
+	got := strings.Join(tokenTexts(text), " ")
 	if got != "intro outro" {
 		t.Errorf("tokens = %q", got)
 	}
 }
 
 func TestTokenizeSkipsCodeSpans(t *testing.T) {
-	ts := Tokenize("call `graph.AddEdge()` to add an edge")
-	got := strings.Join(tokenTexts(ts), " ")
+	got := strings.Join(tokenTexts("call `graph.AddEdge()` to add an edge"), " ")
 	if got != "call to add an edge" {
 		t.Errorf("tokens = %q", got)
 	}
@@ -95,8 +96,7 @@ func TestTokenizeSkipsCodeSpans(t *testing.T) {
 
 func TestTokenizeSkipsExistingAnchors(t *testing.T) {
 	text := `a <a href="/x">planar graph</a> has no crossing edges`
-	ts := Tokenize(text)
-	got := strings.Join(tokenTexts(ts), " ")
+	got := strings.Join(tokenTexts(text), " ")
 	if got != "a has no crossing edges" {
 		t.Errorf("tokens = %q", got)
 	}
@@ -104,24 +104,21 @@ func TestTokenizeSkipsExistingAnchors(t *testing.T) {
 
 func TestTokenizeHTMLTagsButLinkableBody(t *testing.T) {
 	text := `<em>planar graph</em> inside emphasis`
-	ts := Tokenize(text)
-	got := strings.Join(tokenTexts(ts), " ")
+	got := strings.Join(tokenTexts(text), " ")
 	if got != "planar graph inside emphasis" {
 		t.Errorf("tokens = %q", got)
 	}
 }
 
 func TestTokenizeLessThanIsNotATag(t *testing.T) {
-	ts := Tokenize("if x < y then the graph is planar")
-	got := strings.Join(tokenTexts(ts), " ")
+	got := strings.Join(tokenTexts("if x < y then the graph is planar"), " ")
 	if got != "if x y then the graph is planar" {
 		t.Errorf("tokens = %q", got)
 	}
 }
 
 func TestTokenizeEscapedDollar(t *testing.T) {
-	ts := Tokenize(`it costs \$5 for a graph`)
-	got := strings.Join(tokenTexts(ts), " ")
+	got := strings.Join(tokenTexts(`it costs \$5 for a graph`), " ")
 	if !strings.Contains(got, "graph") {
 		t.Errorf("escaped dollar swallowed text: %q", got)
 	}
@@ -130,34 +127,41 @@ func TestTokenizeEscapedDollar(t *testing.T) {
 func TestTokenizeUnclosedMathDoesNotSwallow(t *testing.T) {
 	// A stray $ with no closing partner before a blank line should not
 	// escape the rest of the document.
-	ts := Tokenize("price is $5 and\n\nthe graph is planar")
-	got := strings.Join(tokenTexts(ts), " ")
+	got := strings.Join(tokenTexts("price is $5 and\n\nthe graph is planar"), " ")
 	if !strings.Contains(got, "graph") {
 		t.Errorf("stray $ swallowed text: %q", got)
 	}
 }
 
 func TestTokenizeHyphenAndPossessive(t *testing.T) {
-	ts := Tokenize("Euler's well-defined formula")
-	texts := tokenTexts(ts)
+	text := "Euler's well-defined formula"
+	texts := tokenTexts(text)
 	if len(texts) != 3 {
 		t.Fatalf("tokens = %v", texts)
 	}
-	if ts[0].Norm != "euler" {
-		t.Errorf("norm = %q, want euler", ts[0].Norm)
+	if norm := tokenNorms(text)[0]; norm != "euler" {
+		t.Errorf("norm = %q, want euler", norm)
 	}
-	if ts[1].Text != "well-defined" {
-		t.Errorf("hyphenated token = %q", ts[1].Text)
+	if texts[1] != "well-defined" {
+		t.Errorf("hyphenated token = %q", texts[1])
 	}
 }
 
 func TestTokenizeUnicode(t *testing.T) {
-	ts := Tokenize("the Möbius strip")
-	if len(ts) != 3 {
-		t.Fatalf("tokens = %v", tokenTexts(ts))
+	norms := tokenNorms("the Möbius strip")
+	if len(norms) != 3 {
+		t.Fatalf("tokens = %v", norms)
 	}
-	if ts[1].Norm != "mobius" {
-		t.Errorf("norm = %q, want mobius", ts[1].Norm)
+	if norms[1] != "mobius" {
+		t.Errorf("norm = %q, want mobius", norms[1])
+	}
+}
+
+// TestTokenSize pins a token at a span and a word ID: the text is the
+// caller's, and the word's normal form the vocabulary's.
+func TestTokenSize(t *testing.T) {
+	if n := unsafe.Sizeof(Token{}); n > 24 {
+		t.Errorf("a Token is %d bytes, want at most 24", n)
 	}
 }
 
@@ -180,8 +184,8 @@ func TestEscapeSpansSortedNonOverlapping(t *testing.T) {
 	}
 }
 
-// Property: token offsets are strictly increasing, in-bounds, and each
-// token's [Start,End) slice equals its Text.
+// Property: token offsets are strictly increasing and in bounds, and each
+// token's [Start,End) slice is a whole word.
 func TestTokenizeOffsetInvariant(t *testing.T) {
 	f := func(s string) bool {
 		ts := Tokenize(s)
@@ -190,7 +194,7 @@ func TestTokenizeOffsetInvariant(t *testing.T) {
 			if tok.Start <= prev || tok.End <= tok.Start || tok.End > len(s) {
 				return false
 			}
-			if s[tok.Start:tok.End] != tok.Text {
+			if morph.WordEnd(s, tok.Start) != tok.End {
 				return false
 			}
 			prev = tok.Start
@@ -227,19 +231,19 @@ func TestTokensAvoidEscapeSpans(t *testing.T) {
 // one, which ended the span inside the element.
 func TestEscapedElementWithCaseChangingLetters(t *testing.T) {
 	grow := "<a>" + strings.Repeat("Ⱥ", 10) + "</a>"
-	if ts := Tokenize(grow); len(ts) != 0 {
-		t.Errorf("tokens inside an anchor: %v", tokenTexts(ts))
+	if ts := tokenTexts(grow); len(ts) != 0 {
+		t.Errorf("tokens inside an anchor: %v", ts)
 	}
 	if spans := EscapeSpans(grow); len(spans) != 1 || spans[0] != (Span{0, len(grow)}) {
 		t.Errorf("spans = %v, want the whole %d bytes", spans, len(grow))
 	}
 	shrink := "<code>" + strings.Repeat("İ", 10) + " x > y group</code> ring"
-	if got := strings.Join(tokenTexts(Tokenize(shrink)), " "); got != "ring" {
+	if got := strings.Join(tokenTexts(shrink), " "); got != "ring" {
 		t.Errorf("tokens = %q, want only the word after the element", got)
 	}
 	// Only ASCII letters fold: U+212A KELVIN SIGN lower-cases to "k", and
 	// "</ſtyle" is not a close tag.
-	if got := strings.Join(tokenTexts(Tokenize("<style>a</ſtyle>b</STYLE>c")), " "); got != "c" {
+	if got := strings.Join(tokenTexts("<style>a</ſtyle>b</STYLE>c"), " "); got != "c" {
 		t.Errorf("tokens = %q, want only the word after the element", got)
 	}
 }
@@ -294,10 +298,11 @@ func TestTokenizeLinearInEscapedElements(t *testing.T) {
 }
 
 // TestTokenizeAppendAllocs gates the tokenizer's allocations into a warm
-// buffer: none for lower-case ASCII singular words, whose Norm is the token
-// itself; for a generated entry body at most one per eight tokens — a Norm
-// only where case folding or singularising changed the word — and none once
-// its words are in the vocabulary, as a stored body's are.
+// buffer: none for lower-case ASCII singular words, whose normal form is the
+// token itself; for a generated entry body at most one per eight tokens — a
+// normal form built only where case folding or singularising changed the
+// word — and none once its words are in the vocabulary, as a stored body's
+// are.
 func TestTokenizeAppendAllocs(t *testing.T) {
 	plain := strings.Repeat("let the graph embed in a plane so that no edge of it may cross another one ", 20)
 	c, err := workload.Generate(workload.DefaultParams(40))
@@ -315,9 +320,7 @@ func TestTokenizeAppendAllocs(t *testing.T) {
 			t.Fatalf("%s: only %d tokens", tc.name, len(buf))
 		}
 		if tc.intern {
-			for _, tok := range buf {
-				morph.Intern(tok.Text)
-			}
+			TokenizeInternAppend(nil, tc.text)
 		}
 		allocs := testing.AllocsPerRun(100, func() { buf = TokenizeAppend(buf[:0], tc.text) })
 		if allocs > tc.perToken*float64(len(buf)) {

@@ -102,7 +102,7 @@ func TestTruthInvocationsAppearInBody(t *testing.T) {
 		toks := tokenizer.Tokenize(ge.Entry.Body)
 		norms := make([]string, len(toks))
 		for i, tok := range toks {
-			norms[i] = tok.Norm
+			norms[i] = tok.NormalForm(ge.Entry.Body)
 		}
 		body := " " + strings.Join(norms, " ") + " "
 		for _, inv := range ge.Truth {
