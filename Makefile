@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build fmt vet test race loc bench bench-module profile-doc profile-import profile-snippet chaos chaos-replication chaos-failover chaos-shard chaos-tenant readscale openloop loadgate shardscale tenantiso experiments fuzz cover clean
+.PHONY: build fmt vet test race loc bench bench-module profile-doc profile-import profile-snippet chaos chaos-replication chaos-failover chaos-tenant readscale openloop loadgate tenantiso experiments fuzz cover clean
 
 build:
 	go build ./...
@@ -63,10 +63,10 @@ profile-snippet:
 
 # Fault-injection suite: connection kills, server restarts, torn WAL tails,
 # fsync failures, drains under live traffic — always under the race detector.
-# The four slices below are skipped here, so that running every chaos target
+# The three slices below are skipped here, so that running every chaos target
 # (as CI does) runs each test once.
 chaos:
-	go test -race -run '^TestChaos' -skip '^TestChaos(Repl|Failover|Shard|Tenant)' ./...
+	go test -race -run '^TestChaos' -skip '^TestChaos(Repl|Failover|Tenant)' ./...
 
 # The replication slice of the chaos suite: follower crash/recovery at every
 # WAL record boundary, partitioned and healed replication streams, drains
@@ -81,14 +81,6 @@ chaos-replication:
 # restarted stale primary fencing itself — always under the race detector.
 chaos-failover:
 	go test -race -run '^TestChaosFailover' ./...
-
-# The sharding slice of the chaos suite: one shard's primary (or a whole
-# single-node shard) killed mid-traffic — bystander shards' reads and
-# writes unaffected, typed partial results from scatter-gather reads that
-# touch the gap, recovery via the same election machinery — always under
-# the race detector.
-chaos-shard:
-	go test -race -run '^TestChaosShard' ./...
 
 # The tenancy slice of the chaos suite: a hot tenant driven far past its
 # token-bucket limit by unpaced workers while a calm tenant's reads and
@@ -114,11 +106,6 @@ openloop:
 loadgate:
 	go run ./cmd/nnexus-bench -exp openloop -entries 200 -duration 1s -rates 600,1200
 
-# The shard-scaling experiment (aggregate write QPS through the
-# scatter-gather router at 1/2/4 shards).
-shardscale:
-	go run ./cmd/nnexus-bench -exp shardscale -entries 400 -duration 2s
-
 # The tenant-isolation (noisy-neighbor) experiment: bystander link p99
 # while another corpus is driven past its rate limit.
 tenantiso:
@@ -140,7 +127,6 @@ fuzz:
 	go test ./internal/morph -fuzz=FuzzNormalize -fuzztime=30s
 	go test ./internal/render -fuzz=FuzzApplyEquivalence -fuzztime=30s
 	go test ./internal/conceptmap -fuzz=FuzzAutomatonScanEquivalence -fuzztime=30s
-	go test ./internal/core -fuzz=FuzzShardedLinkEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzTenantLinkEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzMaintenanceEquivalence -fuzztime=30s
 

@@ -13,13 +13,12 @@
 //	nnexus-bench -exp network        §1.3: the resulting semantic network
 //	nnexus-bench -exp readscale      read QPS: single node vs 1 primary + 2 read replicas
 //	nnexus-bench -exp openloop       open-loop (coordinated-omission-free) latency-vs-offered-load sweep with knee detection
-//	nnexus-bench -exp shardscale     aggregate write QPS at 1/2/4 consistent-hash shards via the scatter-gather router
 //	nnexus-bench -exp tenantiso      noisy-neighbor isolation: bystander link p99 while a hot tenant is rate limited
 //	nnexus-bench -exp all            everything above
 //
-// The last four boot live servers and drive them through internal/loadgen:
-// readscale and shardscale with its closed loop (loadgen.Closed), openloop
-// and tenantiso with its open loop (loadgen.Run); every percentile they
+// The last three boot live servers and drive them through internal/loadgen:
+// readscale with its closed loop (loadgen.Closed), openloop and tenantiso
+// with its open loop (loadgen.Run); every percentile they
 // print is read off a loadgen.Hist. -exp openloop exits non-zero when not
 // even the lowest rate of its -rates ladder meets the -slo, which is the
 // check `make loadgate` runs.
@@ -43,13 +42,13 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run (table1, table2, table3, fig8, fig9, invalidation, maintenance, autopolicy, semiauto, network, readscale, openloop, shardscale, tenantiso, all)")
+		exp     = flag.String("exp", "all", "experiment to run (table1, table2, table3, fig8, fig9, invalidation, maintenance, autopolicy, semiauto, network, readscale, openloop, tenantiso, all)")
 		entries = flag.Int("entries", 7132, "full corpus size")
 		seed    = flag.Int64("seed", 20090601, "workload seed")
 		sample2 = flag.Int("sample", 50, "Table 2 sample size (paper: 50)")
 		conns   = flag.Int("conns", 4, "openloop experiment: client connections")
-		dur     = flag.Duration("duration", 2*time.Second, "readscale/shardscale/tenantiso/openloop experiments: measurement window per configuration")
-		rtt     = flag.Duration("rtt", 0, "readscale/shardscale/openloop experiments: simulated round-trip time per node (0 = the experiment's own: 10ms readscale, 4ms shardscale and openloop)")
+		dur     = flag.Duration("duration", 2*time.Second, "readscale/tenantiso/openloop experiments: measurement window per configuration")
+		rtt     = flag.Duration("rtt", 0, "readscale/openloop experiments: simulated round-trip time per node (0 = the experiment's own: 10ms readscale, 4ms openloop)")
 		olRates = flag.String("rates", "150,300,600,1200,2400,4800", "openloop experiment: comma-separated offered-load ladder (req/s)")
 		olSLO   = flag.Duration("slo", 25*time.Millisecond, "openloop experiment: intended-latency p99 SLO for knee detection")
 		olWin   = flag.Int("window", 8, "openloop experiment: pipeline window per connection")
@@ -106,7 +105,6 @@ func main() {
 			killPrim: *olKillP,
 		})
 	})
-	run("shardscale", func(c *workload.Corpus) error { return runShardScale(c, *dur, cmp.Or(*rtt, 4*time.Millisecond)) })
 	run("tenantiso", func(c *workload.Corpus) error { return runTenantIso(c, *dur) })
 }
 

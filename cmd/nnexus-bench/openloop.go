@@ -2,9 +2,9 @@ package main
 
 // The open-loop load experiment: a live primary + 2-follower cluster, each
 // node behind a netsim delay proxy, swept with coordinated-omission-free
-// traffic from internal/loadgen. Unlike the closed-loop readscale and
-// shardscale experiments — where a slow server quietly throttles its own
-// drivers — the open-loop schedule keeps firing at the intended rate, so
+// traffic from internal/loadgen. Unlike the closed-loop readscale
+// experiment — where a slow server quietly throttles its own drivers — the
+// open-loop schedule keeps firing at the intended rate, so
 // queueing collapse shows up as exploding intended-latency percentiles and
 // a falling achieved/offered ratio instead of hiding inside a lower QPS
 // number. The sweep's output is the p50/p99/p999-vs-offered-load curve and

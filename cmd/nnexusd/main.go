@@ -15,10 +15,8 @@
 // GET /metrics; -pprof adds the standard /debug/pprof/ profiling handlers to
 // the same listener.
 //
-// In a sharded deployment, start one daemon (or replication group) per shard
-// with -shard-map map.json -shard-id N: the node then indexes only the
-// labels its consistent-hash ring slice owns and answers the shardScan /
-// putEntry methods that nnexus.DialSharded's scatter-gather router issues.
+// One daemon serves the whole corpus. For read scale-out and failover, run
+// it as a replication group (-repl-primary, -follow, -peers).
 package main
 
 import (

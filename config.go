@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nnexus/internal/core"
-	"nnexus/internal/shard"
 	"nnexus/internal/tenant"
 )
 
@@ -41,9 +40,9 @@ import (
 //	  </mapper>
 //	</nnexus>
 //
-// An attribute of <server>, <replication>, <shard> or <tenants> is a flag of
-// Flags by its name, parsed as that flag parses; the four elements only group
-// them for the reader. <scheme> names a built-in ("sample") or an OWL file,
+// An attribute of <server>, <replication> or <tenants> is a flag of Flags by
+// its name, parsed as that flag parses; the three elements only group them
+// for the reader. <scheme> names a built-in ("sample") or an OWL file,
 // resolved relative to the configuration file's directory.
 type Config struct {
 	// Scheme is the canonical classification scheme used for link
@@ -148,20 +147,6 @@ type Config struct {
 	// QuorumTimeout bounds the quorum wait (default 5s).
 	QuorumTimeout time.Duration
 
-	// ShardMap is the path to a shard-map JSON document; with ShardID it
-	// puts the engine in shard mode: the node indexes and scans only the
-	// slice of the label space its ring position owns, and serves the
-	// shardScan/putEntry methods a ShardRouter fans out to. Every node of a
-	// shard's replication group runs with the same ShardMap and ShardID.
-	ShardMap string
-	// ShardRing puts the engine in shard mode from an in-memory ring
-	// instead of a ShardMap file (tests, embedded fleets). ShardMap, when
-	// set, takes precedence.
-	ShardRing *ShardRing
-	// ShardID is this node's 0-based shard on the ring. Used with ShardMap
-	// or ShardRing.
-	ShardID int
-
 	// TenantFile is the path to a tenant-policy JSON document: per-corpus
 	// rate limits, entry/byte quotas and default cross-corpus link targets,
 	// enforced before execution on every door. Engine.ReloadTenants re-reads
@@ -232,9 +217,6 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&c.QuorumAcks, "quorum-acks", 0, "acknowledge writes only after this many followers confirm the WAL offset durable (0 = local durability only)")
 	fs.DurationVar(&c.QuorumTimeout, "quorum-timeout", 0, "bound on the quorum wait before a write answers quorumUnavailable (0 = 5s)")
 
-	fs.StringVar(&c.ShardMap, "shard-map", "", "shard-map JSON file describing the sharded deployment; serve only this node's ring slice (with -shard-id)")
-	fs.IntVar(&c.ShardID, "shard-id", 0, "this node's shard ID within -shard-map")
-
 	fs.StringVar(&c.TenantFile, "tenant-config", "", "tenant-policy JSON file: per-corpus rate limits, entry/byte quotas, and default cross-corpus link targets; SIGHUP re-reads it live")
 }
 
@@ -290,7 +272,6 @@ func loadFile(path string) (Config, error) {
 		XMLName     xml.Name `xml:"nnexus"`
 		Server      attrBag  `xml:"server"`
 		Replication attrBag  `xml:"replication"`
-		Shard       attrBag  `xml:"shard"`
 		Tenants     attrBag  `xml:"tenants"`
 		Scheme      attrBag  `xml:"scheme"`
 		Domains     []struct {
@@ -307,9 +288,16 @@ func loadFile(path string) (Config, error) {
 				To   []string `xml:"to"`
 			} `xml:"rule"`
 		} `xml:"mapper"`
+		// Unknown is every child element the fields above do not read.
+		Unknown []struct {
+			XMLName xml.Name
+		} `xml:",any"`
 	}
 	if err := xml.Unmarshal(data, &doc); err != nil {
 		return fail(fmt.Errorf("parse: %w", err))
+	}
+	if len(doc.Unknown) > 0 {
+		return fail(fmt.Errorf("unknown element <%s>", doc.Unknown[0].XMLName.Local))
 	}
 
 	fs := flag.NewFlagSet(path, flag.ContinueOnError)
@@ -317,7 +305,7 @@ func loadFile(path string) (Config, error) {
 	for _, el := range []struct {
 		name string
 		attrBag
-	}{{"server", doc.Server}, {"replication", doc.Replication}, {"shard", doc.Shard}, {"tenants", doc.Tenants}, {"scheme", doc.Scheme}} {
+	}{{"server", doc.Server}, {"replication", doc.Replication}, {"tenants", doc.Tenants}, {"scheme", doc.Scheme}} {
 		for _, a := range el.Attrs {
 			name, value := a.Name.Local, a.Value
 			if el.name == "scheme" {
@@ -432,8 +420,6 @@ func (c *Config) validate() (resolved, error) {
 		LinkAllOccurrences: c.LinkAllOccurrences,
 		LaTeX:              c.LaTeX,
 		CompileAutomaton:   c.CompileAutomaton,
-		ShardRing:          c.ShardRing,
-		ShardID:            c.ShardID,
 	}
 	if c.Scheme == nil && c.SchemeFile != "" {
 		s, err := c.buildScheme()
@@ -441,13 +427,6 @@ func (c *Config) validate() (resolved, error) {
 			return res, err
 		}
 		res.engine.Scheme = s
-	}
-	if c.ShardMap != "" {
-		m, err := shard.LoadMap(c.ShardMap)
-		if err != nil {
-			return res, err
-		}
-		res.engine.ShardRing = m.Ring()
 	}
 	if err := res.engine.Validate(); err != nil {
 		return res, err

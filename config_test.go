@@ -201,10 +201,8 @@ func TestConfigOneSpelling(t *testing.T) {
 	dir := t.TempDir()
 	owl := writeOWL(t, dir, "msc.owl")
 	tenants := writeFile(t, dir, "tenants.json", `{"default": {"ratePerSec": 100}}`)
-	shards := writeFile(t, dir, "shards.json", `{"version": 1, "shards": [
-		{"id": 0, "addrs": ["a:1"]}, {"id": 1, "addrs": ["b:1"]}, {"id": 2, "addrs": ["c:1"]}]}`)
 	// A consistent node with every setting off its default: a clustered,
-	// sharded, tenanted initial primary...
+	// tenanted initial primary...
 	primary := map[string]string{
 		"addr": "127.0.0.1:7171", "http": "127.0.0.1:8181", "pprof": "true",
 		"data": filepath.Join(dir, "data"), "sync": "true", "group-commit-window": "3ms",
@@ -213,7 +211,7 @@ func TestConfigOneSpelling(t *testing.T) {
 		"request-timeout": "1m30s", "max-pipeline": "14",
 		"repl-primary": "true", "peers": "n1:7070, n2:7070", "advertise": "n0:7070",
 		"election-timeout": "750ms", "quorum-acks": "1", "quorum-timeout": "2s",
-		"shard-map": shards, "shard-id": "2", "tenant-config": tenants,
+		"tenant-config": tenants,
 	}
 	// ... and the same node booting as a follower, for the two settings a
 	// primary cannot have.
@@ -258,7 +256,7 @@ func TestConfigOneSpelling(t *testing.T) {
 		if reflect.DeepEqual(fromFlags, withDefault(t, name, all)) {
 			t.Errorf("-%s=%s does not move the Config off its default: the test proves nothing for it", name, value)
 		}
-		for _, elem := range []string{"server", "replication", "shard", "tenants"} {
+		for _, elem := range []string{"server", "replication", "tenants"} {
 			doc := writeFile(t, dir, "one.xml", `<nnexus><`+elem+` `+name+`="`+value+`"/></nnexus>`)
 			fromFile, err := nnexus.ParseArgs("nnexusd", append([]string{"-config", doc}, others...))
 			if err != nil {
@@ -300,6 +298,29 @@ func TestConfigOneSpelling(t *testing.T) {
 	}
 }
 
+// TestConfigUnknownSetting: a child element of <nnexus> the loader does not
+// read, and a flag Config.Flags does not register, are errors naming them
+// rather than settings silently dropped. A node once configured as one shard
+// of a sharded fleet must not boot its partial store as the whole corpus.
+func TestConfigUnknownSetting(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ doc, want string }{
+		{`<nnexus><server addr="127.0.0.1:1"/><shard shard-map="shards.json" shard-id="1"/></nnexus>`, "<shard>"},
+		{`<nnexus><replicaton repl-primary="true"/></nnexus>`, "<replicaton>"},
+	} {
+		path := writeFile(t, dir, "unknown.xml", c.doc)
+		if _, err := nnexus.LoadConfig(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("LoadConfig %s: error %v, want one naming %s", c.doc, err, c.want)
+		}
+		if _, err := nnexus.ParseArgs("nnexusd", []string{"-config", path}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseArgs -config %s: error %v, want one naming %s", c.doc, err, c.want)
+		}
+	}
+	if _, err := nnexus.ParseArgs("nnexusd", []string{"-shard-map", filepath.Join(dir, "shards.json"), "-shard-id", "1"}); err == nil || !strings.Contains(err.Error(), "shard-map") {
+		t.Errorf("-shard-map: error %v, want one naming the flag", err)
+	}
+}
+
 // withDefault parses args without the named flag.
 func withDefault(t *testing.T, name string, args []string) nnexus.Config {
 	t.Helper()
@@ -320,11 +341,8 @@ func withDefault(t *testing.T, name string, args []string) nnexus.Config {
 // the data directory it names does not exist afterwards.
 func TestNewRejectsBeforeOpening(t *testing.T) {
 	dir := t.TempDir()
-	oneShard := writeFile(t, dir, "shards.json", `{"version": 1, "shards": [{"id": 0, "addrs": ["a:1"]}]}`)
 	scheme := nnexus.SampleMSC(10)
 	for name, cfg := range map[string]nnexus.Config{
-		"missing shard map":     {Scheme: scheme, ShardMap: filepath.Join(dir, "missing.json")},
-		"shard id outside ring": {Scheme: scheme, ShardMap: oneShard, ShardID: 3},
 		"missing tenant file":   {Scheme: scheme, TenantFile: filepath.Join(dir, "missing.json")},
 		"unparseable tenants":   {Scheme: scheme, TenantFile: writeFile(t, dir, "tenants.json", `{"default": `)},
 		"missing OWL":           {SchemeFile: filepath.Join(dir, "missing.owl")},

@@ -562,15 +562,12 @@ func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token, consume
 // ScanAllAppend is the all-positions scan: it reports the longest concept
 // match starting at every token position, without consuming the matched
 // tokens — after emitting a match at position i the scan resumes at i+1,
-// not past the phrase. A shard holding only its slice of the label space
-// runs this over the full token stream; because every label starting at a
-// given token shares the same morph-folded first word (and therefore the
-// same owning shard), the union of per-shard ScanAllAppend streams contains
-// the longest match at every position, and a greedy walk over that union —
-// accept a match whose TokenStart is past the previous winner's TokenEnd,
-// drop shadowed ones — reproduces the single-map ScanAppend stream
-// bit-identically. The engine's multi-corpus scan uses it the same way,
-// across namespaces instead of ring slices.
+// not past the phrase. The engine's multi-corpus scan runs it over each
+// target namespace: the union of the streams contains the longest match at
+// every position, and a greedy walk over that union — accept a match whose
+// TokenStart is past the previous winner's TokenEnd, drop shadowed ones —
+// reproduces the ScanAppend stream of one map holding every namespace's
+// labels.
 //
 // ScanAllAppend always takes the chained-hash path: the compiled automaton
 // keeps only the longest label ending at each state, which serves the

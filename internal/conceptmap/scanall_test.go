@@ -9,10 +9,11 @@ import (
 	"nnexus/internal/tokenizer"
 )
 
-// greedyFilter runs the router's global greedy walk over an all-positions
-// match stream (sorted by TokenStart): accept a match starting at or past
-// the previous winner's end, drop shadowed ones. Applied to the union of
-// per-shard ScanAllAppend streams this must reproduce ScanAppend exactly.
+// greedyFilter runs the engine's greedy walk (core's assemble) over an
+// all-positions match stream sorted by TokenStart: accept a match starting
+// at or past the previous winner's end, drop shadowed ones. Applied to one
+// map's ScanAllAppend stream, or to the merged streams of maps that split a
+// label space between them, it must reproduce ScanAppend exactly.
 func greedyFilter(all []Match) []Match {
 	var out []Match
 	nextFree := 0
@@ -26,11 +27,11 @@ func greedyFilter(all []Match) []Match {
 	return out
 }
 
-// TestScanAllGreedyEquivalence is the in-package half of the sharded-scan
-// equivalence argument: for one map, greedyFilter(ScanAllAppend) ==
-// ScanAppend on arbitrary token streams, including overlapping phrases
-// ("orthogonal function" vs "function space") where the non-greedy stream
-// contains matches the greedy walk must shadow.
+// TestScanAllGreedyEquivalence is the in-package half of the multi-target
+// merge's equivalence argument (core's scan over several corpora): for one
+// map, greedyFilter(ScanAllAppend) == ScanAppend on arbitrary token streams,
+// including overlapping phrases ("orthogonal function" vs "function space")
+// where the non-greedy stream contains matches the greedy walk must shadow.
 func TestScanAllGreedyEquivalence(t *testing.T) {
 	m := New()
 	m.AddObject(1, []string{"orthogonal function", "orthogonal"})
@@ -57,7 +58,7 @@ func TestScanAllGreedyEquivalence(t *testing.T) {
 }
 
 // TestScanAllPartitionedEquivalence splits the label space across k
-// disjoint maps by first word (as the shard ring does), merges their
+// disjoint maps by first word, merges their
 // ScanAllAppend streams in TokenStart order, greedy-filters, and checks the
 // result matches the single map's ScanAppend — randomized over many
 // synthetic vocabularies and texts.
@@ -92,13 +93,13 @@ func TestScanAllPartitionedEquivalence(t *testing.T) {
 				labels = append(labels, strings.Join(ws, " "))
 			}
 			full.AddObject(ObjectID(id), labels)
-			// Project each label to its owning shard only.
-			byShard := make([][]string, k)
+			// Project each label to its owning map only.
+			byPart := make([][]string, k)
 			for _, lab := range labels {
 				s := owner(strings.Fields(lab)[0])
-				byShard[s] = append(byShard[s], lab)
+				byPart[s] = append(byPart[s], lab)
 			}
-			for s, labs := range byShard {
+			for s, labs := range byPart {
 				if len(labs) > 0 {
 					parts[s].AddObject(ObjectID(id), labs)
 				}
@@ -117,7 +118,7 @@ func TestScanAllPartitionedEquivalence(t *testing.T) {
 		for _, p := range parts {
 			all = p.ScanAllAppend(all, tokens)
 		}
-		// Merge per-shard streams into TokenStart order. Each stream is
+		// Merge the per-map streams into TokenStart order. Each stream is
 		// already sorted; a simple stable insertion keeps the test honest.
 		sortMatches(all)
 		got := greedyFilter(all)
@@ -129,8 +130,8 @@ func TestScanAllPartitionedEquivalence(t *testing.T) {
 }
 
 // sortMatches orders matches by TokenStart. At one start position only one
-// match can exist per shard, and disjoint label ownership means only one
-// shard ever matches a given position, so no tie-break is needed.
+// match can exist per map, and disjoint label ownership means only one map
+// ever matches a given position, so no tie-break is needed.
 func sortMatches(ms []Match) {
 	for i := 1; i < len(ms); i++ {
 		for j := i; j > 0 && ms[j].TokenStart < ms[j-1].TokenStart; j-- {

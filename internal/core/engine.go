@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +27,6 @@ import (
 	"nnexus/internal/invindex"
 	"nnexus/internal/ontomap"
 	"nnexus/internal/render"
-	"nnexus/internal/shard"
 	"nnexus/internal/storage"
 	"nnexus/internal/telemetry"
 )
@@ -113,20 +111,6 @@ type Config struct {
 	// either way; the automaton is purely a match-stage throughput win.
 	// Call Close to stop the compiler goroutine.
 	CompileAutomaton bool
-	// ShardRing, when set, runs the engine in shard mode: it serves only
-	// its slice of the consistent-hash ring. Labels whose morph-folded
-	// first word is owned by a different shard are dropped at indexing
-	// time, so the concept map, the invalidation index, and the compiled
-	// automaton all hold ~1/N of the corpus (compile cost and memory drop
-	// proportionally). Entries and domains are still stored whole — a
-	// multi-label entry is projected onto every shard owning one of its
-	// labels, and each projection keeps the full metadata candidate
-	// resolution needs. The engine's own LinkText remains a full greedy
-	// scan over its slice; the cross-shard merge lives in ShardRouter.
-	ShardRing *shard.Ring
-	// ShardID is this engine's position on the ring (0-based). Only
-	// meaningful with ShardRing set.
-	ShardID int
 	// DefaultCorpus is the corpus namespace entries and link requests fall
 	// into when they name none. Empty means corpus.DefaultCorpus, which
 	// keeps single-corpus deployments (and pre-tenancy WALs) unchanged.
@@ -200,12 +184,6 @@ func (cfg *Config) Validate() error {
 	}
 	if !cfg.Scheme.Built() {
 		return fmt.Errorf("core: Config.Scheme must be built")
-	}
-	if cfg.ShardRing != nil {
-		if cfg.ShardID < 0 || cfg.ShardID >= cfg.ShardRing.NumShards() {
-			return fmt.Errorf("core: shard id %d outside ring of %d shards",
-				cfg.ShardID, cfg.ShardRing.NumShards())
-		}
 	}
 	return nil
 }
@@ -457,62 +435,8 @@ func (e *Engine) AddEntry(entry *corpus.Entry) (int64, error) {
 	return ids[0], nil
 }
 
-// IDCollisionError reports a PutEntry whose preassigned ID is already held
-// by an entry of a DIFFERENT corpus — the signature of two routers (or a
-// router and a standalone writer) assigning from diverged ID sequences.
-// The put is rejected before any state changes; silently overwriting would
-// destroy the other corpus's entry.
-type IDCollisionError struct {
-	ID       int64
-	Existing string // corpus that holds the ID
-	Incoming string // corpus attempting the put
-}
-
-func (e *IDCollisionError) Error() string {
-	return fmt.Sprintf("core: entry ID %d collision: held by corpus %q, put attempted by corpus %q "+
-		"(diverged router ID sequences; see ShardRouter's ID-recovery caveat)",
-		e.ID, e.Existing, e.Incoming)
-}
-
-// PutEntry stores an entry under a caller-assigned ID — the shard-mode
-// write path. The shard router assigns IDs from one global sequence and
-// fans the entry out to every shard owning one of its labels; each shard
-// upserts its projection with this method, so an entry present on several
-// shards carries the same ID everywhere (which keeps the lowest-ID
-// tie-break identical to the unsharded engine). Re-putting an existing ID
-// replaces it, like UpdateEntry. The engine's own nextID ratchets past
-// every put ID so a shard later promoted to standalone use never reissues
-// one.
-//
-// Cross-corpus collision guard (ROADMAP residual): a router recovers the
-// global ID sequence from the fleet maximum at startup ONLY, so two
-// routers started against overlapping fleets — or a router racing a
-// standalone writer — can assign the same ID to different corpora's
-// entries. A same-corpus re-put is a legitimate upsert; a put whose ID is
-// held by ANOTHER corpus is a sequence divergence and fails loudly with
-// *IDCollisionError instead of silently overwriting the victim entry.
-func (e *Engine) PutEntry(entry *corpus.Entry) error {
-	if entry.ID <= 0 {
-		return fmt.Errorf("core: putEntry needs a positive preassigned ID, got %d", entry.ID)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.admitLocked(entry); err != nil {
-		return err
-	}
-	if existing := e.entries[entry.ID]; existing != nil && existing.Corpus != entry.Corpus {
-		return &IDCollisionError{ID: entry.ID, Existing: existing.Corpus, Incoming: entry.Corpus}
-	}
-	if entry.ExternalID == "" {
-		entry.ExternalID = strconv.FormatInt(entry.ID, 10)
-	}
-	e.tel.opPutEntry.Inc()
-	return e.storeLocked(entry)
-}
-
 // MaxObjectID returns the highest entry ID the engine has assigned or
-// accepted (0 when empty). A shard router recovers its global ID sequence
-// at startup from the max across all shards.
+// accepted (0 when empty).
 func (e *Engine) MaxObjectID() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -545,27 +469,6 @@ func (e *Engine) RemoveEntry(id int64) error {
 	}
 	e.tel.opRemoveEntry.Inc()
 	return e.commitLocked(&ch)
-}
-
-// ownsLabel reports whether this engine's ring slice owns the label.
-// Unsharded engines own everything.
-func (e *Engine) ownsLabel(label string) bool {
-	return e.cfg.ShardRing == nil || e.cfg.ShardRing.OwnerLabel(label) == e.cfg.ShardID
-}
-
-// ownedLabels filters an entry's labels down to the ones this engine's ring
-// slice owns. Unsharded engines return the input unchanged (no copy).
-func (e *Engine) ownedLabels(labels []string) []string {
-	if e.cfg.ShardRing == nil {
-		return labels
-	}
-	out := make([]string, 0, len(labels))
-	for _, l := range labels {
-		if e.cfg.ShardRing.OwnerLabel(l) == e.cfg.ShardID {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // SetPolicy installs (or with empty text removes) the linking policy of an

@@ -129,10 +129,8 @@ func (e *Engine) rederiveLocked(affected func(*storedEntry) bool) {
 
 // indexLocked is the apply stage of an entry write: it stores the entry
 // with its resolve state, (re)indexes it in its corpus's concept map,
-// invalidation index and usage counters, and ratchets nextID past it. In
-// shard mode only the ring slice's labels are indexed, so the concept map
-// and the automaton compiled from it stay ~1/N-sized. The entry's corpus must already be
-// normalized. An entry moving corpora (UpdateEntry with a new corpus ID)
+// invalidation index and usage counters, and ratchets nextID past it. The
+// entry's corpus must already be normalized. An entry moving corpora (UpdateEntry with a new corpus ID)
 // is removed from its old namespace's indexes first.
 func (e *Engine) indexLocked(entry *corpus.Entry) error {
 	stored, err := e.newStored(entry)
@@ -152,7 +150,7 @@ func (e *Engine) indexLocked(entry *corpus.Entry) error {
 			oldNS.inv.Remove(entry.ID)
 		}
 	}
-	ns.cmap.AddObject(conceptmap.ObjectID(entry.ID), e.ownedLabels(entry.Labels()))
+	ns.cmap.AddObject(conceptmap.ObjectID(entry.ID), entry.Labels())
 	ns.inv.AddText(entry.ID, entry.Body)
 	ns.entryCount.Add(1)
 	ns.byteCount.Add(EntrySize(entry))
@@ -181,10 +179,7 @@ func (e *Engine) unindexLocked(entry *corpus.Entry) {
 // one of them (except the originating entry). The rendered output of each
 // is dropped; with a changeSet — on the node that originated the mutation —
 // each one not yet flagged is also flagged for re-linking and the flag joins
-// the changeSet. In shard mode only owned labels are consulted: a label
-// change belongs to the shard that owns the label's ring slice (each shard
-// invalidates its own projections; see DESIGN.md for the cross-shard
-// invalidation gap).
+// the changeSet.
 //
 // Every corpus namespace's invalidation index is consulted: an entry in
 // corpus A whose body mentions the label may link against corpus B through
@@ -199,9 +194,6 @@ func (e *Engine) invalidateLocked(ch *changeSet, except int64, old, cur []string
 	}
 	namespaces := e.nsMap()
 	walk := func(label string) {
-		if !e.ownsLabel(label) {
-			return
-		}
 		for _, n := range namespaces {
 			for _, id := range n.inv.Lookup(label) {
 				if id == except {

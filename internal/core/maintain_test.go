@@ -15,7 +15,6 @@ import (
 const (
 	maintAdd = iota
 	maintAddBatch
-	maintPut
 	maintUpdate
 	maintRemove
 	maintSetPolicy
@@ -115,7 +114,7 @@ func newMaintPrimary(t *testing.T, dir string) *maintPrimary {
 			Scheme: "msc", Priority: 1,
 		})
 	})
-	fixture := routerFixtureEntries()
+	fixture := fig1Entries()
 	for i, src := range fixture {
 		src.Domain = "planetmath.org"
 		src.Body = "about the " + fixture[(i+5)%len(fixture)].Title
@@ -155,13 +154,6 @@ func (p *maintPrimary) run(data []byte) {
 		case maintAddBatch:
 			batch := []*corpus.Entry{s.entry(), s.entry()}
 			p.mutate("AddEntries", 1, func() error { _, err := e.AddEntries(batch); return err })
-		case maintPut:
-			id, upsert, entry := s.pick(e), s.next(2) == 1, s.entry()
-			entry.ID = id
-			if old, ok := e.Entry(id); ok && upsert {
-				entry.Corpus = old.Corpus // not an ID collision
-			}
-			p.mutate("PutEntry", 1, func() error { return e.PutEntry(entry) })
 		case maintUpdate:
 			// Eight bytes: ID, change bits, two title words, four body words.
 			id, change := s.pick(e), s.next(8)
@@ -327,11 +319,11 @@ var maintSeeds = [][]byte{
 		maintRelink,
 		maintRelink,
 	},
-	{ // put: past the high-water mark, an upsert, an ID held by the other corpus
-		maintPut, 0xFF, 0, 0, 0, 1, 5, 0, 0, 1, 1, 0, 1, 2, 3,
-		maintPut, 2, 1, 1, 0, 0, 6, 0, 0, 0, 2, 0, 0, 1, 1,
-		maintPut, 2, 0, 1, 0, 0, 6, 0, 0, 0, 2, 0, 0, 1, 1,
-		maintLinkEntry, 11,
+	{ // the newest entry removed, then an add: its ID is not reused, and the high-water mark survives
+		maintRemove, 15,
+		maintAdd, 1, 0, 1, 0, 1, 5, 0, 0, 1, 1, 0, 1,
+		maintLinkEntry, 15,
+		maintRelink,
 	},
 	{ // link-entry: valid entry, an entry a write just flagged, twice, an unknown ID
 		maintLinkEntry, 1,

@@ -19,14 +19,14 @@ type Metrics struct {
 }
 
 // Metrics returns the engine's cumulative counters, read from its telemetry
-// registry: entries added count both add_entry and put_entry operations, and
-// invalidations are summed over every corpus.
+// registry: entries added are the add_entry operations, and invalidations
+// are summed over every corpus.
 func (e *Engine) Metrics() Metrics {
 	t := e.tel
 	m := Metrics{
 		TextsLinked:    t.opLinkText.Value(),
 		EntriesLinked:  t.opLinkEntry.Value(),
-		EntriesAdded:   t.opAddEntry.Value() + t.opPutEntry.Value(),
+		EntriesAdded:   t.opAddEntry.Value(),
 		LinksCreated:   t.linksCreated.Value(),
 		PolicySkips:    t.skipPolicy.Value(),
 		SelfSkips:      t.skipSelf.Value(),

@@ -16,8 +16,6 @@ package core
 //	Engine.LinkText       plan + scan + capture(1) + assemble
 //	Engine.LinkEntry      the same, planned from the stored entry
 //	runBatch              the same per item, around one shared capture
-//	Engine.ScanShard      plan + scan(all positions) + capture(1) + resolve
-//	ShardRouter.LinkText  k-way pick over per-shard ScanShard + assemble
 
 import (
 	"cmp"
@@ -144,9 +142,6 @@ type linkRun struct {
 	view linkView
 	// st is the run's per-stage wall time, observed by finish.
 	st stageTimes
-	// pos/cur are the matchSource cursor and the match handed to assemble.
-	pos int
-	cur ResolvedMatch
 
 	// pins are the concept-map generations the scan reads, one per target
 	// corpus in plan order (see pin).
@@ -205,8 +200,7 @@ func putRun(run *linkRun) {
 // buffer is zero past its length (each reset clears what its run used), so
 // clearing up to the length in use leaves the whole capacity zero.
 func (run *linkRun) reset() bool {
-	run.e, run.plan, run.text, run.view, run.st, run.pos = nil, linkPlan{}, "", linkView{}, stageTimes{}, 0
-	run.cur = ResolvedMatch{}
+	run.e, run.plan, run.text, run.view, run.st = nil, linkPlan{}, "", linkView{}, stageTimes{}
 	if max(cap(run.tokens), cap(run.matches), cap(run.multi)) > maxPooledTokens {
 		return false
 	}
@@ -236,7 +230,7 @@ func (e *Engine) scanText(run *linkRun, text string) {
 	run.tokens = tokenizer.TokenizeAppend(run.tokens, text)
 	now := time.Now()
 	run.st.tokenize = now.Sub(mark)
-	run.st.matchAutomaton = e.scan(run, run.tokens, false)
+	run.st.matchAutomaton = e.scan(run)
 	run.st.match = time.Since(now)
 }
 
@@ -267,29 +261,24 @@ func (e *Engine) pinOf(corpus string) conceptmap.Pinned {
 	return conceptmap.Pinned{}
 }
 
-// scan matches tokens against the plan's target corpora, into run.matches.
-// With all unset the result is the greedy leftmost-longest sequence; with
-// it set, the longest match starting at every token position, for a later
-// greedy walk to consume (the shard router's, over several shards' streams).
+// scan matches the run's tokens against the plan's target corpora, into
+// run.matches.
 //
-// One target, the default, goes straight to its namespace's scan —
-// automaton-served when current — so a one-corpus deployment scans exactly
-// as the pre-tenancy engine did. Several targets always scan all positions
-// and merge into what one map holding the union of their labels would
-// report; assemble's walk then does the consuming. An unknown target corpus
-// contributes nothing. The run's pins are the generations scanned.
-func (e *Engine) scan(run *linkRun, tokens []tokenizer.Token, all bool) (usedAutomaton bool) {
+// One target, the default, goes straight to its namespace's greedy
+// leftmost-longest scan — automaton-served when current — so a one-corpus
+// deployment scans exactly as the pre-tenancy engine did. Several targets
+// scan the longest match at every token position and merge into what one
+// map holding the union of their labels would report; assemble's greedy
+// walk then does the consuming. An unknown target corpus contributes
+// nothing. The run's pins are the generations scanned.
+func (e *Engine) scan(run *linkRun) (usedAutomaton bool) {
 	if run.plan.targets == nil {
-		if all {
-			run.matches = run.pins[0].ScanAllAppend(run.matches, tokens)
-			return false
-		}
-		run.matches, usedAutomaton = run.pins[0].ScanAppendAuto(run.matches, tokens)
+		run.matches, usedAutomaton = run.pins[0].ScanAppendAuto(run.matches, run.tokens)
 		return usedAutomaton
 	}
 	spans, origin := run.multi[:0], run.multiOrigin[:0]
 	for ti, p := range run.pins {
-		spans = p.ScanAllAppend(spans, tokens)
+		spans = p.ScanAllAppend(spans, run.tokens)
 		for len(origin) < len(spans) {
 			origin = append(origin, ti)
 		}
@@ -375,16 +364,17 @@ func (s *storedEntry) priority() int {
 }
 
 // chooseTarget runs policy filtering, steering, and tie-breaking for one
-// concept match, filling in rm's Link or its Skip reason. Everything it reads
-// is the run's plan and its captured view, so it takes no lock, probes no
-// string-keyed table and builds no URL. A timed run accumulates in run.st the
-// wall time spent in the policy and steering stages; other runs, and
-// ScanShard's, read no clock. The plan's rank, when non-nil, is the
-// multi-target link policy's corpus order: after steering, candidates from
-// earlier target corpora win ties over later ones (before domain priority
-// and lowest ID). Nil — the single-target default — keeps the tie-break
-// identical to the single-corpus engine.
-func (run *linkRun) chooseTarget(m *conceptmap.Match, rm *ResolvedMatch) {
+// concept match. It returns the winning entry, the steering distance it won
+// at and the number of candidates the policies permitted, or the reason the
+// match is not linked. Everything it reads is the run's plan and its
+// captured view, so it takes no lock, probes no string-keyed table and
+// builds no URL. A timed run accumulates in run.st the wall time spent in
+// the policy and steering stages; other runs read no clock. The plan's
+// rank, when non-nil, is the multi-target link policy's corpus order: after
+// steering, candidates from earlier target corpora win ties over later ones
+// (before domain priority and lowest ID). Nil — the single-target default —
+// keeps the tie-break identical to the single-corpus engine.
+func (run *linkRun) chooseTarget(m *conceptmap.Match) (winner *storedEntry, distance int64, total int, skip string) {
 	st, rank := &run.st, run.plan.rank
 	mode := run.plan.mode.resolve()
 	// Gather candidates from the view, excluding the source entry.
@@ -400,8 +390,7 @@ func (run *linkRun) chooseTarget(m *conceptmap.Match, rm *ResolvedMatch) {
 	}
 	run.cands = cands[:0:cap(cands)]
 	if len(cands) == 0 {
-		rm.Skip = SkipSelf
-		return
+		return nil, 0, 0, SkipSelf
 	}
 	// One timestamp is shared between the policy stage's end and the steer
 	// stage's start, keeping a timed run to ≤3 clock reads per match.
@@ -425,13 +414,12 @@ func (run *linkRun) chooseTarget(m *conceptmap.Match, rm *ResolvedMatch) {
 			mark = now
 		}
 		if len(cands) == 0 {
-			rm.Skip = SkipPolicy
-			return
+			return nil, 0, 0, SkipPolicy
 		}
 	}
 
-	total := len(cands)
-	distance := classification.Infinite
+	total = len(cands)
+	distance = classification.Infinite
 
 	// Classification steering (§2.3, Algorithm 1).
 	if mode == ModeSteered || mode == ModeSteeredPolicies {
@@ -453,7 +441,7 @@ func (run *linkRun) chooseTarget(m *conceptmap.Match, rm *ResolvedMatch) {
 		}
 		return len(rank)
 	}
-	winner := cands[0]
+	winner = cands[0]
 	winnerRank := rankOf(winner)
 	winnerPrio := winner.priority()
 	for _, c := range cands[1:] {
@@ -466,21 +454,9 @@ func (run *linkRun) chooseTarget(m *conceptmap.Match, rm *ResolvedMatch) {
 	}
 
 	if winner.domain == nil {
-		rm.Skip = SkipNoDomain
-		return
+		return nil, 0, 0, SkipNoDomain
 	}
-	rm.Link = Link{
-		Label:        m.Label,
-		Start:        m.ByteStart,
-		End:          m.ByteEnd,
-		Target:       winner.ID,
-		TargetDomain: winner.Domain,
-		TargetTitle:  winner.Title,
-		URL:          winner.url,
-		Distance:     distance,
-		Candidates:   total,
-	}
-	rm.tag = winner.tag
+	return winner, distance, total, ""
 }
 
 // steer is Algorithm 1 over the run's candidates: it keeps, in place and in
@@ -513,107 +489,64 @@ func (run *linkRun) steer(cands []*storedEntry) ([]*storedEntry, int64) {
 	return closest, best
 }
 
-// unresolved is m's span, before the resolve stage has seen it.
-func unresolved(m *conceptmap.Match) ResolvedMatch {
-	return ResolvedMatch{
-		Label:      m.Label,
-		TokenStart: m.TokenStart,
-		TokenEnd:   m.TokenEnd,
-		ByteStart:  m.ByteStart,
-		ByteEnd:    m.ByteEnd,
-	}
-}
-
-// resolveAll resolves every match of the run against its captured view,
-// appending to dst: the pipeline stopped before assemble (ScanShard).
-func (run *linkRun) resolveAll(dst []ResolvedMatch) []ResolvedMatch {
+// assemble is the pipeline's tail: the greedy leftmost-longest walk over
+// the run's matches (accept a match starting at or past the previous
+// winner's end, drop shadowed ones), the first-occurrence rule, target
+// selection for each match that survives both, anchor construction, and
+// link substitution. A label that is already linked never pays for target
+// selection. run.st receives the walk and render wall times.
+func (run *linkRun) assemble() (*Result, error) {
+	mark := time.Now()
+	text, linkAll := run.text, run.e.cfg.LinkAllOccurrences
+	res := &Result{Output: text}
+	as := run.anchors[:0]
+	cursor := 0 // next token position available for a match
 	for i := range run.matches {
 		m := &run.matches[i]
-		dst = append(dst, unresolved(m))
-		run.chooseTarget(m, &dst[len(dst)-1])
-	}
-	return dst
-}
-
-// matchSource feeds assemble its candidate matches in TokenStart order.
-// The engine's are unresolved and resolve on demand (*linkRun); the
-// router's arrive resolved by their shards (*routerBuffers).
-type matchSource interface {
-	// next returns the next match — at least its label and spans — or nil
-	// when the source is exhausted. The pointer is valid until the next call.
-	next() *ResolvedMatch
-	// remaining bounds from above the matches next has yet to return; it
-	// sizes the result's Links once instead of by doubling.
-	remaining() int
-	// resolve completes the match next last returned with its Link or Skip.
-	// assemble calls it only for matches that survive the greedy walk and
-	// the first-occurrence rule, so a label that is already linked never
-	// pays for target selection.
-	resolve(m *ResolvedMatch)
-}
-
-func (run *linkRun) next() *ResolvedMatch {
-	if run.pos == len(run.matches) {
-		return nil
-	}
-	// Only the span and Skip are reset: assemble reads Link only after
-	// resolve has filled it, so the previous match's need not be cleared.
-	m, cur := &run.matches[run.pos], &run.cur
-	cur.Label, cur.TokenStart, cur.TokenEnd, cur.ByteStart, cur.ByteEnd = m.Label, m.TokenStart, m.TokenEnd, m.ByteStart, m.ByteEnd
-	cur.Skip = ""
-	run.pos++
-	return cur
-}
-
-func (run *linkRun) remaining() int { return len(run.matches) - run.pos }
-
-func (run *linkRun) resolve(m *ResolvedMatch) {
-	run.chooseTarget(&run.matches[run.pos-1], m)
-}
-
-// assemble is the pipeline's tail, shared by the engine and the shard
-// router: the greedy leftmost-longest walk over src (accept a match
-// starting at or past the previous winner's end, drop shadowed ones), the
-// first-occurrence rule, anchor construction, and link substitution. linked
-// and anchors are caller-owned scratch; st receives the walk and render wall
-// times.
-func assemble(text string, format render.Format, linkAll bool, src matchSource, linked map[string]bool, anchors *[]render.Anchor, st *stageTimes) (*Result, error) {
-	mark := time.Now()
-	res := &Result{Output: text}
-	as := (*anchors)[:0]
-	cursor := 0 // next token position available for a match
-	for m := src.next(); m != nil; m = src.next() {
 		if m.TokenStart < cursor {
 			continue // shadowed by an earlier winner's phrase
 		}
 		cursor = m.TokenEnd
+		var (
+			winner   *storedEntry
+			distance int64
+			total    int
+		)
 		reason := SkipDuplicate
-		if linkAll || !linked[m.Label] {
-			src.resolve(m)
-			reason = m.Skip
+		if linkAll || !run.linked[m.Label] {
+			winner, distance, total, reason = run.chooseTarget(m)
 		}
 		if reason != "" {
 			res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: reason})
 			continue
 		}
 		if res.Links == nil {
-			res.Links = make([]Link, 0, 1+src.remaining())
+			res.Links = make([]Link, 0, len(run.matches)-i)
 		}
-		res.Links = append(res.Links, m.Link)
-		link := &res.Links[len(res.Links)-1]
-		link.Text = text[m.ByteStart:m.ByteEnd]
-		as = append(as, render.Anchor{Start: link.Start, End: link.End, URL: link.URL, Title: link.TargetTitle, Tag: m.tag})
-		linked[m.Label] = true
+		res.Links = append(res.Links, Link{
+			Label:        m.Label,
+			Start:        m.ByteStart,
+			End:          m.ByteEnd,
+			Text:         text[m.ByteStart:m.ByteEnd],
+			Target:       winner.ID,
+			TargetDomain: winner.Domain,
+			TargetTitle:  winner.Title,
+			URL:          winner.url,
+			Distance:     distance,
+			Candidates:   total,
+		})
+		as = append(as, render.Anchor{Start: m.ByteStart, End: m.ByteEnd, URL: winner.url, Title: winner.Title, Tag: winner.tag})
+		run.linked[m.Label] = true
 	}
-	*anchors = as
+	run.anchors = as
 	now := time.Now()
-	st.merge = now.Sub(mark)
-	out, err := render.Apply(text, as, format)
+	run.st.merge = now.Sub(mark)
+	out, err := render.Apply(text, as, run.plan.format)
 	if err != nil {
 		return nil, fmt.Errorf("core: render: %w", err)
 	}
 	res.Output = out
-	st.render = time.Since(now)
+	run.st.render = time.Since(now)
 	return res, nil
 }
 
@@ -622,7 +555,7 @@ func assemble(text string, format render.Format, linkAll bool, src matchSource, 
 // point shares (counters, per-corpus links, stage telemetry).
 func (e *Engine) finish(run *linkRun, view linkView) (*Result, error) {
 	run.view = view
-	res, err := assemble(run.text, run.plan.format, e.cfg.LinkAllOccurrences, run, run.linked, &run.anchors, &run.st)
+	res, err := run.assemble()
 	if err != nil {
 		return nil, err
 	}

@@ -25,14 +25,53 @@ type linked struct {
 
 func linkedOf(res *Result) linked { return linked{res.Output, res.Links, res.Skips} }
 
-// fig1Corpus is the router fixture (Fig 1 plus overlapping phrases and the
-// "wiki" namespace) with bodies, so its entries can be linked as entries.
-// Entry 2's body invokes only its own label: every match is a self skip.
+// fig1Entries is the Fig 1 corpus extended with overlapping multi-word
+// phrases ("orthogonal function" / "function space"), so the greedy walk has
+// real shadowing work to do, plus a second namespace ("wiki") of homonyms and
+// phrases overlapping the first, so cross-corpus link policies merge spans
+// across both namespaces. The wiki entries come last: the default
+// namespace's IDs are what they were without them.
+func fig1Entries() []*corpus.Entry {
+	return []*corpus.Entry{
+		{Title: "connected graph", Classes: []string{"05C40"}},
+		{Title: "planar graph", Classes: []string{"05C10"}},
+		{Title: "connected components", Concepts: []string{"connected component"}, Classes: []string{"05C40"}},
+		{Title: "even number", Concepts: []string{"even"}, Classes: []string{"11A51"}},
+		{Title: "graph", Classes: []string{"05C99"}},
+		{Title: "graph", Classes: []string{"03E20"}},
+		{Title: "plane", Classes: []string{"51A05"}},
+		{Title: "orthogonal function", Classes: []string{"03E20"}},
+		{Title: "function space", Classes: []string{"03E20"}},
+		{Title: "function", Classes: []string{"03E20"}},
+		{Title: "metric space", Classes: []string{"05C99"}},
+		{Title: "space", Classes: []string{"51A05"}},
+		{Corpus: "wiki", Title: "graph", Classes: []string{"05C10"}},
+		{Corpus: "wiki", Title: "plane graph", Classes: []string{"05C10"}},
+		{Corpus: "wiki", Title: "function space", Classes: []string{"03E20"}},
+		{Corpus: "wiki", Title: "even", Classes: []string{"11A51"}},
+	}
+}
+
+// fig1Bodies are the bodies fig1Corpus gives its entries, in turn.
+var fig1Bodies = []string{
+	"A plane graph is a planar graph which is drawn in the plane so that its edges have no crossings.",
+	"the orthogonal function space is a function space and a metric space",
+	"even the graph of a function has connected components",
+	"graph graph graph",
+	"a space, a plane, an even number, and nothing else",
+	"no concepts at all here",
+	"",
+	"Connected Components of planar graphs are connected graphs.",
+}
+
+// fig1Corpus is fig1Entries with bodies, so its entries can be linked as
+// entries. Entry 2's body invokes only its own label: every match is a self
+// skip.
 func fig1Corpus() (Config, corpus.Domain, []*corpus.Entry) {
-	entries := routerFixtureEntries()
+	entries := fig1Entries()
 	for i, e := range entries {
 		e.Domain = "planetmath.org"
-		e.Body = equivalenceTexts[i%len(equivalenceTexts)]
+		e.Body = fig1Bodies[i%len(fig1Bodies)]
 	}
 	entries[1].Body = "Every planar graph is a planar graph."
 	return Config{Scheme: classification.SampleMSC(10)}, corpus.Domain{
@@ -59,10 +98,30 @@ func generatedCorpus(t *testing.T) (Config, corpus.Domain, []*corpus.Entry) {
 	return Config{Scheme: c.Scheme}, corpusDomain(), entries
 }
 
+// buildEngine adds the domain and then the entries, in order, to a new
+// engine configured by cfg.
+func buildEngine(t testing.TB, cfg Config, dom corpus.Domain, entries []*corpus.Entry) *Engine {
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	if err := e.AddDomain(dom); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range entries {
+		entry := *src
+		if _, err := e.AddEntry(&entry); err != nil {
+			t.Fatalf("AddEntry(%s): %v", src.Title, err)
+		}
+	}
+	return e
+}
+
 // TestEntryPointEquivalence is the differential contract of the one Fig 2
 // pipeline: for the same text and options, every entry point — LinkText,
-// LinkBatch, LinkEntry, RelinkBatch, and the shard router over 1 and 3 local
-// shards — produces the same output, links and skips.
+// LinkBatch, LinkEntry and RelinkBatch — produces the same output, links and
+// skips.
 func TestEntryPointEquivalence(t *testing.T) {
 	fig1Cfg, fig1Dom, fig1Entries := fig1Corpus()
 	genCfg, genDom, genEntries := generatedCorpus(t)
@@ -90,8 +149,7 @@ func TestEntryPointEquivalence(t *testing.T) {
 		for _, linkAll := range []bool{false, true} {
 			cfg := c.cfg
 			cfg.LinkAllOccurrences = linkAll
-			single, router1, _ := buildFleet(t, 1, cfg, c.dom, c.entries)
-			_, router3, _ := buildFleet(t, 3, cfg, c.dom, c.entries)
+			single := buildEngine(t, cfg, c.dom, c.entries)
 			relinked, err := single.RelinkBatch(c.sample, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -132,10 +190,6 @@ func TestEntryPointEquivalence(t *testing.T) {
 						if pol.targets == nil {
 							check("RelinkBatch", relinked[id], nil)
 						}
-						got, err = router1.LinkText(entry.Body, opts)
-						check("ShardRouter(1)", got, err)
-						got, err = router3.LinkText(entry.Body, opts)
-						check("ShardRouter(3)", got, err)
 					}
 				})
 			}
@@ -143,7 +197,7 @@ func TestEntryPointEquivalence(t *testing.T) {
 	}
 
 	// The sample must exercise what the cases claim to.
-	single, _, _ := buildFleet(t, 1, fig1Cfg, fig1Dom, fig1Entries)
+	single := buildEngine(t, fig1Cfg, fig1Dom, fig1Entries)
 	res, err := single.LinkEntry(2, LinkOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +213,7 @@ func TestEntryPointEquivalence(t *testing.T) {
 // returned results.
 func TestRelinkTelemetryMatchesResults(t *testing.T) {
 	cfg, dom, entries := fig1Corpus()
-	e, _, _ := buildFleet(t, 1, cfg, dom, entries)
+	e := buildEngine(t, cfg, dom, entries)
 	if err := e.SetPolicy(4, "forbid even"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,12 +17,6 @@ const (
 	StagePolicy   = "policy"   // entry filtering by linking policies
 	StageSteer    = "steer"    // classification steering + tie resolution
 	StageRender   = "render"   // link substitution into the output text
-	// StageMerge is the shard router's scatter-gather merge: the k-way,
-	// global-greedy combination of per-shard match streams into one
-	// leftmost-longest winner sequence. Observed by ShardRouter under the
-	// same nnexus_pipeline_stage_duration_seconds contract as the engine
-	// stages.
-	StageMerge = "merge"
 
 	// The match stage is additionally attributed to whichever scan path
 	// served it, so the automaton's effect is visible per request: the
@@ -41,15 +34,13 @@ const (
 type engineTelemetry struct {
 	reg *telemetry.Registry
 
-	// Operation counters (nnexus_engine_operations_total{op=...,shard=...}).
+	// Operation counters (nnexus_engine_operations_total{op=...}).
 	opAddEntry    *telemetry.Counter
 	opUpdateEntry *telemetry.Counter
 	opRemoveEntry *telemetry.Counter
 	opSetPolicy   *telemetry.Counter
 	opLinkText    *telemetry.Counter
 	opLinkEntry   *telemetry.Counter
-	opPutEntry    *telemetry.Counter
-	opScanShard   *telemetry.Counter
 
 	// Pipeline stage timings and whole-operation latency.
 	stageTokenize      *telemetry.Histogram
@@ -126,25 +117,15 @@ func (t *engineTelemetry) corpusInvalidations(corpus string) *telemetry.Counter 
 func newEngineTelemetry(e *Engine, reg *telemetry.Registry) *engineTelemetry {
 	t := &engineTelemetry{reg: reg}
 
-	// Every link/scan/write counter family carries a shard label, so a
-	// fleet-wide scrape attributes traffic and skips per ring slice. An
-	// unsharded engine's is empty, which the exposition leaves out.
-	shard := ""
-	if e.cfg.ShardRing != nil {
-		shard = strconv.Itoa(e.cfg.ShardID)
-	}
-
 	ops := reg.CounterVec("nnexus_engine_operations_total",
-		"Engine operations by type.", "op", "shard")
-	op := func(name string) *telemetry.Counter { return ops.With(name, shard) }
+		"Engine operations by type.", "op")
+	op := func(name string) *telemetry.Counter { return ops.With(name) }
 	t.opAddEntry = op("add_entry")
 	t.opUpdateEntry = op("update_entry")
 	t.opRemoveEntry = op("remove_entry")
 	t.opSetPolicy = op("set_policy")
 	t.opLinkText = op("link_text")
 	t.opLinkEntry = op("link_entry")
-	t.opPutEntry = op("put_entry")
-	t.opScanShard = op("scan_shard")
 
 	stages := reg.HistogramVec("nnexus_pipeline_stage_duration_seconds",
 		"Per-stage latency of the linking pipeline (Fig 2).", nil, "stage")
@@ -158,14 +139,14 @@ func newEngineTelemetry(e *Engine, reg *telemetry.Registry) *engineTelemetry {
 	t.linkDuration = reg.Histogram("nnexus_link_duration_seconds",
 		"End-to-end latency of one LinkText pipeline run.")
 
-	t.linksCreated = reg.CounterVec("nnexus_links_created_total",
-		"Hyperlinks created by the linking pipeline.", "shard").With(shard)
+	t.linksCreated = reg.Counter("nnexus_links_created_total",
+		"Hyperlinks created by the linking pipeline.")
 	skips := reg.CounterVec("nnexus_link_skips_total",
-		"Concept matches deliberately not linked, by reason.", "reason", "shard")
-	t.skipPolicy = skips.With(SkipPolicy, shard)
-	t.skipSelf = skips.With(SkipSelf, shard)
-	t.skipDuplicate = skips.With(SkipDuplicate, shard)
-	t.skipNoDomain = skips.With(SkipNoDomain, shard)
+		"Concept matches deliberately not linked, by reason.", "reason")
+	t.skipPolicy = skips.With(SkipPolicy)
+	t.skipSelf = skips.With(SkipSelf)
+	t.skipDuplicate = skips.With(SkipDuplicate)
+	t.skipNoDomain = skips.With(SkipNoDomain)
 
 	t.relinkRuns = reg.Counter("nnexus_relink_runs_total",
 		"Relink batches started (sequential or parallel).")
@@ -195,12 +176,12 @@ func newEngineTelemetry(e *Engine, reg *telemetry.Registry) *engineTelemetry {
 	// lock-free scan path carries no extra instrumentation.
 	t.automatonBuild = reg.Histogram("nnexus_automaton_build_seconds",
 		"Wall time of one background concept-map automaton compile.")
-	reg.CounterVec("nnexus_scan_automaton_total",
-		"Concept-map scans served by the compiled Aho-Corasick automaton.", "shard").
-		Func(func() float64 { return float64(e.automata().AutomatonScans) }, shard)
-	reg.CounterVec("nnexus_scan_fallback_total",
-		"Concept-map scans served by the chained-hash fallback (automaton disabled or trailing the snapshot).", "shard").
-		Func(func() float64 { return float64(e.automata().FallbackScans) }, shard)
+	reg.CounterFunc("nnexus_scan_automaton_total",
+		"Concept-map scans served by the compiled Aho-Corasick automaton.",
+		func() float64 { return float64(e.automata().AutomatonScans) })
+	reg.CounterFunc("nnexus_scan_fallback_total",
+		"Concept-map scans served by the chained-hash fallback (automaton disabled or trailing the snapshot).",
+		func() float64 { return float64(e.automata().FallbackScans) })
 	reg.GaugeFunc("nnexus_automaton_states",
 		"States in the published concept-map automaton (0 when none).",
 		func() float64 { return float64(e.automata().States) })
@@ -274,8 +255,8 @@ type stageTimes struct {
 	match    time.Duration
 	policy   time.Duration
 	steer    time.Duration
-	// merge is assemble's walk: on the engine it contains policy and steer
-	// (target selection runs inside it); the router observes it as StageMerge.
+	// merge is assemble's walk; it contains policy and steer (target
+	// selection runs inside it).
 	merge  time.Duration
 	render time.Duration
 	// matchAutomaton records which scan path served the match stage, so
@@ -283,7 +264,7 @@ type stageTimes struct {
 	matchAutomaton bool
 	// timed is set by scanText for one run in sampleEvery: only those runs
 	// read the per-match clocks, and only they are observed into the policy
-	// and steer histograms. ScanShard's runs are never timed.
+	// and steer histograms.
 	timed bool
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -255,33 +254,6 @@ func TestWALMigrationPreTenancy(t *testing.T) {
 		if string(ja) != string(jb) {
 			t.Fatalf("migrated vs fresh diverge on %q:\n%s\n%s", text, ja, jb)
 		}
-	}
-}
-
-// PutEntry must reject a caller-assigned ID already held by another
-// corpus's entry — diverged router ID sequences — instead of overwriting.
-func TestPutEntryCrossCorpusIDCollision(t *testing.T) {
-	e := twoCorpusEngine(t)
-	err := e.PutEntry(&corpus.Entry{
-		ID: 1, Corpus: "wiki", Domain: "wikipedia.org",
-		Title: "impostor", Classes: []string{"05C10"},
-	})
-	var col *IDCollisionError
-	if !errors.As(err, &col) {
-		t.Fatalf("cross-corpus put error = %v, want *IDCollisionError", err)
-	}
-	if col.Existing != "pm" || col.Incoming != "wiki" || col.ID != 1 {
-		t.Errorf("collision detail = %+v", col)
-	}
-	if entry, _ := e.Entry(1); entry.Title != "planar graph" {
-		t.Errorf("victim entry was overwritten: %+v", entry)
-	}
-	// Same-corpus re-put is a legitimate upsert and must still work.
-	if err := e.PutEntry(&corpus.Entry{
-		ID: 1, Corpus: "pm", Domain: "planetmath.org",
-		Title: "planar graph", Concepts: []string{"planar"}, Classes: []string{"05C10"},
-	}); err != nil {
-		t.Fatalf("same-corpus re-put: %v", err)
 	}
 }
 

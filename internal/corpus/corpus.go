@@ -31,7 +31,7 @@ func CorpusOrDefault(name string) string {
 type Entry struct {
 	// ID is the engine-wide numeric identity, assigned at AddEntry time.
 	// IDs are global across corpora (one sequence), so cross-corpus
-	// tie-breaks and shard routing stay deterministic.
+	// tie-breaks stay deterministic.
 	ID int64 `json:"id"`
 	// Corpus names the tenant namespace the entry belongs to. Empty decodes
 	// as DefaultCorpus (pre-tenancy WAL records omit the field), and the

@@ -49,8 +49,8 @@ func BuildEngine(c *workload.Corpus, store *storage.Store) (*core.Engine, error)
 	return e, Load(c, e)
 }
 
-// Loader is what a generated corpus loads into: an engine, the public
-// facade's, or a shard router.
+// Loader is what a generated corpus loads into: an engine or the public
+// facade's.
 type Loader interface {
 	AddDomain(corpus.Domain) error
 	AddEntry(*corpus.Entry) (int64, error)

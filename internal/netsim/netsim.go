@@ -4,8 +4,8 @@
 // overlap their delays — pipelined traffic pays the propagation delay once
 // per window while stop-and-wait traffic pays it once per call — so the
 // proxy models a real wire rather than a store-and-forward hop. Benchmarks
-// and the cluster experiments use it to show what request pipelining,
-// replicas and shards buy on links where the round trip, not the CPU, is
+// and the cluster experiments use it to show what request pipelining and
+// replicas buy on links where the round trip, not the CPU, is
 // the bottleneck.
 //
 // Beyond delay, a Link supports fault injection for chaos tests: one-way

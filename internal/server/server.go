@@ -32,12 +32,10 @@ import (
 
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
-	"nnexus/internal/morph"
 	"nnexus/internal/replication"
 	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/tenant"
-	"nnexus/internal/tokenizer"
 	"nnexus/internal/wire"
 )
 
@@ -620,7 +618,7 @@ func (s *Server) admit(req *wire.Request) error {
 		for i, e := range req.Entries {
 			r.Writes[i] = write(e, 0)
 		}
-	case wire.MethodUpdateEntry, wire.MethodPutEntry:
+	case wire.MethodUpdateEntry:
 		if req.Entry != nil {
 			r.Writes = []service.Write{write(req.Entry, req.Entry.ID)}
 		}
@@ -858,7 +856,6 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 			CacheMisses:  misses,
 			LinksCreated: met.LinksCreated,
 			TextsLinked:  met.TextsLinked,
-			MaxObject:    s.engine.MaxObjectID(),
 		}
 		return resp, nil
 
@@ -913,59 +910,6 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		}
 		sort.Slice(resp.Objects, func(i, j int) bool { return resp.Objects[i] < resp.Objects[j] })
 		return resp, nil
-
-	case wire.MethodShardScan:
-		opts, err := linkOptions(req)
-		if err != nil {
-			return nil, err
-		}
-		opts.SourceClasses, opts.SourceScheme = req.Classes, req.Scheme
-		opts.ExcludeObject = req.Object
-		// The words arrive normalized; a word the vocabulary lacks is in
-		// no label, and reading it adds nothing.
-		vocab := morph.Current()
-		tokens := make([]tokenizer.Token, len(req.Tokens))
-		for i, t := range req.Tokens {
-			tokens[i] = tokenizer.Token{Start: t.Start, End: t.End, Word: vocab.WordID(t.Norm)}
-		}
-		matches, err := s.engine.ScanShard(nil, tokens, opts)
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		if len(matches) > 0 {
-			resp.Matches = make([]wire.ShardMatch, len(matches))
-		}
-		for i, m := range matches {
-			resp.Matches[i] = wire.ShardMatch{
-				Label:      m.Label,
-				TokenStart: m.TokenStart,
-				TokenEnd:   m.TokenEnd,
-				ByteStart:  m.ByteStart,
-				ByteEnd:    m.ByteEnd,
-				Skip:       m.Skip,
-				Target:     m.Link.Target,
-				Domain:     m.Link.TargetDomain,
-				Title:      m.Link.TargetTitle,
-				URL:        m.Link.URL,
-				Distance:   m.Link.Distance,
-				Candidates: m.Link.Candidates,
-			}
-		}
-		return resp, nil
-
-	case wire.MethodPutEntry:
-		if req.Entry == nil {
-			return nil, errors.New("putEntry: missing entry")
-		}
-		entry := req.Entry.ToCorpus()
-		if entry.Corpus == "" {
-			entry.Corpus = req.Corpus
-		}
-		if err := s.engine.PutEntry(entry); err != nil {
-			return nil, err
-		}
-		return wire.OK(req), nil
 
 	default:
 		return nil, fmt.Errorf("unknown method %q", req.Method)

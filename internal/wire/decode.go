@@ -194,22 +194,6 @@ func (d *Decoder) request(r *Request) {
 			for d.wrapped("object") {
 				r.Objects = append(r.Objects, d.intVal(d.scalar()))
 			}
-		case "tokens":
-			for d.wrapped("token") {
-				r.Tokens = append(r.Tokens, Token{})
-				t := &r.Tokens[len(r.Tokens)-1]
-				for d.attr() {
-					switch string(d.name) {
-					case "norm":
-						t.Norm = string(d.val)
-					case "start":
-						t.Start = int(d.intVal(d.val))
-					case "end":
-						t.End = int(d.intVal(d.val))
-					}
-				}
-				d.skip()
-			}
 		default:
 			d.skip()
 		}
@@ -261,11 +245,6 @@ func (d *Decoder) response(r *Response) {
 				l := new(Linked)
 				r.Batch = append(r.Batch, l)
 				d.linked(l)
-			}
-		case "matches":
-			for d.wrapped("match") {
-				r.Matches = append(r.Matches, ShardMatch{})
-				d.shardMatch(&r.Matches[len(r.Matches)-1])
 			}
 		case "repl":
 			if r.Repl == nil {
@@ -395,44 +374,10 @@ func (d *Decoder) stats(s *Stats) {
 			s.LinksCreated = d.intVal(d.scalar())
 		case "textslinked":
 			s.TextsLinked = d.intVal(d.scalar())
-		case "maxobject":
-			s.MaxObject = d.intVal(d.scalar())
 		default:
 			d.skip()
 		}
 	}
-}
-
-func (d *Decoder) shardMatch(m *ShardMatch) {
-	for d.attr() {
-		switch string(d.name) {
-		case "label":
-			m.Label = string(d.val)
-		case "tokstart":
-			m.TokenStart = int(d.intVal(d.val))
-		case "tokend":
-			m.TokenEnd = int(d.intVal(d.val))
-		case "bytestart":
-			m.ByteStart = int(d.intVal(d.val))
-		case "byteend":
-			m.ByteEnd = int(d.intVal(d.val))
-		case "skip":
-			m.Skip = string(d.val)
-		case "target":
-			m.Target = d.intVal(d.val)
-		case "domain":
-			m.Domain = string(d.val)
-		case "title":
-			m.Title = string(d.val)
-		case "url":
-			m.URL = string(d.val)
-		case "distance":
-			m.Distance = d.intVal(d.val)
-		case "candidates":
-			m.Candidates = int(d.intVal(d.val))
-		}
-	}
-	d.skip()
 }
 
 func (d *Decoder) repl(p *ReplPayload) {

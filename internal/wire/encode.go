@@ -97,16 +97,6 @@ func appendRequest(b []byte, r *Request) []byte {
 	b, mark = openWrapper(b, "texts")
 	b = closeWrapper(strElems(b, "text", r.Texts), mark, "texts")
 	b = appendObjects(b, "objects", r.Objects)
-	b, mark = openWrapper(b, "tokens")
-	for i := range r.Tokens {
-		t := &r.Tokens[i]
-		b = append(b, "<token"...)
-		b = strAttr(b, "norm", t.Norm, false)
-		b = intAttr(b, "start", int64(t.Start), false)
-		b = intAttr(b, "end", int64(t.End), false)
-		b = append(b, "></token>"...)
-	}
-	b = closeWrapper(b, mark, "tokens")
 	return append(b, "</request>"...)
 }
 
@@ -130,7 +120,6 @@ func appendResponse(b []byte, r *Response) []byte {
 		b = intElem(b, "cachemisses", s.CacheMisses, true)
 		b = intElem(b, "linkscreated", s.LinksCreated, true)
 		b = intElem(b, "textslinked", s.TextsLinked, true)
-		b = intElem(b, "maxobject", s.MaxObject, true)
 		b = append(b, "</stats>"...)
 	}
 	b = appendObjects(b, "invalidated", r.Invalidated)
@@ -140,25 +129,6 @@ func appendResponse(b []byte, r *Response) []byte {
 		b = appendLinked(b, l)
 	}
 	b = closeWrapper(b, mark, "batch")
-	b, mark = openWrapper(b, "matches")
-	for i := range r.Matches {
-		m := &r.Matches[i]
-		b = append(b, "<match"...)
-		b = strAttr(b, "label", m.Label, false)
-		b = intAttr(b, "tokstart", int64(m.TokenStart), false)
-		b = intAttr(b, "tokend", int64(m.TokenEnd), false)
-		b = intAttr(b, "bytestart", int64(m.ByteStart), false)
-		b = intAttr(b, "byteend", int64(m.ByteEnd), false)
-		b = strAttr(b, "skip", m.Skip, true)
-		b = intAttr(b, "target", m.Target, true)
-		b = strAttr(b, "domain", m.Domain, true)
-		b = strAttr(b, "title", m.Title, true)
-		b = strAttr(b, "url", m.URL, true)
-		b = intAttr(b, "distance", m.Distance, true)
-		b = intAttr(b, "candidates", int64(m.Candidates), true)
-		b = append(b, "></match>"...)
-	}
-	b = closeWrapper(b, mark, "matches")
 	if p := r.Repl; p != nil {
 		b = append(b, "<repl"...)
 		b = strAttr(b, "role", p.Role, true)

@@ -24,15 +24,6 @@
 //	linkBatch   — Texts, Classes, Scheme, Mode, Format (results in Batch)
 //	relinkBatch — Objects (empty = all invalidated; relinked IDs in Objects)
 //
-// Sharding methods (see internal/shard and core.ShardRouter):
-//
-//	shardScan — Tokens, Classes, Scheme, Mode, Object (the source entry to
-//	            exclude); a shard-mode engine scans the router's one-time
-//	            tokenization against its slice of the label space and
-//	            returns fully resolved matches in Matches
-//	putEntry  — Entry (with the router-assigned ID); idempotent per-shard
-//	            upsert used by consistent-hash write routing
-//
 // Replication methods (see internal/replication):
 //
 //	replSubscribe — Offset, Epoch, MaxRecords, WaitMillis, Follower; the
@@ -80,8 +71,6 @@ const (
 	MethodAddEntries  = "addEntries"
 	MethodLinkBatch   = "linkBatch"
 	MethodRelinkBatch = "relinkBatch"
-	MethodShardScan   = "shardScan"
-	MethodPutEntry    = "putEntry"
 
 	MethodReplSubscribe = "replSubscribe"
 	MethodReplSnapshot  = "replSnapshot"
@@ -127,14 +116,12 @@ var Methods = map[string]Kind{
 	MethodRelink:      KindWrite,
 	MethodAddEntries:  KindWrite,
 	MethodRelinkBatch: KindWrite,
-	MethodPutEntry:    KindWrite,
 
 	MethodGetEntry:    KindRead,
 	MethodLinkEntry:   KindRead,
 	MethodLinkText:    KindRead,
 	MethodLinkBatch:   KindRead,
 	MethodInvalidated: KindRead,
-	MethodShardScan:   KindRead,
 
 	MethodStats: KindNodeRead,
 
@@ -193,10 +180,6 @@ type Request struct {
 	Entries []*Entry `xml:"entries>entry,omitempty"`
 	Texts   []string `xml:"texts>text,omitempty"`
 	Objects []int64  `xml:"objects>object,omitempty"`
-
-	// Tokens carries the router's one-time tokenization for shardScan, so
-	// every shard scans the identical token stream without re-tokenizing.
-	Tokens []Token `xml:"tokens>token,omitempty"`
 
 	// Replication fields (repl* methods). Offset is the first record offset
 	// the follower wants (replSubscribe) or its newest applied offset
@@ -279,10 +262,6 @@ type Response struct {
 	// request order.
 	Objects []int64   `xml:"objects>object,omitempty"`
 	Batch   []*Linked `xml:"batch>linked,omitempty"`
-
-	// Matches carries a shard's resolved matches (shardScan), in token
-	// order.
-	Matches []ShardMatch `xml:"matches>match,omitempty"`
 
 	// Replication fields: Repl carries repl* method payloads; Leader names
 	// the primary's address on notPrimary errors (and in replStatus from a
@@ -387,35 +366,6 @@ type Entry struct {
 	Policy     string   `xml:"policy,omitempty"`
 }
 
-// Token mirrors one tokenizer token on the wire (shardScan). The surface
-// text is omitted: scanning reads only the normalized form and byte
-// offsets, and the router keeps the original text to itself.
-type Token struct {
-	Norm  string `xml:"norm,attr"`
-	Start int    `xml:"start,attr"`
-	End   int    `xml:"end,attr"`
-}
-
-// ShardMatch mirrors core.ResolvedMatch on the wire: one concept match
-// found and fully resolved by the answering shard. Skip non-empty means
-// the match was suppressed for that reason; otherwise the target fields
-// describe the resolved link (the router fills the link text from its copy
-// of the original document).
-type ShardMatch struct {
-	Label      string `xml:"label,attr"`
-	TokenStart int    `xml:"tokstart,attr"`
-	TokenEnd   int    `xml:"tokend,attr"`
-	ByteStart  int    `xml:"bytestart,attr"`
-	ByteEnd    int    `xml:"byteend,attr"`
-	Skip       string `xml:"skip,attr,omitempty"`
-	Target     int64  `xml:"target,attr,omitempty"`
-	Domain     string `xml:"domain,attr,omitempty"`
-	Title      string `xml:"title,attr,omitempty"`
-	URL        string `xml:"url,attr,omitempty"`
-	Distance   int64  `xml:"distance,attr,omitempty"`
-	Candidates int    `xml:"candidates,attr,omitempty"`
-}
-
 // Linked carries a linking result.
 type Linked struct {
 	Output string     `xml:"output"`
@@ -453,10 +403,6 @@ type Stats struct {
 	CacheMisses  int64 `xml:"cachemisses,omitempty"`
 	LinksCreated int64 `xml:"linkscreated,omitempty"`
 	TextsLinked  int64 `xml:"textslinked,omitempty"`
-
-	// MaxObject is the highest entry ID the node holds; shard routers
-	// recover their global ID sequence from the fleet-wide maximum.
-	MaxObject int64 `xml:"maxobject,omitempty"`
 }
 
 // ToCorpus converts a wire entry to the document model.

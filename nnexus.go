@@ -58,7 +58,6 @@ import (
 	"nnexus/internal/semnet"
 	"nnexus/internal/server"
 	"nnexus/internal/service"
-	"nnexus/internal/shard"
 	"nnexus/internal/storage"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/tenant"
@@ -106,29 +105,6 @@ type (
 	Network = semnet.Graph
 	// NetworkStats summarizes a network's connectivity.
 	NetworkStats = semnet.Stats
-	// ShardMap is a parsed shard-map document: the consistent-hash ring
-	// parameters and each shard's replication-group addresses.
-	ShardMap = shard.MapConfig
-	// ShardSpec is one shard's entry in a ShardMap.
-	ShardSpec = shard.ShardSpec
-	// ShardRing is the consistent-hash ring partitioning the label space by
-	// morph-folded first word.
-	ShardRing = shard.Ring
-	// ShardUnavailableError is the typed partial-result error a scatter-
-	// gather read returns when one or more shards cannot answer; detect it
-	// with errors.As. The accompanying Result still carries every link the
-	// healthy shards produced.
-	ShardUnavailableError = shard.UnavailableError
-	// ShardRouter is the scatter-gather client of a sharded fleet: writes
-	// route by consistent hash, reads fan out to the owning shards in
-	// parallel and merge locally, bit-identical to an unsharded engine.
-	ShardRouter = core.ShardRouter
-	// ShardRouterConfig configures a ShardRouter.
-	ShardRouterConfig = core.RouterConfig
-	// ShardBackend is the router's pluggable transport to the shard fleet.
-	ShardBackend = core.ShardBackend
-	// LocalShardBackend serves a router from in-process shard engines.
-	LocalShardBackend = core.LocalShardBackend
 	// TenantPolicy is one corpus's resource envelope: token-bucket rate
 	// limit, entry/byte quotas, and default cross-corpus link targets.
 	TenantPolicy = tenant.Policy
@@ -744,69 +720,6 @@ func (e *Engine) Replication() ReplicationStatus { return e.svc.Node.Status() }
 // flight; GET /healthz and /readyz answer from Health.
 func (e *Engine) HTTPHandler() http.Handler {
 	return httpapi.New(e.svc, e.health, httpapi.WithMaxInFlight(e.cfg.MaxActive))
-}
-
-// LoadShardMap reads and validates a shard-map JSON document.
-func LoadShardMap(path string) (*ShardMap, error) { return shard.LoadMap(path) }
-
-// ParseShardMap parses and validates a shard-map JSON document.
-func ParseShardMap(data []byte) (*ShardMap, error) { return shard.ParseMap(data) }
-
-// NewShardRing builds the consistent-hash ring for a fleet of the given
-// size (vnodes ≤ 0 selects the default virtual-node count).
-func NewShardRing(shards, vnodes int) *ShardRing { return shard.NewRing(shards, vnodes) }
-
-// NewShardRouter builds a scatter-gather router over any ShardBackend —
-// in-process engines (LocalShardBackend) or a network fleet (DialSharded
-// wraps this).
-func NewShardRouter(cfg ShardRouterConfig) (*ShardRouter, error) {
-	return core.NewShardRouter(cfg)
-}
-
-// ShardedClient couples a ShardRouter with the per-shard network clients
-// it routes through, so one Close tears the whole stack down.
-type ShardedClient struct {
-	*ShardRouter
-	backend *client.Sharded
-}
-
-// Clients returns the per-shard clients, indexed by shard ID — e.g. to
-// drive shard-local methods such as SetPolicy on a label's home shard.
-func (s *ShardedClient) Clients() []*Client { return s.backend.Clients }
-
-// Close stops the router's worker pool and closes every shard client.
-func (s *ShardedClient) Close() error {
-	s.ShardRouter.Close()
-	return s.backend.Close()
-}
-
-// DialSharded connects to every shard group of a sharded deployment and
-// returns a scatter-gather router over the fleet. Each shard's first
-// address is its bootstrap primary; additional addresses join as read
-// replicas with failover-aware routing (WithReplicas), so shardScan reads
-// load-balance across a shard's caught-up followers and putEntry writes
-// follow its elected primary. Construction contacts every shard to recover
-// the global entry-ID sequence and fails if one is unreachable.
-func DialSharded(m *ShardMap, opts ...ClientOption) (*ShardedClient, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	clients := make([]*Client, len(m.Shards))
-	for i := range m.Shards {
-		spec := &m.Shards[i]
-		o := opts
-		if len(spec.Addrs) > 1 {
-			o = append(append([]ClientOption(nil), opts...), client.WithReplicas(spec.Addrs[1:]...))
-		}
-		clients[spec.ID] = client.New(spec.Addrs[0], dialTimeout, o...)
-	}
-	be := client.NewSharded(clients)
-	r, err := core.NewShardRouter(core.RouterConfig{Ring: m.Ring(), Backend: be})
-	if err != nil {
-		be.Close()
-		return nil, err
-	}
-	return &ShardedClient{ShardRouter: r, backend: be}, nil
 }
 
 // dialTimeout bounds Dial's connection attempt.

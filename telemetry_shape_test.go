@@ -1,8 +1,7 @@
 package nnexus_test
 
 // The /metrics surface as a contract: which families a node exposes, of
-// which type, under which label names — for an unsharded node, a shard node
-// and the router in front of a fleet — and the core.Metrics view of
+// which type, under which label names, and the core.Metrics view of
 // /api/stats and the wire stats method as a read of that same registry.
 
 import (
@@ -11,14 +10,11 @@ import (
 	"io"
 	"net/http"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"nnexus"
-	"nnexus/internal/wire"
 )
 
 // exposition parses a Prometheus text exposition into one line per family:
@@ -173,74 +169,13 @@ var goldenShapes = map[string][]string{
 		"nnexus_wal_fsyncs_total counter",
 		"nnexus_wal_group_commit_batch_size histogram",
 	},
-	"shard": {
-		"nnexus_automaton_build_seconds histogram",
-		"nnexus_automaton_edges gauge",
-		"nnexus_automaton_generation_lag gauge",
-		"nnexus_automaton_labels gauge",
-		"nnexus_automaton_states gauge",
-		"nnexus_automaton_words gauge",
-		"nnexus_concepts gauge",
-		"nnexus_corpus_invalidations_total counter",
-		"nnexus_corpus_links_total counter corpus",
-		"nnexus_drain_duration_seconds histogram",
-		"nnexus_engine_operations_total counter op,shard",
-		"nnexus_entries gauge",
-		"nnexus_http_in_flight_requests gauge",
-		"nnexus_http_request_duration_seconds histogram endpoint",
-		"nnexus_http_requests_total counter code,endpoint",
-		"nnexus_invalidation_index_keys gauge",
-		"nnexus_invalidation_queue_depth gauge",
-		"nnexus_link_batch_items_total counter",
-		"nnexus_link_batch_total counter",
-		"nnexus_link_duration_seconds histogram",
-		"nnexus_link_skips_total counter reason,shard",
-		"nnexus_links_created_total counter shard",
-		"nnexus_panics_recovered_total counter layer",
-		"nnexus_pipeline_stage_duration_seconds histogram stage",
-		"nnexus_relink_batch_duration_seconds histogram",
-		"nnexus_relink_entries_total counter",
-		"nnexus_relink_errors_total counter",
-		"nnexus_relink_runs_total counter",
-		"nnexus_rendered_cache_entries gauge",
-		"nnexus_rendered_cache_hits_total counter",
-		"nnexus_rendered_cache_misses_total counter",
-		"nnexus_requests_shed_total counter layer",
-		"nnexus_scan_automaton_total counter shard",
-		"nnexus_scan_fallback_total counter shard",
-		"nnexus_tcp_connections_active gauge",
-		"nnexus_tcp_connections_rejected_total counter",
-		"nnexus_tcp_connections_total counter",
-		"nnexus_tcp_pipeline_depth histogram",
-		"nnexus_tcp_request_duration_seconds histogram",
-		"nnexus_tcp_request_errors_total counter",
-		"nnexus_tcp_request_timeouts_total counter",
-		"nnexus_tcp_requests_total counter method",
-		"nnexus_tenant_rejected_total counter",
-		"nnexus_tenant_requests_total counter",
-		"nnexus_wal_appends_total counter",
-		"nnexus_wal_fsyncs_total counter",
-		"nnexus_wal_group_commit_batch_size histogram",
-	},
-	"router": {
-		"nnexus_links_created_total counter",
-		"nnexus_pipeline_stage_duration_seconds histogram stage",
-		"nnexus_router_link_texts_total counter",
-		"nnexus_shard_fanout histogram",
-		"nnexus_shard_partial_results_total counter",
-		"nnexus_shard_scan_failures_total counter shard",
-	},
 }
 
 // TestExpositionShape drives a fixed sequence of operations through the
-// engine, the socket and HTTP of an unsharded two-corpus node and of a
-// two-shard fleet behind a ShardRouter, and compares every /metrics family's
-// type and label names with the golden list: no family or label may be
-// renamed, dropped or added. No unsharded sample may carry a shard label.
+// engine, the socket and HTTP of a two-corpus node, and compares every
+// /metrics family's type and label names with the golden list: no family or
+// label may be renamed, dropped or added. No sample may carry a shard label.
 func TestExpositionShape(t *testing.T) {
-	got := map[string][]string{}
-
-	// An unsharded node holding two corpora.
 	n := openNode(t, nnexus.Config{DataDir: t.TempDir()})
 	n.seed(t, planar, even,
 		nnexus.Entry{Corpus: "wiki", Domain: "wikipedia.org", Title: "graph", Classes: []string{"05C99"}})
@@ -265,74 +200,25 @@ func TestExpositionShape(t *testing.T) {
 	httpGet(t, n.http.URL+"/api/entries/2/linked")
 	httpPost(t, n.http.URL+"/api/relink", "")
 	httpGet(t, n.http.URL+"/api/stats")
-	unsharded := httpGet(t, n.http.URL+"/metrics")
-	var samples []string
-	got["unsharded"], samples = exposition(t, unsharded)
+	got, samples := exposition(t, httpGet(t, n.http.URL+"/metrics"))
 	for _, s := range samples {
 		if strings.Contains(s, "shard=") {
-			t.Errorf("unsharded sample carries a shard label: %s", s)
+			t.Errorf("sample carries a shard label: %s", s)
 		}
 	}
-
-	// Two shard nodes behind a router.
-	ring := nnexus.NewShardRing(2, 0)
-	m := &nnexus.ShardMap{Version: 1}
-	var shards []*node
-	for i := 0; i < 2; i++ {
-		sn := openNode(t, nnexus.Config{DataDir: t.TempDir(), ShardRing: ring, ShardID: i})
-		shards = append(shards, sn)
-		m.Shards = append(m.Shards, nnexus.ShardSpec{ID: i, Addrs: []string{sn.addr}})
-	}
-	router, err := nnexus.DialSharded(m, nnexus.WithCallTimeout(3*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	if err := router.AddDomain(nnexus.Domain{Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc"}); err != nil {
-		t.Fatal(err)
-	}
-	words := shardOwnedWords(t, ring)
-	for _, title := range append(words, words[0]+" "+words[1]) {
-		if _, err := router.AddEntry(&nnexus.Entry{Domain: "planetmath.org", Title: title, Classes: []string{"05C10"}}); err != nil {
-			t.Fatal(err)
+	if !reflect.DeepEqual(got, goldenShapes["unsharded"]) {
+		var b strings.Builder
+		for _, l := range got {
+			fmt.Fprintf(&b, "\t\t%q,\n", l)
 		}
-	}
-	text := fmt.Sprintf("a %s %s, a %s and a %s again", words[0], words[1], words[1], words[0])
-	for i := 0; i < 2; i++ {
-		if _, err := router.LinkText(text, nnexus.LinkOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var shardShape []string
-	for _, sn := range shards {
-		httpPost(t, sn.http.URL+"/api/link", fmt.Sprintf(`{"text":%q}`, text))
-		httpGet(t, sn.http.URL+"/api/stats")
-		shape, _ := exposition(t, httpGet(t, sn.http.URL+"/metrics"))
-		shardShape = append(shardShape, shape...)
-	}
-	slices.Sort(shardShape)
-	got["shard"] = slices.Compact(shardShape)
-	var sb strings.Builder
-	if err := router.Telemetry().WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got["router"], _ = exposition(t, sb.String())
-
-	for _, kind := range []string{"unsharded", "shard", "router"} {
-		if !reflect.DeepEqual(got[kind], goldenShapes[kind]) {
-			var b strings.Builder
-			for _, l := range got[kind] {
-				fmt.Fprintf(&b, "\t\t%q,\n", l)
-			}
-			t.Errorf("%s exposition shape differs from the golden list; got:\n\t%q: {\n%s\t},", kind, kind, b.String())
-		}
+		t.Errorf("exposition shape differs from the golden list; got:\n\t\"unsharded\": {\n%s\t},", b.String())
 	}
 }
 
 // TestMetricsViewIsTheRegistry pins core.Metrics — the "metrics" object of
 // /api/stats and the wire stats counters — to the registry's own counters
-// after a mixed workload: entries added and put, invalidations across
-// corpora, links, skips and a relink.
+// after a mixed workload: entries added, invalidations across corpora,
+// links, skips and a relink.
 func TestMetricsViewIsTheRegistry(t *testing.T) {
 	n := openNode(t, nnexus.Config{})
 	n.seed(t, planar, even,
@@ -341,11 +227,10 @@ func TestMetricsViewIsTheRegistry(t *testing.T) {
 	if err := n.engine.SetPolicy(2, "forbid even"); err != nil {
 		t.Fatal(err)
 	}
-	// A put of a new concept, into the other corpus, invalidates entries of
+	// An add of a new concept, into the other corpus, invalidates entries of
 	// both that mention it.
-	put := &nnexus.Entry{ID: 50, Corpus: "wiki", Domain: "wikipedia.org", Title: "graph", Classes: []string{"05C99"}}
-	if resp := rawCall(t, n.addr, &wire.Request{Method: wire.MethodPutEntry, Entry: wire.FromCorpus(put)}); !resp.IsOK() {
-		t.Fatalf("putEntry: %s", resp.Error)
+	if _, err := n.engine.AddEntry(&nnexus.Entry{Corpus: "wiki", Domain: "wikipedia.org", Title: "graph", Classes: []string{"05C99"}}); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := n.engine.AddEntry(&nnexus.Entry{Domain: "planetmath.org", Title: "planar", Classes: []string{"05C10"}}); err != nil {
 		t.Fatal(err)
@@ -377,7 +262,7 @@ func TestMetricsViewIsTheRegistry(t *testing.T) {
 	want := map[string]int64{
 		"textsLinked":    count(ops["op=link_text"]),
 		"entriesLinked":  count(ops["op=link_entry"]),
-		"entriesAdded":   count(ops["op=add_entry"]) + count(ops["op=put_entry"]),
+		"entriesAdded":   count(ops["op=add_entry"]),
 		"linksCreated":   count(snap["nnexus_links_created_total"]),
 		"policySkips":    count(skips["reason=policy"]),
 		"selfSkips":      count(skips["reason=self"]),
@@ -390,7 +275,7 @@ func TestMetricsViewIsTheRegistry(t *testing.T) {
 		}
 	}
 	if want["entriesAdded"] != 5 {
-		t.Errorf("entriesAdded = %d, want 5 (four adds and a put)", want["entriesAdded"])
+		t.Errorf("entriesAdded = %d, want 5", want["entriesAdded"])
 	}
 
 	var stats struct {
