@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nnexus"
+	"nnexus/internal/clock"
 	"nnexus/internal/cluster"
 )
 
@@ -22,19 +23,45 @@ import (
 // long-poll (the facade sizes the poll to a quarter of this).
 const failoverElectionTimeout = time.Second
 
-type failoverCluster struct{ *cluster.Cluster }
+type failoverCluster struct {
+	*cluster.Cluster
+	clk *clock.Manual // nil on the wall clock
+}
 
 // startFailoverCluster boots node 0 as the initial primary and nodes 1, 2
-// as followers, every node election-enabled with quorum-acked writes.
-func startFailoverCluster(t testing.TB) failoverCluster {
-	return startFailoverClusterAcks(t, 1)
+// as followers, every node election-enabled with quorum-acked writes, on a
+// manual clock that the test steps (fc.step) whenever it waits for a node.
+// The clock is installed before the nodes boot, so that the cleanups stopping
+// them run before the one restoring it; they stop while the clock steps.
+func startFailoverCluster(t *testing.T) failoverCluster {
+	t.Helper()
+	clk := clock.NewManual(time.Now())
+	t.Cleanup(clock.Install(clk))
+	fc := startFailoverClusterAcks(t, 1)
+	fc.clk = clk
+	t.Cleanup(func() {
+		stopped := make(chan struct{})
+		go func() {
+			defer close(stopped)
+			fc.Close()
+		}()
+		fc.step(t, "the cluster stopped", func() bool {
+			select {
+			case <-stopped:
+				return true
+			default:
+				return false
+			}
+		})
+	})
+	return fc
 }
 
 // startFailoverClusterAcks is startFailoverCluster with an explicit write
-// acknowledgement level (0 = primary durability only).
+// acknowledgement level (0 = primary durability only), on the wall clock.
 func startFailoverClusterAcks(t testing.TB, quorumAcks int) failoverCluster {
 	t.Helper()
-	return failoverCluster{startCluster(t, 3, func(i int, addrs []string, dir string) nnexus.Config {
+	return failoverCluster{Cluster: startCluster(t, 3, func(i int, addrs []string, dir string) nnexus.Config {
 		cfg := nnexus.Config{
 			Scheme:          nnexus.SampleMSC(10),
 			DataDir:         dir,
@@ -65,12 +92,26 @@ func (fc failoverCluster) role(i int) string {
 	return st.Role
 }
 
+// step polls pred every 10 ms of real time, advancing the cluster's clock by
+// an eighth of the election timeout before each poll (about one tick of a
+// node's election loop), and fails the test when pred has not held within
+// 30 s.
+func (fc failoverCluster) step(t *testing.T, what string, pred func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !pred(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		fc.clk.Advance(failoverElectionTimeout / 8)
+	}
+}
+
 // awaitSinglePrimary waits for the surviving followers to elect exactly one
 // primary and for that leadership to be stable, returning the winner index.
 func (fc failoverCluster) awaitSinglePrimary(t *testing.T, among []int) int {
 	t.Helper()
 	winner := -1
-	waitFor(t, "a single primary after failover", func() bool {
+	fc.step(t, "a single primary after failover", func() bool {
 		winner = -1
 		for _, i := range among {
 			if fc.role(i) == "primary" {
@@ -82,8 +123,9 @@ func (fc failoverCluster) awaitSinglePrimary(t *testing.T, among []int) int {
 		}
 		return winner != -1
 	})
-	// Stability: still exactly one primary after another election window.
-	time.Sleep(2 * failoverElectionTimeout)
+	// Stability: still exactly one primary after two more election windows.
+	end := fc.clk.Now().Add(2 * failoverElectionTimeout)
+	fc.step(t, "two election windows", func() bool { return !fc.clk.Now().Before(end) })
 	n := 0
 	for _, i := range among {
 		if fc.role(i) == "primary" {
@@ -225,13 +267,13 @@ func TestChaosFailover(t *testing.T) {
 
 			// The cluster must recover with no human in the loop: writes
 			// resume through the SAME client against the elected primary.
-			waitFor(t, "writes resumed after the kill", func() bool {
+			fc.step(t, "writes resumed after the kill", func() bool {
 				return acked.postKillAcks() > 0
 			})
 			deadline := time.Now().Add(2 * time.Second)
-			for time.Now().Before(deadline) && acked.postKillAcks() < 5 {
-				time.Sleep(10 * time.Millisecond)
-			}
+			fc.step(t, "more writes", func() bool {
+				return acked.postKillAcks() >= 5 || time.Now().After(deadline)
+			})
 			close(stop)
 			wg.Wait()
 
@@ -304,7 +346,7 @@ func TestChaosFailoverOldPrimaryFenced(t *testing.T) {
 	winner := fc.awaitSinglePrimary(t, []int{1, 2})
 
 	// The new regime keeps writing (transparently, via the same client).
-	waitFor(t, "writes resumed on the new primary", func() bool {
+	fc.step(t, "writes resumed on the new primary", func() bool {
 		title := fmt.Sprintf("post-kill %d", len(titles))
 		id, err := c.AddEntry(&nnexus.Entry{
 			Domain: "planetmath.org", Title: title, Classes: []string{chaosClasses},
@@ -321,7 +363,7 @@ func TestChaosFailoverOldPrimaryFenced(t *testing.T) {
 	if err := fc.Restart(0); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "old primary fenced itself", func() bool {
+	fc.step(t, "old primary fenced itself", func() bool {
 		st := fc.Engines[0].Replication()
 		return st.Role == "follower" && st.Election.Fenced
 	})
@@ -335,7 +377,7 @@ func TestChaosFailoverOldPrimaryFenced(t *testing.T) {
 
 	// The fenced node converges on the winner's history and serves it.
 	winnerHead := func() uint64 { return fc.Engines[winner].Replication().Head }
-	waitFor(t, "fenced node converged", func() bool {
+	fc.step(t, "fenced node converged", func() bool {
 		st := fc.Engines[0].Replication()
 		return st.Role == "follower" && st.Applied == winnerHead() && st.Synced
 	})

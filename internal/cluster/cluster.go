@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -116,12 +117,19 @@ func (c *Cluster) Restart(i int) error {
 }
 
 // WaitCaughtUp waits until every live follower has applied, in sync, the WAL
-// head of node primary, and returns that head.
+// head of node primary, and returns that head. A primary that is down is an
+// error.
 func (c *Cluster) WaitCaughtUp(primary int, timeout time.Duration) (uint64, error) {
 	for deadline := time.Now().Add(timeout); ; time.Sleep(10 * time.Millisecond) {
-		head := c.Engines[primary].Replication().Head
+		c.mu.Lock()
+		engines := slices.Clone(c.Engines)
+		c.mu.Unlock()
+		if engines[primary] == nil {
+			return 0, fmt.Errorf("cluster: primary node %d is down", primary)
+		}
+		head := engines[primary].Replication().Head
 		behind := ""
-		for i, e := range c.Engines {
+		for i, e := range engines {
 			if e == nil {
 				continue
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/morph"
 	"nnexus/internal/tokenizer"
 )
@@ -431,50 +432,49 @@ func TestWritesNeverStallOnCompile(t *testing.T) {
 // TestCompilerDebouncesSustainedWrites holds the compiler to one build per
 // debounce window while writes keep landing (it used to debounce the first
 // build and then rebuild back to back, hundreds of times, each one stale
-// before it was published), and to being current soon after the last one.
+// before it was published): on a manual clock, a burst of writes inside one
+// window builds nothing until the window closes and then builds exactly once.
 func TestCompilerDebouncesSustainedWrites(t *testing.T) {
 	const debounce = 25 * time.Millisecond
+	clk := clock.NewManual(time.Unix(0, 0))
+	t.Cleanup(clock.Install(clk))
 	m := New()
 	for i := 0; i < 2000; i++ {
 		m.AddObject(ObjectID(i), []string{fmt.Sprintf("concept %d alpha", i)})
 	}
 	m.StartCompiler(debounce)
 	defer m.StopCompiler()
+	// poll waits in real time for the compiler goroutine, each round first
+	// advancing the clock by step.
+	poll := func(what string, step time.Duration, done func(AutomatonInfo) bool) AutomatonInfo {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			clk.Advance(step)
+			if info := m.AutomatonInfo(); done(info) {
+				return info
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, m.AutomatonInfo())
+			}
+		}
+	}
 	// The map was populated before the compiler started: its first build
-	// does not wait for the debounce.
-	for start := time.Now(); !m.AutomatonInfo().Compiled; time.Sleep(100 * time.Microsecond) {
-		if time.Since(start) > 5*time.Second {
-			t.Fatal("no initial build")
-		}
-	}
-	initial := m.AutomatonInfo().LastBuild
+	// does not wait for the debounce, so it needs no clock.
+	initial := poll("no initial build", 0, func(info AutomatonInfo) bool { return info.Compiled })
 
-	start := time.Now()
-	for i := 0; time.Since(start) < 300*time.Millisecond; i++ {
+	for i := 0; i < 500; i++ {
 		m.AddObject(ObjectID(10000+i), []string{fmt.Sprintf("fresh label %d", i)})
-		time.Sleep(time.Millisecond)
 	}
-	lastWrite := time.Now()
-	for {
-		info := m.AutomatonInfo()
-		if info.Generation == info.SnapshotGeneration {
-			// A window opens no sooner than a debounce after the one
-			// before: 12 fit into the writes, one more covers the last
-			// write, and the initial build makes 14.
-			if info.Builds > 14 {
-				t.Errorf("%d builds for 300 ms of writes at a %v debounce, want ≤ 14", info.Builds, debounce)
-			}
-			// Generous for a loaded machine; an idle one is current
-			// within a debounce and one build.
-			if lag, limit := time.Since(lastWrite), 10*(debounce+initial); lag > limit {
-				t.Errorf("automaton current %v after the last write, want within %v", lag, limit)
-			}
-			return
-		}
-		if time.Since(lastWrite) > 5*time.Second {
-			t.Fatalf("automaton never caught up: %+v", info)
-		}
-		time.Sleep(time.Millisecond)
+	if info := m.AutomatonInfo(); info.Builds != initial.Builds {
+		t.Fatalf("%d builds before the debounce window closed, want %d", info.Builds, initial.Builds)
+	}
+	// Each round closes a window; the first closes the burst's unless the
+	// compiler had not yet opened it.
+	current := poll("automaton never caught up", debounce, func(info AutomatonInfo) bool {
+		return info.Generation == info.SnapshotGeneration
+	})
+	if current.Builds != initial.Builds+1 {
+		t.Errorf("%d builds after a burst inside one debounce window, want %d", current.Builds, initial.Builds+1)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"nnexus/internal/clock"
 )
 
 // This file owns the compile-and-publish lifecycle of the scan automaton:
@@ -150,7 +152,7 @@ func (m *Map) compileLoop(debounce time.Duration, dirty, stop, done chan struct{
 			select {
 			case <-stop:
 				return
-			case <-time.After(debounce):
+			case <-clock.After(debounce):
 			}
 			// Absorb signals that accumulated during the debounce window;
 			// the compile below reads the latest snapshot anyway.
@@ -172,14 +174,14 @@ func (m *Map) compileOnce() {
 	if cur := m.comp.aut.Load(); cur != nil && cur.src == snap {
 		return
 	}
-	start := time.Now()
+	start := clock.Now()
 	aut := compileAutomaton(snap)
 	if aut == nil {
 		// Snapshot not compilable (a label exceeds the packed depth width);
 		// keep serving every scan from the chained-hash fallback.
 		return
 	}
-	d := time.Since(start)
+	d := clock.Now().Sub(start)
 	m.publishAutomaton(aut)
 	m.comp.builds.Add(1)
 	m.comp.lastBuildNs.Store(int64(d))

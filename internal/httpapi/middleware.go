@@ -5,8 +5,8 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sync/atomic"
-	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/wire"
 )
@@ -123,11 +123,11 @@ func (m *httpMetrics) instrument(pattern string, next http.HandlerFunc) http.Han
 	em := m.endpoint(pattern)
 	return func(w http.ResponseWriter, r *http.Request) {
 		m.inFlight.Inc()
-		start := time.Now()
+		start := clock.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
 			m.inFlight.Dec()
-			em.duration.Observe(time.Since(start).Seconds())
+			em.duration.Observe(clock.Now().Sub(start).Seconds())
 			class := sw.status / 100
 			if class < 1 || class > 5 {
 				class = 0

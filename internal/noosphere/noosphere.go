@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"nnexus"
+	"nnexus/internal/clock"
 	"nnexus/internal/corpus"
 	"nnexus/internal/storage"
 )
@@ -55,8 +56,6 @@ type Wiki struct {
 
 	mu        sync.RWMutex
 	revisions map[int64][]Revision
-	// now is a clock hook for tests.
-	now func() time.Time
 }
 
 // New builds a wiki over a node. Entries created through the wiki are
@@ -74,7 +73,6 @@ func New(engine *nnexus.Engine, domain string, revisions *storage.Store) (*Wiki,
 		mux:       http.NewServeMux(),
 		store:     revisions,
 		revisions: make(map[int64][]Revision),
-		now:       time.Now,
 	}
 	if err := w.loadRevisions(); err != nil {
 		return nil, err
@@ -129,7 +127,7 @@ func (w *Wiki) Save(id int64, author, comment string, entry *corpus.Entry) (int6
 	rev := Revision{
 		Number:   len(revs) + 1,
 		Author:   author,
-		Saved:    w.now(),
+		Saved:    clock.Now(),
 		Title:    entry.Title,
 		Body:     entry.Body,
 		Concepts: append([]string(nil), entry.Concepts...),

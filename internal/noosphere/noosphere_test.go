@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nnexus"
+	"nnexus/internal/clock"
 	"nnexus/internal/corpus"
 	"nnexus/internal/storage"
 )
@@ -44,14 +45,18 @@ func memStore(t *testing.T) *storage.Store {
 	return store
 }
 
+// pinned is the time every revision a testWiki saves records.
+var pinned = time.Unix(1136239445, 0)
+
+// testWiki boots a wiki on a manual clock that reads pinned throughout.
 func testWiki(t *testing.T) (*nnexus.Engine, *Wiki, *httptest.Server) {
 	t.Helper()
+	t.Cleanup(clock.Install(clock.NewManual(pinned)))
 	engine := testEngine(t, "")
 	w, err := New(engine, "planetmath.org", memStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.now = func() time.Time { return time.Unix(1136239445, 0) }
 	srv := httptest.NewServer(w)
 	t.Cleanup(srv.Close)
 	return engine, w, srv
@@ -175,13 +180,17 @@ func TestEditUpdatesAndRecordsRevisions(t *testing.T) {
 	if revs[1].Number != 2 {
 		t.Errorf("revision number = %d", revs[1].Number)
 	}
-	// History page shows both.
+	if !revs[0].Saved.Equal(pinned) || !revs[1].Saved.Equal(pinned) {
+		t.Errorf("revisions saved at %v and %v, want the clock's %v", revs[0].Saved, revs[1].Saved, pinned)
+	}
+	// History page shows both, and when they were saved.
 	histResp, err := http.Get(srv.URL + "/entry/1/history")
 	if err != nil {
 		t.Fatal(err)
 	}
 	hist := body(t, histResp)
-	if !strings.Contains(hist, "alice") || !strings.Contains(hist, "bob") {
+	if !strings.Contains(hist, "alice") || !strings.Contains(hist, "bob") ||
+		!strings.Contains(hist, "2006-01-02T22:04:05Z") {
 		t.Errorf("history = %q", hist)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/storage"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/wire"
@@ -163,7 +164,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:       cfg,
 		timeout:   cfg.ElectionTimeout,
 		peerCli:   make(map[string]Peer),
-		lastHeard: time.Now(),
+		lastHeard: clock.Now(),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
 	}
@@ -306,26 +307,28 @@ func (n *Node) run() {
 		tick = 2 * time.Millisecond
 	}
 	armed := n.jitteredTimeout()
-	lastProbe := time.Now()
-	for {
+	lastProbe := clock.Now()
+	timer := clock.NewTimer(tick)
+	defer timer.Stop()
+	for ; ; timer.Reset(tick) {
 		select {
 		case <-n.stopCh:
 			return
-		case <-time.After(tick):
+		case <-timer.C:
 		}
 		switch n.currentRole() {
 		case RoleFollower:
 			if len(n.peers) == 0 {
 				continue // nobody to ask for votes
 			}
-			if time.Since(n.lastHeardTime()) >= armed {
+			if clock.Now().Sub(n.lastHeardTime()) >= armed {
 				n.runElection()
 				n.touchHeard()
 				armed = n.jitteredTimeout()
 			}
 		case RolePrimary:
-			if len(n.peers) > 0 && time.Since(lastProbe) >= n.timeout {
-				lastProbe = time.Now()
+			if len(n.peers) > 0 && clock.Now().Sub(lastProbe) >= n.timeout {
+				lastProbe = clock.Now()
 				n.watchdog()
 			}
 		}
@@ -361,7 +364,7 @@ func (n *Node) lastHeardLocked() time.Time {
 
 func (n *Node) touchHeard() {
 	n.mu.Lock()
-	n.lastHeard = time.Now()
+	n.lastHeard = clock.Now()
 	n.mu.Unlock()
 }
 
@@ -485,7 +488,7 @@ func (n *Node) promote(won uint64) {
 	n.leader = n.cfg.Self
 	n.primary = p
 	n.fenced = false
-	n.lastHeard = time.Now()
+	n.lastHeard = clock.Now()
 	n.mu.Unlock()
 	n.logf("replication: won election, serving as primary for epoch %d (storage epoch %d)", won, newStorage)
 	for _, addr := range n.peers {
@@ -521,7 +524,7 @@ func (n *Node) demoteTo(epoch uint64, leaderAddr string) {
 	}
 	n.leader = leaderAddr
 	n.fenced = true
-	n.lastHeard = time.Now()
+	n.lastHeard = clock.Now()
 	_ = n.saveVoteLocked()
 	n.mu.Unlock()
 	n.telEpoch.Set(int64(epoch))
@@ -681,7 +684,7 @@ func (n *Node) handleVote(epoch, offset uint64, candidate string) (*wire.ReplPay
 	if err := n.saveVoteLocked(); err != nil {
 		return reject, false // an unpersisted vote must not be released
 	}
-	n.lastHeard = time.Now()
+	n.lastHeard = clock.Now()
 	return &wire.ReplPayload{Role: n.role, Granted: true, Epoch: epoch, Applied: applied}, false
 }
 
@@ -715,7 +718,7 @@ func (n *Node) HandleLead(epoch uint64, leaderAddr string) error {
 	}
 	prevLeader := n.leader
 	n.leader = leaderAddr
-	n.lastHeard = time.Now()
+	n.lastHeard = clock.Now()
 	_ = n.saveVoteLocked()
 	f := n.follower
 	n.mu.Unlock()

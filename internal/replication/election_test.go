@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/storage"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/wire"
@@ -147,6 +148,56 @@ func (p fabricPeer) Close() error { return nil }
 
 const testElectionTimeout = 150 * time.Millisecond
 
+// manualClock installs a manual clock for the rest of the test. Call it
+// before booting a node, so that the cleanups stopping nodes run before the
+// one restoring the clock; a test that installs it steps it (waitNode,
+// stepWhile) whenever a node may be waiting on a timer, stopping included.
+func manualClock(t *testing.T) *clock.Manual {
+	t.Helper()
+	clk := clock.NewManual(time.Unix(1_000_000, 0))
+	t.Cleanup(clock.Install(clk))
+	return clk
+}
+
+// waitNode polls cond every 5 ms of real time, first advancing clk by an
+// eighth of the election timeout each time (at most one tick of a node's
+// election loop), and fails the test when cond has not held within 15 s.
+func waitNode(t *testing.T, clk *clock.Manual, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(15 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		clk.Advance(testElectionTimeout / 8)
+	}
+}
+
+// stepWhile runs fn, stepping clk as waitNode does until fn returns: a node
+// stopping may wait for a long-poll or a backoff to end.
+func stepWhile(t *testing.T, clk *clock.Manual, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	waitNode(t, clk, what, func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	})
+}
+
+// waitWindows steps clk through n election timeouts as waitNode does.
+func waitWindows(t *testing.T, clk *clock.Manual, n int) {
+	t.Helper()
+	end := clk.Now().Add(time.Duration(n) * testElectionTimeout)
+	waitNode(t, clk, "the clock to advance", func() bool { return !clk.Now().Before(end) })
+}
+
 // newClusterNode builds and registers one cluster member. The returned store
 // outlives the node (tests restart nodes against the same directory).
 func newClusterNode(t *testing.T, fb *fabric, dir, self string, peers []string, initialPrimary bool, initialLeader string) (*Node, *storage.Store) {
@@ -166,8 +217,6 @@ func newClusterNode(t *testing.T, fb *fabric, dir, self string, peers []string, 
 		FollowerOpts: []FollowerOption{
 			WithFollowerName(self),
 			WithFollowerWait(50 * time.Millisecond),
-			WithFollowerBackoff(5 * time.Millisecond),
-			WithFollowerMaxBackoff(50 * time.Millisecond),
 		},
 	})
 	if err != nil {
@@ -178,22 +227,12 @@ func newClusterNode(t *testing.T, fb *fabric, dir, self string, peers []string, 
 	return n, st
 }
 
-func waitNode(t *testing.T, what string, timeout time.Duration, cond func() bool) {
+// threeNodeCluster boots n1 as primary with n2, n3 following it on a manual
+// clock, writes `writes` records, and waits for both followers to apply
+// them.
+func threeNodeCluster(t *testing.T, fb *fabric, writes int) (clk *clock.Manual, nodes map[string]*Node, stores map[string]*storage.Store, dirs map[string]string) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// threeNodeCluster boots n1 as primary with n2, n3 following it, writes
-// `writes` records, and waits for both followers to apply them.
-func threeNodeCluster(t *testing.T, fb *fabric, writes int) (nodes map[string]*Node, stores map[string]*storage.Store, dirs map[string]string) {
-	t.Helper()
+	clk = manualClock(t)
 	addrs := []string{"n1", "n2", "n3"}
 	nodes = make(map[string]*Node)
 	stores = make(map[string]*storage.Store)
@@ -219,9 +258,11 @@ func threeNodeCluster(t *testing.T, fb *fabric, writes int) (nodes map[string]*N
 		}
 	}
 	t.Cleanup(func() {
-		for _, a := range addrs {
-			nodes[a].Stop()
-		}
+		stepWhile(t, clk, "the nodes stopped", func() {
+			for _, a := range addrs {
+				nodes[a].Stop()
+			}
+		})
 		for _, a := range addrs {
 			stores[a].Close()
 		}
@@ -234,12 +275,12 @@ func threeNodeCluster(t *testing.T, fb *fabric, writes int) (nodes map[string]*N
 	head := stores["n1"].ReplicationHead()
 	for _, a := range []string{"n2", "n3"} {
 		a := a
-		waitNode(t, a+" caught up", 5*time.Second, func() bool {
+		waitNode(t, clk, a+" caught up", func() bool {
 			st := nodes[a].Status()
 			return st.Role == RoleFollower && st.Applied == head && st.Synced
 		})
 	}
-	return nodes, stores, dirs
+	return clk, nodes, stores, dirs
 }
 
 // TestElectionAfterPrimaryLoss is the core failover path: the primary dies,
@@ -250,7 +291,7 @@ func threeNodeCluster(t *testing.T, fb *fabric, writes int) (nodes map[string]*N
 // rounds.
 func TestElectionAfterPrimaryLoss(t *testing.T) {
 	fb := newFabric()
-	nodes, stores, _ := threeNodeCluster(t, fb, 5)
+	clk, nodes, stores, _ := threeNodeCluster(t, fb, 5)
 
 	// The survivors' Status is read throughout while the election flips
 	// their roles: under -race this checks that it reads every part under
@@ -295,7 +336,7 @@ func TestElectionAfterPrimaryLoss(t *testing.T) {
 	nodes["n1"].Stop()
 
 	var winner, loser string
-	waitNode(t, "a follower won the election", 10*time.Second, func() bool {
+	waitNode(t, clk, "a follower won the election", func() bool {
 		for _, a := range []string{"n2", "n3"} {
 			if nodes[a].Status().Role == RolePrimary {
 				winner = a
@@ -324,7 +365,7 @@ func TestElectionAfterPrimaryLoss(t *testing.T) {
 	if err := stores[winner].Put("t", "post-failover", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	waitNode(t, "loser follows the winner", 10*time.Second, func() bool {
+	waitNode(t, clk, "loser follows the winner", func() bool {
 		if nodes[loser].Status().Role == RolePrimary {
 			t.Fatal("both followers became primary — split brain")
 		}
@@ -337,8 +378,8 @@ func TestElectionAfterPrimaryLoss(t *testing.T) {
 	}
 	sameState(t, stores[loser], stores[winner], "after failover")
 
-	// Exactly one primary, stably: re-check after another timeout window.
-	time.Sleep(2 * testElectionTimeout)
+	// Exactly one primary, stably: re-check after two more timeout windows.
+	waitWindows(t, clk, 2)
 	if w, l := nodes[winner].Status().Role, nodes[loser].Status().Role; w != RolePrimary || l == RolePrimary {
 		t.Fatalf("roles unstable: winner %s, loser %s", w, l)
 	}
@@ -351,7 +392,7 @@ func TestElectionAfterPrimaryLoss(t *testing.T) {
 // the new primary's history.
 func TestOldPrimaryFencedAndTruncated(t *testing.T) {
 	fb := newFabric()
-	nodes, stores, dirs := threeNodeCluster(t, fb, 5)
+	clk, nodes, stores, dirs := threeNodeCluster(t, fb, 5)
 
 	// Partition both followers, then write records only n1 ever sees.
 	fb.setDown("n2", true)
@@ -374,7 +415,7 @@ func TestOldPrimaryFencedAndTruncated(t *testing.T) {
 	fb.setDown("n2", false)
 	fb.setDown("n3", false)
 	var winner string
-	waitNode(t, "failover election", 10*time.Second, func() bool {
+	waitNode(t, clk, "failover election", func() bool {
 		for _, a := range []string{"n2", "n3"} {
 			if nodes[a].Status().Role == RolePrimary {
 				winner = a
@@ -395,13 +436,13 @@ func TestOldPrimaryFencedAndTruncated(t *testing.T) {
 	fb.setDown("n1", false)
 	n1b, st1b := newClusterNode(t, fb, dirs["n1"], "n1", []string{"n2", "n3"}, true, "")
 	defer func() {
-		n1b.Stop()
+		stepWhile(t, clk, "the returned primary stopped", n1b.Stop)
 		st1b.Close()
 	}()
 	if err := n1b.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitNode(t, "returning primary fenced", 10*time.Second, func() bool {
+	waitNode(t, clk, "returning primary fenced", func() bool {
 		st := n1b.Status()
 		return st.Role != RolePrimary && st.Election.Fenced
 	})
@@ -410,7 +451,7 @@ func TestOldPrimaryFencedAndTruncated(t *testing.T) {
 	}
 	// Its unshipped suffix is truncated by the re-bootstrap: state converges
 	// on the winner's 7-record history, not the old 8-record one.
-	waitNode(t, "fenced node converged on the new history", 10*time.Second, func() bool {
+	waitNode(t, clk, "fenced node converged on the new history", func() bool {
 		st := n1b.Status()
 		return st.Role == RoleFollower && st.Applied == stores[winner].ReplicationHead() && st.Synced
 	})
@@ -440,11 +481,10 @@ func TestHandleVoteRules(t *testing.T) {
 		}
 	}
 	n, err := NewNode(NodeConfig{
-		Self:            "voter",
-		Peers:           []string{"a", "b"},
-		Store:           st,
-		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
-		ElectionTimeout: time.Hour, // the loop must not interfere
+		Self:  "voter",
+		Peers: []string{"a", "b"},
+		Store: st,
+		Dial:  func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -490,11 +530,10 @@ func TestVotePersistsAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, err := NewNode(NodeConfig{
-			Self:            "voter",
-			Peers:           []string{"a", "b"},
-			Store:           st,
-			Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
-			ElectionTimeout: time.Hour,
+			Self:  "voter",
+			Peers: []string{"a", "b"},
+			Store: st,
+			Dial:  func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
 		})
 		if err != nil {
 			st.Close()
@@ -536,11 +575,10 @@ func TestHandleLeadFencesStaleClaims(t *testing.T) {
 	}
 	defer st.Close()
 	n, err := NewNode(NodeConfig{
-		Self:            "voter",
-		Peers:           []string{"a", "b"},
-		Store:           st,
-		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
-		ElectionTimeout: time.Hour,
+		Self:  "voter",
+		Peers: []string{"a", "b"},
+		Store: st,
+		Dial:  func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -607,11 +645,10 @@ func TestTornWALTailVotesTruncatedOffset(t *testing.T) {
 
 	fb := newFabric()
 	n, err := NewNode(NodeConfig{
-		Self:            "torn",
-		Peers:           []string{"a", "b"},
-		Store:           st2,
-		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "torn", addr: addr}, nil },
-		ElectionTimeout: time.Hour,
+		Self:  "torn",
+		Peers: []string{"a", "b"},
+		Store: st2,
+		Dial:  func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "torn", addr: addr}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -632,6 +669,7 @@ func TestTornWALTailVotesTruncatedOffset(t *testing.T) {
 // quorum-ack write path is built on: satisfied by follower acks, typed
 // failure on timeout, woken by drain.
 func TestWaitQuorum(t *testing.T) {
+	clk := manualClock(t)
 	pst, p := newPrimary(t)
 	if err := pst.Put("t", "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -642,8 +680,24 @@ func TestWaitQuorum(t *testing.T) {
 	if err := p.WaitQuorum(head, 0, time.Nanosecond); err != nil {
 		t.Fatalf("k=0 wait = %v, want nil", err)
 	}
+	// timedOut waits for k acks nobody sends: the wait ends once the clock
+	// has passed its timeout, whenever the waiter armed it.
+	timedOut := func(k int) error {
+		done := make(chan error, 1)
+		go func() { done <- p.WaitQuorum(head, k, 30*time.Millisecond) }()
+		var err error
+		waitNode(t, clk, "the quorum wait timed out", func() bool {
+			select {
+			case err = <-done:
+				return true
+			default:
+				return false
+			}
+		})
+		return err
+	}
 	// Timeout path: nobody acks.
-	if err := p.WaitQuorum(head, 1, 30*time.Millisecond); !errors.Is(err, ErrQuorumUnavailable) {
+	if err := timedOut(1); !errors.Is(err, ErrQuorumUnavailable) {
 		t.Fatalf("unacked wait = %v, want ErrQuorumUnavailable", err)
 	}
 	// Ack path: a follower confirms the offset mid-wait.
@@ -659,7 +713,7 @@ func TestWaitQuorum(t *testing.T) {
 		t.Fatalf("post-ack wait = %v, want nil", err)
 	}
 	// Two followers needed, only one acked.
-	if err := p.WaitQuorum(head, 2, 30*time.Millisecond); !errors.Is(err, ErrQuorumUnavailable) {
+	if err := timedOut(2); !errors.Is(err, ErrQuorumUnavailable) {
 		t.Fatalf("k=2 with one ack = %v, want ErrQuorumUnavailable", err)
 	}
 	// Drain wakes blocked waiters with a typed error.
@@ -756,6 +810,7 @@ func TestDualPrimarySameEpochResolves(t *testing.T) {
 		}
 		return out
 	}
+	clk := manualClock(t)
 	nodes := make(map[string]*Node)
 	stores := make(map[string]*storage.Store)
 	nodes["n1"], stores["n1"] = newClusterNode(t, fb, t.TempDir(), "n1", others("n1"), true, "")
@@ -767,15 +822,17 @@ func TestDualPrimarySameEpochResolves(t *testing.T) {
 		}
 	}
 	defer func() {
-		for _, a := range addrs {
-			nodes[a].Stop()
-		}
+		stepWhile(t, clk, "the nodes stopped", func() {
+			for _, a := range addrs {
+				nodes[a].Stop()
+			}
+		})
 		for _, a := range addrs {
 			stores[a].Close()
 		}
 	}()
 
-	waitNode(t, "exactly one primary with unanimous followers", 15*time.Second, func() bool {
+	waitNode(t, clk, "exactly one primary with unanimous followers", func() bool {
 		var primaries []string
 		for _, a := range addrs {
 			if nodes[a].Status().Role == RolePrimary {
@@ -840,7 +897,7 @@ func TestCorruptVoteFileRefusesStart(t *testing.T) {
 	n.Stop()
 }
 
-// A node without peers keeps the role it booted in: over three election
+// A node without peers keeps the role it booted in: over ten election
 // timeouts a follower whose primary is unreachable never stands, a primary
 // never probes, neither dials anyone but the follower its one leader, and
 // both refuse the election exchanges.
@@ -848,6 +905,7 @@ func TestNodeWithoutPeersIdles(t *testing.T) {
 	for _, primary := range []bool{true, false} {
 		name := map[bool]string{true: "primary", false: "follower"}[primary]
 		t.Run(name, func(t *testing.T) {
+			clk := manualClock(t)
 			reg := telemetry.NewRegistry()
 			fb := newFabric()
 			dir := t.TempDir()
@@ -868,7 +926,6 @@ func TestNodeWithoutPeersIdles(t *testing.T) {
 				},
 				InitialPrimary:  primary,
 				ElectionTimeout: testElectionTimeout,
-				FollowerOpts:    []FollowerOption{WithFollowerBackoff(5 * time.Millisecond)},
 				Telemetry:       reg,
 			}
 			wantDialed := 0
@@ -883,10 +940,10 @@ func TestNodeWithoutPeersIdles(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer n.Stop()
-			time.Sleep(3 * testElectionTimeout)
+			waitWindows(t, clk, 10)
 
 			if got := reg.Snapshot()["nnexus_elections_total"]; got != float64(0) {
-				t.Errorf("nnexus_elections_total = %v after 3 election timeouts, want 0", got)
+				t.Errorf("nnexus_elections_total = %v after 10 election timeouts, want 0", got)
 			}
 			dialMu.Lock()
 			if len(dialed) != wantDialed {

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/storage"
 	"nnexus/internal/wire"
 )
@@ -46,12 +47,10 @@ type Applier interface {
 
 // Follower replicates a primary's WAL into a local store and engine.
 type Follower struct {
-	store      *storage.Store
-	applier    Applier
-	name       string
-	wait       time.Duration
-	backoff    time.Duration
-	backoffMax time.Duration
+	store   *storage.Store
+	applier Applier
+	name    string
+	wait    time.Duration
 
 	mu    sync.Mutex
 	src   Source
@@ -97,28 +96,6 @@ func WithFollowerWait(d time.Duration) FollowerOption {
 	}
 }
 
-// WithFollowerBackoff sets the base pause after a failed exchange with the
-// primary (default 250ms). Consecutive failures back off exponentially from
-// this base, with full jitter, up to the WithFollowerMaxBackoff cap — so a
-// dead primary is not hammered in lockstep by every follower.
-func WithFollowerBackoff(d time.Duration) FollowerOption {
-	return func(f *Follower) {
-		if d > 0 {
-			f.backoff = d
-		}
-	}
-}
-
-// WithFollowerMaxBackoff caps the exponential resubscribe backoff (default
-// 4s).
-func WithFollowerMaxBackoff(d time.Duration) FollowerOption {
-	return func(f *Follower) {
-		if d > 0 {
-			f.backoffMax = d
-		}
-	}
-}
-
 // NewFollower assembles a follower over a local store (its durable replica
 // state), an optional engine applier, and a source connected to the
 // primary. Call Start to begin syncing.
@@ -135,8 +112,6 @@ func NewFollower(store *storage.Store, applier Applier, src Source, opts ...Foll
 		src:        src,
 		name:       "follower",
 		wait:       5 * time.Second,
-		backoff:    250 * time.Millisecond,
-		backoffMax: 4 * time.Second,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		retargeted: make(chan struct{}, 1),
@@ -279,7 +254,7 @@ func (f *Follower) syncLoop() {
 		f.synced = err == nil
 		f.lastErr = err
 		if err == nil {
-			f.lastContact = time.Now()
+			f.lastContact = clock.Now()
 		}
 		f.mu.Unlock()
 		if err == nil {
@@ -291,22 +266,26 @@ func (f *Follower) syncLoop() {
 			return
 		case <-f.retargeted:
 			failStreak = 0
-		case <-time.After(f.retryBackoff(failStreak)):
+		case <-clock.After(retryBackoff(failStreak)):
 			failStreak++
 		}
 	}
 }
 
+// The follower's retry backoff: a failed exchange with the primary is
+// retried after a pause that doubles from followerBackoff with each
+// consecutive failure, up to followerMaxBackoff, with full jitter, so a dead
+// primary is not hammered in lockstep by every follower.
+const (
+	followerBackoff    = 250 * time.Millisecond
+	followerMaxBackoff = 4 * time.Second
+)
+
 // retryBackoff returns the sleep before retrying after the n-th consecutive
-// failure (0-based): uniformly jittered in (0, min(backoff·2ⁿ, backoffMax)].
-func (f *Follower) retryBackoff(n int) time.Duration {
-	if n > 30 {
-		n = 30 // avoid shift overflow; the cap dominates long before this
-	}
-	d := f.backoff << uint(n)
-	if d <= 0 || d > f.backoffMax {
-		d = f.backoffMax
-	}
+// failure (0-based): uniformly jittered in (0, min(followerBackoff·2ⁿ,
+// followerMaxBackoff)].
+func retryBackoff(n int) time.Duration {
+	d := min(followerBackoff<<min(n, 5), followerMaxBackoff)
 	return time.Duration(rand.Int63n(int64(d))) + 1
 }
 

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/storage"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/wire"
@@ -61,9 +62,8 @@ func (e *NotPrimaryError) Error() string { return "not primary: " + e.reason }
 
 // followerState is the primary's accounting for one subscriber.
 type followerState struct {
-	acked    uint64
-	lastSeen time.Time
-	gauge    *telemetry.Gauge
+	acked uint64
+	gauge *telemetry.Gauge
 }
 
 // quorumWaiter is one write blocked in WaitQuorum: ch closes once k
@@ -137,7 +137,7 @@ func (p *Primary) Subscribe(from, epoch uint64, max int, wait time.Duration) (*w
 	if wait < 0 || wait > DefaultMaxWait {
 		wait = DefaultMaxWait
 	}
-	deadline := time.Now().Add(wait)
+	deadline := clock.Now().Add(wait)
 
 	// Register for append wakeups before the first read, so a record applied
 	// between the read and the wait cannot be missed.
@@ -167,11 +167,11 @@ func (p *Primary) Subscribe(from, epoch uint64, max int, wait time.Duration) (*w
 			}
 			return payload, nil
 		}
-		remaining := time.Until(deadline)
+		remaining := deadline.Sub(clock.Now())
 		if remaining <= 0 || p.Draining() {
 			return &wire.ReplPayload{Role: RolePrimary, Epoch: curEpoch, Head: head}, nil
 		}
-		timer := time.NewTimer(remaining)
+		timer := clock.NewTimer(remaining)
 		select {
 		case <-ch:
 		case <-p.drainCh:
@@ -213,7 +213,6 @@ func (p *Primary) Ack(follower string, offset uint64) {
 	if offset > st.acked {
 		st.acked = offset
 	}
-	st.lastSeen = time.Now()
 	lag := int64(0)
 	if head > st.acked {
 		lag = int64(head - st.acked)
@@ -277,11 +276,11 @@ func (p *Primary) WaitQuorum(offset uint64, k int, timeout time.Duration) error 
 	if k <= 0 {
 		return nil
 	}
-	start := time.Now()
+	start := clock.Now()
 	p.mu.Lock()
 	if p.ackedCountLocked(offset) >= k {
 		p.mu.Unlock()
-		p.quorumHist.Observe(time.Since(start).Seconds())
+		p.quorumHist.Observe(clock.Now().Sub(start).Seconds())
 		return nil
 	}
 	if p.draining {
@@ -292,11 +291,11 @@ func (p *Primary) WaitQuorum(offset uint64, k int, timeout time.Duration) error 
 	p.waiters = append(p.waiters, w)
 	p.mu.Unlock()
 
-	timer := time.NewTimer(timeout)
+	timer := clock.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case <-w.ch:
-		p.quorumHist.Observe(time.Since(start).Seconds())
+		p.quorumHist.Observe(clock.Now().Sub(start).Seconds())
 		return nil
 	case <-p.drainCh:
 		if !p.removeWaiter(w) {

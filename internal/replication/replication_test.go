@@ -49,7 +49,6 @@ func newTestFollower(t *testing.T, p *Primary, opts ...FollowerOption) (*storage
 	opts = append([]FollowerOption{
 		WithFollowerName("f1"),
 		WithFollowerWait(50 * time.Millisecond),
-		WithFollowerBackoff(10 * time.Millisecond),
 	}, opts...)
 	f, err := NewFollower(st, nil, localSource{p}, opts...)
 	if err != nil {
@@ -366,9 +365,10 @@ func (d deadSource) ReplAck(string, uint64, uint64) error { return errors.New("c
 // A follower sleeping off a dead primary's failures must reach the new
 // leader as soon as Retarget names it: the leader reads a follower's silence
 // as its own loss of quorum, and a backoff earned on the old primary can
-// outlast the election timeout. The backoff here is pinned at up to 10 s, so
-// contact within 500 ms can only come from Retarget waking the loop.
+// outlast the election timeout. The clock here never moves, so the backoff
+// never ends by itself: contact can only come from Retarget waking the loop.
 func TestRetargetWakesBackoff(t *testing.T) {
+	manualClock(t)
 	pst, p := newPrimary(t)
 	if err := pst.Put("t", "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -379,15 +379,16 @@ func TestRetargetWakesBackoff(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	dead := deadSource{calls: make(chan struct{}, 1)}
-	f, err := NewFollower(st, nil, dead,
-		WithFollowerName("f1"),
-		WithFollowerWait(50*time.Millisecond),
-		WithFollowerBackoff(10*time.Second),
-		WithFollowerMaxBackoff(10*time.Second))
+	f, err := NewFollower(st, nil, dead, WithFollowerName("f1"), WithFollowerWait(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(f.Stop)
+	// The new leader drains first: the follower's long-poll waits on a
+	// clock that never moves.
+	t.Cleanup(func() {
+		p.Drain()
+		f.Stop()
+	})
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}

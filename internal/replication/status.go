@@ -1,6 +1,6 @@
 package replication
 
-import "time"
+import "nnexus/internal/clock"
 
 // Status is what a node reports of its replication, read at one instant: its
 // role and the leader it recognizes, its two epochs, its place in the WAL
@@ -95,7 +95,7 @@ func (n *Node) Status() Status {
 			VotesSeen:                n.lastVotes,
 			VotedFor:                 n.votedFor,
 			Peers:                    len(n.peers),
-			LastLeaderContactSeconds: time.Since(n.lastHeardLocked()).Seconds(),
+			LastLeaderContactSeconds: clock.Now().Sub(n.lastHeardLocked()).Seconds(),
 		}
 	}
 	return st

@@ -6,29 +6,29 @@ import (
 	"testing"
 	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/storage"
 )
 
-// idleNode builds and registers a node whose election loop never fires
-// within a test, so that what Status reports holds still.
-func idleNode(t *testing.T, fb *fabric, self string, peers []string, primary bool, leader string) (*Node, *storage.Store) {
+// idleNode builds, registers and starts a node on clk, which the test never
+// advances but to stop a node: its election loop never fires, so that what
+// Status reports holds still.
+func idleNode(t *testing.T, clk *clock.Manual, fb *fabric, self string, peers []string, primary bool, leader string) (*Node, *storage.Store) {
 	t.Helper()
 	st, err := storage.Open(t.TempDir(), storage.WithReplication())
 	if err != nil {
 		t.Fatal(err)
 	}
 	n, err := NewNode(NodeConfig{
-		Self:            self,
-		Peers:           peers,
-		Store:           st,
-		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: self, addr: addr}, nil },
-		InitialPrimary:  primary,
-		InitialLeader:   leader,
-		ElectionTimeout: time.Hour,
+		Self:           self,
+		Peers:          peers,
+		Store:          st,
+		Dial:           func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: self, addr: addr}, nil },
+		InitialPrimary: primary,
+		InitialLeader:  leader,
 		FollowerOpts: []FollowerOption{
 			WithFollowerName(self),
 			WithFollowerWait(20 * time.Millisecond),
-			WithFollowerBackoff(5 * time.Millisecond),
 		},
 	})
 	if err != nil {
@@ -40,7 +40,7 @@ func idleNode(t *testing.T, fb *fabric, self string, peers []string, primary boo
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		n.Stop()
+		stepWhile(t, clk, self+" stopped", n.Stop)
 		st.Close()
 	})
 	return n, st
@@ -51,11 +51,12 @@ func idleNode(t *testing.T, fb *fabric, self string, peers []string, primary boo
 // on a primary, and the election part only in a failover cluster.
 func TestNodeStatus(t *testing.T) {
 	fb := newFabric()
+	clk := manualClock(t)
 
 	// A primary without peers and one follower of it: three records the
 	// follower applies, then two more after it stops, which it lags by.
-	prim, pst := idleNode(t, fb, "p", nil, true, "")
-	fol, _ := idleNode(t, fb, "f", nil, false, "p")
+	prim, pst := idleNode(t, clk, fb, "p", nil, true, "")
+	fol, _ := idleNode(t, clk, fb, "f", nil, false, "p")
 	put := func(k int) {
 		if err := pst.Put("t", fmt.Sprintf("k%d", k), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -64,20 +65,20 @@ func TestNodeStatus(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		put(k)
 	}
-	waitNode(t, "the follower applied 3 records", 5*time.Second, func() bool {
+	waitNode(t, clk, "the follower applied 3 records", func() bool {
 		st := fol.Status()
 		return st.Applied == 3 && st.Synced
 	})
 	histEpoch := pst.ReplicationEpoch()
 	follower := fol.Status()
-	fol.Stop()
+	stepWhile(t, clk, "the follower stopped", fol.Stop)
 	put(3)
 	put(4)
 
 	// A primary of a failover cluster, and another told of a newer term
 	// whose winner is not yet known: it steps down to no role object.
-	clustered, _ := idleNode(t, fb, "c1", []string{"c2", "c3"}, true, "")
-	between, bst := idleNode(t, fb, "d1", []string{"d2", "d3"}, true, "")
+	clustered, _ := idleNode(t, clk, fb, "c1", []string{"c2", "c3"}, true, "")
+	between, bst := idleNode(t, clk, fb, "d1", []string{"d2", "d3"}, true, "")
 	if err := between.HandleLead(9, ""); err != nil {
 		t.Fatal(err)
 	}

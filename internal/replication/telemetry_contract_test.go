@@ -24,12 +24,11 @@ func TestFailoverTelemetryExposition(t *testing.T) {
 	defer st.Close()
 	fb := newFabric()
 	n, err := NewNode(NodeConfig{
-		Self:            "voter",
-		Peers:           []string{"a", "b"},
-		Store:           st,
-		Dial:            func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
-		ElectionTimeout: time.Hour,
-		Telemetry:       reg,
+		Self:      "voter",
+		Peers:     []string{"a", "b"},
+		Store:     st,
+		Dial:      func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: "voter", addr: addr}, nil },
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,6 @@ func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *repl
 		FollowerOpts: []replication.FollowerOption{
 			replication.WithFollowerName("f1"),
 			replication.WithFollowerWait(100 * time.Millisecond),
-			replication.WithFollowerBackoff(20 * time.Millisecond),
 		},
 	})
 	if err != nil {

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/replication"
@@ -155,7 +156,7 @@ func (t *serverTelemetry) request(method string, start time.Time, failed bool) {
 	if failed {
 		t.errors.Inc()
 	}
-	t.duration.Observe(time.Since(start).Seconds())
+	t.duration.Observe(clock.Now().Sub(start).Seconds())
 }
 
 // Option configures a Server.
@@ -362,7 +363,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// EOF, from which the follower resumes at its applied offset.
 		p.Drain()
 	}
-	start := time.Now()
+	start := clock.Now()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -383,7 +384,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.tel.drainDuration.Observe(time.Since(start).Seconds())
+	s.tel.drainDuration.Observe(clock.Now().Sub(start).Seconds())
 	return err
 }
 
@@ -511,6 +512,7 @@ func (c *conn) send(resp *wire.Response) {
 		c.wmu.Unlock()
 		if c.s.writeTimeout > 0 {
 			// Every Write sets its own, so none is left behind to clear.
+			// It is on the wall clock, which the kernel compares it with.
 			_ = c.nc.SetWriteDeadline(time.Now().Add(c.s.writeTimeout))
 		}
 		_, err := c.nc.Write(buf)
@@ -544,7 +546,7 @@ func (s *Server) handleWithTimeout(req *wire.Request) *wire.Response {
 	}
 	ch := make(chan *wire.Response, 1)
 	go func() { ch <- s.handleAdmitted(req) }()
-	timer := time.NewTimer(s.handlerTimeout)
+	timer := clock.NewTimer(s.handlerTimeout)
 	defer timer.Stop()
 	select {
 	case resp := <-ch:
@@ -574,7 +576,7 @@ func (s *Server) Handle(req *wire.Request) *wire.Response {
 // loop, which has already admitted the request inline (admitting again would
 // charge the token bucket twice for one request).
 func (s *Server) handleAdmitted(req *wire.Request) (resp *wire.Response) {
-	start := time.Now()
+	start := clock.Now()
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/telemetry"
 )
 
@@ -443,7 +444,7 @@ func (s *Store) waitDurable(seq uint64) error {
 // Close, Compact or Sync committed it first — does not fsync.
 func (s *Store) commitOnce() {
 	if s.window > 0 {
-		time.Sleep(s.window)
+		<-clock.After(s.window)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

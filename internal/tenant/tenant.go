@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"nnexus/internal/clock"
 	"nnexus/internal/corpus"
 )
 
@@ -119,13 +120,12 @@ type Registry struct {
 	mu      sync.Mutex
 	cfg     Config
 	buckets map[string]*bucket
-	now     func() time.Time // injectable clock for tests
 }
 
 // NewRegistry builds a registry from a config. A zero Config admits
 // everything (useful as an "enforcement off" placeholder).
 func NewRegistry(cfg Config) *Registry {
-	r := &Registry{buckets: make(map[string]*bucket), now: time.Now}
+	r := &Registry{buckets: make(map[string]*bucket)}
 	r.install(cfg)
 	return r
 }
@@ -146,13 +146,6 @@ func LoadFile(path string) (Config, error) {
 		return Config{}, fmt.Errorf("tenant: read config: %w", err)
 	}
 	return Load(data)
-}
-
-// SetClock injects a clock (tests). Must be called before traffic.
-func (r *Registry) SetClock(now func() time.Time) {
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
 }
 
 // install swaps in a config, carrying over the fill level of every bucket
@@ -267,7 +260,7 @@ func (r *Registry) Allow(name string) error {
 		b = newBucket(p)
 		r.buckets[name] = b
 	}
-	now := r.now()
+	now := clock.Now()
 	if !b.last.IsZero() {
 		b.tokens += now.Sub(b.last).Seconds() * b.rate
 		if b.tokens > b.burst {

@@ -3,23 +3,20 @@ package tenant
 import (
 	"testing"
 	"time"
+
+	"nnexus/internal/clock"
 )
 
-// fakeClock is a manually advanced clock for deterministic bucket tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func newTestRegistry(cfg Config) (*Registry, *fakeClock) {
-	r := NewRegistry(cfg)
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	r.SetClock(clk.now)
-	return r, clk
+// newTestRegistry builds a registry whose buckets refill only as the test
+// advances the returned clock.
+func newTestRegistry(t *testing.T, cfg Config) (*Registry, *clock.Manual) {
+	clk := clock.NewManual(time.Unix(1000, 0))
+	t.Cleanup(clock.Install(clk))
+	return NewRegistry(cfg), clk
 }
 
 func TestAllowUnlimited(t *testing.T) {
-	r, _ := newTestRegistry(Config{})
+	r, _ := newTestRegistry(t, Config{})
 	for i := 0; i < 1000; i++ {
 		if err := r.Allow("anything"); err != nil {
 			t.Fatalf("unlimited corpus rejected: %v", err)
@@ -28,7 +25,7 @@ func TestAllowUnlimited(t *testing.T) {
 }
 
 func TestAllowBurstThenRefill(t *testing.T) {
-	r, clk := newTestRegistry(Config{Corpora: map[string]*Policy{
+	r, clk := newTestRegistry(t, Config{Corpora: map[string]*Policy{
 		"hot": {RatePerSec: 10, Burst: 5},
 	}})
 	for i := 0; i < 5; i++ {
@@ -51,7 +48,7 @@ func TestAllowBurstThenRefill(t *testing.T) {
 		t.Fatal("IsRateLimited false for RateLimitedError")
 	}
 	// 10 tokens/s: 100ms refills one token.
-	clk.advance(100 * time.Millisecond)
+	clk.Advance(100 * time.Millisecond)
 	if err := r.Allow("hot"); err != nil {
 		t.Fatalf("refilled token rejected: %v", err)
 	}
@@ -61,7 +58,7 @@ func TestAllowBurstThenRefill(t *testing.T) {
 }
 
 func TestAllowIsolatesCorpora(t *testing.T) {
-	r, _ := newTestRegistry(Config{Corpora: map[string]*Policy{
+	r, _ := newTestRegistry(t, Config{Corpora: map[string]*Policy{
 		"hot":  {RatePerSec: 1, Burst: 1},
 		"cold": {RatePerSec: 1000, Burst: 1000},
 	}})
@@ -80,7 +77,7 @@ func TestAllowIsolatesCorpora(t *testing.T) {
 }
 
 func TestDefaultPolicyPerCorpusBuckets(t *testing.T) {
-	r, _ := newTestRegistry(Config{Default: &Policy{RatePerSec: 1, Burst: 2}})
+	r, _ := newTestRegistry(t, Config{Default: &Policy{RatePerSec: 1, Burst: 2}})
 	// Two unknown corpora each get their own default-policy bucket.
 	for i := 0; i < 2; i++ {
 		if err := r.Allow("a"); err != nil {
@@ -96,7 +93,7 @@ func TestDefaultPolicyPerCorpusBuckets(t *testing.T) {
 }
 
 func TestReloadPreservesFill(t *testing.T) {
-	r, clk := newTestRegistry(Config{Corpora: map[string]*Policy{
+	r, clk := newTestRegistry(t, Config{Corpora: map[string]*Policy{
 		"hot": {RatePerSec: 1, Burst: 10},
 	}})
 	for i := 0; i < 10; i++ {
@@ -115,14 +112,14 @@ func TestReloadPreservesFill(t *testing.T) {
 		t.Fatal("reload granted a saturated tenant a free burst")
 	}
 	// But refill still works normally after the reload.
-	clk.advance(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if err := r.Allow("hot"); err != nil {
 		t.Fatalf("post-reload refill broken: %v", err)
 	}
 }
 
 func TestReloadChangesLimits(t *testing.T) {
-	r, _ := newTestRegistry(Config{Corpora: map[string]*Policy{
+	r, _ := newTestRegistry(t, Config{Corpora: map[string]*Policy{
 		"hot": {RatePerSec: 1, Burst: 1},
 	}})
 	if err := r.Allow("hot"); err != nil {
@@ -139,7 +136,7 @@ func TestReloadChangesLimits(t *testing.T) {
 }
 
 func TestCheckQuota(t *testing.T) {
-	r, _ := newTestRegistry(Config{Corpora: map[string]*Policy{
+	r, _ := newTestRegistry(t, Config{Corpora: map[string]*Policy{
 		"small": {MaxEntries: 2, MaxBytes: 100},
 	}})
 	if err := r.CheckQuota("small", 0, 0, 1, 10); err != nil {
@@ -196,7 +193,7 @@ func TestLoadConfigJSON(t *testing.T) {
 }
 
 func TestNormalizesEmptyCorpus(t *testing.T) {
-	r, _ := newTestRegistry(Config{Corpora: map[string]*Policy{
+	r, _ := newTestRegistry(t, Config{Corpora: map[string]*Policy{
 		"default": {RatePerSec: 1, Burst: 1},
 	}})
 	// "" resolves to the default corpus namespace.
