@@ -459,8 +459,9 @@ func TestCompilerDebouncesSustainedWrites(t *testing.T) {
 		}
 	}
 	// The map was populated before the compiler started: its first build
-	// does not wait for the debounce, so it needs no clock.
-	initial := poll("no initial build", 0, func(info AutomatonInfo) bool { return info.Compiled })
+	// does not wait for the debounce, so it needs no clock. A build counts
+	// once it is published, so poll on Builds, never on what it published.
+	initial := poll("no initial build", 0, func(info AutomatonInfo) bool { return info.Builds >= 1 })
 
 	for i := 0; i < 500; i++ {
 		m.AddObject(ObjectID(10000+i), []string{fmt.Sprintf("fresh label %d", i)})
@@ -470,11 +471,13 @@ func TestCompilerDebouncesSustainedWrites(t *testing.T) {
 	}
 	// Each round closes a window; the first closes the burst's unless the
 	// compiler had not yet opened it.
-	current := poll("automaton never caught up", debounce, func(info AutomatonInfo) bool {
-		return info.Generation == info.SnapshotGeneration
+	poll("automaton never caught up", debounce, func(info AutomatonInfo) bool {
+		return info.Builds == initial.Builds+1 && info.Generation == info.SnapshotGeneration
 	})
-	if current.Builds != initial.Builds+1 {
-		t.Errorf("%d builds after a burst inside one debounce window, want %d", current.Builds, initial.Builds+1)
+	// No write is pending, so further windows build nothing.
+	clk.Advance(3 * debounce)
+	if info := m.AutomatonInfo(); info.Builds != initial.Builds+1 {
+		t.Errorf("%d builds after a burst inside one debounce window, want %d", info.Builds, initial.Builds+1)
 	}
 }
 
