@@ -137,7 +137,7 @@ func newNamespace(name string) *namespace {
 	return &namespace{
 		name: name,
 		cmap: conceptmap.New(),
-		inv:  invindex.New(invindex.WithAutoCompact(512, invindex.DefaultCompactBelow)),
+		inv:  invindex.New(invindex.WithAutoCompact(invindex.DefaultCompactEvery, invindex.DefaultCompactBelow)),
 	}
 }
 

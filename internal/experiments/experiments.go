@@ -544,9 +544,10 @@ type MaintenanceRow struct {
 
 // RunMaintenance simulates growing the corpus one entry at a time. Under
 // the manual paradigm every existing entry must be re-inspected whenever
-// new concepts appear; under NNexus only the invalidation-index hits are.
+// new concepts appear; under NNexus only the invalidation-index hits are,
+// in an index built with the engine's options.
 func RunMaintenance(c *workload.Corpus, checkpoints []int) ([]MaintenanceRow, error) {
-	ix := invindex.New()
+	ix := invindex.New(invindex.WithAutoCompact(invindex.DefaultCompactEvery, invindex.DefaultCompactBelow))
 	var manual, auto int64
 	var rows []MaintenanceRow
 	next := 0

@@ -1,6 +1,7 @@
 package invindex
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -14,7 +15,7 @@ import (
 var equivVocab = []string{"ring", "group", "field", "ideal", "prime"}
 
 // equivProbes are asked after every op: every label of one and two words,
-// and some that run past the longest phrase bound the driver sets (5).
+// and some that run past the longest phrase bound runIndexOps draws (8).
 var equivProbes = func() []string {
 	var out []string
 	for _, a := range equivVocab {
@@ -26,7 +27,8 @@ var equivProbes = func() []string {
 	return append(out,
 		"ring ring ring", "ring group field", "prime ideal ring group",
 		"group group group group group", "field ideal prime ring group field",
-		"ring group field ideal prime ring group", "ring unseen", "unseen ring", "")
+		"ring group field ideal prime ring group", "ring ring ring ring ring ring ring ring ring",
+		"group field ideal prime ring group field ideal prime", "ring unseen", "unseen ring", "")
 }()
 
 // runIndexOps reads an op sequence off data and applies it to an Index and
@@ -43,7 +45,7 @@ func runIndexOps(t *testing.T, data []byte) {
 		data = data[1:]
 		return int(b)
 	}
-	maxLen := 1 + next()%5
+	maxLen := 1 + next()%8 // past 1+runMore: a new run takes more than one node
 	opts := []Option{WithMaxPhraseLen(maxLen)}
 	every, below := 0, 0
 	if auto := next(); auto%3 != 0 {
@@ -110,30 +112,37 @@ func runIndexOps(t *testing.T, data []byte) {
 			}
 			last = add(id, false)
 		}
-		got, want := ix.Stats(), ref.Stats()
-		got.Bytes = 0 // the reference does not account for itself
-		if got != want {
-			t.Fatalf("step %d: Stats = %+v, reference %+v", step, got, want)
-		}
-		if got, want := ix.Keys(), ref.Keys(); got != want {
-			t.Fatalf("step %d: Keys = %d, reference %d", step, got, want)
-		}
 		probes := slices.Clone(equivProbes)
-		for n := 1; n <= 7 && n <= len(last); n++ {
+		for n := 1; n <= 9 && n <= len(last); n++ {
 			for _, i := range []int{0, (len(last) - n) / 2, len(last) - n} {
 				probes = append(probes, strings.Join(last[i:i+n], " "))
 			}
 		}
-		for _, p := range probes {
-			if got, want := ix.Lookup(p), ref.Lookup(p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: Lookup(%q) = %v, reference %v", step, p, got, want)
-			}
-			if got, want := ix.LookupWordUnion(p), ref.LookupWordUnion(p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: LookupWordUnion(%q) = %v, reference %v", step, p, got, want)
-			}
-			if got, want := ix.Contains(p), ref.Contains(p); got != want {
-				t.Fatalf("step %d: Contains(%q) = %v, reference %v", step, p, got, want)
-			}
+		sameAnswers(t, fmt.Sprintf("step %d", step), ix, ref, probes)
+	}
+}
+
+// sameAnswers holds ix to ref on Stats, Keys and the three lookups of every
+// probe.
+func sameAnswers(t *testing.T, where string, ix *Index, ref *refIndex, probes []string) {
+	t.Helper()
+	got, want := ix.Stats(), ref.Stats()
+	got.Bytes = 0 // the reference does not account for itself
+	if got != want {
+		t.Fatalf("%s: Stats = %+v, reference %+v", where, got, want)
+	}
+	if got, want := ix.Keys(), ref.Keys(); got != want {
+		t.Fatalf("%s: Keys = %d, reference %d", where, got, want)
+	}
+	for _, p := range probes {
+		if got, want := ix.Lookup(p), ref.Lookup(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Lookup(%q) = %v, reference %v", where, p, got, want)
+		}
+		if got, want := ix.LookupWordUnion(p), ref.LookupWordUnion(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: LookupWordUnion(%q) = %v, reference %v", where, p, got, want)
+		}
+		if got, want := ix.Contains(p), ref.Contains(p); got != want {
+			t.Fatalf("%s: Contains(%q) = %v, reference %v", where, p, got, want)
 		}
 	}
 }
@@ -169,5 +178,62 @@ func TestIndexMatchesReference(t *testing.T) {
 		data := make([]byte, 600)
 		rand.New(rand.NewSource(seed)).Read(data)
 		runIndexOps(t, data)
+	}
+}
+
+// TestRunSplits walks into runs the three ways the fuzzer must keep
+// reaching, on Index and on the reference alike, and counts the nodes each
+// leaves (the root's included): a walk that stops inside a live run, one
+// that leaves a tombstoned run midway (and one that stops inside it, which
+// changes nothing and splits nothing), and a Remove and a re-add across a
+// split.
+func TestRunSplits(t *testing.T) {
+	const five = "ring group field ideal prime" // one fresh run per start
+	type op struct {
+		id      int64
+		text    string // "" removes id
+		compact int    // Compact(compact) instead, if not 0
+	}
+	for _, tc := range []struct {
+		name  string
+		ops   []op
+		nodes int
+	}{
+		{"stop inside a live run", []op{{id: 1, text: five}, {id: 2, text: "ring group field"}}, 12},
+		{"leave a tombstoned run", []op{
+			{id: 1, text: five}, {compact: 5}, {id: 2, text: "ring group field prime"}, {id: 3, text: "group field ideal"},
+		}, 15},
+		{"remove and re-add across a split", []op{
+			{id: 1, text: five}, {id: 2, text: "ring group field"}, {id: 1}, {id: 1, text: five},
+			{compact: 3}, {id: 2, text: "ring group"}, {id: 2}, {id: 2, text: "ring group field ideal"},
+		}, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, ref := New(), newRefIndex(DefaultMaxPhraseLen, 0, 0)
+			probes, words := slices.Clone(equivProbes), strings.Fields(five)
+			for i := range words {
+				for j := i + 1; j <= len(words); j++ {
+					probes = append(probes, strings.Join(words[i:j], " "))
+				}
+			}
+			for step, o := range tc.ops {
+				switch {
+				case o.compact != 0:
+					if got, want := ix.Compact(o.compact), ref.Compact(o.compact); got != want {
+						t.Fatalf("op %d: Compact(%d) = %d, reference %d", step, o.compact, got, want)
+					}
+				case o.text == "":
+					ix.Remove(o.id)
+					ref.Remove(o.id)
+				default:
+					ix.AddText(o.id, o.text)
+					ref.AddText(o.id, o.text)
+				}
+				sameAnswers(t, fmt.Sprintf("op %d", step), ix, ref, probes)
+			}
+			if nodes := len(ix.pages[0]); len(ix.pages) != 1 || nodes != tc.nodes {
+				t.Errorf("%d pages, %d nodes, want %d", len(ix.pages), nodes, tc.nodes)
+			}
+		})
 	}
 }

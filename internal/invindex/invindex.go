@@ -22,11 +22,14 @@
 // guaranteed complete (single words are never compacted).
 //
 // Representation: a word is its ID in the process's vocabulary (morph.Intern)
-// and every key is a node of one trie over them: the root's edges a slice
-// indexed by word ID, every other edge in one pointer-free open-addressing
-// table, the nodes pointer-free in a flat slice, a single posting inline in
-// its node and more in a sorted ID slice, an entry its word-ID sequence. No
-// key is ever materialised as a string.
+// and every key is in one path-compressed trie over them: a node is a run of
+// up to four keys, each the one before it extended by a word, that share one
+// state (count and postings), so a new n-gram and its extensions, new too,
+// are one node. The root's edges are a slice indexed by word ID, every other
+// edge is in one pointer-free open-addressing table, the nodes pointer-free
+// in fixed-size pages, a single posting inline in its node and more in a
+// sorted ID slice, an entry its word-ID sequence. No key is ever
+// materialised as a string.
 package invindex
 
 import (
@@ -50,16 +53,41 @@ const DefaultMaxPhraseLen = 5
 // ≥ 2) are dropped during compaction.
 const DefaultCompactBelow = 2
 
-// node is one key: the word or phrase its trie path from the root (node 0)
-// spells. Never deleted: its count and its tombstone outlive its postings.
+// DefaultCompactEvery is the auto-compaction period the engine runs its
+// indexes with: WithAutoCompact(DefaultCompactEvery, DefaultCompactBelow).
+const DefaultCompactEvery = 512
+
+// node is a run of keys: the word or phrase its trie path from the root
+// (node 0) spells, then that key extended by each word of more in turn, up
+// to the first 0 (no word's ID). The keys of a run share their count and
+// postings; a walk that would set them apart splits the run first. A root
+// child is one key, a word. Never deleted: its count and its tombstone
+// outlive its postings.
 type node struct {
 	count int32 // occurrences across all adds; tombstoned once compacted
 	// slot is an index into Index.lists, noSlot while the node has no
 	// postings, or -2 - object while object is its one posting (inlineSlot).
 	slot int32
+	more [runMore]int32
 }
 
+// runMore is how many keys a node holds beyond its first.
+const runMore = 3
+
+// pageSize is how many nodes a page holds: the nodes never move, so a
+// growing index copies none of them.
+const pageSize = 4096
+
 const tombstoned, noSlot = -1, -1
+
+// keys is the number of keys in nd's run.
+func (nd *node) keys() int {
+	n := 1
+	for n <= runMore && nd.more[n-1] != 0 {
+		n++
+	}
+	return n
+}
 
 // inlineSlot is the slot that holds object inline, if object is in
 // [0, MaxInt32-2]; any other ID is kept in a list.
@@ -75,15 +103,15 @@ func inlined(slot int32) int64 { return int64(-2 - slot) }
 
 // Index is the invalidation index. All methods are safe for concurrent use.
 type Index struct {
-	mu     sync.RWMutex
-	roots  []int32           // word ID → the root's child, 0 for none or past its end
-	edges  edgeTable         // parent node<<32 | word ID → child node, parent ≥ 1
-	nodes  []node            // nodes[0] is the root, the empty phrase
-	long   []uint64          // bit i: nodes[i] is two words or more, compaction may drop it
-	lists  [][]int64         // sorted object IDs, one list per node with two postings or more
-	free   []int32           // slots of lists given up by emptied, compacted or spilled nodes
-	docs   map[int64][]int32 // object → word-ID sequence of its text
-	inline int               // nodes whose one posting is inline
+	mu    sync.RWMutex
+	roots []int32           // word ID → the root's child, 0 for none or past its end
+	edges edgeTable         // parent node<<32 | word ID → child node, parent ≥ 1
+	pages [][]node          // node i is pages[i/pageSize][i%pageSize], node 0 the root, the empty phrase
+	long  []uint64          // bit i: node i's keys are phrases, compaction may drop them
+	lists [][]int64         // sorted object IDs, one list per node with two postings or more
+	free  []int32           // slots of lists given up by emptied, compacted or spilled nodes
+	docs  map[int64][]int32 // object → word-ID sequence of its text
+	keys  int               // keys that hold postings
 
 	tombstones   int
 	maxPhraseLen int
@@ -121,7 +149,7 @@ func WithAutoCompact(every, below int) Option {
 // New returns an empty invalidation index.
 func New(opts ...Option) *Index {
 	ix := &Index{
-		nodes:        []node{{slot: noSlot}},
+		pages:        [][]node{{{slot: noSlot}}}, // grown by append up to a page
 		long:         []uint64{0},
 		docs:         make(map[int64][]int32),
 		maxPhraseLen: DefaultMaxPhraseLen,
@@ -155,15 +183,18 @@ func (ix *Index) AddTokens(object int64, norms []string) {
 	ix.add(object, len(norms), func(i int) int32 { return morph.InternWord(norms[i]) })
 }
 
-// phrase reports whether nodes[i] spells two words or more.
+// node returns node i.
+func (ix *Index) node(i int32) *node { return &ix.pages[uint32(i)/pageSize][uint32(i)%pageSize] }
+
+// phrase reports whether node i's keys are two words or more.
 func (ix *Index) phrase(i int) bool { return ix.long[i/64]&(1<<(i%64)) != 0 }
 
 func edgeKey(parent, word int32) uint64 {
 	return uint64(parent)<<32 | uint64(uint32(word))
 }
 
-// child returns the node word leads to from node at, 0 for none: node 0 is
-// the root and never anyone's child.
+// child returns the node word leads to from the last key of node at, 0 for
+// none: node 0 is the root and never anyone's child.
 func (ix *Index) child(at, word int32) int32 {
 	if at == 0 {
 		if int(word) >= len(ix.roots) {
@@ -174,10 +205,16 @@ func (ix *Index) child(at, word int32) int32 {
 	return ix.edges.get(edgeKey(at, word))
 }
 
-// newChild adds the node word leads to from node at.
+// newChild adds a node of one key and no state, which word leads to from
+// node at; an edge at had on word leads there instead.
 func (ix *Index) newChild(at, word int32) int32 {
-	child := int32(len(ix.nodes))
-	ix.nodes = append(ix.nodes, node{slot: noSlot})
+	page := &ix.pages[len(ix.pages)-1]
+	if len(*page) == pageSize {
+		ix.pages = append(ix.pages, make([]node, 0, pageSize))
+		page = &ix.pages[len(ix.pages)-1]
+	}
+	child := int32((len(ix.pages)-1)*pageSize + len(*page))
+	*page = append(*page, node{slot: noSlot})
 	if child%64 == 0 {
 		ix.long = append(ix.long, 0)
 	}
@@ -208,33 +245,73 @@ func (ix *Index) add(object int64, n int, word func(i int) int32) {
 	}
 	ix.docs[object] = seq
 	for i := range seq {
-		at := int32(0)
-		// Once an n-gram is new so are its extensions: no need to probe.
-		fresh := false
-		for _, w := range seq[i:min(i+ix.maxPhraseLen, len(seq))] {
-			child := int32(0)
-			if !fresh {
-				child = ix.child(at, w)
-			}
-			if child == 0 {
-				child = ix.newChild(at, w)
-				fresh = true
-			}
-			at = child
-			nd := &ix.nodes[at]
-			if nd.count == tombstoned {
-				continue
-			}
-			if nd.count < math.MaxInt32 {
-				nd.count++
-			}
-			ix.postLocked(nd, object)
-		}
+		ix.countLocked(object, seq[i:min(i+ix.maxPhraseLen, len(seq))])
 	}
 	ix.adds++
 	if ix.autoEvery > 0 && ix.adds%ix.autoEvery == 0 {
 		ix.compactLocked(ix.autoBelow)
 	}
+}
+
+// countLocked counts and posts object under every prefix of ws, splitting a
+// run whose keys it would set apart: one it stops inside (unless tombstoned,
+// where nothing changes) or leaves midway. A tombstoned key is skipped; its
+// extensions are not.
+func (ix *Index) countLocked(object int64, ws []int32) {
+	at := int32(0)
+	// Once an n-gram is new so are its extensions: no need to probe, and
+	// they share its run.
+	fresh := false
+	for len(ws) > 0 {
+		next := int32(0)
+		if !fresh {
+			next = ix.child(at, ws[0])
+		}
+		n := 1 // the keys of next the walk takes
+		if next == 0 {
+			next, fresh = ix.newChild(at, ws[0]), true
+			if at != 0 {
+				n = min(len(ws), 1+runMore)
+				copy(ix.node(next).more[:], ws[1:n])
+			}
+		} else {
+			nd := ix.node(next)
+			for n < len(ws) && n <= runMore && nd.more[n-1] == ws[n] {
+				n++
+			}
+			if n < nd.keys() && (n < len(ws) || nd.count != tombstoned) {
+				next = ix.splitLocked(at, ws[0], next, n)
+			}
+		}
+		if nd := ix.node(next); nd.count != tombstoned {
+			if nd.count < math.MaxInt32 {
+				nd.count++
+			}
+			ix.postLocked(nd, object)
+		}
+		at, ws = next, ws[n:]
+	}
+}
+
+// splitLocked cuts the run of node at, which word leads to from parent,
+// after its first k keys (0 < k < its length). They become a new node, the
+// head, with a copy of the state, in at's place; at keeps the other keys
+// and its ID, which its children's edges use, under the head. It returns
+// the head.
+func (ix *Index) splitLocked(parent, word, at int32, k int) int32 {
+	head := ix.newChild(parent, word)
+	nd, hd := ix.node(at), ix.node(head)
+	hd.count = nd.count
+	copy(hd.more[:k-1], nd.more[:k-1])
+	ix.edges.put(edgeKey(head, nd.more[k-1]), at)
+	var rest [runMore]int32
+	copy(rest[:], nd.more[k:])
+	nd.more = rest
+	if hd.slot = nd.slot; nd.slot >= 0 {
+		hd.slot = ix.takeListLocked()
+		ix.lists[hd.slot] = append(ix.lists[hd.slot], ix.lists[nd.slot]...)
+	}
+	return head
 }
 
 // postLocked adds object to nd's postings. A node's first posting is inline
@@ -243,9 +320,9 @@ func (ix *Index) add(object int64, n int, word func(i int) int32) {
 func (ix *Index) postLocked(nd *node, object int64) {
 	switch {
 	case nd.slot == noSlot:
+		ix.keys += nd.keys()
 		if slot, ok := inlineSlot(object); ok {
 			nd.slot = slot
-			ix.inline++
 			return
 		}
 		nd.slot = ix.takeListLocked()
@@ -254,7 +331,6 @@ func (ix *Index) postLocked(nd *node, object int64) {
 		if single == object {
 			return
 		}
-		ix.inline--
 		nd.slot = ix.takeListLocked()
 		ix.lists[nd.slot] = append(ix.lists[nd.slot], single)
 	}
@@ -279,12 +355,11 @@ func (ix *Index) takeListLocked() int32 {
 
 // releaseLocked takes nd's postings away; a list's memory stays with its slot.
 func (ix *Index) releaseLocked(nd *node) {
-	if nd.slot < noSlot {
-		ix.inline--
-	} else {
+	if nd.slot >= 0 {
 		ix.lists[nd.slot] = ix.lists[nd.slot][:0]
 		ix.free = append(ix.free, nd.slot)
 	}
+	ix.keys -= nd.keys()
 	nd.slot = noSlot
 }
 
@@ -303,16 +378,19 @@ func (ix *Index) Remove(object int64) {
 	ix.removeLocked(object)
 }
 
-// removeLocked walks the object's n-grams as add did (every node on
-// the way exists) and withdraws the object's postings. Counts stay.
+// removeLocked walks the object's n-grams as add did (every key on the way
+// exists) and withdraws the object's postings. Counts stay. It never splits:
+// a run holds the object only if each of its keys was walked by one of the
+// object's n-grams, so each of them loses the object too.
 func (ix *Index) removeLocked(object int64) {
 	seq := ix.docs[object]
 	delete(ix.docs, object)
 	for i := range seq {
-		at := int32(0)
-		for _, w := range seq[i:min(i+ix.maxPhraseLen, len(seq))] {
-			at = ix.child(at, w)
-			nd := &ix.nodes[at]
+		ws := seq[i:min(i+ix.maxPhraseLen, len(seq))]
+		for at := int32(0); len(ws) > 0; {
+			at = ix.child(at, ws[0])
+			nd := ix.node(at)
+			ws = ws[min(nd.keys(), len(ws)):]
 			if nd.slot == noSlot {
 				continue
 			}
@@ -351,13 +429,21 @@ func labelWords(label string) []int32 {
 func (ix *Index) deepestLocked(words []int32) (deepest, last int32) {
 	deepest, last = noSlot, noSlot
 	at := int32(0)
-	for _, w := range words {
-		if at = ix.child(at, w); at == 0 {
+	for len(words) > 0 {
+		if at = ix.child(at, words[0]); at == 0 {
 			return deepest, noSlot
 		}
-		if last = ix.nodes[at].slot; last != noSlot {
+		nd := ix.node(at)
+		if last = nd.slot; last != noSlot {
 			deepest = last
 		}
+		n := 1
+		for ; n < len(words) && n <= runMore && nd.more[n-1] != 0; n++ {
+			if nd.more[n-1] != words[n] {
+				return deepest, noSlot
+			}
+		}
+		words = words[n:]
 	}
 	return deepest, last
 }
@@ -407,18 +493,21 @@ func (ix *Index) Compact(minCount int) int {
 	return ix.compactLocked(minCount)
 }
 
-// compactLocked is one pass over the node array. Only phrases that hold
-// postings are candidates: one emptied by Remove resumes from its count.
+// compactLocked is one pass over the nodes, which drops a run's keys
+// together. Only phrases that hold postings are candidates: one emptied by
+// Remove resumes from its count.
 func (ix *Index) compactLocked(minCount int) int {
 	removed := 0
-	for i := range ix.nodes {
-		nd := &ix.nodes[i]
-		if !ix.phrase(i) || nd.slot == noSlot || int(nd.count) >= minCount {
-			continue
+	for p, page := range ix.pages {
+		for j := range page {
+			nd := &page[j]
+			if !ix.phrase(p*pageSize+j) || nd.slot == noSlot || int(nd.count) >= minCount {
+				continue
+			}
+			removed += nd.keys()
+			ix.releaseLocked(nd)
+			nd.count = tombstoned
 		}
-		ix.releaseLocked(nd)
-		nd.count = tombstoned
-		removed++
 	}
 	ix.tombstones += removed
 	return removed
@@ -461,26 +550,29 @@ func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	s := Stats{Objects: len(ix.docs), Tombstones: ix.tombstones}
-	for i := range ix.nodes {
-		nd := &ix.nodes[i]
-		if nd.slot == noSlot {
-			continue
+	for p, page := range ix.pages {
+		for j := range page {
+			nd := &page[j]
+			if nd.slot == noSlot {
+				continue
+			}
+			keys, n := nd.keys(), 1
+			if nd.slot >= 0 {
+				n = len(ix.lists[nd.slot])
+			}
+			if ix.phrase(p*pageSize + j) {
+				s.PhraseKeys += keys
+				s.PhrasePostings += keys * n
+			} else {
+				s.WordKeys += keys
+				s.WordPostings += keys * n
+			}
+			s.Postings += keys * n
 		}
-		n := 1
-		if nd.slot >= 0 {
-			n = len(ix.lists[nd.slot])
-		}
-		if ix.phrase(i) {
-			s.PhraseKeys++
-			s.PhrasePostings += n
-		} else {
-			s.WordKeys++
-			s.WordPostings += n
-		}
-		s.Postings += n
+		s.Bytes += cap(page) * 20 // sizeof(node)
 	}
-	s.Bytes = cap(ix.edges.keys)*12 + cap(ix.roots)*4 + len(ix.docs)*docEntry +
-		cap(ix.nodes)*8 + cap(ix.long)*8 + cap(ix.lists)*24 + cap(ix.free)*4 // 8: sizeof(node)
+	s.Bytes += cap(ix.edges.keys)*12 + cap(ix.roots)*4 + len(ix.docs)*docEntry +
+		cap(ix.pages)*24 + cap(ix.long)*8 + cap(ix.lists)*24 + cap(ix.free)*4
 	for _, ids := range ix.lists {
 		s.Bytes += cap(ids) * 8
 	}
@@ -495,7 +587,7 @@ func (ix *Index) Stats() Stats {
 func (ix *Index) Keys() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.lists) - len(ix.free) + ix.inline // a list is a node's or free
+	return ix.keys
 }
 
 // Contains reports whether the exact key (word or phrase, raw form) is

@@ -356,7 +356,7 @@ func TestEmptyLookups(t *testing.T) {
 }
 
 // engineOptions are the options core.NewEngine builds its indexes with.
-var engineOptions = []Option{WithAutoCompact(512, DefaultCompactBelow)}
+var engineOptions = []Option{WithAutoCompact(DefaultCompactEvery, DefaultCompactBelow)}
 
 func generatedBodies(tb testing.TB, entries int) []string {
 	tb.Helper()
@@ -382,10 +382,12 @@ func heapAlloc() uint64 {
 // TestIndexBudget gates what the index costs, at the engine's options on the
 // benchmark's kind of text: the heap it holds per posting (the string-keyed
 // maps it replaced held 324 bytes here, the trie over a runtime map of edges
-// 84.6), that Stats.Bytes tells the truth about it, what building it allocates
-// (181k with the map of edges and a list per posting) and that indexing a text
-// into a warm index allocates next to nothing (it was some 300 allocations,
-// five keys per token).
+// 84.6, a node per key 46.9), the nodes it keeps per key it ever counted (one
+// node per key read 1.0, a run of keys per node 0.350), that Stats.Bytes
+// tells the truth about it, what building it allocates (181k with the map of
+// edges and a list per posting) and that indexing a text into a warm index
+// allocates next to nothing (it was some 300 allocations, five keys per
+// token).
 func TestIndexBudget(t *testing.T) {
 	bodies := generatedBodies(t, 1000)
 	build := func() *Index {
@@ -401,14 +403,26 @@ func TestIndexBudget(t *testing.T) {
 	st := ix.Stats()
 	perPosting := held / float64(st.Postings)
 	t.Logf("%d postings, %.0f bytes held (%.1f per posting), Stats.Bytes %d", st.Postings, held, perPosting, st.Bytes)
-	if perPosting > 53.5 {
-		t.Errorf("%.1f bytes of heap per posting, budget 53.5", perPosting)
+	if perPosting > 26.5 {
+		t.Errorf("%.1f bytes of heap per posting, budget 26.5", perPosting)
 	}
 	if ratio := float64(st.Bytes) / held; ratio < 1/1.25 || ratio > 1.25 {
 		t.Errorf("Stats.Bytes = %d, heap held = %.0f: off by more than 1.25x", st.Bytes, held)
 	}
-	if allocs := testing.AllocsPerRun(1, func() { build() }); allocs > 42000 {
-		t.Errorf("building the index: %.0f allocations, budget 42,000", allocs)
+	nodes, keys := 0, 0 // every key ever counted, tombstoned and emptied ones too
+	for _, page := range ix.pages {
+		for j := range page {
+			nodes, keys = nodes+1, keys+page[j].keys()
+		}
+	}
+	nodes, keys = nodes-1, keys-1 // less the root
+	perKey := float64(nodes) / float64(keys)
+	t.Logf("%d nodes for %d keys (%.3f a key)", nodes, keys, perKey)
+	if perKey > 0.385 {
+		t.Errorf("%.3f nodes per key, budget 0.385", perKey)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { build() }); allocs > 37400 {
+		t.Errorf("building the index: %.0f allocations, budget 37,400", allocs)
 	}
 	allocs := testing.AllocsPerRun(20, func() { ix.AddText(500, bodies[499]) })
 	if allocs > 8 {
@@ -497,7 +511,7 @@ func BenchmarkAddText(b *testing.B) {
 	}{
 		{"word", 1, 0, 0},
 		{"uncompacted", DefaultMaxPhraseLen, 0, 0},
-		{"adaptive", DefaultMaxPhraseLen, 512, DefaultCompactBelow},
+		{"adaptive", DefaultMaxPhraseLen, DefaultCompactEvery, DefaultCompactBelow},
 	} {
 		for _, impl := range []struct {
 			name string
