@@ -59,7 +59,7 @@ func TestRunBootsServesAndDrains(t *testing.T) {
 	}
 	conf := filepath.Join(dir, "nnexus.xml")
 	if err := os.WriteFile(conf, []byte(`<nnexus>
-	  <server data="`+data+`" max-conns="32" max-active="64" request-timeout="10s" drain-timeout="5s"/>
+	  <server data="`+data+`" max-conns="32" max-active="64" drain-timeout="5s"/>
 	  <tenants tenant-config="`+tenants+`"/>
 	  <domain name="planetmath.org" priority="1" scheme="msc"><urltemplate>http://pm/{id}</urltemplate></domain>
 	</nnexus>`), 0o644); err != nil {

@@ -160,16 +160,12 @@ type Config struct {
 	// MaxConns caps concurrently served TCP connections; excess connections
 	// are closed on accept (0 = unlimited).
 	MaxConns int
-	// MaxActive bounds concurrently executing requests per serving layer;
-	// excess requests are shed — a typed "overloaded" error on the socket,
-	// 503 + Retry-After over HTTP (0 = unlimited).
+	// MaxActive bounds the requests the node runs at once, socket and /api
+	// together; excess requests are shed before they run — a typed
+	// "overloaded" error on the socket, 503 + Retry-After over HTTP
+	// (0 = unlimited). Replication, election and liveness traffic, the
+	// probes and /metrics are never shed.
 	MaxActive int
-	// RequestTimeout bounds each socket request's handler execution; an
-	// expired handler answers a typed "timeout" error (0 = unlimited).
-	RequestTimeout time.Duration
-	// MaxPipeline bounds how many requests one connection may execute
-	// concurrently (0 = server default, 1 = sequential).
-	MaxPipeline int
 
 	// Listen, HTTP, Pprof and DrainTimeout are the hosting process's: the
 	// address it passes to Serve, the address it mounts HTTPHandler on,
@@ -200,9 +196,7 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 
 	fs.DurationVar(&c.DrainTimeout, "drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight requests before force-closing")
 	fs.IntVar(&c.MaxConns, "max-conns", 0, "cap on concurrent TCP connections (0 = unlimited)")
-	fs.IntVar(&c.MaxActive, "max-active", 0, "cap on concurrently executing requests before load shedding, per serving layer (0 = unlimited)")
-	fs.DurationVar(&c.RequestTimeout, "request-timeout", 0, "per-request handler deadline (0 = unlimited)")
-	fs.IntVar(&c.MaxPipeline, "max-pipeline", 0, "cap on concurrently executing requests per TCP connection (0 = server default, 1 = sequential)")
+	fs.IntVar(&c.MaxActive, "max-active", 0, "cap on requests the node runs at once, socket and HTTP together, before load shedding (0 = unlimited)")
 
 	fs.BoolVar(&c.ReplicationPrimary, "repl-primary", false, "serve as a replication primary: retain the WAL record log and answer follower subscriptions (requires -data)")
 	fs.StringVar(&c.FollowPrimary, "follow", "", "run as a read replica of the primary at this XML-protocol address (requires -data; writes answer a notPrimary redirect)")

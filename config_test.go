@@ -208,7 +208,6 @@ func TestConfigOneSpelling(t *testing.T) {
 		"data": filepath.Join(dir, "data"), "sync": "true", "group-commit-window": "3ms",
 		"scheme": owl, "scheme-name": "msc2000", "base": "7", "default-corpus": "pm",
 		"compile-automaton": "false", "drain-timeout": "9s", "max-conns": "11", "max-active": "12",
-		"request-timeout": "1m30s", "max-pipeline": "14",
 		"repl-primary": "true", "peers": "n1:7070, n2:7070", "advertise": "n0:7070",
 		"election-timeout": "750ms", "quorum-acks": "1", "quorum-timeout": "2s",
 		"tenant-config": tenants,
@@ -267,10 +266,12 @@ func TestConfigOneSpelling(t *testing.T) {
 		}
 	}
 
-	// A misspelt attribute, or a value the flag would refuse, is an error
-	// that names it.
+	// A misspelt or retired attribute, or a value the flag would refuse, is
+	// an error that names it.
 	for _, c := range []struct{ doc, want string }{
 		{`<nnexus><server adr="127.0.0.1:1"/></nnexus>`, "adr"},
+		{`<nnexus><server request-timeout="10s"/></nnexus>`, "request-timeout"},
+		{`<nnexus><server max-pipeline="14"/></nnexus>`, "max-pipeline"},
 		{`<nnexus><replication quorum-timeout="soon"/></nnexus>`, "quorum-timeout"},
 		{`<nnexus><server config="other.xml"/></nnexus>`, "config"},
 		{`<nnexus><scheme nmae="msc"/></nnexus>`, "nmae"},

@@ -24,7 +24,7 @@
 //
 // Every /api route runs the request pipeline of internal/service under the
 // name of its XML-protocol twin (POST /api/link is linkText, PUT
-// /api/entries/{id} is updateEntry, ...), so it is admitted, routed and
+// /api/entries/{id} is updateEntry, ...), so it is shed, admitted, routed and
 // acknowledged exactly as that method is over the socket; see fail for how
 // the pipeline's typed errors answer.
 //
@@ -32,13 +32,14 @@
 // request counts by endpoint and status class, latency histograms per
 // endpoint, and an in-flight gauge (see internal/telemetry).
 //
-// Resilience: API routes run behind panic recovery (a panicking handler
+// Resilience: every route runs behind panic recovery (a panicking handler
 // answers 500 and bumps nnexus_panics_recovered_total{layer="http"} instead
-// of killing the process) and, when WithMaxInFlight is set, load shedding
-// (503 + Retry-After once the in-flight bound is hit, counted in
-// nnexus_requests_shed_total{layer="http"}). Probe routes are never shed:
-// an overloaded server is still live, and readiness must stay observable
-// while draining.
+// of killing the process). An /api route holds one of the node's in-flight
+// slots (the service's MaxActive, which the socket server's requests take
+// too) from before its body is read, and with none free answers 503 +
+// Retry-After, counted in nnexus_requests_shed_total{layer="http"}. The
+// probes, /metrics and the form take no slot and are never shed: an
+// overloaded server is still live, observable and ready.
 package httpapi
 
 import (
@@ -55,7 +56,6 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/health"
-	"nnexus/internal/replication"
 	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/tenant"
@@ -64,26 +64,19 @@ import (
 
 // Handler serves the HTTP API for one engine.
 type Handler struct {
-	engine      *core.Engine
-	mux         *http.ServeMux
-	reg         *telemetry.Registry
-	health      *health.State
-	maxInFlight int64
-	res         *resilience
+	engine *core.Engine
+	mux    *http.ServeMux
+	reg    *telemetry.Registry
+	health *health.State
 
-	// svc runs every route's admit, route and acknowledge stages under the
-	// node's one policy, the value the TCP layer holds too.
+	// svc runs every route's shed, admit, route and acknowledge stages
+	// under the node's one policy, the value the TCP layer holds too.
 	svc *service.Service
-}
 
-// Option customises a Handler.
-type Option func(*Handler)
-
-// WithMaxInFlight bounds concurrently served API requests; excess requests
-// are shed with 503 + Retry-After instead of queueing without bound.
-// n <= 0 (the default) disables shedding.
-func WithMaxInFlight(n int) Option {
-	return func(h *Handler) { h.maxInFlight = int64(n) }
+	// The shed and panic families are shared with the TCP server (same
+	// names, "layer" label), so one dashboard covers both serving layers.
+	shed   *telemetry.Counter // nnexus_requests_shed_total{layer="http"}
+	panics *telemetry.Counter // nnexus_panics_recovered_total{layer="http"}
 }
 
 // New builds the HTTP handler in front of a node's service: every /api
@@ -94,41 +87,48 @@ func WithMaxInFlight(n int) Option {
 // confirmations answers 503 "quorumUnavailable". st backs the /healthz and
 // /readyz probes; nil reports the process as ready. Routes share the engine's
 // telemetry registry.
-func New(svc *service.Service, st *health.State, opts ...Option) *Handler {
+func New(svc *service.Service, st *health.State) *Handler {
 	engine := svc.Engine()
 	reg := engine.Telemetry()
-	h := &Handler{engine: engine, mux: http.NewServeMux(), reg: reg, health: st, svc: svc}
-	for _, opt := range opts {
-		opt(h)
+	h := &Handler{engine: engine, mux: http.NewServeMux(), reg: reg, health: st, svc: svc,
+		shed: reg.CounterVec("nnexus_requests_shed_total",
+			"Requests rejected by load shedding, by serving layer.", "layer").With("http"),
+		panics: reg.CounterVec("nnexus_panics_recovered_total",
+			"Handler panics recovered into error responses, by serving layer.", "layer").With("http"),
 	}
-	h.res = newResilience(reg, h.maxInFlight)
 	m := newHTTPMetrics(reg)
 	routes := []struct {
 		pattern string // method + route, for mux registration
 		label   string // endpoint label (route only, metrics-friendly)
+		// twin is the wire method an /api route runs as, and takes an
+		// in-flight slot under; "" for the routes never shed.
+		twin    string
 		handler http.HandlerFunc
 	}{
-		{"GET /{$}", "/", h.form},
-		{"POST /api/link", "/api/link", h.link},
-		{"POST /api/entries", "/api/entries", h.createEntry},
-		{"GET /api/entries/{id}", "/api/entries/{id}", h.getEntry},
-		{"PUT /api/entries/{id}", "/api/entries/{id}", h.updateEntry},
-		{"DELETE /api/entries/{id}", "/api/entries/{id}", h.removeEntry},
-		{"GET /api/entries/{id}/linked", "/api/entries/{id}/linked", h.linkedEntry},
-		{"PUT /api/entries/{id}/policy", "/api/entries/{id}/policy", h.setPolicy},
-		{"GET /api/invalidated", "/api/invalidated", h.invalidated},
-		{"POST /api/relink", "/api/relink", h.relink},
-		{"GET /api/stats", "/api/stats", h.stats},
-		{"POST /api/import", "/api/import", h.importOAI},
-		{"GET /metrics", "/metrics", h.metrics},
+		{"GET /{$}", "/", "", h.form},
+		{"POST /api/link", "/api/link", wire.MethodLinkText, h.link},
+		{"POST /api/entries", "/api/entries", wire.MethodAddEntry, h.createEntry},
+		{"GET /api/entries/{id}", "/api/entries/{id}", wire.MethodGetEntry, h.getEntry},
+		{"PUT /api/entries/{id}", "/api/entries/{id}", wire.MethodUpdateEntry, h.updateEntry},
+		{"DELETE /api/entries/{id}", "/api/entries/{id}", wire.MethodRemoveEntry, h.removeEntry},
+		{"GET /api/entries/{id}/linked", "/api/entries/{id}/linked", wire.MethodLinkEntry, h.linkedEntry},
+		{"PUT /api/entries/{id}/policy", "/api/entries/{id}/policy", wire.MethodSetPolicy, h.setPolicy},
+		{"GET /api/invalidated", "/api/invalidated", wire.MethodInvalidated, h.invalidated},
+		{"POST /api/relink", "/api/relink", wire.MethodRelink, h.relink},
+		{"GET /api/stats", "/api/stats", wire.MethodStats, h.stats},
+		{"POST /api/import", "/api/import", wire.MethodAddEntries, h.importOAI},
+		{"GET /metrics", "/metrics", "", h.metrics},
+		{"GET /healthz", "/healthz", "", h.healthz},
+		{"GET /readyz", "/readyz", "", h.readyz},
 	}
 	for _, rt := range routes {
-		h.mux.HandleFunc(rt.pattern, h.res.protect(m.instrument(rt.label, rt.handler)))
+		handler := m.instrument(rt.label, rt.handler)
+		if rt.twin == "" {
+			h.mux.HandleFunc(rt.pattern, h.recovered(handler))
+		} else {
+			h.mux.HandleFunc(rt.pattern, h.protect(rt.twin, handler))
+		}
 	}
-	// Probes bypass shedding (but keep panic recovery): liveness and
-	// readiness must answer even when the API is saturated or draining.
-	h.mux.HandleFunc("GET /healthz", h.res.recoverOnly(m.instrument("/healthz", h.healthz)))
-	h.mux.HandleFunc("GET /readyz", h.res.recoverOnly(m.instrument("/readyz", h.readyz)))
 	return h
 }
 
@@ -159,30 +159,41 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// fail answers an error: each typed error of the request pipeline has its
-// own status and "code" (of them only quorumUnavailable means the request
-// executed), anything else answers fallback, the status the route gives its
-// engine call's own errors. What the call reported before the failure — the
-// id of an entry that applied but missed its quorum, the count an import got
-// to — is kept in the body.
-func fail(w http.ResponseWriter, err error, fallback int, partial interface{}) {
-	var limited *tenant.RateLimitedError
-	var notPrimary *replication.NotPrimaryError
+// codeStatus is the HTTP status of each code service.Code names that a route
+// can earn; of them only quorumUnavailable means the request executed.
+var codeStatus = map[string]int{
+	wire.CodeOverloaded:        http.StatusServiceUnavailable,
+	wire.CodeRateLimited:       http.StatusTooManyRequests,
+	wire.CodeQuotaExceeded:     http.StatusForbidden, // an unchanged retry fails again
+	wire.CodeNotPrimary:        http.StatusForbidden, // retry the write at the leader
+	wire.CodeQuorumUnavailable: http.StatusServiceUnavailable,
+}
+
+// fail answers an error: a typed error of the request pipeline carries the
+// "code" and leader service.Code names for it, under that code's status;
+// anything else answers fallback, the status the route gives its engine
+// call's own errors. What the call reported before the failure — the id of
+// an entry that applied but missed its quorum, the count an import got to —
+// is kept in the body.
+func (h *Handler) fail(w http.ResponseWriter, err error, fallback int, partial interface{}) {
 	status, body := fallback, map[string]interface{}{"error": err.Error()}
+	if code, leader := h.svc.Code(err); code != "" {
+		body["code"] = code
+		if s, ok := codeStatus[code]; ok {
+			status = s
+		}
+		if leader != "" || code == wire.CodeNotPrimary {
+			body["leader"] = leader
+		}
+	}
+	// Refused before it ran: the client may retry after the bucket's
+	// backoff, or a second for a free slot.
+	var limited *tenant.RateLimitedError
 	switch {
 	case errors.As(err, &limited):
-		// The engine never ran, so the client may retry after the backoff.
 		w.Header().Set("Retry-After", strconv.Itoa(int(limited.RetryAfter/time.Second)+1))
-		status, body["code"] = http.StatusTooManyRequests, wire.CodeRateLimited
-	case tenant.IsQuotaExceeded(err):
-		// Rejected before execution, but an unchanged retry cannot succeed.
-		status, body["code"] = http.StatusForbidden, wire.CodeQuotaExceeded
-	case errors.As(err, &notPrimary):
-		// As the wire protocol's notPrimary: retry the write at the leader.
-		status, body["code"] = http.StatusForbidden, wire.CodeNotPrimary
-		body["leader"] = notPrimary.Leader
-	case errors.Is(err, replication.ErrQuorumUnavailable):
-		status, body["code"] = http.StatusServiceUnavailable, wire.CodeQuorumUnavailable
+	case errors.Is(err, service.ErrOverloaded):
+		w.Header().Set("Retry-After", "1")
 	}
 	if fields, ok := partial.(map[string]interface{}); ok {
 		for k, v := range fields {
@@ -201,7 +212,7 @@ func (h *Handler) serve(w http.ResponseWriter, req service.Request, ok, fallback
 		return err
 	})
 	if err != nil {
-		fail(w, err, fallback, reply)
+		h.fail(w, err, fallback, reply)
 		return
 	}
 	writeJSON(w, ok, reply)

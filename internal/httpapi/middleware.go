@@ -4,74 +4,50 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
-	"sync/atomic"
 
 	"nnexus/internal/clock"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/wire"
 )
 
-// resilience guards API routes: an optional in-flight bound shed with
-// 503 + Retry-After, and panic recovery that converts a poisoned request
-// into a 500 and a counter bump instead of a dead process. The shed and
-// panic counter families are shared with the TCP server (same names,
-// "layer" label), so one dashboard covers both serving layers.
-type resilience struct {
-	maxInFlight int64 // 0 disables shedding
-	active      atomic.Int64
-	shed        *telemetry.Counter // nnexus_requests_shed_total{layer="http"}
-	panics      *telemetry.Counter // nnexus_panics_recovered_total{layer="http"}
-}
-
-func newResilience(reg *telemetry.Registry, maxInFlight int64) *resilience {
-	return &resilience{
-		maxInFlight: maxInFlight,
-		shed: reg.CounterVec("nnexus_requests_shed_total",
-			"Requests rejected by load shedding, by serving layer.", "layer").With("http"),
-		panics: reg.CounterVec("nnexus_panics_recovered_total",
-			"Handler panics recovered into error responses, by serving layer.", "layer").With("http"),
-	}
-}
-
-// protect wraps an API route with shedding and panic recovery.
-func (rs *resilience) protect(next http.HandlerFunc) http.HandlerFunc {
+// protect wraps an /api route, the twin of wire method method: it takes the
+// node's in-flight slot for the request before its body is read, so a body
+// still arriving holds one, and gives it back when the handler returns, panic
+// or not. With every slot taken it answers 503 + Retry-After, counted in
+// nnexus_requests_shed_total{layer="http"}, the family the socket server
+// counts its own into under layer "tcp".
+func (h *Handler) protect(method string, next http.HandlerFunc) http.HandlerFunc {
+	next = h.recovered(next)
 	return func(w http.ResponseWriter, r *http.Request) {
-		if rs.maxInFlight > 0 {
-			if rs.active.Add(1) > rs.maxInFlight {
-				rs.active.Add(-1)
-				rs.shed.Inc()
-				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-					"error": "server overloaded, retry later", "code": wire.CodeOverloaded})
-				return
-			}
-			defer rs.active.Add(-1)
-		}
-		rs.serveRecovered(next, w, r)
-	}
-}
-
-// recoverOnly wraps a probe route: panic recovery without shedding.
-func (rs *resilience) recoverOnly(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rs.serveRecovered(next, w, r)
-	}
-}
-
-func (rs *resilience) serveRecovered(next http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		rec := recover()
-		if rec == nil {
+		if err := h.svc.Enter(method); err != nil {
+			h.shed.Inc()
+			h.fail(w, err, http.StatusServiceUnavailable, nil)
 			return
 		}
-		rs.panics.Inc()
-		log.Printf("httpapi: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
-		// Best effort: if the handler already wrote a status, the conn is
-		// in an unknown state and this write is ignored by net/http.
-		writeJSON(w, http.StatusInternalServerError, map[string]string{
-			"error": "internal server error", "code": wire.CodeInternal})
-	}()
-	next(w, r)
+		defer h.svc.Leave(method)
+		next(w, r)
+	}
+}
+
+// recovered wraps a route with panic recovery: a poisoned request answers
+// 500 and bumps nnexus_panics_recovered_total{layer="http"} instead of
+// killing the process.
+func (h *Handler) recovered(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			rec := recover()
+			if rec == nil {
+				return
+			}
+			h.panics.Inc()
+			log.Printf("httpapi: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
+			// Best effort: if the handler already wrote a status, the conn
+			// is in an unknown state and this write is ignored by net/http.
+			writeJSON(w, http.StatusInternalServerError, map[string]string{
+				"error": "internal server error", "code": wire.CodeInternal})
+		}()
+		next(w, r)
+	}
 }
 
 // httpMetrics instruments the API's request handling: per-endpoint request

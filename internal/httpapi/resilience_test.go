@@ -89,15 +89,25 @@ func TestHealthProbesDefaultReady(t *testing.T) {
 	}
 }
 
-// TestHTTPLoadShedding saturates a WithMaxInFlight(1) handler with a request
-// whose body never arrives, then verifies the next request is shed with
-// 503 + Retry-After while probes keep answering, and that the slot frees.
+// boundedHandler is a handler in front of a node that runs at most
+// maxActive requests at once.
+func boundedHandler(t *testing.T, engine *core.Engine, maxActive int) *Handler {
+	t.Helper()
+	svc := service.New(engine)
+	svc.MaxActive = maxActive
+	return New(svc, nil)
+}
+
+// TestHTTPLoadShedding saturates a node bounded at one request in flight
+// with a request whose body never arrives, then verifies the next request is
+// shed with 503 + Retry-After while probes, /metrics and the form keep
+// answering, and that the slot frees.
 func TestHTTPLoadShedding(t *testing.T) {
 	engine, err := core.NewEngine(core.Config{Scheme: classification.SampleMSC(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(service.New(engine), nil, WithMaxInFlight(1))
+	h := boundedHandler(t, engine, 1)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -114,7 +124,8 @@ func TestHTTPLoadShedding(t *testing.T) {
 		done <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for h.res.active.Load() == 0 {
+	inFlight := engine.Telemetry().Gauge("nnexus_http_in_flight_requests", "")
+	for inFlight.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("blocking request never became in-flight")
 		}
@@ -137,12 +148,12 @@ func TestHTTPLoadShedding(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("shed response missing Retry-After header")
 	}
-	if got := h.res.shed.Value(); got != 1 {
+	if got := h.shed.Value(); got != 1 {
 		t.Errorf("shed counter = %v, want 1", got)
 	}
 
-	// Probes are exempt from shedding.
-	for _, path := range []string{"/healthz", "/readyz"} {
+	// Probes, the scrape and the form take no slot.
+	for _, path := range []string{"/healthz", "/readyz", "/metrics", "/"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -171,13 +182,17 @@ func TestHTTPLoadShedding(t *testing.T) {
 }
 
 // TestHTTPPanicRecovered runs a panicking handler through the full
-// middleware chain: the response is a 500, the panic counter bumps, and the
-// in-flight gauge does not leak.
+// middleware chain of a node bounded at one request in flight: the response
+// is a 500, the panic counter bumps, and neither the in-flight gauge nor the
+// node's one slot leaks.
 func TestHTTPPanicRecovered(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	rs := newResilience(reg, 0)
-	m := newHTTPMetrics(reg)
-	wrapped := rs.protect(m.instrument("/boom", func(w http.ResponseWriter, r *http.Request) {
+	engine, err := core.NewEngine(core.Config{Scheme: classification.SampleMSC(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := boundedHandler(t, engine, 1)
+	m := newHTTPMetrics(engine.Telemetry())
+	wrapped := h.protect(wire.MethodLinkText, m.instrument("/boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("poisoned request")
 	}))
 
@@ -189,19 +204,18 @@ func TestHTTPPanicRecovered(t *testing.T) {
 	if body := rec.Body.String(); !strings.Contains(body, `"code":"`+wire.CodeInternal+`"`) {
 		t.Errorf("panic answer %s is not typed %q", body, wire.CodeInternal)
 	}
-	if got := rs.panics.Value(); got != 1 {
+	if got := h.panics.Value(); got != 1 {
 		t.Errorf("panics counter = %v, want 1", got)
 	}
 	if got := m.inFlight.Value(); got != 0 {
 		t.Errorf("in-flight gauge leaked: %v, want 0", got)
 	}
 
-	// The wrapper is reusable after a panic.
+	// The slot came back: the node's only one serves the next request.
 	rec = httptest.NewRecorder()
-	okHandler := rs.recoverOnly(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNoContent) })
-	okHandler(rec, httptest.NewRequest("GET", "/fine", nil))
-	if rec.Code != http.StatusNoContent {
-		t.Errorf("handler after recovered panic answered %d, want 204", rec.Code)
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/stats", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("request after a recovered panic answered %d, want 200: the panic kept its slot", rec.Code)
 	}
 }
 
@@ -257,7 +271,7 @@ func TestChaosHTTPShedUnderLoadRecovers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	h := New(service.New(engine), nil, WithMaxInFlight(2))
+	h := boundedHandler(t, engine, 2)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -296,7 +310,7 @@ func TestChaosHTTPShedUnderLoadRecovers(t *testing.T) {
 	if failures.Load() != 0 {
 		t.Fatalf("%d requests failed under overload", failures.Load())
 	}
-	if h.res.shed.Value() == 0 {
+	if h.shed.Value() == 0 {
 		t.Skip("no request was shed; overload not reached on this machine")
 	}
 }

@@ -182,7 +182,7 @@ func TestChaosConnKilledMidRequest(t *testing.T) {
 // overloaded error, the self-healing clients retry them after backoff,
 // and every call eventually lands.
 func TestChaosSheddingUnderOverloadRecovers(t *testing.T) {
-	srv, addr := newTestServer(t, WithMaxActiveRequests(2))
+	srv, addr := newBoundedServer(t, 2)
 	gate := make(chan struct{}, 2)
 	srv.testHook = func(req *wire.Request) {
 		if req.Method == wire.MethodLinkText {

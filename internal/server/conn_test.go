@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"nnexus/internal/service"
 	"nnexus/internal/wire"
 )
 
@@ -192,16 +193,17 @@ func TestShutdownFlushesFullWindow(t *testing.T) {
 	}
 }
 
-// TestMaxRequestBytesIsPerMessage: the limit is charged on the message, not
-// on what the reader happened to pull with it. A request of exactly the
-// limit passes when it arrives in one segment behind another request; one
+// TestMaxRequestBytesIsPerMessage: service.MaxRequestBytes is charged on the
+// message, not on what the reader happened to pull with it. A request of
+// exactly the limit between two others, together past it, is served; one
 // byte more closes the connection; and neither depends on how the bytes are
 // cut into segments.
 func TestMaxRequestBytesIsPerMessage(t *testing.T) {
-	const limit = 700
-	_, addr := newTestServer(t, WithMaxRequestBytes(limit))
+	const limit = service.MaxRequestBytes
+	_, addr := newTestServer(t)
 	message := func(size int) []byte {
-		req := &wire.Request{Seq: 2, Method: wire.MethodLinkText}
+		// A ping ignores the text it carries, so the server only reads it.
+		req := &wire.Request{Seq: 2, Method: wire.MethodPing}
 		frame, _ := wire.Append(nil, req)
 		req.Text = strings.Repeat("x", size-(len(frame)-1)-len("<text></text>"))
 		frame, _ = wire.Append(nil, req)
@@ -211,7 +213,7 @@ func TestMaxRequestBytesIsPerMessage(t *testing.T) {
 		return frame
 	}
 	ping, _ := wire.Append(nil, &wire.Request{Seq: 1, Method: wire.MethodPing})
-	for _, segment := range []int{0, 1, 97} { // 0: one write
+	for _, segment := range []int{0, 1<<16 + 1, 1<<16 + 97} { // 0: one write
 		for _, size := range []int{limit, limit + 1} {
 			t.Run(fmt.Sprintf("size=%d/segment=%d", size, segment), func(t *testing.T) {
 				rc := dialRaw(t, addr)

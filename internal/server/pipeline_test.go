@@ -1,7 +1,7 @@
 package server
 
 // Per-connection pipelining tests: concurrent dispatch with out-of-order
-// completion, the WithMaxPipeline bound, wire-level batch methods, and
+// completion, the DefaultMaxPipeline bound, wire-level batch methods, and
 // stop-and-wait compatibility.
 
 import (
@@ -62,11 +62,11 @@ func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 }
 
 // TestMaxPipelineBoundsConcurrency: one connection may never have more than
-// WithMaxPipeline(n) requests executing at once; excess requests wait in
-// the reader.
+// DefaultMaxPipeline requests executing at once; excess requests wait in the
+// reader.
 func TestMaxPipelineBoundsConcurrency(t *testing.T) {
-	const bound = 2
-	srv, addr := newTestServer(t, WithMaxPipeline(bound))
+	const bound = DefaultMaxPipeline
+	srv, addr := newTestServer(t)
 	var cur, peak atomic.Int64
 	srv.testHook = func(req *wire.Request) {
 		if req.Method != wire.MethodPing {
@@ -79,7 +79,7 @@ func TestMaxPipelineBoundsConcurrency(t *testing.T) {
 				break
 			}
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond)
 		cur.Add(-1)
 	}
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
@@ -88,7 +88,7 @@ func TestMaxPipelineBoundsConcurrency(t *testing.T) {
 	}
 	defer conn.Close()
 	enc, dec := wire.NewEncoder(conn), wire.NewDecoder(conn)
-	const total = 8
+	const total = 3 * bound
 	for seq := int64(1); seq <= total; seq++ {
 		if err := enc.Encode(&wire.Request{Method: wire.MethodPing, Seq: seq}); err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestMaxPipelineBoundsConcurrency(t *testing.T) {
 		t.Errorf("peak per-connection concurrency = %d, want ≤ %d", p, bound)
 	}
 	if p := peak.Load(); p < bound {
-		t.Errorf("peak per-connection concurrency = %d; pipelining never overlapped requests", p)
+		t.Errorf("peak per-connection concurrency = %d; pipelining never filled its window of %d", p, bound)
 	}
 }
 

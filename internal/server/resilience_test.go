@@ -21,11 +21,20 @@ import (
 // returns it with its bound address.
 func newTestServer(t *testing.T, opts ...Option) (*Server, string) {
 	t.Helper()
+	return newBoundedServer(t, 0, opts...)
+}
+
+// newBoundedServer is newTestServer for a node that runs at most maxActive
+// requests at once (the service's MaxActive; 0 = unbounded).
+func newBoundedServer(t *testing.T, maxActive int, opts ...Option) (*Server, string) {
+	t.Helper()
 	engine, err := core.NewEngine(core.Config{Scheme: classification.SampleMSC(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(service.New(engine), nil, opts...)
+	svc := service.New(engine)
+	svc.MaxActive = maxActive
+	srv := New(svc, nil, opts...)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +95,7 @@ func TestPanicRecovered(t *testing.T) {
 }
 
 func TestLoadSheddingOverActiveBound(t *testing.T) {
-	srv, addr := newTestServer(t, WithMaxActiveRequests(1))
+	srv, addr := newBoundedServer(t, 1)
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
 	srv.testHook = func(req *wire.Request) {
@@ -112,7 +121,7 @@ func TestLoadSheddingOverActiveBound(t *testing.T) {
 
 	// A second connection's request is shed with a typed error, fast.
 	other := dialRaw(t, addr)
-	resp := other.call(t, &wire.Request{Method: wire.MethodPing, Seq: 1})
+	resp := other.call(t, &wire.Request{Method: wire.MethodStats, Seq: 1})
 	if resp.IsOK() || resp.Code != wire.CodeOverloaded {
 		t.Fatalf("over-bound request answered %+v, want overloaded", resp)
 	}
@@ -125,8 +134,8 @@ func TestLoadSheddingOverActiveBound(t *testing.T) {
 	if resp := <-done; resp == nil || !resp.IsOK() {
 		t.Fatalf("held request answered %+v, want ok", resp)
 	}
-	if resp := other.call(t, &wire.Request{Method: wire.MethodPing, Seq: 2}); !resp.IsOK() {
-		t.Fatalf("ping after release: %+v", resp)
+	if resp := other.call(t, &wire.Request{Method: wire.MethodStats, Seq: 2}); !resp.IsOK() {
+		t.Fatalf("stats after release: %+v", resp)
 	}
 }
 
@@ -157,29 +166,6 @@ func TestConnCapRejectsExcessConnections(t *testing.T) {
 	replacement := dialRaw(t, addr)
 	if resp := replacement.call(t, &wire.Request{Method: wire.MethodPing, Seq: 1}); !resp.IsOK() {
 		t.Fatalf("replacement conn ping: %+v", resp)
-	}
-}
-
-func TestHandlerDeadlineAnswersTimeout(t *testing.T) {
-	srv, addr := newTestServer(t, WithHandlerTimeout(50*time.Millisecond))
-	release := make(chan struct{})
-	defer close(release)
-	srv.testHook = func(req *wire.Request) {
-		if req.Method == wire.MethodLinkText {
-			<-release
-		}
-	}
-	rc := dialRaw(t, addr)
-	start := time.Now()
-	resp := rc.call(t, &wire.Request{Method: wire.MethodLinkText, Text: "x", Seq: 1})
-	if resp.IsOK() || resp.Code != wire.CodeTimeout {
-		t.Fatalf("slow handler answered %+v, want timeout", resp)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("timeout response took %v", d)
-	}
-	if got := srv.tel.timeouts.Value(); got != 1 {
-		t.Errorf("timeout counter = %d, want 1", got)
 	}
 }
 
@@ -274,34 +260,40 @@ func TestShutdownDrainsInFlightRequests(t *testing.T) {
 	}
 }
 
+// TestShutdownDeadlineForceCloses: a handler that outlasts the drain's
+// deadline has its connection closed at the deadline, and Shutdown returns
+// DeadlineExceeded once that handler returned, so no request outlives the
+// drain.
 func TestShutdownDeadlineForceCloses(t *testing.T) {
-	// The handler timeout outlasts the shutdown deadline, so the drain
-	// gives up first and force-closes; the abandoned handler later
-	// unblocks the connection goroutine.
-	srv, addr := newTestServer(t, WithHandlerTimeout(300*time.Millisecond))
-	release := make(chan struct{})
-	defer close(release)
-	started := make(chan struct{}, 1)
-	srv.testHook = func(req *wire.Request) {
-		if req.Method == wire.MethodLinkText {
-			started <- struct{}{}
-			<-release
-		}
-	}
+	srv, addr := newTestServer(t)
+	started, release := holdLinkText(t, srv)
 	rc := dialRaw(t, addr)
-	go func() {
-		rc.enc.Encode(&wire.Request{Method: wire.MethodLinkText, Text: "x", Seq: 1})
-	}()
+	if err := rc.enc.Encode(&wire.Request{Method: wire.MethodLinkText, Text: "x", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := srv.Shutdown(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("shutdown past deadline: %v, want DeadlineExceeded", err)
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- srv.Shutdown(ctx) }()
+	// The client sees its connection end at the deadline, unanswered,
+	// while the handler is still blocked.
+	rc.conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if reply, err := io.ReadAll(rc.conn); len(reply) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("past the drain deadline the connection read %q, %v; want it closed unanswered", reply, err)
 	}
-	if d := time.Since(start); d > 3*time.Second {
-		t.Errorf("force shutdown took %v", d)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("force close took %v", d)
+	}
+	select {
+	case err := <-shutdown:
+		t.Fatalf("Shutdown returned %v while a handler still ran", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-shutdown; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown past deadline: %v, want DeadlineExceeded", err)
 	}
 }
 

@@ -8,10 +8,11 @@
 //   - Shutdown drains gracefully — it stops accepting, closes idle
 //     connections, lets in-flight requests finish under the caller's
 //     deadline, and only then force-closes stragglers;
-//   - a connection cap and an active-request bound shed excess load with a
-//     typed "overloaded" wire error instead of queueing without bound;
-//   - per-request handler deadlines and per-response write deadlines keep a
-//     slow engine call or a stalled reader from pinning goroutines forever;
+//   - a connection cap, and the node's one in-flight bound (the service's
+//     MaxActive, shared with the HTTP API), shed excess load with a typed
+//     "overloaded" wire error instead of queueing without bound;
+//   - per-response write deadlines keep a stalled reader from pinning
+//     goroutines forever;
 //   - a panic in a handler is recovered into an "internal" error response
 //     and a counter bump, not a dead process.
 package server
@@ -33,10 +34,8 @@ import (
 	"nnexus/internal/clock"
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
-	"nnexus/internal/replication"
 	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
-	"nnexus/internal/tenant"
 	"nnexus/internal/wire"
 )
 
@@ -45,12 +44,12 @@ import (
 // handler goroutine.
 const DefaultWriteTimeout = 30 * time.Second
 
-// DefaultMaxPipeline is how many requests one connection may have in
-// flight concurrently (see WithMaxPipeline).
+// DefaultMaxPipeline is how many requests one connection may have in flight
+// at once. The wire protocol correlates responses to requests by Seq, so a
+// pipelining client can keep that many outstanding and receive completions
+// out of order; it is also the most handler goroutines a connection ever has.
+// A stop-and-wait client never has more than one.
 const DefaultMaxPipeline = 32
-
-// errOverloaded is the message body of a shed request.
-var errOverloaded = errors.New("server overloaded, retry later")
 
 // Server serves one engine to any number of concurrent connections.
 type Server struct {
@@ -63,14 +62,8 @@ type Server struct {
 	// door; the server itself only executes.
 	svc *service.Service
 
-	maxRequestBytes int64
-	writeTimeout    time.Duration
-	handlerTimeout  time.Duration
-	maxConns        int
-	maxActive       int
-	maxPipeline     int
-
-	active atomic.Int64 // requests currently being handled
+	writeTimeout time.Duration
+	maxConns     int
 
 	// testHook, when non-nil, runs at the top of every dispatch. The
 	// resilience tests use it to make handlers block or panic on cue;
@@ -105,7 +98,6 @@ type serverTelemetry struct {
 	duration      *telemetry.Histogram
 	shed          *telemetry.Counter
 	panics        *telemetry.Counter
-	timeouts      *telemetry.Counter
 	drainDuration *telemetry.Histogram
 	pipelineDepth *telemetry.Histogram
 	byMethod      map[string]*telemetry.Counter
@@ -130,8 +122,6 @@ func newServerTelemetry(reg *telemetry.Registry) *serverTelemetry {
 			"Requests rejected by load shedding, by serving layer.", "layer").With("tcp"),
 		panics: reg.CounterVec("nnexus_panics_recovered_total",
 			"Handler panics recovered into error responses, by serving layer.", "layer").With("tcp"),
-		timeouts: reg.Counter("nnexus_tcp_request_timeouts_total",
-			"XML protocol requests answered with a timeout error because the handler deadline expired."),
 		drainDuration: reg.Histogram("nnexus_drain_duration_seconds",
 			"Time graceful shutdown spent draining in-flight work."),
 		pipelineDepth: reg.Histogram("nnexus_tcp_pipeline_depth",
@@ -162,16 +152,6 @@ func (t *serverTelemetry) request(method string, start time.Time, failed bool) {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithMaxRequestBytes caps the size of a single request document; a client
-// exceeding it is disconnected. The default is service.MaxRequestBytes.
-func WithMaxRequestBytes(n int64) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxRequestBytes = n
-		}
-	}
-}
-
 // WithWriteTimeout bounds writing one response to a client; a peer that
 // stops reading for longer loses its connection. Zero or negative disables
 // the bound. The default is DefaultWriteTimeout.
@@ -179,42 +159,10 @@ func WithWriteTimeout(d time.Duration) Option {
 	return func(s *Server) { s.writeTimeout = d }
 }
 
-// WithHandlerTimeout bounds one request's handling time: when it expires
-// the client receives a typed "timeout" error while the handler finishes
-// (and is discarded) in the background. Zero (the default) disables it.
-func WithHandlerTimeout(d time.Duration) Option {
-	return func(s *Server) { s.handlerTimeout = d }
-}
-
 // WithMaxConns caps concurrently open connections; excess connections are
 // accepted and immediately closed. Zero (the default) is unlimited.
 func WithMaxConns(n int) Option {
 	return func(s *Server) { s.maxConns = n }
-}
-
-// WithMaxActiveRequests bounds requests being handled at once across all
-// connections. A request arriving over the bound is answered immediately
-// with a typed "overloaded" error instead of queueing, so overload degrades
-// into fast rejections rather than cascading latency. Zero (the default)
-// is unlimited.
-func WithMaxActiveRequests(n int) Option {
-	return func(s *Server) { s.maxActive = n }
-}
-
-// WithMaxPipeline bounds how many requests one connection may have in
-// flight concurrently. The wire protocol correlates responses to requests
-// by Seq, so a pipelining client can keep up to n requests outstanding and
-// receive completions out of order; n is also the most handler goroutines
-// the connection ever has. n = 1 reproduces the pre-pipelining
-// one-request-at-a-time behavior exactly; stop-and-wait clients are
-// unaffected either way, since they never have more than one request
-// outstanding. The default is DefaultMaxPipeline.
-func WithMaxPipeline(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxPipeline = n
-		}
-	}
 }
 
 // New creates a server in front of a node's service: requests execute
@@ -226,14 +174,12 @@ func WithMaxPipeline(n int) Option {
 func New(svc *service.Service, logger *log.Logger, opts ...Option) *Server {
 	engine := svc.Engine()
 	s := &Server{
-		engine:          engine,
-		logger:          logger,
-		tel:             newServerTelemetry(engine.Telemetry()),
-		svc:             svc,
-		conns:           make(map[net.Conn]struct{}),
-		maxRequestBytes: service.MaxRequestBytes,
-		writeTimeout:    DefaultWriteTimeout,
-		maxPipeline:     DefaultMaxPipeline,
+		engine:       engine,
+		logger:       logger,
+		tel:          newServerTelemetry(engine.Telemetry()),
+		svc:          svc,
+		conns:        make(map[net.Conn]struct{}),
+		writeTimeout: DefaultWriteTimeout,
 	}
 	for _, o := range opts {
 		o(s)
@@ -338,8 +284,8 @@ func (s *Server) Close() error {
 // handlers have written what they owe. When ctx expires first, remaining
 // connections are force-closed and ctx's error returned; Shutdown still
 // waits for the connection goroutines to unwind, which happens as soon as
-// their current handler returns (or its handler deadline expires). The drain
-// duration is recorded in the nnexus_drain_duration_seconds histogram.
+// their current handler returns. The drain duration is recorded in the
+// nnexus_drain_duration_seconds histogram.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -388,9 +334,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// conn is one connection: a reader (serveConn) that decodes, admits and
-// hands out requests, and up to maxPipeline handler goroutines that execute
-// them and write their own responses.
+// conn is one connection: a reader (serveConn) that decodes, sheds, admits
+// and hands out requests, and up to DefaultMaxPipeline handler goroutines that
+// execute them and write their own responses.
 type conn struct {
 	s  *Server
 	nc net.Conn
@@ -415,9 +361,8 @@ type conn struct {
 // serveConn runs one connection's reader. Responses may complete out of
 // order; the Seq echoed in each response lets the client re-correlate them.
 // Shedding and admission happen here, before a request takes a handler;
-// panics are recovered per handler, the handler deadline bounds each request
-// independently, and a drain lets every dispatched request finish and flush
-// before the connection closes.
+// panics are recovered per handler, and a drain lets every dispatched request
+// finish and flush before the connection closes.
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	s.tel.connsTotal.Inc()
@@ -433,7 +378,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.tel.connsActive.Dec()
 	}()
 	dec := wire.NewDecoder(nc)
-	dec.SetLimit(s.maxRequestBytes)
+	dec.SetLimit(service.MaxRequestBytes)
 	started := 0
 	for {
 		if s.draining.Load() {
@@ -451,27 +396,19 @@ func (s *Server) serveConn(nc net.Conn) {
 			// flush, new ones are not admitted.
 			return
 		}
-		if s.maxActive > 0 && s.active.Load() >= int64(s.maxActive) {
-			// Shed before dispatch: the request never executes, so it
-			// is safe for the client to retry even mutating methods.
-			s.tel.shed.Inc()
-			c.send(wire.ErrCoded(req, wire.CodeOverloaded, errOverloaded))
-			continue
-		}
-		// Admit inline, like the shed path: a rejected request never takes
-		// a handler, so a tenant hammering past its limit costs admission
-		// control only.
-		if err := s.admit(req); err != nil {
+		// Shed and admit inline: a refused request never takes a handler,
+		// so overload, or a tenant hammering past its limit, costs admission
+		// control only. The slot is the handler's to give back.
+		if err := s.enter(req); err != nil {
 			c.send(s.errResponse(req, err))
 			continue
 		}
-		s.active.Add(1)
 		depth := int(c.busy.Add(1))
 		s.tel.pipelineDepth.Observe(float64(depth))
 		// A handler counts itself idle before it writes its response, so a
 		// stop-and-wait client finds the one it used last time; a second is
 		// started only for a request that arrives while every one is busy.
-		if depth > started && started < s.maxPipeline {
+		if depth > started && started < DefaultMaxPipeline {
 			started++
 			c.handlers.Add(1)
 			go c.handle(req)
@@ -486,8 +423,8 @@ func (s *Server) serveConn(nc net.Conn) {
 func (c *conn) handle(req *wire.Request) {
 	defer c.handlers.Done()
 	for ; req != nil; req = <-c.work {
-		resp := c.s.handleWithTimeout(req)
-		c.s.active.Add(-1)
+		resp := c.s.handleAdmitted(req)
+		c.s.svc.Leave(req.Method)
 		c.busy.Add(-1)
 		c.send(resp)
 	}
@@ -535,46 +472,39 @@ func (c *conn) send(resp *wire.Response) {
 // writes.
 const maxRetainedOut = 64 << 10
 
-// handleWithTimeout runs Handle under the configured handler deadline.
-// When the deadline expires the client gets a typed "timeout" error; the
-// abandoned handler finishes in the background and its response is
-// discarded (the engine has no cancellation points, so this is a bound on
-// client-visible latency, not on server-side work).
-func (s *Server) handleWithTimeout(req *wire.Request) *wire.Response {
-	if s.handlerTimeout <= 0 {
-		return s.handleAdmitted(req)
-	}
-	ch := make(chan *wire.Response, 1)
-	go func() { ch <- s.handleAdmitted(req) }()
-	timer := clock.NewTimer(s.handlerTimeout)
-	defer timer.Stop()
-	select {
-	case resp := <-ch:
-		return resp
-	case <-timer.C:
-		s.tel.timeouts.Inc()
-		return wire.ErrCoded(req, wire.CodeTimeout,
-			fmt.Errorf("%s: handler deadline %v exceeded", req.Method, s.handlerTimeout))
-	}
-}
-
 // Handle dispatches one request to the engine and builds the response. It
 // is exported so in-process callers (tests, embedded deployments) can speak
-// the protocol without a socket. Requests are counted by method into the
-// engine's telemetry registry, with errored requests and handling latency
-// tracked alongside. A panicking handler is recovered into a typed
-// "internal" error response and counted in nnexus_panics_recovered_total,
-// so one poisoned request cannot kill the daemon.
+// the protocol without a socket; it takes one of the node's in-flight slots
+// as a socket request does. Requests are counted by method into the engine's
+// telemetry registry, with errored requests and handling latency tracked
+// alongside. A panicking handler is recovered into a typed "internal" error
+// response and counted in nnexus_panics_recovered_total, so one poisoned
+// request cannot kill the daemon.
 func (s *Server) Handle(req *wire.Request) *wire.Response {
-	if err := s.admit(req); err != nil {
+	if err := s.enter(req); err != nil {
 		return s.errResponse(req, err)
 	}
+	defer s.svc.Leave(req.Method)
 	return s.handleAdmitted(req)
 }
 
-// handleAdmitted is Handle minus the admit stage, for the connection reader
-// loop, which has already admitted the request inline (admitting again would
-// charge the token bucket twice for one request).
+// enter runs the shed and admit stages: a request it lets through holds its
+// in-flight slot, one it refuses holds none and, shed, is counted.
+func (s *Server) enter(req *wire.Request) error {
+	if err := s.svc.Enter(req.Method); err != nil {
+		s.tel.shed.Inc()
+		return err
+	}
+	if err := s.admit(req); err != nil {
+		s.svc.Leave(req.Method)
+		return err
+	}
+	return nil
+}
+
+// handleAdmitted is Handle minus the shed and admit stages, for the
+// connection reader loop, which has already run them inline (admitting again
+// would charge the token bucket twice for one request).
 func (s *Server) handleAdmitted(req *wire.Request) (resp *wire.Response) {
 	start := clock.Now()
 	defer func() {
@@ -628,28 +558,13 @@ func (s *Server) admit(req *wire.Request) error {
 	return s.svc.Admit(r)
 }
 
-// errResponse maps an error to its wire reply: each typed error of the
-// request pipeline becomes its wire.Code* (with the leader hint where one
-// helps the client), anything else an untyped error response.
+// errResponse maps an error to its wire reply: a typed error of the request
+// pipeline carries the code and leader hint service.Code names for it,
+// anything else is an untyped error response.
 func (s *Server) errResponse(req *wire.Request, err error) *wire.Response {
-	var notPrimary *replication.NotPrimaryError
-	switch {
-	case tenant.IsRateLimited(err):
-		return wire.ErrCoded(req, wire.CodeRateLimited, err)
-	case tenant.IsQuotaExceeded(err):
-		return wire.ErrCoded(req, wire.CodeQuotaExceeded, err)
-	case errors.As(err, &notPrimary):
-		resp := wire.ErrCoded(req, wire.CodeNotPrimary, err)
-		resp.Leader = notPrimary.Leader
-		return resp
-	case errors.Is(err, replication.ErrQuorumUnavailable):
-		return wire.ErrCoded(req, wire.CodeQuorumUnavailable, err)
-	case errors.Is(err, replication.ErrStaleEpoch):
-		resp := wire.ErrCoded(req, wire.CodeStaleEpoch, err)
-		resp.Leader = s.svc.Node.Status().Leader
-		return resp
-	}
-	return wire.Err(req, err)
+	resp := wire.Err(req, err)
+	resp.Code, resp.Leader = s.svc.Code(err)
+	return resp
 }
 
 // dispatch runs the route, execute and acknowledge stages of an admitted
@@ -680,14 +595,6 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 			return nil, errors.New("replSubscribe: node is not a replication primary")
 		}
 		wait := time.Duration(req.WaitMillis) * time.Millisecond
-		if s.handlerTimeout > 0 {
-			// Keep the long-poll comfortably under the handler deadline so
-			// a caught-up subscriber gets an empty batch, not a timeout
-			// error.
-			if bound := s.handlerTimeout * 3 / 4; wait > bound {
-				wait = bound
-			}
-		}
 		payload, err := primary.Subscribe(req.Offset, req.Epoch, req.MaxRecords, wait)
 		if err != nil {
 			return nil, err

@@ -277,7 +277,7 @@ func TestMaxRequestBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(service.New(engine), nil, WithMaxRequestBytes(512))
+	srv := New(service.New(engine), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +292,8 @@ func TestMaxRequestBytes(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	// An oversized request gets the connection dropped.
-	huge := strings.Repeat("x", 4096)
+	// A request past service.MaxRequestBytes gets the connection dropped.
+	huge := strings.Repeat("x", service.MaxRequestBytes)
 	if _, err := c.LinkText(huge, nil, "", "", ""); err == nil {
 		t.Error("oversized request accepted")
 	}

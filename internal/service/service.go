@@ -1,23 +1,28 @@
 // Package service holds the request policy every door to the engine shares.
 // The socket server, the HTTP API and in-process callers compose the same
-// four stages, so a guarantee holds whichever transport carried the request:
+// five stages, so a guarantee holds whichever transport carried the request:
 //
+//	shed         one of the node's MaxActive in-flight slots (Enter, Leave)
 //	admit        one token from the corpus's bucket, then the write quota
 //	route        a mutation runs only where the replication Node allows
 //	execute      the caller's closure: the engine call and the reply
 //	acknowledge  a mutation that applied waits for its follower quorum
 //
-// Each stage fails with a typed error — *tenant.RateLimitedError,
-// *tenant.QuotaExceededError, *replication.NotPrimaryError, an error wrapping
-// replication.ErrQuorumUnavailable — that each transport maps to its own
-// reply; only the last of them means the request executed. Requests are
-// named by their wire method whatever carried them: an HTTP route passes the
-// method of its XML twin and is treated exactly like it.
+// Each stage fails with a typed error — ErrOverloaded,
+// *tenant.RateLimitedError, *tenant.QuotaExceededError,
+// *replication.NotPrimaryError, an error wrapping
+// replication.ErrQuorumUnavailable — whose wire code Code names, and which
+// each transport renders as its own reply; only the last of them means the
+// request executed. Requests are named by their wire method whatever carried
+// them: an HTTP route passes the method of its XML twin and is treated
+// exactly like it.
 package service
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"nnexus/internal/core"
@@ -37,6 +42,11 @@ const MaxRequestBytes = 32 << 20
 // its follower confirmations before degrading to ErrQuorumUnavailable.
 const DefaultQuorumTimeout = 5 * time.Second
 
+// ErrOverloaded refuses a request that found the node's MaxActive in-flight
+// slots taken. It comes before the request executes, so a client may retry
+// even a mutation after backing off.
+var ErrOverloaded = errors.New("server overloaded, retry later")
+
 // Service runs requests against one engine under the policy in its exported
 // fields, which whoever assembles the node sets before the first request and
 // then hands the one value to every door. The zero policy admits everything,
@@ -54,6 +64,11 @@ type Service struct {
 	// (0 = DefaultQuorumTimeout).
 	QuorumAcks    int
 	QuorumTimeout time.Duration
+	// MaxActive > 0 bounds the requests the node runs at once, whichever
+	// door carried them; one over it is refused with ErrOverloaded.
+	MaxActive int
+
+	active atomic.Int64 // slots taken by Enter and not yet given back
 
 	// Per-tenant attribution: admitted, and rejected at admission by reason.
 	admitted, rejected *telemetry.CounterVec
@@ -95,7 +110,57 @@ type Write struct {
 	Corpus   string
 }
 
-// Do runs one request through all four stages.
+// Enter takes one of the node's MaxActive in-flight slots for a request of
+// method, or refuses it with ErrOverloaded. A door that got nil calls Leave
+// exactly once when the request is done, panic or not. Replication, election
+// and liveness traffic takes no slot and is never refused, so a follower's
+// long-poll uses no client capacity and an overloaded primary still hears its
+// quorum and its peers.
+func (s *Service) Enter(method string) error {
+	if s.bounded(method) && s.active.Add(1) > int64(s.MaxActive) {
+		s.active.Add(-1)
+		return ErrOverloaded
+	}
+	return nil
+}
+
+// Leave gives back the slot Enter took for a request of method.
+func (s *Service) Leave(method string) {
+	if s.bounded(method) {
+		s.active.Add(-1)
+	}
+}
+
+// bounded says whether a request of method takes an in-flight slot. With no
+// bound it is decided before the method is looked up.
+func (s *Service) bounded(method string) bool {
+	return s.MaxActive > 0 && wire.Methods[method] != wire.KindControl
+}
+
+// Code names the wire code of a typed error of the pipeline, and the leader a
+// client should turn to where the code has one: notPrimary's, and the
+// node's current leader for staleEpoch. An error of the engine's own has no
+// code.
+func (s *Service) Code(err error) (code, leader string) {
+	var notPrimary *replication.NotPrimaryError
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		return wire.CodeOverloaded, ""
+	case tenant.IsRateLimited(err):
+		return wire.CodeRateLimited, ""
+	case tenant.IsQuotaExceeded(err):
+		return wire.CodeQuotaExceeded, ""
+	case errors.As(err, &notPrimary):
+		return wire.CodeNotPrimary, notPrimary.Leader
+	case errors.Is(err, replication.ErrQuorumUnavailable):
+		return wire.CodeQuorumUnavailable, ""
+	case errors.Is(err, replication.ErrStaleEpoch):
+		return wire.CodeStaleEpoch, s.Node.Status().Leader
+	}
+	return "", ""
+}
+
+// Do runs one request through the stages after shed.
 func (s *Service) Do(req Request, exec func() error) error {
 	if err := s.Admit(req); err != nil {
 		return err

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"nnexus/internal/classification"
@@ -78,6 +79,67 @@ func TestStageOrder(t *testing.T) {
 	executed = false
 	if err := s.Do(Request{Method: wire.MethodLinkText}, exec); err != nil || !executed {
 		t.Fatalf("a read waits for no quorum: err %v, executed %v", err, executed)
+	}
+}
+
+// The in-flight bound is one add-then-check counter: MaxActive slots and no
+// more, control traffic outside it, and no bound at all touches no counter.
+func TestInFlightBound(t *testing.T) {
+	s := New(newEngine(t))
+	for i := 0; i < 100; i++ {
+		if err := s.Enter(wire.MethodLinkText); err != nil {
+			t.Fatalf("unbounded: request %d refused: %v", i, err)
+		}
+	}
+	if n := s.active.Load(); n != 0 {
+		t.Fatalf("unbounded: %d slots counted, want none", n)
+	}
+
+	s.MaxActive = 2
+	for i := 0; i < 2; i++ {
+		if err := s.Enter(wire.MethodAddEntry); err != nil {
+			t.Fatalf("slot %d of 2 refused: %v", i+1, err)
+		}
+	}
+	if err := s.Enter(wire.MethodStats); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("third request on two slots: %v, want ErrOverloaded", err)
+	}
+	for m, kind := range wire.Methods {
+		if kind == wire.KindControl {
+			if err := s.Enter(m); err != nil {
+				t.Errorf("%s refused with every slot taken: %v", m, err)
+			}
+			s.Leave(m)
+		}
+	}
+	s.Leave(wire.MethodAddEntry)
+	if err := s.Enter(wire.MethodLinkText); err != nil {
+		t.Fatalf("a slot given back was not reusable: %v", err)
+	}
+	if n := s.active.Load(); n != 2 {
+		t.Errorf("%d slots counted, want 2", n)
+	}
+}
+
+// Code names each typed pipeline error's wire code and leader hint; an
+// engine error has none.
+func TestCode(t *testing.T) {
+	s := New(newEngine(t))
+	for _, c := range []struct {
+		err          error
+		code, leader string
+	}{
+		{ErrOverloaded, wire.CodeOverloaded, ""},
+		{&tenant.RateLimitedError{Corpus: "c"}, wire.CodeRateLimited, ""},
+		{&tenant.QuotaExceededError{Corpus: "c"}, wire.CodeQuotaExceeded, ""},
+		{&replication.NotPrimaryError{Leader: "10.0.0.1:7070"}, wire.CodeNotPrimary, "10.0.0.1:7070"},
+		{fmt.Errorf("write: %w", replication.ErrQuorumUnavailable), wire.CodeQuorumUnavailable, ""},
+		{fmt.Errorf("lead: %w", replication.ErrStaleEpoch), wire.CodeStaleEpoch, ""},
+		{errors.New("core: unknown domain"), "", ""},
+	} {
+		if code, leader := s.Code(c.err); code != c.code || leader != c.leader {
+			t.Errorf("Code(%v) = %q, %q; want %q, %q", c.err, code, leader, c.code, c.leader)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func seedMessages() []interface{} {
 		&Response{Seq: 2, Status: "error", Error: "core: unknown domain"},
 		&Response{Seq: 3, Status: "error", Code: CodeNotPrimary, Error: "this node is a read replica", Leader: "127.0.0.1:7071"},
 	}
-	for _, code := range []string{CodeOverloaded, CodeTimeout, CodeInternal, CodeStaleEpoch,
+	for _, code := range []string{CodeOverloaded, CodeInternal, CodeNotPrimary, CodeStaleEpoch,
 		CodeQuorumUnavailable, CodeRateLimited, CodeQuotaExceeded} {
 		msgs = append(msgs, &Response{Seq: 30, Status: "error", Code: code, Error: code + ": refused"})
 	}

@@ -204,15 +204,12 @@ type Request struct {
 // Error codes carried in Response.Code. They classify error responses so
 // clients can react mechanically: an "overloaded" or "rateLimited" error is
 // transient (the request was rejected before execution and is safe to retry,
-// even for mutating methods), a "timeout" may or may not have executed, and
-// an "internal" error is a server-side failure. Older servers omit the code.
+// even for mutating methods), and an "internal" error is a server-side
+// failure. Older servers omit the code.
 const (
-	// CodeOverloaded: the server shed the request before dispatching it
-	// because it was over its load bound. Safe to retry after backoff.
+	// CodeOverloaded: the node shed the request before dispatching it
+	// because its in-flight bound was reached. Safe to retry after backoff.
 	CodeOverloaded = "overloaded"
-	// CodeTimeout: the handler deadline expired; the request may still
-	// complete server-side. Retry only idempotent methods.
-	CodeTimeout = "timeout"
 	// CodeInternal: the handler failed unexpectedly (e.g. a recovered
 	// panic).
 	CodeInternal = "internal"

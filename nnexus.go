@@ -369,7 +369,7 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 		}
 	}
 	e.svc.Tenants = tenants
-	e.svc.QuorumAcks, e.svc.QuorumTimeout = cfg.QuorumAcks, cfg.QuorumTimeout
+	e.svc.QuorumAcks, e.svc.QuorumTimeout, e.svc.MaxActive = cfg.QuorumAcks, cfg.QuorumTimeout, cfg.MaxActive
 
 	// The engine has loaded, so the node is ready from here; what hosts it
 	// flips Health to draining before it shuts the doors.
@@ -663,11 +663,7 @@ func (e *Engine) Serve(addr string, logger *log.Logger) (*Server, string, error)
 // each other's addresses) bind the listener first and hand it over here.
 // The server owns ln from then on.
 func (e *Engine) ServeListener(ln net.Listener, logger *log.Logger) (*Server, string, error) {
-	srv := server.New(e.svc, logger,
-		server.WithMaxConns(e.cfg.MaxConns),
-		server.WithMaxActiveRequests(e.cfg.MaxActive),
-		server.WithHandlerTimeout(e.cfg.RequestTimeout),
-		server.WithMaxPipeline(e.cfg.MaxPipeline))
+	srv := server.New(e.svc, logger, server.WithMaxConns(e.cfg.MaxConns))
 	bound, err := srv.Serve(ln)
 	if err != nil {
 		return nil, "", err
@@ -716,10 +712,11 @@ func (e *Engine) Replication() ReplicationStatus { return e.svc.Node.Status() }
 // the same policy value: where the node is not the primary, mutating routes
 // answer 403 with a JSON body naming the leader (the wire protocol's
 // notPrimary), and with QuorumAcks a write whose follower quorum is not met
-// answers 503 "quorumUnavailable". Config.MaxActive bounds the requests in
-// flight; GET /healthz and /readyz answer from Health.
+// answers 503 "quorumUnavailable". Its /api requests and the socket's share
+// the node's Config.MaxActive in-flight slots; GET /healthz and /readyz
+// answer from Health.
 func (e *Engine) HTTPHandler() http.Handler {
-	return httpapi.New(e.svc, e.health, httpapi.WithMaxInFlight(e.cfg.MaxActive))
+	return httpapi.New(e.svc, e.health)
 }
 
 // dialTimeout bounds Dial's connection attempt.

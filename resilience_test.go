@@ -45,7 +45,7 @@ func resilienceEngine(t *testing.T, cfg nnexus.Config) *nnexus.Engine {
 // The self-healing client rides through with zero failed calls — only
 // retries and reconnects.
 func TestChaosFacadeDrainAndRestart(t *testing.T) {
-	engine := resilienceEngine(t, nnexus.Config{RequestTimeout: 2 * time.Second})
+	engine := resilienceEngine(t, nnexus.Config{})
 	srv, addr, err := engine.Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)

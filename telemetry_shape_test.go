@@ -161,7 +161,6 @@ var goldenShapes = map[string][]string{
 		"nnexus_tcp_pipeline_depth histogram",
 		"nnexus_tcp_request_duration_seconds histogram",
 		"nnexus_tcp_request_errors_total counter",
-		"nnexus_tcp_request_timeouts_total counter",
 		"nnexus_tcp_requests_total counter method",
 		"nnexus_tenant_rejected_total counter",
 		"nnexus_tenant_requests_total counter",

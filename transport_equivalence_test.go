@@ -5,7 +5,8 @@ package nnexus_test
 // the three doors to an engine — Server.Handle in process, a real socket
 // (Serve + the client), and the HTTP API (HTTPHandler) — on identically
 // prepared nodes. Every door must report the same typed outcome
-// (rateLimited, quotaExceeded, notPrimary + leader, quorumUnavailable, ok)
+// (overloaded, rateLimited, quotaExceeded, notPrimary + leader,
+// quorumUnavailable, ok)
 // and leave the same engine state behind, because all three compose the
 // request pipeline of internal/service.
 
@@ -296,6 +297,7 @@ var doors = []door{
 		wantStatus := map[string]int{
 			wire.CodeRateLimited: http.StatusTooManyRequests, wire.CodeQuotaExceeded: http.StatusForbidden,
 			wire.CodeNotPrimary: http.StatusForbidden, wire.CodeQuorumUnavailable: http.StatusServiceUnavailable,
+			wire.CodeOverloaded: http.StatusServiceUnavailable,
 		}
 		switch {
 		case resp.StatusCode < 300:
@@ -306,8 +308,8 @@ var doors = []door{
 		case resp.StatusCode != wantStatus[reply.Code]:
 			t.Errorf("http door: code %q answered with status %d, want %d", reply.Code, resp.StatusCode, wantStatus[reply.Code])
 		}
-		if reply.Code == wire.CodeRateLimited && resp.Header.Get("Retry-After") == "" {
-			t.Errorf("http door: 429 without Retry-After")
+		if (reply.Code == wire.CodeRateLimited || reply.Code == wire.CodeOverloaded) && resp.Header.Get("Retry-After") == "" {
+			t.Errorf("http door: %s without Retry-After", reply.Code)
 		}
 		if r.method == wire.MethodAddEntry && reply.Code == wire.CodeQuorumUnavailable && reply.ID == 0 {
 			t.Errorf("http door: a create that applied but missed its quorum lost its id")
@@ -400,7 +402,7 @@ func TestTransportEquivalence(t *testing.T) {
 		}
 		return n
 	}
-	for _, r := range []request{
+	clientCalls := []request{
 		{method: wire.MethodLinkText, text: "a planar graph"},
 		{method: wire.MethodGetEntry, id: 1},
 		{method: wire.MethodLinkEntry, id: 2},
@@ -409,9 +411,39 @@ func TestTransportEquivalence(t *testing.T) {
 		{method: wire.MethodRemoveEntry, id: 1},
 		{method: wire.MethodSetPolicy, id: 2, policy: "forbid even"},
 		{method: wire.MethodRelink},
-	} {
+	}
+	for _, r := range clientCalls {
 		rows = append(rows, scenario{name: "saturated bucket/" + r.method, open: saturated, req: r,
 			want: outcome{Code: wire.CodeRateLimited}})
+	}
+
+	// A node whose one in-flight slot is held — here by an HTTP request
+	// whose body is still arriving — sheds every client call alike, read or
+	// write, before it runs.
+	busy := func(t *testing.T) *node {
+		n := openNode(t, nnexus.Config{MaxActive: 1})
+		n.seed(t, planar, even)
+		body, sender := io.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if resp, err := http.Post(n.http.URL+"/api/link", "application/json", body); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		t.Cleanup(func() { sender.Close(); <-done })
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if v, _ := n.engine.TelemetrySnapshot()["nnexus_http_in_flight_requests"].(float64); v > 0 {
+				return n
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the held HTTP request never took its slot")
+			}
+		}
+	}
+	for _, r := range clientCalls {
+		rows = append(rows, scenario{name: "slot held/" + r.method, open: busy, req: r,
+			want: outcome{Code: wire.CodeOverloaded}})
 	}
 
 	// Entry quotas charge a write by the engine's replace-versus-new rule.
