@@ -129,6 +129,7 @@ fuzz:
 	go test ./internal/conceptmap -fuzz=FuzzAutomatonScanEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzTenantLinkEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzMaintenanceEquivalence -fuzztime=30s
+	go test ./internal/classification -fuzz=FuzzTreeDistance -fuzztime=10s
 
 cover:
 	go test -cover ./...

@@ -439,9 +439,16 @@ func (c *Config) validate() (resolved, error) {
 
 // buildScheme is the one place a scheme is made from what a Config names:
 // the built-in sample, or an OWL document.
-func (c *Config) buildScheme() (*Scheme, error) {
+func (c *Config) buildScheme() (s *Scheme, err error) {
 	base := cmp.Or(c.SchemeBase, DefaultBaseWeight)
 	if c.SchemeFile == "sample" {
+		// SampleMSC panics when Build refuses a base whose distances would
+		// overflow; here the base is a flag, so the refusal is an error.
+		defer func() {
+			if r := recover(); r != nil {
+				s, err = nil, fmt.Errorf("nnexus: %v", r)
+			}
+		}()
 		return SampleMSC(base), nil
 	}
 	return LoadSchemeOWLFile(c.SchemeFile, cmp.Or(c.SchemeName, "msc"), base)

@@ -7,6 +7,7 @@ package nnexus_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -156,6 +157,36 @@ func TestConfigBuildSchemeSample(t *testing.T) {
 	// Neither a scheme nor a file stays an error.
 	if _, err := nnexus.New(nnexus.Config{}); err == nil {
 		t.Error("a Config naming no scheme was accepted")
+	}
+}
+
+// TestConfigRefusesOverflowingScheme: a weight base or a chain of classes
+// deep enough that class distances would overflow is refused with an error
+// naming the scheme, from the sample and from an OWL document alike, and
+// neither panics. At base 10 a chain builds up to 19 classes deep.
+func TestConfigRefusesOverflowingScheme(t *testing.T) {
+	if _, err := nnexus.New(nnexus.Config{SchemeFile: "sample", SchemeBase: 4_000_000_000}); err == nil ||
+		!strings.Contains(err.Error(), `scheme "msc" of height 3 at base 4000000000`) {
+		t.Errorf("sample at base 4,000,000,000: New error %v", err)
+	}
+	chain := func(depth int) string {
+		var doc strings.Builder
+		doc.WriteString(`<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" xmlns:owl="http://www.w3.org/2002/07/owl#" xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#">`)
+		for i := 1; i <= depth; i++ {
+			fmt.Fprintf(&doc, `<owl:Class rdf:ID="c%d">`, i)
+			if i > 1 {
+				fmt.Fprintf(&doc, `<rdfs:subClassOf rdf:resource="#c%d"/>`, i-1)
+			}
+			doc.WriteString(`</owl:Class>`)
+		}
+		return doc.String() + `</rdf:RDF>`
+	}
+	if _, err := nnexus.LoadSchemeOWL(strings.NewReader(chain(19)), "deep", 10); err != nil {
+		t.Errorf("19-deep chain: %v", err)
+	}
+	if _, err := nnexus.LoadSchemeOWL(strings.NewReader(chain(20)), "deep", 10); err == nil ||
+		!strings.Contains(err.Error(), `scheme "deep" of height 20 at base 10`) {
+		t.Errorf("20-deep chain: LoadSchemeOWL error %v", err)
 	}
 }
 

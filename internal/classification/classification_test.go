@@ -128,27 +128,8 @@ func TestAddClassErrors(t *testing.T) {
 	}
 }
 
-// Johnson's AllPairs table must agree exactly with the lazy Dijkstra path.
-func TestJohnsonMatchesLazyDijkstra(t *testing.T) {
-	lazy := SampleMSC(10)
-	full := SampleMSC(10)
-	if err := full.AllPairs(); err != nil {
-		t.Fatal(err)
-	}
-	classes := lazy.Classes()
-	for _, a := range classes {
-		for _, b := range classes {
-			dl, _ := lazy.Distance(a, b)
-			df, _ := full.Distance(a, b)
-			if dl != df {
-				t.Fatalf("d(%s,%s): lazy=%d johnson=%d", a, b, dl, df)
-			}
-		}
-	}
-}
-
 // Property test on random trees: distance is symmetric, zero iff equal,
-// satisfies the triangle inequality, and AllPairs agrees with lazy queries.
+// satisfies the triangle inequality, and equals the Johnson reference.
 func TestDistanceMetricProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
@@ -166,9 +147,7 @@ func TestDistanceMetricProperties(t *testing.T) {
 		if err := s.Build(); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AllPairs(); err != nil {
-			t.Fatal(err)
-		}
+		requireJohnson(t, s)
 		classes := s.Classes()
 		for i := 0; i < 200; i++ {
 			a := classes[rng.Intn(len(classes))]
@@ -287,14 +266,10 @@ func TestMinDistance(t *testing.T) {
 
 // TestMinDistanceIndexMatchesMinDistance: over random class lists — unknown
 // ids, the root's empty id, duplicates and empty lists included — the
-// index-based distance equals MinDistance of the ids, on the lazy rows and
-// on the Johnson table.
+// index-based distance equals MinDistance of the ids.
 func TestMinDistanceIndexMatchesMinDistance(t *testing.T) {
-	lazy, full := SampleMSC(10), SampleMSC(10)
-	if err := full.AllPairs(); err != nil {
-		t.Fatal(err)
-	}
-	ids := append(lazy.Classes(), "bogus", "")
+	s := SampleMSC(10)
+	ids := append(s.Classes(), "bogus", "")
 	rng := rand.New(rand.NewSource(3))
 	pick := func() []string {
 		out := make([]string, rng.Intn(4))
@@ -305,32 +280,21 @@ func TestMinDistanceIndexMatchesMinDistance(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		src, dst := pick(), pick()
-		for _, s := range []*Scheme{lazy, full} {
-			want := MinDistance(s, src, dst)
-			if got := MinDistanceIndex(s, s.AppendIndexes(nil, src), s.AppendIndexes(nil, dst)); got != want {
-				t.Fatalf("MinDistanceIndex(%q, %q) = %d, MinDistance = %d", src, dst, got, want)
-			}
+		want := MinDistance(s, src, dst)
+		if got := MinDistanceIndex(s, s.AppendIndexes(nil, src), s.AppendIndexes(nil, dst)); got != want {
+			t.Fatalf("MinDistanceIndex(%q, %q) = %d, MinDistance = %d", src, dst, got, want)
 		}
 	}
-	if _, ok := lazy.Index("bogus"); ok {
+	if _, ok := s.Index("bogus"); ok {
 		t.Error("Index resolved an unknown class")
 	}
 }
 
-func BenchmarkDistanceLazy(b *testing.B) {
+func BenchmarkDistance(b *testing.B) {
 	s := SampleMSC(10)
 	classes := s.Classes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Distance(classes[i%len(classes)], classes[(i*7)%len(classes)])
-	}
-}
-
-func BenchmarkAllPairsStartup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := SampleMSC(10)
-		if err := s.AllPairs(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

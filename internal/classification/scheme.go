@@ -1,8 +1,8 @@
 // Package classification implements NNexus classification-based link
 // steering (paper §2.3): subject classification schemes represented as
-// weighted trees, class-to-class distances computed with Johnson's all-pairs
-// shortest path algorithm, and the steering rule (Algorithm 1) that selects
-// the candidate link targets closest in classification to the link source.
+// weighted trees, class-to-class distances, and the steering rule
+// (Algorithm 1) that selects the candidate link targets closest in
+// classification to the link source.
 //
 // Edge weights follow the paper:
 //
@@ -14,13 +14,19 @@
 // classes in the same deep subtree "closer" than classes that only share a
 // top-level category. With b = 1 the scheme degenerates to the non-weighted
 // (hop count) approach.
+//
+// The paper computes the distances between all classes at startup with
+// Johnson's all-pairs shortest path algorithm. Every scheme is a tree (a
+// class has one parent), so the distance between classes a and b is
+// W(a) + W(b) − 2·W(lca(a, b)), where W is a class's weighted depth: a walk
+// up the parents, at most height steps, answers each pair, and a built
+// scheme holds O(N) state. Johnson's algorithm is the tests' reference
+// (johnson_test.go), and FuzzTreeDistance holds the two equal.
 package classification
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // DefaultBaseWeight is the paper's default weight base.
@@ -32,48 +38,27 @@ const Infinite int64 = 1<<62 - 1
 
 // node is one class in the scheme.
 type node struct {
-	id       string
-	name     string
-	parent   int   // index of parent node, -1 for the virtual root
-	depth    int   // edges from the root (root = 0)
-	index    int   // dense index
-	children []int // indices of children
+	id     string
+	name   string
+	parent int32 // index of the parent node, -1 for the virtual root
+	depth  int32 // edges from the root (root = 0)
+	w      int64 // weighted depth: the edge weights from the root, set by Build
 }
 
 // Scheme is a subject classification hierarchy such as the MSC. Build one
 // with NewScheme + AddClass, then call Build before querying distances.
-// After Build, all methods are safe for concurrent use.
+// A built scheme is read-only, so all its methods are safe for concurrent
+// use.
 type Scheme struct {
 	name  string
 	base  int64
 	built bool
 
-	nodes  []*node
-	byID   map[string]int
+	// nodes holds every class after its parent: AddClass requires the
+	// parent to exist. Index 0 is the virtual root.
+	nodes  []node
+	byID   map[string]int32
 	height int
-
-	// adj is the undirected weighted adjacency list, filled by Build.
-	adj [][]edge
-
-	// rows memoizes per-source Dijkstra results. The slots are allocated
-	// once by Build; each row is computed at most once (sync.Once) and read
-	// lock-free afterwards, so concurrent Distance queries never contend on
-	// a shared mutex the way the previous map-under-mutex cache did.
-	rows []distSlot
-	// allPairs holds the full Johnson table when AllPairs was run,
-	// published atomically so it can be installed while queries are live.
-	allPairs atomic.Pointer[[][]int64]
-}
-
-// distSlot lazily holds one source class's full distance row.
-type distSlot struct {
-	once sync.Once
-	row  []int64
-}
-
-type edge struct {
-	to int
-	w  int64
 }
 
 // NewScheme creates an empty classification scheme with the given weight
@@ -86,11 +71,9 @@ func NewScheme(name string, baseWeight int) *Scheme {
 	s := &Scheme{
 		name: name,
 		base: int64(baseWeight),
-		byID: make(map[string]int),
+		byID: map[string]int32{"": 0},
 	}
-	root := &node{id: "", name: "(root)", parent: -1, index: 0}
-	s.nodes = append(s.nodes, root)
-	s.byID[""] = 0
+	s.nodes = append(s.nodes, node{id: "", name: "(root)", parent: -1})
 	return s
 }
 
@@ -117,48 +100,40 @@ func (s *Scheme) AddClass(id, name, parent string) error {
 	if !ok {
 		return fmt.Errorf("classification: unknown parent %q for class %q", parent, id)
 	}
-	n := &node{id: id, name: name, parent: pi, index: len(s.nodes)}
-	s.nodes = append(s.nodes, n)
-	s.byID[id] = n.index
-	s.nodes[pi].children = append(s.nodes[pi].children, n.index)
+	depth := s.nodes[pi].depth + 1
+	s.byID[id] = int32(len(s.nodes))
+	s.nodes = append(s.nodes, node{id: id, name: name, parent: pi, depth: depth})
+	s.height = max(s.height, int(depth))
 	return nil
 }
 
-// Build freezes the scheme: computes depths, the tree height, and the
-// weighted adjacency list. It must be called exactly once, after which
-// distance queries become available.
+// Build freezes the scheme: it gives every class its weighted depth W, the
+// sum of the weights b^(height−i−1) on its path from the root. It must be
+// called exactly once, after which distance queries become available. The
+// base and the height come from outside the program (a flag, an OWL file),
+// so Build refuses a scheme whose largest distance, 2·W of its deepest
+// class, would reach Infinite.
 func (s *Scheme) Build() error {
 	if s.built {
 		return fmt.Errorf("classification: scheme %q already built", s.name)
 	}
-	// BFS from the root to assign depths and find the height.
-	s.height = 0
-	queue := []int{0}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		n := s.nodes[i]
-		if n.parent >= 0 {
-			n.depth = s.nodes[n.parent].depth + 1
+	// below[d] is the weight of a path from depth d down to the deepest
+	// level: b^0 + b^1 + … + b^(height−d−1). A class's W is
+	// below[0] − below[depth]. Every sum stays ≤ maxW, so none wraps.
+	const maxW = Infinite / 2
+	below := make([]int64, s.height+1)
+	p := int64(1) // b^(height−d−1), the weight of an edge from depth d
+	for d := s.height - 1; d >= 0; d-- {
+		below[d] = below[d+1] + p
+		if below[d] > maxW || (d > 0 && p > maxW/s.base) {
+			return fmt.Errorf("classification: scheme %q of height %d at base %d: its class distances would overflow",
+				s.name, s.height, s.base)
 		}
-		if n.depth > s.height {
-			s.height = n.depth
-		}
-		queue = append(queue, n.children...)
+		p *= s.base
 	}
-	// Edge weights: an edge between depth-d and depth-(d+1) nodes has
-	// distance-from-root i = d, so w = b^(height-d-1).
-	s.adj = make([][]edge, len(s.nodes))
-	for _, n := range s.nodes {
-		if n.parent < 0 {
-			continue
-		}
-		i := s.nodes[n.parent].depth
-		w := pow(s.base, s.height-i-1)
-		s.adj[n.parent] = append(s.adj[n.parent], edge{to: n.index, w: w})
-		s.adj[n.index] = append(s.adj[n.index], edge{to: n.parent, w: w})
+	for i := range s.nodes {
+		s.nodes[i].w = below[0] - below[s.nodes[i].depth]
 	}
-	s.rows = make([]distSlot, len(s.nodes))
 	s.built = true
 	return nil
 }
@@ -232,7 +207,7 @@ func (s *Scheme) IsDescendant(id, ancestor string) bool {
 // unknown. Valid after Build.
 func (s *Scheme) Depth(id string) int {
 	if i, ok := s.byID[id]; ok {
-		return s.nodes[i].depth
+		return int(s.nodes[i].depth)
 	}
 	return -1
 }
@@ -244,24 +219,37 @@ func (s *Scheme) EdgeWeight(id string) int64 {
 	if !ok || s.nodes[i].parent < 0 {
 		return 0
 	}
-	d := s.nodes[s.nodes[i].parent].depth
-	return pow(s.base, s.height-d-1)
+	return s.nodes[i].w - s.nodes[s.nodes[i].parent].w
 }
 
-// Distance returns the weighted shortest-path distance between two classes.
-// Unknown classes yield (Infinite, false). Results are memoized per source
-// class; the first query from a given class runs one Dijkstra pass, after
-// which queries from that class are lock-free row lookups.
+// Distance returns the weighted shortest-path distance between two classes:
+// the weights on the tree path joining them. Unknown classes yield
+// (Infinite, false).
 func (s *Scheme) Distance(a, b string) (int64, bool) {
 	ia, oka := s.byID[a]
 	ib, okb := s.byID[b]
 	if !oka || !okb || !s.built {
 		return Infinite, false
 	}
-	if ia == ib {
-		return 0, true
+	return s.dist(ia, ib), true
+}
+
+// dist is the distance between the classes at node indexes a and b,
+// W(a) + W(b) − 2·W(lca(a, b)): the deeper one walks up to the other's
+// depth, then both walk up until they meet, at most height steps each.
+func (s *Scheme) dist(a, b int32) int64 {
+	n := s.nodes
+	d := n[a].w + n[b].w
+	for n[a].depth > n[b].depth {
+		a = n[a].parent
 	}
-	return s.row(ia)[ib], true
+	for n[b].depth > n[a].depth {
+		b = n[b].parent
+	}
+	for a != b {
+		a, b = n[a].parent, n[b].parent
+	}
+	return d - 2*n[a].w
 }
 
 // Index returns the dense node index of a class, the key of the index-based
@@ -269,7 +257,7 @@ func (s *Scheme) Distance(a, b string) (int64, bool) {
 // Distance resolves. Valid after Build.
 func (s *Scheme) Index(id string) (int32, bool) {
 	i, ok := s.byID[id]
-	return int32(i), ok
+	return i, ok
 }
 
 // AppendIndexes appends to dst the node index of every class of ids the
@@ -282,33 +270,4 @@ func (s *Scheme) AppendIndexes(dst []int32, ids []string) []int32 {
 		}
 	}
 	return dst
-}
-
-// row returns the full distance row from node index ia: the Johnson table's
-// row when AllPairs was run, the memoised Dijkstra row otherwise.
-func (s *Scheme) row(ia int) []int64 {
-	if table := s.allPairs.Load(); table != nil {
-		return (*table)[ia]
-	}
-	return s.distRow(ia)
-}
-
-// distRow returns (computing if needed) the full distance row from source
-// node index ia. The sync.Once fast path is a single atomic load, so
-// concurrent queries from already-memoized sources never serialize.
-func (s *Scheme) distRow(ia int) []int64 {
-	slot := &s.rows[ia]
-	slot.once.Do(func() { slot.row = s.dijkstra(ia) })
-	return slot.row
-}
-
-func pow(b int64, e int) int64 {
-	if e < 0 {
-		return 1
-	}
-	out := int64(1)
-	for i := 0; i < e; i++ {
-		out *= b
-	}
-	return out
 }

@@ -57,7 +57,7 @@ func Steer(s *Scheme, sourceClasses []string, candidates []Candidate) []Steered 
 // and target classes ("when there are multiple classes associated with the
 // link source or link target, the minimum distance of all possible pairs of
 // classes is used"). If either side has no resolvable class the result is
-// Infinite. Every pair is a lookup in the scheme's memoised distance rows.
+// Infinite.
 func MinDistance(s *Scheme, source, target []string) int64 {
 	best := Infinite
 	for _, a := range source {
@@ -71,20 +71,15 @@ func MinDistance(s *Scheme, source, target []string) int64 {
 }
 
 // MinDistanceIndex is MinDistance over classes already resolved to node
-// indexes (Scheme.AppendIndexes): one distance row per source class, and an
-// array read per pair. It equals MinDistance of the class ids the indexes
-// were resolved from. The scheme must be built.
+// indexes (Scheme.AppendIndexes): one walk to the lowest common ancestor per
+// pair, at most the scheme's height steps up from each class, and no map
+// lookup. It equals MinDistance of the class ids the indexes were resolved
+// from. The scheme must be built.
 func MinDistanceIndex(s *Scheme, source, target []int32) int64 {
 	best := Infinite
-	if len(target) == 0 {
-		return best
-	}
 	for _, a := range source {
-		row := s.row(int(a))
 		for _, b := range target {
-			if d := row[b]; d < best {
-				best = d
-			}
+			best = min(best, s.dist(a, b))
 		}
 	}
 	return best

@@ -92,9 +92,9 @@ type LinkOptions struct {
 // The pipeline reads are lock-free or single-shot: the concept-map scan
 // reads an immutable snapshot, the candidate entries — each with its parsed
 // policy, canonical class indexes, domain and URL — are captured once per
-// call, and steering distances come from the scheme's lock-free memoised
-// rows, so concurrent LinkText calls scale with cores instead of convoying
-// on the engine mutex.
+// call, and steering distances are walks up the scheme's read-only tree,
+// so concurrent LinkText calls scale with cores instead of convoying on the
+// engine mutex.
 //
 // Every run is timed per pipeline stage into the engine's registry:
 // tokenize, match and render always, and policy and steer — which read the

@@ -467,7 +467,7 @@ func (run *linkRun) chooseTarget(m *conceptmap.Match) (winner *storedEntry, dist
 // (no source class, no classified candidate) every candidate stays, at
 // distance Infinite. Both sides' classes are scheme node indexes resolved
 // before the request (the source's by plan, the candidates' at write time),
-// so every distance is a read of the scheme's memoised rows: no lock, no
+// so every distance is a walk up the scheme's read-only tree: no lock, no
 // string hashing.
 func (run *linkRun) steer(cands []*storedEntry) ([]*storedEntry, int64) {
 	scheme, src, best := run.e.scheme, run.plan.classIdx, classification.Infinite
