@@ -44,9 +44,6 @@ func open(cfg nnexus.Config, domain string) (*nnexus.Engine, *storage.Store, *no
 	if cfg.SyncWrites {
 		opts = append(opts, storage.WithSyncWrites())
 	}
-	if cfg.GroupCommitWindow > 0 {
-		opts = append(opts, storage.WithGroupCommitWindow(cfg.GroupCommitWindow))
-	}
 	engine, err := nnexus.New(cfg)
 	if err != nil {
 		return nil, nil, nil, err
@@ -73,16 +70,14 @@ func main() {
 		base         = flag.Int("base", nnexus.DefaultBaseWeight, "classification weight base")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight requests")
 		syncWrites   = flag.Bool("sync", false, "fsync every persisted mutation before acknowledging it")
-		commitWindow = flag.Duration("group-commit-window", 0, "WAL group-commit gathering window under -sync (0 = commit eagerly)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "noosphere: ", log.LstdFlags)
 
 	engine, revisions, wiki, err := open(nnexus.Config{
-		Scheme:            nnexus.MSC2000(*base),
-		DataDir:           *dataDir,
-		SyncWrites:        *syncWrites,
-		GroupCommitWindow: *commitWindow,
+		Scheme:     nnexus.MSC2000(*base),
+		DataDir:    *dataDir,
+		SyncWrites: *syncWrites,
 	}, *domain)
 	if err != nil {
 		logger.Fatal(err)

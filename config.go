@@ -66,12 +66,6 @@ type Config struct {
 	DataDir string
 	// SyncWrites makes every persisted mutation fsync before returning.
 	SyncWrites bool
-	// GroupCommitWindow stretches the WAL group-commit gathering window:
-	// under SyncWrites, a committing writer waits up to this long for
-	// concurrent writers to stage their appends, then one fsync covers the
-	// whole group. Zero (the default) commits eagerly — concurrent writers
-	// still coalesce whenever an fsync is already in progress.
-	GroupCommitWindow time.Duration
 	// Mode is the default pipeline mode (ModeDefault = full pipeline).
 	Mode Mode
 	// Format is the default output format (HTML).
@@ -187,7 +181,6 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Pprof, "pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the HTTP address")
 	fs.StringVar(&c.DataDir, "data", "", "data directory (empty = memory only)")
 	fs.BoolVar(&c.SyncWrites, "sync", false, "fsync every write")
-	fs.DurationVar(&c.GroupCommitWindow, "group-commit-window", 0, "WAL group-commit gathering window under -sync: one fsync covers writers arriving within it (0 = commit eagerly)")
 	fs.StringVar(&c.SchemeFile, "scheme", "sample", `classification scheme: "sample" or a path to an OWL file`)
 	fs.StringVar(&c.SchemeName, "scheme-name", "msc", "classification scheme name")
 	fs.IntVar(&c.SchemeBase, "base", DefaultBaseWeight, "classification weight base (1 = non-weighted)")

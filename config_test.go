@@ -236,7 +236,7 @@ func TestConfigOneSpelling(t *testing.T) {
 	// tenanted initial primary...
 	primary := map[string]string{
 		"addr": "127.0.0.1:7171", "http": "127.0.0.1:8181", "pprof": "true",
-		"data": filepath.Join(dir, "data"), "sync": "true", "group-commit-window": "3ms",
+		"data": filepath.Join(dir, "data"), "sync": "true",
 		"scheme": owl, "scheme-name": "msc2000", "base": "7", "default-corpus": "pm",
 		"compile-automaton": "false", "drain-timeout": "9s", "max-conns": "11", "max-active": "12",
 		"repl-primary": "true", "peers": "n1:7070, n2:7070", "advertise": "n0:7070",

@@ -87,14 +87,6 @@ func (c *LRU[K, V]) Invalidate(key K) {
 	}
 }
 
-// Clear drops every entry.
-func (c *LRU[K, V]) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.items = make(map[K]*list.Element)
-}
-
 // Len returns the number of cached entries.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()

@@ -85,12 +85,3 @@ func MSC2000(baseWeight int) *Scheme {
 	}
 	return s
 }
-
-// MSC2000Areas returns the top-level MSC area ids in order.
-func MSC2000Areas() []string {
-	out := make([]string, len(msc2000TopLevel))
-	for i, area := range msc2000TopLevel {
-		out[i] = area.id
-	}
-	return out
-}

@@ -4,8 +4,8 @@ import "testing"
 
 func TestMSC2000Shape(t *testing.T) {
 	s := MSC2000(10)
-	if s.Len() != len(MSC2000Areas()) {
-		t.Fatalf("len = %d, want %d", s.Len(), len(MSC2000Areas()))
+	if s.Len() != len(msc2000TopLevel) {
+		t.Fatalf("len = %d, want %d", s.Len(), len(msc2000TopLevel))
 	}
 	if s.Height() != 1 {
 		t.Errorf("height = %d", s.Height())
@@ -29,8 +29,8 @@ func TestMSC2000Shape(t *testing.T) {
 
 func TestMSC2000Growable(t *testing.T) {
 	s := NewScheme("msc", 10)
-	for _, area := range MSC2000Areas() {
-		if err := s.AddClass(area, "", ""); err != nil {
+	for _, area := range msc2000TopLevel {
+		if err := s.AddClass(area.id, "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"nnexus/internal/corpus"
-	"nnexus/internal/telemetry"
 	"nnexus/internal/wire"
 )
 
@@ -177,22 +176,6 @@ func WithPipelineWindow(n int) Option {
 		if n > 0 {
 			c.window = n
 		}
-	}
-}
-
-// WithTelemetry exposes the client's retry and reconnect counts on reg as
-// nnexus_client_retries_total and nnexus_client_reconnects_total, read from
-// Retries and Reconnects at scrape time. reg must be non-nil and may be
-// given to at most one client: a second client registered on it replaces
-// the first's counts.
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(c *Client) {
-		reg.CounterFunc("nnexus_client_retries_total",
-			"Client calls re-attempted after a retryable failure.",
-			func() float64 { return float64(c.Retries()) })
-		reg.CounterFunc("nnexus_client_reconnects_total",
-			"Client connections re-established after a connection failure.",
-			func() float64 { return float64(c.Reconnects()) })
 	}
 }
 

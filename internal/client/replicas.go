@@ -38,13 +38,6 @@ const DefaultReplicaProbeInterval = 500 * time.Millisecond
 // to reconcile.
 var ErrNoPrimary = errors.New("client: primary unavailable for writes")
 
-// IsNotPrimary reports whether err is a follower's typed rejection of a
-// mutating method.
-func IsNotPrimary(err error) bool {
-	var se *ServerError
-	return errors.As(err, &se) && se.Code == wire.CodeNotPrimary
-}
-
 // replica is the routing view of one read replica.
 type replica struct {
 	addr string

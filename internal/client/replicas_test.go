@@ -371,7 +371,7 @@ func TestWriteFollowsNotPrimaryRedirect(t *testing.T) {
 	}
 	defer c2.Close()
 	_, err = c2.AddEntry(&corpus.Entry{Domain: "d", Title: "t", Classes: []string{"05C10"}})
-	if !IsNotPrimary(err) {
+	if !isNotPrimary(err) {
 		t.Fatalf("write to leaderless follower = %v, want notPrimary", err)
 	}
 }
@@ -494,7 +494,7 @@ func TestUnknownFateWriteNotReissued(t *testing.T) {
 			if tc.code != "" && (!errors.As(err, &se) || se.Code != tc.code) {
 				t.Fatalf("write the leader answered %s = %v, want that code", tc.code, err)
 			}
-			if IsNotPrimary(err) {
+			if isNotPrimary(err) {
 				t.Fatalf("write surfaced as notPrimary (%v): callers would retry a possibly-executed mutation", err)
 			}
 			if got := v.writes.Load(); got != 1 {
@@ -572,4 +572,11 @@ func TestNotPrimaryWriteDiscoversPromotedReplica(t *testing.T) {
 	if got := d.writes.Load(); got != 1 {
 		t.Fatalf("discovered leader executed %d writes, want 1", got)
 	}
+}
+
+// isNotPrimary reports whether err is a follower's typed rejection of a
+// mutating method.
+func isNotPrimary(err error) bool {
+	var se *ServerError
+	return errors.As(err, &se) && se.Code == wire.CodeNotPrimary
 }

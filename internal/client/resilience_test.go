@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nnexus/internal/corpus"
-	"nnexus/internal/telemetry"
 	"nnexus/internal/wire"
 )
 
@@ -104,8 +103,7 @@ func TestIdempotentRetriedAcrossConnDrop(t *testing.T) {
 		},
 		echoOK,
 	)
-	reg := telemetry.NewRegistry()
-	c, err := Dial(addr, time.Second, fastOpts(WithTelemetry(reg))...)
+	c, err := Dial(addr, time.Second, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +113,6 @@ func TestIdempotentRetriedAcrossConnDrop(t *testing.T) {
 	}
 	if c.Retries() == 0 || c.Reconnects() == 0 {
 		t.Errorf("retries=%d reconnects=%d, want both > 0", c.Retries(), c.Reconnects())
-	}
-	snap := reg.Snapshot()
-	if snap["nnexus_client_retries_total"] != float64(c.Retries()) {
-		t.Errorf("telemetry retries = %v, want %d", snap["nnexus_client_retries_total"], c.Retries())
-	}
-	if snap["nnexus_client_reconnects_total"] != float64(c.Reconnects()) {
-		t.Errorf("telemetry reconnects = %v, want %d", snap["nnexus_client_reconnects_total"], c.Reconnects())
 	}
 }
 

@@ -609,16 +609,6 @@ func (m *Map) Objects() int {
 	return m.snap.Load().objects
 }
 
-// ChainLength returns the number of labels chained under the given first
-// word (after normalization); used by diagnostics and tests.
-func (m *Map) ChainLength(first string) int {
-	w := morph.WordID(morph.Normalize(first))
-	if f := m.snap.Load().byFirst[bucketOfWord(w)][w]; f != nil {
-		return f.count
-	}
-	return 0
-}
-
 // Stats summarizes the map shape for diagnostics.
 type Stats struct {
 	Objects      int

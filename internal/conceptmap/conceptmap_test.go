@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nnexus/internal/morph"
 	"nnexus/internal/tokenizer"
 )
 
@@ -145,8 +146,9 @@ func TestRemoveObject(t *testing.T) {
 		t.Errorf("after removing both, Lookup(graph) = %v", got)
 	}
 	// Chain for "graph" should be gone entirely.
-	if n := m.ChainLength("graph"); n != 0 {
-		t.Errorf("chain length = %d", n)
+	w := morph.WordID(morph.Normalize("graph"))
+	if f := m.snap.Load().byFirst[bucketOfWord(w)][w]; f != nil {
+		t.Errorf("chain length = %d", f.count)
 	}
 	m.RemoveObject(999) // no-op
 }

@@ -195,6 +195,7 @@ func (e *Engine) relinkShared(ids []int64, workers int) (map[int64]*Result, int,
 		if w > len(items) {
 			w = len(items)
 		}
+		seq := e.seq.Load()
 		e.runBatch(items, linkPlan{}, w, &aborted)
 		done := make([]int64, 0, len(items))
 		for _, it := range items {
@@ -209,7 +210,7 @@ func (e *Engine) relinkShared(ids []int64, workers int) (map[int64]*Result, int,
 				done = append(done, it.id)
 			}
 		}
-		e.relinked(done...)
+		e.relinked(seq, done...)
 	}
 	return out, nerrs, firstErr
 }

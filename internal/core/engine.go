@@ -172,8 +172,16 @@ type Engine struct {
 	// entries is the entry table: each entry beside the resolve state
 	// derived from it (storedEntry), replaced whole on every change.
 	entries map[int64]*storedEntry
-	invalid map[int64]bool
+	// invalid maps each entry flagged for re-linking to the write sequence
+	// of the mutation that last flagged it.
+	invalid map[int64]uint64
 	nextID  int64
+	// seq is the write sequence: the number of mutations published. A
+	// mutation stamps the flags it raises and the entries it stores with
+	// seq+1 and advances seq under mu once it has published. A link of a
+	// stored entry reads seq before it pins, so a stamp above what it read
+	// marks a write the link did not see (clearInvalid, LinkEntryCached).
+	seq atomic.Uint64
 }
 
 // Validate reports a configuration NewEngine would refuse, without building
@@ -202,7 +210,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		mappers:  ontomap.NewRegistry(),
 		rendered: cache.NewLRU[int64, *Result](renderedCacheSize),
 		entries:  make(map[int64]*storedEntry),
-		invalid:  make(map[int64]bool),
+		invalid:  make(map[int64]uint64),
 		nextID:   1,
 	}
 	// The default corpus's namespace exists from birth.
@@ -554,13 +562,19 @@ func (e *Engine) Invalidated() []int64 {
 	return sortedKeys(e.invalid)
 }
 
-// clearInvalid drops the invalidation flags of re-linked entries, as one
-// record however many were flagged. The steady state — nothing flagged — is
-// checked under a read lock so hot re-renders of valid entries never
-// serialize on the write lock or touch the store.
-func (e *Engine) clearInvalid(ids ...int64) {
+// clearInvalid drops the invalidation flags of entries re-linked by a run
+// that read write sequence seq before it pinned, as one record however many
+// were flagged. A flag raised after seq stays: the run did not see the
+// write that raised it. The steady state — nothing flagged — is checked
+// under a read lock so hot re-renders of valid entries never serialize on
+// the write lock or touch the store.
+func (e *Engine) clearInvalid(seq uint64, ids ...int64) {
+	seen := func(id int64) bool {
+		s, ok := e.invalid[id]
+		return ok && s <= seq
+	}
 	e.mu.RLock()
-	flagged := slices.ContainsFunc(ids, func(id int64) bool { return e.invalid[id] })
+	flagged := slices.ContainsFunc(ids, seen)
 	e.mu.RUnlock()
 	if !flagged {
 		return
@@ -569,7 +583,7 @@ func (e *Engine) clearInvalid(ids ...int64) {
 	defer e.mu.Unlock()
 	var ch changeSet
 	for _, id := range ids {
-		if e.invalid[id] {
+		if seen(id) {
 			delete(e.invalid, id)
 			ch.cleared = append(ch.cleared, id)
 		}

@@ -104,25 +104,34 @@ func (e *Engine) LinkText(text string, opts LinkOptions) (*Result, error) {
 }
 
 // LinkEntry links a stored entry's body against the whole collection,
-// excluding the entry itself as a target, and clears its invalidation flag.
+// excluding the entry itself as a target, and clears its invalidation flag
+// unless a write the link did not see raised it.
 func (e *Engine) LinkEntry(id int64, opts LinkOptions) (*Result, error) {
+	res, _, err := e.linkEntry(id, opts)
+	return res, err
+}
+
+// linkEntry is LinkEntry, also returning the write sequence the link read
+// before it planned and pinned.
+func (e *Engine) linkEntry(id int64, opts LinkOptions) (*Result, uint64, error) {
+	seq := e.seq.Load()
 	p, body, err := e.planEntry(id, opts)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	res, err := e.link(p, body)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	e.relinked(id)
-	return res, nil
+	e.relinked(seq, id)
+	return res, seq, nil
 }
 
-// relinked records completed entry links: counters, and the entries'
-// invalidation flags cleared together.
-func (e *Engine) relinked(ids ...int64) {
+// relinked records completed entry links of a run that read write sequence
+// seq: counters, and the entries' invalidation flags cleared together.
+func (e *Engine) relinked(seq uint64, ids ...int64) {
 	e.tel.opLinkEntry.Add(int64(len(ids)))
-	e.clearInvalid(ids...)
+	e.clearInvalid(seq, ids...)
 }
 
 // LinkEntryCached is LinkEntry backed by the rendered-output cache table
@@ -131,19 +140,36 @@ func (e *Engine) relinked(ids ...int64) {
 // cache entirely. The second return reports whether the result was cached.
 func (e *Engine) LinkEntryCached(id int64) (*Result, bool, error) {
 	e.mu.RLock()
-	stale := e.invalid[id]
+	_, stale := e.invalid[id]
 	e.mu.RUnlock()
 	if !stale {
 		if res, ok := e.rendered.Get(id); ok {
 			return res, true, nil
 		}
 	}
-	res, err := e.LinkEntry(id, LinkOptions{})
+	res, seq, err := e.linkEntry(id, LinkOptions{})
 	if err != nil {
 		return nil, false, err
 	}
-	e.rendered.Put(id, res)
+	e.cache(id, seq, res)
 	return res, false, nil
+}
+
+// cache keeps res, the rendering of entry id by a link that read write
+// sequence seq, unless a later write rewrote or flagged the entry: the
+// rendering is then stale, and the write's drop of the cached one has
+// already happened. The check and the Put are one step under e.mu.
+func (e *Engine) cache(id int64, seq uint64, res *Result) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	s, ok := e.entries[id]
+	if !ok || s.seq > seq {
+		return
+	}
+	if flag, flagged := e.invalid[id]; flagged && flag > seq {
+		return
+	}
+	e.rendered.Put(id, res)
 }
 
 // CacheStats returns cumulative hit/miss counts of the rendered cache.

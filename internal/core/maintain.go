@@ -84,6 +84,8 @@ type storedEntry struct {
 	// and tag the HTML open tag of a link to it, escaped once here instead
 	// of on every link of every read.
 	url, tag string
+	// seq is the write sequence of the mutation that stored the entry.
+	seq uint64
 }
 
 // newStored builds the entry table's record of entry: a copy of it and its
@@ -137,6 +139,7 @@ func (e *Engine) indexLocked(entry *corpus.Entry) error {
 	if err != nil {
 		return err
 	}
+	stored.seq = e.seq.Load() + 1
 	e.rendered.Invalidate(entry.ID)
 	old := e.entries[entry.ID]
 	ns := e.nsEnsureLocked(entry.Corpus)
@@ -179,7 +182,8 @@ func (e *Engine) unindexLocked(entry *corpus.Entry) {
 // one of them (except the originating entry). The rendered output of each
 // is dropped; with a changeSet — on the node that originated the mutation —
 // each one not yet flagged is also flagged for re-linking and the flag joins
-// the changeSet.
+// the changeSet. Every flag raised or already standing is stamped with the
+// mutation's write sequence (see Engine.seq).
 //
 // Every corpus namespace's invalidation index is consulted: an entry in
 // corpus A whose body mentions the label may link against corpus B through
@@ -200,10 +204,15 @@ func (e *Engine) invalidateLocked(ch *changeSet, except int64, old, cur []string
 					continue
 				}
 				e.rendered.Invalidate(id)
-				if ch == nil || e.invalid[id] {
+				// Stamped anew on a replica too: a relink that pinned
+				// before this write must not clear the flag.
+				_, flagged := e.invalid[id]
+				if flagged || ch != nil {
+					e.invalid[id] = e.seq.Load() + 1
+				}
+				if flagged || ch == nil {
 					continue
 				}
-				e.invalid[id] = true
 				ch.flagged = append(ch.flagged, id)
 				e.tel.corpusInvalidations(n.name).Inc()
 			}
@@ -272,6 +281,7 @@ func (e *Engine) removeLocked(ch *changeSet, id int64) bool {
 // writes to the store: the whole changeSet goes down as one atomic batch.
 // It runs after apply, so the record carries exactly the flags the walk set.
 func (e *Engine) commitLocked(ch *changeSet) error {
+	e.seq.Add(1) // the mutation has published
 	if e.store == nil {
 		return nil
 	}

@@ -40,7 +40,7 @@ func relinkErrorEngine(t *testing.T, broken int) (*Engine, int) {
 	}
 	e.mu.Lock()
 	for i := 0; i < broken; i++ {
-		e.invalid[int64(1000+i)] = true
+		e.invalid[int64(1000+i)] = e.seq.Load()
 	}
 	e.mu.Unlock()
 	return e, good

@@ -27,6 +27,7 @@ func (e *Engine) ApplyReplicated(ops []storage.BatchOp) error {
 }
 
 func (e *Engine) applyReplicatedLocked(ops []storage.BatchOp) error {
+	defer e.seq.Add(1) // the record has published
 	for i := range ops {
 		op := &ops[i]
 		switch op.Table {
@@ -79,7 +80,7 @@ func (e *Engine) applyReplicatedLocked(ops []storage.BatchOp) error {
 			if op.Delete {
 				delete(e.invalid, id)
 			} else {
-				e.invalid[id] = true
+				e.invalid[id] = e.seq.Load() + 1
 				e.rendered.Invalidate(id)
 			}
 		default:

@@ -1,6 +1,6 @@
 // Package faultinject provides controllable failure wrappers used by the
-// chaos test suites: a net.Conn that injects errors, latency, partial
-// writes, and mid-request disconnects; a net.Listener that wraps every
+// chaos test suites: a net.Conn that injects write errors, latency, and
+// mid-request disconnects; a net.Listener that wraps every
 // accepted connection; and an os.File-style wrapper that fails writes and
 // fsyncs on cue.
 //
@@ -28,27 +28,17 @@ type Conn struct {
 	net.Conn
 
 	mu     sync.Mutex
-	reads  int // completed Read calls
 	writes int // completed Write calls
 
-	failReadAt  int   // 1-based Read call index at which reads start failing
-	readErr     error // error returned once reads fail
-	failWriteAt int   // 1-based Write call index at which writes start failing
+	failWriteAt int // 1-based Write call index at which writes start failing
 	writeErr    error
 	closeOnFail bool // also close the underlying conn when a fault fires
 
-	latency       time.Duration // added before every Read and Write
-	maxWriteBytes int           // cap on bytes accepted per Write call (partial writes)
+	latency time.Duration // added before every Read and Write
 }
 
 // ConnOption configures a Conn.
 type ConnOption func(*Conn)
-
-// FailReadAfter makes Read fail from the nth call on (n=1 fails the first
-// read). A nil err uses ErrInjected.
-func FailReadAfter(n int, err error) ConnOption {
-	return func(c *Conn) { c.failReadAt = n; c.readErr = orInjected(err) }
-}
 
 // FailWriteAfter makes Write fail from the nth call on. A nil err uses
 // ErrInjected.
@@ -56,17 +46,11 @@ func FailWriteAfter(n int, err error) ConnOption {
 	return func(c *Conn) { c.failWriteAt = n; c.writeErr = orInjected(err) }
 }
 
-// CloseOnFail closes the underlying connection when an injected read or
-// write fault fires, simulating a peer that drops the TCP connection
+// CloseOnFail closes the underlying connection when an injected write
+// fault fires, simulating a peer that drops the TCP connection
 // mid-request rather than one that merely errors locally.
 func CloseOnFail() ConnOption {
 	return func(c *Conn) { c.closeOnFail = true }
-}
-
-// WithLatency adds a fixed delay before every Read and Write, simulating a
-// slow or congested link.
-func WithLatency(d time.Duration) ConnOption {
-	return func(c *Conn) { c.latency = d }
 }
 
 // SetLatency changes the injected per-call latency on a live connection.
@@ -77,12 +61,6 @@ func (c *Conn) SetLatency(d time.Duration) {
 	c.mu.Lock()
 	c.latency = d
 	c.mu.Unlock()
-}
-
-// WithMaxWriteBytes caps the bytes accepted per Write call, forcing the
-// caller through the short-write path.
-func WithMaxWriteBytes(n int) ConnOption {
-	return func(c *Conn) { c.maxWriteBytes = n }
 }
 
 // WrapConn wraps inner with the configured faults.
@@ -101,36 +79,12 @@ func orInjected(err error) error {
 	return err
 }
 
-// Reads returns how many Read calls have completed or faulted.
-func (c *Conn) Reads() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reads
-}
-
-// Writes returns how many Write calls have completed or faulted.
-func (c *Conn) Writes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writes
-}
-
 func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
-	c.reads++
-	fail := c.failReadAt > 0 && c.reads >= c.failReadAt
-	err := c.readErr
-	closeOnFail := c.closeOnFail
 	latency := c.latency
 	c.mu.Unlock()
 	if latency > 0 {
 		time.Sleep(latency)
-	}
-	if fail {
-		if closeOnFail {
-			c.Conn.Close()
-		}
-		return 0, err
 	}
 	return c.Conn.Read(p)
 }
@@ -142,7 +96,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	err := c.writeErr
 	closeOnFail := c.closeOnFail
 	latency := c.latency
-	max := c.maxWriteBytes
 	c.mu.Unlock()
 	if latency > 0 {
 		time.Sleep(latency)
@@ -152,13 +105,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 			c.Conn.Close()
 		}
 		return 0, err
-	}
-	if max > 0 && len(p) > max {
-		n, werr := c.Conn.Write(p[:max])
-		if werr != nil {
-			return n, werr
-		}
-		return n, io.ErrShortWrite
 	}
 	return c.Conn.Write(p)
 }
@@ -173,7 +119,6 @@ type Listener struct {
 	mu       sync.Mutex
 	opts     []ConnOption
 	onAccept func(*Conn)
-	accepted int
 }
 
 // WrapListener wraps ln; every accepted conn receives opts.
@@ -188,20 +133,12 @@ func (l *Listener) OnAccept(fn func(*Conn)) {
 	l.onAccept = fn
 }
 
-// Accepted returns how many connections have been accepted.
-func (l *Listener) Accepted() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.accepted
-}
-
 func (l *Listener) Accept() (net.Conn, error) {
 	conn, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
 	}
 	l.mu.Lock()
-	l.accepted++
 	wrapped := WrapConn(conn, l.opts...)
 	fn := l.onAccept
 	l.mu.Unlock()
@@ -260,20 +197,6 @@ func WrapFile(inner OSFile, opts ...FileOption) *File {
 		o(f)
 	}
 	return f
-}
-
-// Writes returns how many Write calls have completed or faulted.
-func (f *File) Writes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writes
-}
-
-// Syncs returns how many Sync calls have completed or faulted.
-func (f *File) Syncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
 }
 
 func (f *File) Write(p []byte) (int, error) {

@@ -28,27 +28,6 @@ func TestConnPassThrough(t *testing.T) {
 	if string(buf) != "hello" {
 		t.Fatalf("read %q", buf)
 	}
-	if fc.Reads() == 0 {
-		t.Error("read counter not incremented")
-	}
-}
-
-func TestConnFailReadAt(t *testing.T) {
-	a, b := pipePair(t)
-	boom := errors.New("boom")
-	fc := WrapConn(a, FailReadAfter(2, boom))
-	go func() { b.Write([]byte("xy")) }()
-	one := make([]byte, 1)
-	if _, err := fc.Read(one); err != nil {
-		t.Fatalf("first read: %v", err)
-	}
-	if _, err := fc.Read(one); !errors.Is(err, boom) {
-		t.Fatalf("second read: %v, want boom", err)
-	}
-	// Faults latch: every later read fails too.
-	if _, err := fc.Read(one); !errors.Is(err, boom) {
-		t.Fatalf("third read: %v, want boom", err)
-	}
 }
 
 func TestConnFailWriteClosesUnderlying(t *testing.T) {
@@ -64,27 +43,10 @@ func TestConnFailWriteClosesUnderlying(t *testing.T) {
 	}
 }
 
-func TestConnPartialWrites(t *testing.T) {
-	a, b := pipePair(t)
-	fc := WrapConn(a, WithMaxWriteBytes(2))
-	got := make(chan []byte, 1)
-	go func() {
-		buf := make([]byte, 2)
-		io.ReadFull(b, buf)
-		got <- buf
-	}()
-	n, err := fc.Write([]byte("abcdef"))
-	if n != 2 || !errors.Is(err, io.ErrShortWrite) {
-		t.Fatalf("write: n=%d err=%v, want 2/ErrShortWrite", n, err)
-	}
-	if string(<-got) != "ab" {
-		t.Error("peer did not receive the partial write")
-	}
-}
-
 func TestConnLatency(t *testing.T) {
 	a, b := pipePair(t)
-	fc := WrapConn(a, WithLatency(30*time.Millisecond))
+	fc := WrapConn(a)
+	fc.SetLatency(30 * time.Millisecond)
 	go func() { b.Write([]byte("x")) }()
 	start := time.Now()
 	if _, err := fc.Read(make([]byte, 1)); err != nil {
@@ -100,7 +62,7 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := WrapListener(ln, FailReadAfter(1, nil))
+	fl := WrapListener(ln, FailWriteAfter(1, nil))
 	defer fl.Close()
 	var seen *Conn
 	done := make(chan struct{})
@@ -110,9 +72,9 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 		if err != nil {
 			return
 		}
-		// Server-side read hits the injected fault immediately.
-		if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
-			t.Errorf("accepted conn read: %v, want ErrInjected", err)
+		// Server-side write hits the injected fault immediately.
+		if _, err := conn.Write([]byte("x")); !errors.Is(err, ErrInjected) {
+			t.Errorf("accepted conn write: %v, want ErrInjected", err)
 		}
 		conn.Close()
 	}()
@@ -122,8 +84,8 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 	}
 	defer c.Close()
 	<-done
-	if seen == nil || fl.Accepted() != 1 {
-		t.Fatalf("accepted=%d, callback conn=%v", fl.Accepted(), seen)
+	if seen == nil {
+		t.Fatal("OnAccept callback never saw the accepted conn")
 	}
 }
 
@@ -139,9 +101,6 @@ func TestFileFailSync(t *testing.T) {
 	}
 	if err := ff.Sync(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second sync: %v, want ErrInjected", err)
-	}
-	if ff.Syncs() != 2 {
-		t.Errorf("syncs=%d, want 2", ff.Syncs())
 	}
 }
 

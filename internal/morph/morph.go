@@ -129,16 +129,6 @@ func WordEnd(s string, start int) int {
 	}
 }
 
-// NormalizeWords normalizes every word of an already-split label.
-// The input slice is not modified.
-func NormalizeWords(words []string) []string {
-	out := make([]string, len(words))
-	for i, w := range words {
-		out[i] = Normalize(w)
-	}
-	return out
-}
-
 // StripPossessive removes the English possessive suffix from a token:
 // "euler's" → "euler", "stokes'" → "stokes". Both the ASCII apostrophe and
 // the Unicode right single quotation mark (U+2019) are recognized.
@@ -198,12 +188,6 @@ func singularizeOnce(word string) string {
 		}
 	}
 	return word
-}
-
-// IsPlural reports whether Singularize would change the word, i.e. whether
-// the (lowercase) word looks like an English plural form.
-func IsPlural(word string) bool {
-	return Singularize(word) != word
 }
 
 // Pluralize maps a singular English word to a plausible plural form. It is

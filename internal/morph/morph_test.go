@@ -159,17 +159,6 @@ func TestNormalizeLabel(t *testing.T) {
 	}
 }
 
-func TestNormalizeWordsDoesNotMutate(t *testing.T) {
-	in := []string{"Groups", "Rings"}
-	out := NormalizeWords(in)
-	if in[0] != "Groups" || in[1] != "Rings" {
-		t.Fatalf("input mutated: %v", in)
-	}
-	if out[0] != "group" || out[1] != "ring" {
-		t.Fatalf("unexpected output: %v", out)
-	}
-}
-
 // Normalization must be idempotent: applying it twice equals applying once.
 func TestNormalizeIdempotent(t *testing.T) {
 	f := func(s string) bool {
@@ -216,18 +205,6 @@ func TestFoldASCIIProducesASCII(t *testing.T) {
 				t.Errorf("FoldASCII(%q) = %q contains non-ASCII", string(r), out)
 			}
 		}
-	}
-}
-
-func TestIsPlural(t *testing.T) {
-	if !IsPlural("groups") {
-		t.Error("IsPlural(groups) = false")
-	}
-	if IsPlural("series") {
-		t.Error("IsPlural(series) = true")
-	}
-	if IsPlural("graph") {
-		t.Error("IsPlural(graph) = true")
 	}
 }
 

@@ -8,13 +8,11 @@
 // replicas buy on links where the round trip, not the CPU, is
 // the bottleneck.
 //
-// Beyond delay, a Link supports fault injection for chaos tests: one-way
-// partitions (traffic in the blocked direction stalls — like a TCP wire
-// that stopped delivering — and flows again after heal, preserving stream
+// Beyond delay, a Link supports fault injection for chaos tests:
+// partitions (traffic stalls in both directions — like a TCP wire that
+// stopped delivering — and flows again after heal, preserving stream
 // integrity) and connection drops (every live proxied connection is closed
-// at once, as if a middlebox reset them). Replication chaos tests use these
-// to cut followers off from their primary and verify convergence after
-// heal.
+// at once, as if a middlebox reset them).
 package netsim
 
 import (
@@ -23,8 +21,8 @@ import (
 	"time"
 )
 
-// gate is a direction's flow control: open lets chunks through, blocked
-// stalls them until reopened (or the link closes).
+// gate is a link's flow control: open lets chunks through, blocked stalls
+// them until reopened (or the link closes).
 type gate struct {
 	mu   sync.Mutex
 	open chan struct{} // closed-over channel: closed = traffic may flow
@@ -66,15 +64,14 @@ func (g *gate) wait(cancel <-chan struct{}) bool {
 }
 
 // Link is a controllable simulated network segment in front of one backend:
-// a listening proxy whose two directions can be independently partitioned,
-// and whose live connections can be dropped on demand.
+// a listening proxy that can be partitioned, and whose live connections can
+// be dropped on demand.
 type Link struct {
-	ln        net.Listener
-	backend   string
-	delay     time.Duration
-	toBackend *gate // client→backend direction
-	toClient  *gate // backend→client direction
-	closedCh  chan struct{}
+	ln       net.Listener
+	backend  string
+	delay    time.Duration
+	gate     *gate // both directions
+	closedCh chan struct{}
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -90,13 +87,12 @@ func NewLink(backend string, delay time.Duration) (*Link, error) {
 		return nil, err
 	}
 	l := &Link{
-		ln:        ln,
-		backend:   backend,
-		delay:     delay,
-		toBackend: newGate(),
-		toClient:  newGate(),
-		closedCh:  make(chan struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		ln:       ln,
+		backend:  backend,
+		delay:    delay,
+		gate:     newGate(),
+		closedCh: make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	go l.acceptLoop()
 	return l, nil
@@ -106,21 +102,8 @@ func NewLink(backend string, delay time.Duration) (*Link, error) {
 // backend.
 func (l *Link) Addr() string { return l.ln.Addr().String() }
 
-// PartitionToBackend blocks (or with false, unblocks) the client→backend
-// direction: requests stall in flight while responses still flow — a
-// one-way partition.
-func (l *Link) PartitionToBackend(blocked bool) { l.toBackend.set(blocked) }
-
-// PartitionToClient blocks (or unblocks) the backend→client direction:
-// responses stall while requests still arrive.
-func (l *Link) PartitionToClient(blocked bool) { l.toClient.set(blocked) }
-
-// Partition blocks (or unblocks) both directions at once — a full
-// partition of this link.
-func (l *Link) Partition(blocked bool) {
-	l.toBackend.set(blocked)
-	l.toClient.set(blocked)
-}
+// Partition blocks (or unblocks) both directions of this link.
+func (l *Link) Partition(blocked bool) { l.gate.set(blocked) }
 
 // Heal reopens both directions; stalled traffic resumes where it stopped.
 func (l *Link) Heal() { l.Partition(false) }
@@ -149,14 +132,6 @@ func (l *Link) DropConnections() int {
 		c.Close()
 	}
 	return len(cs)
-}
-
-// ActiveConns returns how many proxied sockets are currently tracked (two
-// per proxied connection: the client side and the backend side).
-func (l *Link) ActiveConns() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.conns)
 }
 
 // Close stops the listener, releases stalled traffic, and closes every
@@ -225,8 +200,8 @@ func (l *Link) acceptLoop() {
 			}
 			var wg sync.WaitGroup
 			wg.Add(2)
-			go l.pump(srv, cl, l.toBackend, &wg)
-			go l.pump(cl, srv, l.toClient, &wg)
+			go l.pump(srv, cl, &wg)
+			go l.pump(cl, srv, &wg)
 			wg.Wait()
 			l.untrack(cl)
 			l.untrack(srv)
@@ -235,12 +210,12 @@ func (l *Link) acceptLoop() {
 }
 
 // pump forwards src→dst, releasing each chunk delay after it was read and
-// only while the direction's gate is open. Reading continues while earlier
+// only while the link's gate is open. Reading continues while earlier
 // chunks wait out their delay, so concurrent chunks share the wire time
 // instead of queuing behind each other's sleeps; a blocked gate stalls
 // delivery without discarding bytes, so the stream stays intact across a
 // partition-and-heal cycle.
-func (l *Link) pump(dst, src net.Conn, g *gate, wg *sync.WaitGroup) {
+func (l *Link) pump(dst, src net.Conn, wg *sync.WaitGroup) {
 	defer wg.Done()
 	type chunk struct {
 		data []byte
@@ -264,7 +239,7 @@ func (l *Link) pump(dst, src net.Conn, g *gate, wg *sync.WaitGroup) {
 	}()
 	for c := range ch {
 		time.Sleep(time.Until(c.due))
-		if !g.wait(l.closedCh) {
+		if !l.gate.wait(l.closedCh) {
 			break
 		}
 		if _, err := dst.Write(c.data); err != nil {

@@ -136,79 +136,6 @@ func TestProxyStopClosesConns(t *testing.T) {
 	}
 }
 
-// TestLinkOneWayPartitionStallsAndHeals: blocking client→backend stalls the
-// request (no response, no connection error) while the reverse direction
-// stays usable; healing delivers the stalled bytes and the stream resumes
-// exactly where it stopped — no loss, no corruption.
-func TestLinkOneWayPartitionStallsAndHeals(t *testing.T) {
-	l, err := NewLink(echoServer(t), time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	conn, err := net.DialTimeout("tcp", l.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-
-	// Healthy exchange first.
-	fmt.Fprintln(conn, "before")
-	if line, err := r.ReadString('\n'); err != nil || line != "before\n" {
-		t.Fatalf("pre-partition echo = %q, %v", line, err)
-	}
-
-	// Partition the request direction, then send: the echo must not arrive.
-	l.PartitionToBackend(true)
-	fmt.Fprintln(conn, "stalled")
-	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if line, err := r.ReadString('\n'); err == nil {
-		t.Fatalf("echo %q crossed a partitioned direction", line)
-	}
-	conn.SetReadDeadline(time.Time{})
-
-	// Heal: the stalled request is delivered, not lost, and the stream is
-	// intact for further traffic.
-	l.Heal()
-	if line, err := r.ReadString('\n'); err != nil || line != "stalled\n" {
-		t.Fatalf("post-heal echo = %q, %v (stalled bytes lost?)", line, err)
-	}
-	fmt.Fprintln(conn, "after")
-	if line, err := r.ReadString('\n'); err != nil || line != "after\n" {
-		t.Fatalf("post-heal stream broken: %q, %v", line, err)
-	}
-}
-
-// TestLinkPartitionToClientHoldsResponses: the backend receives and answers,
-// but the response stalls until heal — the asymmetric half of a one-way
-// partition.
-func TestLinkPartitionToClientHoldsResponses(t *testing.T) {
-	l, err := NewLink(echoServer(t), time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	conn, err := net.DialTimeout("tcp", l.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-
-	l.PartitionToClient(true)
-	fmt.Fprintln(conn, "held")
-	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if line, err := r.ReadString('\n'); err == nil {
-		t.Fatalf("response %q crossed a partitioned direction", line)
-	}
-	conn.SetReadDeadline(time.Time{})
-	l.Heal()
-	if line, err := r.ReadString('\n'); err != nil || line != "held\n" {
-		t.Fatalf("held response after heal = %q, %v", line, err)
-	}
-}
-
 // TestLinkDropConnections: every live proxied connection dies abruptly, the
 // listener keeps accepting, and a reconnect works immediately.
 func TestLinkDropConnections(t *testing.T) {
@@ -246,9 +173,6 @@ func TestLinkDropConnections(t *testing.T) {
 	fmt.Fprintln(conn2, "reborn")
 	if line, err := r2.ReadString('\n'); err != nil || line != "reborn\n" {
 		t.Fatalf("post-drop echo = %q, %v", line, err)
-	}
-	if l.ActiveConns() == 0 {
-		t.Error("reconnected sockets not tracked")
 	}
 }
 

@@ -74,12 +74,3 @@ func NewWikipediaToMSC() *Mapper {
 	}
 	return m
 }
-
-// RegisterMSCWikipedia installs both directions of the built-in
-// MSC↔Wikipedia-category mapping into a registry.
-func RegisterMSCWikipedia(r *Registry) error {
-	if err := r.Register(NewMSCToWikipedia()); err != nil {
-		return err
-	}
-	return r.Register(NewWikipediaToMSC())
-}

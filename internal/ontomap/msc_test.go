@@ -42,8 +42,10 @@ func TestWikipediaToMSCAreaRoots(t *testing.T) {
 
 func TestRoundTripThroughRegistry(t *testing.T) {
 	r := NewRegistry()
-	if err := RegisterMSCWikipedia(r); err != nil {
-		t.Fatal(err)
+	for _, m := range []*Mapper{NewMSCToWikipedia(), NewWikipediaToMSC()} {
+		if err := r.Register(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A Wikipedia-classified entry translated into MSC lands in the right
 	// area for steering against MSC source classes.

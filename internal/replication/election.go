@@ -106,15 +106,16 @@ type NodeConfig struct {
 	// DefaultElectionTimeout). Candidates re-arm with jitter in
 	// [timeout, 1.5·timeout] so simultaneous timeouts desynchronize.
 	ElectionTimeout time.Duration
-	// PrimaryOpts and FollowerOpts configure the role objects the node
-	// builds as it flips roles.
-	PrimaryOpts  []PrimaryOption
-	FollowerOpts []FollowerOption
+	// Name is what the node's followers identify themselves with to the
+	// primary ("" is the local hostname), and Wait the long-poll duration
+	// they request (0 is 5s); see NewFollower.
+	Name string
+	Wait time.Duration
 	// Telemetry registers nnexus_replication_epoch, nnexus_elections_total
-	// and nnexus_fenced_requests_total (nil registers on a private registry).
+	// and nnexus_fenced_requests_total, and each primary the node becomes
+	// registers its lag gauge and quorum histogram (see NewPrimary), on one
+	// registry (nil registers on a private one).
 	Telemetry *telemetry.Registry
-	// Logger may be nil to disable role-transition logging.
-	Logger *log.Logger
 }
 
 // Node is one replication-group member's state machine. It owns the node's
@@ -192,7 +193,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if n.term, n.votedFor, err = n.loadVote(); err != nil {
 		return nil, err
 	}
-	reg := cmp.Or(cfg.Telemetry, telemetry.NewRegistry())
+	n.cfg.Telemetry = cmp.Or(cfg.Telemetry, telemetry.NewRegistry())
+	reg := n.cfg.Telemetry
 	n.telEpoch = reg.Gauge("nnexus_replication_epoch",
 		"Current election epoch (leadership term) of this node.")
 	n.telElections = reg.Counter("nnexus_elections_total",
@@ -201,7 +203,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		"Requests rejected because they carried (or arrived at) a stale epoch.")
 	n.telEpoch.Set(int64(n.term))
 	if cfg.InitialPrimary {
-		p, err := NewPrimary(cfg.Store, cfg.PrimaryOpts...)
+		p, err := NewPrimary(cfg.Store, reg)
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +219,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("replication: dial initial leader: %w", err)
 		}
-		f, err := NewFollower(cfg.Store, cfg.Applier, src, cfg.FollowerOpts...)
+		f, err := NewFollower(cfg.Store, cfg.Applier, src, cfg.Name, cfg.Wait)
 		if err != nil {
 			return nil, err
 		}
@@ -387,14 +389,14 @@ func (n *Node) runElection() {
 	n.lastVotes = 1
 	if err := n.saveVoteLocked(); err != nil {
 		n.mu.Unlock()
-		n.logf("replication: election %d aborted, cannot persist vote: %v", cand, err)
+		log.Printf("replication: election %d aborted, cannot persist vote: %v", cand, err)
 		return
 	}
 	applied := n.cfg.Store.ReplicationHead()
 	n.mu.Unlock()
 	n.telElections.Inc()
 	n.telEpoch.Set(int64(cand))
-	n.logf("replication: standing for election, epoch %d, applied offset %d", cand, applied)
+	log.Printf("replication: standing for election, epoch %d, applied offset %d", cand, applied)
 
 	type ballot struct {
 		granted bool
@@ -440,7 +442,7 @@ func (n *Node) runElection() {
 	}
 	n.mu.Unlock()
 	if votes < quorum {
-		n.logf("replication: election for epoch %d failed (%d/%d votes)", cand, votes, quorum)
+		log.Printf("replication: election for epoch %d failed (%d/%d votes)", cand, votes, quorum)
 		return
 	}
 	n.promote(cand)
@@ -472,12 +474,12 @@ func (n *Node) promote(won uint64) {
 		newStorage = syncedUnder + 1
 	}
 	if err := st.SetReplicationEpoch(newStorage); err != nil {
-		n.logf("replication: promotion to epoch %d failed installing storage epoch: %v", won, err)
+		log.Printf("replication: promotion to epoch %d failed installing storage epoch: %v", won, err)
 		return
 	}
-	p, err := NewPrimary(st, n.cfg.PrimaryOpts...)
+	p, err := NewPrimary(st, n.cfg.Telemetry)
 	if err != nil {
-		n.logf("replication: promotion to epoch %d failed: %v", won, err)
+		log.Printf("replication: promotion to epoch %d failed: %v", won, err)
 		return
 	}
 	if n.cfg.Binder != nil {
@@ -490,7 +492,7 @@ func (n *Node) promote(won uint64) {
 	n.fenced = false
 	n.lastHeard = clock.Now()
 	n.mu.Unlock()
-	n.logf("replication: won election, serving as primary for epoch %d (storage epoch %d)", won, newStorage)
+	log.Printf("replication: won election, serving as primary for epoch %d (storage epoch %d)", won, newStorage)
 	for _, addr := range n.peers {
 		go func(addr string) {
 			if peer, err := n.getPeer(addr); err == nil {
@@ -528,7 +530,7 @@ func (n *Node) demoteTo(epoch uint64, leaderAddr string) {
 	_ = n.saveVoteLocked()
 	n.mu.Unlock()
 	n.telEpoch.Set(int64(epoch))
-	n.logf("replication: fenced — epoch %d held by %q supersedes this primary; demoting to follower", epoch, leaderAddr)
+	log.Printf("replication: fenced — epoch %d held by %q supersedes this primary; demoting to follower", epoch, leaderAddr)
 	if prim != nil {
 		prim.Drain()
 	}
@@ -546,16 +548,16 @@ func (n *Node) demoteTo(epoch uint64, leaderAddr string) {
 func (n *Node) buildFollower(leaderAddr string) {
 	src, err := n.getPeer(leaderAddr)
 	if err != nil {
-		n.logf("replication: cannot dial new leader %q: %v", leaderAddr, err)
+		log.Printf("replication: cannot dial new leader %q: %v", leaderAddr, err)
 		return
 	}
-	f, err := NewFollower(n.cfg.Store, n.cfg.Applier, src, n.cfg.FollowerOpts...)
+	f, err := NewFollower(n.cfg.Store, n.cfg.Applier, src, n.cfg.Name, n.cfg.Wait)
 	if err != nil {
-		n.logf("replication: cannot follow new leader %q: %v", leaderAddr, err)
+		log.Printf("replication: cannot follow new leader %q: %v", leaderAddr, err)
 		return
 	}
 	if err := f.Start(); err != nil {
-		n.logf("replication: cannot follow new leader %q: %v", leaderAddr, err)
+		log.Printf("replication: cannot follow new leader %q: %v", leaderAddr, err)
 		return
 	}
 	n.mu.Lock()
@@ -841,10 +843,4 @@ func (n *Node) loadVote() (term uint64, votedFor string, err error) {
 		return 0, "", fmt.Errorf("replication: persisted vote %s is corrupt: %v; %s", voteFileName, perr, refuse)
 	}
 	return term, strings.TrimSpace(lines[1]), nil
-}
-
-func (n *Node) logf(format string, args ...interface{}) {
-	if n.cfg.Logger != nil {
-		n.cfg.Logger.Printf(format, args...)
-	}
 }

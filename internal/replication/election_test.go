@@ -1,10 +1,13 @@
 package replication
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -214,10 +217,8 @@ func newClusterNode(t *testing.T, fb *fabric, dir, self string, peers []string, 
 		InitialPrimary:  initialPrimary,
 		InitialLeader:   initialLeader,
 		ElectionTimeout: testElectionTimeout,
-		FollowerOpts: []FollowerOption{
-			WithFollowerName(self),
-			WithFollowerWait(50 * time.Millisecond),
-		},
+		Name:            self,
+		Wait:            50 * time.Millisecond,
 	})
 	if err != nil {
 		st.Close()
@@ -993,5 +994,45 @@ func TestNewNodeRequirements(t *testing.T) {
 	defer n.Stop()
 	if err := n.CheckWritable(); err == nil || n.Status().Leader != "b" {
 		t.Errorf("CheckWritable = %v, leader %q; want a refusal naming b", err, n.Status().Leader)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe to read while loggers write to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestElectionTransitionsAreLogged: a node's role transitions reach the
+// process log. The primary dies, a follower stands, wins and announces,
+// and the log carries both its candidacy and its win. Not parallel: it
+// points the standard logger at a buffer.
+func TestElectionTransitionsAreLogged(t *testing.T) {
+	var logged lockedBuffer
+	out := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(out) }) // runs after the nodes stop
+
+	fb := newFabric()
+	clk, nodes, _, _ := threeNodeCluster(t, fb, 3)
+	fb.setDown("n1", true)
+	nodes["n1"].Stop()
+	waitNode(t, clk, "a follower won and logged it", func() bool {
+		return strings.Contains(logged.String(), "won election")
+	})
+	if got := logged.String(); !strings.Contains(got, "standing for election") {
+		t.Errorf("log lacks the candidacy:\n%s", got)
 	}
 }

@@ -73,33 +73,13 @@ type Follower struct {
 	retargeted chan struct{}
 }
 
-// FollowerOption configures NewFollower.
-type FollowerOption func(*Follower)
-
-// WithFollowerName sets the name the follower identifies itself with in
-// replAck (defaults to the local hostname, falling back to "follower").
-func WithFollowerName(name string) FollowerOption {
-	return func(f *Follower) {
-		if name != "" {
-			f.name = name
-		}
-	}
-}
-
-// WithFollowerWait sets the long-poll duration requested from the primary
-// (default 5s).
-func WithFollowerWait(d time.Duration) FollowerOption {
-	return func(f *Follower) {
-		if d > 0 {
-			f.wait = d
-		}
-	}
-}
-
 // NewFollower assembles a follower over a local store (its durable replica
 // state), an optional engine applier, and a source connected to the
-// primary. Call Start to begin syncing.
-func NewFollower(store *storage.Store, applier Applier, src Source, opts ...FollowerOption) (*Follower, error) {
+// primary. name is what the follower identifies itself with in replAck
+// ("" is the local hostname, falling back to "follower"); wait is the
+// long-poll duration it requests from the primary (0 is 5s). Call Start to
+// begin syncing.
+func NewFollower(store *storage.Store, applier Applier, src Source, name string, wait time.Duration) (*Follower, error) {
 	if store == nil {
 		return nil, errors.New("replication: follower needs a store")
 	}
@@ -110,17 +90,20 @@ func NewFollower(store *storage.Store, applier Applier, src Source, opts ...Foll
 		store:      store,
 		applier:    applier,
 		src:        src,
-		name:       "follower",
-		wait:       5 * time.Second,
+		name:       name,
+		wait:       wait,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		retargeted: make(chan struct{}, 1),
 	}
-	if host, err := os.Hostname(); err == nil && host != "" {
-		f.name = host
+	if f.wait <= 0 {
+		f.wait = 5 * time.Second
 	}
-	for _, o := range opts {
-		o(f)
+	if f.name == "" {
+		f.name = "follower"
+		if host, err := os.Hostname(); err == nil && host != "" {
+			f.name = host
+		}
 	}
 	// An epoch never saved (a memory-only store keeps none), unreadable or
 	// unparsable reads as 0, which mismatches any live primary epoch and

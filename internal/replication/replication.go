@@ -17,6 +17,7 @@
 package replication
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -87,40 +88,25 @@ type Primary struct {
 	drainCh   chan struct{}
 }
 
-// PrimaryOption configures NewPrimary.
-type PrimaryOption func(*Primary)
-
-// WithPrimaryTelemetry registers the per-follower replication lag gauge
+// NewPrimary wraps a store opened with storage.WithReplication. It
+// registers the per-follower replication lag gauge
 // nnexus_replication_lag_records and the quorum-commit latency histogram
-// nnexus_quorum_commit_seconds on reg, which must be non-nil; without this
-// option they count on a private registry.
-func WithPrimaryTelemetry(reg *telemetry.Registry) PrimaryOption {
-	return func(p *Primary) { p.register(reg) }
-}
-
-func (p *Primary) register(reg *telemetry.Registry) {
-	p.lagVec = reg.GaugeVec("nnexus_replication_lag_records",
-		"Records the primary has applied but the follower has not acknowledged.",
-		"follower")
-	p.quorumHist = reg.Histogram("nnexus_quorum_commit_seconds",
-		"Time a quorum-acknowledged write waited for its follower confirmations.")
-}
-
-// NewPrimary wraps a store opened with storage.WithReplication.
-func NewPrimary(store *storage.Store, opts ...PrimaryOption) (*Primary, error) {
+// nnexus_quorum_commit_seconds on reg (nil registers on a private registry).
+func NewPrimary(store *storage.Store, reg *telemetry.Registry) (*Primary, error) {
 	if !store.ReplicationEnabled() {
 		return nil, errors.New("replication: store opened without WithReplication")
 	}
-	p := &Primary{
-		store:     store,
+	reg = cmp.Or(reg, telemetry.NewRegistry())
+	return &Primary{
+		store: store,
+		lagVec: reg.GaugeVec("nnexus_replication_lag_records",
+			"Records the primary has applied but the follower has not acknowledged.",
+			"follower"),
+		quorumHist: reg.Histogram("nnexus_quorum_commit_seconds",
+			"Time a quorum-acknowledged write waited for its follower confirmations."),
 		followers: make(map[string]*followerState),
 		drainCh:   make(chan struct{}),
-	}
-	p.register(telemetry.NewRegistry())
-	for _, o := range opts {
-		o(p)
-	}
-	return p, nil
+	}, nil
 }
 
 // Subscribe answers one replSubscribe exchange: records from offset `from`

@@ -32,25 +32,21 @@ func newPrimary(t *testing.T, opts ...storage.Option) (*storage.Store, *Primary)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	p, err := NewPrimary(st)
+	p, err := NewPrimary(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st, p
 }
 
-func newTestFollower(t *testing.T, p *Primary, opts ...FollowerOption) (*storage.Store, *Follower) {
+func newTestFollower(t *testing.T, p *Primary) (*storage.Store, *Follower) {
 	t.Helper()
 	st, err := storage.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	opts = append([]FollowerOption{
-		WithFollowerName("f1"),
-		WithFollowerWait(50 * time.Millisecond),
-	}, opts...)
-	f, err := NewFollower(st, nil, localSource{p}, opts...)
+	f, err := NewFollower(st, nil, localSource{p}, "f1", 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +207,7 @@ func TestStatusAppliedWaitsForEngine(t *testing.T) {
 	}
 	t.Cleanup(func() { fst.Close() })
 	g := gatedApplier{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	f, err := NewFollower(fst, g, localSource{p},
-		WithFollowerName("f1"), WithFollowerWait(50*time.Millisecond))
+	f, err := NewFollower(fst, g, localSource{p}, "f1", 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +374,7 @@ func TestRetargetWakesBackoff(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	dead := deadSource{calls: make(chan struct{}, 1)}
-	f, err := NewFollower(st, nil, dead, WithFollowerName("f1"), WithFollowerWait(50*time.Millisecond))
+	f, err := NewFollower(st, nil, dead, "f1", 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

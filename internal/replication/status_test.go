@@ -26,10 +26,8 @@ func idleNode(t *testing.T, clk *clock.Manual, fb *fabric, self string, peers []
 		Dial:           func(addr string) (Peer, error) { return fabricPeer{fb: fb, from: self, addr: addr}, nil },
 		InitialPrimary: primary,
 		InitialLeader:  leader,
-		FollowerOpts: []FollowerOption{
-			WithFollowerName(self),
-			WithFollowerWait(20 * time.Millisecond),
-		},
+		Name:           self,
+		Wait:           20 * time.Millisecond,
 	})
 	if err != nil {
 		st.Close()

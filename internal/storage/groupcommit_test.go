@@ -143,9 +143,33 @@ func TestChaosBatchTornTail(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalescesFsyncs runs many concurrent synced writers: every
-// acknowledged write must survive reopen, while the commit pipeline folds
-// the writers' appends into far fewer fsyncs than one per operation.
+// slowSyncWAL opens the WAL through faultinject's file (with opts) and
+// wraps it so every Sync also takes delay, as a disk's fsync does. Other
+// files open unwrapped.
+func slowSyncWAL(delay time.Duration, opts ...faultinject.FileOption) OpenFileFunc {
+	return func(name string, flag int, perm os.FileMode) (File, error) {
+		f, err := os.OpenFile(name, flag, perm)
+		if err != nil || filepath.Base(name) != walName {
+			return f, err
+		}
+		return slowSyncFile{faultinject.WrapFile(f, opts...), delay}, nil
+	}
+}
+
+type slowSyncFile struct {
+	*faultinject.File
+	delay time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.delay)
+	return f.File.Sync()
+}
+
+// TestGroupCommitCoalescesFsyncs runs many concurrent synced writers over a
+// WAL whose fsync takes milliseconds: every acknowledged write must survive
+// reopen, while the writers that queue up during one round's fsync share
+// the next, so the store issues far fewer fsyncs than one per operation.
 func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	const (
 		writers = 8
@@ -154,7 +178,7 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	s, err := Open(dir, WithSyncWrites(),
-		WithGroupCommitWindow(2*time.Millisecond), WithTelemetry(reg))
+		WithOpenFile(slowSyncWAL(3*time.Millisecond)), WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +232,11 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 // TestGroupCommitFsyncFailureFailsWholeRound: when a commit round's fsync
 // fails, every writer staged into it gets the error and none of their
 // mutations become visible, while previously acknowledged writes survive
-// reopen.
+// reopen. The slow fsync lets the writers queue up into shared rounds.
 func TestGroupCommitFsyncFailureFailsWholeRound(t *testing.T) {
 	dir := t.TempDir()
-	fn, _ := walInjector(walName, faultinject.FailSyncAfter(2, nil))
 	s, err := Open(dir, WithSyncWrites(),
-		WithGroupCommitWindow(5*time.Millisecond), WithOpenFile(fn))
+		WithOpenFile(slowSyncWAL(3*time.Millisecond, faultinject.FailSyncAfter(2, nil))))
 	if err != nil {
 		t.Fatal(err)
 	}

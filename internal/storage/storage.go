@@ -41,9 +41,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"nnexus/internal/clock"
 	"nnexus/internal/telemetry"
 )
 
@@ -145,8 +143,7 @@ type Store struct {
 	head     uint64 // offset of the newest applied record (see replication.go)
 	repl     *replState
 	closed   bool
-	sync     bool          // fsync before acknowledging an append
-	window   time.Duration // extra group-commit gathering delay (0 = leader-paced)
+	sync     bool // fsync before acknowledging an append
 	openFile OpenFileFunc
 
 	// Group-commit state. In sync mode an append stages its mutation under
@@ -181,18 +178,6 @@ type Option func(*Store)
 // flushes and fsyncs once for every append staged so far.
 func WithSyncWrites() Option {
 	return func(s *Store) { s.sync = true }
-}
-
-// WithGroupCommitWindow makes each group-commit leader round sleep for d
-// before fsyncing, gathering more concurrent appends per fsync at the cost
-// of d extra latency per synced write. The default (0) is leader-paced:
-// whatever staged while the previous fsync ran commits together.
-func WithGroupCommitWindow(d time.Duration) Option {
-	return func(s *Store) {
-		if d > 0 {
-			s.window = d
-		}
-	}
 }
 
 // WithTelemetry registers the store's WAL metric families on reg:
@@ -439,13 +424,11 @@ func (s *Store) waitDurable(seq uint64) error {
 	}
 }
 
-// commitOnce runs one group-commit round: after the gathering window, it
-// commits everything staged so far. A round that finds nothing staged —
-// Close, Compact or Sync committed it first — does not fsync.
+// commitOnce runs one group-commit round: it commits everything staged so
+// far, so the writers that queued up while the previous round's fsync ran
+// share this one. A round that finds nothing staged — Close, Compact or
+// Sync committed it first — does not fsync.
 func (s *Store) commitOnce() {
-	if s.window > 0 {
-		<-clock.After(s.window)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.staged) > 0 {

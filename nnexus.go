@@ -259,9 +259,6 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.SyncWrites {
 			opts = append(opts, storage.WithSyncWrites())
 		}
-		if cfg.GroupCommitWindow > 0 {
-			opts = append(opts, storage.WithGroupCommitWindow(cfg.GroupCommitWindow))
-		}
 		// A clustered node may hold either role over its lifetime, so every
 		// cluster member keeps the replication record log regardless of its
 		// initial role — a freshly promoted follower must be able to serve
@@ -353,12 +350,9 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 			InitialPrimary:  cfg.ReplicationPrimary,
 			InitialLeader:   cfg.FollowPrimary,
 			ElectionTimeout: cfg.ElectionTimeout,
-			PrimaryOpts:     []replication.PrimaryOption{replication.WithPrimaryTelemetry(reg)},
-			FollowerOpts: []replication.FollowerOption{
-				replication.WithFollowerName(cfg.ReplicaName),
-				replication.WithFollowerWait(wait),
-			},
-			Telemetry: reg,
+			Name:            cfg.ReplicaName,
+			Wait:            wait,
+			Telemetry:       reg,
 		})
 		if err != nil {
 			return err
