@@ -11,11 +11,13 @@
 //	nnexus stats   -data DIR                   print collection statistics
 //	nnexus scheme  -data DIR -out msc.owl      export the scheme as OWL
 //
-// Every subcommand accepts -server HOST:PORT to run against a live nnexusd
-// instead of a local data directory (link, policy, relink, stats only).
+// link, policy, relink and stats accept -server HOST:PORT to run against a
+// live nnexusd instead of a local data directory; the other subcommands
+// refuse it.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +25,7 @@ import (
 	"strings"
 
 	"nnexus"
+	"nnexus/internal/corpus"
 	"nnexus/internal/service"
 )
 
@@ -57,6 +60,9 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the subcommand's flag set printed its usage
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nnexus:", err)
 		os.Exit(1)
@@ -79,7 +85,8 @@ commands:
 }
 
 // commonFlags are shared by local-engine subcommands; the engine's are bound
-// straight to the fields of its nnexus.Config.
+// straight to the fields of its nnexus.Config. server is set only for the
+// subcommands that can run against a live nnexusd (newServerFlags).
 type commonFlags struct {
 	fs     *flag.FlagSet
 	cfg    nnexus.Config
@@ -87,12 +94,18 @@ type commonFlags struct {
 }
 
 func newFlags(cmd string) *commonFlags {
-	c := &commonFlags{fs: flag.NewFlagSet(cmd, flag.ExitOnError)}
+	c := &commonFlags{fs: flag.NewFlagSet(cmd, flag.ContinueOnError)}
 	c.fs.StringVar(&c.cfg.DataDir, "data", "", "data directory")
-	c.server = c.fs.String("server", "", "nnexusd address (use instead of -data)")
 	c.fs.StringVar(&c.cfg.SchemeFile, "scheme", "sample", `classification scheme: "sample" or OWL file`)
 	c.fs.StringVar(&c.cfg.SchemeName, "scheme-name", "msc", "scheme name")
 	c.fs.IntVar(&c.cfg.SchemeBase, "base", nnexus.DefaultBaseWeight, "classification weight base")
+	return c
+}
+
+// newServerFlags is newFlags plus -server.
+func newServerFlags(cmd string) *commonFlags {
+	c := newFlags(cmd)
+	c.server = c.fs.String("server", "", "nnexusd address (use instead of -data)")
 	return c
 }
 
@@ -106,49 +119,45 @@ func runImport(args []string) error {
 	if c.fs.NArg() != 1 {
 		return fmt.Errorf("import: need exactly one corpus XML file")
 	}
+	f, err := os.Open(c.fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	dump, err := corpus.ImportOAI(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
 	engine, err := nnexus.New(c.cfg)
 	if err != nil {
 		return err
 	}
 	defer engine.Close()
-
-	f, err := os.Open(c.fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	// Peek the domain attribute by importing; register a domain first with
-	// a template derived from the dump's domain name.
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return err
-	}
-	domName, schemeName, err := sniffRecords(data)
-	if err != nil {
-		return err
-	}
+	// The dump's domain is registered first, with a template derived from
+	// its name.
 	if err := engine.AddDomain(nnexus.Domain{
-		Name:        domName,
-		URLTemplate: strings.ReplaceAll(*domain, "{domain}", domName),
-		Scheme:      schemeName,
+		Name:        dump.Domain,
+		URLTemplate: strings.ReplaceAll(*domain, "{domain}", dump.Domain),
+		Scheme:      dump.Scheme,
 		Priority:    *priority,
 	}); err != nil {
 		return err
 	}
-	ids, err := engine.ImportOAI(strings.NewReader(string(data)))
-	if err != nil {
-		return err
+	for _, e := range dump.Entries {
+		if _, err := engine.AddEntry(e); err != nil {
+			return err
+		}
 	}
 	if err := engine.Compact(); err != nil {
 		return err
 	}
 	fmt.Printf("imported %d entries into domain %s (%d concepts total)\n",
-		len(ids), domName, engine.NumConcepts())
+		len(dump.Entries), dump.Domain, engine.NumConcepts())
 	return nil
 }
 
 func runLink(args []string) error {
-	c := newFlags("link")
+	c := newServerFlags("link")
 	classes := c.fs.String("classes", "", "comma-separated source classes")
 	srcScheme := c.fs.String("source-scheme", "", "scheme of the source classes")
 	mode := c.fs.String("mode", "", "pipeline mode: lexical, steered, steered+policies")
@@ -202,7 +211,7 @@ func runLink(args []string) error {
 }
 
 func runPolicy(args []string) error {
-	c := newFlags("policy")
+	c := newServerFlags("policy")
 	id := c.fs.Int64("id", 0, "entry ID")
 	if err := c.fs.Parse(args); err != nil {
 		return err
@@ -231,7 +240,7 @@ func runPolicy(args []string) error {
 }
 
 func runRelink(args []string) error {
-	c := newFlags("relink")
+	c := newServerFlags("relink")
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
@@ -262,7 +271,7 @@ func runRelink(args []string) error {
 }
 
 func runStats(args []string) error {
-	c := newFlags("stats")
+	c := newServerFlags("stats")
 	prom := c.fs.Bool("prometheus", false, "dump full telemetry in Prometheus text format instead of a summary")
 	if err := c.fs.Parse(args); err != nil {
 		return err
@@ -444,28 +453,4 @@ func readInput(args []string) (string, error) {
 	default:
 		return "", fmt.Errorf("expected at most one input file")
 	}
-}
-
-// sniffRecords extracts the domain and scheme attributes of a records dump.
-func sniffRecords(data []byte) (domain, scheme string, err error) {
-	s := string(data)
-	domain = attr(s, "domain")
-	scheme = attr(s, "scheme")
-	if domain == "" {
-		return "", "", fmt.Errorf("corpus dump has no domain attribute")
-	}
-	return domain, scheme, nil
-}
-
-func attr(doc, name string) string {
-	i := strings.Index(doc, name+`="`)
-	if i < 0 {
-		return ""
-	}
-	rest := doc[i+len(name)+2:]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return ""
-	}
-	return rest[:j]
 }

@@ -66,18 +66,12 @@ type Config struct {
 	DataDir string
 	// SyncWrites makes every persisted mutation fsync before returning.
 	SyncWrites bool
-	// Mode is the default pipeline mode (ModeDefault = full pipeline).
-	Mode Mode
 	// Format is the default output format (HTML).
 	Format Format
 	// DefaultCorpus is the corpus namespace entries and link requests fall
 	// into when they name none. Empty means DefaultCorpusName ("default").
 	// Single-corpus deployments never need to set it.
 	DefaultCorpus string
-	// LinkAllOccurrences links every occurrence of a concept label rather
-	// than only the first (the deployed system links only the first, "to
-	// reduce visual clutter").
-	LinkAllOccurrences bool
 	// LaTeX converts entry bodies and linked text from LaTeX markup to
 	// plain text before scanning (Noosphere entries are written in TeX).
 	LaTeX bool
@@ -400,13 +394,11 @@ func (c *Config) validate() (resolved, error) {
 	}
 
 	res.engine = core.Config{
-		Scheme:             c.Scheme,
-		Mode:               c.Mode,
-		Format:             c.Format,
-		DefaultCorpus:      c.DefaultCorpus,
-		LinkAllOccurrences: c.LinkAllOccurrences,
-		LaTeX:              c.LaTeX,
-		CompileAutomaton:   c.CompileAutomaton,
+		Scheme:           c.Scheme,
+		Format:           c.Format,
+		DefaultCorpus:    c.DefaultCorpus,
+		LaTeX:            c.LaTeX,
+		CompileAutomaton: c.CompileAutomaton,
 	}
 	if c.Scheme == nil && c.SchemeFile != "" {
 		s, err := c.buildScheme()

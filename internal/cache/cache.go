@@ -87,6 +87,14 @@ func (c *LRU[K, V]) Invalidate(key K) {
 	}
 }
 
+// Purge removes every key.
+func (c *LRU[K, V]) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.order.Init()
+	clear(c.items)
+}
+
 // Len returns the number of cached entries.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()

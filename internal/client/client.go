@@ -524,21 +524,16 @@ func (c *Client) Ping() error {
 
 // AddDomain registers a corpus domain.
 func (c *Client) AddDomain(d corpus.Domain) error {
-	_, err := c.call(&wire.Request{
-		Method: wire.MethodAddDomain,
-		Domain: &wire.Domain{
-			Name:        d.Name,
-			URLTemplate: d.URLTemplate,
-			Scheme:      d.Scheme,
-			Priority:    d.Priority,
-		},
-	})
+	_, err := c.call(&wire.Request{Method: wire.MethodAddDomain, Domain: &d})
 	return err
 }
 
-// AddEntry submits a new entry and returns its assigned ID.
+// AddEntry submits a new entry and returns its assigned ID, which it also
+// sets on e. The write methods send the caller's own entry or domain: it is
+// encoded on the caller's goroutine before the call returns, and the client
+// keeps no reference to it.
 func (c *Client) AddEntry(e *corpus.Entry) (int64, error) {
-	resp, err := c.call(&wire.Request{Method: wire.MethodAddEntry, Entry: wire.FromCorpus(e)})
+	resp, err := c.call(&wire.Request{Method: wire.MethodAddEntry, Entry: e})
 	if err != nil {
 		return 0, err
 	}
@@ -555,11 +550,7 @@ func (c *Client) AddEntries(entries []*corpus.Entry) ([]int64, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	req := &wire.Request{Method: wire.MethodAddEntries}
-	for _, e := range entries {
-		req.Entries = append(req.Entries, wire.FromCorpus(e))
-	}
-	resp, err := c.call(req)
+	resp, err := c.call(&wire.Request{Method: wire.MethodAddEntries, Entries: entries})
 	if err != nil {
 		return nil, err
 	}
@@ -574,7 +565,7 @@ func (c *Client) AddEntries(entries []*corpus.Entry) ([]int64, error) {
 
 // UpdateEntry replaces an existing entry.
 func (c *Client) UpdateEntry(e *corpus.Entry) error {
-	_, err := c.call(&wire.Request{Method: wire.MethodUpdateEntry, Entry: wire.FromCorpus(e)})
+	_, err := c.call(&wire.Request{Method: wire.MethodUpdateEntry, Entry: e})
 	return err
 }
 
@@ -593,7 +584,7 @@ func (c *Client) GetEntry(id int64) (*corpus.Entry, error) {
 	if resp.Entry == nil {
 		return nil, errors.New("client: response missing entry")
 	}
-	return resp.Entry.ToCorpus(), nil
+	return resp.Entry, nil
 }
 
 // SetPolicy installs a linking policy on an entry.
@@ -602,27 +593,20 @@ func (c *Client) SetPolicy(id int64, policyText string) error {
 	return err
 }
 
-// LinkedText is the client-side view of a linking result.
-type LinkedText struct {
-	Output string
-	Links  []wire.LinkInfo
-	Skips  []wire.SkipInfo
-}
-
 // LinkEntry links a stored entry and returns the linked document.
-func (c *Client) LinkEntry(id int64, mode, format string) (*LinkedText, error) {
+func (c *Client) LinkEntry(id int64, mode, format string) (*wire.Linked, error) {
 	resp, err := c.call(&wire.Request{
 		Method: wire.MethodLinkEntry, Object: id, Mode: mode, Format: format,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return fromLinked(resp)
+	return linked(resp)
 }
 
 // LinkText links arbitrary text against the collection. classes/scheme
 // describe the source document's classification.
-func (c *Client) LinkText(text string, classes []string, scheme, mode, format string) (*LinkedText, error) {
+func (c *Client) LinkText(text string, classes []string, scheme, mode, format string) (*wire.Linked, error) {
 	resp, err := c.call(&wire.Request{
 		Method:  wire.MethodLinkText,
 		Text:    text,
@@ -634,7 +618,7 @@ func (c *Client) LinkText(text string, classes []string, scheme, mode, format st
 	if err != nil {
 		return nil, err
 	}
-	return fromLinked(resp)
+	return linked(resp)
 }
 
 // LinkTextIn is LinkText with an explicit tenant link policy: the text
@@ -643,7 +627,7 @@ func (c *Client) LinkText(text string, classes []string, scheme, mode, format st
 // ties; empty targets means self-linking within corpusName. An empty
 // corpusName selects the server's default corpus, making this a strict
 // superset of LinkText.
-func (c *Client) LinkTextIn(corpusName string, targets []string, text string, classes []string, scheme, mode, format string) (*LinkedText, error) {
+func (c *Client) LinkTextIn(corpusName string, targets []string, text string, classes []string, scheme, mode, format string) (*wire.Linked, error) {
 	resp, err := c.call(&wire.Request{
 		Method:  wire.MethodLinkText,
 		Corpus:  corpusName,
@@ -657,13 +641,13 @@ func (c *Client) LinkTextIn(corpusName string, targets []string, text string, cl
 	if err != nil {
 		return nil, err
 	}
-	return fromLinked(resp)
+	return linked(resp)
 }
 
 // LinkBatch links many texts in one request against one server-side
 // snapshot; results are positional. classes/scheme apply to every text.
 // Linking is read-only, so the batch is retried like linkText.
-func (c *Client) LinkBatch(texts []string, classes []string, scheme, mode, format string) ([]*LinkedText, error) {
+func (c *Client) LinkBatch(texts []string, classes []string, scheme, mode, format string) ([]*wire.Linked, error) {
 	if len(texts) == 0 {
 		return nil, nil
 	}
@@ -681,14 +665,12 @@ func (c *Client) LinkBatch(texts []string, classes []string, scheme, mode, forma
 	if len(resp.Batch) != len(texts) {
 		return nil, fmt.Errorf("client: linkBatch returned %d results for %d texts", len(resp.Batch), len(texts))
 	}
-	out := make([]*LinkedText, len(resp.Batch))
-	for i, l := range resp.Batch {
+	for _, l := range resp.Batch {
 		if l == nil {
 			return nil, errors.New("client: response missing linked document")
 		}
-		out[i] = &LinkedText{Output: l.Output, Links: l.Links, Skips: l.Skips}
 	}
-	return out, nil
+	return resp.Batch, nil
 }
 
 // Invalidated returns the IDs of entries awaiting re-linking.
@@ -825,13 +807,10 @@ func (c *Client) ReplStatus() (*wire.ReplPayload, string, error) {
 	return resp.Repl, resp.Leader, nil
 }
 
-func fromLinked(resp *wire.Response) (*LinkedText, error) {
+// linked is a link method's result: the response's linked document.
+func linked(resp *wire.Response) (*wire.Linked, error) {
 	if resp.Linked == nil {
 		return nil, errors.New("client: response missing linked document")
 	}
-	return &LinkedText{
-		Output: resp.Linked.Output,
-		Links:  resp.Linked.Links,
-		Skips:  resp.Linked.Skips,
-	}, nil
+	return resp.Linked, nil
 }

@@ -101,7 +101,7 @@ func TestOutOfOrderSeqDemux(t *testing.T) {
 			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 			for _, req := range batch {
 				resp := wire.OK(req)
-				resp.Entry = &wire.Entry{ID: req.Object, Title: strconv.FormatInt(req.Object, 10)}
+				resp.Entry = &corpus.Entry{ID: req.Object, Title: strconv.FormatInt(req.Object, 10)}
 				if err := enc.Encode(resp); err != nil {
 					return
 				}

@@ -144,9 +144,9 @@ func (n *fakeNode) serve(conn net.Conn) {
 		case req.Method == wire.MethodGetEntry:
 			n.reads.Add(1)
 			resp = wire.OK(&req)
-			resp.Entry = wire.FromCorpus(&corpus.Entry{
+			resp.Entry = &corpus.Entry{
 				ID: req.Object, Domain: "d", Title: n.addr, Classes: []string{"05C10"},
-			})
+			}
 		default:
 			if wire.Methods[req.Method] == wire.KindRead {
 				n.reads.Add(1)

@@ -86,8 +86,6 @@ type Config struct {
 	Scheme *classification.Scheme
 	// Store persists the engine's tables. Nil runs memory-only.
 	Store *storage.Store
-	// Mode is the default pipeline mode (ModeDefault → full pipeline).
-	Mode Mode
 	// Format is the default output format for substituted links.
 	Format render.Format
 	// LinkAllOccurrences links every occurrence of a label instead of the
@@ -182,6 +180,11 @@ type Engine struct {
 	// stored entry reads seq before it pins, so a stamp above what it read
 	// marks a write the link did not see (clearInvalid, LinkEntryCached).
 	seq atomic.Uint64
+	// rederived is the write sequence of the last change to the domain table
+	// or the mappers, which drops every rendering: a link that read an
+	// earlier sequence may have rendered an old URL or class, so its
+	// rendering is not cached.
+	rederived uint64
 }
 
 // Validate reports a configuration NewEngine would refuse, without building
@@ -277,10 +280,17 @@ func (e *Engine) nsEnsureLocked(name string) *namespace {
 }
 
 // EntrySize is the byte footprint an entry charges against its corpus's
-// byte quota (corpus.IndexedSize). The serving layers use it to pre-check
-// tenant quotas before dispatching a write.
+// byte quota: its indexed text (title, body, concepts, classes). Both doors
+// size a write with it to pre-check tenant quotas before dispatching it.
 func EntrySize(e *corpus.Entry) int64 {
-	return corpus.IndexedSize(e.Title, e.Body, e.Concepts, e.Classes)
+	n := len(e.Title) + len(e.Body)
+	for _, c := range e.Concepts {
+		n += len(c)
+	}
+	for _, c := range e.Classes {
+		n += len(c)
+	}
+	return int64(n)
 }
 
 // CorpusUsage reports a corpus's live entry count and indexed byte
@@ -428,6 +438,9 @@ func (e *Engine) RegisterMapper(m *ontomap.Mapper) error {
 		return err
 	}
 	e.rederiveLocked(func(s *storedEntry) bool { return s.domain != nil && s.domain.Scheme == m.From })
+	// No record to commit, but a write all the same: a link that read the
+	// sequence before it must not cache what it rendered.
+	e.seq.Add(1)
 	return nil
 }
 

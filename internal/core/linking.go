@@ -156,14 +156,15 @@ func (e *Engine) LinkEntryCached(id int64) (*Result, bool, error) {
 }
 
 // cache keeps res, the rendering of entry id by a link that read write
-// sequence seq, unless a later write rewrote or flagged the entry: the
-// rendering is then stale, and the write's drop of the cached one has
-// already happened. The check and the Put are one step under e.mu.
+// sequence seq, unless a later write rewrote or flagged the entry or changed
+// the domain table or the mappers: the rendering is then stale, and the
+// write's drop of the cached one has already happened. The check and the
+// Put are one step under e.mu.
 func (e *Engine) cache(id int64, seq uint64, res *Result) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	s, ok := e.entries[id]
-	if !ok || s.seq > seq {
+	if !ok || s.seq > seq || e.rederived > seq {
 		return
 	}
 	if flag, flagged := e.invalid[id]; flagged && flag > seq {

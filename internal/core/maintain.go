@@ -118,8 +118,12 @@ func (e *Engine) derive(s *storedEntry) {
 }
 
 // rederiveLocked replaces every stored entry that affected selects with a
-// copy whose resolve state is derived anew. Callers hold e.mu.
+// copy whose resolve state is derived anew, and drops every rendering: any of
+// them may link to an affected entry. Callers hold e.mu, and advance the
+// write sequence before they release it.
 func (e *Engine) rederiveLocked(affected func(*storedEntry) bool) {
+	e.rederived = e.seq.Load() + 1
+	e.rendered.Purge()
 	for id, s := range e.entries {
 		if affected(s) {
 			next := *s

@@ -59,14 +59,12 @@ type linkPlan struct {
 	entry int64
 }
 
-// plan resolves opts: mode and format default to the engine's, the source
-// classes translate to the canonical scheme, an unnamed source corpus is
-// the engine default, and an empty target list means self-linking.
+// plan resolves opts: the default mode is the full pipeline, the format
+// defaults to the engine's, the source classes translate to the canonical
+// scheme, an unnamed source corpus is the engine default, and an empty
+// target list means self-linking.
 func (e *Engine) plan(opts *LinkOptions) linkPlan {
-	p := linkPlan{mode: opts.Mode, format: opts.formatOr(e.cfg.Format), source: opts.SourceCorpus, exclude: opts.ExcludeObject}
-	if p.mode == ModeDefault {
-		p.mode = e.cfg.Mode.resolve()
-	}
+	p := linkPlan{mode: opts.Mode.resolve(), format: opts.formatOr(e.cfg.Format), source: opts.SourceCorpus, exclude: opts.ExcludeObject}
 	// Classes already in the canonical scheme are the request's own slice:
 	// the plan only reads them.
 	p.classes = opts.SourceClasses

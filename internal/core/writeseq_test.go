@@ -1,9 +1,10 @@
 package core
 
-// The write sequence against the two gaps between a link's pin and what it
+// The write sequence against the gaps between a link's pin and what it
 // leaves behind: a flag raised by a write the link did not see, and a
-// rendering of a body rewritten while it ran. White-box: each test stops a
-// link between its phases and lands the write there.
+// rendering of a body rewritten, or of a URL re-templated, while it ran.
+// White-box: each test stops a link between its phases and lands the write
+// there.
 
 import (
 	"strconv"
@@ -171,5 +172,60 @@ func TestCachedRenderingOfRewrittenBodyIsDropped(t *testing.T) {
 	}
 	if strings.Contains(got.Output, "old body") || !strings.Contains(got.Output, "new body") {
 		t.Fatalf("LinkEntryCached = %q (cached %v), want the rewritten body", got.Output, cached)
+	}
+}
+
+// TestDomainChangeDropsCachedRenderings: a cached rendering links an entry
+// under its domain's URL template, then the domain is registered again with
+// a new template. The next cached link must render the new URL.
+func TestDomainChangeDropsCachedRenderings(t *testing.T) {
+	e := writeSeqEngine(t)
+	addTestEntry(t, e, "graph", "vertices and edges")
+	id := addTestEntry(t, e, "planar graph", "a graph drawn without crossings")
+	if _, _, err := e.LinkEntryCached(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddDomain(corpus.Domain{Name: "d", URLTemplate: "http://new/{id}", Scheme: "msc", Priority: 1}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := e.LinkEntry(id, LinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(fresh.Output, "http://new/1") {
+		t.Fatalf("LinkEntry = %q, want a link to http://new/1", fresh.Output)
+	}
+	got, cached, err := e.LinkEntryCached(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Output != fresh.Output {
+		t.Fatalf("LinkEntryCached = %q (cached %v), want %q", got.Output, cached, fresh.Output)
+	}
+}
+
+// TestRenderingPlannedBeforeDomainChangeIsNotCached: a link renders an entry,
+// then the domain's URL template changes, then the rendering is stored. The
+// next cached link must render the new URL, not serve the old one.
+func TestRenderingPlannedBeforeDomainChangeIsNotCached(t *testing.T) {
+	e := writeSeqEngine(t)
+	addTestEntry(t, e, "graph", "vertices and edges")
+	id := addTestEntry(t, e, "planar graph", "a graph drawn without crossings")
+
+	res, seq, err := e.linkEntry(id, LinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddDomain(corpus.Domain{Name: "d", URLTemplate: "http://new/{id}", Scheme: "msc", Priority: 1}); err != nil {
+		t.Fatal(err)
+	}
+	e.cache(id, seq, res)
+
+	got, cached, err := e.LinkEntryCached(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(got.Output, "http://d/1") || !strings.Contains(got.Output, "http://new/1") {
+		t.Fatalf("LinkEntryCached = %q (cached %v), want a link to http://new/1", got.Output, cached)
 	}
 }

@@ -28,47 +28,34 @@ func CorpusOrDefault(name string) string {
 
 // Entry is one object of a collaborative corpus together with the metadata
 // NNexus links by: the concept labels it defines and its subject classes.
+// Its json tags are its stored form, and its xml tags its element in the
+// socket protocol (internal/wire).
 type Entry struct {
 	// ID is the engine-wide numeric identity, assigned at AddEntry time.
 	// IDs are global across corpora (one sequence), so cross-corpus
 	// tie-breaks stay deterministic.
-	ID int64 `json:"id"`
+	ID int64 `xml:"id,attr,omitempty" json:"id"`
 	// Corpus names the tenant namespace the entry belongs to. Empty decodes
 	// as DefaultCorpus (pre-tenancy WAL records omit the field), and the
 	// engine normalizes it at ingest.
-	Corpus string `json:"corpus,omitempty"`
+	Corpus string `xml:"corpus,attr,omitempty" json:"corpus,omitempty"`
 	// Domain names the corpus the entry belongs to (e.g. "planetmath.org").
-	Domain string `json:"domain"`
+	Domain string `xml:"domain,attr,omitempty" json:"domain"`
 	// ExternalID is the entry's identity within its own domain (used in
 	// link URLs; defaults to the decimal ID).
-	ExternalID string `json:"externalId,omitempty"`
+	ExternalID string `xml:"externalid,attr,omitempty" json:"externalId,omitempty"`
 	// Title is the canonical name of the entry and always counts as a
 	// concept label.
-	Title string `json:"title"`
+	Title string `xml:"title" json:"title"`
 	// Concepts are the additional concept labels the entry defines
 	// (defined terms and synonyms).
-	Concepts []string `json:"concepts,omitempty"`
+	Concepts []string `xml:"concept,omitempty" json:"concepts,omitempty"`
 	// Classes are subject classifications in the domain's scheme.
-	Classes []string `json:"classes,omitempty"`
+	Classes []string `xml:"class,omitempty" json:"classes,omitempty"`
 	// Body is the entry text to be linked.
-	Body string `json:"body,omitempty"`
+	Body string `xml:"body,omitempty" json:"body,omitempty"`
 	// Policy is the optional linking-policy text chunk (see policy pkg).
-	Policy string `json:"policy,omitempty"`
-}
-
-// IndexedSize is the byte footprint of an entry with these fields, the one
-// it charges against its corpus's byte quota: the indexed text (title, body,
-// concepts, classes). It takes the fields, not an Entry, so that a door can
-// size the form a request carries without converting it.
-func IndexedSize(title, body string, concepts, classes []string) int64 {
-	n := len(title) + len(body)
-	for _, c := range concepts {
-		n += len(c)
-	}
-	for _, c := range classes {
-		n += len(c)
-	}
-	return int64(n)
+	Policy string `xml:"policy,omitempty" json:"policy,omitempty"`
 }
 
 // Labels returns every concept label of the entry: the title plus the
@@ -124,10 +111,10 @@ type Domain struct {
 	// URL-escaped title.
 	URLTemplate string `xml:"urltemplate" json:"urlTemplate"`
 	// Scheme names the classification scheme the domain's classes use.
-	Scheme string `xml:"scheme" json:"scheme"`
+	Scheme string `xml:"scheme,omitempty" json:"scheme"`
 	// Priority breaks cross-domain ties; lower wins. Domains with equal
 	// priority tie-break by entry ID.
-	Priority int `xml:"priority" json:"priority"`
+	Priority int `xml:"priority,omitempty" json:"priority"`
 }
 
 // URL renders the link target URL for an entry of this domain: the template

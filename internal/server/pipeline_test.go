@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"nnexus/internal/corpus"
 	"nnexus/internal/wire"
 )
 
@@ -142,13 +143,13 @@ func TestStopAndWaitClientUnchanged(t *testing.T) {
 // through Handle and checks their payload round trips.
 func TestBatchMethodsOverWire(t *testing.T) {
 	srv, _ := newTestServer(t)
-	if resp := srv.Handle(&wire.Request{Method: wire.MethodAddDomain, Domain: &wire.Domain{
+	if resp := srv.Handle(&wire.Request{Method: wire.MethodAddDomain, Domain: &corpus.Domain{
 		Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc", Priority: 1,
 	}}); !resp.IsOK() {
 		t.Fatalf("addDomain: %+v", resp)
 	}
 
-	first := srv.Handle(&wire.Request{Method: wire.MethodAddEntries, Seq: 1, Entries: []*wire.Entry{{
+	first := srv.Handle(&wire.Request{Method: wire.MethodAddEntries, Seq: 1, Entries: []*corpus.Entry{{
 		Domain: "planetmath.org", Title: "graph", Classes: []string{"05C10"},
 		Body: "every planar graph can be drawn in a plane",
 	}}})
@@ -160,7 +161,7 @@ func TestBatchMethodsOverWire(t *testing.T) {
 	// it lands on the invalidation queue.
 	add := &wire.Request{Method: wire.MethodAddEntries, Seq: 2}
 	for _, title := range []string{"planar graph", "plane"} {
-		add.Entries = append(add.Entries, &wire.Entry{
+		add.Entries = append(add.Entries, &corpus.Entry{
 			Domain: "planetmath.org", Title: title, Classes: []string{"05C10"},
 		})
 	}

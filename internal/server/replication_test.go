@@ -157,7 +157,7 @@ func TestChaosReplFollowerServesReadsRejectsWrites(t *testing.T) {
 	// Writes, on the wire: typed rejection carrying the leader's address.
 	rc := dialRaw(t, faddr)
 	rawResp := rc.call(t, &wire.Request{Method: wire.MethodAddEntry, Seq: 1,
-		Entry: wire.FromCorpus(&corpus.Entry{Domain: "d", Title: "tree", Classes: []string{"05C05"}})})
+		Entry: &corpus.Entry{Domain: "d", Title: "tree", Classes: []string{"05C05"}}})
 	if rawResp.Code != wire.CodeNotPrimary {
 		t.Fatalf("follower write answered code %q, want %q", rawResp.Code, wire.CodeNotPrimary)
 	}
@@ -321,7 +321,7 @@ func TestQuorumAckRefusedAfterInProcessDemotion(t *testing.T) {
 	}
 
 	resp := srv.Handle(&wire.Request{Method: wire.MethodAddDomain, Seq: 1,
-		Domain: &wire.Domain{Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc"}})
+		Domain: &corpus.Domain{Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc"}})
 	if resp.IsOK() {
 		t.Fatal("write acked as success with zero follower confirmations after demotion")
 	}

@@ -13,6 +13,7 @@ import (
 
 	"nnexus/internal/classification"
 	"nnexus/internal/core"
+	"nnexus/internal/corpus"
 	"nnexus/internal/service"
 	"nnexus/internal/wire"
 )
@@ -176,11 +177,11 @@ func TestWriteDeadlineDropsStalledReader(t *testing.T) {
 	seeder := dialRaw(t, addr)
 	big := strings.Repeat("all work and no play makes a stalled reader ", 1<<18) // ~11 MB
 	if resp := seeder.call(t, &wire.Request{Method: wire.MethodAddDomain, Seq: 1,
-		Domain: &wire.Domain{Name: "d", URLTemplate: "http://d/{id}"}}); !resp.IsOK() {
+		Domain: &corpus.Domain{Name: "d", URLTemplate: "http://d/{id}"}}); !resp.IsOK() {
 		t.Fatalf("addDomain: %+v", resp)
 	}
 	resp := seeder.call(t, &wire.Request{Method: wire.MethodAddEntry, Seq: 2,
-		Entry: &wire.Entry{Domain: "d", Title: "big", Body: big}})
+		Entry: &corpus.Entry{Domain: "d", Title: "big", Body: big}})
 	if !resp.IsOK() {
 		t.Fatalf("addEntry: %+v", resp)
 	}

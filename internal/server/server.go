@@ -479,7 +479,9 @@ const maxRetainedOut = 64 << 10
 // telemetry registry, with errored requests and handling latency tracked
 // alongside. A panicking handler is recovered into a typed "internal" error
 // response and counted in nnexus_panics_recovered_total, so one poisoned
-// request cannot kill the daemon.
+// request cannot kill the daemon. The engine stores the request's own
+// entries: a write sets their ID and corpus (and a default external ID), as
+// Engine.AddEntry does on its argument.
 func (s *Server) Handle(req *wire.Request) *wire.Response {
 	if err := s.enter(req); err != nil {
 		return s.errResponse(req, err)
@@ -536,9 +538,8 @@ func (s *Server) admit(req *wire.Request) error {
 		return nil // nothing to charge: skip sizing the entries
 	}
 	r := service.Request{Method: req.Method, Corpus: req.Corpus}
-	write := func(e *wire.Entry, id int64) service.Write {
-		return service.Write{ID: id, Corpus: cmp.Or(e.Corpus, req.Corpus),
-			Size: corpus.IndexedSize(e.Title, e.Body, e.Concepts, e.Classes)}
+	write := func(e *corpus.Entry, id int64) service.Write {
+		return service.Write{ID: id, Corpus: cmp.Or(e.Corpus, req.Corpus), Size: core.EntrySize(e)}
 	}
 	switch req.Method {
 	case wire.MethodAddEntry:
@@ -657,7 +658,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		if req.Domain == nil {
 			return nil, errors.New("addDomain: missing domain")
 		}
-		if err := s.engine.AddDomain(req.Domain.ToCorpusDomain()); err != nil {
+		if err := s.engine.AddDomain(*req.Domain); err != nil {
 			return nil, err
 		}
 		return wire.OK(req), nil
@@ -666,11 +667,8 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		if req.Entry == nil {
 			return nil, errors.New("addEntry: missing entry")
 		}
-		entry := req.Entry.ToCorpus()
-		if entry.Corpus == "" {
-			entry.Corpus = req.Corpus
-		}
-		id, err := s.engine.AddEntry(entry)
+		req.Entry.Corpus = cmp.Or(req.Entry.Corpus, req.Corpus)
+		id, err := s.engine.AddEntry(req.Entry)
 		if err != nil {
 			return nil, err
 		}
@@ -682,11 +680,8 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		if req.Entry == nil {
 			return nil, errors.New("updateEntry: missing entry")
 		}
-		entry := req.Entry.ToCorpus()
-		if entry.Corpus == "" {
-			entry.Corpus = req.Corpus
-		}
-		if err := s.engine.UpdateEntry(entry); err != nil {
+		req.Entry.Corpus = cmp.Or(req.Entry.Corpus, req.Corpus)
+		if err := s.engine.UpdateEntry(req.Entry); err != nil {
 			return nil, err
 		}
 		return wire.OK(req), nil
@@ -703,7 +698,7 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 			return nil, fmt.Errorf("getEntry: unknown entry %d", req.Object)
 		}
 		resp := wire.OK(req)
-		resp.Entry = wire.FromCorpus(entry)
+		resp.Entry = entry
 		return resp, nil
 
 	case wire.MethodSetPolicy:
@@ -772,14 +767,10 @@ func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
 		if len(req.Entries) == 0 {
 			return nil, errors.New("addEntries: missing entries")
 		}
-		entries := make([]*corpus.Entry, len(req.Entries))
-		for i, e := range req.Entries {
-			entries[i] = e.ToCorpus()
-			if entries[i].Corpus == "" {
-				entries[i].Corpus = req.Corpus
-			}
+		for _, e := range req.Entries {
+			e.Corpus = cmp.Or(e.Corpus, req.Corpus)
 		}
-		ids, err := s.engine.AddEntries(entries)
+		ids, err := s.engine.AddEntries(req.Entries)
 		if err != nil {
 			return nil, err
 		}

@@ -230,21 +230,16 @@ func (s *Store) ExportState() (ops []BatchOp, head, epoch uint64, err error) {
 
 // DecodeRecord decodes an encoded WAL record body (as returned by
 // ReadRecords) into its constituent mutations. Batch records decode into
-// all their sub-ops; plain records into a single op.
+// all their sub-ops; plain records into a single op. The values are copies:
+// none aliases body, which the replication log keeps.
 func DecodeRecord(body []byte) ([]BatchOp, error) {
-	lops, err := decodeRecordLogOps(body)
+	ops, err := decodeRecord(body)
 	if err != nil {
 		return nil, err
 	}
-	ops := make([]BatchOp, len(lops))
-	for i, o := range lops {
-		switch o.op {
-		case opPut:
-			ops[i] = BatchOp{Table: o.table, Key: o.key, Value: append([]byte(nil), o.value...)}
-		case opDelete:
-			ops[i] = BatchOp{Table: o.table, Key: o.key, Delete: true}
-		default:
-			return nil, fmt.Errorf("storage: record op %d unknown", o.op)
+	for i := range ops {
+		if !ops[i].Delete {
+			ops[i].Value = append([]byte(nil), ops[i].Value...)
 		}
 	}
 	return ops, nil
@@ -261,7 +256,7 @@ func DecodeRecord(body []byte) ([]BatchOp, error) {
 //   - offset == head+1: the record is applied.
 //   - offset >  head+1: ErrOffsetGap; applying would hide lost records.
 func (s *Store) ApplyReplicatedRecord(body []byte, offset uint64) error {
-	ops, err := decodeRecordLogOps(body)
+	ops, err := decodeRecord(body)
 	if err != nil {
 		return err
 	}
@@ -312,7 +307,7 @@ func (s *Store) ResetFromExport(ops []BatchOp, head uint64) error {
 		}
 	}
 	s.tables = make(map[string]map[string][]byte)
-	s.applyLocked(toLogOps(ops))
+	s.applyLocked(ops)
 	s.head = head
 	if s.repl != nil {
 		// This store's own streamed history restarts at head: bump the epoch
@@ -336,7 +331,7 @@ func (s *Store) ResetFromExport(ops []BatchOp, head uint64) error {
 // acknowledged WAL length grows, and with WithReplication the encoded body
 // is appended to the log and watchers are notified. body may be nil for
 // memory-only stores without replication. Callers must hold s.mu.
-func (s *Store) applyRecordLocked(ops []logOp, body []byte) {
+func (s *Store) applyRecordLocked(ops []BatchOp, body []byte) {
 	s.applyLocked(ops)
 	s.head++
 	if s.wal != nil {

@@ -91,43 +91,25 @@ func osOpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 
-// logOp is one decoded (or about-to-be-encoded) WAL mutation.
-type logOp struct {
-	op    byte
-	table string
-	key   string
-	value []byte
-}
-
 // stagedAppend is a WAL record that has been written to the log buffer but
 // whose in-memory application is deferred until the record is durable
 // (group commit). seq orders staged appends so that concurrent writes to
 // the same key apply in log order.
 type stagedAppend struct {
 	seq  uint64
-	ops  []logOp
+	ops  []BatchOp
 	body []byte // the encoded record, published to replication on commit
 }
 
-// BatchOp is one mutation of a PutBatch. Delete=false stores Value under
-// (Table, Key); Delete=true removes the key (Value is ignored).
+// BatchOp is one WAL mutation: what a write stages, a record encodes, replay
+// and a follower decode, and the tables apply. Delete=false stores Value under
+// (Table, Key); Delete=true removes the key (Value is ignored, and encoded
+// empty).
 type BatchOp struct {
 	Table  string
 	Key    string
 	Value  []byte
 	Delete bool
-}
-
-func toLogOps(ops []BatchOp) []logOp {
-	lops := make([]logOp, len(ops))
-	for i, o := range ops {
-		if o.Delete {
-			lops[i] = logOp{op: opDelete, table: o.Table, key: o.Key}
-		} else {
-			lops[i] = logOp{op: opPut, table: o.Table, key: o.Key, value: o.Value}
-		}
-	}
-	return lops
 }
 
 // Store is a durable, table-scoped key-value store. All methods are safe
@@ -335,13 +317,13 @@ func (s *Store) fsyncFile(name string, flag int, fill func(w *bufio.Writer) erro
 
 // Put stores value under (table, key), overwriting any previous value.
 func (s *Store) Put(table, key string, value []byte) error {
-	return s.mutate([]logOp{{op: opPut, table: table, key: key, value: value}}, false)
+	return s.mutate([]BatchOp{{Table: table, Key: key, Value: value}}, false)
 }
 
 // Delete removes (table, key). Deleting a missing key is a no-op that is
 // still logged (so replay stays deterministic).
 func (s *Store) Delete(table, key string) error {
-	return s.mutate([]logOp{{op: opDelete, table: table, key: key}}, false)
+	return s.mutate([]BatchOp{{Table: table, Key: key, Delete: true}}, false)
 }
 
 // PutBatch applies ops atomically with respect to crash recovery: the whole
@@ -352,7 +334,7 @@ func (s *Store) PutBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return s.mutate(toLogOps(ops), true)
+	return s.mutate(ops, true)
 }
 
 // mutate appends ops to the WAL (as one record when batch, else as a single
@@ -361,7 +343,7 @@ func (s *Store) PutBatch(ops []BatchOp) error {
 // by a group-commit round after the record is durable, preserving the
 // acknowledgement contract: a nil return means the mutation is on disk, an
 // error means it was never applied in memory.
-func (s *Store) mutate(ops []logOp, batch bool) error {
+func (s *Store) mutate(ops []BatchOp, batch bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -374,7 +356,7 @@ func (s *Store) mutate(ops []logOp, batch bool) error {
 		if batch {
 			body = encodeBatchBody(ops)
 		} else {
-			body = encodeBody(ops[0].op, ops[0].table, ops[0].key, ops[0].value)
+			body = encodeBody(ops[0])
 		}
 	}
 	if s.wal != nil {
@@ -472,25 +454,25 @@ func (s *Store) commitStagedLocked() error {
 	return err
 }
 
-// applyLocked applies decoded mutations to the in-memory tables.
-func (s *Store) applyLocked(ops []logOp) {
+// applyLocked applies mutations to the in-memory tables, copying each put's
+// value.
+func (s *Store) applyLocked(ops []BatchOp) {
 	for _, o := range ops {
-		switch o.op {
-		case opPut:
-			t, ok := s.tables[o.table]
-			if !ok {
-				t = make(map[string][]byte)
-				s.tables[o.table] = t
-			}
-			t[o.key] = append([]byte(nil), o.value...)
-		case opDelete:
-			if t, ok := s.tables[o.table]; ok {
-				delete(t, o.key)
+		if o.Delete {
+			if t, ok := s.tables[o.Table]; ok {
+				delete(t, o.Key)
 				if len(t) == 0 {
-					delete(s.tables, o.table)
+					delete(s.tables, o.Table)
 				}
 			}
+			continue
 		}
+		t, ok := s.tables[o.Table]
+		if !ok {
+			t = make(map[string][]byte)
+			s.tables[o.Table] = t
+		}
+		t[o.Key] = append([]byte(nil), o.Value...)
 	}
 }
 
@@ -730,28 +712,42 @@ func readRecord(r *bufio.Reader) ([]byte, error) {
 	return body, nil
 }
 
-func encodeBody(op byte, table, key string, value []byte) []byte {
-	buf := make([]byte, 0, 1+3*binary.MaxVarintLen64+len(table)+len(key)+len(value))
-	return appendOp(buf, logOp{op: op, table: table, key: key, value: value})
+func encodeBody(o BatchOp) []byte {
+	buf := make([]byte, 0, 1+3*binary.MaxVarintLen64+len(o.Table)+len(o.Key)+len(o.Value))
+	return appendOp(buf, o)
 }
 
-func appendOp(buf []byte, o logOp) []byte {
-	buf = append(buf, o.op)
-	buf = binary.AppendUvarint(buf, uint64(len(o.table)))
-	buf = append(buf, o.table...)
-	buf = binary.AppendUvarint(buf, uint64(len(o.key)))
-	buf = append(buf, o.key...)
-	buf = binary.AppendUvarint(buf, uint64(len(o.value)))
-	return append(buf, o.value...)
+// appendOp appends o's plain single-op body to buf: a delete's value is
+// empty whatever o.Value holds.
+func appendOp(buf []byte, o BatchOp) []byte {
+	op, value := opPut, o.Value
+	if o.Delete {
+		op, value = opDelete, nil
+	}
+	buf = append(buf, op)
+	buf = binary.AppendUvarint(buf, uint64(len(o.Table)))
+	buf = append(buf, o.Table...)
+	buf = binary.AppendUvarint(buf, uint64(len(o.Key)))
+	buf = append(buf, o.Key...)
+	buf = binary.AppendUvarint(buf, uint64(len(value)))
+	return append(buf, value...)
 }
 
 // decodeOne decodes a single-op body from the front of buf and returns the
-// unconsumed remainder, allowing batch sub-bodies to be concatenated.
-func decodeOne(buf []byte) (o logOp, rest []byte, err error) {
+// unconsumed remainder, allowing batch sub-bodies to be concatenated. An op
+// code other than opPut and opDelete is an error. A put's value aliases buf;
+// a delete's is dropped.
+func decodeOne(buf []byte) (o BatchOp, rest []byte, err error) {
 	if len(buf) < 1 {
-		return logOp{}, nil, errors.New("short body")
+		return BatchOp{}, nil, errors.New("short body")
 	}
-	o.op = buf[0]
+	switch buf[0] {
+	case opPut:
+	case opDelete:
+		o.Delete = true
+	default:
+		return BatchOp{}, nil, fmt.Errorf("op %d unknown", buf[0])
+	}
 	rest = buf[1:]
 	read := func() ([]byte, error) {
 		n, k := binary.Uvarint(rest)
@@ -764,27 +760,30 @@ func decodeOne(buf []byte) (o logOp, rest []byte, err error) {
 	}
 	t, err := read()
 	if err != nil {
-		return logOp{}, nil, err
+		return BatchOp{}, nil, err
 	}
 	k, err := read()
 	if err != nil {
-		return logOp{}, nil, err
+		return BatchOp{}, nil, err
 	}
 	v, err := read()
 	if err != nil {
-		return logOp{}, nil, err
+		return BatchOp{}, nil, err
 	}
-	o.table, o.key, o.value = string(t), string(k), v
+	o.Table, o.Key = string(t), string(k)
+	if !o.Delete {
+		o.Value = v
+	}
 	return o, rest, nil
 }
 
 // encodeBatchBody encodes many ops into one opBatch record body:
 // opBatch | count uvarint | sub-body... (each sub-body a plain single-op
 // body, which is self-delimiting).
-func encodeBatchBody(ops []logOp) []byte {
+func encodeBatchBody(ops []BatchOp) []byte {
 	size := 1 + binary.MaxVarintLen64
 	for _, o := range ops {
-		size += 1 + 3*binary.MaxVarintLen64 + len(o.table) + len(o.key) + len(o.value)
+		size += 1 + 3*binary.MaxVarintLen64 + len(o.Table) + len(o.Key) + len(o.Value)
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, opBatch)
@@ -796,7 +795,7 @@ func encodeBatchBody(ops []logOp) []byte {
 }
 
 // decodeBatchBody decodes an opBatch record body into its constituent ops.
-func decodeBatchBody(body []byte) ([]logOp, error) {
+func decodeBatchBody(body []byte) ([]BatchOp, error) {
 	if len(body) < 1 || body[0] != opBatch {
 		return nil, errors.New("not a batch body")
 	}
@@ -806,14 +805,11 @@ func decodeBatchBody(body []byte) ([]logOp, error) {
 		return nil, errors.New("bad batch count")
 	}
 	rest = rest[k:]
-	ops := make([]logOp, 0, n)
+	ops := make([]BatchOp, 0, n)
 	for i := uint64(0); i < n; i++ {
 		o, r, err := decodeOne(rest)
 		if err != nil {
 			return nil, err
-		}
-		if o.op != opPut && o.op != opDelete {
-			return nil, fmt.Errorf("bad batch sub-op %d", o.op)
 		}
 		ops = append(ops, o)
 		rest = r
@@ -824,9 +820,9 @@ func decodeBatchBody(body []byte) ([]logOp, error) {
 	return ops, nil
 }
 
-// decodeRecordLogOps decodes an encoded WAL record body into logOps,
-// validating every op code.
-func decodeRecordLogOps(body []byte) ([]logOp, error) {
+// decodeRecord decodes an encoded WAL record body into its mutations, whose
+// values alias body.
+func decodeRecord(body []byte) ([]BatchOp, error) {
 	if len(body) == 0 {
 		return nil, errors.New("storage: empty record body")
 	}
@@ -841,10 +837,7 @@ func decodeRecordLogOps(body []byte) ([]logOp, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: decode record: %w", err)
 	}
-	if o.op != opPut && o.op != opDelete {
-		return nil, fmt.Errorf("storage: record op %d unknown", o.op)
-	}
-	return []logOp{o}, nil
+	return []BatchOp{o}, nil
 }
 
 // replayWAL applies surviving WAL records over the snapshot state and
@@ -868,7 +861,7 @@ func (s *Store) replayWAL() (valid int64, err error) {
 		if err != nil {
 			return valid, nil
 		}
-		ops, err := decodeRecordLogOps(body)
+		ops, err := decodeRecord(body)
 		if err != nil {
 			return valid, nil
 		}
@@ -895,7 +888,7 @@ func (s *Store) writeSnapshotLocked() error {
 		binary.LittleEndian.PutUint64(hdr[12:20], s.head)
 		w.Write(hdr[:]) // sticky: surfaces at the first record or the flush
 		return s.eachLocked(func(table, key string, value []byte) error {
-			return writeRecord(w, encodeBody(opPut, table, key, value))
+			return writeRecord(w, encodeBody(BatchOp{Table: table, Key: key, Value: value}))
 		})
 	})
 }
@@ -931,9 +924,9 @@ func (s *Store) loadSnapshot() error {
 	}
 	for i := uint32(0); i < count; i++ {
 		body, err := readRecord(r)
-		var ops []logOp
+		var ops []BatchOp
 		if err == nil {
-			ops, err = decodeRecordLogOps(body)
+			ops, err = decodeRecord(body)
 		}
 		if err != nil {
 			return fmt.Errorf("storage: snapshot record %d: %w", i, err)

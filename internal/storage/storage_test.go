@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -267,12 +268,12 @@ func TestSyncWritesOption(t *testing.T) {
 // Body encode/decode round-trips for arbitrary strings and values.
 func TestBodyRoundTrip(t *testing.T) {
 	f := func(table, key string, value []byte) bool {
-		body := encodeBody(opPut, table, key, value)
+		body := encodeBody(BatchOp{Table: table, Key: key, Value: value})
 		o, _, err := decodeOne(body)
-		if err != nil || o.op != opPut || o.table != table || o.key != key {
+		if err != nil || o.Delete || o.Table != table || o.Key != key {
 			return false
 		}
-		v := o.value
+		v := o.Value
 		if len(v) != len(value) {
 			return false
 		}
@@ -513,5 +514,59 @@ func TestStateFiles(t *testing.T) {
 	}
 	if data, err := m.LoadState("vote"); data != nil || err != nil {
 		t.Fatalf("memory-only state = %q, %v; want nil, nil", data, err)
+	}
+}
+
+// TestRecordBytesPinned pins the WAL bytes of three records: a plain put, a
+// one-op batch deleting a key with a non-nil Value (encoded empty), and a
+// batch of puts and a delete. A change to how a mutation is staged or
+// encoded must leave every byte on disk as it was.
+func TestRecordBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("entries", "1", []byte(`{"id":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBatch([]BatchOp{{Table: "invalid", Key: "1", Value: []byte("stale"), Delete: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBatch([]BatchOp{
+		{Table: "entries", Key: "2", Value: []byte(`{"id":2}`)},
+		{Table: "invalid", Key: "1", Value: []byte("1")},
+		{Table: "entries", Key: "1", Value: []byte("x"), Delete: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "5e406a0a14000000" + "0107656e74726965730131087b226964223a317d" +
+		"83732ed30e000000" + "03010207696e76616c6964013100" +
+		"c8b1a9de2f000000" + "03030107656e74726965730132087b226964223a327d" +
+		"0107696e76616c6964013101310207656e7472696573013100"
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("wal.log = %x\nwant      %s", got, want)
+	}
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, ok := s.Get("entries", "1"); ok {
+		t.Error("entry 1 survived its delete")
+	}
+	if v, ok := s.Get("entries", "2"); !ok || string(v) != `{"id":2}` {
+		t.Errorf("entry 2 = %q, %v", v, ok)
+	}
+	if v, ok := s.Get("invalid", "1"); !ok || string(v) != "1" {
+		t.Errorf("flag 1 = %q, %v", v, ok)
 	}
 }

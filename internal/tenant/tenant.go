@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -227,18 +226,6 @@ func (r *Registry) Policy(name string) Policy {
 func (r *Registry) Targets(name string) []string {
 	p := r.Policy(name)
 	return p.Targets
-}
-
-// Corpora returns the corpus IDs with explicit policies, sorted.
-func (r *Registry) Corpora() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.cfg.Corpora))
-	for name := range r.cfg.Corpora {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Allow admits or rejects one request for a corpus against its token

@@ -9,12 +9,14 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"nnexus/internal/corpus"
 )
 
 // seedMessages is one message of every method and payload type, and one
 // error response per code.
 func seedMessages() []interface{} {
-	entry := &Entry{ID: 7, Corpus: "pm", Domain: "planetmath.org", ExternalID: "PlanarGraph",
+	entry := &corpus.Entry{ID: 7, Corpus: "pm", Domain: "planetmath.org", ExternalID: "PlanarGraph",
 		Title: "planar graph", Concepts: []string{"plane graph", "planar"}, Classes: []string{"05C10"},
 		Body: "a graph that can be <drawn> in the plane & \"more\"\r\n", Policy: "forbid even"}
 	linked := &Linked{
@@ -27,7 +29,7 @@ func seedMessages() []interface{} {
 	}
 	msgs := []interface{}{
 		&Request{Seq: 1, Method: MethodPing},
-		&Request{Seq: 2, Method: MethodAddDomain, Domain: &Domain{Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc", Priority: 1}},
+		&Request{Seq: 2, Method: MethodAddDomain, Domain: &corpus.Domain{Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc", Priority: 1}},
 		&Request{Seq: 3, Method: MethodAddEntry, Corpus: "pm", Entry: entry},
 		&Request{Seq: 4, Method: MethodUpdateEntry, Entry: entry},
 		&Request{Seq: 5, Method: MethodRemoveEntry, Object: 42},
@@ -39,7 +41,7 @@ func seedMessages() []interface{} {
 		&Request{Seq: 10, Method: MethodInvalidated},
 		&Request{Seq: 11, Method: MethodRelink},
 		&Request{Seq: 12, Method: MethodStats},
-		&Request{Seq: 13, Method: MethodAddEntries, Entries: []*Entry{entry, {Title: "graph"}}},
+		&Request{Seq: 13, Method: MethodAddEntries, Entries: []*corpus.Entry{entry, {Title: "graph"}}},
 		&Request{Seq: 14, Method: MethodLinkBatch, Texts: []string{"one planar graph", "two"}, Classes: []string{"05C10"}, Scheme: "msc"},
 		&Request{Seq: 15, Method: MethodRelinkBatch, Objects: []int64{3, 9, 27}},
 		&Request{Seq: 18, Method: MethodReplSubscribe, Offset: 12, Epoch: 3, MaxRecords: 64, WaitMillis: 500, Follower: "127.0.0.1:7072"},
@@ -220,7 +222,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 
 		built := []interface{}{
 			&Request{Method: s, Corpus: s, Text: s, Classes: []string{s, "", s}, Objects: []int64{0, 5, 0},
-				Entry: &Entry{ExternalID: s, Title: s, Concepts: []string{s}}, Entries: []*Entry{nil, {Body: s}},
+				Entry: &corpus.Entry{ExternalID: s, Title: s, Concepts: []string{s}}, Entries: []*corpus.Entry{nil, {Body: s}},
 				Targets: []string{""}},
 			&Response{Status: s, Error: s, Leader: s, Batch: []*Linked{nil, {Output: s, Links: []LinkInfo{{Label: s, URL: s}}}},
 				Invalidated: []int64{0},

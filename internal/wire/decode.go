@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"nnexus/internal/corpus"
 )
 
 // ErrTooLarge is returned (wrapped) by Decode when a message is longer than
@@ -154,12 +156,12 @@ func (d *Decoder) request(r *Request) {
 		switch string(d.name) {
 		case "domain":
 			if r.Domain == nil {
-				r.Domain = new(Domain)
+				r.Domain = new(corpus.Domain)
 			}
 			d.domain(r.Domain)
 		case "entry":
 			if r.Entry == nil {
-				r.Entry = new(Entry)
+				r.Entry = new(corpus.Entry)
 			}
 			d.entry(r.Entry)
 		case "object":
@@ -182,7 +184,7 @@ func (d *Decoder) request(r *Request) {
 			}
 		case "entries":
 			for d.wrapped("entry") {
-				e := new(Entry)
+				e := new(corpus.Entry)
 				r.Entries = append(r.Entries, e)
 				d.entry(e)
 			}
@@ -219,7 +221,7 @@ func (d *Decoder) response(r *Response) {
 			r.Object = d.intVal(d.scalar())
 		case "entry":
 			if r.Entry == nil {
-				r.Entry = new(Entry)
+				r.Entry = new(corpus.Entry)
 			}
 			d.entry(r.Entry)
 		case "linked":
@@ -259,7 +261,7 @@ func (d *Decoder) response(r *Response) {
 	}
 }
 
-func (d *Decoder) domain(m *Domain) {
+func (d *Decoder) domain(m *corpus.Domain) {
 	for d.attr() {
 		if string(d.name) == "name" {
 			m.Name = string(d.val)
@@ -279,7 +281,7 @@ func (d *Decoder) domain(m *Domain) {
 	}
 }
 
-func (d *Decoder) entry(e *Entry) {
+func (d *Decoder) entry(e *corpus.Entry) {
 	for d.attr() {
 		switch string(d.name) {
 		case "id":

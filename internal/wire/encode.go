@@ -5,6 +5,8 @@ import (
 	"io"
 	"strconv"
 	"unicode/utf8"
+
+	"nnexus/internal/corpus"
 )
 
 // maxRetainedBuffer is the largest scratch buffer an Encoder or Decoder
@@ -164,7 +166,7 @@ func appendResponse(b []byte, r *Response) []byte {
 	return append(b, "</response>"...)
 }
 
-func appendEntry(b []byte, e *Entry) []byte {
+func appendEntry(b []byte, e *corpus.Entry) []byte {
 	if e == nil {
 		return b
 	}

@@ -155,15 +155,17 @@ type Request struct {
 	// Method selects the operation.
 	Method string `xml:"method,attr"`
 
-	Domain  *Domain  `xml:"domain,omitempty"`
-	Entry   *Entry   `xml:"entry,omitempty"`
-	Object  int64    `xml:"object,omitempty"`
-	Policy  string   `xml:"policy,omitempty"`
-	Text    string   `xml:"text,omitempty"`
-	Classes []string `xml:"class,omitempty"`
-	Scheme  string   `xml:"scheme,omitempty"`
-	Mode    string   `xml:"mode,omitempty"`
-	Format  string   `xml:"format,omitempty"`
+	// Domain and Entry are the document model's own types: their xml tags
+	// (internal/corpus) are this protocol's domain and entry elements.
+	Domain  *corpus.Domain `xml:"domain,omitempty"`
+	Entry   *corpus.Entry  `xml:"entry,omitempty"`
+	Object  int64          `xml:"object,omitempty"`
+	Policy  string         `xml:"policy,omitempty"`
+	Text    string         `xml:"text,omitempty"`
+	Classes []string       `xml:"class,omitempty"`
+	Scheme  string         `xml:"scheme,omitempty"`
+	Mode    string         `xml:"mode,omitempty"`
+	Format  string         `xml:"format,omitempty"`
 
 	// Corpus names the tenant corpus the request acts on behalf of: the
 	// source corpus of link methods and the rate-limit/quota accounting
@@ -177,9 +179,9 @@ type Request struct {
 
 	// Batch fields: Entries for addEntries, Texts for linkBatch, Objects
 	// for relinkBatch (empty Objects = relink everything invalidated).
-	Entries []*Entry `xml:"entries>entry,omitempty"`
-	Texts   []string `xml:"texts>text,omitempty"`
-	Objects []int64  `xml:"objects>object,omitempty"`
+	Entries []*corpus.Entry `xml:"entries>entry,omitempty"`
+	Texts   []string        `xml:"texts>text,omitempty"`
+	Objects []int64         `xml:"objects>object,omitempty"`
 
 	// Replication fields (repl* methods). Offset is the first record offset
 	// the follower wants (replSubscribe) or its newest applied offset
@@ -248,11 +250,11 @@ type Response struct {
 	Code  string `xml:"code,attr,omitempty"`
 	Error string `xml:"error,omitempty"`
 
-	Object      int64   `xml:"object,omitempty"`
-	Entry       *Entry  `xml:"entry,omitempty"`
-	Linked      *Linked `xml:"linked,omitempty"`
-	Stats       *Stats  `xml:"stats,omitempty"`
-	Invalidated []int64 `xml:"invalidated>object,omitempty"`
+	Object      int64         `xml:"object,omitempty"`
+	Entry       *corpus.Entry `xml:"entry,omitempty"`
+	Linked      *Linked       `xml:"linked,omitempty"`
+	Stats       *Stats        `xml:"stats,omitempty"`
+	Invalidated []int64       `xml:"invalidated>object,omitempty"`
 
 	// Batch fields: Objects carries assigned IDs (addEntries) or relinked
 	// IDs (relinkBatch); Batch carries per-text results (linkBatch), in
@@ -342,27 +344,6 @@ func (o *SnapOp) DecodeValue() ([]byte, error) {
 	return b, nil
 }
 
-// Domain mirrors corpus.Domain on the wire.
-type Domain struct {
-	Name        string `xml:"name,attr"`
-	URLTemplate string `xml:"urltemplate"`
-	Scheme      string `xml:"scheme,omitempty"`
-	Priority    int    `xml:"priority,omitempty"`
-}
-
-// Entry mirrors corpus.Entry on the wire.
-type Entry struct {
-	ID         int64    `xml:"id,attr,omitempty"`
-	Corpus     string   `xml:"corpus,attr,omitempty"`
-	Domain     string   `xml:"domain,attr,omitempty"`
-	ExternalID string   `xml:"externalid,attr,omitempty"`
-	Title      string   `xml:"title"`
-	Concepts   []string `xml:"concept,omitempty"`
-	Classes    []string `xml:"class,omitempty"`
-	Body       string   `xml:"body,omitempty"`
-	Policy     string   `xml:"policy,omitempty"`
-}
-
 // Linked carries a linking result.
 type Linked struct {
 	Output string     `xml:"output"`
@@ -400,46 +381,6 @@ type Stats struct {
 	CacheMisses  int64 `xml:"cachemisses,omitempty"`
 	LinksCreated int64 `xml:"linkscreated,omitempty"`
 	TextsLinked  int64 `xml:"textslinked,omitempty"`
-}
-
-// ToCorpus converts a wire entry to the document model.
-func (e *Entry) ToCorpus() *corpus.Entry {
-	return &corpus.Entry{
-		ID:         e.ID,
-		Corpus:     e.Corpus,
-		Domain:     e.Domain,
-		ExternalID: e.ExternalID,
-		Title:      e.Title,
-		Concepts:   append([]string(nil), e.Concepts...),
-		Classes:    append([]string(nil), e.Classes...),
-		Body:       e.Body,
-		Policy:     e.Policy,
-	}
-}
-
-// FromCorpus converts a document-model entry to the wire form.
-func FromCorpus(e *corpus.Entry) *Entry {
-	return &Entry{
-		ID:         e.ID,
-		Corpus:     e.Corpus,
-		Domain:     e.Domain,
-		ExternalID: e.ExternalID,
-		Title:      e.Title,
-		Concepts:   append([]string(nil), e.Concepts...),
-		Classes:    append([]string(nil), e.Classes...),
-		Body:       e.Body,
-		Policy:     e.Policy,
-	}
-}
-
-// ToCorpusDomain converts a wire domain to the document model.
-func (d *Domain) ToCorpusDomain() corpus.Domain {
-	return corpus.Domain{
-		Name:        d.Name,
-		URLTemplate: d.URLTemplate,
-		Scheme:      d.Scheme,
-		Priority:    d.Priority,
-	}
 }
 
 // OK builds a success response for a request.

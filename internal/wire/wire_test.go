@@ -20,10 +20,10 @@ func TestRequestRoundTrip(t *testing.T) {
 	enc := NewEncoder(&buf)
 	reqs := []*Request{
 		{Seq: 1, Method: MethodPing},
-		{Seq: 2, Method: MethodAddDomain, Domain: &Domain{
+		{Seq: 2, Method: MethodAddDomain, Domain: &corpus.Domain{
 			Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc", Priority: 1,
 		}},
-		{Seq: 3, Method: MethodAddEntry, Entry: &Entry{
+		{Seq: 3, Method: MethodAddEntry, Entry: &corpus.Entry{
 			Domain: "planetmath.org", Title: "planar graph",
 			Concepts: []string{"plane graph"}, Classes: []string{"05C10"},
 			Body: "text with $math$ inside", Policy: "forbid even",
@@ -107,33 +107,6 @@ func TestResponseRoundTrip(t *testing.T) {
 		if len(got.Invalidated) != len(want.Invalidated) {
 			t.Errorf("invalidated %d = %v", i, got.Invalidated)
 		}
-	}
-}
-
-func TestEntryConversions(t *testing.T) {
-	c := &corpus.Entry{
-		ID: 9, Domain: "d", ExternalID: "x", Title: "t",
-		Concepts: []string{"a", "b"}, Classes: []string{"05C10"},
-		Body: "body", Policy: "forbid a",
-	}
-	w := FromCorpus(c)
-	back := w.ToCorpus()
-	if back.ID != c.ID || back.Title != c.Title || back.Policy != c.Policy ||
-		len(back.Concepts) != 2 || back.Classes[0] != "05C10" || back.Body != "body" {
-		t.Errorf("round trip = %+v", back)
-	}
-	// Conversions must not alias slices.
-	w.Concepts[0] = "mutated"
-	if c.Concepts[0] != "a" {
-		t.Error("FromCorpus aliased input")
-	}
-}
-
-func TestDomainConversion(t *testing.T) {
-	d := &Domain{Name: "n", URLTemplate: "u", Scheme: "s", Priority: 3}
-	c := d.ToCorpusDomain()
-	if c.Name != "n" || c.URLTemplate != "u" || c.Scheme != "s" || c.Priority != 3 {
-		t.Errorf("converted = %+v", c)
 	}
 }
 

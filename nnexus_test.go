@@ -193,7 +193,7 @@ func TestPublicMapper(t *testing.T) {
 }
 
 func TestPublicModesAndInvalidation(t *testing.T) {
-	e := newTestEngine(t, nnexus.Config{Mode: nnexus.ModeSteered, Format: nnexus.Markdown})
+	e := newTestEngine(t, nnexus.Config{Format: nnexus.Markdown})
 	id, err := e.AddEntry(&nnexus.Entry{
 		Domain: "planetmath.org", Title: "first", Body: "mentions a widget here",
 	})

@@ -18,6 +18,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -135,6 +138,24 @@ type request struct {
 	entry   *nnexus.Entry
 	entries []*nnexus.Entry
 	policy  string
+	texts   []string
+}
+
+// copyEntries returns r with copies of its entries, so that each door starts
+// from the scenario's: a write sets the ID and corpus of the entries it is
+// handed, as Engine.AddEntry does.
+func (r request) copyEntries() request {
+	if r.entry != nil {
+		e := *r.entry
+		r.entry = &e
+	}
+	entries := make([]*nnexus.Entry, len(r.entries))
+	for i, e := range r.entries {
+		copied := *e
+		entries[i] = &copied
+	}
+	r.entries = entries
+	return r
 }
 
 // outcome is what a door reported: "ok", a typed wire code, or "error" for
@@ -154,6 +175,15 @@ func linkSummary(links []wire.LinkInfo) string {
 	return b.String()
 }
 
+// batchSummary is each result's output and its linkSummary, in order.
+func batchSummary(batch []*wire.Linked) string {
+	var b strings.Builder
+	for _, l := range batch {
+		fmt.Fprintf(&b, "%s: %s\n", l.Output, linkSummary(l.Links))
+	}
+	return b.String()
+}
+
 type door struct {
 	name string
 	do   func(t *testing.T, n *node, r request) outcome
@@ -161,15 +191,13 @@ type door struct {
 
 var doors = []door{
 	{"handle", func(t *testing.T, n *node, r request) outcome {
-		req := &wire.Request{Method: r.method, Seq: 1, Corpus: r.corpus, Targets: r.targets,
-			Text: r.text, Object: r.id, Policy: r.policy}
-		if r.entry != nil {
-			req.Entry = wire.FromCorpus(r.entry)
+		resp := n.srv.Handle(&wire.Request{Method: r.method, Seq: 1, Corpus: r.corpus, Targets: r.targets,
+			Text: r.text, Object: r.id, Policy: r.policy, Entry: r.entry, Entries: r.entries, Texts: r.texts})
+		out := wireOutcome(resp)
+		if r.method == wire.MethodRelinkBatch && resp.IsOK() {
+			out.Links = fmt.Sprint(resp.Objects)
 		}
-		for _, e := range r.entries {
-			req.Entries = append(req.Entries, wire.FromCorpus(e))
-		}
-		return wireOutcome(n.srv.Handle(req))
+		return out
 	}},
 	{"socket", func(t *testing.T, n *node, r request) outcome {
 		c, err := nnexus.Dial(n.addr, nnexus.WithMaxRetries(0), nnexus.WithCallTimeout(10*time.Second))
@@ -180,7 +208,7 @@ var doors = []door{
 		var out outcome
 		switch r.method {
 		case wire.MethodLinkText:
-			var res *client.LinkedText
+			var res *wire.Linked
 			if res, err = c.LinkTextIn(r.corpus, r.targets, r.text, nil, "", "", ""); err == nil {
 				out.Links = linkSummary(res.Links)
 			}
@@ -198,15 +226,24 @@ var doors = []door{
 			err = c.SetPolicy(r.id, r.policy)
 		case wire.MethodRelink:
 			_, err = c.Relink()
+		case wire.MethodLinkBatch:
+			var res []*wire.Linked
+			if res, err = c.LinkBatch(r.texts, nil, "", "", ""); err == nil {
+				out.Links = batchSummary(res)
+			}
+		case wire.MethodRelinkBatch:
+			var ids []int64
+			if ids, err = c.RelinkBatch(nil); err == nil {
+				out.Links = fmt.Sprint(ids)
+			}
 		case wire.MethodAddEntry:
 			if r.corpus != "" {
 				// The client sends no request corpus beside the entry's;
 				// speak the protocol on a bare connection.
 				return wireOutcome(rawCall(t, n.addr, &wire.Request{Method: r.method, Seq: 1,
-					Corpus: r.corpus, Entry: wire.FromCorpus(r.entry)}))
+					Corpus: r.corpus, Entry: r.entry}))
 			}
-			e := *r.entry
-			_, err = c.AddEntry(&e)
+			_, err = c.AddEntry(r.entry)
 		case wire.MethodUpdateEntry:
 			err = c.UpdateEntry(r.entry)
 		case wire.MethodAddEntries:
@@ -323,8 +360,11 @@ func wireOutcome(resp *wire.Response) outcome {
 	switch {
 	case resp.IsOK():
 		out.Code = "ok"
-		if resp.Linked != nil {
+		switch {
+		case resp.Linked != nil:
 			out.Links = linkSummary(resp.Linked.Links)
+		case resp.Batch != nil:
+			out.Links = batchSummary(resp.Batch)
 		}
 	case resp.Code == "":
 		out.Code = "error"
@@ -518,6 +558,44 @@ func TestTransportEquivalence(t *testing.T) {
 		},
 	})
 
+	// A batch through the client equals the engine's own batch call in
+	// process, on a twin node. HTTP has no batch route.
+	flagged := func(t *testing.T) *node {
+		n := openNode(t, nnexus.Config{})
+		n.seed(t, even, planar) // planar's label flags even, entry 1
+		return n
+	}
+	texts := []string{"a planar graph", "an even planar graph", "nothing to link"}
+	results, err := flagged(t).engine.LinkBatch(texts, nnexus.LinkOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked := make([]*wire.Linked, len(results))
+	for i, res := range results {
+		linked[i] = &wire.Linked{Output: res.Output}
+		for _, l := range res.Links {
+			linked[i].Links = append(linked[i].Links, wire.LinkInfo{Label: l.Label, Target: l.Target})
+		}
+	}
+	relinked, err := flagged(t).engine.RelinkBatch(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var relinkedIDs []int64
+	for id := range relinked {
+		relinkedIDs = append(relinkedIDs, id)
+	}
+	slices.Sort(relinkedIDs)
+	if len(relinkedIDs) == 0 {
+		t.Fatal("in-process RelinkBatch found nothing flagged")
+	}
+	rows = append(rows,
+		scenario{name: "batch/" + wire.MethodLinkBatch, open: flagged, skip: "http",
+			req: request{method: wire.MethodLinkBatch, texts: texts}, want: outcome{Code: "ok", Links: batchSummary(linked)}},
+		scenario{name: "batch/" + wire.MethodRelinkBatch, open: flagged, skip: "http", executes: true,
+			req: request{method: wire.MethodRelinkBatch}, want: outcome{Code: "ok", Links: fmt.Sprint(relinkedIDs)}},
+	)
+
 	// A node that may not write redirects every mutating method to the
 	// leader it knows, whether it was configured a follower or demoted by
 	// an election (where the rejection also counts as a fenced request).
@@ -579,7 +657,7 @@ func TestTransportEquivalence(t *testing.T) {
 				}
 				n := row.open(t)
 				before, fenced := n.state(t), n.fencedRequests()
-				got := d.do(t, n, row.req)
+				got := d.do(t, n, row.req.copyEntries())
 				after := n.state(t)
 				if got != row.want {
 					t.Errorf("%s: outcome %+v, want %+v", d.name, got, row.want)
@@ -663,6 +741,49 @@ func noPeersRow(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReloadTenantsAtBothDoors: a node reads its tenant policy from a file;
+// rewriting the file with a tighter rate limit and reloading it makes both
+// doors refuse what the new limit does not admit, and a malformed file fails
+// the reload and leaves that policy enforced.
+func TestReloadTenantsAtBothDoors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	write := func(doc string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(`{"corpora": {"hot": {"ratePerSec": 1000, "burst": 1000}}}`)
+	n := openNode(t, nnexus.Config{TenantFile: path})
+	socket, web := doors[1], doors[2]
+	req := request{method: wire.MethodLinkText, corpus: "hot", text: "a planar graph"}
+	expect := func(d door, want string) {
+		t.Helper()
+		if got := d.do(t, n, req); got.Code != want {
+			t.Fatalf("%s: %+v, want %s", d.name, got, want)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		expect([]door{socket, web}[i%2], "ok")
+	}
+
+	write(`{"corpora": {"hot": {"ratePerSec": 0.001, "burst": 2}}}`)
+	if err := n.engine.ReloadTenants(); err != nil {
+		t.Fatal(err)
+	}
+	expect(socket, "ok")
+	expect(web, "ok")
+	expect(socket, wire.CodeRateLimited)
+	expect(web, wire.CodeRateLimited)
+
+	write(`{"corpora": {"hot": `)
+	if err := n.engine.ReloadTenants(); err == nil {
+		t.Fatal("ReloadTenants accepted a malformed file")
+	}
+	expect(socket, wire.CodeRateLimited)
+	expect(web, wire.CodeRateLimited)
 }
 
 // One service means one gate: a corpus's single token bucket is drained by
