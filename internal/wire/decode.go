@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"unsafe"
 
 	"nnexus/internal/corpus"
 )
@@ -39,14 +40,27 @@ type Decoder struct {
 	used  int64 // bytes of the message before buf[0] (negative: it starts inside buf)
 
 	name    []byte // the last name read; of an element or attribute, its local part
-	nameBuf []byte // name's storage, prefix included
-	val     []byte // the last attribute value, or character data nobody keeps
+	nameBuf []byte // name's storage when it is not read in place, prefix included
+	val     []byte // the last attribute value: in the read window, or in vbuf
+	vbuf    []byte // val's storage when it is not read in place; character data nobody keeps
 	text    []byte // character data of the element being read as a scalar
 	open    []byte // names of the open elements, concatenated
 	marks   []int  // where each of them starts in open
 	inTag   bool   // inside a start tag, behind its name or an attribute
 	empty   bool   // the start tag just read closed itself with />
+
+	// The short strings of the <linked> being read, which become one string,
+	// and where each <link>'s (label, domain, url) and each <skip>'s (label,
+	// reason) lie in it.
+	strs      []byte
+	linkSpans []span
+	skipSpans []span
 }
+
+// span is where a string lies in Decoder.strs.
+type span struct{ from, to int }
+
+func (s span) of(str string) string { return str[s.from:s.to] }
 
 // NewDecoder wraps a reader.
 func NewDecoder(r io.Reader) *Decoder {
@@ -72,12 +86,15 @@ func (d *Decoder) Decode(v interface{}) error {
 	default:
 		return fmt.Errorf("wire: decode: not a message: %T", v)
 	}
-	if cap(d.val) > maxRetainedBuffer {
-		d.val = nil
-	}
-	if cap(d.text) > maxRetainedBuffer {
-		d.text = nil
-	}
+	d.name, d.val = nil, nil
+	release(&d.nameBuf)
+	release(&d.vbuf)
+	release(&d.text)
+	release(&d.open)
+	release(&d.marks)
+	release(&d.strs)
+	release(&d.linkSpans)
+	release(&d.skipSpans)
 	if d.err == io.EOF {
 		return io.EOF
 	}
@@ -105,7 +122,7 @@ func (d *Decoder) message(root string, body func()) {
 		}
 		if c != '<' {
 			d.pos--
-			d.val = d.charData(d.val[:0], -1, false)
+			d.vbuf = d.charData(d.vbuf[:0], -1, false)
 			continue
 		}
 		if !d.markup(false) {
@@ -312,7 +329,12 @@ func (d *Decoder) entry(e *corpus.Entry) {
 	}
 }
 
+// linked reads a <linked>. Its labels, domains, URLs and skip reasons are
+// gathered in d.strs and become one string, which they share; the output,
+// the only long string, keeps its own.
 func (d *Decoder) linked(l *Linked) {
+	links, skips := len(l.Links), len(l.Skips)
+	d.strs, d.linkSpans, d.skipSpans = d.strs[:0], d.linkSpans[:0], d.skipSpans[:0]
 	for d.child(false) {
 		switch string(d.name) {
 		case "output":
@@ -320,10 +342,12 @@ func (d *Decoder) linked(l *Linked) {
 		case "link":
 			l.Links = append(l.Links, LinkInfo{})
 			k := &l.Links[len(l.Links)-1]
+			d.linkSpans = append(d.linkSpans, span{}, span{}, span{})
+			sp := d.linkSpans[len(d.linkSpans)-3:]
 			for d.attr() {
 				switch string(d.name) {
 				case "label":
-					k.Label = string(d.val)
+					sp[0] = d.gather()
 				case "start":
 					k.Start = int(d.intVal(d.val))
 				case "end":
@@ -331,9 +355,9 @@ func (d *Decoder) linked(l *Linked) {
 				case "target":
 					k.Target = d.intVal(d.val)
 				case "domain":
-					k.Domain = string(d.val)
+					sp[1] = d.gather()
 				case "url":
-					k.URL = string(d.val)
+					sp[2] = d.gather()
 				case "distance":
 					k.Distance = d.intVal(d.val)
 				}
@@ -341,13 +365,14 @@ func (d *Decoder) linked(l *Linked) {
 			d.skip()
 		case "skip":
 			l.Skips = append(l.Skips, SkipInfo{})
-			s := &l.Skips[len(l.Skips)-1]
+			d.skipSpans = append(d.skipSpans, span{}, span{})
+			sp := d.skipSpans[len(d.skipSpans)-2:]
 			for d.attr() {
 				switch string(d.name) {
 				case "label":
-					s.Label = string(d.val)
+					sp[0] = d.gather()
 				case "reason":
-					s.Reason = string(d.val)
+					sp[1] = d.gather()
 				}
 			}
 			d.skip()
@@ -355,6 +380,21 @@ func (d *Decoder) linked(l *Linked) {
 			d.skip()
 		}
 	}
+	str := string(d.strs)
+	for i, k := 0, l.Links[links:]; i < len(k); i++ {
+		sp := d.linkSpans[3*i:]
+		k[i].Label, k[i].Domain, k[i].URL = sp[0].of(str), sp[1].of(str), sp[2].of(str)
+	}
+	for i, s := 0, l.Skips[skips:]; i < len(s); i++ {
+		sp := d.skipSpans[2*i:]
+		s[i].Label, s[i].Reason = sp[0].of(str), sp[1].of(str)
+	}
+}
+
+// gather appends the attribute value just read to d.strs, saying where.
+func (d *Decoder) gather() span {
+	d.strs = append(d.strs, d.val...)
+	return span{len(d.strs) - len(d.val), len(d.strs)}
 }
 
 func (d *Decoder) stats(s *Stats) {
@@ -449,6 +489,9 @@ func (d *Decoder) attr() bool {
 		return false
 	}
 	d.space()
+	if d.plainAttr() {
+		return true
+	}
 	c, ok := d.mustGetc()
 	if !ok {
 		return false
@@ -480,9 +523,57 @@ func (d *Decoder) attr() bool {
 	if c, ok = d.mustGetc(); ok && c != '"' && c != '\'' {
 		d.fail("unquoted or missing attribute value in element")
 	}
-	d.val = d.charData(d.val[:0], int(c), false)
+	d.vbuf = d.charData(d.vbuf[:0], int(c), false)
+	d.val = d.vbuf
 	return d.err == nil
 }
+
+// plainAttr is attr's fast path: name="value" (or 'value') lying whole in
+// the read window, its name plain and its value printable ASCII with no '<',
+// no other quote and only the references plainReference reads, is read in
+// place. d.name points into the window, and so does d.val unless a
+// reference had to be resolved into vbuf. Otherwise it reads nothing and
+// returns false.
+func (d *Decoder) plainAttr() bool {
+	w := d.window()
+	n := plainName(w)
+	if n == 0 || n+2 > len(w) || w[n] != '=' || w[n+1] != '"' && w[n+1] != '\'' {
+		return false
+	}
+	quote, from, lit := w[n+1], n+2, n+2 // lit: the bytes not yet copied to vbuf
+	d.vbuf = d.vbuf[:0]
+	for i := from; i < len(w); i++ {
+		switch c := w[i]; {
+		case c == quote:
+			d.name, d.val = w[:n], w[from:i]
+			if lit > from {
+				d.vbuf = append(d.vbuf, w[lit:i]...)
+				d.val = d.vbuf
+			}
+			d.pos += i + 1
+			return true
+		case c == '&':
+			r, k := plainReference(w[i+1:])
+			if k == 0 {
+				return false
+			}
+			d.vbuf = append(append(d.vbuf, w[lit:i]...), r)
+			i += k
+			lit = i + 1
+		case !plainValueBytes[c]:
+			return false
+		}
+	}
+	return false
+}
+
+// plainValueBytes are the bytes an attribute value read in place may hold.
+var plainValueBytes = func() (t [256]bool) {
+	for c := ' '; c <= '~'; c++ {
+		t[c] = c != '&' && c != '<' && c != '"' && c != '\''
+	}
+	return t
+}()
 
 // child moves to the next child element of the open element, past what is
 // left of its start tag, and returns false once its end tag is consumed.
@@ -505,7 +596,7 @@ func (d *Decoder) child(keep bool) bool {
 			if keep {
 				d.text = d.charData(d.text, -1, false)
 			} else {
-				d.val = d.charData(d.val[:0], -1, false)
+				d.vbuf = d.charData(d.vbuf[:0], -1, false)
 			}
 			continue
 		}
@@ -558,6 +649,9 @@ func (d *Decoder) intVal(b []byte) int64 {
 	if len(b) == 0 || d.err != nil {
 		return 0
 	}
+	if n, ok := plainDigits(b); ok {
+		return int64(n)
+	}
 	n, err := strconv.ParseInt(string(bytes.TrimSpace(b)), 10, 64)
 	if err != nil {
 		d.abort(err)
@@ -569,11 +663,29 @@ func (d *Decoder) uintVal(b []byte) uint64 {
 	if len(b) == 0 || d.err != nil {
 		return 0
 	}
+	if n, ok := plainDigits(b); ok {
+		return n
+	}
 	n, err := strconv.ParseUint(string(bytes.TrimSpace(b)), 10, 64)
 	if err != nil {
 		d.abort(err)
 	}
 	return n
+}
+
+// plainDigits parses what strconv would for a number of at most 18 decimal
+// digits, no sign and no space around it, which cannot overflow an int64.
+func plainDigits(b []byte) (n uint64, ok bool) {
+	if len(b) > 18 {
+		return 0, false
+	}
+	for _, c := range b {
+		if !isDigit(c) {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return n, true
 }
 
 func (d *Decoder) boolVal(b []byte) bool {
@@ -585,4 +697,14 @@ func (d *Decoder) boolVal(b []byte) bool {
 		d.abort(err)
 	}
 	return v
+}
+
+// release drops a scratch buffer whose array has outgrown
+// maxRetainedBuffer bytes: one deep or long message does not pin its
+// megabytes to the connection for good.
+func release[T any](buf *[]T) {
+	var elem T
+	if uintptr(cap(*buf))*unsafe.Sizeof(elem) > maxRetainedBuffer {
+		*buf = nil
+	}
 }

@@ -306,9 +306,21 @@ var asciiEscape = func() (t [utf8.RuneSelf]string) {
 	return t
 }()
 
+// plainBytes are the ASCII bytes appendEscaped copies as they are.
+var plainBytes = func() (t [256]bool) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		t[c] = asciiEscape[c] == ""
+	}
+	return t
+}()
+
 func appendEscaped(b []byte, s string) []byte {
 	last := 0
 	for i := 0; i < len(s); {
+		if plainBytes[s[i]] {
+			i++
+			continue
+		}
 		esc, width := "", 1
 		if c := s[i]; c < utf8.RuneSelf {
 			esc = asciiEscape[c]

@@ -17,6 +17,9 @@ import (
 // on the open stack and its local part left in d.name. An end tag pops the
 // stack; comments and instructions are dropped; a CDATA section is character
 // data, kept in d.text when keep is set.
+//
+// A plain start tag, and the end tag of the innermost open element, are
+// taken straight from the read window when they lie whole in it.
 func (d *Decoder) markup(keep bool) bool {
 	c, ok := d.mustGetc()
 	if !ok {
@@ -24,6 +27,14 @@ func (d *Decoder) markup(keep bool) bool {
 	}
 	switch c {
 	case '/':
+		if n := len(d.marks); n > 0 {
+			top, w := d.open[d.marks[n-1]:], d.window()
+			if len(w) > len(top) && w[len(top)] == '>' && bytes.Equal(w[:len(top)], top) {
+				d.pos += len(top) + 1
+				d.pop()
+				return false
+			}
+		}
 		if _, ok = d.readName(true); !ok {
 			d.fail("expected element name after </")
 			return false
@@ -64,13 +75,21 @@ func (d *Decoder) markup(keep bool) bool {
 			if keep {
 				d.text = d.charData(d.text, -1, true)
 			} else {
-				d.val = d.charData(d.val[:0], -1, true)
+				d.vbuf = d.charData(d.vbuf[:0], -1, true)
 			}
 		default:
 			d.fail("document type declarations and other <! directives are not accepted")
 		}
 	default:
 		d.pos--
+		if n := plainName(d.window()); n > 0 {
+			d.marks = append(d.marks, len(d.open))
+			d.open = append(d.open, d.buf[d.pos:d.pos+n]...)
+			d.name = d.open[len(d.open)-n:]
+			d.pos += n
+			d.inTag = true
+			return true
+		}
 		local, ok := d.readName(true)
 		if !ok {
 			d.fail("expected element name after <")
@@ -121,7 +140,7 @@ func (d *Decoder) readName(ns bool) (local int, ok bool) {
 	if len(d.name) == 0 {
 		return 0, false
 	}
-	if c := d.name[0]; c >= '0' && c <= '9' || c == '-' || c == '.' {
+	if !isNameStart(d.name[0]) {
 		d.fail("invalid XML name: " + string(d.name))
 		return 0, false
 	}
@@ -136,15 +155,33 @@ func (d *Decoder) readName(ns bool) (local int, ok bool) {
 	return local, true
 }
 
-// nameBytes are the ASCII characters of XML names.
-var nameBytes = func() (t [256]bool) {
-	for _, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_:.-" {
-		t[c] = true
+// plainName returns the length of the name at the start of w when it can be
+// read in place: a valid name without a prefix, followed in w by an ASCII
+// byte that ends it. It returns 0 for anything readName has to decide.
+func plainName(w []byte) int {
+	i := 0
+	for i < len(w) && plainNameBytes[w[i]] {
+		i++
 	}
-	return t
+	if i == 0 || i == len(w) || w[i] >= utf8.RuneSelf || isNameByte(w[i]) || !isNameStart(w[0]) {
+		return 0
+	}
+	return i
+}
+
+// nameBytes are the ASCII characters of XML names; plainNameBytes are those
+// but the namespace separator.
+var nameBytes, plainNameBytes = func() (t, plain [256]bool) {
+	for _, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_:.-" {
+		t[c], plain[c] = true, c != ':'
+	}
+	return t, plain
 }()
 
 func isNameByte(c byte) bool { return nameBytes[c] }
+
+// isNameStart reports whether a name byte may begin a name.
+func isNameStart(c byte) bool { return !isDigit(c) && c != '-' && c != '.' }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\r' || c == '\t' }
 
@@ -183,18 +220,18 @@ func (d *Decoder) instruction() {
 		return
 	}
 	d.space()
-	d.val = d.val[:0]
-	for n := 0; n < 2 || d.val[n-2] != '?' || d.val[n-1] != '>'; n++ {
+	d.vbuf = d.vbuf[:0]
+	for n := 0; n < 2 || d.vbuf[n-2] != '?' || d.vbuf[n-1] != '>'; n++ {
 		c, ok := d.mustGetc()
 		if !ok {
 			return
 		}
-		d.val = append(d.val, c)
+		d.vbuf = append(d.vbuf, c)
 	}
 	if string(d.name) != "xml" {
 		return
 	}
-	content := string(d.val[:len(d.val)-2])
+	content := string(d.vbuf[:len(d.vbuf)-2])
 	if v := declared("version", content); v != "" && v != "1.0" {
 		d.fail("unsupported version " + strconv.Quote(v) + "; only version 1.0 is supported")
 	}
@@ -304,7 +341,12 @@ scan:
 			d.pos--
 			break scan
 		case c == '&':
-			dst = d.reference(dst)
+			if r, n := plainReference(d.window()); n > 0 {
+				dst = append(dst, r)
+				d.pos += n
+			} else {
+				dst = d.reference(dst)
+			}
 			verbatim = len(dst)
 		case c == '\r':
 			dst = append(dst, '\n')
@@ -338,6 +380,31 @@ scan:
 	}
 	return dst
 }
+
+// plainReference reads, from the start of w, the rest of a reference whose
+// '&' has been consumed when it is one of the common ones: &lt;, &gt;, &amp;
+// or two decimal digits naming a printable ASCII character. It returns the
+// character and the bytes read, or 0 bytes for anything reference has to
+// decide.
+func plainReference(w []byte) (byte, int) {
+	switch {
+	case len(w) < 3:
+	case string(w[:3]) == "lt;":
+		return '<', 3
+	case string(w[:3]) == "gt;":
+		return '>', 3
+	case len(w) < 4:
+	case string(w[:4]) == "amp;":
+		return '&', 4
+	case w[0] == '#' && isDigit(w[1]) && isDigit(w[2]) && w[3] == ';':
+		if c := (w[1]-'0')*10 + w[2] - '0'; c >= ' ' {
+			return c, 4
+		}
+	}
+	return 0, 0
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // reference appends what the character or entity reference whose '&' has
 // been consumed stands for: one of the five predefined names, or a code point
@@ -409,6 +476,15 @@ func (d *Decoder) reference(dst []byte) []byte {
 }
 
 // --- the read window ---
+
+// window is what the current message may still read of the read window
+// without filling it: empty once the stream failed.
+func (d *Decoder) window() []byte {
+	if d.pos >= d.lim {
+		return nil
+	}
+	return d.buf[d.pos:d.lim]
+}
 
 func (d *Decoder) getc() (byte, bool) {
 	if d.pos >= d.lim && !d.fill() {
