@@ -22,11 +22,13 @@
 //	GET  /healthz            liveness probe (plain text; always 200 while up)
 //	GET  /readyz             readiness probe (JSON per-component report; 503 while loading or draining)
 //
-// Every /api route runs the request pipeline of internal/service under the
-// name of its XML-protocol twin (POST /api/link is linkText, PUT
-// /api/entries/{id} is updateEntry, ...), so it is shed, admitted, routed and
-// acknowledged exactly as that method is over the socket; see fail for how
-// the pipeline's typed errors answer.
+// Every /api route runs the request pipeline of internal/service as its
+// XML-protocol twin (POST /api/link is linkText, PUT /api/entries/{id} is
+// updateEntry, ...), so it is shed, admitted, routed and acknowledged exactly
+// as that method is over the socket. Most routes only decode their path and
+// body into the twin's wire request and run it through the service's method
+// table, Service.Call (see apiCalls); /linked, /api/stats and the streamed
+// /api/import keep bodies of their own. See fail for how errors answer.
 //
 // Every route is instrumented into the engine's telemetry registry:
 // request counts by endpoint and status class, latency histograms per
@@ -69,8 +71,8 @@ type Handler struct {
 	reg    *telemetry.Registry
 	health *health.State
 
-	// svc runs every route's shed, admit, route and acknowledge stages
-	// under the node's one policy, the value the TCP layer holds too.
+	// svc runs every route's stages under the node's one policy, the engine
+	// call included, the value the TCP layer holds too.
 	svc *service.Service
 
 	// The shed and panic families are shared with the TCP server (same
@@ -97,39 +99,79 @@ func New(svc *service.Service, st *health.State) *Handler {
 			"Handler panics recovered into error responses, by serving layer.", "layer").With("http"),
 	}
 	m := newHTTPMetrics(reg)
-	routes := []struct {
-		pattern string // method + route, for mux registration
-		label   string // endpoint label (route only, metrics-friendly)
-		// twin is the wire method an /api route runs as, and takes an
-		// in-flight slot under; "" for the routes never shed.
-		twin    string
-		handler http.HandlerFunc
-	}{
-		{"GET /{$}", "/", "", h.form},
-		{"POST /api/link", "/api/link", wire.MethodLinkText, h.link},
-		{"POST /api/entries", "/api/entries", wire.MethodAddEntry, h.createEntry},
-		{"GET /api/entries/{id}", "/api/entries/{id}", wire.MethodGetEntry, h.getEntry},
-		{"PUT /api/entries/{id}", "/api/entries/{id}", wire.MethodUpdateEntry, h.updateEntry},
-		{"DELETE /api/entries/{id}", "/api/entries/{id}", wire.MethodRemoveEntry, h.removeEntry},
-		{"GET /api/entries/{id}/linked", "/api/entries/{id}/linked", wire.MethodLinkEntry, h.linkedEntry},
-		{"PUT /api/entries/{id}/policy", "/api/entries/{id}/policy", wire.MethodSetPolicy, h.setPolicy},
-		{"GET /api/invalidated", "/api/invalidated", wire.MethodInvalidated, h.invalidated},
-		{"POST /api/relink", "/api/relink", wire.MethodRelink, h.relink},
-		{"GET /api/stats", "/api/stats", wire.MethodStats, h.stats},
-		{"POST /api/import", "/api/import", wire.MethodAddEntries, h.importOAI},
-		{"GET /metrics", "/metrics", "", h.metrics},
-		{"GET /healthz", "/healthz", "", h.healthz},
-		{"GET /readyz", "/readyz", "", h.readyz},
-	}
-	for _, rt := range routes {
-		handler := m.instrument(rt.label, rt.handler)
-		if rt.twin == "" {
-			h.mux.HandleFunc(rt.pattern, h.recovered(handler))
+	// handle registers a route under its endpoint label, the route alone.
+	// twin is the wire method an /api route runs as, and takes an in-flight
+	// slot under; "" for the routes never shed.
+	handle := func(pattern, twin string, handler http.HandlerFunc) {
+		handler = m.instrument(strings.TrimSuffix(pattern[strings.IndexByte(pattern, ' ')+1:], "{$}"), handler)
+		if twin == "" {
+			h.mux.HandleFunc(pattern, h.recovered(handler))
 		} else {
-			h.mux.HandleFunc(rt.pattern, h.protect(rt.twin, handler))
+			h.mux.HandleFunc(pattern, h.protect(twin, handler))
 		}
 	}
+	for _, c := range apiCalls {
+		handle(c.pattern, c.twin, h.call(c))
+	}
+	handle("GET /api/entries/{id}/linked", wire.MethodLinkEntry, h.linkedEntry)
+	handle("GET /api/stats", wire.MethodStats, h.stats)
+	handle("POST /api/import", wire.MethodAddEntries, h.importOAI)
+	handle("GET /{$}", "", h.form)
+	handle("GET /metrics", "", h.metrics)
+	handle("GET /healthz", "", h.healthz)
+	handle("GET /readyz", "", h.readyz)
 	return h
+}
+
+// apiCall is a route that runs its wire twin through the service's method
+// table: decode fills the twin's request from the HTTP request, body picks
+// the route's JSON body out of the reply. It answers ok, or fallback for the
+// engine call's own errors.
+type apiCall struct {
+	pattern, twin string
+	ok, fallback  int
+	decode        func(http.ResponseWriter, *http.Request, *wire.Request) error
+	body          func(*service.Reply) interface{}
+}
+
+var apiCalls = []apiCall{
+	{"POST /api/link", wire.MethodLinkText, http.StatusOK, http.StatusInternalServerError, decodeLink,
+		func(r *service.Reply) interface{} { return r.Result }},
+	{"POST /api/entries", wire.MethodAddEntry, http.StatusCreated, http.StatusBadRequest, decodeEntry,
+		func(r *service.Reply) interface{} { return map[string]interface{}{"id": r.Object} }},
+	{"GET /api/entries/{id}", wire.MethodGetEntry, http.StatusOK, http.StatusNotFound, decodeID,
+		func(r *service.Reply) interface{} { return r.Entry }},
+	{"PUT /api/entries/{id}", wire.MethodUpdateEntry, http.StatusOK, http.StatusBadRequest, decodeUpdate, okBody},
+	{"DELETE /api/entries/{id}", wire.MethodRemoveEntry, http.StatusOK, http.StatusNotFound, decodeID, okBody},
+	{"PUT /api/entries/{id}/policy", wire.MethodSetPolicy, http.StatusOK, http.StatusBadRequest, decodePolicy, okBody},
+	{"GET /api/invalidated", wire.MethodInvalidated, http.StatusOK, http.StatusInternalServerError, nil,
+		func(r *service.Reply) interface{} { return map[string][]int64{"invalidated": r.Invalidated} }},
+	{"POST /api/relink", wire.MethodRelink, http.StatusOK, http.StatusInternalServerError, nil,
+		func(r *service.Reply) interface{} { return map[string]int64{"relinked": r.Object} }},
+}
+
+func okBody(*service.Reply) interface{} { return map[string]string{"status": "ok"} }
+
+// call serves one apiCall: a request that does not decode answers 400 (413
+// past service.MaxRequestBytes) before it is admitted.
+func (h *Handler) call(c apiCall) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req := new(wire.Request)
+		if c.decode != nil {
+			if err := c.decode(w, r, req); err != nil {
+				h.fail(w, err, http.StatusBadRequest, nil)
+				return
+			}
+		}
+		req.Method = c.twin
+		h.serve(w, req, c.ok, c.fallback, func() (interface{}, error) {
+			reply, err := h.svc.Call(req)
+			if err != nil {
+				return nil, err
+			}
+			return c.body(reply), nil
+		})
+	}
 }
 
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
@@ -170,13 +212,24 @@ var codeStatus = map[string]int{
 }
 
 // fail answers an error: a typed error of the request pipeline carries the
-// "code" and leader service.Code names for it, under that code's status;
-// anything else answers fallback, the status the route gives its engine
-// call's own errors. What the call reported before the failure — the id of
-// an entry that applied but missed its quorum, the count an import got to —
-// is kept in the body.
+// "code" and leader service.Code names for it, under that code's status; a
+// link option that does not parse answers 400, a body over
+// service.MaxRequestBytes 413, and anything else fallback, the status the
+// route gives its engine call's own errors. What the call reported before
+// the failure — the id of an entry that applied but missed its quorum, the
+// count an import got to — is kept in the body.
 func (h *Handler) fail(w http.ResponseWriter, err error, fallback int, partial interface{}) {
 	status, body := fallback, map[string]interface{}{"error": err.Error()}
+	var (
+		invalid  *service.InvalidError
+		tooLarge *http.MaxBytesError
+	)
+	switch {
+	case errors.As(err, &invalid):
+		status = http.StatusBadRequest
+	case errors.As(err, &tooLarge):
+		status, body["error"] = http.StatusRequestEntityTooLarge, tooLarge.Error()
+	}
 	if code, leader := h.svc.Code(err); code != "" {
 		body["code"] = code
 		if s, ok := codeStatus[code]; ok {
@@ -203,9 +256,9 @@ func (h *Handler) fail(w http.ResponseWriter, err error, fallback int, partial i
 	writeJSON(w, status, body)
 }
 
-// serve runs one route through the request pipeline under the name of its
-// wire twin, and answers exec's reply with status ok or fails as above.
-func (h *Handler) serve(w http.ResponseWriter, req service.Request, ok, fallback int, exec func() (interface{}, error)) {
+// serve runs one request through the pipeline after shed, exec being its
+// execute stage, and answers exec's reply with status ok or fails as above.
+func (h *Handler) serve(w http.ResponseWriter, req *wire.Request, ok, fallback int, exec func() (interface{}, error)) {
 	var reply interface{}
 	err := h.svc.Do(req, func() (err error) {
 		reply, err = exec()
@@ -218,236 +271,145 @@ func (h *Handler) serve(w http.ResponseWriter, req service.Request, ok, fallback
 	writeJSON(w, ok, reply)
 }
 
-// decodeBody reads a JSON request body of at most service.MaxRequestBytes
-// into v, answering 413 past the limit and 400 for anything malformed.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes)).Decode(v)
-	if err != nil {
-		failBody(w, err)
+// readJSON reads a JSON request body of at most service.MaxRequestBytes into
+// v.
+func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes)).Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
 	}
-	return err == nil
+	return nil
 }
 
-// failBody answers a request body that could not be read: 413 past
-// service.MaxRequestBytes, 400 for anything else.
-func failBody(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, err)
-	} else {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-	}
-}
-
-// linkRequest is the /api/link request body.
-type linkRequest struct {
-	Text    string   `json:"text"`
-	Classes []string `json:"classes,omitempty"`
-	Scheme  string   `json:"scheme,omitempty"`
-	// Corpus names the tenant corpus the text links on behalf of (rate
-	// limiting, accounting, default link target); empty means the engine's
-	// default corpus. Targets is the ordered cross-corpus link policy;
-	// empty means self-linking.
-	Corpus  string   `json:"corpus,omitempty"`
-	Targets []string `json:"targets,omitempty"`
-	Mode    string   `json:"mode,omitempty"`
-	Format  string   `json:"format,omitempty"`
-}
-
-func (h *Handler) link(w http.ResponseWriter, r *http.Request) {
-	var req linkRequest
+// decodeLink reads POST /api/link: the interactive form's urlencoded fields,
+// else a JSON object whose keys name the request's fields (text, classes,
+// scheme, corpus, targets, mode, format).
+func decodeLink(w http.ResponseWriter, r *http.Request, req *wire.Request) error {
 	ct := r.Header.Get("Content-Type")
-	if strings.HasPrefix(ct, "application/x-www-form-urlencoded") ||
-		strings.HasPrefix(ct, "multipart/form-data") {
-		// The interactive form posts urlencoded fields.
-		if err := r.ParseForm(); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
+	if !strings.HasPrefix(ct, "application/x-www-form-urlencoded") &&
+		!strings.HasPrefix(ct, "multipart/form-data") {
+		return readJSON(w, r, req)
+	}
+	if err := r.ParseForm(); err != nil {
+		return err
+	}
+	req.Text, req.Corpus = r.PostFormValue("text"), r.PostFormValue("corpus")
+	req.Mode, req.Format = r.PostFormValue("mode"), r.PostFormValue("format")
+	req.Classes, req.Targets = formList(r, "classes"), formList(r, "targets")
+	return nil
+}
+
+// formList reads a comma-separated form field.
+func formList(r *http.Request, key string) []string {
+	var items []string
+	if v := strings.TrimSpace(r.PostFormValue(key)); v != "" {
+		for _, item := range strings.Split(v, ",") {
+			items = append(items, strings.TrimSpace(item))
 		}
-		req.Text = r.PostFormValue("text")
-		if cs := strings.TrimSpace(r.PostFormValue("classes")); cs != "" {
-			for _, c := range strings.Split(cs, ",") {
-				req.Classes = append(req.Classes, strings.TrimSpace(c))
-			}
-		}
-		req.Corpus = r.PostFormValue("corpus")
-		if ts := strings.TrimSpace(r.PostFormValue("targets")); ts != "" {
-			for _, t := range strings.Split(ts, ",") {
-				req.Targets = append(req.Targets, strings.TrimSpace(t))
-			}
-		}
-		req.Mode = r.PostFormValue("mode")
-		req.Format = r.PostFormValue("format")
-	} else if !decodeBody(w, r, &req) {
-		return
 	}
-	opts, err := service.ParseLinkOptions(req.Mode, req.Format)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	opts.SourceClasses, opts.SourceScheme = req.Classes, req.Scheme
-	opts.SourceCorpus, opts.TargetCorpora = req.Corpus, req.Targets
-	h.svc.DefaultTargets(&opts)
-	h.serve(w, service.Request{Method: wire.MethodLinkText, Corpus: req.Corpus},
-		http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
-			return h.engine.LinkText(req.Text, opts)
-		})
+	return items
 }
 
-// storeRequest describes a route that stores entry under id (0 = new) to the
-// request pipeline: it is charged to the entry's corpus.
-func storeRequest(method string, id int64, entry *corpus.Entry) service.Request {
-	return service.Request{Method: method,
-		Writes: []service.Write{{ID: id, Size: core.EntrySize(entry), Corpus: entry.Corpus}}}
+// decodeID reads the entry ID in the path.
+func decodeID(w http.ResponseWriter, r *http.Request, req *wire.Request) (err error) {
+	if req.Object, err = strconv.ParseInt(r.PathValue("id"), 10, 64); err != nil {
+		return fmt.Errorf("bad entry id %q", r.PathValue("id"))
+	}
+	return nil
 }
 
-func (h *Handler) createEntry(w http.ResponseWriter, r *http.Request) {
-	var entry corpus.Entry
-	if !decodeBody(w, r, &entry) {
-		return
-	}
-	h.serve(w, storeRequest(wire.MethodAddEntry, 0, &entry),
-		http.StatusCreated, http.StatusBadRequest, func() (interface{}, error) {
-			id, err := h.engine.AddEntry(&entry)
-			if err != nil {
-				return nil, err
-			}
-			return map[string]interface{}{"id": id}, nil
-		})
+// decodeEntry reads an entry's JSON body.
+func decodeEntry(w http.ResponseWriter, r *http.Request, req *wire.Request) error {
+	req.Entry = new(corpus.Entry)
+	return readJSON(w, r, req.Entry)
 }
 
-func (h *Handler) getEntry(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
+// decodeUpdate reads the entry of PUT /api/entries/{id}, under the path's ID.
+func decodeUpdate(w http.ResponseWriter, r *http.Request, req *wire.Request) error {
+	if err := decodeID(w, r, req); err != nil {
+		return err
 	}
-	h.serve(w, service.Request{Method: wire.MethodGetEntry},
-		http.StatusOK, http.StatusNotFound, func() (interface{}, error) {
-			entry, found := h.engine.Entry(id)
-			if !found {
-				return nil, fmt.Errorf("entry %d not found", id)
-			}
-			return entry, nil
-		})
+	if err := decodeEntry(w, r, req); err != nil {
+		return err
+	}
+	req.Entry.ID = req.Object
+	return nil
 }
 
-func (h *Handler) updateEntry(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
-	}
-	var entry corpus.Entry
-	if !decodeBody(w, r, &entry) {
-		return
-	}
-	entry.ID = id
-	h.serve(w, storeRequest(wire.MethodUpdateEntry, id, &entry),
-		http.StatusOK, http.StatusBadRequest, func() (interface{}, error) {
-			return map[string]string{"status": "ok"}, h.engine.UpdateEntry(&entry)
-		})
-}
-
-func (h *Handler) removeEntry(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
-	}
-	h.serve(w, service.Request{Method: wire.MethodRemoveEntry},
-		http.StatusOK, http.StatusNotFound, func() (interface{}, error) {
-			return map[string]string{"status": "ok"}, h.engine.RemoveEntry(id)
-		})
-}
-
-func (h *Handler) linkedEntry(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
-	}
-	h.serve(w, service.Request{Method: wire.MethodLinkEntry},
-		http.StatusOK, http.StatusNotFound, func() (interface{}, error) {
-			res, cached, err := h.engine.LinkEntryCached(id)
-			if err == nil {
-				w.Header().Set("X-NNexus-Cache", map[bool]string{true: "hit", false: "miss"}[cached])
-			}
-			return res, err
-		})
-}
-
-func (h *Handler) setPolicy(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
+// decodePolicy reads a policy's plain text; past service.MaxRequestBytes it
+// is refused whole, not cut short.
+func decodePolicy(w http.ResponseWriter, r *http.Request, req *wire.Request) error {
+	if err := decodeID(w, r, req); err != nil {
+		return err
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
 	if err != nil {
-		failBody(w, err)
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	req.Policy = string(body)
+	return nil
+}
+
+// linkedEntry serves the §2.5 cache table's rendering of an entry, which no
+// wire method reads: a hit or miss in X-NNexus-Cache.
+func (h *Handler) linkedEntry(w http.ResponseWriter, r *http.Request) {
+	req := &wire.Request{Method: wire.MethodLinkEntry}
+	if err := decodeID(w, r, req); err != nil {
+		h.fail(w, err, http.StatusBadRequest, nil)
 		return
 	}
-	h.serve(w, service.Request{Method: wire.MethodSetPolicy},
-		http.StatusOK, http.StatusBadRequest, func() (interface{}, error) {
-			return map[string]string{"status": "ok"}, h.engine.SetPolicy(id, string(body))
-		})
-}
-
-func (h *Handler) invalidated(w http.ResponseWriter, r *http.Request) {
-	h.serve(w, service.Request{Method: wire.MethodInvalidated},
-		http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
-			return map[string][]int64{"invalidated": h.engine.Invalidated()}, nil
-		})
-}
-
-func (h *Handler) relink(w http.ResponseWriter, r *http.Request) {
-	h.serve(w, service.Request{Method: wire.MethodRelink},
-		http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
-			results, err := h.engine.RelinkInvalidated()
-			return map[string]int{"relinked": len(results)}, err
-		})
+	h.serve(w, req, http.StatusOK, http.StatusNotFound, func() (interface{}, error) {
+		res, cached, err := h.engine.LinkEntryCached(req.Object)
+		if err == nil {
+			w.Header().Set("X-NNexus-Cache", map[bool]string{true: "hit", false: "miss"}[cached])
+		}
+		return res, err
+	})
 }
 
 // importOAI streams an OAI-style XML dump into the collection. The dump's
 // domain must already be registered. It is one addEntries request to the
 // pipeline — admitted, routed and acknowledged once — whose entries are
-// unknown until they stream in.
+// unknown until they stream in; each is stored by the method table's
+// addEntry.
 func (h *Handler) importOAI(w http.ResponseWriter, r *http.Request) {
-	h.serve(w, service.Request{Method: wire.MethodAddEntries},
-		http.StatusOK, http.StatusBadRequest, func() (interface{}, error) {
-			n := 0
-			_, _, err := corpus.ImportOAIStream(io.LimitReader(r.Body, 256<<20), func(entry *corpus.Entry) error {
-				// Quota is enforced per entry against live usage, so a
-				// stream cannot blow through a corpus's quota in one
-				// request; the entries already imported stay.
-				if err := h.svc.CheckQuota(service.Write{Size: core.EntrySize(entry), Corpus: entry.Corpus}); err != nil {
-					return err
-				}
-				if _, err := h.engine.AddEntry(entry); err != nil {
-					return err
-				}
-				n++
-				return nil
-			})
-			if err != nil {
-				err = fmt.Errorf("imported %d entries, then: %w", n, err)
+	h.serve(w, &wire.Request{Method: wire.MethodAddEntries}, http.StatusOK, http.StatusBadRequest, func() (interface{}, error) {
+		n := 0
+		_, _, err := corpus.ImportOAIStream(io.LimitReader(r.Body, 256<<20), func(entry *corpus.Entry) error {
+			// Quota is enforced per entry against live usage, so a stream
+			// cannot blow through a corpus's quota in one request; the
+			// entries already imported stay.
+			if err := h.svc.CheckQuota(service.Write{Size: core.EntrySize(entry), Corpus: entry.Corpus}); err != nil {
+				return err
 			}
-			return map[string]interface{}{"imported": n}, err
+			if _, err := h.svc.Call(&wire.Request{Method: wire.MethodAddEntry, Entry: entry}); err != nil {
+				return err
+			}
+			n++
+			return nil
 		})
+		if err != nil {
+			err = fmt.Errorf("imported %d entries, then: %w", n, err)
+		}
+		return map[string]interface{}{"imported": n}, err
+	})
 }
 
+// stats answers the collection's statistics with the telemetry snapshot, a
+// body of its own beside the wire's stats.
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
-	h.serve(w, service.Request{Method: wire.MethodStats},
-		http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
-			hits, misses := h.engine.CacheStats()
-			return map[string]interface{}{
-				"entries":     h.engine.NumEntries(),
-				"concepts":    h.engine.NumConcepts(),
-				"domains":     h.engine.Domains(),
-				"invalidated": len(h.engine.Invalidated()),
-				"cacheHits":   hits,
-				"cacheMisses": misses,
-				"metrics":     h.engine.Metrics(),
-				"telemetry":   h.reg.Snapshot(),
-			}, nil
-		})
+	h.serve(w, &wire.Request{Method: wire.MethodStats}, http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
+		hits, misses := h.engine.CacheStats()
+		return map[string]interface{}{
+			"entries":     h.engine.NumEntries(),
+			"concepts":    h.engine.NumConcepts(),
+			"domains":     h.engine.Domains(),
+			"invalidated": len(h.engine.Invalidated()),
+			"cacheHits":   hits,
+			"cacheMisses": misses,
+			"metrics":     h.engine.Metrics(),
+			"telemetry":   h.reg.Snapshot(),
+		}, nil
+	})
 }
 
 // metrics serves the telemetry registry in the Prometheus text exposition
@@ -486,21 +448,8 @@ func (h *Handler) form(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func pathID(w http.ResponseWriter, r *http.Request) (int64, bool) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad entry id %q", r.PathValue("id")))
-		return 0, false
-	}
-	return id, true
-}
-
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

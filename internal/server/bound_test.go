@@ -137,7 +137,7 @@ func TestOneBoundAcrossDoors(t *testing.T) {
 			held <- resp.StatusCode
 		}()
 		// The route is instrumented inside the slot it holds.
-		inFlight := srv.engine.Telemetry().Gauge("nnexus_http_in_flight_requests", "")
+		inFlight := srv.svc.Engine().Telemetry().Gauge("nnexus_http_in_flight_requests", "")
 		waitFor(t, 5*time.Second, func() bool { return inFlight.Value() == 1 })
 		rc := dialRaw(t, addr)
 		linkText := &wire.Request{Method: wire.MethodLinkText, Text: "a planar graph", Seq: 1}

@@ -171,7 +171,7 @@ func TestConnCapRejectsExcessConnections(t *testing.T) {
 }
 
 func TestWriteDeadlineDropsStalledReader(t *testing.T) {
-	srv, addr := newTestServer(t, WithWriteTimeout(150*time.Millisecond))
+	srv, addr := newTestServer(t, func(s *Server) { s.writeTimeout = 150 * time.Millisecond })
 	// Store an entry whose body far exceeds the socket buffers, so
 	// writing the getEntry response must block on the peer reading.
 	seeder := dialRaw(t, addr)

@@ -18,7 +18,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -26,14 +25,12 @@ import (
 	"log"
 	"net"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nnexus/internal/clock"
 	"nnexus/internal/core"
-	"nnexus/internal/corpus"
 	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/wire"
@@ -53,15 +50,16 @@ const DefaultMaxPipeline = 32
 
 // Server serves one engine to any number of concurrent connections.
 type Server struct {
-	engine *core.Engine
 	logger *log.Logger
 	tel    *serverTelemetry
 
-	// svc runs every request's admit, route and acknowledge stages under
-	// the node's one policy (see internal/service), shared with every other
-	// door; the server itself only executes.
+	// svc runs every request's stages under the node's one policy, the
+	// engine call included (see internal/service), shared with every other
+	// door; the server itself only carries requests and replies.
 	svc *service.Service
 
+	// writeTimeout bounds writing one response (DefaultWriteTimeout); only
+	// a test shortens it.
 	writeTimeout time.Duration
 	maxConns     int
 
@@ -152,13 +150,6 @@ func (t *serverTelemetry) request(method string, start time.Time, failed bool) {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithWriteTimeout bounds writing one response to a client; a peer that
-// stops reading for longer loses its connection. Zero or negative disables
-// the bound. The default is DefaultWriteTimeout.
-func WithWriteTimeout(d time.Duration) Option {
-	return func(s *Server) { s.writeTimeout = d }
-}
-
 // WithMaxConns caps concurrently open connections; excess connections are
 // accepted and immediately closed. Zero (the default) is unlimited.
 func WithMaxConns(n int) Option {
@@ -172,11 +163,9 @@ func WithMaxConns(n int) Option {
 // an election-managed role also answers the replVote / replLead exchanges.
 // logger may be nil to disable logging.
 func New(svc *service.Service, logger *log.Logger, opts ...Option) *Server {
-	engine := svc.Engine()
 	s := &Server{
-		engine:       engine,
 		logger:       logger,
-		tel:          newServerTelemetry(engine.Telemetry()),
+		tel:          newServerTelemetry(svc.Engine().Telemetry()),
 		svc:          svc,
 		conns:        make(map[net.Conn]struct{}),
 		writeTimeout: DefaultWriteTimeout,
@@ -497,7 +486,7 @@ func (s *Server) enter(req *wire.Request) error {
 		s.tel.shed.Inc()
 		return err
 	}
-	if err := s.admit(req); err != nil {
+	if err := s.svc.Admit(req); err != nil {
 		s.svc.Leave(req.Method)
 		return err
 	}
@@ -530,35 +519,6 @@ func (s *Server) handleAdmitted(req *wire.Request) (resp *wire.Response) {
 	return r
 }
 
-// admit runs the admit stage for a wire request: each entry it would store
-// is sized and charged to the corpus it lands in, its own else the
-// request's.
-func (s *Server) admit(req *wire.Request) error {
-	if s.svc.Tenants == nil {
-		return nil // nothing to charge: skip sizing the entries
-	}
-	r := service.Request{Method: req.Method, Corpus: req.Corpus}
-	write := func(e *corpus.Entry, id int64) service.Write {
-		return service.Write{ID: id, Corpus: cmp.Or(e.Corpus, req.Corpus), Size: core.EntrySize(e)}
-	}
-	switch req.Method {
-	case wire.MethodAddEntry:
-		if req.Entry != nil {
-			r.Writes = []service.Write{write(req.Entry, 0)}
-		}
-	case wire.MethodAddEntries:
-		r.Writes = make([]service.Write, len(req.Entries))
-		for i, e := range req.Entries {
-			r.Writes[i] = write(e, 0)
-		}
-	case wire.MethodUpdateEntry:
-		if req.Entry != nil {
-			r.Writes = []service.Write{write(req.Entry, req.Entry.ID)}
-		}
-	}
-	return s.svc.Admit(r)
-}
-
 // errResponse maps an error to its wire reply: a typed error of the request
 // pipeline carries the code and leader hint service.Code names for it,
 // anything else is an untyped error response.
@@ -569,269 +529,33 @@ func (s *Server) errResponse(req *wire.Request, err error) *wire.Response {
 }
 
 // dispatch runs the route, execute and acknowledge stages of an admitted
-// request; executing is the method table below.
+// request; executing is the service's method table, whose reply the socket
+// sends as a wire response.
 func (s *Server) dispatch(req *wire.Request) (resp *wire.Response, err error) {
 	if s.testHook != nil {
 		s.testHook(req)
 	}
 	err = s.svc.Execute(req.Method, func() error {
-		var err error
-		resp, err = s.dispatchMethod(req)
-		if err == nil && s.testPostMutate != nil {
+		reply, err := s.svc.Call(req)
+		if err != nil {
+			return err
+		}
+		resp = &reply.Response
+		if reply.Result != nil {
+			resp.Linked = toWireLinked(reply.Result)
+		}
+		if reply.Results != nil {
+			resp.Batch = make([]*wire.Linked, len(reply.Results))
+			for i, res := range reply.Results {
+				resp.Batch[i] = toWireLinked(res)
+			}
+		}
+		if s.testPostMutate != nil {
 			s.testPostMutate(req)
 		}
-		return err
+		return nil
 	})
 	return resp, err
-}
-
-func (s *Server) dispatchMethod(req *wire.Request) (*wire.Response, error) {
-	switch req.Method {
-	case wire.MethodPing:
-		return wire.OK(req), nil
-
-	case wire.MethodReplSubscribe:
-		primary := s.svc.Node.CurrentPrimary()
-		if primary == nil {
-			return nil, errors.New("replSubscribe: node is not a replication primary")
-		}
-		wait := time.Duration(req.WaitMillis) * time.Millisecond
-		payload, err := primary.Subscribe(req.Offset, req.Epoch, req.MaxRecords, wait)
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Repl = payload
-		return resp, nil
-
-	case wire.MethodReplSnapshot:
-		primary := s.svc.Node.CurrentPrimary()
-		if primary == nil {
-			return nil, errors.New("replSnapshot: node is not a replication primary")
-		}
-		payload, err := primary.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Repl = payload
-		return resp, nil
-
-	case wire.MethodReplAck:
-		primary := s.svc.Node.CurrentPrimary()
-		if primary == nil {
-			return nil, errors.New("replAck: node is not a replication primary")
-		}
-		primary.Ack(req.Follower, req.Offset)
-		return wire.OK(req), nil
-
-	case wire.MethodReplStatus:
-		// The node's position, under its election epoch.
-		st := s.svc.Node.Status()
-		resp := wire.OK(req)
-		resp.Repl = &wire.ReplPayload{Role: st.Role, Epoch: st.Term, Head: st.Head,
-			Applied: st.Applied, Stale: !st.Synced}
-		resp.Leader = st.Leader
-		return resp, nil
-
-	case wire.MethodReplVote:
-		node, err := s.svc.Node.Elector()
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Repl = node.HandleVote(req.Epoch, req.Offset, req.Candidate)
-		resp.Leader = node.Status().Leader
-		return resp, nil
-
-	case wire.MethodReplLead:
-		node, err := s.svc.Node.Elector()
-		if err == nil {
-			err = node.HandleLead(req.Epoch, req.Leader)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return wire.OK(req), nil
-
-	case wire.MethodAddDomain:
-		if req.Domain == nil {
-			return nil, errors.New("addDomain: missing domain")
-		}
-		if err := s.engine.AddDomain(*req.Domain); err != nil {
-			return nil, err
-		}
-		return wire.OK(req), nil
-
-	case wire.MethodAddEntry:
-		if req.Entry == nil {
-			return nil, errors.New("addEntry: missing entry")
-		}
-		req.Entry.Corpus = cmp.Or(req.Entry.Corpus, req.Corpus)
-		id, err := s.engine.AddEntry(req.Entry)
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Object = id
-		return resp, nil
-
-	case wire.MethodUpdateEntry:
-		if req.Entry == nil {
-			return nil, errors.New("updateEntry: missing entry")
-		}
-		req.Entry.Corpus = cmp.Or(req.Entry.Corpus, req.Corpus)
-		if err := s.engine.UpdateEntry(req.Entry); err != nil {
-			return nil, err
-		}
-		return wire.OK(req), nil
-
-	case wire.MethodRemoveEntry:
-		if err := s.engine.RemoveEntry(req.Object); err != nil {
-			return nil, err
-		}
-		return wire.OK(req), nil
-
-	case wire.MethodGetEntry:
-		entry, ok := s.engine.Entry(req.Object)
-		if !ok {
-			return nil, fmt.Errorf("getEntry: unknown entry %d", req.Object)
-		}
-		resp := wire.OK(req)
-		resp.Entry = entry
-		return resp, nil
-
-	case wire.MethodSetPolicy:
-		if err := s.engine.SetPolicy(req.Object, req.Policy); err != nil {
-			return nil, err
-		}
-		return wire.OK(req), nil
-
-	case wire.MethodLinkEntry:
-		opts, err := linkOptions(req)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.engine.LinkEntry(req.Object, opts)
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Linked = toWireLinked(res)
-		return resp, nil
-
-	case wire.MethodLinkText:
-		opts, err := s.textLinkOptions(req)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.engine.LinkText(req.Text, opts)
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Linked = toWireLinked(res)
-		return resp, nil
-
-	case wire.MethodInvalidated:
-		resp := wire.OK(req)
-		resp.Invalidated = s.engine.Invalidated()
-		return resp, nil
-
-	case wire.MethodRelink:
-		results, err := s.engine.RelinkInvalidated()
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Object = int64(len(results))
-		return resp, nil
-
-	case wire.MethodStats:
-		hits, misses := s.engine.CacheStats()
-		met := s.engine.Metrics()
-		resp := wire.OK(req)
-		resp.Stats = &wire.Stats{
-			Entries:      s.engine.NumEntries(),
-			Concepts:     s.engine.NumConcepts(),
-			Domains:      len(s.engine.Domains()),
-			Invalidated:  len(s.engine.Invalidated()),
-			CacheHits:    hits,
-			CacheMisses:  misses,
-			LinksCreated: met.LinksCreated,
-			TextsLinked:  met.TextsLinked,
-		}
-		return resp, nil
-
-	case wire.MethodAddEntries:
-		if len(req.Entries) == 0 {
-			return nil, errors.New("addEntries: missing entries")
-		}
-		for _, e := range req.Entries {
-			e.Corpus = cmp.Or(e.Corpus, req.Corpus)
-		}
-		ids, err := s.engine.AddEntries(req.Entries)
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Objects = ids
-		return resp, nil
-
-	case wire.MethodLinkBatch:
-		if len(req.Texts) == 0 {
-			return nil, errors.New("linkBatch: missing texts")
-		}
-		opts, err := s.textLinkOptions(req)
-		if err != nil {
-			return nil, err
-		}
-		results, err := s.engine.LinkBatch(req.Texts, opts, 0)
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Batch = make([]*wire.Linked, len(results))
-		for i, res := range results {
-			resp.Batch[i] = toWireLinked(res)
-		}
-		return resp, nil
-
-	case wire.MethodRelinkBatch:
-		results, err := s.engine.RelinkBatch(req.Objects, 0)
-		if err != nil {
-			return nil, err
-		}
-		resp := wire.OK(req)
-		resp.Object = int64(len(results))
-		resp.Objects = make([]int64, 0, len(results))
-		for id := range results {
-			resp.Objects = append(resp.Objects, id)
-		}
-		sort.Slice(resp.Objects, func(i, j int) bool { return resp.Objects[i] < resp.Objects[j] })
-		return resp, nil
-
-	default:
-		return nil, fmt.Errorf("unknown method %q", req.Method)
-	}
-}
-
-// linkOptions reads a link method's pipeline, format and corpus policy off
-// the request.
-func linkOptions(req *wire.Request) (core.LinkOptions, error) {
-	opts, err := service.ParseLinkOptions(req.Mode, req.Format)
-	opts.SourceCorpus, opts.TargetCorpora = req.Corpus, req.Targets
-	return opts, err
-}
-
-// textLinkOptions is linkOptions for the free-text methods: they steer by
-// the request's classes and, naming no targets, link against the ones the
-// source corpus's tenant policy configures.
-func (s *Server) textLinkOptions(req *wire.Request) (core.LinkOptions, error) {
-	opts, err := linkOptions(req)
-	opts.SourceClasses, opts.SourceScheme = req.Classes, req.Scheme
-	s.svc.DefaultTargets(&opts)
-	return opts, err
 }
 
 func toWireLinked(res *core.Result) *wire.Linked {

@@ -1,11 +1,14 @@
-// Package service holds the request policy every door to the engine shares.
-// The socket server, the HTTP API and in-process callers compose the same
-// five stages, so a guarantee holds whichever transport carried the request:
+// Package service holds everything in front of the engine that the doors
+// share: the request pipeline and the one table of what each wire method
+// does. The socket server, the HTTP API and in-process callers compose the
+// same five stages, so a guarantee holds whichever transport carried the
+// request:
 //
 //	shed         one of the node's MaxActive in-flight slots (Enter, Leave)
-//	admit        one token from the corpus's bucket, then the write quota
+//	admit        the request's link options must parse, then one token from
+//	             the corpus's bucket, then the write quota (Admit)
 //	route        a mutation runs only where the replication Node allows
-//	execute      the caller's closure: the engine call and the reply
+//	execute      the engine call of the request's method (Call)
 //	acknowledge  a mutation that applied waits for its follower quorum
 //
 // Each stage fails with a typed error — ErrOverloaded,
@@ -13,21 +16,23 @@
 // *replication.NotPrimaryError, an error wrapping
 // replication.ErrQuorumUnavailable — whose wire code Code names, and which
 // each transport renders as its own reply; only the last of them means the
-// request executed. Requests are named by their wire method whatever carried
-// them: an HTTP route passes the method of its XML twin and is treated
-// exactly like it.
+// request executed. The order is the same at every door: a link request
+// whose mode or format does not parse is refused with an *InvalidError (no
+// wire code; HTTP 400) before it is charged, so it spends no token.
+// Requests are wire requests whatever carried them: an HTTP route decodes
+// its path and body into the request of its XML twin and is treated exactly
+// like it.
 package service
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
-	"nnexus/internal/render"
 	"nnexus/internal/replication"
 	"nnexus/internal/telemetry"
 	"nnexus/internal/tenant"
@@ -87,20 +92,10 @@ func New(engine *core.Engine) *Service {
 	}
 }
 
-// Engine returns the engine the service fronts; a door executes against it.
+// Engine returns the engine the service fronts, for what the method table
+// does not serve: HTTP's cached rendering, stats body and form, and each
+// door's telemetry.
 func (s *Service) Engine() *core.Engine { return s.engine }
-
-// Request is what the stages need to know of one request.
-type Request struct {
-	Method string // wire.Method*; an HTTP route passes its wire twin
-	// Corpus is the corpus the request names. Its token comes from this
-	// corpus, else from the first write's; empty is the engine's default
-	// (so pre-tenancy clients count).
-	Corpus string
-	// Writes lists the entries the request would store. Nil for everything
-	// else, which keeps a read free of allocations on its way to execute.
-	Writes []Write
-}
 
 // Write is one entry a request would store: the ID it replaces (0 = a new
 // entry), its core.EntrySize, and the corpus it lands in (empty is the
@@ -160,8 +155,9 @@ func (s *Service) Code(err error) (code, leader string) {
 	return "", ""
 }
 
-// Do runs one request through the stages after shed.
-func (s *Service) Do(req Request, exec func() error) error {
+// Do runs one request through the stages after shed, exec being its
+// execute stage.
+func (s *Service) Do(req *wire.Request, exec func() error) error {
 	if err := s.Admit(req); err != nil {
 		return err
 	}
@@ -188,26 +184,57 @@ func (s *Service) Execute(method string, exec func() error) error {
 }
 
 // Admit charges the request to its corpus: one token from the bucket, then
-// the write quota at current usage. Either rejection comes before the request
-// executes, so even a mutation is retry-safe in the load-shedding sense.
-// Replication, election and liveness traffic is nobody's and passes untouched.
-func (s *Service) Admit(req Request) error {
+// the write quota at current usage, each entry it would store sized and
+// charged to the corpus it lands in (its own, else the request's). Every
+// rejection comes before the request executes, so even a mutation is
+// retry-safe in the load-shedding sense, and a link request whose options do
+// not parse is refused before it spends a token. Replication, election and
+// liveness traffic is nobody's and passes untouched.
+func (s *Service) Admit(req *wire.Request) error {
 	if s.Tenants == nil || wire.Methods[req.Method] == wire.KindControl {
 		return nil
 	}
+	if isLink(req.Method) {
+		if _, err := ParseLinkOptions(req.Mode, req.Format); err != nil {
+			return err
+		}
+	}
+	writes := entryWrites(req)
 	name := req.Corpus
-	if name == "" && len(req.Writes) > 0 {
-		name = req.Writes[0].Corpus
+	if name == "" && len(writes) > 0 {
+		name = writes[0].Corpus
 	}
 	name = s.corpus(name)
 	if err := s.Tenants.Allow(name); err != nil {
 		s.rejected.With(name, "rateLimited").Inc()
 		return err
 	}
-	if err := s.CheckQuota(req.Writes...); err != nil {
+	if err := s.CheckQuota(writes...); err != nil {
 		return err
 	}
 	s.admitted.With(name).Inc()
+	return nil
+}
+
+// entryWrites lists the entries req would store. Nil for everything else,
+// which keeps a read free of allocations on its way to execute.
+func entryWrites(req *wire.Request) []Write {
+	write := func(e *corpus.Entry, id int64) Write {
+		return Write{ID: id, Corpus: cmp.Or(e.Corpus, req.Corpus), Size: core.EntrySize(e)}
+	}
+	switch {
+	case req.Method == wire.MethodAddEntries:
+		writes := make([]Write, len(req.Entries))
+		for i, e := range req.Entries {
+			writes[i] = write(e, 0)
+		}
+		return writes
+	case req.Entry == nil:
+	case req.Method == wire.MethodAddEntry:
+		return []Write{write(req.Entry, 0)}
+	case req.Method == wire.MethodUpdateEntry:
+		return []Write{write(req.Entry, req.Entry.ID)}
+	}
 	return nil
 }
 
@@ -279,38 +306,4 @@ func (s *Service) acknowledge() error {
 		timeout = DefaultQuorumTimeout
 	}
 	return p.WaitQuorum(p.Head(), s.QuorumAcks, timeout)
-}
-
-// ParseLinkOptions resolves the mode and format names every door accepts
-// (the XML attributes, the JSON fields, the CLI flags) into link options.
-func ParseLinkOptions(mode, format string) (core.LinkOptions, error) {
-	var opts core.LinkOptions
-	switch strings.ToLower(mode) {
-	case "", "default":
-	case "lexical":
-		opts.Mode = core.ModeLexical
-	case "steered":
-		opts.Mode = core.ModeSteered
-	case "steered+policies", "full":
-		opts.Mode = core.ModeSteeredPolicies
-	default:
-		return opts, fmt.Errorf("unknown mode %q", mode)
-	}
-	switch strings.ToLower(format) {
-	case "", "html":
-	case "markdown", "md":
-		f := render.Markdown
-		opts.Format = &f
-	default:
-		return opts, fmt.Errorf("unknown format %q", format)
-	}
-	return opts, nil
-}
-
-// DefaultTargets gives a free-text link request that names no target corpora
-// the ones its source corpus's tenant policy configures (none = self-linking).
-func (s *Service) DefaultTargets(opts *core.LinkOptions) {
-	if len(opts.TargetCorpora) == 0 && s.Tenants != nil {
-		opts.TargetCorpora = s.Tenants.Targets(s.corpus(opts.SourceCorpus))
-	}
 }

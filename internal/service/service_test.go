@@ -7,6 +7,7 @@ import (
 
 	"nnexus/internal/classification"
 	"nnexus/internal/core"
+	"nnexus/internal/corpus"
 	"nnexus/internal/render"
 	"nnexus/internal/replication"
 	"nnexus/internal/tenant"
@@ -34,8 +35,9 @@ func TestReadReachesExecuteWithoutAllocating(t *testing.T) {
 		s := New(engine)
 		s.Tenants = tenants
 		ran := 0
+		req := &wire.Request{Method: wire.MethodLinkText, Corpus: "notes"}
 		allocs := testing.AllocsPerRun(200, func() {
-			if err := s.Do(Request{Method: wire.MethodLinkText, Corpus: "notes"}, func() error {
+			if err := s.Do(req, func() error {
 				ran++
 				return nil
 			}); err != nil {
@@ -60,7 +62,7 @@ func TestStageOrder(t *testing.T) {
 	engine := newEngine(t)
 	s := New(engine)
 	s.Tenants = tenant.NewRegistry(tenant.Config{Default: &tenant.Policy{RatePerSec: 0.001, Burst: 1, MaxEntries: 1}})
-	write := Request{Method: wire.MethodAddEntries, Writes: []Write{{Size: 1}, {Size: 1}}}
+	write := &wire.Request{Method: wire.MethodAddEntries, Entries: []*corpus.Entry{{Title: "a"}, {Title: "b"}}}
 	executed := false
 	exec := func() error { executed = true; return nil }
 
@@ -77,8 +79,29 @@ func TestStageOrder(t *testing.T) {
 		t.Fatalf("quorum of one with no primary: err %v, executed %v; want quorumUnavailable after execution", err, executed)
 	}
 	executed = false
-	if err := s.Do(Request{Method: wire.MethodLinkText}, exec); err != nil || !executed {
+	if err := s.Do(&wire.Request{Method: wire.MethodLinkText}, exec); err != nil || !executed {
 		t.Fatalf("a read waits for no quorum: err %v, executed %v", err, executed)
+	}
+}
+
+// A link request whose options do not parse is refused before it is
+// charged, whichever link method it is: the valid request after it gets the
+// bucket's one token.
+func TestMalformedLinkSpendsNoToken(t *testing.T) {
+	s := New(newEngine(t))
+	s.Tenants = tenant.NewRegistry(tenant.Config{Default: &tenant.Policy{RatePerSec: 0.001, Burst: 1}})
+	for _, req := range []*wire.Request{
+		{Method: wire.MethodLinkText, Mode: "psychic"},
+		{Method: wire.MethodLinkEntry, Format: "pdf"},
+		{Method: wire.MethodLinkBatch, Mode: "psychic"},
+	} {
+		var invalid *InvalidError
+		if err := s.Admit(req); !errors.As(err, &invalid) {
+			t.Errorf("%s mode %q format %q: %v, want an *InvalidError", req.Method, req.Mode, req.Format, err)
+		}
+	}
+	if err := s.Admit(&wire.Request{Method: wire.MethodLinkText}); err != nil {
+		t.Errorf("the valid request after the malformed ones: %v", err)
 	}
 }
 

@@ -68,7 +68,7 @@ func runReplScript(t *testing.T, dir string) (records [][]byte, head uint64) {
 // dumpTables snapshots every table of a store for whole-state comparison.
 func dumpTables(s *Store) map[string]map[string]string {
 	out := make(map[string]map[string]string)
-	for _, table := range s.Tables() {
+	for _, table := range tables(s) {
 		m := make(map[string]string)
 		s.Scan(table, func(key string, value []byte) bool {
 			m[key] = string(value)

@@ -520,13 +520,6 @@ func (s *Store) Len(table string) int {
 	return len(s.tables[table])
 }
 
-// Tables returns the names of non-empty tables, sorted.
-func (s *Store) Tables() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedKeys(s.tables)
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

@@ -139,6 +139,9 @@ type request struct {
 	entries []*nnexus.Entry
 	policy  string
 	texts   []string
+	// mode and format are a link request's options, by the names every
+	// door accepts.
+	mode, format string
 }
 
 // copyEntries returns r with copies of its entries, so that each door starts
@@ -159,12 +162,14 @@ func (r request) copyEntries() request {
 }
 
 // outcome is what a door reported: "ok", a typed wire code, or "error" for
-// an untyped failure; the leader hint of a notPrimary; a link request's
-// label → target map.
+// an untyped failure, with its text; the leader hint of a notPrimary; a link
+// request's label → target map and output.
 type outcome struct {
 	Code   string
+	Error  string
 	Leader string
 	Links  string
+	Output string
 }
 
 func linkSummary(links []wire.LinkInfo) string {
@@ -192,7 +197,8 @@ type door struct {
 var doors = []door{
 	{"handle", func(t *testing.T, n *node, r request) outcome {
 		resp := n.srv.Handle(&wire.Request{Method: r.method, Seq: 1, Corpus: r.corpus, Targets: r.targets,
-			Text: r.text, Object: r.id, Policy: r.policy, Entry: r.entry, Entries: r.entries, Texts: r.texts})
+			Text: r.text, Object: r.id, Policy: r.policy, Entry: r.entry, Entries: r.entries, Texts: r.texts,
+			Mode: r.mode, Format: r.format})
 		out := wireOutcome(resp)
 		if r.method == wire.MethodRelinkBatch && resp.IsOK() {
 			out.Links = fmt.Sprint(resp.Objects)
@@ -209,8 +215,8 @@ var doors = []door{
 		switch r.method {
 		case wire.MethodLinkText:
 			var res *wire.Linked
-			if res, err = c.LinkTextIn(r.corpus, r.targets, r.text, nil, "", "", ""); err == nil {
-				out.Links = linkSummary(res.Links)
+			if res, err = c.LinkTextIn(r.corpus, r.targets, r.text, nil, "", r.mode, r.format); err == nil {
+				out.Links, out.Output = linkSummary(res.Links), res.Output
 			}
 		case wire.MethodGetEntry:
 			_, err = c.GetEntry(r.id)
@@ -262,7 +268,7 @@ var doors = []door{
 		case errors.As(err, &se):
 			out.Code, out.Leader = se.Code, se.Leader
 			if out.Code == "" {
-				out.Code = "error"
+				out.Code, out.Error = "error", se.Message
 			}
 		case err != nil:
 			t.Fatalf("socket door: %s: %v", r.method, err)
@@ -277,7 +283,8 @@ var doors = []door{
 		)
 		switch r.method {
 		case wire.MethodLinkText:
-			b, _ := json.Marshal(map[string]interface{}{"text": r.text, "corpus": r.corpus, "targets": r.targets})
+			b, _ := json.Marshal(map[string]interface{}{"text": r.text, "corpus": r.corpus, "targets": r.targets,
+				"mode": r.mode, "format": r.format})
 			verb, path, body = http.MethodPost, "/api/link", string(b)
 		case wire.MethodGetEntry:
 			path = entryPath
@@ -322,10 +329,12 @@ var doors = []door{
 		defer resp.Body.Close()
 		var reply struct {
 			Code   string `json:"code"`
+			Error  string `json:"error"`
 			Leader string `json:"leader"`
 			ID     int64  `json:"id"`
 			// core.Link's JSON keys are wire.LinkInfo's field names.
-			Links []wire.LinkInfo `json:"links"`
+			Links  []wire.LinkInfo `json:"links"`
+			Output string          `json:"output"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 			t.Fatalf("http door: %s %s: status %d, body: %v", verb, path, resp.StatusCode, err)
@@ -339,9 +348,9 @@ var doors = []door{
 		switch {
 		case resp.StatusCode < 300:
 			out.Code = "ok"
-			out.Links = linkSummary(reply.Links)
+			out.Links, out.Output = linkSummary(reply.Links), reply.Output
 		case reply.Code == "":
-			out.Code = "error"
+			out.Code, out.Error = "error", reply.Error
 		case resp.StatusCode != wantStatus[reply.Code]:
 			t.Errorf("http door: code %q answered with status %d, want %d", reply.Code, resp.StatusCode, wantStatus[reply.Code])
 		}
@@ -362,12 +371,12 @@ func wireOutcome(resp *wire.Response) outcome {
 		out.Code = "ok"
 		switch {
 		case resp.Linked != nil:
-			out.Links = linkSummary(resp.Linked.Links)
+			out.Links, out.Output = linkSummary(resp.Linked.Links), resp.Linked.Output
 		case resp.Batch != nil:
 			out.Links = batchSummary(resp.Batch)
 		}
 	case resp.Code == "":
-		out.Code = "error"
+		out.Code, out.Error = "error", resp.Error
 	}
 	return out
 }
@@ -596,6 +605,55 @@ func TestTransportEquivalence(t *testing.T) {
 			req: request{method: wire.MethodRelinkBatch}, want: outcome{Code: "ok", Links: fmt.Sprint(relinkedIDs)}},
 	)
 
+	// Link options reach the engine alike through every door, compared by
+	// output as well as by links: a mode (lexical ignores the policy that
+	// forbids linking "even"), a format, and target corpora. A mode or format
+	// no door knows, and an ID no entry has, answer one error text.
+	optioned := func(t *testing.T) *node {
+		n := openNode(t, nnexus.Config{})
+		forbidden, homonym := even, planar
+		forbidden.Policy = "forbid even"
+		homonym.Corpus, homonym.Domain = "wiki", "wikipedia.org"
+		n.seed(t, planar, forbidden, homonym)
+		return n
+	}
+	probe := optioned(t)
+	for _, r := range []request{
+		{method: wire.MethodLinkText, text: "an even planar graph", mode: "lexical"},
+		{method: wire.MethodLinkText, text: "an even planar graph", format: "markdown"},
+		{method: wire.MethodLinkText, text: "an even planar graph", targets: []string{"wiki"}},
+	} {
+		opts, err := service.ParseLinkOptions(r.mode, r.format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.TargetCorpora = r.targets
+		res, err := probe.engine.LinkText(r.text, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var links []wire.LinkInfo
+		for _, l := range res.Links {
+			links = append(links, wire.LinkInfo{Label: l.Label, Target: l.Target})
+		}
+		rows = append(rows, scenario{name: fmt.Sprintf("options/mode %q format %q targets %q", r.mode, r.format, r.targets),
+			open: optioned, req: r, want: outcome{Code: "ok", Links: linkSummary(links), Output: res.Output}})
+	}
+	rows = append(rows,
+		scenario{name: "options/unknown mode", open: optioned,
+			req:  request{method: wire.MethodLinkText, text: "a planar graph", mode: "psychic"},
+			want: outcome{Code: "error", Error: `unknown mode "psychic"`}},
+		scenario{name: "options/unknown format", open: optioned,
+			req:  request{method: wire.MethodLinkText, text: "a planar graph", format: "pdf"},
+			want: outcome{Code: "error", Error: `unknown format "pdf"`}},
+		scenario{name: "unknown id/" + wire.MethodGetEntry, open: optioned,
+			req:  request{method: wire.MethodGetEntry, id: 99},
+			want: outcome{Code: "error", Error: "getEntry: unknown entry 99"}},
+		scenario{name: "unknown id/" + wire.MethodSetPolicy, open: optioned,
+			req:  request{method: wire.MethodSetPolicy, id: 99, policy: "forbid even"},
+			want: outcome{Code: "error", Error: "core: policy for unknown entry 99"}},
+	)
+
 	// A node that may not write redirects every mutating method to the
 	// leader it knows, whether it was configured a follower or demoted by
 	// an election (where the rejection also counts as a fenced request).
@@ -684,6 +742,7 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 	t.Run("no peers, no election", noPeersRow)
 	t.Run("one gate", oneGateRow)
+	t.Run("malformed link spends no token", malformedLinkRow)
 	t.Run("default targets", defaultTargetsRow)
 	t.Run("one metric family", metricFamilyRow)
 	t.Run("body limit", bodyLimitRow)
@@ -809,6 +868,31 @@ func oneGateRow(t *testing.T) {
 			t.Errorf("request %d on a burst of %d (%s): %+v, want %s: the doors do not share one bucket",
 				burst+1, burst, d.name, got, wire.CodeRateLimited)
 		}
+	}
+}
+
+// A link request whose options do not parse is refused at admission, before
+// it is charged, on every door: on a bucket of one token, a valid request
+// after two malformed ones still runs.
+func malformedLinkRow(t *testing.T) {
+	for _, d := range doors {
+		t.Run(d.name, func(t *testing.T) {
+			n := openNode(t, nnexus.Config{Tenants: nnexus.NewTenantRegistry(nnexus.TenantConfig{
+				Default: &nnexus.TenantPolicy{RatePerSec: 0.001, Burst: 1},
+			})})
+			n.seed(t, planar)
+			for _, r := range []request{
+				{method: wire.MethodLinkText, text: "a planar graph", mode: "psychic"},
+				{method: wire.MethodLinkText, text: "a planar graph", format: "pdf"},
+			} {
+				if got := d.do(t, n, r); got.Code != "error" {
+					t.Fatalf("mode %q format %q: %+v, want an untyped error", r.mode, r.format, got)
+				}
+			}
+			if got := d.do(t, n, request{method: wire.MethodLinkText, text: "a planar graph"}); got.Code != "ok" {
+				t.Errorf("the valid request after two malformed ones: %+v, want ok: a malformed request spent a token", got)
+			}
+		})
 	}
 }
 
