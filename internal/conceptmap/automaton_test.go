@@ -202,7 +202,7 @@ func TestUnwrittenFormOfLabelWord(t *testing.T) {
 	if tokens[1].Word == 0 || tokens[1].Word != morph.WordID(word) {
 		t.Fatalf("%q: Word %d, want %d, the ID of %q", form, tokens[1].Word, morph.WordID(word), word)
 	}
-	if morph.FormID(form) != 0 || morph.Words() != words {
+	if vocab := morph.Current(); vocab.FormID(form) != 0 || morph.Words() != words {
 		t.Fatalf("reading %q added it to the vocabulary", form)
 	}
 	ms := scanBoth(t, m, text)

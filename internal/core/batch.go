@@ -14,14 +14,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nnexus/internal/conceptmap"
 	"nnexus/internal/corpus"
 )
 
-// relinkChunk bounds how many entries a relink batch captures into one
-// shared view. Chunking keeps the abort contract meaningful for large
-// queues (later chunks are never dispatched after an error) and bounds the
-// size of the union candidate snapshot.
+// relinkChunk bounds how many entries a relink batch captures under one read
+// lock. Chunking keeps the abort contract meaningful for large queues (later
+// chunks are never dispatched after an error) and bounds how long a capture
+// holds the lock.
 const relinkChunk = 128
 
 // batchItem carries one unit of a batch through the pipeline.
@@ -96,15 +95,13 @@ func (e *Engine) runBatch(items []*batchItem, p linkPlan, workers int, aborted *
 		e.scanText(it.run, it.text)
 	})
 
-	streams := make([][]conceptmap.Match, 0, len(items))
-	total := 0
+	runs := make([]*linkRun, 0, len(items))
 	for _, it := range items {
 		if it.run != nil && it.err == nil {
-			streams = append(streams, it.run.matches)
-			total += len(it.run.matches)
+			runs = append(runs, it.run)
 		}
 	}
-	view := e.captureView(make(map[int64]*storedEntry, total), streams...)
+	e.captureView(runs...)
 
 	// Phase 3 dispatches every scanned item even when the batch has been
 	// aborted: those items were already handed to workers.
@@ -112,7 +109,7 @@ func (e *Engine) runBatch(items []*batchItem, p linkPlan, workers int, aborted *
 		if it.run == nil || it.err != nil {
 			return
 		}
-		if it.res, it.err = e.finish(it.run, view); it.err != nil {
+		if it.res, it.err = e.finish(it.run); it.err != nil {
 			aborted.Store(true)
 		}
 	})

@@ -456,14 +456,6 @@ func (e *Engine) AddEntry(entry *corpus.Entry) (int64, error) {
 	return ids[0], nil
 }
 
-// MaxObjectID returns the highest entry ID the engine has assigned or
-// accepted (0 when empty).
-func (e *Engine) MaxObjectID() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.nextID - 1
-}
-
 // UpdateEntry replaces an existing entry's metadata and body, re-indexes
 // it, and invalidates entries affected by its (possibly changed) labels.
 func (e *Engine) UpdateEntry(entry *corpus.Entry) error {

@@ -79,12 +79,20 @@ func (s *maintScript) body() string {
 	return "about " + s.word() + " " + s.word() + " and " + s.word() + " " + s.word()
 }
 
+// maxObjectID returns the highest entry ID the engine has assigned or
+// accepted (0 when empty).
+func (e *Engine) maxObjectID() int64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.nextID - 1
+}
+
 // pick selects a stored entry ID; 0xFF selects an ID no entry holds.
 func (s *maintScript) pick(e *Engine) int64 {
 	ids := e.Entries()
 	i := s.next(256)
 	if i == 0xFF || len(ids) == 0 {
-		return e.MaxObjectID() + 3
+		return e.maxObjectID() + 3
 	}
 	return ids[i%len(ids)]
 }
@@ -217,7 +225,7 @@ func stateOf(t *testing.T, e *Engine, emptyCorpora bool) maintState {
 		Invalidated: e.Invalidated(),
 		Usage:       map[string][2]int64{},
 		Concepts:    e.NumConcepts(),
-		MaxID:       e.MaxObjectID(),
+		MaxID:       e.maxObjectID(),
 	}
 	for _, name := range e.Domains() {
 		d, _ := e.Domain(name)

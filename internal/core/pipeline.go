@@ -7,10 +7,11 @@ package core
 //	          classes, source corpus, ordered targets, exclude
 //	scan      tokens → concept matches (greedy, or the longest match at
 //	          every position when a later walk consumes)
-//	capture   every candidate entry of N match slices under one RLock, each
-//	          with its write-time resolve state (storedEntry)
+//	capture   every candidate entry of every match of N runs under one
+//	          RLock, each with its write-time resolve state (storedEntry),
+//	          into a slice per run aligned with its matches' candidates
 //	resolve   chooseTarget: policy filter, steering, tie-break, from the
-//	          captured entries alone: no lock, no string-keyed map
+//	          captured entries alone: no lock, no entry table
 //	assemble  greedy walk, first-occurrence rule, anchors, render.Apply
 //
 //	Engine.LinkText       plan + scan + capture(1) + assemble
@@ -137,7 +138,6 @@ type linkRun struct {
 	e    *Engine
 	plan linkPlan
 	text string // after LaTeX conversion
-	view linkView
 	// st is the run's per-stage wall time, observed by finish.
 	st stageTimes
 
@@ -153,8 +153,10 @@ type linkRun struct {
 	multiOrigin []int
 	// mergeIdx is mergeSpans' sort permutation.
 	mergeIdx []int
-	// entries is the candidate snapshot of a single-run captureView.
-	entries map[int64]*storedEntry
+	// captured is the capture stage's snapshot (captureView): the stored
+	// entry of each candidate of each match in turn, nil for one removed, so
+	// that a match's candidates start where the previous match's end.
+	captured []*storedEntry
 	// cands/dists are chooseTarget's per-match scratch: the candidate
 	// entries and, parallel to them, their distances from the source.
 	cands []*storedEntry
@@ -166,10 +168,7 @@ type linkRun struct {
 
 var linkRunPool = sync.Pool{
 	New: func() interface{} {
-		return &linkRun{
-			linked:  make(map[string]bool, 16),
-			entries: make(map[int64]*storedEntry, 32),
-		}
+		return &linkRun{linked: make(map[string]bool, 16)}
 	},
 }
 
@@ -179,10 +178,10 @@ func (e *Engine) getRun() *linkRun {
 	return run
 }
 
-// maxPooledTokens bounds the token and match buffers a run may take back to
-// the pool. The benchmark's 5 KB documents need under 1,000 tokens; a run
-// that served a far larger text is left to the collector, so that one 32 MiB
-// request cannot leave a quarter-gigabyte token buffer in circulation.
+// maxPooledTokens bounds the token, match and capture buffers a run may take
+// back to the pool. The benchmark's 5 KB documents need under 1,000 tokens;
+// a run that served a far larger text is left to the collector, so that one
+// 32 MiB request cannot leave a quarter-gigabyte token buffer in circulation.
 const maxPooledTokens = 8192
 
 func putRun(run *linkRun) {
@@ -193,23 +192,25 @@ func putRun(run *linkRun) {
 
 // reset clears the per-run state, dropping every pointer into engine or
 // request state — tokens alias the request text, matches an automaton
-// generation, candidates the entries — so that a pooled run pins none of
-// them. It reports whether the run's buffers are small enough to pool. Every
-// buffer is zero past its length (each reset clears what its run used), so
-// clearing up to the length in use leaves the whole capacity zero.
+// generation, captured and candidates the entries — so that a pooled run pins
+// none of them. It reports whether the run's buffers are small enough to
+// pool. Every buffer is zero past its length (each reset clears what its run
+// used), so clearing up to the length in use leaves the whole capacity zero;
+// the entry buffers are cleared over their whole capacity.
 func (run *linkRun) reset() bool {
-	run.e, run.plan, run.text, run.view, run.st = nil, linkPlan{}, "", linkView{}, stageTimes{}
-	if max(cap(run.tokens), cap(run.matches), cap(run.multi)) > maxPooledTokens {
+	run.e, run.plan, run.text, run.st = nil, linkPlan{}, "", stageTimes{}
+	if max(cap(run.tokens), cap(run.matches), cap(run.multi), cap(run.captured)) > maxPooledTokens {
 		return false
 	}
 	clear(run.pins)
 	clear(run.tokens)
 	clear(run.matches)
 	clear(run.multi)
+	clear(run.captured[:cap(run.captured)])
 	clear(run.cands[:cap(run.cands)])
 	clear(run.anchors)
 	run.pins, run.tokens, run.matches, run.multi = run.pins[:0], run.tokens[:0], run.matches[:0], run.multi[:0]
-	clear(run.entries)
+	run.captured = run.captured[:0]
 	clear(run.linked)
 	return true
 }
@@ -320,36 +321,26 @@ func mergeSpans(dst, spans []conceptmap.Match, origin, idx []int) ([]conceptmap.
 	return dst, idx
 }
 
-// linkView is the read snapshot the resolve stage works from: the candidate
-// entries captured under a single RLock, each with the resolve state derived
-// from it at write time (its parsed policy, canonical class indexes, domain
-// and URL). Once captured, policy filtering, steering and tie-breaking run
-// without touching engine locks or tables.
-type linkView struct {
-	entries map[int64]*storedEntry
-}
-
-// captureView gathers into entries every candidate entry the match slices
-// reference, under one read lock. One slice is a single run's view; a batch
-// passes every item's matches and links all of them against the one
-// immutable view.
-func (e *Engine) captureView(entries map[int64]*storedEntry, streams ...[]conceptmap.Match) linkView {
+// captureView is the read snapshot the resolve stage works from: under one
+// read lock it fills each run's captured slice with the stored entry of every
+// candidate of every match, in order, nil for an entry no longer stored. Each
+// entry carries the resolve state derived from it at write time (its parsed
+// policy, canonical class indexes, domain and URL), so once captured, policy
+// filtering, steering and tie-breaking run without touching engine locks or
+// tables. A single link passes its one run; a batch passes every item's run
+// and links all of them against the one snapshot.
+func (e *Engine) captureView(runs ...*linkRun) {
 	e.mu.RLock()
-	for _, matches := range streams {
-		for _, m := range matches {
-			for _, oid := range m.Candidates {
-				id := int64(oid)
-				if _, seen := entries[id]; seen {
-					continue
-				}
-				if entry, ok := e.entries[id]; ok {
-					entries[id] = entry
-				}
+	for _, run := range runs {
+		captured := run.captured[:0]
+		for i := range run.matches {
+			for _, oid := range run.matches[i].Candidates {
+				captured = append(captured, e.entries[int64(oid)])
 			}
 		}
+		run.captured = captured
 	}
 	e.mu.RUnlock()
-	return linkView{entries: entries}
 }
 
 // priority is the entry's domain priority; an entry whose domain is not
@@ -362,27 +353,24 @@ func (s *storedEntry) priority() int {
 }
 
 // chooseTarget runs policy filtering, steering, and tie-breaking for one
-// concept match. It returns the winning entry, the steering distance it won
-// at and the number of candidates the policies permitted, or the reason the
-// match is not linked. Everything it reads is the run's plan and its
-// captured view, so it takes no lock, probes no string-keyed table and
-// builds no URL. A timed run accumulates in run.st the wall time spent in
-// the policy and steering stages; other runs read no clock. The plan's
-// rank, when non-nil, is the multi-target link policy's corpus order: after
-// steering, candidates from earlier target corpora win ties over later ones
-// (before domain priority and lowest ID). Nil — the single-target default —
-// keeps the tie-break identical to the single-corpus engine.
-func (run *linkRun) chooseTarget(m *conceptmap.Match) (winner *storedEntry, distance int64, total int, skip string) {
+// concept match, whose candidates' entries are captured. It returns the
+// winning entry, the steering distance it won at and the number of
+// candidates the policies permitted, or the reason the match is not linked.
+// Everything it reads is the run's plan and those entries, so it takes no
+// lock, probes no entry table and builds no URL. A timed run accumulates in
+// run.st the wall time spent in the policy and steering stages; other runs
+// read no clock. The plan's rank, when non-nil, is the multi-target link
+// policy's corpus order: after steering, candidates from earlier target
+// corpora win ties over later ones (before domain priority and lowest ID).
+// Nil — the single-target default — keeps the tie-break identical to the
+// single-corpus engine.
+func (run *linkRun) chooseTarget(m *conceptmap.Match, captured []*storedEntry) (winner *storedEntry, distance int64, total int, skip string) {
 	st, rank := &run.st, run.plan.rank
 	mode := run.plan.mode.resolve()
-	// Gather candidates from the view, excluding the source entry.
+	// Gather the candidates still stored, excluding the source entry.
 	cands := run.cands[:0]
-	for _, oid := range m.Candidates {
-		id := int64(oid)
-		if id == run.plan.exclude {
-			continue
-		}
-		if entry, ok := run.view.entries[id]; ok {
+	for _, entry := range captured {
+		if entry != nil && entry.ID != run.plan.exclude {
 			cands = append(cands, entry)
 		}
 	}
@@ -499,8 +487,11 @@ func (run *linkRun) assemble() (*Result, error) {
 	res := &Result{Output: text}
 	as := run.anchors[:0]
 	cursor := 0 // next token position available for a match
+	at := 0     // where m's candidates start in run.captured
 	for i := range run.matches {
 		m := &run.matches[i]
+		captured := run.captured[at : at+len(m.Candidates)]
+		at += len(m.Candidates)
 		if m.TokenStart < cursor {
 			continue // shadowed by an earlier winner's phrase
 		}
@@ -512,7 +503,7 @@ func (run *linkRun) assemble() (*Result, error) {
 		)
 		reason := SkipDuplicate
 		if linkAll || !run.linked[m.Label] {
-			winner, distance, total, reason = run.chooseTarget(m)
+			winner, distance, total, reason = run.chooseTarget(m, captured)
 		}
 		if reason != "" {
 			res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: reason})
@@ -548,11 +539,10 @@ func (run *linkRun) assemble() (*Result, error) {
 	return res, nil
 }
 
-// finish is the pipeline's back half for one scanned text: resolve and
-// assemble against view, then the one observe step every engine entry
-// point shares (counters, per-corpus links, stage telemetry).
-func (e *Engine) finish(run *linkRun, view linkView) (*Result, error) {
-	run.view = view
+// finish is the pipeline's back half for one scanned and captured text:
+// resolve and assemble, then the one observe step every engine entry point
+// shares (counters, per-corpus links, stage telemetry).
+func (e *Engine) finish(run *linkRun) (*Result, error) {
 	res, err := run.assemble()
 	if err != nil {
 		return nil, err
@@ -568,5 +558,6 @@ func (e *Engine) link(p linkPlan, text string) (*Result, error) {
 	defer putRun(run)
 	run.plan = p
 	e.scanText(run, text)
-	return e.finish(run, e.captureView(run.entries, run.matches))
+	e.captureView(run)
+	return e.finish(run)
 }

@@ -343,8 +343,9 @@ func TestPolicyAndSteerStagesSampled(t *testing.T) {
 
 // TestPooledRunPinsNothing: a run handed back to the pool references neither
 // the request's text (tokens), nor a concept-map generation (matches), nor
-// entries (candidates) — over the whole capacity of its buffers, not just
-// their length — and a run that grew past maxPooledTokens is not pooled.
+// entries (captured, candidates) — over the whole capacity of its buffers,
+// not just their length — and a run that grew past maxPooledTokens is not
+// pooled.
 func TestPooledRunPinsNothing(t *testing.T) {
 	e, doc, classes := documentEngine(t)
 	multi := LinkOptions{SourceClasses: classes, TargetCorpora: []string{"default", "wiki"}}
@@ -361,11 +362,12 @@ func TestPooledRunPinsNothing(t *testing.T) {
 		run := e.getRun()
 		run.plan = e.plan(&tc.opts)
 		e.scanText(run, tc.text)
-		res, err := e.finish(run, e.captureView(run.entries, run.matches))
+		e.captureView(run)
+		res, err := e.finish(run)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Links) == 0 || len(run.tokens) == 0 || len(run.matches) == 0 {
+		if len(res.Links) == 0 || len(run.tokens) == 0 || len(run.matches) == 0 || len(run.captured) == 0 {
 			t.Fatalf("%s: the run did no work", tc.name)
 		}
 		pooled := run.reset()
@@ -375,7 +377,7 @@ func TestPooledRunPinsNothing(t *testing.T) {
 		if !pooled {
 			continue
 		}
-		if run.e != nil || run.text != "" || run.plan.classes != nil || run.view.entries != nil || len(run.entries) != 0 || len(run.linked) != 0 {
+		if run.e != nil || run.text != "" || run.plan.classes != nil || len(run.captured) != 0 || len(run.linked) != 0 {
 			t.Errorf("%s: pooled run keeps request state: %+v", tc.name, run)
 		}
 		for _, tok := range run.tokens[:cap(run.tokens)] {
@@ -390,9 +392,11 @@ func TestPooledRunPinsNothing(t *testing.T) {
 				}
 			}
 		}
-		for _, c := range run.cands[:cap(run.cands)] {
-			if c != nil {
-				t.Fatalf("%s: pooled run keeps candidate entry %d", tc.name, c.ID)
+		for _, entries := range [][]*storedEntry{run.captured[:cap(run.captured)], run.cands[:cap(run.cands)]} {
+			for _, c := range entries {
+				if c != nil {
+					t.Fatalf("%s: pooled run keeps candidate entry %d", tc.name, c.ID)
+				}
 			}
 		}
 		for _, a := range run.anchors[:cap(run.anchors)] {

@@ -69,7 +69,8 @@ func TestRelinkKeepsFlagOfUnseenWrite(t *testing.T) {
 
 			addTestEntry(t, e, "field", "a ring whose nonzero elements are units")
 
-			res, err := e.finish(run, e.captureView(run.entries, run.matches))
+			e.captureView(run)
+			res, err := e.finish(run)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +140,8 @@ func TestReplicaRelinkKeepsFlagOfUnseenRecord(t *testing.T) {
 
 	put(entry(3, "field", "a ring whose nonzero elements are units"))
 
-	if _, err := e.finish(run, e.captureView(run.entries, run.matches)); err != nil {
+	e.captureView(run)
+	if _, err := e.finish(run); err != nil {
 		t.Fatal(err)
 	}
 	e.relinked(seq, 1)

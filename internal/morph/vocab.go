@@ -25,12 +25,15 @@ import (
 // growth copies everything into a table twice the size and publishes that
 // through an atomic.Pointer, while a reader still on the old table sees all
 // it saw.
-var vocab = func() *vocabulary {
+var vocab = newVocabulary()
+
+// newVocabulary returns an empty vocabulary under a random seed.
+func newVocabulary() *vocabulary {
 	seed := maphash.MakeSeed()
 	v := new(vocabulary)
 	v.table.Store(newVocabTable(1<<10, [2]uint64{maphash.String(seed, "0"), maphash.String(seed, "1")}))
 	return v
-}()
+}
 
 type vocabulary struct {
 	table atomic.Pointer[vocabTable]
@@ -108,11 +111,13 @@ func mix(a, b uint64) uint64 {
 	return hi ^ lo
 }
 
-// hash hashes a key of n bytes from its words, and from its middle, s[8:n-8],
-// when it is longer than sixteen bytes, under the process's random seed.
-func (t *vocabTable) hash(k0, k1 uint64, n int, s string) uint64 {
-	h := mix(k0^t.seed[0], k1^t.seed[1]^uint64(n))
-	for i := 8; i < n-8; i += 8 {
+// hash hashes a key from its words, its kind — the tag's length and word bit,
+// so that a word and the surface form spelled the same start apart — and,
+// for a key s longer than sixteen bytes, its middle s[8:len(s)-8], under the
+// process's random seed.
+func (t *vocabTable) hash(k0, k1, kind uint64, s string) uint64 {
+	h := mix(k0^t.seed[0], k1^t.seed[1]^kind)
+	for i := 8; i < len(s)-8; i += 8 {
 		h = mix(h^le64(s[i:]), t.seed[0])
 	}
 	return h
@@ -132,13 +137,13 @@ func (t *vocabTable) find(key string, word bool) uint64 {
 	case n > 0:
 		k0 = uint64(key[0]) | uint64(key[n/2])<<8 | uint64(key[n-1])<<16
 	}
-	h := mix(k0^t.seed[0], k1^t.seed[1]^uint64(len(key)))
-	if len(key) > 16 {
-		h = t.hash(k0, k1, len(key), key)
-	}
 	want := uint64(uint32(len(key))) << 32
 	if word {
 		want |= tagWord
+	}
+	h := mix(k0^t.seed[0], k1^t.seed[1]^want)
+	if len(key) > 16 {
+		h = t.hash(k0, k1, want, key)
 	}
 	mask := uint64(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
@@ -181,12 +186,12 @@ func (v *vocabulary) addLocked(key string, word bool, id int32) {
 			if tag == 0 {
 				continue
 			}
-			n, s, k1 := int(tag>>32), "", sl.k1
-			if n > 16 {
+			s, k1 := "", sl.k1
+			if tag>>32 > 16 {
 				s = t.long[k1]
 				_, k1 = keyWords(s)
 			}
-			grown.place(t.hash(sl.k0, k1, n, s), sl.k0, sl.k1, tag)
+			grown.place(t.hash(sl.k0, k1, tag&^tagID, s), sl.k0, sl.k1, tag)
 		}
 		v.table.Store(grown)
 		t = grown
@@ -194,18 +199,18 @@ func (v *vocabulary) addLocked(key string, word bool, id int32) {
 	if word {
 		t.words[id] = key
 	}
+	kind := uint64(uint32(len(key))) << 32
+	if word {
+		kind |= tagWord
+	}
 	k0, k1 := keyWords(key)
-	h := t.hash(k0, k1, len(key), key)
+	h := t.hash(k0, k1, kind, key)
 	if len(key) > 16 {
 		t.long[v.nLong] = key
 		k1 = uint64(v.nLong)
 		v.nLong++
 	}
-	tag := uint64(uint32(len(key)))<<32 | uint64(id)
-	if word {
-		tag |= tagWord
-	}
-	t.place(h, k0, k1, tag)
+	t.place(h, k0, k1, kind|uint64(id))
 	v.n++
 }
 
@@ -251,11 +256,6 @@ func (s *Snapshot) Word(id int32) string {
 	return s.t.words[id]
 }
 
-// FormID is Current().FormID(form).
-func FormID(form string) int32 {
-	return int32(vocab.table.Load().find(form, false) & tagID)
-}
-
 // WordID is Current().WordID(word).
 func WordID(word string) int32 {
 	return int32(vocab.table.Load().find(word, true) & tagID)
@@ -271,30 +271,35 @@ func Word(id int32) string {
 func Words() int { return int(vocab.words.Load()) }
 
 // Intern adds a surface form to the vocabulary, and its normalized word when
-// new, and returns Normalize(form) and the word's ID, which FormID will
-// return from now on. It is for the write path only.
-func Intern(form string) (norm string, id int32) {
-	if id := FormID(form); id != 0 {
-		return Word(id), id
+// new, and returns Normalize(form) and the word's ID, which a Snapshot's
+// FormID will return from now on. It is for the write path only.
+func Intern(form string) (norm string, id int32) { return vocab.intern(form) }
+
+func (v *vocabulary) intern(form string) (norm string, id int32) {
+	t := v.table.Load()
+	if id = int32(t.find(form, false) & tagID); id != 0 {
+		return t.words[id], id
 	}
 	norm = Normalize(form)
-	vocab.mu.Lock()
-	defer vocab.mu.Unlock()
-	norm, id = vocab.wordLocked(norm)
-	if vocab.table.Load().find(form, false) == 0 { // no other writer added it
-		vocab.addLocked(strings.Clone(form), false, id)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	norm, id = v.wordLocked(norm)
+	if v.table.Load().find(form, false) == 0 { // no other writer added it
+		v.addLocked(strings.Clone(form), false, id)
 	}
 	return norm, id
 }
 
 // InternWord adds an already normalized word to the vocabulary and returns
 // its ID. It is for the write path only.
-func InternWord(word string) int32 {
-	if id := WordID(word); id != 0 {
+func InternWord(word string) int32 { return vocab.internWord(word) }
+
+func (v *vocabulary) internWord(word string) int32 {
+	if id := int32(v.table.Load().find(word, true) & tagID); id != 0 {
 		return id
 	}
-	vocab.mu.Lock()
-	defer vocab.mu.Unlock()
-	_, id := vocab.wordLocked(word)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	_, id := v.wordLocked(word)
 	return id
 }

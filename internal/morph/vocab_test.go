@@ -6,6 +6,12 @@ import (
 	"time"
 )
 
+// formID is the vocabulary's FormID as it stands.
+func formID(form string) int32 {
+	s := Current()
+	return s.FormID(form)
+}
+
 // TestVocabulary checks what each entry point of the vocabulary answers for a
 // surface form and for the word it normalizes to: words and surface forms are
 // keys apart, and a word is a surface form only once a text spelled it so.
@@ -13,7 +19,7 @@ func TestVocabulary(t *testing.T) {
 	// New to the process's vocabulary on every run of the test.
 	run := time.Now().UnixNano()
 	form, word := fmt.Sprintf("VocabTest%dGroups", run), fmt.Sprintf("vocabtest%dgroup", run)
-	if FormID(form) != 0 || WordID(word) != 0 {
+	if formID(form) != 0 || WordID(word) != 0 {
 		t.Fatalf("%q or %q in the vocabulary before it was interned", form, word)
 	}
 	words := Words()
@@ -24,19 +30,19 @@ func TestVocabulary(t *testing.T) {
 	if got := Words(); got != words+1 || int(id) != got {
 		t.Fatalf("Words() = %d after one new word (ID %d), was %d", got, id, words)
 	}
-	if i := FormID(form); i != id {
+	if i := formID(form); i != id {
 		t.Fatalf("FormID(%q) = %d, want %d", form, i, id)
 	}
 	if WordID(word) != id || Word(id) != word || WordID(form) != 0 {
 		t.Fatalf("WordID(%q) = %d, Word(%d) = %q, WordID(%q) = %d", word, WordID(word), id, Word(id), form, WordID(form))
 	}
-	if FormID(word) != 0 {
+	if formID(word) != 0 {
 		t.Fatalf("%q is a surface form before a text spelled it so", word)
 	}
 	if n, i := Intern(word); n != word || i != id || InternWord(word) != id {
 		t.Fatalf("interning %q again: %q, %d", word, n, i)
 	}
-	if i := FormID(word); i != id {
+	if i := formID(word); i != id {
 		t.Fatalf("FormID(%q) = %d, want %d", word, i, id)
 	}
 	if Words() != words+1 {
@@ -48,7 +54,7 @@ func TestVocabulary(t *testing.T) {
 	if oddID == id || WordID(odd) != oddID || Word(oddID) != odd {
 		t.Fatalf("InternWord(%q) = %d, WordID %d", odd, oddID, WordID(odd))
 	}
-	if FormID(odd) != 0 {
+	if formID(odd) != 0 {
 		t.Fatalf("%q became a surface form of itself", odd)
 	}
 	if Word(0) != "" {
@@ -70,7 +76,7 @@ func TestVocabularyGrowth(t *testing.T) {
 		ids[form] = id
 	}
 	for form, id := range ids {
-		if i := FormID(form); i != id {
+		if i := formID(form); i != id {
 			t.Fatalf("FormID(%q) = %d after growth, want %d", form, i, id)
 		}
 		if _, i := Intern(form + "'s"); i != id {
@@ -81,7 +87,7 @@ func TestVocabularyGrowth(t *testing.T) {
 
 func TestLookupAllocs(t *testing.T) {
 	Intern("vocaballocs")
-	if allocs := testing.AllocsPerRun(100, func() { FormID("vocaballocs"); FormID("vocabmissing"); WordID("vocaballoc") }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { formID("vocaballocs"); formID("vocabmissing"); WordID("vocaballoc") }); allocs != 0 {
 		t.Errorf("FormID and WordID allocate %v times", allocs)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // early, leaving "y" and "group" linkable. The ones after them are the closer
 // memo's: openers whose closer is missing among ones whose closer is there,
 // a '>' and a '}' found far ahead and asked for again, names inside names,
-// names with a backslash.
-var tokenizerSeeds = []string{
+// names with a backslash. The word-run loop's close the list.
+var tokenizerSeeds = append([]string{
 	"",
 	"a planar graph",
 	"$x$ and $$y$$ and \\(z\\)",
@@ -40,6 +40,25 @@ var tokenizerSeeds = []string{
 	"x < y < z > w <code> q </code> < r <a> s </a",
 	`\begin{ x \begin{y} } z \end{y} \begin{a \end{a} } \begin{a}\begin{b}\end{a}\begin{b}`,
 	`\begin{\end{a} x \end{\end{a} y \begin{\b} z \begin{c} w \end{c\} \end{\b} v \end{c} \begin{c} u`,
+}, wordRunSeeds()...)
+
+// wordRunSeeds are the word-run loop's, which reads a word eight bytes at a
+// time from its second byte: words that end just before, on and just past the
+// first and the second eight-byte read, at the text's end and mid-text; and a
+// joiner, a letter past ASCII, an opener and the bytes beside the letter and
+// digit ranges at each offset of the first read.
+func wordRunSeeds() (seeds []string) {
+	for _, n := range []int{7, 8, 9, 15, 16, 17} {
+		w := "Q" + strings.Repeat("uaTern9n", 3)[:n-1]
+		seeds = append(seeds, "a "+w, w+" b", "("+w+"s)", w+"'s "+w)
+	}
+	for off := 1; off <= 8; off++ {
+		head, tail := "Planarity"[:off], "graphings"
+		for _, c := range []string{"-", "'", "’", "–", "é", "Ö", "$x$", "<em>", "`c`", "\\(y\\)", "@", "[", "{", "/", ":", " "} {
+			seeds = append(seeds, head+c+tail, "an "+head+c)
+		}
+	}
+	return seeds
 }
 
 // checkTokenize is the tokenizer's contract on one input: the offset
@@ -96,6 +115,32 @@ func checkTokenize(t *testing.T, s string) {
 	}
 }
 
+// Span marks a half-open byte range [Start, End) of the input.
+type Span struct {
+	Start, End int
+}
+
+// EscapeSpans returns the unlinkable regions of text (see escapes), sorted
+// and non-overlapping: the regions the tokenizer's one pass skips, as the
+// two-pass reference's span list.
+func EscapeSpans(text string) []Span {
+	var spans []Span
+	esc := escapes{text: text}
+	for i := 0; i < len(text); {
+		if end, ok := esc.end(i); ok {
+			spans = append(spans, Span{i, end})
+			i = end
+		} else {
+			i++
+		}
+	}
+	return spans
+}
+
+// TestTokenizeMatchesReference runs every seed against the reference twice:
+// first as read input, whose words the vocabulary may lack, then once
+// TokenizeInternAppend has stored it, so that every token takes the
+// one-probe path a stored body's tokens take.
 func TestTokenizeMatchesReference(t *testing.T) {
 	for _, s := range tokenizerSeeds {
 		checkTokenize(t, s)
@@ -122,8 +167,8 @@ func internSeeds(t testing.TB) {
 			if tok.Start != read[i].Start || tok.End != read[i].End || read[i].Word != 0 && tok.Word != read[i].Word {
 				t.Fatalf("%q: token %d stored as %+v, read as %+v", s, i, tok, read[i])
 			}
-			if tok.Word == 0 || morph.FormID(raw) != tok.Word || morph.Word(tok.Word) != morph.Normalize(raw) {
-				t.Fatalf("%q: stored token %q has Word %d, FormID %d", s, raw, tok.Word, morph.FormID(raw))
+			if vocab := morph.Current(); tok.Word == 0 || vocab.FormID(raw) != tok.Word || morph.Word(tok.Word) != morph.Normalize(raw) {
+				t.Fatalf("%q: stored token %q has Word %d, FormID %d", s, raw, tok.Word, vocab.FormID(raw))
 			}
 		}
 	}

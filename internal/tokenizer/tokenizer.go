@@ -12,6 +12,7 @@
 package tokenizer
 
 import (
+	"math/bits"
 	"strings"
 	"unicode/utf8"
 
@@ -41,13 +42,8 @@ func (t Token) NormalForm(text string) string {
 	return morph.Normalize(text[t.Start:t.End])
 }
 
-// Span marks a half-open byte range [Start, End) of the input.
-type Span struct {
-	Start, End int
-}
-
 // Tokenize scans text and returns its linkable word tokens in order of
-// appearance. Unlinkable regions (see EscapeSpans) yield no tokens.
+// appearance. Unlinkable regions (see escapes) yield no tokens.
 func Tokenize(text string) []Token {
 	return TokenizeAppend(nil, text)
 }
@@ -96,9 +92,13 @@ func tokenize(dst []Token, text string, intern bool) []Token {
 			}
 		}
 		// Most words are ASCII letters and digits up to a byte that ends
-		// them; at a joiner or past ASCII, morph.WordEnd decides.
-		start := i
-		for i++; i < len(text) && byteClass[text[i]] == classWord; i++ {
+		// them, read eight at a time while eight remain and then one at a
+		// time; at a joiner or past ASCII, morph.WordEnd decides.
+		start, n := i, 8
+		for i++; n == 8 && i+8 <= len(text); i += n {
+			n = wordBytes(load8(text[i:]))
+		}
+		for ; n == 8 && i < len(text) && byteClass[text[i]] == classWord; i++ {
 		}
 		if i < len(text) && byteClass[text[i]] == classJoin {
 			i = morph.WordEnd(text, start)
@@ -140,8 +140,34 @@ var byteClass = func() (t [256]uint8) {
 	return t
 }()
 
-// EscapeSpans returns the unlinkable regions of text, sorted and
-// non-overlapping. The regions recognized are:
+// wordBytes returns how many of the eight bytes of x, the first lowest, are
+// classWord bytes before any other: it tests all eight at once for an ASCII
+// letter or digit. Each byte's high bit is cleared before the range tests, so
+// no sum carries into the next byte, and a byte past ASCII is no word byte.
+func wordBytes(x uint64) int {
+	const (
+		ones = 0x0101010101010101
+		high = 0x80 * ones
+	)
+	v := x &^ high
+	l := v | 0x20*ones                                          // 'A'-'Z' read as 'a'-'z'
+	letter := (l + (0x80-'a')*ones) &^ (l + (0x7f-'z')*ones)    // 'a' <= l <= 'z'
+	digit := (v + (0x80-'0')*ones) &^ (v + (0x7f-'9')*ones)     // '0' <= v <= '9'
+	return bits.TrailingZeros64(^((letter|digit)&^x)&high) >> 3 // 8 when all are
+}
+
+// load8 returns the first eight bytes of s as one word, the first lowest, in
+// one load. It reads them into a local array rather than through
+// encoding/binary, whose eight reads of a slice the race detector checks one
+// by one: TestTokenizeLinearInUnclosedOpeners times this loop under -race.
+func load8(s string) uint64 {
+	b := [8]byte([]byte(s[:8]))
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+// escapes finds the escaped regions of one text, walked front to back; it is
+// the one place that knows the openers. The regions are:
 //
 //   - TeX display and inline math: $$...$$, $...$, \[...\], \(...\)
 //   - TeX environments: \begin{name}...\end{name}
@@ -149,26 +175,12 @@ var byteClass = func() (t [256]uint8) {
 //   - HTML tags themselves: <tag attr="...">
 //   - The full bodies of <a>, <code>, <pre>, <math>, <script>, <style>
 //     elements (an existing link must never be re-linked).
-func EscapeSpans(text string) []Span {
-	var spans []Span
-	esc := escapes{text: text}
-	for i := 0; i < len(text); {
-		if end, ok := esc.end(i); ok {
-			spans = append(spans, Span{i, end})
-			i = end
-		} else {
-			i++
-		}
-	}
-	return spans
-}
-
-// escapes finds the escaped regions of one text, walked front to back; it is
-// the one place that knows the openers. An opener whose closer is missing is
-// no escape, and the next such opener would search the same rest of the text
-// again, so escapes remembers what the searches found: a closer absent from
-// text[i:] is absent from every later suffix, and one found ahead of the walk
-// is still the nearest when asked for again.
+//
+// An opener whose closer is missing is no escape, and the next such opener
+// would search the same rest of the text again, so escapes remembers what the
+// searches found: a closer absent from text[i:] is absent from every later
+// suffix, and one found ahead of the walk is still the nearest when asked for
+// again.
 type escapes struct {
 	text string
 	// Closers the walk can find without consuming the text up to them.

@@ -329,12 +329,56 @@ func TestTokenizeAppendAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkTokenize times what a link runs: generated entry bodies, stored
+// first so that the vocabulary holds their words, tokenized into a warm
+// buffer. unknown-words is a text none of whose words were stored, each
+// normalized afresh on every read.
 func BenchmarkTokenize(b *testing.B) {
-	text := strings.Repeat("A planar graph is a graph that can be drawn in the plane $x^2$ so that its edges intersect only at their end vertices. ", 50)
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Tokenize(text)
+	b.Run("stored-bodies", func(b *testing.B) {
+		c, err := workload.Generate(workload.DefaultParams(400))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies := make([]string, len(c.Entries))
+		size := 0
+		for i, ge := range c.Entries {
+			bodies[i] = ge.Entry.Body
+			size += len(bodies[i])
+			TokenizeInternAppend(nil, bodies[i])
+		}
+		b.SetBytes(int64(size / len(bodies)))
+		b.ReportAllocs()
+		var buf []Token
+		for i := 0; i < b.N; i++ {
+			buf = TokenizeAppend(buf[:0], bodies[i%len(bodies)])
+		}
+	})
+	b.Run("unknown-words", func(b *testing.B) {
+		text := strings.Repeat("A planar graph is a graph that can be drawn in the plane $x^2$ so that its edges intersect only at their end vertices. ", 50)
+		b.SetBytes(int64(len(text)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Tokenize(text)
+		}
+	})
+}
+
+// TestWordBytes holds the eight-byte word test to byteClass: for every byte
+// at every offset of a read of word bytes, it counts the word bytes before
+// the first other one.
+func TestWordBytes(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		for off := 0; off < 8; off++ {
+			read := []byte("aZ09zA9a")
+			read[off] = byte(c)
+			want := 8
+			if byteClass[c] != classWord {
+				want = off
+			}
+			if got := wordBytes(load8(string(read))); got != want {
+				t.Fatalf("wordBytes(%q) = %d, want %d", read, got, want)
+			}
+		}
 	}
 }
 
