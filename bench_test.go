@@ -494,12 +494,13 @@ func BenchmarkLinkDocument(b *testing.B) {
 	}
 }
 
-// maxDocumentAllocs bounds the allocations of one document_read op: the 12
-// it makes once a stored body's words come out of the tokenizer with their
-// normal form and vocabulary ID, plus 15%. It made 85 while every link built
-// its URL and every request copied its source classes, and 27 while the
-// tokenizer normalized a word afresh wherever case or a plural changed it.
-const maxDocumentAllocs = 14
+// maxDocumentAllocs bounds the allocations of one document_read op: the 7
+// it makes once a policy matches a label by its ID, plus 15%. It made 85
+// while every link built its URL and every request copied its source
+// classes, 27 while the tokenizer normalized a word afresh wherever case or
+// a plural changed it, and 12 while each policy normalized the label it was
+// asked about.
+const maxDocumentAllocs = 8
 
 // TestLinkDocumentAllocs holds one LinkText of a BenchmarkLinkDocument
 // document to maxDocumentAllocs allocations.

@@ -17,7 +17,7 @@ import (
 // slices — no string hashing, no per-position phrase building, no per-length
 // hash probes, and no allocations.
 //
-// The match semantics reproduce the chained-hash ScanAppend (paper §2.2)
+// The match semantics reproduce the chained-hash scan (paper §2.2)
 // exactly: among all label occurrences at or after the scan origin, the
 // leftmost start wins, the longest label at that start wins, and the scan
 // resumes past the matched phrase (matches never overlap). Equivalence is
@@ -59,11 +59,13 @@ type automaton struct {
 	// map simply stays on the chained-hash fallback.
 	meta []uint64
 
-	// Terminal payloads, indexed by state; label is "" for non-terminals.
-	// ids aliases the labelEntry.ids slices of src, so emitted Candidates
-	// are the same slice objects the chained-hash scan would emit.
-	label []string
-	ids   [][]ObjectID
+	// Terminal payloads, indexed by state; label is "" and labelID 0 for
+	// non-terminals. ids aliases the labelEntry.ids slices of src, so
+	// emitted Candidates are the same slice objects the chained-hash scan
+	// would emit.
+	label   []string
+	labelID []int32
+	ids     [][]ObjectID
 
 	maxLen  int // longest label, in words
 	nWords  int // distinct words in the labels
@@ -147,6 +149,7 @@ func compileAutomaton(snap *snapshot) *automaton {
 		depth:    depth,
 		meta:     make([]uint64, n),
 		label:    make([]string, n),
+		labelID:  make([]int32, n),
 		ids:      make([][]ObjectID, n),
 		maxLen:   maxLen,
 		nLabels:  len(entries),
@@ -155,6 +158,7 @@ func compileAutomaton(snap *snapshot) *automaton {
 	for s, t := range term {
 		if t >= 0 {
 			a.label[s] = entries[t].label
+			a.labelID[s] = entries[t].id
 			a.ids[s] = entries[t].ids
 		}
 	}
@@ -285,7 +289,7 @@ func (a *automaton) step(s, w int32) int32 {
 // re-scan after each emitted match to less than maxLen tokens.
 //
 // Zero allocations: all scan state is scalar, and emitted Candidates alias
-// the snapshot's interned object-ID slices (exactly as ScanAppend does).
+// the snapshot's interned object-ID slices (exactly as scanChained does).
 func (a *automaton) scanAppend(dst []Match, tokens []tokenizer.Token) []Match {
 	var (
 		s         int32 // current state
@@ -344,6 +348,7 @@ func (a *automaton) scanAppend(dst []Match, tokens []tokenizer.Token) []Match {
 		end := candStart + candLen
 		dst = append(dst, Match{
 			Label:      a.label[candState],
+			LabelID:    a.labelID[candState],
 			TokenStart: candStart,
 			TokenEnd:   end,
 			ByteStart:  tokens[candStart].Start,

@@ -14,7 +14,7 @@
 // The map is read-dominated: every link request scans it, while writes only
 // happen when entries are added, updated, or removed. The whole structure is
 // therefore kept as an immutable snapshot published through an
-// atomic.Pointer (the RCU pattern): readers — Scan, Lookup, LabelsOf, the
+// atomic.Pointer (the RCU pattern): readers — scans, Lookup, the
 // stats accessors — load the current snapshot with a single atomic load and
 // never take a lock, so the read path scales with cores. Writers serialize
 // on a writer-only mutex and build the next generation copy-on-write: the
@@ -45,6 +45,7 @@ type ObjectID int64
 // which is defined by every object in Candidates.
 type Match struct {
 	Label      string // normalized concept label, e.g. "planar graph"
+	LabelID    int32  // the label's process-wide ID (morph.InternLabel)
 	TokenStart int    // index of the first matched token
 	TokenEnd   int    // one past the last matched token
 	ByteStart  int    // byte offset of the match in the original text
@@ -64,6 +65,7 @@ func (m Match) Text(original string) string {
 // fresh labelEntry.
 type labelEntry struct {
 	label  string     // full normalized label
+	id     int32      // the label's ID (morph.InternLabel)
 	nWords int        // number of words in the label
 	ids    []ObjectID // objects defining the label, sorted ascending
 }
@@ -80,7 +82,7 @@ func (e *labelEntry) withObject(id ObjectID) *labelEntry {
 	ids = append(ids, e.ids[:i]...)
 	ids = append(ids, id)
 	ids = append(ids, e.ids[i:]...)
-	return &labelEntry{label: e.label, nWords: e.nWords, ids: ids}
+	return &labelEntry{label: e.label, id: e.id, nWords: e.nWords, ids: ids}
 }
 
 // withoutObject returns a copy of the entry with id removed, nil when the
@@ -96,7 +98,7 @@ func (e *labelEntry) withoutObject(id ObjectID) *labelEntry {
 	ids := make([]ObjectID, 0, len(e.ids)-1)
 	ids = append(ids, e.ids[:i]...)
 	ids = append(ids, e.ids[i+1:]...)
-	return &labelEntry{label: e.label, nWords: e.nWords, ids: ids}
+	return &labelEntry{label: e.label, id: e.id, nWords: e.nWords, ids: ids}
 }
 
 // firstInfo is the per-first-word chain head: the distinct label lengths to
@@ -159,18 +161,9 @@ const (
 	bucketMask = numBuckets - 1
 )
 
-// bucketOf routes a string key to its bucket (FNV-1a).
-func bucketOf(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h & bucketMask)
-}
-
-// bucketOfBytes is bucketOf for a byte-slice key (the scan's reusable
-// phrase buffer).
-func bucketOfBytes(key []byte) int {
+// bucketOf routes a label, or the scan's reusable phrase buffer spelling
+// one, to its bucket (FNV-1a).
+func bucketOf[K string | []byte](key K) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -418,41 +411,28 @@ func (w *write) index(id ObjectID, norm string) {
 		return
 	}
 	n := 1 + strings.Count(norm, " ")
-	w.labelBucket(norm)[norm] = &labelEntry{label: norm, nWords: n, ids: []ObjectID{id}}
+	w.labelBucket(norm)[norm] = &labelEntry{label: norm, id: morph.InternLabel(norm), nWords: n, ids: []ObjectID{id}}
 	w.next.nLabels++
 	f := w.firstForWrite(morph.WordID(firstWord(norm)))
 	f.addLength(n)
 	f.count++
 }
 
-// Scan walks the token stream and returns every longest-phrase concept
-// match together with all candidate target objects. Matches never overlap;
-// after a phrase match the scan resumes past the phrase (the paper's
-// "longer phrases semantically subsume their shorter atoms"). Scan is
-// lock-free: it reads one immutable snapshot for its whole run.
-func (m *Map) Scan(tokens []tokenizer.Token) []Match {
-	return m.ScanAppend(nil, tokens)
-}
-
-// ScanAppend is Scan appending into dst (which may be nil or a recycled
-// buffer with spare capacity), so steady-state callers can reuse one match
-// buffer across requests instead of allocating per scan.
+// ScanAppendAuto walks the token stream and appends to dst every
+// longest-phrase concept match together with all candidate target objects.
+// Matches never overlap; after a phrase match the scan resumes past the
+// phrase (the paper's "longer phrases semantically subsume their shorter
+// atoms"). The scan is lock-free: it reads one immutable snapshot for its
+// whole run, the map as it stands when called: Pin before tokenizing to scan
+// the generation the tokens were resolved against.
 //
-// When a compiled automaton matching the current snapshot is published (see
+// When a compiled automaton matching the snapshot is published (see
 // StartCompiler / CompileNow), the scan is served by its one-pass
 // Aho-Corasick walk; otherwise — automaton disabled, not yet built, or
 // trailing the snapshot generation — it falls back to the chained-hash walk
-// below. Both paths produce bit-identical match streams.
-func (m *Map) ScanAppend(dst []Match, tokens []tokenizer.Token) []Match {
-	dst, _ = m.ScanAppendAuto(dst, tokens)
-	return dst
-}
-
-// ScanAppendAuto is ScanAppend, additionally reporting whether the compiled
-// automaton (rather than the chained-hash fallback) served the scan, so
-// callers can attribute latency per path. It scans the map as it stands
-// when called: Pin before tokenizing to scan the generation the tokens were
-// resolved against.
+// below. Both paths produce bit-identical match streams; the second result
+// reports whether the automaton served the scan, so callers can attribute
+// latency per path.
 func (m *Map) ScanAppendAuto(dst []Match, tokens []tokenizer.Token) ([]Match, bool) {
 	return m.Pin().ScanAppendAuto(dst, tokens)
 }
@@ -492,7 +472,20 @@ func (p Pinned) ScanAppendAuto(dst []Match, tokens []tokenizer.Token) ([]Match, 
 	return p.snap.scanChained(dst, tokens, true), false
 }
 
-// ScanAllAppend is Map.ScanAllAppend over the pinned generation.
+// ScanAllAppend is the all-positions scan of the pinned generation: it
+// reports the longest concept match starting at every token position,
+// without consuming the matched tokens — after emitting a match at position
+// i the scan resumes at i+1, not past the phrase. The engine's multi-corpus
+// scan runs it over each target namespace: the union of the streams contains
+// the longest match at every position, and a greedy walk over that union —
+// accept a match whose TokenStart is past the previous winner's TokenEnd,
+// drop shadowed ones — reproduces the ScanAppendAuto stream of one map
+// holding every namespace's labels.
+//
+// ScanAllAppend always takes the chained-hash path: the compiled automaton
+// keeps only the longest label ending at each state, which serves the
+// greedy consume-on-match walk but cannot report the longest match at every
+// start position.
 func (p Pinned) ScanAllAppend(dst []Match, tokens []tokenizer.Token) []Match {
 	if p.snap == nil {
 		return dst
@@ -537,12 +530,13 @@ func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token, consume
 				}
 				phrase = append(phrase, vocab.Word(tokens[i+j].Word)...)
 			}
-			e, ok := snap.labels[bucketOfBytes(phrase)][string(phrase)]
+			e, ok := snap.labels[bucketOf(phrase)][string(phrase)]
 			if !ok {
 				continue
 			}
 			dst = append(dst, Match{
 				Label:      e.label,
+				LabelID:    e.id,
 				TokenStart: i,
 				TokenEnd:   i + n,
 				ByteStart:  tokens[i].Start,
@@ -559,24 +553,6 @@ func (snap *snapshot) scanChained(dst []Match, tokens []tokenizer.Token, consume
 	return dst
 }
 
-// ScanAllAppend is the all-positions scan: it reports the longest concept
-// match starting at every token position, without consuming the matched
-// tokens — after emitting a match at position i the scan resumes at i+1,
-// not past the phrase. The engine's multi-corpus scan runs it over each
-// target namespace: the union of the streams contains the longest match at
-// every position, and a greedy walk over that union — accept a match whose
-// TokenStart is past the previous winner's TokenEnd, drop shadowed ones —
-// reproduces the ScanAppend stream of one map holding every namespace's
-// labels.
-//
-// ScanAllAppend always takes the chained-hash path: the compiled automaton
-// keeps only the longest label ending at each state, which serves the
-// greedy consume-on-match walk but cannot report the longest match at every
-// start position.
-func (m *Map) ScanAllAppend(dst []Match, tokens []tokenizer.Token) []Match {
-	return m.Pin().ScanAllAppend(dst, tokens)
-}
-
 // Lookup returns the candidate objects defining exactly the given label
 // (normalized internally), or nil if the concept is unknown. The returned
 // slice is a copy and may be freely mutated by the caller.
@@ -591,22 +567,9 @@ func (m *Map) Lookup(label string) []ObjectID {
 	return nil
 }
 
-// LabelsOf returns the normalized labels contributed by an object.
-func (m *Map) LabelsOf(id ObjectID) []string {
-	norms := m.snap.Load().byObject[bucketOfID(id)][id]
-	out := make([]string, len(norms))
-	copy(out, norms)
-	return out
-}
-
 // Labels returns the number of distinct concept labels indexed.
 func (m *Map) Labels() int {
 	return m.snap.Load().nLabels
-}
-
-// Objects returns the number of objects currently indexed.
-func (m *Map) Objects() int {
-	return m.snap.Load().objects
 }
 
 // Stats summarizes the map shape for diagnostics.

@@ -10,6 +10,35 @@ import (
 	"nnexus/internal/tokenizer"
 )
 
+// Scan is ScanAppendAuto into a new slice.
+func (m *Map) Scan(tokens []tokenizer.Token) []Match {
+	return m.ScanAppend(nil, tokens)
+}
+
+// ScanAppend is ScanAppendAuto without its second result.
+func (m *Map) ScanAppend(dst []Match, tokens []tokenizer.Token) []Match {
+	dst, _ = m.ScanAppendAuto(dst, tokens)
+	return dst
+}
+
+// ScanAllAppend is Pinned.ScanAllAppend over the map as it stands.
+func (m *Map) ScanAllAppend(dst []Match, tokens []tokenizer.Token) []Match {
+	return m.Pin().ScanAllAppend(dst, tokens)
+}
+
+// Objects returns the number of objects currently indexed.
+func (m *Map) Objects() int {
+	return m.snap.Load().objects
+}
+
+// LabelsOf returns the normalized labels contributed by an object.
+func (m *Map) LabelsOf(id ObjectID) []string {
+	norms := m.snap.Load().byObject[bucketOfID(id)][id]
+	out := make([]string, len(norms))
+	copy(out, norms)
+	return out
+}
+
 // fig1Map builds the paper's Fig 1 example corpus:
 //
 //	1: connected graph      (05C40)

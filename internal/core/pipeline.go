@@ -12,7 +12,7 @@ package core
 //	          into a slice per run aligned with its matches' candidates
 //	resolve   chooseTarget: policy filter, steering, tie-break, from the
 //	          captured entries alone: no lock, no entry table
-//	assemble  greedy walk, first-occurrence rule, anchors, render.Apply
+//	assemble  greedy walk, first-occurrence rule, winners, render.Apply
 //
 //	Engine.LinkText       plan + scan + capture(1) + assemble
 //	Engine.LinkEntry      the same, planned from the stored entry
@@ -22,6 +22,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -161,15 +162,24 @@ type linkRun struct {
 	// entries and, parallel to them, their distances from the source.
 	cands []*storedEntry
 	dists []int64
-	// linked/anchors are assemble's first-occurrence set and anchor scratch.
-	linked  map[string]bool
+	// linked/picks/anchors are assemble's first-occurrence set, the matches
+	// it links and anchor scratch.
+	linked  labelSet
+	picks   []pick
 	anchors []render.Anchor
 }
 
+// pick is one match the walk links: its winning entry, the steering
+// distance it won at and how many candidates the policies permitted.
+type pick struct {
+	m        *conceptmap.Match
+	entry    *storedEntry
+	distance int64
+	total    int
+}
+
 var linkRunPool = sync.Pool{
-	New: func() interface{} {
-		return &linkRun{linked: make(map[string]bool, 16)}
-	},
+	New: func() interface{} { return new(linkRun) },
 }
 
 func (e *Engine) getRun() *linkRun {
@@ -208,10 +218,11 @@ func (run *linkRun) reset() bool {
 	clear(run.multi)
 	clear(run.captured[:cap(run.captured)])
 	clear(run.cands[:cap(run.cands)])
+	clear(run.linked)
+	clear(run.picks)
 	clear(run.anchors)
 	run.pins, run.tokens, run.matches, run.multi = run.pins[:0], run.tokens[:0], run.matches[:0], run.multi[:0]
-	run.captured = run.captured[:0]
-	clear(run.linked)
+	run.captured, run.linked, run.picks = run.captured[:0], run.linked[:0], run.picks[:0]
 	return true
 }
 
@@ -389,7 +400,7 @@ func (run *linkRun) chooseTarget(m *conceptmap.Match, captured []*storedEntry) (
 	if mode == ModeSteeredPolicies {
 		permitted := cands[:0]
 		for _, c := range cands {
-			if c.policy == nil || c.policy.Permits(run.e.scheme, run.plan.classes, m.Label) {
+			if c.policy == nil || c.policy.Permits(run.e.scheme, run.plan.classes, m.LabelID) {
 				permitted = append(permitted, c)
 			}
 		}
@@ -478,14 +489,16 @@ func (run *linkRun) steer(cands []*storedEntry) ([]*storedEntry, int64) {
 // assemble is the pipeline's tail: the greedy leftmost-longest walk over
 // the run's matches (accept a match starting at or past the previous
 // winner's end, drop shadowed ones), the first-occurrence rule, target
-// selection for each match that survives both, anchor construction, and
-// link substitution. A label that is already linked never pays for target
-// selection. run.st receives the walk and render wall times.
+// selection for each match that survives both, then the links and anchors
+// of the winners, and link substitution. A label that is already linked
+// never pays for target selection. run.st receives the walk and render wall
+// times.
 func (run *linkRun) assemble() (*Result, error) {
 	mark := time.Now()
 	text, linkAll := run.text, run.e.cfg.LinkAllOccurrences
 	res := &Result{Output: text}
-	as := run.anchors[:0]
+	run.linked = run.linked.sized(len(run.matches))
+	picks := run.picks[:0]
 	cursor := 0 // next token position available for a match
 	at := 0     // where m's candidates start in run.captured
 	for i := range run.matches {
@@ -496,36 +509,39 @@ func (run *linkRun) assemble() (*Result, error) {
 			continue // shadowed by an earlier winner's phrase
 		}
 		cursor = m.TokenEnd
-		var (
-			winner   *storedEntry
-			distance int64
-			total    int
-		)
+		w := pick{m: m}
 		reason := SkipDuplicate
-		if linkAll || !run.linked[m.Label] {
-			winner, distance, total, reason = run.chooseTarget(m, captured)
+		linked := run.linked.slot(m.LabelID)
+		if linkAll || *linked == 0 {
+			w.entry, w.distance, w.total, reason = run.chooseTarget(m, captured)
 		}
 		if reason != "" {
 			res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: reason})
 			continue
 		}
-		if res.Links == nil {
-			res.Links = make([]Link, 0, len(run.matches)-i)
-		}
-		res.Links = append(res.Links, Link{
+		picks = append(picks, w)
+		*linked = m.LabelID
+	}
+	run.picks = picks
+	as := run.anchors[:0]
+	if len(picks) > 0 {
+		res.Links = make([]Link, len(picks))
+	}
+	for i, w := range picks {
+		m := w.m
+		res.Links[i] = Link{
 			Label:        m.Label,
 			Start:        m.ByteStart,
 			End:          m.ByteEnd,
 			Text:         text[m.ByteStart:m.ByteEnd],
-			Target:       winner.ID,
-			TargetDomain: winner.Domain,
-			TargetTitle:  winner.Title,
-			URL:          winner.url,
-			Distance:     distance,
-			Candidates:   total,
-		})
-		as = append(as, render.Anchor{Start: m.ByteStart, End: m.ByteEnd, URL: winner.url, Title: winner.Title, Tag: winner.tag})
-		run.linked[m.Label] = true
+			Target:       w.entry.ID,
+			TargetDomain: w.entry.Domain,
+			TargetTitle:  w.entry.Title,
+			URL:          w.entry.url,
+			Distance:     w.distance,
+			Candidates:   w.total,
+		}
+		as = append(as, render.Anchor{Start: m.ByteStart, End: m.ByteEnd, URL: w.entry.url, Title: w.entry.Title, Tag: w.entry.tag})
 	}
 	run.anchors = as
 	now := time.Now()
@@ -537,6 +553,33 @@ func (run *linkRun) assemble() (*Result, error) {
 	res.Output = out
 	run.st.render = time.Since(now)
 	return res, nil
+}
+
+// labelSet is assemble's first-occurrence set: the label IDs a run has
+// linked, open-addressed, 0 marking an empty slot. Sized from the run's
+// matches rather than indexed by label ID, it stays as small as the run's
+// other buffers however many labels the process holds.
+type labelSet []int32
+
+// sized returns the empty set s (reset clears it) sized for n labels: a
+// power of two at least twice n.
+func (s labelSet) sized(n int) labelSet {
+	size := max(16, 1<<bits.Len(uint(2*n)))
+	if cap(s) < size {
+		return make(labelSet, size)
+	}
+	return s[:size]
+}
+
+// slot returns the slot of label id: the one holding it, or the empty one
+// where it goes.
+func (s labelSet) slot(id int32) *int32 {
+	mask := uint32(len(s) - 1)
+	for i := uint32(id) * 0x9e3779b9 >> bits.LeadingZeros32(mask); ; i = (i + 1) & mask {
+		if s[i] == id || s[i] == 0 {
+			return &s[i]
+		}
+	}
 }
 
 // finish is the pipeline's back half for one scanned and captured text:

@@ -343,9 +343,9 @@ func TestPolicyAndSteerStagesSampled(t *testing.T) {
 
 // TestPooledRunPinsNothing: a run handed back to the pool references neither
 // the request's text (tokens), nor a concept-map generation (matches), nor
-// entries (captured, candidates) — over the whole capacity of its buffers,
-// not just their length — and a run that grew past maxPooledTokens is not
-// pooled.
+// entries (captured, candidates, winners) — over the whole capacity of its
+// buffers, not just their length — its first-occurrence set is empty, and a
+// run that grew past maxPooledTokens is not pooled.
 func TestPooledRunPinsNothing(t *testing.T) {
 	e, doc, classes := documentEngine(t)
 	multi := LinkOptions{SourceClasses: classes, TargetCorpora: []string{"default", "wiki"}}
@@ -377,8 +377,18 @@ func TestPooledRunPinsNothing(t *testing.T) {
 		if !pooled {
 			continue
 		}
-		if run.e != nil || run.text != "" || run.plan.classes != nil || len(run.captured) != 0 || len(run.linked) != 0 {
+		if run.e != nil || run.text != "" || run.plan.classes != nil || len(run.captured) != 0 || len(run.linked) != 0 || len(run.picks) != 0 {
 			t.Errorf("%s: pooled run keeps request state: %+v", tc.name, run)
+		}
+		for _, id := range run.linked[:cap(run.linked)] {
+			if id != 0 {
+				t.Fatalf("%s: pooled run's first-occurrence set holds label %d", tc.name, id)
+			}
+		}
+		for _, w := range run.picks[:cap(run.picks)] {
+			if w != (pick{}) {
+				t.Fatalf("%s: pooled run keeps pick %+v", tc.name, w)
+			}
 		}
 		for _, tok := range run.tokens[:cap(run.tokens)] {
 			if tok != (tokenizer.Token{}) {

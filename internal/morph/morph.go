@@ -33,17 +33,21 @@ import (
 // second pass to change — a label and its invocation folding differently.
 //
 // Normalize(t) equals Singularize(StripPossessive(FoldASCII(strings.ToLower(t))))
-// for every t. A token that is already lower-case ASCII with no apostrophe —
-// most of a mathematical text — passes the first three steps unchanged, so
-// it goes straight to Singularize, which returns a word that cannot be a
-// plural as the substring it was given: no allocation.
+// for every t where that does not end in a joiner; where it does ("x-'s",
+// "x-s"), Normalize trims the joiners and normalizes what is left, so that a
+// normalized label is its own normal form (NormalizeLabel). A token that is
+// already lower-case ASCII with no apostrophe or hyphen — most of a
+// mathematical text — passes the first three steps unchanged and cannot end
+// in a joiner, so it goes straight to Singularize, which returns a word that
+// cannot be a plural as the substring it was given: no allocation.
 func Normalize(token string) string {
 	for i := 0; i < len(token); i++ {
-		if c := token[i]; c >= utf8.RuneSelf || c == '\'' || c >= 'A' && c <= 'Z' {
-			t := strings.ToLower(token)
-			t = FoldASCII(t)
-			t = StripPossessive(t)
-			return Singularize(t)
+		if c := token[i]; c >= utf8.RuneSelf || c == '\'' || c == '-' || c >= 'A' && c <= 'Z' {
+			t := Singularize(StripPossessive(FoldASCII(strings.ToLower(token))))
+			if trimmed := strings.TrimRight(t, "-'"); trimmed != t {
+				return Normalize(trimmed)
+			}
+			return t
 		}
 	}
 	return Singularize(token)

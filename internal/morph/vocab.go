@@ -303,3 +303,34 @@ func (v *vocabulary) internWord(word string) int32 {
 	_, id := v.wordLocked(word)
 	return id
 }
+
+// The label table gives each normalized concept label a process-wide ID,
+// dense from 1, which the concept map's matches carry, so that the
+// first-occurrence rule and the linking policies compare IDs, not strings.
+// Like the vocabulary it only grows, and only on the write path (a label a
+// concept map publishes, a policy's directive). Labels stay out of the
+// vocabulary: they would grow the table every token probes.
+var labels = struct {
+	mu  sync.Mutex
+	ids map[string]int32
+}{ids: make(map[string]int32)}
+
+// InternLabel returns the ID of a normalized label, adding it when new. It
+// is for the write path only.
+func InternLabel(label string) int32 {
+	labels.mu.Lock()
+	defer labels.mu.Unlock()
+	id, ok := labels.ids[label]
+	if !ok {
+		id = int32(len(labels.ids) + 1)
+		labels.ids[strings.Clone(label)] = id // not pinning the text it came from
+	}
+	return id
+}
+
+// Labels returns the number of labels the table holds.
+func Labels() int {
+	labels.mu.Lock()
+	defer labels.mu.Unlock()
+	return len(labels.ids)
+}

@@ -25,8 +25,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = p.Permits(scheme, []string{"05C40"}, "even")
-		_ = p.Permits(scheme, nil, "*")
-		_ = p.Permits(nil, []string{"05C40"}, "anything")
+		_ = p.Permits(scheme, []string{"05C40"}, label("even"))
+		_ = p.Permits(scheme, nil, label("*"))
+		_ = p.Permits(nil, []string{"05C40"}, label("anything"))
 	})
 }

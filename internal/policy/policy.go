@@ -49,8 +49,12 @@ func (e Effect) String() string {
 
 // Directive is one parsed policy line.
 type Directive struct {
-	Effect  Effect
-	Label   string   // normalized concept label, or "*" for all
+	Effect Effect
+	Label  string // normalized concept label, or "*" for all
+	// LabelID is what Permits compares: Label's ID in the process's label
+	// table (morph.InternLabel), 0 for "*", and -1, which no concept label
+	// has, for a label that normalizes to "".
+	LabelID int32
 	Classes []string // "from" classes; empty means "from anywhere"
 }
 
@@ -115,8 +119,10 @@ func parseLine(line string) (Directive, error) {
 	}
 	if labelPart == "*" {
 		d.Label = "*"
+	} else if d.Label = morph.NormalizeLabel(labelPart); d.Label == "" {
+		d.LabelID = -1
 	} else {
-		d.Label = morph.NormalizeLabel(labelPart)
+		d.LabelID = morph.InternLabel(d.Label)
 	}
 	return d, nil
 }
@@ -139,31 +145,31 @@ func indexWord(s, word string) int {
 }
 
 // Permits decides whether a link from a source entry (with the given
-// classes, in scheme) to the target object's concept label is allowed under
-// this policy. A nil policy permits everything.
-func (p *Policy) Permits(scheme *classification.Scheme, sourceClasses []string, label string) bool {
+// classes, in scheme) to the target object's concept label, given by its ID
+// in the label table (conceptmap.Match.LabelID), is allowed under this
+// policy. A nil policy permits everything.
+func (p *Policy) Permits(scheme *classification.Scheme, sourceClasses []string, label int32) bool {
 	if p == nil || len(p.Directives) == 0 {
 		return true
 	}
-	norm := morph.NormalizeLabel(label)
 	// Two passes: exact-label directives dominate wildcard directives.
-	if e, ok := p.decide(scheme, sourceClasses, norm, false); ok {
+	if e, ok := p.decide(scheme, sourceClasses, label, false); ok {
 		return e == Permit
 	}
-	if e, ok := p.decide(scheme, sourceClasses, norm, true); ok {
+	if e, ok := p.decide(scheme, sourceClasses, label, true); ok {
 		return e == Permit
 	}
 	return true
 }
 
-func (p *Policy) decide(scheme *classification.Scheme, sourceClasses []string, norm string, wildcard bool) (Effect, bool) {
+func (p *Policy) decide(scheme *classification.Scheme, sourceClasses []string, label int32, wildcard bool) (Effect, bool) {
 	var effect Effect
 	found := false
 	for _, d := range p.Directives {
-		if wildcard != (d.Label == "*") {
+		if wildcard != (d.LabelID == 0) {
 			continue
 		}
-		if !wildcard && d.Label != norm {
+		if !wildcard && d.LabelID != label {
 			continue
 		}
 		if !classMatch(scheme, sourceClasses, d.Classes) {

@@ -92,15 +92,15 @@ func TestEvenNumberPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A graph-theory article must not link "even".
-	if p.Permits(s, []string{"05C40"}, "even") {
+	if p.Permits(s, []string{"05C40"}, label("even")) {
 		t.Error("graph-theory source was permitted to link 'even'")
 	}
 	// A number-theory article (class under 11-XX) may.
-	if !p.Permits(s, []string{"11A51"}, "even") {
+	if !p.Permits(s, []string{"11A51"}, label("even")) {
 		t.Error("number-theory source was forbidden")
 	}
 	// The other concept of the entry, "even number", is unaffected.
-	if !p.Permits(s, []string{"05C40"}, "even number") {
+	if !p.Permits(s, []string{"05C40"}, label("even number")) {
 		t.Error("'even number' suppressed by 'even' policy")
 	}
 }
@@ -111,10 +111,10 @@ func TestWildcardPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Permits(s, []string{"11A51"}, "anything") {
+	if p.Permits(s, []string{"11A51"}, label("anything")) {
 		t.Error("wildcard forbid did not apply")
 	}
-	if !p.Permits(s, []string{"05C10"}, "anything") {
+	if !p.Permits(s, []string{"05C10"}, label("anything")) {
 		t.Error("wildcard allow from subtree did not apply")
 	}
 }
@@ -125,10 +125,10 @@ func TestExactBeatsWildcard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Permits(s, []string{"11A51"}, "graph") {
+	if !p.Permits(s, []string{"11A51"}, label("graph")) {
 		t.Error("exact allow should override wildcard forbid")
 	}
-	if p.Permits(s, []string{"11A51"}, "other") {
+	if p.Permits(s, []string{"11A51"}, label("other")) {
 		t.Error("wildcard forbid should still apply to other labels")
 	}
 }
@@ -139,7 +139,7 @@ func TestLastMatchWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Permits(s, []string{"05C40"}, "even") {
+	if p.Permits(s, []string{"05C40"}, label("even")) {
 		t.Error("later forbid should win")
 	}
 }
@@ -150,11 +150,11 @@ func TestDefaultPermit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Permits(s, []string{"05C40"}, "odd") {
+	if !p.Permits(s, []string{"05C40"}, label("odd")) {
 		t.Error("unmentioned label should default to permit")
 	}
 	var nilPolicy *Policy
-	if !nilPolicy.Permits(s, []string{"05C40"}, "even") {
+	if !nilPolicy.Permits(s, []string{"05C40"}, label("even")) {
 		t.Error("nil policy should permit")
 	}
 }
@@ -166,14 +166,14 @@ func TestSubtreeMatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 05C10 is a descendant of 05-XX.
-	if !p.Permits(s, []string{"05C10"}, "even") {
+	if !p.Permits(s, []string{"05C10"}, label("even")) {
 		t.Error("descendant class not matched by subtree rule")
 	}
-	if p.Permits(s, []string{"03E20"}, "even") {
+	if p.Permits(s, []string{"03E20"}, label("even")) {
 		t.Error("non-descendant matched")
 	}
 	// Source with no classes cannot satisfy a "from" clause.
-	if p.Permits(s, nil, "even") {
+	if p.Permits(s, nil, label("even")) {
 		t.Error("classless source matched a from clause")
 	}
 }
@@ -206,7 +206,7 @@ func TestPolicyPluralInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Permits(s, []string{"05C40"}, "Even Number") {
+	if p.Permits(s, []string{"05C40"}, label("Even Number")) {
 		t.Error("policy label not morphologically normalized")
 	}
 }

@@ -18,7 +18,8 @@ import (
 // early, leaving "y" and "group" linkable. The ones after them are the closer
 // memo's: openers whose closer is missing among ones whose closer is there,
 // a '>' and a '}' found far ahead and asked for again, names inside names,
-// names with a backslash. The word-run loop's close the list.
+// names with a backslash. Then a word whose plural's stem ends in a joiner,
+// and the word-run loop's close the list.
 var tokenizerSeeds = append([]string{
 	"",
 	"a planar graph",
@@ -40,6 +41,7 @@ var tokenizerSeeds = append([]string{
 	"x < y < z > w <code> q </code> < r <a> s </a",
 	`\begin{ x \begin{y} } z \end{y} \begin{a \end{a} } \begin{a}\begin{b}\end{a}\begin{b}`,
 	`\begin{\end{a} x \end{\end{a} y \begin{\b} z \begin{c} w \end{c\} \end{\b} v \end{c} \begin{c} u`,
+	"0-S x-'s x-es Ab-s",
 }, wordRunSeeds()...)
 
 // wordRunSeeds are the word-run loop's, which reads a word eight bytes at a

@@ -73,10 +73,20 @@ func referenceTokenize(text string) []referenceToken {
 		tokens = append(tokens, referenceToken{
 			Start: start,
 			End:   end,
-			Norm:  morph.Singularize(morph.StripPossessive(morph.FoldASCII(strings.ToLower(raw)))),
+			Norm:  referenceNormalize(raw),
 		})
 	}
 	return tokens
+}
+
+// referenceNormalize is morph.Normalize as its four steps, taken again, on
+// the result less its trailing joiners, while it ends in one.
+func referenceNormalize(raw string) string {
+	norm := morph.Singularize(morph.StripPossessive(morph.FoldASCII(strings.ToLower(raw))))
+	if trimmed := strings.TrimRight(norm, "-'"); trimmed != norm {
+		return referenceNormalize(trimmed)
+	}
+	return norm
 }
 
 func referenceWordRune(r rune) bool {

@@ -12,10 +12,10 @@ import (
 
 // TestReadInputNeverGrowsVocabulary links a million distinct random words in
 // process and another million over the wire, and holds the process's word
-// vocabulary to the length it had: only stored bodies and concept labels
-// enter it, so what a server is asked to link cannot fill it. The heap may
-// not grow by a fiftieth of what keeping those words would cost (some 100
-// bytes each).
+// vocabulary and label table to the lengths they had: only stored bodies,
+// concept labels and policies enter them, so what a server is asked to link
+// cannot fill them. The heap may not grow by a fiftieth of what keeping those
+// words would cost (some 100 bytes each).
 func TestReadInputNeverGrowsVocabulary(t *testing.T) {
 	e := newTestEngine(t, nnexus.Config{})
 	if _, err := e.AddEntry(&nnexus.Entry{
@@ -67,7 +67,7 @@ func TestReadInputNeverGrowsVocabulary(t *testing.T) {
 	}
 	for _, door := range []string{"in process", "over the wire"} {
 		link[door](text()) // warm buffers and pools
-		wordsBefore := morph.Words()
+		wordsBefore, labelsBefore := morph.Words(), morph.Labels()
 		heapBefore := heapInUse()
 		for n := 0; n < words/perText; n++ {
 			links, err := link[door](text())
@@ -80,6 +80,9 @@ func TestReadInputNeverGrowsVocabulary(t *testing.T) {
 		}
 		if w := morph.Words(); w != wordsBefore {
 			t.Errorf("%s: linking grew the vocabulary from %d words to %d", door, wordsBefore, w)
+		}
+		if l := morph.Labels(); l != labelsBefore {
+			t.Errorf("%s: linking grew the label table from %d labels to %d", door, labelsBefore, l)
 		}
 		grew := int64(heapInUse()) - int64(heapBefore)
 		t.Logf("%s: heap %+d bytes", door, grew)
