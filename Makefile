@@ -123,6 +123,7 @@ fuzz:
 	go test ./internal/policy -fuzz=FuzzParse -fuzztime=30s
 	go test ./internal/wire -fuzz=FuzzDecodeRequest -fuzztime=30s
 	go test ./internal/wire -fuzz=FuzzCodecEquivalence -fuzztime=30s
+	go test ./internal/wire -fuzz=FuzzEntryCodec -fuzztime=10s
 	go test ./internal/storage -fuzz=FuzzDecodeBody -fuzztime=30s
 	go test ./internal/morph -fuzz=FuzzNormalize -fuzztime=30s
 	go test ./internal/render -fuzz=FuzzApplyEquivalence -fuzztime=30s

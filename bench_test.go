@@ -90,7 +90,7 @@ func BenchmarkLinkParallel(b *testing.B) {
 	e := engineFor(b, c)
 	// Clear the invalidation backlog left by corpus loading so the
 	// steady-state parallel path (no invalidation writes) is measured.
-	if _, err := e.RelinkInvalidatedParallel(0); err != nil {
+	if _, err := e.RelinkBatch(nil, 0); err != nil {
 		b.Fatal(err)
 	}
 	var next int64

@@ -2,6 +2,7 @@ package classification
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -297,4 +298,69 @@ func BenchmarkDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Distance(classes[i%len(classes)], classes[(i*7)%len(classes)])
 	}
+}
+
+// Depth returns the depth of a class (root children are depth 1), or -1 if
+// unknown. Valid after Build.
+func (s *Scheme) Depth(id string) int {
+	if i, ok := s.byID[id]; ok {
+		return int(s.nodes[i].depth)
+	}
+	return -1
+}
+
+// EdgeWeight returns the weight of the tree edge joining a class to its
+// parent, or 0 if the class is unknown or the root. Valid after Build.
+func (s *Scheme) EdgeWeight(id string) int64 {
+	i, ok := s.byID[id]
+	if !ok || s.nodes[i].parent < 0 {
+		return 0
+	}
+	return s.nodes[i].w - s.nodes[s.nodes[i].parent].w
+}
+
+// Candidate is one potential link target considered by the steering
+// algorithm: an object (by engine-wide ID) with its list of classes.
+type Candidate struct {
+	Object  int64
+	Classes []string
+}
+
+// Steered is a candidate annotated with its minimum class distance to the
+// link source.
+type Steered struct {
+	Candidate
+	Distance int64
+}
+
+// Steer implements Algorithm 1 of the paper: it returns the candidate
+// target objects that are closest in classification to the link source.
+// For every candidate, the distance is the minimum over all (source class,
+// target class) pairs; the candidates attaining the overall minimum are
+// returned, ordered by object ID for determinism.
+//
+// Degenerate cases follow the deployed Noosphere behaviour: if the source
+// has no classes, or no candidate has a known class, steering cannot
+// discriminate and all candidates are returned (distance Infinite).
+func Steer(s *Scheme, sourceClasses []string, candidates []Candidate) []Steered {
+	if len(candidates) == 0 {
+		return nil
+	}
+	out := make([]Steered, 0, len(candidates))
+	best := Infinite
+	for _, c := range candidates {
+		d := MinDistance(s, sourceClasses, c.Classes)
+		out = append(out, Steered{Candidate: c, Distance: d})
+		if d < best {
+			best = d
+		}
+	}
+	filtered := out[:0]
+	for _, sc := range out {
+		if sc.Distance == best {
+			filtered = append(filtered, sc)
+		}
+	}
+	sort.Slice(filtered, func(i, j int) bool { return filtered[i].Object < filtered[j].Object })
+	return filtered
 }

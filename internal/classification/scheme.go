@@ -203,25 +203,6 @@ func (s *Scheme) IsDescendant(id, ancestor string) bool {
 	return false
 }
 
-// Depth returns the depth of a class (root children are depth 1), or -1 if
-// unknown. Valid after Build.
-func (s *Scheme) Depth(id string) int {
-	if i, ok := s.byID[id]; ok {
-		return int(s.nodes[i].depth)
-	}
-	return -1
-}
-
-// EdgeWeight returns the weight of the tree edge joining a class to its
-// parent, or 0 if the class is unknown or the root. Valid after Build.
-func (s *Scheme) EdgeWeight(id string) int64 {
-	i, ok := s.byID[id]
-	if !ok || s.nodes[i].parent < 0 {
-		return 0
-	}
-	return s.nodes[i].w - s.nodes[s.nodes[i].parent].w
-}
-
 // Distance returns the weighted shortest-path distance between two classes:
 // the weights on the tree path joining them. Unknown classes yield
 // (Infinite, false).

@@ -151,12 +151,12 @@ func (e *Engine) LinkBatch(texts []string, opts LinkOptions, workers int) ([]*Re
 }
 
 // RelinkBatch re-links the given entries through the shared-view batch
-// path, clearing their invalidation flags on success. An empty ids slice
-// relinks everything currently invalidated. Error semantics match
-// RelinkInvalidatedParallel: the first error stops new work from being
-// dispatched, results completed around the abort are returned with it, and
-// the relink telemetry counters advance by exactly the returned results
-// and the observed errors.
+// path (see runBatch), clearing their invalidation flags on success. An
+// empty ids slice relinks everything currently invalidated; workers ≤ 0
+// selects GOMAXPROCS. The first error stops new work from being dispatched,
+// but entries already handed to workers finish, and every result completed
+// around the abort is returned with it. The relink telemetry counters
+// advance by exactly the returned results and the observed errors.
 func (e *Engine) RelinkBatch(ids []int64, workers int) (map[int64]*Result, error) {
 	e.tel.relinkRuns.Inc()
 	start := time.Now()

@@ -29,6 +29,7 @@ import (
 	"nnexus/internal/render"
 	"nnexus/internal/storage"
 	"nnexus/internal/telemetry"
+	"nnexus/internal/wire"
 )
 
 // Mode selects how much of the pipeline runs; the three modes correspond to
@@ -111,7 +112,7 @@ type Config struct {
 	CompileAutomaton bool
 	// DefaultCorpus is the corpus namespace entries and link requests fall
 	// into when they name none. Empty means corpus.DefaultCorpus, which
-	// keeps single-corpus deployments (and pre-tenancy WALs) unchanged.
+	// keeps single-corpus deployments unchanged.
 	DefaultCorpus string
 }
 
@@ -174,6 +175,9 @@ type Engine struct {
 	// of the mutation that last flagged it.
 	invalid map[int64]uint64
 	nextID  int64
+	// records is commitLocked's scratch: the store copies every value it
+	// keeps, so the next mutation writes its records over this one's.
+	records []byte
 	// seq is the write sequence: the number of mutations published. A
 	// mutation stamps the flags it raises and the entries it stores with
 	// seq+1 and advances seq under mu once it has published. A link of a
@@ -409,6 +413,7 @@ func (e *Engine) AddDomain(d corpus.Domain) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	copied := d
+	wire.Canonical(&copied)
 	e.putDomain(&copied)
 	return e.commitLocked(&changeSet{domain: &copied})
 }
@@ -493,14 +498,16 @@ func (e *Engine) SetPolicy(id int64, text string) error {
 	if !ok {
 		return fmt.Errorf("core: policy for unknown entry %d", id)
 	}
-	pol, err := parsePolicy(text)
-	if err != nil {
-		return err
-	}
 	// Replace rather than mutate in place: the old entry may be captured
 	// by an in-flight lock-free link view.
 	next := *old
-	next.Policy, next.policy = text, pol
+	next.Policy = text
+	wire.Canonical(&next.Entry)
+	pol, err := parsePolicy(next.Policy)
+	if err != nil {
+		return err
+	}
+	next.policy = pol
 	e.entries[id] = &next
 	// Policy changes alter which links are permitted; everything that
 	// mentions this entry's labels may need re-linking. The text did not

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"time"
 
 	"nnexus/internal/render"
@@ -200,24 +199,6 @@ func (e *Engine) finishRelink(start time.Time, relinked, errors int) {
 	e.tel.relinkDuration.Observe(time.Since(start).Seconds())
 }
 
-// RelinkInvalidatedParallel is RelinkInvalidated with a worker pool, for
-// batch re-linking after large imports. workers ≤ 0 selects GOMAXPROCS. It
-// runs on the shared-view batch path (see runBatch): instead of each worker
-// re-capturing a per-call candidate view, each chunk of entries is scanned
-// in parallel, captured under ONE read lock, then resolved and rendered in
-// parallel against that one view.
-//
-// Error semantics: the first error stops the feeder, so no *new* work is
-// dispatched, but entries already handed to workers finish; the first error
-// is returned together with every result completed before (or concurrently
-// with) the abort. The telemetry relink counters stay consistent with the
-// returned values even for an aborted batch: nnexus_relink_entries_total
-// advances by exactly len(results), nnexus_relink_errors_total by the
-// number of failed entries observed.
-func (e *Engine) RelinkInvalidatedParallel(workers int) (map[int64]*Result, error) {
-	return e.RelinkBatch(nil, workers)
-}
-
 func (e *Engine) domainScheme(domain string) string {
 	if d, ok := e.domainMap()[domain]; ok {
 		return d.Scheme
@@ -231,7 +212,3 @@ func schemeOr(name, fallback string) string {
 	}
 	return name
 }
-
-func encodeJSON(v interface{}) ([]byte, error) { return json.Marshal(v) }
-
-func decodeJSON(data []byte, v interface{}) error { return json.Unmarshal(data, v) }

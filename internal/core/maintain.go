@@ -22,6 +22,7 @@ import (
 	"nnexus/internal/policy"
 	"nnexus/internal/render"
 	"nnexus/internal/storage"
+	"nnexus/internal/wire"
 )
 
 // changeSet is what one mutation changed on the node that originated it.
@@ -40,10 +41,13 @@ type changeSet struct {
 }
 
 // admitLocked is the admission stage: the entry's corpus is normalized, its
-// shape validated, its domain registered and its policy parseable. Nothing
-// has changed when it fails.
+// strings put into the form its record decodes to (so that a reopen and a
+// follower hold the text this node holds), its shape validated, its domain
+// registered and its policy parseable. Nothing else has changed when it
+// fails.
 func (e *Engine) admitLocked(entry *corpus.Entry) error {
 	e.normalizeCorpus(entry)
+	wire.Canonical(entry)
 	if err := entry.Validate(); err != nil {
 		return err
 	}
@@ -290,19 +294,20 @@ func (e *Engine) commitLocked(ch *changeSet) error {
 		return nil
 	}
 	ops := make([]storage.BatchOp, 0, 1+len(ch.entries)+2*len(ch.removed)+len(ch.flagged)+len(ch.cleared))
+	// A value is a window of rec; an append that moves rec leaves the
+	// windows already taken on the old array, whose bytes do not change.
+	rec := e.records[:0]
 	if ch.domain != nil {
-		data, err := encodeJSON(ch.domain)
-		if err != nil {
-			return err
-		}
-		ops = append(ops, storage.BatchOp{Table: tableDomains, Key: ch.domain.Name, Value: data})
+		rec = wire.AppendRecord(rec, ch.domain)
+		ops = append(ops, storage.BatchOp{Table: tableDomains, Key: ch.domain.Name, Value: rec})
 	}
 	for _, entry := range ch.entries {
-		data, err := entry.Encode()
-		if err != nil {
-			return err
-		}
-		ops = append(ops, storage.BatchOp{Table: tableEntries, Key: entryKey(entry.ID), Value: data})
+		from := len(rec)
+		rec = wire.AppendRecord(rec, entry)
+		ops = append(ops, storage.BatchOp{Table: tableEntries, Key: entryKey(entry.ID), Value: rec[from:]})
+	}
+	if cap(rec) <= 1<<20 { // a 256-entry import batch's fits, a 32 MiB one's goes
+		e.records = rec
 	}
 	if len(ch.entries) > 0 {
 		ops = append(ops, storage.BatchOp{

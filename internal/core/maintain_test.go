@@ -53,15 +53,17 @@ func (s *maintScript) next(mod int) int {
 func (s *maintScript) word() string { return maintWords[s.next(len(maintWords))] }
 
 // entry reads a twelve-byte entry description: corpus, domain, shape (bit 0:
-// two-word title, bit 1: a synonym), three label words, class, policy, four
-// body words. Every operand is read whether or not it is used, so an op's
-// width is fixed and seeds can be written by hand.
+// two-word title, bit 1: a synonym, bit 2: a byte that is not UTF-8, a
+// control character and a blank synonym, which the record form does not
+// carry), three label words, class, policy, four body words. Every operand
+// is read whether or not it is used, so an op's width is fixed and seeds can
+// be written by hand.
 func (s *maintScript) entry() *corpus.Entry {
 	e := &corpus.Entry{
 		Corpus: maintCorpora[s.next(len(maintCorpora))],
 		Domain: maintDomains[s.next(len(maintDomains))],
 	}
-	shape, w1, w2, w3 := s.next(4), s.word(), s.word(), s.word()
+	shape, w1, w2, w3 := s.next(8), s.word(), s.word(), s.word()
 	e.Title = w1
 	if shape&1 != 0 {
 		e.Title += " " + w2
@@ -72,6 +74,11 @@ func (s *maintScript) entry() *corpus.Entry {
 	e.Classes = []string{maintClasses[s.next(len(maintClasses))]}
 	e.Policy = maintPolicies[s.next(len(maintPolicies))]
 	e.Body = s.body()
+	if shape&4 != 0 {
+		e.Title += "\x01"
+		e.Concepts = append(e.Concepts, "", w3+" \xff")
+		e.Body = "bad \xff byte \x01 " + e.Body
+	}
 	return e
 }
 
@@ -339,6 +346,13 @@ var maintSeeds = [][]byte{
 		maintLinkEntry, 1,
 		maintLinkEntry, 1,
 		maintLinkEntry, 0xFF,
+	},
+	{ // text the record form does not carry: an add, a batch, an update of one of them
+		maintAdd, 0, 0, 6, 0, 1, 2, 0, 0, 1, 2, 3, 4,
+		maintAddBatch, 1, 0, 5, 3, 5, 6, 1, 0, 0, 5, 2, 1,
+		0, 0, 4, 1, 7, 8, 2, 0, 6, 1, 0, 1,
+		maintUpdate, 0xFE, 4, 0, 0, 2, 5, 6, 7,
+		maintRelink,
 	},
 }
 

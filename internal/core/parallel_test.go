@@ -25,7 +25,7 @@ func TestRelinkInvalidatedParallel(t *testing.T) {
 	if n := len(e.Invalidated()); n != 7 {
 		t.Fatalf("invalidated = %d", n)
 	}
-	results, err := e.RelinkInvalidatedParallel(4)
+	results, err := e.RelinkBatch(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRelinkInvalidatedParallel(t *testing.T) {
 		t.Error("flags not cleared")
 	}
 	// Empty case and default worker count.
-	results, err = e.RelinkInvalidatedParallel(0)
+	results, err = e.RelinkBatch(nil, 0)
 	if err != nil || len(results) != 0 {
 		t.Errorf("empty relink = %v, %v", results, err)
 	}

@@ -162,10 +162,11 @@ type linkRun struct {
 	// entries and, parallel to them, their distances from the source.
 	cands []*storedEntry
 	dists []int64
-	// linked/picks/anchors are assemble's first-occurrence set, the matches
-	// it links and anchor scratch.
+	// linked/picks/skips/anchors are assemble's first-occurrence set, the
+	// matches it links, the ones it skips and anchor scratch.
 	linked  labelSet
 	picks   []pick
+	skips   []Skip
 	anchors []render.Anchor
 }
 
@@ -220,9 +221,10 @@ func (run *linkRun) reset() bool {
 	clear(run.cands[:cap(run.cands)])
 	clear(run.linked)
 	clear(run.picks)
+	clear(run.skips)
 	clear(run.anchors)
 	run.pins, run.tokens, run.matches, run.multi = run.pins[:0], run.tokens[:0], run.matches[:0], run.multi[:0]
-	run.captured, run.linked, run.picks = run.captured[:0], run.linked[:0], run.picks[:0]
+	run.captured, run.linked, run.picks, run.skips = run.captured[:0], run.linked[:0], run.picks[:0], run.skips[:0]
 	return true
 }
 
@@ -458,14 +460,13 @@ func (run *linkRun) chooseTarget(m *conceptmap.Match, captured []*storedEntry) (
 
 // steer is Algorithm 1 over the run's candidates: it keeps, in place and in
 // order, the candidates whose minimum class distance to the plan's source
-// classes is the smallest, and returns them with that distance. It is
-// classification.Steer without the annotated copy and the sort, which the
-// tie-break that follows does not need; when steering cannot discriminate
-// (no source class, no classified candidate) every candidate stays, at
-// distance Infinite. Both sides' classes are scheme node indexes resolved
-// before the request (the source's by plan, the candidates' at write time),
-// so every distance is a walk up the scheme's read-only tree: no lock, no
-// string hashing.
+// classes is the smallest, and returns them with that distance. It sorts
+// nothing, as the tie-break that follows needs no order. When steering
+// cannot discriminate (no source class, no classified candidate) every
+// candidate stays, at distance Infinite. Both sides' classes are scheme node
+// indexes resolved before the request (the source's by plan, the
+// candidates' at write time), so every distance is a walk up the scheme's
+// read-only tree: no lock, no string hashing.
 func (run *linkRun) steer(cands []*storedEntry) ([]*storedEntry, int64) {
 	scheme, src, best := run.e.scheme, run.plan.classIdx, classification.Infinite
 	dists := run.dists[:0]
@@ -498,7 +499,7 @@ func (run *linkRun) assemble() (*Result, error) {
 	text, linkAll := run.text, run.e.cfg.LinkAllOccurrences
 	res := &Result{Output: text}
 	run.linked = run.linked.sized(len(run.matches))
-	picks := run.picks[:0]
+	picks, skips := run.picks[:0], run.skips[:0]
 	cursor := 0 // next token position available for a match
 	at := 0     // where m's candidates start in run.captured
 	for i := range run.matches {
@@ -516,13 +517,17 @@ func (run *linkRun) assemble() (*Result, error) {
 			w.entry, w.distance, w.total, reason = run.chooseTarget(m, captured)
 		}
 		if reason != "" {
-			res.Skips = append(res.Skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: reason})
+			skips = append(skips, Skip{Label: m.Label, Start: m.ByteStart, End: m.ByteEnd, Reason: reason})
 			continue
 		}
 		picks = append(picks, w)
 		*linked = m.LabelID
 	}
-	run.picks = picks
+	run.picks, run.skips = picks, skips
+	if len(skips) > 0 {
+		res.Skips = make([]Skip, len(skips))
+		copy(res.Skips, skips)
+	}
 	as := run.anchors[:0]
 	if len(picks) > 0 {
 		res.Links = make([]Link, len(picks))

@@ -83,7 +83,7 @@ func TestRelinkInvalidatedParallelPartialResults(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e, _ := relinkErrorEngine(t, 3)
 		before := len(e.Invalidated())
-		out, err := e.RelinkInvalidatedParallel(workers)
+		out, err := e.RelinkBatch(nil, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: relink over broken IDs did not error", workers)
 		}
@@ -113,7 +113,7 @@ func TestRelinkInvalidatedParallelPartialResults(t *testing.T) {
 		if left >= before {
 			t.Errorf("workers=%d: queue did not shrink (%d → %d)", workers, before, left)
 		}
-		if _, err := e.RelinkInvalidatedParallel(workers); err == nil {
+		if _, err := e.RelinkBatch(nil, workers); err == nil {
 			t.Errorf("workers=%d: second batch over remaining broken IDs did not error", workers)
 		}
 	}
@@ -123,7 +123,7 @@ func TestRelinkInvalidatedParallelPartialResults(t *testing.T) {
 // relinks everything, returns no error, and counts every entry.
 func TestRelinkInvalidatedParallelCleanBatch(t *testing.T) {
 	e, good := relinkErrorEngine(t, 0)
-	out, err := e.RelinkInvalidatedParallel(4)
+	out, err := e.RelinkBatch(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

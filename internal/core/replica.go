@@ -14,6 +14,7 @@ import (
 
 	"nnexus/internal/corpus"
 	"nnexus/internal/storage"
+	"nnexus/internal/wire"
 )
 
 // ApplyReplicated applies the mutations of one replicated WAL record (as
@@ -42,18 +43,16 @@ func (e *Engine) applyReplicatedLocked(ops []storage.BatchOp) error {
 				e.removeLocked(nil, id)
 				continue
 			}
-			entry, err := corpus.DecodeEntry(op.Value)
-			if err != nil {
-				return fmt.Errorf("core: replicated entry %q: %w", op.Key, err)
+			var entry corpus.Entry
+			if err := decodeRecord(op, &entry); err != nil {
+				return err
 			}
-			// The corpus ID rides inside the replicated entry JSON;
-			// pre-tenancy records (no field) land in the default namespace
-			// like on the primary. Flags are not set by this write's walk —
-			// the primary's record carries its flag transitions as
-			// tableInvalid ops — but rendered outputs are dropped locally,
-			// because the primary drops them even for entries already flagged.
-			e.normalizeCorpus(entry)
-			if err := e.writeLocked(nil, entry); err != nil {
+			// Flags are not set by this write's walk — the primary's record
+			// carries its flag transitions as tableInvalid ops — but rendered
+			// outputs are dropped locally, because the primary drops them
+			// even for entries already flagged.
+			e.normalizeCorpus(&entry)
+			if err := e.writeLocked(nil, &entry); err != nil {
 				return err
 			}
 		case tableDomains:
@@ -62,8 +61,8 @@ func (e *Engine) applyReplicatedLocked(ops []storage.BatchOp) error {
 				continue
 			}
 			var d corpus.Domain
-			if err := decodeJSON(op.Value, &d); err != nil {
-				return fmt.Errorf("core: replicated domain %q: %w", op.Key, err)
+			if err := decodeRecord(op, &d); err != nil {
+				return err
 			}
 			e.putDomain(&d)
 		case tableMeta:
@@ -87,6 +86,28 @@ func (e *Engine) applyReplicatedLocked(ops []storage.BatchOp) error {
 			// Unknown tables from a newer primary: state the engine does not
 			// index. The storage layer still persists them; skip here.
 		}
+	}
+	return nil
+}
+
+// JSONRecordError refuses an entry or domain record in the JSON form stores
+// held before records took the wire codec's. Such a data directory, or a
+// primary that still writes one, is not migrated: the corpus is re-imported.
+type JSONRecordError struct {
+	Table, Key string
+}
+
+func (e *JSONRecordError) Error() string {
+	return fmt.Sprintf("core: %s record %q is in the JSON record format, which this version no longer reads; re-import the corpus (nnexus import)", e.Table, e.Key)
+}
+
+// decodeRecord reads the entry or domain record op puts.
+func decodeRecord[T wire.Record](op *storage.BatchOp, v T) error {
+	if len(op.Value) > 0 && op.Value[0] == '{' {
+		return &JSONRecordError{Table: op.Table, Key: op.Key}
+	}
+	if err := wire.DecodeRecord(op.Value, v); err != nil {
+		return fmt.Errorf("core: replicated %s record %q: %w", op.Table, op.Key, err)
 	}
 	return nil
 }

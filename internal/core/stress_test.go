@@ -120,8 +120,8 @@ func TestConcurrentEngineStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters/10; i++ {
-				if _, err := e.RelinkInvalidatedParallel(4); err != nil {
-					fail("RelinkInvalidatedParallel: %v", err)
+				if _, err := e.RelinkBatch(nil, 4); err != nil {
+					fail("RelinkBatch: %v", err)
 					return
 				}
 			}

@@ -10,7 +10,6 @@ import (
 
 	"nnexus/internal/classification"
 	"nnexus/internal/corpus"
-	"nnexus/internal/storage"
 )
 
 // twoCorpusEngine builds an engine holding two tenants: corpus "pm" defines
@@ -151,109 +150,6 @@ func TestCrossCorpusTargetOrder(t *testing.T) {
 	}
 	if one, twice := link("wiki"), link("wiki", "wiki"); one != twice {
 		t.Errorf("targets [wiki wiki]:\n got %s\nwant %s (as [wiki])", twice, one)
-	}
-}
-
-// A pre-tenancy store (entry records without any "corpus" key, written
-// before PR 10 existed) must replay into the default namespace and link
-// byte-identically to a freshly built single-corpus engine.
-func TestWALMigrationPreTenancy(t *testing.T) {
-	dir := t.TempDir()
-	store, err := storage.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hand-write the store exactly as a pre-PR-10 engine did: domain and
-	// entry JSON with no corpus field anywhere.
-	put := func(table, key string, v interface{}) {
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(table, key, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(tableDomains, "planetmath.org", map[string]interface{}{
-		"name": "planetmath.org", "urlTemplate": "http://pm/{id}",
-		"scheme": "msc", "priority": 1,
-	})
-	legacy := []map[string]interface{}{
-		{"id": 1, "domain": "planetmath.org", "externalId": "1",
-			"title": "planar graph", "classes": []string{"05C10"}},
-		{"id": 2, "domain": "planetmath.org", "externalId": "2",
-			"title": "connected graph", "classes": []string{"05C40"},
-			"body": "a planar graph may be connected"},
-	}
-	for _, m := range legacy {
-		if _, hasCorpus := m["corpus"]; hasCorpus {
-			t.Fatal("legacy fixture must not carry a corpus key")
-		}
-		put(tableEntries, fmt.Sprintf("%016d", m["id"]), m)
-	}
-	if err := store.Put(tableMeta, "nextID", []byte("3")); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	store2, err := storage.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	migrated, err := NewEngine(Config{Scheme: classification.SampleMSC(10), Store: store2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := fmt.Sprint(migrated.Corpora()); names != "[default]" {
-		t.Fatalf("migrated corpora = %s, want [default]", names)
-	}
-	entry, ok := migrated.Entry(1)
-	if !ok || entry.Corpus != corpus.DefaultCorpus {
-		t.Fatalf("migrated entry corpus = %+v, want default", entry)
-	}
-	if n, _ := migrated.CorpusUsage(""); n != 2 {
-		t.Fatalf("default corpus usage = %d entries, want 2", n)
-	}
-
-	fresh, err := NewEngine(Config{Scheme: classification.SampleMSC(10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.AddDomain(corpus.Domain{
-		Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc", Priority: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range legacy {
-		classes := m["classes"].([]string)
-		e2 := &corpus.Entry{Domain: "planetmath.org", Title: m["title"].(string), Classes: classes}
-		if b, ok := m["body"].(string); ok {
-			e2.Body = b
-		}
-		if _, err := fresh.AddEntry(e2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, text := range []string{
-		"every planar graph is sparse",
-		"the connected graph contains a planar graph",
-	} {
-		a, err := migrated.LinkText(text, LinkOptions{SourceClasses: []string{"05C40"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := fresh.LinkText(text, LinkOptions{SourceClasses: []string{"05C40"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ja, _ := json.Marshal(a)
-		jb, _ := json.Marshal(b)
-		if string(ja) != string(jb) {
-			t.Fatalf("migrated vs fresh diverge on %q:\n%s\n%s", text, ja, jb)
-		}
 	}
 }
 

@@ -126,10 +126,11 @@ func TestLinkTextConcurrentWithDomainAndPolicyWrites(t *testing.T) {
 }
 
 // TestSteerInPlaceMatchesAlgorithm1 holds the resolve stage's in-place
-// steering to classification.Steer, Algorithm 1 as the paper states it: for
-// random source classes and candidate sets — unknown classes, unclassified
-// candidates and an empty source included — the same candidates survive, in
-// the order they arrived, at the same distance.
+// steering to Algorithm 1 as the paper states it, over class names and
+// classification.MinDistance: for random source classes and candidate sets —
+// unknown classes, unclassified candidates and an empty source included —
+// the candidates at the least distance survive, in the order they arrived,
+// at that distance.
 func TestSteerInPlaceMatchesAlgorithm1(t *testing.T) {
 	e := viewEngine(t, Config{Scheme: classification.MSC2000(classification.DefaultBaseWeight)})
 	classes := e.scheme.Classes()
@@ -151,24 +152,29 @@ func TestSteerInPlaceMatchesAlgorithm1(t *testing.T) {
 		run.plan.classes = pick()
 		run.plan.classIdx = e.scheme.AppendIndexes(nil, run.plan.classes)
 		cands := make([]*storedEntry, 1+rng.Intn(12))
-		ref := make([]classification.Candidate, len(cands))
+		dists := make([]int64, len(cands))
+		best := classification.Infinite
 		for j := range cands {
 			c, err := e.newStored(&corpus.Entry{ID: int64(len(cands) - j), Domain: "d1", Classes: pick()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cands[j] = c
-			ref[j] = classification.Candidate{Object: c.ID, Classes: c.Classes}
+			cands[j], dists[j] = c, classification.MinDistance(e.scheme, run.plan.classes, c.Classes)
+			best = min(best, dists[j])
 		}
-		want := classification.Steer(e.scheme, run.plan.classes, ref)
+		var want []int64
+		for j, c := range cands {
+			if dists[j] == best {
+				want = append(want, c.ID)
+			}
+		}
 		got, distance := run.steer(cands)
-		if len(got) != len(want) || distance != want[0].Distance {
-			t.Fatalf("case %d: %d candidates at %d, Steer keeps %d at %d", i, len(got), distance, len(want), want[0].Distance)
+		if len(got) != len(want) || distance != best {
+			t.Fatalf("case %d: %d candidates at %d, Algorithm 1 keeps %d at %d", i, len(got), distance, len(want), best)
 		}
-		// Steer orders by ID; the candidates arrived in descending ID order.
 		for j, c := range got {
-			if w := want[len(want)-1-j]; c.ID != w.Object {
-				t.Fatalf("case %d: kept %d where Steer keeps %d", i, c.ID, w.Object)
+			if c.ID != want[j] {
+				t.Fatalf("case %d: kept %d where Algorithm 1 keeps %d", i, c.ID, want[j])
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"nnexus/internal/classification"
 	"nnexus/internal/corpus"
 	"nnexus/internal/storage"
+	"nnexus/internal/wire"
 )
 
 func writeSeqEngine(t *testing.T) *Engine {
@@ -99,11 +100,7 @@ func TestReplicaRelinkKeepsFlagOfUnseenRecord(t *testing.T) {
 	}
 	put := func(entry *corpus.Entry, flags ...int64) {
 		t.Helper()
-		data, err := entry.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops := []storage.BatchOp{{Table: tableEntries, Key: entryKey(entry.ID), Value: data}}
+		ops := []storage.BatchOp{{Table: tableEntries, Key: entryKey(entry.ID), Value: wire.AppendRecord(nil, entry)}}
 		for _, id := range flags {
 			ops = append(ops, storage.BatchOp{Table: tableInvalid, Key: strconv.FormatInt(id, 10), Value: []byte("1")})
 		}
@@ -111,10 +108,7 @@ func TestReplicaRelinkKeepsFlagOfUnseenRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	domain, err := encodeJSON(&corpus.Domain{Name: "d", URLTemplate: "http://d/{id}", Scheme: "msc", Priority: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	domain := wire.AppendRecord(nil, &corpus.Domain{Name: "d", URLTemplate: "http://d/{id}", Scheme: "msc", Priority: 1})
 	if err := e.ApplyReplicated([]storage.BatchOp{{Table: tableDomains, Key: "d", Value: domain}}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@
 package corpus
 
 import (
-	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -13,9 +12,7 @@ import (
 )
 
 // DefaultCorpus is the corpus namespace entries belong to when none is
-// named. Pre-tenancy deployments never wrote a corpus ID, so their whole
-// collection decodes into this namespace unchanged — the migration path is
-// the zero value.
+// named.
 const DefaultCorpus = "default"
 
 // CorpusOrDefault normalizes a corpus ID: empty means DefaultCorpus.
@@ -28,16 +25,15 @@ func CorpusOrDefault(name string) string {
 
 // Entry is one object of a collaborative corpus together with the metadata
 // NNexus links by: the concept labels it defines and its subject classes.
-// Its json tags are its stored form, and its xml tags its element in the
-// socket protocol (internal/wire).
+// Its xml tags are its element in the socket protocol and its stored record
+// (internal/wire); its json tags its form in the HTTP API.
 type Entry struct {
 	// ID is the engine-wide numeric identity, assigned at AddEntry time.
 	// IDs are global across corpora (one sequence), so cross-corpus
 	// tie-breaks stay deterministic.
 	ID int64 `xml:"id,attr,omitempty" json:"id"`
-	// Corpus names the tenant namespace the entry belongs to. Empty decodes
-	// as DefaultCorpus (pre-tenancy WAL records omit the field), and the
-	// engine normalizes it at ingest.
+	// Corpus names the tenant namespace the entry belongs to. Empty means
+	// DefaultCorpus, and the engine normalizes it at ingest.
 	Corpus string `xml:"corpus,attr,omitempty" json:"corpus,omitempty"`
 	// Domain names the corpus the entry belongs to (e.g. "planetmath.org").
 	Domain string `xml:"domain,attr,omitempty" json:"domain"`
@@ -82,20 +78,6 @@ func (e *Entry) Validate() error {
 		return fmt.Errorf("corpus: entry %d (%q) has no domain", e.ID, e.Title)
 	}
 	return nil
-}
-
-// MarshalJSON / storage helpers: entries are stored as JSON values.
-
-// Encode serializes the entry for storage.
-func (e *Entry) Encode() ([]byte, error) { return json.Marshal(e) }
-
-// DecodeEntry deserializes an entry stored with Encode.
-func DecodeEntry(data []byte) (*Entry, error) {
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("corpus: decode entry: %w", err)
-	}
-	return &e, nil
 }
 
 // Domain describes one corpus participating in a deployment: how to build

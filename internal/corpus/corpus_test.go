@@ -30,29 +30,6 @@ func TestEntryValidate(t *testing.T) {
 	}
 }
 
-func TestEntryEncodeDecode(t *testing.T) {
-	e := &Entry{
-		ID: 7, Domain: "planetmath.org", ExternalID: "2761",
-		Title: "planar graph", Concepts: []string{"plane graph"},
-		Classes: []string{"05C10"}, Body: "a graph...", Policy: "forbid even",
-	}
-	data, err := e.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeEntry(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != 7 || back.Title != e.Title || back.Policy != e.Policy ||
-		len(back.Concepts) != 1 || len(back.Classes) != 1 {
-		t.Errorf("round trip = %+v", back)
-	}
-	if _, err := DecodeEntry([]byte("{bad json")); err == nil {
-		t.Error("bad json accepted")
-	}
-}
-
 func TestDomainURL(t *testing.T) {
 	d := &Domain{
 		Name:        "planetmath.org",

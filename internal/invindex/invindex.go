@@ -124,15 +124,6 @@ type Index struct {
 // Option configures an Index.
 type Option func(*Index)
 
-// WithMaxPhraseLen sets the maximum indexed phrase length (≥ 1).
-func WithMaxPhraseLen(n int) Option {
-	return func(ix *Index) {
-		if n >= 1 {
-			ix.maxPhraseLen = n
-		}
-	}
-}
-
 // WithAutoCompact makes the index compact itself every `every` document
 // additions, dropping phrases seen fewer than `below` times. This is the
 // adaptive behaviour that keeps the index near the size of a word index
@@ -176,11 +167,6 @@ func (ix *Index) AddText(object int64, text string) {
 		*buf = toks
 		tokenBufs.Put(buf)
 	}
-}
-
-// AddTokens indexes the object under the given normalized token sequence.
-func (ix *Index) AddTokens(object int64, norms []string) {
-	ix.add(object, len(norms), func(i int) int32 { return morph.InternWord(norms[i]) })
 }
 
 // node returns node i.

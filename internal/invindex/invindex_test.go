@@ -8,8 +8,23 @@ import (
 	"sync"
 	"testing"
 
+	"nnexus/internal/morph"
 	"nnexus/internal/workload"
 )
+
+// WithMaxPhraseLen sets the maximum indexed phrase length (≥ 1).
+func WithMaxPhraseLen(n int) Option {
+	return func(ix *Index) {
+		if n >= 1 {
+			ix.maxPhraseLen = n
+		}
+	}
+}
+
+// AddTokens indexes the object under the given normalized token sequence.
+func (ix *Index) AddTokens(object int64, norms []string) {
+	ix.add(object, len(norms), func(i int) int32 { return morph.InternWord(norms[i]) })
+}
 
 // fig6Index reproduces the paper's Fig 6 example: object 789 contains the
 // phrase "conjugacy class formula"; objects 123 and 456 contain only pieces

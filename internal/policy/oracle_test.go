@@ -77,7 +77,8 @@ func FuzzPermitsByID(f *testing.F) {
 		if morph.NormalizeLabel(lbl) == "" {
 			t.Skip()
 		}
-		p, err := Parse(strings.ReplaceAll(text, "$", lbl))
+		text = strings.ReplaceAll(text, "$", lbl)
+		p, err := Parse(text)
 		if err != nil {
 			return
 		}
@@ -90,7 +91,7 @@ func FuzzPermitsByID(f *testing.F) {
 		id := label(lbl)
 		for _, s := range []*classification.Scheme{scheme, nil} {
 			if got, want := p.Permits(s, src, id), p.permitsByString(s, src, lbl); got != want {
-				t.Fatalf("policy %q, label %q from %q: Permits = %v, the string comparison %v", p.Source(), lbl, src, got, want)
+				t.Fatalf("policy %q, label %q from %q: Permits = %v, the string comparison %v", text, lbl, src, got, want)
 			}
 		}
 	})

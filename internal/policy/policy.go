@@ -61,16 +61,12 @@ type Directive struct {
 // Policy is the parsed linking policy of a single target object.
 type Policy struct {
 	Directives []Directive
-	source     string
 }
-
-// Source returns the original policy text.
-func (p *Policy) Source() string { return p.source }
 
 // Parse parses a policy text chunk. Unknown keywords or malformed lines are
 // reported with their line number.
 func Parse(text string) (*Policy, error) {
-	p := &Policy{source: text}
+	p := &Policy{}
 	for lineNo, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {

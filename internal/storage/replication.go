@@ -102,17 +102,6 @@ func (s *Store) ReplicationHead() uint64 {
 	return s.head
 }
 
-// ReplicationBase returns the newest offset that is NOT retained in the
-// replication log: followers at or below it must bootstrap from a snapshot.
-func (s *Store) ReplicationBase() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.repl == nil {
-		return s.head
-	}
-	return s.repl.base
-}
-
 // ReplicationEpoch identifies one continuous streamed history. A follower
 // synced under one epoch must discard its offsets and re-bootstrap when the
 // primary's epoch changes.

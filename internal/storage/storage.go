@@ -23,10 +23,10 @@
 // a write that returned survives power loss. Other packages keep their files
 // through SaveState and LoadState.
 //
-// Keys are grouped into named tables; values are opaque bytes (the callers
-// use encoding/json or encoding/xml for their records). A Store opened with
-// an empty directory runs purely in memory, which is how the engine runs in
-// tests and ephemeral deployments.
+// Keys are grouped into named tables; values are opaque bytes (the engine's
+// entry and domain records are the socket protocol's XML elements, written
+// by internal/wire). A Store opened with an empty directory runs purely in
+// memory, which is how the engine runs in tests and ephemeral deployments.
 package storage
 
 import (
@@ -55,10 +55,9 @@ const (
 
 	snapshotMagic uint32 = 0x4e4e5853 // "NNXS"
 	// snapshotVer 2 appends the replication head offset to the header so
-	// record numbering survives compaction; version-1 snapshots still load
-	// (their head restarts at the replayed record count).
-	snapshotVer   uint32 = 2
-	snapshotVerV1 uint32 = 1
+	// record numbering survives compaction. A version-1 snapshot predates
+	// the engine's current record format and is refused.
+	snapshotVer uint32 = 2
 
 	// maxEntrySize guards recovery from absurd length prefixes caused by
 	// corruption that happens to pass the CRC of a truncated record.
@@ -182,13 +181,6 @@ func batchSizeHistogram(reg *telemetry.Registry) *telemetry.Histogram {
 	return reg.Histogram("nnexus_wal_group_commit_batch_size",
 		"WAL records made durable per group-commit fsync.",
 		1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
-}
-
-// WithOpenFile routes every file the store writes through fn instead of
-// os.OpenFile: the WAL, each temp file of the atomic writer, and the
-// directory that writer fsyncs. Used by fault-injection tests.
-func WithOpenFile(fn OpenFileFunc) Option {
-	return func(s *Store) { s.openFile = fn }
 }
 
 // Open opens (or creates) a store rooted at dir. If dir is empty the store
@@ -476,14 +468,6 @@ func (s *Store) applyLocked(ops []BatchOp) {
 	}
 }
 
-// Fsyncs returns the number of fsync calls issued against the WAL since
-// Open. With group commit this grows sublinearly in the number of synced
-// appends under concurrency.
-func (s *Store) Fsyncs() int64 { return s.nfsyncs.Load() }
-
-// Appends returns the number of records appended to the WAL since Open.
-func (s *Store) Appends() int64 { return s.nappends.Load() }
-
 // Get returns a copy of the value stored under (table, key).
 func (s *Store) Get(table, key string) ([]byte, bool) {
 	s.mu.RLock()
@@ -541,14 +525,6 @@ func (s *Store) eachLocked(fn func(table, key string, value []byte) error) error
 		}
 	}
 	return nil
-}
-
-// WALSize returns the bytes accumulated in the write-ahead log since the
-// last compaction (0 for memory-only stores).
-func (s *Store) WALSize() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.walLen
 }
 
 // Ready reports whether the store can serve traffic: nil while open,
@@ -904,17 +880,15 @@ func (s *Store) loadSnapshot() error {
 		return errors.New("storage: snapshot: bad magic")
 	}
 	ver := binary.LittleEndian.Uint32(hdr[4:8])
-	if ver != snapshotVer && ver != snapshotVerV1 {
-		return fmt.Errorf("storage: snapshot: unsupported version %d", ver)
+	if ver != snapshotVer {
+		return fmt.Errorf("storage: snapshot: unsupported version %d; re-import the corpus (nnexus import)", ver)
 	}
 	count := binary.LittleEndian.Uint32(hdr[8:12])
-	if ver >= snapshotVer {
-		var headBuf [8]byte
-		if _, err := io.ReadFull(r, headBuf[:]); err != nil {
-			return fmt.Errorf("storage: snapshot head offset: %w", err)
-		}
-		s.head = binary.LittleEndian.Uint64(headBuf[:])
+	var headBuf [8]byte
+	if _, err := io.ReadFull(r, headBuf[:]); err != nil {
+		return fmt.Errorf("storage: snapshot head offset: %w", err)
 	}
+	s.head = binary.LittleEndian.Uint64(headBuf[:])
 	for i := uint32(0); i < count; i++ {
 		body, err := readRecord(r)
 		var ops []BatchOp

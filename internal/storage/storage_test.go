@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -434,6 +435,16 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 		t.Error("bad version accepted")
 	}
 
+	// Version 1 predates the engine's record format: refused, not read.
+	v1 := append([]byte(nil), data...)
+	v1[4] = 1
+	if err := os.WriteFile(snapPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "re-import") {
+		t.Errorf("version-1 snapshot: Open = %v, want a refusal saying to re-import", err)
+	}
+
 	// Truncated snapshot.
 	if err := os.WriteFile(snapPath, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
@@ -577,4 +588,40 @@ func TestRecordBytesPinned(t *testing.T) {
 	if v, ok := s.Get("invalid", "1"); !ok || string(v) != "1" {
 		t.Errorf("flag 1 = %q, %v", v, ok)
 	}
+}
+
+// The store's test-only accessors.
+
+// WithOpenFile routes every file the store writes through fn instead of
+// os.OpenFile: the WAL, each temp file of the atomic writer, and the
+// directory that writer fsyncs. Used by fault-injection tests.
+func WithOpenFile(fn OpenFileFunc) Option {
+	return func(s *Store) { s.openFile = fn }
+}
+
+// Fsyncs returns the number of fsync calls issued against the WAL since
+// Open. With group commit this grows sublinearly in the number of synced
+// appends under concurrency.
+func (s *Store) Fsyncs() int64 { return s.nfsyncs.Load() }
+
+// Appends returns the number of records appended to the WAL since Open.
+func (s *Store) Appends() int64 { return s.nappends.Load() }
+
+// WALSize returns the bytes accumulated in the write-ahead log since the
+// last compaction (0 for memory-only stores).
+func (s *Store) WALSize() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.walLen
+}
+
+// ReplicationBase returns the newest offset that is NOT retained in the
+// replication log: followers at or below it must bootstrap from a snapshot.
+func (s *Store) ReplicationBase() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.repl == nil {
+		return s.head
+	}
+	return s.repl.base
 }

@@ -86,6 +86,12 @@ func (d *Decoder) Decode(v interface{}) error {
 	default:
 		return fmt.Errorf("wire: decode: not a message: %T", v)
 	}
+	return d.done()
+}
+
+// done ends a Decode or a DecodeRecord: it lets go of the scratch buffers
+// that outgrew their bound and returns the error to report.
+func (d *Decoder) done() error {
 	d.name, d.val = nil, nil
 	release(&d.nameBuf)
 	release(&d.vbuf)

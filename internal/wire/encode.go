@@ -72,15 +72,7 @@ func appendRequest(b []byte, r *Request) []byte {
 	b = strAttr(b, "candidate", r.Candidate, true)
 	b = strAttr(b, "leader", r.Leader, true)
 	b = append(b, '>')
-	if d := r.Domain; d != nil {
-		b = append(b, "<domain"...)
-		b = strAttr(b, "name", d.Name, false)
-		b = append(b, '>')
-		b = strElem(b, "urltemplate", d.URLTemplate, false)
-		b = strElem(b, "scheme", d.Scheme, true)
-		b = intElem(b, "priority", int64(d.Priority), true)
-		b = append(b, "</domain>"...)
-	}
+	b = appendDomain(b, r.Domain)
 	b = appendEntry(b, r.Entry)
 	b = intElem(b, "object", r.Object, true)
 	b = strElem(b, "policy", r.Policy, true)
@@ -164,6 +156,19 @@ func appendResponse(b []byte, r *Response) []byte {
 	}
 	b = strElem(b, "leader", r.Leader, true)
 	return append(b, "</response>"...)
+}
+
+func appendDomain(b []byte, d *corpus.Domain) []byte {
+	if d == nil {
+		return b
+	}
+	b = append(b, "<domain"...)
+	b = strAttr(b, "name", d.Name, false)
+	b = append(b, '>')
+	b = strElem(b, "urltemplate", d.URLTemplate, false)
+	b = strElem(b, "scheme", d.Scheme, true)
+	b = intElem(b, "priority", int64(d.Priority), true)
+	return append(b, "</domain>"...)
 }
 
 func appendEntry(b []byte, e *corpus.Entry) []byte {
@@ -325,8 +330,8 @@ func appendEscaped(b []byte, s string) []byte {
 		if c := s[i]; c < utf8.RuneSelf {
 			esc = asciiEscape[c]
 		} else {
-			var r rune
-			if r, width = utf8.DecodeRuneInString(s[i:]); r == utf8.RuneError && width == 1 || !inCharacterRange(r) {
+			var replaced bool
+			if width, replaced = replacedRune(s[i:]); replaced {
 				esc = "\uFFFD"
 			}
 		}
@@ -337,6 +342,14 @@ func appendEscaped(b []byte, s string) []byte {
 		i += width
 	}
 	return append(b, s[last:]...)
+}
+
+// replacedRune reports whether the character at the start of s, which is
+// not ASCII, is one the encoder writes as U+FFFD: a byte that is not UTF-8,
+// or a character outside XML 1.0's range. width is its length.
+func replacedRune(s string) (width int, replaced bool) {
+	r, width := utf8.DecodeRuneInString(s)
+	return width, r == utf8.RuneError && width == 1 || !inCharacterRange(r)
 }
 
 // inCharacterRange reports whether r is a character XML 1.0 allows (the

@@ -522,7 +522,7 @@ func (e *Engine) RelinkInvalidated() (map[int64]*Result, error) {
 // RelinkInvalidatedParallel re-links every invalidated entry with a worker
 // pool (workers ≤ 0 selects GOMAXPROCS).
 func (e *Engine) RelinkInvalidatedParallel(workers int) (map[int64]*Result, error) {
-	return e.core.RelinkInvalidatedParallel(workers)
+	return e.core.RelinkBatch(nil, workers)
 }
 
 // RelinkBatch re-links the given entries through the shared-view batch path
