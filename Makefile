@@ -115,12 +115,15 @@ tenantiso:
 experiments:
 	go run ./cmd/nnexus-bench -exp all
 
-# Run each fuzz target briefly.
+# Run each fuzz target briefly: the targets of CI's fuzz job, which CI's
+# step "One fuzz list" holds to this list.
 fuzz:
 	go test ./internal/tokenizer -fuzz=FuzzTokenize -fuzztime=30s
 	go test ./internal/invindex -fuzz=FuzzIndexEquivalence -fuzztime=30s
+	go test ./internal/invindex -fuzz=FuzzIndexRoundTrip -fuzztime=30s
 	go test ./internal/latex -fuzz=FuzzToText -fuzztime=30s
 	go test ./internal/policy -fuzz=FuzzParse -fuzztime=30s
+	go test ./internal/policy -fuzz=FuzzPermitsByID -fuzztime=30s
 	go test ./internal/wire -fuzz=FuzzDecodeRequest -fuzztime=30s
 	go test ./internal/wire -fuzz=FuzzCodecEquivalence -fuzztime=30s
 	go test ./internal/wire -fuzz=FuzzEntryCodec -fuzztime=10s

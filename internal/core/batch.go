@@ -120,8 +120,8 @@ func (e *Engine) runBatch(items []*batchItem, p linkPlan, workers int, aborted *
 // processed by a worker pool (workers ≤ 0 selects GOMAXPROCS). Results are
 // positional. The first item error aborts the batch and is returned.
 func (e *Engine) LinkBatch(texts []string, opts LinkOptions, workers int) ([]*Result, error) {
-	if len(texts) == 0 {
-		return nil, nil
+	if err := e.Failed(); err != nil || len(texts) == 0 {
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -158,6 +158,9 @@ func (e *Engine) LinkBatch(texts []string, opts LinkOptions, workers int) ([]*Re
 // around the abort is returned with it. The relink telemetry counters
 // advance by exactly the returned results and the observed errors.
 func (e *Engine) RelinkBatch(ids []int64, workers int) (map[int64]*Result, error) {
+	if err := e.Failed(); err != nil {
+		return nil, err
+	}
 	e.tel.relinkRuns.Inc()
 	start := time.Now()
 	if len(ids) == 0 {
@@ -224,6 +227,9 @@ func (e *Engine) AddEntries(entries []*corpus.Entry) ([]int64, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.Failed(); err != nil {
+		return nil, err
+	}
 	for i, entry := range entries {
 		if err := e.admitLocked(entry); err != nil {
 			if len(entries) > 1 {

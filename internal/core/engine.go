@@ -13,6 +13,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -132,12 +133,11 @@ type namespace struct {
 	byteCount  atomic.Int64
 }
 
+// indexOptions configure every namespace's invalidation index, built or read.
+var indexOptions = []invindex.Option{invindex.WithAutoCompact(invindex.DefaultCompactEvery, invindex.DefaultCompactBelow)}
+
 func newNamespace(name string) *namespace {
-	return &namespace{
-		name: name,
-		cmap: conceptmap.New(),
-		inv:  invindex.New(invindex.WithAutoCompact(invindex.DefaultCompactEvery, invindex.DefaultCompactBelow)),
-	}
+	return &namespace{name: name, cmap: conceptmap.New(), inv: invindex.New(indexOptions...)}
 }
 
 // Engine is a fully assembled NNexus instance. All methods are safe for
@@ -189,6 +189,26 @@ type Engine struct {
 	// earlier sequence may have rendered an old URL or class, so its
 	// rendering is not cached.
 	rederived uint64
+	// replaying is set while load replays the store, which leaves the
+	// invalidation indexes to fillIndexes; indexesRead says whether that
+	// found the ones the last clean Close saved.
+	replaying, indexesRead bool
+	// failed holds the error every call returns once a commit has failed
+	// (see ErrFailed); empty until then.
+	failed atomic.Value
+}
+
+// ErrFailed is what every call of an engine returns once one of its commits
+// has failed: the refused write is applied in memory but not in the log, and
+// what reached the disk cannot be known, so the engine serves nothing until a
+// reopen replays the log. A caller must not retry on it.
+var ErrFailed = errors.New("core: engine stopped after a failed commit; reopen it to serve again")
+
+// Failed returns the error every call returns once a commit has failed, nil
+// before: it wraps ErrFailed and the commit's own error.
+func (e *Engine) Failed() error {
+	err, _ := e.failed.Load().(error)
+	return err
 }
 
 // Validate reports a configuration NewEngine would refuse, without building
@@ -347,24 +367,40 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 const automatonDebounce = 25 * time.Millisecond
 
 // Close releases the engine's background resources (every namespace's
-// automaton compiler goroutine). The engine must not be used after Close;
-// it does not close the storage layer, which the caller owns.
+// automaton compiler goroutine) and, unless a commit has failed, saves the
+// invalidation indexes beside the store for the next open to read instead of
+// rebuilding them. The engine must not be used after Close; it does not close
+// the storage layer, which the caller owns and closes after it.
 func (e *Engine) Close() error {
 	for _, n := range e.nsMap() {
 		n.cmap.StopCompiler()
 	}
-	return nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.store == nil || e.Failed() != nil {
+		return nil
+	}
+	return e.saveIndexesLocked()
 }
 
 // load rebuilds in-memory state from the store. Crash recovery is a
 // follower's snapshot bootstrap from the engine's own store: the export
-// orders tables domains → entries → invalid → meta and entries by ID.
+// orders tables domains → entries → invalid → meta and entries by ID. The
+// invalidation indexes the last clean Close saved at the position the export
+// is at are read meanwhile, and built from the entries only when there are
+// none.
 func (e *Engine) load() error {
-	ops, _, _, err := e.store.ExportState()
+	ops, head, epoch, err := e.store.ExportState()
 	if err != nil {
 		return fmt.Errorf("core: load: %w", err)
 	}
-	return e.ApplyReplicated(ops)
+	read := make(chan map[string]*invindex.Index, 1)
+	go func() { read <- e.readIndexes(head, epoch) }()
+	e.replaying = true
+	err = e.ApplyReplicated(ops)
+	e.replaying = false
+	e.fillIndexes(<-read)
+	return err
 }
 
 // AttachStore binds a persistent store to a running engine, so subsequent
@@ -412,24 +448,33 @@ func (e *Engine) AddDomain(d corpus.Domain) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.Failed(); err != nil {
+		return err
+	}
 	copied := d
 	wire.Canonical(&copied)
 	e.putDomain(&copied)
 	return e.commitLocked(&changeSet{domain: &copied})
 }
 
-// Domain returns a registered domain by name.
+// Domain returns a registered domain by name. A failed engine has none.
 func (e *Engine) Domain(name string) (*corpus.Domain, bool) {
 	d, ok := e.domainMap()[name]
-	if !ok {
+	if !ok || e.Failed() != nil {
 		return nil, false
 	}
 	copied := *d
 	return &copied, true
 }
 
-// Domains returns the names of all registered domains, sorted.
-func (e *Engine) Domains() []string { return sortedKeys(e.domainMap()) }
+// Domains returns the names of all registered domains, sorted; none for a
+// failed engine.
+func (e *Engine) Domains() []string {
+	if e.Failed() != nil {
+		return nil
+	}
+	return sortedKeys(e.domainMap())
+}
 
 // RegisterMapper installs an ontology mapper used to translate a foreign
 // domain's classes into the engine's canonical scheme, and retranslates the
@@ -439,6 +484,9 @@ func (e *Engine) Domains() []string { return sortedKeys(e.domainMap()) }
 func (e *Engine) RegisterMapper(m *ontomap.Mapper) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.Failed(); err != nil {
+		return err
+	}
 	if err := e.mappers.Register(m); err != nil {
 		return err
 	}
@@ -466,6 +514,9 @@ func (e *Engine) AddEntry(entry *corpus.Entry) (int64, error) {
 func (e *Engine) UpdateEntry(entry *corpus.Entry) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.Failed(); err != nil {
+		return err
+	}
 	if err := e.admitLocked(entry); err != nil {
 		return err
 	}
@@ -481,6 +532,9 @@ func (e *Engine) UpdateEntry(entry *corpus.Entry) error {
 func (e *Engine) RemoveEntry(id int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.Failed(); err != nil {
+		return err
+	}
 	var ch changeSet
 	if !e.removeLocked(&ch, id) {
 		return fmt.Errorf("core: remove of unknown entry %d", id)
@@ -494,6 +548,9 @@ func (e *Engine) RemoveEntry(id int64) error {
 func (e *Engine) SetPolicy(id int64, text string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.Failed(); err != nil {
+		return err
+	}
 	old, ok := e.entries[id]
 	if !ok {
 		return fmt.Errorf("core: policy for unknown entry %d", id)
@@ -519,29 +576,36 @@ func (e *Engine) SetPolicy(id int64, text string) error {
 	return e.commitLocked(&ch)
 }
 
-// Entry returns a copy of the entry with the given ID.
+// Entry returns a copy of the entry with the given ID. A failed engine has
+// none.
 func (e *Engine) Entry(id int64) (*corpus.Entry, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	entry, ok := e.entries[id]
-	if !ok {
+	if !ok || e.Failed() != nil {
 		return nil, false
 	}
 	copied := entry.Entry
 	return &copied, true
 }
 
-// Entries returns all entry IDs, sorted.
+// Entries returns all entry IDs, sorted; none for a failed engine.
 func (e *Engine) Entries() []int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.Failed() != nil {
+		return nil
+	}
 	return sortedKeys(e.entries)
 }
 
-// NumEntries returns the number of entries.
+// NumEntries returns the number of entries; 0 for a failed engine.
 func (e *Engine) NumEntries() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.Failed() != nil {
+		return 0
+	}
 	return len(e.entries)
 }
 
@@ -567,10 +631,14 @@ func (e *Engine) AutomatonInfo() conceptmap.AutomatonInfo {
 // Scheme returns the engine's canonical classification scheme.
 func (e *Engine) Scheme() *classification.Scheme { return e.scheme }
 
-// Invalidated returns the IDs of entries marked for re-linking, sorted.
+// Invalidated returns the IDs of entries marked for re-linking, sorted; none
+// for a failed engine.
 func (e *Engine) Invalidated() []int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.Failed() != nil {
+		return nil
+	}
 	return sortedKeys(e.invalid)
 }
 
@@ -600,7 +668,7 @@ func (e *Engine) clearInvalid(seq uint64, ids ...int64) {
 			ch.cleared = append(ch.cleared, id)
 		}
 	}
-	// Best effort: a flag that outlives a failed commit costs one more relink.
+	// A failed commit stops the engine; the caller's link stands.
 	_ = e.commitLocked(&ch)
 }
 

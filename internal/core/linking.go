@@ -99,6 +99,9 @@ type LinkOptions struct {
 // tokenize, match and render always, and policy and steer — which read the
 // clock per concept match — for one run in sampleEvery.
 func (e *Engine) LinkText(text string, opts LinkOptions) (*Result, error) {
+	if err := e.Failed(); err != nil {
+		return nil, err
+	}
 	return e.link(e.plan(&opts), text)
 }
 
@@ -113,6 +116,9 @@ func (e *Engine) LinkEntry(id int64, opts LinkOptions) (*Result, error) {
 // linkEntry is LinkEntry, also returning the write sequence the link read
 // before it planned and pinned.
 func (e *Engine) linkEntry(id int64, opts LinkOptions) (*Result, uint64, error) {
+	if err := e.Failed(); err != nil {
+		return nil, 0, err
+	}
 	seq := e.seq.Load()
 	p, body, err := e.planEntry(id, opts)
 	if err != nil {
@@ -138,6 +144,9 @@ func (e *Engine) relinked(seq uint64, ids ...int64) {
 // invalidation index marks the entry stale. Non-default options bypass the
 // cache entirely. The second return reports whether the result was cached.
 func (e *Engine) LinkEntryCached(id int64) (*Result, bool, error) {
+	if err := e.Failed(); err != nil {
+		return nil, false, err
+	}
 	e.mu.RLock()
 	_, stale := e.invalid[id]
 	e.mu.RUnlock()

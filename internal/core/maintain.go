@@ -162,7 +162,9 @@ func (e *Engine) indexLocked(entry *corpus.Entry) error {
 		}
 	}
 	ns.cmap.AddObject(conceptmap.ObjectID(entry.ID), entry.Labels())
-	ns.inv.AddText(entry.ID, entry.Body)
+	if !e.replaying { // load fills the indexes after its replay
+		ns.inv.AddText(entry.ID, entry.Body)
+	}
 	ns.entryCount.Add(1)
 	ns.byteCount.Add(EntrySize(entry))
 	if entry.ID >= e.nextID {
@@ -288,6 +290,9 @@ func (e *Engine) removeLocked(ch *changeSet, id int64) bool {
 // commitLocked is the commit stage and the only code in this package that
 // writes to the store: the whole changeSet goes down as one atomic batch.
 // It runs after apply, so the record carries exactly the flags the walk set.
+// The first batch the store refuses stops the engine (ErrFailed): nothing
+// undoes the apply, so from then on every call is refused until a reopen
+// replays the log.
 func (e *Engine) commitLocked(ch *changeSet) error {
 	e.seq.Add(1) // the mutation has published
 	if e.store == nil {
@@ -326,5 +331,10 @@ func (e *Engine) commitLocked(ch *changeSet) error {
 	for _, id := range ch.cleared {
 		ops = append(ops, storage.BatchOp{Table: tableInvalid, Key: strconv.FormatInt(id, 10), Delete: true})
 	}
-	return e.store.PutBatch(ops)
+	if err := e.store.PutBatch(ops); err != nil {
+		err = fmt.Errorf("%w: %w", ErrFailed, err)
+		e.failed.Store(err)
+		return err
+	}
+	return nil
 }

@@ -361,8 +361,10 @@ var maintSeeds = [][]byte{
 // every other way of arriving at its state — a follower replaying its WAL
 // records, a follower bootstrapped from its snapshot export, and (on the
 // seed scripts, which is where the disk is worth its time) the same engine
-// closed and reopened from its own store — ends in the same observable
-// state, and each mutation was exactly one WAL record on the way.
+// reopened from its own store, once with its store closed under it, which
+// rebuilds the invalidation indexes, and once closed cleanly, which reads
+// the ones it saved — ends in the same observable state, and each mutation
+// was exactly one WAL record on the way.
 func FuzzMaintenanceEquivalence(f *testing.F) {
 	for _, seed := range maintSeeds {
 		f.Add(seed)
@@ -403,15 +405,25 @@ func FuzzMaintenanceEquivalence(f *testing.F) {
 		if err := disk.store.Close(); err != nil {
 			t.Fatal(err)
 		}
-		store, err := storage.Open(dir, storage.WithReplication())
-		if err != nil {
-			t.Fatal(err)
+		for _, leg := range []string{"reopened primary", "cleanly reopened primary"} {
+			store, err := storage.Open(dir, storage.WithReplication())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := NewEngine(Config{Scheme: classification.SampleMSC(10), Store: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reopened.indexesRead != (leg == "cleanly reopened primary") {
+				t.Fatalf("%s: read the saved indexes: %v", leg, reopened.indexesRead)
+			}
+			requireSameState(t, leg, want, stateOf(t, reopened, false))
+			if err := reopened.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		defer store.Close()
-		reopened, err := NewEngine(Config{Scheme: classification.SampleMSC(10), Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameState(t, "reopened primary", want, stateOf(t, reopened, false))
 	})
 }

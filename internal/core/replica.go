@@ -24,6 +24,9 @@ import (
 func (e *Engine) ApplyReplicated(ops []storage.BatchOp) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.Failed(); err != nil {
+		return err
+	}
 	return e.applyReplicatedLocked(ops)
 }
 
@@ -129,6 +132,9 @@ func (e *Engine) dropDomainLocked(name string) {
 func (e *Engine) ResetReplicated(ops []storage.BatchOp) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.Failed(); err != nil {
+		return err
+	}
 	for _, entry := range e.entries {
 		e.unindexLocked(&entry.Entry)
 	}

@@ -12,7 +12,9 @@ import (
 
 // Property: after any random sequence of adds, updates, removals, and
 // policy changes, an engine restarted from its persistent store produces
-// byte-identical linking results for every entry.
+// byte-identical linking results for every entry: restarted after its store
+// was closed under it, which rebuilds the invalidation index, and again after
+// a clean Close, which reads the index it saved.
 func TestRestartEquivalenceProperty(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		trial := trial
@@ -100,29 +102,40 @@ func TestRestartEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			store2, err := storage.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer store2.Close()
-			e2, err := NewEngine(Config{Scheme: classification.SampleMSC(10), Store: store2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e2.NumEntries() != len(live) {
-				t.Fatalf("entries after restart = %d, want %d", e2.NumEntries(), len(live))
-			}
-			if got := fmt.Sprint(e2.Invalidated()); got != beforeInvalid {
-				t.Errorf("invalidation set changed: %s vs %s", got, beforeInvalid)
-			}
-			for id, want := range before {
-				res, err := e2.LinkEntry(id, LinkOptions{})
+			for _, clean := range []bool{false, true} {
+				store2, err := storage.Open(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Output != want {
-					t.Fatalf("entry %d renders differently after restart:\nbefore: %s\nafter:  %s",
-						id, want, res.Output)
+				e2, err := NewEngine(Config{Scheme: classification.SampleMSC(10), Store: store2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e2.indexesRead != clean {
+					t.Fatalf("restart after a clean Close %v read the saved index: %v", clean, e2.indexesRead)
+				}
+				if e2.NumEntries() != len(live) {
+					t.Fatalf("entries after restart = %d, want %d", e2.NumEntries(), len(live))
+				}
+				if got := fmt.Sprint(e2.Invalidated()); got != beforeInvalid {
+					t.Errorf("invalidation set changed: %s vs %s", got, beforeInvalid)
+				}
+				for id, want := range before {
+					res, err := e2.LinkEntry(id, LinkOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Output != want {
+						t.Fatalf("entry %d renders differently after restart:\nbefore: %s\nafter:  %s",
+							id, want, res.Output)
+					}
+				}
+				// Linking cleared no flag: every entry was linked before the first restart.
+				if err := e2.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := store2.Close(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		})

@@ -209,6 +209,7 @@ var codeStatus = map[string]int{
 	wire.CodeQuotaExceeded:     http.StatusForbidden, // an unchanged retry fails again
 	wire.CodeNotPrimary:        http.StatusForbidden, // retry the write at the leader
 	wire.CodeQuorumUnavailable: http.StatusServiceUnavailable,
+	wire.CodeFailed:            http.StatusInternalServerError, // until a restart
 }
 
 // fail answers an error: a typed error of the request pipeline carries the

@@ -15,10 +15,12 @@ import (
 	"nnexus/internal/client"
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
+	"nnexus/internal/health"
 	"nnexus/internal/replication"
 	"nnexus/internal/service"
 	"nnexus/internal/storage"
 	"nnexus/internal/tenant"
+	"nnexus/internal/wire"
 )
 
 func testServer(t *testing.T) (*core.Engine, *httptest.Server) {
@@ -580,5 +582,62 @@ func TestTenantQuotaOverHTTP(t *testing.T) {
 	}
 	if n, _ := engine.CorpusUsage("boxed"); n != 1 {
 		t.Fatalf("boxed usage = %d entries, want 1", n)
+	}
+}
+
+// An engine stopped by a refused write answers every route with one code,
+// "failed", under 500, and /readyz reports it not ready.
+func TestStoppedEngineOverHTTP(t *testing.T) {
+	store, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := core.NewEngine(core.Config{Scheme: classification.SampleMSC(10), Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := health.NewState()
+	st.AddCheck("engine", engine.Failed)
+	st.SetReady(true)
+	srv := httptest.NewServer(New(service.New(engine), st))
+	t.Cleanup(srv.Close)
+	readyz := func() int {
+		resp, err := http.Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := readyz(); code != http.StatusOK {
+		t.Fatalf("/readyz before = %d", code)
+	}
+	if err := engine.AddDomain(corpus.Domain{Name: "planetmath.org", URLTemplate: "http://pm/{id}"}); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodPost, "/api/entries", `{"domain":"planetmath.org","title":"refused"}`}, // stops the engine
+		{http.MethodGet, "/api/entries/1", ""},
+		{http.MethodPost, "/api/relink", ""},
+		{http.MethodPost, "/api/link", `{"text":"a planar graph"}`},
+		{http.MethodGet, "/api/invalidated", ""},
+	} {
+		r, err := http.NewRequest(req.method, srv.URL+req.path, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Code string }
+		decode(t, resp, &body)
+		if resp.StatusCode != http.StatusInternalServerError || body.Code != wire.CodeFailed {
+			t.Errorf("%s %s: %d, code %q; want 500, %q", req.method, req.path, resp.StatusCode, body.Code, wire.CodeFailed)
+		}
+	}
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz of a stopped engine = %d, want 503", code)
 	}
 }

@@ -34,8 +34,9 @@ var equivProbes = func() []string {
 // runIndexOps reads an op sequence off data and applies it to an Index and
 // to the reference, comparing every answer after every op. The first three
 // bytes pick the options; after that one byte picks the op and the bytes
-// that follow feed it.
-func runIndexOps(t *testing.T, data []byte) {
+// that follow feed it. With a midway function, the Index is replaced by what
+// it returns once half the ops' bytes are read, given every probe so far.
+func runIndexOps(t *testing.T, data []byte, midway func(ix *Index, ref *refIndex, probes []string) *Index) {
 	t.Helper()
 	next := func() int {
 		if len(data) == 0 {
@@ -53,6 +54,8 @@ func runIndexOps(t *testing.T, data []byte) {
 		opts = append(opts, WithAutoCompact(every, below))
 	}
 	ix, ref := New(opts...), newRefIndex(maxLen, every, below)
+	half := len(data) / 2
+	seen := slices.Clone(equivProbes)
 
 	var live []int64 // IDs added and not removed, in order of first add
 	up, down := int64(0), int64(0)
@@ -119,6 +122,10 @@ func runIndexOps(t *testing.T, data []byte) {
 			}
 		}
 		sameAnswers(t, fmt.Sprintf("step %d", step), ix, ref, probes)
+		seen = append(seen, probes[len(equivProbes):]...)
+		if midway != nil && len(data) <= half {
+			ix, midway = midway(ix, ref, seen), nil
+		}
 	}
 }
 
@@ -165,19 +172,19 @@ func FuzzIndexEquivalence(f *testing.F) {
 	for _, s := range indexSeeds {
 		f.Add(s)
 	}
-	f.Fuzz(runIndexOps)
+	f.Fuzz(func(t *testing.T, data []byte) { runIndexOps(t, data, nil) })
 }
 
 // TestIndexMatchesReference is the fuzz target's body on its seeds and on
 // thirty random op sequences long enough for several auto-compactions.
 func TestIndexMatchesReference(t *testing.T) {
 	for _, s := range indexSeeds {
-		runIndexOps(t, s)
+		runIndexOps(t, s, nil)
 	}
 	for seed := int64(0); seed < 30; seed++ {
 		data := make([]byte, 600)
 		rand.New(rand.NewSource(seed)).Read(data)
-		runIndexOps(t, data)
+		runIndexOps(t, data, nil)
 	}
 }
 

@@ -440,8 +440,9 @@ func (ix *Index) deepestLocked(words []int32) (deepest, last int32) {
 // superset of the objects that actually invoke the label, and never misses
 // one (prefix property). A label whose first word has never been seen
 // invalidates nothing. The caller owns the returned slice.
-func (ix *Index) Lookup(label string) []int64 {
-	words := labelWords(label)
+func (ix *Index) Lookup(label string) []int64 { return ix.lookup(labelWords(label)) }
+
+func (ix *Index) lookup(words []int32) []int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	slot, _ := ix.deepestLocked(words)
@@ -455,8 +456,9 @@ func (ix *Index) Lookup(label string) []int64 {
 // evaluation: it simulates a plain word-based inverted index by returning
 // the union of the postings of every single word of the label — the larger
 // invalidation set the paper's Fig 6 example warns about.
-func (ix *Index) LookupWordUnion(label string) []int64 {
-	words := labelWords(label)
+func (ix *Index) LookupWordUnion(label string) []int64 { return ix.wordUnion(labelWords(label)) }
+
+func (ix *Index) wordUnion(words []int32) []int64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var union []int64
@@ -578,8 +580,9 @@ func (ix *Index) Keys() int {
 
 // Contains reports whether the exact key (word or phrase, raw form) is
 // currently stored. Intended for tests and diagnostics.
-func (ix *Index) Contains(label string) bool {
-	words := labelWords(label)
+func (ix *Index) Contains(label string) bool { return ix.contains(labelWords(label)) }
+
+func (ix *Index) contains(words []int32) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	_, slot := ix.deepestLocked(words)

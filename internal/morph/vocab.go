@@ -1,6 +1,7 @@
 package morph
 
 import (
+	"encoding/binary"
 	"hash/maphash"
 	"math/bits"
 	"strings"
@@ -269,6 +270,37 @@ func Word(id int32) string {
 // Words returns the number of words the vocabulary holds: every ID it gave
 // out is in [1, Words()].
 func Words() int { return int(vocab.words.Load()) }
+
+// Forms calls fn with every surface form the vocabulary holds and its word's
+// ID, in no order, holding off writers meanwhile: what an index that outlives
+// the process writes beside its IDs, to intern again when it is read.
+func Forms(fn func(form string, id int32)) {
+	vocab.mu.Lock()
+	defer vocab.mu.Unlock()
+	t := vocab.table.Load()
+	var key [16]byte
+	for i := range t.slots {
+		sl := &t.slots[i]
+		tag := sl.tag.Load()
+		n := int(tag >> 32)
+		switch {
+		case tag == 0 || tag&tagWord != 0:
+			continue
+		case n > 16:
+			fn(t.long[sl.k1], int32(tag&tagID))
+			continue
+		case n >= 8: // keyWords' inverse: the first and last eight bytes
+			binary.LittleEndian.PutUint64(key[n-8:], sl.k1)
+			binary.LittleEndian.PutUint64(key[:], sl.k0)
+		case n >= 4:
+			binary.LittleEndian.PutUint32(key[n-4:], uint32(sl.k0>>32))
+			binary.LittleEndian.PutUint32(key[:], uint32(sl.k0))
+		default:
+			key[0], key[n/2], key[n-1] = byte(sl.k0), byte(sl.k0>>8), byte(sl.k0>>16)
+		}
+		fn(string(key[:n]), int32(tag&tagID))
+	}
+}
 
 // Intern adds a surface form to the vocabulary, and its normalized word when
 // new, and returns Normalize(form) and the word's ID, which a Snapshot's

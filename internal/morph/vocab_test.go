@@ -91,3 +91,31 @@ func TestLookupAllocs(t *testing.T) {
 		t.Errorf("FormID and WordID allocate %v times", allocs)
 	}
 }
+
+// TestForms interns forms of every key shape — up to three bytes, four to
+// seven, eight to sixteen, longer — and requires Forms to give each back with
+// its word's ID, and no word as a form.
+func TestForms(t *testing.T) {
+	run := time.Now().UnixNano()
+	want := map[string]int32{}
+	for _, form := range []string{"Zq", "Zqx", "Zqxw", fmt.Sprintf("Form%dQ", run%1000),
+		fmt.Sprintf("FormsTest%dGroups", run), fmt.Sprintf("FormsTest%dEquivalenceClasses", run)} {
+		_, want[form] = Intern(form)
+	}
+	word := fmt.Sprintf("formstest%dword", run)
+	InternWord(word)
+	Forms(func(form string, id int32) {
+		if form == word {
+			t.Errorf("Forms gave the word %q as a form", word)
+		}
+		if w, ok := want[form]; ok {
+			if id != w {
+				t.Errorf("Forms(%q) = ID %d, want %d", form, id, w)
+			}
+			delete(want, form)
+		}
+	})
+	if len(want) != 0 {
+		t.Errorf("Forms missed %v", want)
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/service"
+	"nnexus/internal/storage"
 	"nnexus/internal/wire"
 )
 
@@ -344,5 +346,49 @@ func BenchmarkServerLinkTextOverSocket(b *testing.B) {
 		if _, err := c.LinkText(text, []string{"05C10"}, "msc", "", ""); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// An engine stopped by a refused write answers every request on the socket
+// with one code, "failed", which the client does not retry; ping, which is
+// control traffic, still answers.
+func TestStoppedEngineOverTheSocket(t *testing.T) {
+	store, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := core.NewEngine(core.Config{Scheme: classification.SampleMSC(10), Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(service.New(engine), nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c, err := client.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.AddDomain(corpus.Domain{Name: "planetmath.org", URLTemplate: "http://pm/{id}"}); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	_, addErr := c.AddEntry(&corpus.Entry{Domain: "planetmath.org", Title: "refused"}) // stops the engine
+	_, getErr := c.GetEntry(1)
+	_, linkErr := c.LinkText("a planar graph", nil, "", "", "")
+	for name, err := range map[string]error{"addEntry": addErr, "getEntry": getErr, "linkText": linkErr} {
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != wire.CodeFailed {
+			t.Errorf("%s on a stopped engine: %v, want code %q", name, err, wire.CodeFailed)
+		}
+	}
+	if c.Retries() != 0 {
+		t.Errorf("the client retried %d calls answered %q", c.Retries(), wire.CodeFailed)
+	}
+	if err := c.Ping(); err != nil {
+		t.Errorf("ping on a stopped engine: %v", err)
 	}
 }

@@ -37,6 +37,11 @@ func (e *InvalidError) Error() string { return e.msg }
 func (s *Service) Call(req *wire.Request) (*Reply, error) {
 	r := &Reply{Response: wire.Response{Seq: req.Seq, Status: "ok"}}
 	e := s.engine
+	// A stopped engine answers every request but the replication and
+	// liveness traffic with its one error.
+	if err := e.Failed(); err != nil && wire.Methods[req.Method] != wire.KindControl {
+		return nil, err
+	}
 	var err error
 	switch req.Method {
 	case wire.MethodPing:

@@ -151,6 +151,8 @@ func (s *Service) Code(err error) (code, leader string) {
 		return wire.CodeQuorumUnavailable, ""
 	case errors.Is(err, replication.ErrStaleEpoch):
 		return wire.CodeStaleEpoch, s.Node.Status().Leader
+	case errors.Is(err, core.ErrFailed):
+		return wire.CodeFailed, ""
 	}
 	return "", ""
 }

@@ -158,6 +158,7 @@ func TestCode(t *testing.T) {
 		{&replication.NotPrimaryError{Leader: "10.0.0.1:7070"}, wire.CodeNotPrimary, "10.0.0.1:7070"},
 		{fmt.Errorf("write: %w", replication.ErrQuorumUnavailable), wire.CodeQuorumUnavailable, ""},
 		{fmt.Errorf("lead: %w", replication.ErrStaleEpoch), wire.CodeStaleEpoch, ""},
+		{fmt.Errorf("%w: %w", core.ErrFailed, errors.New("wal append")), wire.CodeFailed, ""},
 		{errors.New("core: unknown domain"), "", ""},
 	} {
 		if code, leader := s.Code(c.err); code != c.code || leader != c.leader {

@@ -365,7 +365,6 @@ func (s *Store) rollbackWALLocked() {
 	// at the new end without repositioning.
 	if s.walBuf.Flush() == nil && s.wal.Truncate(s.walAck) == nil {
 		s.walBuf.Reset(s.wal)
-		s.walLen = s.walAck
 		return
 	}
 	s.poisonLocked()

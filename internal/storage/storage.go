@@ -16,12 +16,14 @@
 //	repl.epoch      the replication epoch and whether the last Close was clean
 //	election.epoch  a failover node's election epoch and vote (internal/replication)
 //	primary.epoch   the primary epoch a follower's state is synced under (ditto)
+//	invindex.dat    the engine's invalidation indexes as its last clean Close
+//	                left them, removed as the next open reads it (internal/core)
 //
 // Every file but the WAL is written one way, by the store: a temp file is
 // written, fsynced and renamed over the old one, then the directory is
 // fsynced. A crash leaves the old file or the new one, never a torn one, and
 // a write that returned survives power loss. Other packages keep their files
-// through SaveState and LoadState.
+// through SaveState, LoadState and RemoveState.
 //
 // Keys are grouped into named tables; values are opaque bytes (the engine's
 // entry and domain records are the socket protocol's XML elements, written
@@ -119,8 +121,7 @@ type Store struct {
 	tables   map[string]map[string][]byte
 	wal      File
 	walBuf   *bufio.Writer
-	walLen   int64  // bytes appended since last compaction
-	walAck   int64  // prefix of walLen covered by applied (acknowledged) records
+	walAck   int64  // bytes of the WAL's applied (acknowledged) records
 	head     uint64 // offset of the newest applied record (see replication.go)
 	repl     *replState
 	closed   bool
@@ -218,7 +219,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 			return nil, fmt.Errorf("storage: truncate torn wal tail: %w", err)
 		}
 	}
-	s.walLen = valid
 	s.walAck = valid
 	s.wal = wal
 	s.walBuf = bufio.NewWriter(wal)
@@ -264,15 +264,29 @@ func (s *Store) LoadState(name string) ([]byte, error) {
 	return data, nil
 }
 
-// writeFileAtomic is the one way the store writes a file other than the WAL:
-// fill writes a temp file opened through openFile, which is fsynced and
-// renamed over name, and then the directory is fsynced so that the rename
-// itself survives power loss.
+// RemoveState removes the state file name, durably; one that is not there
+// is no error. A memory-only store has none.
+func (s *Store) RemoveState(name string) error {
+	if s.dir == "" {
+		return nil
+	}
+	return s.writeFileAtomic(name, nil)
+}
+
+// writeFileAtomic is the one way the store writes or removes a file other
+// than the WAL: fill writes a temp file opened through openFile, which is
+// fsynced and renamed over name (a nil fill removes name instead), and then
+// the directory is fsynced so that the rename or the removal itself survives
+// power loss.
 func (s *Store) writeFileAtomic(name string, fill func(w *bufio.Writer) error) error {
 	path := filepath.Join(s.dir, name)
 	tmp := path + ".tmp"
-	err := s.fsyncFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, fill)
-	if err == nil {
+	var err error
+	if fill == nil {
+		if err = os.Remove(path); errors.Is(err, os.ErrNotExist) {
+			return nil
+		}
+	} else if err = s.fsyncFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, fill); err == nil {
 		err = os.Rename(tmp, path)
 	}
 	if err == nil {
@@ -602,7 +616,6 @@ func (s *Store) resetWALLocked() error {
 		return err
 	}
 	s.walBuf.Reset(s.wal)
-	s.walLen = 0
 	s.walAck = 0
 	return nil
 }
@@ -635,7 +648,6 @@ func (s *Store) writeRecordLocked(body []byte) error {
 	if err := writeRecord(s.walBuf, body); err != nil {
 		return fmt.Errorf("storage: wal append: %w", err)
 	}
-	s.walLen += int64(8 + len(body))
 	s.nappends.Add(1)
 	return nil
 }

@@ -494,8 +494,9 @@ func TestOpenOnFileFails(t *testing.T) {
 }
 
 // TestStateFiles: SaveState and LoadState round-trip a file beside the WAL,
-// an absent file reads as nil, a memory-only store keeps nothing, and the
-// temp file of an interrupted save is never read.
+// an absent file reads as nil, RemoveState removes one (an absent one too),
+// a memory-only store keeps nothing, and the temp file of an interrupted
+// save is never read.
 func TestStateFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -525,13 +526,21 @@ func TestStateFiles(t *testing.T) {
 	if data, err := s.LoadState("other"); data != nil || err != nil {
 		t.Fatalf("state with only a stray temp file = %q, %v; want nil, nil", data, err)
 	}
+	for range 2 {
+		if err := s.RemoveState("vote"); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := s.LoadState("vote"); data != nil || err != nil {
+			t.Fatalf("removed state = %q, %v; want nil, nil", data, err)
+		}
+	}
 
 	m, _ := Open("")
 	defer m.Close()
 	if err := m.SaveState("vote", []byte("3\n")); err != nil {
 		t.Fatal(err)
 	}
-	if data, err := m.LoadState("vote"); data != nil || err != nil {
+	if data, err := m.LoadState("vote"); data != nil || err != nil || m.RemoveState("vote") != nil {
 		t.Fatalf("memory-only state = %q, %v; want nil, nil", data, err)
 	}
 }
@@ -607,12 +616,19 @@ func (s *Store) Fsyncs() int64 { return s.nfsyncs.Load() }
 // Appends returns the number of records appended to the WAL since Open.
 func (s *Store) Appends() int64 { return s.nappends.Load() }
 
-// WALSize returns the bytes accumulated in the write-ahead log since the
-// last compaction (0 for memory-only stores).
+// WALSize returns the bytes of the write-ahead log, on disk and buffered (0
+// for memory-only stores).
 func (s *Store) WALSize() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.walLen
+	if s.wal == nil {
+		return 0
+	}
+	st, err := s.wal.Stat()
+	if err != nil {
+		return -1
+	}
+	return st.Size() + int64(s.walBuf.Buffered())
 }
 
 // ReplicationBase returns the newest offset that is NOT retained in the

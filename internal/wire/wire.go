@@ -237,6 +237,11 @@ const (
 	// entry-count or byte quota. Rejected before execution; retrying without
 	// freeing space or raising the quota will fail again.
 	CodeQuotaExceeded = "quotaExceeded"
+	// CodeFailed: the node's engine stopped when its store refused a write
+	// (a WAL append or fsync error), and refuses every request until it is
+	// restarted. The write that stopped it may or may not be in the log, so
+	// it is not retryable, here or elsewhere, without reading back first.
+	CodeFailed = "failed"
 )
 
 // Response is one server→client message.

@@ -34,6 +34,7 @@
 package nnexus
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -370,6 +371,7 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 	if e.store != nil {
 		e.health.AddCheck("storage", e.store.Ready)
 	}
+	e.health.AddCheck("engine", e.core.Failed)
 	e.health.AddInfo("replication", func() any { return e.svc.Node.Status() })
 	if e.svc.Node.Status().Election != nil {
 		e.health.AddInfo("election", func() any { return e.svc.Node.Status().Election })
@@ -378,15 +380,16 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 	return nil
 }
 
-// Close stops replication (if any) and flushes and closes the engine's
-// persistent store.
+// Close stops replication (if any), saves the invalidation index beside the
+// persistent store for the next New to read (unless a write was refused),
+// and flushes and closes the store.
 func (e *Engine) Close() error {
 	e.svc.Node.Stop()
-	e.core.Close()
-	if e.store == nil {
-		return nil
+	err := e.core.Close()
+	if e.store != nil {
+		err = errors.Join(err, e.store.Close())
 	}
-	return e.store.Close()
+	return err
 }
 
 // AutomatonInfo reports the state of the compiled concept-map automaton:

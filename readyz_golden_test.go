@@ -18,25 +18,30 @@ import (
 // may report more keys than these, never fewer, and never another component.
 var readyzGolden = map[string]map[string]string{
 	"single node": {
+		"engine":      "",
 		"replication": "role:string",
 	},
 	"primary with one follower": {
 		"replication": "epoch:number followers:object head:number maxLag:number role:string",
 		"storage":     "",
+		"engine":      "",
 	},
 	"follower": {
 		"replication": "applied:number epoch:number head:number lag:number leader:string role:string synced:bool",
 		"storage":     "",
+		"engine":      "",
 	},
 	"clustered node": {
 		"election":    "elections:number epoch:number fenced:bool lastLeaderContactSeconds:number leader:string peers:number role:string votesSeen:number",
 		"replication": "epoch:number followers:object head:number maxLag:number role:string",
 		"storage":     "",
+		"engine":      "",
 	},
 	"between roles": {
 		"election":    "elections:number epoch:number fenced:bool lastLeaderContactSeconds:number leader:string peers:number role:string votesSeen:number",
 		"replication": "epoch:number role:string",
 		"storage":     "",
+		"engine":      "",
 	},
 }
 
