@@ -131,6 +131,7 @@ fuzz:
 	go test ./internal/morph -fuzz=FuzzNormalize -fuzztime=30s
 	go test ./internal/render -fuzz=FuzzApplyEquivalence -fuzztime=30s
 	go test ./internal/conceptmap -fuzz=FuzzAutomatonScanEquivalence -fuzztime=30s
+	go test ./internal/conceptmap -fuzz=FuzzBatchEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzTenantLinkEquivalence -fuzztime=30s
 	go test ./internal/core -fuzz=FuzzMaintenanceEquivalence -fuzztime=30s
 	go test ./internal/classification -fuzz=FuzzTreeDistance -fuzztime=10s

@@ -588,7 +588,8 @@ func BenchmarkLinkSnippet(b *testing.B) {
 // which replays the log, rebuilds the concept map and reads the invalidation
 // index the Close saved. One iteration is the whole cycle; µs/entry divides
 // it by the 6,000 entries it indexed, reopen-µs/entry the reopen alone by
-// the 3,000 it recovered, and builds is the compiler's count for the import.
+// the 3,000 it recovered, builds is the compiler's count for the import, and
+// gens/import the concept-map generations one AddEntries batch publishes.
 func BenchmarkImportRecover(b *testing.B) {
 	p := workload.DefaultParams(3000)
 	p.Seed = 20090601
@@ -604,7 +605,8 @@ func BenchmarkImportRecover(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var builds int64
+	var builds, batches int64
+	var gens uint64
 	var reopen time.Duration
 	for i := 0; i < b.N; i++ {
 		cfg := nnexus.Config{Scheme: c.Scheme, DataDir: b.TempDir(), CompileAutomaton: true}
@@ -620,11 +622,14 @@ func BenchmarkImportRecover(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+		gen := e.AutomatonInfo().SnapshotGeneration
 		for lo := 0; lo < len(entries); lo += 256 {
 			if _, err := e.AddEntries(entries[lo:min(lo+256, len(entries))]); err != nil {
 				b.Fatal(err)
 			}
+			batches++
 		}
+		gens += e.AutomatonInfo().SnapshotGeneration - gen
 		waitAutomaton(b, e)
 		builds += e.AutomatonInfo().Builds
 		if err := e.Close(); err != nil {
@@ -644,6 +649,7 @@ func BenchmarkImportRecover(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*2*len(entries)), "µs/entry")
 	b.ReportMetric(float64(reopen.Microseconds())/float64(b.N*len(entries)), "reopen-µs/entry")
 	b.ReportMetric(float64(builds)/float64(b.N), "builds")
+	b.ReportMetric(float64(gens)/float64(batches), "gens/import")
 }
 
 // helpers

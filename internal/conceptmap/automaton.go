@@ -112,7 +112,7 @@ func compileAutomaton(snap *snapshot) *automaton {
 				// foreign source could; skip it defensively.
 				continue
 			}
-			// AddObject interned the words before it published the snapshot;
+			// Writer.Add interned the words before the snapshot was published;
 			// interning again only finds them.
 			w := morph.InternWord(word)
 			maxWord = max(maxWord, w)

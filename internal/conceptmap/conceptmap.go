@@ -21,8 +21,10 @@
 // snapshot's tables are split into fixed bucket arrays, so a write clones
 // only the few buckets it touches (a handful of map entries each), never a
 // whole table and never a whole first-word chain, then publishes the new
-// snapshot atomically. A reader consequently always observes either the
-// complete old snapshot or the complete new one, never a torn chain.
+// snapshot atomically. A Writer gathers any number of adds and removes into
+// one generation, so a batch clones each bucket once and publishes once. A
+// reader consequently always observes either the complete old snapshot or
+// the complete new one, never a torn chain and never part of a batch.
 package conceptmap
 
 import (
@@ -226,9 +228,17 @@ func New() *Map {
 	return m
 }
 
-// write is the scratch state of one snapshot construction: the next
-// generation plus the set of buckets and chain heads already private to it.
-type write struct {
+// Writer is one generation of the map under construction: Begin opens it,
+// Add and Remove change it, and Publish makes every change visible at once.
+// A reader sees the map before Begin or after Publish, never in between, and
+// the compiler is woken once per Publish, not once per change. The writer
+// holds the map's write lock from Begin to Publish: every Writer must be
+// published, or the next one waits forever.
+type Writer struct {
+	m *Map
+	// next is the generation being built, nil until the first change: the
+	// bucket arrays are copied (a flat pointer copy) then, individual buckets
+	// lazily on first touch.
 	next          *snapshot
 	firstTouched  [numBuckets]bool
 	labelsTouched [numBuckets]bool
@@ -236,95 +246,73 @@ type write struct {
 	fiTouched     map[int32]bool
 }
 
-// beginWrite starts the next generation: the bucket arrays are copied (a
-// flat pointer copy), individual buckets lazily on first touch.
-func (m *Map) beginWrite() *write {
-	old := m.snap.Load()
-	next := &snapshot{
-		byFirst:  old.byFirst,
-		labels:   old.labels,
-		byObject: old.byObject,
-		nLabels:  old.nLabels,
-		objects:  old.objects,
-		gen:      old.gen + 1,
-	}
-	return &write{next: next, fiTouched: make(map[int32]bool)}
+// Begin opens the map's next generation for writing.
+func (m *Map) Begin() *Writer {
+	m.writeMu.Lock()
+	return &Writer{m: m}
 }
 
-// firstBucket returns the mutable byFirst bucket for a first word's ID.
-func (w *write) firstBucket(first int32) map[int32]*firstInfo {
-	i := bucketOfWord(first)
-	if !w.firstTouched[i] {
-		old := w.next.byFirst[i]
-		cloned := make(map[int32]*firstInfo, len(old)+1)
-		for k, v := range old {
-			cloned[k] = v
+// cur is the generation the writer reads: its own once it has changed one.
+func (w *Writer) cur() *snapshot {
+	if w.next != nil {
+		return w.next
+	}
+	return w.m.snap.Load()
+}
+
+// change returns the generation under construction, starting it on the
+// writer's first change.
+func (w *Writer) change() *snapshot {
+	if w.next == nil {
+		old := w.m.snap.Load()
+		w.next = &snapshot{
+			byFirst:  old.byFirst,
+			labels:   old.labels,
+			byObject: old.byObject,
+			nLabels:  old.nLabels,
+			objects:  old.objects,
+			gen:      old.gen + 1,
 		}
-		w.next.byFirst[i] = cloned
-		w.firstTouched[i] = true
+		w.fiTouched = make(map[int32]bool)
 	}
-	return w.next.byFirst[i]
+	return w.next
 }
 
-// labelBucket returns the mutable labels bucket for a full label.
-func (w *write) labelBucket(norm string) map[string]*labelEntry {
-	i := bucketOf(norm)
-	if !w.labelsTouched[i] {
-		old := w.next.labels[i]
-		cloned := make(map[string]*labelEntry, len(old)+1)
-		for k, v := range old {
-			cloned[k] = v
-		}
-		w.next.labels[i] = cloned
-		w.labelsTouched[i] = true
+// Publish makes the writer's changes the map's current generation, wakes the
+// compiler if there were any, and releases the write lock. The writer must
+// not be used after it.
+func (w *Writer) Publish() {
+	if w.next != nil {
+		w.m.snap.Store(w.next)
+		w.m.markDirty()
 	}
-	return w.next.labels[i]
-}
-
-// objBucket returns the mutable byObject bucket for an id.
-func (w *write) objBucket(id ObjectID) map[ObjectID][]string {
-	i := bucketOfID(id)
-	if !w.objTouched[i] {
-		old := w.next.byObject[i]
-		cloned := make(map[ObjectID][]string, len(old)+1)
-		for k, v := range old {
-			cloned[k] = v
-		}
-		w.next.byObject[i] = cloned
-		w.objTouched[i] = true
-	}
-	return w.next.byObject[i]
-}
-
-// firstForWrite returns a mutable chain head for the first word's ID,
-// cloning the published one on first touch.
-func (w *write) firstForWrite(first int32) *firstInfo {
-	b := w.firstBucket(first)
-	f := b[first]
-	if f == nil {
-		f = &firstInfo{lengthRefs: make(map[int]int)}
-		b[first] = f
-		w.fiTouched[first] = true
-		return f
-	}
-	if !w.fiTouched[first] {
-		f = f.clone()
-		b[first] = f
-		w.fiTouched[first] = true
-	}
-	return f
+	w.m.writeMu.Unlock()
 }
 
 // AddObject indexes an object under every one of its concept labels (its
 // title, defined concepts, and synonyms, per §2.2: "a list of terms the
 // object defines, synonyms, and a title are provided (the concept labels)").
 // Labels are normalized before indexing; duplicates collapse. Re-adding an
-// existing object replaces its previous labels.
+// existing object replaces its previous labels. It is one Add published as
+// its own generation.
 func (m *Map) AddObject(id ObjectID, labels []string) {
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
-	w := m.beginWrite()
-	if _, ok := w.next.byObject[bucketOfID(id)][id]; ok {
+	w := m.Begin()
+	w.Add(id, labels)
+	w.Publish()
+}
+
+// RemoveObject removes every label contribution of the object, as its own
+// generation. Removing an unknown object is a no-op.
+func (m *Map) RemoveObject(id ObjectID) {
+	w := m.Begin()
+	w.Remove(id)
+	w.Publish()
+}
+
+// Add is AddObject inside the writer's generation.
+func (w *Writer) Add(id ObjectID, labels []string) {
+	next := w.change()
+	if _, ok := next.byObject[bucketOfID(id)][id]; ok {
 		w.remove(id)
 	}
 	seen := make(map[string]struct{}, len(labels))
@@ -350,28 +338,77 @@ func (m *Map) AddObject(id ObjectID, labels []string) {
 		w.index(id, norm)
 	}
 	w.objBucket(id)[id] = norms
-	w.next.objects++
-	m.snap.Store(w.next)
-	m.markDirty()
+	next.objects++
 }
 
-// RemoveObject removes every label contribution of the object. Removing an
-// unknown object is a no-op.
-func (m *Map) RemoveObject(id ObjectID) {
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
-	old := m.snap.Load()
-	if _, ok := old.byObject[bucketOfID(id)][id]; !ok {
-		return
+// Remove is RemoveObject inside the writer's generation.
+func (w *Writer) Remove(id ObjectID) {
+	if _, ok := w.cur().byObject[bucketOfID(id)][id]; ok {
+		w.change()
+		w.remove(id)
 	}
-	w := m.beginWrite()
-	w.remove(id)
-	m.snap.Store(w.next)
-	m.markDirty()
+}
+
+// firstBucket returns the mutable byFirst bucket for a first word's ID.
+func (w *Writer) firstBucket(first int32) map[int32]*firstInfo {
+	i := bucketOfWord(first)
+	if !w.firstTouched[i] {
+		w.next.byFirst[i] = cloneBucket(w.next.byFirst[i])
+		w.firstTouched[i] = true
+	}
+	return w.next.byFirst[i]
+}
+
+// labelBucket returns the mutable labels bucket for a full label.
+func (w *Writer) labelBucket(norm string) map[string]*labelEntry {
+	i := bucketOf(norm)
+	if !w.labelsTouched[i] {
+		w.next.labels[i] = cloneBucket(w.next.labels[i])
+		w.labelsTouched[i] = true
+	}
+	return w.next.labels[i]
+}
+
+// objBucket returns the mutable byObject bucket for an id.
+func (w *Writer) objBucket(id ObjectID) map[ObjectID][]string {
+	i := bucketOfID(id)
+	if !w.objTouched[i] {
+		w.next.byObject[i] = cloneBucket(w.next.byObject[i])
+		w.objTouched[i] = true
+	}
+	return w.next.byObject[i]
+}
+
+// cloneBucket copies a published bucket, with room for one more entry.
+func cloneBucket[K comparable, V any](old map[K]V) map[K]V {
+	cloned := make(map[K]V, len(old)+1)
+	for k, v := range old {
+		cloned[k] = v
+	}
+	return cloned
+}
+
+// firstForWrite returns a mutable chain head for the first word's ID,
+// cloning the published one on first touch.
+func (w *Writer) firstForWrite(first int32) *firstInfo {
+	b := w.firstBucket(first)
+	f := b[first]
+	if f == nil {
+		f = &firstInfo{lengthRefs: make(map[int]int)}
+		b[first] = f
+		w.fiTouched[first] = true
+		return f
+	}
+	if !w.fiTouched[first] {
+		f = f.clone()
+		b[first] = f
+		w.fiTouched[first] = true
+	}
+	return f
 }
 
 // remove unindexes an object inside the generation under construction.
-func (w *write) remove(id ObjectID) {
+func (w *Writer) remove(id ObjectID) {
 	norms := w.next.byObject[bucketOfID(id)][id]
 	delete(w.objBucket(id), id)
 	w.next.objects--
@@ -403,7 +440,7 @@ func (w *write) remove(id ObjectID) {
 
 // index adds one normalized label of an object to the generation under
 // construction.
-func (w *write) index(id ObjectID, norm string) {
+func (w *Writer) index(id ObjectID, norm string) {
 	if e, ok := w.next.labels[bucketOf(norm)][norm]; ok {
 		if replacement := e.withObject(id); replacement != e {
 			w.labelBucket(norm)[norm] = replacement

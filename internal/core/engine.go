@@ -126,7 +126,10 @@ type Config struct {
 type namespace struct {
 	name string
 	cmap *conceptmap.Map
-	inv  *invindex.Index
+	// w is the concept-map generation the running mutation writes, nil
+	// outside one; guarded by the engine's mu (see writerLocked).
+	w   *conceptmap.Writer
+	inv *invindex.Index
 	// entryCount/byteCount are the corpus's live usage, read lock-free by
 	// the serving layers' quota gates.
 	entryCount atomic.Int64

@@ -27,7 +27,9 @@ func (e *Engine) saveIndexesLocked() error {
 		indexes[i] = e.nsFor(name).inv
 	}
 	stamp := indexStamp(e.store.ReplicationHead(), e.store.ReplicationEpoch())
-	return e.store.SaveState(indexFile, invindex.AppendFile(nil, stamp, names, indexes))
+	return e.store.SaveState(indexFile, func(dst []byte) []byte {
+		return invindex.AppendFile(dst, stamp, names, indexes)
+	})
 }
 
 // readIndexes returns the invalidation indexes the last clean Close saved, if

@@ -157,11 +157,11 @@ func (e *Engine) indexLocked(entry *corpus.Entry) error {
 		oldNS.entryCount.Add(-1)
 		oldNS.byteCount.Add(-EntrySize(&old.Entry))
 		if old.Corpus != entry.Corpus {
-			oldNS.cmap.RemoveObject(conceptmap.ObjectID(entry.ID))
+			e.writerLocked(oldNS).Remove(conceptmap.ObjectID(entry.ID))
 			oldNS.inv.Remove(entry.ID)
 		}
 	}
-	ns.cmap.AddObject(conceptmap.ObjectID(entry.ID), entry.Labels())
+	e.writerLocked(ns).Add(conceptmap.ObjectID(entry.ID), entry.Labels())
 	if !e.replaying { // load fills the indexes after its replay
 		ns.inv.AddText(entry.ID, entry.Body)
 	}
@@ -181,10 +181,38 @@ func (e *Engine) unindexLocked(entry *corpus.Entry) {
 	delete(e.invalid, id)
 	e.rendered.Invalidate(id)
 	ns := e.nsEnsureLocked(entry.Corpus)
-	ns.cmap.RemoveObject(conceptmap.ObjectID(id))
+	e.writerLocked(ns).Remove(conceptmap.ObjectID(id))
 	ns.inv.Remove(id)
 	ns.entryCount.Add(-1)
 	ns.byteCount.Add(-EntrySize(entry))
+}
+
+// writerLocked returns the concept-map generation the running mutation
+// writes in ns, opening it on the mutation's first change there. A mutation
+// may change several namespaces (an entry moving corpora); each gets one
+// generation, published by publishLocked.
+func (e *Engine) writerLocked(ns *namespace) *conceptmap.Writer {
+	if ns.w == nil {
+		ns.w = ns.cmap.Begin()
+	}
+	return ns.w
+}
+
+// publishLocked ends a mutation, however it ends — committed, refused by the
+// store, or stopped by an error partway: every concept-map generation it
+// opened is published, so a reader sees the whole mutation or none of it and
+// each map's compiler is woken once, and then the write sequence advances.
+// The maps publish first, because a link reads the sequence before it pins:
+// one that pins a generation holding this mutation must not have read a
+// sequence claiming that it did.
+func (e *Engine) publishLocked() {
+	for _, n := range e.nsMap() {
+		if n.w != nil {
+			n.w.Publish()
+			n.w = nil
+		}
+	}
+	e.seq.Add(1)
 }
 
 // invalidateLocked is the invalidation stage: one walk over the union of a
@@ -263,6 +291,7 @@ func (e *Engine) storeLocked(entries ...*corpus.Entry) error {
 	var ch changeSet
 	for _, entry := range entries {
 		if err := e.writeLocked(&ch, entry); err != nil {
+			e.publishLocked() // what it applied stands, as a replay's does
 			return err
 		}
 	}
@@ -289,12 +318,13 @@ func (e *Engine) removeLocked(ch *changeSet, id int64) bool {
 
 // commitLocked is the commit stage and the only code in this package that
 // writes to the store: the whole changeSet goes down as one atomic batch.
-// It runs after apply, so the record carries exactly the flags the walk set.
-// The first batch the store refuses stops the engine (ErrFailed): nothing
-// undoes the apply, so from then on every call is refused until a reopen
-// replays the log.
+// It runs after apply, so the record carries exactly the flags the walk set,
+// and publishes the mutation before the store sees it, so that a refused
+// batch leaves no concept-map writer open. The first batch the store refuses
+// stops the engine (ErrFailed): nothing undoes the apply, so from then on
+// every call is refused until a reopen replays the log.
 func (e *Engine) commitLocked(ch *changeSet) error {
-	e.seq.Add(1) // the mutation has published
+	e.publishLocked()
 	if e.store == nil {
 		return nil
 	}

@@ -31,7 +31,7 @@ func (e *Engine) ApplyReplicated(ops []storage.BatchOp) error {
 }
 
 func (e *Engine) applyReplicatedLocked(ops []storage.BatchOp) error {
-	defer e.seq.Add(1) // the record has published
+	defer e.publishLocked() // a record that fails partway publishes what it applied
 	for i := range ops {
 		op := &ops[i]
 		switch op.Table {

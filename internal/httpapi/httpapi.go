@@ -283,7 +283,9 @@ func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 
 // decodeLink reads POST /api/link: the interactive form's urlencoded fields,
 // else a JSON object whose keys name the request's fields (text, classes,
-// scheme, corpus, targets, mode, format).
+// scheme, corpus, targets, mode, format). A form without a text field — a
+// JSON body sent under a form's content type, as curl -d does — is refused;
+// an empty text= is linked.
 func decodeLink(w http.ResponseWriter, r *http.Request, req *wire.Request) error {
 	ct := r.Header.Get("Content-Type")
 	if !strings.HasPrefix(ct, "application/x-www-form-urlencoded") &&
@@ -296,6 +298,9 @@ func decodeLink(w http.ResponseWriter, r *http.Request, req *wire.Request) error
 	req.Text, req.Corpus = r.PostFormValue("text"), r.PostFormValue("corpus")
 	req.Mode, req.Format = r.PostFormValue("mode"), r.PostFormValue("format")
 	req.Classes, req.Targets = formList(r, "classes"), formList(r, "targets")
+	if _, ok := r.PostForm["text"]; !ok {
+		return service.Invalidf("link form has no text field (a JSON body needs Content-Type: application/json)")
+	}
 	return nil
 }
 

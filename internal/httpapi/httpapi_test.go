@@ -3,6 +3,8 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -108,6 +110,38 @@ func TestLinkEndpointFormEncoded(t *testing.T) {
 	decode(t, resp, &res)
 	if !strings.Contains(res.Output, "[planar graph](") {
 		t.Errorf("output = %q", res.Output)
+	}
+}
+
+// TestLinkFormWithoutText: a JSON body posted under curl -d's default
+// content type parses as a form whose one key is the whole body, so it has
+// no text field; it is refused with the typed 400 rather than linked as an
+// empty text. A present but empty text= still links.
+func TestLinkFormWithoutText(t *testing.T) {
+	_, srv := testServer(t)
+	for _, c := range []struct {
+		body, want string
+		status     int
+	}{
+		{`{"text":"a planar graph"}`, "no text field", http.StatusBadRequest},
+		{"classes=05C10", "no text field", http.StatusBadRequest},
+		{"text=", `"output":""`, http.StatusOK},
+	} {
+		resp, err := http.Post(srv.URL+"/api/link", "application/x-www-form-urlencoded", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status || !strings.Contains(string(body), c.want) {
+			t.Errorf("form %q: %d %s, want %d and %q", c.body, resp.StatusCode, body, c.status, c.want)
+		}
+	}
+	r := httptest.NewRequest(http.MethodPost, "/api/link", strings.NewReader(`{"text":"x"}`))
+	r.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	var invalid *service.InvalidError
+	if err := decodeLink(httptest.NewRecorder(), r, new(wire.Request)); !errors.As(err, &invalid) {
+		t.Errorf("decodeLink = %v, want an *service.InvalidError", err)
 	}
 }
 

@@ -817,8 +817,9 @@ func (n *Node) getPeer(addr string) (Peer, error) {
 // one epoch, which holds because the store writes the file atomically and
 // durably: a crash leaves either the old vote or the new one.
 func (n *Node) saveVoteLocked() error {
-	body := strconv.FormatUint(n.term, 10) + "\n" + n.votedFor + "\n"
-	if err := n.cfg.Store.SaveState(voteFileName, []byte(body)); err != nil {
+	if err := n.cfg.Store.SaveState(voteFileName, func(b []byte) []byte {
+		return fmt.Appendf(b, "%d\n%s\n", n.term, n.votedFor)
+	}); err != nil {
 		return fmt.Errorf("replication: persist vote: %w", err)
 	}
 	return nil

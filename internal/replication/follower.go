@@ -372,7 +372,9 @@ func (f *Follower) bootstrap() error {
 	f.head = payload.Head
 	f.applied = payload.Head
 	f.mu.Unlock()
-	if err := f.store.SaveState(primaryEpochName, []byte(strconv.FormatUint(payload.Epoch, 10)+"\n")); err != nil {
+	if err := f.store.SaveState(primaryEpochName, func(b []byte) []byte {
+		return append(strconv.AppendUint(b, payload.Epoch, 10), '\n')
+	}); err != nil {
 		return fmt.Errorf("replication: persist primary epoch: %w", err)
 	}
 	_ = src.ReplAck(f.name, payload.Head, payload.Epoch)

@@ -23,11 +23,17 @@ type Reply struct {
 	Results []*core.Result // linkBatch, in request order
 }
 
-// InvalidError refuses a request whose link options do not parse: an
-// unknown mode or format. It has no wire code; HTTP answers it 400.
+// InvalidError refuses a link request that does not say what to link: an
+// unknown mode or format, or a form without a text field. It has no wire
+// code; HTTP answers it 400.
 type InvalidError struct{ msg string }
 
 func (e *InvalidError) Error() string { return e.msg }
+
+// Invalidf returns an *InvalidError with the formatted message.
+func Invalidf(format string, a ...any) *InvalidError {
+	return &InvalidError{fmt.Sprintf(format, a...)}
+}
 
 // Call is the execute stage: the one table of what each wire method does to
 // the engine, whichever door carried the request. A door runs it inside
@@ -215,7 +221,7 @@ func ParseLinkOptions(mode, format string) (core.LinkOptions, error) {
 	case "steered+policies", "full":
 		opts.Mode = core.ModeSteeredPolicies
 	default:
-		return opts, &InvalidError{fmt.Sprintf("unknown mode %q", mode)}
+		return opts, Invalidf("unknown mode %q", mode)
 	}
 	switch strings.ToLower(format) {
 	case "", "html":
@@ -223,7 +229,7 @@ func ParseLinkOptions(mode, format string) (core.LinkOptions, error) {
 		f := render.Markdown
 		opts.Format = &f
 	default:
-		return opts, &InvalidError{fmt.Sprintf("unknown format %q", format)}
+		return opts, Invalidf("unknown format %q", format)
 	}
 	return opts, nil
 }

@@ -420,10 +420,12 @@ func (s *Store) loadEpochLocked() error {
 // saveEpochLocked persists the replication epoch, with the clean flag only
 // when the store is closing with a WAL that matches the streamed history.
 func (s *Store) saveEpochLocked(clean bool) error {
-	data := strconv.AppendUint(nil, s.repl.epoch, 10)
-	data = append(data, '\n')
-	if clean {
-		data = append(data, cleanFlag+"\n"...)
-	}
-	return s.SaveState(replStateName, data)
+	return s.SaveState(replStateName, func(data []byte) []byte {
+		data = strconv.AppendUint(data, s.repl.epoch, 10)
+		data = append(data, '\n')
+		if clean {
+			data = append(data, cleanFlag+"\n"...)
+		}
+		return data
+	})
 }

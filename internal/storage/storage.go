@@ -232,15 +232,17 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// SaveState replaces the state file name in the store's directory with data,
-// atomically and durably (see the package comment). A memory-only store
-// keeps nothing. name must not be one of the store's own files. SaveState
-// takes no store lock, so a caller may hold its own mutex across it; calls
-// for one name must not run concurrently.
-func (s *Store) SaveState(name string, data []byte) error {
+// SaveState replaces the state file name in the store's directory with what
+// encode appends to an empty slice, atomically and durably (see the package
+// comment). A memory-only store keeps nothing and never calls encode. name
+// must not be one of the store's own files. SaveState takes no store lock,
+// so a caller may hold its own mutex across it; calls for one name must not
+// run concurrently.
+func (s *Store) SaveState(name string, encode func(dst []byte) []byte) error {
 	if s.dir == "" {
 		return nil
 	}
+	data := encode(nil)
 	return s.writeFileAtomic(name, func(w *bufio.Writer) error {
 		_, err := w.Write(data)
 		return err

@@ -495,8 +495,8 @@ func TestOpenOnFileFails(t *testing.T) {
 
 // TestStateFiles: SaveState and LoadState round-trip a file beside the WAL,
 // an absent file reads as nil, RemoveState removes one (an absent one too),
-// a memory-only store keeps nothing, and the temp file of an interrupted
-// save is never read.
+// a memory-only store keeps nothing and never runs the encoder, and the temp
+// file of an interrupted save is never read.
 func TestStateFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -507,10 +507,10 @@ func TestStateFiles(t *testing.T) {
 	if data, err := s.LoadState("vote"); data != nil || err != nil {
 		t.Fatalf("absent state = %q, %v; want nil, nil", data, err)
 	}
-	if err := s.SaveState("vote", []byte("3\n")); err != nil {
+	if err := s.SaveState("vote", text("3\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveState("vote", []byte("4\n")); err != nil {
+	if err := s.SaveState("vote", text("4\n")); err != nil {
 		t.Fatal(err)
 	}
 	// A crash mid-save leaves a temp file, for this name and for one never
@@ -537,12 +537,21 @@ func TestStateFiles(t *testing.T) {
 
 	m, _ := Open("")
 	defer m.Close()
-	if err := m.SaveState("vote", []byte("3\n")); err != nil {
+	encode := func([]byte) []byte {
+		t.Error("a memory-only store ran the encoder")
+		return nil
+	}
+	if err := m.SaveState("vote", encode); err != nil {
 		t.Fatal(err)
 	}
 	if data, err := m.LoadState("vote"); data != nil || err != nil || m.RemoveState("vote") != nil {
 		t.Fatalf("memory-only state = %q, %v; want nil, nil", data, err)
 	}
+}
+
+// text is an encoder for SaveState that appends s.
+func text(s string) func([]byte) []byte {
+	return func(b []byte) []byte { return append(b, s...) }
 }
 
 // TestRecordBytesPinned pins the WAL bytes of three records: a plain put, a
