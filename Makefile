@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build fmt vet test race loc bench bench-module profile-doc profile-import profile-snippet chaos chaos-replication chaos-failover chaos-tenant readscale openloop loadgate tenantiso experiments fuzz cover clean
+.PHONY: build fmt vet test race loc bench bench-module profile-doc profile-import profile-snippet chaos chaos-replication chaos-failover readscale openloop loadgate experiments fuzz cover clean
 
 build:
 	go build ./...
@@ -63,10 +63,10 @@ profile-snippet:
 
 # Fault-injection suite: connection kills, server restarts, torn WAL tails,
 # fsync failures, drains under live traffic — always under the race detector.
-# The three slices below are skipped here, so that running every chaos target
+# The two slices below are skipped here, so that running every chaos target
 # (as CI does) runs each test once.
 chaos:
-	go test -race -run '^TestChaos' -skip '^TestChaos(Repl|Failover|Tenant)' ./...
+	go test -race -run '^TestChaos' -skip '^TestChaos(Repl|Failover)' ./...
 
 # The replication slice of the chaos suite: follower crash/recovery at every
 # WAL record boundary, partitioned and healed replication streams, drains
@@ -81,13 +81,6 @@ chaos-replication:
 # restarted stale primary fencing itself — always under the race detector.
 chaos-failover:
 	go test -race -run '^TestChaosFailover' ./...
-
-# The tenancy slice of the chaos suite: a hot tenant driven far past its
-# token-bucket limit by unpaced workers while a calm tenant's reads and
-# writes continue — every hot rejection a typed rateLimited error, the calm
-# tenant's latency bounded — always under the race detector.
-chaos-tenant:
-	go test -race -run '^TestChaosTenant' ./...
 
 # The read-scaling experiment (1 primary + 2 WAL-shipped replicas vs a
 # single node); prints its table (EXPERIMENTS.md records the runs).
@@ -105,11 +98,6 @@ openloop:
 # (half the 1,200 req/s knee EXPERIMENTS.md records).
 loadgate:
 	go run ./cmd/nnexus-bench -exp openloop -entries 200 -duration 1s -rates 600,1200
-
-# The tenant-isolation (noisy-neighbor) experiment: bystander link p99
-# while another corpus is driven past its rate limit.
-tenantiso:
-	go run ./cmd/nnexus-bench -exp tenantiso -entries 600 -duration 10s
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

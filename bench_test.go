@@ -108,7 +108,7 @@ func BenchmarkLinkParallel(b *testing.B) {
 
 // BenchmarkLinkTextParallel is the free-text variant of the parallel
 // benchmark: the Fig 9 lecture-notes request fanned out across cores, the
-// shape a busy multi-tenant deployment serves.
+// shape a busy multi-corpus deployment serves.
 func BenchmarkLinkTextParallel(b *testing.B) {
 	c := corpusFor(b, 1500)
 	e := engineFor(b, c)

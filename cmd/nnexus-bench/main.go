@@ -13,12 +13,11 @@
 //	nnexus-bench -exp network        §1.3: the resulting semantic network
 //	nnexus-bench -exp readscale      read QPS: single node vs 1 primary + 2 read replicas
 //	nnexus-bench -exp openloop       open-loop (coordinated-omission-free) latency-vs-offered-load sweep with knee detection
-//	nnexus-bench -exp tenantiso      noisy-neighbor isolation: bystander link p99 while a hot tenant is rate limited
 //	nnexus-bench -exp all            everything above
 //
-// The last three boot live servers and drive them through internal/loadgen:
-// readscale with its closed loop (loadgen.Closed), openloop and tenantiso
-// with its open loop (loadgen.Run); every percentile they
+// The last two boot live servers and drive them through internal/loadgen:
+// readscale with its closed loop (loadgen.Closed), openloop with its open
+// loop (loadgen.Run); every percentile they
 // print is read off a loadgen.Hist. -exp openloop exits non-zero when not
 // even the lowest rate of its -rates ladder meets the -slo, which is the
 // check `make loadgate` runs.
@@ -42,12 +41,12 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run (table1, table2, table3, fig8, fig9, invalidation, maintenance, autopolicy, semiauto, network, readscale, openloop, tenantiso, all)")
+		exp     = flag.String("exp", "all", "experiment to run (table1, table2, table3, fig8, fig9, invalidation, maintenance, autopolicy, semiauto, network, readscale, openloop, all)")
 		entries = flag.Int("entries", 7132, "full corpus size")
 		seed    = flag.Int64("seed", 20090601, "workload seed")
 		sample2 = flag.Int("sample", 50, "Table 2 sample size (paper: 50)")
 		conns   = flag.Int("conns", 4, "openloop experiment: client connections")
-		dur     = flag.Duration("duration", 2*time.Second, "readscale/tenantiso/openloop experiments: measurement window per configuration")
+		dur     = flag.Duration("duration", 2*time.Second, "readscale/openloop experiments: measurement window per configuration")
 		rtt     = flag.Duration("rtt", 0, "readscale/openloop experiments: simulated round-trip time per node (0 = the experiment's own: 10ms readscale, 4ms openloop)")
 		olRates = flag.String("rates", "150,300,600,1200,2400,4800", "openloop experiment: comma-separated offered-load ladder (req/s)")
 		olSLO   = flag.Duration("slo", 25*time.Millisecond, "openloop experiment: intended-latency p99 SLO for knee detection")
@@ -70,10 +69,12 @@ func main() {
 	fmt.Printf("generated in %v (%d homonym labels, %d common-word concepts)\n\n",
 		time.Since(start).Round(time.Millisecond), len(c.HomonymSenses), len(c.CommonDefiners))
 
+	ran := false
 	run := func(name string, fn func(*workload.Corpus) error) {
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		if err := fn(c); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
@@ -105,7 +106,11 @@ func main() {
 			killPrim: *olKillP,
 		})
 	})
-	run("tenantiso", func(c *workload.Corpus) error { return runTenantIso(c, *dur) })
+	// A retired or misspelt experiment (-exp tenantiso, say) must not pass
+	// as a run.
+	if !ran {
+		fatal(fmt.Errorf("unknown experiment %q", *exp))
+	}
 }
 
 func fatal(err error) {

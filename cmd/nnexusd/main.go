@@ -58,22 +58,6 @@ func run(args []string, stop <-chan os.Signal, logger *log.Logger) error {
 	}
 	defer engine.Close()
 
-	// Tenant policies are hot-reloaded on SIGHUP without restarting.
-	if cfg.TenantFile != "" {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		defer func() { signal.Stop(hup); close(hup) }() // nothing sends after Stop
-		go func() {
-			for range hup {
-				if err := engine.ReloadTenants(); err != nil {
-					logger.Printf("tenant-config reload failed (keeping previous policies): %v", err)
-				} else {
-					logger.Printf("tenant-config reloaded from %s", cfg.TenantFile)
-				}
-			}
-		}()
-	}
-
 	srv, bound, err := engine.Serve(cfg.Listen, logger)
 	if err != nil {
 		return err

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"nnexus"
-	"nnexus/internal/client"
 )
 
 // syncBuffer collects the daemon's log while the test reads it.
@@ -48,19 +47,14 @@ func freeAddr(t *testing.T) string {
 }
 
 // TestRunBootsServesAndDrains is the daemon end to end: one XML document with
-// a domain, a tenant file and limits, both doors open, the tenant gate
-// answering on both from the one registry, then a signal and a clean drain.
+// a domain and limits, both doors open and linking, then a signal and a clean
+// drain.
 func TestRunBootsServesAndDrains(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
-	tenants := filepath.Join(dir, "tenants.json")
-	if err := os.WriteFile(tenants, []byte(`{"corpora": {"hot": {"ratePerSec": 0.001, "burst": 2}}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	conf := filepath.Join(dir, "nnexus.xml")
 	if err := os.WriteFile(conf, []byte(`<nnexus>
 	  <server data="`+data+`" max-conns="32" max-active="64" drain-timeout="5s"/>
-	  <tenants tenant-config="`+tenants+`"/>
 	  <domain name="planetmath.org" priority="1" scheme="msc"><urltemplate>http://pm/{id}</urltemplate></domain>
 	</nnexus>`), 0o644); err != nil {
 		t.Fatal(err)
@@ -131,32 +125,18 @@ func TestRunBootsServesAndDrains(t *testing.T) {
 		t.Errorf("/readyz has no passing storage check: %+v", ready.Components)
 	}
 
-	// One registry behind both doors: the hot corpus's two tokens go one per
-	// door, and the third request is refused on each.
-	viaSocket := func() error {
-		_, err := c.LinkTextIn("hot", nil, "a planar graph", nil, "", "", "")
-		return err
+	// Both doors link against the entry the socket stored.
+	if res, err := c.LinkText("a planar graph", nil, "", "", ""); err != nil || len(res.Links) != 1 {
+		t.Errorf("link (socket) = %+v, %v; want one link", res, err)
 	}
-	viaHTTP := func() int {
-		resp, err := http.Post("http://"+web+"/api/link", "application/json",
-			strings.NewReader(`{"text": "a planar graph", "corpus": "hot"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+	resp, err = http.Post("http://"+web+"/api/link", "application/json",
+		strings.NewReader(`{"text": "a planar graph"}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := viaSocket(); err != nil {
-		t.Fatalf("first hot request (socket): %v", err)
-	}
-	if code := viaHTTP(); code != http.StatusOK {
-		t.Fatalf("second hot request (http) = %d, want 200", code)
-	}
-	if err := viaSocket(); !client.IsRateLimited(err) {
-		t.Errorf("third hot request (socket): %v, want rateLimited", err)
-	}
-	if code := viaHTTP(); code != http.StatusTooManyRequests {
-		t.Errorf("fourth hot request (http) = %d, want 429", code)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("link (http) = %d, want 200", resp.StatusCode)
 	}
 
 	// Signal, drain, compact.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nnexus/internal/core"
-	"nnexus/internal/tenant"
 )
 
 // Config is the one document that configures a node (paper §3.1: "NNexus has
@@ -26,7 +25,6 @@ import (
 //	<nnexus>
 //	  <server addr="127.0.0.1:7070" http="127.0.0.1:8080" data="/var/lib/nnexus" max-active="256"/>
 //	  <replication repl-primary="true" quorum-acks="1" quorum-timeout="2s"/>
-//	  <tenants tenant-config="tenants.json"/>
 //	  <scheme name="msc" base="10" file="msc.owl"/>
 //	  <domain name="planetmath.org" priority="1" scheme="msc">
 //	    <urltemplate>http://planetmath.org/?op=getobj&amp;id={id}</urltemplate>
@@ -40,8 +38,8 @@ import (
 //	  </mapper>
 //	</nnexus>
 //
-// An attribute of <server>, <replication> or <tenants> is a flag of Flags by
-// its name, parsed as that flag parses; the three elements only group them
+// An attribute of <server> or <replication> is a flag of Flags by its name,
+// parsed as that flag parses; the two elements only group them
 // for the reader. <scheme> names a built-in ("sample") or an OWL file,
 // resolved relative to the configuration file's directory.
 type Config struct {
@@ -135,16 +133,6 @@ type Config struct {
 	// QuorumTimeout bounds the quorum wait (default 5s).
 	QuorumTimeout time.Duration
 
-	// TenantFile is the path to a tenant-policy JSON document: per-corpus
-	// rate limits, entry/byte quotas and default cross-corpus link targets,
-	// enforced before execution on every door. Engine.ReloadTenants re-reads
-	// it live.
-	TenantFile string
-	// Tenants gates the node with an in-memory registry instead of a
-	// TenantFile (tests, embedders that change policy in process).
-	// TenantFile, when set, takes precedence.
-	Tenants *TenantRegistry
-
 	// MaxConns caps concurrently served TCP connections; excess connections
 	// are closed on accept (0 = unlimited).
 	MaxConns int
@@ -197,8 +185,6 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.ElectionTimeout, "election-timeout", 0, "primary-silence tolerance before a follower stands for election (0 = library default)")
 	fs.IntVar(&c.QuorumAcks, "quorum-acks", 0, "acknowledge writes only after this many followers confirm the WAL offset durable (0 = local durability only)")
 	fs.DurationVar(&c.QuorumTimeout, "quorum-timeout", 0, "bound on the quorum wait before a write answers quorumUnavailable (0 = 5s)")
-
-	fs.StringVar(&c.TenantFile, "tenant-config", "", "tenant-policy JSON file: per-corpus rate limits, entry/byte quotas, and default cross-corpus link targets; SIGHUP re-reads it live")
 }
 
 // ParseArgs reads a node's command line: every flag of Flags, plus -config
@@ -253,7 +239,6 @@ func loadFile(path string) (Config, error) {
 		XMLName     xml.Name `xml:"nnexus"`
 		Server      attrBag  `xml:"server"`
 		Replication attrBag  `xml:"replication"`
-		Tenants     attrBag  `xml:"tenants"`
 		Scheme      attrBag  `xml:"scheme"`
 		Domains     []struct {
 			Name        string `xml:"name,attr"`
@@ -286,7 +271,7 @@ func loadFile(path string) (Config, error) {
 	for _, el := range []struct {
 		name string
 		attrBag
-	}{{"server", doc.Server}, {"replication", doc.Replication}, {"tenants", doc.Tenants}, {"scheme", doc.Scheme}} {
+	}{{"server", doc.Server}, {"replication", doc.Replication}, {"scheme", doc.Scheme}} {
 		for _, a := range el.Attrs {
 			name, value := a.Name.Local, a.Value
 			if el.name == "scheme" {
@@ -315,17 +300,13 @@ func loadFile(path string) (Config, error) {
 	return c, nil
 }
 
-// resolved is what validate had to read to judge a Config — the files it only
-// names — so that New reads nothing twice.
-type resolved struct {
-	engine  core.Config      // everything but the store and the registry
-	tenants *tenant.Registry // nil = no tenant gate
-}
-
 // validate is the one pass that judges a Config, run by New before it opens,
-// creates or starts anything and by LoadConfig on what it returns.
-func (c *Config) validate() (resolved, error) {
-	var res resolved
+// creates or starts anything and by LoadConfig on what it returns. It returns
+// the engine's configuration, everything but the store and the registry,
+// with the scheme file it names already read, so that New reads nothing
+// twice.
+func (c *Config) validate() (core.Config, error) {
+	var res core.Config
 	if c.ReplicationPrimary && c.FollowPrimary != "" {
 		return res, fmt.Errorf("nnexus: ReplicationPrimary and FollowPrimary are mutually exclusive")
 	}
@@ -393,7 +374,7 @@ func (c *Config) validate() (resolved, error) {
 		}
 	}
 
-	res.engine = core.Config{
+	res = core.Config{
 		Scheme:           c.Scheme,
 		Format:           c.Format,
 		DefaultCorpus:    c.DefaultCorpus,
@@ -405,19 +386,10 @@ func (c *Config) validate() (resolved, error) {
 		if err != nil {
 			return res, err
 		}
-		res.engine.Scheme = s
+		res.Scheme = s
 	}
-	if err := res.engine.Validate(); err != nil {
+	if err := res.Validate(); err != nil {
 		return res, err
-	}
-
-	res.tenants = c.Tenants
-	if c.TenantFile != "" {
-		tc, err := tenant.LoadFile(c.TenantFile)
-		if err != nil {
-			return res, err
-		}
-		res.tenants = tenant.NewRegistry(tc)
 	}
 	return res, nil
 }

@@ -231,9 +231,8 @@ func TestConfigBuildSchemeMissingOWL(t *testing.T) {
 func TestConfigOneSpelling(t *testing.T) {
 	dir := t.TempDir()
 	owl := writeOWL(t, dir, "msc.owl")
-	tenants := writeFile(t, dir, "tenants.json", `{"default": {"ratePerSec": 100}}`)
-	// A consistent node with every setting off its default: a clustered,
-	// tenanted initial primary...
+	// A consistent node with every setting off its default: a clustered
+	// initial primary...
 	primary := map[string]string{
 		"addr": "127.0.0.1:7171", "http": "127.0.0.1:8181", "pprof": "true",
 		"data": filepath.Join(dir, "data"), "sync": "true",
@@ -241,7 +240,6 @@ func TestConfigOneSpelling(t *testing.T) {
 		"compile-automaton": "false", "drain-timeout": "9s", "max-conns": "11", "max-active": "12",
 		"repl-primary": "true", "peers": "n1:7070, n2:7070", "advertise": "n0:7070",
 		"election-timeout": "750ms", "quorum-acks": "1", "quorum-timeout": "2s",
-		"tenant-config": tenants,
 	}
 	// ... and the same node booting as a follower, for the two settings a
 	// primary cannot have.
@@ -286,7 +284,7 @@ func TestConfigOneSpelling(t *testing.T) {
 		if reflect.DeepEqual(fromFlags, withDefault(t, name, all)) {
 			t.Errorf("-%s=%s does not move the Config off its default: the test proves nothing for it", name, value)
 		}
-		for _, elem := range []string{"server", "replication", "tenants"} {
+		for _, elem := range []string{"server", "replication"} {
 			doc := writeFile(t, dir, "one.xml", `<nnexus><`+elem+` `+name+`="`+value+`"/></nnexus>`)
 			fromFile, err := nnexus.ParseArgs("nnexusd", append([]string{"-config", doc}, others...))
 			if err != nil {
@@ -333,11 +331,14 @@ func TestConfigOneSpelling(t *testing.T) {
 // TestConfigUnknownSetting: a child element of <nnexus> the loader does not
 // read, and a flag Config.Flags does not register, are errors naming them
 // rather than settings silently dropped. A node once configured as one shard
-// of a sharded fleet must not boot its partial store as the whole corpus.
+// of a sharded fleet must not boot its partial store as the whole corpus,
+// and one once configured with tenant quotas and rate limits must not boot
+// without them unnoticed.
 func TestConfigUnknownSetting(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct{ doc, want string }{
 		{`<nnexus><server addr="127.0.0.1:1"/><shard shard-map="shards.json" shard-id="1"/></nnexus>`, "<shard>"},
+		{`<nnexus><tenants tenant-config="tenants.json"/></nnexus>`, "<tenants>"},
 		{`<nnexus><replicaton repl-primary="true"/></nnexus>`, "<replicaton>"},
 	} {
 		path := writeFile(t, dir, "unknown.xml", c.doc)
@@ -350,6 +351,9 @@ func TestConfigUnknownSetting(t *testing.T) {
 	}
 	if _, err := nnexus.ParseArgs("nnexusd", []string{"-shard-map", filepath.Join(dir, "shards.json"), "-shard-id", "1"}); err == nil || !strings.Contains(err.Error(), "shard-map") {
 		t.Errorf("-shard-map: error %v, want one naming the flag", err)
+	}
+	if _, err := nnexus.ParseArgs("nnexusd", []string{"-tenant-config", filepath.Join(dir, "tenants.json")}); err == nil || !strings.Contains(err.Error(), "tenant-config") {
+		t.Errorf("-tenant-config: error %v, want one naming the flag", err)
 	}
 }
 
@@ -375,8 +379,6 @@ func TestNewRejectsBeforeOpening(t *testing.T) {
 	dir := t.TempDir()
 	scheme := nnexus.SampleMSC(10)
 	for name, cfg := range map[string]nnexus.Config{
-		"missing tenant file":   {Scheme: scheme, TenantFile: filepath.Join(dir, "missing.json")},
-		"unparseable tenants":   {Scheme: scheme, TenantFile: writeFile(t, dir, "tenants.json", `{"default": `)},
 		"missing OWL":           {SchemeFile: filepath.Join(dir, "missing.owl")},
 		"no scheme":             {},
 		"domain without URL":    {Scheme: scheme, Domains: []nnexus.Domain{{Name: "d"}}},

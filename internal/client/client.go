@@ -9,9 +9,9 @@
 // The client is self-healing: a dropped, desynced, or timed-out connection
 // is torn down and transparently re-established on the next call
 // (exponential backoff with jitter between attempts), every method but the
-// writes (wire.KindWrite) is retried across connection failures, and
-// "overloaded" and "rateLimited" rejections — which the server issues before
-// executing anything — are retried for every method. When a connection
+// writes (wire.KindWrite) is retried across connection failures, and an
+// "overloaded" rejection — which the server issues before executing
+// anything — is retried for every method. When a connection
 // fails, every call already on the wire is completed with the failure (fate
 // unknown), while calls still waiting for the window or the write lock fail
 // as "not sent" and stay retryable for any method.
@@ -72,33 +72,11 @@ func IsOverloaded(err error) bool {
 	return errors.As(err, &se) && se.Code == wire.CodeOverloaded
 }
 
-// IsRateLimited reports whether err is a tenant rate-limit rejection: the
-// request's corpus exhausted its token bucket and the request was rejected
-// before execution. Like load shedding it is safe to retry after backoff,
-// and the client does so automatically.
-func IsRateLimited(err error) bool {
-	var se *ServerError
-	return errors.As(err, &se) && se.Code == wire.CodeRateLimited
-}
-
-// IsQuotaExceeded reports whether err is a tenant quota rejection: the
-// write would push its corpus past an entry-count or byte quota. It was
-// rejected before execution, but retrying unchanged will fail again, so the
-// client does NOT retry it.
-func IsQuotaExceeded(err error) bool {
-	var se *ServerError
-	return errors.As(err, &se) && se.Code == wire.CodeQuotaExceeded
-}
-
 // rejectedBeforeExecution reports whether the server rejected the request
 // without executing it — the class of typed errors that is retry-safe even
 // for mutating methods.
 func rejectedBeforeExecution(se *ServerError) bool {
-	switch se.Code {
-	case wire.CodeOverloaded, wire.CodeRateLimited:
-		return true
-	}
-	return false
+	return se.Code == wire.CodeOverloaded
 }
 
 // Client is a connection to an NNexus server.
@@ -266,7 +244,7 @@ const (
 	failNone      failClass = iota
 	failNotSent             // the request never reached the wire
 	failUnknown             // the connection broke mid-exchange: fate unknown
-	failRejected            // typed pre-execution rejection (overloaded / rateLimited)
+	failRejected            // typed pre-execution rejection (overloaded)
 	failPermanent           // application error, protocol violation, or closed client
 )
 
@@ -388,8 +366,9 @@ func (cc *clientConn) readLoop() {
 			if rejectedBeforeExecution(serr) {
 				pc.err, pc.class = serr, failRejected
 			} else {
-				// quotaExceeded is also rejected-before-execution, but an
-				// unchanged retry cannot succeed — surface it immediately.
+				// notPrimary is also rejected-before-execution, but an
+				// unchanged retry at this node cannot succeed — surface it
+				// immediately.
 				pc.err, pc.class = serr, failPermanent
 			}
 		} else {
@@ -621,9 +600,9 @@ func (c *Client) LinkText(text string, classes []string, scheme, mode, format st
 	return linked(resp)
 }
 
-// LinkTextIn is LinkText with an explicit tenant link policy: the text
-// links on behalf of corpusName (rate limiting and telemetry attribute to
-// it) against the ordered target corpora — earlier targets win equal-span
+// LinkTextIn is LinkText with an explicit cross-corpus link policy: the text
+// links on behalf of corpusName (telemetry attributes to it) against the
+// ordered target corpora — earlier targets win equal-span
 // ties; empty targets means self-linking within corpusName. An empty
 // corpusName selects the server's default corpus, making this a strict
 // superset of LinkText.

@@ -118,9 +118,9 @@ type Config struct {
 }
 
 // namespace is one corpus's isolated index family: its own concept map
-// (and therefore its own compiled automaton and snapshot generations), its
-// own invalidation index, and its usage accounting for the tenant quota
-// layer. Hot-corpus writes touch only their own namespace, so a write
+// (and therefore its own compiled automaton and snapshot generations) and
+// its own invalidation index. Hot-corpus writes touch only their own
+// namespace, so a write
 // burst in one corpus never recompiles (or even dirties) another corpus's
 // automaton.
 type namespace struct {
@@ -130,10 +130,6 @@ type namespace struct {
 	// outside one; guarded by the engine's mu (see writerLocked).
 	w   *conceptmap.Writer
 	inv *invindex.Index
-	// entryCount/byteCount are the corpus's live usage, read lock-free by
-	// the serving layers' quota gates.
-	entryCount atomic.Int64
-	byteCount  atomic.Int64
 }
 
 // indexOptions configure every namespace's invalidation index, built or read.
@@ -306,9 +302,8 @@ func (e *Engine) nsEnsureLocked(name string) *namespace {
 	return n
 }
 
-// EntrySize is the byte footprint an entry charges against its corpus's
-// byte quota: its indexed text (title, body, concepts, classes). Both doors
-// size a write with it to pre-check tenant quotas before dispatching it.
+// EntrySize is the byte size of an entry's indexed text: its title, body,
+// concept labels and class codes, the user bytes a write stores.
 func EntrySize(e *corpus.Entry) int64 {
 	n := len(e.Title) + len(e.Body)
 	for _, c := range e.Concepts {
@@ -318,37 +313,6 @@ func EntrySize(e *corpus.Entry) int64 {
 		n += len(c)
 	}
 	return int64(n)
-}
-
-// CorpusUsage reports a corpus's live entry count and indexed byte
-// footprint (0, 0 for unknown corpora). Lock-free; the serving layers'
-// quota gates read it per write request.
-func (e *Engine) CorpusUsage(name string) (entries, bytes int64) {
-	n := e.nsFor(corpus.CorpusOrDefault(name))
-	if n == nil {
-		return 0, 0
-	}
-	return n.entryCount.Load(), n.byteCount.Load()
-}
-
-// WriteCharge reports what storing an entry of size bytes under id in the
-// destination corpus adds to that corpus's usage: the one replace-versus-new
-// rule behind every tenant quota gate. Replacing a stored entry of the same
-// corpus charges no entry and only the size delta. Anything else charges one
-// entry and the whole size — an unknown (or zero) ID is a new entry, and a
-// stored entry of ANOTHER corpus is new to the destination, whose quota a
-// move must not bypass.
-func (e *Engine) WriteCharge(id int64, dest string, size int64) (entries, bytes int64) {
-	if dest == "" {
-		dest = e.DefaultCorpus()
-	}
-	e.mu.RLock()
-	old := e.entries[id]
-	e.mu.RUnlock()
-	if old == nil || old.Corpus != dest {
-		return 1, size
-	}
-	return 0, size - EntrySize(&old.Entry)
 }
 
 // Corpora returns the corpus namespaces the engine holds, sorted.

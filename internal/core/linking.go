@@ -66,7 +66,7 @@ type LinkOptions struct {
 	SourceScheme string
 	// SourceCorpus names the corpus on whose behalf the request links;
 	// empty means the engine's default corpus. It selects the default
-	// (self) link target and the per-tenant accounting label.
+	// (self) link target and the per-corpus telemetry label.
 	SourceCorpus string
 	// TargetCorpora is the ordered link policy: the corpora whose concept
 	// maps the text is linked against, earlier corpora winning equal-span

@@ -152,21 +152,15 @@ func (e *Engine) indexLocked(entry *corpus.Entry) error {
 	old := e.entries[entry.ID]
 	ns := e.nsEnsureLocked(entry.Corpus)
 	e.entries[entry.ID] = stored
-	if old != nil {
+	if old != nil && old.Corpus != entry.Corpus {
 		oldNS := e.nsEnsureLocked(old.Corpus)
-		oldNS.entryCount.Add(-1)
-		oldNS.byteCount.Add(-EntrySize(&old.Entry))
-		if old.Corpus != entry.Corpus {
-			e.writerLocked(oldNS).Remove(conceptmap.ObjectID(entry.ID))
-			oldNS.inv.Remove(entry.ID)
-		}
+		e.writerLocked(oldNS).Remove(conceptmap.ObjectID(entry.ID))
+		oldNS.inv.Remove(entry.ID)
 	}
 	e.writerLocked(ns).Add(conceptmap.ObjectID(entry.ID), entry.Labels())
 	if !e.replaying { // load fills the indexes after its replay
 		ns.inv.AddText(entry.ID, entry.Body)
 	}
-	ns.entryCount.Add(1)
-	ns.byteCount.Add(EntrySize(entry))
 	if entry.ID >= e.nextID {
 		e.nextID = entry.ID + 1
 	}
@@ -183,8 +177,6 @@ func (e *Engine) unindexLocked(entry *corpus.Entry) {
 	ns := e.nsEnsureLocked(entry.Corpus)
 	e.writerLocked(ns).Remove(conceptmap.ObjectID(id))
 	ns.inv.Remove(id)
-	ns.entryCount.Add(-1)
-	ns.byteCount.Add(-EntrySize(entry))
 }
 
 // writerLocked returns the concept-map generation the running mutation

@@ -216,7 +216,7 @@ type maintState struct {
 	Invalidated []int64
 	Domains     []corpus.Domain
 	Corpora     []string
-	Usage       map[string][2]int64
+	Usage       map[string]int // entries per corpus
 	Concepts    int
 	MaxID       int64
 	Linked      []Result
@@ -230,20 +230,13 @@ func stateOf(t *testing.T, e *Engine, emptyCorpora bool) maintState {
 	st := maintState{
 		IDs:         e.Entries(),
 		Invalidated: e.Invalidated(),
-		Usage:       map[string][2]int64{},
+		Usage:       map[string]int{},
 		Concepts:    e.NumConcepts(),
 		MaxID:       e.maxObjectID(),
 	}
 	for _, name := range e.Domains() {
 		d, _ := e.Domain(name)
 		st.Domains = append(st.Domains, *d)
-	}
-	for _, name := range e.Corpora() {
-		entries, bytes := e.CorpusUsage(name)
-		if entries > 0 || emptyCorpora {
-			st.Corpora = append(st.Corpora, name)
-			st.Usage[name] = [2]int64{entries, bytes}
-		}
 	}
 	link := func(text string, opts LinkOptions) {
 		res, err := e.LinkText(text, opts)
@@ -258,8 +251,14 @@ func stateOf(t *testing.T, e *Engine, emptyCorpora bool) maintState {
 			t.Fatalf("entry %d listed but not stored", id)
 		}
 		st.Entries = append(st.Entries, *entry)
+		st.Usage[entry.Corpus]++
 		link(entry.Body, LinkOptions{SourceCorpus: entry.Corpus, SourceClasses: entry.Classes, ExcludeObject: id})
 		link(entry.Body, LinkOptions{SourceClasses: entry.Classes, TargetCorpora: []string{"wiki", "default"}})
+	}
+	for _, name := range e.Corpora() {
+		if st.Usage[name] > 0 || emptyCorpora {
+			st.Corpora = append(st.Corpora, name)
+		}
 	}
 	return st
 }

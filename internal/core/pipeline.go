@@ -45,7 +45,7 @@ type linkPlan struct {
 	classes  []string
 	classIdx []int32
 	// source is the corpus the request links on behalf of: the self-link
-	// target and the per-tenant accounting label.
+	// target and the per-corpus telemetry label.
 	source string
 	// target is the one corpus the text links against: the source corpus
 	// (self-linking) unless the link policy names another. A policy of

@@ -75,7 +75,7 @@ type engineTelemetry struct {
 	batchRuns  *telemetry.Counter
 	batchItems *telemetry.Counter
 
-	// Per-corpus (tenant) attribution. Children are resolved lazily because
+	// Per-corpus attribution. Children are resolved lazily because
 	// corpora appear at runtime; the cache keeps the post-warmup hot path to
 	// one mutex-guarded map hit per operation.
 	corpusMu     sync.Mutex

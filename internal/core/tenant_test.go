@@ -12,7 +12,7 @@ import (
 	"nnexus/internal/corpus"
 )
 
-// twoCorpusEngine builds an engine holding two tenants: corpus "pm" defines
+// twoCorpusEngine builds an engine holding two corpora: corpus "pm" defines
 // graph-theory concepts, corpus "wiki" defines homonyms plus its own terms.
 func twoCorpusEngine(t *testing.T) *Engine {
 	t.Helper()
@@ -73,13 +73,19 @@ func TestCorpusNamespaceIsolation(t *testing.T) {
 		t.Fatalf("wiki self-link = %+v, want targets 3 and 4", res.Links)
 	}
 
-	// The default namespace exists from construction; the tenants joined it.
+	// The default namespace exists from construction; the corpora joined it.
 	names := fmt.Sprint(e.Corpora())
 	if names != "[default pm wiki]" {
 		t.Errorf("Corpora() = %s, want [default pm wiki]", names)
 	}
-	if n, b := e.CorpusUsage("pm"); n != 2 || b <= 0 {
-		t.Errorf("CorpusUsage(pm) = %d entries, %d bytes", n, b)
+	pm := 0
+	for _, id := range e.Entries() {
+		if entry, _ := e.Entry(id); entry.Corpus == "pm" {
+			pm++
+		}
+	}
+	if pm != 2 {
+		t.Errorf("corpus pm holds %d entries, want 2", pm)
 	}
 }
 
@@ -184,9 +190,9 @@ func buildFuzzEntries(seed string) ([]*corpus.Entry, string) {
 	return entries, text
 }
 
-// FuzzTenantLinkEquivalence is the differential harness the tenancy layer
+// FuzzTenantLinkEquivalence is the differential harness corpus namespaces
 // must pass: a corpus-oblivious engine (no corpus named anywhere — the
-// pre-tenancy API surface) and a tenant-qualified engine holding the same
+// pre-namespace API surface) and a corpus-qualified engine holding the same
 // data in the default namespace plus a decoy corpus must produce
 // bit-identical link results for default-corpus requests. Any divergence
 // means namespacing leaked into single-corpus semantics.
@@ -312,9 +318,14 @@ func TestConcurrentMultiCorpusStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	held := map[string]int{}
+	for _, id := range e.Entries() {
+		entry, _ := e.Entry(id)
+		held[entry.Corpus]++
+	}
 	for _, c := range corpora {
-		if n, _ := e.CorpusUsage(c); n != perCorpus {
-			t.Errorf("corpus %s usage = %d, want %d", c, n, perCorpus)
+		if held[c] != perCorpus {
+			t.Errorf("corpus %s holds %d entries, want %d", c, held[c], perCorpus)
 		}
 	}
 	// After the storm every corpus still self-links inside its own walls.

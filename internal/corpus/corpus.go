@@ -32,7 +32,7 @@ type Entry struct {
 	// IDs are global across corpora (one sequence), so cross-corpus
 	// tie-breaks stay deterministic.
 	ID int64 `xml:"id,attr,omitempty" json:"id"`
-	// Corpus names the tenant namespace the entry belongs to. Empty means
+	// Corpus names the corpus namespace the entry belongs to. Empty means
 	// DefaultCorpus, and the engine normalizes it at ingest.
 	Corpus string `xml:"corpus,attr,omitempty" json:"corpus,omitempty"`
 	// Domain names the corpus the entry belongs to (e.g. "planetmath.org").

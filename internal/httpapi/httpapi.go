@@ -24,7 +24,7 @@
 //
 // Every /api route runs the request pipeline of internal/service as its
 // XML-protocol twin (POST /api/link is linkText, PUT /api/entries/{id} is
-// updateEntry, ...), so it is shed, admitted, routed and acknowledged exactly
+// updateEntry, ...), so it is shed, routed, executed and acknowledged exactly
 // as that method is over the socket. Most routes only decode their path and
 // body into the twin's wire request and run it through the service's method
 // table, Service.Call (see apiCalls); /linked, /api/stats and the streamed
@@ -53,14 +53,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"nnexus/internal/core"
 	"nnexus/internal/corpus"
 	"nnexus/internal/health"
 	"nnexus/internal/service"
 	"nnexus/internal/telemetry"
-	"nnexus/internal/tenant"
 	"nnexus/internal/wire"
 )
 
@@ -153,7 +151,7 @@ var apiCalls = []apiCall{
 func okBody(*service.Reply) interface{} { return map[string]string{"status": "ok"} }
 
 // call serves one apiCall: a request that does not decode answers 400 (413
-// past service.MaxRequestBytes) before it is admitted.
+// past service.MaxRequestBytes) before it takes its slot.
 func (h *Handler) call(c apiCall) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req := new(wire.Request)
@@ -164,7 +162,7 @@ func (h *Handler) call(c apiCall) http.HandlerFunc {
 			}
 		}
 		req.Method = c.twin
-		h.serve(w, req, c.ok, c.fallback, func() (interface{}, error) {
+		h.serve(w, c.twin, c.ok, c.fallback, func() (interface{}, error) {
 			reply, err := h.svc.Call(req)
 			if err != nil {
 				return nil, err
@@ -205,8 +203,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // can earn; of them only quorumUnavailable means the request executed.
 var codeStatus = map[string]int{
 	wire.CodeOverloaded:        http.StatusServiceUnavailable,
-	wire.CodeRateLimited:       http.StatusTooManyRequests,
-	wire.CodeQuotaExceeded:     http.StatusForbidden, // an unchanged retry fails again
 	wire.CodeNotPrimary:        http.StatusForbidden, // retry the write at the leader
 	wire.CodeQuorumUnavailable: http.StatusServiceUnavailable,
 	wire.CodeFailed:            http.StatusInternalServerError, // until a restart
@@ -240,13 +236,8 @@ func (h *Handler) fail(w http.ResponseWriter, err error, fallback int, partial i
 			body["leader"] = leader
 		}
 	}
-	// Refused before it ran: the client may retry after the bucket's
-	// backoff, or a second for a free slot.
-	var limited *tenant.RateLimitedError
-	switch {
-	case errors.As(err, &limited):
-		w.Header().Set("Retry-After", strconv.Itoa(int(limited.RetryAfter/time.Second)+1))
-	case errors.Is(err, service.ErrOverloaded):
+	// Shed before it ran: the client may retry after a second.
+	if errors.Is(err, service.ErrOverloaded) {
 		w.Header().Set("Retry-After", "1")
 	}
 	if fields, ok := partial.(map[string]interface{}); ok {
@@ -257,11 +248,12 @@ func (h *Handler) fail(w http.ResponseWriter, err error, fallback int, partial i
 	writeJSON(w, status, body)
 }
 
-// serve runs one request through the pipeline after shed, exec being its
-// execute stage, and answers exec's reply with status ok or fails as above.
-func (h *Handler) serve(w http.ResponseWriter, req *wire.Request, ok, fallback int, exec func() (interface{}, error)) {
+// serve runs one request of method through the pipeline after shed, exec
+// being its execute stage, and answers exec's reply with status ok or fails
+// as above.
+func (h *Handler) serve(w http.ResponseWriter, method string, ok, fallback int, exec func() (interface{}, error)) {
 	var reply interface{}
-	err := h.svc.Do(req, func() (err error) {
+	err := h.svc.Execute(method, func() (err error) {
 		reply, err = exec()
 		return err
 	})
@@ -363,7 +355,7 @@ func (h *Handler) linkedEntry(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, err, http.StatusBadRequest, nil)
 		return
 	}
-	h.serve(w, req, http.StatusOK, http.StatusNotFound, func() (interface{}, error) {
+	h.serve(w, req.Method, http.StatusOK, http.StatusNotFound, func() (interface{}, error) {
 		res, cached, err := h.engine.LinkEntryCached(req.Object)
 		if err == nil {
 			w.Header().Set("X-NNexus-Cache", map[bool]string{true: "hit", false: "miss"}[cached])
@@ -374,19 +366,13 @@ func (h *Handler) linkedEntry(w http.ResponseWriter, r *http.Request) {
 
 // importOAI streams an OAI-style XML dump into the collection. The dump's
 // domain must already be registered. It is one addEntries request to the
-// pipeline — admitted, routed and acknowledged once — whose entries are
+// pipeline — routed and acknowledged once — whose entries are
 // unknown until they stream in; each is stored by the method table's
 // addEntry.
 func (h *Handler) importOAI(w http.ResponseWriter, r *http.Request) {
-	h.serve(w, &wire.Request{Method: wire.MethodAddEntries}, http.StatusOK, http.StatusBadRequest, func() (interface{}, error) {
+	h.serve(w, wire.MethodAddEntries, http.StatusOK, http.StatusBadRequest, func() (interface{}, error) {
 		n := 0
 		_, _, err := corpus.ImportOAIStream(io.LimitReader(r.Body, 256<<20), func(entry *corpus.Entry) error {
-			// Quota is enforced per entry against live usage, so a stream
-			// cannot blow through a corpus's quota in one request; the
-			// entries already imported stay.
-			if err := h.svc.CheckQuota(service.Write{Size: core.EntrySize(entry), Corpus: entry.Corpus}); err != nil {
-				return err
-			}
 			if _, err := h.svc.Call(&wire.Request{Method: wire.MethodAddEntry, Entry: entry}); err != nil {
 				return err
 			}
@@ -403,7 +389,7 @@ func (h *Handler) importOAI(w http.ResponseWriter, r *http.Request) {
 // stats answers the collection's statistics with the telemetry snapshot, a
 // body of its own beside the wire's stats.
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
-	h.serve(w, &wire.Request{Method: wire.MethodStats}, http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
+	h.serve(w, wire.MethodStats, http.StatusOK, http.StatusInternalServerError, func() (interface{}, error) {
 		hits, misses := h.engine.CacheStats()
 		return map[string]interface{}{
 			"entries":     h.engine.NumEntries(),

@@ -21,7 +21,6 @@ import (
 	"nnexus/internal/replication"
 	"nnexus/internal/service"
 	"nnexus/internal/storage"
-	"nnexus/internal/tenant"
 	"nnexus/internal/wire"
 )
 
@@ -548,74 +547,6 @@ func TestNotPrimaryGatesMutatingRoutes(t *testing.T) {
 	decode(t, resp, &res)
 	if resp.StatusCode != http.StatusOK || len(res.Links) == 0 {
 		t.Errorf("POST /api/link on replica = %d links %v", resp.StatusCode, res.Links)
-	}
-}
-
-// The HTTP tenant gate charges writes by the engine's replace-versus-new
-// rule: a create pays one entry, a replacement inside the corpus pays none,
-// and moving an entry in from another corpus pays one — a full corpus
-// refuses it instead of being overfilled through PUT.
-func TestTenantQuotaOverHTTP(t *testing.T) {
-	engine, err := core.NewEngine(core.Config{Scheme: classification.SampleMSC(10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.AddDomain(corpus.Domain{
-		Name: "planetmath.org", URLTemplate: "http://pm/{id}", Scheme: "msc", Priority: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	reg := tenant.NewRegistry(tenant.Config{Corpora: map[string]*tenant.Policy{
-		"boxed": {MaxEntries: 1},
-	}})
-	svc := service.New(engine)
-	svc.Tenants = reg
-	srv := httptest.NewServer(New(svc, nil))
-	t.Cleanup(srv.Close)
-
-	create := func(corpusName, title string) (int64, int) {
-		resp := postJSON(t, srv.URL+"/api/entries", corpus.Entry{
-			Corpus: corpusName, Domain: "planetmath.org", Title: title, Classes: []string{"05C10"},
-		})
-		var out map[string]interface{}
-		decode(t, resp, &out)
-		id, _ := out["id"].(float64)
-		return int64(id), resp.StatusCode
-	}
-	put := func(id int64, entry corpus.Entry) (int, string) {
-		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/api/entries/"+itoa(id), jsonBody(t, entry))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out map[string]string
-		decode(t, resp, &out)
-		return resp.StatusCode, out["code"]
-	}
-
-	boxedID, status := create("boxed", "boxed concept")
-	if status != http.StatusCreated {
-		t.Fatalf("first create in boxed = %d", status)
-	}
-	if _, status := create("boxed", "one too many"); status != http.StatusForbidden {
-		t.Fatalf("create past the quota = %d, want 403", status)
-	}
-	freeID, status := create("free", "free concept")
-	if status != http.StatusCreated {
-		t.Fatalf("create in an unboxed corpus = %d", status)
-	}
-	if status, _ := put(boxedID, corpus.Entry{
-		Corpus: "boxed", Domain: "planetmath.org", Title: "boxed concept", Body: "a longer body",
-	}); status != http.StatusOK {
-		t.Fatalf("replacement inside a full corpus = %d, want 200", status)
-	}
-	if status, code := put(freeID, corpus.Entry{
-		Corpus: "boxed", Domain: "planetmath.org", Title: "free concept",
-	}); status != http.StatusForbidden || code != "quotaExceeded" {
-		t.Fatalf("move into a full corpus = %d %q, want 403 quotaExceeded", status, code)
-	}
-	if n, _ := engine.CorpusUsage("boxed"); n != 1 {
-		t.Fatalf("boxed usage = %d entries, want 1", n)
 	}
 }
 

@@ -385,9 +385,9 @@ func (s *Server) serveConn(nc net.Conn) {
 			// flush, new ones are not admitted.
 			return
 		}
-		// Shed and admit inline: a refused request never takes a handler,
-		// so overload, or a tenant hammering past its limit, costs admission
-		// control only. The slot is the handler's to give back.
+		// Shed inline: a refused request never takes a handler, so
+		// overload costs the in-flight count only. The slot is the
+		// handler's to give back.
 		if err := s.enter(req); err != nil {
 			c.send(s.errResponse(req, err))
 			continue
@@ -479,23 +479,18 @@ func (s *Server) Handle(req *wire.Request) *wire.Response {
 	return s.handleAdmitted(req)
 }
 
-// enter runs the shed and admit stages: a request it lets through holds its
-// in-flight slot, one it refuses holds none and, shed, is counted.
+// enter runs the shed stage: a request it lets through holds its in-flight
+// slot, one it refuses holds none and is counted.
 func (s *Server) enter(req *wire.Request) error {
 	if err := s.svc.Enter(req.Method); err != nil {
 		s.tel.shed.Inc()
 		return err
 	}
-	if err := s.svc.Admit(req); err != nil {
-		s.svc.Leave(req.Method)
-		return err
-	}
 	return nil
 }
 
-// handleAdmitted is Handle minus the shed and admit stages, for the
-// connection reader loop, which has already run them inline (admitting again
-// would charge the token bucket twice for one request).
+// handleAdmitted is Handle minus the shed stage, for the connection reader
+// loop, which has already run it inline.
 func (s *Server) handleAdmitted(req *wire.Request) (resp *wire.Response) {
 	start := clock.Now()
 	defer func() {
@@ -528,9 +523,9 @@ func (s *Server) errResponse(req *wire.Request, err error) *wire.Response {
 	return resp
 }
 
-// dispatch runs the route, execute and acknowledge stages of an admitted
-// request; executing is the service's method table, whose reply the socket
-// sends as a wire response.
+// dispatch runs the route, execute and acknowledge stages of a request that
+// holds its slot; executing is the service's method table, whose reply the
+// socket sends as a wire response.
 func (s *Server) dispatch(req *wire.Request) (resp *wire.Response, err error) {
 	if s.testHook != nil {
 		s.testHook(req)

@@ -37,7 +37,7 @@ func Invalidf(format string, a ...any) *InvalidError {
 
 // Call is the execute stage: the one table of what each wire method does to
 // the engine, whichever door carried the request. A door runs it inside
-// Execute, after admission. The engine stores the request's own entries: a
+// Execute. The engine stores the request's own entries: a
 // write sets their ID and corpus (their own, else the request's), as
 // Engine.AddEntry does on its argument.
 func (s *Service) Call(req *wire.Request) (*Reply, error) {
@@ -134,7 +134,7 @@ func (s *Service) Call(req *wire.Request) (*Reply, error) {
 			return nil, errors.New("linkBatch: missing texts")
 		}
 		var opts core.LinkOptions
-		if opts, err = s.linkOptions(req); err != nil {
+		if opts, err = linkOptions(req); err != nil {
 			return nil, err
 		}
 		switch req.Method {
@@ -186,23 +186,14 @@ func (s *Service) Call(req *wire.Request) (*Reply, error) {
 	return r, nil
 }
 
-// isLink says whether method links, and so reads link options.
-func isLink(method string) bool {
-	return method == wire.MethodLinkText || method == wire.MethodLinkEntry || method == wire.MethodLinkBatch
-}
-
 // linkOptions reads a link method's pipeline, format and corpus policy off
-// the request. The free-text methods also steer by the request's classes
-// and, naming no targets, link against the ones the source corpus's tenant
-// policy configures (none = self-linking).
-func (s *Service) linkOptions(req *wire.Request) (core.LinkOptions, error) {
+// the request: its source corpus and the target corpora it names (none =
+// self-linking). The free-text methods also steer by the request's classes.
+func linkOptions(req *wire.Request) (core.LinkOptions, error) {
 	opts, err := ParseLinkOptions(req.Mode, req.Format)
 	opts.SourceCorpus, opts.TargetCorpora = req.Corpus, req.Targets
 	if req.Method != wire.MethodLinkEntry {
 		opts.SourceClasses, opts.SourceScheme = req.Classes, req.Scheme
-		if len(opts.TargetCorpora) == 0 && s.Tenants != nil {
-			opts.TargetCorpora = s.Tenants.Targets(s.corpus(opts.SourceCorpus))
-		}
 	}
 	return opts, err
 }

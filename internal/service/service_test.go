@@ -7,10 +7,8 @@ import (
 
 	"nnexus/internal/classification"
 	"nnexus/internal/core"
-	"nnexus/internal/corpus"
 	"nnexus/internal/render"
 	"nnexus/internal/replication"
-	"nnexus/internal/tenant"
 	"nnexus/internal/wire"
 )
 
@@ -23,85 +21,60 @@ func newEngine(t *testing.T) *core.Engine {
 	return e
 }
 
-// The serving layers put every request through Do or Execute; a read must
-// not pay for that with an allocation, tenants attached or not.
+// The serving layers put every request through Execute; a read must not pay
+// for that with an allocation.
 func TestReadReachesExecuteWithoutAllocating(t *testing.T) {
-	engine := newEngine(t)
-	for name, tenants := range map[string]*tenant.Registry{
-		"no tenants":      nil,
-		"unlimited":       tenant.NewRegistry(tenant.Config{}),
-		"limited, in-use": tenant.NewRegistry(tenant.Config{Default: &tenant.Policy{RatePerSec: 1e9, MaxEntries: 5}}),
-	} {
-		s := New(engine)
-		s.Tenants = tenants
-		ran := 0
-		req := &wire.Request{Method: wire.MethodLinkText, Corpus: "notes"}
-		allocs := testing.AllocsPerRun(200, func() {
-			if err := s.Do(req, func() error {
-				ran++
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		// Counting the admission resolves a labeled child, which the
-		// telemetry registry allocates a handle for.
-		if max := map[bool]float64{false: 0, true: 1}[tenants != nil]; allocs > max {
-			t.Errorf("%s: a read allocates %.0f times on its way to execute, want at most %.0f", name, allocs, max)
+	s := New(newEngine(t))
+	ran := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := s.Execute(wire.MethodLinkText, func() error {
+			ran++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		if ran == 0 {
-			t.Errorf("%s: exec never ran", name)
-		}
+	})
+	if allocs > 0 {
+		t.Errorf("a read allocates %.0f times on its way to execute, want none", allocs)
+	}
+	if ran == 0 {
+		t.Error("exec never ran")
 	}
 }
 
-// Stage order: the bucket is charged before the quota is consulted, a
-// rejected request never executes, and a mutation that applied with no
-// primary to gather its quorum from reports quorumUnavailable.
+// Stage order: a mutation that applied with no primary to gather its quorum
+// from reports quorumUnavailable, and a read waits for no quorum.
 func TestStageOrder(t *testing.T) {
-	engine := newEngine(t)
-	s := New(engine)
-	s.Tenants = tenant.NewRegistry(tenant.Config{Default: &tenant.Policy{RatePerSec: 0.001, Burst: 1, MaxEntries: 1}})
-	write := &wire.Request{Method: wire.MethodAddEntries, Entries: []*corpus.Entry{{Title: "a"}, {Title: "b"}}}
+	s := New(newEngine(t))
+	s.QuorumAcks = 1
 	executed := false
 	exec := func() error { executed = true; return nil }
-
-	if err := s.Do(write, exec); !tenant.IsQuotaExceeded(err) || executed {
-		t.Fatalf("two new entries into room for one: err %v, executed %v; want quotaExceeded before execution", err, executed)
-	}
-	if err := s.Do(write, exec); !tenant.IsRateLimited(err) || executed {
-		t.Fatalf("second request on a burst of one: err %v, executed %v; want rateLimited (the refused write spent its token)", err, executed)
-	}
-
-	s.Tenants, s.QuorumAcks = nil, 1
-	err := s.Do(write, exec)
+	err := s.Execute(wire.MethodAddEntries, exec)
 	if !errors.Is(err, replication.ErrQuorumUnavailable) || !executed {
 		t.Fatalf("quorum of one with no primary: err %v, executed %v; want quorumUnavailable after execution", err, executed)
 	}
 	executed = false
-	if err := s.Do(&wire.Request{Method: wire.MethodLinkText}, exec); err != nil || !executed {
+	if err := s.Execute(wire.MethodLinkText, exec); err != nil || !executed {
 		t.Fatalf("a read waits for no quorum: err %v, executed %v", err, executed)
 	}
 }
 
-// A link request whose options do not parse is refused before it is
-// charged, whichever link method it is: the valid request after it gets the
-// bucket's one token.
-func TestMalformedLinkSpendsNoToken(t *testing.T) {
+// A link request whose options do not parse is refused at execute with an
+// *InvalidError, whichever link method it is.
+func TestMalformedLinkIsInvalid(t *testing.T) {
 	s := New(newEngine(t))
-	s.Tenants = tenant.NewRegistry(tenant.Config{Default: &tenant.Policy{RatePerSec: 0.001, Burst: 1}})
 	for _, req := range []*wire.Request{
 		{Method: wire.MethodLinkText, Mode: "psychic"},
 		{Method: wire.MethodLinkEntry, Format: "pdf"},
-		{Method: wire.MethodLinkBatch, Mode: "psychic"},
+		{Method: wire.MethodLinkBatch, Texts: []string{"a graph"}, Mode: "psychic"},
 	} {
 		var invalid *InvalidError
-		if err := s.Admit(req); !errors.As(err, &invalid) {
+		if _, err := s.Call(req); !errors.As(err, &invalid) {
 			t.Errorf("%s mode %q format %q: %v, want an *InvalidError", req.Method, req.Mode, req.Format, err)
 		}
 	}
-	if err := s.Admit(&wire.Request{Method: wire.MethodLinkText}); err != nil {
-		t.Errorf("the valid request after the malformed ones: %v", err)
+	if _, err := s.Call(&wire.Request{Method: wire.MethodLinkText}); err != nil {
+		t.Errorf("a valid link request: %v", err)
 	}
 }
 
@@ -153,8 +126,6 @@ func TestCode(t *testing.T) {
 		code, leader string
 	}{
 		{ErrOverloaded, wire.CodeOverloaded, ""},
-		{&tenant.RateLimitedError{Corpus: "c"}, wire.CodeRateLimited, ""},
-		{&tenant.QuotaExceededError{Corpus: "c"}, wire.CodeQuotaExceeded, ""},
 		{&replication.NotPrimaryError{Leader: "10.0.0.1:7070"}, wire.CodeNotPrimary, "10.0.0.1:7070"},
 		{fmt.Errorf("write: %w", replication.ErrQuorumUnavailable), wire.CodeQuorumUnavailable, ""},
 		{fmt.Errorf("lead: %w", replication.ErrStaleEpoch), wire.CodeStaleEpoch, ""},

@@ -74,7 +74,7 @@ func seedMessages() []interface{} {
 		&Response{Seq: 3, Status: "error", Code: CodeNotPrimary, Error: "this node is a read replica", Leader: "127.0.0.1:7071"},
 	}
 	for _, code := range []string{CodeOverloaded, CodeInternal, CodeNotPrimary, CodeStaleEpoch,
-		CodeQuorumUnavailable, CodeRateLimited, CodeQuotaExceeded} {
+		CodeQuorumUnavailable, CodeFailed} {
 		msgs = append(msgs, &Response{Seq: 30, Status: "error", Code: code, Error: code + ": refused"})
 	}
 	return msgs

@@ -97,7 +97,7 @@ const (
 	// node it was sent to.
 	KindNodeRead
 	// KindControl is liveness, replication and election traffic between
-	// nodes: node-pinned and charged to no tenant. It is safe to re-send: a
+	// nodes: node-pinned and never shed. It is safe to re-send: a
 	// subscribe or a snapshot reads, an ack only ratchets an offset up, a
 	// voter re-grants the same (epoch, candidate) pair, and a leadership
 	// announcement for an adopted epoch is a no-op.
@@ -105,7 +105,7 @@ const (
 )
 
 // Methods maps every method of the protocol to its kind: the one table a new
-// method is added to. Routing, retries, tenant admission and the server's
+// method is added to. Routing, retries, load shedding and the server's
 // per-method counters all read it.
 var Methods = map[string]Kind{
 	MethodAddDomain:   KindWrite,
@@ -167,10 +167,10 @@ type Request struct {
 	Mode    string         `xml:"mode,omitempty"`
 	Format  string         `xml:"format,omitempty"`
 
-	// Corpus names the tenant corpus the request acts on behalf of: the
-	// source corpus of link methods and the rate-limit/quota accounting
-	// label of every method. Empty means the server's default corpus, which
-	// is how pre-tenancy clients keep working unchanged.
+	// Corpus names the corpus the request acts on behalf of: the source
+	// corpus of link methods and the corpus a written entry that names none
+	// lands in. Empty means the server's default corpus, which is how
+	// single-corpus clients keep working unchanged.
 	Corpus string `xml:"corpus,attr,omitempty"`
 	// Targets is the ordered cross-corpus link policy of link methods: the
 	// corpora to link against, earlier ones winning equal-span ties. Empty
@@ -204,10 +204,9 @@ type Request struct {
 }
 
 // Error codes carried in Response.Code. They classify error responses so
-// clients can react mechanically: an "overloaded" or "rateLimited" error is
-// transient (the request was rejected before execution and is safe to retry,
-// even for mutating methods), and an "internal" error is a server-side
-// failure. Older servers omit the code.
+// clients can react mechanically: an "overloaded" error is transient (the
+// request was rejected before execution and is safe to retry, even for
+// mutating methods), and an "internal" error is a server-side failure. Older servers omit the code.
 const (
 	// CodeOverloaded: the node shed the request before dispatching it
 	// because its in-flight bound was reached. Safe to retry after backoff.
@@ -229,14 +228,6 @@ const (
 	// the quorum guarantee is degraded, so the caller must not assume the
 	// write survives a primary failover.
 	CodeQuorumUnavailable = "quorumUnavailable"
-	// CodeRateLimited: the request's corpus is over its tenant rate limit.
-	// Rejected before execution — safe to retry after backoff, even for
-	// mutating methods (same contract as overloaded).
-	CodeRateLimited = "rateLimited"
-	// CodeQuotaExceeded: the write would push its corpus past a tenant
-	// entry-count or byte quota. Rejected before execution; retrying without
-	// freeing space or raising the quota will fail again.
-	CodeQuotaExceeded = "quotaExceeded"
 	// CodeFailed: the node's engine stopped when its store refused a write
 	// (a WAL append or fsync error), and refuses every request until it is
 	// restarted. The write that stopped it may or may not be in the log, so

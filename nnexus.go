@@ -61,7 +61,6 @@ import (
 	"nnexus/internal/service"
 	"nnexus/internal/storage"
 	"nnexus/internal/telemetry"
-	"nnexus/internal/tenant"
 )
 
 // Core data types, re-exported from the implementation packages.
@@ -106,40 +105,11 @@ type (
 	Network = semnet.Graph
 	// NetworkStats summarizes a network's connectivity.
 	NetworkStats = semnet.Stats
-	// TenantPolicy is one corpus's resource envelope: token-bucket rate
-	// limit, entry/byte quotas, and default cross-corpus link targets.
-	TenantPolicy = tenant.Policy
-	// TenantConfig maps corpus IDs to tenant policies (the -tenant-config
-	// JSON shape).
-	TenantConfig = tenant.Config
-	// TenantRegistry is a deployment's live tenant-policy table: Config names
-	// its file (TenantFile, re-read by Engine.ReloadTenants — nnexusd does this
-	// on SIGHUP) or hands one over in memory (Tenants).
-	TenantRegistry = tenant.Registry
-	// TenantRateLimitedError is the typed pre-execution rejection a corpus's
-	// token bucket raises; detect it with errors.As or IsTenantRateLimited.
-	TenantRateLimitedError = tenant.RateLimitedError
-	// TenantQuotaExceededError is the typed pre-execution rejection a write
-	// past a corpus's entry/byte quota raises.
-	TenantQuotaExceededError = tenant.QuotaExceededError
 )
 
 // DefaultCorpusName is the namespace entries and link requests fall into
-// when they name no corpus; single-corpus deployments live entirely inside
-// it and behave exactly as before multi-tenancy existed.
+// when they name no corpus; a single-corpus deployment lives entirely in it.
 const DefaultCorpusName = corpus.DefaultCorpus
-
-// NewTenantRegistry builds a tenant-policy registry from a config. A zero
-// TenantConfig admits everything.
-func NewTenantRegistry(cfg TenantConfig) *TenantRegistry { return tenant.NewRegistry(cfg) }
-
-// IsTenantRateLimited reports whether err is (or wraps) a tenant
-// rate-limit rejection.
-func IsTenantRateLimited(err error) bool { return tenant.IsRateLimited(err) }
-
-// IsTenantQuotaExceeded reports whether err is (or wraps) a tenant quota
-// rejection.
-func IsTenantQuotaExceeded(err error) bool { return tenant.IsQuotaExceeded(err) }
 
 // Pipeline modes (see the paper's Table 2 configurations).
 const (
@@ -235,7 +205,7 @@ type Engine struct {
 	core  *core.Engine
 	store *storage.Store
 
-	// svc is the node's request pipeline — tenant gate, who may write, when
+	// svc is the node's request pipeline — how much it runs at once, who may write, when
 	// a write is acknowledged — and health its liveness and readiness; Serve,
 	// ServeListener and HTTPHandler pass these same two values on, so the
 	// doors cannot disagree.
@@ -247,7 +217,7 @@ type Engine struct {
 // started until the whole of cfg has been validated. When DataDir is set, any
 // previously persisted state is loaded and all indexes rebuilt.
 func New(cfg Config) (*Engine, error) {
-	res, err := cfg.validate()
+	engCfg, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -274,11 +244,11 @@ func New(cfg Config) (*Engine, error) {
 	// A follower's engine takes no store: its state is fed exclusively by
 	// the replication stream (local writes would diverge from the primary's
 	// WAL numbering), while the store itself is the replica's durable copy.
-	res.engine.Telemetry = reg
+	engCfg.Telemetry = reg
 	if cfg.FollowPrimary == "" {
-		res.engine.Store = store
+		engCfg.Store = store
 	}
-	eng, err := core.NewEngine(res.engine)
+	eng, err := core.NewEngine(engCfg)
 	if err != nil {
 		if store != nil {
 			store.Close()
@@ -286,7 +256,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, core: eng, store: store, svc: service.New(eng), health: health.NewState()}
-	if err := e.boot(res.tenants, reg); err != nil {
+	if err := e.boot(reg); err != nil {
 		e.Close()
 		return nil, err
 	}
@@ -296,7 +266,7 @@ func New(cfg Config) (*Engine, error) {
 // boot takes the open engine the rest of the way: the configured domains and
 // mappers, the replication role, the request policy, the health state. New
 // closes the engine when it fails.
-func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
+func (e *Engine) boot(reg *telemetry.Registry) error {
 	cfg := &e.cfg
 	// A domain the store replayed as configured costs no WAL record, and a
 	// follower's domains are its primary's, not its own to write.
@@ -363,7 +333,6 @@ func (e *Engine) boot(tenants *TenantRegistry, reg *telemetry.Registry) error {
 			return err
 		}
 	}
-	e.svc.Tenants = tenants
 	e.svc.QuorumAcks, e.svc.QuorumTimeout, e.svc.MaxActive = cfg.QuorumAcks, cfg.QuorumTimeout, cfg.MaxActive
 
 	// The engine has loaded, so the node is ready from here; what hosts it
@@ -457,12 +426,6 @@ func (e *Engine) DefaultCorpus() string { return e.core.DefaultCorpus() }
 // Corpora returns the names of every corpus namespace holding entries,
 // sorted.
 func (e *Engine) Corpora() []string { return e.core.Corpora() }
-
-// CorpusUsage returns a corpus's current footprint — its entry count and
-// indexed bytes — the numbers tenant quotas are enforced against.
-func (e *Engine) CorpusUsage(name string) (entries, bytes int64) {
-	return e.core.CorpusUsage(name)
-}
 
 // SetPolicy installs (or with empty text removes) an entry's linking
 // policy, e.g. "forbid even\nallow even from 11-XX".
@@ -682,16 +645,6 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 // attached. What hosts the engine marks it draining before shutting down, so
 // readiness flips before connections close.
 func (e *Engine) Health() *HealthState { return e.health }
-
-// ReloadTenants re-reads Config.TenantFile into the live tenant registry. A
-// surviving corpus keeps its token-bucket fill, so a reload never hands a
-// saturated tenant a free burst; a file that fails to parse changes nothing.
-func (e *Engine) ReloadTenants() error {
-	if e.cfg.TenantFile == "" {
-		return fmt.Errorf("nnexus: no TenantFile to reload")
-	}
-	return e.svc.Tenants.ReloadFile(e.cfg.TenantFile)
-}
 
 // Replication reports the node's replication as one snapshot: role, leader,
 // election term and history epoch, head, applied offset, lag and sync state,

@@ -162,8 +162,6 @@ var goldenShapes = map[string][]string{
 		"nnexus_tcp_request_duration_seconds histogram",
 		"nnexus_tcp_request_errors_total counter",
 		"nnexus_tcp_requests_total counter method",
-		"nnexus_tenant_rejected_total counter",
-		"nnexus_tenant_requests_total counter",
 		"nnexus_wal_appends_total counter",
 		"nnexus_wal_fsyncs_total counter",
 		"nnexus_wal_group_commit_batch_size histogram",

@@ -5,9 +5,7 @@ package nnexus_test
 // the three doors to an engine — Server.Handle in process, a real socket
 // (Serve + the client), and the HTTP API (HTTPHandler) — on identically
 // prepared nodes. Every door must report the same typed outcome
-// (overloaded, rateLimited, quotaExceeded, notPrimary + leader,
-// quorumUnavailable, ok)
-// and leave the same engine state behind, because all three compose the
+// (overloaded, notPrimary + leader, quorumUnavailable, ok) and leave the same engine state behind, because all three compose the
 // request pipeline of internal/service.
 
 import (
@@ -18,8 +16,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -41,7 +37,7 @@ type node struct {
 }
 
 // openNode builds an engine from cfg and serves it on a socket and over
-// HTTP. Whatever gates the node — tenants, role, quorum — is in cfg, once.
+// HTTP. Whatever gates the node — its bound, role, quorum — is in cfg, once.
 func openNode(t *testing.T, cfg nnexus.Config) *node {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -69,7 +65,7 @@ func openNode(t *testing.T, cfg nnexus.Config) *node {
 }
 
 // seed registers the test domain and stores entries directly in the engine,
-// so no door's token bucket or quorum is touched by the preparation.
+// so no door's slot or quorum is touched by the preparation.
 func (n *node) seed(t *testing.T, entries ...nnexus.Entry) {
 	t.Helper()
 	for _, d := range []nnexus.Domain{
@@ -89,26 +85,23 @@ func (n *node) seed(t *testing.T, entries ...nnexus.Entry) {
 }
 
 // state is everything a request could have changed, as one comparable
-// string: every entry, the invalidation queue, each corpus's usage, and a
-// probe link whose output moves with the linking policies.
+// string: every entry, the invalidation queue, each corpus's entry count,
+// and a probe link whose output moves with the linking policies.
 func (n *node) state(t *testing.T) string {
 	t.Helper()
 	var st struct {
 		Entries     []*nnexus.Entry
 		Invalidated []int64
-		Usage       map[string][2]int64
+		Counts      map[string]int
 		Probe       string
 	}
+	st.Counts = map[string]int{}
 	for _, id := range n.engine.Entries() {
 		e, _ := n.engine.Entry(id)
 		st.Entries = append(st.Entries, e)
+		st.Counts[e.Corpus]++
 	}
 	st.Invalidated = n.engine.Invalidated()
-	st.Usage = map[string][2]int64{}
-	for _, c := range n.engine.Corpora() {
-		entries, bytes := n.engine.CorpusUsage(c)
-		st.Usage[c] = [2]int64{entries, bytes}
-	}
 	res, err := n.engine.LinkText("an even planar graph", nnexus.LinkOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -243,12 +236,6 @@ var doors = []door{
 				out.Links = fmt.Sprint(ids)
 			}
 		case wire.MethodAddEntry:
-			if r.corpus != "" {
-				// The client sends no request corpus beside the entry's;
-				// speak the protocol on a bare connection.
-				return wireOutcome(rawCall(t, n.addr, &wire.Request{Method: r.method, Seq: 1,
-					Corpus: r.corpus, Entry: r.entry}))
-			}
 			_, err = c.AddEntry(r.entry)
 		case wire.MethodUpdateEntry:
 			err = c.UpdateEntry(r.entry)
@@ -341,7 +328,6 @@ var doors = []door{
 		}
 		out := outcome{Code: reply.Code, Leader: reply.Leader}
 		wantStatus := map[string]int{
-			wire.CodeRateLimited: http.StatusTooManyRequests, wire.CodeQuotaExceeded: http.StatusForbidden,
 			wire.CodeNotPrimary: http.StatusForbidden, wire.CodeQuorumUnavailable: http.StatusServiceUnavailable,
 			wire.CodeOverloaded: http.StatusServiceUnavailable,
 		}
@@ -354,7 +340,7 @@ var doors = []door{
 		case resp.StatusCode != wantStatus[reply.Code]:
 			t.Errorf("http door: code %q answered with status %d, want %d", reply.Code, resp.StatusCode, wantStatus[reply.Code])
 		}
-		if (reply.Code == wire.CodeRateLimited || reply.Code == wire.CodeOverloaded) && resp.Header.Get("Retry-After") == "" {
+		if reply.Code == wire.CodeOverloaded && resp.Header.Get("Retry-After") == "" {
 			t.Errorf("http door: %s without Retry-After", reply.Code)
 		}
 		if r.method == wire.MethodAddEntry && reply.Code == wire.CodeQuorumUnavailable && reply.ID == 0 {
@@ -422,9 +408,6 @@ type scenario struct {
 	executes bool
 	// fenced says the rejection must count in nnexus_fenced_requests_total.
 	fenced bool
-	// check, when set, replaces comparing full states across doors, for the
-	// one row whose doors differ by design.
-	check func(t *testing.T, n *node)
 	// skip names a door that cannot express the request.
 	skip string
 }
@@ -438,19 +421,6 @@ var (
 func TestTransportEquivalence(t *testing.T) {
 	var rows []scenario
 
-	// A saturated bucket rejects every tenant-attributable method alike,
-	// read or write, before it runs.
-	saturated := func(t *testing.T) *node {
-		reg := nnexus.NewTenantRegistry(nnexus.TenantConfig{
-			Default: &nnexus.TenantPolicy{RatePerSec: 0.001, Burst: 1},
-		})
-		n := openNode(t, nnexus.Config{Tenants: reg})
-		n.seed(t, planar, even)
-		if err := reg.Allow(nnexus.DefaultCorpusName); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
 	clientCalls := []request{
 		{method: wire.MethodLinkText, text: "a planar graph"},
 		{method: wire.MethodGetEntry, id: 1},
@@ -461,11 +431,6 @@ func TestTransportEquivalence(t *testing.T) {
 		{method: wire.MethodSetPolicy, id: 2, policy: "forbid even"},
 		{method: wire.MethodRelink},
 	}
-	for _, r := range clientCalls {
-		rows = append(rows, scenario{name: "saturated bucket/" + r.method, open: saturated, req: r,
-			want: outcome{Code: wire.CodeRateLimited}})
-	}
-
 	// A node whose one in-flight slot is held — here by an HTTP request
 	// whose body is still arriving — sheds every client call alike, read or
 	// write, before it runs.
@@ -494,78 +459,6 @@ func TestTransportEquivalence(t *testing.T) {
 		rows = append(rows, scenario{name: "slot held/" + r.method, open: busy, req: r,
 			want: outcome{Code: wire.CodeOverloaded}})
 	}
-
-	// Entry quotas charge a write by the engine's replace-versus-new rule.
-	boxed := func(t *testing.T) *node {
-		reg := nnexus.NewTenantRegistry(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
-			"boxed": {MaxEntries: 2},
-		}})
-		n := openNode(t, nnexus.Config{Tenants: reg})
-		inBox, outside := planar, even
-		inBox.Corpus, outside.Corpus = "boxed", "free"
-		second := inBox
-		second.Title = "connected graph"
-		n.seed(t, inBox, second, outside) // IDs 1, 2 in the full corpus; 3 outside it
-		return n
-	}
-	rows = append(rows,
-		scenario{name: "entry quota/create", open: boxed, want: outcome{Code: wire.CodeQuotaExceeded},
-			req: request{method: wire.MethodAddEntry, entry: &nnexus.Entry{
-				Corpus: "boxed", Domain: "planetmath.org", Title: "one too many", Classes: []string{"05C10"}}}},
-		scenario{name: "entry quota/update", open: boxed, want: outcome{Code: "ok"}, executes: true,
-			req: request{method: wire.MethodUpdateEntry, entry: &nnexus.Entry{
-				ID: 1, Corpus: "boxed", Domain: "planetmath.org", Title: "planar graph", Classes: []string{"05C10"},
-				Body: "a replacement inside a full corpus adds no entry"}}},
-		scenario{name: "entry quota/cross-corpus move", open: boxed, want: outcome{Code: wire.CodeQuotaExceeded},
-			req: request{method: wire.MethodUpdateEntry, entry: &nnexus.Entry{
-				ID: 3, Corpus: "boxed", Domain: "planetmath.org", Title: "even", Classes: []string{"11A51"}}}},
-		// A write is charged to the corpus it lands in: its entry's, whatever
-		// corpus the request names.
-		scenario{name: "entry quota/create naming the full corpus under another", open: boxed,
-			want: outcome{Code: wire.CodeQuotaExceeded},
-			req: request{method: wire.MethodAddEntry, corpus: "free", entry: &nnexus.Entry{
-				Corpus: "boxed", Domain: "planetmath.org", Title: "one too many", Classes: []string{"05C10"}}}},
-		scenario{name: "entry quota/create naming another corpus under the full one", open: boxed,
-			want: outcome{Code: "ok"}, executes: true,
-			req: request{method: wire.MethodAddEntry, corpus: "boxed", entry: &nnexus.Entry{
-				Corpus: "free", Domain: "planetmath.org", Title: "room elsewhere", Classes: []string{"05C10"}}}},
-		// The HTTP import files a dump into the default corpus: its records
-		// name none.
-		scenario{name: "entry quota/batch naming the full corpus", open: boxed, skip: "http",
-			want: outcome{Code: wire.CodeQuotaExceeded},
-			req: request{method: wire.MethodAddEntries, entries: []*nnexus.Entry{
-				{Corpus: "boxed", Domain: "planetmath.org", Title: "first", Classes: []string{"05C10"}},
-				{Corpus: "boxed", Domain: "planetmath.org", Title: "second", Classes: []string{"05C10"}},
-				{Corpus: "boxed", Domain: "planetmath.org", Title: "third", Classes: []string{"05C10"}},
-				{Corpus: "boxed", Domain: "planetmath.org", Title: "fourth", Classes: []string{"05C10"}},
-				{Corpus: "boxed", Domain: "planetmath.org", Title: "fifth", Classes: []string{"05C10"}},
-			}}},
-	)
-	// An import of 3 into room for 2 is refused on every door. What it
-	// leaves behind differs by design — addEntries is admitted whole, the
-	// HTTP import streams and is checked entry by entry — so the shared
-	// guarantee is the quota itself.
-	rows = append(rows, scenario{name: "entry quota/import of 3 into room for 2",
-		open: func(t *testing.T) *node {
-			reg := nnexus.NewTenantRegistry(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
-				nnexus.DefaultCorpusName: {MaxEntries: 2},
-			}})
-			n := openNode(t, nnexus.Config{Tenants: reg})
-			n.seed(t)
-			return n
-		},
-		req: request{method: wire.MethodAddEntries, entries: []*nnexus.Entry{
-			{Domain: "planetmath.org", Title: "first", Classes: []string{"05C10"}},
-			{Domain: "planetmath.org", Title: "second", Classes: []string{"05C10"}},
-			{Domain: "planetmath.org", Title: "third", Classes: []string{"05C10"}},
-		}},
-		want: outcome{Code: wire.CodeQuotaExceeded},
-		check: func(t *testing.T, n *node) {
-			if entries, _ := n.engine.CorpusUsage(nnexus.DefaultCorpusName); entries > 2 {
-				t.Errorf("corpus holds %d entries past its quota of 2", entries)
-			}
-		},
-	})
 
 	// A batch through the client equals the engine's own batch call in
 	// process, on a twin node. HTTP has no batch route.
@@ -607,7 +500,8 @@ func TestTransportEquivalence(t *testing.T) {
 
 	// Link options reach the engine alike through every door, compared by
 	// output as well as by links: a mode (lexical ignores the policy that
-	// forbids linking "even"), a format, and target corpora. A mode or format
+	// forbids linking "even"), a format, target corpora, and a source corpus
+	// with no targets, which links within itself. A mode or format
 	// no door knows, and an ID no entry has, answer one error text.
 	optioned := func(t *testing.T) *node {
 		n := openNode(t, nnexus.Config{})
@@ -622,12 +516,13 @@ func TestTransportEquivalence(t *testing.T) {
 		{method: wire.MethodLinkText, text: "an even planar graph", mode: "lexical"},
 		{method: wire.MethodLinkText, text: "an even planar graph", format: "markdown"},
 		{method: wire.MethodLinkText, text: "an even planar graph", targets: []string{"wiki"}},
+		{method: wire.MethodLinkText, text: "an even planar graph", corpus: "wiki"},
 	} {
 		opts, err := service.ParseLinkOptions(r.mode, r.format)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.TargetCorpora = r.targets
+		opts.SourceCorpus, opts.TargetCorpora = r.corpus, r.targets
 		res, err := probe.engine.LinkText(r.text, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -636,8 +531,11 @@ func TestTransportEquivalence(t *testing.T) {
 		for _, l := range res.Links {
 			links = append(links, wire.LinkInfo{Label: l.Label, Target: l.Target})
 		}
-		rows = append(rows, scenario{name: fmt.Sprintf("options/mode %q format %q targets %q", r.mode, r.format, r.targets),
-			open: optioned, req: r, want: outcome{Code: "ok", Links: linkSummary(links), Output: res.Output}})
+		name := fmt.Sprintf("options/mode %q format %q targets %q", r.mode, r.format, r.targets)
+		if r.corpus != "" {
+			name += " corpus " + r.corpus
+		}
+		rows = append(rows, scenario{name: name, open: optioned, req: r, want: outcome{Code: "ok", Links: linkSummary(links), Output: res.Output}})
 	}
 	rows = append(rows,
 		scenario{name: "options/unknown mode", open: optioned,
@@ -720,7 +618,7 @@ func TestTransportEquivalence(t *testing.T) {
 				if got != row.want {
 					t.Errorf("%s: outcome %+v, want %+v", d.name, got, row.want)
 				}
-				if !row.executes && row.check == nil && after != before {
+				if !row.executes && after != before {
 					t.Errorf("%s: a rejected request changed the node:\nbefore %s\nafter  %s", d.name, before, after)
 				}
 				if row.executes && after == before {
@@ -730,8 +628,6 @@ func TestTransportEquivalence(t *testing.T) {
 					t.Errorf("%s: fenced-request count moved: %v, want %v", d.name, moved, row.fenced)
 				}
 				switch {
-				case row.check != nil:
-					row.check(t, n)
 				case first == "":
 					first = after
 				case after != first:
@@ -741,10 +637,6 @@ func TestTransportEquivalence(t *testing.T) {
 		})
 	}
 	t.Run("no peers, no election", noPeersRow)
-	t.Run("one gate", oneGateRow)
-	t.Run("malformed link spends no token", malformedLinkRow)
-	t.Run("default targets", defaultTargetsRow)
-	t.Run("one metric family", metricFamilyRow)
 	t.Run("body limit", bodyLimitRow)
 }
 
@@ -799,167 +691,6 @@ func noPeersRow(t *testing.T) {
 				t.Errorf("/readyz components = %v, want replication and no election", report.Components)
 			}
 		})
-	}
-}
-
-// TestReloadTenantsAtBothDoors: a node reads its tenant policy from a file;
-// rewriting the file with a tighter rate limit and reloading it makes both
-// doors refuse what the new limit does not admit, and a malformed file fails
-// the reload and leaves that policy enforced.
-func TestReloadTenantsAtBothDoors(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tenants.json")
-	write := func(doc string) {
-		t.Helper()
-		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(`{"corpora": {"hot": {"ratePerSec": 1000, "burst": 1000}}}`)
-	n := openNode(t, nnexus.Config{TenantFile: path})
-	socket, web := doors[1], doors[2]
-	req := request{method: wire.MethodLinkText, corpus: "hot", text: "a planar graph"}
-	expect := func(d door, want string) {
-		t.Helper()
-		if got := d.do(t, n, req); got.Code != want {
-			t.Fatalf("%s: %+v, want %s", d.name, got, want)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		expect([]door{socket, web}[i%2], "ok")
-	}
-
-	write(`{"corpora": {"hot": {"ratePerSec": 0.001, "burst": 2}}}`)
-	if err := n.engine.ReloadTenants(); err != nil {
-		t.Fatal(err)
-	}
-	expect(socket, "ok")
-	expect(web, "ok")
-	expect(socket, wire.CodeRateLimited)
-	expect(web, wire.CodeRateLimited)
-
-	write(`{"corpora": {"hot": `)
-	if err := n.engine.ReloadTenants(); err == nil {
-		t.Fatal("ReloadTenants accepted a malformed file")
-	}
-	expect(socket, wire.CodeRateLimited)
-	expect(web, wire.CodeRateLimited)
-}
-
-// One service means one gate: a corpus's single token bucket is drained by
-// requests alternating between the socket and HTTP, and the request after
-// the last token is rateLimited whichever door carries it.
-func oneGateRow(t *testing.T) {
-	const burst = 6
-	wire2 := []door{doors[1], doors[2]} // socket, http
-	for first := range wire2 {
-		n := openNode(t, nnexus.Config{Tenants: nnexus.NewTenantRegistry(nnexus.TenantConfig{
-			Default: &nnexus.TenantPolicy{RatePerSec: 0.001, Burst: burst},
-		})})
-		n.seed(t, planar)
-		req := request{method: wire.MethodLinkText, text: "a planar graph"}
-		for i := 0; i < burst; i++ {
-			d := wire2[(first+i)%2]
-			if got := d.do(t, n, req); got.Code != "ok" {
-				t.Fatalf("request %d of a burst of %d (%s): %+v", i+1, burst, d.name, got)
-			}
-		}
-		d := wire2[(first+burst)%2]
-		if got := d.do(t, n, req); got.Code != wire.CodeRateLimited {
-			t.Errorf("request %d on a burst of %d (%s): %+v, want %s: the doors do not share one bucket",
-				burst+1, burst, d.name, got, wire.CodeRateLimited)
-		}
-	}
-}
-
-// A link request whose options do not parse is refused at admission, before
-// it is charged, on every door: on a bucket of one token, a valid request
-// after two malformed ones still runs.
-func malformedLinkRow(t *testing.T) {
-	for _, d := range doors {
-		t.Run(d.name, func(t *testing.T) {
-			n := openNode(t, nnexus.Config{Tenants: nnexus.NewTenantRegistry(nnexus.TenantConfig{
-				Default: &nnexus.TenantPolicy{RatePerSec: 0.001, Burst: 1},
-			})})
-			n.seed(t, planar)
-			for _, r := range []request{
-				{method: wire.MethodLinkText, text: "a planar graph", mode: "psychic"},
-				{method: wire.MethodLinkText, text: "a planar graph", format: "pdf"},
-			} {
-				if got := d.do(t, n, r); got.Code != "error" {
-					t.Fatalf("mode %q format %q: %+v, want an untyped error", r.mode, r.format, got)
-				}
-			}
-			if got := d.do(t, n, request{method: wire.MethodLinkText, text: "a planar graph"}); got.Code != "ok" {
-				t.Errorf("the valid request after two malformed ones: %+v, want ok: a malformed request spent a token", got)
-			}
-		})
-	}
-}
-
-// A corpus's configured targets are the link policy of a free-text request
-// that names none, on every door; naming targets still wins, and a reload
-// of the tenant config changes the default.
-func defaultTargetsRow(t *testing.T) {
-	text := "a planar graph and its chromatic number"
-	for _, d := range doors {
-		t.Run(d.name, func(t *testing.T) {
-			reg := nnexus.NewTenantRegistry(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
-				"notes": {Targets: []string{"pm", "wiki"}},
-			}})
-			n := openNode(t, nnexus.Config{Tenants: reg})
-			n.seed(t,
-				nnexus.Entry{Corpus: "pm", Domain: "planetmath.org", Title: "planar graph", Classes: []string{"05C10"}},      // 1
-				nnexus.Entry{Corpus: "wiki", Domain: "wikipedia.org", Title: "planar graph", Classes: []string{"05C10"}},     // 2: homonym
-				nnexus.Entry{Corpus: "wiki", Domain: "wikipedia.org", Title: "chromatic number", Classes: []string{"05C15"}}, // 3
-			)
-			link := func(targets ...string) string {
-				got := d.do(t, n, request{method: wire.MethodLinkText, corpus: "notes", targets: targets, text: text})
-				if got.Code != "ok" {
-					t.Fatalf("link: %+v", got)
-				}
-				return got.Links
-			}
-			if got, want := link(), "planar graph→1 chromatic number→3 "; got != want {
-				t.Errorf("configured targets [pm wiki]: links %q, want %q", got, want)
-			}
-			if got, want := link("wiki"), "planar graph→2 chromatic number→3 "; got != want {
-				t.Errorf("explicit targets [wiki]: links %q, want %q", got, want)
-			}
-			reg.Reload(nnexus.TenantConfig{Corpora: map[string]*nnexus.TenantPolicy{
-				"notes": {Targets: []string{"wiki"}},
-			}})
-			if got, want := link(), "planar graph→2 chromatic number→3 "; got != want {
-				t.Errorf("after reload to [wiki]: links %q, want %q", got, want)
-			}
-		})
-	}
-}
-
-// Both transports count into the one tenant metric family.
-func metricFamilyRow(t *testing.T) {
-	n := openNode(t, nnexus.Config{Tenants: nnexus.NewTenantRegistry(nnexus.TenantConfig{})})
-	n.seed(t, planar)
-	for _, d := range doors {
-		if got := d.do(t, n, request{method: wire.MethodLinkText, corpus: "scraped", text: "a planar graph"}); got.Code != "ok" {
-			t.Fatalf("%s: %+v", d.name, got)
-		}
-	}
-	resp, err := http.Get(n.http.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	scrape, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprintf(`nnexus_tenant_requests_total{corpus="scraped"} %d`, len(doors)); !strings.Contains(string(scrape), want) {
-		t.Errorf("scrape lacks %q: the doors do not share one family", want)
-	}
-	// (Spelled in two halves so that a grep for the retired family name
-	// finds no Go file at all.)
-	if strings.Contains(string(scrape), "nnexus_http_"+"tenant_") {
-		t.Error("scrape still carries an HTTP-only tenant family")
 	}
 }
 
