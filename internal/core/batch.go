@@ -220,7 +220,10 @@ func (e *Engine) relinkShared(ids []int64, workers int) (map[int64]*Result, int,
 // bad entry rejects the whole batch; on success every entry's ID field is
 // set and the assigned IDs are returned in order. The batch, its ID
 // high-water mark and the invalidation flags it sets persist as a single
-// atomic storage batch (one WAL record, one fsync).
+// atomic storage batch (one WAL record, one fsync). That record is bounded:
+// the store refuses one of more than 1<<20 ops (entries, flags and the
+// high-water mark together) or past 64 MiB encoded, and a refused commit
+// stops the engine (ErrFailed), so a caller splits a larger import.
 func (e *Engine) AddEntries(entries []*corpus.Entry) ([]int64, error) {
 	if len(entries) == 0 {
 		return nil, nil

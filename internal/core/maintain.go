@@ -221,9 +221,11 @@ func (e *Engine) publishLocked() {
 // superset — extra flags only cost a relink). The per-corpus telemetry
 // label records which namespace the invalidated entry belongs to.
 func (e *Engine) invalidateLocked(ch *changeSet, except int64, old, cur []string) {
-	if ch == nil && e.rendered.Len() == 0 {
-		// Nothing to flag and nothing rendered to drop: a replay into a cold
-		// engine (recovery, snapshot bootstrap) skips the lookups.
+	if ch == nil && e.rendered.Len() == 0 && len(e.invalid) == 0 {
+		// Nothing to flag, nothing rendered to drop and no standing flag to
+		// re-stamp: a replay into a cold engine (recovery, snapshot
+		// bootstrap, which load the flags after the entries) skips the
+		// lookups.
 		return
 	}
 	namespaces := e.nsMap()

@@ -92,8 +92,14 @@ func TestRelinkKeepsFlagOfUnseenWrite(t *testing.T) {
 // whose flags arrive with the primary's records: a record adding a label
 // that an already-flagged entry mentions carries no flag for it (the
 // primary's flag stands), and a local relink that pinned before the record
-// must still leave the entry flagged.
+// must still leave the entry flagged — whether or not the replica's rendered
+// cache holds anything when the record arrives.
 func TestReplicaRelinkKeepsFlagOfUnseenRecord(t *testing.T) {
+	t.Run("warm", func(t *testing.T) { replicaRelinkKeepsFlag(t, true) })
+	t.Run("cold", func(t *testing.T) { replicaRelinkKeepsFlag(t, false) })
+}
+
+func replicaRelinkKeepsFlag(t *testing.T, warm bool) {
 	e, err := NewEngine(Config{Scheme: classification.SampleMSC(10)})
 	if err != nil {
 		t.Fatal(err)
@@ -117,10 +123,10 @@ func TestReplicaRelinkKeepsFlagOfUnseenRecord(t *testing.T) {
 	}
 	put(entry(1, "planar graph", "a note about a field and a ring"))
 	put(entry(2, "ring", "a set with two operations"), 1)
-	// A rendering in the cache, so the record below is walked as on a live
-	// replica.
-	if _, _, err := e.LinkEntryCached(2); err != nil {
-		t.Fatal(err)
+	if warm { // a rendering in the cache, as on a live replica
+		if _, _, err := e.LinkEntryCached(2); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	seq := e.seq.Load()

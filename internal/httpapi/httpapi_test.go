@@ -236,6 +236,50 @@ func TestEntryLifecycle(t *testing.T) {
 	notFound.Body.Close()
 }
 
+// TestLinkedInvalidatesAfterNewConcept: a cached /linked rendering is
+// dropped when a later entry defines a concept its body mentions, so the
+// next fetch renders again and links the new concept.
+func TestLinkedInvalidatesAfterNewConcept(t *testing.T) {
+	_, srv := testServer(t)
+	create := func(e corpus.Entry) int64 {
+		t.Helper()
+		e.Domain, e.Classes = "planetmath.org", []string{"05C10"}
+		resp := postJSON(t, srv.URL+"/api/entries", e)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %q: status = %d", e.Title, resp.StatusCode)
+		}
+		var created map[string]int64
+		decode(t, resp, &created)
+		return created["id"]
+	}
+	id := create(corpus.Entry{Title: "outer", Body: "mentions a hyperloop"})
+	linked := func(wantCache string) core.Result {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/api/entries/" + itoa(id) + "/linked")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Header.Get("X-NNexus-Cache"); got != wantCache {
+			t.Errorf("X-NNexus-Cache = %q, want %q", got, wantCache)
+		}
+		var res core.Result
+		decode(t, resp, &res)
+		return res
+	}
+	linked("miss")
+	if res := linked("hit"); len(res.Links) != 0 {
+		t.Fatalf("premature links: %+v", res.Links)
+	}
+	concept := create(corpus.Entry{Title: "hyperloop"})
+	res := linked("miss")
+	if len(res.Links) != 1 || res.Links[0].Target != concept {
+		t.Fatalf("links after the new concept = %+v, want one to entry %d", res.Links, concept)
+	}
+	if want := `<a href="http://pm/` + itoa(concept) + `"`; !strings.Contains(res.Output, want) {
+		t.Errorf("output = %q, want it to contain %q", res.Output, want)
+	}
+}
+
 func TestPolicyEndpoint(t *testing.T) {
 	_, srv := testServer(t)
 	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/api/entries/4/policy",

@@ -337,7 +337,10 @@ func (s *Store) Delete(table, key string) error {
 // PutBatch applies ops atomically with respect to crash recovery: the whole
 // batch is encoded into a single CRC-covered WAL record, so after a crash
 // either every op survives replay or none does. In sync mode the batch
-// costs one fsync (shared with any concurrently staged appends).
+// costs one fsync (shared with any concurrently staged appends). A store
+// with a WAL or a replication log refuses, before applying any op, a batch
+// of more than maxBatchOps (1<<20) ops or one whose record would exceed
+// maxEntrySize (64 MiB); Put and Delete refuse such a record too.
 func (s *Store) PutBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -361,10 +364,20 @@ func (s *Store) mutate(ops []BatchOp, batch bool) error {
 	// built whenever there is a WAL or a replication log to feed.
 	var body []byte
 	if s.wal != nil || s.repl != nil {
+		// Replay takes a record past either bound for a torn tail and
+		// truncates the WAL there, so such a record is never written.
+		if len(ops) > maxBatchOps {
+			s.mu.Unlock()
+			return fmt.Errorf("storage: batch of %d ops exceeds the %d-op limit", len(ops), maxBatchOps)
+		}
 		if batch {
 			body = encodeBatchBody(ops)
 		} else {
 			body = encodeBody(ops[0])
+		}
+		if len(body) > maxEntrySize {
+			s.mu.Unlock()
+			return fmt.Errorf("storage: record of %d bytes exceeds the %d-byte limit", len(body), maxEntrySize)
 		}
 	}
 	if s.wal != nil {

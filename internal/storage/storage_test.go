@@ -169,6 +169,56 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	}
 }
 
+// refusedThenKept writes through the oversized mutation write, which must be
+// refused with an error naming want, then a small put, and checks after a
+// reopen that the small put survived: replay takes an oversized record for a
+// torn tail, so writing one would lose every write after it.
+func refusedThenKept(t *testing.T, want string, write func(s *Store) error) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(s); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("oversized write: err = %v, want one naming %q", err, want)
+	}
+	if err := s.Put("t", "after", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if v, ok := s2.Get("t", "after"); !ok || string(v) != "1" {
+		t.Fatalf("write after the refused one lost on reopen: %q %v", v, ok)
+	}
+	if n := s2.Len("t"); n != 1 {
+		t.Fatalf("table holds %d keys after reopen, want 1", n)
+	}
+}
+
+func TestRecordPastSizeLimitIsRefused(t *testing.T) {
+	refusedThenKept(t, fmt.Sprintf("%d-byte limit", maxEntrySize), func(s *Store) error {
+		return s.Put("t", "big", make([]byte, maxEntrySize+1))
+	})
+}
+
+func TestBatchPastOpLimitIsRefused(t *testing.T) {
+	refusedThenKept(t, fmt.Sprintf("batch of %d ops", maxBatchOps+1), func(s *Store) error {
+		ops := make([]BatchOp, maxBatchOps+1)
+		one := []byte{1}
+		for i := range ops {
+			ops[i] = BatchOp{Table: "t", Key: "k", Value: one}
+		}
+		return s.PutBatch(ops)
+	})
+}
+
 func TestGetReturnsCopy(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()

@@ -396,6 +396,9 @@ func (e *Engine) AddEntry(entry *Entry) (int64, error) { return e.core.AddEntry(
 // batch: a bad entry rejects the whole batch before anything commits, and
 // persistence uses a single WAL record (one fsync) instead of one per
 // entry. The assigned IDs are returned in order and set on the entries.
+// The record is bounded at 1<<20 ops (entries, the invalidation flags they
+// raise and the ID high-water mark) and 64 MiB encoded; a batch past either
+// is a refused commit, which stops the engine, so split a larger import.
 func (e *Engine) AddEntries(entries []*Entry) ([]int64, error) { return e.core.AddEntries(entries) }
 
 // UpdateEntry replaces an existing entry and re-indexes it.
